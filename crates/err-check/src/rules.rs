@@ -82,6 +82,10 @@ pub(crate) const MUTEX_FILES: &[&str] = &[
     "crates/err-egress/src/lib.rs",
     // stall_hist: watchdog-only, touched once per stall release.
     "crates/err-egress/src/link.rs",
+    // WakeCell's sleeper handle: locked once per thread registration
+    // and once per wake that found the sleeping flag set (an unpark
+    // syscall follows) — never by a wake that finds it clear.
+    "crates/err-egress/src/wake.rs",
     // MigrationSlot package handoff: once per migration, not per flit.
     "crates/err-runtime/src/migrate.rs",
     // Salvage lock + exit collection: once per shard death.
@@ -118,6 +122,9 @@ pub(crate) const PAIRED_FILES: &[&str] = &[
     "crates/err-fabric/src/chaos.rs",
     "crates/err-fabric/src/fabric.rs",
     "crates/err-egress/src/flusher.rs",
+    // The wake handshake's three swaps are one chain; a fourth site
+    // added without its clause would be a silent protocol change.
+    "crates/err-egress/src/wake.rs",
 ];
 
 /// Files that take per-flow claims (DESIGN.md §13): the park/unpark
@@ -146,6 +153,34 @@ pub(crate) struct DocRule {
 /// (§8–§14) — `tests::every_normative_design_section_has_a_doc_rule`
 /// asserts the table stays complete as sections are added.
 pub(crate) const DOC_RULES: &[DocRule] = &[
+    // §6/§7 hand-off vocabulary: the three wake edges, the timers that
+    // stay as their backstop, and the counters that tell the two apart.
+    DocRule {
+        doc: "DESIGN.md",
+        section: Some("## 6"),
+        needles: &[
+            "WakeCell",
+            "re-checks its wait condition",
+            "SPIN_BEFORE_PARK",
+            "PARK_TIMEOUT",
+            "park_timeouts",
+            "AdmitDecision::Wait",
+            "plain push path",
+        ],
+    },
+    DocRule {
+        doc: "DESIGN.md",
+        section: Some("## 7"),
+        needles: &[
+            "wake_consumer",
+            "wake_credit_waiters",
+            "relieved",
+            "BACKOFF_FLOOR",
+            "BACKOFF_CAP",
+            "flusher_park_timeouts",
+            "left on timers",
+        ],
+    },
     DocRule {
         doc: "DESIGN.md",
         section: Some("## 8"),
@@ -202,6 +237,10 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "HandleTable",
             "FlushProgress",
             "HoldForRecovery",
+            // The hand-off cell (PR 14) and its model/mutant pair.
+            "WakeCell",
+            "model_wake_handshake_no_lost_wakeup",
+            "mutant_wake_recheck_dropped",
         ],
     },
     // §11 vocabulary: every routing verdict, forwarder outcome, and
@@ -351,6 +390,13 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "model_handle_table_swap_mid_handoff",
             "model_hold_for_recovery_resurrect_vs_finalize",
             "model_flush_progress_retire_fence",
+            // The wake handshake (PR 14): model, mutant, and the
+            // ledger table its gain is stated against.
+            "model_wake_handshake_no_lost_wakeup",
+            "mutant_wake_recheck_dropped",
+            "runtime_buffered",
+            "park_timeouts",
+            "pinned_cpu",
         ],
     },
 ];

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use err_egress::{
     spsc_ring, CreditPool, DeadLinkPolicy, Egress, FlushProgress, FlusherCore, LinkSet, ServedFlit,
+    Sleep, WakeCell,
 };
 use err_fabric::HandleTable;
 use err_runtime::channel::MpscRing;
@@ -624,6 +625,65 @@ fn model_flush_progress_retire_fence() {
     assert!(report.complete, "bounded DFS must exhaust");
 }
 
+/// The wake handshake (DESIGN.md §6) through the shipped [`WakeCell`]:
+/// a sleeper that waits for two pieces of work, each published by its
+/// own waker (publish, then `wake`). The model's `park_timeout` never
+/// times out, so a lost wake-up — the re-check missing the work *and*
+/// the waker missing the flag — leaves the sleeper parked for good and
+/// is reported as a deadlock. Two wakers cover the case a single one
+/// cannot: the second waker finds the flag already cleared by the
+/// first and unparks nobody, so its work must reach the sleeper's next
+/// re-check through the flag's release sequence. The payload cells
+/// prove what the sleeper sees is properly published, not just seen.
+/// Preemption-bounded: three threads around a retry loop do not
+/// exhaust unbounded, and a lost wake-up needs a single preemption (a
+/// waker running between the sleeper's last look and its announcement).
+#[test]
+fn model_wake_handshake_no_lost_wakeup() {
+    use loom::sync::atomic::{AtomicBool, Ordering};
+    let mut b = Builder::new();
+    b.max_preemptions = Some(3);
+    b.max_iterations = 2_000_000;
+    let report = b.check(|| {
+        let cell = Arc::new(WakeCell::new());
+        let work: Arc<[AtomicBool; 2]> = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+        let payload = Arc::new([UnsafeCell::new(0u32), UnsafeCell::new(0u32)]);
+        let sleeper = {
+            let (cell, work, payload) =
+                (Arc::clone(&cell), Arc::clone(&work), Arc::clone(&payload));
+            thread::spawn(move || {
+                cell.register();
+                let all_there = || work.iter().all(|w| w.load(Ordering::Acquire));
+                // The worker's idle loop: look, sleep unless the
+                // re-check finds the work, look again.
+                while !all_there() {
+                    let how = cell.sleep_unless(all_there, std::time::Duration::from_secs(1));
+                    assert_ne!(how, Sleep::TimedOut, "a park ended with the flag still set");
+                }
+                payload[0].with(|p| unsafe { *p }) + payload[1].with(|p| unsafe { *p })
+            })
+        };
+        let waker = |i: usize| {
+            let (cell, work, payload) =
+                (Arc::clone(&cell), Arc::clone(&work), Arc::clone(&payload));
+            move || {
+                payload[i].with_mut(|p| unsafe { *p = 1 + i as u32 });
+                work[i].store(true, Ordering::Release);
+                cell.wake();
+            }
+        };
+        let other = thread::spawn(waker(1));
+        waker(0)();
+        other.join().expect("second waker");
+        assert_eq!(sleeper.join().expect("sleeper"), 3);
+    });
+    println!(
+        "model_wake_handshake_no_lost_wakeup: {} interleavings (complete={})",
+        report.executions, report.complete
+    );
+    assert!(report.complete, "bounded DFS must exhaust");
+}
+
 // ---------------------------------------------------------------------
 // Mutants: one weakened ordering each; the checker must catch them.
 // Each is a self-contained miniature of the shipped structure with the
@@ -1073,6 +1133,42 @@ fn mutant_flush_progress_publish_relaxed() {
             let seen = log.with(|p| unsafe { *p });
             assert_eq!(seen, 1);
             flusher.join().expect("flusher");
+        });
+    });
+}
+
+/// The wake handshake with the sleeper's re-check dropped: announce,
+/// then park straight away. A waker that published and looked at the
+/// flag *before* the announcement unparks nobody, and the sleeper —
+/// who would have seen the work had it looked again — parks on a
+/// wake-up that already happened. The shipped `sleep_unless` cannot be
+/// called without its re-check; this miniature is what it prevents.
+#[test]
+fn mutant_wake_recheck_dropped() {
+    use loom::sync::atomic::{AtomicBool, Ordering};
+    expect_violation("wake_recheck_dropped", || {
+        Builder::new().check(|| {
+            let sleeping = Arc::new(AtomicBool::new(false));
+            let work = Arc::new(AtomicBool::new(false));
+            // What `register` stores: the sleeper's own handle.
+            let sleeper = thread::current();
+            let waker = {
+                let (sleeping, work) = (Arc::clone(&sleeping), Arc::clone(&work));
+                thread::spawn(move || {
+                    work.store(true, Ordering::Release);
+                    if sleeping.swap(false, Ordering::AcqRel) {
+                        sleeper.unpark();
+                    }
+                })
+            };
+            while !work.load(Ordering::Acquire) {
+                sleeping.swap(true, Ordering::AcqRel);
+                // MUTATION: shipped `sleep_unless` re-checks `work`
+                // here and skips the park when it is set.
+                thread::park();
+                sleeping.swap(false, Ordering::AcqRel);
+            }
+            waker.join().expect("waker");
         });
     });
 }

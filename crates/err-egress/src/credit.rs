@@ -74,16 +74,19 @@ impl CreditPool {
         }
     }
 
-    /// Returns one credit (a delivery or dead-letter downstream).
-    /// Panics in debug builds if the pool would exceed its capacity —
-    /// that means a release without a matching acquire.
-    pub fn release(&self) {
+    /// Returns one credit (a delivery or dead-letter downstream) and
+    /// reports whether the pool was empty before — the only state in
+    /// which a sender can be waiting for this credit. Panics in debug
+    /// builds if the pool would exceed its capacity — that means a
+    /// release without a matching acquire.
+    pub fn release(&self) -> bool {
         // ordering: AcqRel — the Release half pairs with the Acquire
         // half of `try_acquire`'s CAS (publishes the flusher's work on
         // the freed buffer); the Acquire half orders the flusher after
         // the worker's acquire when the pool cycles at capacity.
         let prev = self.credits.fetch_add(1, Ordering::AcqRel);
         debug_assert!(prev < self.capacity, "credit released above capacity");
+        prev == 0
     }
 
     /// Credits currently available (racy; exact only when quiescent).
@@ -117,8 +120,10 @@ mod tests {
         assert!(pool.try_acquire());
         assert!(!pool.try_acquire(), "pool exhausted");
         assert_eq!(pool.outstanding(), 3);
-        pool.release();
+        assert!(pool.release(), "the pool was empty: a sender may wait");
+        assert!(!pool.release(), "it no longer was");
         assert!(pool.try_acquire(), "release returns the credit");
+        assert!(pool.try_acquire());
         assert_eq!(pool.outstanding_peak(), 3);
     }
 

@@ -13,6 +13,13 @@
 //! drained before fresh ring flits for the same link); flits of
 //! different links may reorder, which is fine — they leave on
 //! different channels.
+//!
+//! Hand-offs (DESIGN.md §7): a flusher with an empty ring sleeps on the
+//! ring's wake cell and its worker wakes it once per service phase that
+//! committed flits; a step that returned credits wakes every worker
+//! parked on the shared [`LinkSet`]. The back-off timer below remains
+//! as the backstop, and as the only wake-up for what no peer announces
+//! (a link thaw, a resurrect, a refusing sink finding room).
 
 use std::collections::VecDeque;
 // The `FlushProgress` watermark goes through the loom shim so the
@@ -29,6 +36,7 @@ use crate::link::{DeadLinkPolicy, LinkSet};
 use crate::spsc::Consumer;
 use crate::stall::StallInjector;
 use crate::stats::ShardEgressStats;
+use crate::wake::Sleep;
 use crate::Egress;
 
 /// Max ring pops per [`FlusherCore::step`] call, so one step can't
@@ -41,14 +49,16 @@ const SPIN_ROUNDS: u32 = 64;
 /// First sleep once spinning gives up. Doubles per idle round.
 const BACKOFF_FLOOR: std::time::Duration = std::time::Duration::from_micros(5);
 
-/// Parking cap: the longest a flusher sleeps between ring checks.
-/// Bounds wake-up latency when a long-frozen link finally thaws or the
-/// worker resumes producing after a lull. The cap matters for
-/// throughput, not just latency: a sleeping flusher returns no link
-/// credits, and with small credit pools the workers park flows and
-/// stall behind it — a 1 ms cap measurably regressed the stalled-
-/// downstream bench at 4-8 shards on an oversubscribed core, so the
-/// cap stays within 2x of the fixed 50 us period it replaced.
+/// Parking cap: the longest a flusher sleeps between looks at its
+/// pending queues. Bounds wake-up latency when a long-frozen link
+/// finally thaws or a refusing sink finds room — events nobody
+/// announces; fresh ring flits end the sleep early through the wake
+/// cell. The cap matters for throughput, not just latency: pending
+/// flits hold link credits, and with small credit pools the workers
+/// park flows and stall behind them — a 1 ms cap measurably regressed
+/// the stalled-downstream bench at 4-8 shards on an oversubscribed
+/// core, so the cap stays within 2x of the fixed 50 us period it
+/// replaced.
 const BACKOFF_CAP: std::time::Duration = std::time::Duration::from_micros(100);
 
 /// The flusher's retire watermark (DESIGN.md §13.5): a single monotone
@@ -162,6 +172,20 @@ impl FlusherCore {
     /// Whether both the ring and every pending queue are empty.
     pub fn is_idle(&mut self) -> bool {
         self.pending_total == 0 && self.rx.is_empty()
+    }
+
+    /// Makes the calling thread the one the worker's
+    /// [`Producer::wake_consumer`](crate::spsc::Producer::wake_consumer)
+    /// unparks; the thread loop calls it once on entry.
+    pub fn register_sleeper(&self) {
+        self.rx.register_sleeper();
+    }
+
+    /// Parks the flusher thread for at most `timeout` unless the ring
+    /// has flits on the re-check. Pending flits do not count: what
+    /// unblocks them is not announced, so `timeout` is their poll.
+    pub fn sleep_while_ring_empty(&mut self, timeout: std::time::Duration) -> Sleep {
+        self.rx.sleep_while_empty(timeout)
     }
 
     /// Offers `flit` to the sink; returns the credit and advances the
@@ -325,11 +349,14 @@ pub fn run_flusher<E: Egress>(
     let inj = injector.as_deref();
     let mut idle_rounds = 0u32;
     let mut backoff = BACKOFF_FLOOR;
+    core.register_sleeper();
     loop {
         let n = core.step(&links, inj, &mut sink);
         let dead = core.take_dead_lettered();
         core.publish_progress(&progress);
         if n > 0 || dead > 0 {
+            // Once per step that returned credits, after all of them.
+            links.wake_credit_waiters();
             if n > 0 {
                 stats.flushed_flits.fetch_add(n, Ordering::Relaxed);
             }
@@ -356,12 +383,20 @@ pub fn run_flusher<E: Egress>(
         if idle_rounds < SPIN_ROUNDS {
             std::hint::spin_loop();
         } else {
-            // Long-idle (e.g. mid-stall with nothing deliverable):
-            // exponential backoff from BACKOFF_FLOOR to the parking
-            // cap. Short lulls cost microseconds of latency; a link
-            // frozen for seconds costs one wake-up per millisecond
-            // instead of the fixed-period busy-sleep this replaced.
-            std::thread::sleep(backoff);
+            // Long-idle: sleep until the worker's next batch wakes
+            // us. The timeout backs off exponentially from
+            // BACKOFF_FLOOR to BACKOFF_CAP and is the poll for what
+            // has no waker — pending flits behind a frozen link or a
+            // refusing sink — so a link frozen for seconds costs one
+            // wake-up per BACKOFF_CAP.
+            let how = core.sleep_while_ring_empty(backoff);
+            if how == Sleep::Ready {
+                continue;
+            }
+            stats.flusher_parks.fetch_add(1, Ordering::Relaxed);
+            if how == Sleep::TimedOut {
+                stats.flusher_park_timeouts.fetch_add(1, Ordering::Relaxed);
+            }
             backoff = (backoff * 2).min(BACKOFF_CAP);
         }
     }

@@ -39,6 +39,7 @@ pub mod spsc;
 pub mod stall;
 pub mod stats;
 pub(crate) mod sync;
+pub mod wake;
 
 use std::sync::Arc;
 
@@ -49,6 +50,7 @@ pub use link::{DeadLinkPolicy, LinkSet, LinkSnapshot, LinkState};
 pub use spsc::{spsc_ring, Consumer, Producer};
 pub use stall::{StallInjector, StallPlan, StallWindow};
 pub use stats::{EgressSnapshot, ShardEgressSnapshot, ShardEgressStats};
+pub use wake::{Sleep, WakeCell};
 
 /// The downstream sink: where flits go when they leave the scheduler.
 ///

@@ -28,6 +28,7 @@ use desim::Histogram;
 use serde::Serialize;
 
 use crate::credit::CreditPool;
+use crate::wake::WakeCell;
 
 /// Geometry of the stall-duration histograms (flush-clock cycles per
 /// bin × bins). Stalls longer than 64k delivered flits land in the
@@ -183,6 +184,13 @@ pub struct LinkSet {
     dead_deadline: Option<u64>,
     /// What the flusher does with a dead link's flits.
     policy: DeadLinkPolicy,
+    /// The wake cell of every shard worker that acquires credits here.
+    /// The set is shared across shards, so any flusher's credit return
+    /// may be the one a parked worker of another shard waits for.
+    credit_waiters: Vec<std::sync::Arc<WakeCell>>,
+    /// A credit went back into an *empty* pool since the waiters were
+    /// last woken: only then can a worker be parked for lack of one.
+    relieved: AtomicBool,
 }
 
 impl LinkSet {
@@ -229,7 +237,52 @@ impl LinkSet {
             flush_clock: AtomicU64::new(0),
             dead_deadline,
             policy,
+            credit_waiters: Vec::new(),
+            relieved: AtomicBool::new(false),
         }
+    }
+
+    /// Installs the workers' wake cells (one per shard) before the set
+    /// is shared; [`wake_credit_waiters`](Self::wake_credit_waiters)
+    /// reaches exactly these.
+    pub fn set_credit_waiters(&mut self, waiters: Vec<std::sync::Arc<WakeCell>>) {
+        self.credit_waiters = waiters;
+    }
+
+    /// Unparks the sleeping workers if some pool left empty since the
+    /// last call — a worker is credit-starved only on a pool it found
+    /// empty, so returns into a pool that still had credits wake
+    /// nobody. A flusher calls it once per step that returned at least
+    /// one credit, after the returns; never per flit.
+    pub fn wake_credit_waiters(&self) {
+        // ordering: Acquire load, AcqRel swap — whoever consumes the
+        // mark acquires the marker's credit return, so the wake below
+        // publishes it to the woken worker's re-check even when another
+        // flusher returned the credit. A mark this load misses is seen
+        // by the flusher that set it, at the end of its own step.
+        // [pair: credit-relieved @ self]
+        if self.relieved.load(Ordering::Acquire) && self.relieved.swap(false, Ordering::AcqRel) {
+            for cell in &self.credit_waiters {
+                cell.wake();
+            }
+        }
+    }
+
+    /// Returns one credit to `l`'s pool, marking the set relieved when
+    /// the pool had run empty.
+    fn return_credit(&self, l: &Link) {
+        if l.credits.release() {
+            // ordering: Release — sequenced after the credit return it
+            // vouches for; see `wake_credit_waiters`.
+            // [pair: credit-relieved @ self]
+            self.relieved.store(true, Ordering::Release);
+        }
+    }
+
+    /// Whether `link` has a credit to take right now (racy; the
+    /// worker's pre-park re-check, not a reservation).
+    pub fn has_credit(&self, link: usize) -> bool {
+        self.links[link].credits.available() > 0
     }
 
     /// The configured dead-link policy.
@@ -279,7 +332,7 @@ impl LinkSet {
     pub fn on_delivered(&self, link: usize) -> u64 {
         let l = &self.links[link];
         l.delivered.fetch_add(1, Ordering::Relaxed);
-        l.credits.release();
+        self.return_credit(l);
         // ordering: AcqRel — Release publishes this delivery to
         // `flush_clock` Acquire readers (watchdog, stall plans);
         // Acquire chains deliveries from other flushers so the clock
@@ -307,7 +360,7 @@ impl LinkSet {
     pub fn on_dead_letter(&self, link: usize) {
         let l = &self.links[link];
         l.dead_letters.fetch_add(1, Ordering::Relaxed);
-        l.credits.release();
+        self.return_credit(l);
         // ordering: Acquire — same flush-clock pairing as
         // `flush_clock()` (reads the clock without advancing it).
         l.last_credit_return
@@ -699,5 +752,60 @@ mod tests {
         assert_eq!(snap[0].stalls_completed, 1);
         assert_eq!(snap[1].stalls_completed, 0);
         assert_eq!(snap[2].stalls_completed, 1);
+    }
+
+    #[test]
+    fn credit_waiters_wake_only_after_a_pool_ran_empty() {
+        use crate::wake::Sleep;
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        let cell = Arc::new(WakeCell::new());
+        let mut links = LinkSet::new(1, 2);
+        links.set_credit_waiters(vec![Arc::clone(&cell)]);
+        let links = Arc::new(links);
+
+        // One credit out of two taken and returned, over and over: the
+        // pool never runs empty, so nobody can be waiting on it and the
+        // sleeper's short park must run to its timeout.
+        assert!(links.try_acquire(0));
+        let sleeper = {
+            let cell = Arc::clone(&cell);
+            std::thread::spawn(move || {
+                cell.register();
+                cell.sleep_unless(|| false, Duration::from_millis(30))
+            })
+        };
+        let until = Instant::now() + Duration::from_millis(60);
+        while Instant::now() < until {
+            links.on_delivered(0);
+            links.wake_credit_waiters();
+            assert!(links.try_acquire(0));
+        }
+        assert_eq!(sleeper.join().expect("sleeper"), Sleep::TimedOut);
+
+        // Pool exhausted: the next return is the one a starved worker
+        // waits for. The sleeper's timeout is far beyond the test's
+        // patience, so only the wake (or its own re-check) ends it.
+        assert!(links.try_acquire(0));
+        assert!(!links.has_credit(0));
+        let sleeper = {
+            let (cell, links) = (Arc::clone(&cell), Arc::clone(&links));
+            std::thread::spawn(move || {
+                cell.register();
+                let t = Instant::now();
+                let how = cell.sleep_unless(|| links.has_credit(0), Duration::from_secs(60));
+                (how, t.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        links.on_delivered(0);
+        links.wake_credit_waiters();
+        let (how, took) = sleeper.join().expect("sleeper");
+        assert_ne!(how, Sleep::TimedOut);
+        assert!(
+            took < Duration::from_secs(30),
+            "ended by the wake: {took:?}"
+        );
     }
 }

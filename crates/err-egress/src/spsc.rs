@@ -10,11 +10,17 @@
 //! Capacity is rounded up to a power of two; one slot is sacrificed to
 //! distinguish full from empty, so a ring built with capacity `c` holds
 //! at least `c` items.
+//!
+//! The ring also carries the consumer's [`WakeCell`]: a consumer with
+//! nothing to pop sleeps on it ([`Consumer::sleep_while_empty`]) and
+//! the producer wakes it once per batch it has pushed
+//! ([`Producer::wake_consumer`]) — never per push.
 
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use crate::sync::{AtomicUsize, Ordering, UnsafeCell};
+use crate::wake::{Sleep, WakeCell};
 
 struct Inner<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
@@ -23,6 +29,8 @@ struct Inner<T> {
     head: AtomicUsize,
     /// Next slot to write (owned by the producer, read by the consumer).
     tail: AtomicUsize,
+    /// Where the consumer sleeps while the ring is empty.
+    consumer_wake: WakeCell,
 }
 
 // SAFETY: the ring owns its values; moving it moves them, so `T: Send`
@@ -83,6 +91,7 @@ pub fn spsc_ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         mask: cap - 1,
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
+        consumer_wake: WakeCell::new(),
     });
     (
         Producer {
@@ -119,8 +128,9 @@ impl<T> Producer<T> {
         self.inner.buf[self.tail & self.inner.mask].with_mut(|p| unsafe { (*p).write(item) });
         self.tail = self.tail.wrapping_add(1);
         // ordering: Release pairs with the consumer's Acquire `tail`
-        // load in `pop`/`is_empty` — publishes the cell write above
-        // before the slot becomes visible.
+        // load in `pop`/`is_empty`/`sleep_while_empty` — publishes the
+        // cell write above before the slot becomes visible.
+        // [pair: spsc-tail @ self]
         self.inner.tail.store(self.tail, Ordering::Release);
         Ok(())
     }
@@ -133,6 +143,13 @@ impl<T> Producer<T> {
         // (the refreshed `cached_head` may be reused there).
         self.cached_head = self.inner.head.load(Ordering::Acquire);
         self.tail.wrapping_sub(self.cached_head)
+    }
+
+    /// Unparks the consumer if it went to sleep on an empty ring. Call
+    /// after a batch of pushes, or before waiting for the consumer to
+    /// free a slot; returns whether a sleeper was woken.
+    pub fn wake_consumer(&self) -> bool {
+        self.inner.consumer_wake.wake()
     }
 }
 
@@ -172,6 +189,31 @@ impl<T> Consumer<T> {
         // (the refreshed `cached_tail` may be reused there).
         self.cached_tail = self.inner.tail.load(Ordering::Acquire);
         self.head == self.cached_tail
+    }
+
+    /// Makes the calling thread the one [`Producer::wake_consumer`]
+    /// unparks.
+    pub fn register_sleeper(&self) {
+        self.inner.consumer_wake.register();
+    }
+
+    /// Parks the (registered) consumer thread for at most `timeout`,
+    /// unless the ring turns out non-empty on the re-check.
+    pub fn sleep_while_empty(&mut self, timeout: std::time::Duration) -> Sleep {
+        let Self {
+            inner,
+            cached_tail,
+            head,
+        } = self;
+        let non_empty = || {
+            // ordering: Acquire — same pairing as the empty-check in
+            // `pop`; sequenced after the cell's announcing swap, so a
+            // push whose `wake_consumer` found the flag clear is seen.
+            // [pair: spsc-tail @ self]
+            *cached_tail = inner.tail.load(Ordering::Acquire);
+            *head != *cached_tail
+        };
+        inner.consumer_wake.sleep_unless(non_empty, timeout)
     }
 }
 
@@ -266,5 +308,31 @@ mod tests {
         }
         producer.join().unwrap();
         assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn sleeping_consumer_is_woken_by_the_producers_batch() {
+        use crate::wake::Sleep;
+        use std::time::{Duration, Instant};
+        let (mut tx, mut rx) = spsc_ring::<u32>(8);
+        assert!(!tx.wake_consumer(), "nobody sleeps yet");
+        let consumer = std::thread::spawn(move || {
+            rx.register_sleeper();
+            let t = Instant::now();
+            // Far beyond the test's patience: only a wake (or the
+            // re-check finding the push) ends it.
+            let how = rx.sleep_while_empty(Duration::from_secs(60));
+            (how, t.elapsed(), rx.pop())
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        tx.push(7).unwrap();
+        tx.wake_consumer();
+        let (how, took, got) = consumer.join().expect("consumer");
+        assert_ne!(how, Sleep::TimedOut);
+        assert!(
+            took < Duration::from_secs(30),
+            "ended by the wake: {took:?}"
+        );
+        assert_eq!(got, Some(7));
     }
 }

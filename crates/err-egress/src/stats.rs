@@ -32,6 +32,11 @@ pub struct ShardEgressStats {
     /// supervisor (DESIGN.md §14.4). Written by the flusher thread's
     /// catch-unwind wrapper, once per panic — never on the flit path.
     pub flusher_panics: AtomicU64,
+    /// Times the flusher parked with nothing to pop.
+    pub flusher_parks: AtomicU64,
+    /// Flusher parks that ran to their timeout instead of being ended
+    /// by the worker's wake (`Sleep::TimedOut`).
+    pub flusher_park_timeouts: AtomicU64,
 }
 
 impl ShardEgressStats {
@@ -48,6 +53,8 @@ impl ShardEgressStats {
             credit_exhaustions: self.credit_exhaustions.load(Ordering::Relaxed),
             ring_full_spins: self.ring_full_spins.load(Ordering::Relaxed),
             flusher_panics: self.flusher_panics.load(Ordering::Relaxed),
+            flusher_parks: self.flusher_parks.load(Ordering::Relaxed),
+            flusher_park_timeouts: self.flusher_park_timeouts.load(Ordering::Relaxed),
         }
     }
 }
@@ -65,6 +72,10 @@ pub struct ShardEgressSnapshot {
     pub ring_full_spins: u64,
     /// Flusher-body panics caught by the supervisor (DESIGN.md §14.4).
     pub flusher_panics: u64,
+    /// Times the flusher parked with nothing to pop.
+    pub flusher_parks: u64,
+    /// Of those, parks that ran to their timeout un-woken.
+    pub flusher_park_timeouts: u64,
 }
 
 /// Aggregate egress view: per-shard counters plus per-link watchdog

@@ -46,10 +46,14 @@ const FUNNEL_BASE: f64 = 1.5;
 const FUNNEL_SLOPE: f64 = 0.3;
 
 /// Round multiplier at the rationing destination itself: a packet
-/// waits a bit over one full round there, plus a little more for
-/// every upstream hop its flow funnels through (deep arms deliver
-/// burstier arrivals).
-const FUNNEL_DST_BASE: f64 = 1.2;
+/// waits a bit over half a round there, plus a little more for every
+/// upstream hop its flow funnels through (deep arms deliver burstier
+/// arrivals). Was 1.2 while a refused hand-off left the destination's
+/// worker to its park timer; now the refusal wakes it (DESIGN.md §6)
+/// and it drains its queue before the upstream retries. Provisional:
+/// the one constant moved, the rest of the funnel fit is still the
+/// timer-era one (ROADMAP item 6b).
+const FUNNEL_DST_BASE: f64 = 0.6;
 
 /// Destination-round growth per upstream funnel hop.
 const FUNNEL_DST_SLOPE: f64 = 0.15;

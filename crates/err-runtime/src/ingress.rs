@@ -6,10 +6,16 @@
 //! FIFO through the shard's private scheduler) while distinct flows
 //! spread evenly. The submit path is: admission check (one atomic RMW) →
 //! ring push (one CAS) → stats bump. No locks, no allocation.
+//!
+//! A plain push never wakes the shard worker (that would hand the CPU
+//! back and forth once per packet); the producer wakes it only where
+//! it is itself about to wait on the worker — a backpressure `Wait` or
+//! a full ring, the zero-deadline refusals included (DESIGN.md §6).
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+use err_egress::WakeCell;
 use err_sched::Packet;
 
 use crate::admission::{AdmissionController, AdmitDecision};
@@ -65,6 +71,10 @@ pub(crate) fn mix_flow(flow: usize) -> u64 {
 /// State shared between producers and shard workers.
 pub(crate) struct Shared {
     pub(crate) rings: Vec<MpscRing<Packet>>,
+    /// One wake cell per shard: where that shard's worker sleeps when
+    /// it has nothing to do. Producers wake it at their own blocking
+    /// points, flushers (through the `LinkSet`) when credits return.
+    pub(crate) wakes: Vec<Arc<WakeCell>>,
     pub(crate) stats: Vec<ShardStats>,
     pub(crate) admission: AdmissionController,
     /// The flow-ownership authority (DESIGN.md §13): routing map,
@@ -112,6 +122,16 @@ impl Shared {
     /// scheduler are empty; see [`DrainGate::can_finish`].
     pub(crate) fn can_finish(&self) -> bool {
         self.gate.can_finish()
+    }
+
+    /// Producer → worker wake, for a producer about to wait on
+    /// `shard`'s worker: unparks it if it sleeps while its ingress ring
+    /// holds packets. A worker asleep over an empty ring waits for
+    /// credits, which only a flusher can bring.
+    fn wake_worker_for_intake(&self, shard: usize) {
+        if !self.rings[shard].is_empty() {
+            self.wakes[shard].wake();
+        }
     }
 }
 
@@ -187,6 +207,9 @@ impl RuntimeHandle {
                     if shared.is_closed() {
                         return Err(SubmitError::Closed);
                     }
+                    // About to wait (or, past the deadline, to refuse)
+                    // until the worker serves this flow.
+                    shared.wake_worker_for_intake(shared.shard_of(pkt.flow));
                     if let Some(d) = deadline {
                         if std::time::Instant::now() >= d {
                             stats.timedout_packets.add(1);
@@ -243,6 +266,9 @@ impl RuntimeHandle {
                                 continue 'route;
                             }
                         }
+                        // About to wait (or refuse) until the worker
+                        // frees a slot.
+                        shared.wake_worker_for_intake(shard);
                         if let Some(d) = deadline {
                             if std::time::Instant::now() >= d {
                                 shared.admission.revoke(pkt.flow, pkt.len);

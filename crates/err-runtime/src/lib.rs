@@ -94,7 +94,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use err_egress::{spsc_ring, FlushProgress, FlusherCore, LinkSet, ShardEgressStats, StallInjector};
+use err_egress::{
+    spsc_ring, FlushProgress, FlusherCore, LinkSet, ShardEgressStats, StallInjector, WakeCell,
+};
 use err_sched::{Discipline, ServedFlit};
 
 pub use admission::{AdmissionController, AdmissionPolicy, AdmitDecision};
@@ -317,6 +319,9 @@ impl Runtime {
             rings: (0..config.shards)
                 .map(|_| MpscRing::with_capacity(config.ring_capacity))
                 .collect(),
+            wakes: (0..config.shards)
+                .map(|_| Arc::new(WakeCell::new()))
+                .collect(),
             stats: (0..config.shards).map(|_| ShardStats::default()).collect(),
             admission: Controller::new(config.admission, config.n_flows),
             own,
@@ -399,13 +404,17 @@ impl Runtime {
                 }
             }
             EgressMode::Buffered(bc) => {
-                let links = Arc::new(LinkSet::with_routing(
+                let mut links = LinkSet::with_routing(
                     bc.n_links,
                     bc.credits,
                     bc.dead_link_deadline,
                     bc.dead_link_policy,
                     bc.route_table.clone(),
-                ));
+                );
+                // Every shard's flusher returns credits to this one
+                // set, so each must be able to wake every worker.
+                links.set_credit_waiters(shared.wakes.clone());
+                let links = Arc::new(links);
                 let injector = bc
                     .stall_plan
                     .as_ref()
@@ -638,10 +647,11 @@ impl Runtime {
         let debug_drain = std::env::var_os("ERR_DRAIN_DEBUG").is_some();
         let mut debug_polls: u64 = 0;
         loop {
-            // Unpark idle workers; they would wake at the park timeout
-            // anyway, this shaves the last <=100us per shard.
-            for worker in &self.workers {
-                worker.thread().unpark();
+            // Wake idle workers (successors included); they would wake
+            // at the park timeout anyway, this shaves the last <=100us
+            // per shard.
+            for cell in &self.shared.wakes {
+                cell.wake();
             }
             // Under resurrection the drain must also wait out successor
             // workers *and* bequests the supervisor has not yet adopted.

@@ -44,10 +44,15 @@
 //! * **re-throw** (no supervision) — the join observes the panic and
 //!   shutdown reports it as [`ShardExit::Panicked`](crate::ShardExit).
 //!
-//! When there is nothing to do the worker spins briefly, then parks with
-//! a timeout; producers never need to wake it explicitly (no lost-wakeup
-//! protocol to get wrong), at the cost of at most `PARK_TIMEOUT` of
-//! added latency on an idle→busy transition.
+//! When there is nothing to do the worker spins briefly, then sleeps on
+//! its shard's [`WakeCell`](err_egress::WakeCell) (DESIGN.md §6): it
+//! announces itself, re-checks its ingress ring (and, buffered, its
+//! stashed links' credits), and parks. Its peers end the park at *their* batch
+//! boundaries — a producer about to wait on this worker, a flusher
+//! whose step returned credits — never per packet or per flit. The
+//! park keeps its `PARK_TIMEOUT`, so a wake that never comes (a plain
+//! push into an idle shard) costs what it always did: at most
+//! `PARK_TIMEOUT` of added latency on an idle→busy transition.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -55,7 +60,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use desim::Cycle;
-use err_egress::{Egress, FlushProgress, LinkSet, Producer, ShardEgressStats};
+use err_egress::{Egress, FlushProgress, LinkSet, Producer, ShardEgressStats, Sleep};
 use err_sched::{Packet, Scheduler, ServedFlit};
 
 use crate::fault::{abort_residuals, fault_tick, salvage_shard, try_exit, Bequest, BequestEgress};
@@ -65,16 +70,30 @@ use crate::ownership::OwnerState;
 
 /// Spins this many empty loops before parking.
 const SPIN_BEFORE_PARK: u32 = 64;
-/// Idle park duration; bounds wake-up latency after an idle period.
+/// Idle park duration; bounds wake-up latency after an idle period
+/// nobody's wake ended.
 const PARK_TIMEOUT: Duration = Duration::from_micros(100);
+
+/// The idle park: sleeps on the shard's wake cell unless `has_work`
+/// holds on the re-check, and counts how the park ended.
+fn park_idle(shared: &Shared, shard: usize, has_work: impl FnOnce() -> bool) {
+    let stats = &shared.stats[shard];
+    let how = shared.wakes[shard].sleep_unless(has_work, PARK_TIMEOUT);
+    if how != Sleep::Ready {
+        stats.parks.add(1);
+    }
+    if how == Sleep::TimedOut {
+        stats.park_timeouts.add(1);
+    }
+}
 
 /// Per-shard configuration handed to the worker thread.
 pub(crate) struct ShardConfig {
     pub(crate) shard: usize,
     pub(crate) batch_packets: usize,
     pub(crate) batch_flits: usize,
-    /// Flow-id space, needed by the buffered worker to sweep a link's
-    /// flows on park/unpark and by forced-abort residue accounting.
+    /// Flow-id space, needed by the buffered worker to index each
+    /// link's flows and by forced-abort residue accounting.
     pub(crate) n_flows: usize,
 }
 
@@ -207,6 +226,8 @@ fn run_sync_loop<E: Egress>(
     let mut arrivals: Vec<Packet> = Vec::with_capacity(cfg.batch_packets);
     let mut served: Vec<ServedFlit> = Vec::with_capacity(cfg.batch_flits);
     let mut idle_spins: u32 = 0;
+    // A successor (§13.6) replaces its predecessor's thread handle.
+    shared.wakes[cfg.shard].register();
 
     loop {
         // Fault phase (DESIGN.md §9): forced-shutdown abort, heartbeat,
@@ -308,8 +329,7 @@ fn run_sync_loop<E: Egress>(
             } else if idle_spins < SPIN_BEFORE_PARK {
                 std::hint::spin_loop();
             } else {
-                stats.parks.add(1);
-                std::thread::park_timeout(PARK_TIMEOUT);
+                park_idle(shared, cfg.shard, || !ring.is_empty());
             }
         } else {
             idle_spins = 0;
@@ -319,9 +339,12 @@ fn run_sync_loop<E: Egress>(
     stats.backlog_flits.set(0);
 }
 
-/// Commits `flit` to the output ring, spinning while it is full. Bounded
+/// Commits `flit` to the output ring, waiting while it is full. Bounded
 /// wait: the flusher always makes progress (a blocked link's flits move
-/// to its bounded pending queue), so ring slots keep freeing up.
+/// to its bounded pending queue), so ring slots keep freeing up — once
+/// it runs. It may be asleep over a ring that was empty when it last
+/// looked, and on a shared core it cannot run while this thread spins,
+/// so each retry wakes it and yields.
 fn push_ring(tx: &mut Producer<ServedFlit>, estats: &ShardEgressStats, flit: ServedFlit) {
     let mut item = flit;
     let mut first = true;
@@ -334,7 +357,8 @@ fn push_ring(tx: &mut Producer<ServedFlit>, estats: &ShardEgressStats, flit: Ser
                     estats.ring_full_spins.fetch_add(1, Ordering::Relaxed);
                     first = false;
                 }
-                std::hint::spin_loop();
+                tx.wake_consumer();
+                std::thread::yield_now();
             }
         }
     }
@@ -434,6 +458,16 @@ fn run_buffered_loop(
     let parking = scheduler.supports_parking();
     let mut arrivals: Vec<Packet> = Vec::with_capacity(cfg.batch_packets);
     let mut idle_spins: u32 = 0;
+    // Link → flows, in flow order, from the routing fn (not a modulo
+    // stride: a fabric route table (§11.1) maps arbitrary flow sets
+    // onto a link). Built once, so parking or releasing a link costs
+    // O(flows on it) rather than a sweep of the flow-id space.
+    let mut link_flows: Vec<Vec<usize>> = vec![Vec::new(); n_links];
+    for flow in 0..cfg.n_flows {
+        link_flows[links.route(flow)].push(flow);
+    }
+    // A successor (§13.6) replaces its predecessor's thread handle.
+    shared.wakes[cfg.shard].register();
     // Exit-gate forensics, paired with the drain-side dump in
     // `Runtime::drain_within` (same `ERR_DRAIN_DEBUG` switch): a worker
     // that idles without exiting names the predicate holding it.
@@ -463,11 +497,13 @@ fn run_buffered_loop(
             }),
         );
 
+        let pushed_before = st.pushed;
+
         // Unstick phase: links whose credits returned get their stashed
         // flit committed and their flows unparked (except flows a
         // pending salvage pre-parked — their package has not landed).
         if st.stash_count > 0 {
-            for link in 0..n_links {
+            for (link, flows) in link_flows.iter().enumerate() {
                 if st.stash[link].is_some() && links.try_acquire(link) {
                     let flit = st.stash[link].take().expect("stash checked non-empty");
                     st.stash_count -= 1;
@@ -475,20 +511,17 @@ fn run_buffered_loop(
                     st.pushed += 1;
                     if st.link_parked[link] {
                         st.link_parked[link] = false;
-                        // Sweep by routing fn, not modulo stride: a
-                        // fabric route table (§11.1) maps arbitrary
-                        // flow sets onto a link. Flows a pending
-                        // salvage pre-parked stay parked (their package
-                        // has not landed), and so does a flow under an
-                        // active ownership claim (§13.1): a quiesced
-                        // steal victim unparked here would be served
-                        // past the §13.5 retire fence. Its mover unparks
-                        // it when the claim resolves — or, if the claim
-                        // aborted while the link was stashed, the next
-                        // sweep sees it `Settled` and releases it.
-                        for flow in 0..cfg.n_flows {
-                            if links.route(flow) == link
-                                && !st.salvage_parked.get(flow).copied().unwrap_or(false)
+                        // Flows a pending salvage pre-parked stay
+                        // parked (their package has not landed), and so
+                        // does a flow under an active ownership claim
+                        // (§13.1): a quiesced steal victim unparked
+                        // here would be served past the §13.5 retire
+                        // fence. Its mover unparks it when the claim
+                        // resolves — or, if the claim aborted while the
+                        // link was stashed, the next sweep sees it
+                        // `Settled` and releases it.
+                        for &flow in flows {
+                            if !st.salvage_parked.get(flow).copied().unwrap_or(false)
                                 && shared.steal.as_ref().is_none_or(|sr| {
                                     sr.own.owner_state(flow) == OwnerState::Settled
                                 })
@@ -541,13 +574,11 @@ fn run_buffered_loop(
                     st.stash[link] = Some(flit);
                     st.stash_count += 1;
                     st.link_parked[link] = true;
-                    for flow in 0..cfg.n_flows {
-                        if links.route(flow) == link {
-                            // unpark: the `link_parked` unstick sweep
-                            // at the top of the loop, when a credit
-                            // frees the link's stash.
-                            let _ = scheduler.park_flow(flow);
-                        }
+                    for &flow in &link_flows[link] {
+                        // unpark: the `link_parked` unstick sweep at
+                        // the top of the loop, when a credit frees the
+                        // link's stash.
+                        let _ = scheduler.park_flow(flow);
                     }
                 } else {
                     // Blocking fallback: couples the shard's clock to
@@ -567,7 +598,10 @@ fn run_buffered_loop(
                         if shared.abort.load(Ordering::Acquire) {
                             break;
                         }
-                        std::hint::spin_loop();
+                        // The credit comes from the flusher: make sure
+                        // it is awake, and let it have the core.
+                        tx.wake_consumer();
+                        std::thread::yield_now();
                     }
                 }
             }
@@ -578,6 +612,11 @@ fn run_buffered_loop(
             stats.served_packets.add(tail_count);
         }
         stats.backlog_flits.set(scheduler.backlog_flits());
+        // Worker → flusher wake: once per loop that committed flits,
+        // after the last of them — never per push.
+        if st.pushed != pushed_before {
+            tx.wake_consumer();
+        }
 
         // Migration phase (§13.5): same placement as the sync loop; the
         // context lends the donor-side retire fence this worker's
@@ -626,7 +665,6 @@ fn run_buffered_loop(
             if hot_handoff || idle_spins < SPIN_BEFORE_PARK {
                 std::hint::spin_loop();
             } else {
-                stats.parks.add(1);
                 debug_parks += 1;
                 if debug_exit && debug_parks.is_multiple_of(100_000) {
                     eprintln!(
@@ -640,7 +678,13 @@ fn run_buffered_loop(
                         scheduler.is_idle(),
                     );
                 }
-                std::thread::park_timeout(PARK_TIMEOUT);
+                // Work for a parked worker is an arrival (a producer
+                // wakes) or a credit for a stashed link (a flusher
+                // wakes).
+                park_idle(shared, cfg.shard, || {
+                    !ring.is_empty()
+                        || (0..n_links).any(|l| st.stash[l].is_some() && links.has_credit(l))
+                });
             }
         } else {
             idle_spins = 0;

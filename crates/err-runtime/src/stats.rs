@@ -72,6 +72,10 @@ pub struct ShardStats {
     pub busy_loops: PaddedCounter,
     /// Times the worker parked because there was nothing to do.
     pub parks: PaddedCounter,
+    /// Parks that ran to their timeout instead of being ended by a
+    /// peer's wake (a producer about to wait, a flusher returning
+    /// credits) — the share of `parks` the timers still carry.
+    pub park_timeouts: PaddedCounter,
     /// Flows this shard stole (absorbed) from another shard.
     pub stolen_in: PaddedCounter,
     /// Flows this shard gave up (extracted) to a thief.
@@ -113,6 +117,7 @@ impl ShardStats {
             backlog_flits: self.backlog_flits.get(),
             busy_loops: self.busy_loops.get(),
             parks: self.parks.get(),
+            park_timeouts: self.park_timeouts.get(),
             stolen_in: self.stolen_in.get(),
             donated_out: self.donated_out.get(),
             migrated_flits: self.migrated_flits.get(),
@@ -151,6 +156,8 @@ pub struct ShardSnapshot {
     pub busy_loops: u64,
     /// See [`ShardStats::parks`].
     pub parks: u64,
+    /// See [`ShardStats::park_timeouts`].
+    pub park_timeouts: u64,
     /// See [`ShardStats::stolen_in`].
     pub stolen_in: u64,
     /// See [`ShardStats::donated_out`].
@@ -228,6 +235,8 @@ impl RuntimeStats {
         backlog_flits => backlog_flits,
         /// Total times any worker parked idle.
         parks => parks,
+        /// Total idle parks that ran to their timeout un-woken.
+        park_timeouts => park_timeouts,
         /// Total completed flow migrations (each counted at the thief).
         migrations => stolen_in,
         /// Total flits moved between shards by migrations.
@@ -325,13 +334,15 @@ impl fmt::Display for RuntimeStats {
         for s in &self.shards {
             writeln!(
                 f,
-                "  shard {}: enq {} pkts | served {} pkts / {} flits | drop {} | parks {}",
+                "  shard {}: enq {} pkts | served {} pkts / {} flits | drop {} | \
+                 parks {} ({} timed out)",
                 s.shard,
                 s.enqueued_packets,
                 s.served_packets,
                 s.served_flits,
                 s.dropped_packets,
                 s.parks,
+                s.park_timeouts,
             )?;
         }
         if let Some(e) = &self.egress {
