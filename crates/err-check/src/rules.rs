@@ -154,11 +154,15 @@ pub(crate) struct DocRule {
 /// asserts the table stays complete as sections are added.
 pub(crate) const DOC_RULES: &[DocRule] = &[
     // §6/§7 hand-off vocabulary: the three wake edges, the timers that
-    // stay as their backstop, and the counters that tell the two apart.
+    // stay as their backstop, and the counters that tell the two apart
+    // — plus the one worker loop's egress stage and its two impls.
     DocRule {
         doc: "DESIGN.md",
         section: Some("## 6"),
         needles: &[
+            "EgressStage",
+            "SyncStage",
+            "BufferedStage",
             "WakeCell",
             "re-checks its wait condition",
             "SPIN_BEFORE_PARK",

@@ -212,6 +212,34 @@ impl FlusherCore {
         true
     }
 
+    /// [`try_deliver`](Self::try_deliver) for a flit just popped from
+    /// the ring. Nothing else remembers such a flit, so if the sink
+    /// unwinds it is dead-lettered on the way out — its credit returns
+    /// like those of the flits [`dead_letter_all`] then disposes of. (A
+    /// pending flit needs no such guard: it stays queued until accepted.)
+    ///
+    /// [`dead_letter_all`]: Self::dead_letter_all
+    fn try_deliver_popped<E: Egress + ?Sized>(
+        &self,
+        flit: &ServedFlit,
+        link: usize,
+        links: &LinkSet,
+        injector: Option<&StallInjector>,
+        sink: &mut E,
+    ) -> bool {
+        struct InHand<'a>(&'a LinkSet, usize);
+        impl Drop for InHand<'_> {
+            fn drop(&mut self) {
+                self.0.on_dead_letter(self.1);
+            }
+        }
+        let in_hand = InHand(links, link);
+        let accepted = self.try_deliver(flit, link, links, injector, sink);
+        // Only an unwind out of `try_deliver` runs the drop.
+        std::mem::forget(in_hand);
+        accepted
+    }
+
     /// One pump: drain deliverable pending flits, then pop up to
     /// `BURST` ring flits, delivering or parking each. Returns the
     /// number delivered to the sink.
@@ -233,15 +261,8 @@ impl FlusherCore {
             for link in 0..self.pending.len() {
                 if links.is_dead(link) {
                     if drop_dead {
-                        // The link died under its backlog: the whole
-                        // queue dead-letters, in order, credits
-                        // returning as it goes (§9.3).
-                        while self.pending[link].pop_front().is_some() {
-                            self.pending_total -= 1;
-                            links.on_dead_letter(link);
-                            self.dead_lettered += 1;
-                        }
-                        self.dead_seen[link] = false;
+                        // The link died under its backlog (§9.3).
+                        self.dead_letter_pending(link, links);
                         continue;
                     }
                     // HoldForRecovery: remember this backlog crossed a
@@ -279,7 +300,7 @@ impl FlusherCore {
                 self.dead_lettered += 1;
             } else if links.blocked(link)
                 || !self.pending[link].is_empty()
-                || !self.try_deliver(&flit, link, links, injector, sink)
+                || !self.try_deliver_popped(&flit, link, links, injector, sink)
             {
                 self.pending[link].push_back(flit);
                 self.pending_total += 1;
@@ -301,6 +322,33 @@ impl FlusherCore {
             }
         }
         delivered
+    }
+
+    /// Dead-letters `link`'s whole pending queue, in order, credits
+    /// returning as it goes.
+    fn dead_letter_pending(&mut self, link: usize, links: &LinkSet) {
+        while self.pending[link].pop_front().is_some() {
+            self.pending_total -= 1;
+            links.on_dead_letter(link);
+            self.dead_lettered += 1;
+        }
+        self.dead_seen[link] = false;
+    }
+
+    /// Fail-stop pump for a flusher whose sink is gone (it unwound,
+    /// DESIGN.md §14.4): every pending flit and everything in the ring
+    /// is dead-lettered, whatever its link's state — credits return,
+    /// so the worker keeps serving and can drain. Progress shows in
+    /// [`take_dead_lettered`](Self::take_dead_lettered).
+    pub fn dead_letter_all(&mut self, links: &LinkSet) {
+        for link in 0..self.pending.len() {
+            self.dead_letter_pending(link, links);
+        }
+        while let Some(flit) = self.rx.pop() {
+            self.popped += 1;
+            links.on_dead_letter(links.route(flit.flow));
+            self.dead_lettered += 1;
+        }
     }
 
     /// Shutdown path for [`DeadLinkPolicy::HoldForRecovery`]: a dead
@@ -337,6 +385,14 @@ impl FlusherCore {
 /// buffered has been delivered. The runtime sets `closed` only after
 /// the shard worker has exited and [`LinkSet::set_draining`] is on, so
 /// exit implies no flit is stranded.
+///
+/// Flusher supervision (DESIGN.md §14.4): `core` is owned outside a
+/// `catch_unwind` fence around the sink. A sink that unwinds is counted
+/// in [`ShardEgressStats::flusher_panics`] and never called again; the
+/// thread keeps pumping in fail-stop mode — everything the shard still
+/// commits is dead-lettered, so credits keep returning and the worker
+/// can drain — and re-raises the panic once closed and empty, so the
+/// join reports it. A dead flusher never wedges a shutdown.
 pub fn run_flusher<E: Egress>(
     mut core: FlusherCore,
     links: Arc<LinkSet>,
@@ -347,13 +403,39 @@ pub fn run_flusher<E: Egress>(
     mut sink: E,
 ) {
     let inj = injector.as_deref();
+    core.register_sleeper();
+    let fenced = std::panic::AssertUnwindSafe(|| {
+        pump(&mut core, &links, &closed, &stats, &progress, |core| {
+            core.step(&links, inj, &mut sink)
+        })
+    });
+    if let Err(payload) = std::panic::catch_unwind(fenced) {
+        stats.flusher_panics.fetch_add(1, Ordering::Relaxed);
+        pump(&mut core, &links, &closed, &stats, &progress, |core| {
+            core.dead_letter_all(&links);
+            0
+        });
+        std::panic::resume_unwind(payload);
+    }
+}
+
+/// The flusher loop around one `step` (which returns the flits it
+/// delivered): publish progress, wake credit waiters, back off when
+/// idle, exit once closed and empty.
+fn pump(
+    core: &mut FlusherCore,
+    links: &LinkSet,
+    closed: &AtomicBool,
+    stats: &ShardEgressStats,
+    progress: &FlushProgress,
+    mut step: impl FnMut(&mut FlusherCore) -> u64,
+) {
     let mut idle_rounds = 0u32;
     let mut backoff = BACKOFF_FLOOR;
-    core.register_sleeper();
     loop {
-        let n = core.step(&links, inj, &mut sink);
+        let n = step(core);
         let dead = core.take_dead_lettered();
-        core.publish_progress(&progress);
+        core.publish_progress(progress);
         if n > 0 || dead > 0 {
             // Once per step that returned credits, after all of them.
             links.wake_credit_waiters();
@@ -375,7 +457,7 @@ pub fn run_flusher<E: Egress>(
             // Nothing deliverable and the worker is gone: whatever is
             // still pending sits behind a dead HoldForRecovery link.
             // Dead-letter it so shutdown terminates (§9.3).
-            if core.finalize_dead_letters(&links) > 0 {
+            if core.finalize_dead_letters(links) > 0 {
                 continue;
             }
         }

@@ -123,7 +123,6 @@ fn main() {
             spec,
             len: LEN,
             packets,
-            weight: 1,
         })
         .collect();
     let est_cfg = EstimatorConfig {

@@ -376,7 +376,6 @@ mod tests {
             spec: FlowSpec { src, dst },
             len,
             packets: 100,
-            weight: 1,
         }
     }
 

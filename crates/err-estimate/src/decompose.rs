@@ -16,10 +16,6 @@ pub struct FlowLoad {
     pub len: u32,
     /// Packets the flow intends to send (caps the simulated sample).
     pub packets: u64,
-    /// Scheduling weight (carried through decomposition; the shipped
-    /// per-node simulator models the equal-share closed loop, so the
-    /// weight is preserved for conservation, not yet consumed).
-    pub weight: u64,
 }
 
 /// One flow's appearance on one link end, as preserved by
@@ -33,8 +29,6 @@ pub struct LinkFlowLoad {
     pub len: u32,
     /// Planned packet count.
     pub packets: u64,
-    /// Scheduling weight.
-    pub weight: u64,
 }
 
 /// One `(node, link)` egress end and every flow traversing it — the
@@ -61,7 +55,7 @@ impl LinkLoad {
 /// Decomposes `loads` over `topo`: every flow is placed on exactly
 /// the `(node, link)` ends of its fault-free route
 /// ([`Topology::links_on_path`]), destination eject end included,
-/// with its length/count/weight preserved verbatim — the conservation
+/// with its length and count preserved verbatim — the conservation
 /// property the §12 proptests pin. Output is ordered by
 /// `(node, link)` and flows within a link by flow id, so equal inputs
 /// decompose identically.
@@ -73,7 +67,6 @@ pub fn decompose(topo: &Topology, loads: &[FlowLoad]) -> Vec<LinkLoad> {
                 flow,
                 len: load.len,
                 packets: load.packets,
-                weight: load.weight,
             });
         }
     }
@@ -95,7 +88,6 @@ mod tests {
             spec: FlowSpec { src, dst },
             len,
             packets: 10,
-            weight: 1,
         }
     }
 

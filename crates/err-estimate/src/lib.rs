@@ -10,7 +10,7 @@
 //! estimators, this crate answers the same question in milliseconds:
 //!
 //! 1. [`decompose()`] places every flow on exactly the `(node, link)`
-//!    ends of its route, preserving lengths, counts, and weights;
+//!    ends of its route, preserving lengths and counts;
 //! 2. [`linksim::simulate_node`] runs the *shipped*
 //!    ERR scheduler (not a model of it) over each loaded node's flow
 //!    set on a virtual flit clock, producing per-flow per-node delay
@@ -39,7 +39,6 @@
 //!     spec: FlowSpec { src: 0, dst: 15 },
 //!     len: 4,
 //!     packets: 100,
-//!     weight: 1,
 //! }];
 //! let report = estimate(&topo, &loads, &EstimatorConfig::default());
 //! assert_eq!(report.paths[0].floor_cycles, 6 + 4 - 1);

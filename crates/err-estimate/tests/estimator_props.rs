@@ -11,14 +11,14 @@ use err_sched::Packet;
 use proptest::prelude::*;
 use wormhole_net::{ArbiterKind, Mesh2D, MeshNetwork};
 
-/// (len, packets, weight) of one flow's placement on one link end.
-type PlacedLoad = (u32, u64, u64);
+/// (len, packets) of one flow's placement on one link end.
+type PlacedLoad = (u32, u64);
 
 proptest! {
     /// Decomposition conserves flow placements exactly: every flow
     /// appears on precisely the `(node, link)` ends `links_on_path`
-    /// names for its route, once each, with its length, packet count,
-    /// and weight intact — and on no other link.
+    /// names for its route, once each, with its length and packet
+    /// count intact — and on no other link.
     #[test]
     fn decomposition_conserves_flow_placements(
         cols in 2usize..6,
@@ -47,8 +47,9 @@ proptest! {
                 FlowLoad {
                     spec: FlowSpec { src, dst },
                     len,
-                    packets,
-                    weight: 1 + (fl as u64 % 3),
+                    // Distinct per flow, so a placement that swapped
+                    // two flows' loads would show.
+                    packets: packets + fl as u64,
                 }
             })
             .collect();
@@ -63,7 +64,7 @@ proptest! {
             let entry = placed.entry((link.node, link.link)).or_default();
             for f in &link.flows {
                 prop_assert!(
-                    entry.insert(f.flow, (f.len, f.packets, f.weight)).is_none(),
+                    entry.insert(f.flow, (f.len, f.packets)).is_none(),
                     "flow {} placed twice on node {} link {}",
                     f.flow, link.node, link.link,
                 );
@@ -81,7 +82,7 @@ proptest! {
                     .copied();
                 prop_assert_eq!(
                     on_link,
-                    Some((load.len, load.packets, load.weight)),
+                    Some((load.len, load.packets)),
                     "flow {} missing or mangled on node {} link {}",
                     fl, node, out,
                 );
@@ -114,7 +115,6 @@ fn lone_flow_estimate_matches_wormhole_net_exactly() {
             spec,
             len,
             packets: 50,
-            weight: 1,
         }];
         let est = estimate(&topo, &loads, &EstimatorConfig::default());
         let hops = est.paths[0].hops;
@@ -149,7 +149,6 @@ fn lone_flow_store_and_forward_is_line_rate_at_every_domain() {
         spec: FlowSpec { src: 0, dst: 15 },
         len: 4,
         packets: 50,
-        weight: 1,
     }];
     let est = estimate(&topo, &loads, &EstimatorConfig::default());
     let p = &est.paths[0];

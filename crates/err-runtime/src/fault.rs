@@ -27,7 +27,6 @@
 //! ring, scheduler, and in-flight migration state (§13.6) — the
 //! [`FlowMap`](crate::ownership::FlowMap) never moves.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -35,15 +34,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use desim::{Cycle, SimRng};
-use err_egress::{LinkSet, Producer};
 use err_sched::migrate::MigratedFlow;
-use err_sched::{Scheduler, ServedFlit};
+use err_sched::Scheduler;
 
 use crate::admission::AdmissionController;
 use crate::ingress::Shared;
-use crate::migrate::MigrationDriver;
+use crate::migrate::{unpark_respecting_links, MigrationDriver};
 use crate::ownership::{ClaimToken, OwnerState, Ownership};
-use crate::shard::BufferedWorkerState;
+use crate::shard::{EgressStage, ShardConfig};
 use crate::stats::{PaddedCounter, ShardStats};
 
 /// Locks `m`, treating poisoning as benign: the protected state is a
@@ -428,37 +426,23 @@ pub(crate) enum SalvageMsg {
     },
 }
 
-/// The egress half of a [`Bequest`]: whatever the dying worker owned on
-/// its output side, by egress mode.
-pub(crate) enum BequestEgress {
-    /// The sync worker's optional sink, boxed as `Any` — the concrete
-    /// sink type is known only to the spawner closure in `lib.rs`,
-    /// which downcasts it back.
-    Sync(Box<dyn Any + Send>),
-    /// The buffered worker's output-ring producer plus its link-local
-    /// state (stash, parking bitmaps, pushed count).
-    Buffered {
-        tx: Producer<ServedFlit>,
-        state: BufferedWorkerState,
-    },
-}
-
-/// Everything a successor worker needs to adopt a dead shard (§13.6).
-/// Posted by the dying worker's epilogue at an intake-boundary panic —
-/// the only place panics fire, so arrival batches are empty and the
-/// state is consistent by construction. The ingress ring is *not* here:
-/// it lives in `Shared` and the successor simply resumes draining it.
+/// Everything a worker thread owns, and so everything a successor
+/// needs to adopt a dead shard (§13.6): a first-generation worker is
+/// started from one with a fresh scheduler and clock 0, and a dying
+/// worker's epilogue posts its own. Panics fire only at an intake
+/// boundary, so arrival batches are empty and the state is consistent
+/// by construction. The ingress ring is *not* here: it lives in
+/// `Shared` and the successor simply resumes draining it.
 pub(crate) struct Bequest {
+    pub(crate) cfg: ShardConfig,
     pub(crate) scheduler: Box<dyn Scheduler + Send>,
     pub(crate) driver: Option<MigrationDriver>,
     /// The shard flit clock at death; the successor continues it.
     pub(crate) now: Cycle,
-    pub(crate) egress: BequestEgress,
+    /// The output side, whole: the sync stage's sink, or the buffered
+    /// stage's ring producer, stash, parking marks and pushed count.
+    pub(crate) stage: Box<dyn EgressStage>,
 }
-
-/// Spawner for successor workers, built in `lib.rs` where the egress
-/// generics are known: `(shard, generation, bequest) → join handle`.
-pub(crate) type RespawnFn = Box<dyn Fn(usize, u64, Bequest) -> JoinHandle<Cycle> + Send>;
 
 /// Fault-tolerance state hung off the runtime's `Shared` block when
 /// `RuntimeConfig::supervision` is set.
@@ -549,33 +533,19 @@ impl FaultRuntime {
     }
 }
 
-/// Link-parking context the buffered worker lends to [`fault_tick`] so
-/// salvage parks/unparks compose with per-link credit parking (§9.3):
-///
-/// * a pre-park on behalf of a pending salvage is recorded in
-///   `salvage_parked`, and the worker's link-unstick sweep must skip
-///   such flows — credits returning must not let new-epoch arrivals be
-///   served ahead of the package in flight;
-/// * conversely, package absorption must *not* unpark a flow whose
-///   link is currently credit-parked, or the one-stash-per-link
-///   invariant breaks.
-pub(crate) struct BufferedFaultCtx<'a> {
-    pub(crate) links: &'a LinkSet,
-    pub(crate) link_parked: &'a [bool],
-    pub(crate) salvage_parked: &'a mut [bool],
-}
-
-/// Per-loop fault hook, called by both worker loops at the intake
+/// Per-loop fault hook, called by the worker loop at the intake
 /// boundary: beat the heartbeat, absorb salvage traffic, honor a
 /// quarantine (by panicking into the salvage path), and fire due
-/// injected events. `ctx` is `None` under sync egress, where `KillLink`
-/// events are ignored and no link parking exists to compose with.
+/// injected events. `stage` is asked where salvage parks/unparks must
+/// compose with per-link credit parking (§9.3) and takes the `KillLink`
+/// events; a stage without links answers "never parked" and ignores
+/// them.
 pub(crate) fn fault_tick(
     shared: &Shared,
     shard: usize,
     scheduler: &mut Box<dyn Scheduler + Send>,
     now: Cycle,
-    mut ctx: Option<BufferedFaultCtx<'_>>,
+    stage: &mut dyn EgressStage,
 ) {
     let Some(fr) = shared.fault.as_ref() else {
         return;
@@ -583,7 +553,7 @@ pub(crate) fn fault_tick(
     fr.board.beat(shard);
     // ordering: Acquire pairs with the Release flag store in `post`.
     if fr.inbox_flags[shard].load(Ordering::Acquire) {
-        drain_inbox(fr, shard, scheduler, &mut ctx);
+        drain_inbox(fr, shard, scheduler, stage);
     }
     if fr.board.health(shard) == ShardHealth::Quarantined {
         panic!("shard {shard}: quarantine honored (heartbeat stalled past deadline)");
@@ -595,13 +565,7 @@ pub(crate) fn fault_tick(
                     panic!("shard {shard}: injected panic at cycle {now} (FaultPlan)")
                 }
                 FaultKind::StickShard => stick(shared, fr, shard),
-                FaultKind::KillLink(link) => {
-                    if let Some(c) = ctx.as_ref() {
-                        if link < c.links.n_links() {
-                            c.links.declare_dead(link);
-                        }
-                    }
-                }
+                FaultKind::KillLink(link) => stage.declare_link_dead(link),
             }
         }
     }
@@ -612,7 +576,7 @@ fn drain_inbox(
     fr: &FaultRuntime,
     shard: usize,
     scheduler: &mut Box<dyn Scheduler + Send>,
-    ctx: &mut Option<BufferedFaultCtx<'_>>,
+    stage: &mut dyn EgressStage,
 ) {
     let msgs: Vec<SalvageMsg> = {
         let mut inbox = lock_unpoisoned(&fr.inboxes[shard]);
@@ -628,14 +592,13 @@ fn drain_inbox(
                 for flow in flows {
                     // unpark: the `Package` arm below when the flow's
                     // salvage package arrives — absorption is what
-                    // clears the pre-park; the `salvage_parked` flag
-                    // keeps the link unstick sweep from jumping the gun.
+                    // clears the pre-park; the `salvage_parked` mark
+                    // keeps the link unstick sweep from jumping the
+                    // gun (credits returning must not let new-epoch
+                    // arrivals be served ahead of the package in
+                    // flight).
                     let _ = scheduler.park_flow(flow);
-                    if let Some(c) = ctx.as_mut() {
-                        if let Some(slot) = c.salvage_parked.get_mut(flow) {
-                            *slot = true;
-                        }
-                    }
+                    stage.set_salvage_parked(flow, true);
                 }
                 // ordering: SeqCst — the ack side of the pre-park
                 // fence: the salvager reads `park_acks` (SeqCst) while
@@ -645,31 +608,17 @@ fn drain_inbox(
                 fr.park_acks.fetch_add(1, Ordering::SeqCst);
             }
             SalvageMsg::Package { flow, pkg } => {
-                // unpark: `unpark_flow` just below, gated on the
-                // credit-park check — same tick, same thread.
+                // unpark: `unpark_respecting_links` just below —
+                // same tick, same thread.
                 let _ = scheduler.park_flow(flow);
                 let absorbed = scheduler.absorb_flow(flow, pkg);
                 debug_assert!(absorbed, "salvage target failed to absorb flow {flow}");
                 // The flow is home; it only resumes service if its link
                 // has credits — a credit-parked link keeps it parked
-                // and the unstick sweep releases it with the rest.
-                let keep_parked = match ctx.as_mut() {
-                    Some(c) => {
-                        if let Some(slot) = c.salvage_parked.get_mut(flow) {
-                            *slot = false;
-                        }
-                        c.link_parked[c.links.route(flow)]
-                    }
-                    None => false,
-                };
-                if !keep_parked {
-                    // unpark: direct call, guarded by `link_parked` —
-                    // the re-check above is exactly
-                    // the guard `unpark_respecting_links` provides
-                    // (that helper lives in migrate.rs and takes the
-                    // steal context; salvage has its own `ctx` here).
-                    scheduler.unpark_flow(flow);
-                }
+                // (or the one-stash-per-link invariant breaks) and the
+                // unstick sweep releases it with the rest.
+                stage.set_salvage_parked(flow, false);
+                unpark_respecting_links(scheduler, flow, stage);
             }
         }
     }
@@ -872,7 +821,7 @@ pub(crate) fn salvage_shard(
         }
         for &(flow, _) in &rehomed {
             // unpark: at the rescue target's `Package` arm in
-            // `drain_salvage_inbox` — never on this scheduler; the
+            // `drain_inbox` — never on this scheduler; the
             // shard is dying and the extracted flow is absorbed (and
             // unparked) at its new home.
             let _ = scheduler.park_flow(flow);
@@ -1063,14 +1012,10 @@ pub(crate) fn abort_residuals(
 /// The supervisor loop (DESIGN.md §9.1): every `poll`, quarantine any
 /// `Running` shard whose heartbeat has not advanced for
 /// `heartbeat_deadline`. Never touches a scheduler — quarantine is a
-/// flag the worker's own fault hook honors. With `respawn` set
-/// (resurrection, §13.6), the scan also turns posted bequests into
-/// successor worker threads.
-pub(crate) fn run_supervisor(
-    shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
-    respawn: Option<RespawnFn>,
-) {
+/// flag the worker's own fault hook honors. Under resurrection
+/// (§13.6), the scan also turns posted bequests into successor worker
+/// threads.
+pub(crate) fn run_supervisor(shared: Arc<Shared>, stop: Arc<AtomicBool>) {
     let Some(fr) = shared.fault.as_ref() else {
         return;
     };
@@ -1092,9 +1037,9 @@ pub(crate) fn run_supervisor(
             {
                 fr.board.quarantine(s);
             }
-            let Some(respawn) = respawn.as_ref() else {
+            if !fr.config.resurrection {
                 continue;
-            };
+            }
             // Resurrection (§13.6): adopt a posted bequest. The whole
             // take→spawn→push runs under the successors lock so
             // `drain_within`, which reads the same lock, can never
@@ -1116,7 +1061,7 @@ pub(crate) fn run_supervisor(
                 // would instantly re-quarantine it.
                 last_beat[s] = fr.board.heartbeat(s);
                 last_change[s] = Instant::now();
-                let handle = respawn(s, generation[s], bequest);
+                let handle = crate::spawn_worker(Arc::clone(&shared), generation[s], bequest);
                 successors.push((s, handle));
             }
         }

@@ -190,10 +190,10 @@ pub struct RuntimeConfig {
     /// resurrection (a fresh worker thread adopts the dead shard's
     /// ring, scheduler, and migration state, §13.6). Requires a
     /// discipline with extract/absorb support (ERR/WERR); works under
-    /// either [`EgressMode`] — buffered salvage re-parks restored flows
-    /// per link via `BufferedFaultCtx` (DESIGN.md §9.2). Per-flow
-    /// arbitration against a racing steal goes through the one
-    /// [`Ownership`] authority (§13.1).
+    /// either [`EgressMode`] — salvage asks the shard's egress stage
+    /// which restored flows must stay parked per link (DESIGN.md §9.2).
+    /// Per-flow arbitration against a racing steal goes through the
+    /// one [`Ownership`] authority (§13.1).
     pub supervision: Option<SupervisionConfig>,
     /// Deterministic fault injection (DESIGN.md §9.5); events fire on
     /// each shard's flit clock. Requires `supervision`.
@@ -331,78 +331,17 @@ impl Runtime {
             abort: AtomicBool::new(false),
         });
         let egress_closed = Arc::new(AtomicBool::new(false));
-        let mut workers = Vec::with_capacity(config.shards);
         let mut flushers = Vec::new();
         let mut controller = None;
-        // Built per egress mode below (the closure must know the
-        // concrete sink type); `Some` only under resurrection (§13.6).
-        let mut respawn: Option<fault::RespawnFn> = None;
-        let resurrection = shared
-            .fault
-            .as_ref()
-            .is_some_and(|fr| fr.config.resurrection);
-        // A fresh worker steals only if stealing is on; a successor also
-        // inherits its predecessor's driver from the bequest.
-        let fresh_driver = |shared: &Shared, shard: usize| {
-            shared
-                .steal
-                .as_ref()
-                .map(|_| migrate::MigrationDriver::new(shard))
-        };
-
-        match &config.egress {
-            EgressMode::Sync => {
-                for shard in 0..config.shards {
-                    let shared = Arc::clone(&shared);
-                    let scheduler = config.discipline.build(config.n_flows);
-                    let sink = egress(shard);
-                    let cfg = shard_config(&config, shard);
-                    let driver = fresh_driver(&shared, shard);
-                    workers.push(
-                        // panic-policy: a worker panic is a modeled
-                        // fault (§9) — the supervisor's sweep detects
-                        // the dead shard and salvages; drain's join
-                        // records it as `ShardExit::Panicked`.
-                        std::thread::Builder::new()
-                            .name(format!("err-shard-{shard}"))
-                            .spawn(move || {
-                                shard::run_shard(shared, cfg, scheduler, sink, driver, 0)
-                            })
-                            .expect("spawning shard worker"),
-                    );
-                }
-                if resurrection {
-                    let shared = Arc::clone(&shared);
-                    let config = config.clone();
-                    respawn = Some(Box::new(move |shard, gen, bequest| {
-                        let shared = Arc::clone(&shared);
-                        let cfg = shard_config(&config, shard);
-                        // panic-policy: successors die like first-gen
-                        // workers — supervised, salvaged, and reported
-                        // as `ShardExit::Panicked` at drain (§9).
-                        std::thread::Builder::new()
-                            .name(format!("err-shard-{shard}r{gen}"))
-                            .spawn(move || {
-                                let fault::Bequest {
-                                    scheduler,
-                                    driver,
-                                    now,
-                                    egress,
-                                } = bequest;
-                                let sink = match egress {
-                                    fault::BequestEgress::Sync(b) => *b
-                                        .downcast::<Option<E>>()
-                                        .expect("sync bequest carries the runtime's sink type"),
-                                    fault::BequestEgress::Buffered { .. } => {
-                                        unreachable!("sync runtime never posts a buffered bequest")
-                                    }
-                                };
-                                shard::run_shard(shared, cfg, scheduler, sink, driver, now)
-                            })
-                            .expect("spawning successor worker")
-                    }));
-                }
-            }
+        // The one place an `EgressMode` is matched: each shard gets the
+        // stage that mode means, and nothing downstream asks again.
+        let stages: Vec<Box<dyn shard::EgressStage>> = match &config.egress {
+            EgressMode::Sync => (0..config.shards)
+                .map(|shard| {
+                    let stage = shard::SyncStage::new(shard, egress(shard), config.batch_flits);
+                    Box::new(stage) as Box<dyn shard::EgressStage>
+                })
+                .collect(),
             EgressMode::Buffered(bc) => {
                 let mut links = LinkSet::with_routing(
                     bc.n_links,
@@ -419,132 +358,84 @@ impl Runtime {
                     .stall_plan
                     .as_ref()
                     .map(|p| Arc::new(StallInjector::new(p)));
-                let salvage_flows = if config.supervision.is_some() {
-                    config.n_flows
-                } else {
-                    0
-                };
                 let mut shard_stats = Vec::with_capacity(config.shards);
-                let mut progresses = Vec::with_capacity(config.shards);
+                let mut stages = Vec::with_capacity(config.shards);
                 for shard in 0..config.shards {
                     let (tx, rx) = spsc_ring::<ServedFlit>(bc.ring_capacity);
                     let estats = Arc::new(ShardEgressStats::default());
                     shard_stats.push(Arc::clone(&estats));
                     let progress = Arc::new(FlushProgress::default());
-                    progresses.push(Arc::clone(&progress));
                     let sink = OptionalSink(egress(shard));
                     let core = FlusherCore::new(shard, rx, bc.n_links);
-                    {
-                        let links = Arc::clone(&links);
-                        let injector = injector.clone();
-                        let closed = Arc::clone(&egress_closed);
-                        let estats = Arc::clone(&estats);
-                        let progress = Arc::clone(&progress);
-                        flushers.push(
-                            std::thread::Builder::new()
-                                .name(format!("err-flusher-{shard}"))
-                                .spawn(move || {
-                                    // Flusher supervision (DESIGN.md
-                                    // §14.4): a body that unwinds is
-                                    // caught and counted instead of
-                                    // poisoning the drain join; the
-                                    // flits its death strands surface
-                                    // as residual lost packets, never
-                                    // as a wedged shutdown.
-                                    let body = std::panic::AssertUnwindSafe(|| {
-                                        err_egress::run_flusher(
-                                            core,
-                                            links,
-                                            injector,
-                                            closed,
-                                            Arc::clone(&estats),
-                                            progress,
-                                            sink,
-                                        )
-                                    });
-                                    if std::panic::catch_unwind(body).is_err() {
-                                        estats.flusher_panics.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                })
-                                .expect("spawning flusher"),
-                        );
-                    }
-                    let shared = Arc::clone(&shared);
-                    let scheduler = config.discipline.build(config.n_flows);
+                    let stage = shard::BufferedStage::new(
+                        tx,
+                        Arc::clone(&links),
+                        Arc::clone(&estats),
+                        Arc::clone(&progress),
+                        config.n_flows,
+                    );
+                    stages.push(Box::new(stage) as Box<dyn shard::EgressStage>);
                     let links = Arc::clone(&links);
-                    let cfg = shard_config(&config, shard);
-                    let state = shard::BufferedWorkerState::new(bc.n_links, salvage_flows);
-                    let driver = fresh_driver(&shared, shard);
-                    workers.push(
-                        // panic-policy: a worker panic is a modeled
-                        // fault (§9) — the supervisor's sweep detects
-                        // the dead shard and salvages; drain's join
-                        // records it as `ShardExit::Panicked`.
+                    let injector = injector.clone();
+                    let closed = Arc::clone(&egress_closed);
+                    flushers.push(
+                        // panic-policy: `run_flusher` fences the sink
+                        // itself (DESIGN.md §14.4): after an unwind it
+                        // dead-letters what the shard still commits —
+                        // credits return, never a wedged shutdown —
+                        // and re-raises at exit, so drain's join
+                        // records `ShardExit::Panicked`.
                         std::thread::Builder::new()
-                            .name(format!("err-shard-{shard}"))
+                            .name(format!("err-flusher-{shard}"))
                             .spawn(move || {
-                                shard::run_shard_buffered(
-                                    shared, cfg, scheduler, tx, links, estats, progress, state,
-                                    driver, 0,
+                                err_egress::run_flusher(
+                                    core, links, injector, closed, estats, progress, sink,
                                 )
                             })
-                            .expect("spawning shard worker"),
+                            .expect("spawning flusher"),
                     );
                 }
-                if resurrection {
-                    let shared = Arc::clone(&shared);
-                    let config = config.clone();
-                    let links = Arc::clone(&links);
-                    let shard_stats = shard_stats.clone();
-                    let progresses = progresses.clone();
-                    respawn = Some(Box::new(move |shard, gen, bequest| {
-                        let shared = Arc::clone(&shared);
-                        let cfg = shard_config(&config, shard);
-                        let links = Arc::clone(&links);
-                        let estats = Arc::clone(&shard_stats[shard]);
-                        let progress = Arc::clone(&progresses[shard]);
-                        // panic-policy: successors die like first-gen
-                        // workers — supervised, salvaged, and reported
-                        // as `ShardExit::Panicked` at drain (§9).
-                        std::thread::Builder::new()
-                            .name(format!("err-shard-{shard}r{gen}"))
-                            .spawn(move || {
-                                let fault::Bequest {
-                                    scheduler,
-                                    driver,
-                                    now,
-                                    egress,
-                                } = bequest;
-                                let (tx, state) = match egress {
-                                    fault::BequestEgress::Buffered { tx, state } => (tx, state),
-                                    fault::BequestEgress::Sync(_) => {
-                                        unreachable!("buffered runtime never posts a sync bequest")
-                                    }
-                                };
-                                shard::run_shard_buffered(
-                                    shared, cfg, scheduler, tx, links, estats, progress, state,
-                                    driver, now,
-                                )
-                            })
-                            .expect("spawning successor worker")
-                    }));
-                }
                 controller = Some(EgressController::new(links, injector, shard_stats));
+                stages
             }
-        }
+        };
+        // A fresh worker steals only if stealing is on; a successor
+        // inherits its predecessor's driver with the rest of the
+        // bequest.
+        let workers = stages
+            .into_iter()
+            .enumerate()
+            .map(|(shard, stage)| {
+                let state = fault::Bequest {
+                    cfg: shard::ShardConfig {
+                        shard,
+                        batch_packets: config.batch_packets,
+                        batch_flits: config.batch_flits,
+                        n_flows: config.n_flows,
+                    },
+                    scheduler: config.discipline.build(config.n_flows),
+                    driver: shared
+                        .steal
+                        .as_ref()
+                        .map(|_| migrate::MigrationDriver::new(shard)),
+                    now: 0,
+                    stage,
+                };
+                spawn_worker(Arc::clone(&shared), 0, state)
+            })
+            .collect();
 
         let supervisor = shared.fault.as_ref().map(|_| {
             let stop = Arc::new(AtomicBool::new(false));
             let shared = Arc::clone(&shared);
             let stop2 = Arc::clone(&stop);
-            let respawn = respawn.take();
             // panic-policy: a supervisor panic stops salvage and
             // resurrection but nothing else — workers and flushers
             // drain normally and the drain-time `join` absorbs the
             // unwind (its `Err` is deliberately discarded).
             let handle = std::thread::Builder::new()
                 .name("err-supervisor".into())
-                .spawn(move || fault::run_supervisor(shared, stop2, respawn))
+                .spawn(move || fault::run_supervisor(shared, stop2))
                 .expect("spawning supervisor");
             (stop, handle)
         });
@@ -849,13 +740,27 @@ impl Runtime {
     }
 }
 
-fn shard_config(config: &RuntimeConfig, shard: usize) -> shard::ShardConfig {
-    shard::ShardConfig {
-        shard,
-        batch_packets: config.batch_packets,
-        batch_flits: config.batch_flits,
-        n_flows: config.n_flows,
-    }
+/// Spawns `state.cfg.shard`'s worker thread: generation 0 at start-up,
+/// a successor adopting its predecessor's bequest afterwards (§13.6).
+pub(crate) fn spawn_worker(
+    shared: Arc<Shared>,
+    generation: u64,
+    state: fault::Bequest,
+) -> JoinHandle<u64> {
+    let shard = state.cfg.shard;
+    let name = match generation {
+        0 => format!("err-shard-{shard}"),
+        g => format!("err-shard-{shard}r{g}"),
+    };
+    // panic-policy: a worker panic is a modeled fault (§9), caught by
+    // `run_shard`'s own fence — under supervision the shard is
+    // salvaged or resurrected (successors die like first-generation
+    // workers) and drain records `ShardExit::Panicked`; without it the
+    // re-thrown panic reaches drain's join, same verdict.
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || shard::run_shard(shared, state))
+        .expect("spawning shard worker")
 }
 
 impl Drop for Runtime {

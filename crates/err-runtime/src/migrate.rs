@@ -34,13 +34,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use desim::Cycle;
-use err_egress::{FlushProgress, LinkSet};
 use err_sched::migrate::MigratedFlow;
-use err_sched::{Scheduler, ServedFlit};
+use err_sched::Scheduler;
 
 use crate::fault::lock_unpoisoned;
 use crate::ingress::Shared;
 use crate::ownership::{ClaimToken, OwnerState, Ownership};
+use crate::shard::EgressStage;
 
 /// Sentinel for "no shard / no flow" in the slot's atomic cells.
 const NONE: usize = usize::MAX;
@@ -187,7 +187,7 @@ pub struct MigrationSlot {
     claim_epoch: AtomicU64,
     /// Donor-side ring-drain cursor (enqueue position at flip time).
     drain_target: AtomicU64,
-    /// Donor-side egress-retire fence snapshot (§13.5; buffered only).
+    /// Donor-side egress-retire fence snapshot (§13.5).
     fence_target: AtomicU64,
     /// Donor ticks spent waiting on the fence (abort budget).
     fence_ticks: AtomicU64,
@@ -341,34 +341,6 @@ impl StealRuntime {
     }
 }
 
-/// Buffered-egress context the worker lends to [`MigrationDriver::tick`]
-/// (§13.5): the donor's retire fence reads the flusher's progress
-/// cursor against the worker's own pushed count; the thief's absorb
-/// respects per-link credit parking.
-pub(crate) struct BufferedStealCtx<'a> {
-    pub(crate) links: &'a LinkSet,
-    pub(crate) link_parked: &'a [bool],
-    /// Flits this worker has pushed to its egress ring so far.
-    pub(crate) pushed: u64,
-    /// This shard's flusher retire cursor.
-    pub(crate) progress: &'a FlushProgress,
-    /// The worker's per-link stash of served-but-uncommitted flits.
-    pub(crate) stash: &'a [Option<ServedFlit>],
-}
-
-impl BufferedStealCtx<'_> {
-    /// Whether every flit of `flow` this worker emitted before the
-    /// `snapshot` push count has been retired downstream (§13.5): the
-    /// flusher's pending-free watermark passed the snapshot, and no
-    /// flit of the flow sits stashed on the worker.
-    fn flow_retired(&self, flow: usize, snapshot: u64) -> bool {
-        let stash_clear = self.stash[self.links.route(flow)]
-            .map(|f| f.flow != flow)
-            .unwrap_or(true);
-        stash_clear && self.progress.retired() >= snapshot
-    }
-}
-
 /// Per-worker migration driver: the worker-thread half of the stealing
 /// protocol. Owns the thief-side policy state (poll pacing, cooldown)
 /// and the donor-side pacing (serve-chunk guard); everything shared
@@ -398,8 +370,9 @@ impl MigrationDriver {
 
     /// Advances this worker's role in every handoff that names it, and
     /// evaluates the stealing policy at poll boundaries (DESIGN.md §8).
-    /// `egress` is `Some` under buffered egress (§13.5), `None` under
-    /// sync egress.
+    /// `egress` is the worker's stage (§13.5): the donor's retire fence
+    /// reads its pushed count and asks it whether the victim's flits
+    /// have retired; every unpark respects its per-link credit parking.
     pub(crate) fn tick(
         &mut self,
         shared: &Shared,
@@ -407,7 +380,7 @@ impl MigrationDriver {
         idle: bool,
         now: Cycle,
         pre_backlog: u64,
-        egress: Option<&BufferedStealCtx<'_>>,
+        egress: &dyn EgressStage,
     ) {
         let Some(st) = shared.steal.as_ref() else {
             return;
@@ -507,7 +480,7 @@ impl MigrationDriver {
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
         backlog: u64,
-        egress: Option<&BufferedStealCtx<'_>>,
+        egress: &dyn EgressStage,
     ) {
         let Some(thief) = slot.thief() else { return };
         // Withdraw when we have stopped being a worthwhile donor: the
@@ -606,7 +579,7 @@ impl MigrationDriver {
         st: &StealRuntime,
         slot: &MigrationSlot,
         scheduler: &mut Box<dyn Scheduler + Send>,
-        egress: Option<&BufferedStealCtx<'_>>,
+        egress: &dyn EgressStage,
     ) {
         // ordering: SeqCst — pairs with the thief's ack store.
         if !slot.thief_ack.load(Ordering::SeqCst) {
@@ -615,36 +588,36 @@ impl MigrationDriver {
         let (Some(flow), Some(token)) = (slot.flow(), slot.token()) else {
             return;
         };
-        if let Some(ctx) = egress {
-            // Egress-retire fence: snapshot our pushed count on first
-            // entry, then wait until the flusher's pending-free
-            // watermark passes it and no victim flit sits stashed.
-            // ordering: SeqCst — donor-written cells, kept in the phase
-            // protocol's order for the §13.6 resurrection handover.
-            let snap = match slot.fence_target.load(Ordering::SeqCst) {
-                UNSET => {
-                    slot.fence_target.store(ctx.pushed, Ordering::SeqCst);
-                    ctx.pushed
-                }
-                s => s,
-            };
-            if !ctx.flow_retired(flow, snap) {
-                // ordering: SeqCst — donor-only tick counter.
-                let ticks = slot.fence_ticks.fetch_add(1, Ordering::SeqCst) + 1;
-                if ticks >= FENCE_BUDGET {
-                    // Abort: the link is wedged. The map never flipped,
-                    // so unwinding is local — release, unpark, reset.
-                    // Release precedes the unpark so a victim left
-                    // parked on a stashed link reads `Settled` when the
-                    // unstick sweep finally reaches it (§13.5).
-                    st.own.release(&token);
-                    unpark_respecting_links(scheduler, flow, egress);
-                    let _guard = lock_unpoisoned(&slot.package);
-                    slot.reset_locked();
-                    shared.stats[self.shard].steal_aborts.add(1);
-                }
-                return;
+        // Egress-retire fence: snapshot our pushed count on first
+        // entry, then wait until the flusher's pending-free watermark
+        // passes it and no victim flit sits stashed. A stage that
+        // buffers nothing is always retired.
+        // ordering: SeqCst — donor-written cells, kept in the phase
+        // protocol's order for the §13.6 resurrection handover.
+        let snap = match slot.fence_target.load(Ordering::SeqCst) {
+            UNSET => {
+                let pushed = egress.pushed();
+                slot.fence_target.store(pushed, Ordering::SeqCst);
+                pushed
             }
+            s => s,
+        };
+        if !egress.flow_retired(flow, snap) {
+            // ordering: SeqCst — donor-only tick counter.
+            let ticks = slot.fence_ticks.fetch_add(1, Ordering::SeqCst) + 1;
+            if ticks >= FENCE_BUDGET {
+                // Abort: the link is wedged. The map never flipped,
+                // so unwinding is local — release, unpark, reset.
+                // Release precedes the unpark so a victim left parked
+                // on a stashed link reads `Settled` when the unstick
+                // sweep finally reaches it (§13.5).
+                st.own.release(&token);
+                unpark_respecting_links(scheduler, flow, egress);
+                let _guard = lock_unpoisoned(&slot.package);
+                slot.reset_locked();
+                shared.stats[self.shard].steal_aborts.add(1);
+            }
+            return;
         }
         let _guard = lock_unpoisoned(&slot.package);
         if slot.phase() == MigrationPhase::Quiescing {
@@ -663,7 +636,7 @@ impl MigrationDriver {
         slot: &MigrationSlot,
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
-        egress: Option<&BufferedStealCtx<'_>>,
+        egress: &dyn EgressStage,
     ) {
         let (Some(flow), Some(thief), Some(token)) = (slot.flow(), slot.thief(), slot.token())
         else {
@@ -737,7 +710,7 @@ impl MigrationDriver {
         shared: &Shared,
         st: &StealRuntime,
         scheduler: &mut Box<dyn Scheduler + Send>,
-        egress: Option<&BufferedStealCtx<'_>>,
+        egress: &dyn EgressStage,
     ) {
         let slot = &st.slots[self.shard];
         if slot.thief() != Some(self.shard) {
@@ -765,18 +738,17 @@ impl MigrationDriver {
     }
 }
 
-/// Unparks `flow` unless its egress link is credit-parked (buffered
-/// mode, §13.5): the link's unstick sweep will release it with the
-/// rest, preserving the one-stash-per-link invariant.
-fn unpark_respecting_links(
+/// Unparks `flow` unless its egress link is credit-parked (§13.5): the
+/// link's unstick sweep will release it with the rest, preserving the
+/// one-stash-per-link invariant. The one unpark authority of every
+/// mover — steal unwinds and absorbs here, salvage absorbs in
+/// `fault.rs`.
+pub(crate) fn unpark_respecting_links(
     scheduler: &mut Box<dyn Scheduler + Send>,
     flow: usize,
-    egress: Option<&BufferedStealCtx<'_>>,
+    egress: &dyn EgressStage,
 ) {
-    let keep_parked = egress
-        .map(|c| c.link_parked[c.links.route(flow)])
-        .unwrap_or(false);
-    if !keep_parked {
+    if !egress.link_parked(flow) {
         // unpark: this *is* the authority — `unpark_respecting_links`
         // is the one place a mover may wake a flow, because only here
         // is the credit-park check guaranteed (§13.5).

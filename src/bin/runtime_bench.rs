@@ -1875,7 +1875,6 @@ fn estimate_scenario(
             spec,
             len: FABRIC_PKT_LEN,
             packets,
-            weight: 1,
         })
         .collect();
     let est_cfg = err_estimate::EstimatorConfig {

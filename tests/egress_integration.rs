@@ -13,8 +13,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use err_runtime::{
-    AdmissionPolicy, BufferedConfig, DeadLinkPolicy, EgressMode, FaultPlan, Runtime, RuntimeConfig,
-    RuntimeHandle, RuntimeStats, StallPlan, SupervisionConfig,
+    AdmissionPolicy, BufferedConfig, DeadLinkPolicy, DrainReport, EgressMode, FaultPlan, Runtime,
+    RuntimeConfig, RuntimeHandle, RuntimeStats, ShardExit, StallPlan, SupervisionConfig,
 };
 use err_sched::{Discipline, Packet, ServedFlit};
 
@@ -319,10 +319,12 @@ fn credit_pool_bounds_buffered_flits_per_link() {
 /// Buffered egress must not change *what* is scheduled, only how it is
 /// delivered: for one shard and an identical pre-loaded workload, every
 /// flow sees the identical flit sequence under sync and buffered modes.
-#[test]
-fn buffered_matches_sync_per_flow_sequences() {
-    let _alone = one_at_a_time();
-    fn run(egress: EgressMode) -> Vec<ServedFlit> {
+/// With a `fault_plan` the shard runs under resurrection (DESIGN.md
+/// §13.6), so the same holds across a worker death whose successor
+/// adopts the egress stage of either mode.
+fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>) {
+    let faulted = fault_plan.is_some();
+    let run = |egress: EgressMode| -> (Vec<ServedFlit>, DrainReport) {
         let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
         let s2 = Arc::clone(&seen);
         let (rt, handle) = Runtime::start_with_egress(
@@ -331,6 +333,11 @@ fn buffered_matches_sync_per_flow_sequences() {
                 n_flows: 8,
                 discipline: Discipline::Err,
                 egress,
+                supervision: faulted.then(|| SupervisionConfig {
+                    resurrection: true,
+                    ..SupervisionConfig::default()
+                }),
+                fault_plan: fault_plan.clone(),
                 ..RuntimeConfig::default()
             },
             move |_shard| {
@@ -343,12 +350,23 @@ fn buffered_matches_sync_per_flow_sequences() {
                 .submit(Packet::new(id, (id % 8) as usize, 1 + (id % 6) as u32, 0))
                 .unwrap();
         }
-        rt.shutdown();
-        Arc::try_unwrap(seen).unwrap().into_inner().unwrap()
-    }
+        let report = rt.shutdown();
+        (Arc::try_unwrap(seen).unwrap().into_inner().unwrap(), report)
+    };
 
-    let sync = run(EgressMode::Sync);
-    let buf = run(buffered(None));
+    let (sync, sync_report) = run(EgressMode::Sync);
+    let (buf, buf_report) = run(buffered(None));
+    for report in [&sync_report, &buf_report] {
+        assert!(report.is_conserving(), "{report:?}");
+        assert_eq!(report.served_packets(), 1_000, "{report:?}");
+        assert_eq!(report.lost_packets(), 0, "{report:?}");
+        let exit = if faulted {
+            ShardExit::Panicked
+        } else {
+            ShardExit::Clean
+        };
+        assert_eq!(report.exits, [exit], "{report:?}");
+    }
     assert_eq!(sync.len(), buf.len(), "flit counts differ");
     for flow in 0..8usize {
         let a: Vec<(u64, u32)> = sync
@@ -363,6 +381,150 @@ fn buffered_matches_sync_per_flow_sequences() {
             .collect();
         assert_eq!(a, b, "flow {flow} diverged between sync and buffered");
     }
+}
+
+#[test]
+fn buffered_matches_sync_per_flow_sequences() {
+    let _alone = one_at_a_time();
+    assert_buffered_matches_sync(None);
+}
+
+/// The same equivalence across a shard death: one seeded kill in the
+/// middle of the ~3 500-flit run, and the successor carries on from the
+/// bequeathed stage — the sync stage's sink or the buffered stage's
+/// ring, stash and pushed count — with nothing lost in either mode.
+#[test]
+fn buffered_matches_sync_across_a_resurrection() {
+    let _alone = one_at_a_time();
+    let at = desim::SimRng::new(0x5EED).uniform_u32(500, 2_500);
+    assert_buffered_matches_sync(Some(FaultPlan::new().kill_shard_at(0, u64::from(at))));
+}
+
+/// The blocking fallback: a discipline that cannot park flows (DRR)
+/// under buffered egress waits on the exhausted credit pool, so a
+/// frozen link legitimately freezes the whole shard — until drain mode
+/// releases the stall. Fewer packets than the ingress ring holds, so no
+/// submit ever blocks behind the frozen shard.
+#[test]
+fn blocking_fallback_freezes_behind_a_stall_and_drains_at_shutdown() {
+    let _alone = one_at_a_time();
+    const PACKETS: u64 = 500;
+    let delivered = Arc::new(AtomicU64::new(0));
+    let d2 = Arc::clone(&delivered);
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: N_FLOWS,
+            discipline: Discipline::Drr { quantum: 8 },
+            egress: EgressMode::Buffered(BufferedConfig {
+                ring_capacity: 64,
+                credits: 8,
+                n_links: N_LINKS,
+                stall_plan: Some(StallPlan::freeze_forever(0, 0)),
+                ..BufferedConfig::default()
+            }),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| {
+            let delivered = Arc::clone(&d2);
+            Some(move |_s: usize, _f: &ServedFlit| {
+                delivered.fetch_add(1, Ordering::Relaxed);
+            })
+        },
+    );
+    for id in 0..PACKETS {
+        let flow = (id % N_FLOWS as u64) as usize;
+        handle.submit(Packet::new(id, flow, PACKET_LEN, 0)).unwrap();
+    }
+    let report = rt.shutdown();
+    assert!(report.is_conserving(), "{report:?}");
+    assert!(report.all_clean(), "{report:?}");
+    assert_eq!(report.served_packets(), PACKETS);
+    let flits = PACKETS * u64::from(PACKET_LEN);
+    assert_eq!(report.stats.flushed_flits(), flits, "a flit stranded");
+    assert_eq!(delivered.load(Ordering::Relaxed), flits);
+    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
+    assert!(
+        egress.shards[0].credit_exhaustions > 0,
+        "the frozen link must exhaust its credits: {egress:?}"
+    );
+    for (i, l) in egress.links.iter().enumerate() {
+        assert_eq!(l.credits_available, 8, "link {i}: credits leaked");
+    }
+}
+
+/// A sink that panics on the flusher thread (DESIGN.md §14.4) must not
+/// wedge the drain: the flusher keeps its core, dead-letters whatever
+/// the shard still commits so the credits keep returning, and the
+/// report says `Panicked`. `shutdown` is the drain under test; both
+/// callers must see it finish gracefully.
+fn drain_after_a_sink_panic(shutdown: impl FnOnce(Runtime) -> DrainReport) {
+    const PACKETS: u64 = 500;
+    const SURVIVES: u64 = 100;
+    let emitted = Arc::new(AtomicU64::new(0));
+    let e2 = Arc::clone(&emitted);
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: N_FLOWS,
+            discipline: Discipline::Err,
+            egress: EgressMode::Buffered(BufferedConfig {
+                ring_capacity: 64,
+                credits: 8,
+                n_links: N_LINKS,
+                ..BufferedConfig::default()
+            }),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| {
+            let emitted = Arc::clone(&e2);
+            Some(move |_s: usize, _f: &ServedFlit| {
+                if emitted.fetch_add(1, Ordering::Relaxed) == SURVIVES {
+                    panic!("sink: downstream went away (injected by the test)");
+                }
+            })
+        },
+    );
+    for id in 0..PACKETS {
+        let flow = (id % N_FLOWS as u64) as usize;
+        handle.submit(Packet::new(id, flow, PACKET_LEN, 0)).unwrap();
+    }
+    let report = shutdown(rt);
+    assert!(
+        !report.forced,
+        "the drain must finish gracefully: {report:?}"
+    );
+    assert!(report.is_conserving(), "{report:?}");
+    assert_eq!(report.served_packets(), PACKETS, "{report:?}");
+    assert_eq!(report.exits, [ShardExit::Clean]);
+    assert_eq!(report.flusher_exits, [ShardExit::Panicked]);
+    assert!(!report.all_clean());
+    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
+    assert_eq!(egress.flusher_panics(), 1);
+    // The sink took 100 flits and died on the next; that one and every
+    // flit after it is dead-lettered, none is called delivered. (The
+    // per-link counters are the exact ledger: `flushed_flits` is added
+    // per step and misses the step that unwound.)
+    let flits = PACKETS * u64::from(PACKET_LEN);
+    assert_eq!(emitted.load(Ordering::Relaxed), SURVIVES + 1);
+    let delivered: u64 = egress.links.iter().map(|l| l.delivered_flits).sum();
+    let dead: u64 = egress.links.iter().map(|l| l.dead_letter_flits).sum();
+    assert_eq!((delivered, dead), (SURVIVES, flits - SURVIVES));
+    for (i, l) in egress.links.iter().enumerate() {
+        assert_eq!(l.credits_available, 8, "link {i}: credits leaked");
+    }
+}
+
+#[test]
+fn sink_panic_on_the_flusher_does_not_wedge_shutdown() {
+    let _alone = one_at_a_time();
+    drain_after_a_sink_panic(Runtime::shutdown);
+}
+
+#[test]
+fn sink_panic_on_the_flusher_is_reported_by_shutdown_within() {
+    let _alone = one_at_a_time();
+    drain_after_a_sink_panic(|rt| rt.shutdown_within(Duration::from_millis(500)));
 }
 
 /// A transient link death under `DeadLinkPolicy::HoldForRecovery`

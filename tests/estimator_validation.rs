@@ -59,7 +59,6 @@ fn check_mix(name: &str, flows: Vec<FlowSpec>, p50_bound: f64) {
             spec,
             len: LEN,
             packets: PACKETS,
-            weight: 1,
         })
         .collect();
     let cfg = EstimatorConfig {
@@ -125,7 +124,6 @@ fn estimator_is_deterministic_across_calls() {
             spec,
             len: LEN,
             packets: PACKETS,
-            weight: 1,
         })
         .collect();
     let cfg = EstimatorConfig::default();
