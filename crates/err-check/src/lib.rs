@@ -34,6 +34,13 @@
 //!   class).
 //! * **panic-boundary** — every spawned-thread closure wraps its body
 //!   in `catch_unwind` or carries a `// panic-policy:` justification.
+//! * **backstop** — in the threaded crates every `sleep_unless` /
+//!   `sleep_while_*` / `park_timeout` call says what its timer is for
+//!   in a `// backstop:` comment: `covered by` named wakers (the
+//!   timeout must then be the shared `BACKSTOP`), `polls` something
+//!   nobody announces (it must not be), or `forwards` the caller's
+//!   `timeout`. A short timer armed per sleep for an announced event
+//!   was the largest line of the buffered-egress budget before PR 17.
 //! * **doc-drift** — declarative needle rules keeping DESIGN.md
 //!   §8–§14, README.md, and EXPERIMENTS.md naming the real protocol
 //!   vocabulary (generalizes the PR 3/PR 4 drift tests).
@@ -61,7 +68,10 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub use rules::PASSES;
-use rules::{CLAIM_FILES, DOC_RULES, MUTEX_FILES, PAIRED_FILES, SEQCST_FILES, TRAIT_IMPL_RULES};
+use rules::{
+    BACKSTOP_CONST, BACKSTOP_TREES, CLAIM_FILES, DOC_RULES, MUTEX_FILES, PAIRED_FILES,
+    SEQCST_FILES, TRAIT_IMPL_RULES,
+};
 
 /// How many lines above an `unsafe`/ordering site a justifying comment
 /// may sit (multi-line statements push the token below its comment).
@@ -395,6 +405,68 @@ fn spawn_span_has_token(lines: &[Line], start: usize, needle: &str) -> bool {
     false
 }
 
+/// Byte offsets in `code` just past the `(` of every *call* of a
+/// sleeping function (`sleep_unless`, `sleep_while_*`, `park_timeout`)
+/// — not its definition (`fn name(`) nor an import (no `(`).
+fn sleep_calls(code: &str) -> Vec<usize> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    for (open, _) in code.match_indices('(') {
+        let head = &code[..open];
+        let name_at = head.rfind(|c| !is_ident(c)).map_or(0, |at| {
+            at + head[at..].chars().next().map_or(1, char::len_utf8)
+        });
+        let name = &head[name_at..];
+        let sleeps =
+            name == "sleep_unless" || name == "park_timeout" || name.starts_with("sleep_while_");
+        if sleeps && !head[..name_at].trim_end().ends_with("fn") {
+            out.push(open + 1);
+        }
+    }
+    out
+}
+
+/// The argument text of the call whose `(` ends just before byte
+/// `from` of line `start` — paren-counted, over as many lines as the
+/// call spans.
+fn call_args(lines: &[Line], start: usize, from: usize) -> String {
+    let mut depth = 1usize;
+    let mut args = String::new();
+    for (j, l) in lines.iter().enumerate().skip(start) {
+        for c in l.code[if j == start { from } else { 0 }..].chars() {
+            match c {
+                '(' => depth += 1,
+                ')' => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                return args;
+            }
+            args.push(c);
+        }
+        args.push(' ');
+    }
+    args
+}
+
+/// The `// backstop:` comment that covers line `line`: the text after
+/// the last such marker within the lookback window, continued over
+/// the comment lines between it and the call.
+fn backstop_comment(lines: &[Line], line: usize) -> Option<String> {
+    let lo = line.saturating_sub(LOOKBACK);
+    let at = (lo..=line)
+        .rev()
+        .find(|&i| lines[i].comment.contains("backstop:"))?;
+    let first = &lines[at].comment;
+    let mut text =
+        first[first.find("backstop:").expect("just found") + "backstop:".len()..].to_owned();
+    for l in &lines[at + 1..=line] {
+        text.push(' ');
+        text.push_str(l.comment.trim_start_matches('/'));
+    }
+    Some(text)
+}
+
 /// Parses every `[pair: label @ target]` clause out of one comment.
 /// Returns `(label, target)` pairs plus whether a malformed clause
 /// (no `@` or unterminated) was seen.
@@ -447,6 +519,7 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<Violation> {
     let mutex_ok = MUTEX_FILES.contains(&relpath);
     let paired = PAIRED_FILES.contains(&relpath);
     let claim_file = CLAIM_FILES.contains(&relpath);
+    let sleeps_audited = BACKSTOP_TREES.iter().any(|t| relpath.starts_with(t));
     let mut v = Vec::new();
     let mut push = |line: usize, rule: &'static str, msg: String| {
         v.push(Violation {
@@ -556,6 +629,40 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<Violation> {
                      authority justifies itself with a `// unpark:` comment"
                         .into(),
                 );
+            }
+        }
+        let sleep_sites = if sleeps_audited {
+            sleep_calls(&l.code)
+        } else {
+            Vec::new()
+        };
+        for from in sleep_sites {
+            let timeout_is = |word: &str| has_token(&call_args(&lines, i, from), word);
+            let verdict = backstop_comment(&lines, i);
+            let complaint = match verdict.as_deref().map(str::trim_start) {
+                None => Some(
+                    "sleep without a `// backstop:` comment saying what its timer is for: \
+                     `covered by` the named wakers, `polls` what nobody announces, or \
+                     `forwards` the caller's `timeout`",
+                ),
+                Some(t) if t.starts_with("covered by") => (!timeout_is(BACKSTOP_CONST)).then_some(
+                    "a covered sleep keeps its timer only as a backstop: pass the shared \
+                     `BACKSTOP`, not a timeout a scheduler tick is longer than",
+                ),
+                Some(t) if t.starts_with("polls") => timeout_is(BACKSTOP_CONST).then_some(
+                    "a sleep that polls for what nobody announces wakes by its timer alone: \
+                     `BACKSTOP` would be its latency",
+                ),
+                Some(t) if t.starts_with("forwards") => (!timeout_is("timeout")).then_some(
+                    "`// backstop: forwards` is for a call that passes on its own `timeout` \
+                     parameter; this one does not",
+                ),
+                Some(_) => Some(
+                    "`// backstop:` must say `covered by <wakers>`, `polls <what>` or `forwards`",
+                ),
+            };
+            if let Some(msg) = complaint {
+                push(i, "backstop", msg.into());
             }
         }
         if (l.code.contains(".spawn(") || l.code.contains("::spawn("))
@@ -676,6 +783,45 @@ fn lint_cross(files: &[(String, String)]) -> Vec<Violation> {
                     c.label, c.target, c.label
                 ),
             });
+        }
+    }
+
+    // Covered sleeps: the wakers a `// backstop: covered by` comment
+    // names must resolve to real code — a renamed wake is no cover.
+    for (fi, lines) in &scrubbed {
+        if !BACKSTOP_TREES.iter().any(|t| files[*fi].0.starts_with(t)) {
+            continue;
+        }
+        for i in 0..lines.len() {
+            if !lines[i].comment.contains("backstop:") {
+                continue;
+            }
+            // The comment's own lines only: up to the first code line.
+            let end = (i..lines.len())
+                .find(|&j| !lines[j].code.trim().is_empty())
+                .unwrap_or(lines.len() - 1);
+            let Some(text) = backstop_comment(lines, end) else {
+                continue;
+            };
+            if !text.trim_start().starts_with("covered by") {
+                continue;
+            }
+            let idents = backticked_idents(&text);
+            let unresolved = idents.iter().find(|ident| !resolves(ident));
+            if idents.is_empty() || unresolved.is_some() {
+                v.push(Violation {
+                    file: files[*fi].0.clone(),
+                    line: i + 1,
+                    rule: "backstop",
+                    msg: match unresolved {
+                        Some(ident) => format!(
+                            "`// backstop: covered by` names `{ident}`, which resolves to nothing \
+                             in the scanned sources — the waker was renamed or removed"
+                        ),
+                        None => "`// backstop: covered by` names no backticked waker".into(),
+                    },
+                });
+            }
         }
     }
 
@@ -1196,6 +1342,37 @@ mod tests {
     }
 
     #[test]
+    fn sleeps_say_what_their_timer_is_for() {
+        let path = "crates/err-runtime/src/shard.rs";
+        let bare = "fn f(c: &WakeCell) {\n    c.sleep_unless(ready, PARK_TIMEOUT);\n}\n";
+        assert_eq!(rules_of(&lint_source(path, bare)), ["backstop"]);
+        // Outside the threaded crates the pass does not run; a
+        // definition or an import is not a call.
+        assert!(lint_source("crates/x/src/a.rs", bare).is_empty());
+        let decl = "use std::thread::{park_timeout, Thread};\npub fn sleep_unless(&self) {}\n";
+        assert!(lint_source(path, decl).is_empty());
+        let sleep = |verdict: &str, timeout: &str| {
+            format!(
+                "fn wake_it() {{}}\nfn f(c: &WakeCell, timeout: Duration) {{\n    \
+                 // backstop: {verdict}\n    c.sleep_unless(\n        ready,\n        \
+                 {timeout},\n    );\n}}\n"
+            )
+        };
+        let lint = |verdict: &str, timeout: &str| {
+            rules_of(&lint_files(&[(path.to_owned(), sleep(verdict, timeout))]))
+        };
+        assert!(lint("covered by `wake_it`.", "BACKSTOP").is_empty());
+        assert_eq!(lint("covered by `wake_it`.", "PARK_TIMEOUT"), ["backstop"]);
+        assert_eq!(lint("covered by `ghost_wake`.", "BACKSTOP"), ["backstop"]);
+        assert_eq!(lint("covered by somebody.", "BACKSTOP"), ["backstop"]);
+        assert!(lint("polls arrivals.", "PARK_TIMEOUT").is_empty());
+        assert_eq!(lint("polls arrivals.", "BACKSTOP"), ["backstop"]);
+        assert!(lint("forwards the caller's `timeout`.", "timeout").is_empty());
+        assert_eq!(lint("forwards.", "PARK_TIMEOUT"), ["backstop"]);
+        assert_eq!(lint("whatever.", "PARK_TIMEOUT"), ["backstop"]);
+    }
+
+    #[test]
     fn pair_clause_and_backtick_parsing() {
         let (clauses, malformed) =
             pair_clauses("x [pair: a @ self] then [pair: b @ crates/x/src/a.rs]");
@@ -1250,6 +1427,7 @@ mod tests {
             "ordering-pairing",
             "park-protocol",
             "panic-boundary",
+            "backstop",
             "doc-drift",
         ];
         for rule in emitted {

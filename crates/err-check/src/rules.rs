@@ -53,6 +53,14 @@ pub const PASSES: &[(&str, &str)] = &[
          `// panic-policy:` justification",
     ),
     (
+        "backstop",
+        "in the threaded crates every `sleep_unless` / `sleep_while_*` / `park_timeout` call says \
+         what its timer is in a `// backstop:` comment — `covered by` the named wakers (backticked \
+         identifiers must resolve; the timeout must be `BACKSTOP`), `polls` what nobody announces \
+         (the timeout must not be `BACKSTOP`), or `forwards` its own `timeout` parameter — so a \
+         short timer is never armed per sleep for an event a peer announces (the PR 17 class)",
+    ),
+    (
         "doc-drift",
         "DESIGN/README/EXPERIMENTS keep naming the protocol vocabulary the code exports",
     ),
@@ -137,6 +145,17 @@ pub(crate) const CLAIM_FILES: &[&str] = &[
     "crates/err-runtime/src/shard.rs",
 ];
 
+/// Source trees whose sleeps the `backstop` pass audits: the crates
+/// that park threads on a `WakeCell` or a timer.
+pub(crate) const BACKSTOP_TREES: &[&str] = &[
+    "crates/err-runtime/src/",
+    "crates/err-egress/src/",
+    "crates/err-fabric/src/",
+];
+
+/// The one constant a covered sleep may pass as its timeout.
+pub(crate) const BACKSTOP_CONST: &str = "BACKSTOP";
+
 /// One declarative doc-drift rule: `doc` (under the workspace root)
 /// must contain every needle, inside `section` when one is given.
 pub(crate) struct DocRule {
@@ -153,9 +172,10 @@ pub(crate) struct DocRule {
 /// (§8–§14) — `tests::every_normative_design_section_has_a_doc_rule`
 /// asserts the table stays complete as sections are added.
 pub(crate) const DOC_RULES: &[DocRule] = &[
-    // §6/§7 hand-off vocabulary: the three wake edges, the timers that
-    // stay as their backstop, and the counters that tell the two apart
-    // — plus the one worker loop's egress stage and its two impls.
+    // §6/§7 hand-off vocabulary: the wake edges, which timers are a
+    // backstop and which a poll, and the counters that tell the two
+    // apart — plus the one worker loop's egress stage and its two
+    // impls, and the per-batch credit grant.
     DocRule {
         doc: "DESIGN.md",
         section: Some("## 6"),
@@ -170,6 +190,15 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "park_timeouts",
             "AdmitDecision::Wait",
             "plain push path",
+            // The timer economy (PR 17): which sleeps are covered,
+            // which poll, the one constant, and the measured reason.
+            "BACKSTOP",
+            "covered",
+            "polls",
+            "starved",
+            "wake_worker_for_intake",
+            "18.4",
+            "sched_yield",
         ],
     },
     DocRule {
@@ -183,6 +212,16 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "BACKOFF_CAP",
             "flusher_park_timeouts",
             "left on timers",
+            // Per-batch credits (PR 17): the grant and its return, the
+            // flusher's tally, the announced link transitions.
+            "grant",
+            "tops up",
+            "half its pool",
+            "return_grants",
+            "tick_delivered",
+            "credit_delivered",
+            "wake_flushers",
+            "no stash",
         ],
     },
     DocRule {
@@ -245,6 +284,10 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "WakeCell",
             "model_wake_handshake_no_lost_wakeup",
             "mutant_wake_recheck_dropped",
+            // The grant's model/mutant pair and the sleep lint (PR 17).
+            "model_credit_grant_returned_exactly_once",
+            "mutant_credit_grant_return_unmarked",
+            "backstop",
         ],
     },
     // §11 vocabulary: every routing verdict, forwarder outcome, and
@@ -401,6 +444,11 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "runtime_buffered",
             "park_timeouts",
             "pinned_cpu",
+            // The grant (PR 17): model, mutant, and the section its
+            // gain and its ablation are stated in.
+            "model_credit_grant_returned_exactly_once",
+            "mutant_credit_grant_return_unmarked",
+            "Per-batch egress",
         ],
     },
 ];

@@ -2,8 +2,8 @@
 //! gets a violating fixture it must flag and a passing fixture it must
 //! accept, plus meta-tests that replay the historical bug classes the
 //! passes were built from (the PR 6 flusher deadlock, the PR 8
-//! donor-unwind wedge, the PR 9 stranded pairing) and assert the
-//! linter would have caught each one.
+//! donor-unwind wedge, the PR 9 stranded pairing, the PR 17 per-sleep
+//! timer) and assert the linter would have caught each one.
 
 use err_check::{lint_files, lint_source, Violation};
 
@@ -121,6 +121,31 @@ fn panic_fixture_passing() {
 }
 
 // ---------------------------------------------------------------------
+// backstop
+// ---------------------------------------------------------------------
+
+#[test]
+fn backstop_fixture_violating() {
+    let v = lint_files(&[at(
+        "crates/err-egress/src/flusher.rs",
+        include_str!("fixtures/backstop_missing.rs"),
+    )]);
+    assert_eq!(rules_of(&v), ["backstop", "backstop", "backstop"]);
+    assert!(v[0].msg.contains("without a `// backstop:` comment"));
+    assert!(v[1].msg.contains("pass the shared `BACKSTOP`"));
+    assert!(v[2].msg.contains("would be its latency"));
+}
+
+#[test]
+fn backstop_fixture_passing() {
+    let v = lint_files(&[at(
+        "crates/err-egress/src/flusher.rs",
+        include_str!("fixtures/backstop_ok.rs"),
+    )]);
+    assert!(v.is_empty(), "unexpected: {v:?}");
+}
+
+// ---------------------------------------------------------------------
 // Historical bug classes: each pass replayed against a miniature of
 // the real regression it was distilled from. If a refactor weakens a
 // pass below catching its founding bug, these fail.
@@ -189,6 +214,24 @@ fn meta_pr9_stranded_pairing_is_caught() {
         "stranded pair escaped: {v:?}"
     );
     assert!(v.iter().any(|x| x.msg.contains("one-sided")));
+}
+
+/// PR 14 → PR 17: every hand-off became event-driven, yet each sleeper
+/// still armed its old 5–100 µs timer per sleep as the "backstop" — on
+/// the reference host that arming was four fifths of the buffered
+/// path's cost. A sleep a peer's wake covers must keep the long timer.
+#[test]
+fn meta_pr17_short_timer_on_a_covered_sleep_is_caught() {
+    let src = concat!(
+        "fn wake_consumer() {}\n",
+        "fn idle(core: &mut FlusherCore, closed: &AtomicBool, backoff: Duration) {\n",
+        "    // backstop: covered by `wake_consumer`, once per batch.\n",
+        "    core.sleep_while_ring_empty(closed, backoff);\n",
+        "}\n",
+    );
+    let v = lint_files(&[at("crates/err-egress/src/flusher.rs", src)]);
+    assert_eq!(rules_of(&v), ["backstop"]);
+    assert!(v[0].msg.contains("BACKSTOP"));
 }
 
 /// The supervision era's founding hazard: a worker spawned with no

@@ -625,6 +625,75 @@ fn model_flush_progress_retire_fence() {
     assert!(report.complete, "bounded DFS must exhaust");
 }
 
+/// The credit grant (DESIGN.md §7) through the shipped `LinkSet` +
+/// `FlusherCore` + `WakeCell`: a worker has taken a grant of k = 2 —
+/// the whole pool — and committed j = 1 flit against it. The link is
+/// declared dead and the flusher dead-letters the flit (returning its
+/// credit); the worker gives the unspent k − j back. Each credit must
+/// go back exactly once whichever return comes first, and whichever
+/// one lands in the emptied pool must wake the other shard's worker
+/// parked on it: both returners run `relieved` → `wake_credit_waiters`
+/// behind their returns. The model's park never times out, so a
+/// waiter nobody wakes is reported as a deadlock.
+#[test]
+fn model_credit_grant_returned_exactly_once() {
+    let mut b = Builder::new();
+    b.max_preemptions = Some(2);
+    b.max_iterations = 2_000_000;
+    let report = b.check(|| {
+        let waiter_cell = Arc::new(WakeCell::new());
+        let mut links = LinkSet::with_fault_policy(1, 2, None, DeadLinkPolicy::DropAndAccount);
+        links.set_credit_waiters(vec![Arc::clone(&waiter_cell)]);
+        let links = Arc::new(links);
+        let (mut tx, rx) = spsc_ring::<ServedFlit>(2);
+        // The worker half, pre-thread: grant, one flit committed.
+        let mut grant = [links.acquire(0, 2)];
+        assert_eq!(grant[0], 2, "the grant took the whole pool");
+        grant[0] -= 1;
+        tx.push(served(0, 7)).expect("ring has room");
+        let waiter = {
+            let (links, cell) = (Arc::clone(&links), Arc::clone(&waiter_cell));
+            thread::spawn(move || {
+                cell.register();
+                while !links.has_credit(0) {
+                    let how = cell
+                        .sleep_unless(|| links.has_credit(0), std::time::Duration::from_secs(1));
+                    assert_ne!(how, Sleep::TimedOut, "a park ended with the flag still set");
+                }
+            })
+        };
+        let flusher = {
+            let links = Arc::clone(&links);
+            thread::spawn(move || {
+                links.declare_dead(0);
+                let mut core = FlusherCore::new(0, rx, 1);
+                let mut sink = |_s: usize, _f: &ServedFlit| unreachable!("the link is dead");
+                let mut dead = 0u64;
+                while dead < 1 {
+                    core.step(&links, None, &mut sink);
+                    dead += core.take_dead_lettered();
+                    links.wake_credit_waiters();
+                    thread::yield_now();
+                }
+                assert!(core.is_idle());
+            })
+        };
+        // The worker's `serve` settling: the unspent credit goes back.
+        links.return_grants(&mut grant);
+        assert_eq!(grant, [0], "a grant is returned once");
+        flusher.join().expect("flusher");
+        waiter.join().expect("waiter");
+        let snap = links.snapshot();
+        assert_eq!(snap[0].credits_available, 2, "available == capacity");
+        assert_eq!(snap[0].dead_letter_flits, 1);
+    });
+    println!(
+        "model_credit_grant_returned_exactly_once: {} interleavings (complete={})",
+        report.executions, report.complete
+    );
+    assert!(report.complete, "bounded DFS must exhaust");
+}
+
 /// The wake handshake (DESIGN.md §6) through the shipped [`WakeCell`]:
 /// a sleeper that waits for two pieces of work, each published by its
 /// own waker (publish, then `wake`). The model's `park_timeout` never
@@ -1169,6 +1238,54 @@ fn mutant_wake_recheck_dropped() {
                 sleeping.swap(false, Ordering::AcqRel);
             }
             waker.join().expect("waker");
+        });
+    });
+}
+
+/// The grant return (`LinkSet::return_credits`) with the `relieved`
+/// mark skipped: the credit goes back into the pool the grant had
+/// emptied, but `wake_credit_waiters` finds no mark and wakes nobody.
+/// A waiter that re-checked just before the return parks on a credit
+/// that is already there — the 10 ms hiccup of a covered sleep, a
+/// hang in the model.
+#[test]
+fn mutant_credit_grant_return_unmarked() {
+    use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    expect_violation("credit_grant_return_unmarked", || {
+        Builder::new().check(|| {
+            // The pool after a grant took all of it.
+            let credits = Arc::new(AtomicU64::new(0));
+            let relieved = Arc::new(AtomicBool::new(false));
+            let sleeping = Arc::new(AtomicBool::new(false));
+            let waiter = thread::current();
+            let returner = {
+                let (credits, relieved, sleeping) = (
+                    Arc::clone(&credits),
+                    Arc::clone(&relieved),
+                    Arc::clone(&sleeping),
+                );
+                thread::spawn(move || {
+                    let was_empty = credits.fetch_add(1, Ordering::AcqRel) == 0;
+                    // MUTATION: shipped `return_credits` stores
+                    // `relieved = true` (Release) when `was_empty`.
+                    let _ = was_empty;
+                    if relieved.load(Ordering::Acquire)
+                        && relieved.swap(false, Ordering::AcqRel)
+                        && sleeping.swap(false, Ordering::AcqRel)
+                    {
+                        waiter.unpark();
+                    }
+                })
+            };
+            // The starved worker's park, as `sleep_unless` ships it.
+            while credits.load(Ordering::Acquire) == 0 {
+                sleeping.swap(true, Ordering::AcqRel);
+                if credits.load(Ordering::Acquire) == 0 {
+                    thread::park();
+                }
+                sleeping.swap(false, Ordering::AcqRel);
+            }
+            returner.join().expect("returner");
         });
     });
 }

@@ -1,14 +1,18 @@
 //! The per-link credit counter: wormhole virtual-channel flow control
 //! reduced to one atomic.
 //!
-//! A pool advertises `capacity` flit buffers. Shard workers
-//! [`try_acquire`](CreditPool::try_acquire) one credit per flit
-//! *before* committing it to an egress ring; the flusher
-//! [`release`](CreditPool::release)s the credit when the flit is
-//! delivered (or dead-lettered). The pool is therefore a hard bound on
-//! buffered flits per link — the invariant
+//! A pool advertises `capacity` flit buffers. A shard worker takes a
+//! *grant* — [`acquire`](CreditPool::acquire): up to as many credits as
+//! its service batch can still emit, in one CAS — *before* it serves a
+//! flit of that link, spends the grant flit by flit from a local
+//! counter, and gives the unused rest back; the flusher
+//! [`release_n`](CreditPool::release_n)s the credits of the flits it
+//! delivered (or dead-lettered), a batch at a time. The pool is
+//! therefore a hard bound on buffered flits per link — the invariant
 //! `tests/egress_integration.rs` asserts and err-check's `spsc_credit`
-//! loom model checks under every interleaving.
+//! and `credit_grant` loom models check under every interleaving.
+//! [`try_acquire`](CreditPool::try_acquire) and
+//! [`release`](CreditPool::release) are the one-credit cases.
 //!
 //! Extracted from `link.rs` in PR 5 so the exact shipped atomics can be
 //! compiled against the loom shim (the crate-private `sync` module) and
@@ -43,50 +47,64 @@ impl CreditPool {
         self.capacity
     }
 
-    /// Tries to take one credit. Returns `false` when the pool is
-    /// exhausted — the caller must stop committing flits until credits
-    /// return.
-    pub fn try_acquire(&self) -> bool {
+    /// Takes up to `want` credits in one CAS — `min(available, want)`
+    /// — and returns how many it took. Zero means the pool is
+    /// exhausted: the caller must not commit a flit to this link until
+    /// credits return.
+    pub fn acquire(&self, want: u64) -> u64 {
         let mut cur = self.credits.load(Ordering::Relaxed);
         loop {
-            if cur == 0 {
-                return false;
+            let take = cur.min(want);
+            if take == 0 {
+                return 0;
             }
             // ordering: AcqRel — the Acquire half pairs with the
-            // Release half of the flusher's `release` fetch_add, so the
-            // downstream buffer this credit stands for is observed free
-            // before the worker reuses it; the Release half keeps the
-            // release sequence intact for other acquiring workers.
+            // Release half of the returner's `release_n` fetch_add, so
+            // the downstream buffers these credits stand for are seen
+            // free before the worker reuses them; the Release half
+            // keeps the release sequence intact for other acquirers.
             match self.credits.compare_exchange_weak(
                 cur,
-                cur - 1,
+                cur - take,
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    let outstanding = self.capacity - (cur - 1);
+                    let outstanding = self.capacity - (cur - take);
                     self.outstanding_peak
                         .fetch_max(outstanding, Ordering::Relaxed);
-                    return true;
+                    return take;
                 }
                 Err(seen) => cur = seen,
             }
         }
     }
 
-    /// Returns one credit (a delivery or dead-letter downstream) and
-    /// reports whether the pool was empty before — the only state in
-    /// which a sender can be waiting for this credit. Panics in debug
-    /// builds if the pool would exceed its capacity — that means a
-    /// release without a matching acquire.
-    pub fn release(&self) -> bool {
+    /// Tries to take one credit: the one-credit case of
+    /// [`acquire`](Self::acquire).
+    pub fn try_acquire(&self) -> bool {
+        self.acquire(1) == 1
+    }
+
+    /// Returns `n` credits (deliveries or dead-letters downstream, or
+    /// the unused rest of a grant) and reports whether the pool was
+    /// empty before — the only state in which a sender can be waiting
+    /// for them. Panics in debug builds if the pool would exceed its
+    /// capacity — that means a release without a matching acquire.
+    pub fn release_n(&self, n: u64) -> bool {
         // ordering: AcqRel — the Release half pairs with the Acquire
-        // half of `try_acquire`'s CAS (publishes the flusher's work on
-        // the freed buffer); the Acquire half orders the flusher after
-        // the worker's acquire when the pool cycles at capacity.
-        let prev = self.credits.fetch_add(1, Ordering::AcqRel);
-        debug_assert!(prev < self.capacity, "credit released above capacity");
+        // half of `acquire`'s CAS (publishes the returner's work on
+        // the freed buffers); the Acquire half orders the returner
+        // after the worker's acquire when the pool cycles at capacity.
+        let prev = self.credits.fetch_add(n, Ordering::AcqRel);
+        debug_assert!(prev + n <= self.capacity, "credit released above capacity");
         prev == 0
+    }
+
+    /// Returns one credit: the one-credit case of
+    /// [`release_n`](Self::release_n).
+    pub fn release(&self) -> bool {
+        self.release_n(1)
     }
 
     /// Credits currently available (racy; exact only when quiescent).
@@ -125,6 +143,18 @@ mod tests {
         assert!(pool.try_acquire(), "release returns the credit");
         assert!(pool.try_acquire());
         assert_eq!(pool.outstanding_peak(), 3);
+    }
+
+    #[test]
+    fn a_grant_takes_what_is_there_and_no_more() {
+        let pool = CreditPool::new(8);
+        assert_eq!(pool.acquire(5), 5);
+        assert_eq!(pool.acquire(5), 3, "min(available, want)");
+        assert_eq!(pool.acquire(5), 0, "exhausted");
+        assert_eq!(pool.outstanding_peak(), 8);
+        assert!(pool.release_n(6), "the pool was empty");
+        assert!(!pool.release_n(2), "it no longer was");
+        assert_eq!(pool.available(), 8);
     }
 
     #[cfg(debug_assertions)]

@@ -14,12 +14,24 @@
 //! different links may reorder, which is fine — they leave on
 //! different channels.
 //!
-//! Hand-offs (DESIGN.md §7): a flusher with an empty ring sleeps on the
-//! ring's wake cell and its worker wakes it once per service phase that
-//! committed flits; a step that returned credits wakes every worker
-//! parked on the shared [`LinkSet`]. The back-off timer below remains
-//! as the backstop, and as the only wake-up for what no peer announces
-//! (a link thaw, a resurrect, a refusing sink finding room).
+//! Credits (DESIGN.md §7): deliveries tick the flush clock one by one
+//! but their credits go back in batches — a per-link tally, returned
+//! whenever it reaches half the link's pool and, for the rest, when
+//! the step ends — so a worker serving beside the flusher is refilled
+//! mid-step and every credit is back when `step` returns, by whatever
+//! path it returns.
+//!
+//! Hand-offs (DESIGN.md §6, §7): a flusher with an empty ring sleeps
+//! on the ring's wake cell and its worker wakes it once per service
+//! phase that committed flits; a step that returned credits wakes
+//! every worker parked on the shared [`LinkSet`]. That sleep is
+//! *covered* — a ring push, the shutdown latch, and every transition
+//! that opens a link pending flits wait behind (thaw, death,
+//! resurrect, drain) are all announced — and its timer is only the
+//! [`BACKSTOP`]; unless a flit is pending behind an *open* link, which
+//! means the sink refused it. Nobody announces a refusing sink
+//! finding room: there the back-off timer below is the wake-up, and
+//! stays short.
 
 use std::collections::VecDeque;
 // The `FlushProgress` watermark goes through the loom shim so the
@@ -36,29 +48,30 @@ use crate::link::{DeadLinkPolicy, LinkSet};
 use crate::spsc::Consumer;
 use crate::stall::StallInjector;
 use crate::stats::ShardEgressStats;
-use crate::wake::Sleep;
+use crate::wake::{Sleep, BACKSTOP};
 use crate::Egress;
 
 /// Max ring pops per [`FlusherCore::step`] call, so one step can't
 /// monopolize the thread when the worker is producing at full tilt.
 const BURST: usize = 256;
 
-/// Idle rounds of pure spinning before the flusher starts sleeping.
+/// Idle rounds of pure spinning before the flusher starts sleeping —
+/// skipped when its last wake found a worker asleep: a futex wake-up
+/// outlasts the spin.
 const SPIN_ROUNDS: u32 = 64;
 
 /// First sleep once spinning gives up. Doubles per idle round.
 const BACKOFF_FLOOR: std::time::Duration = std::time::Duration::from_micros(5);
 
-/// Parking cap: the longest a flusher sleeps between looks at its
-/// pending queues. Bounds wake-up latency when a long-frozen link
-/// finally thaws or a refusing sink finds room — events nobody
-/// announces; fresh ring flits end the sleep early through the wake
-/// cell. The cap matters for throughput, not just latency: pending
-/// flits hold link credits, and with small credit pools the workers
-/// park flows and stall behind them — a 1 ms cap measurably regressed
-/// the stalled-downstream bench at 4-8 shards on an oversubscribed
-/// core, so the cap stays within 2x of the fixed 50 us period it
-/// replaced.
+/// Parking cap: the longest a flusher sleeps between offers of a flit
+/// its sink refused. Bounds wake-up latency when the refusing sink
+/// finds room — an event nobody announces; fresh ring flits end the
+/// sleep early through the wake cell. The cap matters for throughput,
+/// not just latency: pending flits hold link credits, and with small
+/// credit pools the workers park flows and stall behind them — a 1 ms
+/// cap measurably regressed the stalled-downstream bench at 4-8 shards
+/// on an oversubscribed core, so the cap stays within 2x of the fixed
+/// 50 us period it replaced.
 const BACKOFF_CAP: std::time::Duration = std::time::Duration::from_micros(100);
 
 /// The flusher's retire watermark (DESIGN.md §13.5): a single monotone
@@ -117,6 +130,14 @@ pub struct FlusherCore {
     pending_total: usize,
     /// Cumulative ring pops; the raw material of [`FlushProgress`].
     popped: u64,
+    /// Flits delivered since the last [`take_delivered`]. Kept here,
+    /// not in a local of `step`, so a step the sink unwound still
+    /// counts what it delivered (DESIGN.md §14.4).
+    ///
+    /// [`take_delivered`]: FlusherCore::take_delivered
+    delivered: u64,
+    /// Per link: deliveries whose credits have not gone back yet.
+    tally: Vec<u64>,
     /// Flits dead-lettered since the last [`take_dead_lettered`]
     /// (DESIGN.md §9.3).
     ///
@@ -138,6 +159,8 @@ impl FlusherCore {
             pending: (0..n_links).map(|_| VecDeque::new()).collect(),
             pending_total: 0,
             popped: 0,
+            delivered: 0,
+            tally: vec![0; n_links],
             dead_lettered: 0,
             dead_seen: vec![false; n_links],
         }
@@ -162,6 +185,13 @@ impl FlusherCore {
         self.pending[link].len()
     }
 
+    /// Flits delivered since the last call; resets the counter. The
+    /// thread loop adds it to `flushed_flits` after every step — the
+    /// one that unwound included.
+    pub fn take_delivered(&mut self) -> u64 {
+        std::mem::take(&mut self.delivered)
+    }
+
     /// Flits dead-lettered since the last call; resets the counter.
     /// The thread loop uses this as a progress signal — a burst of
     /// dead-letters is work done even though nothing reached the sink.
@@ -181,19 +211,59 @@ impl FlusherCore {
         self.rx.register_sleeper();
     }
 
-    /// Parks the flusher thread for at most `timeout` unless the ring
-    /// has flits on the re-check. Pending flits do not count: what
-    /// unblocks them is not announced, so `timeout` is their poll.
-    pub fn sleep_while_ring_empty(&mut self, timeout: std::time::Duration) -> Sleep {
-        self.rx.sleep_while_empty(timeout)
+    /// Parks the flusher thread, the ring being empty, and says how
+    /// the park ended and whether it was a poll. A flit pending behind
+    /// an *open* link was refused by the sink, and nobody announces the
+    /// sink finding room: `poll` is then the timer, and the wake-up.
+    /// Everything else the flusher can wait for is announced and read
+    /// by the re-check — a ring push, the `closed` latch, a blocked
+    /// link with pending flits opening — so that sleep is covered.
+    pub fn park(
+        &mut self,
+        links: &LinkSet,
+        closed: &AtomicBool,
+        poll: std::time::Duration,
+    ) -> (Sleep, bool) {
+        let Self { rx, pending, .. } = self;
+        // ordering: Acquire pairs with the runtime's Release
+        // `egress_closed` store, which its wake of this cell follows
+        // (err-runtime drain_within) — sequenced after the cell's
+        // announcing swap, so a latch whose wake found the flag clear
+        // is seen here.
+        // [pair: egress-closed @ crates/err-runtime/src/lib.rs]
+        let closed = || closed.load(Ordering::Acquire);
+        let open = || (pending.iter().enumerate()).any(|(l, q)| !q.is_empty() && !links.blocked(l));
+        if open() {
+            // backstop: polls a refusing sink finding room — what a
+            // flit pending behind an open link waits for.
+            (rx.sleep_while_empty(closed, poll), true)
+        } else {
+            // backstop: covered by `wake_consumer` (a ring push) and
+            // `wake_flushers` (the `closed` latch; a thaw, death,
+            // `resurrect` or drain of a link with pending flits).
+            let ready = || closed() || open();
+            (rx.sleep_while_empty(ready, BACKSTOP), false)
+        }
     }
 
-    /// Offers `flit` to the sink; returns the credit and advances the
+    /// Returns every tallied credit. `step` runs it on the way out,
+    /// unwinding or not.
+    fn settle(&mut self, links: &LinkSet) {
+        for (link, tally) in self.tally.iter_mut().enumerate() {
+            if *tally > 0 {
+                links.credit_delivered(link, std::mem::take(tally));
+            }
+        }
+    }
+
+    /// Offers `flit` to the sink; tallies the credit and advances the
     /// flush clock only on acceptance (DESIGN.md §11.2 — a refusing
     /// sink keeps the credit withheld, which is how a fabric forwarder
     /// propagates downstream backpressure into this node's scheduler).
+    /// A tally that reaches half the link's pool goes back at once, so
+    /// a worker serving beside this step never waits for its end.
     fn try_deliver<E: Egress + ?Sized>(
-        &self,
+        &mut self,
         flit: &ServedFlit,
         link: usize,
         links: &LinkSet,
@@ -203,7 +273,12 @@ impl FlusherCore {
         if !sink.try_emit(self.shard, flit) {
             return false;
         }
-        links.on_delivered(link);
+        links.tick_delivered(link);
+        self.delivered += 1;
+        self.tally[link] += 1;
+        if self.tally[link] >= (links.credits_per_link() / 2).max(1) {
+            links.credit_delivered(link, std::mem::take(&mut self.tally[link]));
+        }
         // The clock moved: stall events may now be due. Polling per
         // delivery keeps single-shard schedules cycle-exact.
         if let Some(inj) = injector {
@@ -220,7 +295,7 @@ impl FlusherCore {
     ///
     /// [`dead_letter_all`]: Self::dead_letter_all
     fn try_deliver_popped<E: Egress + ?Sized>(
-        &self,
+        &mut self,
         flit: &ServedFlit,
         link: usize,
         links: &LinkSet,
@@ -242,19 +317,41 @@ impl FlusherCore {
 
     /// One pump: drain deliverable pending flits, then pop up to
     /// `BURST` ring flits, delivering or parking each. Returns the
-    /// number delivered to the sink.
+    /// number delivered to the sink. Every credit of a delivered flit
+    /// is back in its pool when this returns — or unwinds: the sink is
+    /// the caller's code, and the tally is settled by a drop guard.
     pub fn step<E: Egress + ?Sized>(
         &mut self,
         links: &LinkSet,
         injector: Option<&StallInjector>,
         sink: &mut E,
     ) -> u64 {
+        struct Settle<'a>(&'a mut FlusherCore, &'a LinkSet);
+        impl Drop for Settle<'_> {
+            fn drop(&mut self) {
+                self.0.settle(self.1);
+            }
+        }
+        let before = self.delivered;
+        let settle = Settle(self, links);
+        settle.0.deliver_burst(links, injector, sink);
+        drop(settle);
+        self.delivered - before
+    }
+
+    /// The body of [`step`](Self::step): what it delivers it counts in
+    /// `delivered` and tallies per link.
+    fn deliver_burst<E: Egress + ?Sized>(
+        &mut self,
+        links: &LinkSet,
+        injector: Option<&StallInjector>,
+        sink: &mut E,
+    ) {
         if let Some(inj) = injector {
             inj.poll(links);
         }
         links.poll_deadlines();
         let drop_dead = links.policy() == DeadLinkPolicy::DropAndAccount;
-        let mut delivered = 0u64;
         // Pending first: per-link FIFO requires stalled flits to leave
         // before fresh ones for the same link.
         if self.pending_total > 0 {
@@ -284,7 +381,6 @@ impl FlusherCore {
                     if self.dead_seen[link] {
                         links.on_replayed(link);
                     }
-                    delivered += 1;
                 }
                 if self.pending[link].is_empty() {
                     self.dead_seen[link] = false;
@@ -317,11 +413,8 @@ impl FlusherCore {
                     self.pending[link].len() as u64 <= links.credits_per_link(),
                     "pending overflow on link {link}"
                 );
-            } else {
-                delivered += 1;
             }
         }
-        delivered
     }
 
     /// Dead-letters `link`'s whole pending queue, in order, credits
@@ -406,39 +499,44 @@ pub fn run_flusher<E: Egress>(
     core.register_sleeper();
     let fenced = std::panic::AssertUnwindSafe(|| {
         pump(&mut core, &links, &closed, &stats, &progress, |core| {
-            core.step(&links, inj, &mut sink)
+            core.step(&links, inj, &mut sink);
         })
     });
     if let Err(payload) = std::panic::catch_unwind(fenced) {
         stats.flusher_panics.fetch_add(1, Ordering::Relaxed);
         pump(&mut core, &links, &closed, &stats, &progress, |core| {
-            core.dead_letter_all(&links);
-            0
+            core.dead_letter_all(&links)
         });
         std::panic::resume_unwind(payload);
     }
 }
 
-/// The flusher loop around one `step` (which returns the flits it
-/// delivered): publish progress, wake credit waiters, back off when
-/// idle, exit once closed and empty.
+/// The flusher loop around one `step`: count what it delivered (what
+/// a step that unwound delivered shows up in the next round's count),
+/// publish progress, wake credit waiters, back off when idle, exit
+/// once closed and empty.
 fn pump(
     core: &mut FlusherCore,
     links: &LinkSet,
     closed: &AtomicBool,
     stats: &ShardEgressStats,
     progress: &FlushProgress,
-    mut step: impl FnMut(&mut FlusherCore) -> u64,
+    mut step: impl FnMut(&mut FlusherCore),
 ) {
     let mut idle_rounds = 0u32;
     let mut backoff = BACKOFF_FLOOR;
+    // The last wake found a worker asleep: it will be a while pushing.
+    let mut worker_slept = false;
     loop {
-        let n = step(core);
+        step(core);
+        let n = core.take_delivered();
         let dead = core.take_dead_lettered();
         core.publish_progress(progress);
+        // Once per step, after all of its credit returns. Not gated on
+        // this step's counts: the mark may stand for a credit a guard
+        // returned while the previous step unwound.
+        worker_slept |= links.wake_credit_waiters();
         if n > 0 || dead > 0 {
-            // Once per step that returned credits, after all of them.
-            links.wake_credit_waiters();
             if n > 0 {
                 stats.flushed_flits.fetch_add(n, Ordering::Relaxed);
             }
@@ -462,23 +560,24 @@ fn pump(
             }
         }
         idle_rounds += 1;
-        if idle_rounds < SPIN_ROUNDS {
+        if idle_rounds < SPIN_ROUNDS && !worker_slept {
             std::hint::spin_loop();
-        } else {
-            // Long-idle: sleep until the worker's next batch wakes
-            // us. The timeout backs off exponentially from
-            // BACKOFF_FLOOR to BACKOFF_CAP and is the poll for what
-            // has no waker — pending flits behind a frozen link or a
-            // refusing sink — so a link frozen for seconds costs one
-            // wake-up per BACKOFF_CAP.
-            let how = core.sleep_while_ring_empty(backoff);
-            if how == Sleep::Ready {
-                continue;
-            }
-            stats.flusher_parks.fetch_add(1, Ordering::Relaxed);
-            if how == Sleep::TimedOut {
-                stats.flusher_park_timeouts.fetch_add(1, Ordering::Relaxed);
-            }
+            continue;
+        }
+        worker_slept = false;
+        // Long-idle: sleep until the worker's next batch wakes us. A
+        // poll's timeout backs off exponentially from BACKOFF_FLOOR to
+        // BACKOFF_CAP, so a sink refusing for seconds costs one
+        // wake-up per BACKOFF_CAP.
+        let (how, polled) = core.park(links, closed, backoff);
+        if how == Sleep::Ready {
+            continue;
+        }
+        stats.flusher_parks.fetch_add(1, Ordering::Relaxed);
+        if how == Sleep::TimedOut {
+            stats.flusher_park_timeouts.fetch_add(1, Ordering::Relaxed);
+        }
+        if polled {
             backoff = (backoff * 2).min(BACKOFF_CAP);
         }
     }
@@ -514,6 +613,61 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
         assert!(core.is_idle());
         assert_eq!(links.flush_clock(), 6);
+    }
+
+    #[test]
+    fn credits_go_back_at_half_the_pool_and_when_the_step_ends() {
+        let links = LinkSet::new(1, 8);
+        let (mut tx, rx) = spsc_ring(16);
+        let mut core = FlusherCore::new(0, rx, 1);
+        for i in 0..7u64 {
+            assert!(links.try_acquire(0));
+            tx.push(flit(0, i, 0, 1)).unwrap();
+        }
+        // What the pool holds when each flit reaches the sink: one
+        // spare credit until the tally of four (half of eight) goes
+        // back behind the fourth delivery.
+        let mut seen = Vec::new();
+        let mut sink = |_s: usize, _f: &ServedFlit| {
+            seen.push(links.snapshot()[0].credits_available);
+        };
+        assert_eq!(core.step(&links, None, &mut sink), 7);
+        assert_eq!(seen, vec![1, 1, 1, 1, 5, 5, 5]);
+        assert_eq!(links.flush_clock(), 7, "the clock ticked per delivery");
+        let snap = links.snapshot();
+        assert_eq!(snap[0].credits_available, 8, "the step settled the rest");
+        assert_eq!(snap[0].delivered_flits, 7);
+        assert_eq!(core.take_delivered(), 7);
+        assert_eq!(core.take_delivered(), 0);
+    }
+
+    #[test]
+    fn a_step_the_sink_unwinds_settles_its_tally_and_keeps_its_count() {
+        let links = LinkSet::new(1, 8);
+        let (mut tx, rx) = spsc_ring(16);
+        let mut core = FlusherCore::new(0, rx, 1);
+        for i in 0..5u64 {
+            assert!(links.try_acquire(0));
+            tx.push(flit(0, i, 0, 1)).unwrap();
+        }
+        let mut sink = |_s: usize, f: &ServedFlit| {
+            if f.packet == 2 {
+                panic!("sink: gone (injected by the test)");
+            }
+        };
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            core.step(&links, None, &mut sink)
+        }));
+        assert!(unwound.is_err());
+        // Two delivered (tallied, settled by the guard), the one in
+        // hand dead-lettered, two still in the ring with their credits.
+        let snap = links.snapshot();
+        assert_eq!(snap[0].delivered_flits, 2);
+        assert_eq!(snap[0].dead_letter_flits, 1);
+        assert_eq!(snap[0].credits_available, 8 - 2);
+        assert_eq!(core.take_delivered(), 2, "the unwound step still counts");
+        core.dead_letter_all(&links);
+        assert_eq!(links.snapshot()[0].credits_available, 8);
     }
 
     #[test]
@@ -697,6 +851,7 @@ mod tests {
             let stats = Arc::new(ShardEgressStats::default());
             let progress = Arc::new(FlushProgress::default());
             let (mut tx, rx) = spsc_ring(32);
+            let wake = rx.wake_cell();
             let core = FlusherCore::new(0, rx, 1);
             let out = Arc::new(std::sync::Mutex::new(Vec::new()));
             let sink = {
@@ -719,6 +874,7 @@ mod tests {
             // Jitter the interleaving: closed first, resurrect racing
             // the finalize that close triggers.
             closed.store(true, Ordering::Release);
+            wake.wake();
             for _ in 0..(round % 7) * 40 {
                 std::hint::spin_loop();
             }
@@ -767,6 +923,7 @@ mod tests {
         let closed = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ShardEgressStats::default());
         let (mut tx, rx) = spsc_ring(64);
+        let wake = rx.wake_cell();
         let core = FlusherCore::new(3, rx, 2);
         let out = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = {
@@ -796,7 +953,9 @@ mod tests {
                 }
             }
         }
+        // The shutdown protocol: latch, then wake the flusher's cell.
         closed.store(true, Ordering::Release);
+        wake.wake();
         h.join().unwrap();
         let out = out.lock().unwrap();
         assert_eq!(out.len(), 100, "no flit stranded");
@@ -807,6 +966,68 @@ mod tests {
             progress.retired(),
             100,
             "watermark reaches the full pop count once everything retired"
+        );
+    }
+
+    #[test]
+    fn thaw_wakes_a_flusher_asleep_over_pending_flits() {
+        // A flit pending behind a frozen link waits for the thaw, and
+        // the thaw is announced: the flusher's covered sleep must end
+        // by `release_stall`'s wake, not by its 10 ms backstop.
+        let mut links = LinkSet::new(1, 8);
+        let (mut tx, rx) = spsc_ring(16);
+        links.set_flusher_wakes(vec![rx.wake_cell()]);
+        let links = Arc::new(links);
+        let closed = Arc::new(AtomicBool::new(false));
+        let stats = Arc::new(ShardEgressStats::default());
+        let delivered = Arc::new(AtomicU64::new(0));
+        let flusher = {
+            let (links, closed, stats) =
+                (Arc::clone(&links), Arc::clone(&closed), Arc::clone(&stats));
+            let delivered = Arc::clone(&delivered);
+            let sink = move |_s: usize, _f: &ServedFlit| {
+                delivered.fetch_add(1, Ordering::Release);
+            };
+            let core = FlusherCore::new(0, rx, 1);
+            let progress = Arc::new(FlushProgress::default());
+            std::thread::spawn(move || {
+                run_flusher(core, links, None, closed, stats, progress, sink)
+            })
+        };
+        let woken = || {
+            let s = stats.snapshot();
+            s.flusher_parks - s.flusher_park_timeouts
+        };
+        const ROUNDS: u64 = 10;
+        let mut woken_by_thaw = 0;
+        for round in 0..ROUNDS {
+            links.freeze(0);
+            assert!(links.try_acquire(0));
+            tx.push(flit(0, round, 0, 1)).unwrap();
+            tx.wake_consumer();
+            // Long enough to pop the flit, find the link frozen, spin
+            // and park; far shorter than the backstop.
+            std::thread::sleep(std::time::Duration::from_millis(3));
+            let before = woken();
+            links.release_stall(0);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            while delivered.load(Ordering::Acquire) <= round {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "round {round}: stranded"
+                );
+                std::thread::yield_now();
+            }
+            woken_by_thaw += u64::from(woken() > before);
+        }
+        closed.store(true, Ordering::Release);
+        links.wake_flushers();
+        flusher.join().unwrap();
+        // The thaw can catch the flusher between two parks; it cannot
+        // do so round after round.
+        assert!(
+            woken_by_thaw >= ROUNDS / 2,
+            "the thaw ended the flusher's park in only {woken_by_thaw} of {ROUNDS} rounds"
         );
     }
 

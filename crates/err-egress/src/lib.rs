@@ -13,13 +13,15 @@
 //!   ([`flusher`]) drains it toward the downstream sink. The
 //!   scheduler's clock never waits on delivery.
 //! * **Per-link credits** ([`link`]): each downstream link advertises a
-//!   credit pool, virtual-channel style. A worker spends one credit per
-//!   flit it commits; the flusher returns the credit on delivery. A
+//!   credit pool, virtual-channel style. A worker takes a grant of
+//!   credits before it serves the link and spends one per flit it
+//!   commits; the flusher returns the credits of what it delivered. A
 //!   stalled link stops returning credits, so its backlog anywhere in
-//!   the egress path is bounded by the pool — and the worker reacts by
-//!   *parking* the link's flows in the scheduler
-//!   ([`Scheduler::park_flow`](err_sched::Scheduler::park_flow)), which
-//!   keeps serving everyone else.
+//!   the egress path is bounded by the pool — and the worker, finding
+//!   no credit to grant itself, *parks* the link's flows in the
+//!   scheduler
+//!   ([`Scheduler::park_flow`](err_sched::Scheduler::park_flow))
+//!   before it visits them, and keeps serving everyone else.
 //! * **Deterministic stalls** ([`stall`]): a seeded [`StallInjector`]
 //!   freezes and thaws links on the flush clock (flits delivered, not
 //!   wall time), and a per-link watchdog ([`link::LinkSnapshot`])
@@ -50,7 +52,7 @@ pub use link::{DeadLinkPolicy, LinkSet, LinkSnapshot, LinkState};
 pub use spsc::{spsc_ring, Consumer, Producer};
 pub use stall::{StallInjector, StallPlan, StallWindow};
 pub use stats::{EgressSnapshot, ShardEgressSnapshot, ShardEgressStats};
-pub use wake::{Sleep, WakeCell};
+pub use wake::{Sleep, WakeCell, BACKSTOP};
 
 /// The downstream sink: where flits go when they leave the scheduler.
 ///

@@ -2,9 +2,10 @@
 //!
 //! This is the wormhole virtual-channel flow-control model: a link
 //! advertises `credits` flit buffers; the sender (a shard worker)
-//! consumes one credit per flit it commits to egress, and the receiver
-//! (the flusher, standing in for the downstream router) returns the
-//! credit when the flit is actually delivered. A stalled link simply
+//! takes a grant of credits before it serves the link and spends one
+//! per flit it commits to egress, and the receiver (the flusher,
+//! standing in for the downstream router) returns the credits of the
+//! flits it actually delivered. A stalled link simply
 //! stops returning credits, so the backpressure a slow downstream can
 //! exert is bounded by the credit pool — exactly the regime the paper
 //! assumes when it argues that "a packet which has begun transmission
@@ -191,6 +192,10 @@ pub struct LinkSet {
     /// A credit went back into an *empty* pool since the waiters were
     /// last woken: only then can a worker be parked for lack of one.
     relieved: AtomicBool,
+    /// The wake cell of every flusher that delivers to these links: a
+    /// flit pending behind a blocked link waits for that link to open,
+    /// and whoever opens it says so.
+    flusher_wakes: Vec<std::sync::Arc<WakeCell>>,
 }
 
 impl LinkSet {
@@ -239,6 +244,7 @@ impl LinkSet {
             policy,
             credit_waiters: Vec::new(),
             relieved: AtomicBool::new(false),
+            flusher_wakes: Vec::new(),
         }
     }
 
@@ -249,33 +255,77 @@ impl LinkSet {
         self.credit_waiters = waiters;
     }
 
-    /// Unparks the sleeping workers if some pool left empty since the
-    /// last call — a worker is credit-starved only on a pool it found
-    /// empty, so returns into a pool that still had credits wake
-    /// nobody. A flusher calls it once per step that returned at least
-    /// one credit, after the returns; never per flit.
-    pub fn wake_credit_waiters(&self) {
-        // ordering: Acquire load, AcqRel swap — whoever consumes the
-        // mark acquires the marker's credit return, so the wake below
-        // publishes it to the woken worker's re-check even when another
-        // flusher returned the credit. A mark this load misses is seen
-        // by the flusher that set it, at the end of its own step.
-        // [pair: credit-relieved @ self]
-        if self.relieved.load(Ordering::Acquire) && self.relieved.swap(false, Ordering::AcqRel) {
-            for cell in &self.credit_waiters {
-                cell.wake();
-            }
+    /// Installs the flushers' wake cells (one per shard, shared out of
+    /// each output ring) before the set is shared;
+    /// [`wake_flushers`](Self::wake_flushers) reaches exactly these.
+    pub fn set_flusher_wakes(&mut self, wakes: Vec<std::sync::Arc<WakeCell>>) {
+        self.flusher_wakes = wakes;
+    }
+
+    /// Unparks the sleeping flushers. Every transition that lets a
+    /// pending flit move calls it after publishing itself — a thaw, a
+    /// death (dead-letter), a resurrect, drain mode — and so does the
+    /// runtime after its shutdown latch; a flusher's re-check reads
+    /// all of them.
+    pub fn wake_flushers(&self) {
+        for cell in &self.flusher_wakes {
+            cell.wake();
         }
     }
 
-    /// Returns one credit to `l`'s pool, marking the set relieved when
-    /// the pool had run empty.
-    fn return_credit(&self, l: &Link) {
-        if l.credits.release() {
+    /// Unparks the sleeping workers if some pool left empty since the
+    /// last call — a worker is credit-starved only on a pool it found
+    /// empty, so returns into a pool that still had credits wake
+    /// nobody. Every credit-returner calls it after its returns — a
+    /// flusher once per step, a worker once per service batch that
+    /// gave back unused grant — never per flit. Returns whether a
+    /// worker was asleep and got woken.
+    pub fn wake_credit_waiters(&self) -> bool {
+        // ordering: Acquire load, AcqRel swap — whoever consumes the
+        // mark acquires the marker's credit return, so the wake below
+        // publishes it to the woken worker's re-check even when another
+        // thread returned the credit. A mark this load misses is seen
+        // by the returner that set it, after its own returns.
+        // [pair: credit-relieved @ self]
+        if !(self.relieved.load(Ordering::Acquire) && self.relieved.swap(false, Ordering::AcqRel)) {
+            return false;
+        }
+        let mut woke = false;
+        for cell in &self.credit_waiters {
+            woke |= cell.wake();
+        }
+        woke
+    }
+
+    /// Returns `n` credits to `link`'s pool — a flusher's delivered
+    /// tally, or the part of a worker's grant it did not spend —
+    /// marking the set relieved when the pool had run empty. The
+    /// caller follows up with [`wake_credit_waiters`].
+    ///
+    /// [`wake_credit_waiters`]: LinkSet::wake_credit_waiters
+    pub fn return_credits(&self, link: usize, n: u64) {
+        if self.links[link].credits.release_n(n) {
             // ordering: Release — sequenced after the credit return it
             // vouches for; see `wake_credit_waiters`.
             // [pair: credit-relieved @ self]
             self.relieved.store(true, Ordering::Release);
+        }
+    }
+
+    /// Gives back what a worker did not spend of its grants
+    /// (`grants[link]` credits in hand, zeroed here) and, like any
+    /// credit-returner, wakes the workers starved on a pool the grant
+    /// had emptied.
+    pub fn return_grants(&self, grants: &mut [u64]) {
+        let mut returned = false;
+        for (link, grant) in grants.iter_mut().enumerate() {
+            if *grant > 0 {
+                self.return_credits(link, std::mem::take(grant));
+                returned = true;
+            }
+        }
+        if returned {
+            self.wake_credit_waiters();
         }
     }
 
@@ -320,25 +370,65 @@ impl LinkSet {
         self.flush_clock.load(Ordering::Acquire)
     }
 
-    /// Tries to take one credit on `link`. Returns `false` when the
-    /// pool is exhausted — the caller must stop committing flits to
-    /// this link until credits return.
-    pub fn try_acquire(&self, link: usize) -> bool {
-        self.links[link].credits.try_acquire()
+    /// Takes a grant on `link`: up to `want` credits in one CAS,
+    /// returning how many (`min(available, want)`). Zero means the
+    /// pool is exhausted — the caller must not serve a flit of this
+    /// link until credits return. What the caller does not spend it
+    /// gives back with [`return_credits`](Self::return_credits).
+    pub fn acquire(&self, link: usize, want: u64) -> u64 {
+        let l = &self.links[link];
+        let idle = self.dead_deadline.is_some() && l.credits.outstanding() == 0;
+        let got = l.credits.acquire(want);
+        if idle && got > 0 {
+            // The downstream owes nothing while no credit is out: the
+            // dead-link deadline runs from the first credit taken, not
+            // from the last return of an earlier busy period.
+            // ordering: Acquire — flush-clock pairing as in
+            // `flush_clock()`.
+            l.last_credit_return
+                .store(self.flush_clock.load(Ordering::Acquire), Ordering::Relaxed);
+        }
+        got
     }
 
-    /// Records a flit delivered downstream on `link`: returns its
-    /// credit and advances the flush clock. Called by the flusher only.
-    pub fn on_delivered(&self, link: usize) -> u64 {
-        let l = &self.links[link];
-        l.delivered.fetch_add(1, Ordering::Relaxed);
-        self.return_credit(l);
+    /// Tries to take one credit on `link`: the one-credit case of
+    /// [`acquire`](Self::acquire).
+    pub fn try_acquire(&self, link: usize) -> bool {
+        self.acquire(link, 1) == 1
+    }
+
+    /// Ticks the flush clock for one flit delivered downstream on
+    /// `link` and returns the new reading. The flit's credit is *not*
+    /// returned here: the flusher tallies deliveries per link and
+    /// returns them in batches through
+    /// [`credit_delivered`](Self::credit_delivered). The clock still
+    /// ticks per delivery, so stall schedules stay cycle-exact.
+    pub fn tick_delivered(&self, link: usize) -> u64 {
         // ordering: AcqRel — Release publishes this delivery to
         // `flush_clock` Acquire readers (watchdog, stall plans);
         // Acquire chains deliveries from other flushers so the clock
         // is a consistent total count.
         let clock = self.flush_clock.fetch_add(1, Ordering::AcqRel) + 1;
-        l.last_credit_return.store(clock, Ordering::Relaxed);
+        self.links[link]
+            .last_credit_return
+            .store(clock, Ordering::Relaxed);
+        clock
+    }
+
+    /// Accounts `n` ticked deliveries on `link` and returns their
+    /// credits. Called by the flusher only.
+    pub fn credit_delivered(&self, link: usize, n: u64) {
+        self.links[link].delivered.fetch_add(n, Ordering::Relaxed);
+        self.return_credits(link, n);
+    }
+
+    /// Records a flit delivered downstream on `link`: advances the
+    /// flush clock and returns the flit's credit — the one-flit case
+    /// of [`tick_delivered`](Self::tick_delivered) +
+    /// [`credit_delivered`](Self::credit_delivered).
+    pub fn on_delivered(&self, link: usize) -> u64 {
+        let clock = self.tick_delivered(link);
+        self.credit_delivered(link, 1);
         clock
     }
 
@@ -360,7 +450,7 @@ impl LinkSet {
     pub fn on_dead_letter(&self, link: usize) {
         let l = &self.links[link];
         l.dead_letters.fetch_add(1, Ordering::Relaxed);
-        self.return_credit(l);
+        self.return_credits(link, 1);
         // ordering: Acquire — same flush-clock pairing as
         // `flush_clock()` (reads the clock without advancing it).
         l.last_credit_return
@@ -425,6 +515,7 @@ impl LinkSet {
         // orders a re-declaration after a racing `resurrect`.
         if !l.dead.swap(true, Ordering::AcqRel) {
             l.deaths.fetch_add(1, Ordering::Relaxed);
+            self.wake_flushers();
         }
     }
 
@@ -441,6 +532,7 @@ impl LinkSet {
             l.last_credit_return
                 .store(self.flush_clock.load(Ordering::Acquire), Ordering::Relaxed);
             l.resurrections.fetch_add(1, Ordering::Relaxed);
+            self.wake_flushers();
         }
     }
 
@@ -520,6 +612,7 @@ impl LinkSet {
             .lock()
             .expect("stall histogram poisoned")
             .record(dur);
+        self.wake_flushers();
     }
 
     /// Releases every still-open stall (shutdown: closes the watchdog
@@ -536,6 +629,7 @@ impl LinkSet {
         // ordering: Release pairs with the Acquire `draining` load in
         // `blocked` — a one-way (per drain) override latch.
         self.draining.store(draining, Ordering::Release);
+        self.wake_flushers();
     }
 
     /// Snapshots every link's counters.
@@ -659,6 +753,53 @@ mod tests {
         assert!(links.poll_deadlines().is_empty(), "death is latched");
         let snap = links.snapshot();
         assert_eq!(snap[0].deaths, 1);
+    }
+
+    #[test]
+    fn grant_on_a_long_idle_link_rearms_the_deadline() {
+        let links = LinkSet::with_fault_policy(2, 4, Some(5), DeadLinkPolicy::DropAndAccount);
+        // Link 0 last returned a credit at clock 1, then sat idle while
+        // link 1 carried the clock far past the deadline.
+        links.try_acquire(0);
+        links.on_delivered(0);
+        for _ in 0..20 {
+            links.try_acquire(1);
+            links.on_delivered(1);
+        }
+        // A worker takes a grant on link 0 and holds it, unused.
+        assert_eq!(links.acquire(0, 3), 3);
+        assert!(
+            links.poll_deadlines().is_empty(),
+            "the deadline runs from the grant, not from the old return"
+        );
+        links.return_credits(0, 3);
+        assert_eq!(links.snapshot()[0].credits_available, 4);
+        // Held past the deadline it is a silent downstream all right.
+        assert_eq!(links.acquire(0, 1), 1);
+        for _ in 0..6 {
+            links.try_acquire(1);
+            links.on_delivered(1);
+        }
+        assert_eq!(links.poll_deadlines(), vec![0]);
+    }
+
+    #[test]
+    fn batched_calls_and_their_one_credit_cases_agree() {
+        let links = LinkSet::new(1, 4);
+        assert_eq!(links.acquire(0, 3), 3);
+        assert!(links.try_acquire(0));
+        assert!(!links.try_acquire(0));
+        // Two deliveries tick the clock one by one; their credits come
+        // back as one batch.
+        assert_eq!(links.tick_delivered(0), 1);
+        assert_eq!(links.tick_delivered(0), 2);
+        assert!(!links.has_credit(0), "ticked, not yet credited");
+        links.credit_delivered(0, 2);
+        assert_eq!(links.on_delivered(0), 3);
+        let snap = links.snapshot();
+        assert_eq!(snap[0].delivered_flits, 3);
+        assert_eq!(snap[0].credits_available, 3);
+        assert_eq!(snap[0].outstanding_peak, 4);
     }
 
     #[test]

@@ -29,8 +29,10 @@ struct Inner<T> {
     head: AtomicUsize,
     /// Next slot to write (owned by the producer, read by the consumer).
     tail: AtomicUsize,
-    /// Where the consumer sleeps while the ring is empty.
-    consumer_wake: WakeCell,
+    /// Where the consumer sleeps while the ring is empty. Shared so
+    /// that whoever closes the consumer down can wake it too
+    /// ([`Consumer::wake_cell`]).
+    consumer_wake: Arc<WakeCell>,
 }
 
 // SAFETY: the ring owns its values; moving it moves them, so `T: Send`
@@ -91,7 +93,7 @@ pub fn spsc_ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         mask: cap - 1,
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
-        consumer_wake: WakeCell::new(),
+        consumer_wake: Arc::new(WakeCell::new()),
     });
     (
         Producer {
@@ -197,23 +199,35 @@ impl<T> Consumer<T> {
         self.inner.consumer_wake.register();
     }
 
+    /// The cell this consumer sleeps on, for a waker other than the
+    /// producer (the runtime's shutdown latch).
+    pub fn wake_cell(&self) -> Arc<WakeCell> {
+        Arc::clone(&self.inner.consumer_wake)
+    }
+
     /// Parks the (registered) consumer thread for at most `timeout`,
-    /// unless the ring turns out non-empty on the re-check.
-    pub fn sleep_while_empty(&mut self, timeout: std::time::Duration) -> Sleep {
+    /// unless the re-check finds the ring non-empty or `or_ready`
+    /// true — whatever else the consumer's wakers announce.
+    pub fn sleep_while_empty(
+        &mut self,
+        or_ready: impl FnOnce() -> bool,
+        timeout: std::time::Duration,
+    ) -> Sleep {
         let Self {
             inner,
             cached_tail,
             head,
         } = self;
-        let non_empty = || {
+        let ready = || {
             // ordering: Acquire — same pairing as the empty-check in
             // `pop`; sequenced after the cell's announcing swap, so a
             // push whose `wake_consumer` found the flag clear is seen.
             // [pair: spsc-tail @ self]
             *cached_tail = inner.tail.load(Ordering::Acquire);
-            *head != *cached_tail
+            *head != *cached_tail || or_ready()
         };
-        inner.consumer_wake.sleep_unless(non_empty, timeout)
+        // backstop: forwards the caller's `timeout`.
+        inner.consumer_wake.sleep_unless(ready, timeout)
     }
 }
 
@@ -321,7 +335,7 @@ mod tests {
             let t = Instant::now();
             // Far beyond the test's patience: only a wake (or the
             // re-check finding the push) ends it.
-            let how = rx.sleep_while_empty(Duration::from_secs(60));
+            let how = rx.sleep_while_empty(|| false, Duration::from_secs(60));
             (how, t.elapsed(), rx.pop())
         });
         std::thread::sleep(Duration::from_millis(20));

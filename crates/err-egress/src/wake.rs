@@ -23,6 +23,17 @@
 //! wake: callers keep their timeouts, and a missing or spurious unpark
 //! only costs one of them.
 //!
+//! What the timeout *costs* decides how long it is (DESIGN.md §6). A
+//! deadline nearer than the next scheduler tick makes every sleep
+//! program the timer hardware — on the reference host a park/unpark
+//! round trip costs 2.4 µs behind a ≥ 4 ms timeout and 18.4 µs behind
+//! a 100 µs one. So there is one rule: a sleep whose wake the protocol
+//! *guarantees* is **covered** and keeps its timer only as a backstop,
+//! [`BACKSTOP`] long; a sleep that **polls** for something nobody
+//! announces keeps a short timer, because there the timer is the
+//! wake-up. Every call site says which it is in a `// backstop:`
+//! comment that err-check's `backstop` pass checks.
+//!
 //! One cell belongs to one sleeping thread (a shard worker, a flusher)
 //! and any number of wakers. The sleeper's `Thread` sits behind a
 //! mutex taken once per registration and once per *actual* unpark (a
@@ -33,6 +44,13 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::sync::{current, park_timeout, AtomicBool, Ordering, Thread};
+
+/// The timeout of a *covered* sleep — one whose wake-up a peer's
+/// [`WakeCell::wake`] guarantees. Longer than a scheduler tick, so the
+/// sleep never reprograms the timer hardware; if it ever runs out, a
+/// wake was lost and the `*_park_timeouts` counters show a 10 ms
+/// hiccup instead of a hang.
+pub const BACKSTOP: Duration = Duration::from_millis(10);
 
 /// How a [`WakeCell::sleep_unless`] call ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,6 +103,7 @@ impl WakeCell {
         let sleep = if ready() {
             Sleep::Ready
         } else {
+            // backstop: forwards the caller's `timeout`.
             park_timeout(timeout);
             Sleep::Woken
         };

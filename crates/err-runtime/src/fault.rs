@@ -440,7 +440,7 @@ pub(crate) struct Bequest {
     /// The shard flit clock at death; the successor continues it.
     pub(crate) now: Cycle,
     /// The output side, whole: the sync stage's sink, or the buffered
-    /// stage's ring producer, stash, parking marks and pushed count.
+    /// stage's ring producer, parking marks and pushed count.
     pub(crate) stage: Box<dyn EgressStage>,
 }
 
@@ -593,8 +593,8 @@ fn drain_inbox(
                     // unpark: the `Package` arm below when the flow's
                     // salvage package arrives — absorption is what
                     // clears the pre-park; the `salvage_parked` mark
-                    // keeps the link unstick sweep from jumping the
-                    // gun (credits returning must not let new-epoch
+                    // keeps a link release from jumping the gun
+                    // (credits returning must not let new-epoch
                     // arrivals be served ahead of the package in
                     // flight).
                     let _ = scheduler.park_flow(flow);
@@ -614,9 +614,8 @@ fn drain_inbox(
                 let absorbed = scheduler.absorb_flow(flow, pkg);
                 debug_assert!(absorbed, "salvage target failed to absorb flow {flow}");
                 // The flow is home; it only resumes service if its link
-                // has credits — a credit-parked link keeps it parked
-                // (or the one-stash-per-link invariant breaks) and the
-                // unstick sweep releases it with the rest.
+                // has credits — a credit-parked link keeps it parked,
+                // for the link's release to unpark with the rest.
                 stage.set_salvage_parked(flow, false);
                 unpark_respecting_links(scheduler, flow, stage);
             }
@@ -638,6 +637,7 @@ fn stick(shared: &Shared, fr: &FaultRuntime, shard: usize) {
         if shared.abort.load(Ordering::Acquire) {
             panic!("shard {shard}: injected wedge aborted by shutdown");
         }
+        // backstop: polls quarantine and abort; nobody wakes a wedge.
         std::thread::park_timeout(Duration::from_micros(200));
     }
 }

@@ -351,8 +351,14 @@ impl Runtime {
                     bc.route_table.clone(),
                 );
                 // Every shard's flusher returns credits to this one
-                // set, so each must be able to wake every worker.
+                // set, so each must be able to wake every worker; and
+                // a link that opens, like the shutdown latch, must
+                // reach every flusher (each sleeps on its ring's cell).
                 links.set_credit_waiters(shared.wakes.clone());
+                let rings: Vec<_> = (0..config.shards)
+                    .map(|_| spsc_ring::<ServedFlit>(bc.ring_capacity))
+                    .collect();
+                links.set_flusher_wakes(rings.iter().map(|(_, rx)| rx.wake_cell()).collect());
                 let links = Arc::new(links);
                 let injector = bc
                     .stall_plan
@@ -360,8 +366,7 @@ impl Runtime {
                     .map(|p| Arc::new(StallInjector::new(p)));
                 let mut shard_stats = Vec::with_capacity(config.shards);
                 let mut stages = Vec::with_capacity(config.shards);
-                for shard in 0..config.shards {
-                    let (tx, rx) = spsc_ring::<ServedFlit>(bc.ring_capacity);
+                for (shard, (tx, rx)) in rings.into_iter().enumerate() {
                     let estats = Arc::new(ShardEgressStats::default());
                     shard_stats.push(Arc::clone(&estats));
                     let progress = Arc::new(FlushProgress::default());
@@ -698,12 +703,18 @@ impl Runtime {
         // exit condition for them; dead-held flits dead-letter on the
         // way out (§9.3).
         // ordering: Release (downgraded from SeqCst in PR 5) pairs
-        // with the flusher's Acquire `closed` load (err-egress
-        // run_flusher). One-way latch; the ring-empty check the
-        // flusher combines it with is ordered by the ring's own
-        // Release `tail` store, not by this flag.
+        // with the flusher's Acquire `closed` loads (err-egress
+        // run_flusher, and the re-check of its sleep). One-way latch;
+        // the ring-empty check the flusher combines it with is ordered
+        // by the ring's own Release `tail` store, not by this flag.
         // [pair: egress-closed @ crates/err-egress/src/flusher.rs]
         self.egress_closed.store(true, Ordering::Release);
+        // The latch is an event like any other: announce it. An idle
+        // flusher's sleep is covered, and would otherwise learn of the
+        // shutdown when its backstop runs out.
+        if let Some(ctrl) = &self.egress {
+            ctrl.links().wake_flushers();
+        }
         let mut flusher_exits = Vec::with_capacity(self.flushers.len());
         for flusher in self.flushers.drain(..) {
             if let Some(f) = final_deadline {

@@ -529,9 +529,7 @@ impl MigrationDriver {
             // slot belongs to whoever owns it now; touch nothing.
             // Every donor-side unwind must respect link parking: a
             // direct unpark of a credit-parked flow lets the scheduler
-            // serve a second flit for a link whose stash is occupied,
-            // overwriting the stashed flit and drifting `stash_count`
-            // so the worker's exit gate never opens (§13.5).
+            // serve a flit that has no credit to travel on (§13.5).
             drop(_guard);
             st.own.release(&token);
             unpark_respecting_links(scheduler, flow, egress);
@@ -590,8 +588,7 @@ impl MigrationDriver {
         };
         // Egress-retire fence: snapshot our pushed count on first
         // entry, then wait until the flusher's pending-free watermark
-        // passes it and no victim flit sits stashed. A stage that
-        // buffers nothing is always retired.
+        // passes it. A stage that buffers nothing is always retired.
         // ordering: SeqCst — donor-written cells, kept in the phase
         // protocol's order for the §13.6 resurrection handover.
         let snap = match slot.fence_target.load(Ordering::SeqCst) {
@@ -609,8 +606,8 @@ impl MigrationDriver {
                 // Abort: the link is wedged. The map never flipped,
                 // so unwinding is local — release, unpark, reset.
                 // Release precedes the unpark so a victim left parked
-                // on a stashed link reads `Settled` when the unstick
-                // sweep finally reaches it (§13.5).
+                // on a credit-parked link reads `Settled` when the
+                // link's release finally reaches it (§13.5).
                 st.own.release(&token);
                 unpark_respecting_links(scheduler, flow, egress);
                 let _guard = lock_unpoisoned(&slot.package);
@@ -739,10 +736,9 @@ impl MigrationDriver {
 }
 
 /// Unparks `flow` unless its egress link is credit-parked (§13.5): the
-/// link's unstick sweep will release it with the rest, preserving the
-/// one-stash-per-link invariant. The one unpark authority of every
-/// mover — steal unwinds and absorbs here, salvage absorbs in
-/// `fault.rs`.
+/// link's release will unpark it with the rest, so that no flit is
+/// served on a zero grant. The one unpark authority of every mover —
+/// steal unwinds and absorbs here, salvage absorbs in `fault.rs`.
 pub(crate) fn unpark_respecting_links(
     scheduler: &mut Box<dyn Scheduler + Send>,
     flow: usize,

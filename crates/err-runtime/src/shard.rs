@@ -18,7 +18,7 @@
 //!
 //! There is one loop (`run_shard`). Where served flits go is the
 //! business of the shard's `EgressStage`, which the loop calls at
-//! four points and the fault and steal layers query about link state
+//! two points and the fault and steal layers query about link state
 //! (DESIGN.md §6):
 //!
 //! * `SyncStage` — every served flit passes through the caller's sink
@@ -27,10 +27,11 @@
 //!   flit clock.
 //! * `BufferedStage` — served flits are committed to a per-shard SPSC
 //!   ring under per-link credit flow control (`err-egress`); a flusher
-//!   thread delivers them. A credit-starved link *parks* its flows in
-//!   the scheduler (when the discipline supports it), so the shard
-//!   keeps serving everyone else — the decoupling the paper's
-//!   stalled-downstream argument calls for.
+//!   thread delivers them. A link with no credit to grant has its
+//!   flows *parked* in the scheduler (when the discipline supports it)
+//!   before they are visited, so the shard keeps serving everyone
+//!   else — the decoupling the paper's stalled-downstream argument
+//!   calls for.
 //!
 //! The loop runs inside a `catch_unwind` fence with the worker's whole
 //! state — scheduler, migration driver, flit clock and stage, i.e. a
@@ -52,13 +53,14 @@
 //! When there is nothing to do the worker spins briefly, then sleeps on
 //! its shard's [`WakeCell`](err_egress::WakeCell) (DESIGN.md §6): it
 //! announces itself, re-checks its ingress ring and whether its stage
-//! can progress (a stashed link's credit came back), and parks. Its
+//! can progress (a parked link's credit came back), and parks. Its
 //! peers end the park at *their* batch boundaries — a producer about
-//! to wait on this worker, a flusher whose step returned credits —
-//! never per packet or per flit. The park keeps its `PARK_TIMEOUT`, so
-//! a wake that never comes (a plain push into an idle shard) costs
-//! what it always did: at most `PARK_TIMEOUT` of added latency on an
-//! idle→busy transition.
+//! to wait on this worker, a credit-returner whose pool had run empty
+//! — never per packet or per flit. A lone worker whose every link is
+//! credit-parked waits for announced events only: its sleep is
+//! *covered*, its timer a mere `BACKSTOP`. Any other park polls for
+//! what nobody announces — a plain push; a heartbeat, a thief's request
+//! or a credit other shards may take first — and keeps `PARK_TIMEOUT`.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -66,7 +68,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use desim::Cycle;
-use err_egress::{Egress, FlushProgress, LinkSet, Producer, ShardEgressStats, Sleep};
+use err_egress::{Egress, FlushProgress, LinkSet, Producer, ShardEgressStats, Sleep, BACKSTOP};
 use err_sched::{Packet, Scheduler, ServedFlit};
 
 use crate::fault::{abort_residuals, fault_tick, salvage_shard, try_exit, Bequest};
@@ -75,22 +77,9 @@ use crate::ownership::OwnerState;
 
 /// Spins this many empty loops before parking.
 const SPIN_BEFORE_PARK: u32 = 64;
-/// Idle park duration; bounds wake-up latency after an idle period
-/// nobody's wake ended.
+/// Park duration of a sleep that polls; bounds wake-up latency after
+/// an idle period nobody's wake ended.
 const PARK_TIMEOUT: Duration = Duration::from_micros(100);
-
-/// The idle park: sleeps on the shard's wake cell unless `has_work`
-/// holds on the re-check, and counts how the park ended.
-fn park_idle(shared: &Shared, shard: usize, has_work: impl FnOnce() -> bool) {
-    let stats = &shared.stats[shard];
-    let how = shared.wakes[shard].sleep_unless(has_work, PARK_TIMEOUT);
-    if how != Sleep::Ready {
-        stats.parks.add(1);
-    }
-    if how == Sleep::TimedOut {
-        stats.park_timeouts.add(1);
-    }
-}
 
 /// Per-shard configuration handed to the worker thread.
 pub(crate) struct ShardConfig {
@@ -102,50 +91,42 @@ pub(crate) struct ShardConfig {
 }
 
 /// The shard's output side: where served flits go, and the link state
-/// only that side knows. The worker loop calls it at four points per
-/// iteration (`unstick`, `serve`, `holds_flits`, `can_progress`); the
-/// fault and steal layers put their five questions to it instead of
-/// borrowing its fields. Dispatch is per loop or per protocol step,
-/// never per flit.
-///
-/// Every method but `serve` defaults to the answer of a stage that
-/// buffers nothing — never parked, always retired, no-op — which is
-/// the whole of [`SyncStage`]'s link state.
+/// only that side knows. The worker loop calls `serve`, and
+/// `can_progress` before it parks; the fault and steal layers put
+/// their five questions to it instead of borrowing its fields.
+/// Dispatch is per loop or per protocol step, never per flit. Every
+/// method but `serve` defaults to the answer of a stage that buffers
+/// nothing — never parked, always retired, no-op — which is the whole
+/// of [`SyncStage`]'s link state.
 pub(crate) trait EgressStage: Send {
-    /// Top of the loop: commit what an earlier `serve` had to hold
-    /// back, for every link that can take it now, and unpark the flows
-    /// that waited on it.
-    fn unstick(&mut self, _shared: &Shared, _scheduler: &mut Box<dyn Scheduler + Send>) {}
-
     /// The service phase: serves up to `batch_flits` flits from
     /// `scheduler` starting at flit-clock `now` and sends each on its
-    /// way. Returns `(flits, tail flits)` served.
+    /// way. Returns `(flits, tail flits, starved)`. `starved` is `Some`
+    /// when every link that carries a flow is credit-parked — no
+    /// arrival can be served before a credit returns, which is
+    /// announced — and says whether the last worker → flusher wake
+    /// found the flusher asleep: a futex wake-up outlasts a spin.
     fn serve(
         &mut self,
         shared: &Shared,
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64);
+    ) -> (u64, u64, Option<bool>);
 
-    /// Exit gate: whether a served flit is still held on the worker.
-    fn holds_flits(&self) -> bool {
-        false
-    }
-
-    /// Park re-check: whether `unstick` would commit something now.
+    /// Park re-check: whether `serve` would release a parked link now.
     fn can_progress(&self) -> bool {
         false
     }
 
     /// Whether `flow`'s link is credit-parked: a mover must then leave
-    /// the flow parked for the `unstick` sweep to release (§13.5).
+    /// the flow parked for the link's release in `serve` (§13.5).
     fn link_parked(&self, _flow: usize) -> bool {
         false
     }
 
     /// Marks (`true`) or clears `flow`'s pre-park on behalf of a
-    /// pending salvage (§9.2): the `unstick` sweep must not release it
+    /// pending salvage (§9.2): a link release must not unpark it
     /// before its package lands.
     fn set_salvage_parked(&mut self, _flow: usize, _parked: bool) {}
 
@@ -190,7 +171,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64) {
+    ) -> (u64, u64, Option<bool>) {
         self.served.clear();
         let n = scheduler.service_batch(now, batch_flits, &mut self.served);
         let mut tails = 0u64;
@@ -203,46 +184,39 @@ impl<E: Egress> EgressStage for SyncStage<E> {
                 sink.emit(self.shard, flit);
             }
         }
-        (n as u64, tails)
+        (n as u64, tails, None)
     }
 }
 
-/// Buffered egress: flit-by-flit service with per-link credit flow
-/// control.
+/// Buffered egress: flit-by-flit service against per-link credit
+/// grants (DESIGN.md §7).
 ///
-/// * a credit is acquired *before* a flit is committed to the ring, so
-///   the flits buffered anywhere for one link never exceed the credit
-///   pool (plus the single stashed flit below);
-/// * on credit exhaustion the already-served flit is stashed (at most
-///   one per link — parked flows produce no more) and every flow of
-///   that link is parked in the scheduler, which keeps serving the
-///   other links' flows at full rate;
-/// * each loop, stashed flits retry; success unparks the link's flows.
-///
-/// Disciplines without parking support fall back to blocking on the
-/// exhausted pool — the legacy coupling, kept because skipping without
-/// scheduler cooperation would either reorder flows or buffer
-/// unboundedly.
+/// * a batch takes a *grant* per link — one CAS for `min(available,
+///   what it can still emit)` — before it serves a flit, spends it
+///   from a local counter, tops it up when it runs out, and gives the
+///   rest back before `serve` returns: a served flit always has its
+///   credit, and no link ever buffers more flits than its pool;
+/// * a link with backlog and no credit to grant has every flow parked
+///   in the scheduler *before* another of its flits can be visited —
+///   mid-packet, if a top-up comes back empty then — and the scheduler
+///   keeps serving the other links' flows at full rate;
+/// * each batch, parked links whose credits returned are released.
 ///
 /// The stage is owned *outside* the panic fence and travels in the
-/// [`Bequest`] (§13.6): the stash holds served flits that already
-/// passed accounting, so dropping it on a panic would un-conserve them;
-/// the `pushed` count is the numerator of the §13.5 egress-retire fence
-/// and must survive the worker that advanced it.
+/// [`Bequest`] (§13.6): its parking marks and `pushed` count (§13.5's
+/// fence numerator) must survive the worker. A grant never does.
 pub(crate) struct BufferedStage {
     tx: Producer<ServedFlit>,
     links: Arc<LinkSet>,
     estats: Arc<ShardEgressStats>,
     /// This shard's flusher retire cursor.
     progress: Arc<FlushProgress>,
-    /// Link → flows, in flow order, from the routing fn (not a modulo
-    /// stride: a fabric route table (§11.1) maps arbitrary flow sets
-    /// onto a link). Built once, so parking or releasing a link costs
-    /// O(flows on it) rather than a sweep of the flow-id space.
+    /// Link → flows, in flow order, from the routing fn (a fabric
+    /// route table (§11.1) maps arbitrary flow sets onto a link).
+    /// Built once: parking or releasing a link costs O(flows on it).
     link_flows: Vec<Vec<usize>>,
-    /// At most one served-but-uncommitted flit per link.
-    stash: Vec<Option<ServedFlit>>,
-    stash_count: usize,
+    /// Credits in hand per link; all zero outside `serve`.
+    grant: Vec<u64>,
     link_parked: Vec<bool>,
     /// Flows pre-parked on behalf of a pending salvage (§9.2).
     salvage_parked: Vec<bool>,
@@ -250,8 +224,8 @@ pub(crate) struct BufferedStage {
     /// compared against the flusher's [`FlushProgress`] cursor by the
     /// donor-side retire fence (§13.5).
     pushed: u64,
-    /// `pushed` as of the last worker → flusher wake.
-    woken_at: u64,
+    /// Whether the last worker → flusher wake found the flusher asleep.
+    flusher_slept: bool,
 }
 
 impl BufferedStage {
@@ -273,22 +247,19 @@ impl BufferedStage {
             estats,
             progress,
             link_flows,
-            stash: vec![None; n_links],
-            stash_count: 0,
+            grant: vec![0; n_links],
             link_parked: vec![false; n_links],
             salvage_parked: vec![false; n_flows],
             pushed: 0,
-            woken_at: 0,
+            flusher_slept: false,
         }
     }
 
     /// Commits `flit` to the output ring, waiting while it is full.
     /// Bounded wait: the flusher always makes progress (a blocked
-    /// link's flits move to its bounded pending queue), so ring slots
-    /// keep freeing up — once it runs. It may be asleep over a ring
-    /// that was empty when it last looked, and on a shared core it
-    /// cannot run while this thread spins, so each retry wakes it and
-    /// yields.
+    /// link's flits move to its bounded pending queue) — once it runs.
+    /// It may sleep over a ring it last saw empty, and on a shared core
+    /// cannot run while this thread spins: each retry wakes it, yields.
     fn push_ring(&mut self, flit: ServedFlit) {
         let mut item = flit;
         let mut first = true;
@@ -296,143 +267,169 @@ impl BufferedStage {
             item = back;
             if first {
                 self.estats.ring_full_spins.fetch_add(1, Ordering::Relaxed);
+                self.estats.note_ring_occupancy(self.tx.occupancy() as u64);
                 first = false;
             }
             self.tx.wake_consumer();
             std::thread::yield_now();
         }
-        self.estats.note_ring_occupancy(self.tx.occupancy() as u64);
         self.pushed += 1;
     }
-}
 
-impl EgressStage for BufferedStage {
-    /// Links whose credits returned get their stashed flit committed
-    /// and their flows unparked.
-    fn unstick(&mut self, shared: &Shared, scheduler: &mut Box<dyn Scheduler + Send>) {
-        if self.stash_count == 0 {
+    /// Takes `link`'s grant for a batch that can still emit `want`
+    /// flits. A parked link that gets one is released; one that gets
+    /// none is parked, if the discipline can park. A link none of whose
+    /// flows has backlog gets neither: arrivals enter at intake, before
+    /// `serve`, so "no flit is served on a zero grant" holds without
+    /// it, and a grant nobody can spend only starves the other shards.
+    fn refill(
+        &mut self,
+        link: usize,
+        want: u64,
+        shared: &Shared,
+        scheduler: &mut Box<dyn Scheduler + Send>,
+    ) {
+        let (flows, parking) = (&self.link_flows[link], scheduler.supports_parking());
+        let idle = || flows.iter().all(|&f| scheduler.flow_backlog_flits(f) == 0);
+        if parking && !self.link_parked[link] && idle() {
             return;
         }
-        for link in 0..self.stash.len() {
-            if self.stash[link].is_none() || !self.links.try_acquire(link) {
-                continue;
+        self.grant[link] = self.links.acquire(link, want);
+        if self.grant[link] == 0 {
+            if self.link_parked[link] || !parking {
+                return;
             }
-            let flit = self.stash[link].take().expect("stash checked non-empty");
-            self.stash_count -= 1;
-            self.push_ring(flit);
-            if !self.link_parked[link] {
-                continue;
+            self.estats
+                .credit_exhaustions
+                .fetch_add(1, Ordering::Relaxed);
+            self.link_parked[link] = true;
+            for &flow in flows {
+                // unpark: the `refill` at the top of the batch that
+                // finds a credit for this link again, just below.
+                let _ = scheduler.park_flow(flow);
             }
+        } else if self.link_parked[link] {
             self.link_parked[link] = false;
             // Flows a pending salvage pre-parked stay parked (their
             // package has not landed), and so does a flow under an
             // active ownership claim (§13.1): a quiesced steal victim
             // unparked here would be served past the §13.5 retire
-            // fence. Its mover unparks it when the claim resolves —
-            // or, if the claim aborted while the link was stashed,
-            // the next sweep sees it `Settled` and releases it.
-            for &flow in &self.link_flows[link] {
+            // fence. Its mover unparks it when the claim resolves.
+            for &flow in flows {
                 if !self.salvage_parked[flow]
                     && shared
                         .steal
                         .as_ref()
                         .is_none_or(|sr| sr.own.owner_state(flow) == OwnerState::Settled)
                 {
-                    // unpark: the sweep `unpark_respecting_links`
-                    // defers to for credit-parked links — the
-                    // authority itself — and the `salvage_parked` /
-                    // `owner_state` guards above keep claimed flows
-                    // parked (§13.5).
+                    // unpark: the release `unpark_respecting_links`
+                    // defers to for credit-parked links — the authority
+                    // itself; the `salvage_parked` / `owner_state`
+                    // guards above keep claimed flows parked (§13.5).
                     scheduler.unpark_flow(flow);
                 }
             }
         }
     }
 
-    /// Flit by flit: the credit check must sit between serving a flit
-    /// and serving the next, or a stalled link could strand a whole
-    /// batch of already-served flits.
+    /// The blocking fallback, for a flit a discipline that cannot park
+    /// served on an empty pool — the legacy coupling, kept because
+    /// skipping without scheduler cooperation would reorder flows or
+    /// buffer unboundedly: waits for one credit of the slow link, every
+    /// grant given back first. `false` on a forced abort: the flit is
+    /// discarded (it was served; delivery is what the abort cuts).
+    fn wait_for_credit(&mut self, link: usize, shared: &Shared) -> bool {
+        self.estats
+            .credit_exhaustions
+            .fetch_add(1, Ordering::Relaxed);
+        self.links.return_grants(&mut self.grant);
+        while !self.links.try_acquire(link) {
+            // ordering: Acquire pairs with the Release `abort` store
+            // in `Runtime::drain_within` — the only exit from this
+            // credit-wait spin besides the credit itself.
+            if shared.abort.load(Ordering::Acquire) {
+                return false;
+            }
+            // The credit comes from the flusher: wake it, yield to it.
+            self.tx.wake_consumer();
+            std::thread::yield_now();
+        }
+        self.grant[link] = 1;
+        true
+    }
+}
+
+impl EgressStage for BufferedStage {
+    /// Flit by flit: a grant can run out between two flits, and the
+    /// link must be parked before the scheduler visits it again. A drop
+    /// guard settles the batch, unwinding or not: the grants go back
+    /// (an idle one would starve the other shards and run the link's
+    /// dead-link deadline), ring occupancy is noted and the flusher
+    /// woken once, after the last push.
     fn serve(
         &mut self,
         shared: &Shared,
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64) {
-        let parking = scheduler.supports_parking();
-        let mut n = 0u64;
-        let mut tails = 0u64;
-        while (n as usize) < batch_flits {
-            let Some(flit) = scheduler.service_flit(now + n) else {
+    ) -> (u64, u64, Option<bool>) {
+        struct Settle<'a>(u64, &'a mut BufferedStage);
+        impl Drop for Settle<'_> {
+            fn drop(&mut self) {
+                let stage = &mut *self.1;
+                stage.links.return_grants(&mut stage.grant);
+                if stage.pushed != self.0 {
+                    let occupancy = stage.tx.occupancy() as u64;
+                    stage.estats.note_ring_occupancy(occupancy);
+                    stage.flusher_slept = stage.tx.wake_consumer();
+                }
+            }
+        }
+        let settle = Settle(self.pushed, self);
+        let stage = &mut *settle.1;
+        let batch = batch_flits as u64;
+        // Availability at visit time: every link has its grant, or is
+        // parked, before a flit is served (idle links: neither).
+        let busy = !scheduler.is_idle();
+        for link in 0..stage.grant.len() {
+            if busy || stage.link_parked[link] {
+                stage.refill(link, batch, shared, scheduler);
+            }
+        }
+        let (mut flits, mut tails) = (0u64, 0u64);
+        while flits < batch {
+            let Some(flit) = scheduler.service_flit(now + flits) else {
                 break;
             };
-            n += 1;
+            flits += 1;
             if flit.is_tail() {
                 tails += 1;
                 shared.admission.on_packet_served(flit.flow, flit.len);
             }
-            let link = self.links.route(flit.flow);
-            if self.links.try_acquire(link) {
-                self.push_ring(flit);
-                continue;
-            }
-            self.estats
-                .credit_exhaustions
-                .fetch_add(1, Ordering::Relaxed);
-            if parking {
-                debug_assert!(self.stash[link].is_none(), "second stash for link {link}");
-                self.stash[link] = Some(flit);
-                self.stash_count += 1;
-                self.link_parked[link] = true;
-                for &flow in &self.link_flows[link] {
-                    // unpark: the `link_parked` sweep in `unstick`, at
-                    // the top of the loop, when a credit frees the
-                    // link's stash.
-                    let _ = scheduler.park_flow(flow);
-                }
-                continue;
-            }
-            // Blocking fallback: couples the shard's clock to the slow
-            // link until a credit frees. A forced abort releases the
-            // wait (the flit is discarded — it was served; delivery is
-            // what the abort cuts).
-            loop {
-                if self.links.try_acquire(link) {
-                    self.push_ring(flit);
+            let link = stage.links.route(flit.flow);
+            if stage.grant[link] == 0 {
+                debug_assert!(!scheduler.supports_parking(), "link {link}: no grant");
+                stage.refill(link, batch - flits + 1, shared, scheduler);
+                if stage.grant[link] == 0 && !stage.wait_for_credit(link, shared) {
                     break;
                 }
-                // ordering: Acquire pairs with the Release `abort`
-                // store in `Runtime::drain_within` — the only exit
-                // from this credit-wait spin besides the credit itself.
-                if shared.abort.load(Ordering::Acquire) {
-                    break;
-                }
-                // The credit comes from the flusher: make sure it is
-                // awake, and let it have the core.
-                self.tx.wake_consumer();
-                std::thread::yield_now();
+            }
+            stage.grant[link] -= 1;
+            stage.push_ring(flit);
+            if stage.grant[link] == 0 && flits < batch {
+                // Top up; if that comes back empty, park before the visit.
+                stage.refill(link, batch - flits, shared, scheduler);
             }
         }
-        // Worker → flusher wake: once per loop that committed flits
-        // (the `unstick` sweep's included), after the last of them —
-        // never per push.
-        if self.pushed != self.woken_at {
-            self.woken_at = self.pushed;
-            self.tx.wake_consumer();
-        }
-        (n, tails)
+        drop(settle);
+        let mut links = self.link_parked.iter().zip(&self.link_flows);
+        let starved = self.link_parked.contains(&true) && links.all(|(&p, f)| p || f.is_empty());
+        (flits, tails, starved.then_some(self.flusher_slept))
     }
 
-    /// No flit may sit in a stash at exit. Parked flows keep
-    /// `is_idle()` false, so a stalled link holds the worker until
-    /// drain mode releases the credits (see `Runtime::drain` ordering).
-    fn holds_flits(&self) -> bool {
-        self.stash_count > 0
-    }
-
-    /// A credit for a stashed link (a flusher wakes for it).
+    /// A credit for a parked link (a credit-returner wakes for it).
     fn can_progress(&self) -> bool {
-        (0..self.stash.len()).any(|l| self.stash[l].is_some() && self.links.has_credit(l))
+        (0..self.grant.len()).any(|l| self.link_parked[l] && self.links.has_credit(l))
     }
 
     fn link_parked(&self, flow: usize) -> bool {
@@ -453,11 +450,9 @@ impl EgressStage for BufferedStage {
         self.pushed
     }
 
-    /// The flusher's pending-free watermark passed the snapshot, and
-    /// no flit of the flow sits stashed on the worker.
-    fn flow_retired(&self, flow: usize, snapshot: u64) -> bool {
-        let stash_clear = self.stash[self.links.route(flow)].is_none_or(|f| f.flow != flow);
-        stash_clear && self.progress.retired() >= snapshot
+    /// The flusher's pending-free watermark passed the snapshot.
+    fn flow_retired(&self, _flow: usize, snapshot: u64) -> bool {
+        self.progress.retired() >= snapshot
     }
 }
 
@@ -512,12 +507,14 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
     let debug_exit = std::env::var_os("ERR_DRAIN_DEBUG").is_some();
     let mut debug_parks: u64 = 0;
 
+    // Nobody announces when a heartbeat is due, a thief asks, or that
+    // a returned credit is still there once another shard has looked.
+    let polls = shared.fault.is_some() || shared.steal.is_some() || shared.wakes.len() > 1;
     loop {
         // Fault phase (DESIGN.md §9): forced-shutdown abort, heartbeat,
-        // salvage inbox, quarantine, injected events. On forced abort
-        // whatever the stage holds is discarded, not counted lost: its
-        // flits were already counted served, and they hold no credits
-        // (flits are stashed exactly when the acquire failed).
+        // salvage inbox, quarantine, injected events. The stage holds
+        // neither flit nor credit between service phases, so a forced
+        // abort has only the scheduler's residue to count.
         // ordering: Acquire pairs with the Release `abort` store in
         // `Runtime::drain_within` (forced-shutdown latch).
         if shared.abort.load(Ordering::Acquire) {
@@ -525,8 +522,6 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
             return;
         }
         fault_tick(shared, shard, scheduler, *now, stage.as_mut());
-
-        stage.unstick(shared, scheduler);
 
         // Intake phase.
         arrivals.clear();
@@ -542,7 +537,7 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
         let pre_backlog = scheduler.backlog_flits() + ring.len() as u64;
 
         // Service phase: one flit per cycle of the shard's flit clock.
-        let (n, tails) = stage.serve(shared, scheduler, *now, cfg.batch_flits);
+        let (n, tails, starved) = stage.serve(shared, scheduler, *now, cfg.batch_flits);
         *now += n;
         if n > 0 {
             stats.served_flits.add(n);
@@ -555,8 +550,8 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
         // stealing policy at poll boundaries (DESIGN.md §8, §13.4).
         // Ticked after intake so the ring's dequeue cursor only covers
         // packets already enqueued into the scheduler; the stage lends
-        // the donor-side retire fence its pushed count, stash and
-        // flusher cursor (§13.5).
+        // the donor-side retire fence its pushed count and flusher
+        // cursor (§13.5).
         let mut hot_handoff = false;
         let mut migrating = false;
         if let Some(d) = driver.as_mut() {
@@ -580,8 +575,8 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
         }
 
         if pulled == 0 && n == 0 {
-            // Nothing moved. Exit only when the stage holds no flit,
-            // shutdown has been requested, no producer is still inside
+            // Nothing moved. Exit only when shutdown has been
+            // requested, no producer is still inside
             // `submit` (see `Shared::can_finish` — a mid-submit
             // producer could still push), everything this shard owns
             // is drained, no migration in flight names this shard
@@ -591,8 +586,7 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
             // inbox (§9.2). The ring check must come after
             // `can_finish`: once that returns true no further push can
             // happen, so empty is stable.
-            if !stage.holds_flits()
-                && !migrating
+            if !migrating
                 && shared.can_finish()
                 && ring.is_empty()
                 && scheduler.is_idle()
@@ -605,25 +599,35 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
             // the peer worker is waiting on our next protocol step (a
             // parked donor mid-quiesce would stall the thief's fence),
             // and a timed park would add up to PARK_TIMEOUT to every
-            // transition.
-            if hot_handoff || idle_spins < SPIN_BEFORE_PARK {
+            // transition. Starved behind a sleeping flusher, skip it.
+            if hot_handoff || (idle_spins < SPIN_BEFORE_PARK && starved != Some(true)) {
                 std::hint::spin_loop();
             } else {
                 debug_parks += 1;
                 if debug_exit && debug_parks.is_multiple_of(100_000) {
                     eprintln!(
-                        "[exit-debug] shard {shard} holds_flits={} migrating={migrating} \
+                        "[exit-debug] shard {shard} starved={starved:?} migrating={migrating} \
                          can_finish={} ring_empty={} sched_idle={}",
-                        stage.holds_flits(),
                         shared.can_finish(),
                         ring.is_empty(),
                         scheduler.is_idle(),
                     );
                 }
-                // Work for a parked worker is an arrival (a producer
-                // wakes) or a stage that can progress (a flusher
-                // wakes).
-                park_idle(shared, shard, || !ring.is_empty() || stage.can_progress());
+                let has_work = || !ring.is_empty() || stage.can_progress();
+                let cell = &shared.wakes[shard];
+                let how = if starved.is_some() && !polls {
+                    // backstop: covered by `wake_credit_waiters` (a
+                    // credit return), `wake_worker_for_intake` (a full
+                    // ingress ring) and `drain_within`'s wakes (drain,
+                    // abort) — no arrival could be served meanwhile.
+                    cell.sleep_unless(has_work, BACKSTOP)
+                } else {
+                    // backstop: polls arrivals (a plain push never wakes),
+                    // heartbeat, thieves, credits other shards may take.
+                    cell.sleep_unless(has_work, PARK_TIMEOUT)
+                };
+                stats.parks.add(u64::from(how != Sleep::Ready));
+                stats.park_timeouts.add(u64::from(how == Sleep::TimedOut));
             }
         } else {
             idle_spins = 0;

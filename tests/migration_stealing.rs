@@ -177,13 +177,15 @@ fn stealing_preserves_per_flow_emit_order() {
 ///
 /// A donor abort (withdrawal, fence timeout, or salvage seize) used to
 /// unpark its victim directly. When the victim's link was
-/// credit-parked, the scheduler would serve a second flit for a link
-/// whose one-deep stash was already occupied; the release build
-/// overwrote the stashed flit (losing it) and drifted the worker's
-/// `stash_count`, so the exit gate never opened and shutdown hung —
-/// reproducing on most runs of the stealing bench's buffered leg. Tight
-/// credits plus an aggressive steal policy make the race hot; four
-/// rounds keep the reproduction probability high without a long wait.
+/// credit-parked, the scheduler would serve a flit for a link with no
+/// credit to send it on — under the one-flit holding slot of the time
+/// that lost a flit and hung the shutdown on most runs of the stealing
+/// bench's buffered leg; under per-batch grants it would be a flit
+/// served on a zero grant. Every mover's unpark now respects link
+/// parking, and this stays as the conservation test of that rule.
+/// Tight credits plus an aggressive steal policy make the race hot;
+/// four rounds keep the reproduction probability high without a long
+/// wait.
 #[test]
 fn stealing_under_buffered_egress_shuts_down_cleanly() {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,8 +250,8 @@ fn stealing_under_buffered_egress_shuts_down_cleanly() {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
 
-        // A drifted stash count wedges the exit gate: the worker is
-        // then Abandoned at the deadline instead of exiting Clean.
+        // A worker wedged behind a link it cannot serve is Abandoned
+        // at the deadline instead of exiting Clean.
         let report = rt.shutdown_within(std::time::Duration::from_secs(60));
         assert!(
             report.exits.iter().all(|e| matches!(e, ShardExit::Clean)),
@@ -261,7 +263,7 @@ fn stealing_under_buffered_egress_shuts_down_cleanly() {
         assert_eq!(
             delivered.load(Ordering::Relaxed),
             flits,
-            "round {round}: a stashed flit was overwritten and lost"
+            "round {round}: a served flit never reached the sink"
         );
     }
 }
