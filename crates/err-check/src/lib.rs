@@ -3,7 +3,7 @@
 //! The runtime's correctness claims rest on hand-rolled lock-free code
 //! — the MPSC ingress ring, the Lamport SPSC egress ring, the credit
 //! counters, the `closed+in_flight` drain gate, and the epoch-stamped
-//! migration/salvage protocols. This crate enforces the hygiene rules
+//! migration protocol. This crate enforces the hygiene rules
 //! that keep those claims auditable (DESIGN.md §10):
 //!
 //! * **safety-comment** — every `unsafe` token carries a `// SAFETY:`
@@ -11,7 +11,7 @@
 //! * **ordering-comment** — every non-`Relaxed` atomic ordering carries
 //!   a `// ordering:` comment naming its pairing site.
 //! * **seqcst-scope** — `Ordering::SeqCst` is allowlisted per file (the
-//!   drain/salvage Dekker protocols) and an error anywhere else; the
+//!   drain/migration Dekker protocols) and an error anywhere else; the
 //!   per-site justification is the mandatory `// ordering:` comment.
 //! * **no-std-mutex** — `std::sync::Mutex` only in allowlisted modules
 //!   (cold-path locks documented as such); never on a per-flit path.
@@ -580,7 +580,7 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<Violation> {
                 i,
                 "seqcst-scope",
                 format!(
-                    "`SeqCst` outside the drain/salvage allowlist ({}); justify with a Dekker argument and allowlist the file, or downgrade",
+                    "`SeqCst` outside the drain/migration allowlist ({}); justify with a Dekker argument and allowlist the file, or downgrade",
                     SEQCST_FILES.join(", ")
                 ),
             );
@@ -1332,7 +1332,7 @@ mod tests {
         let policy = concat!(
             "fn f() {\n",
             "    // panic-policy: a worker death is a modeled fault; the\n",
-            "    // supervisor sweep detects and salvages it.\n",
+            "    // supervisor sweep detects and resurrects it.\n",
             "    std::thread::spawn(move || {\n",
             "        work();\n",
             "    });\n",

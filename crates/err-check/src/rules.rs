@@ -68,8 +68,8 @@ pub const PASSES: &[(&str, &str)] = &[
 
 /// Files allowed to use `Ordering::SeqCst`. Everything here is a
 /// store→load (Dekker) protocol where independent total order is the
-/// point: the drain gate's `closed+in_flight` pairing and the
-/// salvage/migration epoch machinery built on it.
+/// point: the drain gate's `closed+in_flight` pairing, the fault
+/// board's health arbitration and the migration epoch machinery.
 pub(crate) const SEQCST_FILES: &[&str] = &[
     "crates/err-runtime/src/gate.rs",
     "crates/err-runtime/src/fault.rs",
@@ -96,7 +96,7 @@ pub(crate) const MUTEX_FILES: &[&str] = &[
     "crates/err-egress/src/wake.rs",
     // MigrationSlot package handoff: once per migration, not per flit.
     "crates/err-runtime/src/migrate.rs",
-    // Salvage lock + exit collection: once per shard death.
+    // Bequest slots + successor handles: once per shard death.
     "crates/err-runtime/src/fault.rs",
     // Experiment-harness job queue (parking_lot): offline runner, no
     // runtime fast path.
@@ -254,7 +254,10 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "Panicked",
             "Abandoned",
             "FaultBoard",
-            "salvage",
+            // §9.2 catch → bequeath → adopt.
+            "Bequest",
+            "bequeath",
+            "spawn_worker",
         ],
     },
     DocRule {
@@ -351,9 +354,9 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "--estimate",
         ],
     },
-    // §13 vocabulary: the ownership authority's states, protocol
-    // verbs, and the resurrection handshake must stay named in the
-    // spec (the ownership layer is spec-first; see §13's preamble).
+    // §13 vocabulary: the ownership authority's states and protocol
+    // verbs must stay named in the spec (the ownership layer is
+    // spec-first; see §13's preamble).
     DocRule {
         doc: "DESIGN.md",
         section: Some("## 13"),
@@ -361,23 +364,21 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             // OwnerState (ownership.rs).
             "Settled",
             "Stealing",
-            "Salvaging",
             // The authority and its protocol verbs.
             "Ownership",
             "FlowMap",
             "ClaimToken",
             "WindowGuard",
             "try_claim",
-            "seize_for_salvage",
             "try_reroute",
             "release",
             "window_enter",
             "window_clear",
             "epoch",
             "linearization",
-            // The §13.5 fence and §13.6 handshake.
+            // The §13.5 fence, and the §13.4 slot-persisted claim a
+            // resurrected donor replays.
             "FlushProgress",
-            "Bequest",
             "resurrection",
         ],
     },

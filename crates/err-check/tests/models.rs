@@ -19,7 +19,7 @@ use err_egress::{
 use err_fabric::HandleTable;
 use err_runtime::channel::MpscRing;
 use err_runtime::gate::DrainGate;
-use err_runtime::{OwnerState, Ownership};
+use err_runtime::Ownership;
 use loom::cell::UnsafeCell;
 use loom::model::Builder;
 use loom::thread;
@@ -285,9 +285,7 @@ fn model_ownership_window_dekker() {
             let own = Arc::clone(&own);
             let slots = Arc::clone(&slots);
             thread::spawn(move || {
-                let tok = own
-                    .try_claim(0, OwnerState::Stealing, dst)
-                    .expect("flow starts Settled");
+                let tok = own.try_claim(0, dst).expect("flow starts Settled");
                 assert!(own.try_reroute(&tok, dst), "epoch-0 reroute cannot lose");
                 while !own.window_clear(0) {
                     thread::yield_now();
@@ -1037,7 +1035,7 @@ fn mutant_ownership_release_relaxed() {
                     // MUTATION: shipped release CASes AcqRel.
                     claim
                         .compare_exchange(CLAIMED, SETTLED, Ordering::Relaxed, Ordering::Relaxed)
-                        .expect("nothing seizes this claim");
+                        .expect("only the holder leaves this claim");
                 })
             };
             // The next mover: spin-claim, then touch the packets the

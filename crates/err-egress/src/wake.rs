@@ -86,7 +86,7 @@ impl WakeCell {
     }
 
     /// Makes the calling thread this cell's sleeper. A worker's
-    /// successor (DESIGN.md §13.6) calls it again and replaces the
+    /// successor (DESIGN.md §9.2) calls it again and replaces the
     /// dead thread's handle.
     pub fn register(&self) {
         *self.sleeper.lock().unwrap_or_else(|p| p.into_inner()) = Some(current());

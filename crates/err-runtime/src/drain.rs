@@ -33,8 +33,9 @@ use crate::stats::RuntimeStats;
 pub enum ShardExit {
     /// Drained and returned normally.
     Clean,
-    /// The thread panicked; under supervision its state was salvaged or
-    /// counted lost, without supervision its backlog is unaccounted.
+    /// The thread panicked; under supervision a successor adopted its
+    /// state and nothing was lost (DESIGN.md §9.2), without supervision
+    /// its backlog is unaccounted.
     Panicked,
     /// The thread missed the shutdown deadline and was left running
     /// (detached); its cycles report as 0 and conservation may not
@@ -82,15 +83,10 @@ impl DrainReport {
         self.stats.timedout_packets()
     }
 
-    /// Packets lost to shard death or forced shutdown, admission
-    /// charges revoked (DESIGN.md §9.2, §9.4).
+    /// Packets lost to a forced shutdown, admission charges revoked
+    /// (DESIGN.md §9.4).
     pub fn lost_packets(&self) -> u64 {
         self.stats.lost_packets()
-    }
-
-    /// Packets re-homed by panic salvage, counted at the dying shard.
-    pub fn salvaged_packets(&self) -> u64 {
-        self.stats.salvaged_packets()
     }
 
     /// Packets submitted (served + dropped + rejected + timed out +

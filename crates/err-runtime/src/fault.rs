@@ -1,51 +1,38 @@
-//! Shard supervision, panic salvage, and the deterministic chaos
-//! harness (DESIGN.md §9).
+//! Shard supervision, in-place resurrection, and the deterministic
+//! chaos harness (DESIGN.md §9).
 //!
-//! The fault model is *fail-stop with an honest ledger*: a shard worker
-//! that panics (or is quarantined for a frozen heartbeat) salvages its
-//! own state on the way down — every flow the
-//! [`FlowMap`](crate::ownership::FlowMap) homes on the dead shard is
-//! extracted, its ingress ring drained, and the resulting
-//! packages re-homed to a live rescue shard through a salvage inbox.
-//! What cannot be saved (a mid-packet wormhole cursor, or everything
-//! when no live shard remains) is counted `lost` with its admission
-//! charge revoked, never silently leaked. The [`FaultBoard`] records
-//! heartbeats, health transitions, and death/recovery timestamps; a
-//! supervisor thread applies the single quarantine rule; a seeded
+//! The fault model is *fail-stop with an honest ledger*, and death
+//! never moves a flow: a shard worker that panics (or is quarantined
+//! for a frozen heartbeat) is caught by its own fence, posts its whole
+//! state — scheduler, flit clock, egress stage, in-flight migration
+//! driver — as a `Bequest`, and the supervisor spawns a successor
+//! thread that adopts it (§9.2: *catch → bequeath → adopt*). The
+//! ingress ring stays where it is and the successor resumes draining
+//! it, so nothing is re-homed and nothing is lost; only a forced abort
+//! (§9.4) counts residue `lost`, with its admission charge revoked,
+//! never silently leaked. The [`FaultBoard`] records heartbeats, health
+//! transitions, and death/recovery timestamps; a supervisor thread
+//! applies the single quarantine rule and adopts bequests; a seeded
 //! [`FaultPlan`] replays shard panics, wedges, and link deaths on the
 //! shard flit clocks, which is what makes the chaos bench an experiment
 //! rather than an anecdote (§9.5).
-//!
-//! Concurrency note (§9.2): salvage passes still serialize through one
-//! global salvage mutex (death is rare; the lock is never on a hot
-//! path), but *per-flow* arbitration — a salvage racing a steal —
-//! resolves through the §13 ownership authority: claim (or seize), then
-//! win or lose the epoch CAS. With
-//! [`SupervisionConfig::resurrection`] on, a dead shard is not salvaged
-//! at all: the dying worker posts a whole-state `Bequest` and the
-//! supervisor spawns a fresh worker thread that adopts the shard's
-//! ring, scheduler, and in-flight migration state (§13.6) — the
-//! [`FlowMap`](crate::ownership::FlowMap) never moves.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use desim::{Cycle, SimRng};
-use err_sched::migrate::MigratedFlow;
 use err_sched::Scheduler;
 
 use crate::admission::AdmissionController;
 use crate::ingress::Shared;
-use crate::migrate::{unpark_respecting_links, MigrationDriver};
-use crate::ownership::{ClaimToken, OwnerState, Ownership};
+use crate::migrate::MigrationDriver;
 use crate::shard::{EgressStage, ShardConfig};
 use crate::stats::{PaddedCounter, ShardStats};
 
 /// Locks `m`, treating poisoning as benign: the protected state is a
-/// token or a message queue whose invariants do not depend on the
+/// slot or a handle list whose invariants do not depend on the
 /// panicking critical section having completed (and panics are this
 /// module's business, not an anomaly).
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -62,14 +49,6 @@ pub struct SupervisionConfig {
     /// the worker's idle park timeout (100µs) — the default leaves two
     /// orders of magnitude of slack.
     pub heartbeat_deadline: Duration,
-    /// True shard resurrection (DESIGN.md §13.6): a dead shard's worker
-    /// is replaced by a fresh thread adopting its ring, scheduler, and
-    /// migration state, instead of its flows being permanently re-homed
-    /// by salvage. Required when stealing and supervision compose
-    /// (`Runtime::start` asserts it): a mid-handoff peer waits on the
-    /// dead shard's next protocol step, which only a successor can
-    /// take.
-    pub resurrection: bool,
 }
 
 impl Default for SupervisionConfig {
@@ -77,7 +56,6 @@ impl Default for SupervisionConfig {
         Self {
             poll: Duration::from_millis(2),
             heartbeat_deadline: Duration::from_millis(50),
-            resurrection: false,
         }
     }
 }
@@ -89,10 +67,10 @@ pub enum ShardHealth {
     /// Serving normally.
     Running = 0,
     /// The supervisor saw a frozen heartbeat; the worker's own fault
-    /// hook honors the flag by panicking into the salvage path.
+    /// hook honors the flag by panicking into its fence.
     Quarantined = 1,
     /// The worker panicked (organically, by injection, or honoring a
-    /// quarantine); its flows were salvaged or counted lost.
+    /// quarantine); its `Bequest` waits for the supervisor to adopt it.
     Dead = 2,
     /// The worker drained cleanly and returned.
     Exited = 3,
@@ -168,10 +146,10 @@ impl FaultBoard {
     /// Current health of `shard`.
     pub fn health(&self, shard: usize) -> ShardHealth {
         // ordering: SeqCst — the health byte arbitrates between the
-        // supervisor's quarantine CAS, the dying worker's Dead store,
-        // and salvagers' rescue checks; every observer must agree on
-        // one total order of transitions (a racing death beats a
-        // quarantine everywhere, not per-thread).
+        // supervisor's quarantine CAS and adoption, and the dying
+        // worker's Dead store; every observer must agree on one total
+        // order of transitions (a racing death beats a quarantine
+        // everywhere, not per-thread).
         ShardHealth::from_u8(self.cells[shard].health.load(Ordering::SeqCst))
     }
 
@@ -206,8 +184,8 @@ impl FaultBoard {
     }
 
     pub(crate) fn stamp_death(&self, shard: usize) {
-        // ordering: SeqCst — stamped inside the salvage protocol and
-        // read against the health bytes; keeping it in the same total
+        // ordering: SeqCst — stamped beside the Dead store and read
+        // against the health bytes; keeping it in the same total
         // order means a reader that saw Dead also sees the timestamp.
         self.cells[shard]
             .death_at
@@ -231,8 +209,8 @@ impl FaultBoard {
         }
     }
 
-    /// Microseconds (since runtime start) at which `shard`'s salvage
-    /// completed, if it did.
+    /// Microseconds (since runtime start) at which a successor adopted
+    /// `shard`'s bequest, if one did.
     pub fn recovery_micros(&self, shard: usize) -> Option<u64> {
         // ordering: SeqCst — reader side of `stamp_recovery`.
         match self.cells[shard].recovered_at.load(Ordering::SeqCst) {
@@ -245,7 +223,7 @@ impl FaultBoard {
 /// One injected fault (DESIGN.md §9.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic the shard worker (unwinds into the salvage path).
+    /// Panic the shard worker (unwinds into its fence, §9.2).
     PanicShard,
     /// Wedge the worker: it stops beating without unwinding, until the
     /// supervisor quarantines it and the wedge loop honors the flag.
@@ -406,41 +384,23 @@ impl FaultInjector {
     }
 }
 
-/// Traffic on a shard's salvage inbox (DESIGN.md §9.2).
-pub(crate) enum SalvageMsg {
-    /// Pre-park request: the dying shard asks its chosen rescue to park
-    /// these flows *before* the FlowMap flips, so no new-epoch arrival
-    /// can be served ahead of the salvaged old-epoch packets (the same
-    /// fence the §8 thief provides by parking before its ack). The
-    /// handler bumps the global ack counter once per message.
-    Park { flows: Vec<usize> },
-    /// A salvaged flow package; the handler parks (idempotent), absorbs
-    /// (old epoch prepends ahead of new, §8.3), and unparks. Delivered
-    /// for *every* re-homed flow, even empty — absorption is also what
-    /// clears any pre-park left behind by an abandoned rescue attempt.
-    Package {
-        /// The re-homed flow.
-        flow: usize,
-        /// Its scheduler-side state.
-        pkg: MigratedFlow,
-    },
-}
-
 /// Everything a worker thread owns, and so everything a successor
-/// needs to adopt a dead shard (§13.6): a first-generation worker is
+/// needs to adopt a dead shard (§9.2): a first-generation worker is
 /// started from one with a fresh scheduler and clock 0, and a dying
-/// worker's epilogue posts its own. Panics fire only at an intake
-/// boundary, so arrival batches are empty and the state is consistent
-/// by construction. The ingress ring is *not* here: it lives in
-/// `Shared` and the successor simply resumes draining it.
+/// worker's epilogue posts its own. Injected panics fire only at an
+/// intake boundary and a sink's unwind leaves its interrupted batch in
+/// the stage, so the state is consistent by construction. The ingress
+/// ring is *not* here: it lives in `Shared` and the successor simply
+/// resumes draining it.
 pub(crate) struct Bequest {
     pub(crate) cfg: ShardConfig,
     pub(crate) scheduler: Box<dyn Scheduler + Send>,
     pub(crate) driver: Option<MigrationDriver>,
     /// The shard flit clock at death; the successor continues it.
     pub(crate) now: Cycle,
-    /// The output side, whole: the sync stage's sink, or the buffered
-    /// stage's ring producer, parking marks and pushed count.
+    /// The output side, whole: the sync stage's sink and interrupted
+    /// batch, or the buffered stage's ring producer, parking marks and
+    /// pushed count.
     pub(crate) stage: Box<dyn EgressStage>,
 }
 
@@ -448,20 +408,8 @@ pub(crate) struct Bequest {
 /// `RuntimeConfig::supervision` is set.
 pub(crate) struct FaultRuntime {
     pub(crate) board: FaultBoard,
-    /// The §13 ownership authority (map + windows + claims), shared
-    /// with the stealing layer when both overlays are on.
-    pub(crate) own: Arc<Ownership>,
-    inboxes: Vec<Mutex<VecDeque<SalvageMsg>>>,
-    /// Cheap hot-path signal that a shard's inbox is non-empty.
-    inbox_flags: Vec<AtomicBool>,
-    /// Bumped once per handled `Park` message. Only one salvage runs at
-    /// a time (the salvage lock), so the waiter reads a private delta.
-    park_acks: AtomicU64,
     pub(crate) injector: Option<FaultInjector>,
-    /// The global salvage lock (see the module docs): serializes every
-    /// salvage and the `Dead`/`Exited` transitions that race them.
-    salvage: Mutex<()>,
-    /// Per-shard bequest slot (§13.6): the dying worker posts, the
+    /// Per-shard bequest slot (§9.2): the dying worker posts, the
     /// supervisor takes.
     bequests: Vec<Mutex<Option<Bequest>>>,
     /// Successor worker threads, `(shard, handle)`, pushed by the
@@ -473,28 +421,22 @@ pub(crate) struct FaultRuntime {
 
 impl FaultRuntime {
     pub(crate) fn new(
-        own: Arc<Ownership>,
         shards: usize,
         config: SupervisionConfig,
         injector: Option<FaultInjector>,
     ) -> Self {
         Self {
             board: FaultBoard::new(shards),
-            own,
-            inboxes: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            inbox_flags: (0..shards).map(|_| AtomicBool::new(false)).collect(),
-            park_acks: AtomicU64::new(0),
             injector,
-            salvage: Mutex::new(()),
             bequests: (0..shards).map(|_| Mutex::new(None)).collect(),
             successors: Mutex::new(Vec::new()),
             config,
         }
     }
 
-    /// The dying worker's last act under resurrection (§13.6): post the
-    /// whole-state bequest, then flip to `Dead` — in that order, so a
-    /// supervisor that observes the bequest always finds it complete.
+    /// The dying worker's last act (§9.2): post the whole-state
+    /// bequest, then flip to `Dead` — in that order, so a supervisor
+    /// that observes the bequest always finds it complete.
     pub(crate) fn bequeath(&self, shard: usize, bequest: Bequest) {
         *lock_unpoisoned(&self.bequests[shard]) = Some(bequest);
         self.board.set_health(shard, ShardHealth::Dead);
@@ -511,50 +453,17 @@ impl FaultRuntime {
     pub(crate) fn resurrection_pending(&self) -> bool {
         self.bequests.iter().any(|b| lock_unpoisoned(b).is_some())
     }
-
-    /// Pushes messages to `shard`'s inbox and raises its flag.
-    fn post(&self, shard: usize, msgs: impl IntoIterator<Item = SalvageMsg>) {
-        let mut inbox = lock_unpoisoned(&self.inboxes[shard]);
-        inbox.extend(msgs);
-        // ordering: Release pairs with the Acquire flag load in
-        // `fault_tick` (the messages themselves travel under the inbox
-        // lock; the flag is the cheap "look inside" hint). `try_exit`
-        // reads it SeqCst for its flag→lock→flag fence.
-        self.inbox_flags[shard].store(true, Ordering::Release);
-    }
-
-    /// The rescue candidate: the first `Running` shard after `from` in
-    /// ring order, skipping `exclude` (candidates that timed out).
-    fn next_alive(&self, from: usize, exclude: &[usize]) -> Option<usize> {
-        let n = self.board.shards();
-        (1..=n)
-            .map(|d| (from + d) % n)
-            .find(|&s| !exclude.contains(&s) && self.board.health(s) == ShardHealth::Running)
-    }
 }
 
 /// Per-loop fault hook, called by the worker loop at the intake
-/// boundary: beat the heartbeat, absorb salvage traffic, honor a
-/// quarantine (by panicking into the salvage path), and fire due
-/// injected events. `stage` is asked where salvage parks/unparks must
-/// compose with per-link credit parking (§9.3) and takes the `KillLink`
-/// events; a stage without links answers "never parked" and ignores
-/// them.
-pub(crate) fn fault_tick(
-    shared: &Shared,
-    shard: usize,
-    scheduler: &mut Box<dyn Scheduler + Send>,
-    now: Cycle,
-    stage: &mut dyn EgressStage,
-) {
+/// boundary: beat the heartbeat, honor a quarantine (by panicking into
+/// the worker's fence), and fire due injected events. `stage` takes the
+/// `KillLink` events; a stage without links ignores them.
+pub(crate) fn fault_tick(shared: &Shared, shard: usize, now: Cycle, stage: &dyn EgressStage) {
     let Some(fr) = shared.fault.as_ref() else {
         return;
     };
     fr.board.beat(shard);
-    // ordering: Acquire pairs with the Release flag store in `post`.
-    if fr.inbox_flags[shard].load(Ordering::Acquire) {
-        drain_inbox(fr, shard, scheduler, stage);
-    }
     if fr.board.health(shard) == ShardHealth::Quarantined {
         panic!("shard {shard}: quarantine honored (heartbeat stalled past deadline)");
     }
@@ -571,61 +480,9 @@ pub(crate) fn fault_tick(
     }
 }
 
-/// Handles everything queued on `shard`'s salvage inbox.
-fn drain_inbox(
-    fr: &FaultRuntime,
-    shard: usize,
-    scheduler: &mut Box<dyn Scheduler + Send>,
-    stage: &mut dyn EgressStage,
-) {
-    let msgs: Vec<SalvageMsg> = {
-        let mut inbox = lock_unpoisoned(&fr.inboxes[shard]);
-        // ordering: Release — cleared under the inbox lock before the
-        // drain; a `post` that lands after this store re-raises the
-        // flag, so no message is left behind with the flag down.
-        fr.inbox_flags[shard].store(false, Ordering::Release);
-        inbox.drain(..).collect()
-    };
-    for msg in msgs {
-        match msg {
-            SalvageMsg::Park { flows } => {
-                for flow in flows {
-                    // unpark: the `Package` arm below when the flow's
-                    // salvage package arrives — absorption is what
-                    // clears the pre-park; the `salvage_parked` mark
-                    // keeps a link release from jumping the gun
-                    // (credits returning must not let new-epoch
-                    // arrivals be served ahead of the package in
-                    // flight).
-                    let _ = scheduler.park_flow(flow);
-                    stage.set_salvage_parked(flow, true);
-                }
-                // ordering: SeqCst — the ack side of the pre-park
-                // fence: the salvager reads `park_acks` (SeqCst) while
-                // racing health transitions; one total order keeps
-                // "acked" and "candidate died" mutually exclusive
-                // verdicts.
-                fr.park_acks.fetch_add(1, Ordering::SeqCst);
-            }
-            SalvageMsg::Package { flow, pkg } => {
-                // unpark: `unpark_respecting_links` just below —
-                // same tick, same thread.
-                let _ = scheduler.park_flow(flow);
-                let absorbed = scheduler.absorb_flow(flow, pkg);
-                debug_assert!(absorbed, "salvage target failed to absorb flow {flow}");
-                // The flow is home; it only resumes service if its link
-                // has credits — a credit-parked link keeps it parked,
-                // for the link's release to unpark with the rest.
-                stage.set_salvage_parked(flow, false);
-                unpark_respecting_links(scheduler, flow, stage);
-            }
-        }
-    }
-}
-
 /// The injected wedge: spin without beating until the supervisor
 /// quarantines this shard (or the runtime aborts), then panic into the
-/// salvage path — modelling a wedge that a watchdog kill eventually
+/// worker's fence — modelling a wedge that a watchdog kill eventually
 /// reaches (DESIGN.md §9.2).
 fn stick(shared: &Shared, fr: &FaultRuntime, shard: usize) {
     loop {
@@ -642,48 +499,6 @@ fn stick(shared: &Shared, fr: &FaultRuntime, shard: usize) {
     }
 }
 
-/// An empty package: what an untouched flow's state looks like.
-fn empty_package() -> MigratedFlow {
-    MigratedFlow {
-        packets: VecDeque::new(),
-        surplus: 0,
-        resume: None,
-    }
-}
-
-/// Strips a mid-packet cursor from an extracted package, counting its
-/// unserved remainder as lost and revoking the packet's admission
-/// charge: its head flits already left on the dead shard's link, and
-/// replaying the tail elsewhere would corrupt the wormhole (§9.2).
-fn strip_cursor(
-    stats: &ShardStats,
-    admission: &AdmissionController,
-    flow: usize,
-    pkg: &mut MigratedFlow,
-) {
-    if let Some(cursor) = pkg.resume.take().and_then(|v| v.cursor) {
-        stats.lost_packets.add(1);
-        stats
-            .lost_flits
-            .add((cursor.packet.len - cursor.next_flit) as u64);
-        admission.revoke(flow, cursor.packet.len);
-    }
-}
-
-/// FIFO-merges `pkg` behind whatever `slot` already holds (older
-/// material merges first: forwarded inbox packages, then the local
-/// extraction, then the ring drain).
-fn merge_package(slot: &mut Option<MigratedFlow>, mut pkg: MigratedFlow) {
-    debug_assert!(pkg.resume.is_none(), "cursor must be stripped before merge");
-    match slot {
-        None => *slot = Some(pkg),
-        Some(base) => {
-            base.packets.append(&mut pkg.packets);
-            base.surplus += pkg.surplus;
-        }
-    }
-}
-
 /// Counts one packet as lost and releases its admission charge.
 fn lose_packet(stats: &ShardStats, admission: &AdmissionController, flow: usize, len: u32) {
     stats.lost_packets.add(1);
@@ -691,270 +506,13 @@ fn lose_packet(stats: &ShardStats, admission: &AdmissionController, flow: usize,
     admission.revoke(flow, len);
 }
 
-/// Salvage, run on the dying worker's own thread after its
-/// `catch_unwind` caught the panic (DESIGN.md §9.2): mark `Dead`,
-/// re-home every flow the map puts here (pre-parking them at the
-/// rescue), drain the dead ingress ring, deliver the packages, and
-/// account every packet as salvaged or lost.
-pub(crate) fn salvage_shard(
-    shared: &Shared,
-    shard: usize,
-    scheduler: &mut Box<dyn Scheduler + Send>,
-) {
-    let Some(fr) = shared.fault.as_ref() else {
-        return;
-    };
-    let _guard = lock_unpoisoned(&fr.salvage);
-    // Dead before anything else: producers spinning on this shard's
-    // full ring observe it and re-route once the map flips below, and
-    // other salvages stop considering this shard a rescue.
-    fr.board.set_health(shard, ShardHealth::Dead);
-    fr.board.stamp_death(shard);
-    let stats = &shared.stats[shard];
-
-    // Our own inbox first: forwarded packages from an earlier death sit
-    // here unabsorbed. Stale pre-park requests die with us — their
-    // salvager already timed out and moved on.
-    let pending: Vec<SalvageMsg> = {
-        let mut inbox = lock_unpoisoned(&fr.inboxes[shard]);
-        // ordering: Release — same clear-under-lock pattern as
-        // `drain_inbox`.
-        fr.inbox_flags[shard].store(false, Ordering::Release);
-        inbox.drain(..).collect()
-    };
-    let n_flows = fr.own.map.n_flows();
-    let mut packages: Vec<Option<MigratedFlow>> = (0..n_flows).map(|_| None).collect();
-    for msg in pending {
-        if let SalvageMsg::Package { flow, pkg } = msg {
-            merge_package(&mut packages[flow], pkg);
-        }
-    }
-
-    let owned: Vec<usize> = (0..n_flows)
-        .filter(|&f| fr.own.shard_of(f) == Some(shard))
-        .collect();
-
-    // Choose a rescue and pre-park the flows there (the §8 thief-side
-    // fence). A candidate that does not ack within the heartbeat
-    // deadline is itself dying, wedged, or blocked — move on.
-    let mut excluded = vec![shard];
-    let rescue = loop {
-        let Some(candidate) = fr.next_alive(shard, &excluded) else {
-            break None;
-        };
-        // ordering: SeqCst — baseline for the ack wait below; see the
-        // fence note on the `park_acks` increment in `drain_inbox`.
-        let base = fr.park_acks.load(Ordering::SeqCst);
-        fr.post(
-            candidate,
-            [SalvageMsg::Park {
-                flows: owned.clone(),
-            }],
-        );
-        let deadline = Instant::now() + fr.config.heartbeat_deadline;
-        let acked = loop {
-            // ordering: SeqCst — pairs with the SeqCst `park_acks`
-            // increment; ordered against the SeqCst health reads so an
-            // ack and a death verdict cannot both be concluded.
-            if fr.park_acks.load(Ordering::SeqCst) > base {
-                break true;
-            }
-            // ordering: Acquire `abort` — shutdown latch pairing with
-            // `Runtime::drain_within`.
-            if fr.board.health(candidate) != ShardHealth::Running
-                || shared.abort.load(Ordering::Acquire)
-                || Instant::now() >= deadline
-            {
-                break false;
-            }
-            std::thread::yield_now();
-        };
-        if acked {
-            break Some(candidate);
-        }
-        // ordering: Acquire — shutdown latch pairing as above.
-        if shared.abort.load(Ordering::Acquire) {
-            break None;
-        }
-        excluded.push(candidate);
-    };
-
-    // Per-flow arbitration (§13.1), then extract and drain the ring
-    // into the packages. With a rescue, each flow is *claimed* — or an
-    // in-flight steal's claim is *seized*, since the steal's donor is
-    // this very dying thread and can never advance it — the map flips
-    // by epoch CAS, and the submit window is waited out, so the ring
-    // drain covers every old-epoch push (§13.3). A flow whose reroute
-    // loses the epoch race already lives at its thief: it is dropped
-    // from the salvage set and its claim released untouched.
-    let mut rehomed: Vec<(usize, ClaimToken)> = Vec::new();
-    if let Some(r) = rescue {
-        for &flow in &owned {
-            let mut tok = None;
-            for _ in 0..64 {
-                tok = fr
-                    .own
-                    .try_claim(flow, OwnerState::Salvaging, shard)
-                    .or_else(|| fr.own.seize_for_salvage(flow, shard));
-                if tok.is_some() {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            let Some(tok) = tok else { continue };
-            if fr.own.try_reroute(&tok, r) {
-                rehomed.push((flow, tok));
-            } else {
-                fr.own.release(&tok);
-            }
-        }
-        for &(flow, _) in &rehomed {
-            // ordering: SeqCst inside `window_clear` — the salvager's
-            // half of the submit-window Dekker (ownership.rs
-            // WindowGuard): window enter (SeqCst fetch_add) then map
-            // read, versus map flip then this SeqCst zero-check; one
-            // total order means any submit the flip missed is still
-            // counted in the window here.
-            while !fr.own.window_clear(flow) {
-                std::thread::yield_now();
-            }
-        }
-        for &(flow, _) in &rehomed {
-            // unpark: at the rescue target's `Package` arm in
-            // `drain_inbox` — never on this scheduler; the
-            // shard is dying and the extracted flow is absorbed (and
-            // unparked) at its new home.
-            let _ = scheduler.park_flow(flow);
-            if let Some(mut pkg) = scheduler.extract_flow(flow) {
-                strip_cursor(stats, &shared.admission, flow, &mut pkg);
-                merge_package(&mut packages[flow], pkg);
-            }
-        }
-    } else {
-        for &flow in &owned {
-            // unpark: never — no rescue target exists; `extract_flow`
-            // empties the flow, the package is accounted as
-            // salvage-lost, and the scheduler is dropped with the
-            // dying shard.
-            let _ = scheduler.park_flow(flow);
-            if let Some(mut pkg) = scheduler.extract_flow(flow) {
-                strip_cursor(stats, &shared.admission, flow, &mut pkg);
-                merge_package(&mut packages[flow], pkg);
-            }
-        }
-    }
-    while let Some(pkt) = shared.rings[shard].pop() {
-        packages[pkt.flow]
-            .get_or_insert_with(empty_package)
-            .packets
-            .push_back(pkt);
-    }
-
-    match rescue {
-        Some(r) => {
-            // Deliver a package for every pre-parked flow — even an
-            // empty one, since absorption is what unparks the pre-park
-            // — and account the contents as salvaged at this (dying)
-            // shard. A dropped flow (reroute lost to a thief) gets an
-            // empty package to clear its pre-park; any ring residue it
-            // left here is old-epoch material the thief's drain already
-            // covered or will cover, but we saw it post-claim, so count
-            // it lost rather than mis-home it.
-            let kept: Vec<usize> = rehomed.iter().map(|&(f, _)| f).collect();
-            let msgs: Vec<SalvageMsg> = owned
-                .iter()
-                .map(|&flow| {
-                    let pkg = if kept.contains(&flow) {
-                        packages[flow].take().unwrap_or_else(empty_package)
-                    } else {
-                        if let Some(stale) = packages[flow].take() {
-                            for p in &stale.packets {
-                                lose_packet(stats, &shared.admission, flow, p.len);
-                            }
-                        }
-                        empty_package()
-                    };
-                    stats.salvaged_packets.add(pkg.packets.len() as u64);
-                    stats.salvaged_flits.add(pkg.flits());
-                    SalvageMsg::Package { flow, pkg }
-                })
-                .collect();
-            fr.post(r, msgs);
-            for (_, tok) in &rehomed {
-                fr.own.release(tok);
-            }
-        }
-        None => {
-            // Total failure: no live rescuer (every shard dead, or the
-            // shutdown abort fired mid-salvage). Close the runtime
-            // *first* so producers fail fast, then quiesce *all*
-            // in-flight submits — not just the windowed ones: a
-            // producer past admission but before the window can still
-            // land a push in our ring (the map never flipped), and the
-            // ledger would leak it. Every submit path re-checks
-            // `closed` on its blocking loops, so `in_flight` drains
-            // promptly. Then re-drain, count everything lost, and
-            // revoke the charges — an honest shutdown, not a hang
-            // (§9.2).
-            shared.gate.close();
-            while !shared.can_finish() {
-                std::thread::yield_now();
-            }
-            while let Some(pkt) = shared.rings[shard].pop() {
-                packages[pkt.flow]
-                    .get_or_insert_with(empty_package)
-                    .packets
-                    .push_back(pkt);
-            }
-            for (flow, slot) in packages.iter_mut().enumerate() {
-                if let Some(pkg) = slot.take() {
-                    for p in &pkg.packets {
-                        lose_packet(stats, &shared.admission, flow, p.len);
-                    }
-                }
-            }
-        }
-    }
-    fr.board.stamp_recovery(shard);
-    stats.backlog_flits.set(0);
-}
-
-/// Final exit gate for a supervised worker that has drained: refuses if
-/// salvage traffic is (or is about to be) queued, otherwise transitions
-/// to `Exited` under the salvage lock so no salvager can pick this
-/// shard as a rescue afterwards. Uses `try_lock` — a worker blocked
-/// here could not beat, and the supervisor would quarantine it.
-pub(crate) fn try_exit(shared: &Shared, shard: usize) -> bool {
-    let Some(fr) = shared.fault.as_ref() else {
-        return true;
-    };
-    // ordering: SeqCst — cheap pre-check of the flag→lock→flag exit
-    // fence (full argument on the recheck below).
-    if fr.inbox_flags[shard].load(Ordering::SeqCst) {
-        return false;
-    }
-    let _guard = match fr.salvage.try_lock() {
-        Ok(g) => g,
-        Err(TryLockError::Poisoned(e)) => e.into_inner(),
-        Err(TryLockError::WouldBlock) => return false,
-    };
-    // ordering: SeqCst — under the salvage lock no new salvager can
-    // start; SeqCst orders this recheck against a concurrent salvager
-    // posting a package just before it released the lock, so an exit
-    // can never strand a posted package.
-    if fr.inbox_flags[shard].load(Ordering::SeqCst) {
-        return false;
-    }
-    fr.board.set_health(shard, ShardHealth::Exited);
-    true
-}
-
 /// Forced-shutdown residue accounting (DESIGN.md §9.4): when the abort
 /// flag fires, a worker stops serving and counts its residual state —
 /// ring contents and extracted flow packages — as lost, with admission
-/// charges revoked. Exact for migratable disciplines; others can only
-/// report an aggregate flit count (the report's `forced` flag marks the
-/// accounting as lossy).
+/// charges revoked; `drain_within` does the same for a bequest the
+/// abort beat the supervisor to. Exact for migratable disciplines;
+/// others can only report an aggregate flit count (the report's
+/// `forced` flag marks the accounting as lossy).
 pub(crate) fn abort_residuals(
     shared: &Shared,
     shard: usize,
@@ -988,33 +546,13 @@ pub(crate) fn abort_residuals(
         stats.lost_flits.add(scheduler.backlog_flits());
     }
     stats.backlog_flits.set(0);
-    if let Some(fr) = shared.fault.as_ref() {
-        let _guard = lock_unpoisoned(&fr.salvage);
-        // Packages that raced the abort into our inbox are lost too.
-        let pending: Vec<SalvageMsg> = {
-            let mut inbox = lock_unpoisoned(&fr.inboxes[shard]);
-            // ordering: Release — clear-under-lock pattern as in
-            // `drain_inbox`.
-            fr.inbox_flags[shard].store(false, Ordering::Release);
-            inbox.drain(..).collect()
-        };
-        for msg in pending {
-            if let SalvageMsg::Package { flow, pkg } = msg {
-                for p in &pkg.packets {
-                    lose_packet(stats, &shared.admission, flow, p.len);
-                }
-            }
-        }
-        fr.board.set_health(shard, ShardHealth::Exited);
-    }
 }
 
-/// The supervisor loop (DESIGN.md §9.1): every `poll`, quarantine any
-/// `Running` shard whose heartbeat has not advanced for
-/// `heartbeat_deadline`. Never touches a scheduler — quarantine is a
-/// flag the worker's own fault hook honors. Under resurrection
-/// (§13.6), the scan also turns posted bequests into successor worker
-/// threads.
+/// The supervisor loop (DESIGN.md §9.1–9.2): every `poll`, quarantine
+/// any `Running` shard whose heartbeat has not advanced for
+/// `heartbeat_deadline`, and turn posted bequests into successor worker
+/// threads. Never touches a scheduler — quarantine is a flag the
+/// worker's own fault hook honors, and a bequest is adopted whole.
 pub(crate) fn run_supervisor(shared: Arc<Shared>, stop: Arc<AtomicBool>) {
     let Some(fr) = shared.fault.as_ref() else {
         return;
@@ -1037,14 +575,10 @@ pub(crate) fn run_supervisor(shared: Arc<Shared>, stop: Arc<AtomicBool>) {
             {
                 fr.board.quarantine(s);
             }
-            if !fr.config.resurrection {
-                continue;
-            }
-            // Resurrection (§13.6): adopt a posted bequest. The whole
-            // take→spawn→push runs under the successors lock so
-            // `drain_within`, which reads the same lock, can never
-            // observe "no bequest, no successor" for a shard that is
-            // mid-resurrection.
+            // Adopt a posted bequest (§9.2). The whole take→spawn→push
+            // runs under the successors lock so `drain_within`, which
+            // reads the same lock, can never observe "no bequest, no
+            // successor" for a shard that is mid-resurrection.
             let mut successors = lock_unpoisoned(&fr.successors);
             // ordering: Acquire pairs with the Release `abort` store in
             // `Runtime::drain_within` — no successor may spawn after

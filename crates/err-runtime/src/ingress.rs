@@ -78,16 +78,17 @@ pub(crate) struct Shared {
     pub(crate) stats: Vec<ShardStats>,
     pub(crate) admission: AdmissionController,
     /// The flow-ownership authority (DESIGN.md §13): routing map,
-    /// submit windows, and per-flow claims. `Some` whenever any overlay
-    /// (stealing or supervision) can move flows; both overlays share
-    /// this one instance, which is what lets a steal race a salvage and
-    /// resolve by epoch instead of by crate layering.
+    /// submit windows, and per-flow claims. `Some` iff `steal` is — a
+    /// steal is the only thing that moves a flow; without it the static
+    /// hash is the whole routing truth and the submit path takes no
+    /// window.
     pub(crate) own: Option<std::sync::Arc<crate::ownership::Ownership>>,
     /// Work-stealing state (`RuntimeConfig::stealing`); `None` keeps
     /// the static partition and a migration-free submit path.
     pub(crate) steal: Option<crate::migrate::StealRuntime>,
-    /// Fault-tolerance state (`RuntimeConfig::supervision`); composes
-    /// with `steal` when resurrection is on (DESIGN.md §13.6).
+    /// Fault-tolerance state (`RuntimeConfig::supervision`); a dead
+    /// shard is resurrected in place, so it never touches `own`
+    /// (DESIGN.md §9.2).
     pub(crate) fault: Option<crate::fault::FaultRuntime>,
     /// The shutdown gate: `closed` flag + in-flight submit counter as a
     /// Dekker-style pair, so workers never take their *final* look at
@@ -102,7 +103,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// The shard `flow` currently routes to: the ownership authority's
-    /// mapping when any overlay is on (and the flow is inside the id
+    /// mapping when stealing is on (and the flow is inside the id
     /// space), else the static hash.
     #[inline]
     pub(crate) fn shard_of(&self, flow: usize) -> usize {
@@ -228,57 +229,49 @@ impl RuntimeHandle {
         // → read FlowMap → push → window −= 1 (via the guard's Drop, on
         // every exit path). The SeqCst pairing with the map flip and
         // window check guarantees a mover's drain target covers every
-        // old-epoch push. The outer loop re-routes when the target
-        // shard turns out to be dead (§9.2): drop the window, re-read
-        // the map — a salvage is flipping it, or (under resurrection,
-        // §13.6) the same shard is about to come back and drain.
-        'route: loop {
-            let _window = shared.own.as_ref().and_then(|o| o.window_enter(pkt.flow));
-            let shard = shared.shard_of(pkt.flow);
-            let stats = &shared.stats[shard];
-            // Ring push: one CAS. Full ring means the shard is behind;
-            // wait for space (drop-tail drops instead, shedding at the
-            // ring too).
-            let ring = &shared.rings[shard];
-            loop {
-                match ring.push(pkt) {
-                    Ok(()) => {
-                        stats.enqueued_packets.add(1);
-                        stats.enqueued_flits.add(pkt.len as u64);
-                        return Ok(Submitted::Enqueued);
+        // old-epoch push. A dead shard's ring stays put: its successor
+        // resumes draining it (§9.2), so a full ring is waited out the
+        // same whether the worker is behind or being replaced.
+        let _window = shared.own.as_ref().and_then(|o| o.window_enter(pkt.flow));
+        let shard = shared.shard_of(pkt.flow);
+        let stats = &shared.stats[shard];
+        // Ring push: one CAS. Full ring means the shard is behind;
+        // wait for space (drop-tail drops instead, shedding at the
+        // ring too).
+        let ring = &shared.rings[shard];
+        loop {
+            match ring.push(pkt) {
+                Ok(()) => {
+                    stats.enqueued_packets.add(1);
+                    stats.enqueued_flits.add(pkt.len as u64);
+                    return Ok(Submitted::Enqueued);
+                }
+                Err(crate::channel::RingFull) => {
+                    if matches!(
+                        shared.admission.policy(),
+                        crate::admission::AdmissionPolicy::DropTail { .. }
+                    ) {
+                        shared.admission.revoke(pkt.flow, pkt.len);
+                        stats.dropped_packets.add(1);
+                        stats.dropped_flits.add(pkt.len as u64);
+                        return Ok(Submitted::Dropped);
                     }
-                    Err(crate::channel::RingFull) => {
-                        if matches!(
-                            shared.admission.policy(),
-                            crate::admission::AdmissionPolicy::DropTail { .. }
-                        ) {
-                            shared.admission.revoke(pkt.flow, pkt.len);
-                            stats.dropped_packets.add(1);
-                            stats.dropped_flits.add(pkt.len as u64);
-                            return Ok(Submitted::Dropped);
-                        }
-                        if shared.is_closed() {
-                            shared.admission.revoke(pkt.flow, pkt.len);
-                            return Err(SubmitError::Closed);
-                        }
-                        if let Some(fr) = shared.fault.as_ref() {
-                            if fr.board.health(shard) == crate::fault::ShardHealth::Dead {
-                                continue 'route;
-                            }
-                        }
-                        // About to wait (or refuse) until the worker
-                        // frees a slot.
-                        shared.wake_worker_for_intake(shard);
-                        if let Some(d) = deadline {
-                            if std::time::Instant::now() >= d {
-                                shared.admission.revoke(pkt.flow, pkt.len);
-                                stats.timedout_packets.add(1);
-                                return Err(SubmitError::TimedOut);
-                            }
-                        }
-                        // `Packet` is `Copy`; retry with the same value.
-                        std::thread::yield_now();
+                    if shared.is_closed() {
+                        shared.admission.revoke(pkt.flow, pkt.len);
+                        return Err(SubmitError::Closed);
                     }
+                    // About to wait (or refuse) until the worker
+                    // frees a slot.
+                    shared.wake_worker_for_intake(shard);
+                    if let Some(d) = deadline {
+                        if std::time::Instant::now() >= d {
+                            shared.admission.revoke(pkt.flow, pkt.len);
+                            stats.timedout_packets.add(1);
+                            return Err(SubmitError::TimedOut);
+                        }
+                    }
+                    // `Packet` is `Copy`; retry with the same value.
+                    std::thread::yield_now();
                 }
             }
         }

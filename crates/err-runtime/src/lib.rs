@@ -42,19 +42,19 @@
 //!   stalled downstream freezes only its own flows — the regime the
 //!   paper's stalled-wormhole argument is about.
 //! * [`fault`] adds the failure half of that story (DESIGN.md §9):
-//!   supervised workers that salvage their flows when they panic, a
-//!   heartbeat supervisor that quarantines wedged shards, dead-link
+//!   supervised workers that bequeath their whole state when they
+//!   panic and are resurrected in place with nothing lost, a heartbeat
+//!   supervisor that quarantines wedged shards, dead-link
 //!   failover in the egress stage, bounded shutdown
 //!   ([`Runtime::shutdown_within`]) and submit
 //!   ([`RuntimeHandle::submit_within`]), and a seeded [`FaultPlan`]
 //!   chaos harness that replays shard and link deaths deterministically.
 //! * [`ownership`] is the single flow-ownership authority
 //!   (DESIGN.md §13): an epoch-stamped [`FlowMap`] plus submit windows
-//!   and per-flow claims, shared by stealing ([`migrate`]) and
-//!   supervision ([`fault`]). One authority is what lets the two
-//!   overlays compose (with [`SupervisionConfig::resurrection`]) and
-//!   lets stealing run under [`EgressMode::Buffered`] via the §13.5
-//!   egress-retire fence.
+//!   and per-flow claims, under stealing ([`migrate`]) — the one thing
+//!   that moves a flow. Death never does, so stealing composes with
+//!   supervision as it stands, and runs under [`EgressMode::Buffered`]
+//!   via the §13.5 egress-retire fence.
 //!
 //! # Quick example
 //!
@@ -180,20 +180,17 @@ pub struct RuntimeConfig {
     /// [`EgressMode::Buffered`] the donor adds the §13.5 egress-retire
     /// fence (a flow's home flips only after its last victim flit has
     /// retired downstream), so handoffs never interleave a wormhole.
-    /// Composes with `supervision` only when
-    /// [`SupervisionConfig::resurrection`] is on — asserted by
-    /// `Runtime::start` (§13.6).
+    /// Composes with `supervision`: a shard that dies mid-handoff is
+    /// resurrected with its migration state and takes the handoff's
+    /// next step (§9.2).
     pub stealing: Option<StealingConfig>,
-    /// Shard supervision (DESIGN.md §9): heartbeats, quarantine, and —
-    /// per [`SupervisionConfig::resurrection`] — either panic salvage
-    /// (flows permanently re-homed to a rescue shard) or true shard
-    /// resurrection (a fresh worker thread adopts the dead shard's
-    /// ring, scheduler, and migration state, §13.6). Requires a
-    /// discipline with extract/absorb support (ERR/WERR); works under
-    /// either [`EgressMode`] — salvage asks the shard's egress stage
-    /// which restored flows must stay parked per link (DESIGN.md §9.2).
-    /// Per-flow arbitration against a racing steal goes through the
-    /// one [`Ownership`] authority (§13.1).
+    /// Shard supervision (DESIGN.md §9): heartbeats, quarantine, and
+    /// resurrection in place — a fresh worker thread adopts the dead
+    /// shard's ring, scheduler, egress stage and migration state, no
+    /// flow moves and nothing is lost (§9.2). Requires a discipline
+    /// with extract/absorb support (ERR/WERR), which forced-abort
+    /// accounting needs to be exact (§9.4); works under either
+    /// [`EgressMode`].
     pub supervision: Option<SupervisionConfig>,
     /// Deterministic fault injection (DESIGN.md §9.5); events fire on
     /// each shard's flit clock. Requires `supervision`.
@@ -265,33 +262,19 @@ impl Runtime {
     ) -> (Self, RuntimeHandle) {
         assert!(config.shards >= 1, "need at least one shard");
         assert!(config.batch_flits >= 1 && config.batch_packets >= 1);
-        // The §13 ownership authority: one instance, shared by whichever
-        // overlays are on (the whole point — a steal racing a salvage
-        // resolves inside one epoch CAS, not across two maps).
-        let own = (config.stealing.is_some() || config.supervision.is_some())
-            .then(|| Arc::new(Ownership::new(config.n_flows, config.shards)));
-        if config.stealing.is_some() {
-            if let Some(sup) = &config.supervision {
-                assert!(
-                    sup.resurrection,
-                    "stealing × supervision requires SupervisionConfig::resurrection \
-                     (DESIGN.md §13.6): a mid-handoff death must resurrect the shard \
-                     so the handoff's next protocol step is taken, not salvage it"
-                );
-            }
-        }
-        let steal = config.stealing.map(|sc| {
+        // The §13 ownership authority exists only where something moves
+        // flows: a steal. Death never does (§9.2).
+        let own = config
+            .stealing
+            .map(|_| Arc::new(Ownership::new(config.n_flows, config.shards)));
+        let steal = config.stealing.zip(own.clone()).map(|(sc, own)| {
             assert!(
                 config.discipline.build(1).supports_migration(),
                 "work stealing requires a discipline with extract/absorb \
                  support (ERR or WERR), got {:?}",
                 config.discipline
             );
-            migrate::StealRuntime::new(
-                Arc::clone(own.as_ref().expect("stealing implies ownership")),
-                config.shards,
-                sc,
-            )
+            migrate::StealRuntime::new(own, config.shards, sc)
         });
         let fault = config.supervision.map(|sup| {
             assert!(
@@ -304,12 +287,7 @@ impl Runtime {
                 .fault_plan
                 .as_ref()
                 .map(|p| fault::FaultInjector::new(p, config.shards));
-            fault::FaultRuntime::new(
-                Arc::clone(own.as_ref().expect("supervision implies ownership")),
-                config.shards,
-                sup,
-                injector,
-            )
+            fault::FaultRuntime::new(config.shards, sup, injector)
         });
         assert!(
             config.fault_plan.is_none() || fault.is_some(),
@@ -434,7 +412,7 @@ impl Runtime {
             let stop = Arc::new(AtomicBool::new(false));
             let shared = Arc::clone(&shared);
             let stop2 = Arc::clone(&stop);
-            // panic-policy: a supervisor panic stops salvage and
+            // panic-policy: a supervisor panic stops quarantine and
             // resurrection but nothing else — workers and flushers
             // drain normally and the drain-time `join` absorbs the
             // unwind (its `Err` is deliberately discarded).
@@ -549,7 +527,7 @@ impl Runtime {
             for cell in &self.shared.wakes {
                 cell.wake();
             }
-            // Under resurrection the drain must also wait out successor
+            // Under supervision the drain must also wait out successor
             // workers *and* bequests the supervisor has not yet adopted.
             // Both are read under the successors lock — the supervisor's
             // take→spawn→push runs under the same lock, so there is no
@@ -626,9 +604,9 @@ impl Runtime {
             match worker.join() {
                 Ok(cycles) => {
                     // A supervised worker that panicked returns normally
-                    // after salvage or bequeath; the death stamp
-                    // remembers it even after a resurrection sets the
-                    // health back to Running/Exited (§13.6).
+                    // after its bequeath; the death stamp remembers it
+                    // even after a resurrection sets the health back to
+                    // Running/Exited (§9.2).
                     let died = self
                         .shared
                         .fault
@@ -653,7 +631,7 @@ impl Runtime {
             stop.store(true, Ordering::Release);
             let _ = handle.join();
         }
-        // Successor workers (§13.6), joined after the supervisor so no
+        // Successor workers (§9.2), joined after the supervisor so no
         // further ones can spawn. A successor's clock continues its
         // predecessor's, so its return value supersedes the original
         // worker's for that shard.
@@ -689,12 +667,7 @@ impl Runtime {
         if let Some(fr) = self.shared.fault.as_ref() {
             for shard in 0..fr.board.shards() {
                 if let Some(mut bq) = fr.take_bequest(shard) {
-                    fault::abort_residuals(
-                        &self.shared,
-                        shard,
-                        fr.own.map.n_flows(),
-                        &mut bq.scheduler,
-                    );
+                    fault::abort_residuals(&self.shared, shard, bq.cfg.n_flows, &mut bq.scheduler);
                 }
             }
         }
@@ -752,7 +725,7 @@ impl Runtime {
 }
 
 /// Spawns `state.cfg.shard`'s worker thread: generation 0 at start-up,
-/// a successor adopting its predecessor's bequest afterwards (§13.6).
+/// a successor adopting its predecessor's bequest afterwards (§9.2).
 pub(crate) fn spawn_worker(
     shared: Arc<Shared>,
     generation: u64,
@@ -765,8 +738,8 @@ pub(crate) fn spawn_worker(
     };
     // panic-policy: a worker panic is a modeled fault (§9), caught by
     // `run_shard`'s own fence — under supervision the shard is
-    // salvaged or resurrected (successors die like first-generation
-    // workers) and drain records `ShardExit::Panicked`; without it the
+    // resurrected (successors die like first-generation workers) and
+    // drain records `ShardExit::Panicked`; without it the
     // re-thrown panic reaches drain's join, same verdict.
     std::thread::Builder::new()
         .name(name)
@@ -969,16 +942,6 @@ mod tests {
             migrations >= 1,
             "87% skew on 4 shards should steal under buffered egress too: {report:?}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "resurrection")]
-    fn stealing_with_supervision_requires_resurrection() {
-        let _ = Runtime::start(RuntimeConfig {
-            stealing: Some(StealingConfig::default()),
-            supervision: Some(SupervisionConfig::default()),
-            ..RuntimeConfig::default()
-        });
     }
 
     #[test]

@@ -307,8 +307,7 @@ impl MigrationSlot {
 
 /// Work-stealing state hung off the runtime's `Shared` block.
 pub(crate) struct StealRuntime {
-    /// The §13 ownership authority (map + windows + claims), shared
-    /// with the fault layer when supervision is also on.
+    /// The §13 ownership authority (map + windows + claims).
     pub(crate) own: Arc<Ownership>,
     pub(crate) board: LoadBoard,
     /// One slot per thief shard (§13.4).
@@ -344,7 +343,7 @@ impl StealRuntime {
 /// Per-worker migration driver: the worker-thread half of the stealing
 /// protocol. Owns the thief-side policy state (poll pacing, cooldown)
 /// and the donor-side pacing (serve-chunk guard); everything shared
-/// lives in [`StealRuntime`]. Travels inside the §13.6 bequest when the
+/// lives in [`StealRuntime`]. Travels inside the §9.2 bequest when the
 /// shard dies, so a resurrected worker continues its in-flight
 /// handoffs instead of stranding them.
 pub(crate) struct MigrationDriver {
@@ -390,9 +389,8 @@ impl MigrationDriver {
         // Thief side: advance our own slot.
         match st.slots[self.shard].phase() {
             MigrationPhase::Idle => {
-                // A donor abort (fence timeout, seized claim, or
-                // withdrawal) reset the slot; unpark the victim we
-                // parked for it.
+                // A donor abort (fence timeout or withdrawal) reset
+                // the slot; unpark the victim we parked for it.
                 if let Some(flow) = self.thief_parked.take() {
                     unpark_respecting_links(scheduler, flow, egress);
                 }
@@ -425,9 +423,7 @@ impl MigrationDriver {
                     self.donor_grant(shared, st, slot, scheduler, now, pre_backlog, egress)
                 }
                 MigrationPhase::Quiescing => self.donor_fence(shared, st, slot, scheduler, egress),
-                MigrationPhase::Draining => {
-                    self.donor_drain(shared, st, slot, scheduler, now, egress)
-                }
+                MigrationPhase::Draining => self.donor_drain(shared, st, slot, scheduler, now),
                 _ => {}
             }
         }
@@ -516,8 +512,8 @@ impl MigrationDriver {
             }
         }
         let Some((flow, _)) = best else { return };
-        let Some(token) = st.own.try_claim(flow, OwnerState::Stealing, thief) else {
-            return; // raced by another slot or a salvage; retry next tick
+        let Some(token) = st.own.try_claim(flow, thief) else {
+            return; // raced by another slot; retry next tick
         };
         // unpark: `unpark_respecting_links` on the withdraw-unwind
         // below; on the happy path the flow leaves this shard and the
@@ -590,7 +586,7 @@ impl MigrationDriver {
         // entry, then wait until the flusher's pending-free watermark
         // passes it. A stage that buffers nothing is always retired.
         // ordering: SeqCst — donor-written cells, kept in the phase
-        // protocol's order for the §13.6 resurrection handover.
+        // protocol's order for the §9.2 resurrection handover.
         let snap = match slot.fence_target.load(Ordering::SeqCst) {
             UNSET => {
                 let pushed = egress.pushed();
@@ -633,7 +629,6 @@ impl MigrationDriver {
         slot: &MigrationSlot,
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
-        egress: &dyn EgressStage,
     ) {
         let (Some(flow), Some(thief), Some(token)) = (slot.flow(), slot.thief(), slot.token())
         else {
@@ -642,24 +637,10 @@ impl MigrationDriver {
         if st.own.map.epoch_of(flow) == token.epoch {
             // Flip not yet landed (first pass, or a resurrected donor
             // replaying a death between the phase commit and the CAS).
-            if !st.own.try_reroute(&token, thief) {
-                // Seized by a salvage at our epoch: the flow is no
-                // longer ours to hand over. Unwind.
-                st.own.release(&token); // no-op if seized, by CAS
-                unpark_respecting_links(scheduler, flow, egress);
-                let _guard = lock_unpoisoned(&slot.package);
-                slot.reset_locked();
-                shared.stats[self.shard].steal_aborts.add(1);
-                return;
-            }
-        } else if st.own.shard_of(flow) != Some(thief) {
-            // The epoch moved but not to the thief: a salvage seized
-            // the claim and re-homed the flow. Nothing left to drain.
-            unpark_respecting_links(scheduler, flow, egress);
-            let _guard = lock_unpoisoned(&slot.package);
-            slot.reset_locked();
-            shared.stats[self.shard].steal_aborts.add(1);
-            return;
+            // The claim is exclusive and only its holder reroutes, so
+            // at the token's epoch the CAS cannot lose.
+            let flipped = st.own.try_reroute(&token, thief);
+            debug_assert!(flipped, "flow {flow}: claim holder lost its own epoch CAS");
         }
         // Submit-window wait (§13.3): any producer that read the map
         // before the flip is still inside its window; once clear, every
@@ -669,7 +650,7 @@ impl MigrationDriver {
         }
         let ring = &shared.rings[self.shard];
         // ordering: SeqCst — donor-written cursor cell, kept in the
-        // phase protocol's order for the §13.6 resurrection handover.
+        // phase protocol's order for the §9.2 resurrection handover.
         let target = match slot.drain_target.load(Ordering::SeqCst) {
             UNSET => {
                 let t = ring.enqueue_pos() as u64;
@@ -737,8 +718,8 @@ impl MigrationDriver {
 
 /// Unparks `flow` unless its egress link is credit-parked (§13.5): the
 /// link's release will unpark it with the rest, so that no flit is
-/// served on a zero grant. The one unpark authority of every mover —
-/// steal unwinds and absorbs here, salvage absorbs in `fault.rs`.
+/// served on a zero grant. The one unpark authority of the mover —
+/// steal unwinds and absorbs both end here.
 pub(crate) fn unpark_respecting_links(
     scheduler: &mut Box<dyn Scheduler + Send>,
     flow: usize,

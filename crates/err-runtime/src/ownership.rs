@@ -1,6 +1,6 @@
-//! The flow-ownership authority (DESIGN.md §13): one epoch-stamped
-//! claim protocol shared by stealing (§8), salvage (§9.2), and
-//! resurrection (§13.6).
+//! The flow-ownership authority (DESIGN.md §13): the epoch-stamped
+//! claim protocol under stealing (§8), the one thing that moves a flow.
+//! A dead shard is resurrected in place (§9.2) and never touches it.
 //!
 //! Three ideas, one struct:
 //!
@@ -14,7 +14,7 @@
 //! * **Claims** — one word per flow packing
 //!   `(state << 62) | (claimant << 32) | epoch`. A claim is the right
 //!   to *attempt* a reroute; the epoch CAS in [`Ownership::try_reroute`]
-//!   is the linearization point that decides a steal racing a salvage.
+//!   is the linearization point of the move.
 //!
 //! This module compiles against the crate-private `sync` shim so the err-check model
 //! suite (`--features model`) drives the *shipped* atomics under the
@@ -25,18 +25,14 @@ use crate::sync::{AtomicU64, Ordering};
 /// Claim-word state field (bits 63–62 of the claim word).
 ///
 /// The variants spell the §13.1 state machine: `Settled` is the only
-/// state a fresh claim can be taken from; `Stealing` may be seized by a
-/// salvager ([`Ownership::seize_for_salvage`]); `Salvaging` is never
-/// seized — salvage runs on a dying worker's own thread and nothing
-/// outranks it.
+/// state a claim can be taken from, and only its holder's
+/// [`Ownership::release`] leaves `Stealing`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OwnerState {
     /// No mover holds the flow; the [`FlowMap`] entry is the whole truth.
     Settled,
     /// A migration slot holds the flow (claimant = thief shard).
     Stealing,
-    /// A salvage pass holds the flow (claimant = salvaging shard).
-    Salvaging,
 }
 
 const STATE_SHIFT: u32 = 62;
@@ -46,7 +42,6 @@ const EPOCH_MASK: u64 = 0xFFFF_FFFF;
 
 const STATE_SETTLED: u64 = 0;
 const STATE_STEALING: u64 = 1;
-const STATE_SALVAGING: u64 = 2;
 
 #[inline]
 fn pack(state: u64, claimant: usize, epoch: u32) -> u64 {
@@ -59,8 +54,8 @@ fn state_of(word: u64) -> u64 {
     word >> STATE_SHIFT
 }
 
-/// Proof of a successful [`Ownership::try_claim`] /
-/// [`Ownership::seize_for_salvage`]: carries the flow, the map epoch
+/// Proof of a successful [`Ownership::try_claim`]: carries the flow,
+/// the map epoch
 /// observed at claim time (the CAS expectation for
 /// [`Ownership::try_reroute`]), and the exact claim word (the CAS
 /// expectation for [`Ownership::release`]).
@@ -172,9 +167,8 @@ impl Drop for WindowGuard<'_> {
 }
 
 /// The single ownership authority (§13.1): routing map + submit
-/// windows + per-flow claims. Stealing's `StealRuntime` and the fault
-/// layer's `FaultRuntime` share one `Arc<Ownership>`; the submit path
-/// consults it and nothing else.
+/// windows + per-flow claims. Allocated only when stealing is on; the
+/// submit path consults it and nothing else.
 pub struct Ownership {
     /// The routing truth.
     pub map: FlowMap,
@@ -233,24 +227,19 @@ impl Ownership {
             .map(|c| state_of(c.load(Ordering::Acquire)))
         {
             Some(STATE_STEALING) => OwnerState::Stealing,
-            Some(STATE_SALVAGING) => OwnerState::Salvaging,
             _ => OwnerState::Settled,
         }
     }
 
-    /// Takes a claim on `flow` with one `SeqCst` CAS from `Settled`
-    /// (§13.1). Fails (returns `None`) if any mover already holds the
-    /// flow, or the flow is unmapped. The token's epoch is the map
-    /// epoch observed here; if a racing release slipped a reroute in
-    /// between, the stale epoch makes our eventual `try_reroute` fail
-    /// harmlessly rather than double-moving the flow.
-    pub fn try_claim(&self, flow: usize, state: OwnerState, claimant: usize) -> Option<ClaimToken> {
+    /// Takes the `Stealing` claim on `flow` for thief `claimant` with
+    /// one `SeqCst` CAS from `Settled` (§13.1). Fails (returns `None`)
+    /// if another mover already holds the flow, or the flow is
+    /// unmapped. The token's epoch is the map epoch observed here; if a
+    /// racing release slipped a reroute in between, the stale epoch
+    /// makes our eventual `try_reroute` fail harmlessly rather than
+    /// double-moving the flow.
+    pub fn try_claim(&self, flow: usize, claimant: usize) -> Option<ClaimToken> {
         let claim = self.claims.get(flow)?;
-        let state_bits = match state {
-            OwnerState::Stealing => STATE_STEALING,
-            OwnerState::Salvaging => STATE_SALVAGING,
-            OwnerState::Settled => return None,
-        };
         // ordering: SeqCst — the CAS expectation read, in the same
         // total order as the claim CAS below. [pair: own-claim @ self]
         let observed = claim.load(Ordering::SeqCst);
@@ -258,36 +247,9 @@ impl Ownership {
             return None;
         }
         let epoch = self.map.epoch_of(flow);
-        let word = pack(state_bits, claimant, epoch);
+        let word = pack(STATE_STEALING, claimant, epoch);
         // ordering: SeqCst CAS — the claim acquisition must be globally
-        // ordered against competing claims and seizes (§13.1).
-        // [pair: own-claim @ self]
-        claim
-            .compare_exchange(observed, word, Ordering::SeqCst, Ordering::SeqCst)
-            .ok()?;
-        Some(ClaimToken { flow, epoch, word })
-    }
-
-    /// Salvage-only escalation (§13.1): atomically converts a
-    /// `Stealing` claim into a `Salvaging` claim held by `claimant`.
-    /// Steals never seize anything; salvage seizes because the steal's
-    /// donor — the thread that would advance it — is the dying shard
-    /// running this very salvage, so the steal can make no progress.
-    /// The token's epoch is re-read from the map: if the steal's
-    /// reroute already landed, the salvager's `try_reroute` fails and
-    /// the flow is skipped (it lives at the thief now).
-    pub fn seize_for_salvage(&self, flow: usize, claimant: usize) -> Option<ClaimToken> {
-        let claim = self.claims.get(flow)?;
-        // ordering: SeqCst — the CAS expectation read, in the same
-        // total order as the seize CAS below. [pair: own-claim @ self]
-        let observed = claim.load(Ordering::SeqCst);
-        if state_of(observed) != STATE_STEALING {
-            return None;
-        }
-        let epoch = self.map.epoch_of(flow);
-        let word = pack(STATE_SALVAGING, claimant, epoch);
-        // ordering: SeqCst CAS — a seize must be ordered against the
-        // steal's own release/reroute so exactly one mover wins.
+        // ordered against competing claims (§13.1).
         // [pair: own-claim @ self]
         claim
             .compare_exchange(observed, word, Ordering::SeqCst, Ordering::SeqCst)
@@ -322,7 +284,7 @@ impl Ownership {
 
     /// Releases a claim: stores `Settled` at the flow's *current* map
     /// epoch, but only if the token still owns the claim word — a
-    /// seized claim belongs to the seizer and this call is a no-op.
+    /// release replayed after a resurrection (§13.4) is a no-op.
     pub fn release(&self, token: &ClaimToken) {
         let Some(claim) = self.claims.get(token.flow) else {
             return;
@@ -331,7 +293,7 @@ impl Ownership {
         // ordering: AcqRel CAS — Release publishes the mover's last
         // touch of the flow's packets to the next claimant (whose
         // acquiring claim CAS on this same word synchronizes with it);
-        // Acquire joins any seize that beat us. Downgraded from SeqCst:
+        // Acquire joins a release that beat us. Downgraded from SeqCst:
         // release races only through this one claim word, so RMW
         // coherence — not a cross-variable total order — decides the
         // winner. [pair: own-claim @ self]
@@ -361,51 +323,29 @@ mod tests {
     #[test]
     fn claim_reroute_release_advances_epoch() {
         let own = Ownership::new(8, 4);
-        let tok = own
-            .try_claim(3, OwnerState::Stealing, 2)
-            .expect("settled flow claims");
+        let tok = own.try_claim(3, 2).expect("settled flow claims");
         assert_eq!(own.owner_state(3), OwnerState::Stealing);
-        assert!(
-            own.try_claim(3, OwnerState::Stealing, 1).is_none(),
-            "claims are exclusive"
-        );
+        assert!(own.try_claim(3, 1).is_none(), "claims are exclusive");
         assert!(own.try_reroute(&tok, 2));
         assert_eq!(own.shard_of(3), Some(2));
         assert_eq!(own.map.epoch_of(3), 1);
         own.release(&tok);
         assert_eq!(own.owner_state(3), OwnerState::Settled);
-        assert!(
-            own.try_claim(3, OwnerState::Salvaging, 0).is_some(),
-            "released flows reclaim"
-        );
+        assert!(own.try_claim(3, 0).is_some(), "released flows reclaim");
+        // A replayed release of the old token no longer owns the word.
+        own.release(&tok);
+        assert_eq!(own.owner_state(3), OwnerState::Stealing);
     }
 
     #[test]
     fn stale_epoch_reroute_loses() {
         let own = Ownership::new(8, 4);
-        let tok = own.try_claim(1, OwnerState::Stealing, 3).unwrap();
+        let tok = own.try_claim(1, 3).unwrap();
         // Simulate the winner having already advanced the epoch: a
         // second reroute off the same token must fail.
         assert!(own.try_reroute(&tok, 3));
         assert!(!own.try_reroute(&tok, 2), "stale epoch must lose the CAS");
         assert_eq!(own.shard_of(1), Some(3), "loser must not move the flow");
-    }
-
-    #[test]
-    fn salvage_seizes_steal_but_not_vice_versa() {
-        let own = Ownership::new(8, 4);
-        let steal = own.try_claim(5, OwnerState::Stealing, 1).unwrap();
-        let seized = own.seize_for_salvage(5, 0).expect("salvage seizes a steal");
-        assert_eq!(own.owner_state(5), OwnerState::Salvaging);
-        // The seized steal's release is a no-op: the word changed.
-        own.release(&steal);
-        assert_eq!(own.owner_state(5), OwnerState::Salvaging);
-        // A salvage claim is never seized.
-        assert!(own.seize_for_salvage(5, 2).is_none());
-        assert!(own.try_reroute(&seized, 0));
-        own.release(&seized);
-        assert_eq!(own.owner_state(5), OwnerState::Settled);
-        assert_eq!(own.map.epoch_of(5), 1);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! (DESIGN.md §6):
 //!
 //! * `SyncStage` — every served flit passes through the caller's sink
-//!   inline, on the worker thread. It buffers nothing, so it gives the
-//!   trait's degenerate answers; a slow sink stalls the shard's whole
-//!   flit clock.
+//!   inline, on the worker thread. It holds no link state, so it gives
+//!   the trait's degenerate answers; a slow sink stalls the shard's
+//!   whole flit clock.
 //! * `BufferedStage` — served flits are committed to a per-shard SPSC
 //!   ring under per-link credit flow control (`err-egress`); a flusher
 //!   thread delivers them. A link with no credit to grant has its
@@ -37,16 +37,11 @@
 //! state — scheduler, migration driver, flit clock and stage, i.e. a
 //! `Bequest` — owned *outside* the closure (DESIGN.md §9.2): a panic
 //! unwinds out of the loop, the fence catches it, and the epilogue
-//! picks one of three paths:
+//! takes one of two paths:
 //!
-//! * **resurrection** (supervision with
-//!   [`SupervisionConfig::resurrection`](crate::SupervisionConfig), §13.6)
-//!   — the intact state is posted as the `Bequest` it already is; the
-//!   supervisor spawns a successor worker that adopts it, and the flow
-//!   map never moves;
-//! * **salvage** (supervision without resurrection) — the salvage path
-//!   re-homes the dead shard's flows, on this same thread, with the
-//!   scheduler state still owned here;
+//! * **bequeath** (supervision) — the intact state is posted as the
+//!   `Bequest` it already is; the supervisor spawns a successor worker
+//!   that adopts it, and no flow moves;
 //! * **re-throw** (no supervision) — the join observes the panic and
 //!   shutdown reports it as [`ShardExit::Panicked`](crate::ShardExit).
 //!
@@ -71,7 +66,7 @@ use desim::Cycle;
 use err_egress::{Egress, FlushProgress, LinkSet, Producer, ShardEgressStats, Sleep, BACKSTOP};
 use err_sched::{Packet, Scheduler, ServedFlit};
 
-use crate::fault::{abort_residuals, fault_tick, salvage_shard, try_exit, Bequest};
+use crate::fault::{abort_residuals, fault_tick, Bequest, ShardHealth};
 use crate::ingress::Shared;
 use crate::ownership::OwnerState;
 
@@ -93,7 +88,7 @@ pub(crate) struct ShardConfig {
 /// The shard's output side: where served flits go, and the link state
 /// only that side knows. The worker loop calls `serve`, and
 /// `can_progress` before it parks; the fault and steal layers put
-/// their five questions to it instead of borrowing its fields.
+/// their four questions to it instead of borrowing its fields.
 /// Dispatch is per loop or per protocol step, never per flit. Every
 /// method but `serve` defaults to the answer of a stage that buffers
 /// nothing — never parked, always retired, no-op — which is the whole
@@ -125,11 +120,6 @@ pub(crate) trait EgressStage: Send {
         false
     }
 
-    /// Marks (`true`) or clears `flow`'s pre-park on behalf of a
-    /// pending salvage (§9.2): a link release must not unpark it
-    /// before its package lands.
-    fn set_salvage_parked(&mut self, _flow: usize, _parked: bool) {}
-
     /// An injected `KillLink` (§9.5); a stage without links ignores it.
     fn declare_link_dead(&self, _link: usize) {}
 
@@ -147,11 +137,22 @@ pub(crate) trait EgressStage: Send {
 }
 
 /// Synchronous egress: the worker calls the optional sink inline.
+///
+/// The batch and its cursor live here, outside the panic fence, and
+/// ride the [`Bequest`] (§9.2): a sink that unwinds mid-batch leaves
+/// `served[next..]` pulled from the scheduler but not yet handed over,
+/// and nothing of the batch counted; the successor's first `serve`
+/// finishes it instead of pulling a new one. The flit the sink unwound
+/// on is not offered twice.
 pub(crate) struct SyncStage<E> {
     shard: usize,
     sink: Option<E>,
     /// The service batch, reused across loops.
     served: Vec<ServedFlit>,
+    /// Flits of `served` already handed to the sink.
+    next: usize,
+    /// Tail flits among them.
+    tails: u64,
 }
 
 impl<E: Egress> SyncStage<E> {
@@ -160,6 +161,8 @@ impl<E: Egress> SyncStage<E> {
             shard,
             sink,
             served: Vec::with_capacity(batch_flits),
+            next: 0,
+            tails: 0,
         }
     }
 }
@@ -172,19 +175,22 @@ impl<E: Egress> EgressStage for SyncStage<E> {
         now: Cycle,
         batch_flits: usize,
     ) -> (u64, u64, Option<bool>) {
-        self.served.clear();
-        let n = scheduler.service_batch(now, batch_flits, &mut self.served);
-        let mut tails = 0u64;
-        for flit in &self.served {
+        if self.next == self.served.len() {
+            self.served.clear();
+            (self.next, self.tails) = (0, 0);
+            scheduler.service_batch(now, batch_flits, &mut self.served);
+        }
+        for flit in &self.served[self.next..] {
+            self.next += 1;
             if flit.is_tail() {
-                tails += 1;
+                self.tails += 1;
                 shared.admission.on_packet_served(flit.flow, flit.len);
             }
             if let Some(sink) = self.sink.as_mut() {
                 sink.emit(self.shard, flit);
             }
         }
-        (n as u64, tails, None)
+        (self.served.len() as u64, self.tails, None)
     }
 }
 
@@ -203,7 +209,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
 /// * each batch, parked links whose credits returned are released.
 ///
 /// The stage is owned *outside* the panic fence and travels in the
-/// [`Bequest`] (§13.6): its parking marks and `pushed` count (§13.5's
+/// [`Bequest`] (§9.2): its parking marks and `pushed` count (§13.5's
 /// fence numerator) must survive the worker. A grant never does.
 pub(crate) struct BufferedStage {
     tx: Producer<ServedFlit>,
@@ -218,8 +224,6 @@ pub(crate) struct BufferedStage {
     /// Credits in hand per link; all zero outside `serve`.
     grant: Vec<u64>,
     link_parked: Vec<bool>,
-    /// Flows pre-parked on behalf of a pending salvage (§9.2).
-    salvage_parked: Vec<bool>,
     /// Cumulative flits this shard has committed to its egress ring —
     /// compared against the flusher's [`FlushProgress`] cursor by the
     /// donor-side retire fence (§13.5).
@@ -249,7 +253,6 @@ impl BufferedStage {
             link_flows,
             grant: vec![0; n_links],
             link_parked: vec![false; n_links],
-            salvage_parked: vec![false; n_flows],
             pushed: 0,
             flusher_slept: false,
         }
@@ -310,22 +313,20 @@ impl BufferedStage {
             }
         } else if self.link_parked[link] {
             self.link_parked[link] = false;
-            // Flows a pending salvage pre-parked stay parked (their
-            // package has not landed), and so does a flow under an
-            // active ownership claim (§13.1): a quiesced steal victim
-            // unparked here would be served past the §13.5 retire
-            // fence. Its mover unparks it when the claim resolves.
+            // A flow under an active ownership claim (§13.1) stays
+            // parked: a quiesced steal victim unparked here would be
+            // served past the §13.5 retire fence. Its mover unparks it
+            // when the claim resolves.
             for &flow in flows {
-                if !self.salvage_parked[flow]
-                    && shared
-                        .steal
-                        .as_ref()
-                        .is_none_or(|sr| sr.own.owner_state(flow) == OwnerState::Settled)
+                if shared
+                    .own
+                    .as_ref()
+                    .is_none_or(|own| own.owner_state(flow) == OwnerState::Settled)
                 {
                     // unpark: the release `unpark_respecting_links`
                     // defers to for credit-parked links — the authority
-                    // itself; the `salvage_parked` / `owner_state`
-                    // guards above keep claimed flows parked (§13.5).
+                    // itself; the `owner_state` guard above keeps
+                    // claimed flows parked (§13.5).
                     scheduler.unpark_flow(flow);
                 }
             }
@@ -436,10 +437,6 @@ impl EgressStage for BufferedStage {
         self.link_parked[self.links.route(flow)]
     }
 
-    fn set_salvage_parked(&mut self, flow: usize, parked: bool) {
-        self.salvage_parked[flow] = parked;
-    }
-
     fn declare_link_dead(&self, link: usize) {
         if link < self.links.n_links() {
             self.links.declare_dead(link);
@@ -461,26 +458,19 @@ impl EgressStage for BufferedStage {
 /// drained. Returns the shard's final flit clock.
 ///
 /// `w` comes from the spawner: fresh (clock 0) for a first-generation
-/// worker, its predecessor's for a successor (§13.6) — the clock
+/// worker, its predecessor's for a successor (§9.2) — the clock
 /// continues, it never rewinds.
 pub(crate) fn run_shard(shared: Arc<Shared>, mut w: Bequest) -> Cycle {
     let result = panic::catch_unwind(AssertUnwindSafe(|| run_loop(&shared, &mut w)));
     let Err(payload) = result else {
+        if let Some(fr) = shared.fault.as_ref() {
+            fr.board.set_health(w.cfg.shard, ShardHealth::Exited);
+        }
         return w.now;
     };
     let now = w.now;
     match shared.fault.as_ref() {
-        Some(fr) if fr.config.resurrection => fr.bequeath(w.cfg.shard, w),
-        Some(_) => {
-            // Salvage runs on this same thread, so the scheduler state
-            // is still owned here. A panic *inside* salvage (double
-            // fault) abandons conservation for this shard — documented
-            // in DESIGN.md §9.2; the fence keeps the worker from
-            // aborting the process under panic=unwind.
-            let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-                salvage_shard(&shared, w.cfg.shard, &mut w.scheduler);
-            }));
-        }
+        Some(fr) => fr.bequeath(w.cfg.shard, w),
         None => panic::resume_unwind(payload),
     }
     now
@@ -499,7 +489,7 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
     let stats = &shared.stats[shard];
     let mut arrivals: Vec<Packet> = Vec::with_capacity(cfg.batch_packets);
     let mut idle_spins: u32 = 0;
-    // A successor (§13.6) replaces its predecessor's thread handle.
+    // A successor (§9.2) replaces its predecessor's thread handle.
     shared.wakes[shard].register();
     // Exit-gate forensics, paired with the drain-side dump in
     // `Runtime::drain_within` (same `ERR_DRAIN_DEBUG` switch): a worker
@@ -512,16 +502,18 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
     let polls = shared.fault.is_some() || shared.steal.is_some() || shared.wakes.len() > 1;
     loop {
         // Fault phase (DESIGN.md §9): forced-shutdown abort, heartbeat,
-        // salvage inbox, quarantine, injected events. The stage holds
-        // neither flit nor credit between service phases, so a forced
-        // abort has only the scheduler's residue to count.
+        // quarantine, injected events. The stage holds neither flit nor
+        // credit between service phases — but for a sync batch a sink's
+        // unwind interrupted, which an abort that beats the successor's
+        // first `serve` leaves uncounted (§9.4) — so a forced abort has
+        // only the scheduler's residue to count.
         // ordering: Acquire pairs with the Release `abort` store in
         // `Runtime::drain_within` (forced-shutdown latch).
         if shared.abort.load(Ordering::Acquire) {
             abort_residuals(shared, shard, cfg.n_flows, scheduler);
             return;
         }
-        fault_tick(shared, shard, scheduler, *now, stage.as_mut());
+        fault_tick(shared, shard, *now, stage.as_ref());
 
         // Intake phase.
         arrivals.clear();
@@ -581,17 +573,10 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
             // producer could still push), everything this shard owns
             // is drained, no migration in flight names this shard
             // (DESIGN.md §8.6 — a mid-handoff exit would strand the
-            // victim's packets), *and* — under supervision — the
-            // Exited transition wins the salvage lock with an empty
-            // inbox (§9.2). The ring check must come after
+            // victim's packets). The ring check must come after
             // `can_finish`: once that returns true no further push can
             // happen, so empty is stable.
-            if !migrating
-                && shared.can_finish()
-                && ring.is_empty()
-                && scheduler.is_idle()
-                && try_exit(shared, shard)
-            {
+            if !migrating && shared.can_finish() && ring.is_empty() && scheduler.is_idle() {
                 break;
             }
             idle_spins += 1;

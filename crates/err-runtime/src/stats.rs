@@ -85,14 +85,8 @@ pub struct ShardStats {
     /// Steal requests that died before quiescing (no eligible victim,
     /// or shutdown).
     pub steal_aborts: PaddedCounter,
-    /// Packets rescued out of a dead shard (ring drain + flow
-    /// extraction) and re-homed; counted at the dying shard, per hop
-    /// (DESIGN.md §9.2 step 6).
-    pub salvaged_packets: PaddedCounter,
-    /// Flits of salvaged packets.
-    pub salvaged_flits: PaddedCounter,
-    /// Packets the fault layer could not save: abandoned mid-service
-    /// state, salvage with no live rescuer, or forced-abort losses.
+    /// Packets a forced abort (§9.4) cut off: ring, scheduler and
+    /// unadopted-bequest residue, admission charges revoked.
     pub lost_packets: PaddedCounter,
     /// Flits of lost packets (partially served packets count only
     /// their unserved remainder).
@@ -122,8 +116,6 @@ impl ShardStats {
             donated_out: self.donated_out.get(),
             migrated_flits: self.migrated_flits.get(),
             steal_aborts: self.steal_aborts.get(),
-            salvaged_packets: self.salvaged_packets.get(),
-            salvaged_flits: self.salvaged_flits.get(),
             lost_packets: self.lost_packets.get(),
             lost_flits: self.lost_flits.get(),
             timedout_packets: self.timedout_packets.get(),
@@ -166,10 +158,6 @@ pub struct ShardSnapshot {
     pub migrated_flits: u64,
     /// See [`ShardStats::steal_aborts`].
     pub steal_aborts: u64,
-    /// See [`ShardStats::salvaged_packets`].
-    pub salvaged_packets: u64,
-    /// See [`ShardStats::salvaged_flits`].
-    pub salvaged_flits: u64,
     /// See [`ShardStats::lost_packets`].
     pub lost_packets: u64,
     /// See [`ShardStats::lost_flits`].
@@ -243,10 +231,6 @@ impl RuntimeStats {
         migrated_flits => migrated_flits,
         /// Total steal requests aborted before quiescing.
         steal_aborts => steal_aborts,
-        /// Total packets rescued out of dead shards (per rescue hop).
-        salvaged_packets => salvaged_packets,
-        /// Total flits of salvaged packets (per rescue hop).
-        salvaged_flits => salvaged_flits,
         /// Total packets lost to faults or forced shutdown.
         lost_packets => lost_packets,
         /// Total flits of lost packets.
@@ -319,13 +303,10 @@ impl fmt::Display for RuntimeStats {
                 self.steal_aborts(),
             )?;
         }
-        if self.salvaged_packets() > 0 || self.lost_packets() > 0 || self.timedout_packets() > 0 {
+        if self.lost_packets() > 0 || self.timedout_packets() > 0 {
             writeln!(
                 f,
-                "  faults: salvaged {} pkts / {} flits | lost {} pkts / {} flits | \
-                 timed out {} pkts",
-                self.salvaged_packets(),
-                self.salvaged_flits(),
+                "  faults: lost {} pkts / {} flits | timed out {} pkts",
                 self.lost_packets(),
                 self.lost_flits(),
                 self.timedout_packets(),

@@ -14,10 +14,9 @@
 //!
 //! `runtime-bench --chaos [--smoke] [FAULT_OUT]` runs the fault
 //! scenarios instead (DESIGN.md §9): kill-1-of-N shard throughput vs a
-//! supervised no-fault baseline (with the salvage recovery-time
-//! distribution from the `FaultBoard` stamps), a resurrection replay of
-//! the same kill (a successor adopts the dead shard's ring — zero
-//! salvaged, zero lost, DESIGN.md §13.6), a dead-egress-link
+//! supervised no-fault baseline (a successor adopts the dead shard in
+//! place — zero lost, §9.2 — with the adoption-time distribution from
+//! the `FaultBoard` stamps), a dead-egress-link
 //! run measuring how much the unaffected links keep delivering, and a
 //! kill-link-mid-fabric run on a 4×4 mesh asserting the survivors
 //! reroute with conservation intact. Writes `BENCH_fault.json`.
@@ -645,12 +644,13 @@ fn run_stealing_bench(
 ///
 /// Scenario A — kill 1 of N shards mid-run: a supervised runtime with a
 /// `FaultPlan` that panics one worker a quarter of the way through its
-/// share of the workload. The survivors absorb the dead shard's flows
-/// via salvage, so end-to-end throughput should hold at least the
-/// `(N-1)/N` capacity fraction of a supervised no-fault baseline (on a
-/// time-sliced container it is usually ~1.0, since the survivors soak
-/// up the freed CPU). Recovery time is `recovered_at - death_at` from
-/// the `FaultBoard` stamps, collected across repeats. Runs interleave
+/// share of the workload. The supervisor adopts the dead worker's
+/// bequest into a successor (DESIGN.md §9.2) — nothing re-homed, zero
+/// lost, asserted per run — so end-to-end throughput should hold at
+/// least the `(N-1)/N` capacity fraction of a supervised no-fault
+/// baseline even while the shard is down (it is usually ~1.0: the
+/// outage is one supervisor poll). Recovery time is `recovered_at -
+/// death_at` from the `FaultBoard` stamps, collected across repeats. Runs interleave
 /// as baseline/killed *pairs* and the best pair ratio is kept:
 /// wall-clock noise on a shared container is time-correlated (CPU
 /// frequency, neighbors), so adjacent runs see the same regime and
@@ -663,22 +663,13 @@ struct ChaosKillSample {
     baseline_pps: f64,
     killed_pps: f64,
     ratio: f64,
-    salvaged_packets: u64,
-    lost_packets: u64,
     recovery_micros: Vec<u64>,
 }
 
-/// One supervised run; `plan` optionally kills a shard. With
-/// `resurrection` the supervisor replaces the dead worker instead of
-/// salvaging its flows (DESIGN.md §13.6), so a kill must finish with
-/// zero salvaged *and* zero lost. Returns (packets/sec, salvaged,
-/// lost, recovery µs of the planned victim).
-fn chaos_kill_run(
-    shards: usize,
-    packets: u64,
-    plan: Option<FaultPlan>,
-    resurrection: bool,
-) -> (f64, u64, u64, Option<u64>) {
+/// One supervised run; `plan` optionally kills a shard, which must
+/// finish with zero lost. Returns (packets/sec, recovery µs of the
+/// planned victim).
+fn chaos_kill_run(shards: usize, packets: u64, plan: Option<FaultPlan>) -> (f64, Option<u64>) {
     let victim = plan
         .as_ref()
         .and_then(|p| p.events().first())
@@ -688,10 +679,7 @@ fn chaos_kill_run(
         n_flows: N_FLOWS,
         discipline: Discipline::Err,
         ring_capacity: 1 << 13,
-        supervision: Some(SupervisionConfig {
-            resurrection,
-            ..SupervisionConfig::default()
-        }),
+        supervision: Some(SupervisionConfig::default()),
         fault_plan: plan,
         ..RuntimeConfig::default()
     });
@@ -701,7 +689,7 @@ fn chaos_kill_run(
         handle.submit(pkt).expect("unlimited admission never fails");
     }
     // The victim must pass its kill cycle to finish its share, so the
-    // stamps always land; the poll just covers the salvage window.
+    // stamps always land; the poll just covers the adoption window.
     let mut recovery = None;
     if let Some(v) = victim {
         let poll_deadline = Instant::now() + Duration::from_secs(30);
@@ -722,62 +710,32 @@ fn chaos_kill_run(
     );
     if victim.is_some() {
         assert!(recovery.is_some(), "planned kill never fired");
-        if resurrection {
-            // The successor adopts the dead shard's ring and scheduler
-            // wholesale: nothing is re-homed, nothing is lost.
-            assert_eq!(
-                report.salvaged_packets(),
-                0,
-                "resurrection fell back to salvage: {report:?}"
-            );
-            assert_eq!(
-                report.lost_packets(),
-                0,
-                "resurrection lost packets: {report:?}"
-            );
-        }
-        // No per-run `salvaged > 0` assert: on one oversubscribed core
-        // a kill can land on a momentarily drained victim (served ==
-        // enqueued at that instant), which is a valid run that just
-        // didn't exercise salvage. `chaos_kill_compare` requires that
-        // at least one pair in the best-of set did.
     }
-    (
-        packets as f64 / elapsed,
-        report.salvaged_packets(),
-        report.lost_packets(),
-        recovery,
-    )
+    // The successor adopts the dead shard's ring and scheduler
+    // wholesale: nothing is re-homed, nothing is lost.
+    assert_eq!(report.lost_packets(), 0, "lost packets: {report:?}");
+    (packets as f64 / elapsed, recovery)
 }
 
 fn chaos_kill_compare(shards: usize, packets: u64) -> ChaosKillSample {
     // Kill the victim a quarter of the way through its expected share
-    // of the flit workload — solidly mid-run, with backlog to salvage.
+    // of the flit workload — solidly mid-run, with backlog to adopt.
     let victim = 1usize;
     let kill_at = (packets * PACKET_LEN as u64 / shards as u64 / 4).max(500);
     let mut baseline_pps = 0f64;
     let mut killed_pps = 0f64;
     let mut ratio = 0f64;
-    let mut salvaged = 0u64;
-    let mut lost = 0u64;
     let mut recovery_micros = Vec::new();
-    let mut max_salvaged = 0u64;
     for _ in 0..CHAOS_BEST_OF {
-        let (b_pps, _, _, _) = chaos_kill_run(shards, packets, None, false);
+        let (b_pps, _) = chaos_kill_run(shards, packets, None);
         let plan = FaultPlan::new().kill_shard_at(victim, kill_at);
-        let (k_pps, s, l, rec) = chaos_kill_run(shards, packets, Some(plan), false);
+        let (k_pps, rec) = chaos_kill_run(shards, packets, Some(plan));
         recovery_micros.push(rec.expect("victim recovery stamped"));
-        max_salvaged = max_salvaged.max(s);
         let r = k_pps / b_pps.max(f64::MIN_POSITIVE);
         if r > ratio {
-            (ratio, baseline_pps, killed_pps, salvaged, lost) = (r, b_pps, k_pps, s, l);
+            (ratio, baseline_pps, killed_pps) = (r, b_pps, k_pps);
         }
     }
-    assert!(
-        max_salvaged > 0,
-        "no kill in {CHAOS_BEST_OF} pairs caught the victim with backlog: \
-         salvage was never exercised at {shards} shards"
-    );
     recovery_micros.sort_unstable();
     let floor = (shards - 1) as f64 / shards as f64;
     assert!(
@@ -790,8 +748,6 @@ fn chaos_kill_compare(shards: usize, packets: u64) -> ChaosKillSample {
         baseline_pps,
         killed_pps,
         ratio,
-        salvaged_packets: salvaged,
-        lost_packets: lost,
         recovery_micros,
     }
 }
@@ -863,10 +819,10 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
         }
     }));
 
-    // Salvage is a fixed pause (park handshake + per-flow extract,
-    // ~1-3ms); the run has to be long enough that the pause amortizes
-    // below the (N-1)/N floor's slack, or the bench measures the pause
-    // rather than the degraded steady state.
+    // The outage is a fixed pause (one supervisor poll plus a thread
+    // spawn, ~1-3ms); the run has to be long enough that the pause
+    // amortizes below the (N-1)/N floor's slack, or the bench measures
+    // the pause rather than the steady state.
     let kill_packets: u64 = if smoke { 60_000 } else { 400_000 };
     let kill_shards: &[usize] = if smoke { &[4] } else { &[4, 8] };
     let window = Duration::from_millis(if smoke { 40 } else { 250 });
@@ -878,38 +834,12 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
             let sample = chaos_kill_compare(s, kill_packets);
             eprintln!(
                 "  {s} shards: baseline {:.0} -> killed {:.0} packets/s (ratio {:.3}, \
-                 {} salvaged, {} lost, recovery {:?} us)",
-                sample.baseline_pps,
-                sample.killed_pps,
-                sample.ratio,
-                sample.salvaged_packets,
-                sample.lost_packets,
-                sample.recovery_micros,
+                 0 lost, adoption after {:?} us)",
+                sample.baseline_pps, sample.killed_pps, sample.ratio, sample.recovery_micros,
             );
             sample
         })
         .collect();
-
-    // Resurrection replay (DESIGN.md §13.6): the same seeded kill, but
-    // the supervisor respawns the dead worker over its surviving ring
-    // and scheduler instead of salvaging. The chaos claim strengthens
-    // from "nothing lost, flows re-homed" to "nothing lost, nothing
-    // even re-homed" — `chaos_kill_run` asserts salvaged == 0 and
-    // lost == 0 when `resurrection` is set.
-    let res_shards = kill_shards[0];
-    let res_kill_at = (kill_packets * PACKET_LEN as u64 / res_shards as u64 / 4).max(500);
-    eprintln!(
-        "runtime-bench: resurrection replay, kill 1 of {res_shards} with a successor \
-         adopting the ring ({kill_packets} packets)..."
-    );
-    let res_plan = FaultPlan::new().kill_shard_at(1, res_kill_at);
-    let (res_pps, res_salvaged, res_lost, res_recovery) =
-        chaos_kill_run(res_shards, kill_packets, Some(res_plan), true);
-    let res_recovery = res_recovery.expect("victim recovery stamped");
-    eprintln!(
-        "  resurrection: {res_pps:.0} packets/s, {res_salvaged} salvaged, \
-         {res_lost} lost, adoption after {res_recovery} us"
-    );
 
     eprintln!("runtime-bench: dead egress link, {EGRESS_LINKS} links, link 0 killed...");
     let mut dead_baseline_fps = 0f64;
@@ -978,10 +908,12 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
     json.push_str(&format!("  \"best_of\": {CHAOS_BEST_OF},\n"));
     json.push_str(
         "  \"kill_metric\": \"wall-clock packets/sec, one shard killed at 25% of its \
-         flit share vs supervised no-fault baseline; floor = (N-1)/N capacity \
-         fraction; best ratio over interleaved baseline/killed pairs (wall noise is \
-         time-correlated, pairing cancels it); recovery_micros = recovered_at - \
-         death_at per repeat, sorted\",\n",
+         flit share and resurrected in place by a successor adopting its ring and \
+         scheduler (DESIGN.md 9.2; zero lost, asserted per run) vs supervised \
+         no-fault baseline; floor = (N-1)/N capacity fraction; best ratio over \
+         interleaved baseline/killed pairs (wall noise is time-correlated, pairing \
+         cancels it); recovery_micros = recovered_at - death_at per repeat, \
+         sorted\",\n",
     );
     json.push_str("  \"kill_one_of_n\": [\n");
     for (i, s) in kill_samples.iter().enumerate() {
@@ -989,29 +921,18 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
         json.push_str(&format!(
             "    {{\"shards\": {}, \"packets\": {}, \"baseline_pps\": {:.1}, \
              \"killed_pps\": {:.1}, \"ratio\": {:.4}, \"floor\": {:.4}, \
-             \"salvaged_packets\": {}, \"lost_packets\": {}, \
-             \"recovery_micros\": [{}]}}{}\n",
+             \"lost_packets\": 0, \"recovery_micros\": [{}]}}{}\n",
             s.shards,
             s.packets,
             s.baseline_pps,
             s.killed_pps,
             s.ratio,
             (s.shards - 1) as f64 / s.shards as f64,
-            s.salvaged_packets,
-            s.lost_packets,
             recs.join(", "),
             if i + 1 == kill_samples.len() { "" } else { "," }
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"resurrection_replay\": {{\"shards\": {res_shards}, \
-         \"packets\": {kill_packets}, \"kill_at_flits\": {res_kill_at}, \
-         \"claim\": \"the dead worker is replaced by a successor adopting its ring \
-         and scheduler (DESIGN.md 13.6): zero salvaged, zero lost, asserted\", \
-         \"packets_per_sec\": {res_pps:.1}, \"salvaged_packets\": {res_salvaged}, \
-         \"lost_packets\": {res_lost}, \"adoption_micros\": {res_recovery}}},\n"
-    ));
     json.push_str(&format!(
         "  \"dead_link\": {{\"n_links\": {EGRESS_LINKS}, \"killed_link\": 0, \
          \"policy\": \"drop_and_account\", \

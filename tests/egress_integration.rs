@@ -319,8 +319,8 @@ fn credit_pool_bounds_buffered_flits_per_link() {
 /// Buffered egress must not change *what* is scheduled, only how it is
 /// delivered: for one shard and an identical pre-loaded workload, every
 /// flow sees the identical flit sequence under sync and buffered modes.
-/// With a `fault_plan` the shard runs under resurrection (DESIGN.md
-/// §13.6), so the same holds across a worker death whose successor
+/// With a `fault_plan` the shard runs under supervision (DESIGN.md
+/// §9.2), so the same holds across a worker death whose successor
 /// adopts the egress stage of either mode.
 fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>) {
     let faulted = fault_plan.is_some();
@@ -333,10 +333,7 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>) {
                 n_flows: 8,
                 discipline: Discipline::Err,
                 egress,
-                supervision: faulted.then(|| SupervisionConfig {
-                    resurrection: true,
-                    ..SupervisionConfig::default()
-                }),
+                supervision: faulted.then(SupervisionConfig::default),
                 fault_plan: fault_plan.clone(),
                 ..RuntimeConfig::default()
             },
@@ -774,7 +771,6 @@ fn starved_worker_under_supervision_keeps_beating() {
                 supervision: Some(SupervisionConfig {
                     poll: Duration::from_millis(1),
                     heartbeat_deadline: Duration::from_millis(5),
-                    ..SupervisionConfig::default()
                 }),
                 ..RuntimeConfig::default()
             },
@@ -1036,7 +1032,7 @@ fn credit_returned_by_another_shards_flusher_wakes_the_starved_worker() {
     );
 }
 
-/// A successor worker (DESIGN.md §13.6) sleeps on the same wake cell
+/// A successor worker (DESIGN.md §9.2) sleeps on the same wake cell
 /// as the worker it replaces, under its own thread handle: after a
 /// planned kill and adoption, producers blocked on backpressure still
 /// end its parks, and nothing strands.
@@ -1058,10 +1054,7 @@ fn resurrected_worker_is_woken_through_its_reregistered_handle() {
                 n_links: 2,
                 ..BufferedConfig::default()
             }),
-            supervision: Some(SupervisionConfig {
-                resurrection: true,
-                ..SupervisionConfig::default()
-            }),
+            supervision: Some(SupervisionConfig::default()),
             fault_plan: Some(FaultPlan::new().kill_shard_at(0, 200)),
             ..RuntimeConfig::default()
         },

@@ -1,28 +1,30 @@
 //! Tier-1 acceptance for the fault-tolerance layer (DESIGN.md §9).
 //!
-//! Four parts:
+//! Five parts:
 //!
 //! * doc–code drift tests in the `tests/migration_stealing.rs` style:
 //!   DESIGN.md §9 is a normative spec, so it must keep naming exactly
 //!   the lifecycle variants and protocol vocabulary the code exports;
 //! * a chaos integration run: a seeded `FaultPlan` kills 1 of 4 shards
-//!   mid-run, the runtime finishes without panicking, the ledger
-//!   balances including `salvaged`/`lost`, and per-flow emit order is
-//!   unchanged vs a fault-free run (except the at-most-one packet cut
-//!   mid-wormhole at the death, whose tail is honestly `lost`);
+//!   mid-run, the runtime finishes without panicking, nothing is
+//!   `lost`, and every flow's emit log is identical to a fault-free
+//!   run's — the successor adopted the scheduler between two flits;
+//! * a sink that panics once mid-batch under sync egress: the successor
+//!   finishes the interrupted batch, so the ledger still balances;
 //! * `shutdown_within` under a forever-stalled link: returns within
 //!   the deadline instead of hanging, with the abandoned backlog
 //!   reported as losses;
 //! * a regression for the pre-§9 bug where `Runtime::shutdown`
 //!   re-panicked on a panicked worker join.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use desim::SimRng;
 use err_runtime::{
     AdmissionPolicy, BufferedConfig, DeadLinkPolicy, EgressMode, FaultKind, FaultPlan, LinkState,
-    Runtime, RuntimeConfig, ShardExit, ShardHealth, StallPlan, Submitted, SupervisionConfig,
+    Runtime, RuntimeConfig, RuntimeHandle, ShardExit, ShardHealth, StallPlan, Submitted,
+    SupervisionConfig,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -36,7 +38,7 @@ use err_sched::{Packet, ServedFlit};
 fn panics_unwind_in_this_build() {
     assert!(
         cfg!(panic = "unwind"),
-        "fault tolerance requires -C panic=unwind (catch_unwind is the salvage fence)"
+        "fault tolerance requires -C panic=unwind (catch_unwind is the worker's fence)"
     );
 }
 
@@ -107,7 +109,9 @@ fn design_section_9_names_the_protocol_vocabulary() {
         "FaultBoard",
         "shutdown_within",
         "TimedOut",
-        "salvaged",
+        "Bequest",
+        "bequeath",
+        "spawn_worker",
         "lost",
         "heartbeat",
         "resurrect",
@@ -145,8 +149,14 @@ fn seeded_kill_plan(shards: usize) -> FaultPlan {
 type FlowLog = Vec<Mutex<Vec<(u64, u32)>>>;
 
 /// Runs the fixed chaos workload, capturing per-flow emissions, and
-/// returns (per-flow logs, drain report).
-fn chaos_workload(plan: Option<FaultPlan>) -> (Vec<Vec<(u64, u32)>>, err_runtime::DrainReport) {
+/// returns (per-flow logs, drain report). With `draining` every sink
+/// holds its first flit until `shutdown` has closed the gate, so the
+/// whole run — planned kill and adoption included — happens while the
+/// runtime drains.
+fn chaos_workload(
+    plan: Option<FaultPlan>,
+    draining: bool,
+) -> (Vec<Vec<(u64, u32)>>, err_runtime::DrainReport) {
     let planned_victims: Vec<usize> = plan
         .as_ref()
         .map(|p| {
@@ -159,24 +169,32 @@ fn chaos_workload(plan: Option<FaultPlan>) -> (Vec<Vec<(u64, u32)>>, err_runtime
         .unwrap_or_default();
     let captured: Arc<FlowLog> =
         Arc::new((0..CHAOS_FLOWS).map(|_| Mutex::new(Vec::new())).collect());
+    let gate: Arc<OnceLock<RuntimeHandle>> = Arc::new(OnceLock::new());
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
             shards: 4,
             n_flows: CHAOS_FLOWS,
             ring_capacity: 1 << 14,
-            supervision: Some(SupervisionConfig::default()),
+            // The planned kill is the only death wanted: a deadline no
+            // scheduling hiccup of an oversubscribed host can reach.
+            supervision: Some(SupervisionConfig {
+                heartbeat_deadline: Duration::from_secs(10),
+                ..SupervisionConfig::default()
+            }),
             fault_plan: plan,
             ..RuntimeConfig::default()
         },
         {
-            let captured = Arc::clone(&captured);
+            let (captured, gate) = (Arc::clone(&captured), Arc::clone(&gate));
             move |_shard| {
-                let captured = Arc::clone(&captured);
+                let (captured, gate) = (Arc::clone(&captured), Arc::clone(&gate));
                 Some(move |_s: usize, f: &ServedFlit| {
-                    // Only one shard serves a flow at any instant (the
-                    // salvage park/absorb handshake keeps it so across a
-                    // death), so one lock per flow records a well-defined
-                    // per-flow order.
+                    while draining && !gate.get().is_some_and(|h| h.is_closed()) {
+                        std::thread::yield_now();
+                    }
+                    // A flow never leaves its shard and a successor
+                    // starts only after its predecessor's fence, so one
+                    // lock per flow records a well-defined per-flow order.
                     captured[f.flow]
                         .lock()
                         .unwrap()
@@ -185,6 +203,7 @@ fn chaos_workload(plan: Option<FaultPlan>) -> (Vec<Vec<(u64, u32)>>, err_runtime
             }
         },
     );
+    assert!(gate.set(handle.clone()).is_ok());
     for id in 0..CHAOS_PACKETS {
         let flow = (id % CHAOS_FLOWS as u64) as usize;
         assert_eq!(
@@ -192,12 +211,10 @@ fn chaos_workload(plan: Option<FaultPlan>) -> (Vec<Vec<(u64, u32)>>, err_runtime
             Ok(Submitted::Enqueued)
         );
     }
-    // Wait for every planned shard fault to run its salvage before
-    // closing: once `shutdown` flips `closed`, an idle shard may drain
-    // out and exit, and a victim dying after that has fewer (or no)
-    // rescuers — a legitimate total-loss path, but not the mid-run
-    // scenario this test is about.
-    if let Some(board) = rt.fault_board() {
+    // Mid-run: wait for every planned kill to fire *and* its successor
+    // to be adopted before closing, so the run exercises mid-run
+    // resurrection rather than a death racing shutdown.
+    if let Some(board) = rt.fault_board().filter(|_| !draining) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while planned_victims
             .iter()
@@ -205,7 +222,7 @@ fn chaos_workload(plan: Option<FaultPlan>) -> (Vec<Vec<(u64, u32)>>, err_runtime
         {
             assert!(
                 Instant::now() < deadline,
-                "planned fault never fired/salvaged"
+                "planned kill never fired / successor never adopted"
             );
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -229,187 +246,119 @@ fn expected_flow_log(flow: usize) -> Vec<(u64, u32)> {
     v
 }
 
-/// Seeded `FaultPlan` kills 1 of 4 shards mid-run: no panic escapes,
-/// the ledger balances including `salvaged`/`lost`, and every flow's
-/// emit order matches the fault-free run — the only permitted
-/// difference is the at-most-one packet whose wormhole was cut by the
-/// death: its emitted head is a proper prefix and its unsent tail is
-/// exactly what the report counts `lost`.
+/// Seeded `FaultPlan` kills 1 of 4 shards (DESIGN.md §9.2), once
+/// mid-run and once with the gate already closed: no panic escapes,
+/// the dying worker bequeaths its scheduler and the supervisor adopts
+/// it into a fresh thread — so *nothing* is lost, not even the
+/// wormhole in flight: the bequest carries the exact scheduler state
+/// between two flit emissions, every flow's emit log is identical to
+/// the fault-free run's, and a successor adopted mid-drain finishes the
+/// drain.
 #[test]
-fn seeded_shard_kill_preserves_flow_order_and_conserves() {
-    let (clean_logs, clean_report) = chaos_workload(None);
+fn resurrection_recovers_a_killed_shard_with_zero_loss() {
+    let (clean_logs, clean_report) = chaos_workload(None, false);
     assert!(clean_report.is_conserving(), "{clean_report:?}");
     assert_eq!(clean_report.served_packets(), CHAOS_PACKETS);
     for (flow, log) in clean_logs.iter().enumerate() {
         assert_eq!(log, &expected_flow_log(flow), "fault-free flow {flow}");
     }
 
-    let plan = seeded_kill_plan(4);
-    let victim = plan.events()[0].shard;
-    let (logs, report) = chaos_workload(Some(plan));
+    for draining in [false, true] {
+        let plan = seeded_kill_plan(4);
+        let victim = plan.events()[0].shard;
+        let (logs, report) = chaos_workload(Some(plan), draining);
 
-    assert!(report.is_conserving(), "{report:?}");
-    assert!(
-        report.exits[victim] == ShardExit::Panicked,
-        "victim shard {victim} should be recorded Panicked: {:?}",
-        report.exits
-    );
-    assert!(
-        report.salvaged_packets() > 0,
-        "a mid-run kill with backlog must salvage something: {report:?}"
-    );
-    assert!(
-        report.lost_packets() <= 1,
-        "one death cuts at most one wormhole: {report:?}"
-    );
-    assert_eq!(
-        report.served_packets() + report.lost_packets(),
-        CHAOS_PACKETS,
-        "{report:?}"
-    );
-
-    let mut lost_flits = 0u64;
-    let mut cut_packets = 0u64;
-    for (flow, log) in logs.iter().enumerate() {
-        let expected = expected_flow_log(flow);
-        if log == &expected {
+        assert!(report.is_conserving(), "{report:?}");
+        assert_eq!(
+            report.lost_packets(),
+            0,
+            "resurrection adopts the scheduler whole — no wormhole is cut: {report:?}"
+        );
+        assert_eq!(report.served_packets(), CHAOS_PACKETS, "{report:?}");
+        for (shard, exit) in report.exits.iter().enumerate() {
+            // The shard's death stays on the record even though its
+            // lineage recovered.
+            let expected = if shard == victim {
+                ShardExit::Panicked
+            } else {
+                ShardExit::Clean
+            };
+            assert_eq!(*exit, expected, "shard {shard}: {:?}", report.exits);
+        }
+        for (flow, log) in logs.iter().enumerate() {
             assert_eq!(
                 log, &clean_logs[flow],
-                "surviving flow {flow} diverged from the fault-free run"
+                "flow {flow} diverged from the fault-free run (draining: {draining})"
             );
-            continue;
         }
-        // The flow crossed the death: its log must be the expected
-        // sequence with the cut packet's tail (possibly the whole
-        // packet) removed — the packet in flight on the dying shard,
-        // whose tail cannot be replayed elsewhere without corrupting
-        // the wormhole. Greedy in-order match: every expected item the
-        // log skipped must belong to that single cut packet, and once
-        // cut, a packet may never emit again.
-        let mut li = 0usize;
-        let mut cut: Option<u64> = None;
-        for &(eid, eidx) in &expected {
-            if li < log.len() && log[li] == (eid, eidx) {
-                assert!(
-                    cut != Some(eid),
-                    "flow {flow}: packet {eid} resumed after its wormhole was cut"
-                );
-                li += 1;
-                continue;
-            }
-            match cut {
-                None => {
-                    cut = Some(eid);
-                    cut_packets += 1;
-                    lost_flits += 1;
-                }
-                Some(c) if c == eid => lost_flits += 1,
-                Some(c) => panic!(
-                    "flow {flow}: packet {eid} flit {eidx} missing but packet {c} \
-                     was already cut — one death cuts one wormhole"
-                ),
-            }
-        }
-        assert_eq!(
-            li,
-            log.len(),
-            "flow {flow}: emitted flits beyond the submitted sequence (reorder?)"
-        );
     }
-    assert_eq!(
-        cut_packets,
-        report.lost_packets(),
-        "cut wormholes vs reported lost packets"
-    );
-    assert_eq!(
-        lost_flits,
-        report.stats.lost_flits(),
-        "unsent tails vs reported lost flits"
-    );
 }
 
-/// Resurrection (DESIGN.md §13.6): the same seeded mid-run shard kill,
-/// but with `SupervisionConfig::resurrection` on, the dying worker
-/// bequeaths its scheduler and the supervisor adopts it into a fresh
-/// thread — so *nothing* is lost, not even the wormhole in flight: the
-/// bequest carries the exact scheduler state between flit emissions,
-/// and every flow's emit order is byte-identical to a fault-free run.
+/// A sink bug under sync egress and supervision: the sink panics once,
+/// on the 101st flit it is offered — mid-batch, with the rest of that
+/// `service_batch` already pulled out of the scheduler. The batch rides
+/// the bequest in the stage and the successor's first `serve` finishes
+/// it (DESIGN.md §9.2), so every flit reaches the sink exactly once,
+/// nothing is lost, and no admission charge leaks to wedge a
+/// backpressured producer.
 #[test]
-fn resurrection_recovers_a_killed_shard_with_zero_loss() {
-    let plan = seeded_kill_plan(4);
-    let victim = plan.events()[0].shard;
-    let captured: Arc<FlowLog> =
-        Arc::new((0..CHAOS_FLOWS).map(|_| Mutex::new(Vec::new())).collect());
+fn sink_panic_mid_batch_is_finished_by_the_successor() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    const FLOWS: usize = 4;
+    const PACKETS: u64 = 2_000;
+    const LEN: u32 = 8;
+    let captured: Arc<FlowLog> = Arc::new((0..FLOWS).map(|_| Mutex::new(Vec::new())).collect());
+    let offered = Arc::new(AtomicU64::new(0));
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
-            shards: 4,
-            n_flows: CHAOS_FLOWS,
-            ring_capacity: 1 << 14,
-            supervision: Some(SupervisionConfig {
-                resurrection: true,
-                ..SupervisionConfig::default()
-            }),
-            fault_plan: Some(plan),
+            shards: 1,
+            n_flows: FLOWS,
+            admission: AdmissionPolicy::Backpressure { max_backlog: 128 },
+            supervision: Some(SupervisionConfig::default()),
             ..RuntimeConfig::default()
         },
         {
-            let captured = Arc::clone(&captured);
+            let (captured, offered) = (Arc::clone(&captured), Arc::clone(&offered));
             move |_shard| {
-                let captured = Arc::clone(&captured);
+                let (captured, offered) = (Arc::clone(&captured), Arc::clone(&offered));
                 Some(move |_s: usize, f: &ServedFlit| {
                     captured[f.flow]
                         .lock()
                         .unwrap()
                         .push((f.packet, f.flit_index));
+                    if offered.fetch_add(1, Ordering::Relaxed) == 100 {
+                        panic!("sink bug: the 101st flit is cursed");
+                    }
                 })
             }
         },
     );
-    for id in 0..CHAOS_PACKETS {
-        let flow = (id % CHAOS_FLOWS as u64) as usize;
+    for id in 0..PACKETS {
+        let flow = (id % FLOWS as u64) as usize;
+        // Bounded: a leaked admission charge would otherwise hang the
+        // test here instead of failing it.
         assert_eq!(
-            handle.submit(Packet::new(id, flow, CHAOS_LEN, 0)),
-            Ok(Submitted::Enqueued)
+            handle.submit_within(Packet::new(id, flow, LEN, 0), Duration::from_secs(10)),
+            Ok(Submitted::Enqueued),
+            "packet {id}: a backpressured submit starved"
         );
-    }
-    // Wait for the kill to fire *and* the successor to be adopted
-    // before closing, so the test exercises mid-run resurrection
-    // rather than a death racing shutdown.
-    let board = rt.fault_board().expect("supervision publishes a board");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while board.recovery_micros(victim).is_none() {
-        assert!(
-            Instant::now() < deadline,
-            "planned kill never fired / successor never adopted"
-        );
-        std::thread::sleep(Duration::from_micros(200));
     }
     let report = rt.shutdown();
     assert!(report.is_conserving(), "{report:?}");
-    assert_eq!(
-        report.lost_packets(),
-        0,
-        "resurrection adopts the scheduler whole — no wormhole is cut: {report:?}"
-    );
-    assert_eq!(report.served_packets(), CHAOS_PACKETS, "{report:?}");
-    assert_eq!(
-        report.salvaged_packets(),
-        0,
-        "resurrection must not fall back to salvage: {report:?}"
-    );
-    assert_eq!(
-        report.exits[victim],
-        ShardExit::Panicked,
-        "the shard's death is still on the record even though its \
-         lineage recovered: {:?}",
-        report.exits
-    );
+    assert_eq!(report.served_packets(), PACKETS, "{report:?}");
+    assert_eq!(report.stats.served_flits(), PACKETS * LEN as u64);
+    assert_eq!(report.lost_packets(), 0, "{report:?}");
+    assert_eq!(report.exits, [ShardExit::Panicked]);
     for (flow, log) in captured.iter().enumerate() {
-        let log = log.lock().unwrap();
+        let expected: Vec<(u64, u32)> = (0..PACKETS)
+            .filter(|id| (id % FLOWS as u64) as usize == flow)
+            .flat_map(|id| (0..LEN).map(move |idx| (id, idx)))
+            .collect();
         assert_eq!(
-            *log,
-            expected_flow_log(flow),
-            "flow {flow} diverged from the fault-free emission order"
+            *log.lock().unwrap(),
+            expected,
+            "flow {flow}: a flit was skipped or offered twice"
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Tier-1 acceptance for flow migration & work stealing (DESIGN.md §8).
 //!
-//! Two halves:
+//! Three parts:
 //!
 //! * a doc–code drift test: DESIGN.md §8 is a normative spec written
 //!   before the implementation, so it must keep naming exactly the
@@ -10,11 +10,19 @@
 //!   flow: under heavy skew the runtime must migrate at least once,
 //!   conserve every flit, and keep each flow's emitted sequence exactly
 //!   its submission order with contiguous flit indices — migration is
-//!   invisible in the output.
+//!   invisible in the output;
+//! * the same run supervised, with the hot flow's home shard killed
+//!   mid-run under sync and under buffered egress: the successor
+//!   inherits the dead worker's migration state, so stealing carries on
+//!   and the output is still invisible-migration clean.
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use err_runtime::{MigrationPhase, Runtime, RuntimeConfig, StealingConfig, Submitted};
+use err_runtime::{
+    BufferedConfig, DrainReport, EgressMode, FaultPlan, FlowMap, MigrationPhase, Runtime,
+    RuntimeConfig, ShardExit, StealingConfig, Submitted, SupervisionConfig,
+};
 use err_sched::{Packet, ServedFlit};
 
 /// DESIGN.md §8, as written (the section runs to the end of the file).
@@ -74,51 +82,69 @@ fn design_section_8_names_the_protocol_vocabulary() {
     }
 }
 
-/// Heavy skew on a 4-shard stealing runtime: at least one migration
-/// fires, everything is conserved, and the per-flow egress order is
-/// exactly the submission order with contiguous flit indices — the
-/// steal moved state, not observable behavior.
-#[test]
-fn stealing_preserves_per_flow_emit_order() {
+/// Heavy skew (~87% of flits on flow 0) on a 4-shard stealing runtime
+/// with the egress order captured per flow. Asserts what every run of
+/// this shape owes — at least one migration, everything conserved,
+/// nothing lost, and each flow's emitted sequence exactly its
+/// submission order with contiguous flit indices: the steal moved
+/// state, not observable behavior — and returns the report. With
+/// `kill_hot_home_at` the run is supervised and the hot flow's static
+/// home shard is killed at that cycle of its flit clock.
+fn skewed_stealing_run(egress: EgressMode, kill_hot_home_at: Option<u64>) -> (usize, DrainReport) {
     const N_FLOWS: usize = 8;
     const PACKETS: u64 = 24_000;
 
     // Per-flow capture: (packet id, flit index) in emission order.
     // Only one shard serves a flow at any instant (the quiesce phase
-    // parks it on the donor before the thief unparks it), so pushing
-    // under one lock per flow records a well-defined per-flow order.
+    // parks it on the donor before the thief unparks it, and under
+    // buffered egress the §13.5 fence retires the donor's flits first),
+    // so pushing under one lock per flow records a well-defined
+    // per-flow order.
     type FlowLog = Vec<Mutex<Vec<(u64, u32)>>>;
     let captured: Arc<FlowLog> = Arc::new((0..N_FLOWS).map(|_| Mutex::new(Vec::new())).collect());
 
-    let sink_for = |captured: Arc<FlowLog>| {
-        move |_shard: usize, f: &ServedFlit| {
-            captured[f.flow]
-                .lock()
-                .unwrap()
-                .push((f.packet, f.flit_index));
-        }
+    let config = RuntimeConfig {
+        shards: 4,
+        n_flows: N_FLOWS,
+        // Provision for the whole offered load: backlog hiding in a
+        // blocked submitter is invisible to the LoadBoard.
+        ring_capacity: 1 << 15,
+        stealing: Some(StealingConfig {
+            min_gap: 64,
+            ..StealingConfig::default()
+        }),
+        egress,
+        ..RuntimeConfig::default()
     };
-
+    // Flow 0's home before anything moves: the static partition.
+    let hot_home = FlowMap::new(N_FLOWS, config.shards)
+        .shard_of(0)
+        .expect("flow 0 is mapped");
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
-            shards: 4,
-            n_flows: N_FLOWS,
-            // Provision for the whole offered load: backlog hiding in a
-            // blocked submitter is invisible to the LoadBoard.
-            ring_capacity: 1 << 15,
-            stealing: Some(StealingConfig {
-                min_gap: 64,
-                ..StealingConfig::default()
+            // The planned kill is the only death wanted: a deadline no
+            // scheduling hiccup of an oversubscribed host can reach.
+            supervision: kill_hot_home_at.map(|_| SupervisionConfig {
+                heartbeat_deadline: Duration::from_secs(10),
+                ..SupervisionConfig::default()
             }),
-            ..RuntimeConfig::default()
+            fault_plan: kill_hot_home_at.map(|at| FaultPlan::new().kill_shard_at(hot_home, at)),
+            ..config
         },
         {
             let captured = Arc::clone(&captured);
-            move |_shard| Some(sink_for(Arc::clone(&captured)))
+            move |_shard| {
+                let captured = Arc::clone(&captured);
+                Some(move |_shard: usize, f: &ServedFlit| {
+                    captured[f.flow]
+                        .lock()
+                        .unwrap()
+                        .push((f.packet, f.flit_index));
+                })
+            }
         },
     );
 
-    // ~87% of flits on flow 0, long packets; the rest spread thin.
     let mut submitted: Vec<Vec<(u64, u32)>> = vec![Vec::new(); N_FLOWS];
     let mut flits = 0u64;
     for id in 0..PACKETS {
@@ -138,12 +164,13 @@ fn stealing_preserves_per_flow_emit_order() {
     // Keep the runtime open until everything is served: shutdown flips
     // `closed`, and §8.6 refuses new steal requests once closed.
     while handle.stats().served_packets() < PACKETS {
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(1));
     }
     let report = rt.shutdown();
 
     assert!(report.is_conserving(), "{report:?}");
     assert_eq!(report.served_packets(), PACKETS);
+    assert_eq!(report.lost_packets(), 0, "{report:?}");
     assert_eq!(report.stats.served_flits(), flits);
     assert!(
         report.stats.migrations() >= 1,
@@ -169,14 +196,60 @@ fn stealing_preserves_per_flow_emit_order() {
         }
         assert!(cursor.next().is_none(), "flow {flow}: extra flits emitted");
     }
+    (hot_home, report)
+}
+
+/// Heavy skew on a 4-shard stealing runtime: at least one migration
+/// fires, everything is conserved, and the per-flow egress order is
+/// exactly the submission order with contiguous flit indices — the
+/// steal moved state, not observable behavior.
+#[test]
+fn stealing_preserves_per_flow_emit_order() {
+    let (_, report) = skewed_stealing_run(EgressMode::Sync, None);
+    assert!(report.all_clean(), "{:?}", report.exits);
+}
+
+/// Stealing × supervision: the hot flow's home shard is killed mid-run,
+/// while it is the donor every idle shard is pulling from. Its
+/// `MigrationDriver` rides the bequest (DESIGN.md §9.2), so the
+/// successor takes each in-flight handoff's next protocol step instead
+/// of stranding its peer: the run still steals, conserves, loses
+/// nothing and keeps every flow's emit order, under sync egress and
+/// under buffered egress with credits tight enough that links
+/// credit-park constantly.
+#[test]
+fn stealing_survives_the_death_of_the_hot_shard() {
+    /// Cycle of the victim's flit clock at which it dies.
+    const KILL_AT: u64 = 4_000;
+    let buffered = EgressMode::Buffered(BufferedConfig {
+        ring_capacity: 64,
+        credits: 4,
+        n_links: 4,
+        ..BufferedConfig::default()
+    });
+    for egress in [EgressMode::Sync, buffered] {
+        let (victim, report) = skewed_stealing_run(egress.clone(), Some(KILL_AT));
+        for (shard, exit) in report.exits.iter().enumerate() {
+            let expected = if shard == victim {
+                ShardExit::Panicked
+            } else {
+                ShardExit::Clean
+            };
+            assert_eq!(
+                *exit, expected,
+                "{egress:?}: shard {shard}: {:?}",
+                report.exits
+            );
+        }
+    }
 }
 
 /// Regression for the §13.5 compose hang: stealing under buffered
 /// egress must shut down cleanly even when donor-side steal aborts race
 /// link credit-parking.
 ///
-/// A donor abort (withdrawal, fence timeout, or salvage seize) used to
-/// unpark its victim directly. When the victim's link was
+/// A donor abort (withdrawal or fence timeout) used to unpark its
+/// victim directly. When the victim's link was
 /// credit-parked, the scheduler would serve a flit for a link with no
 /// credit to send it on — under the one-flit holding slot of the time
 /// that lost a flit and hung the shutdown on most runs of the stealing
@@ -189,8 +262,6 @@ fn stealing_preserves_per_flow_emit_order() {
 #[test]
 fn stealing_under_buffered_egress_shuts_down_cleanly() {
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    use err_runtime::{BufferedConfig, EgressMode, ShardExit};
 
     const N_FLOWS: usize = 16;
     const N_LINKS: usize = 4;
@@ -247,12 +318,12 @@ fn stealing_under_buffered_egress_shuts_down_cleanly() {
             );
         }
         while handle.stats().served_packets() < PACKETS {
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         }
 
         // A worker wedged behind a link it cannot serve is Abandoned
         // at the deadline instead of exiting Clean.
-        let report = rt.shutdown_within(std::time::Duration::from_secs(60));
+        let report = rt.shutdown_within(Duration::from_secs(60));
         assert!(
             report.exits.iter().all(|e| matches!(e, ShardExit::Clean)),
             "round {round}: wedged worker: {:?}",

@@ -1,23 +1,19 @@
-//! Property coverage for the §13 flow-ownership authority: a steal
-//! racing a salvage over random interleavings conserves every packet
-//! and resolves deterministically by epoch.
+//! Property coverage for the §13 flow-ownership authority: two thieves
+//! racing for the same flows over random interleavings conserve every
+//! packet and resolve deterministically by epoch.
 //!
 //! Two properties, two execution styles:
 //!
-//! * **Scripted interleavings** — both movers' protocol steps (claim /
-//!   seize, reroute, release) are interleaved by a proptest-generated
+//! * **Scripted interleavings** — both thieves' protocol steps (claim,
+//!   reroute, release) are interleaved by a proptest-generated
 //!   schedule, single-threaded, so the *same schedule replays to the
 //!   same outcome* — the §13.2 determinism claim, checked literally by
-//!   running every case twice. This is also where
-//!   [`Ownership::seize_for_salvage`] is exercised: seizing is only
-//!   legal when the seized steal's donor cannot be advancing it
-//!   concurrently (the donor *is* the dying thread running salvage),
-//!   which the single-threaded script models faithfully.
-//! * **Free-running threads** — a thief and a rescuer race with real
-//!   parallelism over the claim-from-`Settled` path, and the packet
-//!   ledger must still agree with the map: every flow's packets sit at
-//!   exactly the shard the [`FlowMap`] names, nothing duplicated,
-//!   nothing stranded.
+//!   running every case twice — and claim exclusivity can be asserted
+//!   after every step.
+//! * **Free-running threads** — the two thieves race with real
+//!   parallelism, and the packet ledger must still agree with the map:
+//!   every flow's packets sit at exactly the shard the [`FlowMap`]
+//!   names, nothing duplicated, nothing stranded.
 
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -27,36 +23,36 @@ use proptest::prelude::*;
 /// Flits-worth of payload each flow carries in the model ledger.
 const PACKETS_PER_FLOW: u64 = 3;
 
-/// One mover (thief or salvager) advanced one protocol stage at a
-/// time by the interleaving script.
-struct ScriptedMover {
-    role: OwnerState,
-    /// Claimant id and reroute destination (same shard here: movers
-    /// pull flows home).
+/// One thief advanced one protocol stage at a time by the interleaving
+/// script.
+struct ScriptedThief {
+    /// Claimant id and reroute destination: thieves pull flows home.
     me: usize,
     flows: Vec<usize>,
     cursor: usize,
     pending: Option<(usize, ClaimToken)>,
-    /// Flows whose reroute CAS this mover won, in win order.
-    wins: Vec<usize>,
 }
 
-impl ScriptedMover {
-    fn new(role: OwnerState, me: usize, flows: Vec<usize>) -> Self {
+impl ScriptedThief {
+    fn new(me: usize, flows: Vec<usize>) -> Self {
         Self {
-            role,
             me,
             flows,
             cursor: 0,
             pending: None,
-            wins: Vec::new(),
         }
     }
 
     /// Advances one stage: finish a pending claim (reroute + release)
-    /// or take the next flow's claim. Returns `false` once this mover
-    /// has processed its whole worklist.
-    fn step(&mut self, own: &Ownership, ledger: &mut [(usize, u64)]) -> bool {
+    /// or take the next flow's claim. Returns `false` once this thief
+    /// has processed its whole worklist. A won reroute is appended to
+    /// `wins` as `(flow, winner)`, in global win order.
+    fn step(
+        &mut self,
+        own: &Ownership,
+        ledger: &mut [(usize, u64)],
+        wins: &mut Vec<(usize, usize)>,
+    ) -> bool {
         if let Some((flow, tok)) = self.pending.take() {
             if own.try_reroute(&tok, self.me) {
                 // The reroute CAS is the linearization point: only the
@@ -64,51 +60,39 @@ impl ScriptedMover {
                 // so *before* releasing the claim — exactly the order
                 // the runtime's extract/absorb handshake uses.
                 ledger[flow].0 = self.me;
-                self.wins.push(flow);
+                wins.push((flow, self.me));
             }
             own.release(&tok);
             return true;
         }
-        if self.cursor >= self.flows.len() {
+        let Some(&flow) = self.flows.get(self.cursor) else {
             return false;
-        }
-        let flow = self.flows[self.cursor];
-        self.cursor += 1;
-        let claimed = match self.role {
-            OwnerState::Stealing => own.try_claim(flow, OwnerState::Stealing, self.me),
-            // Salvage's claim-or-seize arbitration, as salvage_shard
-            // runs it: claim from Settled, else seize a steal whose
-            // donor (this thread, in the real protocol) is dying.
-            OwnerState::Salvaging => own
-                .try_claim(flow, OwnerState::Salvaging, self.me)
-                .or_else(|| own.seize_for_salvage(flow, self.me)),
-            OwnerState::Settled => unreachable!("movers never claim Settled"),
         };
-        if let Some(tok) = claimed {
-            self.pending = Some((flow, tok));
-        }
-        // A lost claim consumes the step: the mover observed the flow
-        // held (or already moved) and walks on without touching it.
+        self.cursor += 1;
+        // A lost claim consumes the step: the thief observed the flow
+        // held and walks on without touching it.
+        self.pending = own.try_claim(flow, self.me).map(|tok| (flow, tok));
         true
     }
 }
 
+#[derive(Debug, PartialEq)]
 struct Outcome {
     homes: Vec<usize>,
     epochs: Vec<u32>,
     states: Vec<OwnerState>,
     ledger: Vec<(usize, u64)>,
-    thief_wins: Vec<usize>,
-    salvager_wins: Vec<usize>,
+    /// `(flow, winner)` per successful reroute, in win order.
+    wins: Vec<(usize, usize)>,
 }
 
-/// Runs one full steal-vs-salvage race under `schedule` (true = thief
+/// Runs one full two-thief race under `schedule` (true = thief `a`
 /// steps next) and returns everything observable about the outcome.
 fn run_interleaving(
     n_flows: usize,
     shards: usize,
-    thief: usize,
-    rescue: usize,
+    a: usize,
+    b: usize,
     schedule: &[bool],
 ) -> Outcome {
     let own = Ownership::new(n_flows, shards);
@@ -117,24 +101,30 @@ fn run_interleaving(
     let mut ledger: Vec<(usize, u64)> = (0..n_flows)
         .map(|f| (own.shard_of(f).expect("mapped"), PACKETS_PER_FLOW))
         .collect();
-    let mut t = ScriptedMover::new(OwnerState::Stealing, thief, (0..n_flows).collect());
-    // The salvager walks in reverse so the two worklists meet in the
-    // middle and contend for the same flows mid-protocol.
-    let mut s = ScriptedMover::new(OwnerState::Salvaging, rescue, (0..n_flows).rev().collect());
+    let mut wins = Vec::new();
+    let mut ta = ScriptedThief::new(a, (0..n_flows).collect());
+    // The second thief walks in reverse so the two worklists meet in
+    // the middle and contend for the same flows mid-protocol.
+    let mut tb = ScriptedThief::new(b, (0..n_flows).rev().collect());
     let mut i = 0usize;
     loop {
-        let thief_first = schedule.get(i).copied().unwrap_or(i.is_multiple_of(2));
+        let a_first = schedule.get(i).copied().unwrap_or(i.is_multiple_of(2));
         i += 1;
         // Short-circuit: whoever goes first this round blocks the other
         // from also stepping, so the schedule really is an interleaving.
-        let (first, second) = if thief_first {
-            (&mut t, &mut s)
+        let (first, second) = if a_first {
+            (&mut ta, &mut tb)
         } else {
-            (&mut s, &mut t)
+            (&mut tb, &mut ta)
         };
-        let stepped = first.step(&own, &mut ledger) || second.step(&own, &mut ledger);
+        let stepped =
+            first.step(&own, &mut ledger, &mut wins) || second.step(&own, &mut ledger, &mut wins);
         if !stepped {
             break;
+        }
+        // Claim exclusivity (§13.1): never both thieves on one flow.
+        if let (Some((fa, _)), Some((fb, _))) = (&ta.pending, &tb.pending) {
+            assert_ne!(fa, fb, "both thieves hold flow {fa}'s claim");
         }
     }
     Outcome {
@@ -142,86 +132,50 @@ fn run_interleaving(
         epochs: (0..n_flows).map(|f| own.map.epoch_of(f)).collect(),
         states: (0..n_flows).map(|f| own.owner_state(f)).collect(),
         ledger,
-        thief_wins: t.wins,
-        salvager_wins: s.wins,
+        wins,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256 })]
 
-    /// Scripted steal-vs-salvage: per flow, the epoch counts exactly
-    /// the successful reroutes, every claim ends released, the packet
-    /// ledger agrees with the map, and the whole outcome is a pure
-    /// function of the schedule (replay ⇒ identical).
+    /// Scripted two-thief race: per flow, the epoch counts exactly the
+    /// successful reroutes, every claim ends released, the packet
+    /// ledger follows the map, and the whole outcome is a pure function
+    /// of the schedule (replay ⇒ identical).
     #[test]
     fn scripted_race_conserves_and_replays_identically(
         n_flows in 2..32usize,
         shards in 2..6usize,
-        thief_sel in 0..64usize,
-        rescue_sel in 0..64usize,
+        a_sel in 0..64usize,
+        b_sel in 0..64usize,
         schedule in prop::collection::vec(any::<bool>(), 0..192),
     ) {
-        let thief = thief_sel % shards;
-        let rescue = rescue_sel % shards;
-        let out = run_interleaving(n_flows, shards, thief, rescue, &schedule);
+        let (a, b) = (a_sel % shards, b_sel % shards);
+        let out = run_interleaving(n_flows, shards, a, b, &schedule);
 
-        let own_check = Ownership::new(n_flows, shards);
         for f in 0..n_flows {
-            let static_home = own_check.shard_of(f).unwrap();
-            let t_won = out.thief_wins.contains(&f) as u32;
-            let s_won = out.salvager_wins.contains(&f) as u32;
-            // Both movers visit every flow, so at least one reroute
-            // always lands; a contested flow (seize) yields exactly
-            // one winner, sequential visits yield one win each.
-            prop_assert!(t_won + s_won >= 1, "flow {f}: no mover won");
+            let won: Vec<usize> = out.wins.iter().filter(|w| w.0 == f).map(|w| w.1).collect();
+            // Both thieves visit every flow, so at least one reroute
+            // always lands; a contested flow yields exactly one winner
+            // (the loser walks on), sequential visits one win each.
+            prop_assert!((1..=2).contains(&won.len()), "flow {}: wins {:?}", f, won);
             prop_assert_eq!(
-                out.epochs[f], t_won + s_won,
-                "flow {f}: epoch must count successful reroutes"
+                out.epochs[f] as usize, won.len(),
+                "flow {}: epoch must count successful reroutes", f
             );
             // The final home is the last winner's destination.
-            let last_t = out.thief_wins.iter().rposition(|&w| w == f);
-            let last_s = out.salvager_wins.iter().rposition(|&w| w == f);
-            let expect_home = match (t_won, s_won) {
-                (1, 0) => thief,
-                (0, 1) => rescue,
-                // Both won: the win lists are in global win order only
-                // within each mover, but two wins on one flow are
-                // necessarily sequential (second claim needs the first
-                // release), so whoever claimed later won later — that
-                // is whichever mover's *cursor* passed the flow later,
-                // which the homes vector itself records. Check the
-                // weaker, order-free invariant instead:
-                _ => {
-                    prop_assert!(
-                        out.homes[f] == thief || out.homes[f] == rescue,
-                        "flow {f}: double-won flow homed at {}", out.homes[f]
-                    );
-                    let _ = (last_t, last_s);
-                    out.homes[f]
-                }
-            };
-            prop_assert_eq!(
-                out.homes[f], expect_home,
-                "flow {f} (static {static_home}): map home vs winner"
-            );
+            prop_assert_eq!(out.homes[f], *won.last().unwrap(), "flow {}: map home vs winner", f);
             // Conservation: the packets live exactly where the map
             // points, none lost, none duplicated.
-            prop_assert_eq!(out.ledger[f], (out.homes[f], PACKETS_PER_FLOW), "flow {f}");
-            // Every claim ends released — no mover leaks a hold.
-            prop_assert_eq!(out.states[f], OwnerState::Settled, "flow {f} left claimed");
+            prop_assert_eq!(out.ledger[f], (out.homes[f], PACKETS_PER_FLOW), "flow {}", f);
+            // Every claim ends released — no thief leaks a hold.
+            prop_assert_eq!(out.states[f], OwnerState::Settled, "flow {} left claimed", f);
         }
-        let total: u64 = out.ledger.iter().map(|&(_, n)| n).sum();
-        prop_assert_eq!(total, n_flows as u64 * PACKETS_PER_FLOW);
 
         // Determinism by epoch (§13.2): the same interleaving replays
-        // to the identical outcome — homes, epochs, ledger, win lists.
-        let replay = run_interleaving(n_flows, shards, thief, rescue, &schedule);
-        prop_assert_eq!(out.homes, replay.homes);
-        prop_assert_eq!(out.epochs, replay.epochs);
-        prop_assert_eq!(out.ledger, replay.ledger);
-        prop_assert_eq!(out.thief_wins, replay.thief_wins);
-        prop_assert_eq!(out.salvager_wins, replay.salvager_wins);
+        // to the identical outcome — homes, epochs, ledger, win order.
+        prop_assert_eq!(out, run_interleaving(n_flows, shards, a, b, &schedule));
     }
 }
 
@@ -229,19 +183,17 @@ proptest! {
     // Real threads are expensive; fewer, bigger cases.
     #![proptest_config(ProptestConfig { cases: 32 })]
 
-    /// Free-running thief vs rescuer over the claim-from-`Settled`
-    /// path: whatever the hardware interleaving, the ledger and the
-    /// map agree flow by flow, every claim ends released, and each
-    /// flow's epoch equals the number of reroutes that actually won.
+    /// Free-running thieves: whatever the hardware interleaving, the
+    /// ledger and the map agree flow by flow, every claim ends
+    /// released, and each flow's epoch equals the number of reroutes
+    /// that actually won.
     #[test]
     fn threaded_race_keeps_ledger_and_map_in_agreement(
         n_flows in 4..48usize,
         shards in 2..6usize,
-        thief_sel in 0..64usize,
-        rescue_sel in 0..64usize,
+        a_sel in 0..64usize,
+        b_sel in 0..64usize,
     ) {
-        let thief = thief_sel % shards;
-        let rescue = rescue_sel % shards;
         let own = Arc::new(Ownership::new(n_flows, shards));
         let ledger: Arc<Vec<Mutex<(usize, u64)>>> = Arc::new(
             (0..n_flows)
@@ -249,7 +201,7 @@ proptest! {
                 .collect(),
         );
         let barrier = Arc::new(Barrier::new(2));
-        let spawn_mover = |dest: usize, role: OwnerState, reversed: bool| {
+        let spawn_thief = |dest: usize, reversed: bool| {
             let own = Arc::clone(&own);
             let ledger = Arc::clone(&ledger);
             let barrier = Arc::clone(&barrier);
@@ -262,7 +214,7 @@ proptest! {
                     (0..n_flows).collect()
                 };
                 for f in flows {
-                    let Some(tok) = own.try_claim(f, role, dest) else {
+                    let Some(tok) = own.try_claim(f, dest) else {
                         continue;
                     };
                     if own.try_reroute(&tok, dest) {
@@ -277,10 +229,10 @@ proptest! {
                 wins
             })
         };
-        let t = spawn_mover(thief, OwnerState::Stealing, false);
-        let s = spawn_mover(rescue, OwnerState::Salvaging, true);
-        let t_wins = t.join().expect("thief thread");
-        let s_wins = s.join().expect("rescuer thread");
+        let ta = spawn_thief(a_sel % shards, false);
+        let tb = spawn_thief(b_sel % shards, true);
+        let a_wins = ta.join().expect("first thief thread");
+        let b_wins = tb.join().expect("second thief thread");
 
         let mut total = 0u64;
         for f in 0..n_flows {
@@ -288,7 +240,7 @@ proptest! {
                 own.owner_state(f), OwnerState::Settled,
                 "flow {} left claimed", f
             );
-            let wins = t_wins.contains(&f) as u32 + s_wins.contains(&f) as u32;
+            let wins = a_wins.contains(&f) as u32 + b_wins.contains(&f) as u32;
             prop_assert_eq!(
                 own.map.epoch_of(f), wins,
                 "flow {}: epoch vs won reroutes", f
