@@ -35,7 +35,8 @@
 //! * **panic-boundary** — every spawned-thread closure wraps its body
 //!   in `catch_unwind` or carries a `// panic-policy:` justification.
 //! * **backstop** — in the threaded crates every `sleep_unless` /
-//!   `sleep_while_*` / `park_timeout` call says what its timer is for
+//!   `idle_unless` / `idle_while_*` / `park_timeout` call says what
+//!   its timer is for
 //!   in a `// backstop:` comment: `covered by` named wakers (the
 //!   timeout must then be the shared `BACKSTOP`), `polls` something
 //!   nobody announces (it must not be), or `forwards` the caller's
@@ -406,8 +407,9 @@ fn spawn_span_has_token(lines: &[Line], start: usize, needle: &str) -> bool {
 }
 
 /// Byte offsets in `code` just past the `(` of every *call* of a
-/// sleeping function (`sleep_unless`, `sleep_while_*`, `park_timeout`)
-/// — not its definition (`fn name(`) nor an import (no `(`).
+/// sleeping function (`sleep_unless`; `idle_unless` / `idle_while_*`,
+/// the idle path that ends in one; `park_timeout`) — not its
+/// definition (`fn name(`) nor an import (no `(`).
 fn sleep_calls(code: &str) -> Vec<usize> {
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut out = Vec::new();
@@ -417,8 +419,8 @@ fn sleep_calls(code: &str) -> Vec<usize> {
             at + head[at..].chars().next().map_or(1, char::len_utf8)
         });
         let name = &head[name_at..];
-        let sleeps =
-            name == "sleep_unless" || name == "park_timeout" || name.starts_with("sleep_while_");
+        let sleeps = ["sleep_unless", "idle_unless", "park_timeout"].contains(&name)
+            || name.starts_with("idle_while_");
         if sleeps && !head[..name_at].trim_end().ends_with("fn") {
             out.push(open + 1);
         }
@@ -1344,17 +1346,17 @@ mod tests {
     #[test]
     fn sleeps_say_what_their_timer_is_for() {
         let path = "crates/err-runtime/src/shard.rs";
-        let bare = "fn f(c: &WakeCell) {\n    c.sleep_unless(ready, PARK_TIMEOUT);\n}\n";
+        let bare = "fn f(c: &WakeCell) {\n    c.idle_unless(ready, PARK_TIMEOUT);\n}\n";
         assert_eq!(rules_of(&lint_source(path, bare)), ["backstop"]);
         // Outside the threaded crates the pass does not run; a
         // definition or an import is not a call.
         assert!(lint_source("crates/x/src/a.rs", bare).is_empty());
-        let decl = "use std::thread::{park_timeout, Thread};\npub fn sleep_unless(&self) {}\n";
+        let decl = "use std::thread::{park_timeout, Thread};\npub fn idle_unless(&self) {}\n";
         assert!(lint_source(path, decl).is_empty());
         let sleep = |verdict: &str, timeout: &str| {
             format!(
                 "fn wake_it() {{}}\nfn f(c: &WakeCell, timeout: Duration) {{\n    \
-                 // backstop: {verdict}\n    c.sleep_unless(\n        ready,\n        \
+                 // backstop: {verdict}\n    c.idle_unless(\n        ready,\n        \
                  {timeout},\n    );\n}}\n"
             )
         };

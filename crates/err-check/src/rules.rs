@@ -54,7 +54,8 @@ pub const PASSES: &[(&str, &str)] = &[
     ),
     (
         "backstop",
-        "in the threaded crates every `sleep_unless` / `sleep_while_*` / `park_timeout` call says \
+        "in the threaded crates every `sleep_unless` / `idle_unless` / `idle_while_*` / \
+         `park_timeout` call says \
          what its timer is in a `// backstop:` comment — `covered by` the named wakers (backticked \
          identifiers must resolve; the timeout must be `BACKSTOP`), `polls` what nobody announces \
          (the timeout must not be `BACKSTOP`), or `forwards` its own `timeout` parameter — so a \
@@ -185,7 +186,12 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "BufferedStage",
             "WakeCell",
             "re-checks its wait condition",
-            "SPIN_BEFORE_PARK",
+            // The idle path (PR 20): one for both sleepers, what a
+            // look evaluates, and why a mid-push head yields.
+            "idle_unless",
+            "IDLE_LOOKS",
+            "head_ready",
+            "yield_now",
             "PARK_TIMEOUT",
             "park_timeouts",
             "AdmitDecision::Wait",
@@ -211,6 +217,8 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "BACKOFF_FLOOR",
             "BACKOFF_CAP",
             "flusher_park_timeouts",
+            "flusher_idle_rounds",
+            "idle_while_empty",
             "left on timers",
             // Per-batch credits (PR 17): the grant and its return, the
             // flusher's tally, the announced link transitions.

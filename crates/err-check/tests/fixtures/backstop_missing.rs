@@ -7,12 +7,12 @@ pub fn wake_consumer(cell: &WakeCell) -> bool {
 }
 
 pub fn silent(cell: &WakeCell) {
-    cell.sleep_unless(|| false, PARK_TIMEOUT);
+    cell.idle_unless(|| false, PARK_TIMEOUT);
 }
 
 pub fn covered_but_short(rx: &mut Consumer, closed: &AtomicBool) {
     // backstop: covered by `wake_consumer` — a ring push is announced.
-    rx.sleep_while_ring_empty(closed, BACKOFF_CAP);
+    rx.idle_while_empty(closed, BACKOFF_CAP);
 }
 
 pub fn polls_but_long(cell: &WakeCell) {

@@ -4,20 +4,20 @@ pub fn wake_consumer(cell: &WakeCell) -> bool {
     cell.wake()
 }
 
-pub fn sleep_while_ring_empty(rx: &mut Consumer, timeout: Duration) -> Sleep {
+pub fn idle_while_ring_empty(rx: &mut Consumer, timeout: Duration) -> Sleep {
     // backstop: forwards the caller's `timeout`.
-    rx.sleep_while_empty(|| false, timeout)
+    rx.idle_while_empty(|| false, timeout)
 }
 
 pub fn idle_flusher(rx: &mut Consumer, pending: bool, backoff: Duration) -> Sleep {
     if pending {
         // backstop: polls a link thaw or a refusing sink finding room —
         // what pending flits wait for.
-        sleep_while_ring_empty(rx, backoff)
+        idle_while_ring_empty(rx, backoff)
     } else {
         // backstop: covered by `wake_consumer` (a ring push), so the
         // timer is only there for a lost wake.
-        sleep_while_ring_empty(rx, BACKSTOP)
+        idle_while_ring_empty(rx, BACKSTOP)
     }
 }
 

@@ -226,7 +226,7 @@ fn meta_pr17_short_timer_on_a_covered_sleep_is_caught() {
         "fn wake_consumer() {}\n",
         "fn idle(core: &mut FlusherCore, closed: &AtomicBool, backoff: Duration) {\n",
         "    // backstop: covered by `wake_consumer`, once per batch.\n",
-        "    core.sleep_while_ring_empty(closed, backoff);\n",
+        "    core.rx.idle_while_empty(closed, backoff);\n",
         "}\n",
     );
     let v = lint_files(&[at("crates/err-egress/src/flusher.rs", src)]);

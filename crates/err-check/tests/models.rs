@@ -78,11 +78,15 @@ fn model_mpsc_two_producers_no_loss() {
                 })
             })
             .collect();
+        // The worker's wake predicate (`head_ready`) decides whether
+        // to pop: it must never promise a pop that fails, and a slot
+        // claimed but unpublished must read "not ready", not spin.
         let mut got = Vec::new();
         while got.len() < 2 {
-            match ring.pop() {
-                Some(v) => got.push(v),
-                None => thread::yield_now(),
+            if ring.head_ready() {
+                got.push(ring.pop().expect("head_ready promised a pop"));
+            } else {
+                thread::yield_now();
             }
         }
         for h in handles {
@@ -721,10 +725,12 @@ fn model_wake_handshake_no_lost_wakeup() {
             thread::spawn(move || {
                 cell.register();
                 let all_there = || work.iter().all(|w| w.load(Ordering::Acquire));
-                // The worker's idle loop: look, sleep unless the
-                // re-check finds the work, look again.
+                // The worker's idle loop as shipped: after a round that
+                // found nothing, looks at the wake predicate, then the
+                // sleep whose re-check is the same predicate — and
+                // round again.
                 while !all_there() {
-                    let how = cell.sleep_unless(all_there, std::time::Duration::from_secs(1));
+                    let how = cell.idle_unless(all_there, std::time::Duration::from_secs(1));
                     assert_ne!(how, Sleep::TimedOut, "a park ended with the flag still set");
                 }
                 payload[0].with(|p| unsafe { *p }) + payload[1].with(|p| unsafe { *p })

@@ -32,6 +32,14 @@
 //! means the sink refused it. Nobody announces a refusing sink
 //! finding room: there the back-off timer below is the wake-up, and
 //! stays short.
+//!
+//! Idle path (DESIGN.md §7): after a step that moved nothing the
+//! flusher takes a couple of looks
+//! ([`WakeCell::idle_unless`](crate::WakeCell::idle_unless)) at the
+//! very predicate its sleep re-checks (ring non-empty, the `closed`
+//! latch, a blocked link opening) — never another whole
+//! [`FlusherCore::step`] — and sleeps. A flit the sink refused is therefore offered again
+//! once per wake or back-off expiry, not once per spin.
 
 use std::collections::VecDeque;
 // The `FlushProgress` watermark goes through the loom shim so the
@@ -55,12 +63,7 @@ use crate::Egress;
 /// monopolize the thread when the worker is producing at full tilt.
 const BURST: usize = 256;
 
-/// Idle rounds of pure spinning before the flusher starts sleeping —
-/// skipped when its last wake found a worker asleep: a futex wake-up
-/// outlasts the spin.
-const SPIN_ROUNDS: u32 = 64;
-
-/// First sleep once spinning gives up. Doubles per idle round.
+/// First sleep that polls a refusing sink. Doubles per idle round.
 const BACKOFF_FLOOR: std::time::Duration = std::time::Duration::from_micros(5);
 
 /// Parking cap: the longest a flusher sleeps between offers of a flit
@@ -211,14 +214,17 @@ impl FlusherCore {
         self.rx.register_sleeper();
     }
 
-    /// Parks the flusher thread, the ring being empty, and says how
-    /// the park ended and whether it was a poll. A flit pending behind
-    /// an *open* link was refused by the sink, and nobody announces the
-    /// sink finding room: `poll` is then the timer, and the wake-up.
-    /// Everything else the flusher can wait for is announced and read
-    /// by the re-check — a ring push, the `closed` latch, a blocked
-    /// link with pending flits opening — so that sleep is covered.
-    pub fn park(
+    /// One idle phase of the flusher thread, after a step that moved
+    /// nothing: a couple of looks at the wake predicate, then a
+    /// park; says how it ended and whether the park was a poll. A flit
+    /// pending behind an *open* link was refused by the sink, and
+    /// nobody announces the sink finding room: `poll` is then the
+    /// timer, and the wake-up — the flit is offered again when this
+    /// returns, never from inside the spin. Everything else the flusher
+    /// can wait for is announced and read by the predicate — a ring
+    /// push, the `closed` latch, a blocked link with pending flits
+    /// opening — so that sleep is covered.
+    pub fn idle(
         &mut self,
         links: &LinkSet,
         closed: &AtomicBool,
@@ -227,22 +233,22 @@ impl FlusherCore {
         let Self { rx, pending, .. } = self;
         // ordering: Acquire pairs with the runtime's Release
         // `egress_closed` store, which its wake of this cell follows
-        // (err-runtime drain_within) — sequenced after the cell's
-        // announcing swap, so a latch whose wake found the flag clear
-        // is seen here.
+        // (err-runtime drain_within) — the sleep's re-check is
+        // sequenced after the cell's announcing swap, so a latch whose
+        // wake found the flag clear is seen here.
         // [pair: egress-closed @ crates/err-runtime/src/lib.rs]
         let closed = || closed.load(Ordering::Acquire);
         let open = || (pending.iter().enumerate()).any(|(l, q)| !q.is_empty() && !links.blocked(l));
         if open() {
             // backstop: polls a refusing sink finding room — what a
             // flit pending behind an open link waits for.
-            (rx.sleep_while_empty(closed, poll), true)
+            (rx.idle_while_empty(closed, poll), true)
         } else {
             // backstop: covered by `wake_consumer` (a ring push) and
             // `wake_flushers` (the `closed` latch; a thaw, death,
             // `resurrect` or drain of a link with pending flits).
             let ready = || closed() || open();
-            (rx.sleep_while_empty(ready, BACKSTOP), false)
+            (rx.idle_while_empty(ready, BACKSTOP), false)
         }
     }
 
@@ -513,8 +519,8 @@ pub fn run_flusher<E: Egress>(
 
 /// The flusher loop around one `step`: count what it delivered (what
 /// a step that unwound delivered shows up in the next round's count),
-/// publish progress, wake credit waiters, back off when idle, exit
-/// once closed and empty.
+/// publish progress, wake credit waiters, idle when nothing moved,
+/// exit once closed and empty.
 fn pump(
     core: &mut FlusherCore,
     links: &LinkSet,
@@ -523,10 +529,7 @@ fn pump(
     progress: &FlushProgress,
     mut step: impl FnMut(&mut FlusherCore),
 ) {
-    let mut idle_rounds = 0u32;
     let mut backoff = BACKOFF_FLOOR;
-    // The last wake found a worker asleep: it will be a while pushing.
-    let mut worker_slept = false;
     loop {
         step(core);
         let n = core.take_delivered();
@@ -535,12 +538,11 @@ fn pump(
         // Once per step, after all of its credit returns. Not gated on
         // this step's counts: the mark may stand for a credit a guard
         // returned while the previous step unwound.
-        worker_slept |= links.wake_credit_waiters();
+        links.wake_credit_waiters();
         if n > 0 || dead > 0 {
             if n > 0 {
                 stats.flushed_flits.fetch_add(n, Ordering::Relaxed);
             }
-            idle_rounds = 0;
             backoff = BACKOFF_FLOOR;
             continue;
         }
@@ -559,17 +561,12 @@ fn pump(
                 continue;
             }
         }
-        idle_rounds += 1;
-        if idle_rounds < SPIN_ROUNDS && !worker_slept {
-            std::hint::spin_loop();
-            continue;
-        }
-        worker_slept = false;
-        // Long-idle: sleep until the worker's next batch wakes us. A
-        // poll's timeout backs off exponentially from BACKOFF_FLOOR to
-        // BACKOFF_CAP, so a sink refusing for seconds costs one
-        // wake-up per BACKOFF_CAP.
-        let (how, polled) = core.park(links, closed, backoff);
+        stats.flusher_idle_rounds.fetch_add(1, Ordering::Relaxed);
+        // Idle: a couple of looks, then sleep until the worker's next
+        // batch wakes us. A poll's timeout backs off exponentially
+        // from BACKOFF_FLOOR to BACKOFF_CAP, so a sink refusing for
+        // seconds costs one offer per BACKOFF_CAP.
+        let (how, polled) = core.idle(links, closed, backoff);
         if how == Sleep::Ready {
             continue;
         }
@@ -1029,6 +1026,69 @@ mod tests {
             woken_by_thaw >= ROUNDS / 2,
             "the thaw ended the flusher's park in only {woken_by_thaw} of {ROUNDS} rounds"
         );
+    }
+
+    #[test]
+    fn a_refused_flit_is_offered_again_per_park_not_per_spin() {
+        // One flit behind an open link, a sink that refuses it for
+        // 50 ms, nothing else pushed: the flusher polls (DESIGN.md §7),
+        // and every offer but the first must follow a park — a wake or
+        // a back-off expiry — never a look of the idle spin.
+        struct Refusing {
+            until: std::time::Instant,
+            calls: Arc<AtomicU64>,
+        }
+        impl Egress for Refusing {
+            fn emit(&mut self, _shard: usize, _flit: &ServedFlit) {
+                unreachable!("the flusher delivers through `try_emit`");
+            }
+            fn try_emit(&mut self, _shard: usize, _flit: &ServedFlit) -> bool {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                std::time::Instant::now() >= self.until
+            }
+        }
+        let links = Arc::new(LinkSet::new(1, 8));
+        let closed = Arc::new(AtomicBool::new(false));
+        let stats = Arc::new(ShardEgressStats::default());
+        let calls = Arc::new(AtomicU64::new(0));
+        let (mut tx, rx) = spsc_ring(16);
+        let wake = rx.wake_cell();
+        let sink = Refusing {
+            until: std::time::Instant::now() + std::time::Duration::from_millis(50),
+            calls: Arc::clone(&calls),
+        };
+        let flusher = {
+            let (links, closed, stats) =
+                (Arc::clone(&links), Arc::clone(&closed), Arc::clone(&stats));
+            let core = FlusherCore::new(0, rx, 1);
+            let progress = Arc::new(FlushProgress::default());
+            std::thread::spawn(move || {
+                run_flusher(core, links, None, closed, stats, progress, sink)
+            })
+        };
+        assert!(links.try_acquire(0));
+        tx.push(flit(0, 0, 0, 1)).unwrap();
+        tx.wake_consumer();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while stats.snapshot().flushed_flits == 0 {
+            assert!(std::time::Instant::now() < deadline, "never delivered");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        closed.store(true, Ordering::Release);
+        wake.wake();
+        flusher.join().unwrap();
+        let (calls, s) = (calls.load(Ordering::Relaxed), stats.snapshot());
+        assert!(
+            calls > 10,
+            "a refused flit is polled, not slept on: {calls} offers"
+        );
+        assert!(
+            calls <= s.flusher_parks + 2,
+            "{calls} offers over {} parks: a refused flit was re-offered from the spin",
+            s.flusher_parks
+        );
+        assert!(s.flusher_idle_rounds >= s.flusher_parks, "{s:?}");
+        assert_eq!(links.snapshot()[0].credits_available, 8);
     }
 
     #[test]

@@ -278,23 +278,19 @@ impl LinkSet {
     /// empty, so returns into a pool that still had credits wake
     /// nobody. Every credit-returner calls it after its returns — a
     /// flusher once per step, a worker once per service batch that
-    /// gave back unused grant — never per flit. Returns whether a
-    /// worker was asleep and got woken.
-    pub fn wake_credit_waiters(&self) -> bool {
+    /// gave back unused grant — never per flit.
+    pub fn wake_credit_waiters(&self) {
         // ordering: Acquire load, AcqRel swap — whoever consumes the
         // mark acquires the marker's credit return, so the wake below
         // publishes it to the woken worker's re-check even when another
         // thread returned the credit. A mark this load misses is seen
         // by the returner that set it, after its own returns.
         // [pair: credit-relieved @ self]
-        if !(self.relieved.load(Ordering::Acquire) && self.relieved.swap(false, Ordering::AcqRel)) {
-            return false;
+        if self.relieved.load(Ordering::Acquire) && self.relieved.swap(false, Ordering::AcqRel) {
+            for cell in &self.credit_waiters {
+                cell.wake();
+            }
         }
-        let mut woke = false;
-        for cell in &self.credit_waiters {
-            woke |= cell.wake();
-        }
-        woke
     }
 
     /// Returns `n` credits to `link`'s pool — a flusher's delivered

@@ -12,8 +12,9 @@
 //! at least `c` items.
 //!
 //! The ring also carries the consumer's [`WakeCell`]: a consumer with
-//! nothing to pop sleeps on it ([`Consumer::sleep_while_empty`]) and
-//! the producer wakes it once per batch it has pushed
+//! nothing to pop idles on it ([`Consumer::idle_while_empty`]: a
+//! couple of looks at the tail, then a sleep) and the producer wakes it
+//! once per batch it has pushed
 //! ([`Producer::wake_consumer`]) — never per push.
 
 use std::mem::MaybeUninit;
@@ -130,7 +131,7 @@ impl<T> Producer<T> {
         self.inner.buf[self.tail & self.inner.mask].with_mut(|p| unsafe { (*p).write(item) });
         self.tail = self.tail.wrapping_add(1);
         // ordering: Release pairs with the consumer's Acquire `tail`
-        // load in `pop`/`is_empty`/`sleep_while_empty` — publishes the
+        // load in `pop`/`is_empty`/`idle_while_empty` — publishes the
         // cell write above before the slot becomes visible.
         // [pair: spsc-tail @ self]
         self.inner.tail.store(self.tail, Ordering::Release);
@@ -149,9 +150,9 @@ impl<T> Producer<T> {
 
     /// Unparks the consumer if it went to sleep on an empty ring. Call
     /// after a batch of pushes, or before waiting for the consumer to
-    /// free a slot; returns whether a sleeper was woken.
-    pub fn wake_consumer(&self) -> bool {
-        self.inner.consumer_wake.wake()
+    /// free a slot.
+    pub fn wake_consumer(&self) {
+        self.inner.consumer_wake.wake();
     }
 }
 
@@ -205,12 +206,13 @@ impl<T> Consumer<T> {
         Arc::clone(&self.inner.consumer_wake)
     }
 
-    /// Parks the (registered) consumer thread for at most `timeout`,
-    /// unless the re-check finds the ring non-empty or `or_ready`
+    /// One idle phase of the (registered) consumer thread
+    /// ([`WakeCell::idle_unless`]): a couple of looks, then a park of
+    /// at most `timeout`, unless the ring is non-empty or `or_ready`
     /// true — whatever else the consumer's wakers announce.
-    pub fn sleep_while_empty(
+    pub fn idle_while_empty(
         &mut self,
-        or_ready: impl FnOnce() -> bool,
+        mut or_ready: impl FnMut() -> bool,
         timeout: std::time::Duration,
     ) -> Sleep {
         let Self {
@@ -220,14 +222,15 @@ impl<T> Consumer<T> {
         } = self;
         let ready = || {
             // ordering: Acquire — same pairing as the empty-check in
-            // `pop`; sequenced after the cell's announcing swap, so a
-            // push whose `wake_consumer` found the flag clear is seen.
+            // `pop`; the sleep's re-check is sequenced after the cell's
+            // announcing swap, so a push whose `wake_consumer` found
+            // the flag clear is seen.
             // [pair: spsc-tail @ self]
             *cached_tail = inner.tail.load(Ordering::Acquire);
             *head != *cached_tail || or_ready()
         };
         // backstop: forwards the caller's `timeout`.
-        inner.consumer_wake.sleep_unless(ready, timeout)
+        inner.consumer_wake.idle_unless(ready, timeout)
     }
 }
 
@@ -329,13 +332,13 @@ mod tests {
         use crate::wake::Sleep;
         use std::time::{Duration, Instant};
         let (mut tx, mut rx) = spsc_ring::<u32>(8);
-        assert!(!tx.wake_consumer(), "nobody sleeps yet");
+        tx.wake_consumer(); // nobody sleeps yet: a no-op
         let consumer = std::thread::spawn(move || {
             rx.register_sleeper();
             let t = Instant::now();
             // Far beyond the test's patience: only a wake (or the
             // re-check finding the push) ends it.
-            let how = rx.sleep_while_empty(|| false, Duration::from_secs(60));
+            let how = rx.idle_while_empty(|| false, Duration::from_secs(60));
             (how, t.elapsed(), rx.pop())
         });
         std::thread::sleep(Duration::from_millis(20));

@@ -32,6 +32,10 @@ pub struct ShardEgressStats {
     /// supervisor (DESIGN.md §14.4). Written by the flusher thread's
     /// catch-unwind wrapper, once per panic — never on the flit path.
     pub flusher_panics: AtomicU64,
+    /// Flusher rounds whose step moved nothing: each is one idle phase
+    /// (a couple of looks, then maybe a park) — `flusher_parks`
+    /// plus the phases a look cut short.
+    pub flusher_idle_rounds: AtomicU64,
     /// Times the flusher parked with nothing to pop.
     pub flusher_parks: AtomicU64,
     /// Flusher parks that ran to their timeout instead of being ended
@@ -53,6 +57,7 @@ impl ShardEgressStats {
             credit_exhaustions: self.credit_exhaustions.load(Ordering::Relaxed),
             ring_full_spins: self.ring_full_spins.load(Ordering::Relaxed),
             flusher_panics: self.flusher_panics.load(Ordering::Relaxed),
+            flusher_idle_rounds: self.flusher_idle_rounds.load(Ordering::Relaxed),
             flusher_parks: self.flusher_parks.load(Ordering::Relaxed),
             flusher_park_timeouts: self.flusher_park_timeouts.load(Ordering::Relaxed),
         }
@@ -72,6 +77,8 @@ pub struct ShardEgressSnapshot {
     pub ring_full_spins: u64,
     /// Flusher-body panics caught by the supervisor (DESIGN.md §14.4).
     pub flusher_panics: u64,
+    /// Flusher rounds whose step moved nothing (idle phases).
+    pub flusher_idle_rounds: u64,
     /// Times the flusher parked with nothing to pop.
     pub flusher_parks: u64,
     /// Of those, parks that ran to their timeout un-woken.

@@ -5,8 +5,8 @@
 //! Only the modules whose interleavings are model-checked go through
 //! this shim ([`crate::spsc`], [`crate::credit`], [`crate::link`]'s
 //! liveness flags and clocks, [`crate::flusher`]'s `FlushProgress`
-//! watermark, [`crate::wake`]'s sleeping flag and its park/unpark);
-//! everything else uses `std::sync::atomic` directly. The
+//! watermark, [`crate::wake`]'s sleeping flag, its spin hint and its
+//! park/unpark); everything else uses `std::sync::atomic` directly. The
 //! feature is off by default and only enabled by `err-check`'s model
 //! suite (`cargo test -p err-check --features model`), so every normal
 //! build compiles the `std` arm — where the [`UnsafeCell`] wrapper is
@@ -18,8 +18,12 @@ pub(crate) use loom::cell::UnsafeCell;
 pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(feature = "loom")]
+pub(crate) use loom::hint::spin_loop;
+#[cfg(feature = "loom")]
 pub(crate) use loom::thread::{current, park_timeout, Thread};
 
+#[cfg(not(feature = "loom"))]
+pub(crate) use std::hint::spin_loop;
 #[cfg(not(feature = "loom"))]
 pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(feature = "loom"))]

@@ -34,6 +34,18 @@
 //! wake-up. Every call site says which it is in a `// backstop:`
 //! comment that err-check's `backstop` pass checks.
 //!
+//! **The idle path.** What a thread does between "found nothing" and
+//! "asleep" is paid at every hand-over, so both sleepers do the same
+//! small thing ([`WakeCell::idle_unless`]): `IDLE_LOOKS` *looks* at the
+//! sleeper's wake predicate — the very closure the re-check evaluates,
+//! never a whole worker loop or flusher step — then the sleep above.
+//! The count is a constant. Where the peer shares this thread's CPU a
+//! spin can never be answered — the peer cannot run while we spin — so
+//! a long spin is pure cost; where a peer on another core could answer,
+//! a budget that learnt to climb to 64 looks found the work in up to
+//! 87 % of its phases and moved no throughput figure (EXPERIMENTS.md,
+//! "An idle thread costs nothing").
+//!
 //! One cell belongs to one sleeping thread (a shard worker, a flusher)
 //! and any number of wakers. The sleeper's `Thread` sits behind a
 //! mutex taken once per registration and once per *actual* unpark (a
@@ -43,7 +55,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::sync::{current, park_timeout, AtomicBool, Ordering, Thread};
+use crate::sync::{current, park_timeout, spin_loop, AtomicBool, Ordering, Thread};
 
 /// The timeout of a *covered* sleep — one whose wake-up a peer's
 /// [`WakeCell::wake`] guarantees. Longer than a scheduler tick, so the
@@ -51,6 +63,11 @@ use crate::sync::{current, park_timeout, AtomicBool, Ordering, Thread};
 /// wake was lost and the `*_park_timeouts` counters show a 10 ms
 /// hiccup instead of a hang.
 pub const BACKSTOP: Duration = Duration::from_millis(10);
+
+/// Looks [`WakeCell::idle_unless`] takes at the wake predicate before
+/// it announces the sleep: enough to catch work that landed while the
+/// idle round was being booked, without the flag's two swaps.
+const IDLE_LOOKS: u32 = 2;
 
 /// How a [`WakeCell::sleep_unless`] call ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,6 +134,22 @@ impl WakeCell {
         }
     }
 
+    /// One idle phase of the registered thread, after a round that
+    /// moved nothing: `IDLE_LOOKS` looks at `ready`, then
+    /// [`sleep_unless`](Self::sleep_unless) on the same predicate.
+    /// [`Sleep::Ready`] — a look or the re-check found the work.
+    pub fn idle_unless(&self, mut ready: impl FnMut() -> bool, timeout: Duration) -> Sleep {
+        let found = (0..IDLE_LOOKS).any(|_| {
+            spin_loop();
+            ready()
+        });
+        if found {
+            return Sleep::Ready;
+        }
+        // backstop: forwards the caller's `timeout`.
+        self.sleep_unless(ready, timeout)
+    }
+
     /// Waker side: call *after* publishing the work the sleeper waits
     /// for. Unparks the sleeper if it had announced itself; returns
     /// whether it did.
@@ -169,6 +202,35 @@ mod tests {
             cell.sleep_unless(|| false, Duration::from_millis(1)),
             Sleep::TimedOut
         );
+    }
+
+    #[test]
+    fn an_idle_phase_is_a_few_looks_then_the_sleeps_recheck() {
+        let cell = WakeCell::new();
+        cell.register();
+        // Nothing turns up: every look, the re-check, then the park.
+        let mut looks = 0;
+        let ready = || {
+            looks += 1;
+            false
+        };
+        assert_eq!(
+            cell.idle_unless(ready, Duration::from_micros(50)),
+            Sleep::TimedOut
+        );
+        assert_eq!(looks, IDLE_LOOKS + 1);
+        // Found by the last look: the sleep, whose re-check would be
+        // one more evaluation, is never entered.
+        looks = 0;
+        let ready = || {
+            looks += 1;
+            looks == IDLE_LOOKS
+        };
+        assert_eq!(
+            cell.idle_unless(ready, Duration::from_secs(60)),
+            Sleep::Ready
+        );
+        assert_eq!(looks, IDLE_LOOKS);
     }
 
     #[test]

@@ -686,8 +686,11 @@ impl Fabric {
         self.controllers.lock().expect("controller table poisoned")[node].clone()
     }
 
-    /// Refused tail handoffs observed at `node` (each one is a
-    /// backpressure event on some outgoing cable).
+    /// Refused tail handoffs observed at `node`. Each one is a
+    /// backpressure event on some outgoing cable — a tail offered on a
+    /// flusher wake or back-off expiry (5 → 100 µs) and turned away —
+    /// not a retry count: an idle flusher looks at its wake predicate,
+    /// it does not re-offer (DESIGN.md §7).
     pub fn refusals(&self, node: usize) -> u64 {
         self.counters[node].refusals()
     }

@@ -192,12 +192,10 @@ impl Forwarder {
             len: flit.len,
             arrival: flit.arrival,
         };
-        for (nth, link) in self
-            .topo
-            .candidate_links(self.node, flow, spec)
-            .into_iter()
-            .enumerate()
-        {
+        // One clock read per attempt, whatever the candidate count.
+        let now_us = self.epoch.elapsed().as_micros() as u64;
+        let candidates = self.topo.candidate_links(self.node, flow, spec);
+        for (nth, link) in candidates.enumerate() {
             let peer = self
                 .topo
                 .peer(self.node, link)
@@ -215,7 +213,6 @@ impl Forwarder {
             // in the peer's ring its tail may be served there, and
             // the stamp must already be visible (§11.8). Restored on
             // refusal, retired on terminal outcomes.
-            let now_us = self.epoch.elapsed().as_micros() as u64;
             let prev = self.tracker.take(flit.packet);
             self.tracker.stamp(
                 flit.packet,
@@ -341,5 +338,158 @@ impl Egress for Forwarder {
 
     fn try_emit(&mut self, _shard: usize, flit: &ServedFlit) -> bool {
         self.supervised(flit)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use err_runtime::{AdmissionPolicy, Runtime, RuntimeConfig};
+
+    thread_local! {
+        /// Heap requests made by this thread.
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The system allocator, counting requests per calling thread so
+    /// the other tests of this binary (and the peer runtime's threads)
+    /// do not show in a test's own count.
+    struct CountingAlloc;
+
+    // SAFETY: every method forwards its arguments unchanged to
+    // `System`, which upholds the `GlobalAlloc` contract; the counter
+    // is a const-initialised thread-local `Cell` without a destructor,
+    // so touching it from inside the allocator allocates nothing.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            // SAFETY: the caller's contract, passed through.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: the caller's contract, passed through.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            // SAFETY: the caller's contract, passed through.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// The tail hand-off is paid once per packet per hop on a flusher
+    /// thread: it must not touch the heap — no `Vec` of candidate
+    /// links, nothing in the refusal path — once the `HopTracker` maps
+    /// have their capacity.
+    #[test]
+    fn tail_hand_offs_allocate_nothing_after_warm_up() {
+        // Node 0 of a 2x1 mesh forwards flow 0 to node 1, a real
+        // runtime whose sink the test can block: a blocked worker lets
+        // the ingress ring fill, and a full ring refuses.
+        const RING: usize = 4096;
+        let blocked = Arc::new(AtomicBool::new(false));
+        // Warm-up: the maps keep the capacity of the most stamps they
+        // ever held, and no more than a ring's worth is ever in flight.
+        let tracker = Arc::new(HopTracker::new());
+        let entry = HopEntry {
+            node: 1,
+            entry_us: 0,
+            entry_served_flits: 0,
+        };
+        (0..4 * RING as u64).for_each(|id| tracker.stamp(id, entry));
+        assert!((0..4 * RING as u64).all(|id| tracker.take(id).is_some()));
+        let (peer, peer_handle) = {
+            let (blocked, tracker) = (Arc::clone(&blocked), Arc::clone(&tracker));
+            Runtime::start_with_egress(
+                RuntimeConfig {
+                    shards: 1,
+                    n_flows: 1,
+                    ring_capacity: RING,
+                    admission: AdmissionPolicy::Backpressure {
+                        max_backlog: 1 << 30,
+                    },
+                    ..RuntimeConfig::default()
+                },
+                move |_shard| {
+                    let (blocked, tracker) = (Arc::clone(&blocked), Arc::clone(&tracker));
+                    // What node 1's own forwarder would do on eject.
+                    Some(move |_s: usize, f: &ServedFlit| {
+                        while blocked.load(Ordering::Acquire) {
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
+                        tracker.take(f.packet);
+                    })
+                },
+            )
+        };
+        let topo = Arc::new(Topology::mesh(2, 1));
+        let handles = Arc::new(HandleTable::new());
+        handles.install(vec![peer_handle.clone(), peer_handle]);
+        let counters = Arc::new(NodeCounters::default());
+        let fwd = Forwarder::new(
+            0,
+            Arc::clone(&topo),
+            Arc::new(vec![FlowSpec { src: 0, dst: 1 }]),
+            handles,
+            Arc::new(FabricLedger::with_hops(&[2])),
+            Arc::clone(&counters),
+            Arc::new(FabricGate::new()),
+            Arc::new(DeadMap::new(&[topo.n_links(0), topo.n_links(1)])),
+            tracker,
+            Arc::new(vec![0, 1]),
+            Instant::now(),
+            DeadLinkPolicy::DropAndAccount,
+            Arc::new(PanicSwitch::new(2)),
+            Arc::new(ExitLog::default()),
+        );
+        let tail = |packet: u64| ServedFlit {
+            flow: 0,
+            packet,
+            arrival: 0,
+            len: 1,
+            flit_index: 0,
+        };
+        let allocs = || ALLOCS.with(Cell::get);
+
+        // Accepted: the peer drains as fast as we hand over.
+        let mut id = 0u64;
+        let mut accept = |n: u64| {
+            for _ in 0..n {
+                while fwd.on_flit(&tail(id)) != ForwardOutcome::Forwarded {
+                    std::thread::yield_now();
+                }
+                id += 1;
+            }
+        };
+        accept(256);
+        let before = allocs();
+        accept(1_000);
+        assert_eq!(allocs() - before, 0, "an accepted hand-off allocated");
+
+        // Refused: block the sink, fill the ring to the first refusal.
+        blocked.store(true, Ordering::Release);
+        while fwd.on_flit(&tail(id)) == ForwardOutcome::Forwarded {
+            id += 1;
+            assert!(id < 4 * RING as u64, "a blocked peer never refused");
+        }
+        let (before, refused) = (allocs(), counters.refusals());
+        for _ in 0..1_000 {
+            assert_eq!(fwd.on_flit(&tail(id)), ForwardOutcome::Refused);
+        }
+        assert_eq!(allocs() - before, 0, "a refused hand-off allocated");
+        assert_eq!(counters.refusals() - refused, 1_000);
+
+        blocked.store(false, Ordering::Release);
+        let report = peer.shutdown();
+        assert!(report.is_conserving(), "{report:?}");
     }
 }

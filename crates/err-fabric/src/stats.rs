@@ -272,7 +272,11 @@ impl NodeCounters {
         self.dead_lettered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a refused tail handoff (downstream ingress full).
+    /// Records a refused tail handoff (downstream ingress full, or a
+    /// §14.2 hold). The flusher offers a refused tail again once per
+    /// wake or back-off expiry — never from its idle spin — so the
+    /// count is backpressure events on this node's cables, not the
+    /// retries of a busy-wait.
     pub fn on_refusal(&self) {
         self.refusals.fetch_add(1, Ordering::Relaxed);
     }

@@ -261,39 +261,40 @@ impl Topology {
     /// then the reroute alternates (mesh: the YX step; fat-tree: the
     /// other ECMP up-links in rotation). Down-tier fat-tree steps and
     /// final mesh dimension steps have no alternate (DESIGN.md §11.4).
-    pub fn candidate_links(&self, node: usize, flow: usize, spec: FlowSpec) -> Vec<usize> {
+    /// An iterator, not a `Vec`: the forwarder asks once per tail
+    /// hand-off and almost always takes the first.
+    pub fn candidate_links(
+        &self,
+        node: usize,
+        flow: usize,
+        spec: FlowSpec,
+    ) -> impl Iterator<Item = usize> + '_ {
         debug_assert_ne!(node, spec.dst, "eject has no link candidates");
         let primary = self.primary_link(node, flow, spec);
-        let mut out = vec![primary];
-        match self.kind {
+        let (yx_step, k, salts) = match self.kind {
             Kind::Mesh { cols, .. } => {
                 // If both dimensions still need correction, the YX step
                 // (correct Y first) is a legal alternate.
                 let (cx, cy) = (node % cols, node / cols);
                 let (dx, dy) = (spec.dst % cols, spec.dst / cols);
-                if cx != dx && cy != dy {
+                let yx_step = (cx != dx && cy != dy).then(|| {
                     let next = if cy > dy { node - cols } else { node + cols };
-                    if let Some(l) = self.link_to(node, next) {
-                        out.push(l);
-                    }
-                }
+                    self.link_to(node, next)
+                });
+                (yx_step.flatten(), 0, 1..1)
             }
             Kind::FatTree { k } => {
                 let half = k / 2;
                 let n_edge = k * half;
                 let is_up = node < n_edge
                     || (node < 2 * n_edge && spec.dst / half != (node - n_edge) / half);
-                if is_up {
-                    for salt in 1..half as u64 {
-                        let l = self.fat_tree_link(k, node, flow, spec, salt);
-                        if !out.contains(&l) {
-                            out.push(l);
-                        }
-                    }
-                }
+                // `(hash + salt) % half` visits each up-link once.
+                (None, k, 1..if is_up { half as u64 } else { 1 })
             }
-        }
-        out
+        };
+        std::iter::once(primary)
+            .chain(yx_step)
+            .chain(salts.map(move |salt| self.fat_tree_link(k, node, flow, spec, salt)))
     }
 
     /// The fault-free node path of `flow`, source through destination.
@@ -400,13 +401,15 @@ mod tests {
     fn mesh_alternate_is_the_yx_step() {
         let t = Topology::mesh(3, 3);
         // 0 -> 8 needs both dimensions: primary East, alternate South.
-        let c = t.candidate_links(0, 0, FlowSpec { src: 0, dst: 8 });
+        let c: Vec<_> = t
+            .candidate_links(0, 0, FlowSpec { src: 0, dst: 8 })
+            .collect();
         assert_eq!(c.len(), 2);
         assert_eq!(t.peer(0, c[0]), Some(1));
         assert_eq!(t.peer(0, c[1]), Some(3));
         // 6 -> 8 is a single-dimension route: no alternate.
         let c = t.candidate_links(6, 0, FlowSpec { src: 6, dst: 8 });
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.count(), 1);
     }
 
     #[test]
@@ -435,12 +438,13 @@ mod tests {
     fn fat_tree_up_links_have_ecmp_alternates() {
         let t = Topology::fat_tree(4);
         let spec = FlowSpec { src: 0, dst: 7 };
-        let c = t.candidate_links(0, 3, spec);
+        let c: Vec<_> = t.candidate_links(0, 3, spec).collect();
         assert_eq!(c.len(), 2, "k/2 distinct up-links at the edge tier");
+        assert_ne!(c[0], c[1]);
         // The core's down step is unique: no alternates.
         let path = t.path(3, spec);
         let core = path[2];
-        assert_eq!(t.candidate_links(core, 3, spec).len(), 1);
+        assert_eq!(t.candidate_links(core, 3, spec).count(), 1);
     }
 
     #[test]

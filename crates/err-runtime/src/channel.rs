@@ -8,6 +8,17 @@
 //! pair (it is unique). All hot-path operations are O(1) and allocation-
 //! free, matching the runtime's goal of link-rate admission: a producer
 //! never takes a lock to hand a packet to a shard.
+//!
+//! Two questions a reader can put to the ring are not the same
+//! question. *How many slots are claimed?* — [`MpscRing::len`] /
+//! [`is_empty`](MpscRing::is_empty), the cursor difference: it counts
+//! a slot from the producer's CAS on, before the value is written. *Would
+//! a pop succeed?* — [`MpscRing::head_ready`], the head slot's sequence
+//! number: true only once the producer at the head has published. A
+//! producer preempted between its claim and its publish makes the first
+//! say "non-empty" while every `pop` returns `None`; a consumer that
+//! idles on the claimed count spins for as long as that producer is
+//! kept off the CPU — possibly by the consumer itself (DESIGN.md §6).
 
 use std::mem::MaybeUninit;
 
@@ -70,16 +81,39 @@ impl<T> MpscRing<T> {
         self.slots.len()
     }
 
-    /// Best-effort occupancy (racy; exact only when quiescent).
+    /// Slots *claimed* and not yet popped (racy; exact only when
+    /// quiescent): a producer's slot counts from its cursor CAS,
+    /// before its value is published. That is what a load estimate and
+    /// the §8.3 drain target need — a claimed slot is a packet about to
+    /// arrive — and it is **not** a pop predicate: see
+    /// [`head_ready`](Self::head_ready).
     pub fn len(&self) -> usize {
         let deq = self.dequeue.load(Ordering::Relaxed);
         let enq = self.enqueue.load(Ordering::Relaxed);
         enq.wrapping_sub(deq)
     }
 
-    /// Whether the ring appears empty (racy; see [`len`](Self::len)).
+    /// Whether no slot is claimed (racy; see [`len`](Self::len)).
+    /// `false` does not mean a `pop` would succeed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether a [`pop`](Self::pop) would succeed: the slot at the
+    /// dequeue cursor has been published. Single-consumer only, like
+    /// `pop`. A ring that is non-empty with an unready head has a
+    /// producer between its claim and its publish — runnable, and if it
+    /// shares the consumer's CPU, waiting for the consumer to get out
+    /// of its way.
+    pub fn head_ready(&self) -> bool {
+        let pos = self.dequeue.load(Ordering::Relaxed);
+        // ordering: Acquire pairs with the producer's Release `seq`
+        // store in `push`, exactly as the load in `pop` does — a sleeper
+        // whose re-check reads "ready" here is ordered after the
+        // publish, so the `pop` that follows finds the value.
+        // [pair: mpsc-seq @ self]
+        let seq = self.slots[pos & self.mask].seq.load(Ordering::Acquire);
+        (seq as isize - pos.wrapping_add(1) as isize) >= 0
     }
 
     /// The raw enqueue cursor. Slot positions below it are claimed; the
@@ -137,8 +171,10 @@ impl<T> MpscRing<T> {
                         // race-free until we publish `seq = pos + 1`.
                         slot.value.with_mut(|p| unsafe { (*p).write(value) });
                         // ordering: Release pairs with the consumer's
-                        // Acquire `seq` load in `pop` — publishes the
-                        // cell write above before the slot reads full.
+                        // Acquire `seq` load in `pop` and `head_ready`
+                        // — publishes the cell write above before the
+                        // slot reads full.
+                        // [pair: mpsc-seq @ self]
                         slot.seq.store(pos.wrapping_add(1), Ordering::Release);
                         return Ok(());
                     }
@@ -164,6 +200,7 @@ impl<T> MpscRing<T> {
         // ordering: Acquire pairs with the producer's Release `seq`
         // store in `push` — the cell write is visible before the slot
         // reads full.
+        // [pair: mpsc-seq @ self]
         let seq = slot.seq.load(Ordering::Acquire);
         if (seq as isize - (pos.wrapping_add(1)) as isize) < 0 {
             return None; // Nothing published at this position yet.
@@ -239,6 +276,42 @@ mod tests {
                 assert_eq!(r.pop(), Some(lap * 10 + i));
             }
         }
+    }
+
+    /// A producer caught between its claim and its publish: the ring
+    /// counts the slot, no pop can take it, and the pop predicate says
+    /// so — the state a worker used to live-spin on (DESIGN.md §6).
+    #[test]
+    fn a_claimed_unpublished_slot_counts_but_is_not_ready() {
+        let r = MpscRing::<u32>::with_capacity(4);
+        assert!(r.is_empty() && !r.head_ready());
+        // The first half of `push`: the cursor CAS.
+        r.enqueue
+            .compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed)
+            .expect("uncontended claim");
+        assert!(!r.is_empty(), "the claimed slot counts");
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.pop(), None, "nothing is published yet");
+        assert!(!r.head_ready(), "so a pop would not succeed");
+        // A second producer claims and publishes behind it: still
+        // nothing at the head.
+        r.push(8).unwrap();
+        assert_eq!(r.len(), 2);
+        assert!(!r.head_ready());
+        assert_eq!(r.pop(), None);
+        // The second half: write the value, publish the sequence.
+        // SAFETY: slot 0 was claimed by the CAS above and never
+        // published, so this thread owns its cell.
+        r.slots[0].value.with_mut(|p| unsafe { (*p).write(7) });
+        r.slots[0].seq.store(1, Ordering::Release);
+        assert!(r.head_ready());
+        assert_eq!(r.pop(), Some(7));
+        assert!(
+            r.head_ready(),
+            "the published slot behind it is the head now"
+        );
+        assert_eq!(r.pop(), Some(8));
+        assert!(r.is_empty() && !r.head_ready());
     }
 
     #[test]

@@ -128,7 +128,10 @@ impl Shared {
     /// Producer → worker wake, for a producer about to wait on
     /// `shard`'s worker: unparks it if it sleeps while its ingress ring
     /// holds packets. A worker asleep over an empty ring waits for
-    /// credits, which only a flusher can bring.
+    /// credits, which only a flusher can bring. The *claimed* count is
+    /// the right one here: a slot claimed and not yet published makes
+    /// the woken worker yield to its producer (`run_loop`), where the
+    /// pop predicate would have left a full ring's waiters unannounced.
     fn wake_worker_for_intake(&self, shard: usize) {
         if !self.rings[shard].is_empty() {
             self.wakes[shard].wake();

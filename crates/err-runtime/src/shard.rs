@@ -45,17 +45,22 @@
 //! * **re-throw** (no supervision) — the join observes the panic and
 //!   shutdown reports it as [`ShardExit::Panicked`](crate::ShardExit).
 //!
-//! When there is nothing to do the worker spins briefly, then sleeps on
-//! its shard's [`WakeCell`](err_egress::WakeCell) (DESIGN.md §6): it
-//! announces itself, re-checks its ingress ring and whether its stage
-//! can progress (a parked link's credit came back), and parks. Its
-//! peers end the park at *their* batch boundaries — a producer about
-//! to wait on this worker, a credit-returner whose pool had run empty
-//! — never per packet or per flit. A lone worker whose every link is
-//! credit-parked waits for announced events only: its sleep is
-//! *covered*, its timer a mere `BACKSTOP`. Any other park polls for
-//! what nobody announces — a plain push; a heartbeat, a thief's request
-//! or a credit other shards may take first — and keeps `PARK_TIMEOUT`.
+//! After a loop that moved nothing the worker idles on its shard's
+//! [`WakeCell`](err_egress::WakeCell) (`idle_unless`, DESIGN.md §6).
+//! Its wake predicate is "a pop would succeed, or the stage can
+//! progress (a parked link's credit came back)": it looks at that —
+//! never at a whole loop — twice, then announces itself, re-checks the
+//! same predicate, and parks. A ring
+//! that is non-empty while its head is unpublished holds a producer
+//! caught mid-push: runnable, and possibly kept off this very CPU by
+//! us, so the worker yields to it instead. Its peers end the park at
+//! *their* batch boundaries — a producer about to wait on this worker,
+//! a credit-returner whose pool had run empty — never per packet or per
+//! flit. A lone worker whose every link is credit-parked waits for
+//! announced events only: its sleep is *covered*, its timer a mere
+//! `BACKSTOP`. Any other park polls for what nobody announces — a plain
+//! push; a heartbeat, a thief's request or a credit other shards may
+//! take first — and keeps `PARK_TIMEOUT`.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -70,8 +75,6 @@ use crate::fault::{abort_residuals, fault_tick, Bequest, ShardHealth};
 use crate::ingress::Shared;
 use crate::ownership::OwnerState;
 
-/// Spins this many empty loops before parking.
-const SPIN_BEFORE_PARK: u32 = 64;
 /// Park duration of a sleep that polls; bounds wake-up latency after
 /// an idle period nobody's wake ended.
 const PARK_TIMEOUT: Duration = Duration::from_micros(100);
@@ -96,18 +99,16 @@ pub(crate) struct ShardConfig {
 pub(crate) trait EgressStage: Send {
     /// The service phase: serves up to `batch_flits` flits from
     /// `scheduler` starting at flit-clock `now` and sends each on its
-    /// way. Returns `(flits, tail flits, starved)`. `starved` is `Some`
-    /// when every link that carries a flow is credit-parked — no
-    /// arrival can be served before a credit returns, which is
-    /// announced — and says whether the last worker → flusher wake
-    /// found the flusher asleep: a futex wake-up outlasts a spin.
+    /// way. Returns `(flits, tail flits, starved)`. `starved`: every
+    /// link that carries a flow is credit-parked — no arrival can be
+    /// served before a credit returns, which is announced.
     fn serve(
         &mut self,
         shared: &Shared,
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64, Option<bool>);
+    ) -> (u64, u64, bool);
 
     /// Park re-check: whether `serve` would release a parked link now.
     fn can_progress(&self) -> bool {
@@ -174,7 +175,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64, Option<bool>) {
+    ) -> (u64, u64, bool) {
         if self.next == self.served.len() {
             self.served.clear();
             (self.next, self.tails) = (0, 0);
@@ -190,7 +191,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
                 sink.emit(self.shard, flit);
             }
         }
-        (self.served.len() as u64, self.tails, None)
+        (self.served.len() as u64, self.tails, false)
     }
 }
 
@@ -228,8 +229,6 @@ pub(crate) struct BufferedStage {
     /// compared against the flusher's [`FlushProgress`] cursor by the
     /// donor-side retire fence (§13.5).
     pushed: u64,
-    /// Whether the last worker → flusher wake found the flusher asleep.
-    flusher_slept: bool,
 }
 
 impl BufferedStage {
@@ -254,7 +253,6 @@ impl BufferedStage {
             grant: vec![0; n_links],
             link_parked: vec![false; n_links],
             pushed: 0,
-            flusher_slept: false,
         }
     }
 
@@ -373,7 +371,7 @@ impl EgressStage for BufferedStage {
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64, Option<bool>) {
+    ) -> (u64, u64, bool) {
         struct Settle<'a>(u64, &'a mut BufferedStage);
         impl Drop for Settle<'_> {
             fn drop(&mut self) {
@@ -382,7 +380,7 @@ impl EgressStage for BufferedStage {
                 if stage.pushed != self.0 {
                     let occupancy = stage.tx.occupancy() as u64;
                     stage.estats.note_ring_occupancy(occupancy);
-                    stage.flusher_slept = stage.tx.wake_consumer();
+                    stage.tx.wake_consumer();
                 }
             }
         }
@@ -425,7 +423,7 @@ impl EgressStage for BufferedStage {
         drop(settle);
         let mut links = self.link_parked.iter().zip(&self.link_flows);
         let starved = self.link_parked.contains(&true) && links.all(|(&p, f)| p || f.is_empty());
-        (flits, tails, starved.then_some(self.flusher_slept))
+        (flits, tails, starved)
     }
 
     /// A credit for a parked link (a credit-returner wakes for it).
@@ -488,7 +486,6 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
     let ring = &shared.rings[shard];
     let stats = &shared.stats[shard];
     let mut arrivals: Vec<Packet> = Vec::with_capacity(cfg.batch_packets);
-    let mut idle_spins: u32 = 0;
     // A successor (§9.2) replaces its predecessor's thread handle.
     shared.wakes[shard].register();
     // Exit-gate forensics, paired with the drain-side dump in
@@ -526,6 +523,8 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
         // would otherwise always report an empty queue — the backlog
         // it is absorbing lives in flight between producer and service
         // phase, never at a post-service instant (DESIGN.md §8.1).
+        // `len` counts claimed slots: a packet mid-push is load that is
+        // about to arrive, which is what the estimate wants.
         let pre_backlog = scheduler.backlog_flits() + ring.len() as u64;
 
         // Service phase: one flit per cycle of the shard's flit clock.
@@ -575,47 +574,55 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
             // (DESIGN.md §8.6 — a mid-handoff exit would strand the
             // victim's packets). The ring check must come after
             // `can_finish`: once that returns true no further push can
-            // happen, so empty is stable.
+            // happen, so empty is stable — and exact: `is_empty` counts
+            // claimed slots, and with no producer inside `submit` none
+            // is claimed but unpublished.
             if !migrating && shared.can_finish() && ring.is_empty() && scheduler.is_idle() {
                 break;
             }
-            idle_spins += 1;
-            // A hot handoff must keep spinning past SPIN_BEFORE_PARK:
-            // the peer worker is waiting on our next protocol step (a
-            // parked donor mid-quiesce would stall the thief's fence),
-            // and a timed park would add up to PARK_TIMEOUT to every
-            // transition. Starved behind a sleeping flusher, skip it.
-            if hot_handoff || (idle_spins < SPIN_BEFORE_PARK && starved != Some(true)) {
+            stats.idle_loops.add(1);
+            let has_work = || ring.head_ready() || stage.can_progress();
+            if hot_handoff {
+                // A hot handoff never sleeps and loops on: the peer
+                // worker is waiting on our next protocol step (a
+                // parked donor mid-quiesce would stall the thief's
+                // fence), and a timed park would add up to PARK_TIMEOUT
+                // to every transition.
                 std::hint::spin_loop();
+            } else if !ring.is_empty() && !has_work() {
+                // A producer claimed the head slot and has not
+                // published it: no pop can succeed until it runs again.
+                // It is runnable — if it shares our CPU, we are what
+                // keeps it off — so neither spin against it nor park on
+                // a timer: hand it the CPU.
+                std::thread::yield_now();
             } else {
                 debug_parks += 1;
                 if debug_exit && debug_parks.is_multiple_of(100_000) {
                     eprintln!(
-                        "[exit-debug] shard {shard} starved={starved:?} migrating={migrating} \
+                        "[exit-debug] shard {shard} starved={starved} migrating={migrating} \
                          can_finish={} ring_empty={} sched_idle={}",
                         shared.can_finish(),
                         ring.is_empty(),
                         scheduler.is_idle(),
                     );
                 }
-                let has_work = || !ring.is_empty() || stage.can_progress();
                 let cell = &shared.wakes[shard];
-                let how = if starved.is_some() && !polls {
+                let how = if starved && !polls {
                     // backstop: covered by `wake_credit_waiters` (a
                     // credit return), `wake_worker_for_intake` (a full
                     // ingress ring) and `drain_within`'s wakes (drain,
                     // abort) — no arrival could be served meanwhile.
-                    cell.sleep_unless(has_work, BACKSTOP)
+                    cell.idle_unless(has_work, BACKSTOP)
                 } else {
                     // backstop: polls arrivals (a plain push never wakes),
                     // heartbeat, thieves, credits other shards may take.
-                    cell.sleep_unless(has_work, PARK_TIMEOUT)
+                    cell.idle_unless(has_work, PARK_TIMEOUT)
                 };
                 stats.parks.add(u64::from(how != Sleep::Ready));
                 stats.park_timeouts.add(u64::from(how == Sleep::TimedOut));
             }
         } else {
-            idle_spins = 0;
             stats.busy_loops.add(1);
         }
     }

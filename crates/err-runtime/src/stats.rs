@@ -70,6 +70,11 @@ pub struct ShardStats {
     pub backlog_flits: PaddedCounter,
     /// Service-loop iterations that moved at least one packet or flit.
     pub busy_loops: PaddedCounter,
+    /// Service-loop iterations that moved nothing: each takes the idle
+    /// path (two looks at the wake predicate, then maybe a park),
+    /// yields to a producer caught mid-push, or — during a hot steal
+    /// hand-off — loops straight on.
+    pub idle_loops: PaddedCounter,
     /// Times the worker parked because there was nothing to do.
     pub parks: PaddedCounter,
     /// Parks that ran to their timeout instead of being ended by a
@@ -110,6 +115,7 @@ impl ShardStats {
             served_packets: self.served_packets.get(),
             backlog_flits: self.backlog_flits.get(),
             busy_loops: self.busy_loops.get(),
+            idle_loops: self.idle_loops.get(),
             parks: self.parks.get(),
             park_timeouts: self.park_timeouts.get(),
             stolen_in: self.stolen_in.get(),
@@ -146,6 +152,8 @@ pub struct ShardSnapshot {
     pub backlog_flits: u64,
     /// See [`ShardStats::busy_loops`].
     pub busy_loops: u64,
+    /// See [`ShardStats::idle_loops`].
+    pub idle_loops: u64,
     /// See [`ShardStats::parks`].
     pub parks: u64,
     /// See [`ShardStats::park_timeouts`].
@@ -316,12 +324,14 @@ impl fmt::Display for RuntimeStats {
             writeln!(
                 f,
                 "  shard {}: enq {} pkts | served {} pkts / {} flits | drop {} | \
-                 parks {} ({} timed out)",
+                 loops {} busy / {} idle | parks {} ({} timed out)",
                 s.shard,
                 s.enqueued_packets,
                 s.served_packets,
                 s.served_flits,
                 s.dropped_packets,
+                s.busy_loops,
+                s.idle_loops,
                 s.parks,
                 s.park_timeouts,
             )?;
@@ -335,6 +345,13 @@ impl fmt::Display for RuntimeStats {
                 e.stall_events(),
                 e.max_stall_cycles(),
             )?;
+            for (i, s) in e.shards.iter().enumerate() {
+                writeln!(
+                    f,
+                    "    flusher {}: idle rounds {} | parks {} ({} timed out)",
+                    i, s.flusher_idle_rounds, s.flusher_parks, s.flusher_park_timeouts,
+                )?;
+            }
             for (i, l) in e.links.iter().enumerate() {
                 writeln!(
                     f,

@@ -615,6 +615,18 @@ fn woken_parks(stats: &RuntimeStats, shard: usize) -> u64 {
     s.parks - s.park_timeouts
 }
 
+/// Per-flow FIFO as a sink sees it, for a producer that sends packet
+/// ids round-robin over the flows, `len` flits each: per flow, the
+/// count of flits delivered so far says which (packet, flit) must come
+/// next. Counts a flit out of place in `disorder`.
+fn expect_flow_fifo(next: &[AtomicU64], disorder: &AtomicU64, len: u64, f: &ServedFlit) {
+    let k = next[f.flow].fetch_add(1, Ordering::Relaxed);
+    let expect = (f.flow as u64 + (k / len) * N_FLOWS as u64, (k % len) as u32);
+    if (f.packet, f.flit_index) != expect {
+        disorder.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// The hand-off edges at work (DESIGN.md §6, §7): one shard whose
 /// worker runs out of credits every 128 flits, a flusher that sleeps
 /// whenever its ring is empty, and a producer blocked on backpressure.
@@ -630,11 +642,20 @@ fn event_driven_handoffs_conserve_and_rarely_time_out() {
     // refilled by plain pushes — the path that deliberately never
     // wakes — and most parks run to the timer by design.)
     const LEN: u64 = 16;
-    /// 320 k flits, over the 200 k asked.
-    const PACKETS: u64 = 20_000;
+    /// 320 k flits, over the 200 k asked. A debug build's worker is
+    /// the slow side and seldom starves, the more seldom the fewer
+    /// cycles its flusher wastes: over 80 lone debug
+    /// runs of 20 000 packets the worker parked 79–1 889 times at PR 18
+    /// and 26–2 052 times once an idle flusher stopped spinning (PR 20),
+    /// under the 50 parks asked below in 12 of them. Four times the
+    /// traffic, the same thresholds: 166–8 216 parks over 60 runs.
+    const PACKETS: u64 = if cfg!(debug_assertions) {
+        80_000
+    } else {
+        20_000
+    };
     // A sink light enough that a flusher step stays far below the
-    // worker's park timeout: per flow, the count of flits delivered so
-    // far says which (packet, flit) must come next.
+    // worker's park timeout.
     let next: Arc<Vec<AtomicU64>> = Arc::new((0..N_FLOWS).map(|_| AtomicU64::new(0)).collect());
     let disorder = Arc::new(AtomicU64::new(0));
     let (n2, d2) = (Arc::clone(&next), Arc::clone(&disorder));
@@ -649,13 +670,7 @@ fn event_driven_handoffs_conserve_and_rarely_time_out() {
         },
         move |_shard| {
             let (next, disorder) = (Arc::clone(&n2), Arc::clone(&d2));
-            Some(move |_s: usize, f: &ServedFlit| {
-                let k = next[f.flow].fetch_add(1, Ordering::Relaxed);
-                let expect = (f.flow as u64 + (k / LEN) * N_FLOWS as u64, (k % LEN) as u32);
-                if (f.packet, f.flit_index) != expect {
-                    disorder.fetch_add(1, Ordering::Relaxed);
-                }
-            })
+            Some(move |_s: usize, f: &ServedFlit| expect_flow_fifo(&next, &disorder, LEN, f))
         },
     );
     for id in 0..PACKETS {
@@ -699,6 +714,97 @@ fn event_driven_handoffs_conserve_and_rarely_time_out() {
         flusher.flusher_park_timeouts,
         flusher.flusher_parks
     );
+}
+
+/// The idle path where spinning never pays (DESIGN.md §6): a sink
+/// that sleeps 200 µs per flit behind four 4-credit links keeps worker
+/// and flusher handing over to each other every few flits, and no look
+/// at a wake predicate is ever answered — the peer it waits for is
+/// asleep in the sink or waiting on us. An idle loop must be a park
+/// (plus the odd look or re-check that found work), not 64 whole loops
+/// per park. The slow sink, not the host's
+/// core count, is what makes the spin futile: this holds anywhere.
+#[test]
+fn idle_threads_do_not_spin_where_spinning_never_pays() {
+    let _alone = one_at_a_time();
+    const LEN: u64 = PACKET_LEN as u64;
+    const PACKETS: u64 = 2_000;
+    let next: Arc<Vec<AtomicU64>> = Arc::new((0..N_FLOWS).map(|_| AtomicU64::new(0)).collect());
+    let disorder = Arc::new(AtomicU64::new(0));
+    let (n2, d2) = (Arc::clone(&next), Arc::clone(&disorder));
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: N_FLOWS,
+            discipline: Discipline::Err,
+            // Two packets a flow: the producer waits on the worker for
+            // the whole run, as the worker waits on the flusher.
+            admission: AdmissionPolicy::Backpressure { max_backlog: 8 },
+            egress: EgressMode::Buffered(BufferedConfig {
+                ring_capacity: 64,
+                credits: 4,
+                n_links: N_LINKS,
+                ..BufferedConfig::default()
+            }),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| {
+            let (next, disorder) = (Arc::clone(&n2), Arc::clone(&d2));
+            Some(move |_s: usize, f: &ServedFlit| {
+                std::thread::sleep(Duration::from_micros(200));
+                expect_flow_fifo(&next, &disorder, LEN, f);
+            })
+        },
+    );
+    // (idle loops or rounds, parks) of the worker and of the flusher.
+    let idleness = |stats: &RuntimeStats| {
+        let (w, f) = (
+            &stats.shards[0],
+            &stats.egress.as_ref().expect("buffered").shards[0],
+        );
+        [
+            (w.idle_loops, w.parks),
+            (f.flusher_idle_rounds, f.flusher_parks),
+        ]
+    };
+    // Start-up is not steady state: each thread's first fifty parks
+    // are left out of the ratio.
+    const SETTLE: u64 = 50;
+    let mut settled = [None; 2];
+    for id in 0..PACKETS {
+        let flow = (id % N_FLOWS as u64) as usize;
+        handle
+            .submit(Packet::new(id, flow, LEN as u32, 0))
+            .expect("backpressure blocks, never refuses");
+        if settled.contains(&None) {
+            let now = idleness(&rt.stats());
+            for (settled, now) in settled.iter_mut().zip(now) {
+                *settled = settled.or((now.1 >= SETTLE).then_some(now));
+            }
+        }
+    }
+    let report = rt.shutdown();
+    assert!(report.is_conserving(), "{report:?}");
+    assert_eq!(report.served_packets(), PACKETS);
+    assert_eq!(
+        report.stats.flushed_flits(),
+        PACKETS * LEN,
+        "a flit stranded"
+    );
+    assert_eq!(disorder.load(Ordering::Relaxed), 0, "per-flow FIFO broken");
+    let end = idleness(&report.stats);
+    for (who, (settled, end)) in ["worker", "flusher"].iter().zip(settled.iter().zip(end)) {
+        let settled = settled.unwrap_or_else(|| panic!("the {who} parked {} times", end.1));
+        let (idle, parks) = (end.0 - settled.0, end.1 - settled.1);
+        assert!(
+            parks >= 20,
+            "the {who} parked {parks} times after {settled:?}"
+        );
+        assert!(
+            idle <= 3 * parks,
+            "the {who} went idle {idle} times for {parks} parks: it spins where no spin is answered"
+        );
+    }
 }
 
 /// The sleep taxonomy, idle side (DESIGN.md §6): a flusher with an
