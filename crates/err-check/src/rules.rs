@@ -42,10 +42,10 @@ pub const PASSES: &[(&str, &str)] = &[
     ),
     (
         "park-protocol",
-        "in per-flow-claim files every `park_flow` names its unpark authority in a `// unpark:` \
-         comment whose backticked identifiers resolve, and direct `unpark_flow` calls need the \
-         same justification — donor-unwind paths go through `unpark_respecting_links` (the PR 8 \
-         wedge class)",
+        "in the files that park flows for a mover or a link every `park_flow` names its unpark \
+         authority in a `// unpark:` comment whose backticked identifiers resolve, and direct \
+         `unpark_flow` calls need the same justification — donor-unwind paths go through \
+         `unpark_respecting_links` (the PR 8 wedge class)",
     ),
     (
         "panic-boundary",
@@ -70,15 +70,15 @@ pub const PASSES: &[(&str, &str)] = &[
 /// Files allowed to use `Ordering::SeqCst`. Everything here is a
 /// store→load (Dekker) protocol where independent total order is the
 /// point: the drain gate's `closed+in_flight` pairing, the fault
-/// board's health arbitration and the migration epoch machinery.
+/// board's health arbitration and the migration slot's phase machine.
 pub(crate) const SEQCST_FILES: &[&str] = &[
     "crates/err-runtime/src/gate.rs",
     "crates/err-runtime/src/fault.rs",
     "crates/err-runtime/src/migrate.rs",
-    // Ownership: the §13.3 submit-window Dekker (window enter vs map
-    // flip) and the §13.2 epoch CAS; modeled with the shipped atomics
-    // by err-check's model_ownership_window_dekker.
-    "crates/err-runtime/src/ownership.rs",
+    // FlowMap: the §8.3 submit-window Dekker (window enter vs map
+    // flip); modeled with the shipped atomics by err-check's
+    // model_flow_map_window_dekker.
+    "crates/err-runtime/src/flow_map.rs",
     // FabricGate: the §10 DrainGate `closed+in_flight` Dekker pair
     // replayed at fabric scope (DESIGN.md §11.3).
     "crates/err-fabric/src/fabric.rs",
@@ -124,10 +124,11 @@ pub(crate) const TRAIT_IMPL_RULES: &[(&str, &str, &str)] = &[("Egress", "try_emi
 
 /// Files whose non-Relaxed atomic sites must carry a machine-checkable
 /// `[pair: label @ file]` clause (the PR 8/9 fabric-era protocol
-/// files). Elsewhere a free-text `// ordering:` comment is enough;
-/// clauses are still graph-checked wherever they appear.
+/// files, and the submit-window Dekker every steal relies on).
+/// Elsewhere a free-text `// ordering:` comment is enough; clauses are
+/// still graph-checked wherever they appear.
 pub(crate) const PAIRED_FILES: &[&str] = &[
-    "crates/err-runtime/src/ownership.rs",
+    "crates/err-runtime/src/flow_map.rs",
     "crates/err-fabric/src/chaos.rs",
     "crates/err-fabric/src/fabric.rs",
     "crates/err-egress/src/flusher.rs",
@@ -136,10 +137,11 @@ pub(crate) const PAIRED_FILES: &[&str] = &[
     "crates/err-egress/src/wake.rs",
 ];
 
-/// Files that take per-flow claims (DESIGN.md §13): the park/unpark
-/// protocol pass runs only here. An unpark that bypasses
-/// `unpark_respecting_links` on a donor-unwind path is the PR 8
-/// stash-wedge class.
+/// Files that park flows — the mover's slot protocol (DESIGN.md §8.2),
+/// the buffered stage's link parking (§7), forced-abort residue
+/// accounting (§9.4): the park/unpark protocol pass runs only here. An
+/// unpark that bypasses `unpark_respecting_links` on a donor-unwind
+/// path is the PR 8 stash-wedge class.
 pub(crate) const CLAIM_FILES: &[&str] = &[
     "crates/err-runtime/src/migrate.rs",
     "crates/err-runtime/src/fault.rs",
@@ -170,8 +172,9 @@ pub(crate) struct DocRule {
 /// vocabulary the code exports. Mirrors (and extends to §10) the
 /// enum-derived drift tests in `tests/migration_stealing.rs` and
 /// `tests/fault_tolerance.rs`. One rule per normative DESIGN section
-/// (§8–§14) — `tests::every_normative_design_section_has_a_doc_rule`
-/// asserts the table stays complete as sections are added.
+/// (§8–§14; §13 was merged into §8 and its number retired) —
+/// `tests::every_normative_design_section_has_a_doc_rule` asserts the
+/// table stays complete as sections are added.
 pub(crate) const DOC_RULES: &[DocRule] = &[
     // §6/§7 hand-off vocabulary: the wake edges, which timers are a
     // backstop and which a poll, and the counters that tell the two
@@ -232,6 +235,8 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "no stash",
         ],
     },
+    // §8 vocabulary: the slot machine's phases, the one mover's parts,
+    // the map with its submit windows, and the claim the slot is.
     DocRule {
         doc: "DESIGN.md",
         section: Some("## 8"),
@@ -248,6 +253,16 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "extract_flow",
             "absorb_flow",
             "park_flow",
+            "moving",
+            "flip",
+            "WindowGuard",
+            "window_enter",
+            "window_clear",
+            "linearization",
+            // The §8.7 fence, and the slot-persisted step a resurrected
+            // donor replays.
+            "FlushProgress",
+            "resurrection",
         ],
     },
     DocRule {
@@ -362,37 +377,9 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "--estimate",
         ],
     },
-    // §13 vocabulary: the ownership authority's states and protocol
-    // verbs must stay named in the spec (the ownership layer is
-    // spec-first; see §13's preamble).
-    DocRule {
-        doc: "DESIGN.md",
-        section: Some("## 13"),
-        needles: &[
-            // OwnerState (ownership.rs).
-            "Settled",
-            "Stealing",
-            // The authority and its protocol verbs.
-            "Ownership",
-            "FlowMap",
-            "ClaimToken",
-            "WindowGuard",
-            "try_claim",
-            "try_reroute",
-            "release",
-            "window_enter",
-            "window_clear",
-            "epoch",
-            "linearization",
-            // The §13.5 fence, and the §13.4 slot-persisted claim a
-            // resurrected donor replays.
-            "FlushProgress",
-            "resurrection",
-        ],
-    },
     // §14 vocabulary: the healing layer's fault events, policies, and
-    // supervision artifacts must stay named in the spec (spec-first,
-    // like §13; see §14's preamble).
+    // supervision artifacts must stay named in the spec (spec-first;
+    // see §14's preamble).
     DocRule {
         doc: "DESIGN.md",
         section: Some("## 14"),

@@ -19,7 +19,7 @@ use err_egress::{
 use err_fabric::HandleTable;
 use err_runtime::channel::MpscRing;
 use err_runtime::gate::DrainGate;
-use err_runtime::Ownership;
+use err_runtime::FlowMap;
 use loom::cell::UnsafeCell;
 use loom::model::Builder;
 use loom::thread;
@@ -240,25 +240,25 @@ fn model_drain_gate_no_lost_packet() {
     assert!(report.complete, "gate model must be exhaustive");
 }
 
-/// The three-party submit-window Dekker (DESIGN.md §13.3) over the
-/// *shipped* [`Ownership`] — not a miniature: two producers race a
-/// mover on one flow. Each producer enters the submit window, reads the
-/// map, and pushes into the ring the map names; the mover claims the
-/// flow, flips the map (epoch CAS), waits for the window to clear, and
-/// only then drains the old ring. The old-ring slots are raw cells, so
-/// the window protocol is the *only* thing keeping a producer's push
-/// and the mover's drain apart — the race detector proves the Dekker,
-/// and the final assertion proves no push strands in the old ring
-/// after the drain (the §13.3 lost-packet hazard).
+/// The three-party submit-window Dekker (DESIGN.md §8.3) over the
+/// *shipped* [`FlowMap`] — not a miniature: two producers race a mover
+/// on one flow. Each producer enters the submit window, reads the map,
+/// and pushes into the ring the map names; the mover flips the map,
+/// waits for the window to clear, and only then drains the old ring.
+/// The old-ring slots are raw cells, so the window protocol is the
+/// *only* thing keeping a producer's push and the mover's drain apart —
+/// the race detector proves the Dekker, and the final assertion proves
+/// no push strands in the old ring after the drain (the §8.3
+/// lost-packet hazard).
 #[test]
-fn model_ownership_window_dekker() {
+fn model_flow_map_window_dekker() {
     let mut b = Builder::new();
     b.max_preemptions = Some(2);
     b.max_iterations = 2_000_000;
     let report = b.check(|| {
         use loom::sync::atomic::{AtomicU64, Ordering};
-        let own = Arc::new(Ownership::new(1, 2));
-        let src = own.shard_of(0).expect("flow 0 is mapped");
+        let map = Arc::new(FlowMap::new(1, 2));
+        let src = map.shard_of(0).expect("flow 0 is mapped");
         let dst = 1 - src;
         // One old-ring slot per producer (a real MpscRing synchronizes
         // concurrent pushes internally; per-producer slots model the
@@ -270,12 +270,12 @@ fn model_ownership_window_dekker() {
         let producers: Vec<_> = [0usize, 1usize]
             .into_iter()
             .map(|i| {
-                let own = Arc::clone(&own);
+                let map = Arc::clone(&map);
                 let slots = Arc::clone(&slots);
                 let dst_ring = Arc::clone(&dst_ring);
                 thread::spawn(move || {
-                    let guard = own.window_enter(0).expect("mapped flow has a window");
-                    let home = own.shard_of(0).expect("mapped");
+                    let guard = map.window_enter(0).expect("mapped flow has a window");
+                    let home = map.shard_of(0).expect("mapped");
                     if home == src {
                         slots[i].with_mut(|p| unsafe { *p += 1 });
                     } else {
@@ -286,17 +286,16 @@ fn model_ownership_window_dekker() {
             })
             .collect();
         let mover = {
-            let own = Arc::clone(&own);
+            let map = Arc::clone(&map);
             let slots = Arc::clone(&slots);
             thread::spawn(move || {
-                let tok = own.try_claim(0, dst).expect("flow starts Settled");
-                assert!(own.try_reroute(&tok, dst), "epoch-0 reroute cannot lose");
-                while !own.window_clear(0) {
+                map.flip(0, dst);
+                while !map.window_clear(0) {
                     thread::yield_now();
                 }
-                // Window clear after the flip ⇒ every old-epoch push
-                // is drained here, none lands later.
-                let moved = slots[0].with_mut(|p| unsafe {
+                // Window clear after the flip ⇒ every old-home push is
+                // drained here, none lands later.
+                slots[0].with_mut(|p| unsafe {
                     let v = *p;
                     *p = 0;
                     v
@@ -304,9 +303,7 @@ fn model_ownership_window_dekker() {
                     let v = *p;
                     *p = 0;
                     v
-                });
-                own.release(&tok);
-                moved
+                })
             })
         };
         for p in producers {
@@ -322,7 +319,7 @@ fn model_ownership_window_dekker() {
         );
     });
     println!(
-        "model_ownership_window_dekker: {} interleavings (complete={})",
+        "model_flow_map_window_dekker: {} interleavings (complete={})",
         report.executions, report.complete
     );
     assert!(report.complete, "bounded DFS must exhaust");
@@ -560,7 +557,7 @@ fn model_hold_for_recovery_resurrect_vs_finalize() {
     assert!(report.complete, "bounded DFS must exhaust");
 }
 
-/// The §13.5 retire fence through the shipped `FlusherCore` +
+/// The §8.7 retire fence through the shipped `FlusherCore` +
 /// `FlushProgress`: a donor spins on `retired()` until the victim's
 /// two flits are disposed, then reads the delivery log the sink wrote.
 /// The conditional Release publish (pending-free instants only) →
@@ -924,26 +921,25 @@ fn mutant_drain_gate_check_then_enter() {
     });
 }
 
-// The §13.3 window protocol needs three orderings to carry
+// The §8.3 window protocol needs two orderings to carry
 // happens-before: the producer's window *exit* (WindowGuard's
-// fetch_sub publishes the ring push it covers), the mover's
-// *window-clear load* (joins that publication before the drain), and
-// the claim *release* (publishes the mover's last packet touch to the
-// next claimant). Each gets a mutant below. The enter/flip SeqCst
-// pairing is a store-buffering (value-order) requirement — the
-// vendored checker executes values sequentially consistently (rt.rs
-// header), so weakening those cannot be observed through any
-// interleaving and they carry no cell-guarding edge to cut.
+// fetch_sub publishes the ring push it covers) and the mover's
+// *window-clear load* (joins that publication before the drain). Each
+// gets a mutant below. The enter/flip SeqCst pairing is a
+// store-buffering (value-order) requirement — the vendored checker
+// executes values sequentially consistently (rt.rs header), so
+// weakening those cannot be observed through any interleaving and they
+// carry no cell-guarding edge to cut.
 
-/// `WindowGuard::drop` (`ownership.rs`) weakened from SeqCst to
+/// `WindowGuard::drop` (`flow_map.rs`) weakened from SeqCst to
 /// Relaxed: the relaxed `fetch_sub` extends the release sequence headed
 /// by the *enter* — a clock from before the push — so the mover's
 /// window-clear load no longer acquires the push, and the drain races
 /// it.
 #[test]
-fn mutant_ownership_window_exit_relaxed() {
+fn mutant_flow_map_window_exit_relaxed() {
     use loom::sync::atomic::{AtomicU64, Ordering};
-    expect_violation("ownership_window_exit_relaxed", || {
+    expect_violation("flow_map_window_exit_relaxed", || {
         Builder::new().check(|| {
             let window = Arc::new(AtomicU64::new(0));
             let map = Arc::new(AtomicU64::new(0)); // flow homed at src=0
@@ -974,13 +970,13 @@ fn mutant_ownership_window_exit_relaxed() {
     });
 }
 
-/// `Ownership::window_clear` (`ownership.rs`) weakened from SeqCst to
+/// `FlowMap::window_clear` (`flow_map.rs`) weakened from SeqCst to
 /// Relaxed: the mover sees the counter hit zero but acquires nothing,
 /// so the producer's covered push is unordered against the drain.
 #[test]
-fn mutant_ownership_window_wait_relaxed() {
+fn mutant_flow_map_window_wait_relaxed() {
     use loom::sync::atomic::{AtomicU64, Ordering};
-    expect_violation("ownership_window_wait_relaxed", || {
+    expect_violation("flow_map_window_wait_relaxed", || {
         Builder::new().check(|| {
             let window = Arc::new(AtomicU64::new(0));
             let map = Arc::new(AtomicU64::new(0));
@@ -1007,54 +1003,6 @@ fn mutant_ownership_window_wait_relaxed() {
                 v
             });
             producer.join().expect("producer");
-        });
-    });
-}
-
-/// `Ownership::release` (`ownership.rs`) weakened from AcqRel to
-/// Relaxed: the relaxed CAS keeps the release sequence headed by the
-/// *claim* — a clock from before the mover touched the flow's packets —
-/// so the next claimant's acquire joins a stale clock and its packet
-/// access races the first mover's.
-#[test]
-fn mutant_ownership_release_relaxed() {
-    use loom::sync::atomic::{AtomicU64, Ordering};
-    const SETTLED: u64 = 0;
-    const CLAIMED: u64 = 1;
-    expect_violation("ownership_release_relaxed", || {
-        Builder::new().check(|| {
-            let claim = Arc::new(AtomicU64::new(SETTLED));
-            let packets = Arc::new(UnsafeCell::new(0u64));
-            let first = {
-                let (claim, packets) = (Arc::clone(&claim), Arc::clone(&packets));
-                thread::spawn(move || {
-                    // Spin-claim (the other mover may hold it first;
-                    // losing the race outright must not panic — only
-                    // the ordering bug should fail the model).
-                    while claim
-                        .compare_exchange(SETTLED, CLAIMED, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_err()
-                    {
-                        thread::yield_now();
-                    }
-                    packets.with_mut(|p| unsafe { *p += 1 });
-                    // MUTATION: shipped release CASes AcqRel.
-                    claim
-                        .compare_exchange(CLAIMED, SETTLED, Ordering::Relaxed, Ordering::Relaxed)
-                        .expect("only the holder leaves this claim");
-                })
-            };
-            // The next mover: spin-claim, then touch the packets the
-            // release was supposed to publish.
-            while claim
-                .compare_exchange(SETTLED, CLAIMED, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                thread::yield_now();
-            }
-            packets.with_mut(|p| unsafe { *p += 1 });
-            claim.store(SETTLED, Ordering::SeqCst);
-            first.join().expect("first mover");
         });
     });
 }

@@ -43,7 +43,7 @@
 
 use std::collections::VecDeque;
 // The `FlushProgress` watermark goes through the loom shim so the
-// §13.5 retire fence is model-checkable; the `closed` latch crosses
+// §8.7 retire fence is model-checkable; the `closed` latch crosses
 // the runtime↔egress crate boundary in `run_flusher`'s signature and
 // stays a std atomic (models drive `FlusherCore::step` directly).
 use crate::sync::{AtomicU64, Ordering};
@@ -77,7 +77,7 @@ const BACKOFF_FLOOR: std::time::Duration = std::time::Duration::from_micros(5);
 /// 50 us period it replaced.
 const BACKOFF_CAP: std::time::Duration = std::time::Duration::from_micros(100);
 
-/// The flusher's retire watermark (DESIGN.md §13.5): a single monotone
+/// The flusher's retire watermark (DESIGN.md §8.7): a single monotone
 /// cursor a stealing donor reads to prove its victim's flits have left
 /// the egress path before the flow's home flips.
 ///
@@ -175,7 +175,7 @@ impl FlusherCore {
     }
 
     /// Publishes the retire watermark when (and only when) no popped
-    /// flit is still pending — the §13.5 invariant `FlushProgress`
+    /// flit is still pending — the §8.7 invariant `FlushProgress`
     /// documents. The thread loop calls this once per pump.
     pub fn publish_progress(&self, progress: &FlushProgress) {
         if self.pending_total == 0 {
@@ -1095,7 +1095,7 @@ mod tests {
     fn progress_watermark_holds_while_flits_pend() {
         // A frozen link keeps popped flits pending; the watermark must
         // not advance past the last pending-free instant, even though
-        // the pop count has (§13.5 — the fence would otherwise declare
+        // the pop count has (§8.7 — the fence would otherwise declare
         // an undelivered flit retired).
         let links = LinkSet::new(2, 8);
         let progress = FlushProgress::default();

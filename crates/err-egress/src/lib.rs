@@ -116,7 +116,7 @@ impl<F: FnMut(usize, &ServedFlit) + Send> Egress for F {
 /// A cloneable, `Sync`-shareable [`Egress`] over one underlying sink.
 ///
 /// This is the sink handle stealing under buffered egress relies on
-/// (DESIGN.md §13.5): a migrated flow's flits must reach the *same*
+/// (DESIGN.md §8.7): a migrated flow's flits must reach the *same*
 /// downstream sink from a different shard's flusher, so every flusher
 /// holds a clone of one `SharedEgress`. `emit` serializes through a
 /// mutex — a lock, but on the *flusher's* delivery path, never on a
@@ -129,7 +129,7 @@ pub struct SharedEgress<E: Egress> {
     inner: Arc<std::sync::Mutex<E>>,
 }
 
-// `SharedEgress` must stay shareable across flusher threads (§13.5);
+// `SharedEgress` must stay shareable across flusher threads (§8.7);
 // a field change that silently dropped `Sync` would re-gate stealing
 // out of buffered mode.
 const _: fn() = || {

@@ -5,7 +5,11 @@
 //! so every packet of a flow lands on the same shard (preserving per-flow
 //! FIFO through the shard's private scheduler) while distinct flows
 //! spread evenly. The submit path is: admission check (one atomic RMW) →
-//! ring push (one CAS) → stats bump. No locks, no allocation.
+//! ring push (one CAS) → stats bump. No locks, no allocation. Under
+//! stealing the hash is only where a flow starts: the route is its
+//! [`FlowMap`](crate::FlowMap) entry, read and pushed to inside the
+//! flow's submit window, so a steal's flip and drain never miss a push
+//! (DESIGN.md §8.3).
 //!
 //! A plain push never wakes the shard worker (that would hand the CPU
 //! back and forth once per packet); the producer wakes it only where
@@ -77,17 +81,13 @@ pub(crate) struct Shared {
     pub(crate) wakes: Vec<Arc<WakeCell>>,
     pub(crate) stats: Vec<ShardStats>,
     pub(crate) admission: AdmissionController,
-    /// The flow-ownership authority (DESIGN.md §13): routing map,
-    /// submit windows, and per-flow claims. `Some` iff `steal` is — a
-    /// steal is the only thing that moves a flow; without it the static
-    /// hash is the whole routing truth and the submit path takes no
-    /// window.
-    pub(crate) own: Option<std::sync::Arc<crate::ownership::Ownership>>,
-    /// Work-stealing state (`RuntimeConfig::stealing`); `None` keeps
-    /// the static partition and a migration-free submit path.
+    /// Work-stealing state (`RuntimeConfig::stealing`), routing map and
+    /// submit windows included (DESIGN.md §8): a steal is the only
+    /// thing that moves a flow, so `None` keeps the static hash as the
+    /// whole routing truth and a submit path that takes no window.
     pub(crate) steal: Option<crate::migrate::StealRuntime>,
     /// Fault-tolerance state (`RuntimeConfig::supervision`); a dead
-    /// shard is resurrected in place, so it never touches `own`
+    /// shard is resurrected in place, so it never touches the map
     /// (DESIGN.md §9.2).
     pub(crate) fault: Option<crate::fault::FaultRuntime>,
     /// The shutdown gate: `closed` flag + in-flight submit counter as a
@@ -102,17 +102,15 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// The shard `flow` currently routes to: the ownership authority's
-    /// mapping when stealing is on (and the flow is inside the id
-    /// space), else the static hash.
+    /// The shard `flow` currently routes to: its `FlowMap` entry when
+    /// stealing is on (and the flow is inside the id space), else the
+    /// static hash.
     #[inline]
     pub(crate) fn shard_of(&self, flow: usize) -> usize {
-        if let Some(own) = &self.own {
-            if let Some(shard) = own.shard_of(flow) {
-                return shard;
-            }
-        }
-        (mix_flow(flow) % self.rings.len() as u64) as usize
+        self.steal
+            .as_ref()
+            .and_then(|st| st.map.shard_of(flow))
+            .unwrap_or_else(|| (mix_flow(flow) % self.rings.len() as u64) as usize)
     }
 
     pub(crate) fn is_closed(&self) -> bool {
@@ -228,14 +226,17 @@ impl RuntimeHandle {
             }
         }
         // Route-and-push, bracketed by the per-flow submit window when
-        // the ownership authority is on (DESIGN.md §13.3): window += 1
-        // → read FlowMap → push → window −= 1 (via the guard's Drop, on
-        // every exit path). The SeqCst pairing with the map flip and
-        // window check guarantees a mover's drain target covers every
-        // old-epoch push. A dead shard's ring stays put: its successor
-        // resumes draining it (§9.2), so a full ring is waited out the
-        // same whether the worker is behind or being replaced.
-        let _window = shared.own.as_ref().and_then(|o| o.window_enter(pkt.flow));
+        // stealing is on (DESIGN.md §8.3): window += 1 → read FlowMap →
+        // push → window −= 1 (via the guard's Drop, on every exit
+        // path). The SeqCst pairing with the map flip and window check
+        // guarantees a mover's drain target covers every old-home push.
+        // A dead shard's ring stays put: its successor resumes draining
+        // it (§9.2), so a full ring is waited out the same whether the
+        // worker is behind or being replaced.
+        let _window = shared
+            .steal
+            .as_ref()
+            .and_then(|st| st.map.window_enter(pkt.flow));
         let shard = shared.shard_of(pkt.flow);
         let stats = &shared.stats[shard];
         // Ring push: one CAS. Full ring means the shard is behind;

@@ -49,12 +49,13 @@
 //!   ([`Runtime::shutdown_within`]) and submit
 //!   ([`RuntimeHandle::submit_within`]), and a seeded [`FaultPlan`]
 //!   chaos harness that replays shard and link deaths deterministically.
-//! * [`ownership`] is the single flow-ownership authority
-//!   (DESIGN.md §13): an epoch-stamped [`FlowMap`] plus submit windows
-//!   and per-flow claims, under stealing ([`migrate`]) — the one thing
-//!   that moves a flow. Death never does, so stealing composes with
-//!   supervision as it stands, and runs under [`EgressMode::Buffered`]
-//!   via the §13.5 egress-retire fence.
+//! * [`migrate`] moves flows between shards (DESIGN.md §8): a near-idle
+//!   thief requests one through its [`MigrationSlot`], and the slot is
+//!   the claim — the donor names its victim there and flips the
+//!   [`FlowMap`] that submit routes by, inside per-flow submit windows.
+//!   A steal is the one thing that moves a flow; death never does, so
+//!   stealing composes with supervision as it stands, and runs under
+//!   [`EgressMode::Buffered`] via the §8.7 egress-retire fence.
 //!
 //! # Quick example
 //!
@@ -81,10 +82,10 @@ pub mod admission;
 pub mod channel;
 pub mod drain;
 pub mod fault;
+mod flow_map;
 pub mod gate;
 pub mod ingress;
 pub mod migrate;
-pub mod ownership;
 pub mod shard;
 pub mod stats;
 pub(crate) mod sync;
@@ -108,9 +109,9 @@ pub use err_egress::{
 pub use fault::{
     FaultBoard, FaultEvent, FaultInjector, FaultKind, FaultPlan, ShardHealth, SupervisionConfig,
 };
+pub use flow_map::{FlowMap, WindowGuard};
 pub use ingress::{RuntimeHandle, SubmitError, Submitted};
 pub use migrate::{LoadBoard, MigrationPhase, MigrationSlot, StealingConfig};
-pub use ownership::{ClaimToken, FlowMap, OwnerState, Ownership};
 pub use stats::{RuntimeStats, ShardSnapshot};
 
 use admission::AdmissionController as Controller;
@@ -173,16 +174,19 @@ pub struct RuntimeConfig {
     pub admission: AdmissionPolicy,
     /// Egress coupling; [`EgressMode::Sync`] is the legacy inline path.
     pub egress: EgressMode,
-    /// Work stealing / flow migration (DESIGN.md §8, §13). `None` keeps
-    /// the static partition. Requires a discipline with
-    /// `supports_migration()` (ERR/WERR) — `Runtime::start` asserts it.
-    /// Works under either [`EgressMode`]: under
-    /// [`EgressMode::Buffered`] the donor adds the §13.5 egress-retire
-    /// fence (a flow's home flips only after its last victim flit has
-    /// retired downstream), so handoffs never interleave a wormhole.
-    /// Composes with `supervision`: a shard that dies mid-handoff is
-    /// resurrected with its migration state and takes the handoff's
-    /// next step (§9.2).
+    /// Work stealing / flow migration (DESIGN.md §8). `None` keeps the
+    /// static partition. A near-empty shard (backlog below a quarter of
+    /// `steal_threshold`) asks the shard with the largest backlog (at
+    /// least `steal_threshold`) for its heaviest flow, which moves with
+    /// its queue, surplus count and mid-packet cursor. Requires a
+    /// discipline with `supports_migration()` (ERR/WERR) —
+    /// `Runtime::start` asserts it. Works under either [`EgressMode`]:
+    /// under [`EgressMode::Buffered`] the donor adds the §8.7
+    /// egress-retire fence (a flow's home flips only after its last
+    /// victim flit has retired downstream), so handoffs never interleave
+    /// a wormhole. Composes with `supervision`: a shard that dies
+    /// mid-handoff is resurrected with its migration state and takes the
+    /// handoff's next step (§9.2).
     pub stealing: Option<StealingConfig>,
     /// Shard supervision (DESIGN.md §9): heartbeats, quarantine, and
     /// resurrection in place — a fresh worker thread adopts the dead
@@ -262,19 +266,16 @@ impl Runtime {
     ) -> (Self, RuntimeHandle) {
         assert!(config.shards >= 1, "need at least one shard");
         assert!(config.batch_flits >= 1 && config.batch_packets >= 1);
-        // The §13 ownership authority exists only where something moves
-        // flows: a steal. Death never does (§9.2).
-        let own = config
-            .stealing
-            .map(|_| Arc::new(Ownership::new(config.n_flows, config.shards)));
-        let steal = config.stealing.zip(own.clone()).map(|(sc, own)| {
+        // The routing map exists only where something moves flows: a
+        // steal. Death never does (§9.2).
+        let steal = config.stealing.map(|sc| {
             assert!(
                 config.discipline.build(1).supports_migration(),
                 "work stealing requires a discipline with extract/absorb \
                  support (ERR or WERR), got {:?}",
                 config.discipline
             );
-            migrate::StealRuntime::new(own, config.shards, sc)
+            migrate::StealRuntime::new(config.n_flows, config.shards, sc)
         });
         let fault = config.supervision.map(|sup| {
             assert!(
@@ -302,7 +303,6 @@ impl Runtime {
                 .collect(),
             stats: (0..config.shards).map(|_| ShardStats::default()).collect(),
             admission: Controller::new(config.admission, config.n_flows),
-            own,
             steal,
             fault,
             gate: gate::DrainGate::new(),
@@ -897,7 +897,7 @@ mod tests {
 
     #[test]
     fn stealing_under_buffered_egress_conserves() {
-        // The §13.5 composition: stealing with per-link credit egress.
+        // The §8.7 composition: stealing with per-link credit egress.
         // Same skew as the sync test; the donor's retire fence must
         // neither wedge handoffs nor interleave a wormhole, and every
         // flit must reach a flusher.

@@ -1,45 +1,45 @@
-//! Work stealing / flow migration between shards (DESIGN.md §8), built
-//! on the §13 ownership authority.
+//! Work stealing / flow movement between shards (DESIGN.md §8).
 //!
 //! The scheme in one paragraph: every shard publishes its projected
 //! finish time and backlog on a lock-free [`LoadBoard`]. A near-idle
-//! shard (the *thief*) claims its own [`MigrationSlot`] naming a donor;
-//! the donor picks its most backlogged flow, takes a per-flow
-//! `Stealing` claim from the [`Ownership`] authority, and hands the
-//! flow over through the five-phase protocol ([`MigrationPhase`],
-//! `Idle → Requested → Quiescing → Draining → InTransit → Idle`) whose
-//! linearization point is the authority's epoch-CAS reroute. There is
-//! one slot *per thief* (§13.4), so several thieves can pull from one
-//! hot donor concurrently — per-flow claims keep any two slots off the
-//! same flow. Under buffered egress the donor additionally waits out
-//! the egress-retire fence (§13.5) before flipping the map: every flit
-//! it pushed for the victim must have been delivered or dead-lettered
-//! by its flusher, or two flushers could interleave the flow's packets
-//! on one link.
+//! shard (the *thief*) requests a flow through its own
+//! [`MigrationSlot`], naming the donor with the largest backlog; the
+//! donor picks its heaviest backlogged flow that no slot names, writes
+//! it into the slot and hands it over through the five-phase protocol
+//! ([`MigrationPhase`], `Idle → Requested → Quiescing → Draining →
+//! InTransit → Idle`) whose linearization point is the donor's
+//! [`FlowMap::flip`]. The slot *is* the claim (§8.2): a flow named by a
+//! slot is on the move and nothing else may pick it, and only a flow's
+//! home shard can pick it — so there is one slot per thief, several
+//! thieves can pull from one hot donor concurrently, and no two slots
+//! ever name the same flow. Under buffered egress the donor
+//! additionally waits out the egress-retire fence (§8.7) before the
+//! flip: every flit it pushed for the victim must have been delivered
+//! or dead-lettered by its flusher, or two flushers could interleave
+//! the flow's packets on one link.
 //!
 //! The scheduler-side state package ([`MigratedFlow`]) and the
 //! extract/absorb operations live in `err_sched::migrate`; the routing
-//! map, submit windows, and per-flow claims live in
-//! [`crate::ownership`]. This module owns the *orchestration*: when to
-//! steal, how to quiesce, and why no packet is lost or reordered while
-//! a flow changes homes.
+//! map and submit windows in [`FlowMap`]. This module owns the
+//! *orchestration*: when to steal, how to quiesce, and why no packet is
+//! lost or reordered while a flow changes homes.
 //!
 //! Locking note: all slot *transitions* serialize through the slot's
 //! package mutex (cold path — a handful per migration), so an abort
 //! racing a grant can never clobber the other side's cell writes. Slot
-//! *reads* (`phase`, `involves`) stay lock-free atomics.
+//! *reads* (`phase`, `involves`, `moving`) stay lock-free atomics.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use desim::Cycle;
 use err_sched::migrate::MigratedFlow;
 use err_sched::Scheduler;
 
 use crate::fault::lock_unpoisoned;
+use crate::flow_map::FlowMap;
 use crate::ingress::Shared;
-use crate::ownership::{ClaimToken, OwnerState, Ownership};
 use crate::shard::EgressStage;
 
 /// Sentinel for "no shard / no flow" in the slot's atomic cells.
@@ -47,7 +47,7 @@ const NONE: usize = usize::MAX;
 /// Sentinel for "unset" in the slot's u64 cells (drain/fence targets).
 const UNSET: u64 = u64::MAX;
 /// Donor ticks a buffered-egress fence may pend before the steal
-/// aborts (§13.5). Generous: the fence only stalls behind a frozen or
+/// aborts (§8.7). Generous: the fence only stalls behind a frozen or
 /// dead link, and an abort is cheap (the map never flipped).
 const FENCE_BUDGET: u64 = 1 << 16;
 
@@ -56,21 +56,22 @@ const FENCE_BUDGET: u64 = 1 << 16;
 /// flows back and forth.
 #[derive(Clone, Copy, Debug)]
 pub struct StealingConfig {
-    /// Worker loop iterations between LoadBoard refreshes / steal
-    /// evaluations while busy (idle workers poll every loop).
+    /// Worker loop iterations between steal evaluations while busy
+    /// (idle workers evaluate every loop; the LoadBoard entry is
+    /// refreshed every loop either way).
     pub poll_interval: u32,
-    /// A shard considers stealing only when its own backlog (flits) is
-    /// below a quarter of this, and a donor must carry at least this
-    /// much backlog to be robbed.
+    /// A shard requests a steal only when its own backlog (flits) is
+    /// below a quarter of this; a donor must carry at least this much
+    /// backlog to be asked, and withdraws a request once below it.
     pub steal_threshold: u64,
-    /// Absolute hysteresis floor in flits, twice over: the donor's
-    /// projected finish must exceed the thief's by at least this, and
-    /// a donor serves at least this many cycles between handoff grants
-    /// (the serve-chunk guard, §8.5).
+    /// Hysteresis in flits, twice over: the donor's projected finish
+    /// must exceed the thief's by at least this, and a donor serves at
+    /// least this many cycles between grants (the serve-chunk guard,
+    /// §8.5).
     pub min_gap: u64,
-    /// Polls during which a shard that just completed a steal initiates
-    /// nothing — its own board entry must refresh before it reasons
-    /// from the board again.
+    /// Worker loops during which a thief that just absorbed a flow
+    /// requests nothing — its own board entry must refresh before it
+    /// reasons from the board again.
     pub cooldown_polls: u32,
 }
 
@@ -148,10 +149,11 @@ pub enum MigrationPhase {
     Idle = 0,
     /// The slot's thief has named a donor and waits for a grant.
     Requested = 1,
-    /// The donor picked and claimed a victim flow; both sides park it.
+    /// The donor picked a victim flow and named it in the slot; both
+    /// sides park it.
     Quiescing = 2,
-    /// The commit phase: the donor flips the map (epoch CAS), waits out
-    /// the submit window, and drains its ring past the flip point.
+    /// The commit phase: the donor flips the map, waits out the submit
+    /// window, and drains its ring past the flip point.
     Draining = 3,
     /// The extracted package is published; the thief absorbs it.
     InTransit = 4,
@@ -170,11 +172,10 @@ impl MigrationPhase {
     }
 }
 
-/// One thief's migration slot (§13.4): the rendezvous cell for a single
-/// in-flight handoff. The runtime holds one slot per shard, indexed by
-/// the thief, so distinct thieves never contend for a slot — per-flow
-/// `Stealing` claims in [`Ownership`] keep them off each other's
-/// victims instead.
+/// One thief's migration slot (§8.1): the rendezvous cell for a single
+/// in-flight handoff, and the claim on the flow it names (§8.2). The
+/// runtime holds one slot per shard, indexed by the thief, so distinct
+/// thieves never contend for a slot.
 pub struct MigrationSlot {
     phase: AtomicU8,
     thief: AtomicUsize,
@@ -182,12 +183,9 @@ pub struct MigrationSlot {
     flow: AtomicUsize,
     /// Thief→donor signal that the victim is parked at the new home.
     thief_ack: AtomicBool,
-    /// Epoch recorded by the donor's `Stealing` claim — the material to
-    /// reconstruct the [`ClaimToken`] on whichever side finishes.
-    claim_epoch: AtomicU64,
     /// Donor-side ring-drain cursor (enqueue position at flip time).
     drain_target: AtomicU64,
-    /// Donor-side egress-retire fence snapshot (§13.5).
+    /// Donor-side egress-retire fence snapshot (§8.7).
     fence_target: AtomicU64,
     /// Donor ticks spent waiting on the fence (abort budget).
     fence_ticks: AtomicU64,
@@ -204,7 +202,6 @@ impl MigrationSlot {
             donor: AtomicUsize::new(NONE),
             flow: AtomicUsize::new(NONE),
             thief_ack: AtomicBool::new(false),
-            claim_epoch: AtomicU64::new(UNSET),
             drain_target: AtomicU64::new(UNSET),
             fence_target: AtomicU64::new(UNSET),
             fence_ticks: AtomicU64::new(0),
@@ -238,7 +235,7 @@ impl MigrationSlot {
         }
     }
 
-    /// The victim flow, once the donor has chosen one.
+    /// The victim flow, from the grant until the slot resets.
     pub fn flow(&self) -> Option<usize> {
         // ordering: SeqCst — read against the phase protocol.
         match self.flow.load(Ordering::SeqCst) {
@@ -253,8 +250,8 @@ impl MigrationSlot {
             && (self.thief() == Some(shard) || self.donor() == Some(shard))
     }
 
-    /// Thief-side slot acquisition: `Idle → Requested` naming a donor.
-    pub(crate) fn try_claim(&self, thief: usize, donor: usize) -> bool {
+    /// Thief-side request: `Idle → Requested` naming a donor.
+    pub(crate) fn request(&self, thief: usize, donor: usize) -> bool {
         let _guard = lock_unpoisoned(&self.package);
         if self.phase() != MigrationPhase::Idle {
             return false;
@@ -263,9 +260,7 @@ impl MigrationSlot {
         // phase store publishes the request (phase is the guard word).
         self.thief.store(thief, Ordering::SeqCst);
         self.donor.store(donor, Ordering::SeqCst);
-        self.flow.store(NONE, Ordering::SeqCst);
         self.thief_ack.store(false, Ordering::SeqCst);
-        self.claim_epoch.store(UNSET, Ordering::SeqCst);
         self.drain_target.store(UNSET, Ordering::SeqCst);
         // ordering: SeqCst — same publish-before-phase rule as above.
         self.fence_target.store(UNSET, Ordering::SeqCst);
@@ -280,8 +275,24 @@ impl MigrationSlot {
         self.phase.store(to as u8, Ordering::SeqCst);
     }
 
-    /// Resets the slot to `Idle`. Callers must hold the package mutex
-    /// and must already have released (or forfeited) the flow claim.
+    /// Withdraws a pending request (`Requested → Idle`) unless the
+    /// other side moved the slot on first; returns whether it did.
+    fn withdraw(&self) -> bool {
+        let _guard = lock_unpoisoned(&self.package);
+        let pending = self.phase() == MigrationPhase::Requested;
+        if pending {
+            self.reset_locked();
+        }
+        pending
+    }
+
+    /// Resets the slot to `Idle`, releasing the flow it named (§8.2).
+    fn reset(&self) {
+        let _guard = lock_unpoisoned(&self.package);
+        self.reset_locked();
+    }
+
+    /// [`reset`](Self::reset), for a caller holding the package mutex.
     fn reset_locked(&self) {
         // ordering: SeqCst — role cells cleared before the phase store
         // re-opens the slot.
@@ -289,36 +300,24 @@ impl MigrationSlot {
         self.donor.store(NONE, Ordering::SeqCst);
         self.flow.store(NONE, Ordering::SeqCst);
         self.thief_ack.store(false, Ordering::SeqCst);
-        self.claim_epoch.store(UNSET, Ordering::SeqCst);
         self.store_phase(MigrationPhase::Idle);
-    }
-
-    /// Reconstructs the donor's claim token from the slot cells.
-    fn token(&self) -> Option<ClaimToken> {
-        let flow = self.flow()?;
-        let thief = self.thief()?;
-        // ordering: SeqCst — read against the phase protocol.
-        match self.claim_epoch.load(Ordering::SeqCst) {
-            UNSET => None,
-            e => Some(ClaimToken::stealing(flow, thief, e as u32)),
-        }
     }
 }
 
 /// Work-stealing state hung off the runtime's `Shared` block.
 pub(crate) struct StealRuntime {
-    /// The §13 ownership authority (map + windows + claims).
-    pub(crate) own: Arc<Ownership>,
+    /// The routing map and its submit windows (§8.1, §8.3).
+    pub(crate) map: FlowMap,
     pub(crate) board: LoadBoard,
-    /// One slot per thief shard (§13.4).
+    /// One slot per thief shard (§8.1).
     pub(crate) slots: Vec<MigrationSlot>,
     pub(crate) config: StealingConfig,
 }
 
 impl StealRuntime {
-    pub(crate) fn new(own: Arc<Ownership>, shards: usize, config: StealingConfig) -> Self {
+    pub(crate) fn new(n_flows: usize, shards: usize, config: StealingConfig) -> Self {
         Self {
-            own,
+            map: FlowMap::new(n_flows, shards),
             board: LoadBoard::new(shards),
             slots: (0..shards).map(|_| MigrationSlot::new()).collect(),
             config,
@@ -337,6 +336,49 @@ impl StealRuntime {
         self.slots
             .iter()
             .any(|s| s.involves(shard) && s.phase() != MigrationPhase::Requested)
+    }
+
+    /// Whether some slot names `flow`: the flow is on the move, and the
+    /// slot holds it until it resets (§8.2).
+    pub(crate) fn moving(&self, flow: usize) -> bool {
+        self.slots.iter().any(|s| s.flow() == Some(flow))
+    }
+
+    /// Donor @ Requested, under `slot`'s package mutex: picks the
+    /// heaviest backlogged flow homed at `donor` that no slot names,
+    /// parks it, names it in the slot and moves the slot to
+    /// `Quiescing`. `None` — the slot left `Requested`, or no flow
+    /// qualifies — changes nothing.
+    fn grant(
+        &self,
+        slot: &MigrationSlot,
+        donor: usize,
+        scheduler: &mut Box<dyn Scheduler + Send>,
+    ) -> Option<usize> {
+        let _guard = lock_unpoisoned(&slot.package);
+        if slot.phase() != MigrationPhase::Requested {
+            return None;
+        }
+        let mut best: Option<(usize, u64)> = None;
+        for flow in 0..self.map.n_flows() {
+            if self.map.shard_of(flow) != Some(donor) {
+                continue;
+            }
+            let b = scheduler.flow_backlog_flits(flow);
+            if b > 0 && best.is_none_or(|(_, bb)| b > bb) && !self.moving(flow) {
+                best = Some((flow, b));
+            }
+        }
+        let (flow, _) = best?;
+        // unpark: `thief_absorb` at the flow's new home; a fence abort
+        // in `donor_fence` restores it here through
+        // `unpark_respecting_links`.
+        let _ = scheduler.park_flow(flow);
+        // ordering: SeqCst — the victim must be visible before the
+        // phase store publishes Quiescing to the thief.
+        slot.flow.store(flow, Ordering::SeqCst);
+        slot.store_phase(MigrationPhase::Quiescing);
+        Some(flow)
     }
 }
 
@@ -369,7 +411,7 @@ impl MigrationDriver {
 
     /// Advances this worker's role in every handoff that names it, and
     /// evaluates the stealing policy at poll boundaries (DESIGN.md §8).
-    /// `egress` is the worker's stage (§13.5): the donor's retire fence
+    /// `egress` is the worker's stage (§8.7): the donor's retire fence
     /// reads its pushed count and asks it whether the victim's flits
     /// have retired; every unpark respects its per-link credit parking.
     pub(crate) fn tick(
@@ -396,14 +438,9 @@ impl MigrationDriver {
                 }
             }
             MigrationPhase::Requested => {
-                if shared.is_closed() && st.slots[self.shard].thief() == Some(self.shard) {
-                    // §8.6: no new handoffs once draining; withdraw.
-                    let slot = &st.slots[self.shard];
-                    let _guard = lock_unpoisoned(&slot.package);
-                    if slot.phase() == MigrationPhase::Requested {
-                        slot.reset_locked();
-                        shared.stats[self.shard].steal_aborts.add(1);
-                    }
+                // §8.6: no new handoffs once draining; withdraw.
+                if shared.is_closed() && st.slots[self.shard].withdraw() {
+                    shared.stats[self.shard].steal_aborts.add(1);
                 }
             }
             MigrationPhase::Quiescing => self.thief_quiescing(st, scheduler),
@@ -412,17 +449,16 @@ impl MigrationDriver {
         }
 
         // Donor side: advance every slot that names us as donor. Each
-        // slot runs its own phase machine; per-flow claims keep them on
-        // distinct victims (§13.4).
+        // slot runs its own phase machine on its own victim (§8.2).
         for slot in &st.slots {
             if slot.donor() != Some(self.shard) {
                 continue;
             }
             match slot.phase() {
                 MigrationPhase::Requested => {
-                    self.donor_grant(shared, st, slot, scheduler, now, pre_backlog, egress)
+                    self.donor_grant(shared, st, slot, scheduler, now, pre_backlog)
                 }
-                MigrationPhase::Quiescing => self.donor_fence(shared, st, slot, scheduler, egress),
+                MigrationPhase::Quiescing => self.donor_fence(shared, slot, scheduler, egress),
                 MigrationPhase::Draining => self.donor_drain(shared, st, slot, scheduler, now),
                 _ => {}
             }
@@ -461,13 +497,11 @@ impl MigrationDriver {
         if st.board.load(donor).saturating_sub(now + backlog) < st.config.min_gap {
             return;
         }
-        st.slots[self.shard].try_claim(self.shard, donor);
+        st.slots[self.shard].request(self.shard, donor);
     }
 
-    /// Donor @ Requested: pick the richest unclaimed flow homed here,
-    /// take its `Stealing` claim, park it locally, and move the slot to
-    /// Quiescing. Grants are paced by the serve-chunk guard (§8.5).
-    #[allow(clippy::too_many_arguments)] // donor handlers share (shared, st, slot, scheduler, …, egress)
+    /// Donor @ Requested: withdraw if no longer a worthwhile donor,
+    /// else — paced by the serve-chunk guard (§8.5) — grant a victim.
     fn donor_grant(
         &mut self,
         shared: &Shared,
@@ -476,71 +510,29 @@ impl MigrationDriver {
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
         backlog: u64,
-        egress: &dyn EgressStage,
     ) {
-        let Some(thief) = slot.thief() else { return };
         // Withdraw when we have stopped being a worthwhile donor: the
         // thief would otherwise camp on this slot forever.
         if shared.is_closed() || backlog < st.config.steal_threshold {
-            let _guard = lock_unpoisoned(&slot.package);
-            if slot.phase() == MigrationPhase::Requested {
-                slot.reset_locked();
+            if slot.withdraw() {
                 shared.stats[self.shard].steal_aborts.add(1);
             }
             return;
         }
         // Serve-chunk guard: grant at most one handoff per `min_gap`
         // flits of local service (§8.5) — with per-thief slots this
-        // paces *grants*; granted handoffs overlap freely.
-        if now.wrapping_sub(self.last_handoff_clock) < st.config.min_gap {
-            return;
+        // paces *grants*; granted handoffs overlap freely. No eligible
+        // flow: retry next tick.
+        if now.wrapping_sub(self.last_handoff_clock) >= st.config.min_gap
+            && st.grant(slot, self.shard, scheduler).is_some()
+        {
+            self.last_handoff_clock = now;
         }
-        // Victim: largest backlog among flows homed here that no mover
-        // holds — the claim *is* the eligibility check (§13.1).
-        let n_flows = st.own.map.n_flows();
-        let mut best: Option<(usize, u64)> = None;
-        for flow in 0..n_flows {
-            if st.own.shard_of(flow) != Some(self.shard) {
-                continue;
-            }
-            if st.own.owner_state(flow) != OwnerState::Settled {
-                continue;
-            }
-            let b = scheduler.flow_backlog_flits(flow);
-            if b > 0 && best.map(|(_, bb)| b > bb).unwrap_or(true) {
-                best = Some((flow, b));
-            }
-        }
-        let Some((flow, _)) = best else { return };
-        let Some(token) = st.own.try_claim(flow, thief) else {
-            return; // raced by another slot; retry next tick
-        };
-        // unpark: `unpark_respecting_links` on the withdraw-unwind
-        // below; on the happy path the flow leaves this shard and the
-        // thief's `thief_absorb` unparks it at its new home.
-        let _ = scheduler.park_flow(flow);
-        let _guard = lock_unpoisoned(&slot.package);
-        if slot.phase() != MigrationPhase::Requested {
-            // The thief withdrew while we were claiming. Unwind — the
-            // slot belongs to whoever owns it now; touch nothing.
-            // Every donor-side unwind must respect link parking: a
-            // direct unpark of a credit-parked flow lets the scheduler
-            // serve a flit that has no credit to travel on (§13.5).
-            drop(_guard);
-            st.own.release(&token);
-            unpark_respecting_links(scheduler, flow, egress);
-            return;
-        }
-        // ordering: SeqCst — flow + epoch must be visible before the
-        // phase store publishes Quiescing to the thief.
-        slot.flow.store(flow, Ordering::SeqCst);
-        slot.claim_epoch.store(token.epoch as u64, Ordering::SeqCst);
-        slot.store_phase(MigrationPhase::Quiescing);
-        self.last_handoff_clock = now;
     }
 
     /// Thief @ Quiescing: park the victim at the new home and ack, so
-    /// no new-epoch arrival can be served before the package lands.
+    /// no arrival at the new home can be served before the package
+    /// lands.
     fn thief_quiescing(&mut self, st: &StealRuntime, scheduler: &mut Box<dyn Scheduler + Send>) {
         let slot = &st.slots[self.shard];
         if slot.thief() != Some(self.shard) {
@@ -553,7 +545,7 @@ impl MigrationDriver {
         }
         let Some(flow) = slot.flow() else { return };
         // unpark: `unpark_respecting_links` in `thief_absorb` once the
-        // package lands, or in `poll`'s Idle arm (the `thief_parked`
+        // package lands, or in `tick`'s Idle arm (the `thief_parked`
         // take) when a donor abort resets the slot first.
         let _ = scheduler.park_flow(flow);
         self.thief_parked = Some(flow);
@@ -563,14 +555,13 @@ impl MigrationDriver {
     }
 
     /// Donor @ Quiescing: wait for the thief's ack and — under buffered
-    /// egress — the egress-retire fence (§13.5), then commit the phase:
-    /// `Quiescing → Draining`. The map flip itself happens at the top
-    /// of the Draining handler (§13.2: phase first, reroute second), so
-    /// a donor resurrected mid-commit replays the flip idempotently.
+    /// egress — the egress-retire fence (§8.7), then commit the phase:
+    /// `Quiescing → Draining`. The flip itself happens at the top of
+    /// the Draining handler (phase first, flip second, §8.2), so a
+    /// donor resurrected mid-commit replays the flip.
     fn donor_fence(
         &mut self,
         shared: &Shared,
-        st: &StealRuntime,
         slot: &MigrationSlot,
         scheduler: &mut Box<dyn Scheduler + Send>,
         egress: &dyn EgressStage,
@@ -579,9 +570,7 @@ impl MigrationDriver {
         if !slot.thief_ack.load(Ordering::SeqCst) {
             return;
         }
-        let (Some(flow), Some(token)) = (slot.flow(), slot.token()) else {
-            return;
-        };
+        let Some(flow) = slot.flow() else { return };
         // Egress-retire fence: snapshot our pushed count on first
         // entry, then wait until the flusher's pending-free watermark
         // passes it. A stage that buffers nothing is always retired.
@@ -600,14 +589,12 @@ impl MigrationDriver {
             let ticks = slot.fence_ticks.fetch_add(1, Ordering::SeqCst) + 1;
             if ticks >= FENCE_BUDGET {
                 // Abort: the link is wedged. The map never flipped,
-                // so unwinding is local — release, unpark, reset.
-                // Release precedes the unpark so a victim left parked
-                // on a credit-parked link reads `Settled` when the
-                // link's release finally reaches it (§13.5).
-                st.own.release(&token);
+                // so unwinding is local. Reset before the unpark, so a
+                // victim left parked on a credit-parked link is no
+                // longer `moving` when the link's release reaches it
+                // (§8.7).
+                slot.reset();
                 unpark_respecting_links(scheduler, flow, egress);
-                let _guard = lock_unpoisoned(&slot.package);
-                slot.reset_locked();
                 shared.stats[self.shard].steal_aborts.add(1);
             }
             return;
@@ -618,10 +605,10 @@ impl MigrationDriver {
         }
     }
 
-    /// Donor @ Draining: flip the map if not yet flipped (the §13.2
-    /// epoch CAS — the handoff's linearization point), wait out the
-    /// victim's submit window, drain our ring past the flip point, then
-    /// extract and publish the package.
+    /// Donor @ Draining: flip the map if not yet flipped (the handoff's
+    /// linearization point, §8.2), wait out the victim's submit window,
+    /// drain our ring past the flip point, then extract and publish the
+    /// package.
     fn donor_drain(
         &mut self,
         shared: &Shared,
@@ -630,22 +617,19 @@ impl MigrationDriver {
         scheduler: &mut Box<dyn Scheduler + Send>,
         now: Cycle,
     ) {
-        let (Some(flow), Some(thief), Some(token)) = (slot.flow(), slot.thief(), slot.token())
-        else {
+        let (Some(flow), Some(thief)) = (slot.flow(), slot.thief()) else {
             return;
         };
-        if st.own.map.epoch_of(flow) == token.epoch {
-            // Flip not yet landed (first pass, or a resurrected donor
-            // replaying a death between the phase commit and the CAS).
-            // The claim is exclusive and only its holder reroutes, so
-            // at the token's epoch the CAS cannot lose.
-            let flipped = st.own.try_reroute(&token, thief);
-            debug_assert!(flipped, "flow {flow}: claim holder lost its own epoch CAS");
+        if st.map.shard_of(flow) == Some(self.shard) {
+            // Flip not yet landed: first pass, or a resurrected donor
+            // replaying a death between the phase commit and the flip.
+            // Only this slot's donor flips its flow (§8.2).
+            st.map.flip(flow, thief);
         }
-        // Submit-window wait (§13.3): any producer that read the map
+        // Submit-window wait (§8.3): any producer that read the map
         // before the flip is still inside its window; once clear, every
-        // old-epoch push is in our ring.
-        if !st.own.window_clear(flow) {
+        // old-home push is in our ring.
+        if !st.map.window_clear(flow) {
             return;
         }
         let ring = &shared.rings[self.shard];
@@ -681,8 +665,8 @@ impl MigrationDriver {
         slot.store_phase(MigrationPhase::InTransit);
     }
 
-    /// Thief @ InTransit: absorb the package, release the claim (the
-    /// steal's last act, §13.1), reopen the slot.
+    /// Thief @ InTransit: absorb the package and reset the slot — the
+    /// steal's last act, which releases the flow (§8.2).
     fn thief_absorb(
         &mut self,
         shared: &Shared,
@@ -695,7 +679,6 @@ impl MigrationDriver {
             return;
         }
         let Some(flow) = slot.flow() else { return };
-        let token = slot.token();
         let Some(pkg) = lock_unpoisoned(&slot.package).take() else {
             return;
         };
@@ -707,16 +690,12 @@ impl MigrationDriver {
         self.thief_parked = None;
         unpark_respecting_links(scheduler, flow, egress);
         shared.stats[self.shard].stolen_in.add(1);
-        if let Some(token) = token {
-            st.own.release(&token);
-        }
         self.cooldown = st.config.cooldown_polls;
-        let _guard = lock_unpoisoned(&slot.package);
-        slot.reset_locked();
+        slot.reset();
     }
 }
 
-/// Unparks `flow` unless its egress link is credit-parked (§13.5): the
+/// Unparks `flow` unless its egress link is credit-parked (§8.7): the
 /// link's release will unpark it with the rest, so that no flit is
 /// served on a zero grant. The one unpark authority of the mover —
 /// steal unwinds and absorbs both end here.
@@ -728,7 +707,7 @@ pub(crate) fn unpark_respecting_links(
     if !egress.link_parked(flow) {
         // unpark: this *is* the authority — `unpark_respecting_links`
         // is the one place a mover may wake a flow, because only here
-        // is the credit-park check guaranteed (§13.5).
+        // is the credit-park check guaranteed (§8.7).
         scheduler.unpark_flow(flow);
     }
 }
@@ -750,37 +729,70 @@ mod tests {
     }
 
     #[test]
-    fn slot_claim_is_exclusive_until_reset() {
+    fn slot_request_is_exclusive_until_reset() {
         let slot = MigrationSlot::new();
-        assert!(slot.try_claim(2, 0));
+        assert!(slot.request(2, 0));
         assert_eq!(slot.phase(), MigrationPhase::Requested);
         assert_eq!(slot.thief(), Some(2));
         assert_eq!(slot.donor(), Some(0));
-        assert!(!slot.try_claim(1, 0), "slot held");
+        assert!(!slot.request(1, 0), "slot held");
         assert!(slot.involves(2));
         assert!(slot.involves(0));
         assert!(!slot.involves(1));
-        {
-            let _g = lock_unpoisoned(&slot.package);
-            slot.reset_locked();
-        }
+        slot.reset();
         assert_eq!(slot.phase(), MigrationPhase::Idle);
         assert!(!slot.involves(2));
-        assert!(slot.try_claim(1, 0), "reset reopens the slot");
+        assert!(slot.request(1, 0), "reset reopens the slot");
     }
 
     #[test]
     fn per_thief_slots_are_independent() {
-        let own = Arc::new(Ownership::new(8, 4));
-        let st = StealRuntime::new(own, 4, StealingConfig::default());
+        let st = StealRuntime::new(8, 4, StealingConfig::default());
         assert_eq!(st.slots.len(), 4, "one slot per thief");
-        assert!(st.slots[1].try_claim(1, 0));
-        assert!(st.slots[2].try_claim(2, 0), "second thief, same donor");
+        assert!(st.slots[1].request(1, 0));
+        assert!(st.slots[2].request(2, 0), "second thief, same donor");
         assert!(st.involves(0));
         assert!(st.involves(1));
         assert!(st.involves(2));
         assert!(!st.involves(3));
         assert!(!st.hot_handoff(1), "Requested is not a hot phase");
+    }
+
+    /// The slot is the claim (§8.2): three thieves ask one donor whose
+    /// only backlogged flow is F; one grant pass names F in exactly one
+    /// slot, and F is eligible again once that slot resets.
+    #[test]
+    fn one_flow_is_granted_to_one_slot() {
+        const SHARDS: usize = 4;
+        let st = StealRuntime::new(16, SHARDS, StealingConfig::default());
+        let flow = 0;
+        let donor = st.map.shard_of(flow).unwrap();
+        let mut scheduler = err_sched::Discipline::Err.build(16);
+        scheduler.enqueue(err_sched::Packet::new(0, flow, 8, 0), 0);
+        let thieves: Vec<usize> = (0..SHARDS).filter(|&s| s != donor).collect();
+        for &t in &thieves {
+            assert!(st.slots[t].request(t, donor));
+        }
+        let granted: Vec<usize> = thieves
+            .iter()
+            .filter(|&&t| st.grant(&st.slots[t], donor, &mut scheduler) == Some(flow))
+            .copied()
+            .collect();
+        assert_eq!(granted.len(), 1, "flow {flow} granted to {granted:?}");
+        let winner = granted[0];
+        for &t in &thieves {
+            let (phase, named) = (st.slots[t].phase(), st.slots[t].flow());
+            if t == winner {
+                assert_eq!((phase, named), (MigrationPhase::Quiescing, Some(flow)));
+            } else {
+                assert_eq!((phase, named), (MigrationPhase::Requested, None));
+            }
+        }
+        assert!(st.moving(flow));
+        st.slots[winner].reset();
+        assert!(!st.moving(flow), "a reset slot names nothing");
+        let next = thieves.iter().find(|&&t| t != winner).copied().unwrap();
+        assert_eq!(st.grant(&st.slots[next], donor, &mut scheduler), Some(flow));
     }
 
     #[test]

@@ -73,7 +73,6 @@ use err_sched::{Packet, Scheduler, ServedFlit};
 
 use crate::fault::{abort_residuals, fault_tick, Bequest, ShardHealth};
 use crate::ingress::Shared;
-use crate::ownership::OwnerState;
 
 /// Park duration of a sleep that polls; bounds wake-up latency after
 /// an idle period nobody's wake ended.
@@ -116,7 +115,7 @@ pub(crate) trait EgressStage: Send {
     }
 
     /// Whether `flow`'s link is credit-parked: a mover must then leave
-    /// the flow parked for the link's release in `serve` (§13.5).
+    /// the flow parked for the link's release in `serve` (§8.7).
     fn link_parked(&self, _flow: usize) -> bool {
         false
     }
@@ -125,13 +124,13 @@ pub(crate) trait EgressStage: Send {
     fn declare_link_dead(&self, _link: usize) {}
 
     /// Cumulative flits committed downstream — the snapshot the
-    /// donor-side retire fence takes (§13.5).
+    /// donor-side retire fence takes (§8.7).
     fn pushed(&self) -> u64 {
         0
     }
 
     /// Whether every flit of `flow` committed before the `snapshot`
-    /// push count has left the egress path (§13.5).
+    /// push count has left the egress path (§8.7).
     fn flow_retired(&self, _flow: usize, _snapshot: u64) -> bool {
         true
     }
@@ -210,7 +209,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
 /// * each batch, parked links whose credits returned are released.
 ///
 /// The stage is owned *outside* the panic fence and travels in the
-/// [`Bequest`] (§9.2): its parking marks and `pushed` count (§13.5's
+/// [`Bequest`] (§9.2): its parking marks and `pushed` count (§8.7's
 /// fence numerator) must survive the worker. A grant never does.
 pub(crate) struct BufferedStage {
     tx: Producer<ServedFlit>,
@@ -227,7 +226,7 @@ pub(crate) struct BufferedStage {
     link_parked: Vec<bool>,
     /// Cumulative flits this shard has committed to its egress ring —
     /// compared against the flusher's [`FlushProgress`] cursor by the
-    /// donor-side retire fence (§13.5).
+    /// donor-side retire fence (§8.7).
     pushed: u64,
 }
 
@@ -311,20 +310,16 @@ impl BufferedStage {
             }
         } else if self.link_parked[link] {
             self.link_parked[link] = false;
-            // A flow under an active ownership claim (§13.1) stays
-            // parked: a quiesced steal victim unparked here would be
-            // served past the §13.5 retire fence. Its mover unparks it
-            // when the claim resolves.
+            // A flow some migration slot names (§8.2) stays parked: a
+            // quiesced steal victim unparked here would be served past
+            // the §8.7 retire fence. Its mover unparks it when the slot
+            // resolves.
             for &flow in flows {
-                if shared
-                    .own
-                    .as_ref()
-                    .is_none_or(|own| own.owner_state(flow) == OwnerState::Settled)
-                {
+                if shared.steal.as_ref().is_none_or(|st| !st.moving(flow)) {
                     // unpark: the release `unpark_respecting_links`
                     // defers to for credit-parked links — the authority
-                    // itself; the `owner_state` guard above keeps
-                    // claimed flows parked (§13.5).
+                    // itself; the `moving` guard above keeps a victim
+                    // parked (§8.7).
                     scheduler.unpark_flow(flow);
                 }
             }
@@ -538,11 +533,11 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
 
         // Migration phase: advance whatever roles (thief/donor) this
         // shard plays across the per-thief slots, and evaluate the
-        // stealing policy at poll boundaries (DESIGN.md §8, §13.4).
+        // stealing policy at poll boundaries (DESIGN.md §8).
         // Ticked after intake so the ring's dequeue cursor only covers
         // packets already enqueued into the scheduler; the stage lends
         // the donor-side retire fence its pushed count and flusher
-        // cursor (§13.5).
+        // cursor (§8.7).
         let mut hot_handoff = false;
         let mut migrating = false;
         if let Some(d) = driver.as_mut() {

@@ -3,12 +3,12 @@
 //! feature.
 //!
 //! Only the modules whose interleavings are model-checked go through
-//! this shim ([`crate::channel`], [`crate::gate`]); everything else uses
-//! `std::sync::atomic` directly. The feature is off by default and only
-//! enabled by `err-check`'s model suite (`cargo test -p err-check
-//! --features model`), so every normal build compiles the `std` arm —
-//! where the [`UnsafeCell`] wrapper is a zero-cost `#[inline]` veneer
-//! over `std::cell::UnsafeCell`.
+//! this shim ([`crate::channel`], [`crate::gate`], `flow_map`);
+//! everything else uses `std::sync::atomic` directly. The feature is
+//! off by default and only enabled by `err-check`'s model suite
+//! (`cargo test -p err-check --features model`), so every normal build
+//! compiles the `std` arm — where the [`UnsafeCell`] wrapper is a
+//! zero-cost `#[inline]` veneer over `std::cell::UnsafeCell`.
 
 #[cfg(feature = "loom")]
 pub(crate) use loom::cell::UnsafeCell;

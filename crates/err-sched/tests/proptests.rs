@@ -480,7 +480,7 @@ proptest! {
 
         // Migrated run: two schedulers; every flow starts on shard 0
         // and bounces on each Migrate event. Arrivals chase the flow's
-        // current home (the runtime's epoch-stamped FlowMap).
+        // current home (the runtime's FlowMap).
         let mut shards = [ErrScheduler::new(n_flows), ErrScheduler::new(n_flows)];
         let mut home = vec![0usize; n_flows];
         let mut log: Vec<Vec<ServedFlit>> = vec![Vec::new(); n_flows];

@@ -523,7 +523,7 @@ fn stealing_compare(shards: usize, total_packets: u64) -> StealingSample {
     }
 }
 
-/// Stealing under `EgressMode::Buffered` (DESIGN.md §13.5): the same
+/// Stealing under `EgressMode::Buffered` (DESIGN.md §8.7): the same
 /// Zipf workload with the egress stage buffered — legal now that the
 /// shared egress state is `Sync` and the mover fences on the retire
 /// cursor (`FlushProgress`) before rerouting a flow. The claim this leg
@@ -593,9 +593,9 @@ fn run_stealing_bench(
          serving); speedup = stealing / static on the identical workload\",\n",
     );
     json.push_str(
-        "  \"migration_slots\": \"one per thief shard (DESIGN.md §13.4) — concurrent \
-         handoffs to distinct thieves; was a single global slot before the \
-         ownership protocol\",\n",
+        "  \"migration_slots\": \"one per thief shard (DESIGN.md §8.1) — concurrent \
+         handoffs to distinct thieves, each slot the claim on its victim (§8.2); \
+         was a single global slot before PR 8\",\n",
     );
     json.push_str(&format!(
         "  \"stealing_best_of\": {STEAL_BEST_OF},\n  \"protocol\": \"static run is \
@@ -630,7 +630,7 @@ fn run_stealing_bench(
         "  \"buffered_compose\": {{\"shards\": {compose_shards}, \
          \"egress\": \"buffered, {EGRESS_LINKS} links\", \
          \"claim\": \"stealing composes with buffered egress (mover fences on the \
-         FlushProgress retire cursor, §13.5); conservation asserted end to end\", \
+         FlushProgress retire cursor, §8.7); conservation asserted end to end\", \
          \"stealing_fpsc\": {compose_fpsc:.4}, \"migrations\": {compose_migrations}, \
          \"migrated_flits\": {compose_migrated}, \"steal_aborts\": {compose_aborts}}}\n"
     ));

@@ -11,10 +11,10 @@
 //!   conserve every flit, and keep each flow's emitted sequence exactly
 //!   its submission order with contiguous flit indices — migration is
 //!   invisible in the output;
-//! * the same run supervised, with the hot flow's home shard killed
-//!   mid-run under sync and under buffered egress: the successor
-//!   inherits the dead worker's migration state, so stealing carries on
-//!   and the output is still invisible-migration clean.
+//! * the same run supervised, with the hot flow's home shard killed at
+//!   its first possible grant under sync and under buffered egress: the
+//!   successor inherits the dead worker's migration state, so stealing
+//!   carries on and the output is still invisible-migration clean.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -97,7 +97,7 @@ fn skewed_stealing_run(egress: EgressMode, kill_hot_home_at: Option<u64>) -> (us
     // Per-flow capture: (packet id, flit index) in emission order.
     // Only one shard serves a flow at any instant (the quiesce phase
     // parks it on the donor before the thief unparks it, and under
-    // buffered egress the §13.5 fence retires the donor's flits first),
+    // buffered egress the §8.7 fence retires the donor's flits first),
     // so pushing under one lock per flow records a well-defined
     // per-flow order.
     type FlowLog = Vec<Mutex<Vec<(u64, u32)>>>;
@@ -209,9 +209,9 @@ fn stealing_preserves_per_flow_emit_order() {
     assert!(report.all_clean(), "{:?}", report.exits);
 }
 
-/// Stealing × supervision: the hot flow's home shard is killed mid-run,
-/// while it is the donor every idle shard is pulling from. Its
-/// `MigrationDriver` rides the bequest (DESIGN.md §9.2), so the
+/// Stealing × supervision: the hot flow's home shard is killed as soon
+/// as it may grant, while it is the donor every idle shard is pulling
+/// from. Its `MigrationDriver` rides the bequest (DESIGN.md §9.2), so the
 /// successor takes each in-flight handoff's next protocol step instead
 /// of stranding its peer: the run still steals, conserves, loses
 /// nothing and keeps every flow's emit order, under sync egress and
@@ -219,8 +219,12 @@ fn stealing_preserves_per_flow_emit_order() {
 /// credit-park constantly.
 #[test]
 fn stealing_survives_the_death_of_the_hot_shard() {
-    /// Cycle of the victim's flit clock at which it dies.
-    const KILL_AT: u64 = 4_000;
+    /// Cycle of the victim's flit clock at which it dies: the run's
+    /// `min_gap`. The serve-chunk guard (DESIGN.md §8.5) keeps flow 0 —
+    /// 336 k flits — at home until the victim's clock has reached it, so
+    /// the kill fires at the victim's next loop however often flow 0
+    /// moves afterwards.
+    const KILL_AT: u64 = 64;
     let buffered = EgressMode::Buffered(BufferedConfig {
         ring_capacity: 64,
         credits: 4,
@@ -244,7 +248,7 @@ fn stealing_survives_the_death_of_the_hot_shard() {
     }
 }
 
-/// Regression for the §13.5 compose hang: stealing under buffered
+/// Regression for the §8.7 compose hang: stealing under buffered
 /// egress must shut down cleanly even when donor-side steal aborts race
 /// link credit-parking.
 ///
