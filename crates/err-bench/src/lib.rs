@@ -13,14 +13,10 @@
 //! - `work_complexity` — Table 1's complexity column: ERR's O(1)
 //!   enqueue+dequeue work per flit vs flow count, against the
 //!   O(log n) sorted-queue disciplines (WFQ/SCFQ/Virtual Clock).
-//! - `scheduler_throughput` — flits scheduled per second on the
-//!   paper's Figure 4 traffic mix, full dequeue path included.
 //! - `figure_kernels` — one reduced-horizon kernel per paper figure,
 //!   exercising the exact code path of each `repro` reproduction.
 //! - `wormhole` — wormhole substrate throughput: switch and mesh
 //!   cycles per second across arbiter kinds.
-//! - `runtime_scaling` — the sharded runtime's submit → ring → shard
-//!   scheduler → drain pipeline rate, swept over shard counts.
-//! - `egress_stall` — the buffered egress stage's per-flit toll vs the
-//!   sync sink, with and without a churning `StallPlan` (the
-//!   microbench twin of `BENCH_egress.json`).
+//!
+//! Scheduler, runtime and egress throughput are timed by the `bench/`
+//! ledger (`err-ledger`), not here.

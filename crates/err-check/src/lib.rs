@@ -1399,15 +1399,16 @@ mod tests {
     fn every_normative_design_section_has_a_doc_rule() {
         let design =
             std::fs::read_to_string(workspace_root().join("DESIGN.md")).expect("DESIGN.md");
-        // §13 (flow ownership) was merged into §8 (flow movement); its
-        // number stays retired so §14's citations keep their target.
-        const MERGED: &[&str] = &["## 13"];
+        // Retired numbers stay unused so §14's citations keep their
+        // target: §12 (what-if estimation) was deleted with its
+        // estimator, §13 (flow ownership) was merged into §8.
+        const RETIRED: &[&str] = &["## 12", "## 13"];
         for n in 8..=14 {
             let heading = format!("## {n}");
-            if MERGED.contains(&heading.as_str()) {
+            if RETIRED.contains(&heading.as_str()) {
                 assert!(
                     !design.contains(&format!("\n{heading}")),
-                    "DESIGN.md `{heading}` was merged into §8 and must stay retired"
+                    "DESIGN.md `{heading}` is retired and must stay absent"
                 );
                 continue;
             }

@@ -172,7 +172,8 @@ pub(crate) struct DocRule {
 /// vocabulary the code exports. Mirrors (and extends to §10) the
 /// enum-derived drift tests in `tests/migration_stealing.rs` and
 /// `tests/fault_tolerance.rs`. One rule per normative DESIGN section
-/// (§8–§14; §13 was merged into §8 and its number retired) —
+/// (§8–§14; §12 was deleted and §13 merged into §8, both numbers
+/// retired) —
 /// `tests::every_normative_design_section_has_a_doc_rule` asserts the
 /// table stays complete as sections are added.
 pub(crate) const DOC_RULES: &[DocRule] = &[
@@ -349,34 +350,6 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "service clock",
         ],
     },
-    // §12 vocabulary: the estimator's pipeline stages, regimes, and
-    // acceptance artifacts must stay named in the spec.
-    DocRule {
-        doc: "DESIGN.md",
-        section: Some("## 12"),
-        needles: &[
-            // The pipeline (decompose.rs / linksim.rs / compose.rs).
-            "decompose",
-            "LinkLoad",
-            "simulate_node",
-            "PathEstimate",
-            "EstimateReport",
-            "HopEstimate",
-            "contention domain",
-            // The arrival model and composition regimes.
-            "just-in-time",
-            "primer",
-            "service clock",
-            "credit-share",
-            "funnel",
-            // The envelope and the validation gates.
-            "floor",
-            "ceiling",
-            "envelope",
-            "BENCH_estimate",
-            "--estimate",
-        ],
-    },
     // §14 vocabulary: the healing layer's fault events, policies, and
     // supervision artifacts must stay named in the spec (spec-first;
     // see §14's preamble).
@@ -407,13 +380,7 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
     DocRule {
         doc: "README.md",
         section: None,
-        needles: &[
-            "err-check",
-            "loom",
-            "err-fabric",
-            "err-estimate",
-            "backpressure",
-        ],
+        needles: &["err-check", "loom", "err-fabric", "backpressure"],
     },
     DocRule {
         doc: "EXPERIMENTS.md",
@@ -422,7 +389,6 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "interleavings",
             "mutant",
             "BENCH_fabric",
-            "BENCH_estimate",
             "isolation",
             "speedup",
             "fabric_heal",

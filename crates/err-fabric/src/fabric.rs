@@ -277,15 +277,6 @@ pub struct PathStats {
     pub ledger: FlowSnapshot,
 }
 
-impl PathStats {
-    /// Measured end-to-end mean in service-clock cycles: the sum over
-    /// path nodes of their mean per-hop deltas — the decomposable
-    /// ground truth the §12 estimator validates against.
-    pub fn mean_path_cycles(&self) -> f64 {
-        self.per_hop.iter().map(HopSnapshot::mean_cycles).sum()
-    }
-}
-
 /// Final accounting returned by [`Fabric::drain_within`].
 pub struct FabricReport {
     /// Per-node drain reports, indexed by node id.
@@ -293,9 +284,10 @@ pub struct FabricReport {
     /// Per-flow ledger at the end.
     pub flows: Vec<FlowSnapshot>,
     /// Per-flow per-hop attribution at the end (§11.8), indexed by
-    /// flow then by hop position along the fault-free route. The sum
-    /// of a flow's hop means is the measured store-and-forward path
-    /// delay the §12 estimator predicts.
+    /// flow then by hop position along the fault-free route. The
+    /// ledger reads its hop means (`err-fabric.hop_mean_cycles.*`),
+    /// and `tests/fabric_cross_validation.rs` checks that a flow's
+    /// summed hop means never undercut [`PathStats::min_cycles`].
     pub flow_hops: Vec<Vec<HopSnapshot>>,
     /// Chaos events that fired (§11.4, §14.1).
     pub events: Vec<FabricFaultEvent>,

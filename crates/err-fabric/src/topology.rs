@@ -316,8 +316,10 @@ impl Topology {
     /// `(node, link)` pairs in path order: the `Forward` cable end at
     /// each transit node, then the destination's eject end
     /// `(dst, 0)`. Each direction of a cable is its own link with its
-    /// own credits, so directed pairs are the granularity for both
-    /// blast-radius disjointness (§11.6) and the §12 decomposition.
+    /// own credits, so directed pairs are the granularity of the
+    /// `runtime-bench --fabric` hotspot partition: a flow is
+    /// link-disjoint from the frozen sink when it shares no pair with
+    /// any hot-bound path (§11.6).
     pub fn links_on_path(&self, flow: usize, spec: FlowSpec) -> Vec<(usize, usize)> {
         self.path(flow, spec)
             .into_iter()

@@ -65,7 +65,6 @@
 //! ```
 
 pub mod active_list;
-pub mod drive;
 pub mod drr;
 pub mod err;
 pub mod factory;
@@ -86,7 +85,6 @@ pub mod wfq;
 
 pub use active_list::ActiveList;
 pub use desim::Cycle;
-pub use drive::LinkDriver;
 pub use factory::Discipline;
 pub use flow_queue::FlowQueues;
 pub use migrate::{MidPacket, MigratedFlow, MigratedVisit};

@@ -1,6 +1,5 @@
-//! Exact sample percentiles (nearest-rank), shared by the §12
-//! estimator report and `BENCH_estimate.json` so neither carries its
-//! own ad-hoc sorting.
+//! Exact sample percentiles (nearest-rank) over report-sized sample
+//! sets, so a report need not carry its own ad-hoc sorting.
 
 /// The nearest-rank percentile of `samples` at `q ∈ [0, 1]`: the
 /// smallest sample such that at least `q` of the distribution lies at

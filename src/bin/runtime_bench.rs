@@ -31,13 +31,6 @@
 //! isolation ratio must hold ≥ 0.9. Also replays the §11.4 chaos
 //! kill-link run. Writes `BENCH_fabric.json`.
 //!
-//! `runtime-bench --estimate [--smoke] [ESTIMATE_OUT]` validates the
-//! err-estimate decomposition estimator (DESIGN.md §12.5) against the
-//! real fabric on the seeded uniform-random, transpose, and
-//! hotspot-random mixes, asserting p50 per-path latency error ≤ 10%
-//! and ≥ 100× wall-clock speedup per scenario. Writes
-//! `BENCH_estimate.json`.
-//!
 //! The numbers are honest wall-clock figures for *this* machine — on a
 //! single-core container the shard workers time-slice one CPU, so the
 //! 8-shard wall-clock rate will not exceed the 1-shard rate; the
@@ -1686,283 +1679,6 @@ fn run_fabric_bench(smoke: bool, fabric_out: &str) {
     eprintln!("runtime-bench: wrote {fabric_out}");
 }
 
-/// Estimator validation (`--estimate`, DESIGN.md §12.5): replay the
-/// seeded 4×4 mesh mixes through both the real fabric and the §12
-/// estimator, and report per-path relative error and wall-clock
-/// speedup. Ground truth is the fabric's own §11.8 per-hop service
-/// attribution — the exact quantity the estimator predicts — averaged
-/// over `EST_RUNS` runs to damp scheduler noise. Injection is one
-/// racing producer per source node, the physically honest open load.
-const EST_MAX_BACKLOG: u64 = 8;
-const EST_RUNS: usize = 3;
-const EST_UNIFORM_SEED: u64 = 0x5eed_0001;
-const EST_HOTSPOT_SEED: u64 = 0x5eed_0002;
-/// Accuracy gate: per-scenario p50 of |relative path error|.
-const EST_P50_GATE: f64 = 0.10;
-/// Speed gate: estimator wall clock vs one averaged fabric run.
-const EST_SPEEDUP_GATE: f64 = 100.0;
-
-struct EstimatePathRow {
-    spec: FlowSpec,
-    hops: usize,
-    measured_cycles: f64,
-    predicted_cycles: f64,
-    rel_err: f64,
-}
-
-struct EstimateScenario {
-    name: &'static str,
-    flows: usize,
-    packets_per_flow: u64,
-    fabric_secs: f64,
-    est_secs: f64,
-    speedup: f64,
-    p50_abs_err: f64,
-    p90_abs_err: f64,
-    max_abs_err: f64,
-    jain_measured: f64,
-    jain_predicted: f64,
-    paths: Vec<EstimatePathRow>,
-}
-
-/// One fabric run: per-flow measured path cycles (the sum of §11.8
-/// per-hop mean service deltas) and the wall-clock seconds it took.
-fn estimate_ground_truth_run(flows: &[FlowSpec], packets: u64) -> (Vec<f64>, f64, f64) {
-    let mut cfg = FabricConfig::new(Topology::mesh(FABRIC_COLS, FABRIC_ROWS), flows.to_vec());
-    cfg.max_backlog = EST_MAX_BACKLOG;
-    let f = Fabric::start(cfg);
-    let wall = Instant::now();
-    std::thread::scope(|s| {
-        for src in 0..FABRIC_COLS * FABRIC_ROWS {
-            let mine: Vec<usize> = flows
-                .iter()
-                .enumerate()
-                .filter(|(_, spec)| spec.src == src)
-                .map(|(fl, _)| fl)
-                .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            let f = &f;
-            // panic-policy: scoped submitter — a panic propagates out
-            // of `thread::scope` and fails the bench run.
-            s.spawn(move || {
-                for _ in 0..packets {
-                    for &flow in &mine {
-                        f.submit(flow, FABRIC_PKT_LEN).expect("fabric is open");
-                    }
-                }
-            });
-        }
-    });
-    let rep = f.drain_within(Duration::from_secs(120));
-    let elapsed = wall.elapsed().as_secs_f64();
-    assert!(
-        rep.is_conserving(),
-        "estimate ground-truth run leaked packets"
-    );
-    assert_eq!(rep.lost_packets, 0, "zero loss under graceful drain");
-    let meas = (0..flows.len())
-        .map(|fl| rep.flow_hops[fl].iter().map(|h| h.mean_cycles()).sum())
-        .collect();
-    (meas, elapsed, rep.jain_ejected())
-}
-
-fn estimate_scenario(
-    name: &'static str,
-    flows: Vec<FlowSpec>,
-    packets: u64,
-    runs: usize,
-) -> EstimateScenario {
-    let topo = Topology::mesh(FABRIC_COLS, FABRIC_ROWS);
-    let n_flows = flows.len();
-
-    // Mean-of-N ground truth: per-path cycles averaged across runs.
-    let mut measured = vec![0.0f64; n_flows];
-    let mut fabric_secs = 0.0;
-    let mut jain_measured = 0.0;
-    for _ in 0..runs {
-        let (meas, secs, jain) = estimate_ground_truth_run(&flows, packets);
-        for (acc, m) in measured.iter_mut().zip(meas) {
-            *acc += m / runs as f64;
-        }
-        fabric_secs += secs / runs as f64;
-        jain_measured += jain / runs as f64;
-    }
-
-    let loads: Vec<err_estimate::FlowLoad> = flows
-        .iter()
-        .map(|&spec| err_estimate::FlowLoad {
-            spec,
-            len: FABRIC_PKT_LEN,
-            packets,
-        })
-        .collect();
-    let est_cfg = err_estimate::EstimatorConfig {
-        max_backlog: EST_MAX_BACKLOG,
-        ..err_estimate::EstimatorConfig::default()
-    };
-    let wall = Instant::now();
-    let est = err_estimate::estimate(&topo, &loads, &est_cfg);
-    let est_secs = wall.elapsed().as_secs_f64().max(1e-9);
-
-    let mut paths = Vec::with_capacity(n_flows);
-    let mut abs_errs = Vec::with_capacity(n_flows);
-    for (fl, p) in est.paths.iter().enumerate() {
-        assert!(
-            p.within_envelope(),
-            "{name}: flow {fl} escapes its envelope"
-        );
-        let rel_err = (p.cycles - measured[fl]) / measured[fl].max(1.0);
-        abs_errs.push(rel_err.abs());
-        paths.push(EstimatePathRow {
-            spec: flows[fl],
-            hops: p.hops,
-            measured_cycles: measured[fl],
-            predicted_cycles: p.cycles,
-            rel_err,
-        });
-    }
-    let p50 = fairness_metrics::percentile(&abs_errs, 0.5).expect("non-empty scenario");
-    let p90 = fairness_metrics::percentile(&abs_errs, 0.9).expect("non-empty scenario");
-    let max = abs_errs.iter().cloned().fold(0.0, f64::max);
-    EstimateScenario {
-        name,
-        flows: n_flows,
-        packets_per_flow: packets,
-        fabric_secs,
-        est_secs,
-        speedup: fabric_secs / est_secs,
-        p50_abs_err: p50,
-        p90_abs_err: p90,
-        max_abs_err: max,
-        jain_measured,
-        jain_predicted: est.jain_predicted,
-        paths,
-    }
-}
-
-fn run_estimate_bench(smoke: bool, estimate_out: &str) {
-    let packets: u64 = if smoke { 100 } else { 800 };
-    let runs = if smoke { 1 } else { EST_RUNS };
-    let topo = Topology::mesh(FABRIC_COLS, FABRIC_ROWS);
-
-    let scenarios: Vec<(&'static str, Vec<FlowSpec>)> = vec![
-        (
-            "uniform",
-            err_estimate::mixes::uniform_random(&topo, EST_UNIFORM_SEED),
-        ),
-        (
-            "transpose",
-            err_estimate::mixes::transpose(FABRIC_COLS, FABRIC_ROWS),
-        ),
-        (
-            "hotspot",
-            err_estimate::mixes::hotspot_random(&topo, HOT_NODE, EST_HOTSPOT_SEED),
-        ),
-    ];
-
-    let mut samples = Vec::new();
-    for (name, flows) in scenarios {
-        eprintln!(
-            "runtime-bench: estimator vs fabric, {name} mix ({} flows, \
-             {packets} packets/flow, mean of {runs} run(s))...",
-            flows.len()
-        );
-        let s = estimate_scenario(name, flows, packets, runs);
-        eprintln!(
-            "  {name}: p50 err {:.1}%, p90 {:.1}%, max {:.1}%, speedup {:.0}x \
-             (fabric {:.3}s, estimate {:.6}s)",
-            s.p50_abs_err * 100.0,
-            s.p90_abs_err * 100.0,
-            s.max_abs_err * 100.0,
-            s.speedup,
-            s.fabric_secs,
-            s.est_secs,
-        );
-        if !smoke {
-            assert!(
-                s.p50_abs_err <= EST_P50_GATE,
-                "{name}: p50 path error {:.3} over the {EST_P50_GATE} gate",
-                s.p50_abs_err
-            );
-            assert!(
-                s.speedup >= EST_SPEEDUP_GATE,
-                "{name}: speedup {:.0}x under the {EST_SPEEDUP_GATE}x gate",
-                s.speedup
-            );
-        }
-        samples.push(s);
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"err-estimate decomposition estimator vs fabric\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!(
-        "  \"topology\": \"{FABRIC_COLS}x{FABRIC_ROWS} mesh, XY routing\",\n"
-    ));
-    json.push_str(&format!("  \"packet_len_flits\": {FABRIC_PKT_LEN},\n"));
-    json.push_str(&format!("  \"max_backlog_flits\": {EST_MAX_BACKLOG},\n"));
-    json.push_str(&format!("  \"ground_truth_runs\": {runs},\n"));
-    json.push_str(
-        "  \"metric\": \"per-path cycles: fabric sum of per-hop mean service deltas \
-         (11.8 attribution, racing per-source producers, averaged over \
-         ground_truth_runs) vs estimator store-and-forward prediction; rel_err = \
-         (predicted - measured) / measured\",\n",
-    );
-    json.push_str(&format!(
-        "  \"gates\": {{\"p50_abs_rel_err_max\": {EST_P50_GATE}, \
-         \"speedup_min\": {EST_SPEEDUP_GATE}, \"enforced\": {}}},\n",
-        !smoke
-    ));
-    json.push_str("  \"scenarios\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"flows\": {}, \"packets_per_flow\": {}, \
-             \"fabric_wall_secs\": {:.6}, \"estimate_wall_secs\": {:.6}, \
-             \"speedup\": {:.1}, \"p50_abs_rel_err\": {:.4}, \
-             \"p90_abs_rel_err\": {:.4}, \"max_abs_rel_err\": {:.4}, \
-             \"jain_measured\": {:.6}, \"jain_predicted\": {:.6},\n",
-            s.name,
-            s.flows,
-            s.packets_per_flow,
-            s.fabric_secs,
-            s.est_secs,
-            s.speedup,
-            s.p50_abs_err,
-            s.p90_abs_err,
-            s.max_abs_err,
-            s.jain_measured,
-            s.jain_predicted,
-        ));
-        json.push_str("     \"paths\": [\n");
-        for (j, p) in s.paths.iter().enumerate() {
-            json.push_str(&format!(
-                "       {{\"src\": {}, \"dst\": {}, \"hops\": {}, \
-                 \"measured_cycles\": {:.1}, \"predicted_cycles\": {:.1}, \
-                 \"rel_err\": {:.4}}}{}\n",
-                p.spec.src,
-                p.spec.dst,
-                p.hops,
-                p.measured_cycles,
-                p.predicted_cycles,
-                p.rel_err,
-                if j + 1 == s.paths.len() { "" } else { "," }
-            ));
-        }
-        json.push_str(&format!(
-            "     ]}}{}\n",
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-
-    std::fs::write(estimate_out, json).expect("writing estimate bench output");
-    eprintln!("runtime-bench: wrote {estimate_out}");
-}
-
 fn main() {
     let mut smoke = false;
     let mut paths: Vec<String> = Vec::new();
@@ -1970,7 +1686,6 @@ fn main() {
     let mut egress_only = false;
     let mut chaos = false;
     let mut fabric = false;
-    let mut estimate = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
@@ -1978,17 +1693,8 @@ fn main() {
             "--egress-only" => egress_only = true,
             "--chaos" => chaos = true,
             "--fabric" => fabric = true,
-            "--estimate" => estimate = true,
             _ => paths.push(arg),
         }
-    }
-    if estimate {
-        let estimate_out = paths
-            .first()
-            .cloned()
-            .unwrap_or_else(|| "BENCH_estimate.json".to_owned());
-        run_estimate_bench(smoke, &estimate_out);
-        return;
     }
     if fabric {
         let fabric_out = paths

@@ -5,7 +5,6 @@
 //! use a single dependency.
 
 pub use desim;
-pub use err_estimate as estimate;
 pub use err_experiments as experiments;
 pub use err_fabric as fabric;
 pub use err_runtime as runtime;

@@ -2,7 +2,9 @@
 //! (DESIGN.md §11.5): on a small single-VC mesh the fabric's published
 //! per-path latency model must agree, cycle-exact, with what the
 //! discrete simulator measures for the same paths, and a deterministic
-//! fabric run must account for every flit at every hop.
+//! fabric run must account for every flit at every hop. Under racing
+//! producers on a 4×4 mesh the fabric must still conserve every packet,
+//! and no flow's measured §11.8 path delay may undercut its floor.
 
 use std::time::Duration;
 
@@ -105,5 +107,68 @@ fn deterministic_run_accounts_for_every_flit_at_every_hop() {
             expected_served[node],
             "node {node} served a different flit count than its path membership"
         );
+    }
+}
+
+/// One racing producer per source node on a 4×4 mesh with a shallow
+/// backlog cap, so refusals and parked flows are the common case: the
+/// drain must conserve every packet, and each flow's measured path
+/// delay (the sum of its §11.8 per-hop mean cycles) must be at least
+/// the fabric's own floor, [`PathStats::min_cycles`]. Two mixes:
+/// transpose `(x, y) → (y, x)`, and every other node converging on
+/// node 5.
+///
+/// [`PathStats::min_cycles`]: err_repro::fabric::PathStats
+#[test]
+fn racing_mesh_conserves_and_no_path_undercuts_its_floor() {
+    const SIDE: usize = 4;
+    const LEN: u32 = 4;
+    const PACKETS: u64 = 150;
+    const HOT: usize = 5;
+    let transpose: Vec<FlowSpec> = (0..SIDE * SIDE)
+        .map(|src| FlowSpec {
+            src,
+            dst: (src % SIDE) * SIDE + src / SIDE,
+        })
+        .filter(|spec| spec.src != spec.dst)
+        .collect();
+    let convergecast: Vec<FlowSpec> = (0..SIDE * SIDE)
+        .filter(|&src| src != HOT)
+        .map(|src| FlowSpec { src, dst: HOT })
+        .collect();
+    for (mix, flows) in [("transpose", transpose), ("convergecast", convergecast)] {
+        let mut cfg = FabricConfig::new(Topology::mesh(SIDE, SIDE), flows.clone());
+        cfg.max_backlog = 8;
+        let fabric = Fabric::start(cfg);
+        // The floor depends only on the route; read it before the drain
+        // consumes the fabric.
+        let floors: Vec<u64> = (0..flows.len())
+            .map(|flow| fabric.path_stats(flow, LEN).min_cycles)
+            .collect();
+        std::thread::scope(|s| {
+            for src in 0..SIDE * SIDE {
+                let mine: Vec<usize> = (0..flows.len())
+                    .filter(|&flow| flows[flow].src == src)
+                    .collect();
+                let fabric = &fabric;
+                s.spawn(move || {
+                    for _ in 0..PACKETS {
+                        for &flow in &mine {
+                            fabric.submit(flow, LEN).expect("fabric is open");
+                        }
+                    }
+                });
+            }
+        });
+        let rep = fabric.drain_within(Duration::from_secs(60));
+        assert!(rep.is_conserving(), "{mix}: racing run leaked packets");
+        for (flow, &floor) in floors.iter().enumerate() {
+            let measured: f64 = rep.flow_hops[flow].iter().map(|h| h.mean_cycles()).sum();
+            assert!(
+                measured >= floor as f64,
+                "{mix}: flow {flow} ({:?}) measured {measured:.2} cycles under its floor {floor}",
+                flows[flow]
+            );
+        }
     }
 }
