@@ -179,12 +179,14 @@ pub(crate) struct DocRule {
 pub(crate) const DOC_RULES: &[DocRule] = &[
     // §6/§7 hand-off vocabulary: the wake edges, which timers are a
     // backstop and which a poll, and the counters that tell the two
-    // apart — plus the one worker loop's egress stage and its two
-    // impls, and the per-batch credit grant.
+    // apart — plus the scheduler every worker owns, the one worker
+    // loop's egress stage and its two impls, and the per-batch credit
+    // grant.
     DocRule {
         doc: "DESIGN.md",
         section: Some("## 6"),
         needles: &[
+            "ErrScheduler",
             "EgressStage",
             "SyncStage",
             "BufferedStage",

@@ -20,7 +20,7 @@
 //!   the egress path is bounded by the pool — and the worker, finding
 //!   no credit to grant itself, *parks* the link's flows in the
 //!   scheduler
-//!   ([`Scheduler::park_flow`](err_sched::Scheduler::park_flow))
+//!   ([`ErrScheduler::park_flow`](err_sched::err::ErrScheduler::park_flow))
 //!   before it visits them, and keeps serving everyone else.
 //! * **Deterministic stalls** ([`stall`]): a seeded [`StallInjector`]
 //!   freezes and thaws links on the flush clock (flits delivered, not

@@ -24,7 +24,7 @@ pub struct ShardEgressStats {
     /// High-water mark of the shard's output-ring occupancy.
     pub ring_peak: AtomicU64,
     /// Times the worker found a link's credit pool empty and had to
-    /// park the link's flows (or block, for non-parking disciplines).
+    /// park the link's flows.
     pub credit_exhaustions: AtomicU64,
     /// Times the worker found the output ring full and had to spin.
     pub ring_full_spins: AtomicU64,

@@ -15,7 +15,7 @@ use err_runtime::{
     AdmissionPolicy, DrainReport, EgressMode, Runtime, RuntimeConfig, RuntimeHandle, SubmitError,
     Submitted,
 };
-use err_sched::{Discipline, Packet};
+use err_sched::Packet;
 
 use crate::chaos::{
     DeadMap, FabricFault, FabricFaultEvent, FabricFaultPlan, ForwarderExit, PanicSwitch,
@@ -108,8 +108,6 @@ pub struct FabricConfig {
     pub flows: Vec<FlowSpec>,
     /// Shards (worker threads) per node.
     pub shards_per_node: usize,
-    /// Scheduling discipline every node runs.
-    pub discipline: Discipline,
     /// Per-shard ingress and egress ring capacity.
     pub ring_capacity: usize,
     /// Credits per link: the downstream flit buffer each cable models.
@@ -132,13 +130,12 @@ pub struct FabricConfig {
 
 impl FabricConfig {
     /// A fabric over `topology` with the given flows and defaults
-    /// tuned for tests: 1 shard/node, ERR, modest rings and credits.
+    /// tuned for tests: 1 shard/node, modest rings and credits.
     pub fn new(topology: Topology, flows: Vec<FlowSpec>) -> Self {
         Self {
             topology,
             flows,
             shards_per_node: 1,
-            discipline: Discipline::Err,
             ring_capacity: 256,
             credits: 16,
             max_backlog: 64,
@@ -472,7 +469,6 @@ impl Fabric {
             let rc = RuntimeConfig {
                 shards: cfg.shards_per_node,
                 n_flows: specs.len(),
-                discipline: cfg.discipline.clone(),
                 ring_capacity: cfg.ring_capacity,
                 batch_packets: 32,
                 batch_flits: 128,
@@ -488,9 +484,7 @@ impl Fabric {
                     dead_link_deadline: None,
                     dead_link_policy: policy,
                 }),
-                stealing: None,
-                supervision: None,
-                fault_plan: None,
+                ..RuntimeConfig::default()
             };
             let fwd = Forwarder::new(
                 node,

@@ -56,9 +56,11 @@ pub struct DrainReport {
     /// Per-shard flusher exit status (empty under sync egress).
     pub flusher_exits: Vec<ShardExit>,
     /// Whether the shutdown deadline forced an abort: residual packets
-    /// were counted lost rather than served (DESIGN.md §9.4). For
-    /// non-migratable disciplines a forced abort can only account an
-    /// aggregate flit count, so `is_conserving` may honestly fail.
+    /// were counted lost rather than served (DESIGN.md §9.4), packet by
+    /// packet. The one residue left uncounted is §9.4's double fault: a
+    /// sync batch a sink's unwind interrupted, when the abort also beats
+    /// the successor's first `serve` — then `is_conserving` honestly
+    /// fails.
     pub forced: bool,
 }
 

@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use desim::{Cycle, SimRng};
-use err_sched::Scheduler;
+use err_sched::err::ErrScheduler;
 
 use crate::admission::AdmissionController;
 use crate::ingress::Shared;
@@ -394,7 +394,7 @@ impl FaultInjector {
 /// resumes draining it.
 pub(crate) struct Bequest {
     pub(crate) cfg: ShardConfig,
-    pub(crate) scheduler: Box<dyn Scheduler + Send>,
+    pub(crate) scheduler: ErrScheduler,
     pub(crate) driver: Option<MigrationDriver>,
     /// The shard flit clock at death; the successor continues it.
     pub(crate) now: Cycle,
@@ -510,40 +510,35 @@ fn lose_packet(stats: &ShardStats, admission: &AdmissionController, flow: usize,
 /// flag fires, a worker stops serving and counts its residual state —
 /// ring contents and extracted flow packages — as lost, with admission
 /// charges revoked; `drain_within` does the same for a bequest the
-/// abort beat the supervisor to. Exact for migratable disciplines;
-/// others can only report an aggregate flit count (the report's
-/// `forced` flag marks the accounting as lossy).
+/// abort beat the supervisor to. Exact: every flow's residue is
+/// extracted and counted packet by packet.
 pub(crate) fn abort_residuals(
     shared: &Shared,
     shard: usize,
     n_flows: usize,
-    scheduler: &mut Box<dyn Scheduler + Send>,
+    scheduler: &mut ErrScheduler,
 ) {
     let stats = &shared.stats[shard];
     while let Some(pkt) = shared.rings[shard].pop() {
         lose_packet(stats, &shared.admission, pkt.flow, pkt.len);
     }
-    if scheduler.supports_migration() {
-        for flow in 0..n_flows {
-            // unpark: never — `abort_residuals` is the forced-abort
-            // accounting sweep; the scheduler serves nothing after it
-            // and is dropped with the aborted runtime.
-            let _ = scheduler.park_flow(flow);
-            if let Some(pkg) = scheduler.extract_flow(flow) {
-                if let Some(cursor) = pkg.resume.and_then(|v| v.cursor) {
-                    stats.lost_packets.add(1);
-                    stats
-                        .lost_flits
-                        .add((cursor.packet.len - cursor.next_flit) as u64);
-                    shared.admission.revoke(flow, cursor.packet.len);
-                }
-                for p in &pkg.packets {
-                    lose_packet(stats, &shared.admission, flow, p.len);
-                }
+    for flow in 0..n_flows {
+        // unpark: never — `abort_residuals` is the forced-abort
+        // accounting sweep; the scheduler serves nothing after it
+        // and is dropped with the aborted runtime.
+        let _ = scheduler.park_flow(flow);
+        if let Some(pkg) = scheduler.extract_flow(flow) {
+            if let Some(cursor) = pkg.resume.and_then(|v| v.cursor) {
+                stats.lost_packets.add(1);
+                stats
+                    .lost_flits
+                    .add((cursor.packet.len - cursor.next_flit) as u64);
+                shared.admission.revoke(flow, cursor.packet.len);
+            }
+            for p in &pkg.packets {
+                lose_packet(stats, &shared.admission, flow, p.len);
             }
         }
-    } else {
-        stats.lost_flits.add(scheduler.backlog_flits());
     }
     stats.backlog_flits.set(0);
 }

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
-//! `err-runtime` — a sharded multi-core scheduling runtime around the
-//! `err-sched` disciplines.
+//! `err-runtime` — a sharded multi-core scheduling runtime around
+//! `err-sched`'s Elastic Round Robin scheduler.
 //!
 //! The paper's case for Elastic Round Robin is that its O(1),
 //! length-oblivious decision rule is cheap enough to run at link rate in
@@ -28,9 +28,13 @@
 //! * Flows are hash-partitioned ([`ingress`]), so each flow's packets
 //!   always meet the same scheduler — per-flow FIFO and ERR's fairness
 //!   guarantees hold per shard without any cross-shard coordination.
-//! * Each shard worker drives a private `Box<dyn Scheduler + Send>` in
-//!   batched intake/service loops ([`shard`]); one flit = one cycle of
-//!   the shard's flit clock, the paper's egress-link model.
+//! * Each shard worker drives a private `ErrScheduler` in batched
+//!   intake/service loops ([`shard`]); one flit = one cycle of the
+//!   shard's flit clock, the paper's egress-link model. ERR is the one
+//!   discipline here: it decides without knowing what a packet will
+//!   cost, which in a wormhole switch is unknown until its tail
+//!   leaves. The other disciplines are compared against it in the
+//!   simulator.
 //! * [`admission`] bounds each flow's outstanding flits with drop-tail,
 //!   reject, or backpressure policies.
 //! * [`stats`] publishes lock-free per-shard counters merged on demand.
@@ -61,12 +65,11 @@
 //!
 //! ```
 //! use err_runtime::{Runtime, RuntimeConfig};
-//! use err_sched::{Discipline, Packet};
+//! use err_sched::Packet;
 //!
 //! let (runtime, handle) = Runtime::start(RuntimeConfig {
 //!     shards: 2,
 //!     n_flows: 8,
-//!     discipline: Discipline::Err,
 //!     ..RuntimeConfig::default()
 //! });
 //! for id in 0..64 {
@@ -98,6 +101,7 @@ use std::time::{Duration, Instant};
 use err_egress::{
     spsc_ring, FlushProgress, FlusherCore, LinkSet, ShardEgressStats, StallInjector, WakeCell,
 };
+use err_sched::err::ErrScheduler;
 use err_sched::{Discipline, ServedFlit};
 
 pub use admission::{AdmissionController, AdmissionPolicy, AdmitDecision};
@@ -162,7 +166,9 @@ pub struct RuntimeConfig {
     pub shards: usize,
     /// Size of the flow-id space; flows are `0..n_flows`.
     pub n_flows: usize,
-    /// Discipline each shard instantiates privately.
+    /// Must be [`Discipline::Err`], the default: every shard runs ERR,
+    /// and [`Runtime::start`] panics on anything else. Removed when the
+    /// benchmark stops naming it.
     pub discipline: Discipline,
     /// Per-shard ingress ring capacity (rounded up to a power of two).
     pub ring_capacity: usize,
@@ -178,9 +184,8 @@ pub struct RuntimeConfig {
     /// static partition. A near-empty shard (backlog below a quarter of
     /// `steal_threshold`) asks the shard with the largest backlog (at
     /// least `steal_threshold`) for its heaviest flow, which moves with
-    /// its queue, surplus count and mid-packet cursor. Requires a
-    /// discipline with `supports_migration()` (ERR/WERR) —
-    /// `Runtime::start` asserts it. Works under either [`EgressMode`]:
+    /// its queue, surplus count and mid-packet cursor. Works under
+    /// either [`EgressMode`]:
     /// under [`EgressMode::Buffered`] the donor adds the §8.7
     /// egress-retire fence (a flow's home flips only after its last
     /// victim flit has retired downstream), so handoffs never interleave
@@ -191,9 +196,7 @@ pub struct RuntimeConfig {
     /// Shard supervision (DESIGN.md §9): heartbeats, quarantine, and
     /// resurrection in place — a fresh worker thread adopts the dead
     /// shard's ring, scheduler, egress stage and migration state, no
-    /// flow moves and nothing is lost (§9.2). Requires a discipline
-    /// with extract/absorb support (ERR/WERR), which forced-abort
-    /// accounting needs to be exact (§9.4); works under either
+    /// flow moves and nothing is lost (§9.2). Works under either
     /// [`EgressMode`].
     pub supervision: Option<SupervisionConfig>,
     /// Deterministic fault injection (DESIGN.md §9.5); events fire on
@@ -243,8 +246,8 @@ const DRAIN_POLL: Duration = Duration::from_millis(1);
 
 impl Runtime {
     /// Starts the runtime: spawns one worker per shard, each owning a
-    /// fresh instance of the configured discipline. Returns the runtime
-    /// and a cloneable producer handle.
+    /// fresh `ErrScheduler`. Returns the runtime and a cloneable
+    /// producer handle.
     pub fn start(config: RuntimeConfig) -> (Self, RuntimeHandle) {
         // `fn` item: any no-op sink type works, `E` just needs naming.
         Self::start_with_egress(config, |_shard| None::<fn(usize, &ServedFlit)>)
@@ -266,24 +269,17 @@ impl Runtime {
     ) -> (Self, RuntimeHandle) {
         assert!(config.shards >= 1, "need at least one shard");
         assert!(config.batch_flits >= 1 && config.batch_packets >= 1);
+        assert!(
+            config.discipline == Discipline::Err,
+            "the runtime runs ERR only, got {:?}",
+            config.discipline
+        );
         // The routing map exists only where something moves flows: a
         // steal. Death never does (§9.2).
-        let steal = config.stealing.map(|sc| {
-            assert!(
-                config.discipline.build(1).supports_migration(),
-                "work stealing requires a discipline with extract/absorb \
-                 support (ERR or WERR), got {:?}",
-                config.discipline
-            );
-            migrate::StealRuntime::new(config.n_flows, config.shards, sc)
-        });
+        let steal = config
+            .stealing
+            .map(|sc| migrate::StealRuntime::new(config.n_flows, config.shards, sc));
         let fault = config.supervision.map(|sup| {
-            assert!(
-                config.discipline.build(1).supports_migration(),
-                "supervision requires a discipline with extract/absorb \
-                 support (ERR or WERR), got {:?}",
-                config.discipline
-            );
             let injector = config
                 .fault_plan
                 .as_ref()
@@ -396,7 +392,7 @@ impl Runtime {
                         batch_flits: config.batch_flits,
                         n_flows: config.n_flows,
                     },
-                    scheduler: config.discipline.build(config.n_flows),
+                    scheduler: ErrScheduler::new(config.n_flows),
                     driver: shared
                         .steal
                         .as_ref()
@@ -945,11 +941,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "extract/absorb")]
-    fn stealing_rejects_nonmigratable_discipline() {
+    #[should_panic(expected = "the runtime runs ERR only")]
+    fn start_rejects_a_non_err_discipline() {
         let _ = Runtime::start(RuntimeConfig {
-            stealing: Some(StealingConfig::default()),
-            discipline: Discipline::Fcfs,
+            discipline: Discipline::Drr { quantum: 8 },
             ..RuntimeConfig::default()
         });
     }

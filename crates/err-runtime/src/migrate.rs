@@ -34,8 +34,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use desim::Cycle;
+use err_sched::err::ErrScheduler;
 use err_sched::migrate::MigratedFlow;
-use err_sched::Scheduler;
 
 use crate::fault::lock_unpoisoned;
 use crate::flow_map::FlowMap;
@@ -353,7 +353,7 @@ impl StealRuntime {
         &self,
         slot: &MigrationSlot,
         donor: usize,
-        scheduler: &mut Box<dyn Scheduler + Send>,
+        scheduler: &mut ErrScheduler,
     ) -> Option<usize> {
         let _guard = lock_unpoisoned(&slot.package);
         if slot.phase() != MigrationPhase::Requested {
@@ -417,7 +417,7 @@ impl MigrationDriver {
     pub(crate) fn tick(
         &mut self,
         shared: &Shared,
-        scheduler: &mut Box<dyn Scheduler + Send>,
+        scheduler: &mut ErrScheduler,
         idle: bool,
         now: Cycle,
         pre_backlog: u64,
@@ -507,7 +507,7 @@ impl MigrationDriver {
         shared: &Shared,
         st: &StealRuntime,
         slot: &MigrationSlot,
-        scheduler: &mut Box<dyn Scheduler + Send>,
+        scheduler: &mut ErrScheduler,
         now: Cycle,
         backlog: u64,
     ) {
@@ -533,7 +533,7 @@ impl MigrationDriver {
     /// Thief @ Quiescing: park the victim at the new home and ack, so
     /// no arrival at the new home can be served before the package
     /// lands.
-    fn thief_quiescing(&mut self, st: &StealRuntime, scheduler: &mut Box<dyn Scheduler + Send>) {
+    fn thief_quiescing(&mut self, st: &StealRuntime, scheduler: &mut ErrScheduler) {
         let slot = &st.slots[self.shard];
         if slot.thief() != Some(self.shard) {
             return;
@@ -563,7 +563,7 @@ impl MigrationDriver {
         &mut self,
         shared: &Shared,
         slot: &MigrationSlot,
-        scheduler: &mut Box<dyn Scheduler + Send>,
+        scheduler: &mut ErrScheduler,
         egress: &dyn EgressStage,
     ) {
         // ordering: SeqCst — pairs with the thief's ack store.
@@ -614,7 +614,7 @@ impl MigrationDriver {
         shared: &Shared,
         st: &StealRuntime,
         slot: &MigrationSlot,
-        scheduler: &mut Box<dyn Scheduler + Send>,
+        scheduler: &mut ErrScheduler,
         now: Cycle,
     ) {
         let (Some(flow), Some(thief)) = (slot.flow(), slot.thief()) else {
@@ -671,7 +671,7 @@ impl MigrationDriver {
         &mut self,
         shared: &Shared,
         st: &StealRuntime,
-        scheduler: &mut Box<dyn Scheduler + Send>,
+        scheduler: &mut ErrScheduler,
         egress: &dyn EgressStage,
     ) {
         let slot = &st.slots[self.shard];
@@ -700,7 +700,7 @@ impl MigrationDriver {
 /// served on a zero grant. The one unpark authority of the mover —
 /// steal unwinds and absorbs both end here.
 pub(crate) fn unpark_respecting_links(
-    scheduler: &mut Box<dyn Scheduler + Send>,
+    scheduler: &mut ErrScheduler,
     flow: usize,
     egress: &dyn EgressStage,
 ) {
@@ -715,6 +715,7 @@ pub(crate) fn unpark_respecting_links(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use err_sched::Scheduler;
 
     #[test]
     fn load_board_orders_projected_finishes() {
@@ -767,7 +768,7 @@ mod tests {
         let st = StealRuntime::new(16, SHARDS, StealingConfig::default());
         let flow = 0;
         let donor = st.map.shard_of(flow).unwrap();
-        let mut scheduler = err_sched::Discipline::Err.build(16);
+        let mut scheduler = ErrScheduler::new(16);
         scheduler.enqueue(err_sched::Packet::new(0, flow, 8, 0), 0);
         let thieves: Vec<usize> = (0..SHARDS).filter(|&s| s != donor).collect();
         for &t in &thieves {

@@ -1,8 +1,8 @@
 //! The shard worker: a private scheduler driven in batched service loops.
 //!
-//! Each shard owns one discipline instance (usually ERR) and never shares
-//! it — there is no lock around scheduling state, which is what keeps the
-//! per-flit decision O(1) end to end. The loop alternates between two
+//! Each shard owns one `ErrScheduler` and never shares it — there is no
+//! lock around scheduling state, which is what keeps the per-flit
+//! decision O(1) end to end. The loop alternates between two
 //! batched phases:
 //!
 //! 1. **Intake** — drain up to `batch_packets` arrivals from the ingress
@@ -28,10 +28,9 @@
 //! * `BufferedStage` — served flits are committed to a per-shard SPSC
 //!   ring under per-link credit flow control (`err-egress`); a flusher
 //!   thread delivers them. A link with no credit to grant has its
-//!   flows *parked* in the scheduler (when the discipline supports it)
-//!   before they are visited, so the shard keeps serving everyone
-//!   else — the decoupling the paper's stalled-downstream argument
-//!   calls for.
+//!   flows *parked* in the scheduler before they are visited, so the
+//!   shard keeps serving everyone else — the decoupling the paper's
+//!   stalled-downstream argument calls for.
 //!
 //! The loop runs inside a `catch_unwind` fence with the worker's whole
 //! state — scheduler, migration driver, flit clock and stage, i.e. a
@@ -69,6 +68,7 @@ use std::time::Duration;
 
 use desim::Cycle;
 use err_egress::{Egress, FlushProgress, LinkSet, Producer, ShardEgressStats, Sleep, BACKSTOP};
+use err_sched::err::ErrScheduler;
 use err_sched::{Packet, Scheduler, ServedFlit};
 
 use crate::fault::{abort_residuals, fault_tick, Bequest, ShardHealth};
@@ -104,7 +104,7 @@ pub(crate) trait EgressStage: Send {
     fn serve(
         &mut self,
         shared: &Shared,
-        scheduler: &mut Box<dyn Scheduler + Send>,
+        scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
     ) -> (u64, u64, bool);
@@ -171,7 +171,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
     fn serve(
         &mut self,
         shared: &Shared,
-        scheduler: &mut Box<dyn Scheduler + Send>,
+        scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
     ) -> (u64, u64, bool) {
@@ -278,25 +278,19 @@ impl BufferedStage {
 
     /// Takes `link`'s grant for a batch that can still emit `want`
     /// flits. A parked link that gets one is released; one that gets
-    /// none is parked, if the discipline can park. A link none of whose
-    /// flows has backlog gets neither: arrivals enter at intake, before
-    /// `serve`, so "no flit is served on a zero grant" holds without
-    /// it, and a grant nobody can spend only starves the other shards.
-    fn refill(
-        &mut self,
-        link: usize,
-        want: u64,
-        shared: &Shared,
-        scheduler: &mut Box<dyn Scheduler + Send>,
-    ) {
-        let (flows, parking) = (&self.link_flows[link], scheduler.supports_parking());
+    /// none is parked. A link none of whose flows has backlog gets
+    /// neither: arrivals enter at intake, before `serve`, so "no flit
+    /// is served on a zero grant" holds without it, and a grant nobody
+    /// can spend only starves the other shards.
+    fn refill(&mut self, link: usize, want: u64, shared: &Shared, scheduler: &mut ErrScheduler) {
+        let flows = &self.link_flows[link];
         let idle = || flows.iter().all(|&f| scheduler.flow_backlog_flits(f) == 0);
-        if parking && !self.link_parked[link] && idle() {
+        if !self.link_parked[link] && idle() {
             return;
         }
         self.grant[link] = self.links.acquire(link, want);
         if self.grant[link] == 0 {
-            if self.link_parked[link] || !parking {
+            if self.link_parked[link] {
                 return;
             }
             self.estats
@@ -325,32 +319,6 @@ impl BufferedStage {
             }
         }
     }
-
-    /// The blocking fallback, for a flit a discipline that cannot park
-    /// served on an empty pool — the legacy coupling, kept because
-    /// skipping without scheduler cooperation would reorder flows or
-    /// buffer unboundedly: waits for one credit of the slow link, every
-    /// grant given back first. `false` on a forced abort: the flit is
-    /// discarded (it was served; delivery is what the abort cuts).
-    fn wait_for_credit(&mut self, link: usize, shared: &Shared) -> bool {
-        self.estats
-            .credit_exhaustions
-            .fetch_add(1, Ordering::Relaxed);
-        self.links.return_grants(&mut self.grant);
-        while !self.links.try_acquire(link) {
-            // ordering: Acquire pairs with the Release `abort` store
-            // in `Runtime::drain_within` — the only exit from this
-            // credit-wait spin besides the credit itself.
-            if shared.abort.load(Ordering::Acquire) {
-                return false;
-            }
-            // The credit comes from the flusher: wake it, yield to it.
-            self.tx.wake_consumer();
-            std::thread::yield_now();
-        }
-        self.grant[link] = 1;
-        true
-    }
 }
 
 impl EgressStage for BufferedStage {
@@ -363,7 +331,7 @@ impl EgressStage for BufferedStage {
     fn serve(
         &mut self,
         shared: &Shared,
-        scheduler: &mut Box<dyn Scheduler + Send>,
+        scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
     ) -> (u64, u64, bool) {
@@ -401,13 +369,7 @@ impl EgressStage for BufferedStage {
                 shared.admission.on_packet_served(flit.flow, flit.len);
             }
             let link = stage.links.route(flit.flow);
-            if stage.grant[link] == 0 {
-                debug_assert!(!scheduler.supports_parking(), "link {link}: no grant");
-                stage.refill(link, batch - flits + 1, shared, scheduler);
-                if stage.grant[link] == 0 && !stage.wait_for_credit(link, shared) {
-                    break;
-                }
-            }
+            debug_assert!(stage.grant[link] > 0, "link {link}: no grant");
             stage.grant[link] -= 1;
             stage.push_ring(flit);
             if stage.grant[link] == 0 && flits < batch {

@@ -496,7 +496,7 @@ impl ErrCore {
 }
 
 /// A visit (and possibly a packet mid-wormhole) frozen by
-/// [`Scheduler::park_flow`], waiting to be resumed.
+/// [`ErrScheduler::park_flow`], waiting to be resumed.
 #[derive(Clone, Debug)]
 struct SuspendedVisit {
     /// The interrupted packet's remaining flits, if the park hit
@@ -508,7 +508,27 @@ struct SuspendedVisit {
 
 /// Flit-clocked ERR: the [`Scheduler`] front-end over [`ErrCore`] used in
 /// the paper's single-link simulations, where one unit of service is one
-/// flit and packets are served without interleaving.
+/// flit and packets are served without interleaving. It is also the
+/// scheduler every `err-runtime` shard owns.
+///
+/// # Flow parking
+///
+/// Wormhole downstreams stall: a credit-starved egress link cannot
+/// accept flits for an unpredictable time, and a driver that kept
+/// serving a starved flow would have to buffer its output unboundedly
+/// or block its whole flit clock (the coupling the paper argues
+/// against). [`park_flow`] tells the scheduler to *skip* a flow —
+/// serve everyone else — until [`unpark_flow`]. Parking is
+/// position-preserving: the flow keeps its surplus count, and a packet
+/// interrupted mid-wormhole resumes before the flow starts another, so
+/// a stall costs the flow no fairness beyond the stall itself.
+/// Migration builds on it: [`extract_flow`] and [`absorb_flow`] move a
+/// parked flow's whole state between two schedulers (DESIGN.md §8).
+///
+/// [`park_flow`]: Self::park_flow
+/// [`unpark_flow`]: Self::unpark_flow
+/// [`extract_flow`]: Self::extract_flow
+/// [`absorb_flow`]: Self::absorb_flow
 #[derive(Clone, Debug)]
 pub struct ErrScheduler {
     core: ErrCore,
@@ -643,11 +663,24 @@ impl Scheduler for ErrScheduler {
         Some(ServedFlit::of(&pkt, idx))
     }
 
-    fn supports_parking(&self) -> bool {
-        true
+    fn backlog_flits(&self) -> u64 {
+        self.queues.backlog_flits()
+            + self.in_flight.as_ref().map_or(0, |s| s.remaining() as u64)
+            + self.suspended_flits
     }
 
-    fn park_flow(&mut self, flow: FlowId) -> bool {
+    fn name(&self) -> &'static str {
+        "ERR"
+    }
+}
+
+impl ErrScheduler {
+    /// Parks `flow`: its flits are skipped by service until
+    /// [`unpark_flow`](Self::unpark_flow), without losing the flow's
+    /// scheduling position or fairness state. Packets of a parked flow
+    /// may still be enqueued; they wait. Parking an already-parked flow
+    /// is a no-op. Returns `true`: the flow is parked afterwards.
+    pub fn park_flow(&mut self, flow: FlowId) -> bool {
         if self.core.is_parked(flow) {
             return true;
         }
@@ -669,7 +702,9 @@ impl Scheduler for ErrScheduler {
         true
     }
 
-    fn unpark_flow(&mut self, flow: FlowId) {
+    /// Unparks `flow`, making its backlog eligible for service again.
+    /// A no-op for flows that are not parked.
+    pub fn unpark_flow(&mut self, flow: FlowId) {
         if !self.core.is_parked(flow) {
             return;
         }
@@ -684,11 +719,10 @@ impl Scheduler for ErrScheduler {
         }
     }
 
-    fn supports_migration(&self) -> bool {
-        true
-    }
-
-    fn flow_backlog_flits(&self, flow: FlowId) -> u64 {
+    /// Flits currently backlogged for `flow` alone (queued packets plus
+    /// the unsent remainder of a packet in service or suspended). Used
+    /// by the migration donor to pick the heaviest victim.
+    pub fn flow_backlog_flits(&self, flow: FlowId) -> u64 {
         let mut flits = self.queues.flow_flits(flow);
         if let Some(s) = self.in_flight.as_ref() {
             if s.packet().flow == flow {
@@ -703,7 +737,12 @@ impl Scheduler for ErrScheduler {
         flits
     }
 
-    fn extract_flow(&mut self, flow: FlowId) -> Option<MigratedFlow> {
+    /// Removes `flow`'s entire scheduler-side state — FIFO queue,
+    /// surplus count, suspended visit — as a portable [`MigratedFlow`]
+    /// package, leaving the flow blank (unparked, no debt) here.
+    ///
+    /// The flow must be parked (quiesced); `None` if it is not.
+    pub fn extract_flow(&mut self, flow: FlowId) -> Option<MigratedFlow> {
         if !self.core.is_parked(flow) {
             // Contract violation (the quiesce phase parks first); refuse
             // rather than tear live state.
@@ -742,7 +781,15 @@ impl Scheduler for ErrScheduler {
         })
     }
 
-    fn absorb_flow(&mut self, flow: FlowId, state: MigratedFlow) -> bool {
+    /// Installs a [`MigratedFlow`] package for `flow`, *prepending* its
+    /// queue to any packets that already arrived here (old routing
+    /// epoch before new — per-flow FIFO across the steal) and adopting
+    /// its surplus count verbatim. The flow must be parked here; it
+    /// becomes servable on the next
+    /// [`unpark_flow`](Self::unpark_flow). Returns whether the package
+    /// was installed (`false`: the flow was not parked, and nothing
+    /// changed).
+    pub fn absorb_flow(&mut self, flow: FlowId, state: MigratedFlow) -> bool {
         if !self.core.is_parked(flow) {
             return false;
         }
@@ -773,16 +820,6 @@ impl Scheduler for ErrScheduler {
             self.core.set_limbo(flow);
         }
         true
-    }
-
-    fn backlog_flits(&self) -> u64 {
-        self.queues.backlog_flits()
-            + self.in_flight.as_ref().map_or(0, |s| s.remaining() as u64)
-            + self.suspended_flits
-    }
-
-    fn name(&self) -> &'static str {
-        "ERR"
     }
 }
 

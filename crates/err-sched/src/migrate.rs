@@ -5,8 +5,8 @@
 //! travel with it — its FIFO packet queue, its ERR surplus count, and,
 //! if the steal caught it mid-visit, the suspended visit including the
 //! mid-packet cursor. [`MigratedFlow`] is that package:
-//! [`Scheduler::extract_flow`] produces it on the donor and
-//! [`Scheduler::absorb_flow`] installs it on the thief.
+//! [`ErrScheduler::extract_flow`] produces it on the donor and
+//! [`ErrScheduler::absorb_flow`] installs it on the thief.
 //!
 //! The contract (enforced by the ERR implementation with debug
 //! assertions):
@@ -21,8 +21,8 @@
 //! * the surplus count is copied verbatim, never recomputed, so
 //!   migration conserves ERR's fairness debt (§8.4).
 //!
-//! [`Scheduler::extract_flow`]: crate::Scheduler::extract_flow
-//! [`Scheduler::absorb_flow`]: crate::Scheduler::absorb_flow
+//! [`ErrScheduler::extract_flow`]: crate::err::ErrScheduler::extract_flow
+//! [`ErrScheduler::absorb_flow`]: crate::err::ErrScheduler::absorb_flow
 
 use std::collections::VecDeque;
 
@@ -54,8 +54,8 @@ pub struct MigratedVisit {
 /// Everything a flow is, scheduler-side: the package produced by
 /// [`extract_flow`] and consumed by [`absorb_flow`].
 ///
-/// [`extract_flow`]: crate::Scheduler::extract_flow
-/// [`absorb_flow`]: crate::Scheduler::absorb_flow
+/// [`extract_flow`]: crate::err::ErrScheduler::extract_flow
+/// [`absorb_flow`]: crate::err::ErrScheduler::absorb_flow
 #[derive(Clone, Debug)]
 pub struct MigratedFlow {
     /// The flow's waiting packets, in FIFO order (head first). Does not

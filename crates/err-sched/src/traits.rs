@@ -2,7 +2,6 @@
 
 use desim::Cycle;
 
-use crate::migrate::MigratedFlow;
 use crate::{FlowId, Packet, PacketId};
 
 /// One flit leaving the scheduler, with enough context for measurement.
@@ -55,8 +54,9 @@ impl ServedFlit {
 ///   [`service_flit`], and the discipline picks the flit.
 /// * The scheduler must be **work-conserving**: `service_flit` returns
 ///   `Some` whenever any flit is backlogged. The single exception is
-///   flow parking (below): while every backlogged flow is parked,
-///   `service_flit` returns `None` even though `backlog_flits() > 0`.
+///   [`ErrScheduler`]'s flow parking: while every backlogged flow is
+///   parked, `service_flit` returns `None` even though
+///   `backlog_flits() > 0`.
 /// * Per-flow FIFO order must be preserved.
 /// * Packet-granular disciplines must not interleave packets: between a
 ///   head flit and its tail flit, every served flit belongs to the same
@@ -64,26 +64,9 @@ impl ServedFlit {
 ///   exempt — they model flit-tagged virtual-channel scheduling where
 ///   interleaving is legal.
 ///
-/// # Flow parking
-///
-/// Wormhole downstreams stall: a credit-starved egress link cannot
-/// accept flits for an unpredictable time, and a driver that kept
-/// serving a starved flow would have to buffer its output unboundedly
-/// or block its whole flit clock (the coupling the paper argues
-/// against). [`park_flow`] tells the scheduler to *skip* a flow —
-/// serve everyone else — until [`unpark_flow`]. Parking must be
-/// position-preserving: the flow keeps its scheduling state (for ERR,
-/// its surplus count, and a packet interrupted mid-wormhole resumes
-/// before the flow starts another), so a stall costs the flow no
-/// fairness beyond the stall itself. Support is opt-in via
-/// [`supports_parking`]; the defaults refuse, and drivers must fall
-/// back to blocking for such disciplines.
-///
 /// [`enqueue`]: Scheduler::enqueue
 /// [`service_flit`]: Scheduler::service_flit
-/// [`park_flow`]: Scheduler::park_flow
-/// [`unpark_flow`]: Scheduler::unpark_flow
-/// [`supports_parking`]: Scheduler::supports_parking
+/// [`ErrScheduler`]: crate::err::ErrScheduler
 pub trait Scheduler {
     /// Adds a packet to its flow's queue at cycle `now`.
     fn enqueue(&mut self, pkt: Packet, now: Cycle);
@@ -113,73 +96,6 @@ pub trait Scheduler {
             }
         }
         served
-    }
-
-    /// Whether this discipline implements [`park_flow`] /
-    /// [`unpark_flow`]. Drivers must check this before relying on
-    /// parking for flow isolation; when `false`, [`park_flow`] is a
-    /// refused no-op and the driver has to block instead.
-    ///
-    /// [`park_flow`]: Scheduler::park_flow
-    /// [`unpark_flow`]: Scheduler::unpark_flow
-    fn supports_parking(&self) -> bool {
-        false
-    }
-
-    /// Parks `flow`: its flits are skipped by service until
-    /// [`unpark_flow`](Scheduler::unpark_flow), without losing the
-    /// flow's scheduling position or fairness state. Packets of a
-    /// parked flow may still be enqueued; they wait. Returns whether
-    /// the flow is now parked (`false` means parking is unsupported and
-    /// nothing changed). Parking an already-parked flow is a no-op
-    /// returning `true`.
-    fn park_flow(&mut self, _flow: FlowId) -> bool {
-        false
-    }
-
-    /// Unparks `flow`, making its backlog eligible for service again.
-    /// A no-op for flows that are not parked.
-    fn unpark_flow(&mut self, _flow: FlowId) {}
-
-    /// Whether this discipline implements [`extract_flow`] /
-    /// [`absorb_flow`] (DESIGN.md §8). Implies
-    /// [`supports_parking`](Scheduler::supports_parking): migration
-    /// quiesces a flow by parking it on both sides first.
-    ///
-    /// [`extract_flow`]: Scheduler::extract_flow
-    /// [`absorb_flow`]: Scheduler::absorb_flow
-    fn supports_migration(&self) -> bool {
-        false
-    }
-
-    /// Flits currently backlogged for `flow` alone (queued packets plus
-    /// the unsent remainder of a packet in service or suspended). Used
-    /// by the migration donor to pick the heaviest victim; disciplines
-    /// without migration support may return 0.
-    fn flow_backlog_flits(&self, _flow: FlowId) -> u64 {
-        0
-    }
-
-    /// Removes `flow`'s entire scheduler-side state — FIFO queue,
-    /// surplus count, suspended visit — as a portable [`MigratedFlow`]
-    /// package, leaving the flow blank (unparked, no debt) here.
-    ///
-    /// The flow must be parked (quiesced) when this is called; the
-    /// default returns `None` (unsupported).
-    fn extract_flow(&mut self, _flow: FlowId) -> Option<MigratedFlow> {
-        None
-    }
-
-    /// Installs a [`MigratedFlow`] package for `flow`, *prepending* its
-    /// queue to any packets that already arrived here (old routing
-    /// epoch before new — per-flow FIFO across the steal) and adopting
-    /// its surplus count verbatim. The flow must be parked here; it
-    /// becomes servable on the next
-    /// [`unpark_flow`](Scheduler::unpark_flow). Returns whether the
-    /// package was installed (`false` means migration is unsupported
-    /// and nothing changed).
-    fn absorb_flow(&mut self, _flow: FlowId, _state: MigratedFlow) -> bool {
-        false
     }
 
     /// Flits currently backlogged (queued + in service but unsent).

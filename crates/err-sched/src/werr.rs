@@ -82,34 +82,6 @@ impl Scheduler for WerrScheduler {
         self.inner.service_flit(now)
     }
 
-    fn supports_parking(&self) -> bool {
-        self.inner.supports_parking()
-    }
-
-    fn park_flow(&mut self, flow: crate::FlowId) -> bool {
-        self.inner.park_flow(flow)
-    }
-
-    fn unpark_flow(&mut self, flow: crate::FlowId) {
-        self.inner.unpark_flow(flow)
-    }
-
-    fn supports_migration(&self) -> bool {
-        self.inner.supports_migration()
-    }
-
-    fn flow_backlog_flits(&self, flow: crate::FlowId) -> u64 {
-        self.inner.flow_backlog_flits(flow)
-    }
-
-    fn extract_flow(&mut self, flow: crate::FlowId) -> Option<crate::migrate::MigratedFlow> {
-        self.inner.extract_flow(flow)
-    }
-
-    fn absorb_flow(&mut self, flow: crate::FlowId, state: crate::migrate::MigratedFlow) -> bool {
-        self.inner.absorb_flow(flow, state)
-    }
-
     fn backlog_flits(&self) -> u64 {
         self.inner.backlog_flits()
     }

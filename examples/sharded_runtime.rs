@@ -13,7 +13,6 @@
 //!    with the conservation invariant checked on the final report.
 
 use err_repro::runtime::{AdmissionPolicy, Runtime, RuntimeConfig, SubmitError, Submitted};
-use err_repro::sched::Discipline;
 use err_repro::traffic::{ArrivalProcess, FlowSpec, LenDist};
 
 fn main() {
@@ -24,7 +23,6 @@ fn main() {
     let (rt, handle) = Runtime::start(RuntimeConfig {
         shards: SHARDS,
         n_flows: N_FLOWS,
-        discipline: Discipline::Err,
         admission: AdmissionPolicy::DropTail { max_backlog: 512 },
         ..RuntimeConfig::default()
     });

@@ -64,7 +64,6 @@ fn throughput_run(shards: usize, packets: u64) -> ThroughputSample {
     let (rt, handle) = Runtime::start(RuntimeConfig {
         shards,
         n_flows: N_FLOWS,
-        discipline: Discipline::Err,
         ..RuntimeConfig::default()
     });
     let start = Instant::now();
@@ -105,7 +104,6 @@ fn overload_run() -> OverloadSample {
     let (rt, handle) = Runtime::start(RuntimeConfig {
         shards,
         n_flows: N_FLOWS,
-        discipline: Discipline::Err,
         ring_capacity: 1 << 15,
         admission: AdmissionPolicy::DropTail { max_backlog },
         ..RuntimeConfig::default()
@@ -172,7 +170,6 @@ fn egress_measure(
         RuntimeConfig {
             shards,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             admission: AdmissionPolicy::DropTail { max_backlog: 64 },
             egress,
             ..RuntimeConfig::default()
@@ -402,7 +399,6 @@ fn stealing_run(
     let (rt, handle) = Runtime::start(RuntimeConfig {
         shards,
         n_flows: STEAL_FLOWS,
-        discipline: Discipline::Err,
         egress,
         // Provision the ingress ring for the offered burst: the head
         // Zipf flow alone is ~7.5k packets, and a smaller ring keeps
@@ -670,7 +666,6 @@ fn chaos_kill_run(shards: usize, packets: u64, plan: Option<FaultPlan>) -> (f64,
     let (rt, handle) = Runtime::start(RuntimeConfig {
         shards,
         n_flows: N_FLOWS,
-        discipline: Discipline::Err,
         ring_capacity: 1 << 13,
         supervision: Some(SupervisionConfig::default()),
         fault_plan: plan,
@@ -756,7 +751,6 @@ fn chaos_dead_link_run(kill: bool, window: Duration) -> (f64, u64) {
         RuntimeConfig {
             shards: 2,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             admission: AdmissionPolicy::DropTail { max_backlog: 64 },
             egress: buffered_mode(None),
             supervision: Some(SupervisionConfig::default()),

@@ -16,7 +16,7 @@ use err_runtime::{
     AdmissionPolicy, BufferedConfig, DeadLinkPolicy, DrainReport, EgressMode, FaultPlan, Runtime,
     RuntimeConfig, RuntimeHandle, RuntimeStats, ShardExit, StallPlan, SupervisionConfig,
 };
-use err_sched::{Discipline, Packet, ServedFlit};
+use err_sched::{Packet, ServedFlit};
 
 // 64 flows over 4 links: every shard's partition contains flows of
 // every link, so a dead link 0 touches all shards in both modes.
@@ -61,7 +61,6 @@ fn measure_delivered(
         RuntimeConfig {
             shards: 4,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             // Drop-tail keeps producers non-blocking when the stalled
             // link's flows stop being served.
             admission: AdmissionPolicy::DropTail { max_backlog: 64 },
@@ -175,7 +174,6 @@ fn drain_with_active_stall_strands_no_flit() {
         RuntimeConfig {
             shards: SHARDS,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             egress: EgressMode::Buffered(BufferedConfig {
                 ring_capacity: 64,
                 credits: 8,
@@ -281,7 +279,6 @@ fn credit_pool_bounds_buffered_flits_per_link() {
         RuntimeConfig {
             shards: 2,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             egress: EgressMode::Buffered(BufferedConfig {
                 ring_capacity: 32,
                 credits: CREDITS,
@@ -331,7 +328,6 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>) {
             RuntimeConfig {
                 shards: 1,
                 n_flows: 8,
-                discipline: Discipline::Err,
                 egress,
                 supervision: faulted.then(SupervisionConfig::default),
                 fault_plan: fault_plan.clone(),
@@ -397,59 +393,6 @@ fn buffered_matches_sync_across_a_resurrection() {
     assert_buffered_matches_sync(Some(FaultPlan::new().kill_shard_at(0, u64::from(at))));
 }
 
-/// The blocking fallback: a discipline that cannot park flows (DRR)
-/// under buffered egress waits on the exhausted credit pool, so a
-/// frozen link legitimately freezes the whole shard — until drain mode
-/// releases the stall. Fewer packets than the ingress ring holds, so no
-/// submit ever blocks behind the frozen shard.
-#[test]
-fn blocking_fallback_freezes_behind_a_stall_and_drains_at_shutdown() {
-    let _alone = one_at_a_time();
-    const PACKETS: u64 = 500;
-    let delivered = Arc::new(AtomicU64::new(0));
-    let d2 = Arc::clone(&delivered);
-    let (rt, handle) = Runtime::start_with_egress(
-        RuntimeConfig {
-            shards: 1,
-            n_flows: N_FLOWS,
-            discipline: Discipline::Drr { quantum: 8 },
-            egress: EgressMode::Buffered(BufferedConfig {
-                ring_capacity: 64,
-                credits: 8,
-                n_links: N_LINKS,
-                stall_plan: Some(StallPlan::freeze_forever(0, 0)),
-                ..BufferedConfig::default()
-            }),
-            ..RuntimeConfig::default()
-        },
-        move |_shard| {
-            let delivered = Arc::clone(&d2);
-            Some(move |_s: usize, _f: &ServedFlit| {
-                delivered.fetch_add(1, Ordering::Relaxed);
-            })
-        },
-    );
-    for id in 0..PACKETS {
-        let flow = (id % N_FLOWS as u64) as usize;
-        handle.submit(Packet::new(id, flow, PACKET_LEN, 0)).unwrap();
-    }
-    let report = rt.shutdown();
-    assert!(report.is_conserving(), "{report:?}");
-    assert!(report.all_clean(), "{report:?}");
-    assert_eq!(report.served_packets(), PACKETS);
-    let flits = PACKETS * u64::from(PACKET_LEN);
-    assert_eq!(report.stats.flushed_flits(), flits, "a flit stranded");
-    assert_eq!(delivered.load(Ordering::Relaxed), flits);
-    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
-    assert!(
-        egress.shards[0].credit_exhaustions > 0,
-        "the frozen link must exhaust its credits: {egress:?}"
-    );
-    for (i, l) in egress.links.iter().enumerate() {
-        assert_eq!(l.credits_available, 8, "link {i}: credits leaked");
-    }
-}
-
 /// A sink that panics on the flusher thread (DESIGN.md §14.4) must not
 /// wedge the drain: the flusher keeps its core, dead-letters whatever
 /// the shard still commits so the credits keep returning, and the
@@ -464,7 +407,6 @@ fn drain_after_a_sink_panic(shutdown: impl FnOnce(Runtime) -> DrainReport) {
         RuntimeConfig {
             shards: 1,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             egress: EgressMode::Buffered(BufferedConfig {
                 ring_capacity: 64,
                 credits: 8,
@@ -543,7 +485,6 @@ fn held_flits_replay_in_flow_fifo_order_across_an_outage() {
         RuntimeConfig {
             shards: 1,
             n_flows: 8,
-            discipline: Discipline::Err,
             admission: AdmissionPolicy::DropTail { max_backlog: 256 },
             egress: EgressMode::Buffered(BufferedConfig {
                 ring_capacity: 64,
@@ -663,7 +604,6 @@ fn event_driven_handoffs_conserve_and_rarely_time_out() {
         RuntimeConfig {
             shards: 1,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             admission: AdmissionPolicy::Backpressure { max_backlog: 64 },
             egress: buffered(None),
             ..RuntimeConfig::default()
@@ -736,7 +676,6 @@ fn idle_threads_do_not_spin_where_spinning_never_pays() {
         RuntimeConfig {
             shards: 1,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             // Two packets a flow: the producer waits on the worker for
             // the whole run, as the worker waits on the flusher.
             admission: AdmissionPolicy::Backpressure { max_backlog: 8 },
@@ -821,7 +760,6 @@ fn idle_flushers_sleep_on_the_backstop_and_hear_the_shutdown() {
             RuntimeConfig {
                 shards: 2,
                 n_flows: N_FLOWS,
-                discipline: Discipline::Err,
                 egress: buffered(None),
                 ..RuntimeConfig::default()
             },
@@ -867,7 +805,6 @@ fn starved_worker_under_supervision_keeps_beating() {
             RuntimeConfig {
                 shards: 1,
                 n_flows: N_FLOWS,
-                discipline: Discipline::Err,
                 egress: EgressMode::Buffered(BufferedConfig {
                     ring_capacity: 64,
                     credits: 8,
@@ -926,7 +863,6 @@ fn two_shards_share_one_link_by_grants() {
         RuntimeConfig {
             shards: 2,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             admission: AdmissionPolicy::Backpressure { max_backlog: 64 },
             egress: EgressMode::Buffered(BufferedConfig {
                 ring_capacity: 16,
@@ -981,7 +917,6 @@ fn ring_smaller_than_the_credit_window_completes_and_conserves() {
         RuntimeConfig {
             shards: 1,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             admission: AdmissionPolicy::Backpressure { max_backlog: 64 },
             egress: EgressMode::Buffered(BufferedConfig {
                 ring_capacity: 8,
@@ -1053,7 +988,6 @@ fn credit_returned_by_another_shards_flusher_wakes_the_starved_worker() {
         RuntimeConfig {
             shards: 2,
             n_flows: N_FLOWS,
-            discipline: Discipline::Err,
             egress: EgressMode::Buffered(BufferedConfig {
                 ring_capacity: 16,
                 credits: 1,
@@ -1152,7 +1086,6 @@ fn resurrected_worker_is_woken_through_its_reregistered_handle() {
         RuntimeConfig {
             shards: 1,
             n_flows: 8,
-            discipline: Discipline::Err,
             admission: AdmissionPolicy::Backpressure { max_backlog: 8 },
             egress: EgressMode::Buffered(BufferedConfig {
                 ring_capacity: 64,

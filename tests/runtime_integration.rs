@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use err_runtime::{AdmissionPolicy, Runtime, RuntimeConfig, SubmitError, Submitted};
-use err_sched::{Discipline, Packet};
+use err_sched::Packet;
 
 const N_FLOWS: usize = 64;
 const PACKET_LEN: u32 = 8;
@@ -24,7 +24,6 @@ fn uniform_run(shards: usize, packets: u64) -> err_runtime::DrainReport {
     let (rt, handle) = Runtime::start(RuntimeConfig {
         shards,
         n_flows: N_FLOWS,
-        discipline: Discipline::Err,
         ..RuntimeConfig::default()
     });
     for id in 0..packets {
@@ -89,7 +88,6 @@ fn drop_tail_bounds_drops_exactly_under_2x_overload() {
         RuntimeConfig {
             shards: 1,
             n_flows: 1,
-            discipline: Discipline::Err,
             admission: AdmissionPolicy::DropTail {
                 max_backlog: CAP_FLITS,
             },
@@ -138,7 +136,6 @@ fn reject_policy_errors_instead_of_dropping() {
         RuntimeConfig {
             shards: 1,
             n_flows: 1,
-            discipline: Discipline::Err,
             admission: AdmissionPolicy::Reject {
                 max_backlog: CAP_FLITS,
             },
@@ -174,7 +171,6 @@ fn graceful_drain_with_concurrent_producers() {
     let (rt, handle) = Runtime::start(RuntimeConfig {
         shards: 4,
         n_flows: N_FLOWS,
-        discipline: Discipline::Err,
         ..RuntimeConfig::default()
     });
     let accepted = Arc::new(AtomicU64::new(0));
