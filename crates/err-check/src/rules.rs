@@ -32,7 +32,8 @@ pub const PASSES: &[(&str, &str)] = &[
     (
         "try-emit-override",
         "every `impl Egress` overrides `try_emit` explicitly or acks with `// try-emit:` (the PR 6 \
-         deadlock class: the default delegates to the blocking `emit`)",
+         deadlock class: the default delegates to the blocking `emit`), and one that forwards \
+         `try_emit` to an inner sink forwards `never_blocks` too or acks with `// never-blocks:`",
     ),
     (
         "ordering-pairing",
@@ -121,6 +122,19 @@ pub(crate) const MUTEX_FILES: &[&str] = &[
 /// override turns a forwarder's polite refusal into a flusher-thread
 /// spin that starves every other link's credits.
 pub(crate) const TRAIT_IMPL_RULES: &[(&str, &str, &str)] = &[("Egress", "try_emit", "try-emit:")];
+
+/// Wrapper impls whose forwarding must be whole: `(trait name, method
+/// whose call on an inner value makes the impl a wrapper, method the
+/// wrapper must then define too, ack needle)`.
+///
+/// `Egress::never_blocks` defaults to `false`. A wrapper that forwards
+/// `try_emit` to its inner sink but not `never_blocks` hides the inner
+/// sink's promise: a fabric `Forwarder` behind it gets a flusher thread
+/// per shard back, every hop handed over twice: the forgetful-wrapper
+/// class `try_emit` already guards against, on the trait's newest
+/// method.
+pub(crate) const FORWARD_RULES: &[(&str, &str, &str, &str)] =
+    &[("Egress", "try_emit", "never_blocks", "never-blocks:")];
 
 /// Files whose non-Relaxed atomic sites must carry a machine-checkable
 /// `[pair: label @ file]` clause (the PR 8/9 fabric-era protocol
@@ -236,6 +250,16 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "credit_delivered",
             "wake_flushers",
             "no stash",
+            // Who runs the step: a sink that never blocks gets
+            // no flusher thread, and the worker takes over its duties.
+            "never_blocks",
+            "InlineFlusher",
+            "EgressStage::flush",
+            "EgressStage::drained",
+            "EgressStage::abort",
+            "FlusherCore::settle",
+            "finalize_dead_letters",
+            "one thread where nothing blocks",
         ],
     },
     // §8 vocabulary: the slot machine's phases, the one mover's parts,
@@ -342,6 +366,9 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "Forwarder",
             "FabricFaultPlan",
             "try_emit",
+            // The Forwarder never blocks, so its node's worker runs it.
+            "never_blocks",
+            "one thread per shard",
             "route_table",
             "dimension-order",
             "ECMP",

@@ -1,6 +1,7 @@
 // Passing fixture: the wrapper forwards both delivery paths, so the
-// inner sink's refusal stays a refusal.
-impl Egress for TracingSink {
+// inner sink's refusal stays a refusal, and what the inner sink says of
+// its `try_emit` stays said.
+impl<E: Egress> Egress for TracingSink<E> {
     fn emit(&mut self, shard: usize, flit: &ServedFlit) {
         self.log.push((shard, flit.packet));
         self.inner.emit(shard, flit);
@@ -12,6 +13,10 @@ impl Egress for TracingSink {
         }
         self.log.push((shard, flit.packet));
         true
+    }
+
+    fn never_blocks(&self) -> bool {
+        self.inner.never_blocks()
     }
 }
 

@@ -1,8 +1,14 @@
-//! The flusher: one thread per shard draining that shard's output ring.
+//! The flusher: one per shard, draining that shard's output ring.
 //!
 //! The flusher is the boundary between the scheduler's flit clock and
 //! the downstream's delivery clock — the decoupling the paper's
-//! analysis presumes. It pops flits from the shard's SPSC ring, routes
+//! analysis presumes. [`FlusherCore::step`] is the whole of it;
+//! [`run_flusher`] runs it on a thread of its own, which is what a sink
+//! that may block needs. For a sink whose `try_emit` never blocks
+//! ([`Egress::never_blocks`]) the shard worker runs the same `step`
+//! itself after every service batch, and no thread is spawned
+//! (`err-runtime`, DESIGN.md §7); the rest of this page describes the
+//! thread. A step pops flits from the shard's SPSC ring, routes
 //! each to its link, and delivers through the caller's sink unless the
 //! link is frozen, in which case the flit waits in a per-link pending
 //! queue. Pending flits hold their link credits, so a frozen link's
@@ -176,7 +182,7 @@ impl FlusherCore {
 
     /// Publishes the retire watermark when (and only when) no popped
     /// flit is still pending — the §8.7 invariant `FlushProgress`
-    /// documents. The thread loop calls this once per pump.
+    /// documents. [`settle`](Self::settle) calls this after every step.
     pub fn publish_progress(&self, progress: &FlushProgress) {
         if self.pending_total == 0 {
             progress.publish(self.popped);
@@ -188,15 +194,15 @@ impl FlusherCore {
         self.pending[link].len()
     }
 
-    /// Flits delivered since the last call; resets the counter. The
-    /// thread loop adds it to `flushed_flits` after every step — the
-    /// one that unwound included.
-    pub fn take_delivered(&mut self) -> u64 {
+    /// Flits delivered since the last call; resets the counter.
+    /// [`settle`](Self::settle) adds it to `flushed_flits` after every
+    /// step — the one that unwound included.
+    fn take_delivered(&mut self) -> u64 {
         std::mem::take(&mut self.delivered)
     }
 
     /// Flits dead-lettered since the last call; resets the counter.
-    /// The thread loop uses this as a progress signal — a burst of
+    /// The flusher loops use this as a progress signal — a burst of
     /// dead-letters is work done even though nothing reached the sink.
     pub fn take_dead_lettered(&mut self) -> u64 {
         std::mem::take(&mut self.dead_lettered)
@@ -252,9 +258,44 @@ impl FlusherCore {
         }
     }
 
+    /// The bookkeeping after every step, whoever runs it (the thread
+    /// loop, or a shard worker stepping the core itself): counts the
+    /// deliveries into `stats`, publishes the retire watermark, wakes
+    /// the credit waiters. Returns `(delivered, dead-lettered)` since
+    /// the last call.
+    pub fn settle(
+        &mut self,
+        links: &LinkSet,
+        stats: &ShardEgressStats,
+        progress: &FlushProgress,
+    ) -> (u64, u64) {
+        let delivered = self.take_delivered();
+        let dead = self.take_dead_lettered();
+        self.publish_progress(progress);
+        // Once per step, after all of its credit returns. Not gated on
+        // this step's counts: the mark may stand for a credit a guard
+        // returned while the previous step unwound.
+        links.wake_credit_waiters();
+        if delivered > 0 {
+            stats.flushed_flits.fetch_add(delivered, Ordering::Relaxed);
+        }
+        (delivered, dead)
+    }
+
+    /// The exit step, once nothing more will be pushed: dead-letters
+    /// what dead `HoldForRecovery` links hold (§9.3) and, if that
+    /// returned credits, wakes their waiters. Returns whether the core
+    /// is idle — whether its owner may leave.
+    pub fn finish(&mut self, links: &LinkSet) -> bool {
+        if self.finalize_dead_letters(links) > 0 {
+            links.wake_credit_waiters();
+        }
+        self.is_idle()
+    }
+
     /// Returns every tallied credit. `step` runs it on the way out,
     /// unwinding or not.
-    fn settle(&mut self, links: &LinkSet) {
+    fn return_tallies(&mut self, links: &LinkSet) {
         for (link, tally) in self.tally.iter_mut().enumerate() {
             if *tally > 0 {
                 links.credit_delivered(link, std::mem::take(tally));
@@ -335,7 +376,7 @@ impl FlusherCore {
         struct Settle<'a>(&'a mut FlusherCore, &'a LinkSet);
         impl Drop for Settle<'_> {
             fn drop(&mut self) {
-                self.0.settle(self.1);
+                self.0.return_tallies(self.1);
             }
         }
         let before = self.delivered;
@@ -517,10 +558,9 @@ pub fn run_flusher<E: Egress>(
     }
 }
 
-/// The flusher loop around one `step`: count what it delivered (what
-/// a step that unwound delivered shows up in the next round's count),
-/// publish progress, wake credit waiters, idle when nothing moved,
-/// exit once closed and empty.
+/// The flusher loop around one `step`: settle it (what a step that
+/// unwound delivered shows up in the next round's count), idle when
+/// nothing moved, exit once closed and empty.
 fn pump(
     core: &mut FlusherCore,
     links: &LinkSet,
@@ -532,34 +572,20 @@ fn pump(
     let mut backoff = BACKOFF_FLOOR;
     loop {
         step(core);
-        let n = core.take_delivered();
-        let dead = core.take_dead_lettered();
-        core.publish_progress(progress);
-        // Once per step, after all of its credit returns. Not gated on
-        // this step's counts: the mark may stand for a credit a guard
-        // returned while the previous step unwound.
-        links.wake_credit_waiters();
+        let (n, dead) = core.settle(links, stats, progress);
         if n > 0 || dead > 0 {
-            if n > 0 {
-                stats.flushed_flits.fetch_add(n, Ordering::Relaxed);
-            }
             backoff = BACKOFF_FLOOR;
             continue;
         }
+        // Nothing deliverable and the worker is gone: whatever is
+        // still pending behind a dead HoldForRecovery link is
+        // dead-lettered so shutdown terminates (§9.3).
         // ordering: Acquire pairs with the runtime's Release
         // `egress_closed` store at shutdown (err-runtime
         // drain_within) — the one-way "workers are gone" latch.
         // [pair: egress-closed @ crates/err-runtime/src/lib.rs]
-        if closed.load(Ordering::Acquire) {
-            if core.is_idle() {
-                return;
-            }
-            // Nothing deliverable and the worker is gone: whatever is
-            // still pending sits behind a dead HoldForRecovery link.
-            // Dead-letter it so shutdown terminates (§9.3).
-            if core.finalize_dead_letters(links) > 0 {
-                continue;
-            }
+        if closed.load(Ordering::Acquire) && core.finish(links) {
+            return;
         }
         stats.flusher_idle_rounds.fetch_add(1, Ordering::Relaxed);
         // Idle: a couple of looks, then sleep until the worker's next

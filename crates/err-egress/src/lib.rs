@@ -9,8 +9,10 @@
 //! standard wormhole machinery, in three pieces:
 //!
 //! * **Per-shard output ring** ([`spsc`]): the shard worker pushes
-//!   served flits into a bounded SPSC ring; a dedicated flusher thread
-//!   ([`flusher`]) drains it toward the downstream sink. The
+//!   served flits into a bounded SPSC ring; a flusher ([`flusher`])
+//!   drains it toward the downstream sink — on a thread of its own, or,
+//!   for a sink that [never blocks](Egress::never_blocks), as a step
+//!   the worker runs after each service batch. Either way the
 //!   scheduler's clock never waits on delivery.
 //! * **Per-link credits** ([`link`]): each downstream link advertises a
 //!   credit pool, virtual-channel style. A worker takes a grant of
@@ -57,8 +59,8 @@ pub use wake::{Sleep, WakeCell, BACKSTOP};
 /// The downstream sink: where flits go when they leave the scheduler.
 ///
 /// `shard` identifies the shard whose scheduler served the flit.
-/// Implementations must be `Send` (the flusher thread owns the sink)
-/// but need not be `Sync` — each shard gets its own sink value.
+/// Implementations must be `Send` (a flusher or worker thread owns the
+/// sink) but need not be `Sync` — each shard gets its own sink value.
 ///
 /// Any `FnMut(usize, &ServedFlit) + Send` closure is an `Egress` via
 /// the blanket impl, so callback-style callers keep working unchanged:
@@ -95,6 +97,21 @@ pub trait Egress: Send {
     fn try_emit(&mut self, shard: usize, flit: &ServedFlit) -> bool {
         self.emit(shard, flit);
         true
+    }
+
+    /// Whether [`try_emit`](Egress::try_emit) never blocks: it accepts
+    /// or refuses at once, whatever the downstream does. Such a sink
+    /// needs no thread of its own, so the shard worker runs its flusher
+    /// step itself, after every service batch (DESIGN.md §7). A wait
+    /// that is bounded and independent of the downstream does not
+    /// count as blocking — the fabric's `Forwarder` yields up to 1 ms
+    /// to its chaos monitor on the one ejection that makes a fault due —
+    /// but every such wait is paid on the worker, between two batches.
+    /// The default is `false`: a sink that may block keeps a flusher
+    /// thread between it and the scheduler. A wrapper that forwards
+    /// `try_emit` to an inner sink forwards this too.
+    fn never_blocks(&self) -> bool {
+        false
     }
 }
 
@@ -174,6 +191,13 @@ impl<E: Egress> Egress for SharedEgress<E> {
             .lock()
             .expect("shared egress sink poisoned")
             .try_emit(shard, flit)
+    }
+
+    fn never_blocks(&self) -> bool {
+        self.inner
+            .lock()
+            .expect("shared egress sink poisoned")
+            .never_blocks()
     }
 }
 

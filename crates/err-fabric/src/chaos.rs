@@ -5,7 +5,8 @@
 //! Events fire on the fabric's **ejection clock** — total packets
 //! delivered — which is deterministic under a deterministic workload
 //! and monotone under any. A monitor thread owned by the `Fabric`
-//! polls the clock, applies due events, and records what happened.
+//! sleeps until the ejection that brings the clock to the next due
+//! event wakes it, applies due events, and records what happened.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -150,7 +151,7 @@ pub struct FabricFaultEvent {
 
 /// One caught forwarder unwind (§14.4): what the supervisor salvaged
 /// when a forwarder body panicked mid-flit instead of letting the
-/// panic wedge the flusher and the fabric gate.
+/// panic wedge the node's worker and the fabric gate.
 #[derive(Clone, Debug)]
 pub struct ForwarderExit {
     /// The node whose forwarder unwound.
@@ -208,7 +209,7 @@ impl PanicSwitch {
 /// Shared liveness flags the Forwarders consult on every tail handoff:
 /// one per inter-node cable and one per node. Set (false → true) by
 /// the monitor on a kill and cleared back by a heal (§14.1); read by
-/// flusher threads.
+/// the nodes' shard workers.
 pub struct DeadMap {
     links: Vec<Vec<AtomicBool>>,
     nodes: Vec<AtomicBool>,

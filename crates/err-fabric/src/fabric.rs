@@ -79,17 +79,6 @@ impl FabricGate {
         self.closed.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the fabric has been closed to new submits. The chaos
-    /// monitor's exit check (§14.1): once closed, the ejection clock
-    /// can stall for good, so unfired future events are unreachable.
-    pub(crate) fn closed(&self) -> bool {
-        // ordering: SeqCst — same total order as the `enter`/`close`
-        // Dekker, so the monitor's exit decision never runs ahead of a
-        // producer that was admitted before the close.
-        // [pair: fabric-gate @ self]
-        self.closed.load(Ordering::SeqCst)
-    }
-
     /// Packets submitted but not yet terminal.
     pub(crate) fn in_flight(&self) -> u64 {
         // ordering: SeqCst; pairs with `enter`/`depart` above.
@@ -355,17 +344,6 @@ impl FabricReport {
             .sum()
     }
 
-    /// Total flusher-body unwinds caught by the §14.4 supervisor,
-    /// summed over every node incarnation.
-    pub fn flusher_panics(&self) -> u64 {
-        self.node_reports
-            .iter()
-            .chain(self.prior_reports.iter().map(|(_, r)| r))
-            .filter_map(|r| r.stats.egress.as_ref())
-            .map(|e| e.flusher_panics())
-            .sum()
-    }
-
     /// Jain's fairness index over per-flow ejected flits, restricted
     /// to flows that submitted anything — the blast-radius metric.
     pub fn jain_ejected(&self) -> f64 {
@@ -540,6 +518,7 @@ impl Fabric {
                 departed_base: Arc::clone(&departed_base),
                 policy,
             };
+            let (registered, on_registered) = std::sync::mpsc::channel();
             let handle = {
                 let stop = Arc::clone(&stop);
                 // panic-policy: the monitor only injects faults; if it
@@ -548,9 +527,14 @@ impl Fabric {
                 // unwind without poisoning anything.
                 std::thread::Builder::new()
                     .name("err-fabric-monitor".into())
-                    .spawn(move || run_monitor(plan, stop, shared))
+                    .spawn(move || run_monitor(plan, stop, shared, registered))
                     .expect("spawning fabric monitor")
             };
+            // Traffic starts when `start` returns. Until the monitor is
+            // armed for its first event, that event fires whenever the
+            // monitor next gets a CPU, however far the clock has run by
+            // then. (`Err`: the monitor died first; nothing fires.)
+            let _ = on_registered.recv();
             Monitor { stop, handle }
         });
 
@@ -673,9 +657,9 @@ impl Fabric {
     }
 
     /// Refused tail handoffs observed at `node`. Each one is a
-    /// backpressure event on some outgoing cable — a tail offered on a
-    /// flusher wake or back-off expiry (5 → 100 µs) and turned away —
-    /// not a retry count: an idle flusher looks at its wake predicate,
+    /// backpressure event on some outgoing cable — a tail offered once
+    /// per wake or 100 µs poll of the node's worker and turned away —
+    /// not a retry count: an idle worker looks at its wake predicate,
     /// it does not re-offer (DESIGN.md §7).
     pub fn refusals(&self, node: usize) -> u64 {
         self.counters[node].refusals()
@@ -795,6 +779,7 @@ impl Fabric {
             // check; the join is the real synchronization point.
             // [pair: monitor-stop @ self]
             m.stop.store(true, Ordering::Release);
+            self.ledger.wake_monitor();
             let _ = m.handle.join();
         }
         let mut slots = self.nodes.lock().expect("fabric node table poisoned");
@@ -858,7 +843,7 @@ impl Fabric {
 
 /// Packets that entered `rep`'s node and never departed through its
 /// Forwarder: the §11.4 lost computation (valid only after the node's
-/// workers *and* flushers are joined, so the counters are final).
+/// workers are joined, so the counters are final).
 /// `departed_base` is the counter reading when the node's previous
 /// incarnation died (0 for a never-killed node), since `NodeCounters`
 /// accumulates across revives while `rep` counts one incarnation
@@ -895,12 +880,29 @@ impl MonitorShared {
     }
 }
 
-fn run_monitor(plan: FabricFaultPlan, stop: Arc<AtomicBool>, shared: MonitorShared) {
+fn run_monitor(
+    plan: FabricFaultPlan,
+    stop: Arc<AtomicBool>,
+    shared: MonitorShared,
+    registered: std::sync::mpsc::Sender<()>,
+) {
+    shared.ledger.register_monitor();
+    let mut registered = Some(registered);
     let mut pending: Vec<FabricFault> = plan.events().to_vec();
-    loop {
-        // ordering: Acquire pairs with the Release store in
-        // drain_within. [pair: monitor-stop @ self]
-        if pending.is_empty() || stop.load(Ordering::Acquire) {
+    // ordering: Acquire pairs with the Release store in
+    // drain_within. [pair: monitor-stop @ self]
+    let stopped = || stop.load(Ordering::Acquire);
+    // Asleep until the ejection that brings the clock to the next due
+    // event, or the drain's stop. The drain stops the monitor only once
+    // nothing is in flight: traffic keeps ejecting through a drain, and
+    // a heal scheduled inside that window must still fire (§14.3).
+    while let Some(due) = pending.iter().map(FabricFault::at).min() {
+        shared.ledger.arm_monitor(due);
+        if let Some(registered) = registered.take() {
+            let _ = registered.send(());
+        }
+        shared.ledger.sleep_until(due, stopped);
+        if stopped() {
             return;
         }
         let clock = shared.ledger.ejected_total();
@@ -925,17 +927,6 @@ fn run_monitor(plan: FabricFaultPlan, stop: Arc<AtomicBool>, shared: MonitorShar
                     lost_packets: lost,
                 });
         }
-        // A closed *and empty* fabric can never eject again, so events
-        // still in the future can never come due — exit instead of
-        // spinning until the drain's stop/join reaches us (the
-        // due-event pass above already ran against the final clock
-        // reading). Closed alone is not enough: in-flight traffic
-        // keeps ejecting through a drain, and a heal scheduled inside
-        // that window must still fire (§14.2).
-        if shared.gate.closed() && shared.gate.in_flight() == 0 {
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -949,8 +940,8 @@ fn apply_fault(fault: FabricFault, shared: &MonitorShared) -> u64 {
             dead.kill_link(node, link);
             if hold {
                 // The upstream egress link dies with the cable, so its
-                // flits hold their credits in the flusher's pending
-                // queue instead of spinning against forwarder refusals
+                // flits hold their credits in the flusher core's pending
+                // queue instead of polling against forwarder refusals
                 // (§14.2).
                 shared.controller(node).declare_dead(link);
             }
@@ -974,11 +965,9 @@ fn apply_fault(fault: FabricFault, shared: &MonitorShared) -> u64 {
                 dead.kill_link(node, link);
                 if hold {
                     // The corpse's own cables die at the egress layer
-                    // too: its flusher then dead-letters their held
-                    // flits at shutdown and exits, instead of
-                    // outliving the kill as a zombie whose held tails
-                    // could replay packets already counted lost once
-                    // the cables heal (§14.1).
+                    // too: its workers then dead-letter their held
+                    // flits at shutdown and exit, instead of polling
+                    // refused tails until the forced abort (§14.1).
                     shared.controller(node).declare_dead(link);
                 }
                 let peer = topo.peer(node, link).expect("cable has a peer");
@@ -1002,8 +991,8 @@ fn apply_fault(fault: FabricFault, shared: &MonitorShared) -> u64 {
                 return 0; // already killed
             };
             let rep = rt.shutdown_within(Duration::from_millis(50));
-            // Joined workers and flushers: the node's counters are
-            // final, so entered − departed is exactly what it ate.
+            // Joined workers: the node's counters are final, so
+            // entered − departed is exactly what it ate.
             let base = shared.departed_base[node].load(Ordering::Relaxed);
             let lost = node_residual(&rep, &shared.counters[node], base);
             // Re-base for a possible successor incarnation (§14.1):

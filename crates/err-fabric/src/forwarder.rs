@@ -1,20 +1,22 @@
-//! The Forwarder: a node's egress sink, running on its flusher
-//! threads, that turns served flits into fabric hops (DESIGN.md
-//! §11.2).
+//! The Forwarder: a node's egress sink, running on its shard workers,
+//! that turns served flits into fabric hops (DESIGN.md §11.2).
 //!
 //! Body flits of a transit flow always cross (the link credit models
 //! the downstream flit buffer); on the **tail** flit the whole packet
 //! has crossed the link and is handed to the neighbor runtime with a
-//! non-blocking submit. A refused tail stays in the link's pending
-//! queue with its credit held — as flits pile behind it the pool
-//! drains and the upstream scheduler parks exactly the flows routed
-//! over that link (§7): wormhole backpressure, hop by hop.
+//! non-blocking submit. Nothing here ever waits, so the Forwarder says
+//! it [never blocks](Egress::never_blocks) and each worker runs its
+//! node's flusher step itself, after every service batch: a node is one
+//! thread per shard. A refused tail stays in the link's pending queue
+//! with its credit held — as flits pile behind it the pool drains and
+//! the upstream scheduler parks exactly the flows routed over that link
+//! (§7): wormhole backpressure, hop by hop.
 //!
 //! The `Egress` entry points run under a catch-unwind supervisor
 //! (DESIGN.md §14.4): a panicking forwarder body poisons the flit's
 //! next-hop cable (declared dead — honest accounting takes over) and
 //! charges the flit's packet as dead-lettered, instead of unwinding
-//! into the flusher and wedging the fabric gate.
+//! into the worker and wedging the fabric gate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -58,7 +60,7 @@ pub enum ForwardOutcome {
 }
 
 /// Per-node egress sink; one clone serves each of the node's shards
-/// (the flusher thread owns it, so `Send` suffices).
+/// (the shard's worker owns it, so `Send` suffices).
 #[derive(Clone)]
 pub struct Forwarder {
     node: usize,
@@ -245,7 +247,7 @@ impl Forwarder {
                 }
                 Err(SubmitError::TimedOut) => {
                     // No room right now: hold the flit (and its
-                    // credit) and retry on the next flusher pass;
+                    // credit) and retry on the next flusher step;
                     // the entry stamp stays with this node.
                     self.tracker.take(flit.packet);
                     if let Some(entry) = prev {
@@ -329,8 +331,8 @@ impl Egress for Forwarder {
     fn emit(&mut self, _shard: usize, flit: &ServedFlit) {
         // Unconditional delivery: spin out a transient refusal (or a
         // §14.2 hold, which only a concurrent heal resolves). The
-        // flusher never calls this (it uses `try_emit`); it exists for
-        // direct-driven tests.
+        // flusher step never calls this (it uses `try_emit`); it exists
+        // for direct-driven tests.
         while !self.supervised(flit) {
             std::thread::yield_now();
         }
@@ -338,6 +340,17 @@ impl Egress for Forwarder {
 
     fn try_emit(&mut self, _shard: usize, flit: &ServedFlit) -> bool {
         self.supervised(flit)
+    }
+
+    /// A hand-off submits with a zero deadline and is refused at once
+    /// when the peer has no room, so the node's worker runs the flusher
+    /// step itself and the node is one thread (DESIGN.md §11.2). The
+    /// one exception is bounded and never waits on the downstream: with
+    /// a chaos plan armed, the ejection that makes an event due sleeps
+    /// up to 1 ms on this worker until the monitor takes the clock
+    /// (§11.4, `FabricLedger::on_packet_ejected`).
+    fn never_blocks(&self) -> bool {
+        true
     }
 }
 
@@ -386,8 +399,8 @@ mod tests {
     #[global_allocator]
     static ALLOC: CountingAlloc = CountingAlloc;
 
-    /// The tail hand-off is paid once per packet per hop on a flusher
-    /// thread: it must not touch the heap — no `Vec` of candidate
+    /// The tail hand-off is paid once per packet per hop on a shard
+    /// worker: it must not touch the heap — no `Vec` of candidate
     /// links, nothing in the refusal path — once the `HopTracker` maps
     /// have their capacity.
     #[test]

@@ -10,7 +10,8 @@
 //! routed [`Topology`]:
 //!
 //! * each node's egress links feed neighbor nodes' ingress rings via
-//!   [`Forwarder`]s running on the flusher threads;
+//!   [`Forwarder`]s, which never block, so each node's shard workers
+//!   run them themselves: a node is one thread per shard;
 //! * a refused tail handoff keeps its link credit
 //!   ([`Egress::try_emit`](err_egress::Egress::try_emit)), so a
 //!   stalled downstream starves credits upstream and parks exactly

@@ -53,7 +53,8 @@ pub struct DrainReport {
     pub shard_cycles: Vec<u64>,
     /// Per-shard worker exit status.
     pub exits: Vec<ShardExit>,
-    /// Per-shard flusher exit status (empty under sync egress).
+    /// Per-shard flusher exit status (empty under sync egress, and when
+    /// the workers ran the flusher step themselves).
     pub flusher_exits: Vec<ShardExit>,
     /// Whether the shutdown deadline forced an abort: residual packets
     /// were counted lost rather than served (DESIGN.md §9.4), packet by

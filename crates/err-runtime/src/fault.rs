@@ -400,7 +400,8 @@ pub(crate) struct Bequest {
     pub(crate) now: Cycle,
     /// The output side, whole: the sync stage's sink and interrupted
     /// batch, or the buffered stage's ring producer, parking marks and
-    /// pushed count.
+    /// pushed count — and its flusher core and sink, when the worker
+    /// runs the flusher step itself.
     pub(crate) stage: Box<dyn EgressStage>,
 }
 

@@ -42,9 +42,10 @@
 //!   the residual backlog to empty, join every worker deterministically.
 //! * [`EgressMode::Buffered`] inserts the `err-egress` stage between
 //!   scheduler and sink: per-shard SPSC output rings drained by flusher
-//!   threads, per-link credit flow control, and flow parking so a
-//!   stalled downstream freezes only its own flows — the regime the
-//!   paper's stalled-wormhole argument is about.
+//!   threads (by the worker itself for a sink that never blocks),
+//!   per-link credit flow control, and flow parking so a stalled
+//!   downstream freezes only its own flows — the regime the paper's
+//!   stalled-wormhole argument is about.
 //! * [`fault`] adds the failure half of that story (DESIGN.md §9):
 //!   supervised workers that bequeath their whole state when they
 //!   panic and are resurrected in place with nothing lost, a heartbeat
@@ -144,6 +145,12 @@ impl<E: Egress> Egress for OptionalSink<E> {
             None => true,
         }
     }
+
+    // Forwarded like `try_emit`, or a fabric's nodes would keep a
+    // flusher thread each. No sink at all keeps the default.
+    fn never_blocks(&self) -> bool {
+        self.0.as_ref().is_some_and(|sink| sink.never_blocks())
+    }
 }
 
 /// How served flits reach the downstream sink.
@@ -154,8 +161,9 @@ pub enum EgressMode {
     #[default]
     Sync,
     /// Credit-based asynchronous path (`err-egress`): per-shard output
-    /// rings drained by flusher threads, per-link credits, flow parking
-    /// on stall, optional deterministic stall injection.
+    /// rings drained by flusher threads (or, for sinks that never
+    /// block, by the workers themselves), per-link credits, flow
+    /// parking on stall, optional deterministic stall injection.
     Buffered(BufferedConfig),
 }
 
@@ -262,7 +270,11 @@ impl Runtime {
     /// Under [`EgressMode::Sync`] the shard worker calls the sink
     /// inline. Under [`EgressMode::Buffered`] the sink moves to the
     /// shard's flusher thread and the worker only commits flits to the
-    /// output ring — sink latency no longer stalls scheduling.
+    /// output ring — sink latency no longer stalls scheduling. When
+    /// every sink says its `try_emit` [never blocks](Egress::never_blocks)
+    /// there is no latency to hide: no flusher thread is spawned, and
+    /// each worker runs its flusher step itself after every service
+    /// batch (DESIGN.md §7).
     pub fn start_with_egress<E: Egress + 'static>(
         config: RuntimeConfig,
         mut egress: impl FnMut(usize) -> Option<E>,
@@ -325,14 +337,26 @@ impl Runtime {
                     bc.route_table.clone(),
                 );
                 // Every shard's flusher returns credits to this one
-                // set, so each must be able to wake every worker; and
-                // a link that opens, like the shutdown latch, must
-                // reach every flusher (each sleeps on its ring's cell).
+                // set, so each must be able to wake every worker.
                 links.set_credit_waiters(shared.wakes.clone());
+                let sinks: Vec<_> = (0..config.shards)
+                    .map(|shard| OptionalSink(egress(shard)))
+                    .collect();
+                // Sinks that never block need no thread between them and
+                // the scheduler: each worker runs its own flusher step
+                // (DESIGN.md §7), and no flusher thread is spawned.
+                let inline = sinks.iter().all(|sink| sink.never_blocks());
                 let rings: Vec<_> = (0..config.shards)
                     .map(|_| spsc_ring::<ServedFlit>(bc.ring_capacity))
                     .collect();
-                links.set_flusher_wakes(rings.iter().map(|(_, rx)| rx.wake_cell()).collect());
+                // A link that opens, like the shutdown latch, must reach
+                // whoever steps past it: every flusher (each sleeps on
+                // its ring's cell), or every worker that steps itself.
+                links.set_flusher_wakes(if inline {
+                    shared.wakes.clone()
+                } else {
+                    rings.iter().map(|(_, rx)| rx.wake_cell()).collect()
+                });
                 let links = Arc::new(links);
                 let injector = bc
                     .stall_plan
@@ -340,39 +364,46 @@ impl Runtime {
                     .map(|p| Arc::new(StallInjector::new(p)));
                 let mut shard_stats = Vec::with_capacity(config.shards);
                 let mut stages = Vec::with_capacity(config.shards);
-                for (shard, (tx, rx)) in rings.into_iter().enumerate() {
+                for (shard, ((tx, rx), sink)) in rings.into_iter().zip(sinks).enumerate() {
                     let estats = Arc::new(ShardEgressStats::default());
                     shard_stats.push(Arc::clone(&estats));
                     let progress = Arc::new(FlushProgress::default());
-                    let sink = OptionalSink(egress(shard));
                     let core = FlusherCore::new(shard, rx, bc.n_links);
+                    let mut flusher = None;
+                    if inline {
+                        let injector = injector.clone();
+                        flusher = Some(shard::InlineFlusher::new(core, sink, injector, bc.n_links));
+                    } else {
+                        let links = Arc::clone(&links);
+                        let injector = injector.clone();
+                        let closed = Arc::clone(&egress_closed);
+                        let (estats, progress) = (Arc::clone(&estats), Arc::clone(&progress));
+                        flushers.push(
+                            // panic-policy: `run_flusher` fences the sink
+                            // itself (DESIGN.md §14.4): after an unwind it
+                            // dead-letters what the shard still commits —
+                            // credits return, never a wedged shutdown —
+                            // and re-raises at exit, so drain's join
+                            // records `ShardExit::Panicked`.
+                            std::thread::Builder::new()
+                                .name(format!("err-flusher-{shard}"))
+                                .spawn(move || {
+                                    err_egress::run_flusher(
+                                        core, links, injector, closed, estats, progress, sink,
+                                    )
+                                })
+                                .expect("spawning flusher"),
+                        );
+                    }
                     let stage = shard::BufferedStage::new(
                         tx,
                         Arc::clone(&links),
-                        Arc::clone(&estats),
-                        Arc::clone(&progress),
+                        estats,
+                        progress,
                         config.n_flows,
+                        flusher,
                     );
                     stages.push(Box::new(stage) as Box<dyn shard::EgressStage>);
-                    let links = Arc::clone(&links);
-                    let injector = injector.clone();
-                    let closed = Arc::clone(&egress_closed);
-                    flushers.push(
-                        // panic-policy: `run_flusher` fences the sink
-                        // itself (DESIGN.md §14.4): after an unwind it
-                        // dead-letters what the shard still commits —
-                        // credits return, never a wedged shutdown —
-                        // and re-raises at exit, so drain's join
-                        // records `ShardExit::Panicked`.
-                        std::thread::Builder::new()
-                            .name(format!("err-flusher-{shard}"))
-                            .spawn(move || {
-                                err_egress::run_flusher(
-                                    core, links, injector, closed, estats, progress, sink,
-                                )
-                            })
-                            .expect("spawning flusher"),
-                    );
                 }
                 controller = Some(EgressController::new(links, injector, shard_stats));
                 stages
@@ -664,6 +695,7 @@ impl Runtime {
             for shard in 0..fr.board.shards() {
                 if let Some(mut bq) = fr.take_bequest(shard) {
                     fault::abort_residuals(&self.shared, shard, bq.cfg.n_flows, &mut bq.scheduler);
+                    bq.stage.abort();
                 }
             }
         }

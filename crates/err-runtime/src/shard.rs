@@ -18,8 +18,8 @@
 //!
 //! There is one loop (`run_shard`). Where served flits go is the
 //! business of the shard's `EgressStage`, which the loop calls at
-//! two points and the fault and steal layers query about link state
-//! (DESIGN.md §6):
+//! its service, idle and exit points and the fault and steal layers
+//! query about link state (DESIGN.md §6):
 //!
 //! * `SyncStage` — every served flit passes through the caller's sink
 //!   inline, on the worker thread. It holds no link state, so it gives
@@ -27,9 +27,12 @@
 //!   whole flit clock.
 //! * `BufferedStage` — served flits are committed to a per-shard SPSC
 //!   ring under per-link credit flow control (`err-egress`); a flusher
-//!   thread delivers them. A link with no credit to grant has its
-//!   flows *parked* in the scheduler before they are visited, so the
-//!   shard keeps serving everyone else — the decoupling the paper's
+//!   thread delivers them, or, when the sink's `try_emit` never blocks
+//!   (`Egress::never_blocks`, a fabric `Forwarder`), the worker runs
+//!   the flusher step itself after every `serve` (`InlineFlusher`,
+//!   `EgressStage::flush`). A link with no credit to grant has its flows
+//!   *parked* in the scheduler before they are visited, so the shard
+//!   keeps serving everyone else — the decoupling the paper's
 //!   stalled-downstream argument calls for.
 //!
 //! The loop runs inside a `catch_unwind` fence with the worker's whole
@@ -47,7 +50,8 @@
 //! After a loop that moved nothing the worker idles on its shard's
 //! [`WakeCell`](err_egress::WakeCell) (`idle_unless`, DESIGN.md §6).
 //! Its wake predicate is "a pop would succeed, or the stage can
-//! progress (a parked link's credit came back)": it looks at that —
+//! progress (a parked link's credit came back, or a link its own
+//! flusher step holds flits behind opened)": it looks at that —
 //! never at a whole loop — twice, then announces itself, re-checks the
 //! same predicate, and parks. A ring
 //! that is non-empty while its head is unpublished holds a producer
@@ -59,7 +63,9 @@
 //! announced events only: its sleep is *covered*, its timer a mere
 //! `BACKSTOP`. Any other park polls for what nobody announces — a plain
 //! push; a heartbeat, a thief's request or a credit other shards may
-//! take first — and keeps `PARK_TIMEOUT`.
+//! take first; a sink that refused a flit finding room — and keeps
+//! `PARK_TIMEOUT`. A refused flit is offered again once per such park
+//! (or wake), never per look.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -67,7 +73,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use desim::Cycle;
-use err_egress::{Egress, FlushProgress, LinkSet, Producer, ShardEgressStats, Sleep, BACKSTOP};
+use err_egress::{
+    Egress, FlushProgress, FlusherCore, LinkSet, Producer, ShardEgressStats, Sleep, StallInjector,
+    BACKSTOP,
+};
 use err_sched::err::ErrScheduler;
 use err_sched::{Packet, Scheduler, ServedFlit};
 
@@ -88,31 +97,58 @@ pub(crate) struct ShardConfig {
 }
 
 /// The shard's output side: where served flits go, and the link state
-/// only that side knows. The worker loop calls `serve`, and
-/// `can_progress` before it parks; the fault and steal layers put
-/// their four questions to it instead of borrowing its fields.
-/// Dispatch is per loop or per protocol step, never per flit. Every
-/// method but `serve` defaults to the answer of a stage that buffers
-/// nothing — never parked, always retired, no-op — which is the whole
-/// of [`SyncStage`]'s link state.
+/// only that side knows. The worker loop calls `serve` and `flush`,
+/// `starved` and `can_progress` before it parks, `drained` before it
+/// exits and `abort` when it is aborted; the fault and steal layers put their four questions to it
+/// instead of borrowing its fields. Dispatch is per loop or per
+/// protocol step, never per flit. Every method but `serve` defaults to
+/// the answer of a stage that buffers nothing — never parked, always
+/// retired, no-op — which is the whole of [`SyncStage`]'s link state.
 pub(crate) trait EgressStage: Send {
     /// The service phase: serves up to `batch_flits` flits from
     /// `scheduler` starting at flit-clock `now` and sends each on its
-    /// way. Returns `(flits, tail flits, starved)`. `starved`: every
-    /// link that carries a flow is credit-parked — no arrival can be
-    /// served before a credit returns, which is announced.
+    /// way. Returns `(flits, tail flits)`.
     fn serve(
         &mut self,
         shared: &Shared,
         scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64, bool);
+    ) -> (u64, u64);
 
-    /// Park re-check: whether `serve` would release a parked link now.
+    /// The stage's own flusher step, when it runs one, after every
+    /// `serve` — once the loop has counted the batch, so a sink that
+    /// reads the shard's served clock (the fabric's §11.8 hop records)
+    /// sees the flits it delivers counted. Returns whether it moved
+    /// anything: the loop did work even if it served nothing.
+    fn flush(&mut self) -> bool {
+        false
+    }
+
+    /// Every link that carries a flow is credit-parked, and no flit
+    /// waits on a sink that refused it: no arrival can be served before
+    /// a credit returns or a link opens, both of which are announced.
+    fn starved(&self) -> bool {
+        false
+    }
+
+    /// Park re-check: whether `serve` would release a parked link, or
+    /// `flush` move a flit held behind a link that has opened, now.
     fn can_progress(&self) -> bool {
         false
     }
+
+    /// Exit-gate clause, asked once the drain gate lets the worker go
+    /// and its ring and scheduler are empty: whether the stage holds no
+    /// flit it still has to deliver itself.
+    fn drained(&mut self) -> bool {
+        true
+    }
+
+    /// Forced-abort settlement (§9.4), run where the scheduler's residue
+    /// is counted lost: disposes of every flit the stage still has to
+    /// deliver itself, so none is dropped uncounted with its credit.
+    fn abort(&mut self) {}
 
     /// Whether `flow`'s link is credit-parked: a mover must then leave
     /// the flow parked for the link's release in `serve` (§8.7).
@@ -174,7 +210,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
         scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64, bool) {
+    ) -> (u64, u64) {
         if self.next == self.served.len() {
             self.served.clear();
             (self.next, self.tails) = (0, 0);
@@ -190,7 +226,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
                 sink.emit(self.shard, flit);
             }
         }
-        (self.served.len() as u64, self.tails, false)
+        (self.served.len() as u64, self.tails)
     }
 }
 
@@ -210,8 +246,9 @@ impl<E: Egress> EgressStage for SyncStage<E> {
 ///
 /// The stage is owned *outside* the panic fence and travels in the
 /// [`Bequest`] (§9.2): its parking marks and `pushed` count (§8.7's
-/// fence numerator) must survive the worker. A grant never does.
-pub(crate) struct BufferedStage {
+/// fence numerator) must survive the worker — and so must the flusher
+/// core and sink of an [`InlineFlusher`]. A grant never does.
+pub(crate) struct BufferedStage<E> {
     tx: Producer<ServedFlit>,
     links: Arc<LinkSet>,
     estats: Arc<ShardEgressStats>,
@@ -228,15 +265,80 @@ pub(crate) struct BufferedStage {
     /// compared against the flusher's [`FlushProgress`] cursor by the
     /// donor-side retire fence (§8.7).
     pushed: u64,
+    /// The flusher, when this worker runs its step (the sink never
+    /// blocks); `None` when a flusher thread does.
+    inline: Option<InlineFlusher<E>>,
 }
 
-impl BufferedStage {
+/// A flusher run by the shard worker itself, for a sink whose
+/// `try_emit` never blocks (DESIGN.md §7): the shard's [`FlusherCore`]
+/// and sink, stepped after every `serve` ([`EgressStage::flush`]). The
+/// SPSC ring between stage and core is written and read by the same
+/// thread.
+pub(crate) struct InlineFlusher<E> {
+    core: FlusherCore,
+    sink: E,
+    injector: Option<Arc<StallInjector>>,
+    /// Per link: flits were pending behind it while it was blocked when
+    /// the last step ended. Whoever opens a link says so
+    /// (`LinkSet::wake_flushers`), so waiting for one of these is covered.
+    held: Vec<bool>,
+}
+
+impl<E: Egress> InlineFlusher<E> {
+    pub(crate) fn new(
+        core: FlusherCore,
+        sink: E,
+        injector: Option<Arc<StallInjector>>,
+        n_links: usize,
+    ) -> Self {
+        Self {
+            core,
+            sink,
+            injector,
+            held: vec![false; n_links],
+        }
+    }
+
+    /// One `FlusherCore::step`, settled as the flusher thread settles
+    /// its own. Returns whether the step popped, delivered or
+    /// dead-lettered anything.
+    fn step(
+        &mut self,
+        links: &LinkSet,
+        estats: &ShardEgressStats,
+        progress: &FlushProgress,
+    ) -> bool {
+        let popped = self.core.popped();
+        self.core
+            .step(links, self.injector.as_deref(), &mut self.sink);
+        let (delivered, dead) = self.core.settle(links, estats, progress);
+        for (link, held) in self.held.iter_mut().enumerate() {
+            *held = self.core.pending_len(link) > 0 && links.blocked(link);
+        }
+        delivered + dead > 0 || self.core.popped() != popped
+    }
+
+    /// Whether a link that held pending flits has opened since.
+    fn opened(&self, links: &LinkSet) -> bool {
+        (self.held.iter().enumerate()).any(|(link, &held)| held && !links.blocked(link))
+    }
+
+    /// Whether a flit is pending behind an open link: the sink refused
+    /// it, and nobody announces the sink finding room.
+    fn refused(&self, links: &LinkSet) -> bool {
+        (0..self.held.len()).any(|link| self.core.pending_len(link) > 0 && !links.blocked(link))
+    }
+}
+
+impl<E: Egress> BufferedStage<E> {
     pub(crate) fn new(
         tx: Producer<ServedFlit>,
         links: Arc<LinkSet>,
         estats: Arc<ShardEgressStats>,
         progress: Arc<FlushProgress>,
         n_flows: usize,
+        inline: Option<InlineFlusher<E>>,
     ) -> Self {
         let n_links = links.n_links();
         let mut link_flows: Vec<Vec<usize>> = vec![Vec::new(); n_links];
@@ -252,14 +354,16 @@ impl BufferedStage {
             grant: vec![0; n_links],
             link_parked: vec![false; n_links],
             pushed: 0,
+            inline,
         }
     }
 
     /// Commits `flit` to the output ring, waiting while it is full.
-    /// Bounded wait: the flusher always makes progress (a blocked
-    /// link's flits move to its bounded pending queue) — once it runs.
-    /// It may sleep over a ring it last saw empty, and on a shared core
-    /// cannot run while this thread spins: each retry wakes it, yields.
+    /// Bounded wait: a flusher step always frees a slot (a blocked
+    /// link's flits move to its bounded pending queue). A worker that
+    /// runs the step itself runs one; a flusher thread may sleep over a
+    /// ring it last saw empty, and on a shared core cannot run while
+    /// this thread spins: each retry wakes it, yields.
     fn push_ring(&mut self, flit: ServedFlit) {
         let mut item = flit;
         let mut first = true;
@@ -270,8 +374,15 @@ impl BufferedStage {
                 self.estats.note_ring_occupancy(self.tx.occupancy() as u64);
                 first = false;
             }
-            self.tx.wake_consumer();
-            std::thread::yield_now();
+            match self.inline.as_mut() {
+                Some(inline) => {
+                    inline.step(&self.links, &self.estats, &self.progress);
+                }
+                None => {
+                    self.tx.wake_consumer();
+                    std::thread::yield_now();
+                }
+            }
         }
         self.pushed += 1;
     }
@@ -321,29 +432,32 @@ impl BufferedStage {
     }
 }
 
-impl EgressStage for BufferedStage {
+impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
     /// Flit by flit: a grant can run out between two flits, and the
     /// link must be parked before the scheduler visits it again. A drop
     /// guard settles the batch, unwinding or not: the grants go back
     /// (an idle one would starve the other shards and run the link's
-    /// dead-link deadline), ring occupancy is noted and the flusher
-    /// woken once, after the last push.
+    /// dead-link deadline), ring occupancy is noted and a flusher
+    /// thread woken once, after the last push. A worker that runs the
+    /// flusher step itself has nobody to wake: it steps in `flush`.
     fn serve(
         &mut self,
         shared: &Shared,
         scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64, bool) {
-        struct Settle<'a>(u64, &'a mut BufferedStage);
-        impl Drop for Settle<'_> {
+    ) -> (u64, u64) {
+        struct Settle<'a, E>(u64, &'a mut BufferedStage<E>);
+        impl<E> Drop for Settle<'_, E> {
             fn drop(&mut self) {
                 let stage = &mut *self.1;
                 stage.links.return_grants(&mut stage.grant);
                 if stage.pushed != self.0 {
                     let occupancy = stage.tx.occupancy() as u64;
                     stage.estats.note_ring_occupancy(occupancy);
-                    stage.tx.wake_consumer();
+                    if stage.inline.is_none() {
+                        stage.tx.wake_consumer();
+                    }
                 }
             }
         }
@@ -378,14 +492,55 @@ impl EgressStage for BufferedStage {
             }
         }
         drop(settle);
-        let mut links = self.link_parked.iter().zip(&self.link_flows);
-        let starved = self.link_parked.contains(&true) && links.all(|(&p, f)| p || f.is_empty());
-        (flits, tails, starved)
+        (flits, tails)
     }
 
-    /// A credit for a parked link (a credit-returner wakes for it).
+    fn flush(&mut self) -> bool {
+        let Some(inline) = self.inline.as_mut() else {
+            return false;
+        };
+        inline.step(&self.links, &self.estats, &self.progress)
+    }
+
+    fn starved(&self) -> bool {
+        let mut links = self.link_parked.iter().zip(&self.link_flows);
+        self.inline.as_ref().is_none_or(|i| !i.refused(&self.links))
+            && self.link_parked.contains(&true)
+            && links.all(|(&p, f)| p || f.is_empty())
+    }
+
+    /// A credit for a parked link (a credit-returner wakes for it), or
+    /// a link that held flits of the worker's own flusher step opened
+    /// (whoever opened it woke the worker).
     fn can_progress(&self) -> bool {
         (0..self.grant.len()).any(|l| self.link_parked[l] && self.links.has_credit(l))
+            || self.inline.as_ref().is_some_and(|i| i.opened(&self.links))
+    }
+
+    /// Nothing is left to serve, and what a dead `HoldForRecovery`
+    /// link holds waits for a heal: dead-letter it (§9.3), where the
+    /// flusher thread does once the runtime is closed. The worker
+    /// leaves once its flusher core is empty.
+    fn drained(&mut self) -> bool {
+        self.inline
+            .as_mut()
+            .is_none_or(|inline| inline.core.finish(&self.links))
+    }
+
+    /// A forced abort ends delivery: what the worker's own flusher core
+    /// still holds — ring flits, and flits pending behind a dead, frozen
+    /// or refusing link — is dead-lettered, every credit back. (A
+    /// flusher thread outlives the aborted workers: it still delivers
+    /// what the draining links let through, and dead-letters what a
+    /// dead link holds.) Never calls the sink, so `drain_within` can
+    /// settle an unadopted bequest this way on its own thread.
+    fn abort(&mut self) {
+        if let Some(inline) = self.inline.as_mut() {
+            inline.core.dead_letter_all(&self.links);
+            inline
+                .core
+                .settle(&self.links, &self.estats, &self.progress);
+        }
     }
 
     fn link_parked(&self, flow: usize) -> bool {
@@ -456,15 +611,17 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
     let polls = shared.fault.is_some() || shared.steal.is_some() || shared.wakes.len() > 1;
     loop {
         // Fault phase (DESIGN.md §9): forced-shutdown abort, heartbeat,
-        // quarantine, injected events. The stage holds neither flit nor
-        // credit between service phases — but for a sync batch a sink's
+        // quarantine, injected events. The stage holds no credit between
+        // service phases, and no flit — but for a sync batch a sink's
         // unwind interrupted, which an abort that beats the successor's
-        // first `serve` leaves uncounted (§9.4) — so a forced abort has
-        // only the scheduler's residue to count.
+        // first `serve` leaves uncounted (§9.4), and what a worker's own
+        // flusher core holds, which `abort` dead-letters — so a forced
+        // abort has only the scheduler's residue to count lost.
         // ordering: Acquire pairs with the Release `abort` store in
         // `Runtime::drain_within` (forced-shutdown latch).
         if shared.abort.load(Ordering::Acquire) {
             abort_residuals(shared, shard, cfg.n_flows, scheduler);
+            stage.abort();
             return;
         }
         fault_tick(shared, shard, *now, stage.as_ref());
@@ -485,12 +642,13 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
         let pre_backlog = scheduler.backlog_flits() + ring.len() as u64;
 
         // Service phase: one flit per cycle of the shard's flit clock.
-        let (n, tails, starved) = stage.serve(shared, scheduler, *now, cfg.batch_flits);
+        let (n, tails) = stage.serve(shared, scheduler, *now, cfg.batch_flits);
         *now += n;
         if n > 0 {
             stats.served_flits.add(n);
             stats.served_packets.add(tails);
         }
+        let flushed = stage.flush();
         stats.backlog_flits.set(scheduler.backlog_flits());
 
         // Migration phase: advance whatever roles (thief/donor) this
@@ -522,19 +680,25 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
             }
         }
 
-        if pulled == 0 && n == 0 {
+        if pulled == 0 && n == 0 && !flushed {
             // Nothing moved. Exit only when shutdown has been
             // requested, no producer is still inside
             // `submit` (see `Shared::can_finish` — a mid-submit
             // producer could still push), everything this shard owns
-            // is drained, no migration in flight names this shard
-            // (DESIGN.md §8.6 — a mid-handoff exit would strand the
-            // victim's packets). The ring check must come after
+            // is drained — its stage included, when the stage delivers
+            // flits itself — and no migration in flight names this
+            // shard (DESIGN.md §8.6 — a mid-handoff exit would strand
+            // the victim's packets). The ring check must come after
             // `can_finish`: once that returns true no further push can
             // happen, so empty is stable — and exact: `is_empty` counts
             // claimed slots, and with no producer inside `submit` none
             // is claimed but unpublished.
-            if !migrating && shared.can_finish() && ring.is_empty() && scheduler.is_idle() {
+            if !migrating
+                && shared.can_finish()
+                && ring.is_empty()
+                && scheduler.is_idle()
+                && stage.drained()
+            {
                 break;
             }
             stats.idle_loops.add(1);
@@ -555,6 +719,7 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
                 std::thread::yield_now();
             } else {
                 debug_parks += 1;
+                let starved = stage.starved();
                 if debug_exit && debug_parks.is_multiple_of(100_000) {
                     eprintln!(
                         "[exit-debug] shard {shard} starved={starved} migrating={migrating} \
@@ -567,13 +732,16 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
                 let cell = &shared.wakes[shard];
                 let how = if starved && !polls {
                     // backstop: covered by `wake_credit_waiters` (a
-                    // credit return), `wake_worker_for_intake` (a full
-                    // ingress ring) and `drain_within`'s wakes (drain,
-                    // abort) — no arrival could be served meanwhile.
+                    // credit return), `wake_flushers` (a link opening
+                    // under flits the worker's own flusher step holds),
+                    // `wake_worker_for_intake` (a full ingress ring) and
+                    // `drain_within`'s wakes (drain, abort) — no arrival
+                    // could be served meanwhile.
                     cell.idle_unless(has_work, BACKSTOP)
                 } else {
                     // backstop: polls arrivals (a plain push never wakes),
-                    // heartbeat, thieves, credits other shards may take.
+                    // heartbeat, thieves, credits other shards may take,
+                    // and a sink that refused a flit finding room.
                     cell.idle_unless(has_work, PARK_TIMEOUT)
                 };
                 stats.parks.add(u64::from(how != Sleep::Ready));

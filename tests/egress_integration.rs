@@ -13,8 +13,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use err_runtime::{
-    AdmissionPolicy, BufferedConfig, DeadLinkPolicy, DrainReport, EgressMode, FaultPlan, Runtime,
-    RuntimeConfig, RuntimeHandle, RuntimeStats, ShardExit, StallPlan, SupervisionConfig,
+    AdmissionPolicy, BufferedConfig, DeadLinkPolicy, DrainReport, Egress, EgressMode, FaultPlan,
+    Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats, ShardExit, StallPlan, SupervisionConfig,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -313,15 +313,52 @@ fn credit_pool_bounds_buffered_flits_per_link() {
     }
 }
 
+/// A sink that records every flit. `never_blocks` is what it says of
+/// its `try_emit`: `true` has the buffered stage's worker run the
+/// flusher step itself, and no flusher thread is spawned (DESIGN.md §7).
+struct Recorder {
+    seen: Arc<Mutex<Vec<ServedFlit>>>,
+    never_blocks: bool,
+}
+
+impl Egress for Recorder {
+    fn emit(&mut self, _shard: usize, f: &ServedFlit) {
+        self.seen.lock().unwrap().push(*f);
+    }
+
+    fn try_emit(&mut self, shard: usize, f: &ServedFlit) -> bool {
+        self.emit(shard, f);
+        true
+    }
+
+    fn never_blocks(&self) -> bool {
+        self.never_blocks
+    }
+}
+
+/// What happens to link 0 of the buffered runs while the workload runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Link0 {
+    Healthy,
+    /// Frozen from flush-clock 0; only the drain lets its flits out.
+    FrozenForever,
+    /// Dead under `HoldForRecovery` while the middle third of the
+    /// workload is submitted, then resurrected: its held flits replay.
+    HeldOutage,
+}
+
 /// Buffered egress must not change *what* is scheduled, only how it is
 /// delivered: for one shard and an identical pre-loaded workload, every
-/// flow sees the identical flit sequence under sync and buffered modes.
-/// With a `fault_plan` the shard runs under supervision (DESIGN.md
-/// §9.2), so the same holds across a worker death whose successor
-/// adopts the egress stage of either mode.
-fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>) {
+/// flow sees the identical flit sequence under sync and buffered modes
+/// — the flusher on a thread of its own, or its step run by the worker
+/// for a sink that never blocks — whatever link 0 goes through. With a
+/// `fault_plan` the shard runs under supervision (DESIGN.md §9.2), so
+/// the same holds across a worker death whose successor adopts the
+/// egress stage of either mode.
+fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
+    const CREDITS: u64 = 32;
     let faulted = fault_plan.is_some();
-    let run = |egress: EgressMode| -> (Vec<ServedFlit>, DrainReport) {
+    let run = |egress: EgressMode, never_blocks: bool| -> (Vec<ServedFlit>, DrainReport) {
         let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
         let s2 = Arc::clone(&seen);
         let (rt, handle) = Runtime::start_with_egress(
@@ -335,10 +372,23 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>) {
             },
             move |_shard| {
                 let seen = Arc::clone(&s2);
-                Some(move |_s: usize, f: &ServedFlit| seen.lock().unwrap().push(*f))
+                Some(Recorder { seen, never_blocks })
             },
         );
+        let outage = rt
+            .egress_controller()
+            .filter(|_| link0 == Link0::HeldOutage);
         for id in 0..1_000u64 {
+            if let Some(ctrl) = outage {
+                if id == 333 {
+                    ctrl.declare_dead(0);
+                } else if id == 667 {
+                    // Time for the worker to serve the middle third and
+                    // fill link 0's credit window with held flits.
+                    std::thread::sleep(Duration::from_millis(50));
+                    ctrl.resurrect(0);
+                }
+            }
             handle
                 .submit(Packet::new(id, (id % 8) as usize, 1 + (id % 6) as u32, 0))
                 .unwrap();
@@ -346,51 +396,104 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>) {
         let report = rt.shutdown();
         (Arc::try_unwrap(seen).unwrap().into_inner().unwrap(), report)
     };
+    let buffered = EgressMode::Buffered(BufferedConfig {
+        ring_capacity: 256,
+        credits: CREDITS,
+        n_links: N_LINKS,
+        stall_plan: (link0 == Link0::FrozenForever).then(|| StallPlan::freeze_forever(0, 0)),
+        dead_link_policy: DeadLinkPolicy::HoldForRecovery,
+        ..BufferedConfig::default()
+    });
 
-    let (sync, sync_report) = run(EgressMode::Sync);
-    let (buf, buf_report) = run(buffered(None));
-    for report in [&sync_report, &buf_report] {
+    let (sync, sync_report) = run(EgressMode::Sync, false);
+    let (threaded, threaded_report) = run(buffered.clone(), false);
+    let (inline, inline_report) = run(buffered, true);
+    let exit = if faulted {
+        ShardExit::Panicked
+    } else {
+        ShardExit::Clean
+    };
+    for report in [&sync_report, &threaded_report, &inline_report] {
         assert!(report.is_conserving(), "{report:?}");
         assert_eq!(report.served_packets(), 1_000, "{report:?}");
         assert_eq!(report.lost_packets(), 0, "{report:?}");
-        let exit = if faulted {
-            ShardExit::Panicked
-        } else {
-            ShardExit::Clean
-        };
         assert_eq!(report.exits, [exit], "{report:?}");
     }
-    assert_eq!(sync.len(), buf.len(), "flit counts differ");
-    for flow in 0..8usize {
-        let a: Vec<(u64, u32)> = sync
-            .iter()
-            .filter(|f| f.flow == flow)
-            .map(|f| (f.packet, f.flit_index))
-            .collect();
-        let b: Vec<(u64, u32)> = buf
-            .iter()
-            .filter(|f| f.flow == flow)
-            .map(|f| (f.packet, f.flit_index))
-            .collect();
-        assert_eq!(a, b, "flow {flow} diverged between sync and buffered");
+    assert_eq!(threaded_report.flusher_exits, [ShardExit::Clean]);
+    assert!(
+        inline_report.flusher_exits.is_empty(),
+        "a sink that never blocks gets no flusher thread: {inline_report:?}"
+    );
+    assert_eq!(inline_report.all_clean(), !faulted, "{inline_report:?}");
+    for report in [&threaded_report, &inline_report] {
+        let egress = report.stats.egress.as_ref().expect("buffered snapshot");
+        assert_eq!(egress.flushed_flits(), sync.len() as u64, "{egress:?}");
+        for (i, l) in egress.links.iter().enumerate() {
+            assert_eq!(l.credits_available, CREDITS, "link {i}: credits leaked");
+            assert_eq!(l.dead_letter_flits, 0, "link {i} dead-lettered");
+        }
+        if link0 == Link0::HeldOutage {
+            assert!(egress.links[0].replayed > 0, "nothing was held: {egress:?}");
+        }
+    }
+    for (mode, buf) in [("threaded", &threaded), ("inline", &inline)] {
+        assert_eq!(sync.len(), buf.len(), "{mode}: flit counts differ");
+        for flow in 0..8usize {
+            let a: Vec<(u64, u32)> = sync
+                .iter()
+                .filter(|f| f.flow == flow)
+                .map(|f| (f.packet, f.flit_index))
+                .collect();
+            let b: Vec<(u64, u32)> = buf
+                .iter()
+                .filter(|f| f.flow == flow)
+                .map(|f| (f.packet, f.flit_index))
+                .collect();
+            assert_eq!(
+                a, b,
+                "flow {flow} diverged between sync and {mode} buffered"
+            );
+        }
     }
 }
 
 #[test]
 fn buffered_matches_sync_per_flow_sequences() {
     let _alone = one_at_a_time();
-    assert_buffered_matches_sync(None);
+    assert_buffered_matches_sync(None, Link0::Healthy);
 }
 
 /// The same equivalence across a shard death: one seeded kill in the
 /// middle of the ~3 500-flit run, and the successor carries on from the
 /// bequeathed stage — the sync stage's sink or the buffered stage's
-/// ring, parking marks and pushed count — with nothing lost in either mode.
+/// ring, parking marks and pushed count, and the flusher core and sink
+/// of a worker that steps them itself — with nothing lost in any mode.
 #[test]
 fn buffered_matches_sync_across_a_resurrection() {
     let _alone = one_at_a_time();
     let at = desim::SimRng::new(0x5EED).uniform_u32(500, 2_500);
-    assert_buffered_matches_sync(Some(FaultPlan::new().kill_shard_at(0, u64::from(at))));
+    assert_buffered_matches_sync(
+        Some(FaultPlan::new().kill_shard_at(0, u64::from(at))),
+        Link0::Healthy,
+    );
+}
+
+/// Link 0 never thaws: its flows park on the first credit window, the
+/// rest keep being served, and the drain delivers what the pending
+/// queue holds — in each flow's order.
+#[test]
+fn buffered_matches_sync_behind_a_link_frozen_until_the_drain() {
+    let _alone = one_at_a_time();
+    assert_buffered_matches_sync(None, Link0::FrozenForever);
+}
+
+/// Link 0 dies and is resurrected under `HoldForRecovery`: the flits
+/// held across the outage replay in flow-FIFO order, nothing is
+/// dead-lettered, and every credit comes back.
+#[test]
+fn buffered_matches_sync_across_a_held_link_outage() {
+    let _alone = one_at_a_time();
+    assert_buffered_matches_sync(None, Link0::HeldOutage);
 }
 
 /// A sink that panics on the flusher thread (DESIGN.md §14.4) must not
@@ -547,6 +650,240 @@ fn held_flits_replay_in_flow_fifo_order_across_an_outage() {
             .flat_map(|id| (0..LEN).map(move |ix| (id, ix)))
             .collect();
         assert_eq!(got, expect, "flow {flow} reordered across the outage");
+    }
+}
+
+/// A worker that runs its own flusher step takes over the flusher's
+/// wakes (DESIGN.md §7): with one link, one credit and the link frozen,
+/// the first flit waits behind the stall and the second has no credit,
+/// so the worker is starved and sleeps covered, on the 10 ms backstop.
+/// The thaw must end that sleep — `release_stall` wakes whoever steps
+/// past the link — not the backstop.
+#[test]
+fn a_thaw_wakes_a_worker_that_runs_its_own_flusher_step() {
+    let _alone = one_at_a_time();
+    const ROUNDS: u64 = 10;
+    let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
+    let s2 = Arc::clone(&seen);
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: 1,
+            egress: EgressMode::Buffered(BufferedConfig {
+                ring_capacity: 16,
+                credits: 1,
+                n_links: 1,
+                ..BufferedConfig::default()
+            }),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| {
+            let seen = Arc::clone(&s2);
+            Some(Recorder {
+                seen,
+                never_blocks: true,
+            })
+        },
+    );
+    let controller = rt.egress_controller().expect("buffered mode").clone();
+    let delivered = || seen.lock().unwrap().len() as u64;
+    let mut woken_by_thaw = 0;
+    for round in 0..ROUNDS {
+        controller.freeze(0);
+        for k in 0..2 {
+            handle.submit(Packet::new(2 * round + k, 0, 1, 0)).unwrap();
+        }
+        // Long enough to serve, park the link and sleep; far shorter
+        // than the backstop.
+        std::thread::sleep(Duration::from_millis(3));
+        let before = woken_parks(&handle.stats(), 0);
+        controller.release_stall(0);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while delivered() < 2 * (round + 1) {
+            assert!(Instant::now() < deadline, "round {round}: stranded");
+            std::thread::yield_now();
+        }
+        woken_by_thaw += u64::from(woken_parks(&handle.stats(), 0) > before);
+    }
+    let report = rt.shutdown();
+    assert!(report.is_conserving(), "{report:?}");
+    assert!(report.flusher_exits.is_empty(), "{report:?}");
+    // The thaw can catch the worker between two parks; it cannot do so
+    // round after round.
+    assert!(
+        woken_by_thaw >= ROUNDS / 2,
+        "the thaw ended the worker's park in only {woken_by_thaw} of {ROUNDS} rounds"
+    );
+}
+
+/// The exit duty a worker takes over from its flusher thread (DESIGN.md
+/// §7): with the drain gate closed and nothing left to serve, what a
+/// dead `HoldForRecovery` link holds can wait for no heal. The worker
+/// dead-letters it at its exit gate — counted, every credit back — and
+/// leaves; nothing reaches the sink.
+#[test]
+fn a_worker_dead_letters_what_a_dead_link_holds_before_it_exits() {
+    let _alone = one_at_a_time();
+    const CREDITS: u64 = 8;
+    const HELD: u64 = 3;
+    let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
+    let s2 = Arc::clone(&seen);
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: 1,
+            egress: EgressMode::Buffered(BufferedConfig {
+                ring_capacity: 16,
+                credits: CREDITS,
+                n_links: 1,
+                dead_link_policy: DeadLinkPolicy::HoldForRecovery,
+                ..BufferedConfig::default()
+            }),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| {
+            let seen = Arc::clone(&s2);
+            Some(Recorder {
+                seen,
+                never_blocks: true,
+            })
+        },
+    );
+    rt.egress_controller()
+        .expect("buffered mode")
+        .declare_dead(0);
+    for id in 0..HELD {
+        handle.submit(Packet::new(id, 0, 1, 0)).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.stats().served_flits() < HELD {
+        assert!(Instant::now() < deadline, "never served");
+        std::thread::yield_now();
+    }
+    let report = rt.shutdown();
+    assert!(report.is_conserving(), "{report:?}");
+    assert!(
+        report.all_clean() && report.flusher_exits.is_empty(),
+        "{report:?}"
+    );
+    let link = &report.stats.egress.as_ref().expect("buffered").links[0];
+    assert_eq!(link.dead_letter_flits, HELD, "{link:?}");
+    assert_eq!(link.credits_available, CREDITS, "{link:?}");
+    assert!(seen.lock().unwrap().is_empty());
+}
+
+/// A worker that runs its own flusher step leaves only once its core is
+/// empty (DESIGN.md §7): a flit its sink refused is still the worker's
+/// to deliver when the drain comes, so `shutdown` waits for the sink to
+/// take it — here 20 ms after start, long after the drain began.
+#[test]
+fn shutdown_waits_for_a_flit_the_sink_refused() {
+    let _alone = one_at_a_time();
+    struct Reluctant {
+        until: Instant,
+        taken: Arc<AtomicU64>,
+    }
+    impl Egress for Reluctant {
+        fn emit(&mut self, _shard: usize, _f: &ServedFlit) {
+            unreachable!("the flusher step delivers through `try_emit`");
+        }
+        fn try_emit(&mut self, _shard: usize, _f: &ServedFlit) -> bool {
+            let now = Instant::now() >= self.until;
+            self.taken.fetch_add(u64::from(now), Ordering::Relaxed);
+            now
+        }
+        fn never_blocks(&self) -> bool {
+            true
+        }
+    }
+    let taken = Arc::new(AtomicU64::new(0));
+    let t2 = Arc::clone(&taken);
+    let until = Instant::now() + Duration::from_millis(20);
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: 1,
+            egress: EgressMode::Buffered(BufferedConfig {
+                ring_capacity: 16,
+                credits: 4,
+                n_links: 1,
+                ..BufferedConfig::default()
+            }),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| {
+            let taken = Arc::clone(&t2);
+            Some(Reluctant { until, taken })
+        },
+    );
+    handle.submit(Packet::new(0, 0, 1, 0)).unwrap();
+    let report = rt.shutdown();
+    assert_eq!(
+        taken.load(Ordering::Relaxed),
+        1,
+        "the refused flit was stranded"
+    );
+    assert!(report.is_conserving() && report.all_clean(), "{report:?}");
+    let egress = report.stats.egress.as_ref().expect("buffered");
+    assert_eq!(egress.flushed_flits(), 1);
+    assert_eq!(egress.links[0].credits_available, 4);
+}
+
+/// A forced abort (DESIGN.md §9.4) leaves no flit uncounted, whoever
+/// runs the flusher step. Link 0 dies under `HoldForRecovery` before
+/// anything is served: its one flow fills the credit window with held
+/// flits and parks with the rest of its backlog, so the graceful drain
+/// cannot finish and `shutdown_within` aborts. The backlog is counted
+/// lost; the held flits are dead-lettered — by the flusher thread once
+/// the runtime is closed, or by the aborting worker that held them
+/// itself — and every credit comes back.
+#[test]
+fn a_forced_abort_dead_letters_what_a_dead_link_holds_in_either_mode() {
+    let _alone = one_at_a_time();
+    const CREDITS: u64 = 4;
+    const PACKETS: u64 = 10;
+    for never_blocks in [false, true] {
+        let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
+        let s2 = Arc::clone(&seen);
+        let (rt, handle) = Runtime::start_with_egress(
+            RuntimeConfig {
+                shards: 1,
+                n_flows: 1,
+                egress: EgressMode::Buffered(BufferedConfig {
+                    ring_capacity: 16,
+                    credits: CREDITS,
+                    n_links: 1,
+                    dead_link_policy: DeadLinkPolicy::HoldForRecovery,
+                    ..BufferedConfig::default()
+                }),
+                ..RuntimeConfig::default()
+            },
+            move |_shard| {
+                let seen = Arc::clone(&s2);
+                Some(Recorder { seen, never_blocks })
+            },
+        );
+        rt.egress_controller()
+            .expect("buffered mode")
+            .declare_dead(0);
+        for id in 0..PACKETS {
+            handle.submit(Packet::new(id, 0, 1, 0)).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while handle.stats().served_flits() < CREDITS {
+            assert!(Instant::now() < deadline, "never served");
+            std::thread::yield_now();
+        }
+        let report = rt.shutdown_within(Duration::from_millis(200));
+        let mode = if never_blocks { "inline" } else { "threaded" };
+        assert!(report.forced, "{mode}: {report:?}");
+        assert!(report.is_conserving(), "{mode}: {report:?}");
+        assert_eq!(report.lost_packets(), PACKETS - CREDITS, "{mode}");
+        assert_eq!(report.flusher_exits.is_empty(), never_blocks, "{mode}");
+        let link = &report.stats.egress.as_ref().expect("buffered").links[0];
+        assert_eq!(link.dead_letter_flits, CREDITS, "{mode}: {link:?}");
+        assert_eq!(link.credits_available, CREDITS, "{mode}: {link:?}");
+        assert!(seen.lock().unwrap().is_empty(), "{mode}");
     }
 }
 
