@@ -20,10 +20,7 @@
 //! * **try-emit-override** — every `impl Egress` must override
 //!   `try_emit` explicitly (or ack with `// try-emit:`): the trait
 //!   default delegates to the *blocking* `emit`, the PR 6 deadlock
-//!   class. A wrapper that forwards `try_emit` to an inner sink must
-//!   forward `never_blocks` too (or ack with `// never-blocks:`): its
-//!   `false` default would hide the inner sink's promise and give the
-//!   worker a flusher thread back.
+//!   class — a wrapper such as `Threaded` included.
 //! * **ordering-pairing** — `[pair: label @ file]` clauses inside
 //!   `// ordering:` comments form a cross-file graph; every clause
 //!   must resolve to a scanned file holding a matching clause that
@@ -73,8 +70,8 @@ use std::path::{Path, PathBuf};
 
 pub use rules::PASSES;
 use rules::{
-    BACKSTOP_CONST, BACKSTOP_TREES, CLAIM_FILES, DOC_RULES, FORWARD_RULES, MUTEX_FILES,
-    PAIRED_FILES, SEQCST_FILES, TRAIT_IMPL_RULES,
+    BACKSTOP_CONST, BACKSTOP_TREES, CLAIM_FILES, DOC_RULES, MUTEX_FILES, PAIRED_FILES,
+    SEQCST_FILES, TRAIT_IMPL_RULES,
 };
 
 /// How many lines above an `unsafe`/ordering site a justifying comment
@@ -611,24 +608,6 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<Violation> {
                          default delegates to the blocking `emit` (the PR 6 flusher-deadlock \
                          class); override it, or ack inheriting the default with a `// {ack}` \
                          comment"
-                    ),
-                );
-            }
-        }
-        for (trait_name, forwarded, also, ack) in FORWARD_RULES {
-            let call = format!(".{forwarded}(");
-            if is_trait_impl(&l.code, trait_name)
-                && block_has(&lines, i, |code| code.contains(&call))
-                && !block_has(&lines, i, |code| has_token(code, also))
-                && !comment_nearby(&lines, i, ack)
-            {
-                push(
-                    i,
-                    "try-emit-override",
-                    format!(
-                        "`impl {trait_name}` forwards `{forwarded}` to an inner value but not \
-                         `{also}`: the default hides what the inner value promises (the forgetful \
-                         wrapper class); forward it too, or ack with a `// {ack}` comment"
                     ),
                 );
             }
@@ -1185,37 +1164,6 @@ mod tests {
             "}\n",
         );
         assert!(lint_source("crates/x/src/a.rs", acked).is_empty());
-    }
-
-    #[test]
-    fn egress_wrapper_must_forward_never_blocks() {
-        let wrapper = |extra: &str| {
-            format!(
-                "impl<E: Egress> Egress for Wrap<E> {{\n    fn emit(&mut self, s: usize, f: &ServedFlit) {{\n        \
-                 self.0.emit(s, f);\n    }}\n    fn try_emit(&mut self, s: usize, f: &ServedFlit) -> bool {{\n        \
-                 self.0.try_emit(s, f)\n    }}\n{extra}}}\n"
-            )
-        };
-        let dropped = wrapper("");
-        let v = lint_source("crates/x/src/a.rs", &dropped);
-        assert_eq!(rules_of(&v), ["try-emit-override"]);
-        assert!(v[0].msg.contains("never_blocks"), "{v:?}");
-        let forwarded =
-            wrapper("    fn never_blocks(&self) -> bool {\n        self.0.never_blocks()\n    }\n");
-        assert!(lint_source("crates/x/src/a.rs", &forwarded).is_empty());
-        let acked = format!("// never-blocks: this wrapper sleeps per flit.\n{dropped}");
-        assert!(lint_source("crates/x/src/a.rs", &acked).is_empty());
-        // A terminal sink calls nothing's `try_emit`: not a wrapper.
-        let terminal = concat!(
-            "impl Egress for Counter {\n",
-            "    fn emit(&mut self, _s: usize, _f: &ServedFlit) { self.n += 1; }\n",
-            "    fn try_emit(&mut self, s: usize, f: &ServedFlit) -> bool {\n",
-            "        self.emit(s, f);\n",
-            "        true\n",
-            "    }\n",
-            "}\n",
-        );
-        assert!(lint_source("crates/x/src/a.rs", terminal).is_empty());
     }
 
     #[test]

@@ -32,8 +32,7 @@ pub const PASSES: &[(&str, &str)] = &[
     (
         "try-emit-override",
         "every `impl Egress` overrides `try_emit` explicitly or acks with `// try-emit:` (the PR 6 \
-         deadlock class: the default delegates to the blocking `emit`), and one that forwards \
-         `try_emit` to an inner sink forwards `never_blocks` too or acks with `// never-blocks:`",
+         deadlock class: the default delegates to the blocking `emit`)",
     ),
     (
         "ordering-pairing",
@@ -119,22 +118,9 @@ pub(crate) const MUTEX_FILES: &[&str] = &[
 ///
 /// `Egress::try_emit` is the PR 6 deadlock class: the trait default
 /// delegates to the *blocking* `emit`, so a wrapper that forgets the
-/// override turns a forwarder's polite refusal into a flusher-thread
-/// spin that starves every other link's credits.
+/// override turns a forwarder's polite refusal into a worker spin that
+/// starves every other link's credits.
 pub(crate) const TRAIT_IMPL_RULES: &[(&str, &str, &str)] = &[("Egress", "try_emit", "try-emit:")];
-
-/// Wrapper impls whose forwarding must be whole: `(trait name, method
-/// whose call on an inner value makes the impl a wrapper, method the
-/// wrapper must then define too, ack needle)`.
-///
-/// `Egress::never_blocks` defaults to `false`. A wrapper that forwards
-/// `try_emit` to its inner sink but not `never_blocks` hides the inner
-/// sink's promise: a fabric `Forwarder` behind it gets a flusher thread
-/// per shard back, every hop handed over twice: the forgetful-wrapper
-/// class `try_emit` already guards against, on the trait's newest
-/// method.
-pub(crate) const FORWARD_RULES: &[(&str, &str, &str, &str)] =
-    &[("Egress", "try_emit", "never_blocks", "never-blocks:")];
 
 /// Files whose non-Relaxed atomic sites must carry a machine-checkable
 /// `[pair: label @ file]` clause (the PR 8/9 fabric-era protocol
@@ -231,13 +217,8 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
         doc: "DESIGN.md",
         section: Some("## 7"),
         needles: &[
-            "wake_consumer",
             "wake_credit_waiters",
             "relieved",
-            "BACKOFF_FLOOR",
-            "BACKOFF_CAP",
-            "flusher_park_timeouts",
-            "flusher_idle_rounds",
             "idle_while_empty",
             "left on timers",
             // Per-batch credits (PR 17): the grant and its return, the
@@ -248,18 +229,19 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "return_grants",
             "tick_delivered",
             "credit_delivered",
-            "wake_flushers",
+            "wake_workers",
             "no stash",
-            // Who runs the step: a sink that never blocks gets
-            // no flusher thread, and the worker takes over its duties.
-            "never_blocks",
-            "InlineFlusher",
+            // Who runs the step: the worker, always; a sink that may
+            // block brings its own thread in a `Threaded` adapter.
+            "Threaded",
+            "opts into a thread by composition",
+            "Producer::has_room",
+            "ring_full_spins",
             "EgressStage::flush",
             "EgressStage::drained",
             "EgressStage::abort",
             "FlusherCore::settle",
             "finalize_dead_letters",
-            "one thread where nothing blocks",
         ],
     },
     // §8 vocabulary: the slot machine's phases, the one mover's parts,
@@ -288,7 +270,7 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "linearization",
             // The §8.7 fence, and the slot-persisted step a resurrected
             // donor replays.
-            "FlushProgress",
+            "FlusherCore::retired",
             "resurrection",
         ],
     },
@@ -331,7 +313,6 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "panic-boundary",
             "[pair:",
             "HandleTable",
-            "FlushProgress",
             "HoldForRecovery",
             // The hand-off cell (PR 14) and its model/mutant pair.
             "WakeCell",
@@ -366,9 +347,10 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "Forwarder",
             "FabricFaultPlan",
             "try_emit",
-            // The Forwarder never blocks, so its node's worker runs it.
-            "never_blocks",
-            "one thread per shard",
+            // The Forwarder accepts or refuses at once, so its node's
+            // worker runs it bare in the flusher step.
+            "runs bare",
+            "flusher step",
             "route_table",
             "dimension-order",
             "ECMP",
@@ -422,12 +404,11 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "speedup",
             "fabric_heal",
             "fabric_flap",
-            // The four fabric-era models (PR 10) must stay in the
-            // interleaving-count / mutant-kill matrix.
+            // The three fabric-era models (PR 10) still shipped must
+            // stay in the interleaving-count / mutant-kill matrix.
             "model_credit_hold_refused_try_emit",
             "model_handle_table_swap_mid_handoff",
             "model_hold_for_recovery_resurrect_vs_finalize",
-            "model_flush_progress_retire_fence",
             // The wake handshake (PR 14): model, mutant, and the
             // ledger table its gain is stated against.
             "model_wake_handshake_no_lost_wakeup",

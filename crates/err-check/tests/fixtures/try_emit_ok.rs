@@ -1,6 +1,5 @@
 // Passing fixture: the wrapper forwards both delivery paths, so the
-// inner sink's refusal stays a refusal, and what the inner sink says of
-// its `try_emit` stays said.
+// inner sink's refusal stays a refusal.
 impl<E: Egress> Egress for TracingSink<E> {
     fn emit(&mut self, shard: usize, flit: &ServedFlit) {
         self.log.push((shard, flit.packet));
@@ -13,10 +12,6 @@ impl<E: Egress> Egress for TracingSink<E> {
         }
         self.log.push((shard, flit.packet));
         true
-    }
-
-    fn never_blocks(&self) -> bool {
-        self.inner.never_blocks()
     }
 }
 

@@ -34,14 +34,6 @@ fn try_emit_fixture_passing() {
     assert!(lint_source("crates/x/src/sink.rs", src).is_empty());
 }
 
-#[test]
-fn never_blocks_fixture_violating() {
-    let src = include_str!("fixtures/never_blocks_dropped.rs");
-    let v = lint_source("crates/x/src/sink.rs", src);
-    assert_eq!(rules_of(&v), ["try-emit-override"]);
-    assert!(v[0].msg.contains("never_blocks"));
-}
-
 // ---------------------------------------------------------------------
 // ordering-pairing
 // ---------------------------------------------------------------------

@@ -13,8 +13,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use err_egress::{
-    spsc_ring, CreditPool, DeadLinkPolicy, Egress, FlushProgress, FlusherCore, LinkSet, ServedFlit,
-    Sleep, WakeCell,
+    spsc_ring, CreditPool, DeadLinkPolicy, Egress, FlusherCore, LinkSet, ServedFlit, Sleep,
+    WakeCell,
 };
 use err_fabric::HandleTable;
 use err_runtime::channel::MpscRing;
@@ -327,10 +327,9 @@ fn model_flow_map_window_dekker() {
 
 // ---------------------------------------------------------------------
 // Fabric-era shipped models (DESIGN.md §10): the refused-try_emit
-// credit hold, the handle-table incarnation swap, the
-// HoldForRecovery resurrect/finalize race, and the FlushProgress
-// retire fence — each driven through the *shipped* types
-// (FlusherCore, LinkSet, HandleTable, FlushProgress), not miniatures.
+// credit hold, the handle-table incarnation swap, and the
+// HoldForRecovery resurrect/finalize race — each driven through the
+// *shipped* types (FlusherCore, LinkSet, HandleTable), not miniatures.
 // ---------------------------------------------------------------------
 
 /// The §11.2 refused-`try_emit` protocol through the shipped
@@ -552,73 +551,6 @@ fn model_hold_for_recovery_resurrect_vs_finalize() {
     });
     println!(
         "model_hold_for_recovery_resurrect_vs_finalize: {} interleavings (complete={})",
-        report.executions, report.complete
-    );
-    assert!(report.complete, "bounded DFS must exhaust");
-}
-
-/// The §8.7 retire fence through the shipped `FlusherCore` +
-/// `FlushProgress`: a donor spins on `retired()` until the victim's
-/// two flits are disposed, then reads the delivery log the sink wrote.
-/// The conditional Release publish (pending-free instants only) →
-/// Acquire `retired` load must carry the sink's writes, or the donor
-/// flips a flow's home while its flits are still in flight.
-#[test]
-fn model_flush_progress_retire_fence() {
-    struct LogSink {
-        log: Arc<UnsafeCell<u64>>,
-    }
-    impl Egress for LogSink {
-        fn emit(&mut self, _shard: usize, _flit: &ServedFlit) {
-            unreachable!("the flusher delivers through try_emit only");
-        }
-        fn try_emit(&mut self, _shard: usize, _flit: &ServedFlit) -> bool {
-            self.log.with_mut(|p| unsafe { *p += 1 });
-            true
-        }
-    }
-
-    let mut b = Builder::new();
-    b.max_preemptions = Some(2);
-    b.max_iterations = 2_000_000;
-    let report = b.check(|| {
-        let links = Arc::new(LinkSet::new(1, 2));
-        let progress = Arc::new(FlushProgress::default());
-        let log = Arc::new(UnsafeCell::new(0u64));
-        let (mut tx, rx) = spsc_ring::<ServedFlit>(2);
-        assert!(links.try_acquire(0));
-        assert!(links.try_acquire(0));
-        tx.push(served(0, 1)).expect("ring has room");
-        tx.push(served(0, 2)).expect("ring has room");
-        let flusher = {
-            let (links, progress, log) =
-                (Arc::clone(&links), Arc::clone(&progress), Arc::clone(&log));
-            thread::spawn(move || {
-                let mut core = FlusherCore::new(0, rx, 1);
-                let mut sink = LogSink { log };
-                let mut delivered = 0u64;
-                while delivered < 2 {
-                    delivered += core.step(&links, None, &mut sink);
-                    core.publish_progress(&progress);
-                    thread::yield_now();
-                }
-                core.publish_progress(&progress);
-            })
-        };
-        // The donor's egress-retire fence: wait for the watermark,
-        // then act on state the flusher's sink wrote.
-        while progress.retired() < 2 {
-            thread::yield_now();
-        }
-        assert_eq!(
-            log.with(|p| unsafe { *p }),
-            2,
-            "retired() >= s must carry the first s deliveries"
-        );
-        flusher.join().expect("flusher");
-    });
-    println!(
-        "model_flush_progress_retire_fence: {} interleavings (complete={})",
         report.executions, report.complete
     );
     assert!(report.complete, "bounded DFS must exhaust");
@@ -1122,38 +1054,6 @@ fn mutant_hold_for_recovery_heal_relaxed() {
             let ready = downstream.with(|p| unsafe { *p });
             assert_eq!(ready, 1);
             healer.join().expect("healer");
-        });
-    });
-}
-
-/// The retire-fence publish (`model_flush_progress_retire_fence`)
-/// weakened: the flusher publishes its watermark with a Relaxed store
-/// after the delivery writes it vouches for, so the donor's Acquire
-/// `retired()` load carries nothing and its post-fence read of the
-/// delivery log is a data race.
-#[test]
-fn mutant_flush_progress_publish_relaxed() {
-    use loom::sync::atomic::{AtomicU64, Ordering};
-    expect_violation("flush_progress_publish_relaxed", || {
-        Builder::new().check(|| {
-            let watermark = Arc::new(AtomicU64::new(0));
-            let log = Arc::new(UnsafeCell::new(0u64));
-            let flusher = {
-                let (watermark, log) = (Arc::clone(&watermark), Arc::clone(&log));
-                thread::spawn(move || {
-                    log.with_mut(|p| unsafe { *p += 1 });
-                    // MUTATION: shipped `publish` stores with Release.
-                    watermark.store(1, Ordering::Relaxed);
-                })
-            };
-            // The donor's fence: wait for the watermark, then act on
-            // the deliveries behind it.
-            while watermark.load(Ordering::Acquire) < 1 {
-                thread::yield_now();
-            }
-            let seen = log.with(|p| unsafe { *p });
-            assert_eq!(seen, 1);
-            flusher.join().expect("flusher");
         });
     });
 }

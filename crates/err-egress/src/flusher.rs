@@ -1,19 +1,18 @@
-//! The flusher: one per shard, draining that shard's output ring.
+//! The flusher step: one core per shard, draining that shard's output
+//! ring.
 //!
-//! The flusher is the boundary between the scheduler's flit clock and
-//! the downstream's delivery clock — the decoupling the paper's
-//! analysis presumes. [`FlusherCore::step`] is the whole of it;
-//! [`run_flusher`] runs it on a thread of its own, which is what a sink
-//! that may block needs. For a sink whose `try_emit` never blocks
-//! ([`Egress::never_blocks`]) the shard worker runs the same `step`
-//! itself after every service batch, and no thread is spawned
-//! (`err-runtime`, DESIGN.md §7); the rest of this page describes the
-//! thread. A step pops flits from the shard's SPSC ring, routes
-//! each to its link, and delivers through the caller's sink unless the
-//! link is frozen, in which case the flit waits in a per-link pending
-//! queue. Pending flits hold their link credits, so a frozen link's
-//! buffered backlog is bounded by the credit pool no matter how long
-//! the stall lasts.
+//! The step is the boundary between the scheduler's flit clock and the
+//! downstream's delivery clock — the decoupling the paper's analysis
+//! presumes. [`FlusherCore::step`] is the whole of it, and the shard
+//! worker runs it itself after every service batch (`err-runtime`,
+//! DESIGN.md §7): no thread stands between scheduler and sink. A step
+//! pops flits from the shard's SPSC ring, routes each to its link, and
+//! delivers through the caller's sink unless the link is frozen, in
+//! which case the flit waits in a per-link pending queue. Pending flits
+//! hold their link credits, so a frozen link's buffered backlog is
+//! bounded by the credit pool no matter how long the stall lasts. A
+//! sink that may block brings its own thread ([`Threaded`]), and the
+//! step only ever hands it a flit or hears it refuse.
 //!
 //! Ordering: per-link order is exactly ring order (pending queues are
 //! drained before fresh ring flits for the same link); flits of
@@ -23,38 +22,20 @@
 //! Credits (DESIGN.md §7): deliveries tick the flush clock one by one
 //! but their credits go back in batches — a per-link tally, returned
 //! whenever it reaches half the link's pool and, for the rest, when
-//! the step ends — so a worker serving beside the flusher is refilled
-//! mid-step and every credit is back when `step` returns, by whatever
-//! path it returns.
+//! the step ends — so every credit is back when `step` returns, by
+//! whatever path it returns. [`FlusherCore::settle`] then wakes every
+//! worker parked on the shared [`LinkSet`].
 //!
-//! Hand-offs (DESIGN.md §6, §7): a flusher with an empty ring sleeps
-//! on the ring's wake cell and its worker wakes it once per service
-//! phase that committed flits; a step that returned credits wakes
-//! every worker parked on the shared [`LinkSet`]. That sleep is
-//! *covered* — a ring push, the shutdown latch, and every transition
-//! that opens a link pending flits wait behind (thaw, death,
-//! resurrect, drain) are all announced — and its timer is only the
-//! [`BACKSTOP`]; unless a flit is pending behind an *open* link, which
-//! means the sink refused it. Nobody announces a refusing sink
-//! finding room: there the back-off timer below is the wake-up, and
-//! stays short.
+//! Retire watermark (DESIGN.md §8.7): [`FlusherCore::retired`] is the
+//! pop count at the last pending-free settle — the cursor a stealing
+//! donor compares its push count against before a flow's home flips.
+//! The worker that pushes is the worker that steps, so it is a plain
+//! counter read on the thread that writes it.
 //!
-//! Idle path (DESIGN.md §7): after a step that moved nothing the
-//! flusher takes a couple of looks
-//! ([`WakeCell::idle_unless`](crate::WakeCell::idle_unless)) at the
-//! very predicate its sleep re-checks (ring non-empty, the `closed`
-//! latch, a blocked link opening) — never another whole
-//! [`FlusherCore::step`] — and sleeps. A flit the sink refused is therefore offered again
-//! once per wake or back-off expiry, not once per spin.
+//! [`Threaded`]: crate::Threaded
 
 use std::collections::VecDeque;
-// The `FlushProgress` watermark goes through the loom shim so the
-// §8.7 retire fence is model-checkable; the `closed` latch crosses
-// the runtime↔egress crate boundary in `run_flusher`'s signature and
-// stays a std atomic (models drive `FlusherCore::step` directly).
-use crate::sync::{AtomicU64, Ordering};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
 use err_sched::ServedFlit;
 
@@ -62,74 +43,14 @@ use crate::link::{DeadLinkPolicy, LinkSet};
 use crate::spsc::Consumer;
 use crate::stall::StallInjector;
 use crate::stats::ShardEgressStats;
-use crate::wake::{Sleep, BACKSTOP};
 use crate::Egress;
 
 /// Max ring pops per [`FlusherCore::step`] call, so one step can't
-/// monopolize the thread when the worker is producing at full tilt.
+/// monopolize the worker when it has pushed a whole batch.
 const BURST: usize = 256;
 
-/// First sleep that polls a refusing sink. Doubles per idle round.
-const BACKOFF_FLOOR: std::time::Duration = std::time::Duration::from_micros(5);
-
-/// Parking cap: the longest a flusher sleeps between offers of a flit
-/// its sink refused. Bounds wake-up latency when the refusing sink
-/// finds room — an event nobody announces; fresh ring flits end the
-/// sleep early through the wake cell. The cap matters for throughput,
-/// not just latency: pending flits hold link credits, and with small
-/// credit pools the workers park flows and stall behind them — a 1 ms
-/// cap measurably regressed the stalled-downstream bench at 4-8 shards
-/// on an oversubscribed core, so the cap stays within 2x of the fixed
-/// 50 us period it replaced.
-const BACKOFF_CAP: std::time::Duration = std::time::Duration::from_micros(100);
-
-/// The flusher's retire watermark (DESIGN.md §8.7): a single monotone
-/// cursor a stealing donor reads to prove its victim's flits have left
-/// the egress path before the flow's home flips.
-///
-/// The value is the flusher's cumulative ring-pop count, published
-/// **only at pending-free instants** — moments when every popped flit
-/// has been delivered or dead-lettered. Because pops follow ring order
-/// and the worker's pushes follow service order, `retired() >= s`
-/// proves the first `s` flits the worker ever pushed are all disposed.
-/// A two-counter design (pops + pending gauge) would admit a
-/// publication race where a reader pairs a fresh pop count with a stale
-/// gauge; the single conditional watermark cannot.
-pub struct FlushProgress {
-    watermark: AtomicU64,
-}
-
-impl Default for FlushProgress {
-    fn default() -> Self {
-        Self {
-            watermark: AtomicU64::new(0),
-        }
-    }
-}
-
-impl FlushProgress {
-    /// The latest pending-free pop count: every one of the first
-    /// `retired()` flits pushed to this shard's ring has been delivered
-    /// or dead-lettered.
-    pub fn retired(&self) -> u64 {
-        // ordering: Acquire pairs with the Release publish in
-        // `FlusherCore::publish_progress` — a donor that reads
-        // `retired() >= s` must also observe the deliveries behind it
-        // (modeled: model_flush_progress_retire_fence).
-        // [pair: flush-retire @ self]
-        self.watermark.load(Ordering::Acquire)
-    }
-
-    fn publish(&self, popped: u64) {
-        // ordering: Release — see `retired`. Monotone by construction:
-        // `popped` never decreases and only this flusher writes.
-        // [pair: flush-retire @ self]
-        self.watermark.store(popped, Ordering::Release);
-    }
-}
-
-/// Single-threaded flusher state machine. Split from the thread loop so
-/// tests (and proptests) can drive it step-by-step deterministically.
+/// Single-threaded flusher state machine: the shard worker steps it,
+/// and tests (and proptests) drive it step by step deterministically.
 pub struct FlusherCore {
     shard: usize,
     rx: Consumer<ServedFlit>,
@@ -137,8 +58,11 @@ pub struct FlusherCore {
     /// per link, in ring order.
     pending: Vec<VecDeque<ServedFlit>>,
     pending_total: usize,
-    /// Cumulative ring pops; the raw material of [`FlushProgress`].
+    /// Cumulative ring pops.
     popped: u64,
+    /// `popped` at the last pending-free [`settle`](Self::settle): the
+    /// §8.7 retire watermark.
+    retired: u64,
     /// Flits delivered since the last [`take_delivered`]. Kept here,
     /// not in a local of `step`, so a step the sink unwound still
     /// counts what it delivered (DESIGN.md §14.4).
@@ -168,6 +92,7 @@ impl FlusherCore {
             pending: (0..n_links).map(|_| VecDeque::new()).collect(),
             pending_total: 0,
             popped: 0,
+            retired: 0,
             delivered: 0,
             tally: vec![0; n_links],
             dead_lettered: 0,
@@ -180,13 +105,13 @@ impl FlusherCore {
         self.popped
     }
 
-    /// Publishes the retire watermark when (and only when) no popped
-    /// flit is still pending — the §8.7 invariant `FlushProgress`
-    /// documents. [`settle`](Self::settle) calls this after every step.
-    pub fn publish_progress(&self, progress: &FlushProgress) {
-        if self.pending_total == 0 {
-            progress.publish(self.popped);
-        }
+    /// The retire watermark (DESIGN.md §8.7): the pop count at the
+    /// last [`settle`](Self::settle) that found no popped flit pending.
+    /// Pops follow ring order and the worker's pushes follow service
+    /// order, so `retired() >= s` proves the first `s` flits the worker
+    /// ever pushed were all delivered or dead-lettered.
+    pub fn retired(&self) -> u64 {
+        self.retired
     }
 
     /// Flits currently parked behind `link`'s stall.
@@ -202,7 +127,7 @@ impl FlusherCore {
     }
 
     /// Flits dead-lettered since the last call; resets the counter.
-    /// The flusher loops use this as a progress signal — a burst of
+    /// [`settle`](Self::settle) reports it as progress — a burst of
     /// dead-letters is work done even though nothing reached the sink.
     pub fn take_dead_lettered(&mut self) -> u64 {
         std::mem::take(&mut self.dead_lettered)
@@ -213,65 +138,16 @@ impl FlusherCore {
         self.pending_total == 0 && self.rx.is_empty()
     }
 
-    /// Makes the calling thread the one the worker's
-    /// [`Producer::wake_consumer`](crate::spsc::Producer::wake_consumer)
-    /// unparks; the thread loop calls it once on entry.
-    pub fn register_sleeper(&self) {
-        self.rx.register_sleeper();
-    }
-
-    /// One idle phase of the flusher thread, after a step that moved
-    /// nothing: a couple of looks at the wake predicate, then a
-    /// park; says how it ended and whether the park was a poll. A flit
-    /// pending behind an *open* link was refused by the sink, and
-    /// nobody announces the sink finding room: `poll` is then the
-    /// timer, and the wake-up — the flit is offered again when this
-    /// returns, never from inside the spin. Everything else the flusher
-    /// can wait for is announced and read by the predicate — a ring
-    /// push, the `closed` latch, a blocked link with pending flits
-    /// opening — so that sleep is covered.
-    pub fn idle(
-        &mut self,
-        links: &LinkSet,
-        closed: &AtomicBool,
-        poll: std::time::Duration,
-    ) -> (Sleep, bool) {
-        let Self { rx, pending, .. } = self;
-        // ordering: Acquire pairs with the runtime's Release
-        // `egress_closed` store, which its wake of this cell follows
-        // (err-runtime drain_within) — the sleep's re-check is
-        // sequenced after the cell's announcing swap, so a latch whose
-        // wake found the flag clear is seen here.
-        // [pair: egress-closed @ crates/err-runtime/src/lib.rs]
-        let closed = || closed.load(Ordering::Acquire);
-        let open = || (pending.iter().enumerate()).any(|(l, q)| !q.is_empty() && !links.blocked(l));
-        if open() {
-            // backstop: polls a refusing sink finding room — what a
-            // flit pending behind an open link waits for.
-            (rx.idle_while_empty(closed, poll), true)
-        } else {
-            // backstop: covered by `wake_consumer` (a ring push) and
-            // `wake_flushers` (the `closed` latch; a thaw, death,
-            // `resurrect` or drain of a link with pending flits).
-            let ready = || closed() || open();
-            (rx.idle_while_empty(ready, BACKSTOP), false)
-        }
-    }
-
-    /// The bookkeeping after every step, whoever runs it (the thread
-    /// loop, or a shard worker stepping the core itself): counts the
-    /// deliveries into `stats`, publishes the retire watermark, wakes
-    /// the credit waiters. Returns `(delivered, dead-lettered)` since
-    /// the last call.
-    pub fn settle(
-        &mut self,
-        links: &LinkSet,
-        stats: &ShardEgressStats,
-        progress: &FlushProgress,
-    ) -> (u64, u64) {
+    /// The bookkeeping after every step: counts the deliveries into
+    /// `stats`, advances the retire watermark when nothing popped is
+    /// pending, wakes the credit waiters. Returns `(delivered,
+    /// dead-lettered)` since the last call.
+    pub fn settle(&mut self, links: &LinkSet, stats: &ShardEgressStats) -> (u64, u64) {
         let delivered = self.take_delivered();
         let dead = self.take_dead_lettered();
-        self.publish_progress(progress);
+        if self.pending_total == 0 {
+            self.retired = self.popped;
+        }
         // Once per step, after all of its credit returns. Not gated on
         // this step's counts: the mark may stand for a credit a guard
         // returned while the previous step unwound.
@@ -475,11 +351,10 @@ impl FlusherCore {
         self.dead_seen[link] = false;
     }
 
-    /// Fail-stop pump for a flusher whose sink is gone (it unwound,
-    /// DESIGN.md §14.4): every pending flit and everything in the ring
-    /// is dead-lettered, whatever its link's state — credits return,
-    /// so the worker keeps serving and can drain. Progress shows in
-    /// [`take_dead_lettered`](Self::take_dead_lettered).
+    /// Forced-abort settlement (DESIGN.md §9.4): every pending flit and
+    /// everything in the ring is dead-lettered, whatever its link's
+    /// state, and every credit returns. Never calls the sink. Progress
+    /// shows in [`take_dead_lettered`](Self::take_dead_lettered).
     pub fn dead_letter_all(&mut self, links: &LinkSet) {
         for link in 0..self.pending.len() {
             self.dead_letter_pending(link, links);
@@ -493,10 +368,10 @@ impl FlusherCore {
 
     /// Shutdown path for [`DeadLinkPolicy::HoldForRecovery`]: a dead
     /// link blocks even in drain mode, so flits held behind it would
-    /// strand the flusher forever. Once the runtime is closed, the
-    /// thread loop calls this to dead-letter every flit still held
-    /// behind a dead link — the honest outcome when the downstream
-    /// never came back. Returns the number dead-lettered.
+    /// strand the worker forever. Once nothing more will be pushed,
+    /// [`finish`](Self::finish) calls this to dead-letter every flit
+    /// still held behind a dead link — the honest outcome when the
+    /// downstream never came back. Returns the number dead-lettered.
     pub fn finalize_dead_letters(&mut self, links: &LinkSet) -> u64 {
         let mut n = 0u64;
         for link in 0..self.pending.len() {
@@ -521,95 +396,12 @@ impl FlusherCore {
     }
 }
 
-/// Thread body: pumps `core` until `closed` is set *and* everything
-/// buffered has been delivered. The runtime sets `closed` only after
-/// the shard worker has exited and [`LinkSet::set_draining`] is on, so
-/// exit implies no flit is stranded.
-///
-/// Flusher supervision (DESIGN.md §14.4): `core` is owned outside a
-/// `catch_unwind` fence around the sink. A sink that unwinds is counted
-/// in [`ShardEgressStats::flusher_panics`] and never called again; the
-/// thread keeps pumping in fail-stop mode — everything the shard still
-/// commits is dead-lettered, so credits keep returning and the worker
-/// can drain — and re-raises the panic once closed and empty, so the
-/// join reports it. A dead flusher never wedges a shutdown.
-pub fn run_flusher<E: Egress>(
-    mut core: FlusherCore,
-    links: Arc<LinkSet>,
-    injector: Option<Arc<StallInjector>>,
-    closed: Arc<AtomicBool>,
-    stats: Arc<ShardEgressStats>,
-    progress: Arc<FlushProgress>,
-    mut sink: E,
-) {
-    let inj = injector.as_deref();
-    core.register_sleeper();
-    let fenced = std::panic::AssertUnwindSafe(|| {
-        pump(&mut core, &links, &closed, &stats, &progress, |core| {
-            core.step(&links, inj, &mut sink);
-        })
-    });
-    if let Err(payload) = std::panic::catch_unwind(fenced) {
-        stats.flusher_panics.fetch_add(1, Ordering::Relaxed);
-        pump(&mut core, &links, &closed, &stats, &progress, |core| {
-            core.dead_letter_all(&links)
-        });
-        std::panic::resume_unwind(payload);
-    }
-}
-
-/// The flusher loop around one `step`: settle it (what a step that
-/// unwound delivered shows up in the next round's count), idle when
-/// nothing moved, exit once closed and empty.
-fn pump(
-    core: &mut FlusherCore,
-    links: &LinkSet,
-    closed: &AtomicBool,
-    stats: &ShardEgressStats,
-    progress: &FlushProgress,
-    mut step: impl FnMut(&mut FlusherCore),
-) {
-    let mut backoff = BACKOFF_FLOOR;
-    loop {
-        step(core);
-        let (n, dead) = core.settle(links, stats, progress);
-        if n > 0 || dead > 0 {
-            backoff = BACKOFF_FLOOR;
-            continue;
-        }
-        // Nothing deliverable and the worker is gone: whatever is
-        // still pending behind a dead HoldForRecovery link is
-        // dead-lettered so shutdown terminates (§9.3).
-        // ordering: Acquire pairs with the runtime's Release
-        // `egress_closed` store at shutdown (err-runtime
-        // drain_within) — the one-way "workers are gone" latch.
-        // [pair: egress-closed @ crates/err-runtime/src/lib.rs]
-        if closed.load(Ordering::Acquire) && core.finish(links) {
-            return;
-        }
-        stats.flusher_idle_rounds.fetch_add(1, Ordering::Relaxed);
-        // Idle: a couple of looks, then sleep until the worker's next
-        // batch wakes us. A poll's timeout backs off exponentially
-        // from BACKOFF_FLOOR to BACKOFF_CAP, so a sink refusing for
-        // seconds costs one offer per BACKOFF_CAP.
-        let (how, polled) = core.idle(links, closed, backoff);
-        if how == Sleep::Ready {
-            continue;
-        }
-        stats.flusher_parks.fetch_add(1, Ordering::Relaxed);
-        if how == Sleep::TimedOut {
-            stats.flusher_park_timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-        if polled {
-            backoff = (backoff * 2).min(BACKOFF_CAP);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spsc::spsc_ring;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     fn flit(flow: usize, packet: u64, idx: u32, len: u32) -> ServedFlit {
         ServedFlit {
@@ -860,9 +652,11 @@ mod tests {
     #[test]
     fn resurrect_racing_shutdown_strands_no_flit() {
         // Threaded regression for the same race: a resurrect fired from
-        // another thread while the closed flusher is finalizing must
+        // another thread while the closed stepper is finalizing must
         // leave every flit either delivered or dead-lettered — never
-        // stranded — and every credit returned.
+        // stranded — and every credit returned. The stepper is the
+        // worker's exit loop in miniature: step, settle, and leave once
+        // closed and `finish` says the core is idle.
         for round in 0..50u64 {
             let links = Arc::new(LinkSet::with_fault_policy(
                 1,
@@ -871,13 +665,10 @@ mod tests {
                 DeadLinkPolicy::HoldForRecovery,
             ));
             let closed = Arc::new(AtomicBool::new(false));
-            let stats = Arc::new(ShardEgressStats::default());
-            let progress = Arc::new(FlushProgress::default());
             let (mut tx, rx) = spsc_ring(32);
-            let wake = rx.wake_cell();
-            let core = FlusherCore::new(0, rx, 1);
+            let mut core = FlusherCore::new(0, rx, 1);
             let out = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let sink = {
+            let mut sink = {
                 let out = Arc::clone(&out);
                 move |_s: usize, f: &ServedFlit| out.lock().unwrap().push(f.packet)
             };
@@ -889,15 +680,21 @@ mod tests {
             }
             let h = {
                 let (links, closed) = (Arc::clone(&links), Arc::clone(&closed));
-                let (stats, progress) = (Arc::clone(&stats), Arc::clone(&progress));
                 std::thread::spawn(move || {
-                    run_flusher(core, links, None, closed, stats, progress, sink)
+                    let stats = ShardEgressStats::default();
+                    loop {
+                        core.step(&links, None, &mut sink);
+                        core.settle(&links, &stats);
+                        if closed.load(Ordering::Acquire) && core.finish(&links) {
+                            return;
+                        }
+                        std::thread::yield_now();
+                    }
                 })
             };
             // Jitter the interleaving: closed first, resurrect racing
             // the finalize that close triggers.
             closed.store(true, Ordering::Release);
-            wake.wake();
             for _ in 0..(round % 7) * 40 {
                 std::hint::spin_loop();
             }
@@ -941,214 +738,38 @@ mod tests {
     }
 
     #[test]
-    fn run_flusher_drains_and_exits() {
-        let links = Arc::new(LinkSet::new(2, 64));
-        let closed = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ShardEgressStats::default());
-        let (mut tx, rx) = spsc_ring(64);
-        let wake = rx.wake_cell();
-        let core = FlusherCore::new(3, rx, 2);
-        let out = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = {
-            let out = Arc::clone(&out);
-            move |s: usize, f: &ServedFlit| out.lock().unwrap().push((s, f.packet))
-        };
-        let progress = Arc::new(FlushProgress::default());
-        let h = {
-            let links = Arc::clone(&links);
-            let closed = Arc::clone(&closed);
-            let stats = Arc::clone(&stats);
-            let progress = Arc::clone(&progress);
-            std::thread::spawn(move || {
-                run_flusher(core, links, None, closed, stats, progress, sink)
-            })
-        };
-        for i in 0..100u64 {
-            links.try_acquire((i % 2) as usize);
-            let mut f = flit((i % 2) as usize, i, 0, 1);
-            loop {
-                match tx.push(f) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        f = back;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-        // The shutdown protocol: latch, then wake the flusher's cell.
-        closed.store(true, Ordering::Release);
-        wake.wake();
-        h.join().unwrap();
-        let out = out.lock().unwrap();
-        assert_eq!(out.len(), 100, "no flit stranded");
-        assert!(out.iter().all(|&(s, _)| s == 3), "shard id propagated");
-        assert_eq!(stats.snapshot().flushed_flits, 100);
-        assert_eq!(links.flush_clock(), 100);
-        assert_eq!(
-            progress.retired(),
-            100,
-            "watermark reaches the full pop count once everything retired"
-        );
-    }
-
-    #[test]
-    fn thaw_wakes_a_flusher_asleep_over_pending_flits() {
-        // A flit pending behind a frozen link waits for the thaw, and
-        // the thaw is announced: the flusher's covered sleep must end
-        // by `release_stall`'s wake, not by its 10 ms backstop.
-        let mut links = LinkSet::new(1, 8);
-        let (mut tx, rx) = spsc_ring(16);
-        links.set_flusher_wakes(vec![rx.wake_cell()]);
-        let links = Arc::new(links);
-        let closed = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ShardEgressStats::default());
-        let delivered = Arc::new(AtomicU64::new(0));
-        let flusher = {
-            let (links, closed, stats) =
-                (Arc::clone(&links), Arc::clone(&closed), Arc::clone(&stats));
-            let delivered = Arc::clone(&delivered);
-            let sink = move |_s: usize, _f: &ServedFlit| {
-                delivered.fetch_add(1, Ordering::Release);
-            };
-            let core = FlusherCore::new(0, rx, 1);
-            let progress = Arc::new(FlushProgress::default());
-            std::thread::spawn(move || {
-                run_flusher(core, links, None, closed, stats, progress, sink)
-            })
-        };
-        let woken = || {
-            let s = stats.snapshot();
-            s.flusher_parks - s.flusher_park_timeouts
-        };
-        const ROUNDS: u64 = 10;
-        let mut woken_by_thaw = 0;
-        for round in 0..ROUNDS {
-            links.freeze(0);
-            assert!(links.try_acquire(0));
-            tx.push(flit(0, round, 0, 1)).unwrap();
-            tx.wake_consumer();
-            // Long enough to pop the flit, find the link frozen, spin
-            // and park; far shorter than the backstop.
-            std::thread::sleep(std::time::Duration::from_millis(3));
-            let before = woken();
-            links.release_stall(0);
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-            while delivered.load(Ordering::Acquire) <= round {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "round {round}: stranded"
-                );
-                std::thread::yield_now();
-            }
-            woken_by_thaw += u64::from(woken() > before);
-        }
-        closed.store(true, Ordering::Release);
-        links.wake_flushers();
-        flusher.join().unwrap();
-        // The thaw can catch the flusher between two parks; it cannot
-        // do so round after round.
-        assert!(
-            woken_by_thaw >= ROUNDS / 2,
-            "the thaw ended the flusher's park in only {woken_by_thaw} of {ROUNDS} rounds"
-        );
-    }
-
-    #[test]
-    fn a_refused_flit_is_offered_again_per_park_not_per_spin() {
-        // One flit behind an open link, a sink that refuses it for
-        // 50 ms, nothing else pushed: the flusher polls (DESIGN.md §7),
-        // and every offer but the first must follow a park — a wake or
-        // a back-off expiry — never a look of the idle spin.
-        struct Refusing {
-            until: std::time::Instant,
-            calls: Arc<AtomicU64>,
-        }
-        impl Egress for Refusing {
-            fn emit(&mut self, _shard: usize, _flit: &ServedFlit) {
-                unreachable!("the flusher delivers through `try_emit`");
-            }
-            fn try_emit(&mut self, _shard: usize, _flit: &ServedFlit) -> bool {
-                self.calls.fetch_add(1, Ordering::Relaxed);
-                std::time::Instant::now() >= self.until
-            }
-        }
-        let links = Arc::new(LinkSet::new(1, 8));
-        let closed = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ShardEgressStats::default());
-        let calls = Arc::new(AtomicU64::new(0));
-        let (mut tx, rx) = spsc_ring(16);
-        let wake = rx.wake_cell();
-        let sink = Refusing {
-            until: std::time::Instant::now() + std::time::Duration::from_millis(50),
-            calls: Arc::clone(&calls),
-        };
-        let flusher = {
-            let (links, closed, stats) =
-                (Arc::clone(&links), Arc::clone(&closed), Arc::clone(&stats));
-            let core = FlusherCore::new(0, rx, 1);
-            let progress = Arc::new(FlushProgress::default());
-            std::thread::spawn(move || {
-                run_flusher(core, links, None, closed, stats, progress, sink)
-            })
-        };
-        assert!(links.try_acquire(0));
-        tx.push(flit(0, 0, 0, 1)).unwrap();
-        tx.wake_consumer();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while stats.snapshot().flushed_flits == 0 {
-            assert!(std::time::Instant::now() < deadline, "never delivered");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        closed.store(true, Ordering::Release);
-        wake.wake();
-        flusher.join().unwrap();
-        let (calls, s) = (calls.load(Ordering::Relaxed), stats.snapshot());
-        assert!(
-            calls > 10,
-            "a refused flit is polled, not slept on: {calls} offers"
-        );
-        assert!(
-            calls <= s.flusher_parks + 2,
-            "{calls} offers over {} parks: a refused flit was re-offered from the spin",
-            s.flusher_parks
-        );
-        assert!(s.flusher_idle_rounds >= s.flusher_parks, "{s:?}");
-        assert_eq!(links.snapshot()[0].credits_available, 8);
-    }
-
-    #[test]
     fn progress_watermark_holds_while_flits_pend() {
         // A frozen link keeps popped flits pending; the watermark must
         // not advance past the last pending-free instant, even though
         // the pop count has (§8.7 — the fence would otherwise declare
         // an undelivered flit retired).
         let links = LinkSet::new(2, 8);
-        let progress = FlushProgress::default();
+        let stats = ShardEgressStats::default();
         let (mut tx, rx) = spsc_ring(16);
         let mut core = FlusherCore::new(0, rx, 2);
         let mut sink = |_s: usize, _f: &ServedFlit| {};
         links.try_acquire(0);
         tx.push(flit(0, 0, 0, 1)).unwrap();
         core.step(&links, None, &mut sink);
-        core.publish_progress(&progress);
-        assert_eq!(progress.retired(), 1);
+        core.settle(&links, &stats);
+        assert_eq!(core.retired(), 1);
         links.freeze(1);
         links.try_acquire(1);
         tx.push(flit(1, 1, 0, 1)).unwrap();
         links.try_acquire(0);
         tx.push(flit(0, 2, 0, 1)).unwrap();
         core.step(&links, None, &mut sink);
-        core.publish_progress(&progress);
+        core.settle(&links, &stats);
         assert_eq!(core.popped(), 3);
         assert_eq!(
-            progress.retired(),
+            core.retired(),
             1,
             "pending flit on link 1 pins the watermark"
         );
         links.release_stall(1);
         core.step(&links, None, &mut sink);
-        core.publish_progress(&progress);
-        assert_eq!(progress.retired(), 3, "thaw releases the watermark");
+        core.settle(&links, &stats);
+        assert_eq!(core.retired(), 3, "thaw releases the watermark");
+        assert_eq!(stats.snapshot().flushed_flits, 3);
     }
 }

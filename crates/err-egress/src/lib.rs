@@ -9,15 +9,16 @@
 //! standard wormhole machinery, in three pieces:
 //!
 //! * **Per-shard output ring** ([`spsc`]): the shard worker pushes
-//!   served flits into a bounded SPSC ring; a flusher ([`flusher`])
-//!   drains it toward the downstream sink — on a thread of its own, or,
-//!   for a sink that [never blocks](Egress::never_blocks), as a step
-//!   the worker runs after each service batch. Either way the
-//!   scheduler's clock never waits on delivery.
+//!   served flits into a bounded SPSC ring, and after each service
+//!   batch runs the flusher step ([`flusher`]) that drains it toward
+//!   the downstream sink. The sink accepts or refuses at once, so the
+//!   scheduler's clock never waits on delivery; a sink that may block
+//!   brings its own thread by wrapping itself in a [`Threaded`]
+//!   adapter ([`threaded`]).
 //! * **Per-link credits** ([`link`]): each downstream link advertises a
 //!   credit pool, virtual-channel style. A worker takes a grant of
 //!   credits before it serves the link and spends one per flit it
-//!   commits; the flusher returns the credits of what it delivered. A
+//!   commits; the flusher step returns the credits of what it delivered. A
 //!   stalled link stops returning credits, so its backlog anywhere in
 //!   the egress path is bounded by the pool — and the worker, finding
 //!   no credit to grant itself, *parks* the link's flows in the
@@ -43,24 +44,31 @@ pub mod spsc;
 pub mod stall;
 pub mod stats;
 pub(crate) mod sync;
+pub mod threaded;
 pub mod wake;
 
 use std::sync::Arc;
 
 pub use credit::CreditPool;
 pub use err_sched::ServedFlit;
-pub use flusher::{run_flusher, FlushProgress, FlusherCore};
+pub use flusher::FlusherCore;
 pub use link::{DeadLinkPolicy, LinkSet, LinkSnapshot, LinkState};
 pub use spsc::{spsc_ring, Consumer, Producer};
 pub use stall::{StallInjector, StallPlan, StallWindow};
 pub use stats::{EgressSnapshot, ShardEgressSnapshot, ShardEgressStats};
+pub use threaded::{Threaded, ThreadedSnapshot, ThreadedStats};
 pub use wake::{Sleep, WakeCell, BACKSTOP};
 
 /// The downstream sink: where flits go when they leave the scheduler.
 ///
 /// `shard` identifies the shard whose scheduler served the flit.
-/// Implementations must be `Send` (a flusher or worker thread owns the
+/// Implementations must be `Send` (the shard's worker thread owns the
 /// sink) but need not be `Sync` — each shard gets its own sink value.
+///
+/// Under buffered egress the worker calls [`try_emit`](Egress::try_emit)
+/// from its own flusher step, between two service batches, so
+/// `try_emit` must accept or refuse at once. A sink that may block
+/// wraps itself in a [`Threaded`] adapter instead of blocking there.
 ///
 /// Any `FnMut(usize, &ServedFlit) + Send` closure is an `Egress` via
 /// the blanket impl, so callback-style callers keep working unchanged:
@@ -83,8 +91,8 @@ pub trait Egress: Send {
     /// Consumes one flit served by `shard`'s scheduler.
     fn emit(&mut self, shard: usize, flit: &ServedFlit);
 
-    /// Refusable delivery (DESIGN.md §11.2): the flusher calls this and
-    /// returns the flit's link credit **only on acceptance**. Returning
+    /// Refusable delivery (DESIGN.md §11.2): the flusher step calls
+    /// this and returns the flit's link credit **only on acceptance**. Returning
     /// `false` leaves the flit in the link's pending queue with its
     /// credit held — the hook a fabric forwarder uses to withhold
     /// credits while the downstream node's ingress has no room, which
@@ -97,21 +105,6 @@ pub trait Egress: Send {
     fn try_emit(&mut self, shard: usize, flit: &ServedFlit) -> bool {
         self.emit(shard, flit);
         true
-    }
-
-    /// Whether [`try_emit`](Egress::try_emit) never blocks: it accepts
-    /// or refuses at once, whatever the downstream does. Such a sink
-    /// needs no thread of its own, so the shard worker runs its flusher
-    /// step itself, after every service batch (DESIGN.md §7). A wait
-    /// that is bounded and independent of the downstream does not
-    /// count as blocking — the fabric's `Forwarder` yields up to 1 ms
-    /// to its chaos monitor on the one ejection that makes a fault due —
-    /// but every such wait is paid on the worker, between two batches.
-    /// The default is `false`: a sink that may block keeps a flusher
-    /// thread between it and the scheduler. A wrapper that forwards
-    /// `try_emit` to an inner sink forwards this too.
-    fn never_blocks(&self) -> bool {
-        false
     }
 }
 
@@ -134,19 +127,21 @@ impl<F: FnMut(usize, &ServedFlit) + Send> Egress for F {
 ///
 /// This is the sink handle stealing under buffered egress relies on
 /// (DESIGN.md §8.7): a migrated flow's flits must reach the *same*
-/// downstream sink from a different shard's flusher, so every flusher
-/// holds a clone of one `SharedEgress`. `emit` serializes through a
-/// mutex — a lock, but on the *flusher's* delivery path, never on a
-/// scheduler's flit clock; the per-flow ordering the wormhole needs is
-/// supplied upstream by the egress-retire fence (a donor flips a flow's
-/// home only after its last victim flit has retired), not by this lock.
+/// downstream sink from a different shard's flusher step, so every
+/// shard holds a clone of one `SharedEgress`. `emit` serializes through
+/// a mutex, once per delivered flit; the per-flow ordering the wormhole
+/// needs is supplied upstream by the egress-retire fence (a donor flips
+/// a flow's home only after its last victim flit has retired), not by
+/// this lock. A blocking sink shared this way is wrapped once,
+/// `SharedEgress::new(Threaded::new(sink))`: one ring and one thread
+/// for every shard, so a retired flit is ahead of the thief's on it.
 /// The handle is `Sync` by construction — asserted below, since the
 /// fence design depends on it.
 pub struct SharedEgress<E: Egress> {
     inner: Arc<std::sync::Mutex<E>>,
 }
 
-// `SharedEgress` must stay shareable across flusher threads (§8.7);
+// `SharedEgress` must stay shareable across shard workers (§8.7);
 // a field change that silently dropped `Sync` would re-gate stealing
 // out of buffered mode.
 const _: fn() = || {
@@ -191,13 +186,6 @@ impl<E: Egress> Egress for SharedEgress<E> {
             .lock()
             .expect("shared egress sink poisoned")
             .try_emit(shard, flit)
-    }
-
-    fn never_blocks(&self) -> bool {
-        self.inner
-            .lock()
-            .expect("shared egress sink poisoned")
-            .never_blocks()
     }
 }
 

@@ -12,8 +12,9 @@
 //! may be stalled due to lack of buffer space downstream" must not
 //! freeze the scheduler (§1).
 //!
-//! All state is atomic: workers acquire credits, flushers release them,
-//! and the [`StallInjector`](crate::stall::StallInjector) freezes links,
+//! All state is atomic: workers acquire credits and, stepping their
+//! flusher cores, release them — across shards, since the set is
+//! shared — and the [`StallInjector`](crate::stall::StallInjector) freezes links,
 //! each from its own thread without locks on the fast path. Time is the
 //! **flush clock** — the total number of flits delivered across all
 //! links — not wall time, so stall durations are deterministic and
@@ -185,17 +186,16 @@ pub struct LinkSet {
     dead_deadline: Option<u64>,
     /// What the flusher does with a dead link's flits.
     policy: DeadLinkPolicy,
-    /// The wake cell of every shard worker that acquires credits here.
-    /// The set is shared across shards, so any flusher's credit return
-    /// may be the one a parked worker of another shard waits for.
+    /// The wake cell of every shard worker that acquires credits here
+    /// and steps a flusher core past these links. The set is shared
+    /// across shards, so any worker's credit return may be the one a
+    /// parked worker of another shard waits for; and a flit pending
+    /// behind a blocked link waits for that link to open, which whoever
+    /// opens it announces ([`wake_workers`](Self::wake_workers)).
     credit_waiters: Vec<std::sync::Arc<WakeCell>>,
     /// A credit went back into an *empty* pool since the waiters were
     /// last woken: only then can a worker be parked for lack of one.
     relieved: AtomicBool,
-    /// The wake cell of every flusher that delivers to these links: a
-    /// flit pending behind a blocked link waits for that link to open,
-    /// and whoever opens it says so.
-    flusher_wakes: Vec<std::sync::Arc<WakeCell>>,
 }
 
 impl LinkSet {
@@ -244,7 +244,6 @@ impl LinkSet {
             policy,
             credit_waiters: Vec::new(),
             relieved: AtomicBool::new(false),
-            flusher_wakes: Vec::new(),
         }
     }
 
@@ -255,20 +254,12 @@ impl LinkSet {
         self.credit_waiters = waiters;
     }
 
-    /// Installs the flushers' wake cells (one per shard, shared out of
-    /// each output ring) before the set is shared;
-    /// [`wake_flushers`](Self::wake_flushers) reaches exactly these.
-    pub fn set_flusher_wakes(&mut self, wakes: Vec<std::sync::Arc<WakeCell>>) {
-        self.flusher_wakes = wakes;
-    }
-
-    /// Unparks the sleeping flushers. Every transition that lets a
-    /// pending flit move calls it after publishing itself — a thaw, a
-    /// death (dead-letter), a resurrect, drain mode — and so does the
-    /// runtime after its shutdown latch; a flusher's re-check reads
-    /// all of them.
-    pub fn wake_flushers(&self) {
-        for cell in &self.flusher_wakes {
+    /// Unparks every worker, unconditionally. Every transition that
+    /// lets a pending flit move calls it after publishing itself — a
+    /// thaw, a death (dead-letter), a resurrect, drain mode — and a
+    /// worker's park re-check reads all of them.
+    pub fn wake_workers(&self) {
+        for cell in &self.credit_waiters {
             cell.wake();
         }
     }
@@ -277,7 +268,7 @@ impl LinkSet {
     /// last call — a worker is credit-starved only on a pool it found
     /// empty, so returns into a pool that still had credits wake
     /// nobody. Every credit-returner calls it after its returns — a
-    /// flusher once per step, a worker once per service batch that
+    /// worker once per flusher step, and once per service batch that
     /// gave back unused grant — never per flit.
     pub fn wake_credit_waiters(&self) {
         // ordering: Acquire load, AcqRel swap — whoever consumes the
@@ -457,7 +448,7 @@ impl LinkSet {
     /// while draining; a dead link under
     /// [`DeadLinkPolicy::HoldForRecovery`] blocks even then (drain must
     /// not pretend an absent downstream returned — its held flits are
-    /// dead-lettered at flusher exit instead).
+    /// dead-lettered at the worker's exit instead).
     pub fn blocked(&self, link: usize) -> bool {
         let l = &self.links[link];
         // ordering: Acquire pairs with the AcqRel `dead` swap in
@@ -511,7 +502,7 @@ impl LinkSet {
         // orders a re-declaration after a racing `resurrect`.
         if !l.dead.swap(true, Ordering::AcqRel) {
             l.deaths.fetch_add(1, Ordering::Relaxed);
-            self.wake_flushers();
+            self.wake_workers();
         }
     }
 
@@ -528,7 +519,7 @@ impl LinkSet {
             l.last_credit_return
                 .store(self.flush_clock.load(Ordering::Acquire), Ordering::Relaxed);
             l.resurrections.fetch_add(1, Ordering::Relaxed);
-            self.wake_flushers();
+            self.wake_workers();
         }
     }
 
@@ -608,7 +599,7 @@ impl LinkSet {
             .lock()
             .expect("stall histogram poisoned")
             .record(dur);
-        self.wake_flushers();
+        self.wake_workers();
     }
 
     /// Releases every still-open stall (shutdown: closes the watchdog
@@ -625,7 +616,7 @@ impl LinkSet {
         // ordering: Release pairs with the Acquire `draining` load in
         // `blocked` — a one-way (per drain) override latch.
         self.draining.store(draining, Ordering::Release);
-        self.wake_flushers();
+        self.wake_workers();
     }
 
     /// Snapshots every link's counters.

@@ -1,7 +1,9 @@
 //! Bounded single-producer/single-consumer ring buffer.
 //!
-//! Each shard worker is the sole producer of its output ring and the
-//! shard's flusher thread the sole consumer, so the egress path can use
+//! Each shard worker is the sole producer of its output ring and, in its
+//! flusher step, the sole consumer; a `Threaded` adapter's ring has one
+//! producer (the worker) and one consumer (its thread). So the egress
+//! path can use
 //! the classic Lamport queue instead of the heavier multi-producer ring
 //! the ingress side needs (`err-runtime`'s Vyukov ring): one atomic
 //! load + one atomic store per operation, with cached cursors so the
@@ -11,11 +13,11 @@
 //! distinguish full from empty, so a ring built with capacity `c` holds
 //! at least `c` items.
 //!
-//! The ring also carries the consumer's [`WakeCell`]: a consumer with
-//! nothing to pop idles on it ([`Consumer::idle_while_empty`]: a
-//! couple of looks at the tail, then a sleep) and the producer wakes it
-//! once per batch it has pushed
-//! ([`Producer::wake_consumer`]) — never per push.
+//! The ring also carries the consumer's [`WakeCell`], for a consumer on
+//! a thread of its own (a `Threaded` adapter's): with nothing to pop it
+//! idles on the cell ([`Consumer::idle_while_empty`]: a couple of looks
+//! at the tail, then a sleep), and the producer wakes it after a push
+//! ([`Producer::wake_consumer`]).
 
 use std::mem::MaybeUninit;
 use std::sync::Arc;
@@ -30,10 +32,8 @@ struct Inner<T> {
     head: AtomicUsize,
     /// Next slot to write (owned by the producer, read by the consumer).
     tail: AtomicUsize,
-    /// Where the consumer sleeps while the ring is empty. Shared so
-    /// that whoever closes the consumer down can wake it too
-    /// ([`Consumer::wake_cell`]).
-    consumer_wake: Arc<WakeCell>,
+    /// Where the consumer sleeps while the ring is empty.
+    consumer_wake: WakeCell,
 }
 
 // SAFETY: the ring owns its values; moving it moves them, so `T: Send`
@@ -94,7 +94,7 @@ pub fn spsc_ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         mask: cap - 1,
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
-        consumer_wake: Arc::new(WakeCell::new()),
+        consumer_wake: WakeCell::new(),
     });
     (
         Producer {
@@ -136,6 +136,12 @@ impl<T> Producer<T> {
         // [pair: spsc-tail @ self]
         self.inner.tail.store(self.tail, Ordering::Release);
         Ok(())
+    }
+
+    /// Whether a [`push`](Self::push) would succeed now.
+    pub fn has_room(&mut self) -> bool {
+        let full = self.inner.mask;
+        self.tail.wrapping_sub(self.cached_head) < full || self.occupancy() < full
     }
 
     /// Items currently buffered, as seen from the producer side (exact
@@ -198,12 +204,6 @@ impl<T> Consumer<T> {
     /// unparks.
     pub fn register_sleeper(&self) {
         self.inner.consumer_wake.register();
-    }
-
-    /// The cell this consumer sleeps on, for a waker other than the
-    /// producer (the runtime's shutdown latch).
-    pub fn wake_cell(&self) -> Arc<WakeCell> {
-        Arc::clone(&self.inner.consumer_wake)
     }
 
     /// One idle phase of the (registered) consumer thread

@@ -130,7 +130,7 @@ impl StallPlan {
 }
 
 /// Applies a [`StallPlan`] against a [`LinkSet`] as the flush clock
-/// advances. Many flusher threads may poll concurrently; an atomic
+/// advances. Many shard workers may poll concurrently; an atomic
 /// cursor guarantees each event is applied exactly once.
 pub struct StallInjector {
     events: Vec<Event>,

@@ -12,35 +12,23 @@ use serde::Serialize;
 
 use crate::link::LinkSnapshot;
 
-/// Counters for one shard's egress path. Writers: the shard worker
-/// (ring occupancy, credit waits) and the shard's flusher (flushed
-/// flits). Cache-line padded like the runtime's shard stats so two
+/// Counters for one shard's egress path, all written by the shard
+/// worker — ring occupancy, credit waits, and the flits its flusher
+/// step hands to the sink. Cache-line padded like the runtime's shard stats so two
 /// shards never false-share.
 #[repr(align(64))]
 #[derive(Default)]
 pub struct ShardEgressStats {
-    /// Flits the flusher has handed to the sink.
+    /// Flits the flusher step has handed to the sink.
     pub flushed_flits: AtomicU64,
     /// High-water mark of the shard's output-ring occupancy.
     pub ring_peak: AtomicU64,
     /// Times the worker found a link's credit pool empty and had to
     /// park the link's flows.
     pub credit_exhaustions: AtomicU64,
-    /// Times the worker found the output ring full and had to spin.
+    /// Times the worker found the output ring full and ended its
+    /// service batch early, for its flusher step to free the ring.
     pub ring_full_spins: AtomicU64,
-    /// Times this shard's flusher body unwound and was caught by its
-    /// supervisor (DESIGN.md §14.4). Written by the flusher thread's
-    /// catch-unwind wrapper, once per panic — never on the flit path.
-    pub flusher_panics: AtomicU64,
-    /// Flusher rounds whose step moved nothing: each is one idle phase
-    /// (a couple of looks, then maybe a park) — `flusher_parks`
-    /// plus the phases a look cut short.
-    pub flusher_idle_rounds: AtomicU64,
-    /// Times the flusher parked with nothing to pop.
-    pub flusher_parks: AtomicU64,
-    /// Flusher parks that ran to their timeout instead of being ended
-    /// by the worker's wake (`Sleep::TimedOut`).
-    pub flusher_park_timeouts: AtomicU64,
 }
 
 impl ShardEgressStats {
@@ -56,10 +44,6 @@ impl ShardEgressStats {
             ring_peak: self.ring_peak.load(Ordering::Relaxed),
             credit_exhaustions: self.credit_exhaustions.load(Ordering::Relaxed),
             ring_full_spins: self.ring_full_spins.load(Ordering::Relaxed),
-            flusher_panics: self.flusher_panics.load(Ordering::Relaxed),
-            flusher_idle_rounds: self.flusher_idle_rounds.load(Ordering::Relaxed),
-            flusher_parks: self.flusher_parks.load(Ordering::Relaxed),
-            flusher_park_timeouts: self.flusher_park_timeouts.load(Ordering::Relaxed),
         }
     }
 }
@@ -67,7 +51,7 @@ impl ShardEgressStats {
 /// Point-in-time copy of one shard's egress counters.
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct ShardEgressSnapshot {
-    /// Flits delivered to the sink by this shard's flusher.
+    /// Flits delivered to the sink by this shard's flusher step.
     pub flushed_flits: u64,
     /// Peak output-ring occupancy.
     pub ring_peak: u64,
@@ -75,14 +59,6 @@ pub struct ShardEgressSnapshot {
     pub credit_exhaustions: u64,
     /// Ring-full spins seen by the worker.
     pub ring_full_spins: u64,
-    /// Flusher-body panics caught by the supervisor (DESIGN.md §14.4).
-    pub flusher_panics: u64,
-    /// Flusher rounds whose step moved nothing (idle phases).
-    pub flusher_idle_rounds: u64,
-    /// Times the flusher parked with nothing to pop.
-    pub flusher_parks: u64,
-    /// Of those, parks that ran to their timeout un-woken.
-    pub flusher_park_timeouts: u64,
 }
 
 /// Aggregate egress view: per-shard counters plus per-link watchdog
@@ -104,11 +80,6 @@ impl EgressSnapshot {
     /// Largest per-shard ring peak.
     pub fn peak_ring_occupancy(&self) -> u64 {
         self.shards.iter().map(|s| s.ring_peak).max().unwrap_or(0)
-    }
-
-    /// Total flusher panics caught across shards (§14.4).
-    pub fn flusher_panics(&self) -> u64 {
-        self.shards.iter().map(|s| s.flusher_panics).sum()
     }
 
     /// Total stall events across links.

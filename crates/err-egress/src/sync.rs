@@ -4,9 +4,8 @@
 //!
 //! Only the modules whose interleavings are model-checked go through
 //! this shim ([`crate::spsc`], [`crate::credit`], [`crate::link`]'s
-//! liveness flags and clocks, [`crate::flusher`]'s `FlushProgress`
-//! watermark, [`crate::wake`]'s sleeping flag, its spin hint and its
-//! park/unpark); everything else uses `std::sync::atomic` directly. The
+//! liveness flags and clocks, [`crate::wake`]'s sleeping flag, its
+//! spin hint and its park/unpark); everything else uses `std::sync::atomic` directly. The
 //! feature is off by default and only enabled by `err-check`'s model
 //! suite (`cargo test -p err-check --features model`), so every normal
 //! build compiles the `std` arm — where the [`UnsafeCell`] wrapper is

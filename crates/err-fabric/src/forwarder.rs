@@ -4,10 +4,9 @@
 //! Body flits of a transit flow always cross (the link credit models
 //! the downstream flit buffer); on the **tail** flit the whole packet
 //! has crossed the link and is handed to the neighbor runtime with a
-//! non-blocking submit. Nothing here ever waits, so the Forwarder says
-//! it [never blocks](Egress::never_blocks) and each worker runs its
-//! node's flusher step itself, after every service batch: a node is one
-//! thread per shard. A refused tail stays in the link's pending queue
+//! non-blocking submit. Nothing here ever waits, so the Forwarder runs
+//! unwrapped in each worker's flusher step, after every service batch:
+//! a node is one thread per shard. A refused tail stays in the link's pending queue
 //! with its credit held — as flits pile behind it the pool drains and
 //! the upstream scheduler parks exactly the flows routed over that link
 //! (§7): wormhole backpressure, hop by hop.
@@ -338,19 +337,15 @@ impl Egress for Forwarder {
         }
     }
 
+    /// A hand-off submits with a zero deadline and is refused at once
+    /// when the peer has no room, so the node's worker runs it in its
+    /// flusher step and the node is one thread per shard (DESIGN.md
+    /// §11.2). The one exception is bounded and never waits on the
+    /// downstream: with a chaos plan armed, the ejection that makes an
+    /// event due sleeps up to 1 ms on this worker until the monitor
+    /// takes the clock (§11.4, `FabricLedger::on_packet_ejected`).
     fn try_emit(&mut self, _shard: usize, flit: &ServedFlit) -> bool {
         self.supervised(flit)
-    }
-
-    /// A hand-off submits with a zero deadline and is refused at once
-    /// when the peer has no room, so the node's worker runs the flusher
-    /// step itself and the node is one thread (DESIGN.md §11.2). The
-    /// one exception is bounded and never waits on the downstream: with
-    /// a chaos plan armed, the ejection that makes an event due sleeps
-    /// up to 1 ms on this worker until the monitor takes the clock
-    /// (§11.4, `FabricLedger::on_packet_ejected`).
-    fn never_blocks(&self) -> bool {
-        true
     }
 }
 

@@ -143,10 +143,6 @@ fn refused_tail_for_50_ms(behind: u64) -> (u64, u64) {
     assert_eq!(rep.lost_packets, 0);
     assert_eq!(rep.flows[0].ejected_packets, sent);
     for (node, nrep) in rep.node_reports.iter().enumerate() {
-        assert!(
-            nrep.flusher_exits.is_empty(),
-            "node {node} ran a flusher thread"
-        );
         let egress = nrep.stats.egress.as_ref().expect("buffered mode");
         for (link, snap) in egress.links.iter().enumerate() {
             assert_eq!(
@@ -161,9 +157,7 @@ fn refused_tail_for_50_ms(behind: u64) -> (u64, u64) {
 /// A node is one thread: its worker runs the flusher step, so a tail
 /// the next node refuses is offered again once per park of that worker
 /// — a wake or a 100 µs poll — never per look of its idle path
-/// (DESIGN.md §7; the flusher thread's twin is
-/// `a_refused_flit_is_offered_again_per_park_not_per_spin`). Nothing is
-/// queued behind the tail.
+/// (DESIGN.md §7). Nothing is queued behind the tail.
 #[test]
 fn a_refused_tail_is_offered_again_per_worker_park_not_per_spin() {
     let (offers, parks) = refused_tail_for_50_ms(0);

@@ -27,8 +27,7 @@
 
 use crate::stats::RuntimeStats;
 
-/// How one worker (shard or flusher) thread left the runtime
-/// (DESIGN.md §9.4).
+/// How one shard worker thread left the runtime (DESIGN.md §9.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardExit {
     /// Drained and returned normally.
@@ -53,9 +52,6 @@ pub struct DrainReport {
     pub shard_cycles: Vec<u64>,
     /// Per-shard worker exit status.
     pub exits: Vec<ShardExit>,
-    /// Per-shard flusher exit status (empty under sync egress, and when
-    /// the workers ran the flusher step themselves).
-    pub flusher_exits: Vec<ShardExit>,
     /// Whether the shutdown deadline forced an abort: residual packets
     /// were counted lost rather than served (DESIGN.md §9.4), packet by
     /// packet. The one residue left uncounted is §9.4's double fault: a
@@ -98,10 +94,9 @@ impl DrainReport {
         self.stats.submitted_packets()
     }
 
-    /// Whether every worker and flusher exited [`ShardExit::Clean`].
+    /// Whether every worker exited [`ShardExit::Clean`].
     pub fn all_clean(&self) -> bool {
         self.exits.iter().all(|e| *e == ShardExit::Clean)
-            && self.flusher_exits.iter().all(|e| *e == ShardExit::Clean)
     }
 
     /// The drain conservation invariant (DESIGN.md §9.2 ledger): after

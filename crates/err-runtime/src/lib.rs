@@ -41,9 +41,9 @@
 //! * [`drain`] documents the shutdown protocol: close admission, serve
 //!   the residual backlog to empty, join every worker deterministically.
 //! * [`EgressMode::Buffered`] inserts the `err-egress` stage between
-//!   scheduler and sink: per-shard SPSC output rings drained by flusher
-//!   threads (by the worker itself for a sink that never blocks),
-//!   per-link credit flow control, and flow parking so a stalled
+//!   scheduler and sink: per-shard SPSC output rings drained by a
+//!   flusher step each worker runs after its service batch, per-link
+//!   credit flow control, and flow parking so a stalled
 //!   downstream freezes only its own flows — the regime the paper's
 //!   stalled-wormhole argument is about.
 //! * [`fault`] adds the failure half of that story (DESIGN.md §9):
@@ -99,9 +99,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use err_egress::{
-    spsc_ring, FlushProgress, FlusherCore, LinkSet, ShardEgressStats, StallInjector, WakeCell,
-};
+use err_egress::{spsc_ring, FlusherCore, LinkSet, StallInjector, WakeCell};
 use err_sched::err::ErrScheduler;
 use err_sched::{Discipline, ServedFlit};
 
@@ -109,7 +107,7 @@ pub use admission::{AdmissionController, AdmissionPolicy, AdmitDecision};
 pub use drain::{DrainReport, ShardExit};
 pub use err_egress::{
     BufferedConfig, DeadLinkPolicy, Egress, EgressController, EgressSnapshot, LinkState,
-    SharedEgress, StallPlan, StallWindow,
+    SharedEgress, StallPlan, StallWindow, Threaded,
 };
 pub use fault::{
     FaultBoard, FaultEvent, FaultInjector, FaultKind, FaultPlan, ShardHealth, SupervisionConfig,
@@ -124,8 +122,8 @@ use channel::MpscRing;
 use ingress::Shared;
 use stats::ShardStats;
 
-/// Wraps a per-shard sink that may be absent; the flusher requires a
-/// concrete [`Egress`] value either way.
+/// Wraps a per-shard sink that may be absent; the flusher step requires
+/// a concrete [`Egress`] value either way.
 struct OptionalSink<E>(Option<E>);
 
 impl<E: Egress> Egress for OptionalSink<E> {
@@ -138,18 +136,12 @@ impl<E: Egress> Egress for OptionalSink<E> {
     // Must forward rather than inherit the default: the default
     // delegates to `emit`, and a refusing sink (a fabric forwarder)
     // implements refusal by *blocking* in `emit` — which would wedge
-    // the flusher thread on one flit and starve its other links.
+    // the worker on one flit and starve its other links.
     fn try_emit(&mut self, shard: usize, flit: &ServedFlit) -> bool {
         match self.0.as_mut() {
             Some(sink) => sink.try_emit(shard, flit),
             None => true,
         }
-    }
-
-    // Forwarded like `try_emit`, or a fabric's nodes would keep a
-    // flusher thread each. No sink at all keeps the default.
-    fn never_blocks(&self) -> bool {
-        self.0.as_ref().is_some_and(|sink| sink.never_blocks())
     }
 }
 
@@ -161,9 +153,9 @@ pub enum EgressMode {
     #[default]
     Sync,
     /// Credit-based asynchronous path (`err-egress`): per-shard output
-    /// rings drained by flusher threads (or, for sinks that never
-    /// block, by the workers themselves), per-link credits, flow
-    /// parking on stall, optional deterministic stall injection.
+    /// rings drained by a flusher step each worker runs after its
+    /// service batch, per-link credits, flow parking on stall,
+    /// optional deterministic stall injection.
     Buffered(BufferedConfig),
 }
 
@@ -236,12 +228,8 @@ impl Default for RuntimeConfig {
 pub struct Runtime {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<u64>>,
-    flushers: Vec<JoinHandle<()>>,
     /// Buffered-mode state; `None` under [`EgressMode::Sync`].
     egress: Option<EgressController>,
-    /// Tells the flushers the workers are gone and everything buffered
-    /// may be final-delivered. Set strictly after the workers join.
-    egress_closed: Arc<AtomicBool>,
     /// Supervisor thread and its stop flag (`RuntimeConfig::supervision`).
     supervisor: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
     drained: AtomicBool,
@@ -268,13 +256,11 @@ impl Runtime {
     /// any [`Egress`] implementation.
     ///
     /// Under [`EgressMode::Sync`] the shard worker calls the sink
-    /// inline. Under [`EgressMode::Buffered`] the sink moves to the
-    /// shard's flusher thread and the worker only commits flits to the
-    /// output ring — sink latency no longer stalls scheduling. When
-    /// every sink says its `try_emit` [never blocks](Egress::never_blocks)
-    /// there is no latency to hide: no flusher thread is spawned, and
-    /// each worker runs its flusher step itself after every service
-    /// batch (DESIGN.md §7).
+    /// inline. Under [`EgressMode::Buffered`] the worker commits flits
+    /// to the output ring and, after every service batch, runs the
+    /// flusher step that offers them to the sink's `try_emit`, which
+    /// accepts or refuses at once (DESIGN.md §7). A sink that may block
+    /// wraps itself in [`Threaded`], which brings its own thread.
     pub fn start_with_egress<E: Egress + 'static>(
         config: RuntimeConfig,
         mut egress: impl FnMut(usize) -> Option<E>,
@@ -316,8 +302,6 @@ impl Runtime {
             gate: gate::DrainGate::new(),
             abort: AtomicBool::new(false),
         });
-        let egress_closed = Arc::new(AtomicBool::new(false));
-        let mut flushers = Vec::new();
         let mut controller = None;
         // The one place an `EgressMode` is matched: each shard gets the
         // stage that mode means, and nothing downstream asks again.
@@ -336,27 +320,10 @@ impl Runtime {
                     bc.dead_link_policy,
                     bc.route_table.clone(),
                 );
-                // Every shard's flusher returns credits to this one
-                // set, so each must be able to wake every worker.
+                // Every shard's flusher step returns credits to this
+                // one set, and every worker steps past its links, so
+                // each must be able to wake every worker.
                 links.set_credit_waiters(shared.wakes.clone());
-                let sinks: Vec<_> = (0..config.shards)
-                    .map(|shard| OptionalSink(egress(shard)))
-                    .collect();
-                // Sinks that never block need no thread between them and
-                // the scheduler: each worker runs its own flusher step
-                // (DESIGN.md §7), and no flusher thread is spawned.
-                let inline = sinks.iter().all(|sink| sink.never_blocks());
-                let rings: Vec<_> = (0..config.shards)
-                    .map(|_| spsc_ring::<ServedFlit>(bc.ring_capacity))
-                    .collect();
-                // A link that opens, like the shutdown latch, must reach
-                // whoever steps past it: every flusher (each sleeps on
-                // its ring's cell), or every worker that steps itself.
-                links.set_flusher_wakes(if inline {
-                    shared.wakes.clone()
-                } else {
-                    rings.iter().map(|(_, rx)| rx.wake_cell()).collect()
-                });
                 let links = Arc::new(links);
                 let injector = bc
                     .stall_plan
@@ -364,45 +331,16 @@ impl Runtime {
                     .map(|p| Arc::new(StallInjector::new(p)));
                 let mut shard_stats = Vec::with_capacity(config.shards);
                 let mut stages = Vec::with_capacity(config.shards);
-                for (shard, ((tx, rx), sink)) in rings.into_iter().zip(sinks).enumerate() {
-                    let estats = Arc::new(ShardEgressStats::default());
-                    shard_stats.push(Arc::clone(&estats));
-                    let progress = Arc::new(FlushProgress::default());
-                    let core = FlusherCore::new(shard, rx, bc.n_links);
-                    let mut flusher = None;
-                    if inline {
-                        let injector = injector.clone();
-                        flusher = Some(shard::InlineFlusher::new(core, sink, injector, bc.n_links));
-                    } else {
-                        let links = Arc::clone(&links);
-                        let injector = injector.clone();
-                        let closed = Arc::clone(&egress_closed);
-                        let (estats, progress) = (Arc::clone(&estats), Arc::clone(&progress));
-                        flushers.push(
-                            // panic-policy: `run_flusher` fences the sink
-                            // itself (DESIGN.md §14.4): after an unwind it
-                            // dead-letters what the shard still commits —
-                            // credits return, never a wedged shutdown —
-                            // and re-raises at exit, so drain's join
-                            // records `ShardExit::Panicked`.
-                            std::thread::Builder::new()
-                                .name(format!("err-flusher-{shard}"))
-                                .spawn(move || {
-                                    err_egress::run_flusher(
-                                        core, links, injector, closed, estats, progress, sink,
-                                    )
-                                })
-                                .expect("spawning flusher"),
-                        );
-                    }
+                for shard in 0..config.shards {
+                    let (tx, rx) = spsc_ring::<ServedFlit>(bc.ring_capacity);
                     let stage = shard::BufferedStage::new(
-                        tx,
+                        (tx, FlusherCore::new(shard, rx, bc.n_links)),
+                        OptionalSink(egress(shard)),
                         Arc::clone(&links),
-                        estats,
-                        progress,
+                        injector.clone(),
                         config.n_flows,
-                        flusher,
                     );
+                    shard_stats.push(stage.stats());
                     stages.push(Box::new(stage) as Box<dyn shard::EgressStage>);
                 }
                 controller = Some(EgressController::new(links, injector, shard_stats));
@@ -440,9 +378,9 @@ impl Runtime {
             let shared = Arc::clone(&shared);
             let stop2 = Arc::clone(&stop);
             // panic-policy: a supervisor panic stops quarantine and
-            // resurrection but nothing else — workers and flushers
-            // drain normally and the drain-time `join` absorbs the
-            // unwind (its `Err` is deliberately discarded).
+            // resurrection but nothing else — workers drain normally
+            // and the drain-time `join` absorbs the unwind (its `Err`
+            // is deliberately discarded).
             let handle = std::thread::Builder::new()
                 .name("err-supervisor".into())
                 .spawn(move || fault::run_supervisor(shared, stop2))
@@ -457,9 +395,7 @@ impl Runtime {
             Self {
                 shared,
                 workers,
-                flushers,
                 egress: controller,
-                egress_closed,
                 supervisor,
                 drained: AtomicBool::new(false),
             },
@@ -523,10 +459,11 @@ impl Runtime {
         // `DrainGate`) so workers never miss a late producer.
         self.shared.gate.close();
         // Buffered mode: enter drain *before* joining workers. Frozen
-        // links stop blocking, so the flushers deliver their pending
-        // flits, credits flow back, and workers can unpark stalled
-        // flows and serve out their backlog — without this ordering an
-        // indefinitely stalled link would deadlock the join below.
+        // links stop blocking, so the flusher steps deliver their
+        // pending flits, credits flow back, and workers can unpark
+        // stalled flows and serve out their backlog — without this
+        // ordering an indefinitely stalled link would deadlock the join
+        // below.
         // (Dead links are *not* released by draining — §9.3.)
         if let Some(ctrl) = &self.egress {
             ctrl.links().set_draining(true);
@@ -699,42 +636,6 @@ impl Runtime {
                 }
             }
         }
-        // Workers are gone (or abandoned): the flushers may final-
-        // deliver everything buffered. "Closed and empty" is a stable
-        // exit condition for them; dead-held flits dead-letter on the
-        // way out (§9.3).
-        // ordering: Release (downgraded from SeqCst in PR 5) pairs
-        // with the flusher's Acquire `closed` loads (err-egress
-        // run_flusher, and the re-check of its sleep). One-way latch;
-        // the ring-empty check the flusher combines it with is ordered
-        // by the ring's own Release `tail` store, not by this flag.
-        // [pair: egress-closed @ crates/err-egress/src/flusher.rs]
-        self.egress_closed.store(true, Ordering::Release);
-        // The latch is an event like any other: announce it. An idle
-        // flusher's sleep is covered, and would otherwise learn of the
-        // shutdown when its backstop runs out.
-        if let Some(ctrl) = &self.egress {
-            ctrl.links().wake_flushers();
-        }
-        let mut flusher_exits = Vec::with_capacity(self.flushers.len());
-        for flusher in self.flushers.drain(..) {
-            if let Some(f) = final_deadline {
-                // Keep the deadline promise even against a wedged
-                // flusher (it normally exits within microseconds here).
-                while !flusher.is_finished() && Instant::now() < f + DRAIN_POLL {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                if !flusher.is_finished() {
-                    flusher_exits.push(ShardExit::Abandoned);
-                    drop(flusher);
-                    continue;
-                }
-            }
-            flusher_exits.push(match flusher.join() {
-                Ok(()) => ShardExit::Clean,
-                Err(_) => ShardExit::Panicked,
-            });
-        }
         let mut stats = RuntimeStats::collect(&self.shared.stats);
         if let Some(ctrl) = &self.egress {
             // Close any still-open stall windows so the watchdog
@@ -746,7 +647,6 @@ impl Runtime {
             stats,
             shard_cycles,
             exits,
-            flusher_exits,
             forced,
         }
     }
@@ -771,9 +671,35 @@ pub(crate) fn spawn_worker(
     // re-thrown panic reaches drain's join, same verdict.
     std::thread::Builder::new()
         .name(name)
-        .spawn(move || shard::run_shard(shared, state))
+        .spawn(move || {
+            set_timer_slack();
+            shard::run_shard(shared, state)
+        })
         .expect("spawning shard worker")
 }
+
+/// Timer slack of a shard worker, ns: how late the kernel may end the
+/// worker's timed parks (DESIGN.md §6). Linux's default, 50 µs, is paid
+/// in full on every `PARK_TIMEOUT` arrival poll that no wake ends.
+#[cfg(target_os = "linux")]
+const WORKER_TIMER_SLACK_NS: std::ffi::c_ulong = 1_000;
+
+/// Sets the calling thread's timer slack to [`WORKER_TIMER_SLACK_NS`].
+/// Best effort: a kernel that refuses leaves the default.
+#[cfg(target_os = "linux")]
+fn set_timer_slack() {
+    extern "C" {
+        fn prctl(option: std::ffi::c_int, ...) -> std::ffi::c_int;
+    }
+    const PR_SET_TIMERSLACK: std::ffi::c_int = 29;
+    // SAFETY: PR_SET_TIMERSLACK reads one unsigned-long argument, the
+    // slack in ns, and changes only the calling thread's timer slack;
+    // no pointer crosses the call.
+    let _ = unsafe { prctl(PR_SET_TIMERSLACK, WORKER_TIMER_SLACK_NS) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn set_timer_slack() {}
 
 impl Drop for Runtime {
     fn drop(&mut self) {
@@ -787,6 +713,24 @@ impl Drop for Runtime {
 mod tests {
     use super::*;
     use err_sched::Packet;
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_worker_thread_sets_its_timer_slack() {
+        extern "C" {
+            fn prctl(option: std::ffi::c_int, ...) -> std::ffi::c_int;
+        }
+        const PR_GET_TIMERSLACK: std::ffi::c_int = 30;
+        let slack = std::thread::spawn(|| {
+            set_timer_slack();
+            // SAFETY: PR_GET_TIMERSLACK takes no argument and returns
+            // the calling thread's timer slack in ns.
+            unsafe { prctl(PR_GET_TIMERSLACK) }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(slack as std::ffi::c_ulong, WORKER_TIMER_SLACK_NS);
+    }
 
     #[test]
     fn start_submit_drain_conserves() {
@@ -928,7 +872,7 @@ mod tests {
         // The §8.7 composition: stealing with per-link credit egress.
         // Same skew as the sync test; the donor's retire fence must
         // neither wedge handoffs nor interleave a wormhole, and every
-        // flit must reach a flusher.
+        // flit must reach the sink.
         let (rt, handle) = Runtime::start(RuntimeConfig {
             shards: 4,
             n_flows: 8,

@@ -26,13 +26,13 @@
 //!   the trait's degenerate answers; a slow sink stalls the shard's
 //!   whole flit clock.
 //! * `BufferedStage` — served flits are committed to a per-shard SPSC
-//!   ring under per-link credit flow control (`err-egress`); a flusher
-//!   thread delivers them, or, when the sink's `try_emit` never blocks
-//!   (`Egress::never_blocks`, a fabric `Forwarder`), the worker runs
-//!   the flusher step itself after every `serve` (`InlineFlusher`,
-//!   `EgressStage::flush`). A link with no credit to grant has its flows
-//!   *parked* in the scheduler before they are visited, so the shard
-//!   keeps serving everyone else — the decoupling the paper's
+//!   ring under per-link credit flow control (`err-egress`), and the
+//!   worker runs the flusher step that delivers them itself, after
+//!   every `serve` (`EgressStage::flush`). The sink accepts or refuses
+//!   at once (a sink that may block brings its own thread,
+//!   `err_egress::Threaded`). A link with no credit to grant has its
+//!   flows *parked* in the scheduler before they are visited, so the
+//!   shard keeps serving everyone else — the decoupling the paper's
 //!   stalled-downstream argument calls for.
 //!
 //! The loop runs inside a `catch_unwind` fence with the worker's whole
@@ -50,8 +50,8 @@
 //! After a loop that moved nothing the worker idles on its shard's
 //! [`WakeCell`](err_egress::WakeCell) (`idle_unless`, DESIGN.md §6).
 //! Its wake predicate is "a pop would succeed, or the stage can
-//! progress (a parked link's credit came back, or a link its own
-//! flusher step holds flits behind opened)": it looks at that —
+//! progress (a parked link's credit came back, or a link its flusher
+//! step holds flits behind opened)": it looks at that —
 //! never at a whole loop — twice, then announces itself, re-checks the
 //! same predicate, and parks. A ring
 //! that is non-empty while its head is unpublished holds a producer
@@ -74,8 +74,7 @@ use std::time::Duration;
 
 use desim::Cycle;
 use err_egress::{
-    Egress, FlushProgress, FlusherCore, LinkSet, Producer, ShardEgressStats, Sleep, StallInjector,
-    BACKSTOP,
+    Egress, FlusherCore, LinkSet, Producer, ShardEgressStats, Sleep, StallInjector, BACKSTOP,
 };
 use err_sched::err::ErrScheduler;
 use err_sched::{Packet, Scheduler, ServedFlit};
@@ -116,11 +115,11 @@ pub(crate) trait EgressStage: Send {
         batch_flits: usize,
     ) -> (u64, u64);
 
-    /// The stage's own flusher step, when it runs one, after every
-    /// `serve` — once the loop has counted the batch, so a sink that
-    /// reads the shard's served clock (the fabric's §11.8 hop records)
-    /// sees the flits it delivers counted. Returns whether it moved
-    /// anything: the loop did work even if it served nothing.
+    /// The stage's flusher step, after every `serve` — once the loop
+    /// has counted the batch, so a sink that reads the shard's served
+    /// clock (the fabric's §11.8 hop records) sees the flits it
+    /// delivers counted. Returns whether it moved anything: the loop
+    /// did work even if it served nothing.
     fn flush(&mut self) -> bool {
         false
     }
@@ -146,8 +145,9 @@ pub(crate) trait EgressStage: Send {
     }
 
     /// Forced-abort settlement (§9.4), run where the scheduler's residue
-    /// is counted lost: disposes of every flit the stage still has to
-    /// deliver itself, so none is dropped uncounted with its credit.
+    /// is counted lost, and when an unsupervised worker dies: disposes
+    /// of every flit the stage still has to deliver itself, so none is
+    /// dropped uncounted with its credit.
     fn abort(&mut self) {}
 
     /// Whether `flow`'s link is credit-parked: a mover must then leave
@@ -244,16 +244,20 @@ impl<E: Egress> EgressStage for SyncStage<E> {
 ///   keeps serving the other links' flows at full rate;
 /// * each batch, parked links whose credits returned are released.
 ///
+/// * a batch ends early when the output ring is full, so `serve` never
+///   calls the sink; after every `serve` the worker runs one
+///   `FlusherCore::step` on the shard's own core and sink
+///   ([`EgressStage::flush`]), which frees the ring. The SPSC ring
+///   between stage and core is written and read by this thread.
+///
 /// The stage is owned *outside* the panic fence and travels in the
-/// [`Bequest`] (§9.2): its parking marks and `pushed` count (§8.7's
-/// fence numerator) must survive the worker — and so must the flusher
-/// core and sink of an [`InlineFlusher`]. A grant never does.
+/// [`Bequest`] (§9.2): its parking marks, `pushed` count (§8.7's fence
+/// numerator), flusher core and sink must survive the worker. A grant
+/// never does.
 pub(crate) struct BufferedStage<E> {
     tx: Producer<ServedFlit>,
     links: Arc<LinkSet>,
     estats: Arc<ShardEgressStats>,
-    /// This shard's flusher retire cursor.
-    progress: Arc<FlushProgress>,
     /// Link → flows, in flow order, from the routing fn (a fabric
     /// route table (§11.1) maps arbitrary flow sets onto a link).
     /// Built once: parking or releasing a link costs O(flows on it).
@@ -262,83 +266,25 @@ pub(crate) struct BufferedStage<E> {
     grant: Vec<u64>,
     link_parked: Vec<bool>,
     /// Cumulative flits this shard has committed to its egress ring —
-    /// compared against the flusher's [`FlushProgress`] cursor by the
-    /// donor-side retire fence (§8.7).
+    /// compared against the core's retire watermark by the donor-side
+    /// retire fence (§8.7).
     pushed: u64,
-    /// The flusher, when this worker runs its step (the sink never
-    /// blocks); `None` when a flusher thread does.
-    inline: Option<InlineFlusher<E>>,
-}
-
-/// A flusher run by the shard worker itself, for a sink whose
-/// `try_emit` never blocks (DESIGN.md §7): the shard's [`FlusherCore`]
-/// and sink, stepped after every `serve` ([`EgressStage::flush`]). The
-/// SPSC ring between stage and core is written and read by the same
-/// thread.
-pub(crate) struct InlineFlusher<E> {
     core: FlusherCore,
     sink: E,
     injector: Option<Arc<StallInjector>>,
     /// Per link: flits were pending behind it while it was blocked when
     /// the last step ended. Whoever opens a link says so
-    /// (`LinkSet::wake_flushers`), so waiting for one of these is covered.
+    /// (`LinkSet::wake_workers`), so waiting for one of these is covered.
     held: Vec<bool>,
-}
-
-impl<E: Egress> InlineFlusher<E> {
-    pub(crate) fn new(
-        core: FlusherCore,
-        sink: E,
-        injector: Option<Arc<StallInjector>>,
-        n_links: usize,
-    ) -> Self {
-        Self {
-            core,
-            sink,
-            injector,
-            held: vec![false; n_links],
-        }
-    }
-
-    /// One `FlusherCore::step`, settled as the flusher thread settles
-    /// its own. Returns whether the step popped, delivered or
-    /// dead-lettered anything.
-    fn step(
-        &mut self,
-        links: &LinkSet,
-        estats: &ShardEgressStats,
-        progress: &FlushProgress,
-    ) -> bool {
-        let popped = self.core.popped();
-        self.core
-            .step(links, self.injector.as_deref(), &mut self.sink);
-        let (delivered, dead) = self.core.settle(links, estats, progress);
-        for (link, held) in self.held.iter_mut().enumerate() {
-            *held = self.core.pending_len(link) > 0 && links.blocked(link);
-        }
-        delivered + dead > 0 || self.core.popped() != popped
-    }
-
-    /// Whether a link that held pending flits has opened since.
-    fn opened(&self, links: &LinkSet) -> bool {
-        (self.held.iter().enumerate()).any(|(link, &held)| held && !links.blocked(link))
-    }
-
-    /// Whether a flit is pending behind an open link: the sink refused
-    /// it, and nobody announces the sink finding room.
-    fn refused(&self, links: &LinkSet) -> bool {
-        (0..self.held.len()).any(|link| self.core.pending_len(link) > 0 && !links.blocked(link))
-    }
 }
 
 impl<E: Egress> BufferedStage<E> {
     pub(crate) fn new(
-        tx: Producer<ServedFlit>,
+        (tx, core): (Producer<ServedFlit>, FlusherCore),
+        sink: E,
         links: Arc<LinkSet>,
-        estats: Arc<ShardEgressStats>,
-        progress: Arc<FlushProgress>,
+        injector: Option<Arc<StallInjector>>,
         n_flows: usize,
-        inline: Option<InlineFlusher<E>>,
     ) -> Self {
         let n_links = links.n_links();
         let mut link_flows: Vec<Vec<usize>> = vec![Vec::new(); n_links];
@@ -348,43 +294,41 @@ impl<E: Egress> BufferedStage<E> {
         Self {
             tx,
             links,
-            estats,
-            progress,
+            estats: Arc::new(ShardEgressStats::default()),
             link_flows,
             grant: vec![0; n_links],
             link_parked: vec![false; n_links],
             pushed: 0,
-            inline,
+            core,
+            sink,
+            injector,
+            held: vec![false; n_links],
         }
     }
 
-    /// Commits `flit` to the output ring, waiting while it is full.
-    /// Bounded wait: a flusher step always frees a slot (a blocked
-    /// link's flits move to its bounded pending queue). A worker that
-    /// runs the step itself runs one; a flusher thread may sleep over a
-    /// ring it last saw empty, and on a shared core cannot run while
-    /// this thread spins: each retry wakes it, yields.
-    fn push_ring(&mut self, flit: ServedFlit) {
-        let mut item = flit;
-        let mut first = true;
-        while let Err(back) = self.tx.push(item) {
-            item = back;
-            if first {
-                self.estats.ring_full_spins.fetch_add(1, Ordering::Relaxed);
-                self.estats.note_ring_occupancy(self.tx.occupancy() as u64);
-                first = false;
-            }
-            match self.inline.as_mut() {
-                Some(inline) => {
-                    inline.step(&self.links, &self.estats, &self.progress);
-                }
-                None => {
-                    self.tx.wake_consumer();
-                    std::thread::yield_now();
-                }
-            }
+    /// The counters this stage writes, for the runtime's controller.
+    pub(crate) fn stats(&self) -> Arc<ShardEgressStats> {
+        Arc::clone(&self.estats)
+    }
+
+    /// One `FlusherCore::step`, settled. Returns whether the step
+    /// popped, delivered or dead-lettered anything.
+    fn step(&mut self) -> bool {
+        let popped = self.core.popped();
+        let links = &*self.links;
+        self.core
+            .step(links, self.injector.as_deref(), &mut self.sink);
+        let (delivered, dead) = self.core.settle(links, &self.estats);
+        for (link, held) in self.held.iter_mut().enumerate() {
+            *held = self.core.pending_len(link) > 0 && links.blocked(link);
         }
-        self.pushed += 1;
+        delivered + dead > 0 || self.core.popped() != popped
+    }
+
+    /// Whether a flit is pending behind an open link: the sink refused
+    /// it, and nobody announces the sink finding room.
+    fn refused(&self) -> bool {
+        (0..self.held.len()).any(|l| self.core.pending_len(l) > 0 && !self.links.blocked(l))
     }
 
     /// Takes `link`'s grant for a batch that can still emit `want`
@@ -437,9 +381,8 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
     /// link must be parked before the scheduler visits it again. A drop
     /// guard settles the batch, unwinding or not: the grants go back
     /// (an idle one would starve the other shards and run the link's
-    /// dead-link deadline), ring occupancy is noted and a flusher
-    /// thread woken once, after the last push. A worker that runs the
-    /// flusher step itself has nobody to wake: it steps in `flush`.
+    /// dead-link deadline), and ring occupancy is noted once, after the
+    /// last push. Delivery waits for `flush`.
     fn serve(
         &mut self,
         shared: &Shared,
@@ -455,9 +398,6 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
                 if stage.pushed != self.0 {
                     let occupancy = stage.tx.occupancy() as u64;
                     stage.estats.note_ring_occupancy(occupancy);
-                    if stage.inline.is_none() {
-                        stage.tx.wake_consumer();
-                    }
                 }
             }
         }
@@ -474,6 +414,11 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
         }
         let (mut flits, mut tails) = (0u64, 0u64);
         while flits < batch {
+            if !stage.tx.has_room() {
+                // The flusher step after this batch frees it.
+                stage.estats.ring_full_spins.fetch_add(1, Ordering::Relaxed);
+                break;
+            }
             let Some(flit) = scheduler.service_flit(now + flits) else {
                 break;
             };
@@ -485,7 +430,9 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
             let link = stage.links.route(flit.flow);
             debug_assert!(stage.grant[link] > 0, "link {link}: no grant");
             stage.grant[link] -= 1;
-            stage.push_ring(flit);
+            let pushed = stage.tx.push(flit);
+            debug_assert!(pushed.is_ok(), "the ring had room");
+            stage.pushed += 1;
             if stage.grant[link] == 0 && flits < batch {
                 // Top up; if that comes back empty, park before the visit.
                 stage.refill(link, batch - flits, shared, scheduler);
@@ -496,51 +443,41 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
     }
 
     fn flush(&mut self) -> bool {
-        let Some(inline) = self.inline.as_mut() else {
-            return false;
-        };
-        inline.step(&self.links, &self.estats, &self.progress)
+        self.step()
     }
 
     fn starved(&self) -> bool {
         let mut links = self.link_parked.iter().zip(&self.link_flows);
-        self.inline.as_ref().is_none_or(|i| !i.refused(&self.links))
+        !self.refused()
             && self.link_parked.contains(&true)
             && links.all(|(&p, f)| p || f.is_empty())
     }
 
     /// A credit for a parked link (a credit-returner wakes for it), or
-    /// a link that held flits of the worker's own flusher step opened
-    /// (whoever opened it woke the worker).
+    /// a link that held flits of the flusher step opened (whoever
+    /// opened it woke the worker).
     fn can_progress(&self) -> bool {
-        (0..self.grant.len()).any(|l| self.link_parked[l] && self.links.has_credit(l))
-            || self.inline.as_ref().is_some_and(|i| i.opened(&self.links))
+        let links = &self.links;
+        (0..self.grant.len()).any(|l| {
+            (self.link_parked[l] && links.has_credit(l)) || (self.held[l] && !links.blocked(l))
+        })
     }
 
     /// Nothing is left to serve, and what a dead `HoldForRecovery`
-    /// link holds waits for a heal: dead-letter it (§9.3), where the
-    /// flusher thread does once the runtime is closed. The worker
+    /// link holds waits for a heal: dead-letter it (§9.3). The worker
     /// leaves once its flusher core is empty.
     fn drained(&mut self) -> bool {
-        self.inline
-            .as_mut()
-            .is_none_or(|inline| inline.core.finish(&self.links))
+        self.core.finish(&self.links)
     }
 
-    /// A forced abort ends delivery: what the worker's own flusher core
-    /// still holds — ring flits, and flits pending behind a dead, frozen
-    /// or refusing link — is dead-lettered, every credit back. (A
-    /// flusher thread outlives the aborted workers: it still delivers
-    /// what the draining links let through, and dead-letters what a
-    /// dead link holds.) Never calls the sink, so `drain_within` can
-    /// settle an unadopted bequest this way on its own thread.
+    /// A forced abort ends delivery: what the flusher core still holds
+    /// — ring flits, and flits pending behind a dead, frozen or
+    /// refusing link — is dead-lettered, every credit back. Never calls
+    /// the sink, so `drain_within` can settle an unadopted bequest this
+    /// way on its own thread.
     fn abort(&mut self) {
-        if let Some(inline) = self.inline.as_mut() {
-            inline.core.dead_letter_all(&self.links);
-            inline
-                .core
-                .settle(&self.links, &self.estats, &self.progress);
-        }
+        self.core.dead_letter_all(&self.links);
+        self.core.settle(&self.links, &self.estats);
     }
 
     fn link_parked(&self, flow: usize) -> bool {
@@ -557,9 +494,9 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
         self.pushed
     }
 
-    /// The flusher's pending-free watermark passed the snapshot.
+    /// The flusher core's pending-free watermark passed the snapshot.
     fn flow_retired(&self, _flow: usize, snapshot: u64) -> bool {
-        self.progress.retired() >= snapshot
+        self.core.retired() >= snapshot
     }
 }
 
@@ -581,7 +518,12 @@ pub(crate) fn run_shard(shared: Arc<Shared>, mut w: Bequest) -> Cycle {
     let now = w.now;
     match shared.fault.as_ref() {
         Some(fr) => fr.bequeath(w.cfg.shard, w),
-        None => panic::resume_unwind(payload),
+        None => {
+            // Nobody adopts the stage: what it holds is dead-lettered,
+            // so no credit dies with the worker.
+            w.stage.abort();
+            panic::resume_unwind(payload)
+        }
     }
     now
 }
@@ -614,9 +556,9 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
         // quarantine, injected events. The stage holds no credit between
         // service phases, and no flit — but for a sync batch a sink's
         // unwind interrupted, which an abort that beats the successor's
-        // first `serve` leaves uncounted (§9.4), and what a worker's own
-        // flusher core holds, which `abort` dead-letters — so a forced
-        // abort has only the scheduler's residue to count lost.
+        // first `serve` leaves uncounted (§9.4), and what the flusher
+        // core holds, which `abort` dead-letters — so a forced abort has
+        // only the scheduler's residue to count lost.
         // ordering: Acquire pairs with the Release `abort` store in
         // `Runtime::drain_within` (forced-shutdown latch).
         if shared.abort.load(Ordering::Acquire) {
@@ -685,8 +627,8 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
             // requested, no producer is still inside
             // `submit` (see `Shared::can_finish` — a mid-submit
             // producer could still push), everything this shard owns
-            // is drained — its stage included, when the stage delivers
-            // flits itself — and no migration in flight names this
+            // is drained — its stage's flusher core included — and no
+            // migration in flight names this
             // shard (DESIGN.md §8.6 — a mid-handoff exit would strand
             // the victim's packets). The ring check must come after
             // `can_finish`: once that returns true no further push can
@@ -732,8 +674,8 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
                 let cell = &shared.wakes[shard];
                 let how = if starved && !polls {
                     // backstop: covered by `wake_credit_waiters` (a
-                    // credit return), `wake_flushers` (a link opening
-                    // under flits the worker's own flusher step holds),
+                    // credit return), `wake_workers` (a link opening
+                    // under flits the flusher step holds),
                     // `wake_worker_for_intake` (a full ingress ring) and
                     // `drain_within`'s wakes (drain, abort) — no arrival
                     // could be served meanwhile.

@@ -78,7 +78,7 @@ pub struct ShardStats {
     /// Times the worker parked because there was nothing to do.
     pub parks: PaddedCounter,
     /// Parks that ran to their timeout instead of being ended by a
-    /// peer's wake (a producer about to wait, a flusher returning
+    /// peer's wake (a producer about to wait, another worker returning
     /// credits) — the share of `parks` the timers still carry.
     pub park_timeouts: PaddedCounter,
     /// Flows this shard stole (absorbed) from another shard.
@@ -265,7 +265,7 @@ impl RuntimeStats {
         (self.dropped_packets() + self.rejected_packets()) as f64 / submitted as f64
     }
 
-    /// Flits delivered downstream by the flushers (0 in sync mode,
+    /// Flits delivered downstream by the flusher steps (0 in sync mode,
     /// where delivery is counted as `served_flits`).
     pub fn flushed_flits(&self) -> u64 {
         self.egress.as_ref().map_or(0, |e| e.flushed_flits())
@@ -345,13 +345,6 @@ impl fmt::Display for RuntimeStats {
                 e.stall_events(),
                 e.max_stall_cycles(),
             )?;
-            for (i, s) in e.shards.iter().enumerate() {
-                writeln!(
-                    f,
-                    "    flusher {}: idle rounds {} | parks {} ({} timed out)",
-                    i, s.flusher_idle_rounds, s.flusher_parks, s.flusher_park_timeouts,
-                )?;
-            }
             for (i, l) in e.links.iter().enumerate() {
                 writeln!(
                     f,

@@ -261,8 +261,7 @@ fn egress_stall_run(shards: usize, window: Duration) -> EgressSample {
 
 /// The stalled-downstream scenario across `egress_shards`, written to
 /// `egress_out`. Runs as part of the full sweep and standalone via
-/// `--egress-only` (used for the flusher idle-backoff before/after
-/// comparison in EXPERIMENTS.md).
+/// `--egress-only`.
 fn run_egress_bench(egress_shards: &[usize], window: Duration, smoke: bool, egress_out: &str) {
     eprintln!("runtime-bench: stalled downstream, 1 of {EGRESS_LINKS} links frozen...");
     let egress_samples: Vec<EgressSample> = egress_shards
@@ -296,10 +295,6 @@ fn run_egress_bench(egress_shards: &[usize], window: Duration, smoke: bool, egre
         "  \"measure_window_secs\": {:.3},\n",
         window.as_secs_f64()
     ));
-    json.push_str(
-        "  \"flusher_idle\": \"64 spin rounds, then exponential sleep 5us..100us \
-         (reset on work); was a fixed 50us sleep before the backoff change\",\n",
-    );
     json.push_str(
         "  \"metric\": \"wall-clock delivered flits/sec on the 3 unstalled links; \
          isolation = stalled / baseline\",\n",
@@ -515,7 +510,7 @@ fn stealing_compare(shards: usize, total_packets: u64) -> StealingSample {
 /// Stealing under `EgressMode::Buffered` (DESIGN.md §8.7): the same
 /// Zipf workload with the egress stage buffered — legal now that the
 /// shared egress state is `Sync` and the mover fences on the retire
-/// cursor (`FlushProgress`) before rerouting a flow. The claim this leg
+/// cursor (`FlusherCore::retired`) before rerouting a flow. The claim this leg
 /// holds is compositional, not a speedup: conservation end to end with
 /// migrations actually firing through the buffered path.
 fn stealing_buffered_run(shards: usize, total_packets: u64) -> (f64, u64, u64, u64) {
@@ -619,7 +614,7 @@ fn run_stealing_bench(
         "  \"buffered_compose\": {{\"shards\": {compose_shards}, \
          \"egress\": \"buffered, {EGRESS_LINKS} links\", \
          \"claim\": \"stealing composes with buffered egress (mover fences on the \
-         FlushProgress retire cursor, §8.7); conservation asserted end to end\", \
+         flusher core's retire cursor, §8.7); conservation asserted end to end\", \
          \"stealing_fpsc\": {compose_fpsc:.4}, \"migrations\": {compose_migrations}, \
          \"migrated_flits\": {compose_migrated}, \"steal_aborts\": {compose_aborts}}}\n"
     ));
@@ -796,7 +791,7 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
     std::panic::set_hook(Box::new(move |info| {
         let injected = std::thread::current()
             .name()
-            .is_some_and(|n| n.starts_with("err-shard-") || n.starts_with("err-flusher-"))
+            .is_some_and(|n| n.starts_with("err-shard-"))
             && info
                 .payload()
                 .downcast_ref::<String>()

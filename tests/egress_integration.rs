@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use err_runtime::{
     AdmissionPolicy, BufferedConfig, DeadLinkPolicy, DrainReport, Egress, EgressMode, FaultPlan,
     Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats, ShardExit, StallPlan, SupervisionConfig,
+    Threaded,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -313,26 +314,41 @@ fn credit_pool_bounds_buffered_flits_per_link() {
     }
 }
 
-/// A sink that records every flit. `never_blocks` is what it says of
-/// its `try_emit`: `true` has the buffered stage's worker run the
-/// flusher step itself, and no flusher thread is spawned (DESIGN.md §7).
-struct Recorder {
-    seen: Arc<Mutex<Vec<ServedFlit>>>,
-    never_blocks: bool,
+/// A sink that records every flit: bare, so the worker's flusher step
+/// calls it, or behind a [`Threaded`] adapter, which hands it each flit
+/// on a thread of its own (DESIGN.md §7).
+enum Recorder {
+    Bare(Arc<Mutex<Vec<ServedFlit>>>),
+    Threaded(Threaded),
+}
+
+impl Recorder {
+    fn new(seen: Arc<Mutex<Vec<ServedFlit>>>, threaded: bool) -> Self {
+        if !threaded {
+            return Self::Bare(seen);
+        }
+        Self::Threaded(Threaded::new(move |_s: usize, f: &ServedFlit| {
+            seen.lock().unwrap().push(*f);
+        }))
+    }
 }
 
 impl Egress for Recorder {
-    fn emit(&mut self, _shard: usize, f: &ServedFlit) {
-        self.seen.lock().unwrap().push(*f);
+    fn emit(&mut self, shard: usize, f: &ServedFlit) {
+        match self {
+            Self::Bare(seen) => seen.lock().unwrap().push(*f),
+            Self::Threaded(adapter) => adapter.emit(shard, f),
+        }
     }
 
     fn try_emit(&mut self, shard: usize, f: &ServedFlit) -> bool {
-        self.emit(shard, f);
-        true
-    }
-
-    fn never_blocks(&self) -> bool {
-        self.never_blocks
+        match self {
+            Self::Bare(seen) => {
+                seen.lock().unwrap().push(*f);
+                true
+            }
+            Self::Threaded(adapter) => adapter.try_emit(shard, f),
+        }
     }
 }
 
@@ -350,15 +366,15 @@ enum Link0 {
 /// Buffered egress must not change *what* is scheduled, only how it is
 /// delivered: for one shard and an identical pre-loaded workload, every
 /// flow sees the identical flit sequence under sync and buffered modes
-/// — the flusher on a thread of its own, or its step run by the worker
-/// for a sink that never blocks — whatever link 0 goes through. With a
-/// `fault_plan` the shard runs under supervision (DESIGN.md §9.2), so
-/// the same holds across a worker death whose successor adopts the
-/// egress stage of either mode.
+/// — the sink bare in the worker's flusher step, or behind a `Threaded`
+/// adapter — whatever link 0 goes through. With a `fault_plan` the
+/// shard runs under supervision (DESIGN.md §9.2), so the same holds
+/// across a worker death whose successor adopts the egress stage of
+/// either mode.
 fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
     const CREDITS: u64 = 32;
     let faulted = fault_plan.is_some();
-    let run = |egress: EgressMode, never_blocks: bool| -> (Vec<ServedFlit>, DrainReport) {
+    let run = |egress: EgressMode, threaded: bool| -> (Vec<ServedFlit>, DrainReport) {
         let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
         let s2 = Arc::clone(&seen);
         let (rt, handle) = Runtime::start_with_egress(
@@ -370,10 +386,7 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
                 fault_plan: fault_plan.clone(),
                 ..RuntimeConfig::default()
             },
-            move |_shard| {
-                let seen = Arc::clone(&s2);
-                Some(Recorder { seen, never_blocks })
-            },
+            move |_shard| Some(Recorder::new(Arc::clone(&s2), threaded)),
         );
         let outage = rt
             .egress_controller()
@@ -406,26 +419,21 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
     });
 
     let (sync, sync_report) = run(EgressMode::Sync, false);
-    let (threaded, threaded_report) = run(buffered.clone(), false);
-    let (inline, inline_report) = run(buffered, true);
+    let (bare, bare_report) = run(buffered.clone(), false);
+    let (threaded, threaded_report) = run(buffered, true);
     let exit = if faulted {
         ShardExit::Panicked
     } else {
         ShardExit::Clean
     };
-    for report in [&sync_report, &threaded_report, &inline_report] {
+    for report in [&sync_report, &bare_report, &threaded_report] {
         assert!(report.is_conserving(), "{report:?}");
         assert_eq!(report.served_packets(), 1_000, "{report:?}");
         assert_eq!(report.lost_packets(), 0, "{report:?}");
         assert_eq!(report.exits, [exit], "{report:?}");
+        assert_eq!(report.all_clean(), !faulted, "{report:?}");
     }
-    assert_eq!(threaded_report.flusher_exits, [ShardExit::Clean]);
-    assert!(
-        inline_report.flusher_exits.is_empty(),
-        "a sink that never blocks gets no flusher thread: {inline_report:?}"
-    );
-    assert_eq!(inline_report.all_clean(), !faulted, "{inline_report:?}");
-    for report in [&threaded_report, &inline_report] {
+    for report in [&bare_report, &threaded_report] {
         let egress = report.stats.egress.as_ref().expect("buffered snapshot");
         assert_eq!(egress.flushed_flits(), sync.len() as u64, "{egress:?}");
         for (i, l) in egress.links.iter().enumerate() {
@@ -436,7 +444,7 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
             assert!(egress.links[0].replayed > 0, "nothing was held: {egress:?}");
         }
     }
-    for (mode, buf) in [("threaded", &threaded), ("inline", &inline)] {
+    for (mode, buf) in [("bare", &bare), ("threaded", &threaded)] {
         assert_eq!(sync.len(), buf.len(), "{mode}: flit counts differ");
         for flow in 0..8usize {
             let a: Vec<(u64, u32)> = sync
@@ -466,8 +474,9 @@ fn buffered_matches_sync_per_flow_sequences() {
 /// The same equivalence across a shard death: one seeded kill in the
 /// middle of the ~3 500-flit run, and the successor carries on from the
 /// bequeathed stage — the sync stage's sink or the buffered stage's
-/// ring, parking marks and pushed count, and the flusher core and sink
-/// of a worker that steps them itself — with nothing lost in any mode.
+/// ring, parking marks, pushed count, flusher core and sink (a
+/// `Threaded` adapter and its thread included) — with nothing lost in
+/// any mode.
 #[test]
 fn buffered_matches_sync_across_a_resurrection() {
     let _alone = one_at_a_time();
@@ -496,16 +505,23 @@ fn buffered_matches_sync_across_a_held_link_outage() {
     assert_buffered_matches_sync(None, Link0::HeldOutage);
 }
 
-/// A sink that panics on the flusher thread (DESIGN.md §14.4) must not
-/// wedge the drain: the flusher keeps its core, dead-letters whatever
-/// the shard still commits so the credits keep returning, and the
-/// report says `Panicked`. `shutdown` is the drain under test; both
-/// callers must see it finish gracefully.
+/// A sink that panics behind a [`Threaded`] adapter (DESIGN.md §14.4)
+/// must not wedge the drain: the adapter's thread never calls it again,
+/// and from then on takes each flit off its ring and counts it lost, so
+/// credits keep returning and the worker drains. `shutdown` is the drain
+/// under test; both callers must see it finish gracefully.
 fn drain_after_a_sink_panic(shutdown: impl FnOnce(Runtime) -> DrainReport) {
     const PACKETS: u64 = 500;
     const SURVIVES: u64 = 100;
     let emitted = Arc::new(AtomicU64::new(0));
     let e2 = Arc::clone(&emitted);
+    let adapter = Threaded::new(move |_s: usize, _f: &ServedFlit| {
+        if e2.fetch_add(1, Ordering::Relaxed) == SURVIVES {
+            panic!("sink: downstream went away (injected by the test)");
+        }
+    });
+    let adapter_stats = adapter.stats();
+    let mut adapter = Some(adapter);
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
             shards: 1,
@@ -518,14 +534,7 @@ fn drain_after_a_sink_panic(shutdown: impl FnOnce(Runtime) -> DrainReport) {
             }),
             ..RuntimeConfig::default()
         },
-        move |_shard| {
-            let emitted = Arc::clone(&e2);
-            Some(move |_s: usize, _f: &ServedFlit| {
-                if emitted.fetch_add(1, Ordering::Relaxed) == SURVIVES {
-                    panic!("sink: downstream went away (injected by the test)");
-                }
-            })
-        },
+        move |_shard| adapter.take(),
     );
     for id in 0..PACKETS {
         let flow = (id % N_FLOWS as u64) as usize;
@@ -539,19 +548,19 @@ fn drain_after_a_sink_panic(shutdown: impl FnOnce(Runtime) -> DrainReport) {
     assert!(report.is_conserving(), "{report:?}");
     assert_eq!(report.served_packets(), PACKETS, "{report:?}");
     assert_eq!(report.exits, [ShardExit::Clean]);
-    assert_eq!(report.flusher_exits, [ShardExit::Panicked]);
-    assert!(!report.all_clean());
-    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
-    assert_eq!(egress.flusher_panics(), 1);
-    // The sink took 100 flits and died on the next; that one and every
-    // flit after it is dead-lettered, none is called delivered — and
-    // the per-shard count agrees with the per-link ledger: the step
-    // that unwound still reports what it delivered.
+    assert!(report.all_clean());
+    // The inner sink took 100 flits and died on the next; never called
+    // again, the adapter counted that one and every flit after it lost.
+    // A link's ledger counts the hand-over to the adapter.
     let flits = PACKETS * u64::from(PACKET_LEN);
     assert_eq!(emitted.load(Ordering::Relaxed), SURVIVES + 1);
+    let adapter = adapter_stats.snapshot();
+    assert!(adapter.panicked, "{adapter:?}");
+    assert_eq!(adapter.took, SURVIVES, "{adapter:?}");
+    assert_eq!(adapter.took + adapter.lost, flits, "{adapter:?}");
+    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
     let delivered: u64 = egress.links.iter().map(|l| l.delivered_flits).sum();
-    let dead: u64 = egress.links.iter().map(|l| l.dead_letter_flits).sum();
-    assert_eq!((delivered, dead), (SURVIVES, flits - SURVIVES));
+    assert_eq!(delivered, flits);
     assert_eq!(egress.flushed_flits(), delivered);
     for (i, l) in egress.links.iter().enumerate() {
         assert_eq!(l.credits_available, 8, "link {i}: credits leaked");
@@ -568,6 +577,102 @@ fn sink_panic_on_the_flusher_does_not_wedge_shutdown() {
 fn sink_panic_on_the_flusher_is_reported_by_shutdown_within() {
     let _alone = one_at_a_time();
     drain_after_a_sink_panic(|rt| rt.shutdown_within(Duration::from_millis(500)));
+}
+
+/// A bare sink that panics in `try_emit` unwinds the worker, whose
+/// flusher step called it (DESIGN.md §14.4). Under supervision the
+/// successor adopts the stage, its flusher core and the sink from the
+/// `Bequest` (§9.2): the flit in hand is dead-lettered, every other one
+/// delivered, and the drain conserves. Without supervision the dying
+/// worker's `EgressStage::abort` dead-letters what its core holds. In
+/// both cases every credit returns, and `shutdown` finishes unforced.
+fn drain_after_a_bare_sink_panic(supervised: bool, shutdown: impl FnOnce(Runtime) -> DrainReport) {
+    const PACKETS: u64 = 500;
+    const CREDITS: u64 = 8;
+    struct Panicky {
+        calls: Arc<AtomicU64>,
+    }
+    impl Egress for Panicky {
+        fn emit(&mut self, _shard: usize, _f: &ServedFlit) {
+            unreachable!("the flusher step delivers through `try_emit`");
+        }
+        fn try_emit(&mut self, _shard: usize, _f: &ServedFlit) -> bool {
+            if self.calls.fetch_add(1, Ordering::Relaxed) == 100 {
+                panic!("sink: downstream went away (injected by the test)");
+            }
+            true
+        }
+    }
+    let calls = Arc::new(AtomicU64::new(0));
+    let c2 = Arc::clone(&calls);
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: N_FLOWS,
+            egress: EgressMode::Buffered(BufferedConfig {
+                ring_capacity: 64,
+                credits: CREDITS,
+                n_links: N_LINKS,
+                ..BufferedConfig::default()
+            }),
+            supervision: supervised.then(|| SupervisionConfig {
+                heartbeat_deadline: Duration::from_secs(10),
+                ..SupervisionConfig::default()
+            }),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| {
+            let calls = Arc::clone(&c2);
+            Some(Panicky { calls })
+        },
+    );
+    for id in 0..PACKETS {
+        let flow = (id % N_FLOWS as u64) as usize;
+        handle.submit(Packet::new(id, flow, PACKET_LEN, 0)).unwrap();
+    }
+    if !supervised {
+        // The worker dies with its ring and scheduler: wait for the
+        // panic rather than race the drain against it.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while calls.load(Ordering::Relaxed) <= 100 {
+            assert!(Instant::now() < deadline, "the sink never panicked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    let report = shutdown(rt);
+    assert!(!report.forced, "the drain must finish unforced: {report:?}");
+    assert_eq!(report.exits, [ShardExit::Panicked], "{report:?}");
+    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
+    let delivered: u64 = egress.links.iter().map(|l| l.delivered_flits).sum();
+    let dead: u64 = egress.links.iter().map(|l| l.dead_letter_flits).sum();
+    for (i, l) in egress.links.iter().enumerate() {
+        assert_eq!(l.credits_available, CREDITS, "link {i}: credits leaked");
+    }
+    let served = report.stats.served_flits();
+    assert_eq!(delivered + dead, served, "a served flit went uncounted");
+    assert_eq!(egress.flushed_flits(), delivered);
+    if supervised {
+        assert!(report.is_conserving(), "{report:?}");
+        assert_eq!(report.served_packets(), PACKETS, "{report:?}");
+        assert_eq!(dead, 1, "only the flit in hand is dead-lettered");
+        assert_eq!(calls.load(Ordering::Relaxed), served);
+    } else {
+        assert_eq!(delivered, 100);
+    }
+}
+
+#[test]
+fn a_bare_sink_panic_bequeaths_the_flusher_core_to_the_successor() {
+    let _alone = one_at_a_time();
+    drain_after_a_bare_sink_panic(true, Runtime::shutdown);
+    drain_after_a_bare_sink_panic(true, |rt| rt.shutdown_within(Duration::from_millis(500)));
+}
+
+#[test]
+fn a_bare_sink_panic_without_supervision_dead_letters_what_the_core_holds() {
+    let _alone = one_at_a_time();
+    drain_after_a_bare_sink_panic(false, Runtime::shutdown);
+    drain_after_a_bare_sink_panic(false, |rt| rt.shutdown_within(Duration::from_millis(500)));
 }
 
 /// A transient link death under `DeadLinkPolicy::HoldForRecovery`
@@ -653,8 +758,8 @@ fn held_flits_replay_in_flow_fifo_order_across_an_outage() {
     }
 }
 
-/// A worker that runs its own flusher step takes over the flusher's
-/// wakes (DESIGN.md §7): with one link, one credit and the link frozen,
+/// A worker that runs its flusher step hears every link that opens
+/// (DESIGN.md §7): with one link, one credit and the link frozen,
 /// the first flit waits behind the stall and the second has no credit,
 /// so the worker is starved and sleeps covered, on the 10 ms backstop.
 /// The thaw must end that sleep — `release_stall` wakes whoever steps
@@ -677,13 +782,7 @@ fn a_thaw_wakes_a_worker_that_runs_its_own_flusher_step() {
             }),
             ..RuntimeConfig::default()
         },
-        move |_shard| {
-            let seen = Arc::clone(&s2);
-            Some(Recorder {
-                seen,
-                never_blocks: true,
-            })
-        },
+        move |_shard| Some(Recorder::new(Arc::clone(&s2), false)),
     );
     let controller = rt.egress_controller().expect("buffered mode").clone();
     let delivered = || seen.lock().unwrap().len() as u64;
@@ -707,7 +806,6 @@ fn a_thaw_wakes_a_worker_that_runs_its_own_flusher_step() {
     }
     let report = rt.shutdown();
     assert!(report.is_conserving(), "{report:?}");
-    assert!(report.flusher_exits.is_empty(), "{report:?}");
     // The thaw can catch the worker between two parks; it cannot do so
     // round after round.
     assert!(
@@ -716,8 +814,7 @@ fn a_thaw_wakes_a_worker_that_runs_its_own_flusher_step() {
     );
 }
 
-/// The exit duty a worker takes over from its flusher thread (DESIGN.md
-/// §7): with the drain gate closed and nothing left to serve, what a
+/// The worker's exit duty (DESIGN.md §7): with the drain gate closed and nothing left to serve, what a
 /// dead `HoldForRecovery` link holds can wait for no heal. The worker
 /// dead-letters it at its exit gate — counted, every credit back — and
 /// leaves; nothing reaches the sink.
@@ -741,13 +838,7 @@ fn a_worker_dead_letters_what_a_dead_link_holds_before_it_exits() {
             }),
             ..RuntimeConfig::default()
         },
-        move |_shard| {
-            let seen = Arc::clone(&s2);
-            Some(Recorder {
-                seen,
-                never_blocks: true,
-            })
-        },
+        move |_shard| Some(Recorder::new(Arc::clone(&s2), false)),
     );
     rt.egress_controller()
         .expect("buffered mode")
@@ -762,20 +853,17 @@ fn a_worker_dead_letters_what_a_dead_link_holds_before_it_exits() {
     }
     let report = rt.shutdown();
     assert!(report.is_conserving(), "{report:?}");
-    assert!(
-        report.all_clean() && report.flusher_exits.is_empty(),
-        "{report:?}"
-    );
+    assert!(report.all_clean(), "{report:?}");
     let link = &report.stats.egress.as_ref().expect("buffered").links[0];
     assert_eq!(link.dead_letter_flits, HELD, "{link:?}");
     assert_eq!(link.credits_available, CREDITS, "{link:?}");
     assert!(seen.lock().unwrap().is_empty());
 }
 
-/// A worker that runs its own flusher step leaves only once its core is
-/// empty (DESIGN.md §7): a flit its sink refused is still the worker's
-/// to deliver when the drain comes, so `shutdown` waits for the sink to
-/// take it — here 20 ms after start, long after the drain began.
+/// A worker leaves only once its flusher core is empty (DESIGN.md §7):
+/// a flit its sink refused is still the worker's to deliver when the
+/// drain comes, so `shutdown` waits for the sink to take it — here
+/// 20 ms after start, long after the drain began.
 #[test]
 fn shutdown_waits_for_a_flit_the_sink_refused() {
     let _alone = one_at_a_time();
@@ -791,9 +879,6 @@ fn shutdown_waits_for_a_flit_the_sink_refused() {
             let now = Instant::now() >= self.until;
             self.taken.fetch_add(u64::from(now), Ordering::Relaxed);
             now
-        }
-        fn never_blocks(&self) -> bool {
-            true
         }
     }
     let taken = Arc::new(AtomicU64::new(0));
@@ -829,20 +914,20 @@ fn shutdown_waits_for_a_flit_the_sink_refused() {
     assert_eq!(egress.links[0].credits_available, 4);
 }
 
-/// A forced abort (DESIGN.md §9.4) leaves no flit uncounted, whoever
-/// runs the flusher step. Link 0 dies under `HoldForRecovery` before
-/// anything is served: its one flow fills the credit window with held
-/// flits and parks with the rest of its backlog, so the graceful drain
-/// cannot finish and `shutdown_within` aborts. The backlog is counted
-/// lost; the held flits are dead-lettered — by the flusher thread once
-/// the runtime is closed, or by the aborting worker that held them
-/// itself — and every credit comes back.
+/// A forced abort (DESIGN.md §9.4) leaves no flit uncounted, with the
+/// sink bare or behind a `Threaded` adapter. Link 0 dies under
+/// `HoldForRecovery` before anything is served: its one flow fills the
+/// credit window with held flits and parks with the rest of its
+/// backlog, so the graceful drain cannot finish and `shutdown_within`
+/// aborts. The backlog is counted lost; the held flits are
+/// dead-lettered by the aborting worker that held them, and every
+/// credit comes back.
 #[test]
 fn a_forced_abort_dead_letters_what_a_dead_link_holds_in_either_mode() {
     let _alone = one_at_a_time();
     const CREDITS: u64 = 4;
     const PACKETS: u64 = 10;
-    for never_blocks in [false, true] {
+    for threaded in [false, true] {
         let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
         let s2 = Arc::clone(&seen);
         let (rt, handle) = Runtime::start_with_egress(
@@ -858,10 +943,7 @@ fn a_forced_abort_dead_letters_what_a_dead_link_holds_in_either_mode() {
                 }),
                 ..RuntimeConfig::default()
             },
-            move |_shard| {
-                let seen = Arc::clone(&s2);
-                Some(Recorder { seen, never_blocks })
-            },
+            move |_shard| Some(Recorder::new(Arc::clone(&s2), threaded)),
         );
         rt.egress_controller()
             .expect("buffered mode")
@@ -875,11 +957,10 @@ fn a_forced_abort_dead_letters_what_a_dead_link_holds_in_either_mode() {
             std::thread::yield_now();
         }
         let report = rt.shutdown_within(Duration::from_millis(200));
-        let mode = if never_blocks { "inline" } else { "threaded" };
+        let mode = if threaded { "threaded" } else { "bare" };
         assert!(report.forced, "{mode}: {report:?}");
         assert!(report.is_conserving(), "{mode}: {report:?}");
         assert_eq!(report.lost_packets(), PACKETS - CREDITS, "{mode}");
-        assert_eq!(report.flusher_exits.is_empty(), never_blocks, "{mode}");
         let link = &report.stats.egress.as_ref().expect("buffered").links[0];
         assert_eq!(link.dead_letter_flits, CREDITS, "{mode}: {link:?}");
         assert_eq!(link.credits_available, CREDITS, "{mode}: {link:?}");
@@ -906,37 +987,33 @@ fn expect_flow_fifo(next: &[AtomicU64], disorder: &AtomicU64, len: u64, f: &Serv
 }
 
 /// The hand-off edges at work (DESIGN.md §6, §7): one shard whose
-/// worker runs out of credits every 128 flits, a flusher that sleeps
+/// sink sits behind a `Threaded` adapter, an adapter thread that sleeps
 /// whenever its ring is empty, and a producer blocked on backpressure.
-/// Everything conserves in per-flow order, and the worker's parks are
-/// ended by its peers' wakes — the timeout is the exception.
+/// Everything conserves in per-flow order, and the adapter's parks are
+/// ended by the worker's wakes — the timeout is the exception.
 #[test]
 fn event_driven_handoffs_conserve_and_rarely_time_out() {
     let _alone = one_at_a_time();
     // Long packets keep the producer ahead of the worker on every
     // build: a submit costs the producer once per packet, the worker
-    // and the flusher pay per flit. (With 4-flit packets a debug
-    // build's producer is the slow side; its worker then idles and is
-    // refilled by plain pushes — the path that deliberately never
-    // wakes — and most parks run to the timer by design.)
+    // and the adapter pay per flit.
     const LEN: u64 = 16;
-    /// 320 k flits, over the 200 k asked. A debug build's worker is
-    /// the slow side and seldom starves, the more seldom the fewer
-    /// cycles its flusher wastes: over 80 lone debug
-    /// runs of 20 000 packets the worker parked 79–1 889 times at PR 18
-    /// and 26–2 052 times once an idle flusher stopped spinning (PR 20),
-    /// under the 50 parks asked below in 12 of them. Four times the
-    /// traffic, the same thresholds: 166–8 216 parks over 60 runs.
+    /// 320 k flits in a debug build, whose worker is the slow side and
+    /// fills the adapter's ring less often.
     const PACKETS: u64 = if cfg!(debug_assertions) {
         80_000
     } else {
         20_000
     };
-    // A sink light enough that a flusher step stays far below the
-    // worker's park timeout.
+    // A sink light enough that the adapter empties its ring far
+    // faster than the worker's park timeout.
     let next: Arc<Vec<AtomicU64>> = Arc::new((0..N_FLOWS).map(|_| AtomicU64::new(0)).collect());
     let disorder = Arc::new(AtomicU64::new(0));
     let (n2, d2) = (Arc::clone(&next), Arc::clone(&disorder));
+    let adapter =
+        Threaded::new(move |_s: usize, f: &ServedFlit| expect_flow_fifo(&n2, &d2, LEN, f));
+    let adapter_stats = adapter.stats();
+    let mut adapter = Some(adapter);
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
             shards: 1,
@@ -945,10 +1022,7 @@ fn event_driven_handoffs_conserve_and_rarely_time_out() {
             egress: buffered(None),
             ..RuntimeConfig::default()
         },
-        move |_shard| {
-            let (next, disorder) = (Arc::clone(&n2), Arc::clone(&d2));
-            Some(move |_s: usize, f: &ServedFlit| expect_flow_fifo(&next, &disorder, LEN, f))
-        },
+        move |_shard| adapter.take(),
     );
     for id in 0..PACKETS {
         let flow = (id % N_FLOWS as u64) as usize;
@@ -964,43 +1038,32 @@ fn event_driven_handoffs_conserve_and_rarely_time_out() {
     let sunk: u64 = next.iter().map(|n| n.load(Ordering::Relaxed)).sum();
     assert_eq!(sunk, flits, "every flit reached the sink");
     assert_eq!(disorder.load(Ordering::Relaxed), 0, "per-flow FIFO broken");
-    let shard = &report.stats.shards[0];
-    assert!(
-        shard.parks > 50,
-        "32 credits x 4 links must starve the worker over and over: {shard:?}"
-    );
-    // A debug build parks ten times less often (its worker is the
-    // slow side), so the few timeouts a busy host forces — the
-    // producer loses its core, the worker idles — weigh more: worst
-    // seen 10.1 % in 45 debug runs, 1.2 % in release.
+    // The worker waits on the adapter only when the adapter's ring is
+    // full: a refusal, which nobody announces, so those parks poll
+    // (DESIGN.md §6) and no ratio is asked of them. The adapter's sleep
+    // is covered, so a timeout there is no poll but a wake that got
+    // lost and a 10 ms hiccup. A debug build's worker is the slow side
+    // and hands over less often, so the few timeouts a busy host forces
+    // weigh more.
     let share = if cfg!(debug_assertions) { 4 } else { 10 };
+    let adapter = adapter_stats.snapshot();
+    assert!(adapter.parks > 50, "{adapter:?}");
     assert!(
-        shard.park_timeouts <= shard.parks / share,
-        "parks must end by a peer's wake, not by the timer: {} of {} timed out",
-        shard.park_timeouts,
-        shard.parks
-    );
-    // The flusher's side of the same hand-off. Both sleeps are covered
-    // at saturation (DESIGN.md §6), so a timeout here is no longer a
-    // 100 µs poll but a wake that got lost and a 10 ms hiccup.
-    let flusher = &report.stats.egress.as_ref().expect("buffered").shards[0];
-    assert!(flusher.flusher_parks > 50, "{flusher:?}");
-    assert!(
-        flusher.flusher_park_timeouts <= flusher.flusher_parks / share,
-        "the flusher's sleeps must end by the worker's wake: {} of {} timed out",
-        flusher.flusher_park_timeouts,
-        flusher.flusher_parks
+        adapter.park_timeouts <= adapter.parks / share,
+        "the adapter's sleeps must end by the worker's wake: {} of {} timed out",
+        adapter.park_timeouts,
+        adapter.parks
     );
 }
 
-/// The idle path where spinning never pays (DESIGN.md §6): a sink
-/// that sleeps 200 µs per flit behind four 4-credit links keeps worker
-/// and flusher handing over to each other every few flits, and no look
-/// at a wake predicate is ever answered — the peer it waits for is
-/// asleep in the sink or waiting on us. An idle loop must be a park
-/// (plus the odd look or re-check that found work), not 64 whole loops
-/// per park. The slow sink, not the host's
-/// core count, is what makes the spin futile: this holds anywhere.
+/// The idle path where spinning never pays (DESIGN.md §6): a producer
+/// that sleeps 200 µs after every packet keeps the worker waiting on
+/// it, and the worker keeps its sink's `Threaded` adapter waiting in
+/// turn, and no look at a wake predicate is ever answered — the peer
+/// each waits for is asleep. An idle loop must be a park (plus the odd
+/// look or re-check that found work), not 64 whole loops per park. The
+/// slow producer, not the host's core count, is what makes the spin
+/// futile: this holds anywhere.
 #[test]
 fn idle_threads_do_not_spin_where_spinning_never_pays() {
     let _alone = one_at_a_time();
@@ -1009,12 +1072,15 @@ fn idle_threads_do_not_spin_where_spinning_never_pays() {
     let next: Arc<Vec<AtomicU64>> = Arc::new((0..N_FLOWS).map(|_| AtomicU64::new(0)).collect());
     let disorder = Arc::new(AtomicU64::new(0));
     let (n2, d2) = (Arc::clone(&next), Arc::clone(&disorder));
+    let adapter = Threaded::new(move |_s: usize, f: &ServedFlit| {
+        expect_flow_fifo(&n2, &d2, LEN, f);
+    });
+    let adapter_stats = adapter.stats();
+    let mut adapter = Some(adapter);
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
             shards: 1,
             n_flows: N_FLOWS,
-            // Two packets a flow: the producer waits on the worker for
-            // the whole run, as the worker waits on the flusher.
             admission: AdmissionPolicy::Backpressure { max_backlog: 8 },
             egress: EgressMode::Buffered(BufferedConfig {
                 ring_capacity: 64,
@@ -1024,24 +1090,12 @@ fn idle_threads_do_not_spin_where_spinning_never_pays() {
             }),
             ..RuntimeConfig::default()
         },
-        move |_shard| {
-            let (next, disorder) = (Arc::clone(&n2), Arc::clone(&d2));
-            Some(move |_s: usize, f: &ServedFlit| {
-                std::thread::sleep(Duration::from_micros(200));
-                expect_flow_fifo(&next, &disorder, LEN, f);
-            })
-        },
+        move |_shard| adapter.take(),
     );
-    // (idle loops or rounds, parks) of the worker and of the flusher.
+    // (idle loops or rounds, parks) of the worker and of the adapter.
     let idleness = |stats: &RuntimeStats| {
-        let (w, f) = (
-            &stats.shards[0],
-            &stats.egress.as_ref().expect("buffered").shards[0],
-        );
-        [
-            (w.idle_loops, w.parks),
-            (f.flusher_idle_rounds, f.flusher_parks),
-        ]
+        let (w, a) = (&stats.shards[0], adapter_stats.snapshot());
+        [(w.idle_loops, w.parks), (a.idle_rounds, a.parks)]
     };
     // Start-up is not steady state: each thread's first fifty parks
     // are left out of the ratio.
@@ -1052,6 +1106,7 @@ fn idle_threads_do_not_spin_where_spinning_never_pays() {
         handle
             .submit(Packet::new(id, flow, LEN as u32, 0))
             .expect("backpressure blocks, never refuses");
+        std::thread::sleep(Duration::from_micros(200));
         if settled.contains(&None) {
             let now = idleness(&rt.stats());
             for (settled, now) in settled.iter_mut().zip(now) {
@@ -1069,7 +1124,7 @@ fn idle_threads_do_not_spin_where_spinning_never_pays() {
     );
     assert_eq!(disorder.load(Ordering::Relaxed), 0, "per-flow FIFO broken");
     let end = idleness(&report.stats);
-    for (who, (settled, end)) in ["worker", "flusher"].iter().zip(settled.iter().zip(end)) {
+    for (who, (settled, end)) in ["worker", "adapter"].iter().zip(settled.iter().zip(end)) {
         let settled = settled.unwrap_or_else(|| panic!("the {who} parked {} times", end.1));
         let (idle, parks) = (end.0 - settled.0, end.1 - settled.1);
         assert!(
@@ -1083,16 +1138,18 @@ fn idle_threads_do_not_spin_where_spinning_never_pays() {
     }
 }
 
-/// The sleep taxonomy, idle side (DESIGN.md §6): a flusher with an
-/// empty ring and nothing pending waits for two announced events — a
-/// ring push, the shutdown latch — so it sleeps on the 10 ms backstop,
-/// not on a 100 µs timer (~1 000 parks in 100 ms before), and still
-/// learns of the shutdown at once: the latch is announced too.
+/// The sleep taxonomy, idle side (DESIGN.md §6): a `Threaded` adapter
+/// with an empty ring waits for two announced events — a ring push, the
+/// adapter's drop at the worker's exit — so it sleeps on the 10 ms
+/// backstop, not on a 100 µs timer (~1 000 parks in 100 ms), and still
+/// learns of the shutdown at once: the drop is announced too.
 #[test]
 fn idle_flushers_sleep_on_the_backstop_and_hear_the_shutdown() {
     let _alone = one_at_a_time();
     let mut fastest = Duration::MAX;
     for _ in 0..3 {
+        let adapters = Arc::new(Mutex::new(Vec::new()));
+        let a2 = Arc::clone(&adapters);
         let (rt, _handle) = Runtime::start_with_egress(
             RuntimeConfig {
                 shards: 2,
@@ -1100,15 +1157,19 @@ fn idle_flushers_sleep_on_the_backstop_and_hear_the_shutdown() {
                 egress: buffered(None),
                 ..RuntimeConfig::default()
             },
-            |_shard| Some(|_s: usize, _f: &ServedFlit| {}),
+            move |_shard| {
+                let adapter = Threaded::new(|_s: usize, _f: &ServedFlit| {});
+                a2.lock().unwrap().push(adapter.stats());
+                Some(adapter)
+            },
         );
         std::thread::sleep(Duration::from_millis(100));
-        let egress = rt.stats().egress.expect("buffered");
-        for (shard, s) in egress.shards.iter().enumerate() {
+        for (shard, s) in adapters.lock().unwrap().iter().enumerate() {
+            let s = s.snapshot();
             assert!(
-                s.flusher_parks <= 30,
-                "shard {shard}: an idle flusher parked {} times in 100 ms",
-                s.flusher_parks
+                s.parks <= 30,
+                "shard {shard}: an idle adapter parked {} times in 100 ms",
+                s.parks
             );
         }
         let t = Instant::now();
@@ -1117,8 +1178,8 @@ fn idle_flushers_sleep_on_the_backstop_and_hear_the_shutdown() {
         assert!(report.is_conserving(), "{report:?}");
         assert!(report.all_clean(), "{report:?}");
     }
-    // Unannounced, each flusher would sit out what is left of its
-    // backstop: 5 ms a flusher on average, joined one after the other.
+    // Unannounced, each adapter would sit out what is left of its
+    // backstop: 5 ms an adapter on average, joined one after the other.
     assert!(
         fastest < Duration::from_millis(5),
         "the best of three idle shutdowns took {fastest:?}"
@@ -1241,9 +1302,8 @@ fn two_shards_share_one_link_by_grants() {
 
 /// Regression: with the ring smaller than the credit window (8 < 4 x
 /// 32) the worker fills the ring long before it runs out of credits.
-/// It used to spin on the full ring, which on a shared core burnt its
-/// whole timeslice against a flusher that was asleep; now it wakes
-/// the flusher and yields between retries.
+/// A full ring ends the service batch, and the flusher step after it
+/// frees the ring (DESIGN.md §7): nothing spins, nothing strands.
 #[test]
 fn ring_smaller_than_the_credit_window_completes_and_conserves() {
     let _alone = one_at_a_time();
@@ -1293,10 +1353,10 @@ fn ring_smaller_than_the_credit_window_completes_and_conserves() {
 /// The cross-shard wake (DESIGN.md §7): two shards share one link with
 /// a single credit. Shard B's flit holds the credit inside a sink the
 /// test keeps shut; shard A's worker takes in a packet, finds the pool
-/// empty, parks the link's flows and itself. Only B's flusher can return that
-/// credit — and it is B's flusher that must wake A. Between the
-/// moment A is starved and the moment A's flit reaches the sink, no
-/// other waker exists (no producer blocks, A's own flusher has
+/// empty, parks the link's flows and itself. Only B's flusher step can
+/// return that credit — and it is B's worker that must wake A. Between
+/// the moment A is starved and the moment A's flit reaches the sink, no
+/// other waker exists (no producer blocks, A's own flusher step has
 /// nothing to deliver), so a park of A ended by a wake in that window
 /// is the cross-shard edge.
 #[test]
@@ -1385,7 +1445,7 @@ fn credit_returned_by_another_shards_flusher_wakes_the_starved_worker() {
         wait_for("A to run out of credits", &|| starved(&rt) > before);
         std::thread::sleep(Duration::from_millis(1));
         let woken_before = woken_parks(&handle.stats(), 0);
-        // Open the gate: B's flusher returns the credit.
+        // Open the gate: B's flusher step returns the credit.
         gate.permits.fetch_add(1, Ordering::Release);
         wait_for("A's flit to be delivered", &|| {
             gate.a_delivered.load(Ordering::Acquire) == round + 1
