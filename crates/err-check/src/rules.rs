@@ -221,10 +221,11 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "relieved",
             "idle_while_empty",
             "left on timers",
-            // Per-batch credits (PR 17): the grant and its return, the
-            // flusher's tally, the announced link transitions.
+            // Per-chunk credits: the grant, the chunk a spent one ends,
+            // its return, the flusher's tally, the announced link
+            // transitions.
             "grant",
-            "tops up",
+            "spent grant",
             "half its pool",
             "return_grants",
             "tick_delivered",

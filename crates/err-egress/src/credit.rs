@@ -3,7 +3,7 @@
 //!
 //! A pool advertises `capacity` flit buffers. A shard worker takes a
 //! *grant* — [`acquire`](CreditPool::acquire): up to as many credits as
-//! its service batch can still emit, in one CAS — *before* it serves a
+//! its service chunk can still emit, in one CAS — *before* it serves a
 //! flit of that link, spends the grant flit by flit from a local
 //! counter, and gives the unused rest back; the flusher
 //! [`release_n`](CreditPool::release_n)s the credits of the flits it

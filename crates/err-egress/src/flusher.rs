@@ -4,7 +4,7 @@
 //! The step is the boundary between the scheduler's flit clock and the
 //! downstream's delivery clock — the decoupling the paper's analysis
 //! presumes. [`FlusherCore::step`] is the whole of it, and the shard
-//! worker runs it itself after every service batch (`err-runtime`,
+//! worker runs it itself after every service chunk (`err-runtime`,
 //! DESIGN.md §7): no thread stands between scheduler and sink. A step
 //! pops flits from the shard's SPSC ring, routes each to its link, and
 //! delivers through the caller's sink unless the link is frozen, in

@@ -66,7 +66,7 @@ pub use wake::{Sleep, WakeCell, BACKSTOP};
 /// sink) but need not be `Sync` — each shard gets its own sink value.
 ///
 /// Under buffered egress the worker calls [`try_emit`](Egress::try_emit)
-/// from its own flusher step, between two service batches, so
+/// from its own flusher step, between two service chunks, so
 /// `try_emit` must accept or refuse at once. A sink that may block
 /// wraps itself in a [`Threaded`] adapter instead of blocking there.
 ///
@@ -192,7 +192,10 @@ impl<E: Egress> Egress for SharedEgress<E> {
 /// Configuration of the buffered egress path.
 #[derive(Clone, Debug)]
 pub struct BufferedConfig {
-    /// Capacity of each shard's output ring, in flits.
+    /// Capacity of each shard's output ring, in flits. Every flit in it
+    /// holds a credit, so capacity above `n_links × credits` is never
+    /// used; a smaller ring ends a service chunk when it fills
+    /// (`ShardEgressStats::ring_full_spins`).
     pub ring_capacity: usize,
     /// Credits per downstream link — the most flits that can be
     /// committed-but-undelivered to one link at a time.

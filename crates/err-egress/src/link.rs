@@ -268,7 +268,7 @@ impl LinkSet {
     /// last call — a worker is credit-starved only on a pool it found
     /// empty, so returns into a pool that still had credits wake
     /// nobody. Every credit-returner calls it after its returns — a
-    /// worker once per flusher step, and once per service batch that
+    /// worker once per flusher step, and once per service chunk that
     /// gave back unused grant — never per flit.
     pub fn wake_credit_waiters(&self) {
         // ordering: Acquire load, AcqRel swap — whoever consumes the

@@ -23,11 +23,14 @@ pub struct ShardEgressStats {
     pub flushed_flits: AtomicU64,
     /// High-water mark of the shard's output-ring occupancy.
     pub ring_peak: AtomicU64,
-    /// Times the worker found a link's credit pool empty and had to
-    /// park the link's flows.
+    /// Times the worker found a link's credit pool still empty at the
+    /// top of a service chunk and had to park the link's flows: the
+    /// downstream (frozen, dead or refusing) or another shard holds the
+    /// pool — never the worker's own ring, which the flusher step after
+    /// every chunk drains.
     pub credit_exhaustions: AtomicU64,
-    /// Times the worker found the output ring full and ended its
-    /// service batch early, for its flusher step to free the ring.
+    /// Times the worker found the output ring full and ended a service
+    /// chunk, for its flusher step to free the ring.
     pub ring_full_spins: AtomicU64,
 }
 

@@ -1,7 +1,7 @@
 //! [`Threaded`]: the thread a sink that may block brings with it.
 //!
 //! The shard worker runs its flusher step itself (DESIGN.md §7), so a
-//! sink's `try_emit` runs on the worker, between two service batches.
+//! sink's `try_emit` runs on the worker, between two service chunks.
 //! A sink that may block — a socket, a file, a test that holds flits
 //! back — must not block there: it wraps itself in a `Threaded`
 //! adapter, which owns a bounded ring and one thread. The adapter's

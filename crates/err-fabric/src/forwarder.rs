@@ -5,7 +5,7 @@
 //! the downstream flit buffer); on the **tail** flit the whole packet
 //! has crossed the link and is handed to the neighbor runtime with a
 //! non-blocking submit. Nothing here ever waits, so the Forwarder runs
-//! unwrapped in each worker's flusher step, after every service batch:
+//! unwrapped in each worker's flusher step, after every service chunk:
 //! a node is one thread per shard. A refused tail stays in the link's pending queue
 //! with its credit held — as flits pile behind it the pool drains and
 //! the upstream scheduler parks exactly the flows routed over that link

@@ -42,7 +42,7 @@
 //!   the residual backlog to empty, join every worker deterministically.
 //! * [`EgressMode::Buffered`] inserts the `err-egress` stage between
 //!   scheduler and sink: per-shard SPSC output rings drained by a
-//!   flusher step each worker runs after its service batch, per-link
+//!   flusher step each worker runs after every service chunk, per-link
 //!   credit flow control, and flow parking so a stalled
 //!   downstream freezes only its own flows — the regime the paper's
 //!   stalled-wormhole argument is about.
@@ -153,8 +153,8 @@ pub enum EgressMode {
     #[default]
     Sync,
     /// Credit-based asynchronous path (`err-egress`): per-shard output
-    /// rings drained by a flusher step each worker runs after its
-    /// service batch, per-link credits, flow parking on stall,
+    /// rings drained by a flusher step each worker runs after every
+    /// service chunk, per-link credits, flow parking on stall,
     /// optional deterministic stall injection.
     Buffered(BufferedConfig),
 }
@@ -257,7 +257,7 @@ impl Runtime {
     ///
     /// Under [`EgressMode::Sync`] the shard worker calls the sink
     /// inline. Under [`EgressMode::Buffered`] the worker commits flits
-    /// to the output ring and, after every service batch, runs the
+    /// to the output ring and, after every service chunk, runs the
     /// flusher step that offers them to the sink's `try_emit`, which
     /// accepts or refuses at once (DESIGN.md §7). A sink that may block
     /// wraps itself in [`Threaded`], which brings its own thread.

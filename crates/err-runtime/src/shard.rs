@@ -26,14 +26,15 @@
 //!   the trait's degenerate answers; a slow sink stalls the shard's
 //!   whole flit clock.
 //! * `BufferedStage` — served flits are committed to a per-shard SPSC
-//!   ring under per-link credit flow control (`err-egress`), and the
-//!   worker runs the flusher step that delivers them itself, after
-//!   every `serve` (`EgressStage::flush`). The sink accepts or refuses
-//!   at once (a sink that may block brings its own thread,
-//!   `err_egress::Threaded`). A link with no credit to grant has its
-//!   flows *parked* in the scheduler before they are visited, so the
-//!   shard keeps serving everyone else — the decoupling the paper's
-//!   stalled-downstream argument calls for.
+//!   ring under per-link credit flow control (`err-egress`), in chunks
+//!   that end at a spent grant or a full ring; after each the worker
+//!   runs the flusher step that delivers them itself
+//!   (`EgressStage::flush`), so no chunk waits on credits its own ring
+//!   holds. The sink accepts or refuses at once (a sink that may block
+//!   brings its own thread, `err_egress::Threaded`). A link whose pool
+//!   is empty at the top of a chunk has its flows *parked* before they
+//!   are visited, so the shard keeps serving everyone else — the
+//!   decoupling the paper's stalled-downstream argument calls for.
 //!
 //! The loop runs inside a `catch_unwind` fence with the worker's whole
 //! state — scheduler, migration driver, flit clock and stage, i.e. a
@@ -99,24 +100,25 @@ pub(crate) struct ShardConfig {
 /// only that side knows. The worker loop calls `serve` and `flush`,
 /// `starved` and `can_progress` before it parks, `drained` before it
 /// exits and `abort` when it is aborted; the fault and steal layers put their four questions to it
-/// instead of borrowing its fields. Dispatch is per loop or per
+/// instead of borrowing its fields. Dispatch is per chunk or per
 /// protocol step, never per flit. Every method but `serve` defaults to
 /// the answer of a stage that buffers nothing — never parked, always
 /// retired, no-op — which is the whole of [`SyncStage`]'s link state.
 pub(crate) trait EgressStage: Send {
-    /// The service phase: serves up to `batch_flits` flits from
+    /// One service chunk: serves up to `batch_flits` flits from
     /// `scheduler` starting at flit-clock `now` and sends each on its
-    /// way. Returns `(flits, tail flits)`.
+    /// way. Returns `(flits, tail flits, more)`: `more` if it stopped on
+    /// its own backlog (a spent grant, a full ring), which `flush` frees.
     fn serve(
         &mut self,
         shared: &Shared,
         scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64);
+    ) -> (u64, u64, bool);
 
     /// The stage's flusher step, after every `serve` — once the loop
-    /// has counted the batch, so a sink that reads the shard's served
+    /// has counted the chunk, so a sink that reads the shard's served
     /// clock (the fabric's §11.8 hop records) sees the flits it
     /// delivers counted. Returns whether it moved anything: the loop
     /// did work even if it served nothing.
@@ -210,7 +212,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
         scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64) {
+    ) -> (u64, u64, bool) {
         if self.next == self.served.len() {
             self.served.clear();
             (self.next, self.tails) = (0, 0);
@@ -226,29 +228,29 @@ impl<E: Egress> EgressStage for SyncStage<E> {
                 sink.emit(self.shard, flit);
             }
         }
-        (self.served.len() as u64, self.tails)
+        (self.served.len() as u64, self.tails, false)
     }
 }
 
 /// Buffered egress: flit-by-flit service against per-link credit
 /// grants (DESIGN.md §7).
 ///
-/// * a batch takes a *grant* per link — one CAS for `min(available,
+/// * a chunk takes a *grant* per link — one CAS for `min(available,
 ///   what it can still emit)` — before it serves a flit, spends it
-///   from a local counter, tops it up when it runs out, and gives the
-///   rest back before `serve` returns: a served flit always has its
+///   from a local counter, ends when one runs out, and gives the rest
+///   back before `serve` returns: a served flit always has its
 ///   credit, and no link ever buffers more flits than its pool;
-/// * a link with backlog and no credit to grant has every flow parked
-///   in the scheduler *before* another of its flits can be visited —
-///   mid-packet, if a top-up comes back empty then — and the scheduler
-///   keeps serving the other links' flows at full rate;
-/// * each batch, parked links whose credits returned are released.
+/// * a link with backlog whose pool is empty at the top of a chunk (a
+///   frozen, dead or refusing downstream, or another shard, holds it)
+///   has every flow parked before the scheduler visits it, and the
+///   scheduler keeps serving the other links' flows at full rate;
+/// * each chunk, parked links whose credits returned are released.
 ///
-/// * a batch ends early when the output ring is full, so `serve` never
-///   calls the sink; after every `serve` the worker runs one
-///   `FlusherCore::step` on the shard's own core and sink
-///   ([`EgressStage::flush`]), which frees the ring. The SPSC ring
-///   between stage and core is written and read by this thread.
+/// * a chunk also ends at a full output ring, so `serve` never calls
+///   the sink; after every `serve` the worker runs one `FlusherCore::step`
+///   on the shard's own core and sink ([`EgressStage::flush`]), which
+///   frees the ring and returns what the sink accepted before the next
+///   chunk's grants. One thread writes and reads the SPSC ring.
 ///
 /// The stage is owned *outside* the panic fence and travels in the
 /// [`Bequest`] (§9.2): its parking marks, `pushed` count (§8.7's fence
@@ -353,7 +355,7 @@ impl<E: Egress> BufferedStage<E> {
                 .fetch_add(1, Ordering::Relaxed);
             self.link_parked[link] = true;
             for &flow in flows {
-                // unpark: the `refill` at the top of the batch that
+                // unpark: the `refill` at the top of the chunk that
                 // finds a credit for this link again, just below.
                 let _ = scheduler.park_flow(flow);
             }
@@ -377,19 +379,19 @@ impl<E: Egress> BufferedStage<E> {
 }
 
 impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
-    /// Flit by flit: a grant can run out between two flits, and the
-    /// link must be parked before the scheduler visits it again. A drop
-    /// guard settles the batch, unwinding or not: the grants go back
-    /// (an idle one would starve the other shards and run the link's
-    /// dead-link deadline), and ring occupancy is noted once, after the
-    /// last push. Delivery waits for `flush`.
+    /// Flit by flit, until a grant runs out between two flits: the
+    /// link's next flit needs the credits its own ring holds, which
+    /// the `flush` after this chunk returns. A drop guard settles the
+    /// chunk, unwinding or not: the grants go back (an idle one would
+    /// starve the other shards and run the link's dead-link deadline),
+    /// and ring occupancy is noted once, after the last push.
     fn serve(
         &mut self,
         shared: &Shared,
         scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
-    ) -> (u64, u64) {
+    ) -> (u64, u64, bool) {
         struct Settle<'a, E>(u64, &'a mut BufferedStage<E>);
         impl<E> Drop for Settle<'_, E> {
             fn drop(&mut self) {
@@ -412,11 +414,12 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
                 stage.refill(link, batch, shared, scheduler);
             }
         }
-        let (mut flits, mut tails) = (0u64, 0u64);
-        while flits < batch {
+        let (mut flits, mut tails, mut more) = (0u64, 0u64, false);
+        while flits < batch && !more {
             if !stage.tx.has_room() {
-                // The flusher step after this batch frees it.
+                // The flusher step after this chunk frees it.
                 stage.estats.ring_full_spins.fetch_add(1, Ordering::Relaxed);
+                more = true;
                 break;
             }
             let Some(flit) = scheduler.service_flit(now + flits) else {
@@ -433,13 +436,10 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
             let pushed = stage.tx.push(flit);
             debug_assert!(pushed.is_ok(), "the ring had room");
             stage.pushed += 1;
-            if stage.grant[link] == 0 && flits < batch {
-                // Top up; if that comes back empty, park before the visit.
-                stage.refill(link, batch - flits, shared, scheduler);
-            }
+            more = stage.grant[link] == 0;
         }
         drop(settle);
-        (flits, tails)
+        (flits, tails, more)
     }
 
     fn flush(&mut self) -> bool {
@@ -583,14 +583,23 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
         // about to arrive, which is what the estimate wants.
         let pre_backlog = scheduler.backlog_flits() + ring.len() as u64;
 
-        // Service phase: one flit per cycle of the shard's flit clock.
-        let (n, tails) = stage.serve(shared, scheduler, *now, cfg.batch_flits);
-        *now += n;
-        if n > 0 {
-            stats.served_flits.add(n);
-            stats.served_packets.add(tails);
+        // Service phase: one flit per cycle of the shard's flit clock,
+        // chunk by chunk, each counted before its flusher step.
+        let (mut n, mut flushed) = (0u64, false);
+        loop {
+            let budget = cfg.batch_flits - n as usize;
+            let (chunk, tails, more) = stage.serve(shared, scheduler, *now, budget);
+            *now += chunk;
+            n += chunk;
+            if chunk > 0 {
+                stats.served_flits.add(chunk);
+                stats.served_packets.add(tails);
+            }
+            flushed |= stage.flush();
+            if !more || chunk == 0 || n as usize == cfg.batch_flits {
+                break;
+            }
         }
-        let flushed = stage.flush();
         stats.backlog_flits.set(scheduler.backlog_flits());
 
         // Migration phase: advance whatever roles (thief/donor) this

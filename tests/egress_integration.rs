@@ -1350,6 +1350,42 @@ fn ring_smaller_than_the_credit_window_completes_and_conserves() {
     );
 }
 
+/// Regression: in the ledger's buffered shape (a 256-flit batch wider
+/// than 4 links x 32 credits) a batch used to spend each link's whole
+/// pool into a ring its own flusher step had not drained yet, find the
+/// pool empty, and park the link's flows — one park and one unpark call
+/// per two flits served. A chunk now ends at the first spent grant and
+/// the flusher step after it returns the credits (DESIGN.md §7), so a
+/// sink that always accepts never leaves a pool empty at a refill.
+#[test]
+fn a_batch_wider_than_the_credit_window_never_parks_on_its_own_ring() {
+    let _alone = one_at_a_time();
+    const PACKETS: u64 = 200_000;
+    const LEN: u32 = 8;
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: N_FLOWS,
+            admission: AdmissionPolicy::Backpressure { max_backlog: 64 },
+            egress: buffered(None),
+            ..RuntimeConfig::default()
+        },
+        |_shard| Some(|_s: usize, _f: &ServedFlit| {}),
+    );
+    for id in 0..PACKETS {
+        let flow = (id % N_FLOWS as u64) as usize;
+        handle.submit(Packet::new(id, flow, LEN, 0)).unwrap();
+    }
+    let report = rt.shutdown();
+    assert!(report.is_conserving(), "{report:?}");
+    assert_eq!(report.stats.flushed_flits(), PACKETS * u64::from(LEN));
+    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
+    assert_eq!(
+        egress.shards[0].credit_exhaustions, 0,
+        "a link was parked on credits its own ring held: {egress:?}"
+    );
+}
+
 /// The cross-shard wake (DESIGN.md §7): two shards share one link with
 /// a single credit. Shard B's flit holds the credit inside a sink the
 /// test keeps shut; shard A's worker takes in a packet, finds the pool
