@@ -341,9 +341,14 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "Refused",
             "Rerouted",
             "DeadLettered",
-            // FabricFault (chaos.rs).
+            // FabricFault (chaos.rs), and who applies it: link events on
+            // the ejecting worker, node events on their own thread, in
+            // plan order either way — no monitor to wake.
             "KillLink",
             "KillNode",
+            "ejecting worker",
+            "node-event thread",
+            "plan-order rule",
             // The machinery the outcomes ride on.
             "Forwarder",
             "FabricFaultPlan",

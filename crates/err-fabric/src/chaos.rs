@@ -4,9 +4,10 @@
 //!
 //! Events fire on the fabric's **ejection clock** — total packets
 //! delivered — which is deterministic under a deterministic workload
-//! and monotone under any. A monitor thread owned by the `Fabric`
-//! sleeps until the ejection that brings the clock to the next due
-//! event wakes it, applies due events, and records what happened.
+//! and monotone under any. The ejection whose clock value reaches the
+//! next due event applies the link and panic events itself, on its
+//! node's shard worker; node kills and revives, which join and boot
+//! threads, go to a node-event thread, in plan order (§11.4).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -34,8 +35,8 @@ pub enum FabricFault {
         /// Ejection-clock value at which the kill happens.
         at: u64,
     },
-    /// Heals a cut cable (§14.1): the monitor clears the `DeadMap`
-    /// flag — tail handoffs go back to the primary path — and, under
+    /// Heals a cut cable (§14.1): clears the `DeadMap` flag — tail
+    /// handoffs go back to the primary path — and, under
     /// `HoldForRecovery`, resurrects the upstream egress link so its
     /// death-held flits replay in FIFO order.
     HealLink {
@@ -46,10 +47,10 @@ pub enum FabricFault {
         /// Ejection-clock value at which the heal happens.
         at: u64,
     },
-    /// Reboots a killed node (§14.1): the monitor starts a successor
-    /// runtime from the node's boot recipe, swaps its submit handle
-    /// back in, and heals the node's cables in both directions. A
-    /// no-op if the node is alive.
+    /// Reboots a killed node (§14.1): the node-event thread starts a
+    /// successor runtime from the node's boot recipe, swaps its submit
+    /// handle back in, and heals the node's cables in both directions.
+    /// A no-op if the node is alive.
     ReviveNode {
         /// The node to revive.
         node: usize,
@@ -137,12 +138,14 @@ impl FabricFaultPlan {
     }
 }
 
-/// A fired fault, as observed by the monitor.
+/// A fired fault, as recorded where it was applied.
 #[derive(Clone, Copy, Debug)]
 pub struct FabricFaultEvent {
     /// What fired.
     pub fault: FabricFault,
-    /// Ejection-clock value when the monitor applied it (≥ `at`).
+    /// Ejection-clock value when it was applied (≥ `at`): that of the
+    /// ejection that applied it — exactly `at` with one ejecting worker
+    /// — or, on the node-event thread, the clock when it got to it.
     pub fired_at: u64,
     /// Packets the killed node still held (0 for everything but
     /// `KillNode`).
@@ -168,7 +171,7 @@ pub struct ForwarderExit {
 }
 
 /// One-shot per-node panic triggers for [`FabricFault::PanicForwarder`]
-/// (§14.4): armed by the monitor, consumed by the first transit tail
+/// (§14.4): armed when the event fires, consumed by the first transit tail
 /// handed off at that node.
 pub struct PanicSwitch {
     armed: Vec<AtomicBool>,
@@ -186,7 +189,7 @@ impl PanicSwitch {
     pub fn arm(&self, node: usize) {
         // ordering: Release pairs with the Acquire/AcqRel reads in
         // `take` — the forwarder that fires the panic observes every
-        // monitor write made before the arming.
+        // write its armer made before the arming.
         // [pair: chaos-panic-arm @ self]
         self.armed[node].store(true, Ordering::Release);
     }
@@ -207,9 +210,9 @@ impl PanicSwitch {
 }
 
 /// Shared liveness flags the Forwarders consult on every tail handoff:
-/// one per inter-node cable and one per node. Set (false → true) by
-/// the monitor on a kill and cleared back by a heal (§14.1); read by
-/// the nodes' shard workers.
+/// one per inter-node cable and one per node. Set (false → true) by a
+/// kill and cleared back by a heal (§14.1); read by the nodes' shard
+/// workers.
 pub struct DeadMap {
     links: Vec<Vec<AtomicBool>>,
     nodes: Vec<AtomicBool>,
@@ -232,7 +235,7 @@ impl DeadMap {
     pub fn kill_link(&self, node: usize, link: usize) {
         // ordering: Release pairs with the Acquire loads in
         // `link_dead`/`node_dead` — a forwarder that observes the flag
-        // also observes every write the monitor made before the kill.
+        // also observes every write the killer made before the kill.
         // [pair: chaos-dead-map @ self]
         self.links[node][link].store(true, Ordering::Release);
     }

@@ -1,9 +1,10 @@
 //! The `Fabric` handle: boot, submit, drain, queries (DESIGN.md
-//! §11.3), the chaos monitor (§11.4), and fabric healing — heal/revive
-//! events, dead-letter replay, and forwarder supervision (§14).
+//! §11.3), chaos on the ejection clock (§11.4), and fabric healing —
+//! heal/revive events, dead-letter replay, and forwarder supervision
+//! (§14).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 // The handle-table lock routes through the loom shim so the §14.1
 // incarnation-swap edges are model-checkable (err-check model suite).
@@ -153,7 +154,7 @@ pub enum DrainOutcome {
 
 /// Per-node ingress handles behind swappable slots (§14.1): set once
 /// at boot — resolving the Forwarder↔Runtime wiring cycle — and
-/// swapped only by the chaos monitor when a `ReviveNode` boots a
+/// swapped only by the node-event thread when a `ReviveNode` boots a
 /// node's successor runtime. Readers clone the handle (an `Arc` bump)
 /// instead of borrowing, so a revive never invalidates a reference
 /// another thread holds. The `RwLock` is read-locked once per tail
@@ -164,9 +165,9 @@ pub enum DrainOutcome {
 /// drive the *shipped* swap protocol with a miniature handle whose
 /// payload lives in a tracked cell; the fabric instantiates the
 /// default `RuntimeHandle`. The happens-before contract: everything
-/// the monitor wrote booting the successor before [`swap`] is visible
-/// to any reader whose [`get`] clones the new incarnation (write-
-/// unlock `Release` → read-lock `Acquire` on the slot), and a clone
+/// the node-event thread wrote booting the successor before [`swap`]
+/// is visible to any reader whose [`get`] clones the new incarnation
+/// (write-unlock `Release` → read-lock `Acquire` on the slot), and a clone
 /// taken from the dying incarnation mid-handoff stays valid — `get`
 /// hands out owned clones, never references into the slot.
 ///
@@ -222,11 +223,11 @@ pub(crate) struct ExitLog {
 
 impl ExitLog {
     pub(crate) fn record(&self, exit: ForwarderExit) {
-        self.exits.lock().expect("exit log poisoned").push(exit);
+        lock(&self.exits).push(exit);
     }
 
     fn take(&self) -> Vec<ForwarderExit> {
-        std::mem::take(&mut *self.exits.lock().expect("exit log poisoned"))
+        std::mem::take(&mut *lock(&self.exits))
     }
 }
 
@@ -357,9 +358,179 @@ impl FabricReport {
     }
 }
 
-struct Monitor {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
+/// Locks a cold-path table, poisoned or not: none is left half-written
+/// by a panic, and link events lock them inside the §14.4 fence, where
+/// a panic would read as a forwarder exit.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Panics unless `link` is one of `node`'s cables (link `0`, the eject
+/// end, is not one).
+fn assert_cable(topo: &Topology, node: usize, link: usize) {
+    assert!(
+        node < topo.n_nodes() && (1..topo.n_links(node)).contains(&link),
+        "not a cable"
+    );
+}
+
+/// The fabric's fault state (§11.4, §14): the liveness flags and panic
+/// switches the Forwarders read, the node controllers a link event
+/// drives, and the fault plan compiled onto the ejection clock. Shared
+/// by the `Fabric`, every `Forwarder` and the node-event thread.
+pub(crate) struct Faults {
+    pub(crate) dead: DeadMap,
+    pub(crate) panic_arm: PanicSwitch,
+    pub(crate) policy: DeadLinkPolicy,
+    topo: Arc<Topology>,
+    /// Per-node egress controllers, handed out as clones: a revive
+    /// swaps in its successor's.
+    controllers: Mutex<Vec<EgressController>>,
+    /// The plan, sorted by `at` (plan order kept among equal `at`).
+    plan: Vec<FabricFault>,
+    /// `at` of the first event not yet reached (`u64::MAX`: none left),
+    /// the one compare an ejection pays. It only grows, so a stale
+    /// `Relaxed` read costs a look under the lock, never an event.
+    next_due: AtomicU64,
+    state: Mutex<FireState>,
+}
+
+/// What firing changes, under the cold-path lock.
+struct FireState {
+    /// Index in `plan` of the first event not yet reached.
+    cursor: usize,
+    /// Events on the node-event thread's queue, not yet applied: while
+    /// any is, every event reached joins the queue behind it.
+    queued: usize,
+    /// The node-event thread's queue: `None` when the plan has no node
+    /// event, and once the drain has stopped the thread.
+    node_events: Option<mpsc::Sender<FabricFault>>,
+    /// The events applied, in plan order.
+    log: Vec<FabricFaultEvent>,
+}
+
+impl Faults {
+    /// All-alive fault state for `topo`, with `plan` compiled. Every
+    /// event is checked here, before traffic starts, so applying one
+    /// on a shard worker cannot panic.
+    pub(crate) fn new(
+        topo: Arc<Topology>,
+        policy: DeadLinkPolicy,
+        plan: Option<FabricFaultPlan>,
+    ) -> Self {
+        let mut plan = plan.map(|p| p.events().to_vec()).unwrap_or_default();
+        for fault in &plan {
+            match *fault {
+                FabricFault::KillLink { node, link, .. }
+                | FabricFault::HealLink { node, link, .. } => assert_cable(&topo, node, link),
+                FabricFault::KillNode { node, .. }
+                | FabricFault::ReviveNode { node, .. }
+                | FabricFault::PanicForwarder { node, .. } => {
+                    assert!(node < topo.n_nodes(), "no such node");
+                }
+            }
+        }
+        plan.sort_by_key(FabricFault::at);
+        let link_counts: Vec<usize> = (0..topo.n_nodes()).map(|n| topo.n_links(n)).collect();
+        Self {
+            dead: DeadMap::new(&link_counts),
+            panic_arm: PanicSwitch::new(topo.n_nodes()),
+            policy,
+            controllers: Mutex::new(Vec::with_capacity(topo.n_nodes())),
+            next_due: AtomicU64::new(plan.first().map_or(u64::MAX, FabricFault::at)),
+            plan,
+            topo,
+            state: Mutex::new(FireState {
+                cursor: 0,
+                queued: 0,
+                node_events: None,
+                log: Vec::new(),
+            }),
+        }
+    }
+
+    fn controller(&self, node: usize) -> EgressController {
+        lock(&self.controllers)[node].clone()
+    }
+
+    /// Cuts (`cut`) or heals one cable's `DeadMap` flag and its upstream
+    /// egress link: declared dead under `HoldForRecovery`, so its flits
+    /// hold their credits (§14.2), and resurrected on a heal, replaying
+    /// them. Flag flips, atomic swaps and a wake: it never blocks.
+    pub(crate) fn set_link(&self, node: usize, link: usize, cut: bool) {
+        assert_cable(&self.topo, node, link);
+        let controller = self.controller(node);
+        if cut {
+            self.dead.kill_link(node, link);
+            if self.policy == DeadLinkPolicy::HoldForRecovery {
+                controller.declare_dead(link);
+            }
+        } else {
+            self.dead.heal_link(node, link);
+            controller.resurrect(link);
+        }
+    }
+
+    /// [`set_link`](Self::set_link) on every cable touching `node`, in
+    /// both directions.
+    fn set_node_cables(&self, node: usize, cut: bool) {
+        for link in 1..self.topo.n_links(node) {
+            self.set_link(node, link, cut);
+            let peer = self.topo.peer(node, link).expect("cable has a peer");
+            if let Some(back) = self.topo.link_to(peer, node) {
+                self.set_link(peer, back, cut);
+            }
+        }
+    }
+
+    /// Applies a link or panic event; `false` for a node event, which
+    /// only the node-event thread applies.
+    fn apply_inline(&self, fault: FabricFault) -> bool {
+        match fault {
+            FabricFault::KillLink { node, link, .. } => self.set_link(node, link, true),
+            FabricFault::HealLink { node, link, .. } => self.set_link(node, link, false),
+            FabricFault::PanicForwarder { node, .. } => self.panic_arm.arm(node),
+            FabricFault::KillNode { .. } | FabricFault::ReviveNode { .. } => return false,
+        }
+        true
+    }
+
+    /// Called by each ejection with its clock value, before the packet
+    /// departs the gate (§11.4): applies every event that value reached.
+    #[inline]
+    pub(crate) fn reach(&self, clock: u64) {
+        if clock >= self.next_due.load(Ordering::Relaxed) {
+            self.fire(clock);
+        }
+    }
+
+    /// Applies the events `clock` reached, in plan order: a link or
+    /// panic event here, recorded at `clock`; a node event, and every
+    /// event reached while one is queued, on the node-event thread.
+    #[cold]
+    fn fire(&self, clock: u64) {
+        let mut st = lock(&self.state);
+        while let Some(&fault) = self.plan.get(st.cursor).filter(|f| f.at() <= clock) {
+            st.cursor += 1;
+            if st.queued == 0 && self.apply_inline(fault) {
+                st.log.push(FabricFaultEvent {
+                    fault,
+                    fired_at: clock,
+                    lost_packets: 0,
+                });
+            } else if st
+                .node_events
+                .as_ref()
+                .is_some_and(|q| q.send(fault).is_ok())
+            {
+                st.queued += 1;
+            }
+            // Otherwise the drain has stopped the node-event thread (or
+            // it died): the event never fires.
+        }
+        let next = self.plan.get(st.cursor).map_or(u64::MAX, FabricFault::at);
+        self.next_due.store(next, Ordering::Relaxed);
+    }
 }
 
 /// A running multi-node fabric (DESIGN.md §11.3).
@@ -373,10 +544,6 @@ pub struct Fabric {
     nodes: Arc<Mutex<Vec<Option<Runtime>>>>,
     killed: Arc<Mutex<Vec<(usize, DrainReport)>>>,
     handles: Arc<HandleTable>,
-    /// Per-node egress controllers; a slot is swapped when a revive
-    /// boots a successor runtime, so access goes through the lock and
-    /// callers get clones.
-    controllers: Arc<Mutex<Vec<EgressController>>>,
     counters: Vec<Arc<NodeCounters>>,
     /// Per node: `departed_packets()` reading at its last kill, so a
     /// revived node's residual is judged against its own incarnation's
@@ -384,15 +551,14 @@ pub struct Fabric {
     departed_base: Arc<Vec<AtomicU64>>,
     ledger: Arc<FabricLedger>,
     gate: Arc<FabricGate>,
-    dead: Arc<DeadMap>,
-    panic_arm: Arc<PanicSwitch>,
+    faults: Arc<Faults>,
     exits: Arc<ExitLog>,
-    policy: DeadLinkPolicy,
     tracker: Arc<HopTracker>,
     epoch: Instant,
     next_packet: AtomicU64,
-    events: Arc<Mutex<Vec<FabricFaultEvent>>>,
-    monitor: Option<Monitor>,
+    /// Applies `KillNode` / `ReviveNode` (§11.4); spawned only when
+    /// the plan has one.
+    node_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Fabric {
@@ -423,11 +589,9 @@ impl Fabric {
         let tracker = Arc::new(HopTracker::new());
         let ledger = Arc::new(FabricLedger::with_hops(&hop_counts));
         let gate = Arc::new(FabricGate::new());
-        let link_counts: Vec<usize> = (0..n_nodes).map(|n| topo.n_links(n)).collect();
-        let dead = Arc::new(DeadMap::new(&link_counts));
-        let panic_arm = Arc::new(PanicSwitch::new(n_nodes));
-        let exits = Arc::new(ExitLog::default());
         let policy = cfg.dead_link_policy;
+        let faults = Arc::new(Faults::new(Arc::clone(&topo), policy, cfg.fault_plan));
+        let exits = Arc::new(ExitLog::default());
         let epoch = Instant::now();
         let handle_table = Arc::new(HandleTable::new());
         let counters: Vec<Arc<NodeCounters>> = (0..n_nodes)
@@ -436,7 +600,6 @@ impl Fabric {
 
         let mut nodes = Vec::with_capacity(n_nodes);
         let mut handles = Vec::with_capacity(n_nodes);
-        let mut controllers = Vec::with_capacity(n_nodes);
         let mut boots = Vec::with_capacity(n_nodes);
         for node in 0..n_nodes {
             let stall_plan = cfg
@@ -472,19 +635,17 @@ impl Fabric {
                 Arc::clone(&ledger),
                 Arc::clone(&counters[node]),
                 Arc::clone(&gate),
-                Arc::clone(&dead),
+                Arc::clone(&faults),
                 Arc::clone(&tracker),
                 Arc::clone(&hop_index),
                 epoch,
-                policy,
-                Arc::clone(&panic_arm),
                 Arc::clone(&exits),
             );
             let (rt, handle) = {
                 let fwd = fwd.clone();
                 Runtime::start_with_egress(rc.clone(), move |_shard| Some(fwd.clone()))
             };
-            controllers.push(
+            lock(&faults.controllers).push(
                 rt.egress_controller()
                     .expect("buffered mode always has a controller")
                     .clone(),
@@ -497,45 +658,45 @@ impl Fabric {
 
         let nodes = Arc::new(Mutex::new(nodes));
         let killed = Arc::new(Mutex::new(Vec::new()));
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let controllers = Arc::new(Mutex::new(controllers));
         let departed_base = Arc::new((0..n_nodes).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
-        let monitor = cfg.fault_plan.filter(|p| !p.is_empty()).map(|plan| {
-            let stop = Arc::new(AtomicBool::new(false));
-            let shared = MonitorShared {
+        let node_event = |f: &FabricFault| {
+            matches!(
+                f,
+                FabricFault::KillNode { .. } | FabricFault::ReviveNode { .. }
+            )
+        };
+        let node_events = faults.plan.iter().any(node_event).then(|| {
+            let (queue, events) = mpsc::channel();
+            lock(&faults.state).node_events = Some(queue);
+            let shared = NodeEvents {
+                faults: Arc::clone(&faults),
                 ledger: Arc::clone(&ledger),
-                dead: Arc::clone(&dead),
                 nodes: Arc::clone(&nodes),
                 killed: Arc::clone(&killed),
                 gate: Arc::clone(&gate),
-                topo: Arc::clone(&topo),
                 counters: counters.clone(),
-                events: Arc::clone(&events),
-                controllers: Arc::clone(&controllers),
                 handles: Arc::clone(&handle_table),
-                boots: Arc::new(boots),
-                panic_arm: Arc::clone(&panic_arm),
+                boots,
                 departed_base: Arc::clone(&departed_base),
-                policy,
             };
-            let (registered, on_registered) = std::sync::mpsc::channel();
-            let handle = {
-                let stop = Arc::clone(&stop);
-                // panic-policy: the monitor only injects faults; if it
-                // panics, unfired plan events are lost, the data path
-                // keeps running, and the drain-time `join` absorbs the
-                // unwind without poisoning anything.
-                std::thread::Builder::new()
-                    .name("err-fabric-monitor".into())
-                    .spawn(move || run_monitor(plan, stop, shared, registered))
-                    .expect("spawning fabric monitor")
-            };
-            // Traffic starts when `start` returns. Until the monitor is
-            // armed for its first event, that event fires whenever the
-            // monitor next gets a CPU, however far the clock has run by
-            // then. (`Err`: the monitor died first; nothing fires.)
-            let _ = on_registered.recv();
-            Monitor { stop, handle }
+            (events, shared)
+        });
+        // Events at 0 fire before traffic starts: the link events here,
+        // and whatever the node-event queue took, on this thread too.
+        faults.reach(0);
+        let node_thread = node_events.map(|(events, shared)| {
+            events
+                .try_iter()
+                .for_each(|fault| apply_queued(fault, &shared));
+            // panic-policy: the thread only injects faults; if it
+            // panics, the events still queued and every one reached
+            // after are lost, the data path keeps running, and the
+            // drain-time `join` absorbs the unwind without poisoning
+            // anything.
+            std::thread::Builder::new()
+                .name("err-fabric-node-events".into())
+                .spawn(move || events.iter().for_each(|fault| apply_queued(fault, &shared)))
+                .expect("spawning the fabric node-event thread")
         });
 
         Self {
@@ -544,20 +705,16 @@ impl Fabric {
             nodes,
             killed,
             handles: handle_table,
-            controllers,
             counters,
             departed_base,
             ledger,
             gate,
-            dead,
-            panic_arm,
+            faults,
             exits,
-            policy,
             tracker,
             epoch,
             next_packet: AtomicU64::new(0),
-            events,
-            monitor,
+            node_thread,
         }
     }
 
@@ -653,7 +810,7 @@ impl Fabric {
     /// `ReviveNode` can swap the slot for the successor runtime's
     /// controller at any moment (§14.1).
     pub fn controller(&self, node: usize) -> EgressController {
-        self.controllers.lock().expect("controller table poisoned")[node].clone()
+        self.faults.controller(node)
     }
 
     /// Refused tail handoffs observed at `node`. Each one is a
@@ -665,18 +822,13 @@ impl Fabric {
         self.counters[node].refusals()
     }
 
-    /// Cuts one inter-node cable immediately — the deterministic
-    /// equivalent of a `FabricFault::KillLink` without monitor timing
-    /// (link `0`, the eject end, is not a cable). Under
+    /// Cuts one inter-node cable now, as a `FabricFault::KillLink`
+    /// would (link `0`, the eject end, is not a cable). Under
     /// `HoldForRecovery` the upstream egress link is declared dead
     /// too, so its flits hold their credits instead of spinning
     /// against refusals (§14.2).
     pub fn cut_link(&self, node: usize, link: usize) {
-        assert!(link > 0 && link < self.topo.n_links(node), "not a cable");
-        self.dead.kill_link(node, link);
-        if self.policy == DeadLinkPolicy::HoldForRecovery {
-            self.controller(node).declare_dead(link);
-        }
+        self.faults.set_link(node, link, true);
     }
 
     /// Heals a cable cut by [`cut_link`](Self::cut_link) or a
@@ -685,15 +837,13 @@ impl Fabric {
     /// tails take the primary path again and resurrects the upstream
     /// egress link, replaying any death-held flits in FIFO order.
     pub fn heal_link(&self, node: usize, link: usize) {
-        assert!(link > 0 && link < self.topo.n_links(node), "not a cable");
-        self.dead.heal_link(node, link);
-        self.controller(node).resurrect(link);
+        self.faults.set_link(node, link, false);
     }
 
     /// Arms a one-shot panic in `node`'s forwarder — the deterministic
     /// equivalent of a `FabricFault::PanicForwarder` (§14.4).
     pub fn arm_forwarder_panic(&self, node: usize) {
-        self.panic_arm.arm(node);
+        self.faults.panic_arm.arm(node);
     }
 
     /// Per-path facts for `flow` (DESIGN.md §11.3): fault-free hop
@@ -727,14 +877,13 @@ impl Fabric {
     /// `HoldForRecovery` cable or node is still dead: the held flits
     /// are waiting for a heal the closed fabric can't deliver (§14.3).
     fn held_for_recovery(&self) -> bool {
-        if self.policy != DeadLinkPolicy::HoldForRecovery {
+        if self.faults.policy != DeadLinkPolicy::HoldForRecovery {
             return false;
         }
-        if self.dead.any_dead() {
+        if self.faults.dead.any_dead() {
             return true;
         }
-        let controllers = self.controllers.lock().expect("controller table poisoned");
-        controllers.iter().any(|c| {
+        lock(&self.faults.controllers).iter().any(|c| {
             let links = c.links();
             (0..links.n_links()).any(|l| links.is_dead(l))
         })
@@ -774,15 +923,14 @@ impl Fabric {
             std::thread::yield_now();
         }
         let forced = outcome != DrainOutcome::Graceful;
-        if let Some(m) = self.monitor.take() {
-            // ordering: Release pairs with the monitor's Acquire stop
-            // check; the join is the real synchronization point.
-            // [pair: monitor-stop @ self]
-            m.stop.store(true, Ordering::Release);
-            self.ledger.wake_monitor();
-            let _ = m.handle.join();
+        // The node-event thread outlives the wait loop: traffic ejects
+        // through a drain, and an event it reaches there still fires
+        // (§14.3). Without its sender the queue ends once it is empty.
+        drop(lock(&self.faults.state).node_events.take());
+        if let Some(thread) = self.node_thread.take() {
+            let _ = thread.join();
         }
-        let mut slots = self.nodes.lock().expect("fabric node table poisoned");
+        let mut slots = lock(&self.nodes);
         let mut drains: Vec<Option<DrainReport>> = (0..slots.len()).map(|_| None).collect();
         for (node, slot) in slots.iter_mut().enumerate() {
             if let Some(rt) = slot.take() {
@@ -806,12 +954,7 @@ impl Fabric {
         // revived contributes its kill-time report as the node report;
         // one that was revived keeps the successor's report in place
         // and the predecessors' land in `prior_reports` (§14.1).
-        let mut prior: Vec<(usize, DrainReport)> = self
-            .killed
-            .lock()
-            .expect("kill log poisoned")
-            .drain(..)
-            .collect();
+        let mut prior = std::mem::take(&mut *lock(&self.killed));
         for (node, slot) in drains.iter_mut().enumerate() {
             if slot.is_none() {
                 let last = prior
@@ -821,7 +964,7 @@ impl Fabric {
                 *slot = Some(prior.remove(last).1);
             }
         }
-        let events = std::mem::take(&mut *self.events.lock().expect("event log poisoned"));
+        let events = std::mem::take(&mut lock(&self.faults.state).log);
         FabricReport {
             node_reports: drains
                 .into_iter()
@@ -854,207 +997,121 @@ fn node_residual(rep: &DrainReport, counters: &NodeCounters, departed_base: u64)
         .saturating_sub(counters.departed_packets().saturating_sub(departed_base))
 }
 
-/// Everything the chaos monitor shares with the fabric: the fault
-/// targets (dead map, node table, controllers, handles) plus the §14.1
-/// boot recipes a `ReviveNode` replays.
-struct MonitorShared {
+/// What the node-event thread needs to kill and revive nodes: the
+/// fault state, the node table, and the §14.1 boot recipes a
+/// `ReviveNode` replays.
+struct NodeEvents {
+    faults: Arc<Faults>,
     ledger: Arc<FabricLedger>,
-    dead: Arc<DeadMap>,
     nodes: Arc<Mutex<Vec<Option<Runtime>>>>,
     killed: Arc<Mutex<Vec<(usize, DrainReport)>>>,
     gate: Arc<FabricGate>,
-    topo: Arc<Topology>,
     counters: Vec<Arc<NodeCounters>>,
-    events: Arc<Mutex<Vec<FabricFaultEvent>>>,
-    controllers: Arc<Mutex<Vec<EgressController>>>,
     handles: Arc<HandleTable>,
-    boots: Arc<Vec<NodeBoot>>,
-    panic_arm: Arc<PanicSwitch>,
+    boots: Vec<NodeBoot>,
     departed_base: Arc<Vec<AtomicU64>>,
-    policy: DeadLinkPolicy,
 }
 
-impl MonitorShared {
-    fn controller(&self, node: usize) -> EgressController {
-        self.controllers.lock().expect("controller table poisoned")[node].clone()
-    }
-}
-
-fn run_monitor(
-    plan: FabricFaultPlan,
-    stop: Arc<AtomicBool>,
-    shared: MonitorShared,
-    registered: std::sync::mpsc::Sender<()>,
-) {
-    shared.ledger.register_monitor();
-    let mut registered = Some(registered);
-    let mut pending: Vec<FabricFault> = plan.events().to_vec();
-    // ordering: Acquire pairs with the Release store in
-    // drain_within. [pair: monitor-stop @ self]
-    let stopped = || stop.load(Ordering::Acquire);
-    // Asleep until the ejection that brings the clock to the next due
-    // event, or the drain's stop. The drain stops the monitor only once
-    // nothing is in flight: traffic keeps ejecting through a drain, and
-    // a heal scheduled inside that window must still fire (§14.3).
-    while let Some(due) = pending.iter().map(FabricFault::at).min() {
-        shared.ledger.arm_monitor(due);
-        if let Some(registered) = registered.take() {
-            let _ = registered.send(());
-        }
-        shared.ledger.sleep_until(due, stopped);
-        if stopped() {
-            return;
-        }
-        let clock = shared.ledger.ejected_total();
-        let mut fired = Vec::new();
-        pending.retain(|f| {
-            if f.at() <= clock {
-                fired.push(*f);
-                false
-            } else {
-                true
-            }
-        });
-        for fault in fired {
-            let lost = apply_fault(fault, &shared);
-            shared
-                .events
-                .lock()
-                .expect("event log poisoned")
-                .push(FabricFaultEvent {
-                    fault,
-                    fired_at: clock,
-                    lost_packets: lost,
-                });
-        }
-    }
-}
-
-fn apply_fault(fault: FabricFault, shared: &MonitorShared) -> u64 {
-    let MonitorShared {
-        dead, topo, policy, ..
-    } = shared;
-    let hold = *policy == DeadLinkPolicy::HoldForRecovery;
-    match fault {
-        FabricFault::KillLink { node, link, .. } => {
-            dead.kill_link(node, link);
-            if hold {
-                // The upstream egress link dies with the cable, so its
-                // flits hold their credits in the flusher core's pending
-                // queue instead of polling against forwarder refusals
-                // (§14.2).
-                shared.controller(node).declare_dead(link);
-            }
-            0
-        }
-        FabricFault::HealLink { node, link, .. } => {
-            dead.heal_link(node, link);
-            // Resurrect unconditionally: a no-op unless the egress
-            // link was declared dead (the Hold path above, or a
-            // deadline watchdog).
-            shared.controller(node).resurrect(link);
-            0
-        }
-        FabricFault::KillNode { node, .. } => {
-            // Cut every cable touching the node first, so neighbors
-            // reroute instead of queueing against a corpse, then
-            // force-drain it (§9.4 ladder). The handle refuses new
-            // submits the moment the runtime closes its gate.
-            dead.kill_node(node);
-            for link in 1..topo.n_links(node) {
-                dead.kill_link(node, link);
-                if hold {
-                    // The corpse's own cables die at the egress layer
-                    // too: its workers then dead-letter their held
-                    // flits at shutdown and exit, instead of polling
-                    // refused tails until the forced abort (§14.1).
-                    shared.controller(node).declare_dead(link);
-                }
-                let peer = topo.peer(node, link).expect("cable has a peer");
-                if let Some(back) = topo.link_to(peer, node) {
-                    dead.kill_link(peer, back);
-                    if hold {
-                        // Neighbors hold (rather than dead-letter)
-                        // what they owe the corpse, pending a revival
-                        // (§14.2).
-                        shared.controller(peer).declare_dead(back);
-                    }
-                }
-            }
-            let rt = shared
-                .nodes
-                .lock()
-                .expect("fabric node table poisoned")
-                .get_mut(node)
-                .and_then(Option::take);
-            let Some(rt) = rt else {
-                return 0; // already killed
-            };
-            let rep = rt.shutdown_within(Duration::from_millis(50));
-            // Joined workers: the node's counters are final, so
-            // entered − departed is exactly what it ate.
-            let base = shared.departed_base[node].load(Ordering::Relaxed);
-            let lost = node_residual(&rep, &shared.counters[node], base);
-            // Re-base for a possible successor incarnation (§14.1):
-            // its residual is judged on departures made after this
-            // point.
-            shared.departed_base[node]
-                .store(shared.counters[node].departed_packets(), Ordering::Relaxed);
-            if lost > 0 {
-                shared.ledger.on_lost(lost);
-                shared.gate.depart(lost);
-            }
-            shared
-                .killed
-                .lock()
-                .expect("kill log poisoned")
-                .push((node, rep));
-            lost
-        }
+/// Applies one event off the node-event queue and records it at the
+/// clock when the thread got to it; once none is queued, reached events
+/// fire inline again.
+fn apply_queued(fault: FabricFault, shared: &NodeEvents) {
+    let fired_at = shared.ledger.ejected_total();
+    let lost = match fault {
+        FabricFault::KillNode { node, .. } => kill_node(node, shared),
         FabricFault::ReviveNode { node, .. } => {
-            let mut slots = shared.nodes.lock().expect("fabric node table poisoned");
-            if slots[node].is_some() {
-                return 0; // alive: nothing to revive
-            }
-            // Boot the successor from the §14.1 recipe. Forwarders of
-            // other nodes never take this lock, so holding it across
-            // the boot cannot deadlock the data plane; the drain takes
-            // it only after stopping this monitor.
-            let boot = &shared.boots[node];
-            let (rt, handle) = {
-                let fwd = boot.fwd.clone();
-                Runtime::start_with_egress(boot.rc.clone(), move |_shard| Some(fwd.clone()))
-            };
-            let controller = rt
-                .egress_controller()
-                .expect("buffered mode always has a controller")
-                .clone();
-            shared
-                .controllers
-                .lock()
-                .expect("controller table poisoned")[node] = controller;
-            shared.handles.swap(node, handle);
-            slots[node] = Some(rt);
-            drop(slots);
-            // Liveness flags last: a tail handed off the instant the
-            // flags clear must find the successor's handle installed.
-            shared.dead.revive_node(node);
-            for link in 1..topo.n_links(node) {
-                dead.heal_link(node, link);
-                shared.controller(node).resurrect(link);
-                let peer = topo.peer(node, link).expect("cable has a peer");
-                if let Some(back) = topo.link_to(peer, node) {
-                    dead.heal_link(peer, back);
-                    // Replays whatever the neighbor held for the
-                    // corpse (§14.2); a no-op under DropAndAccount.
-                    shared.controller(peer).resurrect(back);
-                }
-            }
+            revive_node(node, shared);
             0
         }
-        FabricFault::PanicForwarder { node, .. } => {
-            shared.panic_arm.arm(node);
+        _ => {
+            shared.faults.apply_inline(fault);
             0
+        }
+    };
+    let mut st = lock(&shared.faults.state);
+    st.queued -= 1;
+    st.log.push(FabricFaultEvent {
+        fault,
+        fired_at,
+        lost_packets: lost,
+    });
+}
+
+/// Cuts every cable touching `node` first, so neighbors reroute (or
+/// hold, §14.2) instead of queueing against a corpse, then force-drains
+/// it (§9.4 ladder); the handle refuses new submits the moment the
+/// runtime closes its gate. Under `HoldForRecovery` the corpse's own
+/// cables die at the egress layer too: its workers then dead-letter
+/// their held flits at shutdown and exit, instead of polling refused
+/// tails until the forced abort (§14.1). Returns the packets lost.
+fn kill_node(node: usize, shared: &NodeEvents) -> u64 {
+    shared.faults.dead.kill_node(node);
+    shared.faults.set_node_cables(node, true);
+    let Some(rt) = lock(&shared.nodes)[node].take() else {
+        return 0; // already killed
+    };
+    let rep = rt.shutdown_within(Duration::from_millis(50));
+    // Joined workers: the node's counters are final, so entered −
+    // departed is exactly what it ate.
+    let base = shared.departed_base[node].load(Ordering::Relaxed);
+    let lost = node_residual(&rep, &shared.counters[node], base);
+    // Re-base for a possible successor incarnation (§14.1): its
+    // residual is judged on departures made after this point.
+    shared.departed_base[node].store(shared.counters[node].departed_packets(), Ordering::Relaxed);
+    if lost > 0 {
+        shared.ledger.on_lost(lost);
+        shared.gate.depart(lost);
+    }
+    lock(&shared.killed).push((node, rep));
+    lost
+}
+
+/// Boots `node`'s successor from its §14.1 recipe, then heals every
+/// cable touching it in both directions, replaying what its neighbors
+/// held for the corpse. A no-op while the node is alive.
+fn revive_node(node: usize, shared: &NodeEvents) {
+    let faults = &shared.faults;
+    let mut slots = lock(&shared.nodes);
+    if slots[node].is_some() {
+        return;
+    }
+    // Forwarders never take this lock, so holding it across the boot
+    // cannot deadlock the data plane; the drain takes it only after
+    // joining this thread.
+    let boot = &shared.boots[node];
+    let (rt, handle) = {
+        let fwd = boot.fwd.clone();
+        Runtime::start_with_egress(boot.rc.clone(), move |_shard| Some(fwd.clone()))
+    };
+    lock(&faults.controllers)[node] = rt
+        .egress_controller()
+        .expect("buffered mode always has a controller")
+        .clone();
+    shared.handles.swap(node, handle);
+    slots[node] = Some(rt);
+    drop(slots);
+    // Liveness flags last: a tail handed off the instant the flags
+    // clear must find the successor's handle installed.
+    faults.dead.revive_node(node);
+    faults.set_node_cables(node, false);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Link and panic events fire on the ejecting worker, so only a
+    /// plan with a node kill or revive has a thread of its own.
+    #[test]
+    fn only_a_node_event_spawns_a_thread() {
+        let links = FabricFaultPlan::new().kill_link_at(0, 1, 3);
+        for (plan, thread) in [(links.clone(), false), (links.kill_node_at(1, 7), true)] {
+            let flows = vec![FlowSpec { src: 0, dst: 1 }];
+            let mut cfg = FabricConfig::new(Topology::mesh(2, 1), flows);
+            cfg.fault_plan = Some(plan.heal_link_at(0, 1, 5).panic_forwarder_at(1, 9));
+            let f = Fabric::start(cfg);
+            assert_eq!(f.node_thread.is_some(), thread);
+            f.drain_within(Duration::from_secs(20));
         }
     }
 }

@@ -11,6 +11,10 @@
 //! the upstream scheduler parks exactly the flows routed over that link
 //! (§7): wormhole backpressure, hop by hop.
 //!
+//! The ejection that reaches a chaos event applies it (§11.4): a link
+//! or panic event in place — flag flips, nothing that waits — and a
+//! node event by queueing it for the node-event thread.
+//!
 //! The `Egress` entry points run under a catch-unwind supervisor
 //! (DESIGN.md §14.4): a panicking forwarder body poisons the flit's
 //! next-hop cable (declared dead — honest accounting takes over) and
@@ -25,8 +29,8 @@ use err_egress::{DeadLinkPolicy, Egress};
 use err_runtime::{SubmitError, Submitted};
 use err_sched::{Packet, ServedFlit};
 
-use crate::chaos::{DeadMap, ForwarderExit, PanicSwitch};
-use crate::fabric::{ExitLog, FabricGate, HandleTable};
+use crate::chaos::ForwarderExit;
+use crate::fabric::{ExitLog, FabricGate, Faults, HandleTable};
 use crate::hops::{HopEntry, HopTracker};
 use crate::stats::{FabricLedger, NodeCounters};
 use crate::topology::{FlowSpec, NextHop, Topology};
@@ -72,19 +76,15 @@ pub struct Forwarder {
     ledger: Arc<FabricLedger>,
     counters: Arc<NodeCounters>,
     gate: Arc<FabricGate>,
-    dead: Arc<DeadMap>,
+    /// Liveness flags, panic switches, the dead-link policy (§14.2),
+    /// and the chaos schedule each ejection drives (§11.4).
+    faults: Arc<Faults>,
     /// Per-packet entry stamps for §11.8 hop attribution.
     tracker: Arc<HopTracker>,
     /// `hop_index[flow * n_nodes + node]`: this node's position on
     /// the flow's fault-free path, `u16::MAX` when off-path.
     hop_index: Arc<Vec<u16>>,
     epoch: Instant,
-    /// What happens when no live next hop exists (§14.2): dead-letter
-    /// (`DropAndAccount`) or hold the tail for a heal
-    /// (`HoldForRecovery`).
-    policy: DeadLinkPolicy,
-    /// One-shot chaos panic triggers (§14.4).
-    panic_arm: Arc<PanicSwitch>,
     /// Where the §14.4 supervisor records caught unwinds.
     exits: Arc<ExitLog>,
 }
@@ -99,12 +99,10 @@ impl Forwarder {
         ledger: Arc<FabricLedger>,
         counters: Arc<NodeCounters>,
         gate: Arc<FabricGate>,
-        dead: Arc<DeadMap>,
+        faults: Arc<Faults>,
         tracker: Arc<HopTracker>,
         hop_index: Arc<Vec<u16>>,
         epoch: Instant,
-        policy: DeadLinkPolicy,
-        panic_arm: Arc<PanicSwitch>,
         exits: Arc<ExitLog>,
     ) -> Self {
         Self {
@@ -115,12 +113,10 @@ impl Forwarder {
             ledger,
             counters,
             gate,
-            dead,
+            faults,
             tracker,
             hop_index,
             epoch,
-            policy,
-            panic_arm,
             exits,
         }
     }
@@ -159,12 +155,16 @@ impl Forwarder {
                 self.ledger.on_flit_ejected(flow);
                 if flit.is_tail() {
                     let now_us = self.epoch.elapsed().as_micros() as u64;
-                    self.ledger
+                    let clock = self
+                        .ledger
                         .on_packet_ejected(flow, now_us.saturating_sub(flit.arrival));
                     if let Some(entry) = self.tracker.take(flit.packet) {
                         self.record_hop(flow, entry, now_us);
                     }
                     self.counters.on_ejected();
+                    // Before the departure, so no drain sees the fabric
+                    // empty while an event this ejection reached waits.
+                    self.faults.reach(clock);
                     self.gate.depart(1);
                 }
                 ForwardOutcome::Ejected
@@ -181,7 +181,7 @@ impl Forwarder {
     /// Tail-flit packet handoff: non-blocking submit to the first live
     /// candidate next hop (DESIGN.md §11.2, §11.4).
     fn hand_off(&self, flit: &ServedFlit, flow: usize, spec: FlowSpec) -> ForwardOutcome {
-        if self.panic_arm.take(self.node) {
+        if self.faults.panic_arm.take(self.node) {
             panic!(
                 "FabricFaultPlan: injected forwarder panic at node {} (flow {}, packet {})",
                 self.node, flow, flit.packet
@@ -201,7 +201,7 @@ impl Forwarder {
                 .topo
                 .peer(self.node, link)
                 .expect("transit link has a peer");
-            if !self.dead.viable(self.node, link, Some(peer)) {
+            if !self.faults.dead.viable(self.node, link, Some(peer)) {
                 continue;
             }
             let Some(peer_handle) = self.handles.get(peer) else {
@@ -266,7 +266,7 @@ impl Forwarder {
                 }
             }
         }
-        if self.policy == DeadLinkPolicy::HoldForRecovery {
+        if self.faults.policy == DeadLinkPolicy::HoldForRecovery {
             // §14.2: no live next hop, but the fabric holds for
             // recovery — keep the tail pending (credit held) so a
             // later heal replays it instead of losing it.
@@ -302,7 +302,7 @@ impl Forwarder {
                 let spec = self.specs[flow];
                 let poisoned_link = match self.topo.next_hop(self.node, flow, spec) {
                     NextHop::Forward { link } => {
-                        self.dead.kill_link(self.node, link);
+                        self.faults.dead.kill_link(self.node, link);
                         Some(link)
                     }
                     NextHop::Eject => None,
@@ -337,13 +337,11 @@ impl Egress for Forwarder {
         }
     }
 
-    /// A hand-off submits with a zero deadline and is refused at once
-    /// when the peer has no room, so the node's worker runs it in its
-    /// flusher step and the node is one thread per shard (DESIGN.md
-    /// §11.2). The one exception is bounded and never waits on the
-    /// downstream: with a chaos plan armed, the ejection that makes an
-    /// event due sleeps up to 1 ms on this worker until the monitor
-    /// takes the clock (§11.4, `FabricLedger::on_packet_ejected`).
+    /// Accepts or refuses at once: a hand-off submits with a zero
+    /// deadline and is refused when the peer has no room, and a chaos
+    /// event an ejection reaches is applied without waiting (§11.4).
+    /// So the node's worker runs it in its flusher step and the node is
+    /// one thread per shard (DESIGN.md §11.2).
     fn try_emit(&mut self, _shard: usize, flit: &ServedFlit) -> bool {
         self.supervised(flit)
     }
@@ -451,12 +449,14 @@ mod tests {
             Arc::new(FabricLedger::with_hops(&[2])),
             Arc::clone(&counters),
             Arc::new(FabricGate::new()),
-            Arc::new(DeadMap::new(&[topo.n_links(0), topo.n_links(1)])),
+            Arc::new(Faults::new(
+                Arc::clone(&topo),
+                DeadLinkPolicy::DropAndAccount,
+                None,
+            )),
             tracker,
             Arc::new(vec![0, 1]),
             Instant::now(),
-            DeadLinkPolicy::DropAndAccount,
-            Arc::new(PanicSwitch::new(2)),
             Arc::new(ExitLog::default()),
         );
         let tail = |packet: u64| ServedFlit {

@@ -5,13 +5,11 @@
 //! conservation identity is asserted only after the fabric has drained
 //! (when every writer thread has been joined). The one doubling as a
 //! clock — total ejected packets — orders chaos events (§11.4), which
-//! needs monotonicity, not cross-counter consistency; the ejection that
-//! brings it to the next due event wakes the chaos monitor.
+//! needs monotonicity, not cross-counter consistency: each ejection
+//! gets its own clock value, and the ejecting worker whose value
+//! reaches the next due event applies it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-use err_egress::{WakeCell, BACKSTOP};
 
 /// Per-flow counters, all `Relaxed` (see module docs).
 #[derive(Default)]
@@ -109,11 +107,6 @@ pub struct FabricLedger {
     flows: Vec<FlowLedger>,
     ejected_total: AtomicU64,
     lost: AtomicU64,
-    /// The ejection-clock value the chaos monitor sleeps until
-    /// (`u64::MAX` while it is awake, or there is none).
-    due: AtomicU64,
-    /// Where the chaos monitor sleeps.
-    monitor: WakeCell,
 }
 
 impl FabricLedger {
@@ -136,8 +129,6 @@ impl FabricLedger {
                 .collect(),
             ejected_total: AtomicU64::new(0),
             lost: AtomicU64::new(0),
-            due: AtomicU64::new(u64::MAX),
-            monitor: WakeCell::new(),
         }
     }
 
@@ -159,67 +150,14 @@ impl FabricLedger {
     }
 
     /// Records a packet fully ejected (its tail flit delivered), with
-    /// its end-to-end latency. Returns the new ejection-clock value. The
-    /// ejection that brings the clock to the chaos monitor's next due
-    /// event wakes the monitor: one compare per packet otherwise.
+    /// its end-to-end latency. Returns the new ejection-clock value,
+    /// which no other ejection shares (§11.4).
     pub fn on_packet_ejected(&self, flow: usize, latency_us: u64) -> u64 {
         let f = &self.flows[flow];
         f.ejected_packets.fetch_add(1, Ordering::Relaxed);
         f.latency_sum_us.fetch_add(latency_us, Ordering::Relaxed);
         f.latency_max_us.fetch_max(latency_us, Ordering::Relaxed);
-        let clock = self.ejected_total.fetch_add(1, Ordering::Relaxed) + 1;
-        if clock >= self.due.load(Ordering::Relaxed) {
-            self.monitor.wake();
-            self.hand_over_to_monitor(clock);
-        }
-        clock
-    }
-
-    /// An ejection that reached the monitor's due clock vacates its CPU
-    /// until the monitor has taken the clock (disarmed `due`), for at
-    /// most `HANDOVER`. While the node threads keep every CPU busy, a
-    /// woken monitor can wait a whole scheduler slice for one — long
-    /// enough for a short run to end before its faults land. A thread
-    /// that sleeps frees its CPU for the monitor wherever it is queued;
-    /// a yield would not.
-    fn hand_over_to_monitor(&self, clock: u64) {
-        const HANDOVER: Duration = Duration::from_millis(1);
-        let until = Instant::now() + HANDOVER;
-        while self.due.load(Ordering::Relaxed) <= clock && Instant::now() < until {
-            std::thread::sleep(Duration::from_micros(10));
-        }
-    }
-
-    /// Makes the calling thread the chaos monitor that
-    /// [`on_packet_ejected`](Self::on_packet_ejected) wakes.
-    pub(crate) fn register_monitor(&self) {
-        self.monitor.register();
-    }
-
-    /// Publishes the ejection-clock value the chaos monitor waits for
-    /// next: from here on, the ejection that reaches it wakes the
-    /// monitor.
-    pub(crate) fn arm_monitor(&self, due: u64) {
-        self.due.store(due, Ordering::Relaxed);
-    }
-
-    /// The chaos monitor's sleep, once armed for `due`: until the
-    /// ejection clock reaches `due` or `stop` holds. Only the registered
-    /// monitor calls it; it disarms on the way out.
-    pub(crate) fn sleep_until(&self, due: u64, stop: impl Fn() -> bool) {
-        let ready = || stop() || self.ejected_total() >= due;
-        // backstop: covered by `on_packet_ejected` (the ejection that
-        // brings the clock to `due`) and `wake_monitor` (the drain's
-        // stop). The compare is Relaxed: a clock that passes `due` while
-        // it is being published can miss the wake and the re-check, and
-        // this timer bounds that to one sleep.
-        self.monitor.sleep_unless(ready, BACKSTOP);
-        self.due.store(u64::MAX, Ordering::Relaxed);
-    }
-
-    /// Ends the chaos monitor's sleep (the drain stopping it).
-    pub(crate) fn wake_monitor(&self) {
-        self.monitor.wake();
+        self.ejected_total.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Records an admission drop/reject at any hop.

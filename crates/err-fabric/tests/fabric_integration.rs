@@ -2,9 +2,12 @@
 //! reroute, node kills, and the conservation identity (DESIGN.md
 //! §11.2–§11.4).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use err_fabric::{Fabric, FabricConfig, FabricFaultPlan, FlowSpec, Topology};
+use err_fabric::{
+    DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FabricFault, FabricFaultPlan, FlowSpec,
+    Topology,
+};
 
 const DRAIN: Duration = Duration::from_secs(20);
 
@@ -357,6 +360,134 @@ fn chaos_kill_node_counts_losses() {
         "{:?}",
         rep.flows[0]
     );
+}
+
+/// Submits `per_flow` packets on every flow, round robin, never
+/// blocking on one: a flow whose admission is full (held behind a dead
+/// cable) is retried while the others keep the ejection clock moving.
+fn submit_round_robin(f: &Fabric, n_flows: usize, per_flow: u64, len: u32) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut sent = vec![0u64; n_flows];
+    while sent.iter().any(|&n| n < per_flow) {
+        let mut progressed = false;
+        for (flow, n) in sent.iter_mut().enumerate() {
+            if *n < per_flow && f.try_submit(flow, len).is_ok() {
+                *n += 1;
+                progressed = true;
+            }
+        }
+        if !progressed {
+            assert!(Instant::now() < deadline, "submitters starved");
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// A link or panic event fires at exactly its clock: with one ejecting
+/// worker the ejection clock counts on one thread, and the ejection
+/// whose value reaches an event applies it before anything else ejects
+/// (DESIGN.md §11.4). On a 3×1 line every flow ejects at node 2; the
+/// second heal mends the cable the injected panic poisoned.
+#[test]
+fn link_and_panic_events_fire_at_their_exact_clock() {
+    let topo = Topology::mesh(3, 1);
+    let east = topo.link_to(0, 1).expect("0-1 are neighbors");
+    let plan = FabricFaultPlan::new()
+        .kill_link_at(0, east, 10)
+        .heal_link_at(0, east, 20)
+        .panic_forwarder_at(0, 30)
+        .heal_link_at(0, east, 40);
+    for run in 0..20 {
+        let mut cfg = FabricConfig::new(
+            topo.clone(),
+            vec![
+                FlowSpec { src: 0, dst: 2 },
+                FlowSpec { src: 1, dst: 2 },
+                FlowSpec { src: 2, dst: 2 },
+            ],
+        );
+        cfg.fault_plan = Some(plan.clone());
+        let f = Fabric::start(cfg);
+        submit_round_robin(&f, 3, 60, 2);
+        let rep = f.drain_within(DRAIN);
+        assert!(rep.is_conserving(), "run {run}");
+        assert_eq!(rep.outcome, DrainOutcome::Graceful, "run {run}");
+        assert_eq!(rep.events.len(), 4, "run {run}: every event fired");
+        for (ev, planned) in rep.events.iter().zip(plan.events()) {
+            assert_eq!(ev.fault, *planned, "run {run}: plan order");
+            assert_eq!(ev.fired_at, ev.fault.at(), "run {run}: {:?}", ev.fault);
+        }
+        assert!(rep.forwarder_exits.len() <= 1, "run {run}: one-shot panic");
+    }
+}
+
+/// A kill and a heal one clock value apart on one cable are recorded
+/// in plan order even with four ejecting workers, and the drain is
+/// graceful with nothing dead-lettered: the heal never overtakes the
+/// kill it undoes (DESIGN.md §11.4).
+#[test]
+fn a_kill_and_the_heal_one_clock_later_fire_in_plan_order() {
+    let topo = Topology::mesh(2, 2);
+    let east = topo.link_to(0, 1).expect("0-1 are neighbors");
+    let flows: Vec<FlowSpec> = (0..4)
+        .flat_map(|src| (0..4).map(move |dst| FlowSpec { src, dst }))
+        .filter(|s| s.src != s.dst)
+        .collect();
+    assert_eq!(flows.len(), 12);
+    for t in [1, 7, 25, 60] {
+        let mut cfg = FabricConfig::new(topo.clone(), flows.clone());
+        cfg.max_backlog = 8;
+        cfg.credits = 4;
+        cfg.dead_link_policy = DeadLinkPolicy::HoldForRecovery;
+        cfg.fault_plan = Some(
+            FabricFaultPlan::new()
+                .kill_link_at(0, east, t)
+                .heal_link_at(0, east, t + 1),
+        );
+        let f = Fabric::start(cfg);
+        submit_round_robin(&f, flows.len(), 10, 4);
+        let rep = f.drain_within(DRAIN);
+        assert!(rep.is_conserving(), "t={t}");
+        assert_eq!(rep.outcome, DrainOutcome::Graceful, "t={t}");
+        assert_eq!(rep.lost_packets, 0, "t={t}");
+        assert_eq!(rep.dead_lettered_packets(), 0, "t={t}");
+        let fired: Vec<FabricFault> = rep.events.iter().map(|e| e.fault).collect();
+        assert!(
+            matches!(
+                fired[..],
+                [FabricFault::KillLink { .. }, FabricFault::HealLink { .. }]
+            ),
+            "t={t}: {fired:?}"
+        );
+    }
+}
+
+/// An event at clock 0 is applied before `Fabric::start` returns, so
+/// the very first packet over a cable cut at 0 finds it dead.
+#[test]
+fn a_cut_at_clock_zero_dead_letters_the_first_packet() {
+    let topo = Topology::mesh(2, 1);
+    let east = topo.link_to(0, 1).expect("0-1 are neighbors");
+    let mut cfg = FabricConfig::new(topo, vec![FlowSpec { src: 0, dst: 1 }]);
+    cfg.fault_plan = Some(FabricFaultPlan::new().kill_link_at(0, east, 0));
+    let f = Fabric::start(cfg);
+    f.submit(0, 2).unwrap();
+    let rep = f.drain_within(DRAIN);
+    assert!(rep.is_conserving());
+    assert_eq!(rep.flows[0].dead_lettered, 1);
+    assert_eq!(rep.flows[0].ejected_packets, 0);
+    assert_eq!(rep.events.len(), 1);
+    assert_eq!(rep.events[0].fired_at, 0);
+}
+
+/// A plan is checked before traffic starts, so no event can panic on
+/// the shard worker that reaches it.
+#[test]
+#[should_panic(expected = "not a cable")]
+fn a_plan_naming_no_cable_is_refused_at_start() {
+    let mut cfg = FabricConfig::new(Topology::mesh(2, 1), vec![FlowSpec { src: 0, dst: 1 }]);
+    cfg.fault_plan = Some(FabricFaultPlan::new().kill_link_at(0, 2, 3));
+    Fabric::start(cfg);
 }
 
 #[test]

@@ -1233,8 +1233,8 @@ struct FabricChaosSample {
 }
 
 /// The §11.4 chaos kill-link run: flow 0 crosses the 4×4 mesh corner
-/// to corner (0 → 15) while the fault monitor cuts node 0's east cable
-/// — the first hop of the XY primary — mid-run, on the fabric's
+/// to corner (0 → 15) while a fault plan cuts node 0's east cable —
+/// the first hop of the XY primary — mid-run, on the fabric's
 /// ejection clock. Every tail handed off after the cut must take the
 /// YX alternate (south), the reverse flow 15 → 0 must be unharmed, and
 /// the conservation identity must hold exactly. Tight credits bound
