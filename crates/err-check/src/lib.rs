@@ -1051,6 +1051,10 @@ mod tests {
             ["no-std-mutex"]
         );
         assert!(lint_source("crates/err-egress/src/link.rs", src).is_empty());
+        assert_eq!(
+            rules_of(&lint_source("crates/err-runtime/src/fault.rs", src)),
+            ["no-std-mutex"]
+        );
     }
 
     #[test]

@@ -97,8 +97,6 @@ pub(crate) const MUTEX_FILES: &[&str] = &[
     "crates/err-egress/src/wake.rs",
     // MigrationSlot package handoff: once per migration, not per flit.
     "crates/err-runtime/src/migrate.rs",
-    // Bequest slots + successor handles: once per shard death.
-    "crates/err-runtime/src/fault.rs",
     // Experiment-harness job queue (parking_lot): offline runner, no
     // runtime fast path.
     "crates/err-experiments/src/runner.rs",
@@ -287,9 +285,9 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "Panicked",
             "Abandoned",
             "FaultBoard",
-            // §9.2 catch → bequeath → adopt.
-            "Bequest",
-            "bequeath",
+            // §9.2 catch → resume.
+            "WorkerState",
+            "resume",
             "spawn_worker",
         ],
     },

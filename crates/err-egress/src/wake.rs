@@ -102,9 +102,9 @@ impl WakeCell {
         Self::default()
     }
 
-    /// Makes the calling thread this cell's sleeper. A worker's
-    /// successor (DESIGN.md §9.2) calls it again and replaces the
-    /// dead thread's handle.
+    /// Makes the calling thread this cell's sleeper. A shard worker
+    /// calls it once, before its loop: a loop that resumes after a
+    /// panic (DESIGN.md §9.2) runs on the same thread.
     pub fn register(&self) {
         *self.sleeper.lock().unwrap_or_else(|p| p.into_inner()) = Some(current());
     }

@@ -32,9 +32,9 @@ use crate::stats::RuntimeStats;
 pub enum ShardExit {
     /// Drained and returned normally.
     Clean,
-    /// The thread panicked; under supervision a successor adopted its
-    /// state and nothing was lost (DESIGN.md §9.2), without supervision
-    /// its backlog is unaccounted.
+    /// The thread panicked; under supervision its loop resumed on the
+    /// same thread with the same state and nothing was lost (DESIGN.md
+    /// §9.2), without supervision its backlog is unaccounted.
     Panicked,
     /// The thread missed the shutdown deadline and was left running
     /// (detached); its cycles report as 0 and conservation may not
@@ -48,7 +48,7 @@ pub struct DrainReport {
     /// Statistics at the instant every worker had exited.
     pub stats: RuntimeStats,
     /// Final flit-clock value of each shard (cycles of service);
-    /// 0 for panicked or abandoned workers.
+    /// 0 for an abandoned worker or one that panicked unsupervised.
     pub shard_cycles: Vec<u64>,
     /// Per-shard worker exit status.
     pub exits: Vec<ShardExit>,
@@ -56,7 +56,7 @@ pub struct DrainReport {
     /// were counted lost rather than served (DESIGN.md §9.4), packet by
     /// packet. The one residue left uncounted is §9.4's double fault: a
     /// sync batch a sink's unwind interrupted, when the abort also beats
-    /// the successor's first `serve` — then `is_conserving` honestly
+    /// the resumed loop's first `serve` — then `is_conserving` honestly
     /// fails.
     pub forced: bool,
 }

@@ -1,25 +1,24 @@
-//! Shard supervision, in-place resurrection, and the deterministic
+//! Shard supervision, in-place resumption, and the deterministic
 //! chaos harness (DESIGN.md §9).
 //!
 //! The fault model is *fail-stop with an honest ledger*, and death
 //! never moves a flow: a shard worker that panics (or is quarantined
-//! for a frozen heartbeat) is caught by its own fence, posts its whole
-//! state — scheduler, flit clock, egress stage, in-flight migration
-//! driver — as a `Bequest`, and the supervisor spawns a successor
-//! thread that adopts it (§9.2: *catch → bequeath → adopt*). The
-//! ingress ring stays where it is and the successor resumes draining
-//! it, so nothing is re-homed and nothing is lost; only a forced abort
-//! (§9.4) counts residue `lost`, with its admission charge revoked,
-//! never silently leaked. The [`FaultBoard`] records heartbeats, health
+//! for a frozen heartbeat) is caught by its own fence, calls
+//! `FaultRuntime::resume`, and re-enters its loop on the same thread
+//! with its whole `WorkerState` — scheduler, flit clock, egress stage,
+//! in-flight migration driver (§9.2: *catch → resume*). The ingress
+//! ring stays where it is and the resumed loop goes on draining it, so
+//! nothing is re-homed and nothing is lost; only a forced abort (§9.4)
+//! counts residue `lost`, with its admission charge revoked, never
+//! silently leaked. The [`FaultBoard`] records heartbeats, health
 //! transitions, and death/recovery timestamps; a supervisor thread
-//! applies the single quarantine rule and adopts bequests; a seeded
-//! [`FaultPlan`] replays shard panics, wedges, and link deaths on the
-//! shard flit clocks, which is what makes the chaos bench an experiment
-//! rather than an anecdote (§9.5).
+//! applies the single quarantine rule; a seeded [`FaultPlan`] replays
+//! shard panics, wedges, and link deaths on the shard flit clocks,
+//! which is what makes the chaos bench an experiment rather than an
+//! anecdote (§9.5).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use desim::{Cycle, SimRng};
@@ -30,14 +29,6 @@ use crate::ingress::Shared;
 use crate::migrate::MigrationDriver;
 use crate::shard::{EgressStage, ShardConfig};
 use crate::stats::{PaddedCounter, ShardStats};
-
-/// Locks `m`, treating poisoning as benign: the protected state is a
-/// slot or a handle list whose invariants do not depend on the
-/// panicking critical section having completed (and panics are this
-/// module's business, not an anomaly).
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Supervisor policy knobs (DESIGN.md §9.1).
 #[derive(Clone, Copy, Debug)]
@@ -70,7 +61,8 @@ pub enum ShardHealth {
     /// hook honors the flag by panicking into its fence.
     Quarantined = 1,
     /// The worker panicked (organically, by injection, or honoring a
-    /// quarantine); its `Bequest` waits for the supervisor to adopt it.
+    /// quarantine) and is resuming: its fence caught the unwind, and
+    /// its loop has not yet been re-entered on the same thread.
     Dead = 2,
     /// The worker drained cleanly and returned.
     Exited = 3,
@@ -146,16 +138,17 @@ impl FaultBoard {
     /// Current health of `shard`.
     pub fn health(&self, shard: usize) -> ShardHealth {
         // ordering: SeqCst — the health byte arbitrates between the
-        // supervisor's quarantine CAS and adoption, and the dying
-        // worker's Dead store; every observer must agree on one total
-        // order of transitions (a racing death beats a quarantine
-        // everywhere, not per-thread).
+        // supervisor's quarantine CAS and the worker's own Dead and
+        // Running stores; every observer must agree on one total order
+        // of transitions (a racing death beats a quarantine everywhere,
+        // not per-thread). A `Running` read here also acquires the beat
+        // a resuming worker made before storing it.
         ShardHealth::from_u8(self.cells[shard].health.load(Ordering::SeqCst))
     }
 
     pub(crate) fn set_health(&self, shard: usize, health: ShardHealth) {
         // ordering: SeqCst — same single-total-order contract as
-        // `health` (this is the Dead/Exited side of the arbitration).
+        // `health` (this is the worker's side of the arbitration).
         self.cells[shard]
             .health
             .store(health as u8, Ordering::SeqCst);
@@ -199,8 +192,8 @@ impl FaultBoard {
             .store(self.now_micros(), Ordering::SeqCst);
     }
 
-    /// Microseconds (since runtime start) at which `shard` died, if it
-    /// did.
+    /// Microseconds (since runtime start) at which `shard` last died,
+    /// if it did.
     pub fn death_micros(&self, shard: usize) -> Option<u64> {
         // ordering: SeqCst — reader side of `stamp_death`.
         match self.cells[shard].death_at.load(Ordering::SeqCst) {
@@ -209,8 +202,8 @@ impl FaultBoard {
         }
     }
 
-    /// Microseconds (since runtime start) at which a successor adopted
-    /// `shard`'s bequest, if one did.
+    /// Microseconds (since runtime start) at which `shard`'s worker
+    /// last resumed after a death, if it did.
     pub fn recovery_micros(&self, shard: usize) -> Option<u64> {
         // ordering: SeqCst — reader side of `stamp_recovery`.
         match self.cells[shard].recovered_at.load(Ordering::SeqCst) {
@@ -384,24 +377,23 @@ impl FaultInjector {
     }
 }
 
-/// Everything a worker thread owns, and so everything a successor
-/// needs to adopt a dead shard (§9.2): a first-generation worker is
-/// started from one with a fresh scheduler and clock 0, and a dying
-/// worker's epilogue posts its own. Injected panics fire only at an
-/// intake boundary and a sink's unwind leaves its interrupted batch in
-/// the stage, so the state is consistent by construction. The ingress
-/// ring is *not* here: it lives in `Shared` and the successor simply
-/// resumes draining it.
-pub(crate) struct Bequest {
+/// Everything a worker thread owns (§9.2): a worker starts from one
+/// with a fresh scheduler and clock 0 and, under supervision, re-enters
+/// its loop with the same one after a panic. It lives outside the
+/// loop's panic fence, so it survives the unwind whole; injected
+/// panics fire only at an intake boundary and a sink's unwind leaves
+/// its interrupted batch in the stage, so the state is consistent by
+/// construction. The ingress ring is *not* here: it lives in `Shared`
+/// and the resumed loop simply goes on draining it.
+pub(crate) struct WorkerState {
     pub(crate) cfg: ShardConfig,
     pub(crate) scheduler: ErrScheduler,
     pub(crate) driver: Option<MigrationDriver>,
-    /// The shard flit clock at death; the successor continues it.
+    /// The shard flit clock; a resumed loop continues it.
     pub(crate) now: Cycle,
     /// The output side, whole: the sync stage's sink and interrupted
-    /// batch, or the buffered stage's ring producer, parking marks and
-    /// pushed count — and its flusher core and sink, when the worker
-    /// runs the flusher step itself.
+    /// batch, or the buffered stage's ring producer, parking marks,
+    /// pushed count, flusher core and sink.
     pub(crate) stage: Box<dyn EgressStage>,
 }
 
@@ -410,13 +402,6 @@ pub(crate) struct Bequest {
 pub(crate) struct FaultRuntime {
     pub(crate) board: FaultBoard,
     pub(crate) injector: Option<FaultInjector>,
-    /// Per-shard bequest slot (§9.2): the dying worker posts, the
-    /// supervisor takes.
-    bequests: Vec<Mutex<Option<Bequest>>>,
-    /// Successor worker threads, `(shard, handle)`, pushed by the
-    /// supervisor under this mutex — `drain_within` reads the same lock
-    /// so it can never miss a successor that is mid-spawn.
-    pub(crate) successors: Mutex<Vec<(usize, JoinHandle<Cycle>)>>,
     pub(crate) config: SupervisionConfig,
 }
 
@@ -429,30 +414,21 @@ impl FaultRuntime {
         Self {
             board: FaultBoard::new(shards),
             injector,
-            bequests: (0..shards).map(|_| Mutex::new(None)).collect(),
-            successors: Mutex::new(Vec::new()),
             config,
         }
     }
 
-    /// The dying worker's last act (§9.2): post the whole-state
-    /// bequest, then flip to `Dead` — in that order, so a supervisor
-    /// that observes the bequest always finds it complete.
-    pub(crate) fn bequeath(&self, shard: usize, bequest: Bequest) {
-        *lock_unpoisoned(&self.bequests[shard]) = Some(bequest);
-        self.board.set_health(shard, ShardHealth::Dead);
+    /// A caught worker's one call before it re-enters its loop on the
+    /// same thread (§9.2): stamp the death, pass through `Dead`, then
+    /// beat *before* storing `Running`, so a supervisor that reads
+    /// `Running` reads a heartbeat the resumed worker made and never
+    /// quarantines it on a stale one.
+    pub(crate) fn resume(&self, shard: usize) {
         self.board.stamp_death(shard);
-    }
-
-    /// Takes `shard`'s pending bequest, if any (supervisor side).
-    pub(crate) fn take_bequest(&self, shard: usize) -> Option<Bequest> {
-        lock_unpoisoned(&self.bequests[shard]).take()
-    }
-
-    /// Whether any shard has posted a bequest the supervisor has not
-    /// yet turned into a successor (`drain_within` waits this out).
-    pub(crate) fn resurrection_pending(&self) -> bool {
-        self.bequests.iter().any(|b| lock_unpoisoned(b).is_some())
+        self.board.set_health(shard, ShardHealth::Dead);
+        self.board.beat(shard);
+        self.board.stamp_recovery(shard);
+        self.board.set_health(shard, ShardHealth::Running);
     }
 }
 
@@ -510,9 +486,8 @@ fn lose_packet(stats: &ShardStats, admission: &AdmissionController, flow: usize,
 /// Forced-shutdown residue accounting (DESIGN.md §9.4): when the abort
 /// flag fires, a worker stops serving and counts its residual state —
 /// ring contents and extracted flow packages — as lost, with admission
-/// charges revoked; `drain_within` does the same for a bequest the
-/// abort beat the supervisor to. Exact: every flow's residue is
-/// extracted and counted packet by packet.
+/// charges revoked. Exact: every flow's residue is extracted and
+/// counted packet by packet.
 pub(crate) fn abort_residuals(
     shared: &Shared,
     shard: usize,
@@ -544,11 +519,10 @@ pub(crate) fn abort_residuals(
     stats.backlog_flits.set(0);
 }
 
-/// The supervisor loop (DESIGN.md §9.1–9.2): every `poll`, quarantine
-/// any `Running` shard whose heartbeat has not advanced for
-/// `heartbeat_deadline`, and turn posted bequests into successor worker
-/// threads. Never touches a scheduler — quarantine is a flag the
-/// worker's own fault hook honors, and a bequest is adopted whole.
+/// The supervisor loop (DESIGN.md §9.1): every `poll`, quarantine any
+/// `Running` shard whose heartbeat has not advanced for
+/// `heartbeat_deadline`. Never touches a scheduler — quarantine is a
+/// flag the worker's own fault hook honors.
 pub(crate) fn run_supervisor(shared: Arc<Shared>, stop: Arc<AtomicBool>) {
     let Some(fr) = shared.fault.as_ref() else {
         return;
@@ -556,43 +530,25 @@ pub(crate) fn run_supervisor(shared: Arc<Shared>, stop: Arc<AtomicBool>) {
     let shards = fr.board.shards();
     let mut last_beat: Vec<u64> = (0..shards).map(|s| fr.board.heartbeat(s)).collect();
     let mut last_change: Vec<Instant> = vec![Instant::now(); shards];
-    let mut generation: Vec<u64> = vec![0; shards];
     // ordering: Acquire pairs with the Release `stop` store in
     // `Runtime::drain_within` (supervisor shutdown latch).
     while !stop.load(Ordering::Acquire) {
         std::thread::sleep(fr.config.poll);
         for s in 0..shards {
+            // Health before heartbeat: a resuming worker beats before it
+            // stores `Running`, so a `Running` read is never judged
+            // against a beat older than the resume. A shard that is not
+            // `Running` gets a fresh grace window. (A stalled worker
+            // that panics and resumes between these reads and the CAS
+            // still takes the quarantine its stall earned: one more
+            // resume, nothing lost.)
+            let running = fr.board.health(s) == ShardHealth::Running;
             let beat = fr.board.heartbeat(s);
-            if beat != last_beat[s] {
+            if !running || beat != last_beat[s] {
                 last_beat[s] = beat;
                 last_change[s] = Instant::now();
-            } else if fr.board.health(s) == ShardHealth::Running
-                && last_change[s].elapsed() >= fr.config.heartbeat_deadline
-            {
+            } else if last_change[s].elapsed() >= fr.config.heartbeat_deadline {
                 fr.board.quarantine(s);
-            }
-            // Adopt a posted bequest (§9.2). The whole take→spawn→push
-            // runs under the successors lock so `drain_within`, which
-            // reads the same lock, can never observe "no bequest, no
-            // successor" for a shard that is mid-resurrection.
-            let mut successors = lock_unpoisoned(&fr.successors);
-            // ordering: Acquire pairs with the Release `abort` store in
-            // `Runtime::drain_within` — no successor may spawn after
-            // the forced-abort residue accounting starts.
-            if shared.abort.load(Ordering::Acquire) {
-                continue;
-            }
-            if let Some(bequest) = fr.take_bequest(s) {
-                generation[s] += 1;
-                fr.board.stamp_recovery(s);
-                fr.board.set_health(s, ShardHealth::Running);
-                // A fresh grace window: the successor's first beat may
-                // lag thread spawn, and the stale pre-death timestamp
-                // would instantly re-quarantine it.
-                last_beat[s] = fr.board.heartbeat(s);
-                last_change[s] = Instant::now();
-                let handle = crate::spawn_worker(Arc::clone(&shared), generation[s], bequest);
-                successors.push((s, handle));
             }
         }
     }

@@ -230,9 +230,9 @@ impl RuntimeHandle {
         // push → window −= 1 (via the guard's Drop, on every exit
         // path). The SeqCst pairing with the map flip and window check
         // guarantees a mover's drain target covers every old-home push.
-        // A dead shard's ring stays put: its successor resumes draining
-        // it (§9.2), so a full ring is waited out the same whether the
-        // worker is behind or being replaced.
+        // A dead shard's ring stays put: its worker resumes draining it
+        // (§9.2), so a full ring is waited out the same whether the
+        // worker is behind or resuming.
         let _window = shared
             .steal
             .as_ref()

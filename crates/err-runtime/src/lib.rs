@@ -47,8 +47,8 @@
 //!   downstream freezes only its own flows — the regime the paper's
 //!   stalled-wormhole argument is about.
 //! * [`fault`] adds the failure half of that story (DESIGN.md §9):
-//!   supervised workers that bequeath their whole state when they
-//!   panic and are resurrected in place with nothing lost, a heartbeat
+//!   supervised workers that catch their own panic and resume in place,
+//!   on the same thread with the same state, nothing lost, a heartbeat
 //!   supervisor that quarantines wedged shards, dead-link
 //!   failover in the egress stage, bounded shutdown
 //!   ([`Runtime::shutdown_within`]) and submit
@@ -190,14 +190,14 @@ pub struct RuntimeConfig {
     /// egress-retire fence (a flow's home flips only after its last
     /// victim flit has retired downstream), so handoffs never interleave
     /// a wormhole. Composes with `supervision`: a shard that dies
-    /// mid-handoff is resurrected with its migration state and takes the
+    /// mid-handoff resumes with its migration state and takes the
     /// handoff's next step (§9.2).
     pub stealing: Option<StealingConfig>,
     /// Shard supervision (DESIGN.md §9): heartbeats, quarantine, and
-    /// resurrection in place — a fresh worker thread adopts the dead
-    /// shard's ring, scheduler, egress stage and migration state, no
-    /// flow moves and nothing is lost (§9.2). Works under either
-    /// [`EgressMode`].
+    /// resumption in place — a worker that panics re-enters its loop
+    /// on the same thread with its ring, scheduler, egress stage and
+    /// migration state, no flow moves and nothing is lost (§9.2). Works
+    /// under either [`EgressMode`].
     pub supervision: Option<SupervisionConfig>,
     /// Deterministic fault injection (DESIGN.md §9.5); events fire on
     /// each shard's flit clock. Requires `supervision`.
@@ -347,14 +347,12 @@ impl Runtime {
                 stages
             }
         };
-        // A fresh worker steals only if stealing is on; a successor
-        // inherits its predecessor's driver with the rest of the
-        // bequest.
+        // A worker steals only if stealing is on.
         let workers = stages
             .into_iter()
             .enumerate()
             .map(|(shard, stage)| {
-                let state = fault::Bequest {
+                let state = fault::WorkerState {
                     cfg: shard::ShardConfig {
                         shard,
                         batch_packets: config.batch_packets,
@@ -369,7 +367,7 @@ impl Runtime {
                     now: 0,
                     stage,
                 };
-                spawn_worker(Arc::clone(&shared), 0, state)
+                spawn_worker(Arc::clone(&shared), state)
             })
             .collect();
 
@@ -377,10 +375,10 @@ impl Runtime {
             let stop = Arc::new(AtomicBool::new(false));
             let shared = Arc::clone(&shared);
             let stop2 = Arc::clone(&stop);
-            // panic-policy: a supervisor panic stops quarantine and
-            // resurrection but nothing else — workers drain normally
-            // and the drain-time `join` absorbs the unwind (its `Err`
-            // is deliberately discarded).
+            // panic-policy: a supervisor panic stops quarantine but
+            // nothing else — workers resume and drain normally, and the
+            // drain-time `join` absorbs the unwind (its `Err` is
+            // deliberately discarded).
             let handle = std::thread::Builder::new()
                 .name("err-supervisor".into())
                 .spawn(move || fault::run_supervisor(shared, stop2))
@@ -485,25 +483,12 @@ impl Runtime {
         let debug_drain = std::env::var_os("ERR_DRAIN_DEBUG").is_some();
         let mut debug_polls: u64 = 0;
         loop {
-            // Wake idle workers (successors included); they would wake
-            // at the park timeout anyway, this shaves the last <=100us
-            // per shard.
+            // Wake idle workers; they would wake at the park timeout
+            // anyway, this shaves the last <=100us per shard.
             for cell in &self.shared.wakes {
                 cell.wake();
             }
-            // Under supervision the drain must also wait out successor
-            // workers *and* bequests the supervisor has not yet adopted.
-            // Both are read under the successors lock — the supervisor's
-            // take→spawn→push runs under the same lock, so there is no
-            // instant where a dying shard is in neither set.
-            let lineage_done = match self.shared.fault.as_ref() {
-                Some(fr) => {
-                    let succ = fault::lock_unpoisoned(&fr.successors);
-                    succ.iter().all(|(_, h)| h.is_finished()) && !fr.resurrection_pending()
-                }
-                None => true,
-            };
-            if lineage_done && self.workers.iter().all(|w| w.is_finished()) {
+            if self.workers.iter().all(|w| w.is_finished()) {
                 break;
             }
             let now = Instant::now();
@@ -557,84 +542,31 @@ impl Runtime {
         let mut shard_cycles = Vec::with_capacity(self.workers.len());
         let mut exits = Vec::with_capacity(self.workers.len());
         for (shard, worker) in self.workers.drain(..).enumerate() {
-            if timeout.is_some() && !worker.is_finished() {
+            // A supervised worker that panicked resumed and returned
+            // normally; the death stamp remembers it (§9.2).
+            let died = || {
+                let fault = self.shared.fault.as_ref();
+                fault.is_some_and(|fr| fr.board.death_micros(shard).is_some())
+            };
+            let (exit, cycles) = if timeout.is_some() && !worker.is_finished() {
                 // Abandon rung: the thread is wedged past the deadline;
                 // detach it and record the hole in the accounting.
-                exits.push(ShardExit::Abandoned);
-                shard_cycles.push(0);
-                drop(worker);
-                continue;
-            }
-            match worker.join() {
-                Ok(cycles) => {
-                    // A supervised worker that panicked returns normally
-                    // after its bequeath; the death stamp remembers it
-                    // even after a resurrection sets the health back to
-                    // Running/Exited (§9.2).
-                    let died = self
-                        .shared
-                        .fault
-                        .as_ref()
-                        .is_some_and(|fr| fr.board.death_micros(shard).is_some());
-                    exits.push(if died {
-                        ShardExit::Panicked
-                    } else {
-                        ShardExit::Clean
-                    });
-                    shard_cycles.push(cycles);
+                (ShardExit::Abandoned, 0)
+            } else {
+                match worker.join() {
+                    Ok(cycles) if died() => (ShardExit::Panicked, cycles),
+                    Ok(cycles) => (ShardExit::Clean, cycles),
+                    Err(_) => (ShardExit::Panicked, 0),
                 }
-                Err(_) => {
-                    exits.push(ShardExit::Panicked);
-                    shard_cycles.push(0);
-                }
-            }
+            };
+            exits.push(exit);
+            shard_cycles.push(cycles);
         }
         if let Some((stop, handle)) = self.supervisor.take() {
             // ordering: Release pairs with the supervisor loop's
             // Acquire `stop` load (fault.rs) — a plain shutdown latch.
             stop.store(true, Ordering::Release);
             let _ = handle.join();
-        }
-        // Successor workers (§9.2), joined after the supervisor so no
-        // further ones can spawn. A successor's clock continues its
-        // predecessor's, so its return value supersedes the original
-        // worker's for that shard.
-        let successors: Vec<(usize, JoinHandle<u64>)> = match self.shared.fault.as_ref() {
-            Some(fr) => std::mem::take(&mut *fault::lock_unpoisoned(&fr.successors)),
-            None => Vec::new(),
-        };
-        for (shard, handle) in successors {
-            if timeout.is_some() && !handle.is_finished() {
-                if let Some(e) = exits.get_mut(shard) {
-                    *e = ShardExit::Abandoned;
-                }
-                drop(handle);
-                continue;
-            }
-            match handle.join() {
-                Ok(cycles) => {
-                    if let Some(c) = shard_cycles.get_mut(shard) {
-                        *c = (*c).max(cycles);
-                    }
-                }
-                Err(_) => {
-                    if let Some(e) = exits.get_mut(shard) {
-                        *e = ShardExit::Panicked;
-                    }
-                }
-            }
-        }
-        // Bequests nobody adopted (the abort or the deadline beat the
-        // supervisor to them): account their residual state as lost,
-        // exactly like an aborted worker's (§9.4) — the packets are in
-        // the bequeathed scheduler, so the accounting is exact.
-        if let Some(fr) = self.shared.fault.as_ref() {
-            for shard in 0..fr.board.shards() {
-                if let Some(mut bq) = fr.take_bequest(shard) {
-                    fault::abort_residuals(&self.shared, shard, bq.cfg.n_flows, &mut bq.scheduler);
-                    bq.stage.abort();
-                }
-            }
         }
         let mut stats = RuntimeStats::collect(&self.shared.stats);
         if let Some(ctrl) = &self.egress {
@@ -652,25 +584,15 @@ impl Runtime {
     }
 }
 
-/// Spawns `state.cfg.shard`'s worker thread: generation 0 at start-up,
-/// a successor adopting its predecessor's bequest afterwards (§9.2).
-pub(crate) fn spawn_worker(
-    shared: Arc<Shared>,
-    generation: u64,
-    state: fault::Bequest,
-) -> JoinHandle<u64> {
-    let shard = state.cfg.shard;
-    let name = match generation {
-        0 => format!("err-shard-{shard}"),
-        g => format!("err-shard-{shard}r{g}"),
-    };
+/// Spawns `state.cfg.shard`'s worker thread, the shard's only one for
+/// the life of the runtime (§9.2).
+fn spawn_worker(shared: Arc<Shared>, state: fault::WorkerState) -> JoinHandle<u64> {
     // panic-policy: a worker panic is a modeled fault (§9), caught by
-    // `run_shard`'s own fence — under supervision the shard is
-    // resurrected (successors die like first-generation workers) and
-    // drain records `ShardExit::Panicked`; without it the
-    // re-thrown panic reaches drain's join, same verdict.
+    // `run_shard`'s own fence — under supervision the loop resumes on
+    // this thread and drain records `ShardExit::Panicked`; without it
+    // the re-thrown panic reaches drain's join, same verdict.
     std::thread::Builder::new()
-        .name(name)
+        .name(format!("err-shard-{}", state.cfg.shard))
         .spawn(move || {
             set_timer_slack();
             shard::run_shard(shared, state)

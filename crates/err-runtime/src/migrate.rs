@@ -31,16 +31,22 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use desim::Cycle;
 use err_sched::err::ErrScheduler;
 use err_sched::migrate::MigratedFlow;
 
-use crate::fault::lock_unpoisoned;
 use crate::flow_map::FlowMap;
 use crate::ingress::Shared;
 use crate::shard::EgressStage;
+
+/// Locks `m`, treating poisoning as benign: a slot's package is whole
+/// or absent whatever critical section panicked, and a panicking
+/// worker is §9's business, not an anomaly.
+fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Sentinel for "no shard / no flow" in the slot's atomic cells.
 const NONE: usize = usize::MAX;
@@ -385,9 +391,9 @@ impl StealRuntime {
 /// Per-worker migration driver: the worker-thread half of the stealing
 /// protocol. Owns the thief-side policy state (poll pacing, cooldown)
 /// and the donor-side pacing (serve-chunk guard); everything shared
-/// lives in [`StealRuntime`]. Travels inside the §9.2 bequest when the
-/// shard dies, so a resurrected worker continues its in-flight
-/// handoffs instead of stranding them.
+/// lives in [`StealRuntime`]. Part of the §9.2 `WorkerState`, so a
+/// worker that resumes after a panic continues its in-flight handoffs
+/// instead of stranding them.
 pub(crate) struct MigrationDriver {
     shard: usize,
     loops_since_poll: u32,

@@ -38,13 +38,13 @@
 //!
 //! The loop runs inside a `catch_unwind` fence with the worker's whole
 //! state — scheduler, migration driver, flit clock and stage, i.e. a
-//! `Bequest` — owned *outside* the closure (DESIGN.md §9.2): a panic
-//! unwinds out of the loop, the fence catches it, and the epilogue
-//! takes one of two paths:
+//! `WorkerState` — owned *outside* the closure (DESIGN.md §9.2): a panic
+//! unwinds out of the loop, the fence catches it, and the worker takes
+//! one of two paths:
 //!
-//! * **bequeath** (supervision) — the intact state is posted as the
-//!   `Bequest` it already is; the supervisor spawns a successor worker
-//!   that adopts it, and no flow moves;
+//! * **resume** (supervision) — it records the death on the fault
+//!   board and re-enters the loop on the same thread with the same
+//!   state; no flow moves;
 //! * **re-throw** (no supervision) — the join observes the panic and
 //!   shutdown reports it as [`ShardExit::Panicked`](crate::ShardExit).
 //!
@@ -80,7 +80,7 @@ use err_egress::{
 use err_sched::err::ErrScheduler;
 use err_sched::{Packet, Scheduler, ServedFlit};
 
-use crate::fault::{abort_residuals, fault_tick, Bequest, ShardHealth};
+use crate::fault::{abort_residuals, fault_tick, ShardHealth, WorkerState};
 use crate::ingress::Shared;
 
 /// Park duration of a sleep that polls; bounds wake-up latency after
@@ -176,10 +176,10 @@ pub(crate) trait EgressStage: Send {
 
 /// Synchronous egress: the worker calls the optional sink inline.
 ///
-/// The batch and its cursor live here, outside the panic fence, and
-/// ride the [`Bequest`] (§9.2): a sink that unwinds mid-batch leaves
+/// The batch and its cursor live here, in the [`WorkerState`] outside
+/// the panic fence (§9.2): a sink that unwinds mid-batch leaves
 /// `served[next..]` pulled from the scheduler but not yet handed over,
-/// and nothing of the batch counted; the successor's first `serve`
+/// and nothing of the batch counted; the resumed loop's first `serve`
 /// finishes it instead of pulling a new one. The flit the sink unwound
 /// on is not offered twice.
 pub(crate) struct SyncStage<E> {
@@ -252,10 +252,10 @@ impl<E: Egress> EgressStage for SyncStage<E> {
 ///   frees the ring and returns what the sink accepted before the next
 ///   chunk's grants. One thread writes and reads the SPSC ring.
 ///
-/// The stage is owned *outside* the panic fence and travels in the
-/// [`Bequest`] (§9.2): its parking marks, `pushed` count (§8.7's fence
-/// numerator), flusher core and sink must survive the worker. A grant
-/// never does.
+/// The stage is owned *outside* the panic fence, in the
+/// [`WorkerState`] (§9.2): its parking marks, `pushed` count (§8.7's
+/// fence numerator), flusher core and sink must survive a panic. A
+/// grant never does.
 pub(crate) struct BufferedStage<E> {
     tx: Producer<ServedFlit>,
     links: Arc<LinkSet>,
@@ -473,8 +473,7 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
     /// A forced abort ends delivery: what the flusher core still holds
     /// — ring flits, and flits pending behind a dead, frozen or
     /// refusing link — is dead-lettered, every credit back. Never calls
-    /// the sink, so `drain_within` can settle an unadopted bequest this
-    /// way on its own thread.
+    /// the sink.
     fn abort(&mut self) {
         self.core.dead_letter_all(&self.links);
         self.core.settle(&self.links, &self.estats);
@@ -504,32 +503,31 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
 /// called *and* the ring, the scheduler and the stage are fully
 /// drained. Returns the shard's final flit clock.
 ///
-/// `w` comes from the spawner: fresh (clock 0) for a first-generation
-/// worker, its predecessor's for a successor (§9.2) — the clock
-/// continues, it never rewinds.
-pub(crate) fn run_shard(shared: Arc<Shared>, mut w: Bequest) -> Cycle {
-    let result = panic::catch_unwind(AssertUnwindSafe(|| run_loop(&shared, &mut w)));
-    let Err(payload) = result else {
-        if let Some(fr) = shared.fault.as_ref() {
-            fr.board.set_health(w.cfg.shard, ShardHealth::Exited);
-        }
-        return w.now;
-    };
-    let now = w.now;
-    match shared.fault.as_ref() {
-        Some(fr) => fr.bequeath(w.cfg.shard, w),
-        None => {
-            // Nobody adopts the stage: what it holds is dead-lettered,
-            // so no credit dies with the worker.
-            w.stage.abort();
-            panic::resume_unwind(payload)
+/// Under supervision a caught panic resumes the loop on this thread
+/// with the same `w` (§9.2): the clock continues, it never rewinds.
+pub(crate) fn run_shard(shared: Arc<Shared>, mut w: WorkerState) -> Cycle {
+    let shard = w.cfg.shard;
+    // Once for life: a resumed loop runs on this same thread.
+    shared.wakes[shard].register();
+    while let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| run_loop(&shared, &mut w))) {
+        match shared.fault.as_ref() {
+            Some(fr) => fr.resume(shard),
+            None => {
+                // Nobody resumes the stage: what it holds is
+                // dead-lettered, so no credit dies with the worker.
+                w.stage.abort();
+                panic::resume_unwind(payload)
+            }
         }
     }
-    now
+    if let Some(fr) = shared.fault.as_ref() {
+        fr.board.set_health(shard, ShardHealth::Exited);
+    }
+    w.now
 }
 
-fn run_loop(shared: &Shared, w: &mut Bequest) {
-    let Bequest {
+fn run_loop(shared: &Shared, w: &mut WorkerState) {
+    let WorkerState {
         cfg,
         scheduler,
         driver,
@@ -540,8 +538,6 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
     let ring = &shared.rings[shard];
     let stats = &shared.stats[shard];
     let mut arrivals: Vec<Packet> = Vec::with_capacity(cfg.batch_packets);
-    // A successor (§9.2) replaces its predecessor's thread handle.
-    shared.wakes[shard].register();
     // Exit-gate forensics, paired with the drain-side dump in
     // `Runtime::drain_within` (same `ERR_DRAIN_DEBUG` switch): a worker
     // that idles without exiting names the predicate holding it.
@@ -553,9 +549,10 @@ fn run_loop(shared: &Shared, w: &mut Bequest) {
     let polls = shared.fault.is_some() || shared.steal.is_some() || shared.wakes.len() > 1;
     loop {
         // Fault phase (DESIGN.md §9): forced-shutdown abort, heartbeat,
-        // quarantine, injected events. The stage holds no credit between
-        // service phases, and no flit — but for a sync batch a sink's
-        // unwind interrupted, which an abort that beats the successor's
+        // quarantine, injected events — the abort check first, also in
+        // a resumed loop. The stage holds no credit between service
+        // phases, and no flit — but for a sync batch a sink's unwind
+        // interrupted, which an abort that beats the resumed loop's
         // first `serve` leaves uncounted (§9.4), and what the flusher
         // core holds, which `abort` dead-letters — so a forced abort has
         // only the scheduler's residue to count lost.

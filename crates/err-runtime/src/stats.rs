@@ -90,8 +90,8 @@ pub struct ShardStats {
     /// Steal requests that died before quiescing (no eligible victim,
     /// or shutdown).
     pub steal_aborts: PaddedCounter,
-    /// Packets a forced abort (§9.4) cut off: ring, scheduler and
-    /// unadopted-bequest residue, admission charges revoked.
+    /// Packets a forced abort (§9.4) cut off: ring and scheduler
+    /// residue, admission charges revoked.
     pub lost_packets: PaddedCounter,
     /// Flits of lost packets (partially served packets count only
     /// their unserved remainder).

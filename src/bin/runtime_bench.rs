@@ -14,9 +14,9 @@
 //!
 //! `runtime-bench --chaos [--smoke] [FAULT_OUT]` runs the fault
 //! scenarios instead (DESIGN.md §9): kill-1-of-N shard throughput vs a
-//! supervised no-fault baseline (a successor adopts the dead shard in
-//! place — zero lost, §9.2 — with the adoption-time distribution from
-//! the `FaultBoard` stamps), a dead-egress-link
+//! supervised no-fault baseline (the dead shard's worker resumes in
+//! place on its own thread — zero lost, §9.2 — with the death-to-resume
+//! distribution from the `FaultBoard` stamps), a dead-egress-link
 //! run measuring how much the unaffected links keep delivering, and a
 //! kill-link-mid-fabric run on a 4×4 mesh asserting the survivors
 //! reroute with conservation intact. Writes `BENCH_fault.json`.
@@ -628,12 +628,12 @@ fn run_stealing_bench(
 ///
 /// Scenario A — kill 1 of N shards mid-run: a supervised runtime with a
 /// `FaultPlan` that panics one worker a quarter of the way through its
-/// share of the workload. The supervisor adopts the dead worker's
-/// bequest into a successor (DESIGN.md §9.2) — nothing re-homed, zero
-/// lost, asserted per run — so end-to-end throughput should hold at
-/// least the `(N-1)/N` capacity fraction of a supervised no-fault
-/// baseline even while the shard is down (it is usually ~1.0: the
-/// outage is one supervisor poll). Recovery time is `recovered_at -
+/// share of the workload. The worker catches its own panic and resumes
+/// its loop on the same thread with the same state (DESIGN.md §9.2) —
+/// nothing re-homed, zero lost, asserted per run — so end-to-end
+/// throughput should hold at least the `(N-1)/N` capacity fraction of a
+/// supervised no-fault baseline (it is usually ~1.0: the outage is the
+/// unwind and a few board stores). Recovery time is `recovered_at -
 /// death_at` from the `FaultBoard` stamps, collected across repeats. Runs interleave
 /// as baseline/killed *pairs* and the best pair ratio is kept:
 /// wall-clock noise on a shared container is time-correlated (CPU
@@ -672,7 +672,7 @@ fn chaos_kill_run(shards: usize, packets: u64, plan: Option<FaultPlan>) -> (f64,
         handle.submit(pkt).expect("unlimited admission never fails");
     }
     // The victim must pass its kill cycle to finish its share, so the
-    // stamps always land; the poll just covers the adoption window.
+    // stamps always land; the poll just waits for them.
     let mut recovery = None;
     if let Some(v) = victim {
         let poll_deadline = Instant::now() + Duration::from_secs(30);
@@ -694,15 +694,15 @@ fn chaos_kill_run(shards: usize, packets: u64, plan: Option<FaultPlan>) -> (f64,
     if victim.is_some() {
         assert!(recovery.is_some(), "planned kill never fired");
     }
-    // The successor adopts the dead shard's ring and scheduler
-    // wholesale: nothing is re-homed, nothing is lost.
+    // The resumed loop keeps the dead shard's ring and scheduler
+    // whole: nothing is re-homed, nothing is lost.
     assert_eq!(report.lost_packets(), 0, "lost packets: {report:?}");
     (packets as f64 / elapsed, recovery)
 }
 
 fn chaos_kill_compare(shards: usize, packets: u64) -> ChaosKillSample {
     // Kill the victim a quarter of the way through its expected share
-    // of the flit workload — solidly mid-run, with backlog to adopt.
+    // of the flit workload — solidly mid-run, with backlog to resume.
     let victim = 1usize;
     let kill_at = (packets * PACKET_LEN as u64 / shards as u64 / 4).max(500);
     let mut baseline_pps = 0f64;
@@ -801,10 +801,10 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
         }
     }));
 
-    // The outage is a fixed pause (one supervisor poll plus a thread
-    // spawn, ~1-3ms); the run has to be long enough that the pause
-    // amortizes below the (N-1)/N floor's slack, or the bench measures
-    // the pause rather than the steady state.
+    // The outage is a short pause (the unwind and the resume's board
+    // stores); the run has to be long enough that any pause amortizes
+    // below the (N-1)/N floor's slack, or the bench measures the pause
+    // rather than the steady state.
     let kill_packets: u64 = if smoke { 60_000 } else { 400_000 };
     let kill_shards: &[usize] = if smoke { &[4] } else { &[4, 8] };
     let window = Duration::from_millis(if smoke { 40 } else { 250 });
@@ -816,7 +816,7 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
             let sample = chaos_kill_compare(s, kill_packets);
             eprintln!(
                 "  {s} shards: baseline {:.0} -> killed {:.0} packets/s (ratio {:.3}, \
-                 0 lost, adoption after {:?} us)",
+                 0 lost, resumed after {:?} us)",
                 sample.baseline_pps, sample.killed_pps, sample.ratio, sample.recovery_micros,
             );
             sample
@@ -890,8 +890,9 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
     json.push_str(&format!("  \"best_of\": {CHAOS_BEST_OF},\n"));
     json.push_str(
         "  \"kill_metric\": \"wall-clock packets/sec, one shard killed at 25% of its \
-         flit share and resurrected in place by a successor adopting its ring and \
-         scheduler (DESIGN.md 9.2; zero lost, asserted per run) vs supervised \
+         flit share; its worker catches the panic and resumes its loop on the same \
+         thread with its ring and scheduler (DESIGN.md 9.2; zero lost, asserted per \
+         run) vs supervised \
          no-fault baseline; floor = (N-1)/N capacity fraction; best ratio over \
          interleaved baseline/killed pairs (wall noise is time-correlated, pairing \
          cancels it); recovery_micros = recovered_at - death_at per repeat, \

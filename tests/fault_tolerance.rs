@@ -1,6 +1,6 @@
 //! Tier-1 acceptance for the fault-tolerance layer (DESIGN.md §9).
 //!
-//! Five parts:
+//! Six parts:
 //!
 //! * doc–code drift tests in the `tests/migration_stealing.rs` style:
 //!   DESIGN.md §9 is a normative spec, so it must keep naming exactly
@@ -8,16 +8,20 @@
 //! * a chaos integration run: a seeded `FaultPlan` kills 1 of 4 shards
 //!   mid-run, the runtime finishes without panicking, nothing is
 //!   `lost`, and every flow's emit log is identical to a fault-free
-//!   run's — the successor adopted the scheduler between two flits;
-//! * a sink that panics once mid-batch under sync egress: the successor
-//!   finishes the interrupted batch, so the ledger still balances;
+//!   run's — the worker resumed its scheduler between two flits;
+//! * a sink that panics once mid-batch under sync egress: the resumed
+//!   loop finishes the interrupted batch, so the ledger still balances;
+//! * a killed shard resumes on its own thread, under sync and buffered
+//!   egress, and a wedged one is quarantined exactly once;
 //! * `shutdown_within` under a forever-stalled link: returns within
 //!   the deadline instead of hanging, with the abandoned backlog
 //!   reported as losses;
 //! * a regression for the pre-§9 bug where `Runtime::shutdown`
 //!   re-panicked on a panicked worker join.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use desim::SimRng;
@@ -109,8 +113,8 @@ fn design_section_9_names_the_protocol_vocabulary() {
         "FaultBoard",
         "shutdown_within",
         "TimedOut",
-        "Bequest",
-        "bequeath",
+        "WorkerState",
+        "resume",
         "spawn_worker",
         "lost",
         "heartbeat",
@@ -361,6 +365,111 @@ fn sink_panic_mid_batch_is_finished_by_the_successor() {
             "flow {flow}: a flit was skipped or offered twice"
         );
     }
+}
+
+/// A supervised shard's worker resumes on its own thread (DESIGN.md
+/// §9.2): a 1-shard runtime killed at cycle 200 has every flit, before
+/// and after the kill, delivered by one thread, under sync egress (the
+/// worker calls the sink) and buffered egress (the worker's flusher
+/// step does). Nothing is lost and the death stays on the record.
+#[test]
+fn a_killed_shard_is_served_by_one_thread_for_life() {
+    const PACKETS: u64 = 400;
+    for buffered in [false, true] {
+        let threads: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+        let egress = if buffered {
+            EgressMode::Buffered(BufferedConfig {
+                ring_capacity: 64,
+                credits: 16,
+                n_links: 2,
+                ..BufferedConfig::default()
+            })
+        } else {
+            EgressMode::Sync
+        };
+        let (rt, handle) = Runtime::start_with_egress(
+            RuntimeConfig {
+                shards: 1,
+                n_flows: 8,
+                egress,
+                supervision: Some(SupervisionConfig::default()),
+                fault_plan: Some(FaultPlan::new().kill_shard_at(0, 200)),
+                ..RuntimeConfig::default()
+            },
+            {
+                let threads = Arc::clone(&threads);
+                move |_shard| {
+                    let threads = Arc::clone(&threads);
+                    Some(move |_s: usize, _f: &ServedFlit| {
+                        threads.lock().unwrap().insert(std::thread::current().id());
+                    })
+                }
+            },
+        );
+        for id in 0..PACKETS {
+            assert_eq!(
+                handle.submit(Packet::new(id, (id % 8) as usize, 4, 0)),
+                Ok(Submitted::Enqueued)
+            );
+        }
+        let board = rt.fault_board().expect("supervision publishes a board");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while board.recovery_micros(0).is_none() {
+            assert!(Instant::now() < deadline, "the planned kill never fired");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let report = rt.shutdown();
+        assert_eq!(
+            threads.lock().unwrap().len(),
+            1,
+            "one thread served the shard for life (buffered: {buffered})"
+        );
+        assert_eq!(report.lost_packets(), 0, "{report:?}");
+        assert_eq!(report.served_packets(), PACKETS, "{report:?}");
+        assert!(report.is_conserving(), "{report:?}");
+        assert_eq!(report.exits, [ShardExit::Panicked]);
+    }
+}
+
+/// A wedge is quarantined exactly once (DESIGN.md §9.1): once the
+/// resumed worker is `Running` again, the supervisor judges it only by
+/// beats made after the resume, so twenty heartbeat deadlines later its
+/// death stamp is still the one the wedge left.
+#[test]
+fn a_wedged_shard_is_quarantined_exactly_once() {
+    let deadline = Duration::from_millis(5);
+    let (rt, handle) = Runtime::start(RuntimeConfig {
+        shards: 1,
+        n_flows: 8,
+        supervision: Some(SupervisionConfig {
+            poll: Duration::from_millis(1),
+            heartbeat_deadline: deadline,
+        }),
+        fault_plan: Some(FaultPlan::new().stick_shard_at(0, 100)),
+        ..RuntimeConfig::default()
+    });
+    for id in 0..200u64 {
+        assert_eq!(
+            handle.submit(Packet::new(id, (id % 8) as usize, 4, 0)),
+            Ok(Submitted::Enqueued)
+        );
+    }
+    let board = rt.fault_board().expect("supervision publishes a board");
+    let until = Instant::now() + Duration::from_secs(10);
+    while board.recovery_micros(0).is_none() {
+        assert!(Instant::now() < until, "the wedge was never quarantined");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let death = board.death_micros(0);
+    std::thread::sleep(deadline * 20);
+    assert_eq!(
+        board.death_micros(0),
+        death,
+        "the resumed worker was quarantined again"
+    );
+    let report = rt.shutdown();
+    assert_eq!(report.lost_packets(), 0, "{report:?}");
+    assert!(report.is_conserving(), "{report:?}");
 }
 
 /// A link whose credits never return, escalated to `Dead` under
