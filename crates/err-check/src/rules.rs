@@ -234,7 +234,7 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             // block brings its own thread in a `Threaded` adapter.
             "Threaded",
             "opts into a thread by composition",
-            "Producer::has_room",
+            "Producer::free_slots",
             "ring_full_spins",
             "EgressStage::flush",
             "EgressStage::drained",

@@ -138,10 +138,15 @@ impl<T> Producer<T> {
         Ok(())
     }
 
-    /// Whether a [`push`](Self::push) would succeed now.
-    pub fn has_room(&mut self) -> bool {
+    /// How many [`push`](Self::push)es in a row would succeed now, at
+    /// least: the cached view of `head` is refreshed only when it shows
+    /// the ring full, so the count may lag what the consumer freed since.
+    pub fn free_slots(&mut self) -> usize {
         let full = self.inner.mask;
-        self.tail.wrapping_sub(self.cached_head) < full || self.occupancy() < full
+        if self.tail.wrapping_sub(self.cached_head) == full {
+            self.occupancy();
+        }
+        full - self.tail.wrapping_sub(self.cached_head)
     }
 
     /// Items currently buffered, as seen from the producer side (exact
@@ -276,6 +281,21 @@ mod tests {
         assert_eq!(tx.occupancy(), 2);
         rx.pop();
         assert_eq!(tx.occupancy(), 1);
+    }
+
+    #[test]
+    fn free_slots_counts_the_pushes_that_succeed() {
+        let (mut tx, mut rx) = spsc_ring::<u32>(7);
+        let free = tx.free_slots();
+        assert_eq!(free, 7, "capacity 7 rounds to 8, one slot kept free");
+        for v in 0..free as u32 {
+            tx.push(v).unwrap();
+        }
+        assert_eq!(tx.free_slots(), 0);
+        assert!(tx.push(99).is_err());
+        rx.pop();
+        rx.pop();
+        assert_eq!(tx.free_slots(), 2, "a full view is refreshed");
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!
 //! Batching amortizes ring traffic and stats updates over many flits
 //! without changing the discipline's decisions: ERR is defined per
-//! visit/round, and `service_batch` replays exactly the per-flit
-//! sequence the single-stepped scheduler would produce.
+//! visit/round, and it serves a packet in runs (`service_run`), each
+//! charged and checked for the packet boundary once, that replay
+//! exactly the per-flit sequence the single-stepped scheduler would
+//! produce.
 //!
 //! There is one loop (`run_shard`). Where served flits go is the
 //! business of the shard's `EgressStage`, which the loop calls at
@@ -26,11 +28,12 @@
 //!   the trait's degenerate answers; a slow sink stalls the shard's
 //!   whole flit clock.
 //! * `BufferedStage` — served flits are committed to a per-shard SPSC
-//!   ring under per-link credit flow control (`err-egress`), in chunks
-//!   that end at a spent grant or a full ring; after each the worker
-//!   runs the flusher step that delivers them itself
-//!   (`EgressStage::flush`), so no chunk waits on credits its own ring
-//!   holds. The sink accepts or refuses at once (a sink that may block
+//!   ring under per-link credit flow control (`err-egress`), one run
+//!   per packet as long as the grant, the batch and the ring's free
+//!   slots allow, in chunks that end at a spent grant or a full ring;
+//!   after each the worker runs the flusher step that delivers them
+//!   itself (`EgressStage::flush`), so no chunk waits on credits its
+//!   own ring holds. The sink accepts or refuses at once (a sink that may block
 //!   brings its own thread, `err_egress::Threaded`). A link whose pool
 //!   is empty at the top of a chunk has its flows *parked* before they
 //!   are visited, so the shard keeps serving everyone else — the
@@ -232,14 +235,16 @@ impl<E: Egress> EgressStage for SyncStage<E> {
     }
 }
 
-/// Buffered egress: flit-by-flit service against per-link credit
+/// Buffered egress: run-by-run service against per-link credit
 /// grants (DESIGN.md §7).
 ///
 /// * a chunk takes a *grant* per link — one CAS for `min(available,
-///   what it can still emit)` — before it serves a flit, spends it
-///   from a local counter, ends when one runs out, and gives the rest
-///   back before `serve` returns: a served flit always has its
-///   credit, and no link ever buffers more flits than its pool;
+///   what it can still emit)` — before it serves a flit, serves each
+///   packet as one run of at most the grant's flits (`service_run`),
+///   spends it once per run from a local counter, ends when one runs
+///   out, and gives the rest back before `serve` returns: a served
+///   flit always has its credit, and no link ever buffers more flits
+///   than its pool;
 /// * a link with backlog whose pool is empty at the top of a chunk (a
 ///   frozen, dead or refusing downstream, or another shard, holds it)
 ///   has every flow parked before the scheduler visits it, and the
@@ -379,17 +384,19 @@ impl<E: Egress> BufferedStage<E> {
 }
 
 impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
-    /// Flit by flit, until a grant runs out between two flits: the
-    /// link's next flit needs the credits its own ring holds, which
-    /// the `flush` after this chunk returns. A drop guard settles the
-    /// chunk, unwinding or not: the grants go back (an idle one would
-    /// starve the other shards and run the link's dead-link deadline),
-    /// and ring occupancy is noted once, after the last push.
+    /// Run by run — one per packet, each as long as its link's grant,
+    /// the batch and the ring's free slots allow — until a grant runs
+    /// out or the ring fills: the link's next flit needs the credits its
+    /// own ring holds, which the `flush` after this chunk returns. A
+    /// drop guard settles the chunk, unwinding or not: the grants go
+    /// back (an idle one would starve the other shards and run the
+    /// link's dead-link deadline), and ring occupancy is noted once,
+    /// after the last push.
     fn serve(
         &mut self,
         shared: &Shared,
         scheduler: &mut ErrScheduler,
-        now: Cycle,
+        _now: Cycle,
         batch_flits: usize,
     ) -> (u64, u64, bool) {
         struct Settle<'a, E>(u64, &'a mut BufferedStage<E>);
@@ -416,26 +423,38 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
         }
         let (mut flits, mut tails, mut more) = (0u64, 0u64, false);
         while flits < batch && !more {
-            if !stage.tx.has_room() {
+            let free = stage.tx.free_slots() as u64;
+            if free == 0 {
                 // The flusher step after this chunk frees it.
                 stage.estats.ring_full_spins.fetch_add(1, Ordering::Relaxed);
                 more = true;
                 break;
             }
-            let Some(flit) = scheduler.service_flit(now + flits) else {
+            // One run per packet: as many of its flits as the grant,
+            // the batch and the ring all still take.
+            let left = (batch - flits).min(free);
+            let (links, grant, mut link) = (&*stage.links, &stage.grant, 0);
+            let Some(run) = scheduler.service_run(|flow| {
+                link = links.route(flow);
+                debug_assert!(grant[link] > 0, "link {link}: no grant");
+                u32::try_from(grant[link].min(left)).unwrap_or(u32::MAX)
+            }) else {
                 break;
             };
-            flits += 1;
-            if flit.is_tail() {
+            let n = u64::from(run.count);
+            flits += n;
+            if run.ends_packet() {
                 tails += 1;
-                shared.admission.on_packet_served(flit.flow, flit.len);
+                shared
+                    .admission
+                    .on_packet_served(run.packet.flow, run.packet.len);
             }
-            let link = stage.links.route(flit.flow);
-            debug_assert!(stage.grant[link] > 0, "link {link}: no grant");
-            stage.grant[link] -= 1;
-            let pushed = stage.tx.push(flit);
-            debug_assert!(pushed.is_ok(), "the ring had room");
-            stage.pushed += 1;
+            stage.grant[link] -= n;
+            for flit in run.flits() {
+                let pushed = stage.tx.push(flit);
+                debug_assert!(pushed.is_ok(), "the ring had room");
+            }
+            stage.pushed += n;
             more = stage.grant[link] == 0;
         }
         drop(settle);

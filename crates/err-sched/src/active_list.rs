@@ -87,6 +87,11 @@ impl ActiveList {
         Some(flow)
     }
 
+    /// The head flow, left in place.
+    pub fn front(&self) -> Option<FlowId> {
+        self.list.front().copied()
+    }
+
     /// Flows currently in the list.
     pub fn len(&self) -> usize {
         self.list.len()

@@ -29,14 +29,18 @@
 //!
 //! * [`ErrCore`] — the pure decision engine, charged in abstract units.
 //! * [`ErrScheduler`] — the flit-clocked front-end implementing
-//!   [`Scheduler`], where one unit = one flit.
+//!   [`Scheduler`], where one unit = one flit. Since ERR decides only at
+//!   packet boundaries, it serves a packet in runs
+//!   ([`ErrScheduler::service_run`]): one charge and at most one
+//!   boundary decision per run. `service_flit` is the run of one flit,
+//!   `service_batch` a loop of runs.
 
 use desim::Cycle;
 use serde::{Deserialize, Serialize};
 
 use crate::active_list::ActiveList;
 use crate::migrate::{MidPacket, MigratedFlow, MigratedVisit};
-use crate::packet::FlitStream;
+use crate::packet::{FlitRun, FlitStream};
 use crate::traits::{Scheduler, ServedFlit};
 use crate::{FlowId, FlowQueues, Packet};
 
@@ -591,23 +595,71 @@ impl ErrScheduler {
         &mut self.core
     }
 
-    /// Starts the next packet: resuming a suspended visit if one is due,
-    /// else continuing the current visit, else beginning a new one.
-    /// Returns `false` when idle (or when every backlogged flow is
-    /// parked).
-    fn load_packet(&mut self) -> bool {
+    /// The flow whose packet the next flit belongs to — the packet in
+    /// flight, the visit in progress, the first suspended visit due, or
+    /// the ActiveList head — found without starting anything. Drops the
+    /// resume entries of flows re-parked before they could resume; their
+    /// next unpark queues them again.
+    fn next_flow(&mut self) -> Option<FlowId> {
+        if let Some(s) = &self.in_flight {
+            return Some(s.packet().flow);
+        }
+        if let Some(v) = self.core.visit() {
+            return Some(v.flow);
+        }
+        while let Some(&flow) = self.resume_queue.front() {
+            if !self.core.is_parked(flow) {
+                return Some(flow);
+            }
+            self.resume_queue.pop_front();
+        }
+        // The flow `begin_visit` pops.
+        self.core.active.front()
+    }
+
+    /// Serves one run: up to `limit(flow)` flits of the next packet,
+    /// `flow` being the flow it belongs to, never past its tail. The
+    /// packet is loaded (a visit begun or resumed) only if `limit` allows
+    /// a flit, the run is charged to the visit at once, and a run that
+    /// ends the packet makes the packet-boundary decision. The flits are
+    /// those the same number of [`service_flit`](Scheduler::service_flit)
+    /// calls would return.
+    ///
+    /// Returns `None`, having changed nothing, when nothing can be served
+    /// (idle, or every backlogged flow parked) or `limit` is 0.
+    pub fn service_run(&mut self, limit: impl FnOnce(FlowId) -> u32) -> Option<FlitRun> {
+        let flow = self.next_flow()?;
+        let n = limit(flow);
+        if n == 0 {
+            return None;
+        }
+        if self.in_flight.is_none() {
+            self.load_packet();
+        }
+        let stream = self.in_flight.as_mut().expect("just loaded");
+        debug_assert_eq!(stream.packet().flow, flow);
+        let run = stream.take(n);
+        self.core.charge(u64::from(run.count));
+        if run.ends_packet() {
+            self.in_flight = None;
+            let nonempty = !self.queues.is_empty(flow);
+            self.core
+                .on_packet_complete(u64::from(run.packet.len), nonempty);
+        }
+        Some(run)
+    }
+
+    /// Starts the packet of the flow [`next_flow`](Self::next_flow)
+    /// found: resuming a suspended visit if one is due, else continuing
+    /// the current visit, else beginning a new one.
+    fn load_packet(&mut self) {
         debug_assert!(self.in_flight.is_none());
         // Unparked suspended visits take priority over everything else:
         // a packet interrupted mid-wormhole must finish before any flow
         // sharing its egress link starts a new packet, and the simplest
         // sound rule is "before any new visit at all".
         if self.core.visit().is_none() {
-            while let Some(flow) = self.resume_queue.pop_front() {
-                if self.core.is_parked(flow) {
-                    // Re-parked before it could resume; its next unpark
-                    // will queue it again.
-                    continue;
-                }
+            if let Some(flow) = self.resume_queue.pop_front() {
                 let s = self.suspended[flow]
                     .take()
                     .expect("resume_queue entries have a suspended visit");
@@ -615,29 +667,23 @@ impl ErrScheduler {
                 if let Some(stream) = s.stream {
                     self.suspended_flits -= stream.remaining() as u64;
                     self.in_flight = Some(stream);
-                    return true;
+                    return;
                 }
                 // Suspended at a packet boundary: the restored visit
                 // continues below by popping the flow's next packet.
-                break;
             }
         }
-        let flow = if let Some(v) = self.core.visit() {
+        let flow = match self.core.visit() {
             // Mid-visit: the previous on_packet_complete said Continue,
             // which guarantees the queue is non-empty.
-            v.flow
-        } else {
-            match self.core.begin_visit() {
-                Some(f) => f,
-                None => return false,
-            }
+            Some(v) => v.flow,
+            None => self.core.begin_visit().expect("next_flow found a flow"),
         };
         let pkt = self
             .queues
             .pop(flow)
             .expect("a flow in the ActiveList has at least one packet");
         self.in_flight = Some(FlitStream::new(pkt));
-        true
     }
 }
 
@@ -648,19 +694,23 @@ impl Scheduler for ErrScheduler {
     }
 
     fn service_flit(&mut self, _now: Cycle) -> Option<ServedFlit> {
-        if self.in_flight.is_none() && !self.load_packet() {
-            return None;
+        let run = self.service_run(|_| 1)?;
+        Some(ServedFlit::of(&run.packet, run.first))
+    }
+
+    /// Run by run: one packet-boundary check and one charge per run, not
+    /// per flit.
+    fn service_batch(&mut self, _now: Cycle, max_flits: usize, out: &mut Vec<ServedFlit>) -> usize {
+        let mut served = 0;
+        while served < max_flits {
+            let left = u32::try_from(max_flits - served).unwrap_or(u32::MAX);
+            let Some(run) = self.service_run(|_| left) else {
+                break;
+            };
+            out.extend(run.flits());
+            served += run.count as usize;
         }
-        let stream = self.in_flight.as_mut().expect("just loaded");
-        let pkt = *stream.packet();
-        let (idx, done) = stream.emit();
-        self.core.charge(1);
-        if done {
-            self.in_flight = None;
-            let nonempty = !self.queues.is_empty(pkt.flow);
-            self.core.on_packet_complete(pkt.len as u64, nonempty);
-        }
-        Some(ServedFlit::of(&pkt, idx))
+        served
     }
 
     fn backlog_flits(&self) -> u64 {

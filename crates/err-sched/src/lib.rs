@@ -88,5 +88,5 @@ pub use desim::Cycle;
 pub use factory::Discipline;
 pub use flow_queue::FlowQueues;
 pub use migrate::{MidPacket, MigratedFlow, MigratedVisit};
-pub use packet::{FlowId, Packet, PacketId};
+pub use packet::{FlitRun, FlowId, Packet, PacketId};
 pub use traits::{Scheduler, ServedFlit};

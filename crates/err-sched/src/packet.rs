@@ -1,7 +1,13 @@
-//! Packet and flow identities.
+//! Packet and flow identities, and the two views of a packet in
+//! service: the [`FlitStream`] a packet-granular scheduler holds while
+//! the wormhole pins its output to the packet, and the [`FlitRun`]s it
+//! takes from that stream — one flit at a time, or as many as the
+//! caller can accept in one go.
 
 use desim::Cycle;
 use serde::{Deserialize, Serialize};
+
+use crate::ServedFlit;
 
 /// Index of a traffic flow (a queue at the scheduler).
 ///
@@ -87,13 +93,52 @@ impl FlitStream {
         self.pkt.len - self.next_flit
     }
 
-    /// Emits the next flit; returns its 0-based index and whether it was
-    /// the tail flit. Panics if the stream is exhausted.
+    /// Takes the next `n` flits, or what is left if fewer: returns the
+    /// run they make. Never crosses the tail; `n == 0` takes nothing.
+    pub fn take(&mut self, n: u32) -> FlitRun {
+        let first = self.next_flit;
+        let count = n.min(self.remaining());
+        self.next_flit += count;
+        FlitRun {
+            packet: self.pkt,
+            first,
+            count,
+        }
+    }
+
+    /// Emits the next flit — a [`take`](Self::take) of one; returns its
+    /// 0-based index and whether it was the tail flit. Panics if the
+    /// stream is exhausted.
     pub fn emit(&mut self) -> (u32, bool) {
         assert!(self.next_flit < self.pkt.len, "flit stream exhausted");
-        let idx = self.next_flit;
-        self.next_flit += 1;
-        (idx, self.next_flit == self.pkt.len)
+        let run = self.take(1);
+        (run.first, run.ends_packet())
+    }
+}
+
+/// Consecutive flits of one packet, served in one go: flits `first ..
+/// first + count` of `packet`. A run never crosses a packet's tail, so
+/// it ends the packet at most once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FlitRun {
+    /// The packet the flits belong to.
+    pub packet: Packet,
+    /// 0-based index of the run's first flit within the packet.
+    pub first: u32,
+    /// Flits in the run.
+    pub count: u32,
+}
+
+impl FlitRun {
+    /// Whether the run's last flit is the packet's tail.
+    pub fn ends_packet(&self) -> bool {
+        self.count > 0 && self.first + self.count == self.packet.len
+    }
+
+    /// The run's flits, in order.
+    pub fn flits(&self) -> impl ExactSizeIterator<Item = ServedFlit> {
+        let pkt = self.packet;
+        (self.first..self.first + self.count).map(move |i| ServedFlit::of(&pkt, i))
     }
 }
 
@@ -125,6 +170,20 @@ mod tests {
         assert_eq!(s.remaining(), 1);
         assert_eq!(s.emit(), (2, true));
         assert_eq!(s.remaining(), 0);
+    }
+
+    #[test]
+    fn take_stops_at_the_tail() {
+        let mut s = FlitStream::new(Packet::new(1, 0, 5, 0));
+        let run = s.take(3);
+        assert_eq!((run.first, run.count, run.ends_packet()), (0, 3, false));
+        assert_eq!(s.take(0).count, 0);
+        let run = s.take(9);
+        assert_eq!((run.first, run.count, run.ends_packet()), (3, 2, true));
+        let idx: Vec<u32> = run.flits().map(|f| f.flit_index).collect();
+        assert_eq!(idx, [3, 4]);
+        assert_eq!(s.remaining(), 0);
+        assert_eq!(s.take(1).count, 0);
     }
 
     #[test]

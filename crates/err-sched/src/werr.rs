@@ -82,6 +82,10 @@ impl Scheduler for WerrScheduler {
         self.inner.service_flit(now)
     }
 
+    fn service_batch(&mut self, now: Cycle, max_flits: usize, out: &mut Vec<ServedFlit>) -> usize {
+        self.inner.service_batch(now, max_flits, out)
+    }
+
     fn backlog_flits(&self) -> u64 {
         self.inner.backlog_flits()
     }
@@ -115,22 +119,30 @@ mod tests {
     fn unit_weights_match_plain_err() {
         use crate::err::ErrScheduler;
         let mut w = WerrScheduler::new(vec![1, 1, 1]);
+        let mut wb = WerrScheduler::new(vec![1, 1, 1]);
         let mut e = ErrScheduler::new(3);
         for k in 0..60u64 {
             let p = pkt(k, (k % 3) as usize, 1 + (k % 9) as u32);
             w.enqueue(p, 0);
+            wb.enqueue(p, 0);
             e.enqueue(p, 0);
         }
         let mut now = 0;
+        let mut single = Vec::new();
         loop {
             let a = w.service_flit(now);
             let b = e.service_flit(now);
             assert_eq!(a, b, "divergence at cycle {now}");
-            if a.is_none() {
+            let Some(a) = a else {
                 break;
-            }
+            };
+            single.push(a);
             now += 1;
         }
+        // The batched path, in batches that cut packets mid-run.
+        let mut batched = Vec::new();
+        while wb.service_batch(batched.len() as Cycle, 7, &mut batched) > 0 {}
+        assert_eq!(batched, single, "batched WERR diverged from plain ERR");
     }
 
     #[test]

@@ -388,6 +388,44 @@ proptest! {
         }
     }
 
+    /// `service_run` is the single-stepped schedule cut into runs.
+    /// Random limits (0 included) and random park/unpark calls between
+    /// runs, many landing mid-packet, leave the flit sequence and every
+    /// visit decision identical to `service_flit` single-stepping under
+    /// the same park schedule; no run crosses a packet, each run's
+    /// flits continue where its flow's packet left off, per-flow FIFO
+    /// holds, and every visit keeps Lemma 1.
+    #[test]
+    fn err_runs_equal_single_stepped_under_parking(
+        events in workload_strategy(4, 12, 50),
+        steps in prop::collection::vec((0u32..6, 0u8..16), 1..120),
+    ) {
+        let mut t = RunsBesideSingle::new();
+        let total: u64 = events.iter().map(|&(_, len, _)| len as u64).sum();
+        let mut steps = steps.iter().cycle();
+        for (id, &(flow, len, gap)) in events.iter().enumerate() {
+            t.enqueue(Packet::new(id as u64, flow, len, 0));
+            for _ in 0..gap {
+                let &(limit, act) = steps.next().expect("cycled");
+                t.toggle(act);
+                t.run(limit);
+            }
+        }
+        // Unpark everyone and drain, still in random runs (each of at
+        // least one flit, so the drain ends).
+        for act in 4..8 {
+            t.toggle(act);
+        }
+        while !t.runs.is_idle() {
+            let &(limit, _) = steps.next().expect("cycled");
+            prop_assert!(t.run(limit.max(1)) > 0, "runs stalled with backlog");
+        }
+        prop_assert!(t.single.is_idle());
+        prop_assert_eq!(t.served, total, "runs lost or duplicated flits");
+        prop_assert!(t.open.iter().all(Option::is_none), "a packet was left unfinished");
+        t.check_visits();
+    }
+
     /// Work conservation: while flits are backlogged the scheduler always
     /// serves.
     #[test]
@@ -409,6 +447,147 @@ proptest! {
                 prop_assert!(s.service_flit(now).is_some(), "{} stalled", d.label());
                 now += 1;
             }
+        }
+    }
+}
+
+/// The run path beside the single-stepped path, under one park
+/// schedule: `runs` serves by `service_run`, `single` by `service_flit`,
+/// and every park or unpark is applied to both between two runs.
+struct RunsBesideSingle {
+    runs: ErrScheduler,
+    single: ErrScheduler,
+    parked: [bool; 4],
+    /// Per flow: the packet open on it and the index its next flit
+    /// must carry.
+    open: [Option<(u64, u32)>; 4],
+    /// Per flow: the last packet begun.
+    last: [Option<u64>; 4],
+    served: u64,
+}
+
+impl RunsBesideSingle {
+    fn new() -> Self {
+        let (mut runs, mut single) = (ErrScheduler::new(4), ErrScheduler::new(4));
+        runs.core_mut().set_trace(true);
+        single.core_mut().set_trace(true);
+        Self {
+            runs,
+            single,
+            parked: [false; 4],
+            open: [None; 4],
+            last: [None; 4],
+            served: 0,
+        }
+    }
+
+    fn enqueue(&mut self, pkt: Packet) {
+        self.runs.enqueue(pkt, 0);
+        self.single.enqueue(pkt, 0);
+    }
+
+    /// `act` 0..4 parks that flow, 4..8 unparks flow `act - 4`, anything
+    /// else leaves the park schedule alone.
+    fn toggle(&mut self, act: u8) {
+        let flow = usize::from(act % 4);
+        match act {
+            0..=3 => {
+                self.runs.park_flow(flow);
+                self.single.park_flow(flow);
+                self.parked[flow] = true;
+            }
+            4..=7 => {
+                self.runs.unpark_flow(flow);
+                self.single.unpark_flow(flow);
+                self.parked[flow] = false;
+            }
+            _ => {}
+        }
+    }
+
+    /// One run of at most `limit` flits beside as many single steps;
+    /// returns the flits served.
+    fn run(&mut self, limit: u32) -> u32 {
+        let mut asked = None;
+        let Some(run) = self.runs.service_run(|flow| {
+            asked = Some(flow);
+            limit
+        }) else {
+            // Nothing served and nothing changed: single-stepping
+            // serves nothing either, unless the limit alone said no.
+            if limit > 0 {
+                assert_eq!(self.single.service_flit(0), None, "runs went idle first");
+            }
+            return 0;
+        };
+        let flow = run.packet.flow;
+        assert_eq!(asked, Some(flow), "the limit was asked for another flow");
+        assert!(
+            run.count >= 1 && run.count <= limit,
+            "run of {} under limit {limit}",
+            run.count
+        );
+        assert!(
+            run.first + run.count <= run.packet.len,
+            "a run crossed its packet's tail"
+        );
+        assert!(!self.parked[flow], "served parked flow {flow}");
+        // Contiguous: the run starts where the flow's open packet left
+        // off, or heads the flow's next packet (per-flow FIFO).
+        match self.open[flow] {
+            Some((pid, next)) => {
+                assert_eq!(
+                    run.packet.id, pid,
+                    "flow {flow} interleaved its own packets"
+                );
+                assert_eq!(run.first, next, "flow {flow}: gap inside packet {pid}");
+            }
+            None => {
+                assert_eq!(run.first, 0, "flow {flow} packet started mid-flit");
+                assert!(
+                    self.last[flow].is_none_or(|p| run.packet.id > p),
+                    "flow {flow} FIFO violation"
+                );
+                self.last[flow] = Some(run.packet.id);
+            }
+        }
+        self.open[flow] = (!run.ends_packet()).then_some((run.packet.id, run.first + run.count));
+        for (i, flit) in run.flits().enumerate() {
+            assert_eq!(
+                Some(flit),
+                self.single.service_flit(0),
+                "flit {i} of {run:?}"
+            );
+        }
+        self.served += u64::from(run.count);
+        run.count
+    }
+
+    /// Both schedulers made the same visit decisions, and each visit
+    /// kept Lemma 1: `A_i(r) >= 1` and `SC_i(r) < m`.
+    fn check_visits(&mut self) {
+        let m = self.runs.core().largest_served();
+        assert_eq!(m, self.single.core().largest_served());
+        let trace = self.runs.core_mut().take_trace();
+        assert_eq!(
+            trace,
+            self.single.core_mut().take_trace(),
+            "visit decisions differ"
+        );
+        for r in trace {
+            assert!(
+                r.allowance >= 1,
+                "round {} flow {}: allowance 0",
+                r.round,
+                r.flow
+            );
+            assert!(
+                r.surplus < m,
+                "round {} flow {}: surplus {} >= m {m}",
+                r.round,
+                r.flow,
+                r.surplus
+            );
         }
     }
 }

@@ -1386,6 +1386,84 @@ fn a_batch_wider_than_the_credit_window_never_parks_on_its_own_ring() {
     );
 }
 
+/// A packet longer than the credit window (8 flits against 3 credits)
+/// is served in grant-sized runs: every run stops inside the packet at
+/// a spent grant, and the flusher step after the chunk returns the
+/// credits the next run continues on. With the ring-capacity test above
+/// this covers both limits on a run. Each flow's flits reach the sink
+/// in packet order and, within a packet, in flit order; nothing is lost;
+/// and no link ever has more flits out than its pool.
+#[test]
+fn a_packet_longer_than_the_credit_window_is_served_in_grant_sized_runs() {
+    let _alone = one_at_a_time();
+    const PACKETS: u64 = 20_000;
+    const LEN: u32 = 8;
+    const CREDITS: u64 = 3;
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let s2 = Arc::clone(&seen);
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: N_FLOWS,
+            admission: AdmissionPolicy::Backpressure { max_backlog: 64 },
+            egress: EgressMode::Buffered(BufferedConfig {
+                credits: CREDITS,
+                n_links: N_LINKS,
+                ..BufferedConfig::default()
+            }),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| {
+            let seen = Arc::clone(&s2);
+            Some(move |_s: usize, f: &ServedFlit| seen.lock().unwrap().push(*f))
+        },
+    );
+    for id in 0..PACKETS {
+        let flow = (id % N_FLOWS as u64) as usize;
+        handle.submit(Packet::new(id, flow, LEN, 0)).unwrap();
+    }
+    let report = rt.shutdown();
+    assert!(report.is_conserving(), "{report:?}");
+    let flits = PACKETS * u64::from(LEN);
+    assert_eq!(report.stats.flushed_flits(), flits);
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len() as u64, flits, "the sink saw every flit once");
+    // Per flow: packet ids rise (submission order), and each packet's
+    // flits arrive 0..LEN without a gap or a foreign flit between.
+    let mut next: Vec<Option<(u64, u32)>> = vec![None; N_FLOWS];
+    let mut last: Vec<Option<u64>> = vec![None; N_FLOWS];
+    for f in seen.iter() {
+        match next[f.flow] {
+            Some((pkt, idx)) => {
+                assert_eq!((f.packet, f.flit_index), (pkt, idx), "flow {}", f.flow);
+            }
+            None => {
+                assert_eq!(f.flit_index, 0, "flow {} packet began mid-flit", f.flow);
+                assert!(
+                    last[f.flow].is_none_or(|p| f.packet > p),
+                    "flow {} FIFO",
+                    f.flow
+                );
+                last[f.flow] = Some(f.packet);
+            }
+        }
+        next[f.flow] = (!f.is_tail()).then_some((f.packet, f.flit_index + 1));
+    }
+    assert!(
+        next.iter().all(Option::is_none),
+        "a packet was left unfinished"
+    );
+    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
+    for (link, l) in egress.links.iter().enumerate() {
+        assert!(
+            l.outstanding_peak <= CREDITS,
+            "link {link}: {} flits out on a {CREDITS}-credit pool",
+            l.outstanding_peak
+        );
+        assert_eq!(l.credits_available, CREDITS, "link {link}: a grant leaked");
+    }
+}
+
 /// The cross-shard wake (DESIGN.md §7): two shards share one link with
 /// a single credit. Shard B's flit holds the credit inside a sink the
 /// test keeps shut; shard A's worker takes in a packet, finds the pool
