@@ -16,7 +16,7 @@ use err_egress::{
     spsc_ring, CreditPool, DeadLinkPolicy, Egress, FlusherCore, LinkSet, ServedFlit, Sleep,
     WakeCell,
 };
-use err_fabric::HandleTable;
+use err_fabric::{HandleCache, HandleTable};
 use err_runtime::channel::MpscRing;
 use err_runtime::gate::DrainGate;
 use err_runtime::FlowMap;
@@ -417,18 +417,24 @@ fn model_credit_hold_refused_try_emit() {
 }
 
 /// The §14.1 incarnation swap through the shipped generic
-/// `HandleTable`: a monitor boots a successor (writing its inbox cell)
-/// and swaps it in while a forwarder clones the slot mid-handoff. The
-/// write-unlock Release → read-lock Acquire edge on the slot's RwLock
-/// must publish the successor's boot writes to any reader that
-/// observes the new incarnation, and a clone of the dying incarnation
-/// must stay valid.
+/// `HandleTable` and the generation-checked `HandleCache` a forwarder
+/// reads it through: a monitor boots a successor (writing its inbox
+/// cell) and swaps it in while the forwarder's cache refreshes
+/// mid-handoff. The slot's write-unlock Release → read-lock Acquire
+/// edge and the generation's Release bump → Acquire load must publish
+/// the successor's boot writes to a cache that sees the bump and
+/// refreshes, and a clone of the dying incarnation — one a cache still
+/// on the old generation holds — must stay valid.
 #[test]
 fn model_handle_table_swap_mid_handoff() {
     #[derive(Clone)]
     struct MiniHandle {
         generation: u64,
         inbox: Arc<UnsafeCell<u64>>,
+    }
+    // Each incarnation's boot write is `5 + generation`.
+    fn boot_write_seen(h: &MiniHandle) -> bool {
+        h.inbox.with(|p| unsafe { *p }) == 5 + h.generation
     }
 
     let mut b = Builder::new();
@@ -442,11 +448,13 @@ fn model_handle_table_swap_mid_handoff() {
             generation: 0,
             inbox: Arc::clone(&boot_inbox),
         }]);
+        let installed = table.generation();
         let monitor = {
             let table = Arc::clone(&table);
             thread::spawn(move || {
                 // Boot the successor: prime its inbox, then swap it
-                // into the slot (write-unlock publishes the priming).
+                // into the slot (write-unlock and the generation bump
+                // publish the priming).
                 let inbox = Arc::new(UnsafeCell::new(0u64));
                 inbox.with_mut(|p| unsafe { *p = 6 });
                 table.swap(
@@ -458,18 +466,28 @@ fn model_handle_table_swap_mid_handoff() {
                 );
             })
         };
-        // The forwarder mid-handoff: whichever incarnation `get`
-        // clones, its boot writes must already be visible.
-        let h = table.get(0).expect("installed before the race");
-        let seen = h.inbox.with(|p| unsafe { *p });
-        assert_eq!(
-            seen,
-            5 + h.generation,
-            "incarnation read its predecessor's half-boot"
-        );
+        // The forwarder mid-handoff: whichever incarnation its cache
+        // reads, that incarnation's boot writes are already visible.
+        let mut cache = HandleCache::new();
+        cache.refresh(&table);
+        let held = cache.get(0).expect("installed before the race").clone();
+        assert!(boot_write_seen(&held), "read a half-booted incarnation");
+        if table.generation() != installed {
+            // Saw the bump: the refresh lands on the successor.
+            cache.refresh(&table);
+            let h = cache.get(0).expect("installed");
+            assert_eq!(h.generation, 1, "saw the bump, kept the old slot");
+            assert!(boot_write_seen(h), "successor's boot writes unseen");
+        }
         monitor.join().expect("monitor");
-        // The dying incarnation's clone stays valid after the swap.
+        // A cache still on the old generation holds a valid clone of the
+        // dying incarnation, after the swap as before it.
+        assert!(boot_write_seen(cache.get(0).expect("installed")));
+        assert!(boot_write_seen(&held));
         assert_eq!(boot_inbox.with(|p| unsafe { *p }), 5);
+        // After the join every refresh finds the successor.
+        cache.refresh(&table);
+        assert_eq!(cache.get(0).expect("installed").generation, 1);
     });
     println!(
         "model_handle_table_swap_mid_handoff: {} interleavings (complete={})",

@@ -6,8 +6,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-// The handle-table lock routes through the loom shim so the §14.1
-// incarnation-swap edges are model-checkable (err-check model suite).
+// The handle table's lock and generation counter route through the
+// loom shim so the §14.1 incarnation-swap edges are model-checkable
+// (err-check model suite).
 use crate::sync::RwLock;
 use std::time::{Duration, Instant};
 
@@ -157,9 +158,12 @@ pub enum DrainOutcome {
 /// swapped only by the node-event thread when a `ReviveNode` boots a
 /// node's successor runtime. Readers clone the handle (an `Arc` bump)
 /// instead of borrowing, so a revive never invalidates a reference
-/// another thread holds. The `RwLock` is read-locked once per tail
-/// handoff / submit — never per flit — and write-locked once per
-/// revive.
+/// another thread holds. Every write bumps a **generation** counter
+/// after the slot write. A Forwarder reads the slots through its own
+/// [`HandleCache`], which re-reads them only when the generation has
+/// moved: a tail hand-off pays one `Acquire` load, not a read lock. The
+/// `RwLock`s are read-locked per source submit ([`get`]) and per cache
+/// refresh, and write-locked once per revive.
 ///
 /// Generic over the handle type so the err-check model suite can
 /// drive the *shipped* swap protocol with a miniature handle whose
@@ -167,14 +171,19 @@ pub enum DrainOutcome {
 /// default `RuntimeHandle`. The happens-before contract: everything
 /// the node-event thread wrote booting the successor before [`swap`]
 /// is visible to any reader whose [`get`] clones the new incarnation
-/// (write-unlock `Release` → read-lock `Acquire` on the slot), and a clone
-/// taken from the dying incarnation mid-handoff stays valid — `get`
-/// hands out owned clones, never references into the slot.
+/// (write-unlock `Release` → read-lock `Acquire` on the slot), and to
+/// any cache that sees the bump and refreshes (generation `Release`
+/// bump → `Acquire` load); a clone taken from the dying incarnation
+/// mid-handoff stays valid — `get` hands out owned clones, never
+/// references into the slot.
 ///
 /// [`swap`]: HandleTable::swap
 /// [`get`]: HandleTable::get
 pub struct HandleTable<H = RuntimeHandle> {
     slots: OnceLock<Vec<RwLock<H>>>,
+    /// Slot writes so far: 0 before [`install`](HandleTable::install),
+    /// then one more per [`swap`](HandleTable::swap).
+    generation: crate::sync::AtomicU64,
 }
 
 impl<H: Clone> HandleTable<H> {
@@ -182,6 +191,7 @@ impl<H: Clone> HandleTable<H> {
     pub fn new() -> Self {
         Self {
             slots: OnceLock::new(),
+            generation: crate::sync::AtomicU64::new(0),
         }
     }
 
@@ -190,6 +200,7 @@ impl<H: Clone> HandleTable<H> {
         self.slots
             .set(handles.into_iter().map(RwLock::new).collect())
             .unwrap_or_else(|_| unreachable!("handles are installed exactly once"));
+        self.bump();
     }
 
     /// The current handle of `node`; `None` only during the boot race
@@ -204,10 +215,82 @@ impl<H: Clone> HandleTable<H> {
     pub fn swap(&self, node: usize, handle: H) {
         let slots = self.slots.get().expect("swap before install");
         *slots[node].write().expect("handle slot poisoned") = handle;
+        self.bump();
+    }
+
+    /// Publishes a slot write to the caches.
+    fn bump(&self) {
+        // ordering: Release, after the slot write — a cache whose
+        // Acquire `generation` load reads this bump re-reads the slots
+        // and sees the write, the successor's boot writes with it.
+        // [pair: handle-generation @ self]
+        self.generation.fetch_add(1, Ordering::Release);
+    }
+
+    /// The number of slot writes so far; a [`HandleCache`] refreshes
+    /// when it moves.
+    pub fn generation(&self) -> u64 {
+        // ordering: Acquire, pairs with the Release bump in `bump`:
+        // reading a bump orders this thread's slot reads after the
+        // write it published. [pair: handle-generation @ self]
+        self.generation.load(Ordering::Acquire)
     }
 }
 
 impl<H: Clone> Default for HandleTable<H> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// One reader's copy of a [`HandleTable`]'s slots (§14.1), re-read
+/// only when the table's generation has moved. Each Forwarder clone
+/// owns one, so a tail hand-off finds its peer's handle without a lock
+/// or an `Arc` clone. A handle cached from a dying incarnation stays a
+/// valid clone: its submit ends in `SubmitError::Closed`, exactly as a
+/// clone `get` handed out just before the swap would.
+#[derive(Clone)]
+pub struct HandleCache<H = RuntimeHandle> {
+    /// The generation the slots were read at; 0 before the first read
+    /// after `install`.
+    generation: u64,
+    handles: Vec<H>,
+}
+
+impl<H: Clone> HandleCache<H> {
+    /// An empty cache: every [`get`](HandleCache::get) is `None` until a
+    /// [`refresh`](HandleCache::refresh) after the table's `install`.
+    pub fn new() -> Self {
+        Self {
+            generation: 0,
+            handles: Vec::new(),
+        }
+    }
+
+    /// Re-reads every slot of `table` if its generation has moved since
+    /// the last read. The generation is loaded before the slots, so a
+    /// swap racing the re-read leaves the cache a generation behind —
+    /// it re-reads on the next call — never a generation ahead.
+    pub fn refresh(&mut self, table: &HandleTable<H>) {
+        let generation = table.generation();
+        if generation == self.generation {
+            return;
+        }
+        self.handles.clear();
+        if let Some(slots) = table.slots.get() {
+            let read = |slot: &RwLock<H>| slot.read().expect("handle slot poisoned").clone();
+            self.handles.extend(slots.iter().map(read));
+        }
+        self.generation = generation;
+    }
+
+    /// `node`'s handle as of the last [`refresh`](HandleCache::refresh).
+    pub fn get(&self, node: usize) -> Option<&H> {
+        self.handles.get(node)
+    }
+}
+
+impl<H: Clone> Default for HandleCache<H> {
     fn default() -> Self {
         Self::new()
     }
@@ -570,24 +653,13 @@ impl Fabric {
         assert!(!cfg.flows.is_empty(), "a fabric needs at least one flow");
         let topo = Arc::new(cfg.topology);
         let specs = Arc::new(cfg.flows);
-        let tables = topo.compile_route_tables(&specs);
-        // Per-flow path membership for §11.8 hop attribution:
-        // `hop_index[flow * n_nodes + node]` is the node's position on
-        // the flow's fault-free path (u16::MAX off-path), and the
-        // ledger gets one accumulator cell per path node.
-        let mut hop_index = vec![u16::MAX; specs.len() * n_nodes];
-        let mut hop_counts = vec![0usize; specs.len()];
-        for (flow, spec) in specs.iter().enumerate() {
-            let path = topo.path(flow, *spec);
-            hop_counts[flow] = path.len();
-            for (i, &node) in path.iter().enumerate() {
-                hop_index[flow * n_nodes + node] =
-                    u16::try_from(i).expect("paths are far shorter than u16::MAX");
-            }
-        }
-        let hop_index = Arc::new(hop_index);
+        // One pass: each node's route table for its egress stage, and
+        // its hop table — verdict, peer and path position per flow —
+        // for its Forwarder; the ledger gets one accumulator cell per
+        // path node (§11.8).
+        let routes = topo.compile(&specs);
         let tracker = Arc::new(HopTracker::new());
-        let ledger = Arc::new(FabricLedger::with_hops(&hop_counts));
+        let ledger = Arc::new(FabricLedger::with_hops(&routes.path_lens));
         let gate = Arc::new(FabricGate::new());
         let policy = cfg.dead_link_policy;
         let faults = Arc::new(Faults::new(Arc::clone(&topo), policy, cfg.fault_plan));
@@ -601,7 +673,7 @@ impl Fabric {
         let mut nodes = Vec::with_capacity(n_nodes);
         let mut handles = Vec::with_capacity(n_nodes);
         let mut boots = Vec::with_capacity(n_nodes);
-        for node in 0..n_nodes {
+        for (node, node_counters) in counters.iter().enumerate() {
             let stall_plan = cfg
                 .node_stalls
                 .iter()
@@ -620,7 +692,7 @@ impl Fabric {
                     ring_capacity: cfg.ring_capacity,
                     credits: cfg.credits,
                     n_links: topo.n_links(node),
-                    route_table: Some(tables[node].clone()),
+                    route_table: Some(Arc::clone(&routes.tables[node])),
                     stall_plan,
                     dead_link_deadline: None,
                     dead_link_policy: policy,
@@ -633,11 +705,11 @@ impl Fabric {
                 Arc::clone(&specs),
                 Arc::clone(&handle_table),
                 Arc::clone(&ledger),
-                Arc::clone(&counters[node]),
+                Arc::clone(node_counters),
                 Arc::clone(&gate),
                 Arc::clone(&faults),
                 Arc::clone(&tracker),
-                Arc::clone(&hop_index),
+                Arc::clone(&routes.hops[node]),
                 epoch,
                 Arc::clone(&exits),
             );
@@ -765,7 +837,7 @@ impl Fabric {
                 // time to the source hop). Losing the race against an
                 // idle node serving the whole packet first costs one
                 // hop sample, never a misattributed one.
-                self.tracker.stamp(
+                self.tracker.replace(
                     pkt.id,
                     HopEntry {
                         node: src,

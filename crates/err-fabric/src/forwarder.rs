@@ -11,6 +11,13 @@
 //! the upstream scheduler parks exactly the flows routed over that link
 //! (§7): wormhole backpressure, hop by hop.
 //!
+//! A wormhole route is fixed per flow and per hop, so nothing here
+//! routes: each flit reads its flow's entry in the node's hop table,
+//! compiled once at `Fabric::start` (§11.1). A tail hand-off finds its
+//! peer in the clone's own [`HandleCache`], pays one `HopTracker` lock
+//! trip (two when refused) and one clock read; the topology is asked
+//! for alternates only once the primary link is not viable.
+//!
 //! The ejection that reaches a chaos event applies it (§11.4): a link
 //! or panic event in place — flag flips, nothing that waits — and a
 //! node event by queueing it for the node-event thread.
@@ -30,10 +37,10 @@ use err_runtime::{SubmitError, Submitted};
 use err_sched::{Packet, ServedFlit};
 
 use crate::chaos::ForwarderExit;
-use crate::fabric::{ExitLog, FabricGate, Faults, HandleTable};
+use crate::fabric::{ExitLog, FabricGate, Faults, HandleCache, HandleTable};
 use crate::hops::{HopEntry, HopTracker};
 use crate::stats::{FabricLedger, NodeCounters};
-use crate::topology::{FlowSpec, NextHop, Topology};
+use crate::topology::{FlowSpec, Hop, Step, Topology};
 
 /// The Forwarder's verdict for one served flit (DESIGN.md §11.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,12 +74,20 @@ pub enum ForwardOutcome {
 #[derive(Clone)]
 pub struct Forwarder {
     node: usize,
+    /// Asked only for reroute alternates, once the primary link is not
+    /// viable.
     topo: Arc<Topology>,
     specs: Arc<Vec<FlowSpec>>,
+    /// This node's compiled verdict per flow (§11.1): the primary step,
+    /// its peer, and the node's position on the flow's path (§11.8).
+    hops: Arc<[Hop]>,
     /// Every node's ingress handle, installed once after all nodes are
     /// up (resolves the boot-order cycle) and swapped per revive
     /// (§14.1).
     handles: Arc<HandleTable>,
+    /// This clone's copy of `handles`, re-read when a revive moves the
+    /// table's generation.
+    peers: HandleCache,
     ledger: Arc<FabricLedger>,
     counters: Arc<NodeCounters>,
     gate: Arc<FabricGate>,
@@ -81,9 +96,6 @@ pub struct Forwarder {
     faults: Arc<Faults>,
     /// Per-packet entry stamps for §11.8 hop attribution.
     tracker: Arc<HopTracker>,
-    /// `hop_index[flow * n_nodes + node]`: this node's position on
-    /// the flow's fault-free path, `u16::MAX` when off-path.
-    hop_index: Arc<Vec<u16>>,
     epoch: Instant,
     /// Where the §14.4 supervisor records caught unwinds.
     exits: Arc<ExitLog>,
@@ -101,7 +113,7 @@ impl Forwarder {
         gate: Arc<FabricGate>,
         faults: Arc<Faults>,
         tracker: Arc<HopTracker>,
-        hop_index: Arc<Vec<u16>>,
+        hops: Arc<[Hop]>,
         epoch: Instant,
         exits: Arc<ExitLog>,
     ) -> Self {
@@ -109,33 +121,30 @@ impl Forwarder {
             node,
             topo,
             specs,
+            hops,
             handles,
+            peers: HandleCache::new(),
             ledger,
             counters,
             gate,
             faults,
             tracker,
-            hop_index,
             epoch,
             exits,
         }
     }
 
-    /// This node's position on `flow`'s fault-free path, if on it.
-    fn hop_of(&self, flow: usize) -> Option<usize> {
-        let h = self.hop_index[flow * self.topo.n_nodes() + self.node];
-        (h != u16::MAX).then_some(h as usize)
-    }
-
-    /// Turns a taken entry stamp into a hop record at this node
-    /// (skipped off-path, §11.7): service-clock and wall deltas from
-    /// post-admission entry to tail service. Entries stamped for a
-    /// different node (a lost stamping race, see `hops`) are dropped.
-    fn record_hop(&self, flow: usize, entry: HopEntry, now_us: u64) {
-        if entry.node != self.node {
+    /// Turns a taken entry stamp into a hop record at this node's
+    /// `position` on the flow's path (skipped off-path, §11.7):
+    /// service-clock and wall deltas from post-admission entry to tail
+    /// service. Entries stamped for a different node (a lost stamping
+    /// race, see `hops`) are dropped.
+    fn record_hop(&mut self, flow: usize, position: Option<usize>, entry: HopEntry, now_us: u64) {
+        let Some(hop) = position.filter(|_| entry.node == self.node) else {
             return;
-        }
-        let (Some(hop), Some(handle)) = (self.hop_of(flow), self.handles.get(self.node)) else {
+        };
+        self.peers.refresh(&self.handles);
+        let Some(handle) = self.peers.get(self.node) else {
             return;
         };
         let cycles = handle
@@ -147,11 +156,11 @@ impl Forwarder {
 
     /// Classifies and applies one served flit. Everything except
     /// [`ForwardOutcome::Refused`] consumes the flit.
-    pub fn on_flit(&self, flit: &ServedFlit) -> ForwardOutcome {
+    pub fn on_flit(&mut self, flit: &ServedFlit) -> ForwardOutcome {
         let flow = flit.flow;
-        let spec = self.specs[flow];
-        match self.topo.next_hop(self.node, flow, spec) {
-            NextHop::Eject => {
+        let hop = self.hops[flow];
+        match hop.step {
+            Step::Eject => {
                 self.ledger.on_flit_ejected(flow);
                 if flit.is_tail() {
                     let now_us = self.epoch.elapsed().as_micros() as u64;
@@ -159,7 +168,7 @@ impl Forwarder {
                         .ledger
                         .on_packet_ejected(flow, now_us.saturating_sub(flit.arrival));
                     if let Some(entry) = self.tracker.take(flit.packet) {
-                        self.record_hop(flow, entry, now_us);
+                        self.record_hop(flow, hop.position, entry, now_us);
                     }
                     self.counters.on_ejected();
                     // Before the departure, so no drain sees the fabric
@@ -169,18 +178,26 @@ impl Forwarder {
                 }
                 ForwardOutcome::Ejected
             }
-            NextHop::Forward { .. } => {
+            Step::Forward { link, peer } => {
                 if !flit.is_tail() {
                     return ForwardOutcome::Forwarded;
                 }
-                self.hand_off(flit, flow, spec)
+                self.hand_off(flit, hop.position, link, peer)
             }
         }
     }
 
-    /// Tail-flit packet handoff: non-blocking submit to the first live
-    /// candidate next hop (DESIGN.md §11.2, §11.4).
-    fn hand_off(&self, flit: &ServedFlit, flow: usize, spec: FlowSpec) -> ForwardOutcome {
+    /// Tail-flit packet handoff: non-blocking submit over the primary
+    /// `link` to `peer`, then, if that is not viable, to the first live
+    /// alternate (DESIGN.md §11.2, §11.4).
+    fn hand_off(
+        &mut self,
+        flit: &ServedFlit,
+        position: Option<usize>,
+        link: usize,
+        peer: usize,
+    ) -> ForwardOutcome {
+        let flow = flit.flow;
         if self.faults.panic_arm.take(self.node) {
             panic!(
                 "FabricFaultPlan: injected forwarder panic at node {} (flow {}, packet {})",
@@ -195,75 +212,18 @@ impl Forwarder {
         };
         // One clock read per attempt, whatever the candidate count.
         let now_us = self.epoch.elapsed().as_micros() as u64;
-        let candidates = self.topo.candidate_links(self.node, flow, spec);
-        for (nth, link) in candidates.enumerate() {
-            let peer = self
-                .topo
-                .peer(self.node, link)
-                .expect("transit link has a peer");
-            if !self.faults.dead.viable(self.node, link, Some(peer)) {
-                continue;
-            }
-            let Some(peer_handle) = self.handles.get(peer) else {
-                // Boot race: the fabric has not finished wiring.
-                // Refuse; the pending queue retries.
-                self.counters.on_refusal();
-                return ForwardOutcome::Refused;
-            };
-            // Pre-stamp the peer entry: the instant the submit lands
-            // in the peer's ring its tail may be served there, and
-            // the stamp must already be visible (§11.8). Restored on
-            // refusal, retired on terminal outcomes.
-            let prev = self.tracker.take(flit.packet);
-            self.tracker.stamp(
-                flit.packet,
-                HopEntry {
-                    node: peer,
-                    entry_us: now_us,
-                    entry_served_flits: peer_handle.served_flits(),
-                },
-            );
-            match peer_handle.submit_within(pkt, Duration::ZERO) {
-                Ok(Submitted::Enqueued) => {
-                    if let Some(entry) = prev {
-                        self.record_hop(flow, entry, now_us);
-                    }
-                    self.counters.on_forwarded();
-                    return if nth > 0 {
-                        self.ledger.on_rerouted(flow);
-                        ForwardOutcome::Rerouted
-                    } else {
-                        ForwardOutcome::Forwarded
-                    };
-                }
-                Ok(Submitted::Dropped) | Err(SubmitError::Rejected) => {
-                    // Downstream admission accounted it: terminal.
-                    self.tracker.take(flit.packet);
-                    self.ledger.on_dropped(flow);
-                    self.counters.on_dropped_downstream();
-                    self.gate.depart(1);
-                    return ForwardOutcome::Forwarded;
-                }
-                Err(SubmitError::TimedOut) => {
-                    // No room right now: hold the flit (and its
-                    // credit) and retry on the next flusher step;
-                    // the entry stamp stays with this node.
-                    self.tracker.take(flit.packet);
-                    if let Some(entry) = prev {
-                        self.tracker.stamp(flit.packet, entry);
-                    }
-                    self.counters.on_refusal();
-                    return ForwardOutcome::Refused;
-                }
-                Err(SubmitError::Closed) => {
-                    // The peer died between the liveness check and the
-                    // submit; fall through to the next candidate.
-                    self.tracker.take(flit.packet);
-                    if let Some(entry) = prev {
-                        self.tracker.stamp(flit.packet, entry);
-                    }
-                    continue;
-                }
+        if let Some(outcome) = self.offer(pkt, position, (link, peer), false, now_us) {
+            return outcome;
+        }
+        // Cold: the primary is dead (or its peer closed under us).
+        let topo = Arc::clone(&self.topo);
+        for link in topo
+            .candidate_links(self.node, flow, self.specs[flow])
+            .skip(1)
+        {
+            let peer = topo.peer(self.node, link).expect("transit link has a peer");
+            if let Some(outcome) = self.offer(pkt, position, (link, peer), true, now_us) {
+                return outcome;
             }
         }
         if self.faults.policy == DeadLinkPolicy::HoldForRecovery {
@@ -280,13 +240,100 @@ impl Forwarder {
         ForwardOutcome::DeadLettered
     }
 
+    /// Offers `pkt` to `peer` across `link` (an `alternate` one when the
+    /// primary was not viable). `None` when the link is not viable or
+    /// the peer's runtime closed between the liveness check and the
+    /// submit: the caller tries its next candidate.
+    fn offer(
+        &mut self,
+        pkt: Packet,
+        position: Option<usize>,
+        (link, peer): (usize, usize),
+        alternate: bool,
+        now_us: u64,
+    ) -> Option<ForwardOutcome> {
+        if !self.faults.dead.viable(self.node, link, Some(peer)) {
+            return None;
+        }
+        // After the liveness check: a revive swaps the successor's
+        // handle in before it clears the node's flags (§14.1), so a
+        // cache that found them clear refreshes onto the successor.
+        self.peers.refresh(&self.handles);
+        let Some(peer_handle) = self.peers.get(peer) else {
+            // Boot race: the fabric has not finished wiring.
+            // Refuse; the pending queue retries.
+            self.counters.on_refusal();
+            return Some(ForwardOutcome::Refused);
+        };
+        // Pre-stamp the peer entry: the instant the submit lands in the
+        // peer's ring its tail may be served there, and the stamp must
+        // already be visible (§11.8). The one lock trip hands back this
+        // node's stamp, restored on a refusal.
+        let stamp = HopEntry {
+            node: peer,
+            entry_us: now_us,
+            entry_served_flits: peer_handle.served_flits(),
+        };
+        let prev = self.tracker.replace(pkt.id, stamp);
+        let flow = pkt.flow;
+        match peer_handle.submit_within(pkt, Duration::ZERO) {
+            Ok(Submitted::Enqueued) => {
+                if let Some(entry) = prev {
+                    self.record_hop(flow, position, entry, now_us);
+                }
+                self.counters.on_forwarded();
+                Some(if alternate {
+                    self.ledger.on_rerouted(flow);
+                    ForwardOutcome::Rerouted
+                } else {
+                    ForwardOutcome::Forwarded
+                })
+            }
+            Ok(Submitted::Dropped) | Err(SubmitError::Rejected) => {
+                // Downstream admission accounted it: terminal.
+                self.tracker.take(pkt.id);
+                self.ledger.on_dropped(flow);
+                self.counters.on_dropped_downstream();
+                self.gate.depart(1);
+                Some(ForwardOutcome::Forwarded)
+            }
+            Err(SubmitError::TimedOut) => {
+                // No room right now: hold the flit (and its credit) and
+                // retry on the next flusher step; the entry stamp goes
+                // back to this node.
+                self.restore(pkt.id, prev);
+                self.counters.on_refusal();
+                Some(ForwardOutcome::Refused)
+            }
+            Err(SubmitError::Closed) => {
+                // The peer died between the liveness check and the
+                // submit (or this cache still held its dead
+                // incarnation): try the next candidate.
+                self.restore(pkt.id, prev);
+                None
+            }
+        }
+    }
+
+    /// Puts back the stamp a refused hand-off replaced.
+    fn restore(&self, packet: u64, prev: Option<HopEntry>) {
+        match prev {
+            Some(entry) => {
+                self.tracker.replace(packet, entry);
+            }
+            None => {
+                self.tracker.take(packet);
+            }
+        }
+    }
+
     /// §14.4 supervisor: runs `on_flit` under `catch_unwind` and, on a
     /// panic, converts the unwind into honest accounting: the flit's
     /// next-hop cable is declared dead (routes fail over or hold), a
     /// tail flit's packet is charged as dead-lettered and departed from
     /// the gate, and the exit is recorded for the drain report. Returns
     /// whether the flit was consumed (a caught panic always consumes).
-    fn supervised(&self, flit: &ServedFlit) -> bool {
+    fn supervised(&mut self, flit: &ServedFlit) -> bool {
         let body = AssertUnwindSafe(|| self.on_flit(flit));
         match catch_unwind(body) {
             Ok(outcome) => !matches!(outcome, ForwardOutcome::Refused | ForwardOutcome::Held),
@@ -299,13 +346,12 @@ impl Forwarder {
                     "non-string panic payload".to_string()
                 };
                 let flow = flit.flow;
-                let spec = self.specs[flow];
-                let poisoned_link = match self.topo.next_hop(self.node, flow, spec) {
-                    NextHop::Forward { link } => {
+                let poisoned_link = match self.hops[flow].step {
+                    Step::Forward { link, .. } => {
                         self.faults.dead.kill_link(self.node, link);
                         Some(link)
                     }
-                    NextHop::Eject => None,
+                    Step::Eject => None,
                 };
                 if flit.is_tail() {
                     self.tracker.take(flit.packet);
@@ -392,27 +438,26 @@ mod tests {
     #[global_allocator]
     static ALLOC: CountingAlloc = CountingAlloc;
 
-    /// The tail hand-off is paid once per packet per hop on a shard
-    /// worker: it must not touch the heap — no `Vec` of candidate
-    /// links, nothing in the refusal path — once the `HopTracker` maps
-    /// have their capacity.
-    #[test]
-    fn tail_hand_offs_allocate_nothing_after_warm_up() {
-        // Node 0 of a 2x1 mesh forwards flow 0 to node 1, a real
-        // runtime whose sink the test can block: a blocked worker lets
-        // the ingress ring fill, and a full ring refuses.
-        const RING: usize = 4096;
+    /// Node 0 of a 2x1 mesh, forwarding flow 0 to node 1: a real
+    /// runtime whose sink the test can block. A blocked worker lets the
+    /// ingress ring fill, and a full ring refuses.
+    struct Harness {
+        fwd: Forwarder,
+        peer: Runtime,
+        blocked: Arc<AtomicBool>,
+        tracker: Arc<HopTracker>,
+        ledger: Arc<FabricLedger>,
+        counters: Arc<NodeCounters>,
+    }
+
+    const RING: usize = 4096;
+
+    /// The harness; `take_stamps` makes node 1's sink retire each
+    /// packet's stamp when it serves the tail, as its own forwarder
+    /// would on eject.
+    fn harness(take_stamps: bool) -> Harness {
         let blocked = Arc::new(AtomicBool::new(false));
-        // Warm-up: the maps keep the capacity of the most stamps they
-        // ever held, and no more than a ring's worth is ever in flight.
         let tracker = Arc::new(HopTracker::new());
-        let entry = HopEntry {
-            node: 1,
-            entry_us: 0,
-            entry_served_flits: 0,
-        };
-        (0..4 * RING as u64).for_each(|id| tracker.stamp(id, entry));
-        assert!((0..4 * RING as u64).all(|id| tracker.take(id).is_some()));
         let (peer, peer_handle) = {
             let (blocked, tracker) = (Arc::clone(&blocked), Arc::clone(&tracker));
             Runtime::start_with_egress(
@@ -427,26 +472,30 @@ mod tests {
                 },
                 move |_shard| {
                     let (blocked, tracker) = (Arc::clone(&blocked), Arc::clone(&tracker));
-                    // What node 1's own forwarder would do on eject.
                     Some(move |_s: usize, f: &ServedFlit| {
                         while blocked.load(Ordering::Acquire) {
                             std::thread::sleep(Duration::from_micros(200));
                         }
-                        tracker.take(f.packet);
+                        if take_stamps {
+                            tracker.take(f.packet);
+                        }
                     })
                 },
             )
         };
         let topo = Arc::new(Topology::mesh(2, 1));
+        let specs = vec![FlowSpec { src: 0, dst: 1 }];
+        let routes = topo.compile(&specs);
         let handles = Arc::new(HandleTable::new());
         handles.install(vec![peer_handle.clone(), peer_handle]);
         let counters = Arc::new(NodeCounters::default());
+        let ledger = Arc::new(FabricLedger::with_hops(&routes.path_lens));
         let fwd = Forwarder::new(
             0,
             Arc::clone(&topo),
-            Arc::new(vec![FlowSpec { src: 0, dst: 1 }]),
+            Arc::new(specs),
             handles,
-            Arc::new(FabricLedger::with_hops(&[2])),
+            Arc::clone(&ledger),
             Arc::clone(&counters),
             Arc::new(FabricGate::new()),
             Arc::new(Faults::new(
@@ -454,25 +503,69 @@ mod tests {
                 DeadLinkPolicy::DropAndAccount,
                 None,
             )),
-            tracker,
-            Arc::new(vec![0, 1]),
+            Arc::clone(&tracker),
+            Arc::clone(&routes.hops[0]),
             Instant::now(),
             Arc::new(ExitLog::default()),
         );
-        let tail = |packet: u64| ServedFlit {
+        Harness {
+            fwd,
+            peer,
+            blocked,
+            tracker,
+            ledger,
+            counters,
+        }
+    }
+
+    fn tail(packet: u64) -> ServedFlit {
+        ServedFlit {
             flow: 0,
             packet,
             arrival: 0,
             len: 1,
             flit_index: 0,
+        }
+    }
+
+    impl Harness {
+        /// Blocks node 1's sink and hands tails over from `id` on until
+        /// the first refusal; returns the refused id.
+        fn fill_until_refused(&mut self, mut id: u64) -> u64 {
+            self.blocked.store(true, Ordering::Release);
+            while self.fwd.on_flit(&tail(id)) == ForwardOutcome::Forwarded {
+                id += 1;
+                assert!(id < 4 * RING as u64, "a blocked peer never refused");
+            }
+            id
+        }
+    }
+
+    /// The tail hand-off is paid once per packet per hop on a shard
+    /// worker: it must not touch the heap — no `Vec` of candidate
+    /// links, nothing in the refusal path — once the `HopTracker` maps
+    /// have their capacity.
+    #[test]
+    fn tail_hand_offs_allocate_nothing_after_warm_up() {
+        let mut h = harness(true);
+        // Warm-up: the maps keep the capacity of the most stamps they
+        // ever held, and no more than a ring's worth is ever in flight.
+        let entry = HopEntry {
+            node: 1,
+            entry_us: 0,
+            entry_served_flits: 0,
         };
+        (0..4 * RING as u64).for_each(|id| {
+            h.tracker.replace(id, entry);
+        });
+        assert!((0..4 * RING as u64).all(|id| h.tracker.take(id).is_some()));
         let allocs = || ALLOCS.with(Cell::get);
 
         // Accepted: the peer drains as fast as we hand over.
         let mut id = 0u64;
         let mut accept = |n: u64| {
             for _ in 0..n {
-                while fwd.on_flit(&tail(id)) != ForwardOutcome::Forwarded {
+                while h.fwd.on_flit(&tail(id)) != ForwardOutcome::Forwarded {
                     std::thread::yield_now();
                 }
                 id += 1;
@@ -484,20 +577,51 @@ mod tests {
         assert_eq!(allocs() - before, 0, "an accepted hand-off allocated");
 
         // Refused: block the sink, fill the ring to the first refusal.
-        blocked.store(true, Ordering::Release);
-        while fwd.on_flit(&tail(id)) == ForwardOutcome::Forwarded {
-            id += 1;
-            assert!(id < 4 * RING as u64, "a blocked peer never refused");
-        }
-        let (before, refused) = (allocs(), counters.refusals());
+        let id = h.fill_until_refused(id);
+        let (before, refused) = (allocs(), h.counters.refusals());
         for _ in 0..1_000 {
-            assert_eq!(fwd.on_flit(&tail(id)), ForwardOutcome::Refused);
+            assert_eq!(h.fwd.on_flit(&tail(id)), ForwardOutcome::Refused);
         }
         assert_eq!(allocs() - before, 0, "a refused hand-off allocated");
-        assert_eq!(counters.refusals() - refused, 1_000);
+        assert_eq!(h.counters.refusals() - refused, 1_000);
 
-        blocked.store(false, Ordering::Release);
-        let report = peer.shutdown();
+        h.blocked.store(false, Ordering::Release);
+        let report = h.peer.shutdown();
+        assert!(report.is_conserving(), "{report:?}");
+    }
+
+    /// A refusal hands the holder's stamp back: a tail refused N times
+    /// and then accepted records exactly one hop sample for the
+    /// refusing node, and leaves exactly the peer's stamp behind.
+    #[test]
+    fn a_refused_tail_keeps_its_stamp_until_a_hand_off_lands() {
+        const REFUSALS: u64 = 5;
+        let mut h = harness(false);
+        let probe = h.fill_until_refused(0);
+        // What the source submit stamped when node 0 took the packet.
+        let source = HopEntry {
+            node: 0,
+            entry_us: 0,
+            entry_served_flits: 0,
+        };
+        h.tracker.replace(probe, source);
+        let refused = h.counters.refusals();
+        for _ in 0..REFUSALS {
+            assert_eq!(h.fwd.on_flit(&tail(probe)), ForwardOutcome::Refused);
+        }
+        assert_eq!(h.counters.refusals() - refused, REFUSALS);
+        assert_eq!(h.ledger.hop_snapshot(0)[0].packets, 0, "no sample yet");
+
+        h.blocked.store(false, Ordering::Release);
+        while h.fwd.on_flit(&tail(probe)) != ForwardOutcome::Forwarded {
+            std::thread::yield_now();
+        }
+        let hops = h.ledger.hop_snapshot(0);
+        assert_eq!(hops[0].packets, 1, "one sample for the refusing node");
+        assert_eq!(hops[1].packets, 0, "node 1's sink records nothing");
+        let left = h.tracker.take(probe).expect("the peer's stamp");
+        assert_eq!(left.node, 1, "the stamp left behind is the peer's");
+        let report = h.peer.shutdown();
         assert!(report.is_conserving(), "{report:?}");
     }
 }

@@ -37,7 +37,9 @@ pub use chaos::{
     DeadMap, FabricFault, FabricFaultEvent, FabricFaultPlan, ForwarderExit, PanicSwitch,
 };
 pub use err_egress::DeadLinkPolicy;
-pub use fabric::{DrainOutcome, Fabric, FabricConfig, FabricReport, HandleTable, PathStats};
+pub use fabric::{
+    DrainOutcome, Fabric, FabricConfig, FabricReport, HandleCache, HandleTable, PathStats,
+};
 pub use forwarder::{ForwardOutcome, Forwarder};
 pub use stats::{FabricLedger, FlowSnapshot, HopSnapshot, NodeCounters};
 pub use topology::{FlowSpec, LinkEnd, NextHop, Topology};

@@ -156,7 +156,11 @@ impl FabricLedger {
         let f = &self.flows[flow];
         f.ejected_packets.fetch_add(1, Ordering::Relaxed);
         f.latency_sum_us.fetch_add(latency_us, Ordering::Relaxed);
-        f.latency_max_us.fetch_max(latency_us, Ordering::Relaxed);
+        // Read before write: the max rarely moves, and a load leaves
+        // the line shared where an RMW would take it exclusive.
+        if latency_us > f.latency_max_us.load(Ordering::Relaxed) {
+            f.latency_max_us.fetch_max(latency_us, Ordering::Relaxed);
+        }
         self.ejected_total.fetch_add(1, Ordering::Relaxed) + 1
     }
 
@@ -193,7 +197,9 @@ impl FabricLedger {
         cell.packets.fetch_add(1, Ordering::Relaxed);
         cell.sum_cycles.fetch_add(cycles, Ordering::Relaxed);
         cell.sum_us.fetch_add(us, Ordering::Relaxed);
-        cell.max_cycles.fetch_max(cycles, Ordering::Relaxed);
+        if cycles > cell.max_cycles.load(Ordering::Relaxed) {
+            cell.max_cycles.fetch_max(cycles, Ordering::Relaxed);
+        }
     }
 
     /// Snapshot of one flow's per-hop accumulators, in path order

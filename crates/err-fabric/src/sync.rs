@@ -3,13 +3,15 @@
 //! `loom` cargo feature (same pattern as `err-egress::sync`).
 //!
 //! Only the [`HandleTable`](crate::fabric::HandleTable) swap protocol
-//! goes through this shim: its `RwLock` becomes the checker's modeled
-//! reader-count lock so the incarnation-swap happens-before edges are
-//! validated by `err-check`'s model suite. Everything else in the
-//! crate uses `std::sync` directly.
+//! goes through this shim: its slot `RwLock`s and its generation
+//! counter become the checker's modeled lock and atomic, so the
+//! incarnation-swap happens-before edges — the slot's write-unlock, and
+//! the generation bump a [`HandleCache`](crate::fabric::HandleCache)
+//! refreshes on — are validated by `err-check`'s model suite.
+//! Everything else in the crate uses `std::sync` directly.
 
 #[cfg(feature = "loom")]
-pub(crate) use loom::sync::RwLock;
+pub(crate) use loom::sync::{atomic::AtomicU64, RwLock};
 
 #[cfg(not(feature = "loom"))]
-pub(crate) use std::sync::RwLock;
+pub(crate) use std::sync::{atomic::AtomicU64, RwLock};

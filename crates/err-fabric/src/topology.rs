@@ -4,10 +4,12 @@
 //! of links, where link `0` is always the [`LinkEnd::Eject`] end (the
 //! node's local delivery interface) and every other link is a
 //! [`LinkEnd::Neighbor`] end naming the peer node. Routing is a pure
-//! function of `(node, flow)` — compiled per node into a flow-indexed
-//! link table installed via `BufferedConfig::route_table`, so the
-//! egress crate's credit accounting, parking sweeps, and fault
-//! handling all follow fabric routing with no new mechanism.
+//! function of `(node, flow)` — compiled once per node into a
+//! flow-indexed link table installed via `BufferedConfig::route_table`,
+//! so the egress crate's credit accounting, parking sweeps, and fault
+//! handling all follow fabric routing with no new mechanism, and in the
+//! same pass into the hop table the node's Forwarder reads instead
+//! of routing each flit again.
 
 use std::sync::Arc;
 
@@ -41,6 +43,38 @@ pub enum NextHop {
         /// Index into the node's link list (never `0`).
         link: usize,
     },
+}
+
+/// One node's compiled verdict for one flow (DESIGN.md §11.1): the
+/// primary step, resolved to its peer, and the node's position on the
+/// flow's fault-free path. A wormhole route is fixed per flow and per
+/// hop, so `Fabric::start` compiles it once and the Forwarder reads it
+/// per flit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Hop {
+    pub(crate) step: Step,
+    /// Index of this node in `path(flow)`; `None` off-path (a node only
+    /// a rerouted packet reaches).
+    pub(crate) position: Option<usize>,
+}
+
+/// [`NextHop`] with the peer across the link resolved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    Eject,
+    Forward { link: usize, peer: usize },
+}
+
+/// Everything `Fabric::start` compiles from the flows, in one pass.
+pub(crate) struct Routes {
+    /// Per node, the flow-indexed link table for
+    /// `BufferedConfig::route_table`.
+    pub(crate) tables: Vec<Arc<[u32]>>,
+    /// Per node, the flow-indexed [`Hop`] table: every (node, flow)
+    /// pair, off-path nodes included.
+    pub(crate) hops: Vec<Arc<[Hop]>>,
+    /// Per flow, the number of nodes on its fault-free path.
+    pub(crate) path_lens: Vec<usize>,
 }
 
 /// SplitMix64 finalizer — the same mix the runtime's flow→shard
@@ -334,6 +368,12 @@ impl Topology {
     /// `BufferedConfig::route_table`. Flows not routed through a node
     /// map to its eject end (they never arrive there).
     pub fn compile_route_tables(&self, specs: &[FlowSpec]) -> Vec<Arc<[u32]>> {
+        self.compile(specs).tables
+    }
+
+    /// The route tables, the [`Hop`] tables and the path lengths of
+    /// `specs`, in one pass over every (node, flow) pair.
+    pub(crate) fn compile(&self, specs: &[FlowSpec]) -> Routes {
         for (f, s) in specs.iter().enumerate() {
             assert!(
                 s.src < self.n_nodes() && s.dst < self.n_nodes(),
@@ -345,14 +385,38 @@ impl Topology {
             );
         }
         let mut tables: Vec<Vec<u32>> = (0..self.n_nodes()).map(|_| vec![0; specs.len()]).collect();
+        let mut hops: Vec<Vec<Hop>> = (0..self.n_nodes())
+            .map(|node| {
+                let hop = |(flow, &spec): (usize, &FlowSpec)| Hop {
+                    step: match self.next_hop(node, flow, spec) {
+                        NextHop::Eject => Step::Eject,
+                        NextHop::Forward { link } => Step::Forward {
+                            link,
+                            peer: self.peer(node, link).expect("forward link has a peer"),
+                        },
+                    },
+                    position: None,
+                };
+                specs.iter().enumerate().map(hop).collect()
+            })
+            .collect();
+        let mut path_lens = Vec::with_capacity(specs.len());
         for (flow, spec) in specs.iter().enumerate() {
-            for &node in &self.path(flow, *spec) {
-                if let NextHop::Forward { link } = self.next_hop(node, flow, *spec) {
+            let path = self.path(flow, *spec);
+            for (i, &node) in path.iter().enumerate() {
+                let hop = &mut hops[node][flow];
+                hop.position = Some(i);
+                if let Step::Forward { link, .. } = hop.step {
                     tables[node][flow] = link as u32;
                 }
             }
+            path_lens.push(path.len());
         }
-        tables.into_iter().map(Arc::from).collect()
+        Routes {
+            tables: tables.into_iter().map(Arc::from).collect(),
+            hops: hops.into_iter().map(Arc::from).collect(),
+            path_lens,
+        }
     }
 }
 
@@ -460,6 +524,58 @@ mod tests {
                 assert_eq!(t.peer(w[0], link), Some(w[1]));
             }
             assert_eq!(tables[spec.dst][flow], 0, "destination ejects");
+        }
+    }
+
+    /// The compiled [`Hop`] tables say what the routing functions say,
+    /// at every node for every flow, off-path nodes included, and the
+    /// route tables come out as they did before the hop tables joined
+    /// the pass.
+    #[test]
+    fn compiled_hops_equal_the_routing_functions() {
+        let topologies = [
+            (Topology::mesh(2, 2), 4),
+            (Topology::mesh(4, 4), 16),
+            (Topology::mesh(3, 1), 3),
+            (Topology::fat_tree(4), 8),
+        ];
+        for (t, endpoints) in topologies {
+            let specs: Vec<FlowSpec> = (0..endpoints)
+                .flat_map(|src| (0..endpoints).map(move |dst| FlowSpec { src, dst }))
+                .collect();
+            let routes = t.compile(&specs);
+            for (flow, &spec) in specs.iter().enumerate() {
+                let path = t.path(flow, spec);
+                assert_eq!(routes.path_lens[flow], path.len());
+                for node in 0..t.n_nodes() {
+                    let hop = routes.hops[node][flow];
+                    let at = format!("node {node}, flow {flow} ({spec:?})");
+                    match (hop.step, t.next_hop(node, flow, spec)) {
+                        (Step::Eject, NextHop::Eject) => {}
+                        (Step::Forward { link, peer }, NextHop::Forward { link: next }) => {
+                            assert_eq!(link, next, "{at}");
+                            let first = t.candidate_links(node, flow, spec).next();
+                            assert_eq!(Some(link), first, "{at}");
+                            assert_eq!(Some(peer), t.peer(node, link), "{at}");
+                        }
+                        (step, next) => panic!("{at}: compiled {step:?}, routed {next:?}"),
+                    }
+                    let position = path.iter().position(|&n| n == node);
+                    assert_eq!(hop.position, position, "{at}");
+                }
+            }
+            // The route tables, as they were compiled on their own.
+            let mut expect: Vec<Vec<u32>> = vec![vec![0; specs.len()]; t.n_nodes()];
+            for (flow, spec) in specs.iter().enumerate() {
+                for &node in &t.path(flow, *spec) {
+                    if let NextHop::Forward { link } = t.next_hop(node, flow, *spec) {
+                        expect[node][flow] = link as u32;
+                    }
+                }
+            }
+            let tables = t.compile_route_tables(&specs);
+            let tables: Vec<Vec<u32>> = tables.iter().map(|t| t.to_vec()).collect();
+            assert_eq!(tables, expect);
         }
     }
 }

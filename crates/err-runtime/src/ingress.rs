@@ -137,6 +137,28 @@ impl Shared {
     }
 }
 
+/// How long a submit may wait for admission or ring space.
+#[derive(Clone, Copy)]
+enum Patience {
+    /// [`RuntimeHandle::submit`]: until there is room.
+    Forever,
+    /// A zero deadline: refuse at the first wait.
+    None,
+    /// Until the deadline, fixed when the call started.
+    Until(std::time::Instant),
+}
+
+impl Patience {
+    /// Whether a submit about to wait must refuse instead.
+    fn exhausted(self) -> bool {
+        match self {
+            Patience::Forever => false,
+            Patience::None => true,
+            Patience::Until(deadline) => std::time::Instant::now() >= deadline,
+        }
+    }
+}
+
 /// Cloneable producer handle: submit packets from any thread.
 #[derive(Clone)]
 pub struct RuntimeHandle {
@@ -156,27 +178,29 @@ impl RuntimeHandle {
     /// every policy) the call spins/yields until there is room, so it
     /// may block the producer — that is the point of backpressure.
     pub fn submit(&self, pkt: Packet) -> Result<Submitted, SubmitError> {
-        self.submit_inner(pkt, None)
+        self.submit_inner(pkt, Patience::Forever)
     }
 
     /// Like [`submit`](Self::submit), but any wait — the backpressure
     /// spin or a full ingress ring — gives up when `timeout` elapses,
     /// returning [`SubmitError::TimedOut`] with the packet's admission
     /// charge revoked and the attempt counted in `timedout_packets`
-    /// (DESIGN.md §9.4). A zero timeout makes the call non-blocking.
+    /// (DESIGN.md §9.4). A zero timeout makes the call non-blocking: it
+    /// refuses at its first wait and reads no clock.
     pub fn submit_within(
         &self,
         pkt: Packet,
         timeout: std::time::Duration,
     ) -> Result<Submitted, SubmitError> {
-        self.submit_inner(pkt, Some(std::time::Instant::now() + timeout))
+        let patience = if timeout.is_zero() {
+            Patience::None
+        } else {
+            Patience::Until(std::time::Instant::now() + timeout)
+        };
+        self.submit_inner(pkt, patience)
     }
 
-    fn submit_inner(
-        &self,
-        pkt: Packet,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Submitted, SubmitError> {
+    fn submit_inner(&self, pkt: Packet, patience: Patience) -> Result<Submitted, SubmitError> {
         let shared = &*self.shared;
         // Announce the in-flight submit *before* the closed check (the
         // Dekker pairing inside `DrainGate::enter`): once a worker has
@@ -212,11 +236,9 @@ impl RuntimeHandle {
                     // About to wait (or, past the deadline, to refuse)
                     // until the worker serves this flow.
                     shared.wake_worker_for_intake(shared.shard_of(pkt.flow));
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            stats.timedout_packets.add(1);
-                            return Err(SubmitError::TimedOut);
-                        }
+                    if patience.exhausted() {
+                        stats.timedout_packets.add(1);
+                        return Err(SubmitError::TimedOut);
                     }
                     std::thread::yield_now();
                 }
@@ -267,12 +289,10 @@ impl RuntimeHandle {
                     // About to wait (or refuse) until the worker
                     // frees a slot.
                     shared.wake_worker_for_intake(shard);
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            shared.admission.revoke(pkt.flow, pkt.len);
-                            stats.timedout_packets.add(1);
-                            return Err(SubmitError::TimedOut);
-                        }
+                    if patience.exhausted() {
+                        shared.admission.revoke(pkt.flow, pkt.len);
+                        stats.timedout_packets.add(1);
+                        return Err(SubmitError::TimedOut);
                     }
                     // `Packet` is `Copy`; retry with the same value.
                     std::thread::yield_now();

@@ -213,3 +213,78 @@ fn graceful_drain_with_concurrent_producers() {
     assert_eq!(report.stats.backlog_flits(), 0);
     assert_eq!(report.shard_cycles.len(), 4, "one final clock per worker");
 }
+
+/// (d) A zero-deadline `submit_within` refuses at its first wait, at
+/// both wait sites — a backpressure `Wait` and a full ingress ring —
+/// counts the refusal in `timedout_packets`, and leaves no admission
+/// charge behind: once the worker drains, each flow is admitted up to
+/// its `max_backlog` again.
+#[test]
+fn a_zero_deadline_submit_refuses_at_once_and_revokes_its_charge() {
+    // One packet fills a flow's cap, so a leaked charge would refuse
+    // that flow forever.
+    const LEN: u32 = 4;
+    const FLOWS: usize = 16;
+    let blocked = Arc::new(std::sync::atomic::AtomicBool::new(true));
+    let (rt, handle) = {
+        let blocked = Arc::clone(&blocked);
+        Runtime::start_with_egress(
+            RuntimeConfig {
+                shards: 1,
+                n_flows: FLOWS,
+                ring_capacity: 4,
+                // The worker holds one flit of one packet while its
+                // sink blocks, so everything else waits in the ring.
+                batch_packets: 1,
+                batch_flits: 1,
+                admission: AdmissionPolicy::Backpressure {
+                    max_backlog: u64::from(LEN),
+                },
+                ..RuntimeConfig::default()
+            },
+            move |_shard| {
+                let blocked = Arc::clone(&blocked);
+                Some(move |_: usize, _: &err_sched::ServedFlit| {
+                    while blocked.load(Ordering::Acquire) {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                })
+            },
+        )
+    };
+    let mut id = 0u64;
+    let mut offer = |flow: usize| {
+        id += 1;
+        handle.submit_within(Packet::new(id, flow, LEN, 0), Duration::ZERO)
+    };
+    // Admission site: flow 0's first packet fills its cap, so the
+    // second waits on admission, and a zero deadline refuses at once.
+    assert_eq!(offer(0), Ok(Submitted::Enqueued));
+    assert_eq!(offer(0), Err(SubmitError::TimedOut));
+    // Ring site: one packet per fresh flow, each under its cap, until
+    // the ring is full.
+    let full = (1..FLOWS)
+        .find(|&flow| match offer(flow) {
+            Ok(Submitted::Enqueued) => false,
+            Err(SubmitError::TimedOut) => true,
+            other => panic!("flow {flow}: unexpected {other:?}"),
+        })
+        .expect("a ring of four filled within the flows");
+    assert_eq!(handle.stats().timedout_packets(), 2);
+
+    blocked.store(false, Ordering::Release);
+    let enqueued = full as u64;
+    let start = std::time::Instant::now();
+    while handle.stats().served_packets() < enqueued {
+        assert!(start.elapsed() < Duration::from_secs(10), "never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // No charge leaked at either site: both flows take a full cap again.
+    assert_eq!(offer(0), Ok(Submitted::Enqueued));
+    assert_eq!(offer(full), Ok(Submitted::Enqueued));
+
+    let report = rt.shutdown();
+    assert!(report.is_conserving(), "{report:?}");
+    assert_eq!(report.timedout_packets(), 2);
+    assert_eq!(report.served_packets(), enqueued + 2);
+}
