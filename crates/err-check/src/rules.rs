@@ -69,11 +69,10 @@ pub const PASSES: &[(&str, &str)] = &[
 
 /// Files allowed to use `Ordering::SeqCst`. Everything here is a
 /// store→load (Dekker) protocol where independent total order is the
-/// point: the drain gate's `closed+in_flight` pairing, the fault
-/// board's health arbitration and the migration slot's phase machine.
+/// point: the drain gate's `closed+in_flight` pairing and the migration
+/// slot's phase machine.
 pub(crate) const SEQCST_FILES: &[&str] = &[
     "crates/err-runtime/src/gate.rs",
-    "crates/err-runtime/src/fault.rs",
     "crates/err-runtime/src/migrate.rs",
     // FlowMap: the §8.3 submit-window Dekker (window enter vs map
     // flip); modeled with the shipped atomics by err-check's
@@ -278,7 +277,6 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
         section: Some("## 9"),
         needles: &[
             "Running",
-            "Quarantined",
             "Dead",
             "Exited",
             "Clean",

@@ -32,9 +32,10 @@ use crate::stats::RuntimeStats;
 pub enum ShardExit {
     /// Drained and returned normally.
     Clean,
-    /// The thread panicked; under supervision its loop resumed on the
-    /// same thread with the same state and nothing was lost (DESIGN.md
-    /// §9.2), without supervision its backlog is unaccounted.
+    /// The thread panicked at least once; each time its fence caught
+    /// the unwind and its loop resumed on the same thread with the same
+    /// state, and nothing was lost (DESIGN.md §9.2). The death stamp on
+    /// the fault board is what keeps it on the record.
     Panicked,
     /// The thread missed the shutdown deadline and was left running
     /// (detached); its cycles report as 0 and conservation may not
@@ -48,7 +49,7 @@ pub struct DrainReport {
     /// Statistics at the instant every worker had exited.
     pub stats: RuntimeStats,
     /// Final flit-clock value of each shard (cycles of service);
-    /// 0 for an abandoned worker or one that panicked unsupervised.
+    /// 0 for an abandoned worker.
     pub shard_cycles: Vec<u64>,
     /// Per-shard worker exit status.
     pub exits: Vec<ShardExit>,

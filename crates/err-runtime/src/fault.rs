@@ -1,25 +1,22 @@
-//! Shard supervision, in-place resumption, and the deterministic
-//! chaos harness (DESIGN.md §9).
+//! Worker resumption in place and the deterministic chaos harness
+//! (DESIGN.md §9).
 //!
 //! The fault model is *fail-stop with an honest ledger*, and death
-//! never moves a flow: a shard worker that panics (or is quarantined
-//! for a frozen heartbeat) is caught by its own fence, calls
-//! `FaultRuntime::resume`, and re-enters its loop on the same thread
-//! with its whole `WorkerState` — scheduler, flit clock, egress stage,
-//! in-flight migration driver (§9.2: *catch → resume*). The ingress
-//! ring stays where it is and the resumed loop goes on draining it, so
-//! nothing is re-homed and nothing is lost; only a forced abort (§9.4)
-//! counts residue `lost`, with its admission charge revoked, never
-//! silently leaked. The [`FaultBoard`] records heartbeats, health
-//! transitions, and death/recovery timestamps; a supervisor thread
-//! applies the single quarantine rule; a seeded [`FaultPlan`] replays
-//! shard panics, wedges, and link deaths on the shard flit clocks,
-//! which is what makes the chaos bench an experiment rather than an
-//! anecdote (§9.5).
+//! never moves a flow: a shard worker that panics is caught by its own
+//! fence, calls `FaultRuntime::resume`, and re-enters its loop on the
+//! same thread with its whole `WorkerState` — scheduler, flit clock,
+//! egress stage, in-flight migration driver (§9.2: *catch → resume*).
+//! The ingress ring stays where it is and the resumed loop goes on
+//! draining it, so nothing is re-homed and nothing is lost; only a
+//! forced abort (§9.4) counts residue `lost`, with its admission charge
+//! revoked, never silently leaked. The [`FaultBoard`] records
+//! heartbeats, health transitions, and death/recovery timestamps; a
+//! seeded [`FaultPlan`] replays shard panics and link deaths on the
+//! shard flit clocks, which is what makes the chaos bench an experiment
+//! rather than an anecdote (§9.5).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::time::Instant;
 
 use desim::{Cycle, SimRng};
 use err_sched::err::ErrScheduler;
@@ -30,51 +27,27 @@ use crate::migrate::MigrationDriver;
 use crate::shard::{EgressStage, ShardConfig};
 use crate::stats::{PaddedCounter, ShardStats};
 
-/// Supervisor policy knobs (DESIGN.md §9.1).
-#[derive(Clone, Copy, Debug)]
-pub struct SupervisionConfig {
-    /// How often the supervisor thread scans the [`FaultBoard`].
-    pub poll: Duration,
-    /// A `Running` shard whose heartbeat has not advanced for this long
-    /// is marked [`ShardHealth::Quarantined`]. Must comfortably exceed
-    /// the worker's idle park timeout (100µs) — the default leaves two
-    /// orders of magnitude of slack.
-    pub heartbeat_deadline: Duration,
-}
-
-impl Default for SupervisionConfig {
-    fn default() -> Self {
-        Self {
-            poll: Duration::from_millis(2),
-            heartbeat_deadline: Duration::from_millis(50),
-        }
-    }
-}
-
-/// Lifecycle state of one shard worker (DESIGN.md §9.1).
+/// Lifecycle state of one shard worker (DESIGN.md §9.1). Only the
+/// shard's own worker writes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ShardHealth {
     /// Serving normally.
     Running = 0,
-    /// The supervisor saw a frozen heartbeat; the worker's own fault
-    /// hook honors the flag by panicking into its fence.
-    Quarantined = 1,
-    /// The worker panicked (organically, by injection, or honoring a
-    /// quarantine) and is resuming: its fence caught the unwind, and
-    /// its loop has not yet been re-entered on the same thread.
-    Dead = 2,
+    /// The worker panicked (organically or by injection) and is
+    /// resuming: its fence caught the unwind, and its loop has not yet
+    /// been re-entered on the same thread.
+    Dead = 1,
     /// The worker drained cleanly and returned.
-    Exited = 3,
+    Exited = 2,
 }
 
 impl ShardHealth {
     fn from_u8(v: u8) -> Self {
         match v {
             0 => Self::Running,
-            1 => Self::Quarantined,
-            2 => Self::Dead,
-            3 => Self::Exited,
+            1 => Self::Dead,
+            2 => Self::Exited,
             _ => unreachable!("invalid shard health {v}"),
         }
     }
@@ -124,8 +97,9 @@ impl FaultBoard {
         self.cells.len()
     }
 
-    /// Bumped by `shard`'s worker once per service loop (idle loops
-    /// included — a parked worker wakes at the park timeout and beats).
+    /// Bumped by `shard`'s worker once per service loop, idle loops
+    /// included: a plain counter nobody acts on, which a reader can
+    /// watch for a shard that stopped looping.
     pub(crate) fn beat(&self, shard: usize) {
         self.cells[shard].heartbeat.add(1);
     }
@@ -137,39 +111,19 @@ impl FaultBoard {
 
     /// Current health of `shard`.
     pub fn health(&self, shard: usize) -> ShardHealth {
-        // ordering: SeqCst — the health byte arbitrates between the
-        // supervisor's quarantine CAS and the worker's own Dead and
-        // Running stores; every observer must agree on one total order
-        // of transitions (a racing death beats a quarantine everywhere,
-        // not per-thread). A `Running` read here also acquires the beat
-        // a resuming worker made before storing it.
-        ShardHealth::from_u8(self.cells[shard].health.load(Ordering::SeqCst))
+        // ordering: Acquire — a reader that sees `Running` after a
+        // death, or `Exited`, also sees the stamps the worker stored
+        // before it. [pair: board-health @ self]
+        ShardHealth::from_u8(self.cells[shard].health.load(Ordering::Acquire))
     }
 
     pub(crate) fn set_health(&self, shard: usize, health: ShardHealth) {
-        // ordering: SeqCst — same single-total-order contract as
-        // `health` (this is the worker's side of the arbitration).
+        // ordering: Release — the byte has one writer, its own worker;
+        // this publishes the stamps stored before the transition.
+        // [pair: board-health @ self]
         self.cells[shard]
             .health
-            .store(health as u8, Ordering::SeqCst);
-    }
-
-    /// Supervisor-only `Running → Quarantined` transition; returns
-    /// whether this call made it (a racing death wins).
-    pub(crate) fn quarantine(&self, shard: usize) -> bool {
-        // ordering: SeqCst/SeqCst — the supervisor's half of the
-        // health arbitration (see `health`): the CAS loses to a racing
-        // Dead store in the same total order every observer sees.
-        self.cells[shard]
-            .health
-            .compare_exchange(
-                ShardHealth::Running as u8,
-                ShardHealth::Quarantined as u8,
-                // ordering: SeqCst/SeqCst — see above.
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
+            .store(health as u8, Ordering::Release);
     }
 
     fn now_micros(&self) -> u64 {
@@ -177,26 +131,29 @@ impl FaultBoard {
     }
 
     pub(crate) fn stamp_death(&self, shard: usize) {
-        // ordering: SeqCst — stamped beside the Dead store and read
-        // against the health bytes; keeping it in the same total
-        // order means a reader that saw Dead also sees the timestamp.
+        // ordering: Relaxed — published by the `Dead` store and the
+        // recovery stamp that follow it; the drain reads it after its
+        // join. [pair: board-recovery @ self]
         self.cells[shard]
             .death_at
-            .store(self.now_micros(), Ordering::SeqCst);
+            .store(self.now_micros(), Ordering::Relaxed);
     }
 
     pub(crate) fn stamp_recovery(&self, shard: usize) {
-        // ordering: SeqCst — see `stamp_death`.
+        // ordering: Release — a poller that sees the recovery stamp
+        // (the chaos bench waits for it) sees the death stamp too.
+        // [pair: board-recovery @ self]
         self.cells[shard]
             .recovered_at
-            .store(self.now_micros(), Ordering::SeqCst);
+            .store(self.now_micros(), Ordering::Release);
     }
 
     /// Microseconds (since runtime start) at which `shard` last died,
     /// if it did.
     pub fn death_micros(&self, shard: usize) -> Option<u64> {
-        // ordering: SeqCst — reader side of `stamp_death`.
-        match self.cells[shard].death_at.load(Ordering::SeqCst) {
+        // ordering: Relaxed — read after an `Acquire` of the recovery
+        // stamp, or after the join. [pair: board-recovery @ self]
+        match self.cells[shard].death_at.load(Ordering::Relaxed) {
             NEVER => None,
             t => Some(t),
         }
@@ -205,8 +162,9 @@ impl FaultBoard {
     /// Microseconds (since runtime start) at which `shard`'s worker
     /// last resumed after a death, if it did.
     pub fn recovery_micros(&self, shard: usize) -> Option<u64> {
-        // ordering: SeqCst — reader side of `stamp_recovery`.
-        match self.cells[shard].recovered_at.load(Ordering::SeqCst) {
+        // ordering: Acquire — a `Some` here makes the death stamp
+        // stored before it visible. [pair: board-recovery @ self]
+        match self.cells[shard].recovered_at.load(Ordering::Acquire) {
             NEVER => None,
             t => Some(t),
         }
@@ -218,9 +176,6 @@ impl FaultBoard {
 pub enum FaultKind {
     /// Panic the shard worker (unwinds into its fence, §9.2).
     PanicShard,
-    /// Wedge the worker: it stops beating without unwinding, until the
-    /// supervisor quarantines it and the wedge loop honors the flag.
-    StickShard,
     /// Declare the given egress link dead (buffered mode only; ignored
     /// under sync egress, which has no links).
     KillLink(usize),
@@ -265,16 +220,6 @@ impl FaultPlan {
         self
     }
 
-    /// Wedges `shard`'s worker (heartbeat freeze) at cycle `at`.
-    pub fn stick_shard_at(mut self, shard: usize, at: Cycle) -> Self {
-        self.events.push(FaultEvent {
-            shard,
-            at,
-            kind: FaultKind::StickShard,
-        });
-        self
-    }
-
     /// Declares egress `link` dead when `shard`'s clock reaches `at`.
     pub fn kill_link_at(mut self, shard: usize, link: usize, at: Cycle) -> Self {
         self.events.push(FaultEvent {
@@ -287,7 +232,8 @@ impl FaultPlan {
 
     /// Seeded random plan: each shard independently draws at most one
     /// fault, at a geometric time with per-cycle rate `fault_rate`,
-    /// kept only if it lands inside `horizon` cycles. Derivation uses
+    /// kept only if it lands inside `horizon` cycles: a shard panic,
+    /// or with even odds a link death when there are links. Derivation uses
     /// a per-shard stream of the workspace [`SimRng`], so adding
     /// shards never perturbs the other shards' draws.
     pub fn from_rng(
@@ -304,10 +250,8 @@ impl FaultPlan {
             if at > horizon {
                 continue;
             }
-            let kind = match r.uniform_u32(0, 2) {
-                0 => FaultKind::PanicShard,
-                1 => FaultKind::StickShard,
-                _ if n_links > 0 => {
+            let kind = match r.uniform_u32(0, 1) {
+                1 if n_links > 0 => {
                     FaultKind::KillLink(r.uniform_u32(0, n_links as u32 - 1) as usize)
                 }
                 _ => FaultKind::PanicShard,
@@ -378,8 +322,8 @@ impl FaultInjector {
 }
 
 /// Everything a worker thread owns (§9.2): a worker starts from one
-/// with a fresh scheduler and clock 0 and, under supervision, re-enters
-/// its loop with the same one after a panic. It lives outside the
+/// with a fresh scheduler and clock 0 and re-enters its loop with the
+/// same one after a panic. It lives outside the
 /// loop's panic fence, so it survives the unwind whole; injected
 /// panics fire only at an intake boundary and a sink's unwind leaves
 /// its interrupted batch in the stage, so the state is consistent by
@@ -397,82 +341,47 @@ pub(crate) struct WorkerState {
     pub(crate) stage: Box<dyn EgressStage>,
 }
 
-/// Fault-tolerance state hung off the runtime's `Shared` block when
-/// `RuntimeConfig::supervision` is set.
+/// Fault-tolerance state every runtime's `Shared` block carries: the
+/// board, and the compiled plan when `RuntimeConfig::fault_plan` is set.
 pub(crate) struct FaultRuntime {
     pub(crate) board: FaultBoard,
     pub(crate) injector: Option<FaultInjector>,
-    pub(crate) config: SupervisionConfig,
 }
 
 impl FaultRuntime {
-    pub(crate) fn new(
-        shards: usize,
-        config: SupervisionConfig,
-        injector: Option<FaultInjector>,
-    ) -> Self {
+    pub(crate) fn new(shards: usize, injector: Option<FaultInjector>) -> Self {
         Self {
             board: FaultBoard::new(shards),
             injector,
-            config,
         }
     }
 
     /// A caught worker's one call before it re-enters its loop on the
-    /// same thread (§9.2): stamp the death, pass through `Dead`, then
-    /// beat *before* storing `Running`, so a supervisor that reads
-    /// `Running` reads a heartbeat the resumed worker made and never
-    /// quarantines it on a stale one.
+    /// same thread (§9.2): stamp the death, pass through `Dead`, stamp
+    /// the recovery, store `Running`.
     pub(crate) fn resume(&self, shard: usize) {
         self.board.stamp_death(shard);
         self.board.set_health(shard, ShardHealth::Dead);
-        self.board.beat(shard);
         self.board.stamp_recovery(shard);
         self.board.set_health(shard, ShardHealth::Running);
     }
 }
 
 /// Per-loop fault hook, called by the worker loop at the intake
-/// boundary: beat the heartbeat, honor a quarantine (by panicking into
-/// the worker's fence), and fire due injected events. `stage` takes the
-/// `KillLink` events; a stage without links ignores them.
+/// boundary: beat the heartbeat and fire due injected events. `stage`
+/// takes the `KillLink` events; a stage without links ignores them.
 pub(crate) fn fault_tick(shared: &Shared, shard: usize, now: Cycle, stage: &dyn EgressStage) {
-    let Some(fr) = shared.fault.as_ref() else {
-        return;
-    };
+    let fr = &shared.fault;
     fr.board.beat(shard);
-    if fr.board.health(shard) == ShardHealth::Quarantined {
-        panic!("shard {shard}: quarantine honored (heartbeat stalled past deadline)");
-    }
     if let Some(inj) = fr.injector.as_ref() {
         while let Some(kind) = inj.next_due(shard, now) {
             match kind {
                 FaultKind::PanicShard => {
                     panic!("shard {shard}: injected panic at cycle {now} (FaultPlan)")
                 }
-                FaultKind::StickShard => stick(shared, fr, shard),
                 FaultKind::KillLink(link) => stage.declare_link_dead(link),
             }
         }
-    }
-}
-
-/// The injected wedge: spin without beating until the supervisor
-/// quarantines this shard (or the runtime aborts), then panic into the
-/// worker's fence — modelling a wedge that a watchdog kill eventually
-/// reaches (DESIGN.md §9.2).
-fn stick(shared: &Shared, fr: &FaultRuntime, shard: usize) {
-    loop {
-        if fr.board.health(shard) == ShardHealth::Quarantined {
-            panic!("shard {shard}: quarantine honored (injected wedge)");
-        }
-        // ordering: Acquire pairs with the Release `abort` store in
-        // `Runtime::drain_within`.
-        if shared.abort.load(Ordering::Acquire) {
-            panic!("shard {shard}: injected wedge aborted by shutdown");
-        }
-        // backstop: polls quarantine and abort; nobody wakes a wedge.
-        std::thread::park_timeout(Duration::from_micros(200));
     }
 }
 
@@ -519,41 +428,6 @@ pub(crate) fn abort_residuals(
     stats.backlog_flits.set(0);
 }
 
-/// The supervisor loop (DESIGN.md §9.1): every `poll`, quarantine any
-/// `Running` shard whose heartbeat has not advanced for
-/// `heartbeat_deadline`. Never touches a scheduler — quarantine is a
-/// flag the worker's own fault hook honors.
-pub(crate) fn run_supervisor(shared: Arc<Shared>, stop: Arc<AtomicBool>) {
-    let Some(fr) = shared.fault.as_ref() else {
-        return;
-    };
-    let shards = fr.board.shards();
-    let mut last_beat: Vec<u64> = (0..shards).map(|s| fr.board.heartbeat(s)).collect();
-    let mut last_change: Vec<Instant> = vec![Instant::now(); shards];
-    // ordering: Acquire pairs with the Release `stop` store in
-    // `Runtime::drain_within` (supervisor shutdown latch).
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(fr.config.poll);
-        for s in 0..shards {
-            // Health before heartbeat: a resuming worker beats before it
-            // stores `Running`, so a `Running` read is never judged
-            // against a beat older than the resume. A shard that is not
-            // `Running` gets a fresh grace window. (A stalled worker
-            // that panics and resumes between these reads and the CAS
-            // still takes the quarantine its stall earned: one more
-            // resume, nothing lost.)
-            let running = fr.board.health(s) == ShardHealth::Running;
-            let beat = fr.board.heartbeat(s);
-            if !running || beat != last_beat[s] {
-                last_beat[s] = beat;
-                last_change[s] = Instant::now();
-            } else if last_change[s].elapsed() >= fr.config.heartbeat_deadline {
-                fr.board.quarantine(s);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,12 +438,11 @@ mod tests {
         assert_eq!(b.shards(), 2);
         assert_eq!(b.health(0), ShardHealth::Running);
         assert_eq!(b.death_micros(0), None);
-        assert!(b.quarantine(0), "Running → Quarantined");
-        assert_eq!(b.health(0), ShardHealth::Quarantined);
-        assert!(!b.quarantine(0), "CAS only fires from Running");
-        b.set_health(0, ShardHealth::Dead);
         b.stamp_death(0);
+        b.set_health(0, ShardHealth::Dead);
+        assert_eq!(b.health(0), ShardHealth::Dead);
         b.stamp_recovery(0);
+        b.set_health(0, ShardHealth::Running);
         let (d, r) = (b.death_micros(0).unwrap(), b.recovery_micros(0).unwrap());
         assert!(r >= d, "recovery postdates death");
         assert_eq!(b.recovery_micros(1), None);
@@ -583,13 +456,13 @@ mod tests {
     fn plan_builders_compile_sorted_per_shard() {
         let plan = FaultPlan::new()
             .kill_shard_at(1, 500)
-            .stick_shard_at(0, 100)
+            .kill_shard_at(0, 100)
             .kill_link_at(1, 3, 200)
             .kill_shard_at(7, 10); // out of range, dropped by compile
         assert_eq!(plan.events().len(), 4);
         let inj = FaultInjector::new(&plan, 2);
         assert_eq!(inj.next_due(0, 99), None, "not due yet");
-        assert_eq!(inj.next_due(0, 100), Some(FaultKind::StickShard));
+        assert_eq!(inj.next_due(0, 100), Some(FaultKind::PanicShard));
         assert_eq!(inj.next_due(0, 100_000), None, "consumed");
         // Shard 1's two events fire in `at` order regardless of
         // insertion order, both due at once.

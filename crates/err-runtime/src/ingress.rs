@@ -86,10 +86,10 @@ pub(crate) struct Shared {
     /// thing that moves a flow, so `None` keeps the static hash as the
     /// whole routing truth and a submit path that takes no window.
     pub(crate) steal: Option<crate::migrate::StealRuntime>,
-    /// Fault-tolerance state (`RuntimeConfig::supervision`); a dead
-    /// shard is resurrected in place, so it never touches the map
+    /// Fault-tolerance state: the board and any compiled `FaultPlan`.
+    /// A dead shard resumes in place, so it never touches the map
     /// (DESIGN.md §9.2).
-    pub(crate) fault: Option<crate::fault::FaultRuntime>,
+    pub(crate) fault: crate::fault::FaultRuntime,
     /// The shutdown gate: `closed` flag + in-flight submit counter as a
     /// Dekker-style pair, so workers never take their *final* look at
     /// the ingress rings while a producer that missed the close is

@@ -47,9 +47,8 @@
 //!   downstream freezes only its own flows — the regime the paper's
 //!   stalled-wormhole argument is about.
 //! * [`fault`] adds the failure half of that story (DESIGN.md §9):
-//!   supervised workers that catch their own panic and resume in place,
-//!   on the same thread with the same state, nothing lost, a heartbeat
-//!   supervisor that quarantines wedged shards, dead-link
+//!   workers that catch their own panic and resume in place, on the
+//!   same thread with the same state, nothing lost, dead-link
 //!   failover in the egress stage, bounded shutdown
 //!   ([`Runtime::shutdown_within`]) and submit
 //!   ([`RuntimeHandle::submit_within`]), and a seeded [`FaultPlan`]
@@ -59,7 +58,7 @@
 //!   the claim — the donor names its victim there and flips the
 //!   [`FlowMap`] that submit routes by, inside per-flow submit windows.
 //!   A steal is the one thing that moves a flow; death never does, so
-//!   stealing composes with supervision as it stands, and runs under
+//!   stealing composes with resumption as it stands, and runs under
 //!   [`EgressMode::Buffered`] via the §8.7 egress-retire fence.
 //!
 //! # Quick example
@@ -109,9 +108,7 @@ pub use err_egress::{
     BufferedConfig, DeadLinkPolicy, Egress, EgressController, EgressSnapshot, LinkState,
     SharedEgress, StallPlan, StallWindow, Threaded,
 };
-pub use fault::{
-    FaultBoard, FaultEvent, FaultInjector, FaultKind, FaultPlan, ShardHealth, SupervisionConfig,
-};
+pub use fault::{FaultBoard, FaultEvent, FaultInjector, FaultKind, FaultPlan, ShardHealth};
 pub use flow_map::{FlowMap, WindowGuard};
 pub use ingress::{RuntimeHandle, SubmitError, Submitted};
 pub use migrate::{LoadBoard, MigrationPhase, MigrationSlot, StealingConfig};
@@ -189,18 +186,13 @@ pub struct RuntimeConfig {
     /// under [`EgressMode::Buffered`] the donor adds the §8.7
     /// egress-retire fence (a flow's home flips only after its last
     /// victim flit has retired downstream), so handoffs never interleave
-    /// a wormhole. Composes with `supervision`: a shard that dies
-    /// mid-handoff resumes with its migration state and takes the
+    /// a wormhole. Composes with resumption in place: a shard that
+    /// dies mid-handoff resumes with its migration state and takes the
     /// handoff's next step (§9.2).
     pub stealing: Option<StealingConfig>,
-    /// Shard supervision (DESIGN.md §9): heartbeats, quarantine, and
-    /// resumption in place — a worker that panics re-enters its loop
-    /// on the same thread with its ring, scheduler, egress stage and
-    /// migration state, no flow moves and nothing is lost (§9.2). Works
-    /// under either [`EgressMode`].
-    pub supervision: Option<SupervisionConfig>,
     /// Deterministic fault injection (DESIGN.md §9.5); events fire on
-    /// each shard's flit clock. Requires `supervision`.
+    /// each shard's flit clock. Every worker resumes from a panic in
+    /// place, with or without a plan (§9.2).
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -216,7 +208,6 @@ impl Default for RuntimeConfig {
             admission: AdmissionPolicy::Unlimited,
             egress: EgressMode::Sync,
             stealing: None,
-            supervision: None,
             fault_plan: None,
         }
     }
@@ -230,8 +221,6 @@ pub struct Runtime {
     workers: Vec<JoinHandle<u64>>,
     /// Buffered-mode state; `None` under [`EgressMode::Sync`].
     egress: Option<EgressController>,
-    /// Supervisor thread and its stop flag (`RuntimeConfig::supervision`).
-    supervisor: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
     drained: AtomicBool,
 }
 
@@ -277,17 +266,11 @@ impl Runtime {
         let steal = config
             .stealing
             .map(|sc| migrate::StealRuntime::new(config.n_flows, config.shards, sc));
-        let fault = config.supervision.map(|sup| {
-            let injector = config
-                .fault_plan
-                .as_ref()
-                .map(|p| fault::FaultInjector::new(p, config.shards));
-            fault::FaultRuntime::new(config.shards, sup, injector)
-        });
-        assert!(
-            config.fault_plan.is_none() || fault.is_some(),
-            "a FaultPlan requires supervision (RuntimeConfig::supervision)"
-        );
+        let injector = config
+            .fault_plan
+            .as_ref()
+            .map(|p| fault::FaultInjector::new(p, config.shards));
+        let fault = fault::FaultRuntime::new(config.shards, injector);
         let shared = Arc::new(Shared {
             rings: (0..config.shards)
                 .map(|_| MpscRing::with_capacity(config.ring_capacity))
@@ -371,21 +354,6 @@ impl Runtime {
             })
             .collect();
 
-        let supervisor = shared.fault.as_ref().map(|_| {
-            let stop = Arc::new(AtomicBool::new(false));
-            let shared = Arc::clone(&shared);
-            let stop2 = Arc::clone(&stop);
-            // panic-policy: a supervisor panic stops quarantine but
-            // nothing else — workers resume and drain normally, and the
-            // drain-time `join` absorbs the unwind (its `Err` is
-            // deliberately discarded).
-            let handle = std::thread::Builder::new()
-                .name("err-supervisor".into())
-                .spawn(move || fault::run_supervisor(shared, stop2))
-                .expect("spawning supervisor");
-            (stop, handle)
-        });
-
         let handle = RuntimeHandle {
             shared: Arc::clone(&shared),
         };
@@ -394,7 +362,6 @@ impl Runtime {
                 shared,
                 workers,
                 egress: controller,
-                supervisor,
                 drained: AtomicBool::new(false),
             },
             handle,
@@ -445,10 +412,10 @@ impl Runtime {
         self.drain_within(Some(deadline))
     }
 
-    /// The fault board, when supervision is enabled: per-shard health,
-    /// heartbeats, and death/recovery timestamps (DESIGN.md §9.1).
-    pub fn fault_board(&self) -> Option<&FaultBoard> {
-        self.shared.fault.as_ref().map(|fr| &fr.board)
+    /// The fault board: per-shard health, heartbeats, and
+    /// death/recovery timestamps (DESIGN.md §9.1).
+    pub fn fault_board(&self) -> &FaultBoard {
+        &self.shared.fault.board
     }
 
     fn drain_within(&mut self, timeout: Option<Duration>) -> DrainReport {
@@ -497,7 +464,7 @@ impl Runtime {
                     forced = true;
                     // ordering: Release (downgraded from SeqCst in
                     // PR 5) pairs with the workers' Acquire `abort`
-                    // loads (shard.rs, fault.rs). A one-way stop latch
+                    // loads (shard.rs). A one-way stop latch
                     // needs no Dekker pairing: no reader consults a
                     // second flag whose order against this store
                     // matters.
@@ -542,12 +509,9 @@ impl Runtime {
         let mut shard_cycles = Vec::with_capacity(self.workers.len());
         let mut exits = Vec::with_capacity(self.workers.len());
         for (shard, worker) in self.workers.drain(..).enumerate() {
-            // A supervised worker that panicked resumed and returned
-            // normally; the death stamp remembers it (§9.2).
-            let died = || {
-                let fault = self.shared.fault.as_ref();
-                fault.is_some_and(|fr| fr.board.death_micros(shard).is_some())
-            };
+            // A worker that panicked resumed and returned normally; the
+            // death stamp remembers it (§9.2).
+            let died = || self.shared.fault.board.death_micros(shard).is_some();
             let (exit, cycles) = if timeout.is_some() && !worker.is_finished() {
                 // Abandon rung: the thread is wedged past the deadline;
                 // detach it and record the hole in the accounting.
@@ -561,12 +525,6 @@ impl Runtime {
             };
             exits.push(exit);
             shard_cycles.push(cycles);
-        }
-        if let Some((stop, handle)) = self.supervisor.take() {
-            // ordering: Release pairs with the supervisor loop's
-            // Acquire `stop` load (fault.rs) — a plain shutdown latch.
-            stop.store(true, Ordering::Release);
-            let _ = handle.join();
         }
         let mut stats = RuntimeStats::collect(&self.shared.stats);
         if let Some(ctrl) = &self.egress {
@@ -588,9 +546,8 @@ impl Runtime {
 /// the life of the runtime (§9.2).
 fn spawn_worker(shared: Arc<Shared>, state: fault::WorkerState) -> JoinHandle<u64> {
     // panic-policy: a worker panic is a modeled fault (§9), caught by
-    // `run_shard`'s own fence — under supervision the loop resumes on
-    // this thread and drain records `ShardExit::Panicked`; without it
-    // the re-thrown panic reaches drain's join, same verdict.
+    // `run_shard`'s own fence: the loop resumes on this thread and
+    // drain records `ShardExit::Panicked` from the death stamp.
     std::thread::Builder::new()
         .name(format!("err-shard-{}", state.cfg.shard))
         .spawn(move || {

@@ -42,14 +42,10 @@
 //! The loop runs inside a `catch_unwind` fence with the worker's whole
 //! state — scheduler, migration driver, flit clock and stage, i.e. a
 //! `WorkerState` — owned *outside* the closure (DESIGN.md §9.2): a panic
-//! unwinds out of the loop, the fence catches it, and the worker takes
-//! one of two paths:
-//!
-//! * **resume** (supervision) — it records the death on the fault
-//!   board and re-enters the loop on the same thread with the same
-//!   state; no flow moves;
-//! * **re-throw** (no supervision) — the join observes the panic and
-//!   shutdown reports it as [`ShardExit::Panicked`](crate::ShardExit).
+//! unwinds out of the loop, the fence catches it, and the worker records
+//! the death on the fault board and re-enters the loop on the same
+//! thread with the same state. No flow moves, and shutdown reports the
+//! death as [`ShardExit::Panicked`](crate::ShardExit).
 //!
 //! After a loop that moved nothing the worker idles on its shard's
 //! [`WakeCell`](err_egress::WakeCell) (`idle_unless`, DESIGN.md §6).
@@ -66,10 +62,10 @@
 //! flit. A lone worker whose every link is credit-parked waits for
 //! announced events only: its sleep is *covered*, its timer a mere
 //! `BACKSTOP`. Any other park polls for what nobody announces — a plain
-//! push; a heartbeat, a thief's request or a credit other shards may
-//! take first; a sink that refused a flit finding room — and keeps
-//! `PARK_TIMEOUT`. A refused flit is offered again once per such park
-//! (or wake), never per look.
+//! push; a thief's request or a credit other shards may take first; a
+//! sink that refused a flit finding room — and keeps `PARK_TIMEOUT`. A
+//! refused flit is offered again once per such park (or wake), never
+//! per look.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -150,9 +146,8 @@ pub(crate) trait EgressStage: Send {
     }
 
     /// Forced-abort settlement (§9.4), run where the scheduler's residue
-    /// is counted lost, and when an unsupervised worker dies: disposes
-    /// of every flit the stage still has to deliver itself, so none is
-    /// dropped uncounted with its credit.
+    /// is counted lost: disposes of every flit the stage still has to
+    /// deliver itself, so none is dropped uncounted with its credit.
     fn abort(&mut self) {}
 
     /// Whether `flow`'s link is credit-parked: a mover must then leave
@@ -183,12 +178,13 @@ pub(crate) trait EgressStage: Send {
 /// the panic fence (§9.2): a sink that unwinds mid-batch leaves
 /// `served[next..]` pulled from the scheduler but not yet handed over,
 /// and nothing of the batch counted; the resumed loop's first `serve`
-/// finishes it instead of pulling a new one. The flit the sink unwound
-/// on is not offered twice.
+/// finishes and counts it instead of pulling a new one — also when the
+/// sink unwound on the batch's last flit, since a batch is cleared only
+/// once counted. The flit the sink unwound on is not offered twice.
 pub(crate) struct SyncStage<E> {
     shard: usize,
     sink: Option<E>,
-    /// The service batch, reused across loops.
+    /// The service batch, reused across loops; empty once counted.
     served: Vec<ServedFlit>,
     /// Flits of `served` already handed to the sink.
     next: usize,
@@ -216,9 +212,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
         now: Cycle,
         batch_flits: usize,
     ) -> (u64, u64, bool) {
-        if self.next == self.served.len() {
-            self.served.clear();
-            (self.next, self.tails) = (0, 0);
+        if self.served.is_empty() {
             scheduler.service_batch(now, batch_flits, &mut self.served);
         }
         for flit in &self.served[self.next..] {
@@ -231,7 +225,10 @@ impl<E: Egress> EgressStage for SyncStage<E> {
                 sink.emit(self.shard, flit);
             }
         }
-        (self.served.len() as u64, self.tails, false)
+        let counted = (self.served.len() as u64, self.tails, false);
+        self.served.clear();
+        (self.next, self.tails) = (0, 0);
+        counted
     }
 }
 
@@ -522,26 +519,16 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
 /// called *and* the ring, the scheduler and the stage are fully
 /// drained. Returns the shard's final flit clock.
 ///
-/// Under supervision a caught panic resumes the loop on this thread
-/// with the same `w` (§9.2): the clock continues, it never rewinds.
+/// A caught panic resumes the loop on this thread with the same `w`
+/// (§9.2): the clock continues, it never rewinds.
 pub(crate) fn run_shard(shared: Arc<Shared>, mut w: WorkerState) -> Cycle {
     let shard = w.cfg.shard;
     // Once for life: a resumed loop runs on this same thread.
     shared.wakes[shard].register();
-    while let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| run_loop(&shared, &mut w))) {
-        match shared.fault.as_ref() {
-            Some(fr) => fr.resume(shard),
-            None => {
-                // Nobody resumes the stage: what it holds is
-                // dead-lettered, so no credit dies with the worker.
-                w.stage.abort();
-                panic::resume_unwind(payload)
-            }
-        }
+    while panic::catch_unwind(AssertUnwindSafe(|| run_loop(&shared, &mut w))).is_err() {
+        shared.fault.resume(shard);
     }
-    if let Some(fr) = shared.fault.as_ref() {
-        fr.board.set_health(shard, ShardHealth::Exited);
-    }
+    shared.fault.board.set_health(shard, ShardHealth::Exited);
     w.now
 }
 
@@ -563,14 +550,14 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
     let debug_exit = std::env::var_os("ERR_DRAIN_DEBUG").is_some();
     let mut debug_parks: u64 = 0;
 
-    // Nobody announces when a heartbeat is due, a thief asks, or that
-    // a returned credit is still there once another shard has looked.
-    let polls = shared.fault.is_some() || shared.steal.is_some() || shared.wakes.len() > 1;
+    // Nobody announces when a thief asks, or that a returned credit is
+    // still there once another shard has looked.
+    let polls = shared.steal.is_some() || shared.wakes.len() > 1;
     loop {
         // Fault phase (DESIGN.md §9): forced-shutdown abort, heartbeat,
-        // quarantine, injected events — the abort check first, also in
-        // a resumed loop. The stage holds no credit between service
-        // phases, and no flit — but for a sync batch a sink's unwind
+        // injected events — the abort check first, also in a resumed
+        // loop. The stage holds no credit between service phases, and
+        // no flit — but for a sync batch a sink's unwind
         // interrupted, which an abort that beats the resumed loop's
         // first `serve` leaves uncounted (§9.4), and what the flusher
         // core holds, which `abort` dead-letters — so a forced abort has
@@ -707,8 +694,8 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
                     cell.idle_unless(has_work, BACKSTOP)
                 } else {
                     // backstop: polls arrivals (a plain push never wakes),
-                    // heartbeat, thieves, credits other shards may take,
-                    // and a sink that refused a flit finding room.
+                    // thieves, credits other shards may take, and a sink
+                    // that refused a flit finding room.
                     cell.idle_unless(has_work, PARK_TIMEOUT)
                 };
                 stats.parks.add(u64::from(how != Sleep::Ready));

@@ -14,7 +14,7 @@
 //!
 //! `runtime-bench --chaos [--smoke] [FAULT_OUT]` runs the fault
 //! scenarios instead (DESIGN.md §9): kill-1-of-N shard throughput vs a
-//! supervised no-fault baseline (the dead shard's worker resumes in
+//! no-fault baseline (the dead shard's worker resumes in
 //! place on its own thread — zero lost, §9.2 — with the death-to-resume
 //! distribution from the `FaultBoard` stamps), a dead-egress-link
 //! run measuring how much the unaffected links keep delivering, and a
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use err_fabric::{DeadLinkPolicy, Fabric, FabricConfig, FabricFaultPlan, FlowSpec, Topology};
 use err_runtime::{
     AdmissionPolicy, BufferedConfig, EgressMode, FaultPlan, Runtime, RuntimeConfig, StallPlan,
-    StealingConfig, Submitted, SupervisionConfig,
+    StealingConfig, Submitted,
 };
 use err_sched::{Discipline, Packet, ServedFlit};
 
@@ -626,13 +626,13 @@ fn run_stealing_bench(
 
 /// Fault-tolerance scenarios (DESIGN.md §9), selected by `--chaos`.
 ///
-/// Scenario A — kill 1 of N shards mid-run: a supervised runtime with a
+/// Scenario A — kill 1 of N shards mid-run: a runtime with a
 /// `FaultPlan` that panics one worker a quarter of the way through its
 /// share of the workload. The worker catches its own panic and resumes
 /// its loop on the same thread with the same state (DESIGN.md §9.2) —
 /// nothing re-homed, zero lost, asserted per run — so end-to-end
 /// throughput should hold at least the `(N-1)/N` capacity fraction of a
-/// supervised no-fault baseline (it is usually ~1.0: the outage is the
+/// no-fault baseline (it is usually ~1.0: the outage is the
 /// unwind and a few board stores). Recovery time is `recovered_at -
 /// death_at` from the `FaultBoard` stamps, collected across repeats. Runs interleave
 /// as baseline/killed *pairs* and the best pair ratio is kept:
@@ -650,7 +650,7 @@ struct ChaosKillSample {
     recovery_micros: Vec<u64>,
 }
 
-/// One supervised run; `plan` optionally kills a shard, which must
+/// One run; `plan` optionally kills a shard, which must
 /// finish with zero lost. Returns (packets/sec, recovery µs of the
 /// planned victim).
 fn chaos_kill_run(shards: usize, packets: u64, plan: Option<FaultPlan>) -> (f64, Option<u64>) {
@@ -662,7 +662,6 @@ fn chaos_kill_run(shards: usize, packets: u64, plan: Option<FaultPlan>) -> (f64,
         shards,
         n_flows: N_FLOWS,
         ring_capacity: 1 << 13,
-        supervision: Some(SupervisionConfig::default()),
         fault_plan: plan,
         ..RuntimeConfig::default()
     });
@@ -677,7 +676,7 @@ fn chaos_kill_run(shards: usize, packets: u64, plan: Option<FaultPlan>) -> (f64,
     if let Some(v) = victim {
         let poll_deadline = Instant::now() + Duration::from_secs(30);
         while Instant::now() < poll_deadline {
-            let board = rt.fault_board().expect("supervision is on");
+            let board = rt.fault_board();
             if let (Some(d), Some(r)) = (board.death_micros(v), board.recovery_micros(v)) {
                 recovery = Some(r.saturating_sub(d));
                 break;
@@ -739,7 +738,7 @@ fn chaos_kill_compare(shards: usize, packets: u64) -> ChaosKillSample {
 /// `DeadLinkPolicy::DropAndAccount`, a `FaultPlan` declaring link 0
 /// dead early in the run. Measures delivered flits/sec on links
 /// `1..N` only; the dead link must not disturb them (ratio >= 0.95 vs
-/// a supervised no-fault baseline).
+/// a no-fault baseline).
 fn chaos_dead_link_run(kill: bool, window: Duration) -> (f64, u64) {
     let plan = kill.then(|| FaultPlan::new().kill_link_at(0, 0, 100));
     let (rt, handle) = Runtime::start_with_egress(
@@ -748,7 +747,6 @@ fn chaos_dead_link_run(kill: bool, window: Duration) -> (f64, u64) {
             n_flows: N_FLOWS,
             admission: AdmissionPolicy::DropTail { max_backlog: 64 },
             egress: buffered_mode(None),
-            supervision: Some(SupervisionConfig::default()),
             fault_plan: plan,
             ..RuntimeConfig::default()
         },
@@ -795,7 +793,7 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
             && info
                 .payload()
                 .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("FaultPlan") || m.contains("quarantine honored"));
+                .is_some_and(|m| m.contains("FaultPlan"));
         if !injected {
             default_hook(info);
         }

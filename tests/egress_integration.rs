@@ -14,8 +14,7 @@ use std::time::{Duration, Instant};
 
 use err_runtime::{
     AdmissionPolicy, BufferedConfig, DeadLinkPolicy, DrainReport, Egress, EgressMode, FaultPlan,
-    Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats, ShardExit, StallPlan, SupervisionConfig,
-    Threaded,
+    Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats, ShardExit, StallPlan, Threaded,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -368,9 +367,8 @@ enum Link0 {
 /// flow sees the identical flit sequence under sync and buffered modes
 /// — the sink bare in the worker's flusher step, or behind a `Threaded`
 /// adapter — whatever link 0 goes through. With a `fault_plan` the
-/// shard runs under supervision (DESIGN.md §9.2), so the same holds
-/// across a worker death whose successor adopts the egress stage of
-/// either mode.
+/// same holds across a worker death: the worker resumes in place with
+/// the egress stage of either mode (DESIGN.md §9.2).
 fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
     const CREDITS: u64 = 32;
     let faulted = fault_plan.is_some();
@@ -382,7 +380,6 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
                 shards: 1,
                 n_flows: 8,
                 egress,
-                supervision: faulted.then(SupervisionConfig::default),
                 fault_plan: fault_plan.clone(),
                 ..RuntimeConfig::default()
             },
@@ -472,8 +469,8 @@ fn buffered_matches_sync_per_flow_sequences() {
 }
 
 /// The same equivalence across a shard death: one seeded kill in the
-/// middle of the ~3 500-flit run, and the successor carries on from the
-/// bequeathed stage — the sync stage's sink or the buffered stage's
+/// middle of the ~3 500-flit run, and the resumed worker carries on
+/// with its own stage — the sync stage's sink or the buffered stage's
 /// ring, parking marks, pushed count, flusher core and sink (a
 /// `Threaded` adapter and its thread included) — with nothing lost in
 /// any mode.
@@ -580,13 +577,12 @@ fn sink_panic_on_the_flusher_is_reported_by_shutdown_within() {
 }
 
 /// A bare sink that panics in `try_emit` unwinds the worker, whose
-/// flusher step called it (DESIGN.md §14.4). Under supervision the
-/// successor adopts the stage, its flusher core and the sink from the
-/// `Bequest` (§9.2): the flit in hand is dead-lettered, every other one
-/// delivered, and the drain conserves. Without supervision the dying
-/// worker's `EgressStage::abort` dead-letters what its core holds. In
-/// both cases every credit returns, and `shutdown` finishes unforced.
-fn drain_after_a_bare_sink_panic(supervised: bool, shutdown: impl FnOnce(Runtime) -> DrainReport) {
+/// flusher step called it (DESIGN.md §14.4). The worker resumes in
+/// place with the stage, its flusher core and the sink whole (§9.2):
+/// the flit in hand is dead-lettered, every other one delivered, every
+/// credit returns, the drain conserves, and `shutdown` finishes
+/// unforced.
+fn drain_after_a_bare_sink_panic(shutdown: impl FnOnce(Runtime) -> DrainReport) {
     const PACKETS: u64 = 500;
     const CREDITS: u64 = 8;
     struct Panicky {
@@ -615,10 +611,6 @@ fn drain_after_a_bare_sink_panic(supervised: bool, shutdown: impl FnOnce(Runtime
                 n_links: N_LINKS,
                 ..BufferedConfig::default()
             }),
-            supervision: supervised.then(|| SupervisionConfig {
-                heartbeat_deadline: Duration::from_secs(10),
-                ..SupervisionConfig::default()
-            }),
             ..RuntimeConfig::default()
         },
         move |_shard| {
@@ -629,15 +621,6 @@ fn drain_after_a_bare_sink_panic(supervised: bool, shutdown: impl FnOnce(Runtime
     for id in 0..PACKETS {
         let flow = (id % N_FLOWS as u64) as usize;
         handle.submit(Packet::new(id, flow, PACKET_LEN, 0)).unwrap();
-    }
-    if !supervised {
-        // The worker dies with its ring and scheduler: wait for the
-        // panic rather than race the drain against it.
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while calls.load(Ordering::Relaxed) <= 100 {
-            assert!(Instant::now() < deadline, "the sink never panicked");
-            std::thread::sleep(Duration::from_millis(1));
-        }
     }
     let report = shutdown(rt);
     assert!(!report.forced, "the drain must finish unforced: {report:?}");
@@ -651,28 +634,17 @@ fn drain_after_a_bare_sink_panic(supervised: bool, shutdown: impl FnOnce(Runtime
     let served = report.stats.served_flits();
     assert_eq!(delivered + dead, served, "a served flit went uncounted");
     assert_eq!(egress.flushed_flits(), delivered);
-    if supervised {
-        assert!(report.is_conserving(), "{report:?}");
-        assert_eq!(report.served_packets(), PACKETS, "{report:?}");
-        assert_eq!(dead, 1, "only the flit in hand is dead-lettered");
-        assert_eq!(calls.load(Ordering::Relaxed), served);
-    } else {
-        assert_eq!(delivered, 100);
-    }
+    assert!(report.is_conserving(), "{report:?}");
+    assert_eq!(report.served_packets(), PACKETS, "{report:?}");
+    assert_eq!(dead, 1, "only the flit in hand is dead-lettered");
+    assert_eq!(calls.load(Ordering::Relaxed), served);
 }
 
 #[test]
 fn a_bare_sink_panic_bequeaths_the_flusher_core_to_the_successor() {
     let _alone = one_at_a_time();
-    drain_after_a_bare_sink_panic(true, Runtime::shutdown);
-    drain_after_a_bare_sink_panic(true, |rt| rt.shutdown_within(Duration::from_millis(500)));
-}
-
-#[test]
-fn a_bare_sink_panic_without_supervision_dead_letters_what_the_core_holds() {
-    let _alone = one_at_a_time();
-    drain_after_a_bare_sink_panic(false, Runtime::shutdown);
-    drain_after_a_bare_sink_panic(false, |rt| rt.shutdown_within(Duration::from_millis(500)));
+    drain_after_a_bare_sink_panic(Runtime::shutdown);
+    drain_after_a_bare_sink_panic(|rt| rt.shutdown_within(Duration::from_millis(500)));
 }
 
 /// A transient link death under `DeadLinkPolicy::HoldForRecovery`
@@ -1186,64 +1158,6 @@ fn idle_flushers_sleep_on_the_backstop_and_hear_the_shutdown() {
     );
 }
 
-/// The overlay gate of the covered sleep (DESIGN.md §6): a supervised
-/// worker owes the supervisor a heartbeat nobody announces, so even
-/// with every link credit-parked it keeps the short park. Fifty
-/// milliseconds of total stall against a 5 ms heartbeat deadline must
-/// not get the shard quarantined. (A worker asleep on the 10 ms
-/// backstop would be, every time; the host freezing the whole process
-/// for longer than the deadline looks the same to the supervisor and
-/// happens now and then, so one clean attempt in three is the verdict.)
-#[test]
-fn starved_worker_under_supervision_keeps_beating() {
-    let _alone = one_at_a_time();
-    const PACKETS: u64 = 200;
-    let attempt = || -> DrainReport {
-        let (rt, handle) = Runtime::start_with_egress(
-            RuntimeConfig {
-                shards: 1,
-                n_flows: N_FLOWS,
-                egress: EgressMode::Buffered(BufferedConfig {
-                    ring_capacity: 64,
-                    credits: 8,
-                    n_links: N_LINKS,
-                    ..BufferedConfig::default()
-                }),
-                supervision: Some(SupervisionConfig {
-                    poll: Duration::from_millis(1),
-                    heartbeat_deadline: Duration::from_millis(5),
-                }),
-                ..RuntimeConfig::default()
-            },
-            |_shard| Some(|_s: usize, _f: &ServedFlit| {}),
-        );
-        let controller = rt.egress_controller().expect("buffered mode").clone();
-        for link in 0..N_LINKS {
-            controller.freeze(link);
-        }
-        for id in 0..PACKETS {
-            let flow = (id % N_FLOWS as u64) as usize;
-            handle.submit(Packet::new(id, flow, PACKET_LEN, 0)).unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        let starved = rt.stats().egress.expect("buffered").shards[0].credit_exhaustions;
-        assert!(
-            starved >= N_LINKS as u64,
-            "every link must have run out of credits: {starved}"
-        );
-        for link in 0..N_LINKS {
-            controller.release_stall(link);
-        }
-        rt.shutdown()
-    };
-    let report = (0..3)
-        .map(|_| attempt())
-        .find(|report| report.exits == [ShardExit::Clean])
-        .expect("the starved worker was quarantined three times out of three");
-    assert!(report.is_conserving(), "{report:?}");
-    assert_eq!(report.served_packets(), PACKETS);
-}
-
 /// Grants under sharing (DESIGN.md §7): two shards, one link, four
 /// credits, and a producer that keeps every flow of both shards
 /// backlogged. A grant is the whole pool more often than not, so each
@@ -1583,10 +1497,10 @@ fn credit_returned_by_another_shards_flusher_wakes_the_starved_worker() {
     );
 }
 
-/// A successor worker (DESIGN.md §9.2) sleeps on the same wake cell
-/// as the worker it replaces, under its own thread handle: after a
-/// planned kill and adoption, producers blocked on backpressure still
-/// end its parks, and nothing strands.
+/// A resumed worker (DESIGN.md §9.2) sleeps on the same wake cell
+/// under the thread handle it registered once: after a planned kill
+/// and resume, producers blocked on backpressure still end its parks,
+/// and nothing strands.
 #[test]
 fn resurrected_worker_is_woken_through_its_reregistered_handle() {
     let _alone = one_at_a_time();
@@ -1604,7 +1518,6 @@ fn resurrected_worker_is_woken_through_its_reregistered_handle() {
                 n_links: 2,
                 ..BufferedConfig::default()
             }),
-            supervision: Some(SupervisionConfig::default()),
             fault_plan: Some(FaultPlan::new().kill_shard_at(0, 200)),
             ..RuntimeConfig::default()
         },
@@ -1627,7 +1540,7 @@ fn resurrected_worker_is_woken_through_its_reregistered_handle() {
         }
     };
     // Drive the flit clock past the planned kill.
-    let board = rt.fault_board().expect("supervision publishes a board");
+    let board = rt.fault_board();
     let deadline = Instant::now() + Duration::from_secs(20);
     while board.recovery_micros(0).is_none() {
         assert!(Instant::now() < deadline, "kill never fired / no successor");

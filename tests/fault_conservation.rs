@@ -1,22 +1,19 @@
 //! Property: the drain ledger balances under arbitrary seeded chaos
 //! (DESIGN.md §9.2).
 //!
-//! For random `FaultPlan`s (shard panics and wedges at random cycles)
-//! crossed with random shard counts and admission policies, every
-//! submitted packet must be accounted exactly once — served, dropped,
-//! rejected, timed out, or lost — and the backlog gauge must read zero
-//! after the drain. This is `DrainReport::is_conserving`, the identity
-//! the catch → bequeath → adopt path exists to preserve; a fault path
-//! that leaks or double-counts even one packet fails here. A graceful
-//! drain additionally loses nothing: every death is resurrected in
-//! place.
+//! For random `FaultPlan`s (shard panics at random cycles) crossed
+//! with random shard counts and admission policies, every submitted
+//! packet must be accounted exactly once — served, dropped, rejected,
+//! timed out, or lost — and the backlog gauge must read zero after the
+//! drain. This is `DrainReport::is_conserving`, the identity the
+//! catch → resume path exists to preserve; a fault path that leaks or
+//! double-counts even one packet fails here. A graceful drain
+//! additionally loses nothing: every death is resumed in place.
 
 use std::time::Duration;
 
 use desim::SimRng;
-use err_runtime::{
-    AdmissionPolicy, FaultPlan, Runtime, RuntimeConfig, SubmitError, SupervisionConfig,
-};
+use err_runtime::{AdmissionPolicy, FaultPlan, Runtime, RuntimeConfig, SubmitError};
 use err_sched::Packet;
 use proptest::prelude::*;
 
@@ -32,9 +29,8 @@ fn admission_strategy() -> impl Strategy<Value = AdmissionPolicy> {
 }
 
 proptest! {
-    // Each case spins up a real multi-threaded runtime (and a stuck
-    // shard costs a quarantine deadline), so keep the case count modest
-    // and the supervisor aggressive.
+    // Each case spins up a real multi-threaded runtime, so keep the
+    // case count modest.
     #![proptest_config(ProptestConfig { cases: 24 })]
 
     #[test]
@@ -54,10 +50,6 @@ proptest! {
             n_flows: FLOWS,
             ring_capacity: 1 << 13,
             admission,
-            supervision: Some(SupervisionConfig {
-                poll: Duration::from_millis(1),
-                heartbeat_deadline: Duration::from_millis(15),
-            }),
             fault_plan: Some(plan),
             ..RuntimeConfig::default()
         });
@@ -84,9 +76,9 @@ proptest! {
 
 /// Pinned instance the property test originally found (seed
 /// 852716844335134574: two shards, both planned to die, Backpressure
-/// admission). Each death is resurrected in place, so with every shard
-/// down at once producers simply wait on full rings until the
-/// successors drain them: both exits record the panic, nothing is lost.
+/// admission). Each death is resumed in place, so with every shard
+/// down at once producers simply wait on full rings until the resumed
+/// workers drain them: both exits record the panic, nothing is lost.
 #[test]
 fn double_death_total_loss_conserves() {
     let rng = SimRng::new(852_716_844_335_134_574);
@@ -96,10 +88,6 @@ fn double_death_total_loss_conserves() {
         n_flows: FLOWS,
         ring_capacity: 1 << 13,
         admission: AdmissionPolicy::Backpressure { max_backlog: 431 },
-        supervision: Some(SupervisionConfig {
-            poll: Duration::from_millis(1),
-            heartbeat_deadline: Duration::from_millis(15),
-        }),
         fault_plan: Some(plan),
         ..RuntimeConfig::default()
     });

@@ -12,7 +12,8 @@
 //! * a sink that panics once mid-batch under sync egress: the resumed
 //!   loop finishes the interrupted batch, so the ledger still balances;
 //! * a killed shard resumes on its own thread, under sync and buffered
-//!   egress, and a wedged one is quarantined exactly once;
+//!   egress, and a wedged one is abandoned at a bounded forced shutdown
+//!   with an exact deficit;
 //! * `shutdown_within` under a forever-stalled link: returns within
 //!   the deadline instead of hanging, with the abandoned backlog
 //!   reported as losses;
@@ -28,11 +29,10 @@ use desim::SimRng;
 use err_runtime::{
     AdmissionPolicy, BufferedConfig, DeadLinkPolicy, EgressMode, FaultKind, FaultPlan, LinkState,
     Runtime, RuntimeConfig, RuntimeHandle, ShardExit, ShardHealth, StallPlan, Submitted,
-    SupervisionConfig,
 };
 use err_sched::{Packet, ServedFlit};
 
-/// Supervision catches worker panics with `catch_unwind`, which is
+/// Every worker catches its own panics with `catch_unwind`, which is
 /// only possible under unwinding — if a profile ever flips to
 /// `panic=abort`, every §9 recovery path silently becomes a crash.
 #[test]
@@ -72,12 +72,7 @@ fn design_section_9_names_the_lifecycle_variants() {
             "DESIGN.md §9 no longer names shard exit `{name}`"
         );
     }
-    for health in [
-        ShardHealth::Running,
-        ShardHealth::Quarantined,
-        ShardHealth::Dead,
-        ShardHealth::Exited,
-    ] {
+    for health in [ShardHealth::Running, ShardHealth::Dead, ShardHealth::Exited] {
         let name = format!("{health:?}");
         assert!(
             spec.contains(&name),
@@ -120,7 +115,6 @@ fn design_section_9_names_the_protocol_vocabulary() {
         "heartbeat",
         "resurrect",
         "dead_letter",
-        "quarantine",
     ] {
         assert!(
             spec.contains(name),
@@ -155,7 +149,7 @@ type FlowLog = Vec<Mutex<Vec<(u64, u32)>>>;
 /// Runs the fixed chaos workload, capturing per-flow emissions, and
 /// returns (per-flow logs, drain report). With `draining` every sink
 /// holds its first flit until `shutdown` has closed the gate, so the
-/// whole run — planned kill and adoption included — happens while the
+/// whole run — planned kill and resume included — happens while the
 /// runtime drains.
 fn chaos_workload(
     plan: Option<FaultPlan>,
@@ -179,12 +173,6 @@ fn chaos_workload(
             shards: 4,
             n_flows: CHAOS_FLOWS,
             ring_capacity: 1 << 14,
-            // The planned kill is the only death wanted: a deadline no
-            // scheduling hiccup of an oversubscribed host can reach.
-            supervision: Some(SupervisionConfig {
-                heartbeat_deadline: Duration::from_secs(10),
-                ..SupervisionConfig::default()
-            }),
             fault_plan: plan,
             ..RuntimeConfig::default()
         },
@@ -196,9 +184,9 @@ fn chaos_workload(
                     while draining && !gate.get().is_some_and(|h| h.is_closed()) {
                         std::thread::yield_now();
                     }
-                    // A flow never leaves its shard and a successor
-                    // starts only after its predecessor's fence, so one
-                    // lock per flow records a well-defined per-flow order.
+                    // A flow never leaves its shard, whose one thread
+                    // serves it for life, so one lock per flow records
+                    // a well-defined per-flow order.
                     captured[f.flow]
                         .lock()
                         .unwrap()
@@ -215,10 +203,11 @@ fn chaos_workload(
             Ok(Submitted::Enqueued)
         );
     }
-    // Mid-run: wait for every planned kill to fire *and* its successor
-    // to be adopted before closing, so the run exercises mid-run
-    // resurrection rather than a death racing shutdown.
-    if let Some(board) = rt.fault_board().filter(|_| !draining) {
+    // Mid-run: wait for every planned kill to fire *and* its worker to
+    // resume before closing, so the run exercises mid-run resumption
+    // rather than a death racing shutdown.
+    if !draining {
+        let board = rt.fault_board();
         let deadline = Instant::now() + Duration::from_secs(10);
         while planned_victims
             .iter()
@@ -252,12 +241,11 @@ fn expected_flow_log(flow: usize) -> Vec<(u64, u32)> {
 
 /// Seeded `FaultPlan` kills 1 of 4 shards (DESIGN.md §9.2), once
 /// mid-run and once with the gate already closed: no panic escapes,
-/// the dying worker bequeaths its scheduler and the supervisor adopts
-/// it into a fresh thread — so *nothing* is lost, not even the
-/// wormhole in flight: the bequest carries the exact scheduler state
-/// between two flit emissions, every flow's emit log is identical to
-/// the fault-free run's, and a successor adopted mid-drain finishes the
-/// drain.
+/// the dying worker's fence catches it and the loop resumes on the same
+/// thread with the same scheduler — so *nothing* is lost, not even the
+/// wormhole in flight: the scheduler resumes between two flit
+/// emissions, every flow's emit log is identical to the fault-free
+/// run's, and a worker resumed mid-drain finishes the drain.
 #[test]
 fn resurrection_recovers_a_killed_shard_with_zero_loss() {
     let (clean_logs, clean_report) = chaos_workload(None, false);
@@ -298,11 +286,11 @@ fn resurrection_recovers_a_killed_shard_with_zero_loss() {
     }
 }
 
-/// A sink bug under sync egress and supervision: the sink panics once,
-/// on the 101st flit it is offered — mid-batch, with the rest of that
-/// `service_batch` already pulled out of the scheduler. The batch rides
-/// the bequest in the stage and the successor's first `serve` finishes
-/// it (DESIGN.md §9.2), so every flit reaches the sink exactly once,
+/// A sink bug under sync egress: the sink panics once, on the 101st
+/// flit it is offered — mid-batch, with the rest of that
+/// `service_batch` already pulled out of the scheduler. The batch stays
+/// in the stage and the resumed loop's first `serve` finishes it
+/// (DESIGN.md §9.2), so every flit reaches the sink exactly once,
 /// nothing is lost, and no admission charge leaks to wedge a
 /// backpressured producer.
 #[test]
@@ -319,7 +307,6 @@ fn sink_panic_mid_batch_is_finished_by_the_successor() {
             shards: 1,
             n_flows: FLOWS,
             admission: AdmissionPolicy::Backpressure { max_backlog: 128 },
-            supervision: Some(SupervisionConfig::default()),
             ..RuntimeConfig::default()
         },
         {
@@ -367,7 +354,54 @@ fn sink_panic_mid_batch_is_finished_by_the_successor() {
     }
 }
 
-/// A supervised shard's worker resumes on its own thread (DESIGN.md
+/// A sink that unwinds on the *last* flit of a batch (DESIGN.md §9.2):
+/// with one-flit batches every flit is its batch's last, so the
+/// interrupted batch has nothing left to offer, and the resumed loop's
+/// first `serve` must still count it before pulling the next. Every
+/// flit is counted once, on the ledger and on the flit clock.
+#[test]
+fn sink_panic_on_a_batchs_last_flit_still_counts_the_batch() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    const PACKETS: u64 = 50;
+    const LEN: u32 = 2;
+    let offered = Arc::new(AtomicU64::new(0));
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: 4,
+            batch_flits: 1,
+            ..RuntimeConfig::default()
+        },
+        {
+            let offered = Arc::clone(&offered);
+            move |_shard| {
+                let offered = Arc::clone(&offered);
+                Some(move |_s: usize, _f: &ServedFlit| {
+                    if offered.fetch_add(1, Ordering::Relaxed) % 7 == 6 {
+                        panic!("sink bug: every seventh flit is cursed");
+                    }
+                })
+            }
+        },
+    );
+    for id in 0..PACKETS {
+        assert_eq!(
+            handle.submit(Packet::new(id, (id % 4) as usize, LEN, 0)),
+            Ok(Submitted::Enqueued)
+        );
+    }
+    let report = rt.shutdown();
+    let flits = PACKETS * u64::from(LEN);
+    assert_eq!(offered.load(Ordering::Relaxed), flits, "offered once each");
+    assert!(report.is_conserving(), "{report:?}");
+    assert_eq!(report.served_packets(), PACKETS, "{report:?}");
+    assert_eq!(report.stats.served_flits(), flits, "{report:?}");
+    assert_eq!(report.shard_cycles, [flits], "{report:?}");
+    assert_eq!(report.exits, [ShardExit::Panicked]);
+}
+
+/// A shard's worker resumes on its own thread (DESIGN.md
 /// §9.2): a 1-shard runtime killed at cycle 200 has every flit, before
 /// and after the kill, delivered by one thread, under sync egress (the
 /// worker calls the sink) and buffered egress (the worker's flusher
@@ -392,7 +426,6 @@ fn a_killed_shard_is_served_by_one_thread_for_life() {
                 shards: 1,
                 n_flows: 8,
                 egress,
-                supervision: Some(SupervisionConfig::default()),
                 fault_plan: Some(FaultPlan::new().kill_shard_at(0, 200)),
                 ..RuntimeConfig::default()
             },
@@ -412,7 +445,7 @@ fn a_killed_shard_is_served_by_one_thread_for_life() {
                 Ok(Submitted::Enqueued)
             );
         }
-        let board = rt.fault_board().expect("supervision publishes a board");
+        let board = rt.fault_board();
         let deadline = Instant::now() + Duration::from_secs(10);
         while board.recovery_micros(0).is_none() {
             assert!(Instant::now() < deadline, "the planned kill never fired");
@@ -431,45 +464,101 @@ fn a_killed_shard_is_served_by_one_thread_for_life() {
     }
 }
 
-/// A wedge is quarantined exactly once (DESIGN.md §9.1): once the
-/// resumed worker is `Running` again, the supervisor judges it only by
-/// beats made after the resume, so twenty heartbeat deadlines later its
-/// death stamp is still the one the wedge left.
+/// A wedged shard ends in a bounded abandon (DESIGN.md §9.4): shard 0's
+/// sink blocks on its first flit until the test lets it go, so its
+/// worker reaches no hook at all — neither the abort check nor
+/// `fault_tick`. `shutdown_within` comes back at its deadline with the
+/// abort forced and shard 0 `Abandoned`; every packet of shard 1 is
+/// accounted, served or lost to the abort; and the ledger's deficit is
+/// exactly shard 0's accepted packets, because shard 0 served none.
 #[test]
-fn a_wedged_shard_is_quarantined_exactly_once() {
-    let deadline = Duration::from_millis(5);
-    let (rt, handle) = Runtime::start(RuntimeConfig {
-        shards: 1,
-        n_flows: 8,
-        supervision: Some(SupervisionConfig {
-            poll: Duration::from_millis(1),
-            heartbeat_deadline: deadline,
-        }),
-        fault_plan: Some(FaultPlan::new().stick_shard_at(0, 100)),
-        ..RuntimeConfig::default()
-    });
-    for id in 0..200u64 {
+fn a_wedged_shard_ends_in_a_bounded_abandon_with_an_exact_deficit() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// The runtime's drain poll (`DRAIN_POLL`, DESIGN.md §9.4).
+    const DRAIN_POLL: Duration = Duration::from_millis(1);
+    const FLOWS: usize = 8;
+    const PACKETS: u64 = 200;
+    let entered = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 2,
+            n_flows: FLOWS,
+            ..RuntimeConfig::default()
+        },
+        {
+            let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+            move |shard| {
+                let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+                Some(move |_s: usize, _f: &ServedFlit| {
+                    if shard == 0 {
+                        entered.store(true, Ordering::Release);
+                        while !release.load(Ordering::Acquire) {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                })
+            }
+        },
+    );
+    let mut accepted = [0u64; 2];
+    for id in 0..PACKETS {
+        let flow = (id % FLOWS as u64) as usize;
         assert_eq!(
-            handle.submit(Packet::new(id, (id % 8) as usize, 4, 0)),
+            handle.submit(Packet::new(id, flow, 4, 0)),
             Ok(Submitted::Enqueued)
         );
+        accepted[handle.shard_of(flow)] += 1;
     }
-    let board = rt.fault_board().expect("supervision publishes a board");
-    let until = Instant::now() + Duration::from_secs(10);
-    while board.recovery_micros(0).is_none() {
-        assert!(Instant::now() < until, "the wedge was never quarantined");
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    let death = board.death_micros(0);
-    std::thread::sleep(deadline * 20);
-    assert_eq!(
-        board.death_micros(0),
-        death,
-        "the resumed worker was quarantined again"
+    assert!(
+        accepted.iter().all(|&n| n > 0),
+        "both shards must hold flows: {accepted:?}"
     );
-    let report = rt.shutdown();
-    assert_eq!(report.lost_packets(), 0, "{report:?}");
-    assert!(report.is_conserving(), "{report:?}");
+    let until = Instant::now() + Duration::from_secs(10);
+    while !entered.load(Ordering::Acquire) {
+        assert!(Instant::now() < until, "shard 0 never reached its sink");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let deadline = Duration::from_millis(200);
+    let start = Instant::now();
+    let report = rt.shutdown_within(deadline);
+    let elapsed = start.elapsed();
+    // The detached worker finishes its flit, sees the abort flag and
+    // exits; the report above was taken before it moves.
+    release.store(true, Ordering::Release);
+
+    // The promise is the deadline plus one drain poll; the extra slack
+    // covers OS scheduling noise on a loaded CI container, as in
+    // `shutdown_within_bounds_a_forever_stalled_link`, not a design
+    // margin.
+    assert!(
+        elapsed < deadline + DRAIN_POLL + Duration::from_millis(100),
+        "shutdown_within({deadline:?}) took {elapsed:?}"
+    );
+    assert!(report.forced, "a wedge must escalate to abort: {report:?}");
+    assert_eq!(report.exits[0], ShardExit::Abandoned, "{report:?}");
+    assert_ne!(report.exits[1], ShardExit::Abandoned, "{report:?}");
+    let (wedged, live) = (&report.stats.shards[0], &report.stats.shards[1]);
+    assert_eq!(wedged.served_packets + wedged.lost_packets, 0, "{report:?}");
+    assert_eq!(
+        live.served_packets + live.lost_packets,
+        accepted[1],
+        "shard 1 left a packet unaccounted: {report:?}"
+    );
+    let accounted = report.served_packets()
+        + report.dropped_packets()
+        + report.rejected_packets()
+        + report.timedout_packets()
+        + report.lost_packets();
+    assert_eq!(report.submitted_packets(), PACKETS);
+    assert_eq!(
+        report.submitted_packets() - accounted,
+        accepted[0],
+        "the deficit is exactly the abandoned shard's packets: {report:?}"
+    );
+    assert!(!report.is_conserving(), "{report:?}");
 }
 
 /// A link whose credits never return, escalated to `Dead` under

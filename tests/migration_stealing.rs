@@ -11,17 +11,17 @@
 //!   conserve every flit, and keep each flow's emitted sequence exactly
 //!   its submission order with contiguous flit indices — migration is
 //!   invisible in the output;
-//! * the same run supervised, with the hot flow's home shard killed at
-//!   its first possible grant under sync and under buffered egress: the
-//!   successor inherits the dead worker's migration state, so stealing
-//!   carries on and the output is still invisible-migration clean.
+//! * the same run with the hot flow's home shard killed at its first
+//!   possible grant under sync and under buffered egress: the worker
+//!   resumes with its own migration state, so stealing carries on and
+//!   the output is still invisible-migration clean.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use err_runtime::{
     BufferedConfig, DrainReport, EgressMode, FaultPlan, FlowMap, MigrationPhase, Runtime,
-    RuntimeConfig, ShardExit, StealingConfig, Submitted, SupervisionConfig,
+    RuntimeConfig, ShardExit, StealingConfig, Submitted,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -88,7 +88,7 @@ fn design_section_8_names_the_protocol_vocabulary() {
 /// nothing lost, and each flow's emitted sequence exactly its
 /// submission order with contiguous flit indices: the steal moved
 /// state, not observable behavior — and returns the report. With
-/// `kill_hot_home_at` the run is supervised and the hot flow's static
+/// `kill_hot_home_at` the hot flow's static
 /// home shard is killed at that cycle of its flit clock.
 fn skewed_stealing_run(egress: EgressMode, kill_hot_home_at: Option<u64>) -> (usize, DrainReport) {
     const N_FLOWS: usize = 8;
@@ -122,12 +122,6 @@ fn skewed_stealing_run(egress: EgressMode, kill_hot_home_at: Option<u64>) -> (us
         .expect("flow 0 is mapped");
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
-            // The planned kill is the only death wanted: a deadline no
-            // scheduling hiccup of an oversubscribed host can reach.
-            supervision: kill_hot_home_at.map(|_| SupervisionConfig {
-                heartbeat_deadline: Duration::from_secs(10),
-                ..SupervisionConfig::default()
-            }),
             fault_plan: kill_hot_home_at.map(|at| FaultPlan::new().kill_shard_at(hot_home, at)),
             ..config
         },
@@ -209,14 +203,14 @@ fn stealing_preserves_per_flow_emit_order() {
     assert!(report.all_clean(), "{:?}", report.exits);
 }
 
-/// Stealing × supervision: the hot flow's home shard is killed as soon
+/// Stealing × resumption: the hot flow's home shard is killed as soon
 /// as it may grant, while it is the donor every idle shard is pulling
-/// from. Its `MigrationDriver` rides the bequest (DESIGN.md §9.2), so the
-/// successor takes each in-flight handoff's next protocol step instead
-/// of stranding its peer: the run still steals, conserves, loses
-/// nothing and keeps every flow's emit order, under sync egress and
-/// under buffered egress with credits tight enough that links
-/// credit-park constantly.
+/// from. Its `MigrationDriver` survives in its `WorkerState` (DESIGN.md
+/// §9.2), so the resumed worker takes each in-flight handoff's next
+/// protocol step instead of stranding its peer: the run still steals,
+/// conserves, loses nothing and keeps every flow's emit order, under
+/// sync egress and under buffered egress with credits tight enough that
+/// links credit-park constantly.
 #[test]
 fn stealing_survives_the_death_of_the_hot_shard() {
     /// Cycle of the victim's flit clock at which it dies: the run's
