@@ -99,9 +99,10 @@ pub(crate) const MUTEX_FILES: &[&str] = &[
     // Experiment-harness job queue (parking_lot): offline runner, no
     // runtime fast path.
     "crates/err-experiments/src/runner.rs",
-    // Fabric node registry, kill reports, and fault-event log: taken at
-    // boot, on a chaos kill, and at drain — never per flit (the
-    // per-flit fabric path is the forwarder's lock-free handoff).
+    // Fabric fault state and event log: taken by the ejection that
+    // reaches an event or finds a kill awaiting settlement, by a manual
+    // cut or heal, and at drain — never per flit (the per-flit fabric
+    // path is the forwarder's lock-free handoff).
     "crates/err-fabric/src/fabric.rs",
     // HopTracker entry stamps (§11.8): sharded map touched once per
     // packet per hop — never per flit — on the forwarder's tail path.
@@ -309,7 +310,6 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "park-protocol",
             "panic-boundary",
             "[pair:",
-            "HandleTable",
             "HoldForRecovery",
             // The hand-off cell (PR 14) and its model/mutant pair.
             "WakeCell",
@@ -337,13 +337,13 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "Refused",
             "Rerouted",
             "DeadLettered",
-            // FabricFault (chaos.rs), and who applies it: link events on
-            // the ejecting worker, node events on their own thread, in
-            // plan order either way — no monitor to wake.
+            // FabricFault (chaos.rs), and who applies it: every event on
+            // the ejecting worker, a node's crash in place, in plan order
+            // — no monitor to wake, no thread to join.
             "KillLink",
             "KillNode",
             "ejecting worker",
-            "node-event thread",
+            "dies in place",
             "plan-order rule",
             // The machinery the outcomes ride on.
             "Forwarder",
@@ -406,10 +406,9 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "speedup",
             "fabric_heal",
             "fabric_flap",
-            // The three fabric-era models (PR 10) still shipped must
+            // The two fabric-era models (PR 10) still shipped must
             // stay in the interleaving-count / mutant-kill matrix.
             "model_credit_hold_refused_try_emit",
-            "model_handle_table_swap_mid_handoff",
             "model_hold_for_recovery_resurrect_vs_finalize",
             // The wake handshake (PR 14): model, mutant, and the
             // ledger table its gain is stated against.

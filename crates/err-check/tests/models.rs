@@ -16,7 +16,6 @@ use err_egress::{
     spsc_ring, CreditPool, DeadLinkPolicy, Egress, FlusherCore, LinkSet, ServedFlit, Sleep,
     WakeCell,
 };
-use err_fabric::{HandleCache, HandleTable};
 use err_runtime::channel::MpscRing;
 use err_runtime::gate::DrainGate;
 use err_runtime::FlowMap;
@@ -327,9 +326,9 @@ fn model_flow_map_window_dekker() {
 
 // ---------------------------------------------------------------------
 // Fabric-era shipped models (DESIGN.md §10): the refused-try_emit
-// credit hold, the handle-table incarnation swap, and the
-// HoldForRecovery resurrect/finalize race — each driven through the
-// *shipped* types (FlusherCore, LinkSet, HandleTable), not miniatures.
+// credit hold and the HoldForRecovery resurrect/finalize race — each
+// driven through the *shipped* types (FlusherCore, LinkSet), not
+// miniatures.
 // ---------------------------------------------------------------------
 
 /// The §11.2 refused-`try_emit` protocol through the shipped
@@ -411,86 +410,6 @@ fn model_credit_hold_refused_try_emit() {
     });
     println!(
         "model_credit_hold_refused_try_emit: {} interleavings (complete={})",
-        report.executions, report.complete
-    );
-    assert!(report.complete, "bounded DFS must exhaust");
-}
-
-/// The §14.1 incarnation swap through the shipped generic
-/// `HandleTable` and the generation-checked `HandleCache` a forwarder
-/// reads it through: a monitor boots a successor (writing its inbox
-/// cell) and swaps it in while the forwarder's cache refreshes
-/// mid-handoff. The slot's write-unlock Release → read-lock Acquire
-/// edge and the generation's Release bump → Acquire load must publish
-/// the successor's boot writes to a cache that sees the bump and
-/// refreshes, and a clone of the dying incarnation — one a cache still
-/// on the old generation holds — must stay valid.
-#[test]
-fn model_handle_table_swap_mid_handoff() {
-    #[derive(Clone)]
-    struct MiniHandle {
-        generation: u64,
-        inbox: Arc<UnsafeCell<u64>>,
-    }
-    // Each incarnation's boot write is `5 + generation`.
-    fn boot_write_seen(h: &MiniHandle) -> bool {
-        h.inbox.with(|p| unsafe { *p }) == 5 + h.generation
-    }
-
-    let mut b = Builder::new();
-    b.max_preemptions = Some(2);
-    b.max_iterations = 2_000_000;
-    let report = b.check(|| {
-        let table = Arc::new(HandleTable::<MiniHandle>::new());
-        let boot_inbox = Arc::new(UnsafeCell::new(0u64));
-        boot_inbox.with_mut(|p| unsafe { *p = 5 });
-        table.install(vec![MiniHandle {
-            generation: 0,
-            inbox: Arc::clone(&boot_inbox),
-        }]);
-        let installed = table.generation();
-        let monitor = {
-            let table = Arc::clone(&table);
-            thread::spawn(move || {
-                // Boot the successor: prime its inbox, then swap it
-                // into the slot (write-unlock and the generation bump
-                // publish the priming).
-                let inbox = Arc::new(UnsafeCell::new(0u64));
-                inbox.with_mut(|p| unsafe { *p = 6 });
-                table.swap(
-                    0,
-                    MiniHandle {
-                        generation: 1,
-                        inbox,
-                    },
-                );
-            })
-        };
-        // The forwarder mid-handoff: whichever incarnation its cache
-        // reads, that incarnation's boot writes are already visible.
-        let mut cache = HandleCache::new();
-        cache.refresh(&table);
-        let held = cache.get(0).expect("installed before the race").clone();
-        assert!(boot_write_seen(&held), "read a half-booted incarnation");
-        if table.generation() != installed {
-            // Saw the bump: the refresh lands on the successor.
-            cache.refresh(&table);
-            let h = cache.get(0).expect("installed");
-            assert_eq!(h.generation, 1, "saw the bump, kept the old slot");
-            assert!(boot_write_seen(h), "successor's boot writes unseen");
-        }
-        monitor.join().expect("monitor");
-        // A cache still on the old generation holds a valid clone of the
-        // dying incarnation, after the swap as before it.
-        assert!(boot_write_seen(cache.get(0).expect("installed")));
-        assert!(boot_write_seen(&held));
-        assert_eq!(boot_inbox.with(|p| unsafe { *p }), 5);
-        // After the join every refresh finds the successor.
-        cache.refresh(&table);
-        assert_eq!(cache.get(0).expect("installed").generation, 1);
-    });
-    println!(
-        "model_handle_table_swap_mid_handoff: {} interleavings (complete={})",
         report.executions, report.complete
     );
     assert!(report.complete, "bounded DFS must exhaust");
@@ -957,7 +876,7 @@ fn mutant_flow_map_window_wait_relaxed() {
     });
 }
 
-// The four fabric-era models above each rest on one Release edge; the
+// The fabric-era models above each rest on one Release edge; the
 // mutants below weaken exactly that edge in a miniature of the same
 // protocol. (The miniatures re-create the edge directly because the
 // shipped orderings are not feature-switchable — the point is that
@@ -991,53 +910,6 @@ fn mutant_credit_hold_room_relaxed() {
             let got = payload.with(|p| unsafe { *p });
             assert_eq!(got, 7);
             downstream.join().expect("downstream");
-        });
-    });
-}
-
-/// The handle-table slot lock (`model_handle_table_swap_mid_handoff`)
-/// with the write-unlock weakened: the vendored RwLock's reader-count
-/// protocol, hand-rolled, with the writer's unlock store Relaxed. A
-/// reader whose Acquire read-lock CAS follows the unlock no longer
-/// joins the writer's clock, so cloning the slot races the swap's
-/// write.
-#[test]
-fn mutant_handle_table_unlock_relaxed() {
-    use loom::sync::atomic::{AtomicUsize, Ordering};
-    const WRITE_LOCKED: usize = usize::MAX;
-    expect_violation("handle_table_unlock_relaxed", || {
-        Builder::new().check(|| {
-            let lock = Arc::new(AtomicUsize::new(0));
-            let slot = Arc::new(UnsafeCell::new(0u64));
-            let writer = {
-                let (lock, slot) = (Arc::clone(&lock), Arc::clone(&slot));
-                thread::spawn(move || {
-                    while lock
-                        .compare_exchange(0, WRITE_LOCKED, Ordering::Acquire, Ordering::Relaxed)
-                        .is_err()
-                    {
-                        thread::yield_now();
-                    }
-                    slot.with_mut(|p| unsafe { *p = 1 });
-                    // MUTATION: write-unlock stores with Release.
-                    lock.store(0, Ordering::Relaxed);
-                })
-            };
-            // The reader: count itself in (Acquire), clone, count out.
-            loop {
-                let cur = lock.load(Ordering::Relaxed);
-                if cur != WRITE_LOCKED
-                    && lock
-                        .compare_exchange(cur, cur + 1, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    break;
-                }
-                thread::yield_now();
-            }
-            let _cloned = slot.with(|p| unsafe { *p });
-            lock.fetch_sub(1, Ordering::Release);
-            writer.join().expect("writer");
         });
     });
 }

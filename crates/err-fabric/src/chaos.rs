@@ -5,9 +5,9 @@
 //! Events fire on the fabric's **ejection clock** — total packets
 //! delivered — which is deterministic under a deterministic workload
 //! and monotone under any. The ejection whose clock value reaches the
-//! next due event applies the link and panic events itself, on its
-//! node's shard worker; node kills and revives, which join and boot
-//! threads, go to a node-event thread, in plan order (§11.4).
+//! next due event applies it itself, on its node's shard worker, in
+//! plan order (§11.4): link and panic events, and node kills and
+//! revives too, since a node dies in place on its own threads (§14.1).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -26,9 +26,11 @@ pub enum FabricFault {
         /// Ejection-clock value at which the cut happens.
         at: u64,
     },
-    /// Force-drains a whole node runtime (§9.4 ladder): residuals are
-    /// counted lost, its handle refuses new submits, and every
-    /// neighbor treats links toward it as dead.
+    /// Kills a node in place (§14.1): its runtime goes down and
+    /// refuses new submits, its workers count what they hold lost as a
+    /// forced abort would (§9.4), and every neighbor treats links
+    /// toward it as dead. The loss settles into the event's
+    /// `lost_packets` once every worker has swept.
     KillNode {
         /// The node to kill.
         node: usize,
@@ -47,10 +49,10 @@ pub enum FabricFault {
         /// Ejection-clock value at which the heal happens.
         at: u64,
     },
-    /// Reboots a killed node (§14.1): the node-event thread starts a
-    /// successor runtime from the node's boot recipe, swaps its submit
-    /// handle back in, and heals the node's cables in both directions.
-    /// A no-op if the node is alive.
+    /// Brings a killed node back (§14.1): clears its dead flag, brings
+    /// back its neighbors' egress links toward it unless a link event
+    /// cut the cable, and reopens its runtime, with an empty scheduler,
+    /// once the kill has settled. A no-op if the node is alive.
     ReviveNode {
         /// The node to revive.
         node: usize,
@@ -144,11 +146,12 @@ pub struct FabricFaultEvent {
     /// What fired.
     pub fault: FabricFault,
     /// Ejection-clock value when it was applied (≥ `at`): that of the
-    /// ejection that applied it — exactly `at` with one ejecting worker
-    /// — or, on the node-event thread, the clock when it got to it.
+    /// ejection that applied it — exactly `at` with one ejecting
+    /// worker, node events included.
     pub fired_at: u64,
-    /// Packets the killed node still held (0 for everything but
-    /// `KillNode`).
+    /// Packets the killed node still held, settled once its workers
+    /// swept (§14.1); 0 for everything but `KillNode`, and for a kill
+    /// that joined an earlier kill's settlement.
     pub lost_packets: u64,
 }
 

@@ -1,15 +1,10 @@
 //! The `Fabric` handle: boot, submit, drain, queries (DESIGN.md
 //! §11.3), chaos on the ejection clock (§11.4), and fabric healing —
-//! heal/revive events, dead-letter replay, and forwarder supervision
-//! (§14).
+//! heal/revive events, a node's crash in place, dead-letter replay, and
+//! forwarder supervision (§14).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-// The handle table's lock and generation counter route through the
-// loom shim so the §14.1 incarnation-swap edges are model-checkable
-// (err-check model suite).
-use crate::sync::RwLock;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use err_egress::{BufferedConfig, DeadLinkPolicy, EgressController, StallPlan};
@@ -153,149 +148,6 @@ pub enum DrainOutcome {
     Forced,
 }
 
-/// Per-node ingress handles behind swappable slots (§14.1): set once
-/// at boot — resolving the Forwarder↔Runtime wiring cycle — and
-/// swapped only by the node-event thread when a `ReviveNode` boots a
-/// node's successor runtime. Readers clone the handle (an `Arc` bump)
-/// instead of borrowing, so a revive never invalidates a reference
-/// another thread holds. Every write bumps a **generation** counter
-/// after the slot write. A Forwarder reads the slots through its own
-/// [`HandleCache`], which re-reads them only when the generation has
-/// moved: a tail hand-off pays one `Acquire` load, not a read lock. The
-/// `RwLock`s are read-locked per source submit ([`get`]) and per cache
-/// refresh, and write-locked once per revive.
-///
-/// Generic over the handle type so the err-check model suite can
-/// drive the *shipped* swap protocol with a miniature handle whose
-/// payload lives in a tracked cell; the fabric instantiates the
-/// default `RuntimeHandle`. The happens-before contract: everything
-/// the node-event thread wrote booting the successor before [`swap`]
-/// is visible to any reader whose [`get`] clones the new incarnation
-/// (write-unlock `Release` → read-lock `Acquire` on the slot), and to
-/// any cache that sees the bump and refreshes (generation `Release`
-/// bump → `Acquire` load); a clone taken from the dying incarnation
-/// mid-handoff stays valid — `get` hands out owned clones, never
-/// references into the slot.
-///
-/// [`swap`]: HandleTable::swap
-/// [`get`]: HandleTable::get
-pub struct HandleTable<H = RuntimeHandle> {
-    slots: OnceLock<Vec<RwLock<H>>>,
-    /// Slot writes so far: 0 before [`install`](HandleTable::install),
-    /// then one more per [`swap`](HandleTable::swap).
-    generation: crate::sync::AtomicU64,
-}
-
-impl<H: Clone> HandleTable<H> {
-    /// An empty table; [`install`](HandleTable::install) arms it once.
-    pub fn new() -> Self {
-        Self {
-            slots: OnceLock::new(),
-            generation: crate::sync::AtomicU64::new(0),
-        }
-    }
-
-    /// Installs the boot-time handles, exactly once.
-    pub fn install(&self, handles: Vec<H>) {
-        self.slots
-            .set(handles.into_iter().map(RwLock::new).collect())
-            .unwrap_or_else(|_| unreachable!("handles are installed exactly once"));
-        self.bump();
-    }
-
-    /// The current handle of `node`; `None` only during the boot race
-    /// (a forwarder asking before `install` ran).
-    pub fn get(&self, node: usize) -> Option<H> {
-        self.slots
-            .get()
-            .map(|s| s[node].read().expect("handle slot poisoned").clone())
-    }
-
-    /// Replaces `node`'s handle with its successor's (§14.1).
-    pub fn swap(&self, node: usize, handle: H) {
-        let slots = self.slots.get().expect("swap before install");
-        *slots[node].write().expect("handle slot poisoned") = handle;
-        self.bump();
-    }
-
-    /// Publishes a slot write to the caches.
-    fn bump(&self) {
-        // ordering: Release, after the slot write — a cache whose
-        // Acquire `generation` load reads this bump re-reads the slots
-        // and sees the write, the successor's boot writes with it.
-        // [pair: handle-generation @ self]
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// The number of slot writes so far; a [`HandleCache`] refreshes
-    /// when it moves.
-    pub fn generation(&self) -> u64 {
-        // ordering: Acquire, pairs with the Release bump in `bump`:
-        // reading a bump orders this thread's slot reads after the
-        // write it published. [pair: handle-generation @ self]
-        self.generation.load(Ordering::Acquire)
-    }
-}
-
-impl<H: Clone> Default for HandleTable<H> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One reader's copy of a [`HandleTable`]'s slots (§14.1), re-read
-/// only when the table's generation has moved. Each Forwarder clone
-/// owns one, so a tail hand-off finds its peer's handle without a lock
-/// or an `Arc` clone. A handle cached from a dying incarnation stays a
-/// valid clone: its submit ends in `SubmitError::Closed`, exactly as a
-/// clone `get` handed out just before the swap would.
-#[derive(Clone)]
-pub struct HandleCache<H = RuntimeHandle> {
-    /// The generation the slots were read at; 0 before the first read
-    /// after `install`.
-    generation: u64,
-    handles: Vec<H>,
-}
-
-impl<H: Clone> HandleCache<H> {
-    /// An empty cache: every [`get`](HandleCache::get) is `None` until a
-    /// [`refresh`](HandleCache::refresh) after the table's `install`.
-    pub fn new() -> Self {
-        Self {
-            generation: 0,
-            handles: Vec::new(),
-        }
-    }
-
-    /// Re-reads every slot of `table` if its generation has moved since
-    /// the last read. The generation is loaded before the slots, so a
-    /// swap racing the re-read leaves the cache a generation behind —
-    /// it re-reads on the next call — never a generation ahead.
-    pub fn refresh(&mut self, table: &HandleTable<H>) {
-        let generation = table.generation();
-        if generation == self.generation {
-            return;
-        }
-        self.handles.clear();
-        if let Some(slots) = table.slots.get() {
-            let read = |slot: &RwLock<H>| slot.read().expect("handle slot poisoned").clone();
-            self.handles.extend(slots.iter().map(read));
-        }
-        self.generation = generation;
-    }
-
-    /// `node`'s handle as of the last [`refresh`](HandleCache::refresh).
-    pub fn get(&self, node: usize) -> Option<&H> {
-        self.handles.get(node)
-    }
-}
-
-impl<H: Clone> Default for HandleCache<H> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Forwarder unwind reports (§14.4). Lives here rather than in the
 /// forwarder so the cold-path lock stays out of the hot module; it is
 /// touched once per caught panic and once at drain.
@@ -312,14 +164,6 @@ impl ExitLog {
     fn take(&self) -> Vec<ForwarderExit> {
         std::mem::take(&mut *lock(&self.exits))
     }
-}
-
-/// Everything needed to boot (or re-boot) one node's runtime: its
-/// immutable config and its Forwarder prototype. `ReviveNode` replays
-/// this recipe for the successor runtime (§14.1).
-struct NodeBoot {
-    rc: RuntimeConfig,
-    fwd: Forwarder,
 }
 
 /// Per-path facts for one flow (DESIGN.md §11.3, §11.5).
@@ -349,7 +193,9 @@ pub struct PathStats {
 
 /// Final accounting returned by [`Fabric::drain_within`].
 pub struct FabricReport {
-    /// Per-node drain reports, indexed by node id.
+    /// Per-node drain reports, indexed by node id: each node runs one
+    /// runtime for the fabric's life, killed and revived in place
+    /// (§14.1).
     pub node_reports: Vec<DrainReport>,
     /// Per-flow ledger at the end.
     pub flows: Vec<FlowSnapshot>,
@@ -371,11 +217,6 @@ pub struct FabricReport {
     pub outcome: DrainOutcome,
     /// Forwarder unwinds caught by the §14.4 supervisor.
     pub forwarder_exits: Vec<ForwarderExit>,
-    /// Drain reports of node incarnations that were killed and later
-    /// revived (§14.1), as `(node, report)` — `node_reports[node]`
-    /// holds each node's *final* incarnation; earlier ones land here
-    /// so their enqueue/serve counts stay auditable.
-    pub prior_reports: Vec<(usize, DrainReport)>,
 }
 
 impl FabricReport {
@@ -416,12 +257,11 @@ impl FabricReport {
     }
 
     /// Total flits delivered out of a backlog that crossed a death
-    /// window (§14.2), summed over every node incarnation's egress
-    /// links. Nonzero exactly when a heal replayed held traffic.
+    /// window (§14.2), summed over every node's egress links. Nonzero
+    /// exactly when a heal replayed held traffic.
     pub fn replayed_flits(&self) -> u64 {
         self.node_reports
             .iter()
-            .chain(self.prior_reports.iter().map(|(_, r)| r))
             .filter_map(|r| r.stats.egress.as_ref())
             .flat_map(|e| e.links.iter())
             .map(|l| l.replayed)
@@ -442,7 +282,7 @@ impl FabricReport {
 }
 
 /// Locks a cold-path table, poisoned or not: none is left half-written
-/// by a panic, and link events lock them inside the §14.4 fence, where
+/// by a panic, and fault events lock them inside the §14.4 fence, where
 /// a panic would read as a forwarder exit.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -458,38 +298,47 @@ fn assert_cable(topo: &Topology, node: usize, link: usize) {
 }
 
 /// The fabric's fault state (§11.4, §14): the liveness flags and panic
-/// switches the Forwarders read, the node controllers a link event
-/// drives, and the fault plan compiled onto the ejection clock. Shared
-/// by the `Fabric`, every `Forwarder` and the node-event thread.
+/// switches the Forwarders read, every node's ingress handle and egress
+/// controller, the fault plan compiled onto the ejection clock, and the
+/// settlement of each killed node's loss (§14.1). Shared by the
+/// `Fabric` and every `Forwarder`.
 pub(crate) struct Faults {
     pub(crate) dead: DeadMap,
     pub(crate) panic_arm: PanicSwitch,
     pub(crate) policy: DeadLinkPolicy,
     topo: Arc<Topology>,
-    /// Per-node egress controllers, handed out as clones: a revive
-    /// swaps in its successor's.
-    controllers: Mutex<Vec<EgressController>>,
+    /// Every node's ingress handle, installed once `Fabric::start` has
+    /// booted every runtime: a Forwarder is built before the runtimes
+    /// it hands off to. A tail hand-off reads its peer's here.
+    handles: OnceLock<Vec<RuntimeHandle>>,
+    /// Every node's egress controller, installed with `handles`.
+    controllers: OnceLock<Vec<EgressController>>,
+    /// What a killed node's settlement reads and departs (§14.1).
+    counters: Vec<Arc<NodeCounters>>,
+    ledger: Arc<FabricLedger>,
+    gate: Arc<FabricGate>,
     /// The plan, sorted by `at` (plan order kept among equal `at`).
     plan: Vec<FabricFault>,
     /// `at` of the first event not yet reached (`u64::MAX`: none left),
-    /// the one compare an ejection pays. It only grows, so a stale
-    /// `Relaxed` read costs a look under the lock, never an event.
+    /// the one compare an ejection pays; held at 0 while a kill awaits
+    /// settlement, so every ejection looks. Otherwise it only grows, so
+    /// a stale `Relaxed` read is never later than the true next event:
+    /// it costs a look under the lock, never an event.
     next_due: AtomicU64,
     state: Mutex<FireState>,
 }
 
-/// What firing changes, under the cold-path lock.
+/// What firing and settling change, under the cold-path lock.
 struct FireState {
     /// Index in `plan` of the first event not yet reached.
     cursor: usize,
-    /// Events on the node-event thread's queue, not yet applied: while
-    /// any is, every event reached joins the queue behind it.
-    queued: usize,
-    /// The node-event thread's queue: `None` when the plan has no node
-    /// event, and once the drain has stopped the thread.
-    node_events: Option<mpsc::Sender<FabricFault>>,
     /// The events applied, in plan order.
     log: Vec<FabricFaultEvent>,
+    /// Per node: the packets its kills have settled lost, over its life.
+    settled: Vec<u64>,
+    /// Per node: the `log` index of the kill whose loss is not settled
+    /// yet.
+    pending: Vec<Option<usize>>,
 }
 
 impl Faults {
@@ -500,6 +349,9 @@ impl Faults {
         topo: Arc<Topology>,
         policy: DeadLinkPolicy,
         plan: Option<FabricFaultPlan>,
+        counters: Vec<Arc<NodeCounters>>,
+        ledger: Arc<FabricLedger>,
+        gate: Arc<FabricGate>,
     ) -> Self {
         let mut plan = plan.map(|p| p.events().to_vec()).unwrap_or_default();
         for fault in &plan {
@@ -514,68 +366,113 @@ impl Faults {
             }
         }
         plan.sort_by_key(FabricFault::at);
-        let link_counts: Vec<usize> = (0..topo.n_nodes()).map(|n| topo.n_links(n)).collect();
+        let n_nodes = topo.n_nodes();
+        let link_counts: Vec<usize> = (0..n_nodes).map(|n| topo.n_links(n)).collect();
         Self {
             dead: DeadMap::new(&link_counts),
-            panic_arm: PanicSwitch::new(topo.n_nodes()),
+            panic_arm: PanicSwitch::new(n_nodes),
             policy,
-            controllers: Mutex::new(Vec::with_capacity(topo.n_nodes())),
+            handles: OnceLock::new(),
+            controllers: OnceLock::new(),
+            counters,
+            ledger,
+            gate,
             next_due: AtomicU64::new(plan.first().map_or(u64::MAX, FabricFault::at)),
             plan,
             topo,
             state: Mutex::new(FireState {
                 cursor: 0,
-                queued: 0,
-                node_events: None,
                 log: Vec::new(),
+                settled: vec![0; n_nodes],
+                pending: vec![None; n_nodes],
             }),
         }
     }
 
-    fn controller(&self, node: usize) -> EgressController {
-        lock(&self.controllers)[node].clone()
+    /// Installs every node's handle and controller, exactly once.
+    pub(crate) fn install(&self, handles: Vec<RuntimeHandle>, controllers: Vec<EgressController>) {
+        let fresh = self.handles.set(handles).is_ok() & self.controllers.set(controllers).is_ok();
+        assert!(fresh, "nodes are installed exactly once");
     }
 
-    /// Cuts (`cut`) or heals one cable's `DeadMap` flag and its upstream
-    /// egress link: declared dead under `HoldForRecovery`, so its flits
-    /// hold their credits (§14.2), and resurrected on a heal, replaying
-    /// them. Flag flips, atomic swaps and a wake: it never blocks.
+    /// Every node's ingress handle. Traffic flows only once `start` has
+    /// installed them.
+    #[inline]
+    pub(crate) fn handles(&self) -> &[RuntimeHandle] {
+        self.handles.get().expect("nodes are installed at start")
+    }
+
+    /// Cuts (`cut`) or heals one cable's `DeadMap` flag, then brings its
+    /// upstream egress link in line ([`sync_egress`](Self::sync_egress)).
     pub(crate) fn set_link(&self, node: usize, link: usize, cut: bool) {
         assert_cable(&self.topo, node, link);
-        let controller = self.controller(node);
         if cut {
             self.dead.kill_link(node, link);
-            if self.policy == DeadLinkPolicy::HoldForRecovery {
-                controller.declare_dead(link);
-            }
         } else {
             self.dead.heal_link(node, link);
-            controller.resurrect(link);
         }
+        self.sync_egress(node, link);
     }
 
-    /// [`set_link`](Self::set_link) on every cable touching `node`, in
-    /// both directions.
-    fn set_node_cables(&self, node: usize, cut: bool) {
+    /// Sets `node`'s dead flag, then brings every neighbour's egress
+    /// link toward it in line. A cable's own flag belongs to link events
+    /// and stays as it is, so a revive never heals a cut cable (§14.1).
+    fn set_node(&self, node: usize, dead: bool) {
+        if dead {
+            self.dead.kill_node(node);
+        } else {
+            self.dead.revive_node(node);
+        }
         for link in 1..self.topo.n_links(node) {
-            self.set_link(node, link, cut);
             let peer = self.topo.peer(node, link).expect("cable has a peer");
             if let Some(back) = self.topo.link_to(peer, node) {
-                self.set_link(peer, back, cut);
+                self.sync_egress(peer, back);
             }
         }
     }
 
-    /// Applies a link or panic event; `false` for a node event, which
-    /// only the node-event thread applies.
-    fn apply_inline(&self, fault: FabricFault) -> bool {
+    /// Brings `node`'s egress `link` in line with the `DeadMap`: under
+    /// `HoldForRecovery` declared dead while the cable or its peer is,
+    /// so its flits hold their credits (§14.2), and resurrected once
+    /// both are alive, replaying them. Atomic swaps and a wake: it never
+    /// blocks.
+    fn sync_egress(&self, node: usize, link: usize) {
+        let controller = &self
+            .controllers
+            .get()
+            .expect("nodes are installed at start")[node];
+        if self.dead.viable(node, link, self.topo.peer(node, link)) {
+            controller.resurrect(link);
+        } else if self.policy == DeadLinkPolicy::HoldForRecovery {
+            controller.declare_dead(link);
+        }
+    }
+
+    /// Applies the event `st.log` ends with (§11.4, §14.1): flag flips,
+    /// a runtime taken down or back up, and wakes — nothing that waits.
+    fn apply(&self, st: &mut FireState, fault: FabricFault) {
         match fault {
             FabricFault::KillLink { node, link, .. } => self.set_link(node, link, true),
             FabricFault::HealLink { node, link, .. } => self.set_link(node, link, false),
             FabricFault::PanicForwarder { node, .. } => self.panic_arm.arm(node),
-            FabricFault::KillNode { .. } | FabricFault::ReviveNode { .. } => return false,
+            FabricFault::KillNode { node, .. } if !self.dead.node_dead(node) => {
+                self.set_node(node, true);
+                // A kill before the last one settled joins that
+                // settlement: the runtime has not reopened since.
+                st.pending[node].get_or_insert(st.log.len() - 1);
+                self.handles()[node].set_down(true);
+            }
+            FabricFault::ReviveNode { node, .. } if self.dead.node_dead(node) => {
+                self.set_node(node, false);
+                // Otherwise the runtime reopens at its settlement, so no
+                // packet is both counted lost and departed.
+                if st.pending[node].is_none() {
+                    self.handles()[node].set_down(false);
+                }
+            }
+            // A kill of a dead node, a revive of a live one.
+            FabricFault::KillNode { .. } | FabricFault::ReviveNode { .. } => {}
         }
-        true
     }
 
     /// Called by each ejection with its clock value, before the packet
@@ -587,32 +484,81 @@ impl Faults {
         }
     }
 
-    /// Applies the events `clock` reached, in plan order: a link or
-    /// panic event here, recorded at `clock`; a node event, and every
-    /// event reached while one is queued, on the node-event thread.
+    /// Applies the events `clock` reached, in plan order, each recorded
+    /// at `clock`, then settles what it can.
     #[cold]
     fn fire(&self, clock: u64) {
         let mut st = lock(&self.state);
         while let Some(&fault) = self.plan.get(st.cursor).filter(|f| f.at() <= clock) {
             st.cursor += 1;
-            if st.queued == 0 && self.apply_inline(fault) {
-                st.log.push(FabricFaultEvent {
-                    fault,
-                    fired_at: clock,
-                    lost_packets: 0,
-                });
-            } else if st
-                .node_events
-                .as_ref()
-                .is_some_and(|q| q.send(fault).is_ok())
-            {
-                st.queued += 1;
-            }
-            // Otherwise the drain has stopped the node-event thread (or
-            // it died): the event never fires.
+            st.log.push(FabricFaultEvent {
+                fault,
+                fired_at: clock,
+                lost_packets: 0,
+            });
+            self.apply(&mut st, fault);
         }
-        let next = self.plan.get(st.cursor).map_or(u64::MAX, FabricFault::at);
+        self.settle_locked(&mut st);
+    }
+
+    /// Settles every killed node whose workers have all swept (§14.1);
+    /// a load and nothing more while no kill awaits settlement.
+    pub(crate) fn settle(&self) {
+        if self.next_due.load(Ordering::Relaxed) == 0 {
+            self.settle_locked(&mut lock(&self.state));
+        }
+    }
+
+    /// Settlement: once every worker of a killed node has swept, what
+    /// the node took in and never passed on — `enqueued − departed −
+    /// settled` over its life — is lost, in the ledger, at the gate and
+    /// in the kill's event. The runtime reopens if the node was revived
+    /// meanwhile. Then publishes `next_due`.
+    fn settle_locked(&self, st: &mut FireState) {
+        let FireState {
+            cursor,
+            log,
+            settled,
+            pending,
+        } = st;
+        for (node, kill) in pending.iter_mut().enumerate() {
+            let Some(event) = *kill else { continue };
+            let handle = &self.handles()[node];
+            if !handle.set_down(true) {
+                continue; // a worker has not swept yet
+            }
+            let lost = handle
+                .stats()
+                .enqueued_packets()
+                .saturating_sub(self.counters[node].departed_packets() + settled[node]);
+            settled[node] += lost;
+            log[event].lost_packets = lost;
+            *kill = None;
+            if lost > 0 {
+                self.ledger.on_lost(lost);
+                self.gate.depart(lost);
+            }
+            if !self.dead.node_dead(node) {
+                handle.set_down(false);
+            }
+        }
+        let next = if pending.iter().any(Option::is_some) {
+            0
+        } else {
+            self.plan.get(*cursor).map_or(u64::MAX, FabricFault::at)
+        };
         self.next_due.store(next, Ordering::Relaxed);
+    }
+
+    /// Ends the schedule before the drain shuts the nodes down (§14.3):
+    /// no event fires after this, and a loss still unsettled is left to
+    /// the forced drain's residual. Returns what each node has settled.
+    fn stop(&self) -> Vec<u64> {
+        let mut st = lock(&self.state);
+        st.cursor = self.plan.len();
+        st.pending.fill(None);
+        self.next_due.store(u64::MAX, Ordering::Relaxed);
+        st.settled.clone()
     }
 }
 
@@ -620,18 +566,10 @@ impl Faults {
 pub struct Fabric {
     topo: Arc<Topology>,
     specs: Arc<Vec<FlowSpec>>,
-    /// Node runtimes; an entry goes `None` when chaos kills the node
-    /// (its report moves into `killed`) and is refilled by a
-    /// `ReviveNode` (§14.1). Control-plane only — the hot path uses
-    /// `handles`.
-    nodes: Arc<Mutex<Vec<Option<Runtime>>>>,
-    killed: Arc<Mutex<Vec<(usize, DrainReport)>>>,
-    handles: Arc<HandleTable>,
+    /// One runtime per node for the fabric's life: a kill takes it down
+    /// in place and a revive brings it back up (§14.1).
+    nodes: Vec<Runtime>,
     counters: Vec<Arc<NodeCounters>>,
-    /// Per node: `departed_packets()` reading at its last kill, so a
-    /// revived node's residual is judged against its own incarnation's
-    /// enqueues, not its predecessors' departures (§14.1).
-    departed_base: Arc<Vec<AtomicU64>>,
     ledger: Arc<FabricLedger>,
     gate: Arc<FabricGate>,
     faults: Arc<Faults>,
@@ -639,14 +577,13 @@ pub struct Fabric {
     tracker: Arc<HopTracker>,
     epoch: Instant,
     next_packet: AtomicU64,
-    /// Applies `KillNode` / `ReviveNode` (§11.4); spawned only when
-    /// the plan has one.
-    node_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Fabric {
     /// Boots one buffered runtime per node, compiles the route tables,
-    /// and wires every Forwarder to every node's ingress handle.
+    /// and wires every Forwarder to every node's ingress handle. No
+    /// thread is started or joined after this returns: a fabric runs
+    /// its nodes' workers and nothing else (§14.1).
     pub fn start(cfg: FabricConfig) -> Self {
         let n_nodes = cfg.topology.n_nodes();
         assert!(n_nodes >= 1, "a fabric needs at least one node");
@@ -662,17 +599,22 @@ impl Fabric {
         let ledger = Arc::new(FabricLedger::with_hops(&routes.path_lens));
         let gate = Arc::new(FabricGate::new());
         let policy = cfg.dead_link_policy;
-        let faults = Arc::new(Faults::new(Arc::clone(&topo), policy, cfg.fault_plan));
-        let exits = Arc::new(ExitLog::default());
-        let epoch = Instant::now();
-        let handle_table = Arc::new(HandleTable::new());
         let counters: Vec<Arc<NodeCounters>> = (0..n_nodes)
             .map(|_| Arc::new(NodeCounters::default()))
             .collect();
+        let faults = Arc::new(Faults::new(
+            Arc::clone(&topo),
+            policy,
+            cfg.fault_plan,
+            counters.clone(),
+            Arc::clone(&ledger),
+            Arc::clone(&gate),
+        ));
+        let exits = Arc::new(ExitLog::default());
+        let epoch = Instant::now();
 
         let mut nodes = Vec::with_capacity(n_nodes);
         let mut handles = Vec::with_capacity(n_nodes);
-        let mut boots = Vec::with_capacity(n_nodes);
         for (node, node_counters) in counters.iter().enumerate() {
             let stall_plan = cfg
                 .node_stalls
@@ -703,7 +645,6 @@ impl Fabric {
                 node,
                 Arc::clone(&topo),
                 Arc::clone(&specs),
-                Arc::clone(&handle_table),
                 Arc::clone(&ledger),
                 Arc::clone(node_counters),
                 Arc::clone(&gate),
@@ -713,72 +654,27 @@ impl Fabric {
                 epoch,
                 Arc::clone(&exits),
             );
-            let (rt, handle) = {
-                let fwd = fwd.clone();
-                Runtime::start_with_egress(rc.clone(), move |_shard| Some(fwd.clone()))
-            };
-            lock(&faults.controllers).push(
+            let (rt, handle) = Runtime::start_with_egress(rc, move |_shard| Some(fwd.clone()));
+            handles.push(handle);
+            nodes.push(rt);
+        }
+        let controllers = nodes
+            .iter()
+            .map(|rt: &Runtime| {
                 rt.egress_controller()
                     .expect("buffered mode always has a controller")
-                    .clone(),
-            );
-            handles.push(handle);
-            nodes.push(Some(rt));
-            boots.push(NodeBoot { rc, fwd });
-        }
-        handle_table.install(handles);
-
-        let nodes = Arc::new(Mutex::new(nodes));
-        let killed = Arc::new(Mutex::new(Vec::new()));
-        let departed_base = Arc::new((0..n_nodes).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
-        let node_event = |f: &FabricFault| {
-            matches!(
-                f,
-                FabricFault::KillNode { .. } | FabricFault::ReviveNode { .. }
-            )
-        };
-        let node_events = faults.plan.iter().any(node_event).then(|| {
-            let (queue, events) = mpsc::channel();
-            lock(&faults.state).node_events = Some(queue);
-            let shared = NodeEvents {
-                faults: Arc::clone(&faults),
-                ledger: Arc::clone(&ledger),
-                nodes: Arc::clone(&nodes),
-                killed: Arc::clone(&killed),
-                gate: Arc::clone(&gate),
-                counters: counters.clone(),
-                handles: Arc::clone(&handle_table),
-                boots,
-                departed_base: Arc::clone(&departed_base),
-            };
-            (events, shared)
-        });
-        // Events at 0 fire before traffic starts: the link events here,
-        // and whatever the node-event queue took, on this thread too.
+                    .clone()
+            })
+            .collect();
+        faults.install(handles, controllers);
+        // Events at 0 fire before traffic starts.
         faults.reach(0);
-        let node_thread = node_events.map(|(events, shared)| {
-            events
-                .try_iter()
-                .for_each(|fault| apply_queued(fault, &shared));
-            // panic-policy: the thread only injects faults; if it
-            // panics, the events still queued and every one reached
-            // after are lost, the data path keeps running, and the
-            // drain-time `join` absorbs the unwind without poisoning
-            // anything.
-            std::thread::Builder::new()
-                .name("err-fabric-node-events".into())
-                .spawn(move || events.iter().for_each(|fault| apply_queued(fault, &shared)))
-                .expect("spawning the fabric node-event thread")
-        });
 
         Self {
             topo,
             specs,
             nodes,
-            killed,
-            handles: handle_table,
             counters,
-            departed_base,
             ledger,
             gate,
             faults,
@@ -786,7 +682,6 @@ impl Fabric {
             tracker,
             epoch,
             next_packet: AtomicU64::new(0),
-            node_thread,
         }
     }
 
@@ -815,10 +710,7 @@ impl Fabric {
             return Err(SubmitError::Closed);
         }
         let src = self.specs[flow].src;
-        let handle = self
-            .handles
-            .get(src)
-            .expect("handles are installed before the fabric is handed out");
+        let handle = &self.faults.handles()[src];
         let pkt = Packet {
             id: self.next_packet.fetch_add(1, Ordering::Relaxed),
             flow,
@@ -853,17 +745,23 @@ impl Fabric {
                 self.ledger.on_dropped(flow);
                 self.gate.depart(1);
             }
-            Err(_) => {
-                // Rejected / timed out / source node dead: the packet
+            Err(e) => {
+                // Rejected / timed out / source node down: the packet
                 // never entered the fabric; roll the announcement back.
                 self.gate.depart(1);
+                if *e == SubmitError::Closed {
+                    // A down node reopens at its settlement (§14.1).
+                    self.faults.settle();
+                }
             }
         }
         res
     }
 
-    /// Packets submitted but not yet at a terminal outcome.
+    /// Packets submitted but not yet at a terminal outcome. Settles a
+    /// killed node's loss first if its workers have swept (§14.1).
     pub fn in_flight(&self) -> u64 {
+        self.faults.settle();
         self.gate.in_flight()
     }
 
@@ -878,11 +776,11 @@ impl Fabric {
     }
 
     /// The egress controller of `node` (freeze/thaw its links; link
-    /// `0` is the node's eject end). Returns a clone because a
-    /// `ReviveNode` can swap the slot for the successor runtime's
-    /// controller at any moment (§14.1).
-    pub fn controller(&self, node: usize) -> EgressController {
-        self.faults.controller(node)
+    /// `0` is the node's eject end).
+    pub fn controller(&self, node: usize) -> &EgressController {
+        self.nodes[node]
+            .egress_controller()
+            .expect("buffered mode always has a controller")
     }
 
     /// Refused tail handoffs observed at `node`. Each one is a
@@ -900,15 +798,18 @@ impl Fabric {
     /// too, so its flits hold their credits instead of spinning
     /// against refusals (§14.2).
     pub fn cut_link(&self, node: usize, link: usize) {
+        let _events = lock(&self.faults.state);
         self.faults.set_link(node, link, true);
     }
 
     /// Heals a cable cut by [`cut_link`](Self::cut_link) or a
     /// `KillLink` — the deterministic equivalent of a
     /// `FabricFault::HealLink` (§14.1): clears the `DeadMap` flag so
-    /// tails take the primary path again and resurrects the upstream
-    /// egress link, replaying any death-held flits in FIFO order.
+    /// tails take the primary path again and, once the peer is alive
+    /// too, resurrects the upstream egress link, replaying any
+    /// death-held flits in FIFO order.
     pub fn heal_link(&self, node: usize, link: usize) {
+        let _events = lock(&self.faults.state);
         self.faults.set_link(node, link, false);
     }
 
@@ -948,17 +849,10 @@ impl Fabric {
     /// Whether the drain's wait can no longer make progress because a
     /// `HoldForRecovery` cable or node is still dead: the held flits
     /// are waiting for a heal the closed fabric can't deliver (§14.3).
+    /// An egress link is held dead only while a `DeadMap` flag says so
+    /// (`Faults::sync_egress`), so the flags tell.
     fn held_for_recovery(&self) -> bool {
-        if self.faults.policy != DeadLinkPolicy::HoldForRecovery {
-            return false;
-        }
-        if self.faults.dead.any_dead() {
-            return true;
-        }
-        lock(&self.faults.controllers).iter().any(|c| {
-            let links = c.links();
-            (0..links.n_links()).any(|l| links.is_dead(l))
-        })
+        self.faults.policy == DeadLinkPolicy::HoldForRecovery && self.faults.dead.any_dead()
     }
 
     /// Graceful multi-node drain (DESIGN.md §11.3): close the gate,
@@ -970,7 +864,7 @@ impl Fabric {
     /// soon as progress stops instead of spinning to the deadline —
     /// the held flits need a heal that cannot arrive once the fabric
     /// is closed (§14.3, `DrainOutcome::HeldForRecovery`).
-    pub fn drain_within(mut self, deadline: Duration) -> FabricReport {
+    pub fn drain_within(self, deadline: Duration) -> FabricReport {
         /// How long ejections and departures may stand still before a
         /// dead held link is judged permanent for this drain.
         const HELD_STAGNATION: Duration = Duration::from_millis(150);
@@ -979,7 +873,9 @@ impl Fabric {
         let mut outcome = DrainOutcome::Graceful;
         let mut last_progress = (self.gate.in_flight(), self.ledger.ejected_total());
         let mut stagnant_since = Instant::now();
-        while self.gate.in_flight() > 0 {
+        // Traffic ejects through the wait, and an event it reaches
+        // fires, a kill's settlement included (§14.3).
+        while self.in_flight() > 0 {
             if Instant::now() >= end {
                 outcome = DrainOutcome::Forced;
                 break;
@@ -995,53 +891,33 @@ impl Fabric {
             std::thread::yield_now();
         }
         let forced = outcome != DrainOutcome::Graceful;
-        // The node-event thread outlives the wait loop: traffic ejects
-        // through a drain, and an event it reaches there still fires
-        // (§14.3). Without its sender the queue ends once it is empty.
-        drop(lock(&self.faults.state).node_events.take());
-        if let Some(thread) = self.node_thread.take() {
-            let _ = thread.join();
-        }
-        let mut slots = lock(&self.nodes);
-        let mut drains: Vec<Option<DrainReport>> = (0..slots.len()).map(|_| None).collect();
-        for (node, slot) in slots.iter_mut().enumerate() {
-            if let Some(rt) = slot.take() {
-                let report = if forced {
-                    let rep = rt.shutdown_within(Duration::from_millis(200));
-                    let base = self.departed_base[node].load(Ordering::Relaxed);
-                    let residual = node_residual(&rep, &self.counters[node], base);
-                    if residual > 0 {
-                        self.ledger.on_lost(residual);
-                        self.gate.depart(residual);
-                    }
-                    rep
-                } else {
-                    rt.shutdown()
-                };
-                drains[node] = Some(report);
-            }
-        }
-        drop(slots);
-        // Killed incarnations: a node that was killed and never
-        // revived contributes its kill-time report as the node report;
-        // one that was revived keeps the successor's report in place
-        // and the predecessors' land in `prior_reports` (§14.1).
-        let mut prior = std::mem::take(&mut *lock(&self.killed));
-        for (node, slot) in drains.iter_mut().enumerate() {
-            if slot.is_none() {
-                let last = prior
-                    .iter()
-                    .rposition(|(n, _)| *n == node)
-                    .expect("every node drained exactly once");
-                *slot = Some(prior.remove(last).1);
-            }
-        }
+        let settled = self.faults.stop();
+        let node_reports = self
+            .nodes
+            .into_iter()
+            .enumerate()
+            .map(|(node, rt)| {
+                if !forced {
+                    return rt.shutdown();
+                }
+                let rep = rt.shutdown_within(Duration::from_millis(200));
+                // Joined workers: the node's counters are final, so what
+                // it took in and neither passed on nor settled at a kill
+                // is what the forced drain cost it.
+                let residual = rep
+                    .stats
+                    .enqueued_packets()
+                    .saturating_sub(self.counters[node].departed_packets() + settled[node]);
+                if residual > 0 {
+                    self.ledger.on_lost(residual);
+                    self.gate.depart(residual);
+                }
+                rep
+            })
+            .collect();
         let events = std::mem::take(&mut lock(&self.faults.state).log);
         FabricReport {
-            node_reports: drains
-                .into_iter()
-                .map(|d| d.expect("every node drained exactly once"))
-                .collect(),
+            node_reports,
             flow_hops: (0..self.specs.len())
                 .map(|fl| self.ledger.hop_snapshot(fl))
                 .collect(),
@@ -1051,139 +927,6 @@ impl Fabric {
             forced,
             outcome,
             forwarder_exits: self.exits.take(),
-            prior_reports: prior,
-        }
-    }
-}
-
-/// Packets that entered `rep`'s node and never departed through its
-/// Forwarder: the §11.4 lost computation (valid only after the node's
-/// workers are joined, so the counters are final).
-/// `departed_base` is the counter reading when the node's previous
-/// incarnation died (0 for a never-killed node), since `NodeCounters`
-/// accumulates across revives while `rep` counts one incarnation
-/// (§14.1).
-fn node_residual(rep: &DrainReport, counters: &NodeCounters, departed_base: u64) -> u64 {
-    rep.stats
-        .enqueued_packets()
-        .saturating_sub(counters.departed_packets().saturating_sub(departed_base))
-}
-
-/// What the node-event thread needs to kill and revive nodes: the
-/// fault state, the node table, and the §14.1 boot recipes a
-/// `ReviveNode` replays.
-struct NodeEvents {
-    faults: Arc<Faults>,
-    ledger: Arc<FabricLedger>,
-    nodes: Arc<Mutex<Vec<Option<Runtime>>>>,
-    killed: Arc<Mutex<Vec<(usize, DrainReport)>>>,
-    gate: Arc<FabricGate>,
-    counters: Vec<Arc<NodeCounters>>,
-    handles: Arc<HandleTable>,
-    boots: Vec<NodeBoot>,
-    departed_base: Arc<Vec<AtomicU64>>,
-}
-
-/// Applies one event off the node-event queue and records it at the
-/// clock when the thread got to it; once none is queued, reached events
-/// fire inline again.
-fn apply_queued(fault: FabricFault, shared: &NodeEvents) {
-    let fired_at = shared.ledger.ejected_total();
-    let lost = match fault {
-        FabricFault::KillNode { node, .. } => kill_node(node, shared),
-        FabricFault::ReviveNode { node, .. } => {
-            revive_node(node, shared);
-            0
-        }
-        _ => {
-            shared.faults.apply_inline(fault);
-            0
-        }
-    };
-    let mut st = lock(&shared.faults.state);
-    st.queued -= 1;
-    st.log.push(FabricFaultEvent {
-        fault,
-        fired_at,
-        lost_packets: lost,
-    });
-}
-
-/// Cuts every cable touching `node` first, so neighbors reroute (or
-/// hold, §14.2) instead of queueing against a corpse, then force-drains
-/// it (§9.4 ladder); the handle refuses new submits the moment the
-/// runtime closes its gate. Under `HoldForRecovery` the corpse's own
-/// cables die at the egress layer too: its workers then dead-letter
-/// their held flits at shutdown and exit, instead of polling refused
-/// tails until the forced abort (§14.1). Returns the packets lost.
-fn kill_node(node: usize, shared: &NodeEvents) -> u64 {
-    shared.faults.dead.kill_node(node);
-    shared.faults.set_node_cables(node, true);
-    let Some(rt) = lock(&shared.nodes)[node].take() else {
-        return 0; // already killed
-    };
-    let rep = rt.shutdown_within(Duration::from_millis(50));
-    // Joined workers: the node's counters are final, so entered −
-    // departed is exactly what it ate.
-    let base = shared.departed_base[node].load(Ordering::Relaxed);
-    let lost = node_residual(&rep, &shared.counters[node], base);
-    // Re-base for a possible successor incarnation (§14.1): its
-    // residual is judged on departures made after this point.
-    shared.departed_base[node].store(shared.counters[node].departed_packets(), Ordering::Relaxed);
-    if lost > 0 {
-        shared.ledger.on_lost(lost);
-        shared.gate.depart(lost);
-    }
-    lock(&shared.killed).push((node, rep));
-    lost
-}
-
-/// Boots `node`'s successor from its §14.1 recipe, then heals every
-/// cable touching it in both directions, replaying what its neighbors
-/// held for the corpse. A no-op while the node is alive.
-fn revive_node(node: usize, shared: &NodeEvents) {
-    let faults = &shared.faults;
-    let mut slots = lock(&shared.nodes);
-    if slots[node].is_some() {
-        return;
-    }
-    // Forwarders never take this lock, so holding it across the boot
-    // cannot deadlock the data plane; the drain takes it only after
-    // joining this thread.
-    let boot = &shared.boots[node];
-    let (rt, handle) = {
-        let fwd = boot.fwd.clone();
-        Runtime::start_with_egress(boot.rc.clone(), move |_shard| Some(fwd.clone()))
-    };
-    lock(&faults.controllers)[node] = rt
-        .egress_controller()
-        .expect("buffered mode always has a controller")
-        .clone();
-    shared.handles.swap(node, handle);
-    slots[node] = Some(rt);
-    drop(slots);
-    // Liveness flags last: a tail handed off the instant the flags
-    // clear must find the successor's handle installed.
-    faults.dead.revive_node(node);
-    faults.set_node_cables(node, false);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Link and panic events fire on the ejecting worker, so only a
-    /// plan with a node kill or revive has a thread of its own.
-    #[test]
-    fn only_a_node_event_spawns_a_thread() {
-        let links = FabricFaultPlan::new().kill_link_at(0, 1, 3);
-        for (plan, thread) in [(links.clone(), false), (links.kill_node_at(1, 7), true)] {
-            let flows = vec![FlowSpec { src: 0, dst: 1 }];
-            let mut cfg = FabricConfig::new(Topology::mesh(2, 1), flows);
-            cfg.fault_plan = Some(plan.heal_link_at(0, 1, 5).panic_forwarder_at(1, 9));
-            let f = Fabric::start(cfg);
-            assert_eq!(f.node_thread.is_some(), thread);
-            f.drain_within(Duration::from_secs(20));
         }
     }
 }

@@ -13,14 +13,15 @@
 //!
 //! A wormhole route is fixed per flow and per hop, so nothing here
 //! routes: each flit reads its flow's entry in the node's hop table,
-//! compiled once at `Fabric::start` (§11.1). A tail hand-off finds its
-//! peer in the clone's own [`HandleCache`], pays one `HopTracker` lock
-//! trip (two when refused) and one clock read; the topology is asked
-//! for alternates only once the primary link is not viable.
+//! compiled once at `Fabric::start` (§11.1). A tail hand-off reads its
+//! peer's handle from the fixed slice `Fabric::start` installed, pays
+//! one `HopTracker` lock trip (two when refused) and one clock read; the
+//! topology is asked for alternates only once the primary link is not
+//! viable.
 //!
-//! The ejection that reaches a chaos event applies it (§11.4): a link
-//! or panic event in place — flag flips, nothing that waits — and a
-//! node event by queueing it for the node-event thread.
+//! The ejection that reaches a chaos event applies it in place (§11.4):
+//! flag flips, a node's runtime taken down or back up, and wakes —
+//! nothing that waits, whatever the event.
 //!
 //! The `Egress` entry points run under a catch-unwind supervisor
 //! (DESIGN.md §14.4): a panicking forwarder body poisons the flit's
@@ -37,7 +38,7 @@ use err_runtime::{SubmitError, Submitted};
 use err_sched::{Packet, ServedFlit};
 
 use crate::chaos::ForwarderExit;
-use crate::fabric::{ExitLog, FabricGate, Faults, HandleCache, HandleTable};
+use crate::fabric::{ExitLog, FabricGate, Faults};
 use crate::hops::{HopEntry, HopTracker};
 use crate::stats::{FabricLedger, NodeCounters};
 use crate::topology::{FlowSpec, Hop, Step, Topology};
@@ -81,18 +82,12 @@ pub struct Forwarder {
     /// This node's compiled verdict per flow (§11.1): the primary step,
     /// its peer, and the node's position on the flow's path (§11.8).
     hops: Arc<[Hop]>,
-    /// Every node's ingress handle, installed once after all nodes are
-    /// up (resolves the boot-order cycle) and swapped per revive
-    /// (§14.1).
-    handles: Arc<HandleTable>,
-    /// This clone's copy of `handles`, re-read when a revive moves the
-    /// table's generation.
-    peers: HandleCache,
     ledger: Arc<FabricLedger>,
     counters: Arc<NodeCounters>,
     gate: Arc<FabricGate>,
     /// Liveness flags, panic switches, the dead-link policy (§14.2),
-    /// and the chaos schedule each ejection drives (§11.4).
+    /// every node's ingress handle, and the chaos schedule each
+    /// ejection drives (§11.4).
     faults: Arc<Faults>,
     /// Per-packet entry stamps for §11.8 hop attribution.
     tracker: Arc<HopTracker>,
@@ -107,7 +102,6 @@ impl Forwarder {
         node: usize,
         topo: Arc<Topology>,
         specs: Arc<Vec<FlowSpec>>,
-        handles: Arc<HandleTable>,
         ledger: Arc<FabricLedger>,
         counters: Arc<NodeCounters>,
         gate: Arc<FabricGate>,
@@ -122,8 +116,6 @@ impl Forwarder {
             topo,
             specs,
             hops,
-            handles,
-            peers: HandleCache::new(),
             ledger,
             counters,
             gate,
@@ -139,14 +131,11 @@ impl Forwarder {
     /// service-clock and wall deltas from post-admission entry to tail
     /// service. Entries stamped for a different node (a lost stamping
     /// race, see `hops`) are dropped.
-    fn record_hop(&mut self, flow: usize, position: Option<usize>, entry: HopEntry, now_us: u64) {
+    fn record_hop(&self, flow: usize, position: Option<usize>, entry: HopEntry, now_us: u64) {
         let Some(hop) = position.filter(|_| entry.node == self.node) else {
             return;
         };
-        self.peers.refresh(&self.handles);
-        let Some(handle) = self.peers.get(self.node) else {
-            return;
-        };
+        let handle = &self.faults.handles()[self.node];
         let cycles = handle
             .served_flits()
             .saturating_sub(entry.entry_served_flits);
@@ -255,16 +244,7 @@ impl Forwarder {
         if !self.faults.dead.viable(self.node, link, Some(peer)) {
             return None;
         }
-        // After the liveness check: a revive swaps the successor's
-        // handle in before it clears the node's flags (§14.1), so a
-        // cache that found them clear refreshes onto the successor.
-        self.peers.refresh(&self.handles);
-        let Some(peer_handle) = self.peers.get(peer) else {
-            // Boot race: the fabric has not finished wiring.
-            // Refuse; the pending queue retries.
-            self.counters.on_refusal();
-            return Some(ForwardOutcome::Refused);
-        };
+        let peer_handle = &self.faults.handles()[peer];
         // Pre-stamp the peer entry: the instant the submit lands in the
         // peer's ring its tail may be served there, and the stamp must
         // already be visible (§11.8). The one lock trip hands back this
@@ -307,9 +287,11 @@ impl Forwarder {
             }
             Err(SubmitError::Closed) => {
                 // The peer died between the liveness check and the
-                // submit (or this cache still held its dead
-                // incarnation): try the next candidate.
+                // submit, or was revived but reopens only at its
+                // settlement, which this refusal may complete (§14.1):
+                // try the next candidate.
                 self.restore(pkt.id, prev);
+                self.faults.settle();
                 None
             }
         }
@@ -445,6 +427,9 @@ mod tests {
         fwd: Forwarder,
         peer: Runtime,
         blocked: Arc<AtomicBool>,
+        /// Set by node 1's sink once it waits on `blocked`: its worker
+        /// pops nothing more until the sink is unblocked.
+        waiting: Arc<AtomicBool>,
         tracker: Arc<HopTracker>,
         ledger: Arc<FabricLedger>,
         counters: Arc<NodeCounters>,
@@ -457,9 +442,14 @@ mod tests {
     /// would on eject.
     fn harness(take_stamps: bool) -> Harness {
         let blocked = Arc::new(AtomicBool::new(false));
+        let waiting = Arc::new(AtomicBool::new(false));
         let tracker = Arc::new(HopTracker::new());
         let (peer, peer_handle) = {
-            let (blocked, tracker) = (Arc::clone(&blocked), Arc::clone(&tracker));
+            let (blocked, waiting, tracker) = (
+                Arc::clone(&blocked),
+                Arc::clone(&waiting),
+                Arc::clone(&tracker),
+            );
             Runtime::start_with_egress(
                 RuntimeConfig {
                     shards: 1,
@@ -471,9 +461,14 @@ mod tests {
                     ..RuntimeConfig::default()
                 },
                 move |_shard| {
-                    let (blocked, tracker) = (Arc::clone(&blocked), Arc::clone(&tracker));
+                    let (blocked, waiting, tracker) = (
+                        Arc::clone(&blocked),
+                        Arc::clone(&waiting),
+                        Arc::clone(&tracker),
+                    );
                     Some(move |_s: usize, f: &ServedFlit| {
                         while blocked.load(Ordering::Acquire) {
+                            waiting.store(true, Ordering::Release);
                             std::thread::sleep(Duration::from_micros(200));
                         }
                         if take_stamps {
@@ -486,23 +481,26 @@ mod tests {
         let topo = Arc::new(Topology::mesh(2, 1));
         let specs = vec![FlowSpec { src: 0, dst: 1 }];
         let routes = topo.compile(&specs);
-        let handles = Arc::new(HandleTable::new());
-        handles.install(vec![peer_handle.clone(), peer_handle]);
         let counters = Arc::new(NodeCounters::default());
         let ledger = Arc::new(FabricLedger::with_hops(&routes.path_lens));
+        let gate = Arc::new(FabricGate::new());
+        let faults = Faults::new(
+            Arc::clone(&topo),
+            DeadLinkPolicy::DropAndAccount,
+            None,
+            vec![Arc::clone(&counters), Arc::default()],
+            Arc::clone(&ledger),
+            Arc::clone(&gate),
+        );
+        faults.install(vec![peer_handle.clone(), peer_handle], Vec::new());
         let fwd = Forwarder::new(
             0,
             Arc::clone(&topo),
             Arc::new(specs),
-            handles,
             Arc::clone(&ledger),
             Arc::clone(&counters),
-            Arc::new(FabricGate::new()),
-            Arc::new(Faults::new(
-                Arc::clone(&topo),
-                DeadLinkPolicy::DropAndAccount,
-                None,
-            )),
+            gate,
+            Arc::new(faults),
             Arc::clone(&tracker),
             Arc::clone(&routes.hops[0]),
             Instant::now(),
@@ -512,6 +510,7 @@ mod tests {
             fwd,
             peer,
             blocked,
+            waiting,
             tracker,
             ledger,
             counters,
@@ -530,14 +529,20 @@ mod tests {
 
     impl Harness {
         /// Blocks node 1's sink and hands tails over from `id` on until
-        /// the first refusal; returns the refused id.
+        /// a refusal that lasts; returns the refused id. A refusal before
+        /// the worker waits in the sink does not: the refusal's wake can
+        /// still let the worker pop a batch and free ring slots.
         fn fill_until_refused(&mut self, mut id: u64) -> u64 {
+            self.waiting.store(false, Ordering::Release);
             self.blocked.store(true, Ordering::Release);
-            while self.fwd.on_flit(&tail(id)) == ForwardOutcome::Forwarded {
-                id += 1;
+            loop {
+                match self.fwd.on_flit(&tail(id)) {
+                    ForwardOutcome::Forwarded => id += 1,
+                    _ if self.waiting.load(Ordering::Acquire) => return id,
+                    _ => std::thread::yield_now(),
+                }
                 assert!(id < 4 * RING as u64, "a blocked peer never refused");
             }
-            id
         }
     }
 

@@ -18,7 +18,9 @@
 //!   the flows routed through it — never unrelated traffic;
 //! * [`Fabric`] gives end-to-end submit, graceful multi-node drain,
 //!   per-path latency/fairness queries, and chaos (killing cables and
-//!   whole nodes mid-run, §11.4).
+//!   whole nodes mid-run, §11.4): a killed node dies in place on its
+//!   own threads, so a fabric runs its nodes' workers and nothing else
+//!   (§14.1).
 //!
 //! The 2×2 serialized workload is cross-validated flit-for-flit
 //! against the single-threaded `wormhole-net` simulator (§11.5).
@@ -30,16 +32,13 @@ pub mod fabric;
 pub mod forwarder;
 mod hops;
 pub mod stats;
-mod sync;
 pub mod topology;
 
 pub use chaos::{
     DeadMap, FabricFault, FabricFaultEvent, FabricFaultPlan, ForwarderExit, PanicSwitch,
 };
 pub use err_egress::DeadLinkPolicy;
-pub use fabric::{
-    DrainOutcome, Fabric, FabricConfig, FabricReport, HandleCache, HandleTable, PathStats,
-};
+pub use fabric::{DrainOutcome, Fabric, FabricConfig, FabricReport, PathStats};
 pub use forwarder::{ForwardOutcome, Forwarder};
 pub use stats::{FabricLedger, FlowSnapshot, HopSnapshot, NodeCounters};
 pub use topology::{FlowSpec, LinkEnd, NextHop, Topology};

@@ -1,9 +1,10 @@
 //! End-to-end fabric behavior: hop-by-hop delivery, backpressure,
 //! reroute, node kills, and the conservation identity (DESIGN.md
-//! §11.2–§11.4).
+//! §11.2–§11.4, §14.1).
 
 use std::time::{Duration, Instant};
 
+use desim::SimRng;
 use err_fabric::{
     DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FabricFault, FabricFaultPlan, FlowSpec,
     Topology,
@@ -418,6 +419,167 @@ fn link_and_panic_events_fire_at_their_exact_clock() {
             assert_eq!(ev.fired_at, ev.fault.at(), "run {run}: {:?}", ev.fault);
         }
         assert!(rep.forwarder_exits.len() <= 1, "run {run}: one-shot panic");
+    }
+}
+
+/// `KillNode` and `ReviveNode` fire at exactly their clock too: the
+/// ejecting worker applies them in place — a flag flip, the node's
+/// runtime taken down or back up — with nothing to join or boot
+/// (DESIGN.md §14.1). On a 3×1 line every flow ejects at node 2, and
+/// node 1, which flow 0 crosses and flow 1 starts at, dies twice.
+#[test]
+fn node_events_fire_at_their_exact_clock() {
+    let plan = FabricFaultPlan::new()
+        .kill_node_at(1, 10)
+        .revive_node_at(1, 20)
+        .kill_node_at(1, 30)
+        .revive_node_at(1, 40);
+    for run in 0..20 {
+        let mut cfg = FabricConfig::new(
+            Topology::mesh(3, 1),
+            vec![
+                FlowSpec { src: 0, dst: 2 },
+                FlowSpec { src: 1, dst: 2 },
+                FlowSpec { src: 2, dst: 2 },
+            ],
+        );
+        cfg.dead_link_policy = DeadLinkPolicy::HoldForRecovery;
+        cfg.fault_plan = Some(plan.clone());
+        let f = Fabric::start(cfg);
+        submit_round_robin(&f, 3, 60, 2);
+        let rep = f.drain_within(DRAIN);
+        assert!(rep.is_conserving(), "run {run}");
+        assert_eq!(rep.outcome, DrainOutcome::Graceful, "run {run}");
+        assert_eq!(rep.events.len(), 4, "run {run}: every event fired");
+        for (ev, planned) in rep.events.iter().zip(plan.events()) {
+            assert_eq!(ev.fault, *planned, "run {run}: plan order");
+            assert_eq!(ev.fired_at, ev.fault.at(), "run {run}: {:?}", ev.fault);
+        }
+    }
+}
+
+/// A cable's `DeadMap` flag belongs to link events: reviving a node
+/// leaves a cable that a separate `KillLink` cut dead. On a 3×1 line
+/// flow 0 has no way around node 0's cut east cable, so every packet it
+/// sends after the revive dead-letters.
+#[test]
+fn a_revive_leaves_a_cable_a_link_kill_cut_dead() {
+    let topo = Topology::mesh(3, 1);
+    let east = topo.link_to(0, 1).expect("0-1 are neighbors");
+    let mut cfg = FabricConfig::new(
+        topo,
+        vec![FlowSpec { src: 0, dst: 2 }, FlowSpec { src: 2, dst: 2 }],
+    );
+    cfg.fault_plan = Some(
+        FabricFaultPlan::new()
+            .kill_link_at(0, east, 5)
+            .kill_node_at(1, 10)
+            .revive_node_at(1, 20),
+    );
+    let f = Fabric::start(cfg);
+    // Flow 1 drives the clock past the revive; events fire inline, so
+    // once its packets have ejected every event has been applied.
+    for _ in 0..25 {
+        f.submit(1, 2).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while f.in_flight() > 0 {
+        assert!(Instant::now() < deadline, "flow 1 never ejected");
+        std::thread::yield_now();
+    }
+    for _ in 0..20 {
+        f.submit(0, 2).unwrap();
+    }
+    let rep = f.drain_within(DRAIN);
+    assert!(rep.is_conserving());
+    assert_eq!(rep.events.len(), 3, "every event fired");
+    assert_eq!(rep.flows[0].dead_lettered, 20, "{:?}", rep.flows[0]);
+    assert_eq!(rep.flows[0].ejected_packets, 0);
+    assert_eq!(rep.flows[1].ejected_packets, 25);
+}
+
+/// Seeds of [`node_kills_race_submits_and_settle_once`].
+const KILL_SEEDS: [u64; 6] = [1, 2, 3, 4, 5, 6];
+
+/// A node killed and revived twice while four producers race their
+/// submits into a 2×2 mesh of two-shard nodes (DESIGN.md §14.1): submits
+/// and hand-offs straddle each kill, half the seeds revive one clock
+/// after the kill — before every worker of the corpse has swept — and
+/// under both dead-link policies each kill settles its loss exactly
+/// once. The ledger conserves, the drain is graceful, the kills' events
+/// carry every packet lost, and no settlement is departed twice (a
+/// debug build asserts `gate underflow`, which the forwarder's fence
+/// would report as an exit).
+#[test]
+fn node_kills_race_submits_and_settle_once() {
+    const PER_FLOW: u64 = 15;
+    let topo = Topology::mesh(2, 2);
+    let flows: Vec<FlowSpec> = (0..4)
+        .flat_map(|src| (0..4).map(move |dst| FlowSpec { src, dst }))
+        .filter(|s| s.src != s.dst)
+        .collect();
+    for policy in [
+        DeadLinkPolicy::DropAndAccount,
+        DeadLinkPolicy::HoldForRecovery,
+    ] {
+        for seed in KILL_SEEDS {
+            let mut rng = SimRng::new(seed);
+            let node = rng.index(4);
+            let mut gap = || {
+                if seed % 2 == 0 {
+                    1
+                } else {
+                    1 + rng.index(10) as u64
+                }
+            };
+            let kill = 5 + gap() + gap();
+            let revive = kill + gap();
+            let kill_again = revive + gap();
+            let plan = FabricFaultPlan::new()
+                .kill_node_at(node, kill)
+                .revive_node_at(node, revive)
+                .kill_node_at(node, kill_again)
+                .revive_node_at(node, kill_again + gap());
+            let leg = format!("{policy:?}, seed {seed}, {:?}", plan.events());
+            let mut cfg = FabricConfig::new(topo.clone(), flows.clone());
+            cfg.shards_per_node = 2;
+            cfg.max_backlog = 8;
+            cfg.credits = 4;
+            cfg.dead_link_policy = policy;
+            cfg.fault_plan = Some(plan.clone());
+            let f = Fabric::start(cfg);
+            std::thread::scope(|s| {
+                for producer in 0..4 {
+                    let (f, n_flows) = (&f, flows.len());
+                    s.spawn(move || {
+                        let mine: Vec<usize> = (producer..n_flows).step_by(4).collect();
+                        let mut sent = vec![0u64; mine.len()];
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        while sent.iter().any(|&n| n < PER_FLOW) {
+                            assert!(Instant::now() < deadline, "producer {producer} starved");
+                            for (n, &flow) in sent.iter_mut().zip(&mine) {
+                                if *n < PER_FLOW && f.try_submit(flow, 4).is_ok() {
+                                    *n += 1;
+                                }
+                            }
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+            });
+            let rep = f.drain_within(DRAIN);
+            assert!(rep.is_conserving(), "{leg}");
+            assert_eq!(rep.outcome, DrainOutcome::Graceful, "{leg}");
+            assert!(
+                rep.forwarder_exits.is_empty(),
+                "{leg}: {:?}",
+                rep.forwarder_exits
+            );
+            let fired: Vec<FabricFault> = rep.events.iter().map(|e| e.fault).collect();
+            assert_eq!(fired, plan.events(), "{leg}: plan order");
+            let settled: u64 = rep.events.iter().map(|e| e.lost_packets).sum();
+            assert_eq!(rep.lost_packets, settled, "{leg}");
+        }
     }
 }
 

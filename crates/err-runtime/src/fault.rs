@@ -61,6 +61,8 @@ struct BoardCell {
     health: AtomicU8,
     death_at: AtomicU64,
     recovered_at: AtomicU64,
+    /// The last down epoch this shard's worker swept (§14.1); 0: none.
+    swept: AtomicU64,
 }
 
 impl Default for BoardCell {
@@ -70,6 +72,7 @@ impl Default for BoardCell {
             health: AtomicU8::new(ShardHealth::Running as u8),
             death_at: AtomicU64::new(NEVER),
             recovered_at: AtomicU64::new(NEVER),
+            swept: AtomicU64::new(0),
         }
     }
 }
@@ -146,6 +149,22 @@ impl FaultBoard {
         self.cells[shard]
             .recovered_at
             .store(self.now_micros(), Ordering::Release);
+    }
+
+    /// Publishes that `shard`'s worker has swept what it held in down
+    /// `epoch` (§14.1).
+    pub(crate) fn mark_swept(&self, shard: usize, epoch: u64) {
+        // ordering: Release — a reader that sees the epoch sees the
+        // worker's lost and departure counts from before the sweep.
+        // [pair: board-sweep @ self]
+        self.cells[shard].swept.store(epoch, Ordering::Release);
+    }
+
+    /// The last down epoch `shard`'s worker swept.
+    pub(crate) fn swept(&self, shard: usize) -> u64 {
+        // ordering: Acquire pairs with the Release in `mark_swept`.
+        // [pair: board-sweep @ self]
+        self.cells[shard].swept.load(Ordering::Acquire)
     }
 
     /// Microseconds (since runtime start) at which `shard` last died,

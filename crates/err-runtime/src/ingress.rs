@@ -16,7 +16,6 @@
 //! it is itself about to wait on the worker — a backpressure `Wait` or
 //! a full ring, the zero-deadline refusals included (DESIGN.md §6).
 
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use err_egress::WakeCell;
@@ -94,11 +93,9 @@ pub(crate) struct Shared {
     /// Dekker-style pair, so workers never take their *final* look at
     /// the ingress rings while a producer that missed the close is
     /// mid-push. Extracted to [`crate::gate`] (and model-checked by
-    /// err-check) in PR 5.
+    /// err-check) in PR 5. Its state word also carries the
+    /// forced-shutdown latch (DESIGN.md §9.4) and the down bit (§14.1).
     pub(crate) gate: DrainGate,
-    /// Forced-shutdown flag (DESIGN.md §9.4): workers stop serving and
-    /// count their residual state lost.
-    pub(crate) abort: AtomicBool,
 }
 
 impl Shared {
@@ -230,7 +227,7 @@ impl RuntimeHandle {
                     return Err(SubmitError::Rejected);
                 }
                 AdmitDecision::Wait => {
-                    if shared.is_closed() {
+                    if shared.gate.refuses() {
                         return Err(SubmitError::Closed);
                     }
                     // About to wait (or, past the deadline, to refuse)
@@ -282,7 +279,7 @@ impl RuntimeHandle {
                         stats.dropped_flits.add(pkt.len as u64);
                         return Ok(Submitted::Dropped);
                     }
-                    if shared.is_closed() {
+                    if shared.gate.refuses() {
                         shared.admission.revoke(pkt.flow, pkt.len);
                         return Err(SubmitError::Closed);
                     }
@@ -317,6 +314,27 @@ impl RuntimeHandle {
     /// Whether `shutdown()` has been called.
     pub fn is_closed(&self) -> bool {
         self.shared.is_closed()
+    }
+
+    /// Takes the runtime down (`true`) or brings it back up (`false`):
+    /// a crash in place (DESIGN.md §14.1). A down runtime refuses every
+    /// submit with [`SubmitError::Closed`]. At its next intake boundary
+    /// each worker waits until no producer is inside `submit`, counts
+    /// what it holds lost exactly as a forced abort does (§9.4), and
+    /// idles without serving until the runtime is up again, with an
+    /// empty scheduler. Returns whether the runtime is down and every
+    /// worker has swept since it went down; taking a down runtime down
+    /// again only asks that. A runtime that steals flows must not go
+    /// down: a sweep does not settle a migration in flight.
+    pub fn set_down(&self, down: bool) -> bool {
+        let shared = &*self.shared;
+        assert!(shared.steal.is_none(), "a stealing runtime cannot go down");
+        let epoch = shared.gate.set_down(down);
+        for cell in &shared.wakes {
+            cell.wake();
+        }
+        let board = &shared.fault.board;
+        epoch.is_some_and(|e| (0..board.shards()).all(|s| board.swept(s) == e))
     }
 
     /// The shard a flow maps to. Stable for the runtime's lifetime

@@ -283,7 +283,6 @@ impl Runtime {
             steal,
             fault,
             gate: gate::DrainGate::new(),
-            abort: AtomicBool::new(false),
         });
         let mut controller = None;
         // The one place an `EgressMode` is matched: each shard gets the
@@ -462,13 +461,7 @@ impl Runtime {
             if let Some(g) = graceful_deadline {
                 if !forced && now >= g {
                     forced = true;
-                    // ordering: Release (downgraded from SeqCst in
-                    // PR 5) pairs with the workers' Acquire `abort`
-                    // loads (shard.rs). A one-way stop latch
-                    // needs no Dekker pairing: no reader consults a
-                    // second flag whose order against this store
-                    // matters.
-                    self.shared.abort.store(true, Ordering::Release);
+                    self.shared.gate.abort();
                 }
             }
             if let Some(f) = final_deadline {

@@ -80,6 +80,7 @@ use err_sched::err::ErrScheduler;
 use err_sched::{Packet, Scheduler, ServedFlit};
 
 use crate::fault::{abort_residuals, fault_tick, ShardHealth, WorkerState};
+use crate::gate::Stop;
 use crate::ingress::Shared;
 
 /// Park duration of a sleep that polls; bounds wake-up latency after
@@ -146,8 +147,10 @@ pub(crate) trait EgressStage: Send {
     }
 
     /// Forced-abort settlement (§9.4), run where the scheduler's residue
-    /// is counted lost: disposes of every flit the stage still has to
-    /// deliver itself, so none is dropped uncounted with its credit.
+    /// is counted lost — at a forced abort and at a down runtime's sweep
+    /// (§14.1): disposes of every flit the stage still has to deliver
+    /// itself, so none is dropped uncounted with its credit, and leaves
+    /// the stage ready for an empty scheduler.
     fn abort(&mut self) {}
 
     /// Whether `flow`'s link is credit-parked: a mover must then leave
@@ -493,6 +496,8 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
     fn abort(&mut self) {
         self.core.dead_letter_all(&self.links);
         self.core.settle(&self.links, &self.estats);
+        // The scheduler whose flows the marks parked is gone.
+        self.link_parked.fill(false);
     }
 
     fn link_parked(&self, flow: usize) -> bool {
@@ -554,20 +559,28 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
     // still there once another shard has looked.
     let polls = shared.steal.is_some() || shared.wakes.len() > 1;
     loop {
-        // Fault phase (DESIGN.md §9): forced-shutdown abort, heartbeat,
-        // injected events — the abort check first, also in a resumed
-        // loop. The stage holds no credit between service phases, and
-        // no flit — but for a sync batch a sink's unwind
+        // Fault phase (DESIGN.md §9): forced-shutdown abort or down
+        // runtime, heartbeat, injected events — the abort check first,
+        // also in a resumed loop, in the same load as the down check
+        // (§14.1). The stage holds no credit between service phases,
+        // and no flit — but for a sync batch a sink's unwind
         // interrupted, which an abort that beats the resumed loop's
         // first `serve` leaves uncounted (§9.4), and what the flusher
         // core holds, which `abort` dead-letters — so a forced abort has
         // only the scheduler's residue to count lost.
-        // ordering: Acquire pairs with the Release `abort` store in
-        // `Runtime::drain_within` (forced-shutdown latch).
-        if shared.abort.load(Ordering::Acquire) {
-            abort_residuals(shared, shard, cfg.n_flows, scheduler);
-            stage.abort();
-            return;
+        match shared.gate.stop() {
+            Stop::Run => {}
+            Stop::Abort => {
+                abort_residuals(shared, shard, cfg.n_flows, scheduler);
+                stage.abort();
+                return;
+            }
+            Stop::Down(epoch) => {
+                if down(shared, cfg, scheduler, stage.as_mut(), epoch) {
+                    break;
+                }
+                continue;
+            }
         }
         fault_tick(shared, shard, *now, stage.as_ref());
 
@@ -706,4 +719,42 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
         }
     }
     stats.backlog_flits.set(0);
+}
+
+/// One loop of a worker whose runtime is down in `epoch` (DESIGN.md
+/// §14.1). Once per epoch, as soon as no producer is inside `submit`,
+/// it counts what it holds lost exactly as a forced abort does, starts
+/// over with an empty scheduler and publishes the sweep; then it idles,
+/// serving nothing, until the runtime comes up, is aborted or may exit.
+/// Returns whether the worker exits.
+#[cold]
+fn down(
+    shared: &Shared,
+    cfg: &ShardConfig,
+    scheduler: &mut ErrScheduler,
+    stage: &mut dyn EgressStage,
+    epoch: u64,
+) -> bool {
+    let board = &shared.fault.board;
+    if board.swept(cfg.shard) != epoch {
+        if !shared.gate.can_sweep() {
+            // A producer is mid-submit and may still push: let it run.
+            std::thread::yield_now();
+            return false;
+        }
+        abort_residuals(shared, cfg.shard, cfg.n_flows, scheduler);
+        stage.abort();
+        *scheduler = ErrScheduler::new(cfg.n_flows);
+        board.mark_swept(cfg.shard, epoch);
+    }
+    if shared.can_finish() {
+        return true;
+    }
+    // backstop: covered by `set_down` (up again, or a new epoch) and
+    // `drain_within`'s wakes (drain, abort).
+    shared.wakes[cfg.shard].idle_unless(
+        || shared.gate.stop() != Stop::Down(epoch) || shared.can_finish(),
+        BACKSTOP,
+    );
+    false
 }

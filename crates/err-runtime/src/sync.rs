@@ -13,10 +13,10 @@
 #[cfg(feature = "loom")]
 pub(crate) use loom::cell::UnsafeCell;
 #[cfg(feature = "loom")]
-pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(not(feature = "loom"))]
-pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// `std` stand-in for `loom::cell::UnsafeCell`: the same closure-based
 /// access API, compiled down to plain raw-pointer access.

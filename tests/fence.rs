@@ -7,7 +7,8 @@
 //!
 //! * a thread census: a runtime of N shards adds exactly N threads to
 //!   the process, whatever its egress mode and fault plan, and a
-//!   resumed worker adds none;
+//!   resumed worker adds none; a fabric's threads are its node workers,
+//!   whatever its fault plan (DESIGN.md §14.1);
 //! * seeded panics at every site the fence catches — `fault_tick`, a
 //!   sync sink's `emit` in the middle of a batch, a buffered sink's
 //!   `try_emit` inside the flusher step — with a panic hook that records
@@ -19,6 +20,9 @@ use std::sync::{Arc, Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
 
 use desim::SimRng;
+use err_repro::fabric::{
+    DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FabricFaultPlan, FlowSpec, Topology,
+};
 use err_runtime::{
     BufferedConfig, DrainReport, Egress, EgressMode, FaultPlan, FlowMap, Runtime, RuntimeConfig,
     ShardExit, Submitted,
@@ -71,11 +75,21 @@ fn record_shard_panics() {
 }
 
 /// The threads of this process, by tid, with their names — but for the
-/// other test's harness thread, named after that test, which the
-/// harness may spawn at any time.
+/// other tests' harness threads, named after their tests, which the
+/// harness may spawn at any time. (A thread this test starts carries
+/// its creator's name until it sets its own, so it is counted.)
 #[cfg(target_os = "linux")]
 fn threads() -> Vec<(u64, String)> {
-    const OTHER_TEST: &str = "seeded_panics_at_every_fence_site_resume_in_place";
+    const TESTS: [&str; 3] = [
+        "a_runtime_of_n_shards_runs_n_threads",
+        "a_fabric_runs_its_node_workers_and_nothing_else",
+        "seeded_panics_at_every_fence_site_resume_in_place",
+    ];
+    let me = std::thread::current();
+    let others: Vec<&str> = TESTS
+        .into_iter()
+        .filter(|t| me.name() != Some(*t))
+        .collect();
     let mut threads = Vec::new();
     for entry in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let entry = entry.expect("task entry");
@@ -88,7 +102,7 @@ fn threads() -> Vec<(u64, String)> {
             continue;
         };
         let name = comm.trim_end().to_owned();
-        if name.is_empty() || !OTHER_TEST.starts_with(&name) {
+        if name.is_empty() || !others.iter().any(|t| t.starts_with(&name)) {
             threads.push((tid, name));
         }
     }
@@ -182,6 +196,71 @@ fn a_runtime_of_n_shards_runs_n_threads() {
             }
         }
     }
+}
+
+/// Thread census of a fabric (Linux, DESIGN.md §14.1): `Fabric::start`
+/// adds exactly `nodes × shards_per_node` threads, all `err-shard-*`
+/// node workers; a run whose plan holds every event kind — link kill
+/// and heal, node kill and revive, forwarder panic — never adds one;
+/// and the drain leaves the process with the threads it started with.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_fabric_runs_its_node_workers_and_nothing_else() {
+    let _alone = whole_process();
+    record_shard_panics();
+    let topo = Topology::mesh(2, 2);
+    let east = topo.link_to(0, 1).expect("0-1 are neighbors");
+    let flows: Vec<FlowSpec> = (0..4)
+        .flat_map(|src| (0..4).map(move |dst| FlowSpec { src, dst }))
+        .filter(|s| s.src != s.dst)
+        .collect();
+    for shards in [1usize, 2] {
+        let plan = FabricFaultPlan::new()
+            .kill_link_at(0, east, 5)
+            .kill_node_at(3, 10)
+            .heal_link_at(0, east, 15)
+            .panic_forwarder_at(2, 20)
+            .revive_node_at(3, 25);
+        let mut cfg = FabricConfig::new(topo.clone(), flows.clone());
+        cfg.shards_per_node = shards;
+        // The panic poisons a cable for good: dead-letter across it.
+        cfg.dead_link_policy = DeadLinkPolicy::DropAndAccount;
+        cfg.fault_plan = Some(plan);
+        let before: HashSet<u64> = threads().into_iter().map(|t| t.0).collect();
+        let f = Fabric::start(cfg);
+        let running = threads_since(&before);
+        assert_eq!(running.len(), 4 * shards, "{shards} shards: {running:?}");
+        assert!(
+            running.iter().all(|(_, n)| n.starts_with("err-shard-")),
+            "{shards} shards: only node workers run: {running:?}"
+        );
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut sent = vec![0u64; flows.len()];
+        while sent.iter().any(|&n| n < 20) {
+            assert!(
+                Instant::now() < deadline,
+                "{shards} shards: submitters starved"
+            );
+            for (flow, n) in sent.iter_mut().enumerate() {
+                if *n < 20 && f.try_submit(flow, 4).is_ok() {
+                    *n += 1;
+                }
+            }
+            let now = threads_since(&before);
+            assert!(now.len() <= running.len(), "{shards} shards: {now:?}");
+            std::thread::yield_now();
+        }
+        let rep = f.drain_within(Duration::from_secs(60));
+        assert!(rep.is_conserving(), "{shards} shards");
+        assert_eq!(rep.outcome, DrainOutcome::Graceful, "{shards} shards");
+        assert_eq!(rep.events.len(), 5, "{shards} shards: every event fired");
+        assert_eq!(
+            threads_since(&before),
+            [],
+            "{shards} shards: the drain left a thread behind"
+        );
+    }
+    shard_panics().clear();
 }
 
 /// A sink that panics on chosen offers: its `n`-th call (counting from
