@@ -403,7 +403,6 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "mutant",
             "BENCH_fabric",
             "isolation",
-            "speedup",
             "fabric_heal",
             "fabric_flap",
             // The two fabric-era models (PR 10) still shipped must
@@ -422,6 +421,9 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "model_credit_grant_returned_exactly_once",
             "mutant_credit_grant_return_unmarked",
             "Per-batch egress",
+            // The monotone credit-return stamp: model and mutant.
+            "model_credit_return_stamp_is_monotone",
+            "mutant_credit_return_stamp_store",
         ],
     },
 ];

@@ -562,6 +562,50 @@ fn model_credit_grant_returned_exactly_once() {
     assert!(report.complete, "bounded DFS must exhaust");
 }
 
+/// The dead-link deadline's credit-return stamp (DESIGN.md §9.3)
+/// through the shipped `LinkSet`: two flushers deliver on one link, each
+/// ticking the shared flush clock and then stamping the link. The one
+/// that ticked first may stamp last, and the stamp must not fall back
+/// behind the clock when it does. A deadline of 0 turns any stamp that
+/// lags the clock into a death, so a link that has just delivered
+/// every tick must poll alive. Preemption-bounded: the lost stamp
+/// needs one preemption (a flusher stopped between its tick and its
+/// stamp).
+#[test]
+fn model_credit_return_stamp_is_monotone() {
+    let mut b = Builder::new();
+    b.max_preemptions = Some(1);
+    let report = b.check(|| {
+        let links = Arc::new(LinkSet::with_fault_policy(
+            1,
+            3,
+            Some(0),
+            DeadLinkPolicy::DropAndAccount,
+        ));
+        assert_eq!(links.acquire(0, 3), 3, "the grant took the whole pool");
+        let flushers: Vec<_> = (0..2)
+            .map(|_| {
+                let links = Arc::clone(&links);
+                thread::spawn(move || {
+                    links.on_delivered(0);
+                })
+            })
+            .collect();
+        for f in flushers {
+            f.join().expect("flusher");
+        }
+        assert!(
+            links.poll_deadlines().is_empty(),
+            "a link that delivered at every tick was declared dead"
+        );
+    });
+    println!(
+        "model_credit_return_stamp_is_monotone: {} interleavings (complete={})",
+        report.executions, report.complete
+    );
+    assert!(report.complete, "bounded DFS must exhaust");
+}
+
 /// The wake handshake (DESIGN.md §6) through the shipped [`WakeCell`]:
 /// a sleeper that waits for two pieces of work, each published by its
 /// own waker (publish, then `wake`). The model's `park_timeout` never
@@ -1028,6 +1072,39 @@ fn mutant_credit_grant_return_unmarked() {
                 sleeping.swap(false, Ordering::AcqRel);
             }
             returner.join().expect("returner");
+        });
+    });
+}
+
+/// The credit-return stamp (`LinkSet::tick_delivered`) written with a
+/// plain store, as it shipped before the stamp became monotone: a
+/// flusher that ticks the clock and is preempted before it stamps
+/// overwrites the other flusher's newer stamp with its older one, and
+/// the link reads as silent while it is still delivering.
+#[test]
+fn mutant_credit_return_stamp_store() {
+    use loom::sync::atomic::{AtomicU64, Ordering};
+    expect_violation("credit_return_stamp_store", || {
+        Builder::new().check(|| {
+            let clock = Arc::new(AtomicU64::new(0));
+            let stamp = Arc::new(AtomicU64::new(0));
+            let flushers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (clock, stamp) = (Arc::clone(&clock), Arc::clone(&stamp));
+                    thread::spawn(move || {
+                        let now = clock.fetch_add(1, Ordering::AcqRel) + 1;
+                        // MUTATION: shipped `tick_delivered` stamps
+                        // with `fetch_max`.
+                        stamp.store(now, Ordering::Relaxed);
+                    })
+                })
+                .collect();
+            for f in flushers {
+                f.join().expect("flusher");
+            }
+            // `poll_deadlines` with a deadline of 0.
+            let lag = clock.load(Ordering::Acquire) - stamp.load(Ordering::Relaxed);
+            assert_eq!(lag, 0, "the stamp fell behind the clock");
         });
     });
 }

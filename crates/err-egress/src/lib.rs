@@ -239,22 +239,13 @@ impl Default for BufferedConfig {
 #[derive(Clone)]
 pub struct EgressController {
     links: Arc<LinkSet>,
-    injector: Option<Arc<StallInjector>>,
     shard_stats: Vec<Arc<ShardEgressStats>>,
 }
 
 impl EgressController {
     /// Bundles the shared egress state into a controller.
-    pub fn new(
-        links: Arc<LinkSet>,
-        injector: Option<Arc<StallInjector>>,
-        shard_stats: Vec<Arc<ShardEgressStats>>,
-    ) -> Self {
-        Self {
-            links,
-            injector,
-            shard_stats,
-        }
+    pub fn new(links: Arc<LinkSet>, shard_stats: Vec<Arc<ShardEgressStats>>) -> Self {
+        Self { links, shard_stats }
     }
 
     /// The shared link set.
@@ -283,17 +274,6 @@ impl EgressController {
     /// its parked flows resume.
     pub fn resurrect(&self, link: usize) {
         self.links.resurrect(link);
-    }
-
-    /// Lifecycle state of `link`.
-    pub fn link_state(&self, link: usize) -> LinkState {
-        self.links.state(link)
-    }
-
-    /// Whether a configured stall plan has fully played out (`true`
-    /// when no plan was configured).
-    pub fn stall_plan_exhausted(&self) -> bool {
-        self.injector.as_ref().is_none_or(|i| i.exhausted())
     }
 
     /// Snapshots per-shard and per-link egress counters.

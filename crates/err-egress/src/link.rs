@@ -91,8 +91,9 @@ struct Link {
     delivered: AtomicU64,
     /// Whether the link has been declared dead (DESIGN.md §9.3).
     dead: AtomicBool,
-    /// Flush-clock reading at the last credit return (delivery or
-    /// dead-letter); the deadline watchdog measures from here.
+    /// Latest flush-clock reading at a credit return (delivery or
+    /// dead-letter); the deadline watchdog measures from here. Kept
+    /// only on a set with a deadline, and never moved backwards.
     last_credit_return: AtomicU64,
     /// Flits dead-lettered on this link (dropped into the ledger
     /// instead of delivered).
@@ -372,8 +373,7 @@ impl LinkSet {
             // from the last return of an earlier busy period.
             // ordering: Acquire — flush-clock pairing as in
             // `flush_clock()`.
-            l.last_credit_return
-                .store(self.flush_clock.load(Ordering::Acquire), Ordering::Relaxed);
+            self.stamp_credit_return(l, self.flush_clock.load(Ordering::Acquire));
         }
         got
     }
@@ -382,6 +382,18 @@ impl LinkSet {
     /// [`acquire`](Self::acquire).
     pub fn try_acquire(&self, link: usize) -> bool {
         self.acquire(link, 1) == 1
+    }
+
+    /// Stamps a credit return on `l` at flush-clock reading `clock`.
+    /// The stamp only moves forward: two flushers tick the shared clock
+    /// and then stamp, and the one that ticked first may stamp last, so
+    /// a plain store could put a link that is still delivering back
+    /// behind the deadline. Only the deadline watchdog reads the stamp,
+    /// so a set without a deadline keeps none.
+    fn stamp_credit_return(&self, l: &Link, clock: u64) {
+        if self.dead_deadline.is_some() {
+            l.last_credit_return.fetch_max(clock, Ordering::Relaxed);
+        }
     }
 
     /// Ticks the flush clock for one flit delivered downstream on
@@ -396,9 +408,7 @@ impl LinkSet {
         // Acquire chains deliveries from other flushers so the clock
         // is a consistent total count.
         let clock = self.flush_clock.fetch_add(1, Ordering::AcqRel) + 1;
-        self.links[link]
-            .last_credit_return
-            .store(clock, Ordering::Relaxed);
+        self.stamp_credit_return(&self.links[link], clock);
         clock
     }
 
@@ -440,8 +450,7 @@ impl LinkSet {
         self.return_credits(link, 1);
         // ordering: Acquire — same flush-clock pairing as
         // `flush_clock()` (reads the clock without advancing it).
-        l.last_credit_return
-            .store(self.flush_clock.load(Ordering::Acquire), Ordering::Relaxed);
+        self.stamp_credit_return(l, self.flush_clock.load(Ordering::Acquire));
     }
 
     /// Whether `link` currently refuses flits. A stall stops blocking
@@ -516,8 +525,7 @@ impl LinkSet {
         if l.dead.swap(false, Ordering::AcqRel) {
             // ordering: Acquire — flush-clock pairing as in
             // `flush_clock()` (re-arms the deadline from "now").
-            l.last_credit_return
-                .store(self.flush_clock.load(Ordering::Acquire), Ordering::Relaxed);
+            self.stamp_credit_return(l, self.flush_clock.load(Ordering::Acquire));
             l.resurrections.fetch_add(1, Ordering::Relaxed);
             self.wake_workers();
         }

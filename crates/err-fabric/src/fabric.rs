@@ -813,12 +813,6 @@ impl Fabric {
         self.faults.set_link(node, link, false);
     }
 
-    /// Arms a one-shot panic in `node`'s forwarder — the deterministic
-    /// equivalent of a `FabricFault::PanicForwarder` (§14.4).
-    pub fn arm_forwarder_panic(&self, node: usize) {
-        self.faults.panic_arm.arm(node);
-    }
-
     /// Per-path facts for `flow` (DESIGN.md §11.3): fault-free hop
     /// count, the analytic minimum latency for `len`-flit packets,
     /// and the flow's current ledger.

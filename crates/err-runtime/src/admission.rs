@@ -66,10 +66,6 @@ pub enum AdmitDecision {
     Reject,
     /// The flow is over cap and the policy says wait (backpressure).
     Wait,
-    /// A backpressure wait exceeded its caller-supplied deadline
-    /// ([`submit_within`](crate::RuntimeHandle::submit_within)); the
-    /// packet never entered a ring (DESIGN.md §9.4).
-    TimedOut,
 }
 
 #[derive(Debug, Default)]

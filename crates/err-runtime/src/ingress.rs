@@ -239,9 +239,6 @@ impl RuntimeHandle {
                     }
                     std::thread::yield_now();
                 }
-                // `try_admit` never produces this verdict; the submit
-                // layer reclassifies an over-deadline `Wait` itself.
-                AdmitDecision::TimedOut => unreachable!("admission does not track deadlines"),
             }
         }
         // Route-and-push, bracketed by the per-flow submit window when

@@ -325,7 +325,7 @@ impl Runtime {
                     shard_stats.push(stage.stats());
                     stages.push(Box::new(stage) as Box<dyn shard::EgressStage>);
                 }
-                controller = Some(EgressController::new(links, injector, shard_stats));
+                controller = Some(EgressController::new(links, shard_stats));
                 stages
             }
         };

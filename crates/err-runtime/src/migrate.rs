@@ -336,7 +336,7 @@ impl StealRuntime {
     }
 
     /// Whether any handoff naming `shard` is past `Requested` — the
-    /// hot-spin criterion (a pending request can legitimately wait out
+    /// hot-spin condition (a pending request can legitimately wait out
     /// the donor's serve-chunk guard; later phases cannot).
     pub(crate) fn hot_handoff(&self, shard: usize) -> bool {
         self.slots

@@ -97,7 +97,7 @@ pub struct ShardStats {
     /// their unserved remainder).
     pub lost_flits: PaddedCounter,
     /// Backpressure waits that hit their submit deadline
-    /// (`AdmitDecision::TimedOut`); the packet never entered a ring.
+    /// (`SubmitError::TimedOut`); the packet never entered a ring.
     pub timedout_packets: PaddedCounter,
 }
 

@@ -108,7 +108,7 @@ fn unstalled_sum(counts: &[u64]) -> u64 {
     counts.iter().skip(1).sum()
 }
 
-/// The tentpole acceptance criterion: with 1 of 4 links dead under
+/// The buffered stage's acceptance check: with 1 of 4 links dead under
 /// buffered egress, the other links keep >= 90% of their no-stall
 /// throughput; the legacy sync path collapses in the same scenario.
 #[test]
@@ -263,7 +263,7 @@ fn drain_with_active_stall_strands_no_flit() {
     }
 }
 
-/// The bounded-buffering criterion: under a churning stall schedule
+/// The bounded-buffering check: under a churning stall schedule
 /// with a tiny credit pool, no link ever has more than `credits`
 /// outstanding flits (so at most `ring_capacity + credits` buffered
 /// anywhere), and everything still conserves.

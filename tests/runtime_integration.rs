@@ -65,7 +65,7 @@ fn four_shards_at_least_double_one_shard_capacity() {
 /// is served, regardless of burst size or shard count.
 #[test]
 fn zero_loss_with_admission_unlimited() {
-    for shards in [1usize, 3] {
+    for shards in [1usize, 3, 8] {
         let report = uniform_run(shards, 10_000);
         assert!(report.is_conserving(), "{report:?}");
         assert_eq!(report.served_packets(), 10_000);
