@@ -2,8 +2,8 @@
 //!
 //! The runtime's correctness claims rest on hand-rolled lock-free code
 //! — the MPSC ingress ring, the Lamport SPSC egress ring, the credit
-//! counters, the `closed+in_flight` drain gate, and the epoch-stamped
-//! migration protocol. This crate enforces the hygiene rules
+//! counters, the `closed+in_flight` drain gate, and the wake hand-off.
+//! This crate enforces the hygiene rules
 //! that keep those claims auditable (DESIGN.md §10):
 //!
 //! * **safety-comment** — every `unsafe` token carries a `// SAFETY:`
@@ -11,7 +11,7 @@
 //! * **ordering-comment** — every non-`Relaxed` atomic ordering carries
 //!   a `// ordering:` comment naming its pairing site.
 //! * **seqcst-scope** — `Ordering::SeqCst` is allowlisted per file (the
-//!   drain/migration Dekker protocols) and an error anywhere else; the
+//!   drain-gate Dekker protocols) and an error anywhere else; the
 //!   per-site justification is the mandatory `// ordering:` comment.
 //! * **no-std-mutex** — `std::sync::Mutex` only in allowlisted modules
 //!   (cold-path locks documented as such); never on a per-flit path.
@@ -29,9 +29,9 @@
 //! * **park-protocol** — in the files that park flows, every
 //!   `park_flow` call names its unpark authority in a `// unpark:`
 //!   comment (backticked identifiers must resolve to real code), and
-//!   a direct `unpark_flow` needs the same justification — donor
-//!   unwinds go through `unpark_respecting_links` (the PR 8 wedge
-//!   class).
+//!   a direct `unpark_flow` needs the same justification — a
+//!   credit-parked link's flows are released only by the buffered
+//!   stage's `refill` (the stash-wedge class).
 //! * **panic-boundary** — every spawned-thread closure wraps its body
 //!   in `catch_unwind` or carries a `// panic-policy:` justification.
 //! * **backstop** — in the threaded crates every `sleep_unless` /
@@ -327,7 +327,7 @@ fn comment_nearby(lines: &[Line], line: usize, needle: &str) -> bool {
 }
 
 /// Whether `code` opens an `impl <trait_name> for …` item (token
-/// boundary on the trait name, so `SharedEgress for` is not an
+/// boundary on the trait name, so `ThreadedEgress for` is not an
 /// `Egress for`).
 fn is_trait_impl(code: &str, trait_name: &str) -> bool {
     if !has_token(code, "impl") {
@@ -582,7 +582,7 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<Violation> {
                 i,
                 "seqcst-scope",
                 format!(
-                    "`SeqCst` outside the drain/migration allowlist ({}); justify with a Dekker argument and allowlist the file, or downgrade",
+                    "`SeqCst` outside the Dekker allowlist ({}); justify with a Dekker argument and allowlist the file, or downgrade",
                     SEQCST_FILES.join(", ")
                 ),
             );
@@ -626,9 +626,10 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<Violation> {
                 push(
                     i,
                     "park-protocol",
-                    "direct `unpark_flow` call in a claim file: donor-unwind/abort paths must go \
-                     through `unpark_respecting_links` (the PR 8 stash-wedge class); a legitimate \
-                     authority justifies itself with a `// unpark:` comment"
+                    "direct `unpark_flow` call in a claim file: a credit-parked link's flows are \
+                     released only by the buffered stage's `refill`, with the credit it took (the \
+                     stash-wedge class); a legitimate authority justifies itself with a \
+                     `// unpark:` comment"
                         .into(),
                 );
             }

@@ -42,10 +42,10 @@ pub const PASSES: &[(&str, &str)] = &[
     ),
     (
         "park-protocol",
-        "in the files that park flows for a mover or a link every `park_flow` names its unpark \
+        "in the files that park flows for a link or an abort every `park_flow` names its unpark \
          authority in a `// unpark:` comment whose backticked identifiers resolve, and direct \
-         `unpark_flow` calls need the same justification — donor-unwind paths go through \
-         `unpark_respecting_links` (the PR 8 wedge class)",
+         `unpark_flow` calls need the same justification — a credit-parked link's flows are \
+         released only by the buffered stage's `refill` (the stash-wedge class)",
     ),
     (
         "panic-boundary",
@@ -69,15 +69,9 @@ pub const PASSES: &[(&str, &str)] = &[
 
 /// Files allowed to use `Ordering::SeqCst`. Everything here is a
 /// store→load (Dekker) protocol where independent total order is the
-/// point: the drain gate's `closed+in_flight` pairing and the migration
-/// slot's phase machine.
+/// point: the drain gate's `closed+in_flight` pairing.
 pub(crate) const SEQCST_FILES: &[&str] = &[
     "crates/err-runtime/src/gate.rs",
-    "crates/err-runtime/src/migrate.rs",
-    // FlowMap: the §8.3 submit-window Dekker (window enter vs map
-    // flip); modeled with the shipped atomics by err-check's
-    // model_flow_map_window_dekker.
-    "crates/err-runtime/src/flow_map.rs",
     // FabricGate: the §10 DrainGate `closed+in_flight` Dekker pair
     // replayed at fabric scope (DESIGN.md §11.3).
     "crates/err-fabric/src/fabric.rs",
@@ -86,16 +80,12 @@ pub(crate) const SEQCST_FILES: &[&str] = &[
 /// Files allowed to hold a `std::sync::Mutex`. Each is a documented
 /// cold-path lock: never taken on the per-flit fast path.
 pub(crate) const MUTEX_FILES: &[&str] = &[
-    // SharedEgress: serialized sink for stealing groundwork (lib docs).
-    "crates/err-egress/src/lib.rs",
     // stall_hist: watchdog-only, touched once per stall release.
     "crates/err-egress/src/link.rs",
     // WakeCell's sleeper handle: locked once per thread registration
     // and once per wake that found the sleeping flag set (an unpark
     // syscall follows) — never by a wake that finds it clear.
     "crates/err-egress/src/wake.rs",
-    // MigrationSlot package handoff: once per migration, not per flit.
-    "crates/err-runtime/src/migrate.rs",
     // Experiment-harness job queue (parking_lot): offline runner, no
     // runtime fast path.
     "crates/err-experiments/src/runner.rs",
@@ -122,11 +112,10 @@ pub(crate) const TRAIT_IMPL_RULES: &[(&str, &str, &str)] = &[("Egress", "try_emi
 
 /// Files whose non-Relaxed atomic sites must carry a machine-checkable
 /// `[pair: label @ file]` clause (the PR 8/9 fabric-era protocol
-/// files, and the submit-window Dekker every steal relies on).
+/// files).
 /// Elsewhere a free-text `// ordering:` comment is enough; clauses are
 /// still graph-checked wherever they appear.
 pub(crate) const PAIRED_FILES: &[&str] = &[
-    "crates/err-runtime/src/flow_map.rs",
     "crates/err-fabric/src/chaos.rs",
     "crates/err-fabric/src/fabric.rs",
     "crates/err-egress/src/flusher.rs",
@@ -135,13 +124,12 @@ pub(crate) const PAIRED_FILES: &[&str] = &[
     "crates/err-egress/src/wake.rs",
 ];
 
-/// Files that park flows — the mover's slot protocol (DESIGN.md §8.2),
-/// the buffered stage's link parking (§7), forced-abort residue
-/// accounting (§9.4): the park/unpark protocol pass runs only here. An
-/// unpark that bypasses `unpark_respecting_links` on a donor-unwind
-/// path is the PR 8 stash-wedge class.
+/// Files that park flows — the buffered stage's link parking (§7),
+/// forced-abort residue accounting (§9.4): the park/unpark protocol
+/// pass runs only here. An unpark that bypasses the buffered stage's
+/// `refill`, which releases a link's flows with the credit it took,
+/// is the stash-wedge class.
 pub(crate) const CLAIM_FILES: &[&str] = &[
-    "crates/err-runtime/src/migrate.rs",
     "crates/err-runtime/src/fault.rs",
     "crates/err-runtime/src/shard.rs",
 ];
@@ -168,8 +156,7 @@ pub(crate) struct DocRule {
 
 /// The drift contract: normative docs must keep naming the protocol
 /// vocabulary the code exports. Mirrors (and extends to §10) the
-/// enum-derived drift tests in `tests/migration_stealing.rs` and
-/// `tests/fault_tolerance.rs`. One rule per normative DESIGN section
+/// enum-derived drift tests in `tests/fault_tolerance.rs`. One rule per normative DESIGN section
 /// (§8–§14; §12 was deleted and §13 merged into §8, both numbers
 /// retired) —
 /// `tests::every_normative_design_section_has_a_doc_rule` asserts the
@@ -243,34 +230,20 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "finalize_dead_letters",
         ],
     },
-    // §8 vocabulary: the slot machine's phases, the one mover's parts,
-    // the map with its submit windows, and the claim the slot is.
+    // §8: one fixed partition — where it is computed, why no flow
+    // moves, the scenario that would need stealing, and the commit to
+    // revive it from.
     DocRule {
         doc: "DESIGN.md",
         section: Some("## 8"),
         needles: &[
-            "Idle",
-            "Requested",
-            "Quiescing",
-            "Draining",
-            "InTransit",
-            "FlowMap",
-            "LoadBoard",
-            "MigrationSlot",
-            "MigratedFlow",
-            "extract_flow",
-            "absorb_flow",
-            "park_flow",
-            "moving",
-            "flip",
-            "WindowGuard",
-            "window_enter",
-            "window_clear",
-            "linearization",
-            // The §8.7 fence, and the slot-persisted step a resurrected
-            // donor replays.
-            "FlusherCore::retired",
-            "resurrection",
+            "home_shard",
+            "SplitMix64",
+            "for the life of the runtime",
+            "surplus count",
+            "Lemma 1",
+            "idle cores",
+            "3361ccd",
         ],
     },
     DocRule {

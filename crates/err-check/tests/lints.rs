@@ -86,7 +86,7 @@ fn pairing_fixture_passing() {
 #[test]
 fn park_fixture_violating() {
     let v = lint_files(&[at(
-        "crates/err-runtime/src/migrate.rs",
+        "crates/err-runtime/src/shard.rs",
         include_str!("fixtures/park_missing.rs"),
     )]);
     // Both the justification-free direct unpark and the authority-free
@@ -97,7 +97,7 @@ fn park_fixture_violating() {
 #[test]
 fn park_fixture_passing() {
     let v = lint_files(&[at(
-        "crates/err-runtime/src/migrate.rs",
+        "crates/err-runtime/src/shard.rs",
         include_str!("fixtures/park_ok.rs"),
     )]);
     assert!(v.is_empty(), "unexpected: {v:?}");
@@ -151,7 +151,7 @@ fn backstop_fixture_passing() {
 // pass below catching its founding bug, these fail.
 // ---------------------------------------------------------------------
 
-/// PR 6: `SharedEgress` wrapped an inner sink and inherited the trait
+/// A shared-sink wrapper around an inner sink once inherited the trait
 /// default, so the inner sink's `try_emit` refusal became a blocking
 /// `emit` held under the shared lock — every flusher stalled behind
 /// one refused flit.
@@ -179,9 +179,9 @@ fn meta_pr8_donor_unwind_direct_unpark_is_caught() {
         "    ctx.sched.unpark_flow(flow);\n",
         "}\n",
     );
-    let v = lint_files(&[at("crates/err-runtime/src/migrate.rs", src)]);
+    let v = lint_files(&[at("crates/err-runtime/src/shard.rs", src)]);
     assert_eq!(rules_of(&v), ["park-protocol"]);
-    assert!(v[0].msg.contains("unpark_respecting_links"));
+    assert!(v[0].msg.contains("refill"));
 }
 
 /// PR 9: a drain refactor moved the Acquire side of the egress-closed

@@ -18,7 +18,6 @@ use err_egress::{
 };
 use err_runtime::channel::MpscRing;
 use err_runtime::gate::DrainGate;
-use err_runtime::FlowMap;
 use loom::cell::UnsafeCell;
 use loom::model::Builder;
 use loom::thread;
@@ -237,91 +236,6 @@ fn model_drain_gate_no_lost_packet() {
         report.executions, report.complete
     );
     assert!(report.complete, "gate model must be exhaustive");
-}
-
-/// The three-party submit-window Dekker (DESIGN.md §8.3) over the
-/// *shipped* [`FlowMap`] — not a miniature: two producers race a mover
-/// on one flow. Each producer enters the submit window, reads the map,
-/// and pushes into the ring the map names; the mover flips the map,
-/// waits for the window to clear, and only then drains the old ring.
-/// The old-ring slots are raw cells, so the window protocol is the
-/// *only* thing keeping a producer's push and the mover's drain apart —
-/// the race detector proves the Dekker, and the final assertion proves
-/// no push strands in the old ring after the drain (the §8.3
-/// lost-packet hazard).
-#[test]
-fn model_flow_map_window_dekker() {
-    let mut b = Builder::new();
-    b.max_preemptions = Some(2);
-    b.max_iterations = 2_000_000;
-    let report = b.check(|| {
-        use loom::sync::atomic::{AtomicU64, Ordering};
-        let map = Arc::new(FlowMap::new(1, 2));
-        let src = map.shard_of(0).expect("flow 0 is mapped");
-        let dst = 1 - src;
-        // One old-ring slot per producer (a real MpscRing synchronizes
-        // concurrent pushes internally; per-producer slots model the
-        // ring without re-modeling it).
-        let slots: Arc<[UnsafeCell<u64>; 2]> = Arc::new([UnsafeCell::new(0), UnsafeCell::new(0)]);
-        // The new ring stands in as an atomic counter: its internal
-        // synchronization is someone else's model (the MPSC one above).
-        let dst_ring = Arc::new(AtomicU64::new(0));
-        let producers: Vec<_> = [0usize, 1usize]
-            .into_iter()
-            .map(|i| {
-                let map = Arc::clone(&map);
-                let slots = Arc::clone(&slots);
-                let dst_ring = Arc::clone(&dst_ring);
-                thread::spawn(move || {
-                    let guard = map.window_enter(0).expect("mapped flow has a window");
-                    let home = map.shard_of(0).expect("mapped");
-                    if home == src {
-                        slots[i].with_mut(|p| unsafe { *p += 1 });
-                    } else {
-                        dst_ring.fetch_add(1, Ordering::SeqCst);
-                    }
-                    drop(guard);
-                })
-            })
-            .collect();
-        let mover = {
-            let map = Arc::clone(&map);
-            let slots = Arc::clone(&slots);
-            thread::spawn(move || {
-                map.flip(0, dst);
-                while !map.window_clear(0) {
-                    thread::yield_now();
-                }
-                // Window clear after the flip ⇒ every old-home push is
-                // drained here, none lands later.
-                slots[0].with_mut(|p| unsafe {
-                    let v = *p;
-                    *p = 0;
-                    v
-                }) + slots[1].with_mut(|p| unsafe {
-                    let v = *p;
-                    *p = 0;
-                    v
-                })
-            })
-        };
-        for p in producers {
-            p.join().expect("producer");
-        }
-        let moved = mover.join().expect("mover");
-        let residue = slots[0].with(|p| unsafe { *p }) + slots[1].with(|p| unsafe { *p });
-        assert_eq!(residue, 0, "a push landed in the old ring after the drain");
-        assert_eq!(
-            moved + dst_ring.load(Ordering::SeqCst),
-            2,
-            "every packet delivered exactly once (moved or re-routed)"
-        );
-    });
-    println!(
-        "model_flow_map_window_dekker: {} interleavings (complete={})",
-        report.executions, report.complete
-    );
-    assert!(report.complete, "bounded DFS must exhaust");
 }
 
 // ---------------------------------------------------------------------
@@ -830,92 +744,6 @@ fn mutant_drain_gate_check_then_enter() {
             let drained = ring.with(|p| unsafe { *p });
             let accepted = submitter.join().expect("submitter");
             assert_eq!(drained, u32::from(accepted), "leaked packet");
-        });
-    });
-}
-
-// The §8.3 window protocol needs two orderings to carry
-// happens-before: the producer's window *exit* (WindowGuard's
-// fetch_sub publishes the ring push it covers) and the mover's
-// *window-clear load* (joins that publication before the drain). Each
-// gets a mutant below. The enter/flip SeqCst pairing is a
-// store-buffering (value-order) requirement — the vendored checker
-// executes values sequentially consistently (rt.rs header), so
-// weakening those cannot be observed through any interleaving and they
-// carry no cell-guarding edge to cut.
-
-/// `WindowGuard::drop` (`flow_map.rs`) weakened from SeqCst to
-/// Relaxed: the relaxed `fetch_sub` extends the release sequence headed
-/// by the *enter* — a clock from before the push — so the mover's
-/// window-clear load no longer acquires the push, and the drain races
-/// it.
-#[test]
-fn mutant_flow_map_window_exit_relaxed() {
-    use loom::sync::atomic::{AtomicU64, Ordering};
-    expect_violation("flow_map_window_exit_relaxed", || {
-        Builder::new().check(|| {
-            let window = Arc::new(AtomicU64::new(0));
-            let map = Arc::new(AtomicU64::new(0)); // flow homed at src=0
-            let ring = Arc::new(UnsafeCell::new(0u64));
-            let producer = {
-                let (window, map, ring) =
-                    (Arc::clone(&window), Arc::clone(&map), Arc::clone(&ring));
-                thread::spawn(move || {
-                    window.fetch_add(1, Ordering::SeqCst);
-                    if map.load(Ordering::SeqCst) == 0 {
-                        ring.with_mut(|p| unsafe { *p += 1 });
-                    }
-                    // MUTATION: shipped WindowGuard::drop subs SeqCst.
-                    window.fetch_sub(1, Ordering::Relaxed);
-                })
-            };
-            map.store(1, Ordering::SeqCst); // the mover's flip
-            while window.load(Ordering::SeqCst) != 0 {
-                thread::yield_now();
-            }
-            let _drained = ring.with_mut(|p| unsafe {
-                let v = *p;
-                *p = 0;
-                v
-            });
-            producer.join().expect("producer");
-        });
-    });
-}
-
-/// `FlowMap::window_clear` (`flow_map.rs`) weakened from SeqCst to
-/// Relaxed: the mover sees the counter hit zero but acquires nothing,
-/// so the producer's covered push is unordered against the drain.
-#[test]
-fn mutant_flow_map_window_wait_relaxed() {
-    use loom::sync::atomic::{AtomicU64, Ordering};
-    expect_violation("flow_map_window_wait_relaxed", || {
-        Builder::new().check(|| {
-            let window = Arc::new(AtomicU64::new(0));
-            let map = Arc::new(AtomicU64::new(0));
-            let ring = Arc::new(UnsafeCell::new(0u64));
-            let producer = {
-                let (window, map, ring) =
-                    (Arc::clone(&window), Arc::clone(&map), Arc::clone(&ring));
-                thread::spawn(move || {
-                    window.fetch_add(1, Ordering::SeqCst);
-                    if map.load(Ordering::SeqCst) == 0 {
-                        ring.with_mut(|p| unsafe { *p += 1 });
-                    }
-                    window.fetch_sub(1, Ordering::SeqCst);
-                })
-            };
-            map.store(1, Ordering::SeqCst);
-            // MUTATION: shipped window_clear loads SeqCst.
-            while window.load(Ordering::Relaxed) != 0 {
-                thread::yield_now();
-            }
-            let _drained = ring.with_mut(|p| unsafe {
-                let v = *p;
-                *p = 0;
-                v
-            });
-            producer.join().expect("producer");
         });
     });
 }

@@ -26,12 +26,6 @@
 //! whatever path it returns. [`FlusherCore::settle`] then wakes every
 //! worker parked on the shared [`LinkSet`].
 //!
-//! Retire watermark (DESIGN.md §8.7): [`FlusherCore::retired`] is the
-//! pop count at the last pending-free settle — the cursor a stealing
-//! donor compares its push count against before a flow's home flips.
-//! The worker that pushes is the worker that steps, so it is a plain
-//! counter read on the thread that writes it.
-//!
 //! [`Threaded`]: crate::Threaded
 
 use std::collections::VecDeque;
@@ -60,9 +54,6 @@ pub struct FlusherCore {
     pending_total: usize,
     /// Cumulative ring pops.
     popped: u64,
-    /// `popped` at the last pending-free [`settle`](Self::settle): the
-    /// §8.7 retire watermark.
-    retired: u64,
     /// Flits delivered since the last [`take_delivered`]. Kept here,
     /// not in a local of `step`, so a step the sink unwound still
     /// counts what it delivered (DESIGN.md §14.4).
@@ -92,7 +83,6 @@ impl FlusherCore {
             pending: (0..n_links).map(|_| VecDeque::new()).collect(),
             pending_total: 0,
             popped: 0,
-            retired: 0,
             delivered: 0,
             tally: vec![0; n_links],
             dead_lettered: 0,
@@ -103,15 +93,6 @@ impl FlusherCore {
     /// Cumulative flits popped from the shard's output ring.
     pub fn popped(&self) -> u64 {
         self.popped
-    }
-
-    /// The retire watermark (DESIGN.md §8.7): the pop count at the
-    /// last [`settle`](Self::settle) that found no popped flit pending.
-    /// Pops follow ring order and the worker's pushes follow service
-    /// order, so `retired() >= s` proves the first `s` flits the worker
-    /// ever pushed were all delivered or dead-lettered.
-    pub fn retired(&self) -> u64 {
-        self.retired
     }
 
     /// Flits currently parked behind `link`'s stall.
@@ -139,15 +120,11 @@ impl FlusherCore {
     }
 
     /// The bookkeeping after every step: counts the deliveries into
-    /// `stats`, advances the retire watermark when nothing popped is
-    /// pending, wakes the credit waiters. Returns `(delivered,
+    /// `stats` and wakes the credit waiters. Returns `(delivered,
     /// dead-lettered)` since the last call.
     pub fn settle(&mut self, links: &LinkSet, stats: &ShardEgressStats) -> (u64, u64) {
         let delivered = self.take_delivered();
         let dead = self.take_dead_lettered();
-        if self.pending_total == 0 {
-            self.retired = self.popped;
-        }
         // Once per step, after all of its credit returns. Not gated on
         // this step's counts: the mark may stand for a credit a guard
         // returned while the previous step unwound.
@@ -739,10 +716,8 @@ mod tests {
 
     #[test]
     fn progress_watermark_holds_while_flits_pend() {
-        // A frozen link keeps popped flits pending; the watermark must
-        // not advance past the last pending-free instant, even though
-        // the pop count has (§8.7 — the fence would otherwise declare
-        // an undelivered flit retired).
+        // A frozen link keeps popped flits pending while the pop count
+        // moves past them; the thaw delivers them.
         let links = LinkSet::new(2, 8);
         let stats = ShardEgressStats::default();
         let (mut tx, rx) = spsc_ring(16);
@@ -752,7 +727,6 @@ mod tests {
         tx.push(flit(0, 0, 0, 1)).unwrap();
         core.step(&links, None, &mut sink);
         core.settle(&links, &stats);
-        assert_eq!(core.retired(), 1);
         links.freeze(1);
         links.try_acquire(1);
         tx.push(flit(1, 1, 0, 1)).unwrap();
@@ -761,15 +735,11 @@ mod tests {
         core.step(&links, None, &mut sink);
         core.settle(&links, &stats);
         assert_eq!(core.popped(), 3);
-        assert_eq!(
-            core.retired(),
-            1,
-            "pending flit on link 1 pins the watermark"
-        );
+        assert_eq!(core.pending_len(1), 1, "the flit on link 1 pends");
         links.release_stall(1);
         core.step(&links, None, &mut sink);
         core.settle(&links, &stats);
-        assert_eq!(core.retired(), 3, "thaw releases the watermark");
+        assert_eq!(core.pending_len(1), 0, "thaw releases the flit");
         assert_eq!(stats.snapshot().flushed_flits, 3);
     }
 }

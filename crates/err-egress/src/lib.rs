@@ -123,72 +123,6 @@ impl<F: FnMut(usize, &ServedFlit) + Send> Egress for F {
     }
 }
 
-/// A cloneable, `Sync`-shareable [`Egress`] over one underlying sink.
-///
-/// This is the sink handle stealing under buffered egress relies on
-/// (DESIGN.md §8.7): a migrated flow's flits must reach the *same*
-/// downstream sink from a different shard's flusher step, so every
-/// shard holds a clone of one `SharedEgress`. `emit` serializes through
-/// a mutex, once per delivered flit; the per-flow ordering the wormhole
-/// needs is supplied upstream by the egress-retire fence (a donor flips
-/// a flow's home only after its last victim flit has retired), not by
-/// this lock. A blocking sink shared this way is wrapped once,
-/// `SharedEgress::new(Threaded::new(sink))`: one ring and one thread
-/// for every shard, so a retired flit is ahead of the thief's on it.
-/// The handle is `Sync` by construction — asserted below, since the
-/// fence design depends on it.
-pub struct SharedEgress<E: Egress> {
-    inner: Arc<std::sync::Mutex<E>>,
-}
-
-// `SharedEgress` must stay shareable across shard workers (§8.7);
-// a field change that silently dropped `Sync` would re-gate stealing
-// out of buffered mode.
-const _: fn() = || {
-    fn assert_sync_send<T: Sync + Send>() {}
-    fn holds_for<E: Egress>() {
-        assert_sync_send::<SharedEgress<E>>();
-    }
-    let _ = holds_for::<fn(usize, &ServedFlit)>;
-};
-
-impl<E: Egress> SharedEgress<E> {
-    /// Wraps `sink` for shared use.
-    pub fn new(sink: E) -> Self {
-        Self {
-            inner: Arc::new(std::sync::Mutex::new(sink)),
-        }
-    }
-}
-
-impl<E: Egress> Clone for SharedEgress<E> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<E: Egress> Egress for SharedEgress<E> {
-    fn emit(&mut self, shard: usize, flit: &ServedFlit) {
-        self.inner
-            .lock()
-            .expect("shared egress sink poisoned")
-            .emit(shard, flit);
-    }
-
-    // Forward instead of inheriting the default: the default would
-    // call `emit`, turning the inner sink's refusal into a block held
-    // *under the lock* — every other holder of this sink would stall
-    // behind one refused flit.
-    fn try_emit(&mut self, shard: usize, flit: &ServedFlit) -> bool {
-        self.inner
-            .lock()
-            .expect("shared egress sink poisoned")
-            .try_emit(shard, flit)
-    }
-}
-
 /// Configuration of the buffered egress path.
 #[derive(Clone, Debug)]
 pub struct BufferedConfig {

@@ -83,9 +83,9 @@ impl<T> MpscRing<T> {
 
     /// Slots *claimed* and not yet popped (racy; exact only when
     /// quiescent): a producer's slot counts from its cursor CAS,
-    /// before its value is published. That is what a load estimate and
-    /// the §8.3 drain target need — a claimed slot is a packet about to
-    /// arrive — and it is **not** a pop predicate: see
+    /// before its value is published. That is what the exit gate and a
+    /// producer about to wait need — a claimed slot is a packet about
+    /// to arrive — and it is **not** a pop predicate: see
     /// [`head_ready`](Self::head_ready).
     pub fn len(&self) -> usize {
         let deq = self.dequeue.load(Ordering::Relaxed);
@@ -114,32 +114,6 @@ impl<T> MpscRing<T> {
         // [pair: mpsc-seq @ self]
         let seq = self.slots[pos & self.mask].seq.load(Ordering::Acquire);
         (seq as isize - pos.wrapping_add(1) as isize) >= 0
-    }
-
-    /// The raw enqueue cursor. Slot positions below it are claimed; the
-    /// migration donor reads it once the victim's submit window is
-    /// clear, as the drain *target* (DESIGN.md §8.3).
-    pub fn enqueue_pos(&self) -> usize {
-        // ordering: Acquire (downgraded from SeqCst in PR 5) — the
-        // donor is ordered after every pre-quiesce push by the submit
-        // window's SeqCst exit (migrate.rs WindowGuard), whose edge
-        // already covers the producer's cursor CAS; coherence then
-        // guarantees this load sees that CAS or newer. No ordering is
-        // needed from this load itself.
-        self.enqueue.load(Ordering::Acquire)
-    }
-
-    /// The raw dequeue cursor. The single consumer advances it strictly
-    /// in slot order and never skips an unpublished slot, so
-    /// `dequeue_pos() ≥ target` proves every pre-target push has been
-    /// popped (DESIGN.md §8.3).
-    pub fn dequeue_pos(&self) -> usize {
-        // ordering: Acquire (downgraded from SeqCst in PR 5) — pairs
-        // with the consumer's Release `seq` store in `pop`: observing
-        // `dequeue_pos() ≥ target` happens-after every pop below
-        // target. The donor only *waits* on this cursor (monotone
-        // predicate), so a stale read merely retries.
-        self.dequeue.load(Ordering::Acquire)
     }
 
     /// Attempts to enqueue `value`. Lock-free; fails when the ring is
@@ -205,12 +179,10 @@ impl<T> MpscRing<T> {
         if (seq as isize - (pos.wrapping_add(1)) as isize) < 0 {
             return None; // Nothing published at this position yet.
         }
-        // Single consumer: no CAS needed on the dequeue cursor.
-        // ordering: Release (upgraded from Relaxed in PR 5) pairs with
-        // the Acquire `dequeue` load in `dequeue_pos` — a window
-        // watcher that reads the advanced cursor is ordered after this
-        // pop, which the old Relaxed store never guaranteed.
-        self.dequeue.store(pos.wrapping_add(1), Ordering::Release);
+        // Single consumer: no CAS needed on the dequeue cursor, and no
+        // ordering: producers find free slots through `seq`, and `len`
+        // reads the cursor racily.
+        self.dequeue.store(pos.wrapping_add(1), Ordering::Relaxed);
         // SAFETY: `seq == pos + 1` proves the producer published this
         // slot (its write happens-before the Acquire load above), and
         // the single consumer owns position `pos` exclusively, so the

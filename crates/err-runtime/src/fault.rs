@@ -5,7 +5,7 @@
 //! never moves a flow: a shard worker that panics is caught by its own
 //! fence, calls `FaultRuntime::resume`, and re-enters its loop on the
 //! same thread with its whole `WorkerState` — scheduler, flit clock,
-//! egress stage, in-flight migration driver (§9.2: *catch → resume*).
+//! egress stage (§9.2: *catch → resume*).
 //! The ingress ring stays where it is and the resumed loop goes on
 //! draining it, so nothing is re-homed and nothing is lost; only a
 //! forced abort (§9.4) counts residue `lost`, with its admission charge
@@ -23,7 +23,6 @@ use err_sched::err::ErrScheduler;
 
 use crate::admission::AdmissionController;
 use crate::ingress::Shared;
-use crate::migrate::MigrationDriver;
 use crate::shard::{EgressStage, ShardConfig};
 use crate::stats::{PaddedCounter, ShardStats};
 
@@ -78,7 +77,7 @@ impl Default for BoardCell {
 }
 
 /// Per-shard health, heartbeat, and death/recovery timestamps —
-/// LoadBoard-style atomics, one cache-padded entry per shard
+/// relaxed atomics, one cache-padded entry per shard
 /// (DESIGN.md §9.1). The timestamps are microseconds since runtime
 /// start and are the raw material of the chaos bench's recovery-time
 /// distribution.
@@ -215,7 +214,7 @@ pub struct FaultEvent {
 /// A deterministic, replayable chaos schedule — the fault-injection
 /// analogue of [`StallPlan`](err_egress::StallPlan): explicit
 /// constructors or a seeded [`from_rng`](Self::from_rng), compiled by
-/// [`FaultInjector`] into per-shard sorted event lists consumed by
+/// `FaultInjector` into per-shard sorted event lists consumed by
 /// cursor. Events fire on each shard's own flit clock, so a plan
 /// replays identically for a given seed and workload (DESIGN.md §9.5).
 #[derive(Clone, Debug, Default)]
@@ -295,7 +294,7 @@ impl FaultPlan {
 /// consumed by a per-shard cursor. Each cursor has a single consumer
 /// (the shard's own worker), mirroring
 /// [`StallInjector`](err_egress::StallInjector).
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     events: Vec<Vec<FaultEvent>>,
     cursors: Vec<AtomicUsize>,
 }
@@ -330,14 +329,6 @@ impl FaultInjector {
             None
         }
     }
-
-    /// Whether every planned event has fired.
-    pub fn exhausted(&self) -> bool {
-        self.cursors
-            .iter()
-            .zip(&self.events)
-            .all(|(c, e)| c.load(Ordering::Relaxed) >= e.len())
-    }
 }
 
 /// Everything a worker thread owns (§9.2): a worker starts from one
@@ -351,12 +342,11 @@ impl FaultInjector {
 pub(crate) struct WorkerState {
     pub(crate) cfg: ShardConfig,
     pub(crate) scheduler: ErrScheduler,
-    pub(crate) driver: Option<MigrationDriver>,
     /// The shard flit clock; a resumed loop continues it.
     pub(crate) now: Cycle,
     /// The output side, whole: the sync stage's sink and interrupted
     /// batch, or the buffered stage's ring producer, parking marks,
-    /// pushed count, flusher core and sink.
+    /// flusher core and sink.
     pub(crate) stage: Box<dyn EgressStage>,
 }
 
@@ -413,7 +403,7 @@ fn lose_packet(stats: &ShardStats, admission: &AdmissionController, flow: usize,
 
 /// Forced-shutdown residue accounting (DESIGN.md §9.4): when the abort
 /// flag fires, a worker stops serving and counts its residual state —
-/// ring contents and extracted flow packages — as lost, with admission
+/// ring contents and each flow's extracted residue — as lost, with admission
 /// charges revoked. Exact: every flow's residue is extracted and
 /// counted packet by packet.
 pub(crate) fn abort_residuals(
@@ -431,15 +421,13 @@ pub(crate) fn abort_residuals(
         // accounting sweep; the scheduler serves nothing after it
         // and is dropped with the aborted runtime.
         let _ = scheduler.park_flow(flow);
-        if let Some(pkg) = scheduler.extract_flow(flow) {
-            if let Some(cursor) = pkg.resume.and_then(|v| v.cursor) {
+        if let Some(residue) = scheduler.extract_flow(flow) {
+            if let Some((packet, next_flit)) = residue.interrupted {
                 stats.lost_packets.add(1);
-                stats
-                    .lost_flits
-                    .add((cursor.packet.len - cursor.next_flit) as u64);
-                shared.admission.revoke(flow, cursor.packet.len);
+                stats.lost_flits.add((packet.len - next_flit) as u64);
+                shared.admission.revoke(flow, packet.len);
             }
-            for p in &pkg.packets {
+            for p in &residue.packets {
                 lose_packet(stats, &shared.admission, flow, p.len);
             }
         }
@@ -487,7 +475,7 @@ mod tests {
         // insertion order, both due at once.
         assert_eq!(inj.next_due(1, 1_000), Some(FaultKind::KillLink(3)));
         assert_eq!(inj.next_due(1, 1_000), Some(FaultKind::PanicShard));
-        assert!(inj.exhausted());
+        assert!((0..2).all(|s| inj.next_due(s, u64::MAX).is_none()));
     }
 
     #[test]
@@ -516,7 +504,7 @@ mod tests {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
         let inj = FaultInjector::new(&plan, 4);
-        assert!(inj.exhausted());
+        assert!((0..4).all(|s| inj.next_due(s, u64::MAX).is_none()));
         assert_eq!(inj.next_due(0, u64::MAX), None);
     }
 }

@@ -120,7 +120,7 @@ impl DrainGate {
     /// Whether [`close`](DrainGate::close) has been called.
     pub fn is_closed(&self) -> bool {
         // ordering: Acquire pairs with the `close` RMW for callers
-        // that only branch on the flag (wait loops, steal policy); the
+        // that only branch on the flag (wait loops); the
         // exit protocol goes through `can_finish` instead.
         self.state.load(Ordering::Acquire) & CLOSED != 0
     }

@@ -4,12 +4,10 @@
 //! Flows are hash-partitioned across shards with a SplitMix64 finalizer,
 //! so every packet of a flow lands on the same shard (preserving per-flow
 //! FIFO through the shard's private scheduler) while distinct flows
-//! spread evenly. The submit path is: admission check (one atomic RMW) →
-//! ring push (one CAS) → stats bump. No locks, no allocation. Under
-//! stealing the hash is only where a flow starts: the route is its
-//! [`FlowMap`](crate::FlowMap) entry, read and pushed to inside the
-//! flow's submit window, so a steal's flip and drain never miss a push
-//! (DESIGN.md §8.3).
+//! spread evenly. The partition is [`home_shard`], fixed for the life
+//! of the runtime: nothing moves a flow (DESIGN.md §8). The submit path
+//! is: admission check (one atomic RMW) → ring push (one CAS) → stats
+//! bump. No locks, no allocation.
 //!
 //! A plain push never wakes the shard worker (that would hand the CPU
 //! back and forth once per packet); the producer wakes it only where
@@ -71,6 +69,13 @@ pub(crate) fn mix_flow(flow: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The shard `flow` lives on in a runtime of `shards` shards: the
+/// static SplitMix64 partition, the same for the runtime's whole life.
+#[inline]
+pub fn home_shard(flow: usize, shards: usize) -> usize {
+    (mix_flow(flow) % shards as u64) as usize
+}
+
 /// State shared between producers and shard workers.
 pub(crate) struct Shared {
     pub(crate) rings: Vec<MpscRing<Packet>>,
@@ -80,14 +85,8 @@ pub(crate) struct Shared {
     pub(crate) wakes: Vec<Arc<WakeCell>>,
     pub(crate) stats: Vec<ShardStats>,
     pub(crate) admission: AdmissionController,
-    /// Work-stealing state (`RuntimeConfig::stealing`), routing map and
-    /// submit windows included (DESIGN.md §8): a steal is the only
-    /// thing that moves a flow, so `None` keeps the static hash as the
-    /// whole routing truth and a submit path that takes no window.
-    pub(crate) steal: Option<crate::migrate::StealRuntime>,
     /// Fault-tolerance state: the board and any compiled `FaultPlan`.
-    /// A dead shard resumes in place, so it never touches the map
-    /// (DESIGN.md §9.2).
+    /// A dead shard resumes in place, so no flow moves (DESIGN.md §9.2).
     pub(crate) fault: crate::fault::FaultRuntime,
     /// The shutdown gate: `closed` flag + in-flight submit counter as a
     /// Dekker-style pair, so workers never take their *final* look at
@@ -99,15 +98,10 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// The shard `flow` currently routes to: its `FlowMap` entry when
-    /// stealing is on (and the flow is inside the id space), else the
-    /// static hash.
+    /// The shard `flow` routes to: [`home_shard`].
     #[inline]
     pub(crate) fn shard_of(&self, flow: usize) -> usize {
-        self.steal
-            .as_ref()
-            .and_then(|st| st.map.shard_of(flow))
-            .unwrap_or_else(|| (mix_flow(flow) % self.rings.len() as u64) as usize)
+        home_shard(flow, self.rings.len())
     }
 
     pub(crate) fn is_closed(&self) -> bool {
@@ -207,13 +201,9 @@ impl RuntimeHandle {
         let Some(_permit) = shared.gate.enter() else {
             return Err(SubmitError::Closed);
         };
-        // Admission first, *outside* the migration window below: the
-        // backpressure wait can last until flits are served, and the
-        // flow being admitted may be parked mid-migration — holding the
-        // window through that wait would deadlock the donor's drain.
-        // Drop/reject attribution uses the flow's current home (racy
-        // read; counters only).
-        let stats = &shared.stats[shared.shard_of(pkt.flow)];
+        // Admission first, then the push, both on the flow's one shard.
+        let shard = shared.shard_of(pkt.flow);
+        let stats = &shared.stats[shard];
         loop {
             match shared.admission.try_admit(pkt.flow, pkt.len) {
                 AdmitDecision::Admit => break,
@@ -232,7 +222,7 @@ impl RuntimeHandle {
                     }
                     // About to wait (or, past the deadline, to refuse)
                     // until the worker serves this flow.
-                    shared.wake_worker_for_intake(shared.shard_of(pkt.flow));
+                    shared.wake_worker_for_intake(shard);
                     if patience.exhausted() {
                         stats.timedout_packets.add(1);
                         return Err(SubmitError::TimedOut);
@@ -241,20 +231,9 @@ impl RuntimeHandle {
                 }
             }
         }
-        // Route-and-push, bracketed by the per-flow submit window when
-        // stealing is on (DESIGN.md §8.3): window += 1 → read FlowMap →
-        // push → window −= 1 (via the guard's Drop, on every exit
-        // path). The SeqCst pairing with the map flip and window check
-        // guarantees a mover's drain target covers every old-home push.
         // A dead shard's ring stays put: its worker resumes draining it
         // (§9.2), so a full ring is waited out the same whether the
         // worker is behind or resuming.
-        let _window = shared
-            .steal
-            .as_ref()
-            .and_then(|st| st.map.window_enter(pkt.flow));
-        let shard = shared.shard_of(pkt.flow);
-        let stats = &shared.stats[shard];
         // Ring push: one CAS. Full ring means the shard is behind;
         // wait for space (drop-tail drops instead, shedding at the
         // ring too).
@@ -321,11 +300,9 @@ impl RuntimeHandle {
     /// idles without serving until the runtime is up again, with an
     /// empty scheduler. Returns whether the runtime is down and every
     /// worker has swept since it went down; taking a down runtime down
-    /// again only asks that. A runtime that steals flows must not go
-    /// down: a sweep does not settle a migration in flight.
+    /// again only asks that.
     pub fn set_down(&self, down: bool) -> bool {
         let shared = &*self.shared;
-        assert!(shared.steal.is_none(), "a stealing runtime cannot go down");
         let epoch = shared.gate.set_down(down);
         for cell in &shared.wakes {
             cell.wake();
@@ -334,10 +311,8 @@ impl RuntimeHandle {
         epoch.is_some_and(|e| (0..board.shards()).all(|s| board.swept(s) == e))
     }
 
-    /// The shard a flow maps to. Stable for the runtime's lifetime
-    /// under the static partition; with stealing enabled
-    /// (`RuntimeConfig::stealing`) this is a point-in-time read of the
-    /// migration overlay and may change between calls.
+    /// The shard a flow maps to: [`home_shard`]. Stable for the
+    /// runtime's lifetime.
     pub fn shard_of(&self, flow: usize) -> usize {
         self.shared.shard_of(flow)
     }
@@ -350,7 +325,9 @@ impl RuntimeHandle {
 
 #[cfg(test)]
 mod tests {
-    use super::mix_flow;
+    use super::{home_shard, mix_flow};
+    use crate::{Runtime, RuntimeConfig};
+    use err_sched::Packet;
 
     #[test]
     fn flow_mixing_spreads_consecutive_flows() {
@@ -367,6 +344,39 @@ mod tests {
                 "shard {shard} got {c}/64 flows — partitioning is badly skewed"
             );
         }
+    }
+
+    #[test]
+    fn a_flow_stays_on_its_home_shard_for_the_runtimes_life() {
+        const FLOWS: usize = 64;
+        let (rt, handle) = Runtime::start(RuntimeConfig {
+            shards: 3,
+            n_flows: FLOWS,
+            ..RuntimeConfig::default()
+        });
+        let homes = |when: &str| {
+            for flow in 0..FLOWS {
+                assert_eq!(
+                    handle.shard_of(flow),
+                    home_shard(flow, 3),
+                    "{when}: flow {flow}"
+                );
+            }
+        };
+        homes("before");
+        // Skewed on purpose: flow 0 carries most of the burst.
+        for id in 0..2_000u64 {
+            let flow = if id % 4 == 0 {
+                (id as usize / 4) % FLOWS
+            } else {
+                0
+            };
+            handle.submit(Packet::new(id, flow, 8, 0)).unwrap();
+        }
+        homes("after");
+        let report = rt.shutdown();
+        assert_eq!(report.served_packets(), 2_000);
+        homes("after shutdown");
     }
 
     #[test]

@@ -53,13 +53,9 @@
 //!   ([`Runtime::shutdown_within`]) and submit
 //!   ([`RuntimeHandle::submit_within`]), and a seeded [`FaultPlan`]
 //!   chaos harness that replays shard and link deaths deterministically.
-//! * [`migrate`] moves flows between shards (DESIGN.md §8): a near-idle
-//!   thief requests one through its [`MigrationSlot`], and the slot is
-//!   the claim — the donor names its victim there and flips the
-//!   [`FlowMap`] that submit routes by, inside per-flow submit windows.
-//!   A steal is the one thing that moves a flow; death never does, so
-//!   stealing composes with resumption as it stands, and runs under
-//!   [`EgressMode::Buffered`] via the §8.7 egress-retire fence.
+//! * Nothing moves a flow: its shard is [`ingress::home_shard`] for the
+//!   life of the runtime, so each flow's surplus count stays with the
+//!   one scheduler it was earned against (DESIGN.md §8).
 //!
 //! # Quick example
 //!
@@ -85,10 +81,8 @@ pub mod admission;
 pub mod channel;
 pub mod drain;
 pub mod fault;
-mod flow_map;
 pub mod gate;
 pub mod ingress;
-pub mod migrate;
 pub mod shard;
 pub mod stats;
 pub(crate) mod sync;
@@ -105,13 +99,11 @@ use err_sched::{Discipline, ServedFlit};
 pub use admission::{AdmissionController, AdmissionPolicy, AdmitDecision};
 pub use drain::{DrainReport, ShardExit};
 pub use err_egress::{
-    BufferedConfig, DeadLinkPolicy, Egress, EgressController, EgressSnapshot, LinkState,
-    SharedEgress, StallPlan, StallWindow, Threaded,
+    BufferedConfig, DeadLinkPolicy, Egress, EgressController, EgressSnapshot, LinkState, StallPlan,
+    StallWindow, Threaded,
 };
-pub use fault::{FaultBoard, FaultEvent, FaultInjector, FaultKind, FaultPlan, ShardHealth};
-pub use flow_map::{FlowMap, WindowGuard};
+pub use fault::{FaultBoard, FaultEvent, FaultKind, FaultPlan, ShardHealth};
 pub use ingress::{RuntimeHandle, SubmitError, Submitted};
-pub use migrate::{LoadBoard, MigrationPhase, MigrationSlot, StealingConfig};
 pub use stats::{RuntimeStats, ShardSnapshot};
 
 use admission::AdmissionController as Controller;
@@ -177,19 +169,6 @@ pub struct RuntimeConfig {
     pub admission: AdmissionPolicy,
     /// Egress coupling; [`EgressMode::Sync`] is the legacy inline path.
     pub egress: EgressMode,
-    /// Work stealing / flow migration (DESIGN.md §8). `None` keeps the
-    /// static partition. A near-empty shard (backlog below a quarter of
-    /// `steal_threshold`) asks the shard with the largest backlog (at
-    /// least `steal_threshold`) for its heaviest flow, which moves with
-    /// its queue, surplus count and mid-packet cursor. Works under
-    /// either [`EgressMode`]:
-    /// under [`EgressMode::Buffered`] the donor adds the §8.7
-    /// egress-retire fence (a flow's home flips only after its last
-    /// victim flit has retired downstream), so handoffs never interleave
-    /// a wormhole. Composes with resumption in place: a shard that
-    /// dies mid-handoff resumes with its migration state and takes the
-    /// handoff's next step (§9.2).
-    pub stealing: Option<StealingConfig>,
     /// Deterministic fault injection (DESIGN.md §9.5); events fire on
     /// each shard's flit clock. Every worker resumes from a panic in
     /// place, with or without a plan (§9.2).
@@ -207,7 +186,6 @@ impl Default for RuntimeConfig {
             batch_flits: 256,
             admission: AdmissionPolicy::Unlimited,
             egress: EgressMode::Sync,
-            stealing: None,
             fault_plan: None,
         }
     }
@@ -261,11 +239,6 @@ impl Runtime {
             "the runtime runs ERR only, got {:?}",
             config.discipline
         );
-        // The routing map exists only where something moves flows: a
-        // steal. Death never does (§9.2).
-        let steal = config
-            .stealing
-            .map(|sc| migrate::StealRuntime::new(config.n_flows, config.shards, sc));
         let injector = config
             .fault_plan
             .as_ref()
@@ -280,7 +253,6 @@ impl Runtime {
                 .collect(),
             stats: (0..config.shards).map(|_| ShardStats::default()).collect(),
             admission: Controller::new(config.admission, config.n_flows),
-            steal,
             fault,
             gate: gate::DrainGate::new(),
         });
@@ -329,7 +301,6 @@ impl Runtime {
                 stages
             }
         };
-        // A worker steals only if stealing is on.
         let workers = stages
             .into_iter()
             .enumerate()
@@ -342,10 +313,6 @@ impl Runtime {
                         n_flows: config.n_flows,
                     },
                     scheduler: ErrScheduler::new(config.n_flows),
-                    driver: shared
-                        .steal
-                        .as_ref()
-                        .map(|_| migrate::MigrationDriver::new(shard)),
                     now: 0,
                     stage,
                 };
@@ -443,9 +410,9 @@ impl Runtime {
         let final_deadline = timeout.map(|t| start + t);
         let mut forced = false;
         // Wedge forensics: `ERR_DRAIN_DEBUG=1` dumps the exit-gate
-        // inputs (per-shard liveness, ring depth, backlog, migration
-        // slot phases) every ~0.5 s of drain so a hung shutdown names
-        // the shard and the protocol phase it is stuck behind.
+        // inputs (per-shard liveness, ring depth, backlog) every ~0.5 s
+        // of drain so a hung shutdown names the shard it is stuck
+        // behind.
         let debug_drain = std::env::var_os("ERR_DRAIN_DEBUG").is_some();
         let mut debug_polls: u64 = 0;
         loop {
@@ -480,17 +447,6 @@ impl Runtime {
                         self.shared.stats[i].backlog_flits.get(),
                         self.shared.stats[i].parks.get(),
                     );
-                }
-                if let Some(sr) = self.shared.steal.as_ref() {
-                    for (i, s) in sr.slots.iter().enumerate() {
-                        eprintln!(
-                            "  slot {i}: phase={:?} thief={:?} donor={:?} flow={:?}",
-                            s.phase(),
-                            s.thief(),
-                            s.donor(),
-                            s.flow(),
-                        );
-                    }
                 }
             }
             if timeout.is_some() {
@@ -683,109 +639,6 @@ mod tests {
         }
         // Human-readable Display covers the egress section.
         assert!(report.stats.to_string().contains("egress:"));
-    }
-
-    #[test]
-    fn stealing_runtime_conserves_under_skew() {
-        // One dominant flow on a 4-shard runtime: the static partition
-        // leaves three shards idle, so stealing must kick in. The hard
-        // requirements are conservation and per-flow completeness; the
-        // migration count is asserted loosely (≥ 0 is timing-dependent,
-        // but with this much skew at least one steal is expected).
-        // The ring is provisioned for the whole offered load: with a
-        // small ring the backlog hides in the blocked submitter, where
-        // no LoadBoard entry can see it, and the steal policy would be
-        // (correctly) quiet. Backpressure behavior is covered elsewhere;
-        // this test wants migrations to actually fire.
-        let (rt, handle) = Runtime::start(RuntimeConfig {
-            shards: 4,
-            n_flows: 8,
-            ring_capacity: 1 << 15,
-            stealing: Some(StealingConfig {
-                min_gap: 64,
-                ..StealingConfig::default()
-            }),
-            ..RuntimeConfig::default()
-        });
-        let mut flits = 0u64;
-        // 30k packets, ~87% of flits on flow 0.
-        for id in 0..30_000u64 {
-            let (flow, len) = if id % 8 < 7 {
-                (0usize, 16u32)
-            } else {
-                ((1 + (id % 7)) as usize, 4u32)
-            };
-            flits += len as u64;
-            handle.submit(Packet::new(id, flow, len, 0)).unwrap();
-        }
-        // Keep the runtime open until everything is served: shutdown
-        // flips `closed`, and §8.6 refuses *new* steal requests once
-        // closed — an immediate shutdown would make the whole drain run
-        // with stealing disabled and the migration assert flaky.
-        while handle.stats().served_packets() < 30_000 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let report = rt.shutdown();
-        assert!(report.is_conserving(), "{report:?}");
-        assert_eq!(report.served_packets(), 30_000);
-        assert_eq!(report.stats.served_flits(), flits);
-        // Migrated flits are counted once per handoff and never lost.
-        let migrations = report.stats.migrations();
-        let donated: u64 = report.stats.shards.iter().map(|s| s.donated_out).sum();
-        assert_eq!(migrations, donated, "every extract has its absorb");
-        assert!(
-            migrations >= 1,
-            "87% skew on 4 shards should trigger at least one steal: {report:?}"
-        );
-    }
-
-    #[test]
-    fn stealing_under_buffered_egress_conserves() {
-        // The §8.7 composition: stealing with per-link credit egress.
-        // Same skew as the sync test; the donor's retire fence must
-        // neither wedge handoffs nor interleave a wormhole, and every
-        // flit must reach the sink.
-        let (rt, handle) = Runtime::start(RuntimeConfig {
-            shards: 4,
-            n_flows: 8,
-            ring_capacity: 1 << 15,
-            stealing: Some(StealingConfig {
-                min_gap: 64,
-                ..StealingConfig::default()
-            }),
-            egress: EgressMode::Buffered(BufferedConfig {
-                ring_capacity: 256,
-                credits: 64,
-                n_links: 2,
-                ..BufferedConfig::default()
-            }),
-            ..RuntimeConfig::default()
-        });
-        let mut flits = 0u64;
-        for id in 0..30_000u64 {
-            let (flow, len) = if id % 8 < 7 {
-                (0usize, 16u32)
-            } else {
-                ((1 + (id % 7)) as usize, 4u32)
-            };
-            flits += len as u64;
-            handle.submit(Packet::new(id, flow, len, 0)).unwrap();
-        }
-        while handle.stats().served_packets() < 30_000 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let report = rt.shutdown();
-        assert!(report.is_conserving(), "{report:?}");
-        assert_eq!(report.served_packets(), 30_000);
-        assert_eq!(report.stats.served_flits(), flits);
-        assert_eq!(report.stats.flushed_flits(), flits, "no flit stranded");
-        let migrations = report.stats.migrations();
-        let donated: u64 = report.stats.shards.iter().map(|s| s.donated_out).sum();
-        assert_eq!(migrations, donated, "every extract has its absorb");
-        assert!(
-            migrations >= 1,
-            "87% skew on 4 shards should steal under buffered egress too: {report:?}"
-        );
     }
 
     #[test]

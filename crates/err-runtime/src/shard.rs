@@ -20,8 +20,8 @@
 //!
 //! There is one loop (`run_shard`). Where served flits go is the
 //! business of the shard's `EgressStage`, which the loop calls at
-//! its service, idle and exit points and the fault and steal layers
-//! query about link state (DESIGN.md §6):
+//! its service, idle and exit points and the fault layer hands its
+//! `KillLink` events (DESIGN.md §6):
 //!
 //! * `SyncStage` — every served flit passes through the caller's sink
 //!   inline, on the worker thread. It holds no link state, so it gives
@@ -40,7 +40,7 @@
 //!   decoupling the paper's stalled-downstream argument calls for.
 //!
 //! The loop runs inside a `catch_unwind` fence with the worker's whole
-//! state — scheduler, migration driver, flit clock and stage, i.e. a
+//! state — scheduler, flit clock and stage, i.e. a
 //! `WorkerState` — owned *outside* the closure (DESIGN.md §9.2): a panic
 //! unwinds out of the loop, the fence catches it, and the worker records
 //! the death on the fault board and re-enters the loop on the same
@@ -62,7 +62,7 @@
 //! flit. A lone worker whose every link is credit-parked waits for
 //! announced events only: its sleep is *covered*, its timer a mere
 //! `BACKSTOP`. Any other park polls for what nobody announces — a plain
-//! push; a thief's request or a credit other shards may take first; a
+//! push; a credit other shards may take first; a
 //! sink that refused a flit finding room — and keeps `PARK_TIMEOUT`. A
 //! refused flit is offered again once per such park (or wake), never
 //! per look.
@@ -99,11 +99,12 @@ pub(crate) struct ShardConfig {
 /// The shard's output side: where served flits go, and the link state
 /// only that side knows. The worker loop calls `serve` and `flush`,
 /// `starved` and `can_progress` before it parks, `drained` before it
-/// exits and `abort` when it is aborted; the fault and steal layers put their four questions to it
-/// instead of borrowing its fields. Dispatch is per chunk or per
-/// protocol step, never per flit. Every method but `serve` defaults to
-/// the answer of a stage that buffers nothing — never parked, always
-/// retired, no-op — which is the whole of [`SyncStage`]'s link state.
+/// exits and `abort` when it is aborted; the fault layer hands it its
+/// `KillLink` events instead of borrowing its fields. Dispatch is per
+/// chunk or per fault event, never per flit. Every method but `serve`
+/// defaults to the answer of a stage that buffers nothing — never
+/// parked, always drained, no-op — which is the whole of
+/// [`SyncStage`]'s link state.
 pub(crate) trait EgressStage: Send {
     /// One service chunk: serves up to `batch_flits` flits from
     /// `scheduler` starting at flit-clock `now` and sends each on its
@@ -153,26 +154,8 @@ pub(crate) trait EgressStage: Send {
     /// the stage ready for an empty scheduler.
     fn abort(&mut self) {}
 
-    /// Whether `flow`'s link is credit-parked: a mover must then leave
-    /// the flow parked for the link's release in `serve` (§8.7).
-    fn link_parked(&self, _flow: usize) -> bool {
-        false
-    }
-
     /// An injected `KillLink` (§9.5); a stage without links ignores it.
     fn declare_link_dead(&self, _link: usize) {}
-
-    /// Cumulative flits committed downstream — the snapshot the
-    /// donor-side retire fence takes (§8.7).
-    fn pushed(&self) -> u64 {
-        0
-    }
-
-    /// Whether every flit of `flow` committed before the `snapshot`
-    /// push count has left the egress path (§8.7).
-    fn flow_retired(&self, _flow: usize, _snapshot: u64) -> bool {
-        true
-    }
 }
 
 /// Synchronous egress: the worker calls the optional sink inline.
@@ -258,9 +241,8 @@ impl<E: Egress> EgressStage for SyncStage<E> {
 ///   chunk's grants. One thread writes and reads the SPSC ring.
 ///
 /// The stage is owned *outside* the panic fence, in the
-/// [`WorkerState`] (§9.2): its parking marks, `pushed` count (§8.7's
-/// fence numerator), flusher core and sink must survive a panic. A
-/// grant never does.
+/// [`WorkerState`] (§9.2): its parking marks, flusher core and sink
+/// must survive a panic. A grant never does.
 pub(crate) struct BufferedStage<E> {
     tx: Producer<ServedFlit>,
     links: Arc<LinkSet>,
@@ -272,10 +254,6 @@ pub(crate) struct BufferedStage<E> {
     /// Credits in hand per link; all zero outside `serve`.
     grant: Vec<u64>,
     link_parked: Vec<bool>,
-    /// Cumulative flits this shard has committed to its egress ring —
-    /// compared against the core's retire watermark by the donor-side
-    /// retire fence (§8.7).
-    pushed: u64,
     core: FlusherCore,
     sink: E,
     injector: Option<Arc<StallInjector>>,
@@ -305,7 +283,6 @@ impl<E: Egress> BufferedStage<E> {
             link_flows,
             grant: vec![0; n_links],
             link_parked: vec![false; n_links],
-            pushed: 0,
             core,
             sink,
             injector,
@@ -344,7 +321,7 @@ impl<E: Egress> BufferedStage<E> {
     /// neither: arrivals enter at intake, before `serve`, so "no flit
     /// is served on a zero grant" holds without it, and a grant nobody
     /// can spend only starves the other shards.
-    fn refill(&mut self, link: usize, want: u64, shared: &Shared, scheduler: &mut ErrScheduler) {
+    fn refill(&mut self, link: usize, want: u64, scheduler: &mut ErrScheduler) {
         let flows = &self.link_flows[link];
         let idle = || flows.iter().all(|&f| scheduler.flow_backlog_flits(f) == 0);
         if !self.link_parked[link] && idle() {
@@ -366,18 +343,11 @@ impl<E: Egress> BufferedStage<E> {
             }
         } else if self.link_parked[link] {
             self.link_parked[link] = false;
-            // A flow some migration slot names (§8.2) stays parked: a
-            // quiesced steal victim unparked here would be served past
-            // the §8.7 retire fence. Its mover unparks it when the slot
-            // resolves.
             for &flow in flows {
-                if shared.steal.as_ref().is_none_or(|st| !st.moving(flow)) {
-                    // unpark: the release `unpark_respecting_links`
-                    // defers to for credit-parked links — the authority
-                    // itself; the `moving` guard above keeps a victim
-                    // parked (§8.7).
-                    scheduler.unpark_flow(flow);
-                }
+                // unpark: `refill` itself — the one authority over a
+                // credit-parked link's flows, releasing them with the
+                // credit it just took.
+                scheduler.unpark_flow(flow);
             }
         }
     }
@@ -391,7 +361,7 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
     /// drop guard settles the chunk, unwinding or not: the grants go
     /// back (an idle one would starve the other shards and run the
     /// link's dead-link deadline), and ring occupancy is noted once,
-    /// after the last push.
+    /// after the last push, if the chunk pushed any.
     fn serve(
         &mut self,
         shared: &Shared,
@@ -399,18 +369,19 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
         _now: Cycle,
         batch_flits: usize,
     ) -> (u64, u64, bool) {
-        struct Settle<'a, E>(u64, &'a mut BufferedStage<E>);
+        // Whether the chunk pushed, and the stage.
+        struct Settle<'a, E>(bool, &'a mut BufferedStage<E>);
         impl<E> Drop for Settle<'_, E> {
             fn drop(&mut self) {
                 let stage = &mut *self.1;
                 stage.links.return_grants(&mut stage.grant);
-                if stage.pushed != self.0 {
+                if self.0 {
                     let occupancy = stage.tx.occupancy() as u64;
                     stage.estats.note_ring_occupancy(occupancy);
                 }
             }
         }
-        let settle = Settle(self.pushed, self);
+        let mut settle = Settle(false, self);
         let stage = &mut *settle.1;
         let batch = batch_flits as u64;
         // Availability at visit time: every link has its grant, or is
@@ -418,7 +389,7 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
         let busy = !scheduler.is_idle();
         for link in 0..stage.grant.len() {
             if busy || stage.link_parked[link] {
-                stage.refill(link, batch, shared, scheduler);
+                stage.refill(link, batch, scheduler);
             }
         }
         let (mut flits, mut tails, mut more) = (0u64, 0u64, false);
@@ -454,7 +425,7 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
                 let pushed = stage.tx.push(flit);
                 debug_assert!(pushed.is_ok(), "the ring had room");
             }
-            stage.pushed += n;
+            settle.0 = true;
             more = stage.grant[link] == 0;
         }
         drop(settle);
@@ -500,23 +471,10 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
         self.link_parked.fill(false);
     }
 
-    fn link_parked(&self, flow: usize) -> bool {
-        self.link_parked[self.links.route(flow)]
-    }
-
     fn declare_link_dead(&self, link: usize) {
         if link < self.links.n_links() {
             self.links.declare_dead(link);
         }
-    }
-
-    fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// The flusher core's pending-free watermark passed the snapshot.
-    fn flow_retired(&self, _flow: usize, snapshot: u64) -> bool {
-        self.core.retired() >= snapshot
     }
 }
 
@@ -541,7 +499,6 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
     let WorkerState {
         cfg,
         scheduler,
-        driver,
         now,
         stage,
     } = w;
@@ -555,9 +512,9 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
     let debug_exit = std::env::var_os("ERR_DRAIN_DEBUG").is_some();
     let mut debug_parks: u64 = 0;
 
-    // Nobody announces when a thief asks, or that a returned credit is
-    // still there once another shard has looked.
-    let polls = shared.steal.is_some() || shared.wakes.len() > 1;
+    // Nobody announces that a returned credit is still there once
+    // another shard has looked.
+    let polls = shared.wakes.len() > 1;
     loop {
         // Fault phase (DESIGN.md §9): forced-shutdown abort or down
         // runtime, heartbeat, injected events — the abort check first,
@@ -590,14 +547,6 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
         for pkt in arrivals.drain(..) {
             scheduler.enqueue(pkt, *now);
         }
-        // LoadBoard input, sampled here rather than at the tick below:
-        // a shard that drains each intake batch within its own loop
-        // would otherwise always report an empty queue — the backlog
-        // it is absorbing lives in flight between producer and service
-        // phase, never at a post-service instant (DESIGN.md §8.1).
-        // `len` counts claimed slots: a packet mid-push is load that is
-        // about to arrive, which is what the estimate wants.
-        let pre_backlog = scheduler.backlog_flits() + ring.len() as u64;
 
         // Service phase: one flit per cycle of the shard's flit clock,
         // chunk by chunk, each counted before its flusher step.
@@ -618,66 +567,23 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
         }
         stats.backlog_flits.set(scheduler.backlog_flits());
 
-        // Migration phase: advance whatever roles (thief/donor) this
-        // shard plays across the per-thief slots, and evaluate the
-        // stealing policy at poll boundaries (DESIGN.md §8).
-        // Ticked after intake so the ring's dequeue cursor only covers
-        // packets already enqueued into the scheduler; the stage lends
-        // the donor-side retire fence its pushed count and flusher
-        // cursor (§8.7).
-        let mut hot_handoff = false;
-        let mut migrating = false;
-        if let Some(d) = driver.as_mut() {
-            d.tick(
-                shared,
-                scheduler,
-                pulled == 0 && n == 0,
-                *now,
-                pre_backlog,
-                stage.as_ref(),
-            );
-            if let Some(st) = shared.steal.as_ref() {
-                migrating = st.involves(shard);
-                // Requested can stay pending behind the donor's
-                // serve-chunk guard (§8.5) — a thief spinning hot
-                // through that would only steal CPU from the very
-                // shard it is waiting on. Spin hot from Quiescing on,
-                // where the peer needs our next protocol step fast.
-                hot_handoff = st.hot_handoff(shard);
-            }
-        }
-
         if pulled == 0 && n == 0 && !flushed {
             // Nothing moved. Exit only when shutdown has been
             // requested, no producer is still inside
             // `submit` (see `Shared::can_finish` — a mid-submit
-            // producer could still push), everything this shard owns
-            // is drained — its stage's flusher core included — and no
-            // migration in flight names this
-            // shard (DESIGN.md §8.6 — a mid-handoff exit would strand
-            // the victim's packets). The ring check must come after
+            // producer could still push), and everything this shard
+            // owns is drained — its stage's flusher core included. The
+            // ring check must come after
             // `can_finish`: once that returns true no further push can
             // happen, so empty is stable — and exact: `is_empty` counts
             // claimed slots, and with no producer inside `submit` none
             // is claimed but unpublished.
-            if !migrating
-                && shared.can_finish()
-                && ring.is_empty()
-                && scheduler.is_idle()
-                && stage.drained()
-            {
+            if shared.can_finish() && ring.is_empty() && scheduler.is_idle() && stage.drained() {
                 break;
             }
             stats.idle_loops.add(1);
             let has_work = || ring.head_ready() || stage.can_progress();
-            if hot_handoff {
-                // A hot handoff never sleeps and loops on: the peer
-                // worker is waiting on our next protocol step (a
-                // parked donor mid-quiesce would stall the thief's
-                // fence), and a timed park would add up to PARK_TIMEOUT
-                // to every transition.
-                std::hint::spin_loop();
-            } else if !ring.is_empty() && !has_work() {
+            if !ring.is_empty() && !has_work() {
                 // A producer claimed the head slot and has not
                 // published it: no pop can succeed until it runs again.
                 // It is runnable — if it shares our CPU, we are what
@@ -689,7 +595,7 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
                 let starved = stage.starved();
                 if debug_exit && debug_parks.is_multiple_of(100_000) {
                     eprintln!(
-                        "[exit-debug] shard {shard} starved={starved} migrating={migrating} \
+                        "[exit-debug] shard {shard} starved={starved} \
                          can_finish={} ring_empty={} sched_idle={}",
                         shared.can_finish(),
                         ring.is_empty(),
@@ -707,8 +613,8 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
                     cell.idle_unless(has_work, BACKSTOP)
                 } else {
                     // backstop: polls arrivals (a plain push never wakes),
-                    // thieves, credits other shards may take, and a sink
-                    // that refused a flit finding room.
+                    // credits other shards may take, and a sink that
+                    // refused a flit finding room.
                     cell.idle_unless(has_work, PARK_TIMEOUT)
                 };
                 stats.parks.add(u64::from(how != Sleep::Ready));

@@ -1,6 +1,6 @@
 //! Lock-free per-shard statistics and their merged runtime view.
 //!
-//! Each shard owns one [`ShardStats`] block of cache-line-padded atomic
+//! Each shard owns one `ShardStats` block of cache-line-padded atomic
 //! counters; the worker updates them with relaxed stores on its hot path
 //! and readers take consistent-enough [`ShardSnapshot`]s at any time
 //! without stopping the world. [`RuntimeStats`] merges the per-shard
@@ -26,7 +26,7 @@ use err_egress::EgressSnapshot;
 /// coherence protocol — exactly what the sharded design exists to avoid).
 #[derive(Debug, Default)]
 #[repr(align(64))]
-pub struct PaddedCounter(AtomicU64);
+pub(crate) struct PaddedCounter(AtomicU64);
 
 impl PaddedCounter {
     /// Adds `n` (relaxed; counters are monotonic and independently read).
@@ -49,55 +49,24 @@ impl PaddedCounter {
 }
 
 /// One shard's counters. Written by its worker (and, for the admission
-/// counters, by producers); read by anyone.
+/// counters, by producers); read by anyone. Each counter is documented
+/// on its [`ShardSnapshot`] copy.
 #[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Packets accepted into this shard's ingress ring.
+pub(crate) struct ShardStats {
     pub enqueued_packets: PaddedCounter,
-    /// Flits belonging to accepted packets.
     pub enqueued_flits: PaddedCounter,
-    /// Packets dropped by drop-tail admission (never entered the ring).
     pub dropped_packets: PaddedCounter,
-    /// Flits of dropped packets.
     pub dropped_flits: PaddedCounter,
-    /// Packets refused with an error under the reject policy.
     pub rejected_packets: PaddedCounter,
-    /// Flits served by the shard's scheduler.
     pub served_flits: PaddedCounter,
-    /// Packets whose tail flit has been served.
     pub served_packets: PaddedCounter,
-    /// Scheduler backlog in flits (gauge, refreshed every service batch).
     pub backlog_flits: PaddedCounter,
-    /// Service-loop iterations that moved at least one packet or flit.
     pub busy_loops: PaddedCounter,
-    /// Service-loop iterations that moved nothing: each takes the idle
-    /// path (two looks at the wake predicate, then maybe a park),
-    /// yields to a producer caught mid-push, or — during a hot steal
-    /// hand-off — loops straight on.
     pub idle_loops: PaddedCounter,
-    /// Times the worker parked because there was nothing to do.
     pub parks: PaddedCounter,
-    /// Parks that ran to their timeout instead of being ended by a
-    /// peer's wake (a producer about to wait, another worker returning
-    /// credits) — the share of `parks` the timers still carry.
     pub park_timeouts: PaddedCounter,
-    /// Flows this shard stole (absorbed) from another shard.
-    pub stolen_in: PaddedCounter,
-    /// Flows this shard gave up (extracted) to a thief.
-    pub donated_out: PaddedCounter,
-    /// Flits that changed shards inside migration packages.
-    pub migrated_flits: PaddedCounter,
-    /// Steal requests that died before quiescing (no eligible victim,
-    /// or shutdown).
-    pub steal_aborts: PaddedCounter,
-    /// Packets a forced abort (§9.4) cut off: ring and scheduler
-    /// residue, admission charges revoked.
     pub lost_packets: PaddedCounter,
-    /// Flits of lost packets (partially served packets count only
-    /// their unserved remainder).
     pub lost_flits: PaddedCounter,
-    /// Backpressure waits that hit their submit deadline
-    /// (`SubmitError::TimedOut`); the packet never entered a ring.
     pub timedout_packets: PaddedCounter,
 }
 
@@ -118,10 +87,6 @@ impl ShardStats {
             idle_loops: self.idle_loops.get(),
             parks: self.parks.get(),
             park_timeouts: self.park_timeouts.get(),
-            stolen_in: self.stolen_in.get(),
-            donated_out: self.donated_out.get(),
-            migrated_flits: self.migrated_flits.get(),
-            steal_aborts: self.steal_aborts.get(),
             lost_packets: self.lost_packets.get(),
             lost_flits: self.lost_flits.get(),
             timedout_packets: self.timedout_packets.get(),
@@ -134,43 +99,42 @@ impl ShardStats {
 pub struct ShardSnapshot {
     /// Shard index.
     pub shard: usize,
-    /// See [`ShardStats::enqueued_packets`].
+    /// Packets accepted into this shard's ingress ring.
     pub enqueued_packets: u64,
-    /// See [`ShardStats::enqueued_flits`].
+    /// Flits belonging to accepted packets.
     pub enqueued_flits: u64,
-    /// See [`ShardStats::dropped_packets`].
+    /// Packets dropped by drop-tail admission (never entered the ring).
     pub dropped_packets: u64,
-    /// See [`ShardStats::dropped_flits`].
+    /// Flits of dropped packets.
     pub dropped_flits: u64,
-    /// See [`ShardStats::rejected_packets`].
+    /// Packets refused with an error under the reject policy.
     pub rejected_packets: u64,
-    /// See [`ShardStats::served_flits`].
+    /// Flits served by the shard's scheduler.
     pub served_flits: u64,
-    /// See [`ShardStats::served_packets`].
+    /// Packets whose tail flit has been served.
     pub served_packets: u64,
-    /// See [`ShardStats::backlog_flits`].
+    /// Scheduler backlog in flits (gauge, refreshed every service batch).
     pub backlog_flits: u64,
-    /// See [`ShardStats::busy_loops`].
+    /// Service-loop iterations that moved at least one packet or flit.
     pub busy_loops: u64,
-    /// See [`ShardStats::idle_loops`].
+    /// Service-loop iterations that moved nothing: each takes the idle
+    /// path (two looks at the wake predicate, then maybe a park) or
+    /// yields to a producer caught mid-push.
     pub idle_loops: u64,
-    /// See [`ShardStats::parks`].
+    /// Times the worker parked because there was nothing to do.
     pub parks: u64,
-    /// See [`ShardStats::park_timeouts`].
+    /// Parks that ran to their timeout instead of being ended by a
+    /// peer's wake (a producer about to wait, another worker returning
+    /// credits) — the share of `parks` the timers still carry.
     pub park_timeouts: u64,
-    /// See [`ShardStats::stolen_in`].
-    pub stolen_in: u64,
-    /// See [`ShardStats::donated_out`].
-    pub donated_out: u64,
-    /// See [`ShardStats::migrated_flits`].
-    pub migrated_flits: u64,
-    /// See [`ShardStats::steal_aborts`].
-    pub steal_aborts: u64,
-    /// See [`ShardStats::lost_packets`].
+    /// Packets a forced abort (§9.4) cut off: ring and scheduler
+    /// residue, admission charges revoked.
     pub lost_packets: u64,
-    /// See [`ShardStats::lost_flits`].
+    /// Flits of lost packets (partially served packets count only
+    /// their unserved remainder).
     pub lost_flits: u64,
-    /// See [`ShardStats::timedout_packets`].
+    /// Backpressure waits that hit their submit deadline
+    /// (`SubmitError::TimedOut`); the packet never entered a ring.
     pub timedout_packets: u64,
 }
 
@@ -195,7 +159,7 @@ macro_rules! sum_field {
 
 impl RuntimeStats {
     /// Merges per-shard stat blocks into one view.
-    pub fn collect(stats: &[ShardStats]) -> Self {
+    pub(crate) fn collect(stats: &[ShardStats]) -> Self {
         Self {
             shards: stats
                 .iter()
@@ -233,12 +197,6 @@ impl RuntimeStats {
         parks => parks,
         /// Total idle parks that ran to their timeout un-woken.
         park_timeouts => park_timeouts,
-        /// Total completed flow migrations (each counted at the thief).
-        migrations => stolen_in,
-        /// Total flits moved between shards by migrations.
-        migrated_flits => migrated_flits,
-        /// Total steal requests aborted before quiescing.
-        steal_aborts => steal_aborts,
         /// Total packets lost to faults or forced shutdown.
         lost_packets => lost_packets,
         /// Total flits of lost packets.
@@ -302,15 +260,6 @@ impl fmt::Display for RuntimeStats {
             self.backlog_flits(),
             self.loss_rate() * 100.0,
         )?;
-        if self.migrations() > 0 || self.steal_aborts() > 0 {
-            writeln!(
-                f,
-                "  stealing: {} migrations | {} flits moved | {} aborted requests",
-                self.migrations(),
-                self.migrated_flits(),
-                self.steal_aborts(),
-            )?;
-        }
         if self.lost_packets() > 0 || self.timedout_packets() > 0 {
             writeln!(
                 f,

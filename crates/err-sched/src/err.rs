@@ -39,7 +39,6 @@ use desim::Cycle;
 use serde::{Deserialize, Serialize};
 
 use crate::active_list::ActiveList;
-use crate::migrate::{MidPacket, MigratedFlow, MigratedVisit};
 use crate::packet::{FlitRun, FlitStream};
 use crate::traits::{Scheduler, ServedFlit};
 use crate::{FlowId, FlowQueues, Packet};
@@ -425,8 +424,8 @@ impl ErrCore {
         VisitOutcome::VisitEnded
     }
 
-    /// Clears every trace of `flow` after its state has been extracted
-    /// for migration (DESIGN.md §8): parked/limbo flags and surplus
+    /// Clears every trace of `flow` after its residue has been
+    /// extracted (DESIGN.md §9.4): parked/limbo flags and surplus
     /// count. The flow must be parked — [`park`](Self::park) already
     /// removed it from the rotation and adjusted `size_active`, so only
     /// flags and debt remain to clear.
@@ -440,26 +439,6 @@ impl ErrCore {
         self.parked[flow] = false;
         self.limbo[flow] = false;
         self.sc[flow] = 0;
-    }
-
-    /// Installs a migrated surplus count for `flow` (which must be
-    /// parked here) and counts a park epoch: the debt was earned
-    /// against another shard's rounds, so the Lemma-1 bookkeeping
-    /// assertion is relaxed exactly as for parking (DESIGN.md §8.4).
-    pub fn adopt_surplus(&mut self, flow: FlowId, surplus: u64) {
-        self.ensure(flow);
-        debug_assert!(self.parked[flow], "adopt_surplus requires a parked flow");
-        self.sc[flow] = surplus;
-        self.park_epochs += 1;
-    }
-
-    /// Marks `flow` (parked) as holding a suspended visit, re-creating
-    /// on the thief the limbo state [`park`](Self::park) left on the
-    /// donor; [`resume_visit`](Self::resume_visit) clears it.
-    pub fn set_limbo(&mut self, flow: FlowId) {
-        self.ensure(flow);
-        debug_assert!(self.parked[flow], "set_limbo requires a parked flow");
-        self.limbo[flow] = true;
     }
 
     /// The visit in progress, if any.
@@ -526,13 +505,12 @@ struct SuspendedVisit {
 /// position-preserving: the flow keeps its surplus count, and a packet
 /// interrupted mid-wormhole resumes before the flow starts another, so
 /// a stall costs the flow no fairness beyond the stall itself.
-/// Migration builds on it: [`extract_flow`] and [`absorb_flow`] move a
-/// parked flow's whole state between two schedulers (DESIGN.md §8).
+/// A forced abort builds on it: [`extract_flow`] cuts a parked flow's
+/// residue out of the scheduler, to be counted lost (DESIGN.md §9.4).
 ///
 /// [`park_flow`]: Self::park_flow
 /// [`unpark_flow`]: Self::unpark_flow
 /// [`extract_flow`]: Self::extract_flow
-/// [`absorb_flow`]: Self::absorb_flow
 #[derive(Clone, Debug)]
 pub struct ErrScheduler {
     core: ErrCore,
@@ -559,13 +537,6 @@ impl ErrScheduler {
     /// ablated variants).
     pub fn with_core(core: ErrCore, n_flows: usize) -> Self {
         Self::from_core(core, n_flows)
-    }
-
-    /// Current surplus count `SC_i` of `flow` (Eq. 1). Exposed so
-    /// migration tests can check that `SC_i` travels verbatim with a
-    /// handoff (DESIGN.md §8.4).
-    pub fn surplus_count(&self, flow: FlowId) -> u64 {
-        self.core.surplus_count(flow)
     }
 
     pub(crate) fn from_core(core: ErrCore, n_flows: usize) -> Self {
@@ -770,8 +741,7 @@ impl ErrScheduler {
     }
 
     /// Flits currently backlogged for `flow` alone (queued packets plus
-    /// the unsent remainder of a packet in service or suspended). Used
-    /// by the migration donor to pick the heaviest victim.
+    /// the unsent remainder of a packet in service or suspended).
     pub fn flow_backlog_flits(&self, flow: FlowId) -> u64 {
         let mut flits = self.queues.flow_flits(flow);
         if let Some(s) = self.in_flight.as_ref() {
@@ -788,14 +758,15 @@ impl ErrScheduler {
     }
 
     /// Removes `flow`'s entire scheduler-side state — FIFO queue,
-    /// surplus count, suspended visit — as a portable [`MigratedFlow`]
-    /// package, leaving the flow blank (unparked, no debt) here.
+    /// surplus count, suspended visit — leaving the flow blank
+    /// (unparked, no debt) here, and returns what the forced-abort
+    /// sweep counts lost (DESIGN.md §9.4).
     ///
-    /// The flow must be parked (quiesced); `None` if it is not.
-    pub fn extract_flow(&mut self, flow: FlowId) -> Option<MigratedFlow> {
+    /// The flow must be parked; `None` if it is not.
+    pub fn extract_flow(&mut self, flow: FlowId) -> Option<FlowResidue> {
         if !self.core.is_parked(flow) {
-            // Contract violation (the quiesce phase parks first); refuse
-            // rather than tear live state.
+            // Contract violation (the sweep parks first); refuse rather
+            // than tear live state.
             return None;
         }
         debug_assert!(
@@ -805,72 +776,35 @@ impl ErrScheduler {
             "a parked flow cannot be in flight"
         );
         self.ensure_suspended(flow);
-        let resume = self.suspended[flow].take().map(|sv| {
-            if let Some(st) = &sv.stream {
+        let interrupted = self.suspended[flow]
+            .take()
+            .and_then(|sv| sv.stream)
+            .map(|st| {
                 self.suspended_flits -= st.remaining() as u64;
-            }
-            MigratedVisit {
-                allowance: sv.visit.allowance,
-                sent: sv.visit.sent,
-                cursor: sv.stream.map(|st| MidPacket {
-                    packet: *st.packet(),
-                    next_flit: st.position(),
-                }),
-            }
-        });
+                (*st.packet(), st.position())
+            });
         // If the flow was unparked and re-parked before resuming, it may
         // still sit in the resume queue; it no longer lives here.
         self.resume_queue.retain(|&f| f != flow);
         let packets = self.queues.take(flow);
-        let surplus = self.core.surplus_count(flow);
         self.core.forget(flow);
-        Some(MigratedFlow {
+        Some(FlowResidue {
             packets,
-            surplus,
-            resume,
+            interrupted,
         })
     }
+}
 
-    /// Installs a [`MigratedFlow`] package for `flow`, *prepending* its
-    /// queue to any packets that already arrived here (old routing
-    /// epoch before new — per-flow FIFO across the steal) and adopting
-    /// its surplus count verbatim. The flow must be parked here; it
-    /// becomes servable on the next
-    /// [`unpark_flow`](Self::unpark_flow). Returns whether the package
-    /// was installed (`false`: the flow was not parked, and nothing
-    /// changed).
-    pub fn absorb_flow(&mut self, flow: FlowId, state: MigratedFlow) -> bool {
-        if !self.core.is_parked(flow) {
-            return false;
-        }
-        self.ensure_suspended(flow);
-        debug_assert!(
-            self.suspended[flow].is_none(),
-            "absorbing over an existing suspended visit for flow {flow}"
-        );
-        // Old-epoch packets go ahead of any new-epoch arrivals that
-        // already reached this shard (per-flow FIFO, DESIGN.md §8.3).
-        self.queues.prepend(flow, state.packets);
-        self.core.adopt_surplus(flow, state.surplus);
-        if let Some(v) = state.resume {
-            let stream = v
-                .cursor
-                .map(|c| FlitStream::resume_at(c.packet, c.next_flit));
-            if let Some(st) = &stream {
-                self.suspended_flits += st.remaining() as u64;
-            }
-            self.suspended[flow] = Some(SuspendedVisit {
-                stream,
-                visit: Visit {
-                    flow,
-                    allowance: v.allowance,
-                    sent: v.sent,
-                },
-            });
-            self.core.set_limbo(flow);
-        }
-        true
-    }
+/// A flow's residue, cut out of a scheduler by
+/// [`ErrScheduler::extract_flow`].
+#[derive(Clone, Debug)]
+pub struct FlowResidue {
+    /// The flow's waiting packets, in FIFO order (head first). Does not
+    /// include the interrupted packet.
+    pub packets: std::collections::VecDeque<Packet>,
+    /// The packet a park interrupted mid-wormhole, with the 0-based
+    /// index of the flit it would emit next (`< packet.len`).
+    pub interrupted: Option<(Packet, u32)>,
 }
 
 #[cfg(test)]
@@ -1396,140 +1330,23 @@ mod tests {
     }
 
     #[test]
-    fn absorb_requires_parked_flow() {
-        let mut s = ErrScheduler::new(2);
-        let state = MigratedFlow {
-            packets: std::collections::VecDeque::new(),
-            surplus: 0,
-            resume: None,
-        };
-        assert!(!s.absorb_flow(0, state.clone()), "live flow must refuse");
-        assert!(s.park_flow(0));
-        assert!(s.absorb_flow(0, state));
-    }
-
-    #[test]
-    fn migrate_mid_packet_resumes_on_thief_in_flit_order() {
-        // Donor serves 2 of 6 flits of flow 0's packet, is parked, and
-        // the flow migrates. The thief must emit flits 2..6 of that very
-        // packet before anything else of flow 0, then the queued packet.
-        let mut donor = ErrScheduler::new(2);
-        donor.enqueue(pkt(0, 0, 6), 0);
-        donor.enqueue(pkt(1, 0, 3), 0);
-        donor.enqueue(pkt(2, 1, 2), 0);
-        donor.service_flit(0);
-        donor.service_flit(1);
-        assert!(donor.park_flow(0));
-        let state = donor.extract_flow(0).expect("parked flow extracts");
-        assert_eq!(state.flits(), 3 + 4, "queued + mid-packet remainder");
-        assert_eq!(donor.flow_backlog_flits(0), 0);
-        // Donor continues unaffected with flow 1.
-        let rest = drain(&mut donor);
-        assert!(rest.iter().all(|f| f.flow == 1));
-        assert!(donor.is_idle());
-
-        let mut thief = ErrScheduler::new(2);
-        thief.enqueue(pkt(3, 1, 1), 0); // unrelated resident flow
-        assert!(thief.park_flow(0));
-        assert!(thief.absorb_flow(0, state));
-        assert_eq!(thief.flow_backlog_flits(0), 7);
-        thief.unpark_flow(0);
-        let flits = drain(&mut thief);
-        let flow0: Vec<_> = flits.iter().filter(|f| f.flow == 0).collect();
-        assert_eq!(flow0.len(), 7);
-        // Interrupted packet 0 first, at flits 2..6, then packet 1 whole.
-        assert_eq!(
-            flow0
-                .iter()
-                .map(|f| (f.packet, f.flit_index))
-                .collect::<Vec<_>>(),
-            vec![(0, 2), (0, 3), (0, 4), (0, 5), (1, 0), (1, 1), (1, 2)]
-        );
-        assert!(thief.is_idle());
-    }
-
-    #[test]
-    fn migrate_preserves_surplus_count() {
-        // Flow 0 earns surplus 9 on the donor; after migration the thief
-        // must hold the same debt — Lemma 1's bookkeeping follows the
-        // flow, not the shard (DESIGN.md §8.4).
-        let mut donor = ErrScheduler::new(2);
-        donor.enqueue(pkt(0, 0, 10), 0);
-        donor.enqueue(pkt(1, 0, 1), 0);
-        donor.enqueue(pkt(2, 1, 1), 0);
-        donor.enqueue(pkt(3, 1, 1), 0);
-        for now in 0..10 {
-            assert_eq!(donor.service_flit(now).unwrap().flow, 0);
-        }
-        assert_eq!(donor.core().surplus_count(0), 9);
-        assert!(donor.park_flow(0));
-        let state = donor.extract_flow(0).unwrap();
-        assert_eq!(state.surplus, 9);
-        assert_eq!(donor.core().surplus_count(0), 0, "donor forgets the debt");
-
-        let mut thief = ErrScheduler::new(2);
-        assert!(thief.park_flow(0));
-        assert!(thief.absorb_flow(0, state));
-        assert_eq!(thief.core().surplus_count(0), 9, "debt follows the flow");
-        thief.unpark_flow(0);
-        drain(&mut thief);
-        drain(&mut donor);
-    }
-
-    #[test]
-    fn absorbed_packets_precede_new_epoch_arrivals() {
-        // Packets enqueued directly at the thief (new epoch) while the
-        // flow was parked there must be served after the migrated
-        // old-epoch queue: per-flow FIFO across the handoff.
-        let mut donor = ErrScheduler::new(1);
-        donor.enqueue(pkt(0, 0, 2), 0);
-        donor.enqueue(pkt(1, 0, 2), 0);
-        assert!(donor.park_flow(0));
-        let state = donor.extract_flow(0).unwrap();
-
-        let mut thief = ErrScheduler::new(1);
-        assert!(thief.park_flow(0));
-        thief.enqueue(pkt(2, 0, 2), 0); // new-epoch arrival, waits parked
-        assert!(thief.absorb_flow(0, state));
-        thief.unpark_flow(0);
-        let heads: Vec<u64> = drain(&mut thief)
-            .iter()
-            .filter(|f| f.is_head())
-            .map(|f| f.packet)
-            .collect();
-        assert_eq!(heads, vec![0, 1, 2], "old epoch strictly first");
-    }
-
-    #[test]
     fn extract_after_repark_clears_resume_queue() {
         // Park mid-packet, unpark (queued for resume), re-park, extract:
-        // the suspended visit must travel with the flow and the donor's
-        // resume queue must not retain a stale entry.
-        let mut donor = ErrScheduler::new(2);
-        donor.enqueue(pkt(0, 0, 4), 0);
-        donor.enqueue(pkt(1, 1, 2), 0);
-        donor.service_flit(0);
-        donor.park_flow(0);
-        donor.unpark_flow(0);
-        donor.park_flow(0);
-        let state = donor.extract_flow(0).unwrap();
-        let cursor = state.resume.as_ref().unwrap().cursor.as_ref().unwrap();
-        assert_eq!((cursor.packet.id, cursor.next_flit), (0, 1));
-        let rest = drain(&mut donor);
+        // the interrupted packet must come out with the flow and the
+        // scheduler's resume queue must not retain a stale entry.
+        let mut s = ErrScheduler::new(2);
+        s.enqueue(pkt(0, 0, 4), 0);
+        s.enqueue(pkt(1, 1, 2), 0);
+        s.service_flit(0);
+        s.park_flow(0);
+        s.unpark_flow(0);
+        s.park_flow(0);
+        let residue = s.extract_flow(0).unwrap();
+        let (packet, next_flit) = residue.interrupted.unwrap();
+        assert_eq!((packet.id, next_flit), (0, 1));
+        let rest = drain(&mut s);
         assert!(rest.iter().all(|f| f.flow == 1), "no stale resume entry");
-        assert!(donor.is_idle());
-
-        let mut thief = ErrScheduler::new(1);
-        assert!(thief.park_flow(0));
-        assert!(thief.absorb_flow(0, state));
-        thief.unpark_flow(0);
-        assert_eq!(
-            drain(&mut thief)
-                .iter()
-                .map(|f| f.flit_index)
-                .collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
+        assert!(s.is_idle());
     }
 
     #[test]
@@ -1542,8 +1359,11 @@ mod tests {
         let before = s.flow_backlog_flits(0);
         assert_eq!(before, 4 + 7);
         s.park_flow(0);
-        let state = s.extract_flow(0).unwrap();
-        assert_eq!(state.flits(), before, "nothing lost in extraction");
+        let residue = s.extract_flow(0).unwrap();
+        let queued: u64 = residue.packets.iter().map(|p| p.len as u64).sum();
+        let (packet, next_flit) = residue.interrupted.unwrap();
+        let flits = queued + (packet.len - next_flit) as u64;
+        assert_eq!(flits, before, "nothing lost in extraction");
         assert_eq!(s.backlog_flits(), 2, "only flow 1 remains");
     }
 }

@@ -13,8 +13,8 @@ use crate::{FlowId, Packet};
 #[derive(Clone, Debug, Default)]
 pub struct FlowQueues {
     queues: Vec<VecDeque<Packet>>,
-    /// Per-flow waiting flits (parallel to `queues`), so the migration
-    /// donor's victim scan is O(1) per flow.
+    /// Per-flow waiting flits (parallel to `queues`), so a flow's
+    /// backlog is O(1) to read.
     flits: Vec<u64>,
     backlog_flits: u64,
     backlog_pkts: u64,
@@ -62,7 +62,7 @@ impl FlowQueues {
     }
 
     /// Removes and returns `flow`'s entire queue in FIFO order,
-    /// adjusting the backlog counters (migration extraction).
+    /// adjusting the backlog counters (forced-abort extraction).
     pub fn take(&mut self, flow: FlowId) -> VecDeque<Packet> {
         let Some(q) = self.queues.get_mut(flow) else {
             return VecDeque::new();
@@ -72,19 +72,6 @@ impl FlowQueues {
         self.backlog_flits -= flits;
         self.backlog_pkts -= q.len() as u64;
         q
-    }
-
-    /// Prepends `front` (in FIFO order) ahead of whatever `flow`
-    /// already has queued, adjusting the backlog counters (migration
-    /// absorption: old-epoch packets go before new-epoch arrivals).
-    pub fn prepend(&mut self, flow: FlowId, mut front: VecDeque<Packet>) {
-        self.ensure(flow);
-        let flits: u64 = front.iter().map(|p| p.len as u64).sum();
-        self.backlog_flits += flits;
-        self.backlog_pkts += front.len() as u64;
-        self.flits[flow] += flits;
-        front.append(&mut self.queues[flow]);
-        self.queues[flow] = front;
     }
 
     /// Flits waiting in `flow`'s queue (excludes any packet in service).
@@ -200,20 +187,5 @@ mod tests {
         assert_eq!(q.backlog_pkts(), 1);
         assert!(q.is_empty(0));
         assert!(q.take(7).is_empty(), "out of range takes nothing");
-    }
-
-    #[test]
-    fn prepend_goes_ahead_of_existing_packets() {
-        let mut q = FlowQueues::new(1);
-        q.push(pkt(10, 0, 1)); // new-epoch arrival already waiting
-        let mut old = VecDeque::new();
-        old.push_back(pkt(1, 0, 2));
-        old.push_back(pkt(2, 0, 3));
-        q.prepend(0, old);
-        assert_eq!(q.flow_flits(0), 6);
-        assert_eq!(q.backlog_pkts(), 3);
-        assert_eq!(q.pop(0).unwrap().id, 1);
-        assert_eq!(q.pop(0).unwrap().id, 2);
-        assert_eq!(q.pop(0).unwrap().id, 10);
     }
 }

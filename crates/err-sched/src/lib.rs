@@ -72,7 +72,6 @@ pub mod fbrr;
 pub mod fcfs;
 pub mod flow_queue;
 pub mod gps;
-pub mod migrate;
 pub mod packet;
 pub mod pbrr;
 pub mod reference;
@@ -87,6 +86,5 @@ pub use active_list::ActiveList;
 pub use desim::Cycle;
 pub use factory::Discipline;
 pub use flow_queue::FlowQueues;
-pub use migrate::{MidPacket, MigratedFlow, MigratedVisit};
 pub use packet::{FlitRun, FlowId, Packet, PacketId};
 pub use traits::{Scheduler, ServedFlit};

@@ -65,19 +65,6 @@ impl FlitStream {
         Self { pkt, next_flit: 0 }
     }
 
-    /// Resumes streaming `pkt` at flit `next_flit` — reconstructing a
-    /// stream frozen by parking on another shard (migration, DESIGN.md
-    /// §8). Panics if the position is past the end: a suspended stream
-    /// always has at least one flit left.
-    pub fn resume_at(pkt: Packet, next_flit: u32) -> Self {
-        assert!(
-            next_flit < pkt.len,
-            "resume position {next_flit} past end of {}-flit packet",
-            pkt.len
-        );
-        Self { pkt, next_flit }
-    }
-
     /// 0-based index of the next flit to emit.
     pub fn position(&self) -> u32 {
         self.next_flit
@@ -198,20 +185,5 @@ mod tests {
         let mut s = FlitStream::new(Packet::new(1, 0, 1, 0));
         s.emit();
         s.emit();
-    }
-
-    #[test]
-    fn resume_at_continues_mid_packet() {
-        let mut s = FlitStream::resume_at(Packet::new(1, 0, 5, 0), 3);
-        assert_eq!(s.position(), 3);
-        assert_eq!(s.remaining(), 2);
-        assert_eq!(s.emit(), (3, false));
-        assert_eq!(s.emit(), (4, true));
-    }
-
-    #[test]
-    #[should_panic(expected = "past end")]
-    fn resume_past_end_rejected() {
-        FlitStream::resume_at(Packet::new(1, 0, 3, 0), 3);
     }
 }

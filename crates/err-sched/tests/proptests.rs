@@ -591,165 +591,3 @@ impl RunsBesideSingle {
         }
     }
 }
-
-/// One step of the migration workload: a packet arrival, a burst of
-/// service cycles, or a migration of one flow to the other scheduler
-/// (two-phase park → extract → absorb → unpark, DESIGN.md §8.3-§8.4),
-/// possibly aborted after the park (the runtime's victim-gone path).
-#[derive(Clone, Debug)]
-enum MigEvent {
-    Arrive { flow: usize, len: u32 },
-    Serve { cycles: u8 },
-    Migrate { flow: usize, abort: bool },
-}
-
-fn migration_workload(
-    n_flows: usize,
-    max_len: u32,
-    max_events: usize,
-) -> impl Strategy<Value = Vec<MigEvent>> {
-    // The vendored prop_oneof! has no weighted arms; duplicate arms to
-    // bias toward arrivals and service over migrations.
-    let arrive =
-        || (0..n_flows, 1..=max_len).prop_map(|(flow, len)| MigEvent::Arrive { flow, len });
-    let serve = || (1u8..12).prop_map(|cycles| MigEvent::Serve { cycles });
-    let event = prop_oneof![
-        arrive(),
-        arrive(),
-        serve(),
-        serve(),
-        // ~1 in 5 migrations abort after the park (victim-gone path).
-        (0..n_flows, 0u8..5).prop_map(|(flow, r)| MigEvent::Migrate {
-            flow,
-            abort: r == 0
-        }),
-    ];
-    prop::collection::vec(event, 1..max_events)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// DESIGN.md §8 acceptance: randomly interleaved park / migrate /
-    /// unpark between two ERR schedulers is invisible per flow. Every
-    /// flow's flit sequence — packet ids in submission order, flit
-    /// indices contiguous within each packet — is identical to the
-    /// same arrivals run through one unmigrated scheduler, and the
-    /// surplus count travels verbatim with each handoff.
-    #[test]
-    fn migration_preserves_per_flow_sequences(events in migration_workload(4, 10, 80)) {
-        use err_sched::Scheduler as _;
-        let n_flows = 4usize;
-
-        // Reference: one scheduler, no migration, same arrival order.
-        // Service timing differs from the migrated run, which is the
-        // point — per-flow sequences must not depend on it.
-        let mut reference = ErrScheduler::new(n_flows);
-        let mut next_id = 0u64;
-        for ev in &events {
-            if let MigEvent::Arrive { flow, len } = ev {
-                reference.enqueue(Packet::new(next_id, *flow, *len, 0), 0);
-                next_id += 1;
-            }
-        }
-        let mut ref_log: Vec<Vec<ServedFlit>> = vec![Vec::new(); n_flows];
-        while let Some(f) = reference.service_flit(0) {
-            ref_log[f.flow].push(f);
-        }
-
-        // Migrated run: two schedulers; every flow starts on shard 0
-        // and bounces on each Migrate event. Arrivals chase the flow's
-        // current home (the runtime's FlowMap).
-        let mut shards = [ErrScheduler::new(n_flows), ErrScheduler::new(n_flows)];
-        let mut home = vec![0usize; n_flows];
-        let mut log: Vec<Vec<ServedFlit>> = vec![Vec::new(); n_flows];
-        let mut next_id = 0u64;
-        let mut migrations = 0u32;
-        for ev in &events {
-            match *ev {
-                MigEvent::Arrive { flow, len } => {
-                    shards[home[flow]].enqueue(Packet::new(next_id, flow, len, 0), 0);
-                    next_id += 1;
-                }
-                MigEvent::Serve { cycles } => {
-                    for _ in 0..cycles {
-                        for s in &mut shards {
-                            if let Some(f) = s.service_flit(0) {
-                                log[f.flow].push(f);
-                            }
-                        }
-                    }
-                }
-                MigEvent::Migrate { flow, abort } => {
-                    let donor = home[flow];
-                    prop_assert!(shards[donor].park_flow(flow));
-                    if abort {
-                        // Quiesce aborted (runtime found the victim
-                        // empty, §8.3): unpark in place, no handoff.
-                        shards[donor].unpark_flow(flow);
-                        continue;
-                    }
-                    let thief = 1 - donor;
-                    prop_assert!(shards[thief].park_flow(flow));
-                    let before = shards[donor].flow_backlog_flits(flow);
-                    let surplus = shards[donor].surplus_count(flow);
-                    let pkg = shards[donor]
-                        .extract_flow(flow)
-                        .expect("parked flow must extract");
-                    // §8.4: the package carries exactly the flow's
-                    // backlog and its surplus verbatim.
-                    prop_assert_eq!(pkg.flits(), before, "package lost flits");
-                    prop_assert_eq!(pkg.surplus, surplus, "surplus not copied");
-                    prop_assert_eq!(shards[donor].flow_backlog_flits(flow), 0);
-                    let gained = pkg.flits();
-                    prop_assert!(shards[thief].absorb_flow(flow, pkg));
-                    prop_assert_eq!(
-                        shards[thief].flow_backlog_flits(flow),
-                        gained,
-                        "thief backlog != package"
-                    );
-                    prop_assert_eq!(
-                        shards[thief].surplus_count(flow),
-                        surplus,
-                        "surplus not conserved across handoff"
-                    );
-                    shards[thief].unpark_flow(flow);
-                    home[flow] = thief;
-                    migrations += 1;
-                }
-            }
-        }
-        // Drain both shards (any still-parked state was unparked by the
-        // loop; aborts unpark in place, handoffs unpark the thief).
-        loop {
-            let mut any = false;
-            for s in &mut shards {
-                if let Some(f) = s.service_flit(0) {
-                    log[f.flow].push(f);
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        prop_assert!(shards[0].is_idle() && shards[1].is_idle());
-        let _ = migrations; // may be 0 on arrival-only workloads; fine
-        for flow in 0..n_flows {
-            prop_assert_eq!(
-                log[flow].len(),
-                ref_log[flow].len(),
-                "flow {} flit count diverged from unmigrated run",
-                flow
-            );
-            for (got, want) in log[flow].iter().zip(ref_log[flow].iter()) {
-                prop_assert_eq!(
-                    (got.packet, got.flit_index),
-                    (want.packet, want.flit_index),
-                    "flow {} sequence diverged from unmigrated run",
-                    flow
-                );
-            }
-        }
-    }
-}

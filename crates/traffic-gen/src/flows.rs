@@ -100,9 +100,9 @@ pub fn fig6_flows(n: usize) -> Vec<FlowSpec> {
 
 /// Normalized Zipf weights: flow `i` gets weight `(i+1)^-s`, scaled so
 /// the weights sum to 1. With `s = 1.2` and 32 flows the heaviest flow
-/// carries ~41% of the total — the skew regime where static per-flow
-/// partitioning strands capacity and work stealing earns its keep
-/// (DESIGN.md §8).
+/// carries ~41% of the total — the skew regime where a static per-flow
+/// partition strands capacity on the shard that draws the heavy flows
+/// (DESIGN.md §8 records why the runtime keeps one anyway).
 pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
     assert!(n >= 1, "need at least one flow");
     let raw: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-s)).collect();

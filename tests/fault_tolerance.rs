@@ -2,7 +2,7 @@
 //!
 //! Six parts:
 //!
-//! * doc–code drift tests in the `tests/migration_stealing.rs` style:
+//! * doc–code drift tests:
 //!   DESIGN.md §9 is a normative spec, so it must keep naming exactly
 //!   the lifecycle variants and protocol vocabulary the code exports;
 //! * a chaos integration run: a seeded `FaultPlan` kills 1 of 4 shards

@@ -24,8 +24,8 @@ use err_repro::fabric::{
     DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FabricFaultPlan, FlowSpec, Topology,
 };
 use err_runtime::{
-    BufferedConfig, DrainReport, Egress, EgressMode, FaultPlan, FlowMap, Runtime, RuntimeConfig,
-    ShardExit, Submitted,
+    BufferedConfig, DrainReport, Egress, EgressMode, FaultPlan, Runtime, RuntimeConfig, ShardExit,
+    Submitted,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -150,9 +150,7 @@ fn a_runtime_of_n_shards_runs_n_threads() {
                 };
                 // The victim is flow 0's shard in the static partition,
                 // which routes every runtime that does not steal.
-                let victim = FlowMap::new(FLOWS, shards)
-                    .shard_of(0)
-                    .expect("flow 0 is mapped");
+                let victim = err_runtime::ingress::home_shard(0, shards);
                 let before: HashSet<u64> = threads().into_iter().map(|t| t.0).collect();
                 let (rt, handle) = Runtime::start(RuntimeConfig {
                     shards,
