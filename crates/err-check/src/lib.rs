@@ -494,7 +494,7 @@ fn pair_clauses(comment: &str) -> (Vec<(String, String)>, bool) {
 }
 
 /// Extracts the leading identifier of every `` `backticked` `` span in
-/// a comment (`` `unpark_respecting_links` `` → that name;
+/// a comment (`` `refill` `` → that name;
 /// `` `park_flow(flow)` `` → `park_flow`).
 fn backticked_idents(text: &str) -> Vec<String> {
     text.split('`')
@@ -1394,8 +1394,8 @@ mod tests {
         assert!(pair_clauses("[pair: broken").1);
         assert!(pair_clauses("[pair: no-at-sign]").1);
         assert_eq!(
-            backticked_idents("the `unpark_respecting_links` helper, via `park_flow(flow)`"),
-            ["unpark_respecting_links", "park_flow"]
+            backticked_idents("the `refill` helper, via `park_flow(flow)`"),
+            ["refill", "park_flow"]
         );
         assert!(backticked_idents("`42` and `!` are not identifiers").is_empty());
     }

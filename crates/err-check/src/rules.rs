@@ -310,9 +310,10 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "Refused",
             "Rerouted",
             "DeadLettered",
-            // FabricFault (chaos.rs), and who applies it: every event on
-            // the ejecting worker, a node's crash in place, in plan order
-            // — no monitor to wake, no thread to join.
+            // The one plan's fabric kinds (err-runtime's fault.rs), and
+            // who applies them: every event on the ejecting worker, a
+            // node's crash in place, in plan order — no monitor to wake,
+            // no thread to join.
             "KillLink",
             "KillNode",
             "ejecting worker",
@@ -320,7 +321,7 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "plan-order rule",
             // The machinery the outcomes ride on.
             "Forwarder",
-            "FabricFaultPlan",
+            "FaultPlan",
             "try_emit",
             // The Forwarder accepts or refuses at once, so its node's
             // worker runs it bare in the flusher step.
@@ -343,13 +344,11 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
         doc: "DESIGN.md",
         section: Some("## 14"),
         needles: &[
-            // FabricFault heal events and their builders (chaos.rs).
+            // The plan's heal events and their builders (fault.rs).
             "HealLink",
             "ReviveNode",
-            "PanicForwarder",
             "heal_link_at",
             "revive_node_at",
-            "panic_forwarder_at",
             // The dead-letter replay machinery (link.rs / flusher.rs).
             "HoldForRecovery",
             "resurrect",
@@ -357,10 +356,8 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             // Bounded drains (fabric.rs).
             "DrainOutcome",
             "HeldForRecovery",
-            // Forwarder supervision (forwarder.rs / chaos.rs).
-            "ForwarderExit",
+            // The fences left: the worker's and the `Threaded` adapter's.
             "catch_unwind",
-            "poisoned",
         ],
     },
     DocRule {

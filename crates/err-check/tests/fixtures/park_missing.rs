@@ -1,10 +1,10 @@
-// Violating fixture: the PR 8 stash-wedge class. A donor-unwind path
-// unparks directly — bypassing `unpark_respecting_links` — and parks a
-// flow with no named unpark authority.
-pub fn withdraw(ctx: &mut StealContext, flow: usize) {
-    ctx.sched.unpark_flow(flow);
+// Violating fixture: the PR 8 stash-wedge class. An unwind path
+// unparks directly — bypassing `refill` — and parks a flow with no
+// named unpark authority.
+pub fn withdraw(stage: &mut BufferedStage, flow: usize) {
+    stage.sched.unpark_flow(flow);
 }
 
-pub fn credit_park(ctx: &mut StealContext, flow: usize) {
-    ctx.sched.park_flow(flow);
+pub fn credit_park(stage: &mut BufferedStage, flow: usize) {
+    stage.sched.park_flow(flow);
 }

@@ -1,17 +1,17 @@
 // Passing fixture: every park names its unpark authority and the
 // direct unpark justifies itself.
-pub fn unpark_respecting_links(ctx: &mut StealContext, flow: usize) {
-    ctx.sched.handoff(flow);
+pub fn refill(stage: &mut BufferedStage, flow: usize) {
+    stage.sched.handoff(flow);
 }
 
-pub fn withdraw(ctx: &mut StealContext, flow: usize) {
-    // unpark: this call *is* `unpark_respecting_links` duty — the
-    // credit re-check above is exactly the guard it provides.
-    ctx.sched.unpark_flow(flow);
+pub fn release(stage: &mut BufferedStage, flow: usize) {
+    // unpark: this call *is* `refill` duty — the credit it just took
+    // is exactly the guard it provides.
+    stage.sched.unpark_flow(flow);
 }
 
-pub fn credit_park(ctx: &mut StealContext, flow: usize) {
-    // unpark: `unpark_respecting_links` on the withdraw path above,
-    // once the link's credit frees.
-    ctx.sched.park_flow(flow);
+pub fn credit_park(stage: &mut BufferedStage, flow: usize) {
+    // unpark: `refill` on the release path above, once the link's
+    // credit frees.
+    stage.sched.park_flow(flow);
 }

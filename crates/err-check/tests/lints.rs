@@ -168,15 +168,15 @@ fn meta_pr6_shared_egress_missing_override_is_caught() {
     assert_eq!(rules_of(&v), ["try-emit-override"]);
 }
 
-/// PR 8: a donor's unwind path called `unpark_flow` directly, skipping
-/// the credit re-check `unpark_respecting_links` performs — the flow
-/// woke against a stalled link and wedged its stash.
+/// PR 8: an unwind path called `unpark_flow` directly, skipping the
+/// credit re-check that `refill` now performs — the flow woke against a
+/// stalled link and wedged its stash.
 #[test]
 fn meta_pr8_donor_unwind_direct_unpark_is_caught() {
     let src = concat!(
-        "fn withdraw_grant(ctx: &mut StealContext, flow: usize) {\n",
-        "    ctx.slot.clear();\n",
-        "    ctx.sched.unpark_flow(flow);\n",
+        "fn withdraw_grant(stage: &mut BufferedStage, flow: usize) {\n",
+        "    stage.grant.clear();\n",
+        "    stage.sched.unpark_flow(flow);\n",
         "}\n",
     );
     let v = lint_files(&[at("crates/err-runtime/src/shard.rs", src)]);

@@ -29,13 +29,13 @@
 //! [`Threaded`]: crate::Threaded
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::Ordering;
 
 use err_sched::ServedFlit;
 
 use crate::link::{DeadLinkPolicy, LinkSet};
 use crate::spsc::Consumer;
-use crate::stall::StallInjector;
 use crate::stats::ShardEgressStats;
 use crate::Egress;
 
@@ -72,6 +72,10 @@ pub struct FlusherCore {
     /// resurrect count as replays ([`LinkSet::on_replayed`], DESIGN.md
     /// §14.2). Cleared whenever the backlog empties.
     dead_seen: Vec<bool>,
+    /// The flit the sink unwound on, dead-lettered by the unwinding
+    /// step; the next step tells the sink ([`Egress::dead_lettered`],
+    /// DESIGN.md §14.4).
+    untold: Option<ServedFlit>,
 }
 
 impl FlusherCore {
@@ -87,6 +91,7 @@ impl FlusherCore {
             tally: vec![0; n_links],
             dead_lettered: 0,
             dead_seen: vec![false; n_links],
+            untold: None,
         }
     }
 
@@ -114,9 +119,10 @@ impl FlusherCore {
         std::mem::take(&mut self.dead_lettered)
     }
 
-    /// Whether both the ring and every pending queue are empty.
+    /// Whether the ring and every pending queue are empty, and the sink
+    /// has been told of every flit it unwound on.
     pub fn is_idle(&mut self) -> bool {
-        self.pending_total == 0 && self.rx.is_empty()
+        self.pending_total == 0 && self.untold.is_none() && self.rx.is_empty()
     }
 
     /// The bookkeeping after every step: counts the deliveries into
@@ -167,7 +173,6 @@ impl FlusherCore {
         flit: &ServedFlit,
         link: usize,
         links: &LinkSet,
-        injector: Option<&StallInjector>,
         sink: &mut E,
     ) -> bool {
         if !sink.try_emit(self.shard, flit) {
@@ -179,19 +184,15 @@ impl FlusherCore {
         if self.tally[link] >= (links.credits_per_link() / 2).max(1) {
             links.credit_delivered(link, std::mem::take(&mut self.tally[link]));
         }
-        // The clock moved: stall events may now be due. Polling per
-        // delivery keeps single-shard schedules cycle-exact.
-        if let Some(inj) = injector {
-            inj.poll(links);
-        }
         true
     }
 
     /// [`try_deliver`](Self::try_deliver) for a flit just popped from
     /// the ring. Nothing else remembers such a flit, so if the sink
     /// unwinds it is dead-lettered on the way out — its credit returns
-    /// like those of the flits [`dead_letter_all`] then disposes of. (A
-    /// pending flit needs no such guard: it stays queued until accepted.)
+    /// like those of the flits [`dead_letter_all`] then disposes of —
+    /// and kept for the next step to tell the sink. (A pending flit
+    /// needs no such guard: it stays queued until accepted.)
     ///
     /// [`dead_letter_all`]: Self::dead_letter_all
     fn try_deliver_popped<E: Egress + ?Sized>(
@@ -199,17 +200,17 @@ impl FlusherCore {
         flit: &ServedFlit,
         link: usize,
         links: &LinkSet,
-        injector: Option<&StallInjector>,
         sink: &mut E,
     ) -> bool {
-        struct InHand<'a>(&'a LinkSet, usize);
+        struct InHand<'a>(&'a mut FlusherCore, &'a LinkSet, usize, ServedFlit);
         impl Drop for InHand<'_> {
             fn drop(&mut self) {
-                self.0.on_dead_letter(self.1);
+                self.1.on_dead_letter(self.2);
+                self.0.untold = Some(self.3);
             }
         }
-        let in_hand = InHand(links, link);
-        let accepted = self.try_deliver(flit, link, links, injector, sink);
+        let in_hand = InHand(self, links, link, *flit);
+        let accepted = in_hand.0.try_deliver(flit, link, links, sink);
         // Only an unwind out of `try_deliver` runs the drop.
         std::mem::forget(in_hand);
         accepted
@@ -220,10 +221,13 @@ impl FlusherCore {
     /// number delivered to the sink. Every credit of a delivered flit
     /// is back in its pool when this returns — or unwinds: the sink is
     /// the caller's code, and the tally is settled by a drop guard.
+    ///
+    /// The middle argument is always `None`: it keeps the signature the
+    /// benchmark of record calls until its next change drops it.
     pub fn step<E: Egress + ?Sized>(
         &mut self,
         links: &LinkSet,
-        injector: Option<&StallInjector>,
+        _: Option<Infallible>,
         sink: &mut E,
     ) -> u64 {
         struct Settle<'a>(&'a mut FlusherCore, &'a LinkSet);
@@ -234,21 +238,17 @@ impl FlusherCore {
         }
         let before = self.delivered;
         let settle = Settle(self, links);
-        settle.0.deliver_burst(links, injector, sink);
+        settle.0.deliver_burst(links, sink);
         drop(settle);
         self.delivered - before
     }
 
     /// The body of [`step`](Self::step): what it delivers it counts in
-    /// `delivered` and tallies per link.
-    fn deliver_burst<E: Egress + ?Sized>(
-        &mut self,
-        links: &LinkSet,
-        injector: Option<&StallInjector>,
-        sink: &mut E,
-    ) {
-        if let Some(inj) = injector {
-            inj.poll(links);
+    /// `delivered` and tallies per link. It first tells the sink of the
+    /// flit a previous step's unwind dead-lettered.
+    fn deliver_burst<E: Egress + ?Sized>(&mut self, links: &LinkSet, sink: &mut E) {
+        if let Some(flit) = self.untold.take() {
+            sink.dead_lettered(self.shard, &flit);
         }
         links.poll_deadlines();
         let drop_dead = links.policy() == DeadLinkPolicy::DropAndAccount;
@@ -271,7 +271,7 @@ impl FlusherCore {
                 }
                 while !self.pending[link].is_empty() && !links.blocked(link) {
                     let flit = *self.pending[link].front().expect("checked non-empty");
-                    if !self.try_deliver(&flit, link, links, injector, sink) {
+                    if !self.try_deliver(&flit, link, links, sink) {
                         // Sink refusal: the head flit keeps its credit
                         // and per-link FIFO holds everything behind it.
                         break;
@@ -296,7 +296,7 @@ impl FlusherCore {
                 self.dead_lettered += 1;
             } else if links.blocked(link)
                 || !self.pending[link].is_empty()
-                || !self.try_deliver_popped(&flit, link, links, injector, sink)
+                || !self.try_deliver_popped(&flit, link, links, sink)
             {
                 self.pending[link].push_back(flit);
                 self.pending_total += 1;
@@ -330,9 +330,12 @@ impl FlusherCore {
 
     /// Forced-abort settlement (DESIGN.md §9.4): every pending flit and
     /// everything in the ring is dead-lettered, whatever its link's
-    /// state, and every credit returns. Never calls the sink. Progress
-    /// shows in [`take_dead_lettered`](Self::take_dead_lettered).
+    /// state, and every credit returns. Never calls the sink, nor tells
+    /// it of a flit it unwound on: an aborted or swept worker's residue
+    /// is counted lost. Progress shows in
+    /// [`take_dead_lettered`](Self::take_dead_lettered).
     pub fn dead_letter_all(&mut self, links: &LinkSet) {
+        self.untold = None;
         for link in 0..self.pending.len() {
             self.dead_letter_pending(link, links);
         }

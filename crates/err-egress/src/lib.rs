@@ -25,11 +25,11 @@
 //!   scheduler
 //!   ([`ErrScheduler::park_flow`](err_sched::err::ErrScheduler::park_flow))
 //!   before it visits them, and keeps serving everyone else.
-//! * **Deterministic stalls** ([`stall`]): a seeded [`StallInjector`]
-//!   freezes and thaws links on the flush clock (flits delivered, not
-//!   wall time), and a per-link watchdog ([`link::LinkSnapshot`])
-//!   reports stall-duration histograms. The stalled-downstream regime
-//!   the paper treats analytically becomes a reproducible experiment.
+//! * **Deterministic stalls**: `err-runtime`'s seeded `FaultPlan`
+//!   drives [`LinkSet::freeze`] / [`LinkSet::release_stall`] on a
+//!   shard's flit clock, and a per-link watchdog
+//!   ([`link::LinkSnapshot`]) reports stall durations on the flush
+//!   clock: the paper's stalled downstream as a replayable experiment.
 //!
 //! The runtime integration (`err-runtime`'s `EgressMode::Buffered`)
 //! wires these together; this crate is freestanding and each piece is
@@ -41,7 +41,6 @@ pub mod credit;
 pub mod flusher;
 pub mod link;
 pub mod spsc;
-pub mod stall;
 pub mod stats;
 pub(crate) mod sync;
 pub mod threaded;
@@ -54,7 +53,6 @@ pub use err_sched::ServedFlit;
 pub use flusher::FlusherCore;
 pub use link::{DeadLinkPolicy, LinkSet, LinkSnapshot, LinkState};
 pub use spsc::{spsc_ring, Consumer, Producer};
-pub use stall::{StallInjector, StallPlan, StallWindow};
 pub use stats::{EgressSnapshot, ShardEgressSnapshot, ShardEgressStats};
 pub use threaded::{Threaded, ThreadedSnapshot, ThreadedStats};
 pub use wake::{Sleep, WakeCell, BACKSTOP};
@@ -106,6 +104,13 @@ pub trait Egress: Send {
         self.emit(shard, flit);
         true
     }
+
+    /// Told of a flit `shard`'s flusher step dead-lettered because this
+    /// sink unwound while it held it (DESIGN.md §14.4): once, at the
+    /// top of the step after the unwind — never inside it. The default
+    /// does nothing; a sink that accounts packets end to end (a fabric
+    /// forwarder) charges the flit's packet here.
+    fn dead_lettered(&mut self, _shard: usize, _flit: &ServedFlit) {}
 }
 
 impl<F: FnMut(usize, &ServedFlit) + Send> Egress for F {
@@ -142,9 +147,6 @@ pub struct BufferedConfig {
     /// default. Flows past the table's end fall back to the modulo
     /// rule. The fabric compiles one table per node from its topology.
     pub route_table: Option<Arc<[u32]>>,
-    /// Optional deterministic stall schedule applied on the flush
-    /// clock.
-    pub stall_plan: Option<StallPlan>,
     /// Flush-clock cycles without a credit return (while credits are
     /// outstanding) before a link is declared [`LinkState::Dead`];
     /// `None` disables the dead-link watchdog (DESIGN.md §9.3).
@@ -160,7 +162,6 @@ impl Default for BufferedConfig {
             credits: 64,
             n_links: 4,
             route_table: None,
-            stall_plan: None,
             dead_link_deadline: None,
             dead_link_policy: DeadLinkPolicy::default(),
         }
@@ -187,7 +188,7 @@ impl EgressController {
         &self.links
     }
 
-    /// Manually freezes `link` (same effect as an injector event).
+    /// Manually freezes `link` (same effect as a fault plan's `Freeze`).
     pub fn freeze(&self, link: usize) {
         self.links.freeze(link);
     }

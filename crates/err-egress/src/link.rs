@@ -14,8 +14,9 @@
 //!
 //! All state is atomic: workers acquire credits and, stepping their
 //! flusher cores, release them — across shards, since the set is
-//! shared — and the [`StallInjector`](crate::stall::StallInjector) freezes links,
-//! each from its own thread without locks on the fast path. Time is the
+//! shared — and a fault plan or an
+//! [`EgressController`](crate::EgressController) freezes links, each
+//! from its own thread without locks on the fast path. Time is the
 //! **flush clock** — the total number of flits delivered across all
 //! links — not wall time, so stall durations are deterministic and
 //! reproducible.
@@ -40,7 +41,7 @@ const STALL_HIST_BINS: usize = 256;
 
 /// Lifecycle state of a downstream link (DESIGN.md §9.3).
 ///
-/// `Alive → Stalled ⇄ Alive` is the PR-2 injector/watchdog cycle; a
+/// `Alive → Stalled ⇄ Alive` is the freeze/thaw watchdog cycle; a
 /// link with outstanding credits whose credit returns stop for
 /// [`dead_link_deadline`](crate::BufferedConfig::dead_link_deadline)
 /// flush-clock cycles is declared `Dead` and only
@@ -472,14 +473,6 @@ impl LinkSet {
         l.stalled.load(Ordering::Acquire) && !self.draining.load(Ordering::Acquire)
     }
 
-    /// Whether `link` is administratively frozen (ignores draining —
-    /// used by tests and stats).
-    pub fn is_stalled(&self, link: usize) -> bool {
-        // ordering: Acquire pairs with the AcqRel `stalled` swap in
-        // `freeze`/`release_stall`.
-        self.links[link].stalled.load(Ordering::Acquire)
-    }
-
     /// Whether `link` has been declared dead.
     pub fn is_dead(&self, link: usize) -> bool {
         // ordering: Acquire pairs with the AcqRel `dead` swap in
@@ -491,8 +484,8 @@ impl LinkSet {
     /// reports [`LinkState::Dead`] even if the stall flag is still set.
     pub fn state(&self, link: usize) -> LinkState {
         let l = &self.links[link];
-        // ordering: Acquire on both flags — same pairings as
-        // `is_dead`/`is_stalled`.
+        // ordering: Acquire on both flags — `is_dead`'s pairing, and the
+        // AcqRel `stalled` swap in `freeze`/`release_stall`.
         if l.dead.load(Ordering::Acquire) {
             LinkState::Dead
         } else if l.stalled.load(Ordering::Acquire) {
@@ -728,7 +721,11 @@ mod tests {
         assert!(links.blocked(0));
         links.set_draining(true);
         assert!(!links.blocked(0), "drain overrides the stall");
-        assert!(links.is_stalled(0), "the stall itself is still recorded");
+        assert_eq!(
+            links.state(0),
+            LinkState::Stalled,
+            "the stall is still recorded"
+        );
     }
 
     #[test]

@@ -1,22 +1,20 @@
 //! The `Fabric` handle: boot, submit, drain, queries (DESIGN.md
 //! §11.3), chaos on the ejection clock (§11.4), and fabric healing —
-//! heal/revive events, a node's crash in place, dead-letter replay, and
-//! forwarder supervision (§14).
+//! heal/revive events, a node's crash in place, and dead-letter replay
+//! (§14).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use err_egress::{BufferedConfig, DeadLinkPolicy, EgressController, StallPlan};
+use err_egress::{BufferedConfig, DeadLinkPolicy, EgressController};
 use err_runtime::{
-    AdmissionPolicy, DrainReport, EgressMode, Runtime, RuntimeConfig, RuntimeHandle, SubmitError,
-    Submitted,
+    AdmissionPolicy, DrainReport, EgressMode, FaultEvent, FaultKind, FaultPlan, Runtime,
+    RuntimeConfig, RuntimeHandle, Schedule, Shape, SubmitError, Submitted,
 };
 use err_sched::Packet;
 
-use crate::chaos::{
-    DeadMap, FabricFault, FabricFaultEvent, FabricFaultPlan, ForwarderExit, PanicSwitch,
-};
+use crate::chaos::{DeadMap, FabricFaultEvent};
 use crate::forwarder::Forwarder;
 use crate::hops::{HopEntry, HopTracker};
 use crate::stats::{FabricLedger, FlowSnapshot, HopSnapshot, NodeCounters};
@@ -26,7 +24,7 @@ use crate::topology::{FlowSpec, Topology};
 /// shape): `close` is race-free against concurrent producers — once
 /// the drain has seen `closed && in_flight == 0`, any later submit
 /// must observe the closed flag and bail.
-pub struct FabricGate {
+pub(crate) struct FabricGate {
     closed: AtomicBool,
     in_flight: AtomicU64,
 }
@@ -102,10 +100,10 @@ pub struct FabricConfig {
     /// (`AdmissionPolicy::Backpressure`): the bound that turns a full
     /// downstream into refusals instead of unbounded queueing.
     pub max_backlog: u64,
-    /// Deterministic egress stall schedules, per node id.
-    pub node_stalls: Vec<(usize, StallPlan)>,
-    /// Chaos schedule on the ejection clock (§11.4, §14.1).
-    pub fault_plan: Option<FabricFaultPlan>,
+    /// Chaos schedule (§9.5, §11.4): shard panics on their node's flit
+    /// clock, the rest on the ejection clock; [`Fabric::start`] panics on
+    /// a plan [`FaultPlan::validate`] rejects for [`shape`](Self::shape).
+    pub fault_plan: Option<FaultPlan>,
     /// What a node does with flits bound for a dead cable (§14.2):
     /// `DropAndAccount` dead-letters them (the §11.4 fail-stop
     /// default); `HoldForRecovery` holds them — credits pinned
@@ -125,9 +123,20 @@ impl FabricConfig {
             ring_capacity: 256,
             credits: 16,
             max_backlog: 64,
-            node_stalls: Vec::new(),
             fault_plan: None,
             dead_link_policy: DeadLinkPolicy::default(),
+        }
+    }
+
+    /// What a fault plan may name here: the topology's nodes and links
+    /// (link 0 of each, its eject end, is no cable), `shards_per_node`
+    /// shards each.
+    pub fn shape(&self) -> Shape {
+        let topo = &self.topology;
+        Shape {
+            links: (0..topo.n_nodes()).map(|n| topo.n_links(n)).collect(),
+            shards: self.shards_per_node,
+            fabric: true,
         }
     }
 }
@@ -146,24 +155,6 @@ pub enum DrainOutcome {
     HeldForRecovery,
     /// The deadline expired with packets still in flight.
     Forced,
-}
-
-/// Forwarder unwind reports (§14.4). Lives here rather than in the
-/// forwarder so the cold-path lock stays out of the hot module; it is
-/// touched once per caught panic and once at drain.
-#[derive(Default)]
-pub(crate) struct ExitLog {
-    exits: Mutex<Vec<ForwarderExit>>,
-}
-
-impl ExitLog {
-    pub(crate) fn record(&self, exit: ForwarderExit) {
-        lock(&self.exits).push(exit);
-    }
-
-    fn take(&self) -> Vec<ForwarderExit> {
-        std::mem::take(&mut *lock(&self.exits))
-    }
 }
 
 /// Per-path facts for one flow (DESIGN.md §11.3, §11.5).
@@ -215,8 +206,6 @@ pub struct FabricReport {
     pub forced: bool,
     /// How the drain ended (§14.3).
     pub outcome: DrainOutcome,
-    /// Forwarder unwinds caught by the §14.4 supervisor.
-    pub forwarder_exits: Vec<ForwarderExit>,
 }
 
 impl FabricReport {
@@ -282,29 +271,18 @@ impl FabricReport {
 }
 
 /// Locks a cold-path table, poisoned or not: none is left half-written
-/// by a panic, and fault events lock them inside the §14.4 fence, where
-/// a panic would read as a forwarder exit.
+/// by a panic, and a worker that panics holding one resumes (§9.2).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Panics unless `link` is one of `node`'s cables (link `0`, the eject
-/// end, is not one).
-fn assert_cable(topo: &Topology, node: usize, link: usize) {
-    assert!(
-        node < topo.n_nodes() && (1..topo.n_links(node)).contains(&link),
-        "not a cable"
-    );
-}
-
-/// The fabric's fault state (§11.4, §14): the liveness flags and panic
-/// switches the Forwarders read, every node's ingress handle and egress
-/// controller, the fault plan compiled onto the ejection clock, and the
+/// The fabric's fault state (§11.4, §14): the liveness flags the
+/// Forwarders read, every node's ingress handle and egress controller,
+/// the plan's ejection-clock events compiled into one schedule, and the
 /// settlement of each killed node's loss (§14.1). Shared by the
 /// `Fabric` and every `Forwarder`.
 pub(crate) struct Faults {
     pub(crate) dead: DeadMap,
-    pub(crate) panic_arm: PanicSwitch,
     pub(crate) policy: DeadLinkPolicy,
     topo: Arc<Topology>,
     /// Every node's ingress handle, installed once `Fabric::start` has
@@ -317,21 +295,15 @@ pub(crate) struct Faults {
     counters: Vec<Arc<NodeCounters>>,
     ledger: Arc<FabricLedger>,
     gate: Arc<FabricGate>,
-    /// The plan, sorted by `at` (plan order kept among equal `at`).
-    plan: Vec<FabricFault>,
-    /// `at` of the first event not yet reached (`u64::MAX`: none left),
-    /// the one compare an ejection pays; held at 0 while a kill awaits
-    /// settlement, so every ejection looks. Otherwise it only grows, so
-    /// a stale `Relaxed` read is never later than the true next event:
-    /// it costs a look under the lock, never an event.
-    next_due: AtomicU64,
+    /// The ejection-clock events: one compare per ejection, held while
+    /// a kill awaits settlement, so every ejection looks. Its cursor
+    /// moves under `state`'s lock.
+    schedule: Schedule,
     state: Mutex<FireState>,
 }
 
 /// What firing and settling change, under the cold-path lock.
 struct FireState {
-    /// Index in `plan` of the first event not yet reached.
-    cursor: usize,
     /// The events applied, in plan order.
     log: Vec<FabricFaultEvent>,
     /// Per node: the packets its kills have settled lost, over its life.
@@ -342,46 +314,30 @@ struct FireState {
 }
 
 impl Faults {
-    /// All-alive fault state for `topo`, with `plan` compiled. Every
-    /// event is checked here, before traffic starts, so applying one
-    /// on a shard worker cannot panic.
+    /// All-alive fault state for `topo`, with `schedule` to apply. Its
+    /// events were validated at start, so applying one on a shard
+    /// worker cannot panic.
     pub(crate) fn new(
         topo: Arc<Topology>,
         policy: DeadLinkPolicy,
-        plan: Option<FabricFaultPlan>,
+        schedule: Schedule,
         counters: Vec<Arc<NodeCounters>>,
         ledger: Arc<FabricLedger>,
         gate: Arc<FabricGate>,
     ) -> Self {
-        let mut plan = plan.map(|p| p.events().to_vec()).unwrap_or_default();
-        for fault in &plan {
-            match *fault {
-                FabricFault::KillLink { node, link, .. }
-                | FabricFault::HealLink { node, link, .. } => assert_cable(&topo, node, link),
-                FabricFault::KillNode { node, .. }
-                | FabricFault::ReviveNode { node, .. }
-                | FabricFault::PanicForwarder { node, .. } => {
-                    assert!(node < topo.n_nodes(), "no such node");
-                }
-            }
-        }
-        plan.sort_by_key(FabricFault::at);
         let n_nodes = topo.n_nodes();
         let link_counts: Vec<usize> = (0..n_nodes).map(|n| topo.n_links(n)).collect();
         Self {
             dead: DeadMap::new(&link_counts),
-            panic_arm: PanicSwitch::new(n_nodes),
             policy,
             handles: OnceLock::new(),
             controllers: OnceLock::new(),
             counters,
             ledger,
             gate,
-            next_due: AtomicU64::new(plan.first().map_or(u64::MAX, FabricFault::at)),
-            plan,
+            schedule,
             topo,
             state: Mutex::new(FireState {
-                cursor: 0,
                 log: Vec::new(),
                 settled: vec![0; n_nodes],
                 pending: vec![None; n_nodes],
@@ -404,13 +360,8 @@ impl Faults {
 
     /// Cuts (`cut`) or heals one cable's `DeadMap` flag, then brings its
     /// upstream egress link in line ([`sync_egress`](Self::sync_egress)).
-    pub(crate) fn set_link(&self, node: usize, link: usize, cut: bool) {
-        assert_cable(&self.topo, node, link);
-        if cut {
-            self.dead.kill_link(node, link);
-        } else {
-            self.dead.heal_link(node, link);
-        }
+    fn set_link(&self, node: usize, link: usize, cut: bool) {
+        self.dead.set_link(node, link, cut);
         self.sync_egress(node, link);
     }
 
@@ -418,11 +369,7 @@ impl Faults {
     /// link toward it in line. A cable's own flag belongs to link events
     /// and stays as it is, so a revive never heals a cut cable (§14.1).
     fn set_node(&self, node: usize, dead: bool) {
-        if dead {
-            self.dead.kill_node(node);
-        } else {
-            self.dead.revive_node(node);
-        }
+        self.dead.set_node(node, dead);
         for link in 1..self.topo.n_links(node) {
             let peer = self.topo.peer(node, link).expect("cable has a peer");
             if let Some(back) = self.topo.link_to(peer, node) {
@@ -431,16 +378,21 @@ impl Faults {
         }
     }
 
+    /// `node`'s egress controller.
+    fn controller(&self, node: usize) -> &EgressController {
+        &self
+            .controllers
+            .get()
+            .expect("nodes are installed at start")[node]
+    }
+
     /// Brings `node`'s egress `link` in line with the `DeadMap`: under
     /// `HoldForRecovery` declared dead while the cable or its peer is,
     /// so its flits hold their credits (§14.2), and resurrected once
     /// both are alive, replaying them. Atomic swaps and a wake: it never
     /// blocks.
     fn sync_egress(&self, node: usize, link: usize) {
-        let controller = &self
-            .controllers
-            .get()
-            .expect("nodes are installed at start")[node];
+        let controller = self.controller(node);
         if self.dead.viable(node, link, self.topo.peer(node, link)) {
             controller.resurrect(link);
         } else if self.policy == DeadLinkPolicy::HoldForRecovery {
@@ -448,21 +400,24 @@ impl Faults {
         }
     }
 
-    /// Applies the event `st.log` ends with (§11.4, §14.1): flag flips,
-    /// a runtime taken down or back up, and wakes — nothing that waits.
-    fn apply(&self, st: &mut FireState, fault: FabricFault) {
-        match fault {
-            FabricFault::KillLink { node, link, .. } => self.set_link(node, link, true),
-            FabricFault::HealLink { node, link, .. } => self.set_link(node, link, false),
-            FabricFault::PanicForwarder { node, .. } => self.panic_arm.arm(node),
-            FabricFault::KillNode { node, .. } if !self.dead.node_dead(node) => {
+    /// Applies the event `st.log` ends with, due at `due` (§11.4,
+    /// §14.1): flag flips, a link frozen or thawed, a runtime taken down
+    /// or back up, and wakes — nothing that waits.
+    fn apply(&self, st: &mut FireState, due: u64, fault: FaultEvent) {
+        let (node, link) = (fault.target.node, fault.target.link);
+        match fault.kind {
+            FaultKind::KillLink => self.set_link(node, link, true),
+            FaultKind::HealLink => self.set_link(node, link, false),
+            FaultKind::Freeze { until } if due < until => self.controller(node).freeze(link),
+            FaultKind::Freeze { .. } => self.controller(node).release_stall(link),
+            FaultKind::KillNode if !self.dead.node_dead(node) => {
                 self.set_node(node, true);
                 // A kill before the last one settled joins that
                 // settlement: the runtime has not reopened since.
                 st.pending[node].get_or_insert(st.log.len() - 1);
                 self.handles()[node].set_down(true);
             }
-            FabricFault::ReviveNode { node, .. } if self.dead.node_dead(node) => {
+            FaultKind::ReviveNode if self.dead.node_dead(node) => {
                 self.set_node(node, false);
                 // Otherwise the runtime reopens at its settlement, so no
                 // packet is both counted lost and departed.
@@ -470,8 +425,9 @@ impl Faults {
                     self.handles()[node].set_down(false);
                 }
             }
-            // A kill of a dead node, a revive of a live one.
-            FabricFault::KillNode { .. } | FabricFault::ReviveNode { .. } => {}
+            // A kill of a dead node, a revive of a live one; a panic
+            // goes to the node's runtime instead (`Fabric::start`).
+            FaultKind::KillNode | FaultKind::ReviveNode | FaultKind::PanicShard => {}
         }
     }
 
@@ -479,7 +435,7 @@ impl Faults {
     /// departs the gate (§11.4): applies every event that value reached.
     #[inline]
     pub(crate) fn reach(&self, clock: u64) {
-        if clock >= self.next_due.load(Ordering::Relaxed) {
+        if self.schedule.reached(clock) {
             self.fire(clock);
         }
     }
@@ -489,14 +445,13 @@ impl Faults {
     #[cold]
     fn fire(&self, clock: u64) {
         let mut st = lock(&self.state);
-        while let Some(&fault) = self.plan.get(st.cursor).filter(|f| f.at() <= clock) {
-            st.cursor += 1;
+        while let Some((due, fault)) = self.schedule.pop(clock) {
             st.log.push(FabricFaultEvent {
                 fault,
                 fired_at: clock,
                 lost_packets: 0,
             });
-            self.apply(&mut st, fault);
+            self.apply(&mut st, due, fault);
         }
         self.settle_locked(&mut st);
     }
@@ -504,7 +459,7 @@ impl Faults {
     /// Settles every killed node whose workers have all swept (§14.1);
     /// a load and nothing more while no kill awaits settlement.
     pub(crate) fn settle(&self) {
-        if self.next_due.load(Ordering::Relaxed) == 0 {
+        if self.schedule.held() {
             self.settle_locked(&mut lock(&self.state));
         }
     }
@@ -513,10 +468,9 @@ impl Faults {
     /// the node took in and never passed on — `enqueued − departed −
     /// settled` over its life — is lost, in the ledger, at the gate and
     /// in the kill's event. The runtime reopens if the node was revived
-    /// meanwhile. Then publishes `next_due`.
+    /// meanwhile. Then holds the schedule while a kill is unsettled.
     fn settle_locked(&self, st: &mut FireState) {
         let FireState {
-            cursor,
             log,
             settled,
             pending,
@@ -542,12 +496,7 @@ impl Faults {
                 handle.set_down(false);
             }
         }
-        let next = if pending.iter().any(Option::is_some) {
-            0
-        } else {
-            self.plan.get(*cursor).map_or(u64::MAX, FabricFault::at)
-        };
-        self.next_due.store(next, Ordering::Relaxed);
+        self.schedule.hold(pending.iter().any(Option::is_some));
     }
 
     /// Ends the schedule before the drain shuts the nodes down (§14.3):
@@ -555,9 +504,8 @@ impl Faults {
     /// the forced drain's residual. Returns what each node has settled.
     fn stop(&self) -> Vec<u64> {
         let mut st = lock(&self.state);
-        st.cursor = self.plan.len();
         st.pending.fill(None);
-        self.next_due.store(u64::MAX, Ordering::Relaxed);
+        self.schedule.stop();
         st.settled.clone()
     }
 }
@@ -573,21 +521,38 @@ pub struct Fabric {
     ledger: Arc<FabricLedger>,
     gate: Arc<FabricGate>,
     faults: Arc<Faults>,
-    exits: Arc<ExitLog>,
     tracker: Arc<HopTracker>,
     epoch: Instant,
     next_packet: AtomicU64,
 }
 
 impl Fabric {
-    /// Boots one buffered runtime per node, compiles the route tables,
-    /// and wires every Forwarder to every node's ingress handle. No
-    /// thread is started or joined after this returns: a fabric runs
-    /// its nodes' workers and nothing else (§14.1).
+    /// Boots one buffered runtime per node, compiles the route tables
+    /// and the fault plan, and wires every Forwarder to every node's
+    /// ingress handle. No thread is started or joined after this
+    /// returns: a fabric runs its nodes' workers and nothing else
+    /// (§14.1).
     pub fn start(cfg: FabricConfig) -> Self {
         let n_nodes = cfg.topology.n_nodes();
         assert!(n_nodes >= 1, "a fabric needs at least one node");
         assert!(!cfg.flows.is_empty(), "a fabric needs at least one flow");
+        let shape = cfg.shape();
+        let plan = cfg.fault_plan.unwrap_or_default();
+        if let Err(e) = plan.validate(&shape) {
+            panic!("fault plan: {e}");
+        }
+        // A panic fires on its node's flit clock, in the node's runtime;
+        // every other event on the ejection clock.
+        let on_nodes = |e: &FaultEvent| e.kind == FaultKind::PanicShard;
+        let node_plan = |node| {
+            let panics = plan
+                .events()
+                .iter()
+                .filter(|e| on_nodes(e) && e.target.node == node);
+            panics.fold(FaultPlan::new(), |p, e| {
+                p.panic_shard_at(0, e.target.shard, e.at)
+            })
+        };
         let topo = Arc::new(cfg.topology);
         let specs = Arc::new(cfg.flows);
         // One pass: each node's route table for its egress stage, and
@@ -602,25 +567,20 @@ impl Fabric {
         let counters: Vec<Arc<NodeCounters>> = (0..n_nodes)
             .map(|_| Arc::new(NodeCounters::default()))
             .collect();
+        let ejection = plan.events().iter().filter(|e| !on_nodes(e));
         let faults = Arc::new(Faults::new(
             Arc::clone(&topo),
             policy,
-            cfg.fault_plan,
+            Schedule::new(ejection.copied()),
             counters.clone(),
             Arc::clone(&ledger),
             Arc::clone(&gate),
         ));
-        let exits = Arc::new(ExitLog::default());
         let epoch = Instant::now();
 
         let mut nodes = Vec::with_capacity(n_nodes);
         let mut handles = Vec::with_capacity(n_nodes);
         for (node, node_counters) in counters.iter().enumerate() {
-            let stall_plan = cfg
-                .node_stalls
-                .iter()
-                .find(|(n, _)| *n == node)
-                .map(|(_, p)| p.clone());
             let rc = RuntimeConfig {
                 shards: cfg.shards_per_node,
                 n_flows: specs.len(),
@@ -635,10 +595,10 @@ impl Fabric {
                     credits: cfg.credits,
                     n_links: topo.n_links(node),
                     route_table: Some(Arc::clone(&routes.tables[node])),
-                    stall_plan,
                     dead_link_deadline: None,
                     dead_link_policy: policy,
                 }),
+                fault_plan: Some(node_plan(node)),
                 ..RuntimeConfig::default()
             };
             let fwd = Forwarder::new(
@@ -652,7 +612,6 @@ impl Fabric {
                 Arc::clone(&tracker),
                 Arc::clone(&routes.hops[node]),
                 epoch,
-                Arc::clone(&exits),
             );
             let (rt, handle) = Runtime::start_with_egress(rc, move |_shard| Some(fwd.clone()));
             handles.push(handle);
@@ -678,7 +637,6 @@ impl Fabric {
             ledger,
             gate,
             faults,
-            exits,
             tracker,
             epoch,
             next_packet: AtomicU64::new(0),
@@ -792,27 +750,6 @@ impl Fabric {
         self.counters[node].refusals()
     }
 
-    /// Cuts one inter-node cable now, as a `FabricFault::KillLink`
-    /// would (link `0`, the eject end, is not a cable). Under
-    /// `HoldForRecovery` the upstream egress link is declared dead
-    /// too, so its flits hold their credits instead of spinning
-    /// against refusals (§14.2).
-    pub fn cut_link(&self, node: usize, link: usize) {
-        let _events = lock(&self.faults.state);
-        self.faults.set_link(node, link, true);
-    }
-
-    /// Heals a cable cut by [`cut_link`](Self::cut_link) or a
-    /// `KillLink` — the deterministic equivalent of a
-    /// `FabricFault::HealLink` (§14.1): clears the `DeadMap` flag so
-    /// tails take the primary path again and, once the peer is alive
-    /// too, resurrects the upstream egress link, replaying any
-    /// death-held flits in FIFO order.
-    pub fn heal_link(&self, node: usize, link: usize) {
-        let _events = lock(&self.faults.state);
-        self.faults.set_link(node, link, false);
-    }
-
     /// Per-path facts for `flow` (DESIGN.md §11.3): fault-free hop
     /// count, the analytic minimum latency for `len`-flit packets,
     /// and the flow's current ledger.
@@ -920,7 +857,6 @@ impl Fabric {
             lost_packets: self.ledger.lost(),
             forced,
             outcome,
-            forwarder_exits: self.exits.take(),
         }
     }
 }

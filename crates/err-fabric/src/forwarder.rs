@@ -20,16 +20,16 @@
 //! viable.
 //!
 //! The ejection that reaches a chaos event applies it in place (§11.4):
-//! flag flips, a node's runtime taken down or back up, and wakes —
-//! nothing that waits, whatever the event.
+//! flag flips, a link frozen or thawed, a node's runtime taken down or
+//! back up, and wakes — nothing that waits, whatever the event.
 //!
-//! The `Egress` entry points run under a catch-unwind supervisor
-//! (DESIGN.md §14.4): a panicking forwarder body poisons the flit's
-//! next-hop cable (declared dead — honest accounting takes over) and
-//! charges the flit's packet as dead-lettered, instead of unwinding
-//! into the worker and wedging the fabric gate.
+//! A panic in here unwinds into the worker's fence like any sink's
+//! (DESIGN.md §9.2, §14.4). The flusher step dead-letters the flit in
+//! hand, and the next step tells the Forwarder
+//! ([`Egress::dead_lettered`]), which charges a tail's packet as
+//! dead-lettered and departs it from the fabric gate, as a tail with no
+//! live next hop is charged.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,15 +37,14 @@ use err_egress::{DeadLinkPolicy, Egress};
 use err_runtime::{SubmitError, Submitted};
 use err_sched::{Packet, ServedFlit};
 
-use crate::chaos::ForwarderExit;
-use crate::fabric::{ExitLog, FabricGate, Faults};
+use crate::fabric::{FabricGate, Faults};
 use crate::hops::{HopEntry, HopTracker};
 use crate::stats::{FabricLedger, NodeCounters};
 use crate::topology::{FlowSpec, Hop, Step, Topology};
 
 /// The Forwarder's verdict for one served flit (DESIGN.md §11.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ForwardOutcome {
+pub(crate) enum ForwardOutcome {
     /// The flow's route here is `Eject`: delivered locally; on the
     /// tail flit the ledger records the packet and its latency.
     Ejected,
@@ -73,7 +72,7 @@ pub enum ForwardOutcome {
 /// Per-node egress sink; one clone serves each of the node's shards
 /// (the shard's worker owns it, so `Send` suffices).
 #[derive(Clone)]
-pub struct Forwarder {
+pub(crate) struct Forwarder {
     node: usize,
     /// Asked only for reroute alternates, once the primary link is not
     /// viable.
@@ -85,15 +84,13 @@ pub struct Forwarder {
     ledger: Arc<FabricLedger>,
     counters: Arc<NodeCounters>,
     gate: Arc<FabricGate>,
-    /// Liveness flags, panic switches, the dead-link policy (§14.2),
-    /// every node's ingress handle, and the chaos schedule each
-    /// ejection drives (§11.4).
+    /// Liveness flags, the dead-link policy (§14.2), every node's
+    /// ingress handle, and the chaos schedule each ejection drives
+    /// (§11.4).
     faults: Arc<Faults>,
     /// Per-packet entry stamps for §11.8 hop attribution.
     tracker: Arc<HopTracker>,
     epoch: Instant,
-    /// Where the §14.4 supervisor records caught unwinds.
-    exits: Arc<ExitLog>,
 }
 
 impl Forwarder {
@@ -109,7 +106,6 @@ impl Forwarder {
         tracker: Arc<HopTracker>,
         hops: Arc<[Hop]>,
         epoch: Instant,
-        exits: Arc<ExitLog>,
     ) -> Self {
         Self {
             node,
@@ -122,7 +118,6 @@ impl Forwarder {
             faults,
             tracker,
             epoch,
-            exits,
         }
     }
 
@@ -145,7 +140,7 @@ impl Forwarder {
 
     /// Classifies and applies one served flit. Everything except
     /// [`ForwardOutcome::Refused`] consumes the flit.
-    pub fn on_flit(&mut self, flit: &ServedFlit) -> ForwardOutcome {
+    pub(crate) fn on_flit(&mut self, flit: &ServedFlit) -> ForwardOutcome {
         let flow = flit.flow;
         let hop = self.hops[flow];
         match hop.step {
@@ -187,12 +182,6 @@ impl Forwarder {
         peer: usize,
     ) -> ForwardOutcome {
         let flow = flit.flow;
-        if self.faults.panic_arm.take(self.node) {
-            panic!(
-                "FabricFaultPlan: injected forwarder panic at node {} (flow {}, packet {})",
-                self.node, flow, flit.packet
-            );
-        }
         let pkt = Packet {
             id: flit.packet,
             flow,
@@ -222,11 +211,19 @@ impl Forwarder {
             self.counters.on_refusal();
             return ForwardOutcome::Held;
         }
+        self.dead_letter(flit);
+        ForwardOutcome::DeadLettered
+    }
+
+    /// The one dead-letter path of a tail (§11.4, §14.4): whether no
+    /// live next hop exists or the flusher step dead-lettered it when
+    /// this Forwarder unwound, its packet is charged as dead-lettered
+    /// and departs the fabric gate.
+    fn dead_letter(&self, flit: &ServedFlit) {
         self.tracker.take(flit.packet);
-        self.ledger.on_dead_lettered(flow);
+        self.ledger.on_dead_lettered(flit.flow);
         self.counters.on_dead_lettered();
         self.gate.depart(1);
-        ForwardOutcome::DeadLettered
     }
 
     /// Offers `pkt` to `peer` across `link` (an `alternate` one when the
@@ -308,59 +305,15 @@ impl Forwarder {
             }
         }
     }
-
-    /// §14.4 supervisor: runs `on_flit` under `catch_unwind` and, on a
-    /// panic, converts the unwind into honest accounting: the flit's
-    /// next-hop cable is declared dead (routes fail over or hold), a
-    /// tail flit's packet is charged as dead-lettered and departed from
-    /// the gate, and the exit is recorded for the drain report. Returns
-    /// whether the flit was consumed (a caught panic always consumes).
-    fn supervised(&mut self, flit: &ServedFlit) -> bool {
-        let body = AssertUnwindSafe(|| self.on_flit(flit));
-        match catch_unwind(body) {
-            Ok(outcome) => !matches!(outcome, ForwardOutcome::Refused | ForwardOutcome::Held),
-            Err(payload) => {
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                let flow = flit.flow;
-                let poisoned_link = match self.hops[flow].step {
-                    Step::Forward { link, .. } => {
-                        self.faults.dead.kill_link(self.node, link);
-                        Some(link)
-                    }
-                    Step::Eject => None,
-                };
-                if flit.is_tail() {
-                    self.tracker.take(flit.packet);
-                    self.ledger.on_dead_lettered(flow);
-                    self.counters.on_dead_lettered();
-                    self.gate.depart(1);
-                }
-                self.exits.record(ForwarderExit {
-                    node: self.node,
-                    flow,
-                    packet: flit.packet,
-                    poisoned_link,
-                    message,
-                });
-                true
-            }
-        }
-    }
 }
 
 impl Egress for Forwarder {
-    fn emit(&mut self, _shard: usize, flit: &ServedFlit) {
+    fn emit(&mut self, shard: usize, flit: &ServedFlit) {
         // Unconditional delivery: spin out a transient refusal (or a
         // §14.2 hold, which only a concurrent heal resolves). The
         // flusher step never calls this (it uses `try_emit`); it exists
         // for direct-driven tests.
-        while !self.supervised(flit) {
+        while !self.try_emit(shard, flit) {
             std::thread::yield_now();
         }
     }
@@ -371,7 +324,16 @@ impl Egress for Forwarder {
     /// So the node's worker runs it in its flusher step and the node is
     /// one thread per shard (DESIGN.md §11.2).
     fn try_emit(&mut self, _shard: usize, flit: &ServedFlit) -> bool {
-        self.supervised(flit)
+        !matches!(
+            self.on_flit(flit),
+            ForwardOutcome::Refused | ForwardOutcome::Held
+        )
+    }
+
+    fn dead_lettered(&mut self, _shard: usize, flit: &ServedFlit) {
+        if flit.is_tail() {
+            self.dead_letter(flit);
+        }
     }
 }
 
@@ -380,6 +342,7 @@ mod tests {
     use super::*;
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     use err_runtime::{AdmissionPolicy, Runtime, RuntimeConfig};
@@ -433,6 +396,7 @@ mod tests {
         tracker: Arc<HopTracker>,
         ledger: Arc<FabricLedger>,
         counters: Arc<NodeCounters>,
+        gate: Arc<FabricGate>,
     }
 
     const RING: usize = 4096;
@@ -487,7 +451,7 @@ mod tests {
         let faults = Faults::new(
             Arc::clone(&topo),
             DeadLinkPolicy::DropAndAccount,
-            None,
+            err_runtime::Schedule::new([]),
             vec![Arc::clone(&counters), Arc::default()],
             Arc::clone(&ledger),
             Arc::clone(&gate),
@@ -499,12 +463,11 @@ mod tests {
             Arc::new(specs),
             Arc::clone(&ledger),
             Arc::clone(&counters),
-            gate,
+            Arc::clone(&gate),
             Arc::new(faults),
             Arc::clone(&tracker),
             Arc::clone(&routes.hops[0]),
             Instant::now(),
-            Arc::new(ExitLog::default()),
         );
         Harness {
             fwd,
@@ -514,6 +477,7 @@ mod tests {
             tracker,
             ledger,
             counters,
+            gate,
         }
     }
 
@@ -626,6 +590,55 @@ mod tests {
         assert_eq!(hops[1].packets, 0, "node 1's sink records nothing");
         let left = h.tracker.take(probe).expect("the peer's stamp");
         assert_eq!(left.node, 1, "the stamp left behind is the peer's");
+        let report = h.peer.shutdown();
+        assert!(report.is_conserving(), "{report:?}");
+    }
+
+    /// A Forwarder that unwinds on a tail inside the flusher step
+    /// (DESIGN.md §14.4): the step dead-letters the flit in hand, and
+    /// the next step tells the Forwarder, which charges the packet as
+    /// dead-lettered and departs it from the fabric gate — the one
+    /// dead-letter path a tail with no live next hop takes too.
+    #[test]
+    fn a_tail_the_flusher_step_dead_letters_departs_the_gate() {
+        struct Unwinding(Forwarder);
+        impl Egress for Unwinding {
+            fn emit(&mut self, shard: usize, f: &ServedFlit) {
+                self.0.emit(shard, f);
+            }
+            fn try_emit(&mut self, shard: usize, f: &ServedFlit) -> bool {
+                if f.packet == 1 {
+                    panic!("forwarder: gone (injected by the test)");
+                }
+                self.0.try_emit(shard, f)
+            }
+            fn dead_lettered(&mut self, shard: usize, f: &ServedFlit) {
+                self.0.dead_lettered(shard, f);
+            }
+        }
+        let h = harness(true);
+        let links = err_egress::LinkSet::new(1, 8);
+        let (mut tx, rx) = err_egress::spsc_ring(16);
+        let mut core = err_egress::FlusherCore::new(0, rx, 1);
+        for packet in 0..2 {
+            assert!(h.gate.enter());
+            assert!(links.try_acquire(0));
+            tx.push(tail(packet)).unwrap();
+        }
+        let mut sink = Unwinding(h.fwd.clone());
+        let unwound =
+            std::panic::catch_unwind(AssertUnwindSafe(|| core.step(&links, None, &mut sink)));
+        assert!(unwound.is_err());
+        assert_eq!(h.counters.departed_packets(), 1, "packet 0 went on");
+        assert_eq!(h.ledger.flow(0).dead_lettered, 0, "not inside the unwind");
+        assert_eq!(h.gate.in_flight(), 2);
+        core.step(&links, None, &mut sink);
+        assert_eq!(h.ledger.flow(0).dead_lettered, 1, "charged");
+        assert_eq!(h.counters.departed_packets(), 2);
+        assert_eq!(h.gate.in_flight(), 1, "departed the gate");
+        assert_eq!(links.snapshot()[0].dead_letter_flits, 1);
+        core.step(&links, None, &mut sink);
+        assert_eq!(h.ledger.flow(0).dead_lettered, 1, "told once");
         let report = h.peer.shutdown();
         assert!(report.is_conserving(), "{report:?}");
     }

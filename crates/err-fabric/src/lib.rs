@@ -10,7 +10,7 @@
 //! routed [`Topology`]:
 //!
 //! * each node's egress links feed neighbor nodes' ingress rings via
-//!   [`Forwarder`]s, which never block, so each node's shard workers
+//!   Forwarders (its shards' sinks), which never block, so each node's shard workers
 //!   run them themselves: a node is one thread per shard;
 //! * a refused tail handoff keeps its link credit
 //!   ([`Egress::try_emit`](err_egress::Egress::try_emit)), so a
@@ -27,18 +27,16 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
+mod chaos;
 pub mod fabric;
-pub mod forwarder;
+mod forwarder;
 mod hops;
 pub mod stats;
 pub mod topology;
 
-pub use chaos::{
-    DeadMap, FabricFault, FabricFaultEvent, FabricFaultPlan, ForwarderExit, PanicSwitch,
-};
+pub use chaos::FabricFaultEvent;
 pub use err_egress::DeadLinkPolicy;
+pub use err_runtime::{ConfigError, FaultEvent, FaultKind, FaultPlan, Shape, Target};
 pub use fabric::{DrainOutcome, Fabric, FabricConfig, FabricReport, PathStats};
-pub use forwarder::{ForwardOutcome, Forwarder};
 pub use stats::{FabricLedger, FlowSnapshot, HopSnapshot, NodeCounters};
 pub use topology::{FlowSpec, LinkEnd, NextHop, Topology};

@@ -6,14 +6,23 @@ use std::time::{Duration, Instant};
 
 use desim::SimRng;
 use err_fabric::{
-    DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FabricFault, FabricFaultPlan, FlowSpec,
+    DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FaultEvent, FaultKind, FaultPlan, FlowSpec,
     Topology,
 };
+use err_runtime::ShardExit;
 
 const DRAIN: Duration = Duration::from_secs(20);
 
 fn mesh_fabric(cols: usize, rows: usize, flows: Vec<FlowSpec>) -> Fabric {
     Fabric::start(FabricConfig::new(Topology::mesh(cols, rows), flows))
+}
+
+/// A fabric whose `node` has cable `link` cut at clock 0, before
+/// `Fabric::start` returns.
+fn cut_fabric(topo: Topology, flows: Vec<FlowSpec>, node: usize, link: usize) -> Fabric {
+    let mut cfg = FabricConfig::new(topo, flows);
+    cfg.fault_plan = Some(FaultPlan::new().kill_link_at(node, link, 0));
+    Fabric::start(cfg)
 }
 
 #[test]
@@ -242,9 +251,9 @@ fn unrelated_flows_keep_moving_while_one_path_is_stalled() {
 fn cut_link_reroutes_via_the_yx_step() {
     // 2×2, flow 0→3: primary XY route is 0→1→3. Cutting 0's east
     // cable diverts every tail onto the YX alternate 0→2→3.
-    let f = mesh_fabric(2, 2, vec![FlowSpec { src: 0, dst: 3 }]);
-    let east = f.topology().link_to(0, 1).unwrap();
-    f.cut_link(0, east);
+    let topo = Topology::mesh(2, 2);
+    let east = topo.link_to(0, 1).unwrap();
+    let f = cut_fabric(topo, vec![FlowSpec { src: 0, dst: 3 }], 0, east);
     for _ in 0..25 {
         f.submit(0, 3).unwrap();
     }
@@ -263,8 +272,12 @@ fn cut_link_reroutes_via_the_yx_step() {
 fn cut_final_link_dead_letters_honestly() {
     // 2×1 line: the only route 0→1 dies; no alternate exists, so
     // packets dead-letter at the source's forwarder, counted.
-    let f = mesh_fabric(2, 1, vec![FlowSpec { src: 0, dst: 1 }]);
-    f.cut_link(0, 1);
+    let f = cut_fabric(
+        Topology::mesh(2, 1),
+        vec![FlowSpec { src: 0, dst: 1 }],
+        0,
+        1,
+    );
     for _ in 0..10 {
         f.submit(0, 2).unwrap();
     }
@@ -277,7 +290,7 @@ fn cut_final_link_dead_letters_honestly() {
 
 #[test]
 fn chaos_kill_link_mid_run_conserves() {
-    let plan = FabricFaultPlan::new().kill_link_at(0, 1, 10);
+    let plan = FaultPlan::new().kill_link_at(0, 1, 10);
     let f = Fabric::start({
         let mut c = FabricConfig::new(
             Topology::mesh(2, 2),
@@ -310,7 +323,7 @@ fn chaos_kill_link_mid_run_conserves() {
 fn chaos_kill_node_counts_losses() {
     // 3×1 line, traffic 0→2 transits node 1, which dies once five
     // packets have ejected.
-    let plan = FabricFaultPlan::new().kill_node_at(1, 5);
+    let plan = FaultPlan::new().kill_node_at(1, 5);
     let f = Fabric::start({
         let mut c = FabricConfig::new(Topology::mesh(3, 1), vec![FlowSpec { src: 0, dst: 2 }]);
         c.fault_plan = Some(plan);
@@ -384,20 +397,28 @@ fn submit_round_robin(f: &Fabric, n_flows: usize, per_flow: u64, len: u32) {
     }
 }
 
-/// A link or panic event fires at exactly its clock: with one ejecting
-/// worker the ejection clock counts on one thread, and the ejection
-/// whose value reaches an event applies it before anything else ejects
-/// (DESIGN.md §11.4). On a 3×1 line every flow ejects at node 2; the
-/// second heal mends the cable the injected panic poisoned.
+/// A link event fires at exactly its clock: with one ejecting worker
+/// the ejection clock counts on one thread, and the ejection whose
+/// value reaches an event applies it before anything else ejects
+/// (DESIGN.md §11.4). On a 3×1 line every flow ejects at node 2. The
+/// shard panic aimed at node 0 fires on that node's own flit clock
+/// instead (§9.5) and cuts nothing, so the second heal finds the cable
+/// up.
 #[test]
 fn link_and_panic_events_fire_at_their_exact_clock() {
     let topo = Topology::mesh(3, 1);
     let east = topo.link_to(0, 1).expect("0-1 are neighbors");
-    let plan = FabricFaultPlan::new()
+    let plan = FaultPlan::new()
         .kill_link_at(0, east, 10)
         .heal_link_at(0, east, 20)
-        .panic_forwarder_at(0, 30)
+        .panic_shard_at(0, 0, 30)
         .heal_link_at(0, east, 40);
+    let on_ejections: Vec<FaultEvent> = plan
+        .events()
+        .iter()
+        .filter(|e| e.kind != FaultKind::PanicShard)
+        .copied()
+        .collect();
     for run in 0..20 {
         let mut cfg = FabricConfig::new(
             topo.clone(),
@@ -413,12 +434,16 @@ fn link_and_panic_events_fire_at_their_exact_clock() {
         let rep = f.drain_within(DRAIN);
         assert!(rep.is_conserving(), "run {run}");
         assert_eq!(rep.outcome, DrainOutcome::Graceful, "run {run}");
-        assert_eq!(rep.events.len(), 4, "run {run}: every event fired");
-        for (ev, planned) in rep.events.iter().zip(plan.events()) {
+        assert_eq!(rep.events.len(), 3, "run {run}: every link event fired");
+        for (ev, planned) in rep.events.iter().zip(&on_ejections) {
             assert_eq!(ev.fault, *planned, "run {run}: plan order");
-            assert_eq!(ev.fired_at, ev.fault.at(), "run {run}: {:?}", ev.fault);
+            assert_eq!(ev.fired_at, ev.fault.at, "run {run}: {:?}", ev.fault);
         }
-        assert!(rep.forwarder_exits.len() <= 1, "run {run}: one-shot panic");
+        assert_eq!(
+            rep.node_reports[0].exits,
+            [ShardExit::Panicked],
+            "run {run}: the panic fired"
+        );
     }
 }
 
@@ -429,7 +454,7 @@ fn link_and_panic_events_fire_at_their_exact_clock() {
 /// node 1, which flow 0 crosses and flow 1 starts at, dies twice.
 #[test]
 fn node_events_fire_at_their_exact_clock() {
-    let plan = FabricFaultPlan::new()
+    let plan = FaultPlan::new()
         .kill_node_at(1, 10)
         .revive_node_at(1, 20)
         .kill_node_at(1, 30)
@@ -453,7 +478,7 @@ fn node_events_fire_at_their_exact_clock() {
         assert_eq!(rep.events.len(), 4, "run {run}: every event fired");
         for (ev, planned) in rep.events.iter().zip(plan.events()) {
             assert_eq!(ev.fault, *planned, "run {run}: plan order");
-            assert_eq!(ev.fired_at, ev.fault.at(), "run {run}: {:?}", ev.fault);
+            assert_eq!(ev.fired_at, ev.fault.at, "run {run}: {:?}", ev.fault);
         }
     }
 }
@@ -471,7 +496,7 @@ fn a_revive_leaves_a_cable_a_link_kill_cut_dead() {
         vec![FlowSpec { src: 0, dst: 2 }, FlowSpec { src: 2, dst: 2 }],
     );
     cfg.fault_plan = Some(
-        FabricFaultPlan::new()
+        FaultPlan::new()
             .kill_link_at(0, east, 5)
             .kill_node_at(1, 10)
             .revive_node_at(1, 20),
@@ -535,7 +560,7 @@ fn node_kills_race_submits_and_settle_once() {
             let kill = 5 + gap() + gap();
             let revive = kill + gap();
             let kill_again = revive + gap();
-            let plan = FabricFaultPlan::new()
+            let plan = FaultPlan::new()
                 .kill_node_at(node, kill)
                 .revive_node_at(node, revive)
                 .kill_node_at(node, kill_again)
@@ -571,11 +596,10 @@ fn node_kills_race_submits_and_settle_once() {
             assert!(rep.is_conserving(), "{leg}");
             assert_eq!(rep.outcome, DrainOutcome::Graceful, "{leg}");
             assert!(
-                rep.forwarder_exits.is_empty(),
-                "{leg}: {:?}",
-                rep.forwarder_exits
+                rep.node_reports.iter().all(|r| r.all_clean()),
+                "{leg}: a worker panicked"
             );
-            let fired: Vec<FabricFault> = rep.events.iter().map(|e| e.fault).collect();
+            let fired: Vec<FaultEvent> = rep.events.iter().map(|e| e.fault).collect();
             assert_eq!(fired, plan.events(), "{leg}: plan order");
             let settled: u64 = rep.events.iter().map(|e| e.lost_packets).sum();
             assert_eq!(rep.lost_packets, settled, "{leg}");
@@ -601,11 +625,11 @@ fn a_kill_and_the_heal_one_clock_later_fire_in_plan_order() {
         cfg.max_backlog = 8;
         cfg.credits = 4;
         cfg.dead_link_policy = DeadLinkPolicy::HoldForRecovery;
-        cfg.fault_plan = Some(
-            FabricFaultPlan::new()
-                .kill_link_at(0, east, t)
-                .heal_link_at(0, east, t + 1),
-        );
+        cfg.fault_plan = Some(FaultPlan::new().kill_link_at(0, east, t).heal_link_at(
+            0,
+            east,
+            t + 1,
+        ));
         let f = Fabric::start(cfg);
         submit_round_robin(&f, flows.len(), 10, 4);
         let rep = f.drain_within(DRAIN);
@@ -613,12 +637,10 @@ fn a_kill_and_the_heal_one_clock_later_fire_in_plan_order() {
         assert_eq!(rep.outcome, DrainOutcome::Graceful, "t={t}");
         assert_eq!(rep.lost_packets, 0, "t={t}");
         assert_eq!(rep.dead_lettered_packets(), 0, "t={t}");
-        let fired: Vec<FabricFault> = rep.events.iter().map(|e| e.fault).collect();
-        assert!(
-            matches!(
-                fired[..],
-                [FabricFault::KillLink { .. }, FabricFault::HealLink { .. }]
-            ),
+        let fired: Vec<FaultKind> = rep.events.iter().map(|e| e.fault.kind).collect();
+        assert_eq!(
+            fired,
+            [FaultKind::KillLink, FaultKind::HealLink],
             "t={t}: {fired:?}"
         );
     }
@@ -631,7 +653,7 @@ fn a_cut_at_clock_zero_dead_letters_the_first_packet() {
     let topo = Topology::mesh(2, 1);
     let east = topo.link_to(0, 1).expect("0-1 are neighbors");
     let mut cfg = FabricConfig::new(topo, vec![FlowSpec { src: 0, dst: 1 }]);
-    cfg.fault_plan = Some(FabricFaultPlan::new().kill_link_at(0, east, 0));
+    cfg.fault_plan = Some(FaultPlan::new().kill_link_at(0, east, 0));
     let f = Fabric::start(cfg);
     f.submit(0, 2).unwrap();
     let rep = f.drain_within(DRAIN);
@@ -645,10 +667,10 @@ fn a_cut_at_clock_zero_dead_letters_the_first_packet() {
 /// A plan is checked before traffic starts, so no event can panic on
 /// the shard worker that reaches it.
 #[test]
-#[should_panic(expected = "not a cable")]
+#[should_panic(expected = "fault plan: node 0 has no link 2")]
 fn a_plan_naming_no_cable_is_refused_at_start() {
     let mut cfg = FabricConfig::new(Topology::mesh(2, 1), vec![FlowSpec { src: 0, dst: 1 }]);
-    cfg.fault_plan = Some(FabricFaultPlan::new().kill_link_at(0, 2, 3));
+    cfg.fault_plan = Some(FaultPlan::new().kill_link_at(0, 2, 3));
     Fabric::start(cfg);
 }
 
@@ -685,8 +707,7 @@ fn fat_tree_reroutes_over_the_next_ecmp_up_link() {
     // Cut the flow's primary up-link at the source edge switch.
     let path = topo.path(0, spec);
     let primary_up = topo.link_to(0, path[1]).unwrap();
-    let f = Fabric::start(FabricConfig::new(topo, vec![spec]));
-    f.cut_link(0, primary_up);
+    let f = cut_fabric(topo, vec![spec], 0, primary_up);
     for _ in 0..20 {
         f.submit(0, 2).unwrap();
     }

@@ -92,17 +92,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use err_egress::{spsc_ring, FlusherCore, LinkSet, StallInjector, WakeCell};
+use err_egress::{spsc_ring, FlusherCore, LinkSet, WakeCell};
 use err_sched::err::ErrScheduler;
 use err_sched::{Discipline, ServedFlit};
 
 pub use admission::{AdmissionController, AdmissionPolicy, AdmitDecision};
 pub use drain::{DrainReport, ShardExit};
 pub use err_egress::{
-    BufferedConfig, DeadLinkPolicy, Egress, EgressController, EgressSnapshot, LinkState, StallPlan,
-    StallWindow, Threaded,
+    BufferedConfig, DeadLinkPolicy, Egress, EgressController, EgressSnapshot, LinkState, Threaded,
 };
-pub use fault::{FaultBoard, FaultEvent, FaultKind, FaultPlan, ShardHealth};
+pub use fault::{
+    ConfigError, FaultBoard, FaultEvent, FaultKind, FaultPlan, Schedule, Shape, ShardHealth, Target,
+};
 pub use ingress::{RuntimeHandle, SubmitError, Submitted};
 pub use stats::{RuntimeStats, ShardSnapshot};
 
@@ -132,6 +133,12 @@ impl<E: Egress> Egress for OptionalSink<E> {
             None => true,
         }
     }
+
+    fn dead_lettered(&mut self, shard: usize, flit: &ServedFlit) {
+        if let Some(sink) = self.0.as_mut() {
+            sink.dead_lettered(shard, flit);
+        }
+    }
 }
 
 /// How served flits reach the downstream sink.
@@ -143,8 +150,7 @@ pub enum EgressMode {
     Sync,
     /// Credit-based asynchronous path (`err-egress`): per-shard output
     /// rings drained by a flusher step each worker runs after every
-    /// service chunk, per-link credits, flow parking on stall,
-    /// optional deterministic stall injection.
+    /// service chunk, per-link credits, flow parking on stall.
     Buffered(BufferedConfig),
 }
 
@@ -169,10 +175,26 @@ pub struct RuntimeConfig {
     pub admission: AdmissionPolicy,
     /// Egress coupling; [`EgressMode::Sync`] is the legacy inline path.
     pub egress: EgressMode,
-    /// Deterministic fault injection (DESIGN.md §9.5); events fire on
-    /// each shard's flit clock. Every worker resumes from a panic in
-    /// place, with or without a plan (§9.2).
+    /// Deterministic fault injection (DESIGN.md §9.5), each event on its
+    /// target shard's flit clock; [`Runtime::start`] panics on a plan
+    /// [`FaultPlan::validate`] rejects for [`shape`](Self::shape).
     pub fault_plan: Option<FaultPlan>,
+}
+
+impl RuntimeConfig {
+    /// What a fault plan may name here: one node of `shards` shards,
+    /// whose links are the buffered stage's (none under sync egress).
+    pub fn shape(&self) -> Shape {
+        let links = match &self.egress {
+            EgressMode::Sync => 0,
+            EgressMode::Buffered(bc) => bc.n_links,
+        };
+        Shape {
+            links: vec![links],
+            shards: self.shards,
+            fabric: false,
+        }
+    }
 }
 
 impl Default for RuntimeConfig {
@@ -239,11 +261,11 @@ impl Runtime {
             "the runtime runs ERR only, got {:?}",
             config.discipline
         );
-        let injector = config
-            .fault_plan
-            .as_ref()
-            .map(|p| fault::FaultInjector::new(p, config.shards));
-        let fault = fault::FaultRuntime::new(config.shards, injector);
+        let plan = config.fault_plan.clone().unwrap_or_default();
+        if let Err(e) = plan.validate(&config.shape()) {
+            panic!("fault plan: {e}");
+        }
+        let fault = fault::FaultRuntime::new(config.shards, &plan);
         let shared = Arc::new(Shared {
             rings: (0..config.shards)
                 .map(|_| MpscRing::with_capacity(config.ring_capacity))
@@ -279,10 +301,6 @@ impl Runtime {
                 // each must be able to wake every worker.
                 links.set_credit_waiters(shared.wakes.clone());
                 let links = Arc::new(links);
-                let injector = bc
-                    .stall_plan
-                    .as_ref()
-                    .map(|p| Arc::new(StallInjector::new(p)));
                 let mut shard_stats = Vec::with_capacity(config.shards);
                 let mut stages = Vec::with_capacity(config.shards);
                 for shard in 0..config.shards {
@@ -291,7 +309,6 @@ impl Runtime {
                         (tx, FlusherCore::new(shard, rx, bc.n_links)),
                         OptionalSink(egress(shard)),
                         Arc::clone(&links),
-                        injector.clone(),
                         config.n_flows,
                     );
                     shard_stats.push(stage.stats());

@@ -73,9 +73,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use desim::Cycle;
-use err_egress::{
-    Egress, FlusherCore, LinkSet, Producer, ShardEgressStats, Sleep, StallInjector, BACKSTOP,
-};
+use err_egress::{Egress, FlusherCore, LinkSet, Producer, ShardEgressStats, Sleep, BACKSTOP};
 use err_sched::err::ErrScheduler;
 use err_sched::{Packet, Scheduler, ServedFlit};
 
@@ -154,8 +152,11 @@ pub(crate) trait EgressStage: Send {
     /// the stage ready for an empty scheduler.
     fn abort(&mut self) {}
 
-    /// An injected `KillLink` (§9.5); a stage without links ignores it.
-    fn declare_link_dead(&self, _link: usize) {}
+    /// The links a plan's link events act on (§9.5); a stage without
+    /// links has none.
+    fn links(&self) -> Option<&LinkSet> {
+        None
+    }
 }
 
 /// Synchronous egress: the worker calls the optional sink inline.
@@ -256,7 +257,6 @@ pub(crate) struct BufferedStage<E> {
     link_parked: Vec<bool>,
     core: FlusherCore,
     sink: E,
-    injector: Option<Arc<StallInjector>>,
     /// Per link: flits were pending behind it while it was blocked when
     /// the last step ended. Whoever opens a link says so
     /// (`LinkSet::wake_workers`), so waiting for one of these is covered.
@@ -268,7 +268,6 @@ impl<E: Egress> BufferedStage<E> {
         (tx, core): (Producer<ServedFlit>, FlusherCore),
         sink: E,
         links: Arc<LinkSet>,
-        injector: Option<Arc<StallInjector>>,
         n_flows: usize,
     ) -> Self {
         let n_links = links.n_links();
@@ -285,7 +284,6 @@ impl<E: Egress> BufferedStage<E> {
             link_parked: vec![false; n_links],
             core,
             sink,
-            injector,
             held: vec![false; n_links],
         }
     }
@@ -300,8 +298,7 @@ impl<E: Egress> BufferedStage<E> {
     fn step(&mut self) -> bool {
         let popped = self.core.popped();
         let links = &*self.links;
-        self.core
-            .step(links, self.injector.as_deref(), &mut self.sink);
+        self.core.step(links, None, &mut self.sink);
         let (delivered, dead) = self.core.settle(links, &self.estats);
         for (link, held) in self.held.iter_mut().enumerate() {
             *held = self.core.pending_len(link) > 0 && links.blocked(link);
@@ -471,10 +468,8 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
         self.link_parked.fill(false);
     }
 
-    fn declare_link_dead(&self, link: usize) {
-        if link < self.links.n_links() {
-            self.links.declare_dead(link);
-        }
+    fn links(&self) -> Option<&LinkSet> {
+        Some(&self.links)
     }
 }
 

@@ -34,10 +34,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use err_fabric::{DeadLinkPolicy, Fabric, FabricConfig, FabricFaultPlan, FlowSpec, Topology};
-use err_runtime::{
-    AdmissionPolicy, BufferedConfig, EgressMode, FaultPlan, Runtime, RuntimeConfig, StallPlan,
-};
+use err_fabric::{DeadLinkPolicy, Fabric, FabricConfig, FlowSpec, Topology};
+use err_runtime::{AdmissionPolicy, BufferedConfig, EgressMode, FaultPlan, Runtime, RuntimeConfig};
 use err_sched::{Discipline, Packet, ServedFlit};
 
 const N_FLOWS: usize = 64;
@@ -66,6 +64,7 @@ struct EgressSample {
 fn egress_measure(
     shards: usize,
     egress: EgressMode,
+    fault_plan: Option<FaultPlan>,
     sync_frozen: Option<Arc<AtomicBool>>,
     window: Duration,
 ) -> f64 {
@@ -78,6 +77,7 @@ fn egress_measure(
             n_flows: N_FLOWS,
             admission: AdmissionPolicy::DropTail { max_backlog: 64 },
             egress,
+            fault_plan,
             ..RuntimeConfig::default()
         },
         move |_shard| {
@@ -122,25 +122,22 @@ fn egress_measure(
     unstalled as f64 / elapsed
 }
 
-fn buffered_mode(stall_plan: Option<StallPlan>) -> EgressMode {
+fn buffered_mode() -> EgressMode {
     EgressMode::Buffered(BufferedConfig {
         ring_capacity: 256,
         credits: 32,
         n_links: EGRESS_LINKS,
-        stall_plan,
         ..BufferedConfig::default()
     })
 }
 
 fn egress_stall_run(shards: usize, window: Duration) -> EgressSample {
-    let buffered_baseline_fps = egress_measure(shards, buffered_mode(None), None, window);
-    let buffered_stalled_fps = egress_measure(
-        shards,
-        buffered_mode(Some(StallPlan::freeze_forever(0, 0))),
-        None,
-        window,
-    );
-    let sync_baseline_fps = egress_measure(shards, EgressMode::Sync, None, window);
+    let buffered_baseline_fps = egress_measure(shards, buffered_mode(), None, None, window);
+    // Link 0 frozen from shard 0's flit-clock 0, for good.
+    let frozen_link0 = FaultPlan::new().freeze_at(0, 0, 0, u64::MAX);
+    let buffered_stalled_fps =
+        egress_measure(shards, buffered_mode(), Some(frozen_link0), None, window);
+    let sync_baseline_fps = egress_measure(shards, EgressMode::Sync, None, None, window);
     // The sync "dead downstream" blocks worker threads, so it must be
     // released after the measurement window or shutdown would hang.
     let frozen = Arc::new(AtomicBool::new(true));
@@ -152,7 +149,7 @@ fn egress_stall_run(shards: usize, window: Duration) -> EgressSample {
         // ordering: Release pairs with the sync sink's Acquire spin.
         f2.store(false, Ordering::Release);
     });
-    let sync_stalled_fps = egress_measure(shards, EgressMode::Sync, Some(frozen), window);
+    let sync_stalled_fps = egress_measure(shards, EgressMode::Sync, None, Some(frozen), window);
     unfreezer.join().expect("unfreezer panicked");
     EgressSample {
         shards,
@@ -262,7 +259,7 @@ fn chaos_kill_run(shards: usize, packets: u64, plan: Option<FaultPlan>) -> (f64,
     let victim = plan
         .as_ref()
         .and_then(|p| p.events().first())
-        .map(|e| e.shard);
+        .map(|e| e.target.shard);
     let (rt, handle) = Runtime::start(RuntimeConfig {
         shards,
         n_flows: N_FLOWS,
@@ -315,7 +312,7 @@ fn chaos_kill_compare(shards: usize, packets: u64) -> ChaosKillSample {
     let mut recovery_micros = Vec::new();
     for _ in 0..CHAOS_BEST_OF {
         let (b_pps, _) = chaos_kill_run(shards, packets, None);
-        let plan = FaultPlan::new().kill_shard_at(victim, kill_at);
+        let plan = FaultPlan::new().panic_shard_at(0, victim, kill_at);
         let (k_pps, rec) = chaos_kill_run(shards, packets, Some(plan));
         recovery_micros.push(rec.expect("victim recovery stamped"));
         let r = k_pps / b_pps.max(f64::MIN_POSITIVE);
@@ -351,7 +348,7 @@ fn chaos_dead_link_run(kill: bool, window: Duration) -> (f64, u64) {
             shards: 2,
             n_flows: N_FLOWS,
             admission: AdmissionPolicy::DropTail { max_backlog: 64 },
-            egress: buffered_mode(None),
+            egress: buffered_mode(),
             fault_plan: plan,
             ..RuntimeConfig::default()
         },
@@ -475,14 +472,6 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
         flap.cycles, flap.replayed
     );
 
-    eprintln!("runtime-bench: injected forwarder panic, supervised recovery (DESIGN.md §14.4)...");
-    let fpanic = forwarder_panic_run(smoke);
-    eprintln!(
-        "  panic: 1 exit caught at node 0, {} dead-lettered, {} rerouted past the \
-         poisoned cable, clean drain",
-        fpanic.dead_lettered, fpanic.rerouted
-    );
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"err-runtime fault tolerance\",\n");
@@ -548,19 +537,8 @@ fn run_chaos_bench(smoke: bool, fault_out: &str) {
          \"flows\": [\"0->3\", \"12->15\"], \"cut\": \"node 0 east cable\", \
          \"cycles\": {}, \"victim_packets\": {}, \"keeper_packets\": {}, \
          \"replayed_flits\": {}, \"lost_packets\": 0, \"dead_lettered\": 0, \
-         \"credits_leaked\": 0}},\n",
+         \"credits_leaked\": 0}}\n",
         flap.cycles, flap.victim_packets, flap.keeper_packets, flap.replayed,
-    ));
-    json.push_str(&format!(
-        "  \"forwarder_panic\": {{\"mesh\": \"{FABRIC_COLS}x{FABRIC_ROWS}\", \
-         \"flows\": [\"0->15\", \"15->0\"], \"panic_at_ejections\": {}, \
-         \"packets_per_flow\": {}, \"exits_caught\": 1, \"poisoned_link\": {}, \
-         \"dead_lettered\": {}, \"rerouted\": {}, \"lost_packets\": 0}}\n",
-        fpanic.panic_at,
-        fpanic.packets_per_flow,
-        fpanic.poisoned_link,
-        fpanic.dead_lettered,
-        fpanic.rerouted,
     ));
     json.push_str("}\n");
 
@@ -857,7 +835,7 @@ fn fabric_kill_link_run(smoke: bool) -> FabricChaosSample {
     );
     cfg.max_backlog = 8;
     cfg.credits = 4;
-    cfg.fault_plan = Some(FabricFaultPlan::new().kill_link_at(0, east, kill_at));
+    cfg.fault_plan = Some(FaultPlan::new().kill_link_at(0, east, kill_at));
     let f = Fabric::start(cfg);
     for _ in 0..packets {
         f.submit(0, FABRIC_PKT_LEN).expect("fabric is open");
@@ -926,7 +904,7 @@ fn fabric_heal_run(smoke: bool) -> FabricHealSample {
         cfg.credits = 4;
         cfg.dead_link_policy = policy;
         cfg.fault_plan = Some(
-            FabricFaultPlan::new()
+            FaultPlan::new()
                 .kill_link_at(0, east, kill_at)
                 .heal_link_at(0, east, heal_at),
         );
@@ -1008,7 +986,7 @@ fn fabric_flap_run(smoke: bool) -> FabricFlapSample {
     // The keeper's ejections alone must reach the last heal: space the
     // 2·cycles events across half the keeper's quota.
     let step = keeper_packets / (2 * cycles + 2);
-    let mut plan = FabricFaultPlan::new();
+    let mut plan = FaultPlan::new();
     for i in 0..cycles {
         plan = plan.kill_link_at(0, east, step * (2 * i + 1)).heal_link_at(
             0,
@@ -1065,75 +1043,6 @@ fn fabric_flap_run(smoke: bool) -> FabricFlapSample {
         keeper_packets,
         cycles,
         replayed: rep.replayed_flits(),
-    }
-}
-
-struct ForwarderPanicSample {
-    packets_per_flow: u64,
-    panic_at: u64,
-    dead_lettered: u64,
-    rerouted: u64,
-    poisoned_link: usize,
-}
-
-/// The §14.4 supervision leg: a one-shot panic is armed in node 0's
-/// forwarder mid-run. The supervisor must catch the unwind, declare
-/// the packet's next-hop cable poisoned (dead), charge exactly that
-/// packet as dead-lettered, and let every later tail fail over — the
-/// fabric drains clean instead of wedging on a crashed flusher.
-fn forwarder_panic_run(smoke: bool) -> ForwarderPanicSample {
-    let packets: u64 = if smoke { 60 } else { 300 };
-    let panic_at = (packets / 4).max(10);
-    let topo = Topology::mesh(FABRIC_COLS, FABRIC_ROWS);
-    let east = topo
-        .link_to(0, 1)
-        .expect("node 1 is node 0's east neighbor");
-    let mut cfg = FabricConfig::new(
-        topo,
-        vec![FlowSpec { src: 0, dst: 15 }, FlowSpec { src: 15, dst: 0 }],
-    );
-    cfg.max_backlog = 8;
-    cfg.credits = 4;
-    cfg.fault_plan = Some(FabricFaultPlan::new().panic_forwarder_at(0, panic_at));
-    let f = Fabric::start(cfg);
-    for _ in 0..packets {
-        f.submit(0, FABRIC_PKT_LEN).expect("fabric is open");
-        f.submit(1, FABRIC_PKT_LEN).expect("fabric is open");
-    }
-    let rep = f.drain_within(Duration::from_secs(120));
-    assert!(rep.is_conserving(), "panic run leaked packets");
-    assert_eq!(rep.lost_packets, 0, "a caught panic loses nothing");
-    assert_eq!(
-        rep.forwarder_exits.len(),
-        1,
-        "the armed panic must be caught exactly once"
-    );
-    let exit = &rep.forwarder_exits[0];
-    assert_eq!(exit.node, 0, "the panic was armed at node 0");
-    assert_eq!(
-        exit.poisoned_link,
-        Some(east),
-        "the panicking hand-off poisons its next-hop cable"
-    );
-    assert_eq!(
-        rep.flows[0].dead_lettered, 1,
-        "exactly the in-hand packet is charged to the panic"
-    );
-    assert_eq!(rep.flows[0].ejected_packets, packets - 1);
-    assert!(
-        rep.flows[0].rerouted > 0,
-        "traffic after the poisoned cable must take the YX alternate"
-    );
-    assert_eq!(
-        rep.flows[1].ejected_packets, packets,
-        "the reverse flow was harmed by node 0's panic"
-    );
-    ForwarderPanicSample {
-        packets_per_flow: packets,
-        panic_at,
-        dead_lettered: rep.flows[0].dead_lettered,
-        rerouted: rep.flows[0].rerouted,
-        poisoned_link: east,
     }
 }
 

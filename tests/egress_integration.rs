@@ -13,8 +13,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use err_runtime::{
-    AdmissionPolicy, BufferedConfig, DeadLinkPolicy, DrainReport, Egress, EgressMode, FaultPlan,
-    Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats, ShardExit, StallPlan, Threaded,
+    AdmissionPolicy, BufferedConfig, DeadLinkPolicy, DrainReport, Egress, EgressMode, FaultKind,
+    FaultPlan, Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats, Shape, ShardExit, Threaded,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -35,14 +35,18 @@ fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn buffered(stall_plan: Option<StallPlan>) -> EgressMode {
+fn buffered() -> EgressMode {
     EgressMode::Buffered(BufferedConfig {
         ring_capacity: 256,
         credits: 32,
         n_links: N_LINKS,
-        stall_plan,
         ..BufferedConfig::default()
     })
+}
+
+/// Link 0 frozen from shard 0's flit-clock 0, for good.
+fn link0_frozen() -> FaultPlan {
+    FaultPlan::new().freeze_at(0, 0, 0, u64::MAX)
 }
 
 /// Runs a saturating workload for `window`, returning flits delivered
@@ -51,6 +55,7 @@ fn buffered(stall_plan: Option<StallPlan>) -> EgressMode {
 /// equivalent of a dead downstream.
 fn measure_delivered(
     egress: EgressMode,
+    fault_plan: Option<FaultPlan>,
     sync_frozen: Option<Arc<AtomicBool>>,
     window: Duration,
 ) -> Vec<u64> {
@@ -65,6 +70,7 @@ fn measure_delivered(
             // link's flows stop being served.
             admission: AdmissionPolicy::DropTail { max_backlog: 64 },
             egress,
+            fault_plan,
             ..RuntimeConfig::default()
         },
         move |_shard| {
@@ -116,13 +122,9 @@ fn stalled_link_isolation_buffered_while_sync_collapses() {
     let _alone = one_at_a_time();
     let window = Duration::from_millis(250);
 
-    // Buffered: baseline, then with link 0 frozen from flush-clock 0.
-    let base_buf = measure_delivered(buffered(None), None, window);
-    let stall_buf = measure_delivered(
-        buffered(Some(StallPlan::freeze_forever(0, 0))),
-        None,
-        window,
-    );
+    // Buffered: baseline, then with link 0 frozen from flit-clock 0.
+    let base_buf = measure_delivered(buffered(), None, None, window);
+    let stall_buf = measure_delivered(buffered(), Some(link0_frozen()), None, window);
     let (base, stalled) = (unstalled_sum(&base_buf), unstalled_sum(&stall_buf));
     assert!(
         base > 10_000,
@@ -140,7 +142,7 @@ fn stalled_link_isolation_buffered_while_sync_collapses() {
     );
 
     // Sync: the same dead downstream freezes entire shards.
-    let base_sync = measure_delivered(EgressMode::Sync, None, window);
+    let base_sync = measure_delivered(EgressMode::Sync, None, None, window);
     let frozen = Arc::new(AtomicBool::new(true));
     let f2 = Arc::clone(&frozen);
     // Unfreeze from a watchdog thread after the window so shutdown
@@ -149,7 +151,7 @@ fn stalled_link_isolation_buffered_while_sync_collapses() {
         std::thread::sleep(window + Duration::from_millis(50));
         f2.store(false, Ordering::Release);
     });
-    let stall_sync = measure_delivered(EgressMode::Sync, Some(frozen), window);
+    let stall_sync = measure_delivered(EgressMode::Sync, None, Some(frozen), window);
     unfreezer.join().unwrap();
     let (base_s, stalled_s) = (unstalled_sum(&base_sync), unstalled_sum(&stall_sync));
     assert!(
@@ -178,9 +180,9 @@ fn drain_with_active_stall_strands_no_flit() {
                 ring_capacity: 64,
                 credits: 8,
                 n_links: N_LINKS,
-                stall_plan: Some(StallPlan::freeze_forever(0, 0)),
                 ..BufferedConfig::default()
             }),
+            fault_plan: Some(link0_frozen()),
             ..RuntimeConfig::default()
         },
         move |shard| {
@@ -273,7 +275,13 @@ fn credit_pool_bounds_buffered_flits_per_link() {
     const CREDITS: u64 = 4;
     let rng = desim::SimRng::new(0xE65);
     // Frequent short stalls across all links over the whole run.
-    let plan = StallPlan::from_rng(&rng, N_LINKS, 200_000, 0.005, 20, 200);
+    let shape = Shape {
+        links: vec![N_LINKS],
+        shards: 2,
+        fabric: false,
+    };
+    let plan = FaultPlan::from_rng(&rng, &shape, 0.005, 200_000)
+        .retain(|e| matches!(e.kind, FaultKind::Freeze { .. }));
     assert!(!plan.is_empty());
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
@@ -283,9 +291,9 @@ fn credit_pool_bounds_buffered_flits_per_link() {
                 ring_capacity: 32,
                 credits: CREDITS,
                 n_links: N_LINKS,
-                stall_plan: Some(plan),
                 ..BufferedConfig::default()
             }),
+            fault_plan: Some(plan),
             ..RuntimeConfig::default()
         },
         |_shard| Some(|_s: usize, _f: &ServedFlit| {}),
@@ -355,7 +363,7 @@ impl Egress for Recorder {
 #[derive(Clone, Copy, PartialEq)]
 enum Link0 {
     Healthy,
-    /// Frozen from flush-clock 0; only the drain lets its flits out.
+    /// Frozen from flit-clock 0; only the drain lets its flits out.
     FrozenForever,
     /// Dead under `HoldForRecovery` while the middle third of the
     /// workload is submitted, then resurrected: its held flits replay.
@@ -373,6 +381,13 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
     const CREDITS: u64 = 32;
     let faulted = fault_plan.is_some();
     let run = |egress: EgressMode, threaded: bool| -> (Vec<ServedFlit>, DrainReport) {
+        let fault_plan = match (&egress, link0) {
+            (EgressMode::Buffered(_), Link0::FrozenForever) => {
+                let plan = fault_plan.clone().unwrap_or_default();
+                Some(plan.freeze_at(0, 0, 0, u64::MAX))
+            }
+            _ => fault_plan.clone(),
+        };
         let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
         let s2 = Arc::clone(&seen);
         let (rt, handle) = Runtime::start_with_egress(
@@ -380,7 +395,7 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
                 shards: 1,
                 n_flows: 8,
                 egress,
-                fault_plan: fault_plan.clone(),
+                fault_plan,
                 ..RuntimeConfig::default()
             },
             move |_shard| Some(Recorder::new(Arc::clone(&s2), threaded)),
@@ -410,7 +425,6 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
         ring_capacity: 256,
         credits: CREDITS,
         n_links: N_LINKS,
-        stall_plan: (link0 == Link0::FrozenForever).then(|| StallPlan::freeze_forever(0, 0)),
         dead_link_policy: DeadLinkPolicy::HoldForRecovery,
         ..BufferedConfig::default()
     });
@@ -479,7 +493,7 @@ fn buffered_matches_sync_across_a_resurrection() {
     let _alone = one_at_a_time();
     let at = desim::SimRng::new(0x5EED).uniform_u32(500, 2_500);
     assert_buffered_matches_sync(
-        Some(FaultPlan::new().kill_shard_at(0, u64::from(at))),
+        Some(FaultPlan::new().panic_shard_at(0, 0, u64::from(at))),
         Link0::Healthy,
     );
 }
@@ -991,7 +1005,7 @@ fn event_driven_handoffs_conserve_and_rarely_time_out() {
             shards: 1,
             n_flows: N_FLOWS,
             admission: AdmissionPolicy::Backpressure { max_backlog: 64 },
-            egress: buffered(None),
+            egress: buffered(),
             ..RuntimeConfig::default()
         },
         move |_shard| adapter.take(),
@@ -1126,7 +1140,7 @@ fn idle_flushers_sleep_on_the_backstop_and_hear_the_shutdown() {
             RuntimeConfig {
                 shards: 2,
                 n_flows: N_FLOWS,
-                egress: buffered(None),
+                egress: buffered(),
                 ..RuntimeConfig::default()
             },
             move |_shard| {
@@ -1281,7 +1295,7 @@ fn a_batch_wider_than_the_credit_window_never_parks_on_its_own_ring() {
             shards: 1,
             n_flows: N_FLOWS,
             admission: AdmissionPolicy::Backpressure { max_backlog: 64 },
-            egress: buffered(None),
+            egress: buffered(),
             ..RuntimeConfig::default()
         },
         |_shard| Some(|_s: usize, _f: &ServedFlit| {}),
@@ -1518,7 +1532,7 @@ fn resurrected_worker_is_woken_through_its_reregistered_handle() {
                 n_links: 2,
                 ..BufferedConfig::default()
             }),
-            fault_plan: Some(FaultPlan::new().kill_shard_at(0, 200)),
+            fault_plan: Some(FaultPlan::new().panic_shard_at(0, 0, 200)),
             ..RuntimeConfig::default()
         },
         move |_shard| {

@@ -3,7 +3,7 @@
 //! (DESIGN.md §11.3).
 //!
 //! For random mesh shapes and fat-tree arities crossed with random
-//! flow sets, credit pools, and per-node `StallPlan`s, every packet
+//! flow sets, credit pools, and seeded `FaultPlan` freezes, every packet
 //! the fabric accepts must reach exactly one terminal outcome. With
 //! no kill faults and no dead-link watchdog, stalls can only delay —
 //! so the identity sharpens to `submitted == ejected`, flit-exact per
@@ -13,8 +13,7 @@
 use std::time::{Duration, Instant};
 
 use desim::SimRng;
-use err_repro::fabric::{Fabric, FabricConfig, FlowSpec, Topology};
-use err_repro::runtime::StallPlan;
+use err_repro::fabric::{Fabric, FabricConfig, FaultKind, FaultPlan, FlowSpec, Topology};
 use proptest::prelude::*;
 
 /// Small shapes only: each case boots one runtime (two threads) per
@@ -58,10 +57,10 @@ proptest! {
 
         // Seeded stalls on one or two random nodes, any link including
         // eject. Durations are bounded, but a stall window expires on
-        // its *own node's* flush clock — a stall that parks all of the
-        // node's traffic freezes the very clock that would thaw it, so
-        // liveness is restored administratively below; the property
-        // under test is the ledger, not stall self-expiry.
+        // the fabric's ejection clock — a stall that parks the traffic
+        // freezes the very clock that would thaw it, so liveness is
+        // restored administratively below; the property under test is
+        // the ledger, not stall self-expiry.
         let n_stalled = 1 + rng.index(2.min(topo.n_nodes()));
         let mut stalled_nodes = Vec::new();
         while stalled_nodes.len() < n_stalled {
@@ -71,25 +70,13 @@ proptest! {
             }
         }
         let horizon = packets * n_flows as u64 * 4;
-        let node_stalls = stalled_nodes
-            .iter()
-            .map(|&node| {
-                let plan = StallPlan::from_rng(
-                    &rng.derive(0xFAB0 + node as u64),
-                    topo.n_links(node),
-                    horizon,
-                    1.0 / 64.0,
-                    10,
-                    200,
-                );
-                (node, plan)
-            })
-            .collect();
-
         let mut cfg = FabricConfig::new(topo, flows.clone());
+        let plan = FaultPlan::from_rng(&rng.derive(0xFAB0), &cfg.shape(), 1.0 / 64.0, horizon);
+        cfg.fault_plan = Some(plan.retain(|e| {
+            matches!(e.kind, FaultKind::Freeze { .. }) && stalled_nodes.contains(&e.target.node)
+        }));
         cfg.credits = 4 + rng.index(12) as u64;
         cfg.max_backlog = 8 + rng.index(56) as u64;
-        cfg.node_stalls = node_stalls;
         let fabric = Fabric::start(cfg);
 
         // Bounded submits: a stalled source sheds backpressure as

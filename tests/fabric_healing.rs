@@ -2,16 +2,16 @@
 //! *transient* — a cut cable that heals loses nothing under
 //! `HoldForRecovery`, a flapping cable conserves the ledger and leaks
 //! no credits across every cycle, a killed node's revived successor
-//! picks up where the corpse left off, and a panicking forwarder is
-//! caught by its supervisor instead of wedging the fabric gate.
+//! picks up where the corpse left off, and a node whose worker panics
+//! resumes in place instead of wedging the fabric gate.
 
 use std::time::{Duration, Instant};
 
 use desim::SimRng;
 use err_repro::fabric::{
-    DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FabricFaultPlan, FabricReport, FlowSpec,
-    Topology,
+    DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FabricReport, FaultPlan, FlowSpec, Topology,
 };
+use err_repro::runtime::ShardExit;
 use proptest::prelude::*;
 
 const PKT_LEN: u32 = 4;
@@ -75,7 +75,7 @@ fn transient_cut_heals_with_nothing_lost() {
     cfg.credits = 4;
     cfg.dead_link_policy = DeadLinkPolicy::HoldForRecovery;
     cfg.fault_plan = Some(
-        FabricFaultPlan::new()
+        FaultPlan::new()
             .kill_link_at(0, east, 10)
             .heal_link_at(0, east, 60),
     );
@@ -112,7 +112,7 @@ fn heal_scheduled_inside_the_drain_window_still_fires() {
     // The cut fires almost immediately; the heal needs ~50 keeper
     // ejections, most of which happen after the drain has begun.
     cfg.fault_plan = Some(
-        FabricFaultPlan::new()
+        FaultPlan::new()
             .kill_link_at(0, east, 2)
             .heal_link_at(0, east, 50),
     );
@@ -139,7 +139,7 @@ fn unhealed_hold_ends_in_bounded_held_outcome() {
     cfg.max_backlog = 8;
     cfg.credits = 4;
     cfg.dead_link_policy = DeadLinkPolicy::HoldForRecovery;
-    cfg.fault_plan = Some(FabricFaultPlan::new().kill_link_at(0, east, 5));
+    cfg.fault_plan = Some(FaultPlan::new().kill_link_at(0, east, 5));
     let f = Fabric::start(cfg);
     // The cut never heals, so the victim's admission backlog stays
     // full and submission starves by design: stop pushing after a
@@ -176,11 +176,7 @@ fn killed_node_revives_and_held_traffic_replays() {
     cfg.max_backlog = 8;
     cfg.credits = 4;
     cfg.dead_link_policy = DeadLinkPolicy::HoldForRecovery;
-    cfg.fault_plan = Some(
-        FabricFaultPlan::new()
-            .kill_node_at(1, 10)
-            .revive_node_at(1, 60),
-    );
+    cfg.fault_plan = Some(FaultPlan::new().kill_node_at(1, 10).revive_node_at(1, 60));
     let f = Fabric::start(cfg);
     submit_interleaved(&f, &[victim, keeper]);
     let rep = f.drain_within(DRAIN);
@@ -201,42 +197,30 @@ fn killed_node_revives_and_held_traffic_replays() {
     assert_eq!(rep.flows[1].ejected_packets, keeper);
 }
 
-/// §14.4: an injected forwarder panic is caught by the supervisor —
-/// the in-hand packet dead-letters, the next-hop cable is poisoned so
-/// later tails fail over, and the fabric drains clean with the exit
-/// on the report instead of wedging on a crashed flusher.
+/// §14.4: a panic on node 0's worker — the thread that runs its
+/// Forwarder — unwinds into the worker's fence, which resumes it in
+/// place, and the fabric drains clean with nothing lost instead of
+/// wedging. A panic is a bug, not a link fault: no cable is cut.
 #[test]
 fn injected_forwarder_panic_recovers_with_honest_ledger() {
     let packets = 60u64;
     let topo = Topology::mesh(2, 2);
-    let east = topo.link_to(0, 1).expect("0-1 are neighbors");
     let mut cfg = FabricConfig::new(
         topo,
         vec![FlowSpec { src: 0, dst: 3 }, FlowSpec { src: 3, dst: 0 }],
     );
     cfg.max_backlog = 8;
     cfg.credits = 4;
-    cfg.fault_plan = Some(FabricFaultPlan::new().panic_forwarder_at(0, 10));
+    cfg.fault_plan = Some(FaultPlan::new().panic_shard_at(0, 0, 10));
     let f = Fabric::start(cfg);
     submit_interleaved(&f, &[packets, packets]);
     let rep = f.drain_within(DRAIN);
     assert!(rep.is_conserving());
     assert_eq!(rep.outcome, DrainOutcome::Graceful);
     assert_eq!(rep.lost_packets, 0);
-    assert_eq!(rep.forwarder_exits.len(), 1, "caught exactly once");
-    let exit = &rep.forwarder_exits[0];
-    assert_eq!(exit.node, 0);
-    assert_eq!(exit.poisoned_link, Some(east), "next-hop cable poisoned");
-    assert!(exit.message.contains("injected forwarder panic"));
-    assert_eq!(
-        rep.flows[0].dead_lettered, 1,
-        "only the in-hand packet dies"
-    );
-    assert_eq!(rep.flows[0].ejected_packets, packets - 1);
-    assert!(
-        rep.flows[0].rerouted > 0,
-        "later tails take the YX alternate"
-    );
+    assert_eq!(rep.node_reports[0].exits, [ShardExit::Panicked]);
+    assert!(rep.events.is_empty(), "a panic is no link event");
+    assert_eq!(rep.flows[0].ejected_packets, packets, "nothing dies");
     assert_eq!(
         rep.flows[1].ejected_packets, packets,
         "reverse flow unharmed"
@@ -250,7 +234,7 @@ fn injected_forwarder_panic_recovers_with_honest_ledger() {
 #[test]
 fn far_future_event_does_not_stall_the_drain() {
     let mut cfg = FabricConfig::new(Topology::mesh(2, 1), vec![FlowSpec { src: 0, dst: 1 }]);
-    cfg.fault_plan = Some(FabricFaultPlan::new().kill_link_at(0, 1, 1_000_000));
+    cfg.fault_plan = Some(FaultPlan::new().kill_link_at(0, 1, 1_000_000));
     let f = Fabric::start(cfg);
     submit_interleaved(&f, &[20]);
     let started = Instant::now();
@@ -306,7 +290,7 @@ proptest! {
         // Random strictly-increasing event times the keeper flow can
         // always reach on its own, even with the victim fully held.
         let mut rng = SimRng::new(seed);
-        let mut plan = FabricFaultPlan::new();
+        let mut plan = FaultPlan::new();
         let mut at = 0u64;
         for _ in 0..cycles {
             at += 3 + rng.index(15) as u64;

@@ -9,11 +9,19 @@
 //! catch → resume path exists to preserve; a fault path that leaks or
 //! double-counts even one packet fails here. A graceful drain
 //! additionally loses nothing: every death is resumed in place.
+//!
+//! One seeded `FaultPlan::from_rng` per seed also runs over a runtime
+//! under either egress and over a 2×2 fabric (DESIGN.md §9.5): every
+//! kind the plan can draw, on the clock each kind reads.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use desim::SimRng;
-use err_runtime::{AdmissionPolicy, FaultPlan, Runtime, RuntimeConfig, SubmitError};
+use err_repro::fabric::{DrainOutcome, Fabric, FabricConfig, FlowSpec, Topology};
+use err_runtime::{
+    AdmissionPolicy, BufferedConfig, EgressMode, FaultPlan, Runtime, RuntimeConfig, Shape,
+    SubmitError,
+};
 use err_sched::Packet;
 use proptest::prelude::*;
 
@@ -44,7 +52,12 @@ proptest! {
         // Rate and horizon chosen so plans actually fire mid-run for
         // most draws: a shard's share of the served flits is roughly
         // packets * mean_len / shards.
-        let plan = FaultPlan::from_rng(&rng, shards, 0, 1.0 / 500.0, 1_500);
+        let shape = Shape {
+            links: vec![0],
+            shards,
+            fabric: false,
+        };
+        let plan = FaultPlan::from_rng(&rng, &shape, 1.0 / 500.0, 1_500);
         let (rt, handle) = Runtime::start(RuntimeConfig {
             shards,
             n_flows: FLOWS,
@@ -82,7 +95,12 @@ proptest! {
 #[test]
 fn double_death_total_loss_conserves() {
     let rng = SimRng::new(852_716_844_335_134_574);
-    let plan = FaultPlan::from_rng(&rng, 2, 0, 1.0 / 500.0, 1_500);
+    let shape = Shape {
+        links: vec![0],
+        shards: 2,
+        fabric: false,
+    };
+    let plan = FaultPlan::from_rng(&rng, &shape, 1.0 / 500.0, 1_500);
     let (rt, handle) = Runtime::start(RuntimeConfig {
         shards: 2,
         n_flows: FLOWS,
@@ -115,4 +133,98 @@ fn double_death_total_loss_conserves() {
     );
     assert_eq!(report.lost_packets(), 0, "{report:?}");
     assert_eq!(report.served_packets(), accepted, "{report:?}");
+}
+
+/// Seeds of the seeded-plan test.
+const PLAN_SEEDS: u64 = 8;
+
+/// For seeds `1..=PLAN_SEEDS`, one `FaultPlan::from_rng` plan per
+/// target: a two-shard runtime under sync egress (shard panics) and
+/// under buffered egress (panics, link deaths and freezes, on the
+/// shards' flit clocks), and a 2×2 fabric (shard panics on the nodes'
+/// flit clocks; cable cuts and heals, node kills and revives, and
+/// freezes on the ejection clock). Every run conserves, and its drain
+/// ends inside its deadline: a runtime's unforced and with nothing
+/// lost, the fabric's graceful once the freezes a stopped ejection
+/// clock cannot thaw are released by hand.
+#[test]
+fn seeded_plans_conserve_over_runtimes_and_a_fabric() {
+    for seed in 1..=PLAN_SEEDS {
+        let rng = SimRng::new(seed);
+        for buffered in [false, true] {
+            let egress = match buffered {
+                true => EgressMode::Buffered(BufferedConfig {
+                    ring_capacity: 64,
+                    credits: 16,
+                    n_links: 4,
+                    ..BufferedConfig::default()
+                }),
+                false => EgressMode::Sync,
+            };
+            let mut cfg = RuntimeConfig {
+                shards: 2,
+                n_flows: FLOWS,
+                ring_capacity: 1 << 12,
+                egress,
+                ..RuntimeConfig::default()
+            };
+            let plan = FaultPlan::from_rng(&rng, &cfg.shape(), 1.0 / 300.0, 3_000);
+            cfg.fault_plan = Some(plan);
+            let (rt, handle) = Runtime::start(cfg);
+            let mut traffic = rng.derive(0xC0DE);
+            for id in 0..2_000 {
+                let flow = traffic.index(FLOWS);
+                let len = 1 + traffic.uniform_u32(0, 7);
+                let pkt = Packet::new(id, flow, len, 0);
+                let _ = handle.submit_within(pkt, Duration::from_secs(5));
+            }
+            let leg = format!("seed {seed}, buffered {buffered}");
+            let start = Instant::now();
+            let report = rt.shutdown_within(Duration::from_secs(10));
+            assert!(start.elapsed() < Duration::from_secs(11), "{leg}");
+            assert!(report.is_conserving(), "{leg}: {report:?}");
+            assert!(!report.forced, "{leg}: {report:?}");
+            assert_eq!(report.lost_packets(), 0, "{leg}: {report:?}");
+        }
+
+        let topo = Topology::mesh(2, 2);
+        let flows: Vec<FlowSpec> = (0..4)
+            .flat_map(|src| (0..4).map(move |dst| FlowSpec { src, dst }))
+            .filter(|f| f.src != f.dst)
+            .collect();
+        let mut cfg = FabricConfig::new(topo, flows.clone());
+        let plan = FaultPlan::from_rng(&rng.derive(0xFAB), &cfg.shape(), 1.0 / 40.0, 100);
+        cfg.fault_plan = Some(plan);
+        let f = Fabric::start(cfg);
+        for _ in 0..10 {
+            for flow in 0..flows.len() {
+                for _ in 0..50 {
+                    if f.try_submit(flow, 4).is_ok() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            }
+        }
+        // A freeze waits for an ejection-clock value that traffic stuck
+        // behind it cannot bring: thaw every link until the fabric is
+        // empty, as `fabric_conservation` does.
+        let thaw_by = Instant::now() + Duration::from_secs(10);
+        while f.in_flight() > 0 && Instant::now() < thaw_by {
+            for node in 0..4 {
+                for link in 0..f.topology().n_links(node) {
+                    f.controller(node).release_stall(link);
+                }
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let start = Instant::now();
+        let rep = f.drain_within(Duration::from_secs(10));
+        assert!(start.elapsed() < Duration::from_secs(11), "seed {seed}");
+        assert!(
+            rep.is_conserving(),
+            "seed {seed}: fabric ledger out of balance"
+        );
+        assert_eq!(rep.outcome, DrainOutcome::Graceful, "seed {seed}");
+    }
 }

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use desim::SimRng;
 use err_runtime::{
     AdmissionPolicy, BufferedConfig, DeadLinkPolicy, EgressMode, FaultKind, FaultPlan, LinkState,
-    Runtime, RuntimeConfig, RuntimeHandle, ShardExit, ShardHealth, StallPlan, Submitted,
+    Runtime, RuntimeConfig, RuntimeHandle, Shape, ShardExit, ShardHealth, Submitted,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -135,7 +135,12 @@ const CHAOS_LEN: u32 = 8;
 fn seeded_kill_plan(shards: usize) -> FaultPlan {
     for seed in 0..20_000u64 {
         let rng = SimRng::new(seed);
-        let plan = FaultPlan::from_rng(&rng, shards, 0, 1.0 / 800.0, 2_000);
+        let shape = Shape {
+            links: vec![0],
+            shards,
+            fabric: false,
+        };
+        let plan = FaultPlan::from_rng(&rng, &shape, 1.0 / 800.0, 2_000);
         let events = plan.events();
         if events.len() == 1 && events[0].kind == FaultKind::PanicShard && events[0].at >= 200 {
             return plan;
@@ -160,8 +165,8 @@ fn chaos_workload(
         .map(|p| {
             p.events()
                 .iter()
-                .filter(|e| !matches!(e.kind, FaultKind::KillLink(_)))
-                .map(|e| e.shard)
+                .filter(|e| e.kind == FaultKind::PanicShard)
+                .map(|e| e.target.shard)
                 .collect()
         })
         .unwrap_or_default();
@@ -257,7 +262,7 @@ fn resurrection_recovers_a_killed_shard_with_zero_loss() {
 
     for draining in [false, true] {
         let plan = seeded_kill_plan(4);
-        let victim = plan.events()[0].shard;
+        let victim = plan.events()[0].target.shard;
         let (logs, report) = chaos_workload(Some(plan), draining);
 
         assert!(report.is_conserving(), "{report:?}");
@@ -426,7 +431,7 @@ fn a_killed_shard_is_served_by_one_thread_for_life() {
                 shards: 1,
                 n_flows: 8,
                 egress,
-                fault_plan: Some(FaultPlan::new().kill_shard_at(0, 200)),
+                fault_plan: Some(FaultPlan::new().panic_shard_at(0, 0, 200)),
                 ..RuntimeConfig::default()
             },
             {
@@ -578,11 +583,11 @@ fn shutdown_within_bounds_a_forever_stalled_link() {
             n_links: LINKS,
             credits: 8,
             ring_capacity: 256,
-            // Link 0 never returns a credit from cycle 0 on.
-            stall_plan: Some(StallPlan::freeze_forever(0, 0)),
             dead_link_policy: DeadLinkPolicy::HoldForRecovery,
             ..BufferedConfig::default()
         }),
+        // Link 0 never returns a credit from cycle 0 on.
+        fault_plan: Some(FaultPlan::new().freeze_at(0, 0, 0, u64::MAX)),
         admission: AdmissionPolicy::DropTail { max_backlog: 512 },
         ..RuntimeConfig::default()
     });

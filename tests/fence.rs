@@ -20,9 +20,7 @@ use std::sync::{Arc, Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
 
 use desim::SimRng;
-use err_repro::fabric::{
-    DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FabricFaultPlan, FlowSpec, Topology,
-};
+use err_repro::fabric::{DeadLinkPolicy, DrainOutcome, Fabric, FabricConfig, FlowSpec, Topology};
 use err_runtime::{
     BufferedConfig, DrainReport, Egress, EgressMode, FaultPlan, Runtime, RuntimeConfig, ShardExit,
     Submitted,
@@ -149,14 +147,15 @@ fn a_runtime_of_n_shards_runs_n_threads() {
                     EgressMode::Sync
                 };
                 // The victim is flow 0's shard in the static partition,
-                // which routes every runtime that does not steal.
+                // which routes every flow of a runtime for its life.
                 let victim = err_runtime::ingress::home_shard(0, shards);
                 let before: HashSet<u64> = threads().into_iter().map(|t| t.0).collect();
                 let (rt, handle) = Runtime::start(RuntimeConfig {
                     shards,
                     n_flows: FLOWS,
                     egress,
-                    fault_plan: planned_kill.then(|| FaultPlan::new().kill_shard_at(victim, 40)),
+                    fault_plan: planned_kill
+                        .then(|| FaultPlan::new().panic_shard_at(0, victim, 40)),
                     ..RuntimeConfig::default()
                 });
                 let running = threads_since(&before);
@@ -199,7 +198,7 @@ fn a_runtime_of_n_shards_runs_n_threads() {
 /// Thread census of a fabric (Linux, DESIGN.md §14.1): `Fabric::start`
 /// adds exactly `nodes × shards_per_node` threads, all `err-shard-*`
 /// node workers; a run whose plan holds every event kind — link kill
-/// and heal, node kill and revive, forwarder panic — never adds one;
+/// and heal, node kill and revive, a node's shard panic — never adds one;
 /// and the drain leaves the process with the threads it started with.
 #[cfg(target_os = "linux")]
 #[test]
@@ -213,15 +212,15 @@ fn a_fabric_runs_its_node_workers_and_nothing_else() {
         .filter(|s| s.src != s.dst)
         .collect();
     for shards in [1usize, 2] {
-        let plan = FabricFaultPlan::new()
+        let plan = FaultPlan::new()
             .kill_link_at(0, east, 5)
             .kill_node_at(3, 10)
             .heal_link_at(0, east, 15)
-            .panic_forwarder_at(2, 20)
+            .panic_shard_at(2, 0, 20)
             .revive_node_at(3, 25);
         let mut cfg = FabricConfig::new(topo.clone(), flows.clone());
         cfg.shards_per_node = shards;
-        // The panic poisons a cable for good: dead-letter across it.
+        // Dead-letter what crosses the cut cable or the dead node.
         cfg.dead_link_policy = DeadLinkPolicy::DropAndAccount;
         cfg.fault_plan = Some(plan);
         let before: HashSet<u64> = threads().into_iter().map(|t| t.0).collect();
@@ -251,7 +250,16 @@ fn a_fabric_runs_its_node_workers_and_nothing_else() {
         let rep = f.drain_within(Duration::from_secs(60));
         assert!(rep.is_conserving(), "{shards} shards");
         assert_eq!(rep.outcome, DrainOutcome::Graceful, "{shards} shards");
-        assert_eq!(rep.events.len(), 5, "{shards} shards: every event fired");
+        assert_eq!(
+            rep.events.len(),
+            4,
+            "{shards} shards: every link and node event fired"
+        );
+        assert_eq!(
+            rep.node_reports[2].exits[0],
+            ShardExit::Panicked,
+            "{shards} shards: the panic fired on node 2's flit clock"
+        );
         assert_eq!(
             threads_since(&before),
             [],
@@ -310,7 +318,7 @@ fn distinct(rng: &mut SimRng, count: usize, below: u64) -> Vec<u64> {
     v
 }
 
-/// One seeded leg: a one-shard runtime with no stealing, `kills`
+/// One seeded leg: a one-shard runtime, `kills`
 /// planned at `fault_tick` and the sink panicking on `sink_panics`.
 /// Returns the drain report and what the sink logged.
 fn fence_leg(
@@ -331,7 +339,7 @@ fn fence_leg(
     };
     let plan = kills
         .iter()
-        .fold(FaultPlan::new(), |plan, &at| plan.kill_shard_at(0, at));
+        .fold(FaultPlan::new(), |plan, &at| plan.panic_shard_at(0, 0, at));
     let log = Arc::new(Mutex::new(Vec::new()));
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
@@ -372,7 +380,7 @@ fn fence_leg(
 /// injected ones, delivery is FIFO per flow, the ledger conserves with
 /// nothing lost, and the shard's exit is `Panicked`.
 ///
-/// The sync legs run one shard with no stealing, so no flow ever parks
+/// The sync legs run one shard with no links, so no flow ever parks
 /// and `err-sched`'s debug-build Lemma 1 bookkeeping assertion
 /// (`SC_i ≤ PreviousMaxSC`) is live on every visit after each resume:
 /// a firing would be one more recorded panic. Under sync egress every
