@@ -94,9 +94,6 @@ pub(crate) const MUTEX_FILES: &[&str] = &[
     // cut or heal, and at drain — never per flit (the per-flit fabric
     // path is the forwarder's lock-free handoff).
     "crates/err-fabric/src/fabric.rs",
-    // HopTracker entry stamps (§11.8): sharded map touched once per
-    // packet per hop — never per flit — on the forwarder's tail path.
-    "crates/err-fabric/src/hops.rs",
 ];
 
 /// Trait impls whose method override is load-bearing: `(trait name,
@@ -119,6 +116,10 @@ pub(crate) const PAIRED_FILES: &[&str] = &[
     "crates/err-fabric/src/chaos.rs",
     "crates/err-fabric/src/fabric.rs",
     "crates/err-egress/src/flusher.rs",
+    // The hop slot table's claim, field and publish edges (§11.8): a
+    // site added without its clause could let a reader accept a mixed
+    // stamp.
+    "crates/err-fabric/src/hops.rs",
     // The wake handshake's three swaps are one chain; a fourth site
     // added without its clause would be a silent protocol change.
     "crates/err-egress/src/wake.rs",

@@ -16,6 +16,7 @@ use err_egress::{
     spsc_ring, CreditPool, DeadLinkPolicy, Egress, FlusherCore, LinkSet, ServedFlit, Sleep,
     WakeCell,
 };
+use err_fabric::{HopEntry, HopTracker};
 use err_runtime::channel::MpscRing;
 use err_runtime::gate::DrainGate;
 use loom::cell::UnsafeCell;
@@ -933,6 +934,127 @@ fn mutant_credit_return_stamp_store() {
             // `poll_deadlines` with a deadline of 0.
             let lag = clock.load(Ordering::Acquire) - stamp.load(Ordering::Relaxed);
             assert_eq!(lag, 0, "the stamp fell behind the clock");
+        });
+    });
+}
+
+// ---------------------------------------------------------------------
+// The hop slot table (DESIGN.md §11.8): per-packet entry stamps that
+// two in-flight ids may have to share.
+// ---------------------------------------------------------------------
+
+/// The §11.8 stamp of packet `id` in the hop-slot models: two fields a
+/// reader must never take from different writers.
+fn hop_stamp(id: u64) -> HopEntry {
+    HopEntry {
+        entry_us: 10 * id,
+        entry_served_flits: 10 * id + 1,
+    }
+}
+
+/// The hop slot table through the shipped [`HopTracker`], shrunk to
+/// one slot so packets 1 and 2 collide: their writers race each other
+/// while a reader looks up both ids. A read may find nothing (the
+/// other id holds the slot, or a writer is mid-stamp) but never
+/// accepts a stamp whose two fields came from different writers. A
+/// claim fails only against a writer that then lands, so after both
+/// writers the slot holds exactly one whole stamp. Preemption-bounded:
+/// a mixed read needs one preemption (the reader stopped between its
+/// two field loads while the other writer stamps).
+#[test]
+fn model_hop_slot_never_mixes_stamps() {
+    let mut b = Builder::new();
+    b.max_preemptions = Some(3);
+    b.max_iterations = 2_000_000;
+    let report = b.check(|| {
+        let slots = Arc::new(HopTracker::with_slots(1));
+        let writers: Vec<_> = [1u64, 2]
+            .into_iter()
+            .map(|id| {
+                let slots = Arc::clone(&slots);
+                thread::spawn(move || slots.stamp(id, hop_stamp(id)))
+            })
+            .collect();
+        for id in [1u64, 2] {
+            if let Some(seen) = slots.read(id) {
+                assert_eq!(seen, hop_stamp(id), "a mixed stamp was accepted");
+            }
+        }
+        let landed: Vec<bool> = writers
+            .into_iter()
+            .map(|w| w.join().expect("writer"))
+            .collect();
+        assert!(landed.contains(&true), "both claims failed");
+        let held: Vec<HopEntry> = [1u64, 2].iter().filter_map(|&id| slots.read(id)).collect();
+        assert_eq!(held.len(), 1, "the slot holds one whole stamp");
+    });
+    println!(
+        "model_hop_slot_never_mixes_stamps: {} interleavings (complete={})",
+        report.executions, report.complete
+    );
+    assert!(report.complete, "bounded DFS must exhaust");
+}
+
+/// `HopTracker::read` without its second tag check: a reader that saw
+/// packet 1's tag and then loses the CPU between its two field loads
+/// accepts packet 1's `entry_us` with packet 2's `entry_served_flits`
+/// once packet 2's writer claims and fills the shared slot.
+#[test]
+fn mutant_hop_slot_single_tag_check() {
+    use loom::sync::atomic::{AtomicU64, Ordering};
+    const BUSY: u64 = u64::MAX - 1;
+    struct Slot {
+        tag: AtomicU64,
+        entry_us: AtomicU64,
+        entry_served_flits: AtomicU64,
+    }
+    impl Slot {
+        // As shipped: claim with one CAS, fill, publish the tag last.
+        fn stamp(&self, id: u64, e: HopEntry) {
+            let seen = self.tag.load(Ordering::Relaxed);
+            if seen == BUSY
+                || self
+                    .tag
+                    .compare_exchange(seen, BUSY, Ordering::Acquire, Ordering::Relaxed)
+                    .is_err()
+            {
+                return;
+            }
+            self.entry_us.store(e.entry_us, Ordering::Release);
+            self.entry_served_flits
+                .store(e.entry_served_flits, Ordering::Release);
+            self.tag.store(id, Ordering::Release);
+        }
+        // MUTATION: shipped `read` checks the tag again after the
+        // field loads and refuses if it moved.
+        fn read(&self, id: u64) -> Option<HopEntry> {
+            if self.tag.load(Ordering::Acquire) != id {
+                return None;
+            }
+            Some(HopEntry {
+                entry_us: self.entry_us.load(Ordering::Acquire),
+                entry_served_flits: self.entry_served_flits.load(Ordering::Acquire),
+            })
+        }
+    }
+    expect_violation("hop_slot_single_tag_check", || {
+        let mut b = Builder::new();
+        b.max_preemptions = Some(3);
+        b.check(|| {
+            let slot = Arc::new(Slot {
+                tag: AtomicU64::new(u64::MAX),
+                entry_us: AtomicU64::new(0),
+                entry_served_flits: AtomicU64::new(0),
+            });
+            slot.stamp(1, hop_stamp(1));
+            let other = {
+                let slot = Arc::clone(&slot);
+                thread::spawn(move || slot.stamp(2, hop_stamp(2)))
+            };
+            if let Some(seen) = slot.read(1) {
+                assert_eq!(seen, hop_stamp(1), "a mixed stamp was accepted");
+            }
+            other.join().expect("writer");
         });
     });
 }

@@ -16,7 +16,7 @@ use err_sched::Packet;
 
 use crate::chaos::{DeadMap, FabricFaultEvent};
 use crate::forwarder::Forwarder;
-use crate::hops::{HopEntry, HopTracker};
+use crate::hops::{HopEntry, HopTracker, SLOTS};
 use crate::stats::{FabricLedger, FlowSnapshot, HopSnapshot, NodeCounters};
 use crate::topology::{FlowSpec, Topology};
 
@@ -560,7 +560,7 @@ impl Fabric {
         // for its Forwarder; the ledger gets one accumulator cell per
         // path node (§11.8).
         let routes = topo.compile(&specs);
-        let tracker = Arc::new(HopTracker::new());
+        let tracker = Arc::new(HopTracker::with_slots(SLOTS));
         let ledger = Arc::new(FabricLedger::with_hops(&routes.path_lens));
         let gate = Arc::new(FabricGate::new());
         let policy = cfg.dead_link_policy;
@@ -675,27 +675,25 @@ impl Fabric {
             len,
             arrival: self.epoch.elapsed().as_micros() as u64,
         };
+        // §11.8 entry stamp at the source node, before the submit that
+        // makes the packet visible there (the ingress ring's push
+        // carries it to the worker): entry is the arrival, so hop 0
+        // includes any wait in source admission and the hop µs sum to
+        // the end-to-end latency. A packet that never enters leaves a
+        // stale stamp no later id matches.
+        self.tracker.stamp(
+            pkt.id,
+            HopEntry {
+                entry_us: pkt.arrival,
+                entry_served_flits: handle.served_flits(),
+            },
+        );
         let res = match timeout {
             Some(t) => handle.submit_within(pkt, t),
             None => handle.submit(pkt),
         };
         match &res {
-            Ok(Submitted::Enqueued) => {
-                self.ledger.on_submitted(flow);
-                // §11.8 entry stamp at the source node, post-admission
-                // (a pre-submit stamp would charge admission-blocked
-                // time to the source hop). Losing the race against an
-                // idle node serving the whole packet first costs one
-                // hop sample, never a misattributed one.
-                self.tracker.replace(
-                    pkt.id,
-                    HopEntry {
-                        node: src,
-                        entry_us: self.epoch.elapsed().as_micros() as u64,
-                        entry_served_flits: handle.served_flits(),
-                    },
-                );
-            }
+            Ok(Submitted::Enqueued) => self.ledger.on_submitted(flow),
             Ok(Submitted::Dropped) => {
                 // Source admission accounted it: submitted and
                 // terminally dropped in one step.
@@ -787,19 +785,27 @@ impl Fabric {
     }
 
     /// Graceful multi-node drain (DESIGN.md §11.3): close the gate,
-    /// wait for in-flight to reach zero, then shut every node down —
-    /// by then all are empty, so zero flits are lost on this path. A
-    /// deadline miss falls back to forced per-node `shutdown_within`,
-    /// honestly reported (`forced`, extra `lost_packets`). Under
-    /// `HoldForRecovery` with a cable still dead, the wait exits as
-    /// soon as progress stops instead of spinning to the deadline —
-    /// the held flits need a heal that cannot arrive once the fabric
-    /// is closed (§14.3, `DrainOutcome::HeldForRecovery`).
+    /// put every node's egress in drain mode (a frozen link stops
+    /// blocking, as in a runtime's own drain; a dead one still holds,
+    /// §9.3), wait for in-flight to reach zero, then shut every node
+    /// down — by then all are empty, so zero flits are lost on this
+    /// path. A deadline miss falls back to forced per-node
+    /// `shutdown_within`, honestly reported (`forced`, extra
+    /// `lost_packets`). Under `HoldForRecovery` with a cable still
+    /// dead, the wait exits as soon as progress stops instead of
+    /// spinning to the deadline — the held flits need a heal that
+    /// cannot arrive once the fabric is closed (§14.3,
+    /// `DrainOutcome::HeldForRecovery`).
     pub fn drain_within(self, deadline: Duration) -> FabricReport {
         /// How long ejections and departures may stand still before a
         /// dead held link is judged permanent for this drain.
         const HELD_STAGNATION: Duration = Duration::from_millis(150);
         self.gate.close();
+        // A freeze whose thaw is due at an ejection the frozen traffic
+        // would have to make never thaws: drain mode lets it through.
+        for node in 0..self.nodes.len() {
+            self.controller(node).links().set_draining(true);
+        }
         let end = Instant::now() + deadline;
         let mut outcome = DrainOutcome::Graceful;
         let mut last_progress = (self.gate.in_flight(), self.ledger.ejected_total());

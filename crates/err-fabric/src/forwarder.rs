@@ -14,10 +14,10 @@
 //! A wormhole route is fixed per flow and per hop, so nothing here
 //! routes: each flit reads its flow's entry in the node's hop table,
 //! compiled once at `Fabric::start` (§11.1). A tail hand-off reads its
-//! peer's handle from the fixed slice `Fabric::start` installed, pays
-//! one `HopTracker` lock trip (two when refused) and one clock read; the
-//! topology is asked for alternates only once the primary link is not
-//! viable.
+//! peer's handle from the fixed slice `Fabric::start` installed, reads
+//! the clock once, and reads and writes the packet's `HopTracker` slot
+//! without a lock (one more write when refused, §11.8); the topology is
+//! asked for alternates only once the primary link is not viable.
 //!
 //! The ejection that reaches a chaos event applies it in place (§11.4):
 //! flag flips, a link frozen or thawed, a node's runtime taken down or
@@ -121,13 +121,11 @@ impl Forwarder {
         }
     }
 
-    /// Turns a taken entry stamp into a hop record at this node's
+    /// Turns this node's entry stamp into a hop record at its
     /// `position` on the flow's path (skipped off-path, §11.7):
-    /// service-clock and wall deltas from post-admission entry to tail
-    /// service. Entries stamped for a different node (a lost stamping
-    /// race, see `hops`) are dropped.
+    /// service-clock and wall deltas from entry to tail service.
     fn record_hop(&self, flow: usize, position: Option<usize>, entry: HopEntry, now_us: u64) {
-        let Some(hop) = position.filter(|_| entry.node == self.node) else {
+        let Some(hop) = position else {
             return;
         };
         let handle = &self.faults.handles()[self.node];
@@ -151,7 +149,7 @@ impl Forwarder {
                     let clock = self
                         .ledger
                         .on_packet_ejected(flow, now_us.saturating_sub(flit.arrival));
-                    if let Some(entry) = self.tracker.take(flit.packet) {
+                    if let Some(entry) = self.tracker.read(flit.packet) {
                         self.record_hop(flow, hop.position, entry, now_us);
                     }
                     self.counters.on_ejected();
@@ -220,7 +218,6 @@ impl Forwarder {
     /// this Forwarder unwound, its packet is charged as dead-lettered
     /// and departs the fabric gate.
     fn dead_letter(&self, flit: &ServedFlit) {
-        self.tracker.take(flit.packet);
         self.ledger.on_dead_lettered(flit.flow);
         self.counters.on_dead_lettered();
         self.gate.depart(1);
@@ -243,11 +240,10 @@ impl Forwarder {
         }
         let peer_handle = &self.faults.handles()[peer];
         // Pre-stamp the peer entry: the instant the submit lands in the
-        // peer's ring its tail may be served there, and the stamp must
-        // already be visible (§11.8). The one lock trip hands back this
-        // node's stamp, restored on a refusal.
+        // peer's ring its tail may be served there, and the ring's push
+        // carries the stamp across (§11.8). This node's stamp is read
+        // first, and restored on a refusal.
         let stamp = HopEntry {
-            node: peer,
             entry_us: now_us,
             entry_served_flits: peer_handle.served_flits(),
         };
@@ -267,8 +263,8 @@ impl Forwarder {
                 })
             }
             Ok(Submitted::Dropped) | Err(SubmitError::Rejected) => {
-                // Downstream admission accounted it: terminal.
-                self.tracker.take(pkt.id);
+                // Downstream admission accounted it: terminal. Its stale
+                // stamp matches no later packet.
                 self.ledger.on_dropped(flow);
                 self.counters.on_dropped_downstream();
                 self.gate.depart(1);
@@ -294,11 +290,12 @@ impl Forwarder {
         }
     }
 
-    /// Puts back the stamp a refused hand-off replaced.
+    /// Puts back the stamp a refused hand-off replaced, or clears the
+    /// peer's if this node had none: the packet stays here.
     fn restore(&self, packet: u64, prev: Option<HopEntry>) {
         match prev {
             Some(entry) => {
-                self.tracker.replace(packet, entry);
+                self.tracker.stamp(packet, entry);
             }
             None => {
                 self.tracker.take(packet);
@@ -346,6 +343,8 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     use err_runtime::{AdmissionPolicy, Runtime, RuntimeConfig};
+
+    use crate::hops::SLOTS;
 
     thread_local! {
         /// Heap requests made by this thread.
@@ -401,13 +400,13 @@ mod tests {
 
     const RING: usize = 4096;
 
-    /// The harness; `take_stamps` makes node 1's sink retire each
-    /// packet's stamp when it serves the tail, as its own forwarder
-    /// would on eject.
+    /// The harness; `take_stamps` makes node 1's sink take each
+    /// packet's stamp when it serves the tail, where its own forwarder
+    /// would read it on eject.
     fn harness(take_stamps: bool) -> Harness {
         let blocked = Arc::new(AtomicBool::new(false));
         let waiting = Arc::new(AtomicBool::new(false));
-        let tracker = Arc::new(HopTracker::new());
+        let tracker = Arc::new(HopTracker::with_slots(SLOTS));
         let (peer, peer_handle) = {
             let (blocked, waiting, tracker) = (
                 Arc::clone(&blocked),
@@ -512,22 +511,22 @@ mod tests {
 
     /// The tail hand-off is paid once per packet per hop on a shard
     /// worker: it must not touch the heap — no `Vec` of candidate
-    /// links, nothing in the refusal path — once the `HopTracker` maps
-    /// have their capacity.
+    /// links, nothing in the refusal path, no stamp: the `HopTracker`
+    /// slots are allocated whole when the table is built.
     #[test]
     fn tail_hand_offs_allocate_nothing_after_warm_up() {
         let mut h = harness(true);
-        // Warm-up: the maps keep the capacity of the most stamps they
-        // ever held, and no more than a ring's worth is ever in flight.
+        // Warm-up: the slot table has nothing to grow. An id that
+        // shares a slot with a stamped one reads nothing, never the
+        // other packet's stamp; the stamp itself survives the read.
+        let stamped = 1u64 << 40;
         let entry = HopEntry {
-            node: 1,
-            entry_us: 0,
-            entry_served_flits: 0,
+            entry_us: 7,
+            entry_served_flits: 9,
         };
-        (0..4 * RING as u64).for_each(|id| {
-            h.tracker.replace(id, entry);
-        });
-        assert!((0..4 * RING as u64).all(|id| h.tracker.take(id).is_some()));
+        assert!(h.tracker.stamp(stamped, entry));
+        assert!(h.tracker.read(stamped + SLOTS as u64).is_none());
+        assert_eq!(h.tracker.take(stamped), Some(entry));
         let allocs = || ALLOCS.with(Cell::get);
 
         // Accepted: the peer drains as fast as we hand over.
@@ -569,7 +568,6 @@ mod tests {
         let probe = h.fill_until_refused(0);
         // What the source submit stamped when node 0 took the packet.
         let source = HopEntry {
-            node: 0,
             entry_us: 0,
             entry_served_flits: 0,
         };
@@ -589,7 +587,7 @@ mod tests {
         assert_eq!(hops[0].packets, 1, "one sample for the refusing node");
         assert_eq!(hops[1].packets, 0, "node 1's sink records nothing");
         let left = h.tracker.take(probe).expect("the peer's stamp");
-        assert_eq!(left.node, 1, "the stamp left behind is the peer's");
+        assert!(left.entry_us > 0, "the stamp left behind is the peer's");
         let report = h.peer.shutdown();
         assert!(report.is_conserving(), "{report:?}");
     }

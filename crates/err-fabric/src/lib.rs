@@ -31,12 +31,17 @@ mod chaos;
 pub mod fabric;
 mod forwarder;
 mod hops;
-pub mod stats;
+mod stats;
 pub mod topology;
 
 pub use chaos::FabricFaultEvent;
 pub use err_egress::DeadLinkPolicy;
 pub use err_runtime::{ConfigError, FaultEvent, FaultKind, FaultPlan, Shape, Target};
 pub use fabric::{DrainOutcome, Fabric, FabricConfig, FabricReport, PathStats};
-pub use stats::{FabricLedger, FlowSnapshot, HopSnapshot, NodeCounters};
+pub use stats::{FabricLedger, FlowSnapshot, HopSnapshot};
 pub use topology::{FlowSpec, LinkEnd, NextHop, Topology};
+
+/// The §11.8 slot table, exported only for `err-check`'s model suite.
+#[cfg(feature = "loom")]
+#[doc(hidden)]
+pub use hops::{HopEntry, HopTracker};

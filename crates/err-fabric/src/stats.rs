@@ -8,19 +8,50 @@
 //! needs monotonicity, not cross-counter consistency: each ejection
 //! gets its own clock value, and the ejecting worker whose value
 //! reaches the next due event applies it.
+//!
+//! **One writer per cell where the route allows it.** A flow is served
+//! at every node by the worker of its home shard (DESIGN.md §8), so the
+//! cells only one node ever writes for a flow have one writing thread:
+//! the flow's eject-side fields (node `dst`) and its per-hop cells
+//! (node `path[p]` for cell `p`). Those take a `Relaxed` load and a
+//! store instead of a locked read-modify-write. Counters several nodes
+//! or the producer bump keep their RMWs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Adds `n` to a counter only one thread writes: a load and a store,
+/// no locked RMW. Readers on other threads see the old or new value.
+#[inline]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+/// Raises a maximum only one thread writes.
+#[inline]
+fn raise(cell: &AtomicU64, v: u64) {
+    if v > cell.load(Ordering::Relaxed) {
+        cell.store(v, Ordering::Relaxed);
+    }
+}
+
 /// Per-flow counters, all `Relaxed` (see module docs).
 #[derive(Default)]
-pub struct FlowLedger {
+pub(crate) struct FlowLedger {
+    /// Written by any producer thread: RMW.
     submitted: AtomicU64,
+    /// Written only by the flow's home-shard worker at node `dst`.
     ejected_packets: AtomicU64,
+    /// Written only by the flow's home-shard worker at node `dst`.
     ejected_flits: AtomicU64,
+    /// Written by the producer and by any node's worker: RMW.
     dropped: AtomicU64,
+    /// Written by any node's worker: RMW.
     dead_lettered: AtomicU64,
+    /// Written by any node's worker: RMW.
     rerouted: AtomicU64,
+    /// Written only by the flow's home-shard worker at node `dst`.
     latency_sum_us: AtomicU64,
+    /// Written only by the flow's home-shard worker at node `dst`.
     latency_max_us: AtomicU64,
     /// One cell per node on the flow's fault-free path (§11.8).
     hops: Vec<HopCell>,
@@ -29,7 +60,9 @@ pub struct FlowLedger {
 /// Per-hop latency accumulators of one path node (§11.8): written
 /// once per packet tail served there, in both the node's service
 /// clock (flits served between entry and tail — wall-noise-free) and
-/// wall microseconds (which telescope to the end-to-end figure).
+/// wall microseconds (which telescope to the end-to-end figure). Cell
+/// `p` is written only by the flow's home-shard worker at node
+/// `path[p]`.
 #[derive(Default)]
 struct HopCell {
     packets: AtomicU64,
@@ -101,8 +134,9 @@ impl FlowSnapshot {
     }
 }
 
-/// The fabric-wide ledger: one [`FlowLedger`] per flow plus the global
-/// ejection clock and the lost count (killed nodes' residuals, §11.4).
+/// The fabric-wide ledger: one set of counters per flow plus the
+/// global ejection clock and the lost count (killed nodes' residuals,
+/// §11.4).
 pub struct FabricLedger {
     flows: Vec<FlowLedger>,
     ejected_total: AtomicU64,
@@ -110,15 +144,9 @@ pub struct FabricLedger {
 }
 
 impl FabricLedger {
-    /// A zeroed ledger over `n_flows` flows, without per-hop cells
-    /// (hop attribution disabled; see [`with_hops`](Self::with_hops)).
-    pub fn new(n_flows: usize) -> Self {
-        Self::with_hops(&vec![0usize; n_flows])
-    }
-
     /// A zeroed ledger with `hop_counts[flow]` per-hop cells per flow
     /// (one per node on the flow's fault-free path, §11.8).
-    pub fn with_hops(hop_counts: &[usize]) -> Self {
+    pub(crate) fn with_hops(hop_counts: &[usize]) -> Self {
         Self {
             flows: hop_counts
                 .iter()
@@ -138,68 +166,64 @@ impl FabricLedger {
     }
 
     /// Records a packet accepted at its source node.
-    pub fn on_submitted(&self, flow: usize) {
+    pub(crate) fn on_submitted(&self, flow: usize) {
         self.flows[flow].submitted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one flit delivered at the destination eject end.
-    pub fn on_flit_ejected(&self, flow: usize) {
-        self.flows[flow]
-            .ejected_flits
-            .fetch_add(1, Ordering::Relaxed);
+    /// Records one flit delivered at the destination eject end. Only
+    /// the flow's home-shard worker at `dst` calls this.
+    pub(crate) fn on_flit_ejected(&self, flow: usize) {
+        bump(&self.flows[flow].ejected_flits, 1);
     }
 
     /// Records a packet fully ejected (its tail flit delivered), with
-    /// its end-to-end latency. Returns the new ejection-clock value,
-    /// which no other ejection shares (§11.4).
-    pub fn on_packet_ejected(&self, flow: usize, latency_us: u64) -> u64 {
+    /// its end-to-end latency. Only the flow's home-shard worker at
+    /// `dst` calls this. Returns the new ejection-clock value, which no
+    /// other ejection shares (§11.4): the clock is every node's, so it
+    /// keeps its RMW.
+    pub(crate) fn on_packet_ejected(&self, flow: usize, latency_us: u64) -> u64 {
         let f = &self.flows[flow];
-        f.ejected_packets.fetch_add(1, Ordering::Relaxed);
-        f.latency_sum_us.fetch_add(latency_us, Ordering::Relaxed);
-        // Read before write: the max rarely moves, and a load leaves
-        // the line shared where an RMW would take it exclusive.
-        if latency_us > f.latency_max_us.load(Ordering::Relaxed) {
-            f.latency_max_us.fetch_max(latency_us, Ordering::Relaxed);
-        }
+        bump(&f.ejected_packets, 1);
+        bump(&f.latency_sum_us, latency_us);
+        raise(&f.latency_max_us, latency_us);
         self.ejected_total.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Records an admission drop/reject at any hop.
-    pub fn on_dropped(&self, flow: usize) {
+    pub(crate) fn on_dropped(&self, flow: usize) {
         self.flows[flow].dropped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a no-live-next-hop kill (§11.2).
-    pub fn on_dead_lettered(&self, flow: usize) {
+    pub(crate) fn on_dead_lettered(&self, flow: usize) {
         self.flows[flow]
             .dead_lettered
             .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a packet crossing an alternate link (§11.4).
-    pub fn on_rerouted(&self, flow: usize) {
+    pub(crate) fn on_rerouted(&self, flow: usize) {
         self.flows[flow].rerouted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n` packets lost inside a killed or force-drained node.
-    pub fn on_lost(&self, n: u64) {
+    pub(crate) fn on_lost(&self, n: u64) {
         self.lost.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one packet tail served at path node `hop` of `flow`:
     /// `cycles` on the node's service clock, `us` on the wall clock
-    /// (§11.8). Out-of-range hops (reroute detours, or a ledger built
-    /// without hop cells) are ignored.
-    pub fn on_hop(&self, flow: usize, hop: usize, cycles: u64, us: u64) {
+    /// (§11.8). Only the flow's home-shard worker at node `path[hop]`
+    /// calls this. Out-of-range hops (a ledger built without hop cells)
+    /// are ignored.
+    pub(crate) fn on_hop(&self, flow: usize, hop: usize, cycles: u64, us: u64) {
         let Some(cell) = self.flows[flow].hops.get(hop) else {
             return;
         };
-        cell.packets.fetch_add(1, Ordering::Relaxed);
-        cell.sum_cycles.fetch_add(cycles, Ordering::Relaxed);
-        cell.sum_us.fetch_add(us, Ordering::Relaxed);
-        if cycles > cell.max_cycles.load(Ordering::Relaxed) {
-            cell.max_cycles.fetch_max(cycles, Ordering::Relaxed);
-        }
+        bump(&cell.packets, 1);
+        bump(&cell.sum_cycles, cycles);
+        bump(&cell.sum_us, us);
+        raise(&cell.max_cycles, cycles);
     }
 
     /// Snapshot of one flow's per-hop accumulators, in path order
@@ -252,7 +276,7 @@ impl FabricLedger {
 /// after a node's threads are joined, for the §11.4 lost computation —
 /// a packet that entered a node and never shows in these left it).
 #[derive(Default)]
-pub struct NodeCounters {
+pub(crate) struct NodeCounters {
     ejected_packets: AtomicU64,
     forwarded_packets: AtomicU64,
     dropped_downstream: AtomicU64,
@@ -262,22 +286,22 @@ pub struct NodeCounters {
 
 impl NodeCounters {
     /// Records a packet ejected at this node.
-    pub fn on_ejected(&self) {
+    pub(crate) fn on_ejected(&self) {
         self.ejected_packets.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a packet handed to a downstream node's ingress.
-    pub fn on_forwarded(&self) {
+    pub(crate) fn on_forwarded(&self) {
         self.forwarded_packets.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a packet dropped/rejected by downstream admission.
-    pub fn on_dropped_downstream(&self) {
+    pub(crate) fn on_dropped_downstream(&self) {
         self.dropped_downstream.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a packet dead-lettered at this node.
-    pub fn on_dead_lettered(&self) {
+    pub(crate) fn on_dead_lettered(&self) {
         self.dead_lettered.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -286,13 +310,13 @@ impl NodeCounters {
     /// per wake or 100 µs poll — never from its idle looks — so the
     /// count is backpressure events on this node's cables, not the
     /// retries of a busy-wait.
-    pub fn on_refusal(&self) {
+    pub(crate) fn on_refusal(&self) {
         self.refusals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Packets that reached a terminal-or-next-hop outcome here:
     /// ejected, forwarded, dropped downstream, or dead-lettered.
-    pub fn departed_packets(&self) -> u64 {
+    pub(crate) fn departed_packets(&self) -> u64 {
         self.ejected_packets.load(Ordering::Relaxed)
             + self.forwarded_packets.load(Ordering::Relaxed)
             + self.dropped_downstream.load(Ordering::Relaxed)
@@ -300,7 +324,7 @@ impl NodeCounters {
     }
 
     /// Refused tail handoffs (each is one backpressure observation).
-    pub fn refusals(&self) -> u64 {
+    pub(crate) fn refusals(&self) -> u64 {
         self.refusals.load(Ordering::Relaxed)
     }
 }
@@ -311,7 +335,7 @@ mod tests {
 
     #[test]
     fn ledger_counts_and_clock() {
-        let l = FabricLedger::new(2);
+        let l = FabricLedger::with_hops(&[0, 0]);
         l.on_submitted(0);
         l.on_submitted(0);
         l.on_flit_ejected(0);

@@ -728,3 +728,90 @@ fn submit_after_drain_is_refused() {
     let rep = f.drain_within(DRAIN);
     assert!(rep.is_conserving());
 }
+
+/// Every ordered pair of distinct nodes of `topo`, as flows.
+fn all_pairs(topo: &Topology) -> Vec<FlowSpec> {
+    let n = topo.n_nodes();
+    (0..n)
+        .flat_map(|src| (0..n).map(move |dst| FlowSpec { src, dst }))
+        .filter(|f| f.src != f.dst)
+        .collect()
+}
+
+/// A freeze whose thaw is due at an ejection-clock value the traffic
+/// never reaches is lifted by the drain itself: `drain_within` puts
+/// every node's egress in drain mode before it waits, as a runtime's
+/// own drain does, so the frozen traffic ejects and the drain ends
+/// graceful, long before its deadline (DESIGN.md §11.3). No test code
+/// thaws anything.
+#[test]
+fn a_drain_lifts_a_freeze_the_traffic_cannot_thaw() {
+    const PER_FLOW: u64 = 10;
+    let topo = Topology::mesh(2, 2);
+    let flows = all_pairs(&topo);
+    let east = topo.link_to(0, 1).expect("0-1 are neighbors");
+    let mut cfg = FabricConfig::new(topo, flows.clone());
+    // Node 3's eject end and node 0's cable east freeze at the fifth
+    // ejection, to thaw at an ejection no run of this size makes.
+    cfg.fault_plan = Some(
+        FaultPlan::new()
+            .freeze_at(3, 0, 5, 1_000_000)
+            .freeze_at(0, east, 5, 1_000_000),
+    );
+    let f = Fabric::start(cfg);
+    // 10 four-flit packets a flow stay inside every node's admission
+    // backlog (64 flits), so a blocking submit never waits on a freeze.
+    for _ in 0..PER_FLOW {
+        for flow in 0..flows.len() {
+            assert_eq!(f.submit(flow, 4), Ok(err_runtime::Submitted::Enqueued));
+        }
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(
+        f.in_flight() > 0,
+        "the freezes hold traffic before the drain"
+    );
+
+    let start = Instant::now();
+    let rep = f.drain_within(Duration::from_secs(5));
+    let took = start.elapsed();
+    assert_eq!(rep.outcome, DrainOutcome::Graceful, "drained in {took:?}");
+    assert!(took < Duration::from_secs(1), "drain took {took:?}");
+    assert!(rep.is_conserving());
+    assert_eq!(rep.lost_packets, 0);
+    assert_eq!(rep.events.len(), 2, "both freezes fired, neither thawed");
+    for (flow, snap) in rep.flows.iter().enumerate() {
+        assert_eq!(snap.ejected_packets, PER_FLOW, "flow {flow}");
+    }
+}
+
+/// Per-hop attribution telescopes exactly (DESIGN.md §11.8): a packet's
+/// source stamp is its arrival, and every hand-off stamps the next node
+/// with the clock value that closes this node's hop, so on a fault-free
+/// fabric whose packets never share a hop slot each flow's hop
+/// microseconds sum to its end-to-end latency, and every path position
+/// records every ejected packet.
+#[test]
+fn hop_microseconds_sum_to_the_end_to_end_latency() {
+    const PER_FLOW: u64 = 50;
+    let topo = Topology::mesh(2, 2);
+    let flows = all_pairs(&topo);
+    let f = Fabric::start(FabricConfig::new(topo, flows.clone()));
+    for _ in 0..PER_FLOW {
+        for flow in 0..flows.len() {
+            assert_eq!(f.submit(flow, 4), Ok(err_runtime::Submitted::Enqueued));
+        }
+    }
+    let rep = f.drain_within(DRAIN);
+    assert_eq!(rep.outcome, DrainOutcome::Graceful);
+    assert!(rep.is_conserving());
+    for (flow, (snap, hops)) in rep.flows.iter().zip(&rep.flow_hops).enumerate() {
+        assert_eq!(snap.ejected_packets, PER_FLOW, "flow {flow}");
+        assert!(hops.len() >= 2, "flow {flow} crosses a cable");
+        for (p, hop) in hops.iter().enumerate() {
+            assert_eq!(hop.packets, snap.ejected_packets, "flow {flow}, hop {p}");
+        }
+        let hop_us: u64 = hops.iter().map(|h| h.sum_us).sum();
+        assert_eq!(hop_us, snap.latency_sum_us, "flow {flow}");
+    }
+}
