@@ -20,7 +20,8 @@
 //! * **try-emit-override** — every `impl Egress` must override
 //!   `try_emit` explicitly (or ack with `// try-emit:`): the trait
 //!   default delegates to the *blocking* `emit`, the PR 6 deadlock
-//!   class — a wrapper such as `Threaded` included.
+//!   class — a wrapper such as the runtime's `OptionalSink` included:
+//!   a sink has one contract, and `try_emit` never blocks.
 //! * **ordering-pairing** — `[pair: label @ file]` clauses inside
 //!   `// ordering:` comments form a cross-file graph; every clause
 //!   must resolve to a scanned file holding a matching clause that
@@ -327,7 +328,7 @@ fn comment_nearby(lines: &[Line], line: usize, needle: &str) -> bool {
 }
 
 /// Whether `code` opens an `impl <trait_name> for …` item (token
-/// boundary on the trait name, so `ThreadedEgress for` is not an
+/// boundary on the trait name, so `LoggedEgress for` is not an
 /// `Egress for`).
 fn is_trait_impl(code: &str, trait_name: &str) -> bool {
     if !has_token(code, "impl") {

@@ -205,7 +205,6 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
         needles: &[
             "wake_credit_waiters",
             "relieved",
-            "idle_while_empty",
             "left on timers",
             // Per-chunk credits: the grant, the chunk a spent one ends,
             // its return, the flusher's tally, the announced link
@@ -218,10 +217,9 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "credit_delivered",
             "wake_workers",
             "no stash",
-            // Who runs the step: the worker, always; a sink that may
-            // block brings its own thread in a `Threaded` adapter.
-            "Threaded",
-            "opts into a thread by composition",
+            // Who runs the step: the worker, always; a sink has one
+            // contract, and one that may block refuses instead.
+            "accepts or refuses at once and never blocks",
             "Producer::free_slots",
             "ring_full_spins",
             "EgressStage::flush",
@@ -357,7 +355,7 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             // Bounded drains (fabric.rs).
             "DrainOutcome",
             "HeldForRecovery",
-            // The fences left: the worker's and the `Threaded` adapter's.
+            // The one fence left: the worker's.
             "catch_unwind",
         ],
     },

@@ -6,7 +6,7 @@
 //! its service chunk can still emit, in one CAS — *before* it serves a
 //! flit of that link, spends the grant flit by flit from a local
 //! counter, and gives the unused rest back; the flusher
-//! [`release_n`](CreditPool::release_n)s the credits of the flits it
+//! `release_n`s the credits of the flits it
 //! delivered (or dead-lettered), a batch at a time. The pool is
 //! therefore a hard bound on buffered flits per link — the invariant
 //! `tests/egress_integration.rs` asserts and err-check's `spsc_credit`
@@ -91,7 +91,7 @@ impl CreditPool {
     /// empty before — the only state in which a sender can be waiting
     /// for them. Panics in debug builds if the pool would exceed its
     /// capacity — that means a release without a matching acquire.
-    pub fn release_n(&self, n: u64) -> bool {
+    pub(crate) fn release_n(&self, n: u64) -> bool {
         // ordering: AcqRel — the Release half pairs with the Acquire
         // half of `acquire`'s CAS (publishes the returner's work on
         // the freed buffers); the Acquire half orders the returner
@@ -101,8 +101,9 @@ impl CreditPool {
         prev == 0
     }
 
-    /// Returns one credit: the one-credit case of
-    /// [`release_n`](Self::release_n).
+    /// Returns one credit (a delivery or dead-letter downstream) and
+    /// reports whether the pool was empty before. Panics in debug builds
+    /// if the pool would exceed its capacity.
     pub fn release(&self) -> bool {
         self.release_n(1)
     }

@@ -10,9 +10,9 @@
 //! delivers through the caller's sink unless the link is frozen, in
 //! which case the flit waits in a per-link pending queue. Pending flits
 //! hold their link credits, so a frozen link's buffered backlog is
-//! bounded by the credit pool no matter how long the stall lasts. A
-//! sink that may block brings its own thread ([`Threaded`]), and the
-//! step only ever hands it a flit or hears it refuse.
+//! bounded by the credit pool no matter how long the stall lasts. The
+//! step only ever hands a sink a flit or hears it refuse: a sink whose
+//! downstream may block refuses instead ([`Egress`]).
 //!
 //! Ordering: per-link order is exactly ring order (pending queues are
 //! drained before fresh ring flits for the same link); flits of
@@ -25,8 +25,6 @@
 //! the step ends — so every credit is back when `step` returns, by
 //! whatever path it returns. [`FlusherCore::settle`] then wakes every
 //! worker parked on the shared [`LinkSet`].
-//!
-//! [`Threaded`]: crate::Threaded
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -631,7 +629,7 @@ mod tests {
 
     #[test]
     fn resurrect_racing_shutdown_strands_no_flit() {
-        // Threaded regression for the same race: a resurrect fired from
+        // Cross-thread regression for the same race: a resurrect fired from
         // another thread while the closed stepper is finalizing must
         // leave every flit either delivered or dead-lettered — never
         // stranded — and every credit returned. The stepper is the

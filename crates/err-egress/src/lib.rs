@@ -8,15 +8,14 @@
 //! shard, fairness state and all. This crate decouples them with the
 //! standard wormhole machinery, in three pieces:
 //!
-//! * **Per-shard output ring** ([`spsc`]): the shard worker pushes
+//! * **Per-shard output ring** ([`spsc_ring`]): the shard worker pushes
 //!   served flits into a bounded SPSC ring, and after each service
-//!   batch runs the flusher step ([`flusher`]) that drains it toward
-//!   the downstream sink. The sink accepts or refuses at once, so the
-//!   scheduler's clock never waits on delivery; a sink that may block
-//!   brings its own thread by wrapping itself in a [`Threaded`]
-//!   adapter ([`threaded`]).
-//! * **Per-link credits** ([`link`]): each downstream link advertises a
-//!   credit pool, virtual-channel style. A worker takes a grant of
+//!   batch runs the flusher step ([`FlusherCore::step`]) that drains it
+//!   toward the downstream sink. The sink accepts or refuses at once,
+//!   so the scheduler's clock never waits on delivery ([`Egress`]: a
+//!   sink has one contract).
+//! * **Per-link credits** ([`LinkSet`], [`CreditPool`]): each
+//!   downstream link advertises a credit pool, virtual-channel style. A worker takes a grant of
 //!   credits before it serves the link and spends one per flit it
 //!   commits; the flusher step returns the credits of what it delivered. A
 //!   stalled link stops returning credits, so its backlog anywhere in
@@ -28,7 +27,7 @@
 //! * **Deterministic stalls**: `err-runtime`'s seeded `FaultPlan`
 //!   drives [`LinkSet::freeze`] / [`LinkSet::release_stall`] on a
 //!   shard's flit clock, and a per-link watchdog
-//!   ([`link::LinkSnapshot`]) reports stall durations on the flush
+//!   ([`LinkSnapshot`]) reports stall durations on the flush
 //!   clock: the paper's stalled downstream as a replayable experiment.
 //!
 //! The runtime integration (`err-runtime`'s `EgressMode::Buffered`)
@@ -36,15 +35,15 @@
 //! testable on its own.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod credit;
-pub mod flusher;
-pub mod link;
-pub mod spsc;
-pub mod stats;
+mod credit;
+mod flusher;
+mod link;
+mod spsc;
+mod stats;
 pub(crate) mod sync;
-pub mod threaded;
-pub mod wake;
+mod wake;
 
 use std::sync::Arc;
 
@@ -54,7 +53,6 @@ pub use flusher::FlusherCore;
 pub use link::{DeadLinkPolicy, LinkSet, LinkSnapshot, LinkState};
 pub use spsc::{spsc_ring, Consumer, Producer};
 pub use stats::{EgressSnapshot, ShardEgressSnapshot, ShardEgressStats};
-pub use threaded::{Threaded, ThreadedSnapshot, ThreadedStats};
 pub use wake::{Sleep, WakeCell, BACKSTOP};
 
 /// The downstream sink: where flits go when they leave the scheduler.
@@ -63,13 +61,58 @@ pub use wake::{Sleep, WakeCell, BACKSTOP};
 /// Implementations must be `Send` (the shard's worker thread owns the
 /// sink) but need not be `Sync` — each shard gets its own sink value.
 ///
-/// Under buffered egress the worker calls [`try_emit`](Egress::try_emit)
-/// from its own flusher step, between two service chunks, so
-/// `try_emit` must accept or refuse at once. A sink that may block
-/// wraps itself in a [`Threaded`] adapter instead of blocking there.
+/// **A sink has one contract**: under buffered egress the worker calls
+/// [`try_emit`](Egress::try_emit) from its own flusher step, between
+/// two service chunks, so `try_emit` accepts or refuses at once and
+/// never blocks. A sink whose downstream may block refuses the flit —
+/// it stays pending with its link credit held, and once the pool
+/// drains the worker parks the link's flows — and runs its own thread,
+/// outside this crate, to feed that downstream. A bounded channel is
+/// enough:
+///
+/// ```
+/// use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+///
+/// use err_egress::Egress;
+/// use err_sched::ServedFlit;
+///
+/// /// Hands flits to a consumer thread the caller owns.
+/// struct Handoff {
+///     tx: SyncSender<ServedFlit>,
+///     refusals: u64,
+/// }
+///
+/// impl Egress for Handoff {
+///     fn emit(&mut self, _shard: usize, flit: &ServedFlit) {
+///         self.tx.send(*flit).expect("the consumer is gone"); // blocks
+///     }
+///
+///     fn try_emit(&mut self, _shard: usize, flit: &ServedFlit) -> bool {
+///         match self.tx.try_send(*flit) {
+///             Ok(()) => true,
+///             Err(TrySendError::Full(_)) => {
+///                 self.refusals += 1;
+///                 false
+///             }
+///             Err(TrySendError::Disconnected(_)) => panic!("the consumer is gone"),
+///         }
+///     }
+/// }
+///
+/// let (tx, rx) = sync_channel(1);
+/// let mut sink = Handoff { tx, refusals: 0 };
+/// let flit = ServedFlit { flow: 0, packet: 0, arrival: 0, len: 1, flit_index: 0 };
+/// assert!(sink.try_emit(0, &flit));
+/// assert!(!sink.try_emit(0, &flit), "full: refused at once");
+/// assert_eq!(sink.refusals, 1);
+/// let consumer = std::thread::spawn(move || rx.iter().count());
+/// sink.emit(0, &flit);
+/// drop(sink);
+/// assert_eq!(consumer.join().unwrap(), 2);
+/// ```
 ///
 /// Any `FnMut(usize, &ServedFlit) + Send` closure is an `Egress` via
-/// the blanket impl, so callback-style callers keep working unchanged:
+/// the blanket impl, a sink that always accepts:
 ///
 /// ```
 /// use err_egress::Egress;
@@ -86,19 +129,23 @@ pub use wake::{Sleep, WakeCell, BACKSTOP};
 /// );
 /// ```
 pub trait Egress: Send {
-    /// Consumes one flit served by `shard`'s scheduler.
+    /// Consumes one flit served by `shard`'s scheduler. May block: only
+    /// callers that want blocking delivery call it; the flusher step
+    /// calls [`try_emit`](Egress::try_emit).
     fn emit(&mut self, shard: usize, flit: &ServedFlit);
 
     /// Refusable delivery (DESIGN.md §11.2): the flusher step calls
-    /// this and returns the flit's link credit **only on acceptance**. Returning
+    /// this and returns the flit's link credit **only on acceptance**.
+    /// It must accept or refuse at once. Returning
     /// `false` leaves the flit in the link's pending queue with its
     /// credit held — the hook a fabric forwarder uses to withhold
     /// credits while the downstream node's ingress has no room, which
     /// is what propagates wormhole backpressure hop by hop.
     ///
     /// The default accepts unconditionally by delegating to
-    /// [`emit`](Egress::emit). An implementation that refuses must
-    /// eventually accept (or the flit's link must die / enter drain
+    /// [`emit`](Egress::emit), so a sink whose `emit` may block must
+    /// override it. An implementation that refuses must eventually
+    /// accept (or the flit's link must die / enter drain
     /// dead-lettering), or the egress drain cannot complete.
     fn try_emit(&mut self, shard: usize, flit: &ServedFlit) -> bool {
         self.emit(shard, flit);

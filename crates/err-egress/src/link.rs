@@ -437,7 +437,7 @@ impl LinkSet {
     /// are a subset of deliveries, not a separate clock.
     ///
     /// [`on_delivered`]: LinkSet::on_delivered
-    pub fn on_replayed(&self, link: usize) {
+    pub(crate) fn on_replayed(&self, link: usize) {
         self.links[link].replayed.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -1,9 +1,7 @@
 //! Bounded single-producer/single-consumer ring buffer.
 //!
 //! Each shard worker is the sole producer of its output ring and, in its
-//! flusher step, the sole consumer; a `Threaded` adapter's ring has one
-//! producer (the worker) and one consumer (its thread). So the egress
-//! path can use
+//! flusher step, the sole consumer. So the egress path can use
 //! the classic Lamport queue instead of the heavier multi-producer ring
 //! the ingress side needs (`err-runtime`'s Vyukov ring): one atomic
 //! load + one atomic store per operation, with cached cursors so the
@@ -12,18 +10,11 @@
 //! Capacity is rounded up to a power of two; one slot is sacrificed to
 //! distinguish full from empty, so a ring built with capacity `c` holds
 //! at least `c` items.
-//!
-//! The ring also carries the consumer's [`WakeCell`], for a consumer on
-//! a thread of its own (a `Threaded` adapter's): with nothing to pop it
-//! idles on the cell ([`Consumer::idle_while_empty`]: a couple of looks
-//! at the tail, then a sleep), and the producer wakes it after a push
-//! ([`Producer::wake_consumer`]).
 
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use crate::sync::{AtomicUsize, Ordering, UnsafeCell};
-use crate::wake::{Sleep, WakeCell};
 
 struct Inner<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
@@ -32,8 +23,6 @@ struct Inner<T> {
     head: AtomicUsize,
     /// Next slot to write (owned by the producer, read by the consumer).
     tail: AtomicUsize,
-    /// Where the consumer sleeps while the ring is empty.
-    consumer_wake: WakeCell,
 }
 
 // SAFETY: the ring owns its values; moving it moves them, so `T: Send`
@@ -94,7 +83,6 @@ pub fn spsc_ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         mask: cap - 1,
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
-        consumer_wake: WakeCell::new(),
     });
     (
         Producer {
@@ -131,7 +119,7 @@ impl<T> Producer<T> {
         self.inner.buf[self.tail & self.inner.mask].with_mut(|p| unsafe { (*p).write(item) });
         self.tail = self.tail.wrapping_add(1);
         // ordering: Release pairs with the consumer's Acquire `tail`
-        // load in `pop`/`is_empty`/`idle_while_empty` — publishes the
+        // load in `pop`/`is_empty` — publishes the
         // cell write above before the slot becomes visible.
         // [pair: spsc-tail @ self]
         self.inner.tail.store(self.tail, Ordering::Release);
@@ -158,13 +146,6 @@ impl<T> Producer<T> {
         self.cached_head = self.inner.head.load(Ordering::Acquire);
         self.tail.wrapping_sub(self.cached_head)
     }
-
-    /// Unparks the consumer if it went to sleep on an empty ring. Call
-    /// after a batch of pushes, or before waiting for the consumer to
-    /// free a slot.
-    pub fn wake_consumer(&self) {
-        self.inner.consumer_wake.wake();
-    }
 }
 
 impl<T> Consumer<T> {
@@ -174,6 +155,7 @@ impl<T> Consumer<T> {
             // ordering: Acquire pairs with the producer's Release
             // `tail` store in `push` — the cell write at `head` is
             // visible before the slot appears occupied.
+            // [pair: spsc-tail @ self]
             self.cached_tail = self.inner.tail.load(Ordering::Acquire);
             if self.head == self.cached_tail {
                 return None;
@@ -203,39 +185,6 @@ impl<T> Consumer<T> {
         // (the refreshed `cached_tail` may be reused there).
         self.cached_tail = self.inner.tail.load(Ordering::Acquire);
         self.head == self.cached_tail
-    }
-
-    /// Makes the calling thread the one [`Producer::wake_consumer`]
-    /// unparks.
-    pub fn register_sleeper(&self) {
-        self.inner.consumer_wake.register();
-    }
-
-    /// One idle phase of the (registered) consumer thread
-    /// ([`WakeCell::idle_unless`]): a couple of looks, then a park of
-    /// at most `timeout`, unless the ring is non-empty or `or_ready`
-    /// true — whatever else the consumer's wakers announce.
-    pub fn idle_while_empty(
-        &mut self,
-        mut or_ready: impl FnMut() -> bool,
-        timeout: std::time::Duration,
-    ) -> Sleep {
-        let Self {
-            inner,
-            cached_tail,
-            head,
-        } = self;
-        let ready = || {
-            // ordering: Acquire — same pairing as the empty-check in
-            // `pop`; the sleep's re-check is sequenced after the cell's
-            // announcing swap, so a push whose `wake_consumer` found
-            // the flag clear is seen.
-            // [pair: spsc-tail @ self]
-            *cached_tail = inner.tail.load(Ordering::Acquire);
-            *head != *cached_tail || or_ready()
-        };
-        // backstop: forwards the caller's `timeout`.
-        inner.consumer_wake.idle_unless(ready, timeout)
     }
 }
 
@@ -345,31 +294,5 @@ mod tests {
         }
         producer.join().unwrap();
         assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn sleeping_consumer_is_woken_by_the_producers_batch() {
-        use crate::wake::Sleep;
-        use std::time::{Duration, Instant};
-        let (mut tx, mut rx) = spsc_ring::<u32>(8);
-        tx.wake_consumer(); // nobody sleeps yet: a no-op
-        let consumer = std::thread::spawn(move || {
-            rx.register_sleeper();
-            let t = Instant::now();
-            // Far beyond the test's patience: only a wake (or the
-            // re-check finding the push) ends it.
-            let how = rx.idle_while_empty(|| false, Duration::from_secs(60));
-            (how, t.elapsed(), rx.pop())
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        tx.push(7).unwrap();
-        tx.wake_consumer();
-        let (how, took, got) = consumer.join().expect("consumer");
-        assert_ne!(how, Sleep::TimedOut);
-        assert!(
-            took < Duration::from_secs(30),
-            "ended by the wake: {took:?}"
-        );
-        assert_eq!(got, Some(7));
     }
 }

@@ -35,10 +35,10 @@
 //! comment that err-check's `backstop` pass checks.
 //!
 //! **The idle path.** What a thread does between "found nothing" and
-//! "asleep" is paid at every hand-over, so both sleepers do the same
-//! small thing ([`WakeCell::idle_unless`]): `IDLE_LOOKS` *looks* at the
-//! sleeper's wake predicate — the very closure the re-check evaluates,
-//! never a whole worker loop or flusher step — then the sleep above.
+//! "asleep" is paid at every hand-over, so the sleeper does one small
+//! thing ([`WakeCell::idle_unless`]): `IDLE_LOOKS` *looks* at its wake
+//! predicate — the very closure the re-check evaluates, never a whole
+//! worker loop or flusher step — then the sleep above.
 //! The count is a constant. Where the peer shares this thread's CPU a
 //! spin can never be answered — the peer cannot run while we spin — so
 //! a long spin is pure cost; where a peer on another core could answer,
@@ -46,8 +46,8 @@
 //! 87 % of its phases and moved no throughput figure (EXPERIMENTS.md,
 //! "An idle thread costs nothing").
 //!
-//! One cell belongs to one sleeping thread (a shard worker, a flusher)
-//! and any number of wakers. The sleeper's `Thread` sits behind a
+//! One cell belongs to one sleeping thread (a shard worker) and any
+//! number of wakers. The sleeper's `Thread` sits behind a
 //! mutex taken once per registration and once per *actual* unpark (a
 //! futex syscall follows anyway), never on a path that finds the flag
 //! clear.

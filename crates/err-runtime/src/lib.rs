@@ -99,7 +99,7 @@ use err_sched::{Discipline, ServedFlit};
 pub use admission::{AdmissionController, AdmissionPolicy, AdmitDecision};
 pub use drain::{DrainReport, ShardExit};
 pub use err_egress::{
-    BufferedConfig, DeadLinkPolicy, Egress, EgressController, EgressSnapshot, LinkState, Threaded,
+    BufferedConfig, DeadLinkPolicy, Egress, EgressController, EgressSnapshot, LinkState,
 };
 pub use fault::{
     ConfigError, FaultBoard, FaultEvent, FaultKind, FaultPlan, Schedule, Shape, ShardHealth, Target,
@@ -248,8 +248,11 @@ impl Runtime {
     /// inline. Under [`EgressMode::Buffered`] the worker commits flits
     /// to the output ring and, after every service chunk, runs the
     /// flusher step that offers them to the sink's `try_emit`, which
-    /// accepts or refuses at once (DESIGN.md §7). A sink that may block
-    /// wraps itself in [`Threaded`], which brings its own thread.
+    /// accepts or refuses at once and never blocks (DESIGN.md §7): a
+    /// sink whose downstream may block refuses the flit and feeds that
+    /// downstream from a thread of its own ([`Egress`] shows the
+    /// pattern). Either way the runtime starts one thread per shard and
+    /// no other.
     pub fn start_with_egress<E: Egress + 'static>(
         config: RuntimeConfig,
         mut egress: impl FnMut(usize) -> Option<E>,

@@ -33,10 +33,10 @@
 //!   slots allow, in chunks that end at a spent grant or a full ring;
 //!   after each the worker runs the flusher step that delivers them
 //!   itself (`EgressStage::flush`), so no chunk waits on credits its
-//!   own ring holds. The sink accepts or refuses at once (a sink that may block
-//!   brings its own thread, `err_egress::Threaded`). A link whose pool
-//!   is empty at the top of a chunk has its flows *parked* before they
-//!   are visited, so the shard keeps serving everyone else — the
+//!   own ring holds. The sink accepts or refuses at once and never
+//!   blocks (the one sink contract, `err_egress::Egress`). A link whose
+//!   pool is empty at the top of a chunk has its flows *parked* before
+//!   they are visited, so the shard keeps serving everyone else — the
 //!   decoupling the paper's stalled-downstream argument calls for.
 //!
 //! The loop runs inside a `catch_unwind` fence with the worker's whole

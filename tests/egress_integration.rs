@@ -9,12 +9,13 @@
 //! machine speed cancels out.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use err_runtime::{
     AdmissionPolicy, BufferedConfig, DeadLinkPolicy, DrainReport, Egress, EgressMode, FaultKind,
-    FaultPlan, Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats, Shape, ShardExit, Threaded,
+    FaultPlan, Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats, Shape, ShardExit,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -25,10 +26,9 @@ const N_FLOWS: usize = 64;
 const PACKET_LEN: u32 = 4;
 
 /// Held by every test in this file. Several verdicts here are a
-/// wall-clock ratio or a count of timeouts, and the harness runs a
+/// wall-clock ratio or a count of woken parks, and the harness runs a
 /// file's tests on parallel threads: a second saturating runtime on a
-/// shared core skews them (it also starves the producer of the
-/// hand-off test, whose worker then idles on its timer by design).
+/// shared core skews them.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
@@ -321,42 +321,10 @@ fn credit_pool_bounds_buffered_flits_per_link() {
     }
 }
 
-/// A sink that records every flit: bare, so the worker's flusher step
-/// calls it, or behind a [`Threaded`] adapter, which hands it each flit
-/// on a thread of its own (DESIGN.md §7).
-enum Recorder {
-    Bare(Arc<Mutex<Vec<ServedFlit>>>),
-    Threaded(Threaded),
-}
-
-impl Recorder {
-    fn new(seen: Arc<Mutex<Vec<ServedFlit>>>, threaded: bool) -> Self {
-        if !threaded {
-            return Self::Bare(seen);
-        }
-        Self::Threaded(Threaded::new(move |_s: usize, f: &ServedFlit| {
-            seen.lock().unwrap().push(*f);
-        }))
-    }
-}
-
-impl Egress for Recorder {
-    fn emit(&mut self, shard: usize, f: &ServedFlit) {
-        match self {
-            Self::Bare(seen) => seen.lock().unwrap().push(*f),
-            Self::Threaded(adapter) => adapter.emit(shard, f),
-        }
-    }
-
-    fn try_emit(&mut self, shard: usize, f: &ServedFlit) -> bool {
-        match self {
-            Self::Bare(seen) => {
-                seen.lock().unwrap().push(*f);
-                true
-            }
-            Self::Threaded(adapter) => adapter.try_emit(shard, f),
-        }
-    }
+/// A sink that records every flit in `seen`.
+fn recorder(seen: &Arc<Mutex<Vec<ServedFlit>>>) -> impl Egress {
+    let seen = Arc::clone(seen);
+    move |_s: usize, f: &ServedFlit| seen.lock().unwrap().push(*f)
 }
 
 /// What happens to link 0 of the buffered runs while the workload runs.
@@ -373,14 +341,13 @@ enum Link0 {
 /// Buffered egress must not change *what* is scheduled, only how it is
 /// delivered: for one shard and an identical pre-loaded workload, every
 /// flow sees the identical flit sequence under sync and buffered modes
-/// — the sink bare in the worker's flusher step, or behind a `Threaded`
-/// adapter — whatever link 0 goes through. With a `fault_plan` the
+/// whatever link 0 goes through. With a `fault_plan` the
 /// same holds across a worker death: the worker resumes in place with
 /// the egress stage of either mode (DESIGN.md §9.2).
 fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
     const CREDITS: u64 = 32;
     let faulted = fault_plan.is_some();
-    let run = |egress: EgressMode, threaded: bool| -> (Vec<ServedFlit>, DrainReport) {
+    let run = |egress: EgressMode| -> (Vec<ServedFlit>, DrainReport) {
         let fault_plan = match (&egress, link0) {
             (EgressMode::Buffered(_), Link0::FrozenForever) => {
                 let plan = fault_plan.clone().unwrap_or_default();
@@ -398,7 +365,7 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
                 fault_plan,
                 ..RuntimeConfig::default()
             },
-            move |_shard| Some(Recorder::new(Arc::clone(&s2), threaded)),
+            move |_shard| Some(recorder(&s2)),
         );
         let outage = rt
             .egress_controller()
@@ -429,50 +396,42 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
         ..BufferedConfig::default()
     });
 
-    let (sync, sync_report) = run(EgressMode::Sync, false);
-    let (bare, bare_report) = run(buffered.clone(), false);
-    let (threaded, threaded_report) = run(buffered, true);
+    let (sync, sync_report) = run(EgressMode::Sync);
+    let (buf, buf_report) = run(buffered);
     let exit = if faulted {
         ShardExit::Panicked
     } else {
         ShardExit::Clean
     };
-    for report in [&sync_report, &bare_report, &threaded_report] {
+    for report in [&sync_report, &buf_report] {
         assert!(report.is_conserving(), "{report:?}");
         assert_eq!(report.served_packets(), 1_000, "{report:?}");
         assert_eq!(report.lost_packets(), 0, "{report:?}");
         assert_eq!(report.exits, [exit], "{report:?}");
         assert_eq!(report.all_clean(), !faulted, "{report:?}");
     }
-    for report in [&bare_report, &threaded_report] {
-        let egress = report.stats.egress.as_ref().expect("buffered snapshot");
-        assert_eq!(egress.flushed_flits(), sync.len() as u64, "{egress:?}");
-        for (i, l) in egress.links.iter().enumerate() {
-            assert_eq!(l.credits_available, CREDITS, "link {i}: credits leaked");
-            assert_eq!(l.dead_letter_flits, 0, "link {i} dead-lettered");
-        }
-        if link0 == Link0::HeldOutage {
-            assert!(egress.links[0].replayed > 0, "nothing was held: {egress:?}");
-        }
+    let egress = buf_report.stats.egress.as_ref().expect("buffered snapshot");
+    assert_eq!(egress.flushed_flits(), sync.len() as u64, "{egress:?}");
+    for (i, l) in egress.links.iter().enumerate() {
+        assert_eq!(l.credits_available, CREDITS, "link {i}: credits leaked");
+        assert_eq!(l.dead_letter_flits, 0, "link {i} dead-lettered");
     }
-    for (mode, buf) in [("bare", &bare), ("threaded", &threaded)] {
-        assert_eq!(sync.len(), buf.len(), "{mode}: flit counts differ");
-        for flow in 0..8usize {
-            let a: Vec<(u64, u32)> = sync
-                .iter()
-                .filter(|f| f.flow == flow)
-                .map(|f| (f.packet, f.flit_index))
-                .collect();
-            let b: Vec<(u64, u32)> = buf
-                .iter()
-                .filter(|f| f.flow == flow)
-                .map(|f| (f.packet, f.flit_index))
-                .collect();
-            assert_eq!(
-                a, b,
-                "flow {flow} diverged between sync and {mode} buffered"
-            );
-        }
+    if link0 == Link0::HeldOutage {
+        assert!(egress.links[0].replayed > 0, "nothing was held: {egress:?}");
+    }
+    assert_eq!(sync.len(), buf.len(), "flit counts differ");
+    for flow in 0..8usize {
+        let a: Vec<(u64, u32)> = sync
+            .iter()
+            .filter(|f| f.flow == flow)
+            .map(|f| (f.packet, f.flit_index))
+            .collect();
+        let b: Vec<(u64, u32)> = buf
+            .iter()
+            .filter(|f| f.flow == flow)
+            .map(|f| (f.packet, f.flit_index))
+            .collect();
+        assert_eq!(a, b, "flow {flow} diverged between sync and buffered");
     }
 }
 
@@ -485,9 +444,8 @@ fn buffered_matches_sync_per_flow_sequences() {
 /// The same equivalence across a shard death: one seeded kill in the
 /// middle of the ~3 500-flit run, and the resumed worker carries on
 /// with its own stage — the sync stage's sink or the buffered stage's
-/// ring, parking marks, pushed count, flusher core and sink (a
-/// `Threaded` adapter and its thread included) — with nothing lost in
-/// any mode.
+/// ring, parking marks, pushed count, flusher core and sink — with
+/// nothing lost in either mode.
 #[test]
 fn buffered_matches_sync_across_a_resurrection() {
     let _alone = one_at_a_time();
@@ -514,80 +472,6 @@ fn buffered_matches_sync_behind_a_link_frozen_until_the_drain() {
 fn buffered_matches_sync_across_a_held_link_outage() {
     let _alone = one_at_a_time();
     assert_buffered_matches_sync(None, Link0::HeldOutage);
-}
-
-/// A sink that panics behind a [`Threaded`] adapter (DESIGN.md §14.4)
-/// must not wedge the drain: the adapter's thread never calls it again,
-/// and from then on takes each flit off its ring and counts it lost, so
-/// credits keep returning and the worker drains. `shutdown` is the drain
-/// under test; both callers must see it finish gracefully.
-fn drain_after_a_sink_panic(shutdown: impl FnOnce(Runtime) -> DrainReport) {
-    const PACKETS: u64 = 500;
-    const SURVIVES: u64 = 100;
-    let emitted = Arc::new(AtomicU64::new(0));
-    let e2 = Arc::clone(&emitted);
-    let adapter = Threaded::new(move |_s: usize, _f: &ServedFlit| {
-        if e2.fetch_add(1, Ordering::Relaxed) == SURVIVES {
-            panic!("sink: downstream went away (injected by the test)");
-        }
-    });
-    let adapter_stats = adapter.stats();
-    let mut adapter = Some(adapter);
-    let (rt, handle) = Runtime::start_with_egress(
-        RuntimeConfig {
-            shards: 1,
-            n_flows: N_FLOWS,
-            egress: EgressMode::Buffered(BufferedConfig {
-                ring_capacity: 64,
-                credits: 8,
-                n_links: N_LINKS,
-                ..BufferedConfig::default()
-            }),
-            ..RuntimeConfig::default()
-        },
-        move |_shard| adapter.take(),
-    );
-    for id in 0..PACKETS {
-        let flow = (id % N_FLOWS as u64) as usize;
-        handle.submit(Packet::new(id, flow, PACKET_LEN, 0)).unwrap();
-    }
-    let report = shutdown(rt);
-    assert!(
-        !report.forced,
-        "the drain must finish gracefully: {report:?}"
-    );
-    assert!(report.is_conserving(), "{report:?}");
-    assert_eq!(report.served_packets(), PACKETS, "{report:?}");
-    assert_eq!(report.exits, [ShardExit::Clean]);
-    assert!(report.all_clean());
-    // The inner sink took 100 flits and died on the next; never called
-    // again, the adapter counted that one and every flit after it lost.
-    // A link's ledger counts the hand-over to the adapter.
-    let flits = PACKETS * u64::from(PACKET_LEN);
-    assert_eq!(emitted.load(Ordering::Relaxed), SURVIVES + 1);
-    let adapter = adapter_stats.snapshot();
-    assert!(adapter.panicked, "{adapter:?}");
-    assert_eq!(adapter.took, SURVIVES, "{adapter:?}");
-    assert_eq!(adapter.took + adapter.lost, flits, "{adapter:?}");
-    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
-    let delivered: u64 = egress.links.iter().map(|l| l.delivered_flits).sum();
-    assert_eq!(delivered, flits);
-    assert_eq!(egress.flushed_flits(), delivered);
-    for (i, l) in egress.links.iter().enumerate() {
-        assert_eq!(l.credits_available, 8, "link {i}: credits leaked");
-    }
-}
-
-#[test]
-fn sink_panic_on_the_flusher_does_not_wedge_shutdown() {
-    let _alone = one_at_a_time();
-    drain_after_a_sink_panic(Runtime::shutdown);
-}
-
-#[test]
-fn sink_panic_on_the_flusher_is_reported_by_shutdown_within() {
-    let _alone = one_at_a_time();
-    drain_after_a_sink_panic(|rt| rt.shutdown_within(Duration::from_millis(500)));
 }
 
 /// A bare sink that panics in `try_emit` unwinds the worker, whose
@@ -768,7 +652,7 @@ fn a_thaw_wakes_a_worker_that_runs_its_own_flusher_step() {
             }),
             ..RuntimeConfig::default()
         },
-        move |_shard| Some(Recorder::new(Arc::clone(&s2), false)),
+        move |_shard| Some(recorder(&s2)),
     );
     let controller = rt.egress_controller().expect("buffered mode").clone();
     let delivered = || seen.lock().unwrap().len() as u64;
@@ -824,7 +708,7 @@ fn a_worker_dead_letters_what_a_dead_link_holds_before_it_exits() {
             }),
             ..RuntimeConfig::default()
         },
-        move |_shard| Some(Recorder::new(Arc::clone(&s2), false)),
+        move |_shard| Some(recorder(&s2)),
     );
     rt.egress_controller()
         .expect("buffered mode")
@@ -900,58 +784,54 @@ fn shutdown_waits_for_a_flit_the_sink_refused() {
     assert_eq!(egress.links[0].credits_available, 4);
 }
 
-/// A forced abort (DESIGN.md §9.4) leaves no flit uncounted, with the
-/// sink bare or behind a `Threaded` adapter. Link 0 dies under
-/// `HoldForRecovery` before anything is served: its one flow fills the
-/// credit window with held flits and parks with the rest of its
-/// backlog, so the graceful drain cannot finish and `shutdown_within`
-/// aborts. The backlog is counted lost; the held flits are
-/// dead-lettered by the aborting worker that held them, and every
-/// credit comes back.
+/// A forced abort (DESIGN.md §9.4) leaves no flit uncounted. Link 0
+/// dies under `HoldForRecovery` before anything is served: its one
+/// flow fills the credit window with held flits and parks with the
+/// rest of its backlog, so the graceful drain cannot finish and
+/// `shutdown_within` aborts. The backlog is counted lost; the held
+/// flits are dead-lettered by the aborting worker that held them, and
+/// every credit comes back.
 #[test]
-fn a_forced_abort_dead_letters_what_a_dead_link_holds_in_either_mode() {
+fn a_forced_abort_dead_letters_what_a_dead_link_holds() {
     let _alone = one_at_a_time();
     const CREDITS: u64 = 4;
     const PACKETS: u64 = 10;
-    for threaded in [false, true] {
-        let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
-        let s2 = Arc::clone(&seen);
-        let (rt, handle) = Runtime::start_with_egress(
-            RuntimeConfig {
-                shards: 1,
-                n_flows: 1,
-                egress: EgressMode::Buffered(BufferedConfig {
-                    ring_capacity: 16,
-                    credits: CREDITS,
-                    n_links: 1,
-                    dead_link_policy: DeadLinkPolicy::HoldForRecovery,
-                    ..BufferedConfig::default()
-                }),
-                ..RuntimeConfig::default()
-            },
-            move |_shard| Some(Recorder::new(Arc::clone(&s2), threaded)),
-        );
-        rt.egress_controller()
-            .expect("buffered mode")
-            .declare_dead(0);
-        for id in 0..PACKETS {
-            handle.submit(Packet::new(id, 0, 1, 0)).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while handle.stats().served_flits() < CREDITS {
-            assert!(Instant::now() < deadline, "never served");
-            std::thread::yield_now();
-        }
-        let report = rt.shutdown_within(Duration::from_millis(200));
-        let mode = if threaded { "threaded" } else { "bare" };
-        assert!(report.forced, "{mode}: {report:?}");
-        assert!(report.is_conserving(), "{mode}: {report:?}");
-        assert_eq!(report.lost_packets(), PACKETS - CREDITS, "{mode}");
-        let link = &report.stats.egress.as_ref().expect("buffered").links[0];
-        assert_eq!(link.dead_letter_flits, CREDITS, "{mode}: {link:?}");
-        assert_eq!(link.credits_available, CREDITS, "{mode}: {link:?}");
-        assert!(seen.lock().unwrap().is_empty(), "{mode}");
+    let seen: Arc<Mutex<Vec<ServedFlit>>> = Arc::new(Mutex::new(Vec::new()));
+    let s2 = Arc::clone(&seen);
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: 1,
+            n_flows: 1,
+            egress: EgressMode::Buffered(BufferedConfig {
+                ring_capacity: 16,
+                credits: CREDITS,
+                n_links: 1,
+                dead_link_policy: DeadLinkPolicy::HoldForRecovery,
+                ..BufferedConfig::default()
+            }),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| Some(recorder(&s2)),
+    );
+    rt.egress_controller()
+        .expect("buffered mode")
+        .declare_dead(0);
+    for id in 0..PACKETS {
+        handle.submit(Packet::new(id, 0, 1, 0)).unwrap();
     }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.stats().served_flits() < CREDITS {
+        assert!(Instant::now() < deadline, "never served");
+        std::thread::yield_now();
+    }
+    let report = rt.shutdown_within(Duration::from_millis(200));
+    assert!(report.forced, "{report:?}");
+    assert!(report.is_conserving(), "{report:?}");
+    assert_eq!(report.lost_packets(), PACKETS - CREDITS);
+    let link = &report.stats.egress.as_ref().expect("buffered").links[0];
+    assert_eq!(link.dead_letter_flits, CREDITS, "{link:?}");
+    assert_eq!(link.credits_available, CREDITS, "{link:?}");
+    assert!(seen.lock().unwrap().is_empty());
 }
 
 /// Parks of `shard`'s worker that a peer's wake ended (not the timer).
@@ -972,34 +852,58 @@ fn expect_flow_fifo(next: &[AtomicU64], disorder: &AtomicU64, len: u64, f: &Serv
     }
 }
 
-/// The hand-off edges at work (DESIGN.md §6, §7): one shard whose
-/// sink sits behind a `Threaded` adapter, an adapter thread that sleeps
-/// whenever its ring is empty, and a producer blocked on backpressure.
-/// Everything conserves in per-flow order, and the adapter's parks are
-/// ended by the worker's wakes — the timeout is the exception.
+/// The one sink contract (DESIGN.md §7), as a sink whose downstream
+/// may block keeps it: `try_emit` offers the flit to a bounded channel
+/// and refuses at once when it is full; a consumer thread the test owns
+/// drains the channel and checks per-flow FIFO, pausing now and then so
+/// that the channel fills on any host. Every refusal leaves the flit
+/// pending with its credit held, so the run must still conserve, strand
+/// nothing, deliver every flit in flow order and end with every credit
+/// back.
 #[test]
-fn event_driven_handoffs_conserve_and_rarely_time_out() {
+fn a_sink_that_refuses_when_its_channel_is_full_conserves_in_flow_order() {
     let _alone = one_at_a_time();
-    // Long packets keep the producer ahead of the worker on every
-    // build: a submit costs the producer once per packet, the worker
-    // and the adapter pay per flit.
     const LEN: u64 = 16;
-    /// 320 k flits in a debug build, whose worker is the slow side and
-    /// fills the adapter's ring less often.
-    const PACKETS: u64 = if cfg!(debug_assertions) {
-        80_000
-    } else {
-        20_000
-    };
-    // A sink light enough that the adapter empties its ring far
-    // faster than the worker's park timeout.
+    const PACKETS: u64 = 20_000;
+    /// The consumer pauses once per this many flits.
+    const PAUSE_EVERY: usize = 4_096;
+    struct Handoff {
+        tx: SyncSender<ServedFlit>,
+        refusals: Arc<AtomicU64>,
+    }
+    impl Egress for Handoff {
+        fn emit(&mut self, _shard: usize, f: &ServedFlit) {
+            self.tx.send(*f).expect("the consumer outlives the runtime");
+        }
+        fn try_emit(&mut self, _shard: usize, f: &ServedFlit) -> bool {
+            match self.tx.try_send(*f) {
+                Ok(()) => true,
+                Err(TrySendError::Full(_)) => {
+                    self.refusals.fetch_add(1, Ordering::Relaxed);
+                    false
+                }
+                Err(TrySendError::Disconnected(_)) => panic!("the consumer is gone"),
+            }
+        }
+    }
+    let (tx, rx) = sync_channel::<ServedFlit>(64);
     let next: Arc<Vec<AtomicU64>> = Arc::new((0..N_FLOWS).map(|_| AtomicU64::new(0)).collect());
     let disorder = Arc::new(AtomicU64::new(0));
     let (n2, d2) = (Arc::clone(&next), Arc::clone(&disorder));
-    let adapter =
-        Threaded::new(move |_s: usize, f: &ServedFlit| expect_flow_fifo(&n2, &d2, LEN, f));
-    let adapter_stats = adapter.stats();
-    let mut adapter = Some(adapter);
+    // Ends when the runtime drops the sink, the channel's one sender.
+    let consumer = std::thread::spawn(move || {
+        for (k, f) in rx.iter().enumerate() {
+            if k.is_multiple_of(PAUSE_EVERY) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            expect_flow_fifo(&n2, &d2, LEN, &f);
+        }
+    });
+    let refusals = Arc::new(AtomicU64::new(0));
+    let mut sink = Some(Handoff {
+        tx,
+        refusals: Arc::clone(&refusals),
+    });
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
             shards: 1,
@@ -1008,7 +912,7 @@ fn event_driven_handoffs_conserve_and_rarely_time_out() {
             egress: buffered(),
             ..RuntimeConfig::default()
         },
-        move |_shard| adapter.take(),
+        move |_shard| sink.take(),
     );
     for id in 0..PACKETS {
         let flow = (id % N_FLOWS as u64) as usize;
@@ -1017,36 +921,28 @@ fn event_driven_handoffs_conserve_and_rarely_time_out() {
             .expect("backpressure blocks, never refuses");
     }
     let report = rt.shutdown();
+    consumer.join().expect("consumer");
     assert!(report.is_conserving(), "{report:?}");
     assert_eq!(report.served_packets(), PACKETS);
     let flits = PACKETS * LEN;
     assert_eq!(report.stats.flushed_flits(), flits, "no flit stranded");
     let sunk: u64 = next.iter().map(|n| n.load(Ordering::Relaxed)).sum();
-    assert_eq!(sunk, flits, "every flit reached the sink");
+    assert_eq!(sunk, flits, "every flit reached the consumer");
     assert_eq!(disorder.load(Ordering::Relaxed), 0, "per-flow FIFO broken");
-    // The worker waits on the adapter only when the adapter's ring is
-    // full: a refusal, which nobody announces, so those parks poll
-    // (DESIGN.md §6) and no ratio is asked of them. The adapter's sleep
-    // is covered, so a timeout there is no poll but a wake that got
-    // lost and a 10 ms hiccup. A debug build's worker is the slow side
-    // and hands over less often, so the few timeouts a busy host forces
-    // weigh more.
-    let share = if cfg!(debug_assertions) { 4 } else { 10 };
-    let adapter = adapter_stats.snapshot();
-    assert!(adapter.parks > 50, "{adapter:?}");
     assert!(
-        adapter.park_timeouts <= adapter.parks / share,
-        "the adapter's sleeps must end by the worker's wake: {} of {} timed out",
-        adapter.park_timeouts,
-        adapter.parks
+        refusals.load(Ordering::Relaxed) > 0,
+        "the channel never filled: the refusal path went untested"
     );
+    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
+    for (i, l) in egress.links.iter().enumerate() {
+        assert_eq!(l.credits_available, 32, "link {i}: credits leaked");
+    }
 }
 
 /// The idle path where spinning never pays (DESIGN.md §6): a producer
 /// that sleeps 200 µs after every packet keeps the worker waiting on
-/// it, and the worker keeps its sink's `Threaded` adapter waiting in
-/// turn, and no look at a wake predicate is ever answered — the peer
-/// each waits for is asleep. An idle loop must be a park (plus the odd
+/// it, and no look at a wake predicate is ever answered — the producer
+/// is asleep. An idle loop must be a park (plus the odd
 /// look or re-check that found work), not 64 whole loops per park. The
 /// slow producer, not the host's core count, is what makes the spin
 /// futile: this holds anywhere.
@@ -1058,11 +954,6 @@ fn idle_threads_do_not_spin_where_spinning_never_pays() {
     let next: Arc<Vec<AtomicU64>> = Arc::new((0..N_FLOWS).map(|_| AtomicU64::new(0)).collect());
     let disorder = Arc::new(AtomicU64::new(0));
     let (n2, d2) = (Arc::clone(&next), Arc::clone(&disorder));
-    let adapter = Threaded::new(move |_s: usize, f: &ServedFlit| {
-        expect_flow_fifo(&n2, &d2, LEN, f);
-    });
-    let adapter_stats = adapter.stats();
-    let mut adapter = Some(adapter);
     let (rt, handle) = Runtime::start_with_egress(
         RuntimeConfig {
             shards: 1,
@@ -1076,28 +967,26 @@ fn idle_threads_do_not_spin_where_spinning_never_pays() {
             }),
             ..RuntimeConfig::default()
         },
-        move |_shard| adapter.take(),
+        move |_shard| {
+            let (n2, d2) = (Arc::clone(&n2), Arc::clone(&d2));
+            Some(move |_s: usize, f: &ServedFlit| expect_flow_fifo(&n2, &d2, LEN, f))
+        },
     );
-    // (idle loops or rounds, parks) of the worker and of the adapter.
-    let idleness = |stats: &RuntimeStats| {
-        let (w, a) = (&stats.shards[0], adapter_stats.snapshot());
-        [(w.idle_loops, w.parks), (a.idle_rounds, a.parks)]
-    };
-    // Start-up is not steady state: each thread's first fifty parks
+    // (idle loops, parks) of the worker.
+    let idleness = |stats: &RuntimeStats| (stats.shards[0].idle_loops, stats.shards[0].parks);
+    // Start-up is not steady state: the worker's first fifty parks
     // are left out of the ratio.
     const SETTLE: u64 = 50;
-    let mut settled = [None; 2];
+    let mut settled = None;
     for id in 0..PACKETS {
         let flow = (id % N_FLOWS as u64) as usize;
         handle
             .submit(Packet::new(id, flow, LEN as u32, 0))
             .expect("backpressure blocks, never refuses");
         std::thread::sleep(Duration::from_micros(200));
-        if settled.contains(&None) {
+        if settled.is_none() {
             let now = idleness(&rt.stats());
-            for (settled, now) in settled.iter_mut().zip(now) {
-                *settled = settled.or((now.1 >= SETTLE).then_some(now));
-            }
+            settled = (now.1 >= SETTLE).then_some(now);
         }
     }
     let report = rt.shutdown();
@@ -1110,65 +999,15 @@ fn idle_threads_do_not_spin_where_spinning_never_pays() {
     );
     assert_eq!(disorder.load(Ordering::Relaxed), 0, "per-flow FIFO broken");
     let end = idleness(&report.stats);
-    for (who, (settled, end)) in ["worker", "adapter"].iter().zip(settled.iter().zip(end)) {
-        let settled = settled.unwrap_or_else(|| panic!("the {who} parked {} times", end.1));
-        let (idle, parks) = (end.0 - settled.0, end.1 - settled.1);
-        assert!(
-            parks >= 20,
-            "the {who} parked {parks} times after {settled:?}"
-        );
-        assert!(
-            idle <= 3 * parks,
-            "the {who} went idle {idle} times for {parks} parks: it spins where no spin is answered"
-        );
-    }
-}
-
-/// The sleep taxonomy, idle side (DESIGN.md §6): a `Threaded` adapter
-/// with an empty ring waits for two announced events — a ring push, the
-/// adapter's drop at the worker's exit — so it sleeps on the 10 ms
-/// backstop, not on a 100 µs timer (~1 000 parks in 100 ms), and still
-/// learns of the shutdown at once: the drop is announced too.
-#[test]
-fn idle_flushers_sleep_on_the_backstop_and_hear_the_shutdown() {
-    let _alone = one_at_a_time();
-    let mut fastest = Duration::MAX;
-    for _ in 0..3 {
-        let adapters = Arc::new(Mutex::new(Vec::new()));
-        let a2 = Arc::clone(&adapters);
-        let (rt, _handle) = Runtime::start_with_egress(
-            RuntimeConfig {
-                shards: 2,
-                n_flows: N_FLOWS,
-                egress: buffered(),
-                ..RuntimeConfig::default()
-            },
-            move |_shard| {
-                let adapter = Threaded::new(|_s: usize, _f: &ServedFlit| {});
-                a2.lock().unwrap().push(adapter.stats());
-                Some(adapter)
-            },
-        );
-        std::thread::sleep(Duration::from_millis(100));
-        for (shard, s) in adapters.lock().unwrap().iter().enumerate() {
-            let s = s.snapshot();
-            assert!(
-                s.parks <= 30,
-                "shard {shard}: an idle adapter parked {} times in 100 ms",
-                s.parks
-            );
-        }
-        let t = Instant::now();
-        let report = rt.shutdown();
-        fastest = fastest.min(t.elapsed());
-        assert!(report.is_conserving(), "{report:?}");
-        assert!(report.all_clean(), "{report:?}");
-    }
-    // Unannounced, each adapter would sit out what is left of its
-    // backstop: 5 ms an adapter on average, joined one after the other.
+    let settled = settled.unwrap_or_else(|| panic!("the worker parked {} times", end.1));
+    let (idle, parks) = (end.0 - settled.0, end.1 - settled.1);
     assert!(
-        fastest < Duration::from_millis(5),
-        "the best of three idle shutdowns took {fastest:?}"
+        parks >= 20,
+        "the worker parked {parks} times after {settled:?}"
+    );
+    assert!(
+        idle <= 3 * parks,
+        "the worker went idle {idle} times for {parks} parks: it spins where no spin is answered"
     );
 }
 

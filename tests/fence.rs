@@ -8,7 +8,11 @@
 //! * a thread census: a runtime of N shards adds exactly N threads to
 //!   the process, whatever its egress mode and fault plan, and a
 //!   resumed worker adds none; a fabric's threads are its node workers,
-//!   whatever its fault plan (DESIGN.md §14.1);
+//!   whatever its fault plan (DESIGN.md §14.1). The census has no
+//!   exception: the stack starts no thread but a shard worker, and a
+//!   sink whose downstream may block refuses instead of blocking and
+//!   runs its own thread outside the stack (DESIGN.md §7), so its
+//!   worker is still the one fence (§14.4);
 //! * seeded panics at every site the fence catches — `fault_tick`, a
 //!   sync sink's `emit` in the middle of a batch, a buffered sink's
 //!   `try_emit` inside the flusher step — with a panic hook that records
