@@ -1,5 +1,10 @@
 //! The `ActiveList` of the paper's Figure 1: a FIFO of active flows with
 //! O(1) membership test, append, and pop.
+//!
+//! A flow costs the list 5 bytes: a `u32` id in the ring (reserved up
+//! front for every provisioned flow) and a membership `bool`. An id that
+//! does not fit in a `u32` is refused with a panic; `FlowId` stays
+//! `usize` at the interface.
 
 use std::collections::VecDeque;
 
@@ -14,7 +19,7 @@ use crate::FlowId;
 /// work-complexity argument rests on.
 #[derive(Clone, Debug, Default)]
 pub struct ActiveList {
-    list: VecDeque<FlowId>,
+    list: VecDeque<u32>,
     in_list: Vec<bool>,
 }
 
@@ -27,10 +32,13 @@ impl ActiveList {
         }
     }
 
-    fn ensure(&mut self, flow: FlowId) {
+    /// Provisions `flow` and returns its stored id.
+    fn ensure(&mut self, flow: FlowId) -> u32 {
+        let id = u32::try_from(flow).expect("ActiveList holds flow ids that fit in a u32");
         if flow >= self.in_list.len() {
             self.in_list.resize(flow + 1, false);
         }
+        id
     }
 
     /// Whether `flow` is currently in the list.
@@ -41,22 +49,22 @@ impl ActiveList {
     /// Appends `flow` at the tail if absent. Returns `true` if it was
     /// added (`ExistsInActiveList(i) == FALSE` branch of Enqueue).
     pub fn push_back_if_absent(&mut self, flow: FlowId) -> bool {
-        self.ensure(flow);
+        let id = self.ensure(flow);
         if self.in_list[flow] {
             return false;
         }
         self.in_list[flow] = true;
-        self.list.push_back(flow);
+        self.list.push_back(id);
         true
     }
 
     /// Appends `flow` at the tail unconditionally (used when re-adding the
     /// just-served flow, which is known to be absent). Panics if present.
     pub fn push_back(&mut self, flow: FlowId) {
-        self.ensure(flow);
+        let id = self.ensure(flow);
         assert!(!self.in_list[flow], "flow {flow} already in ActiveList");
         self.in_list[flow] = true;
-        self.list.push_back(flow);
+        self.list.push_back(id);
     }
 
     /// Removes `flow` from wherever it sits in the list, preserving the
@@ -74,7 +82,7 @@ impl ActiveList {
         let idx = self
             .list
             .iter()
-            .position(|&f| f == flow)
+            .position(|&f| f as FlowId == flow)
             .expect("in_list and list out of sync");
         self.list.remove(idx);
         true
@@ -82,14 +90,14 @@ impl ActiveList {
 
     /// Removes and returns the head flow.
     pub fn pop_front(&mut self) -> Option<FlowId> {
-        let flow = self.list.pop_front()?;
+        let flow = self.list.pop_front()? as FlowId;
         self.in_list[flow] = false;
         Some(flow)
     }
 
     /// The head flow, left in place.
     pub fn front(&self) -> Option<FlowId> {
-        self.list.front().copied()
+        self.list.front().map(|&f| f as FlowId)
     }
 
     /// Flows currently in the list.
@@ -104,7 +112,7 @@ impl ActiveList {
 
     /// Iterates the flows head-to-tail (for inspection/debugging).
     pub fn iter(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.list.iter().copied()
+        self.list.iter().map(|&f| f as FlowId)
     }
 }
 
@@ -157,6 +165,13 @@ mod tests {
         let mut l = ActiveList::new(2);
         l.push_back(0);
         l.push_back(0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "fit in a u32")]
+    fn id_beyond_u32_panics_before_growing() {
+        ActiveList::new(1).push_back(1 << 32);
     }
 
     #[test]

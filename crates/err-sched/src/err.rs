@@ -35,6 +35,8 @@
 //!   boundary decision per run. `service_flit` is the run of one flit,
 //!   `service_batch` a loop of runs.
 
+use std::collections::{HashMap, VecDeque};
+
 use desim::Cycle;
 use serde::{Deserialize, Serialize};
 
@@ -120,9 +122,10 @@ pub struct ErrCore {
     active: ActiveList,
     /// Surplus count per flow (`SC_i`).
     sc: Vec<u64>,
-    /// Integer weight per flow; 1 for the unweighted discipline. The
-    /// weighted allowance is `A_i(r) = w_i * (1 + MaxSC(r-1)) - SC_i(r-1)`
-    /// (see the `werr` module).
+    /// Integer weight per flow. The weighted allowance is
+    /// `A_i(r) = w_i * (1 + MaxSC(r-1)) - SC_i(r-1)` (see the `werr`
+    /// module). Empty when every weight is 1 — the unweighted
+    /// discipline stores none — and a flow past its end weighs 1.
     weight: Vec<u64>,
     /// Largest surplus seen in the current round (`MaxSC`).
     max_sc: u64,
@@ -164,7 +167,7 @@ pub struct ErrCore {
 impl ErrCore {
     /// Creates a core for `n_flows` equally weighted flows.
     pub fn new(n_flows: usize) -> Self {
-        Self::with_weights(vec![1; n_flows])
+        Self::build(n_flows, Vec::new())
     }
 
     /// Creates a core with per-flow integer weights (all ≥ 1).
@@ -177,10 +180,19 @@ impl ErrCore {
             "weights must be at least 1"
         );
         let n = weights.len();
+        let weight = if weights.iter().all(|&w| w == 1) {
+            Vec::new()
+        } else {
+            weights
+        };
+        Self::build(n, weight)
+    }
+
+    fn build(n: usize, weight: Vec<u64>) -> Self {
         Self {
             active: ActiveList::new(n),
             sc: vec![0; n],
-            weight: weights,
+            weight,
             max_sc: 0,
             prev_max_sc: 0,
             rr_visit_count: 0,
@@ -215,9 +227,6 @@ impl ErrCore {
     fn ensure(&mut self, flow: FlowId) {
         if flow >= self.sc.len() {
             self.sc.resize(flow + 1, 0);
-            self.weight.resize(flow + 1, 1);
-        }
-        if flow >= self.parked.len() {
             self.parked.resize(flow + 1, false);
             self.limbo.resize(flow + 1, false);
         }
@@ -243,12 +252,22 @@ impl ErrCore {
     pub fn is_active(&self, flow: FlowId) -> bool {
         self.active.contains(flow)
             || self.visit.is_some_and(|v| v.flow == flow)
-            || self.limbo.get(flow).copied().unwrap_or(false)
+            || self.is_suspended(flow)
     }
 
     /// Whether `flow` is currently parked.
     pub fn is_parked(&self, flow: FlowId) -> bool {
         self.parked.get(flow).copied().unwrap_or(false)
+    }
+
+    /// Whether `flow` has a visit suspended by [`park`](Self::park) and
+    /// not yet resumed or forgotten.
+    pub(crate) fn is_suspended(&self, flow: FlowId) -> bool {
+        self.limbo.get(flow).copied().unwrap_or(false)
+    }
+
+    fn weight(&self, flow: FlowId) -> u64 {
+        self.weight.get(flow).copied().unwrap_or(1)
     }
 
     /// The Enqueue routine: called when a packet arrives for `flow`.
@@ -353,13 +372,14 @@ impl ErrCore {
         let flow = self.active.pop_front().expect("checked non-empty");
         // Eq. (2), weighted form: A_i = w_i * (1 + PreviousMaxSC) - SC_i.
         // With w_i = 1 this is exactly the paper's 1 + PreviousMaxSC - SC_i.
-        let entitlement = self.weight[flow] * (self.bonus + self.prev_max_sc);
+        let weight = self.weight(flow);
+        let entitlement = weight * (self.bonus + self.prev_max_sc);
         // Parking shifts round boundaries and can preserve an SC across
         // rounds whose MaxSC has since shrunk, so the Lemma 1 relation
         // is only asserted on park-free histories (where it is exact).
         debug_assert!(
             self.sc[flow] <= self.prev_max_sc
-                || self.weight[flow] > 1
+                || weight > 1
                 || self.bonus != 1
                 || self.park_epochs > 0,
             "SC_i must not exceed PreviousMaxSC (Lemma 1 bookkeeping)"
@@ -479,7 +499,8 @@ impl ErrCore {
 }
 
 /// A visit (and possibly a packet mid-wormhole) frozen by
-/// [`ErrScheduler::park_flow`], waiting to be resumed.
+/// [`ErrScheduler::park_flow`], waiting to be resumed. Only a flow
+/// parked mid-visit has one.
 #[derive(Clone, Debug)]
 struct SuspendedVisit {
     /// The interrupted packet's remaining flits, if the park hit
@@ -516,12 +537,14 @@ pub struct ErrScheduler {
     core: ErrCore,
     queues: FlowQueues,
     in_flight: Option<FlitStream>,
-    /// Per-flow suspended visits (parked mid-service).
-    suspended: Vec<Option<SuspendedVisit>>,
+    /// The suspended visits of the flows parked mid-service, and of
+    /// no others: an entry exists exactly while the core's `limbo` flag
+    /// is set for its flow, and is looked up only then.
+    suspended: HashMap<FlowId, SuspendedVisit>,
     /// Unparked flows whose suspended visit must resume before any new
     /// visit begins: a packet interrupted mid-wormhole finishes ahead of
     /// any other packet its egress link could see.
-    resume_queue: std::collections::VecDeque<FlowId>,
+    resume_queue: VecDeque<FlowId>,
     /// Flits held inside suspended streams (kept so `backlog_flits`
     /// stays O(1)).
     suspended_flits: u64,
@@ -544,15 +567,9 @@ impl ErrScheduler {
             core,
             queues: FlowQueues::new(n_flows),
             in_flight: None,
-            suspended: (0..n_flows).map(|_| None).collect(),
-            resume_queue: std::collections::VecDeque::new(),
+            suspended: HashMap::new(),
+            resume_queue: VecDeque::new(),
             suspended_flits: 0,
-        }
-    }
-
-    fn ensure_suspended(&mut self, flow: FlowId) {
-        if flow >= self.suspended.len() {
-            self.suspended.resize_with(flow + 1, || None);
         }
     }
 
@@ -631,8 +648,9 @@ impl ErrScheduler {
         // sound rule is "before any new visit at all".
         if self.core.visit().is_none() {
             if let Some(flow) = self.resume_queue.pop_front() {
-                let s = self.suspended[flow]
-                    .take()
+                let s = self
+                    .suspended
+                    .remove(&flow)
                     .expect("resume_queue entries have a suspended visit");
                 self.core.resume_visit(s.visit);
                 if let Some(stream) = s.stream {
@@ -715,8 +733,8 @@ impl ErrScheduler {
                 if let Some(s) = &stream {
                     self.suspended_flits += s.remaining() as u64;
                 }
-                self.ensure_suspended(flow);
-                self.suspended[flow] = Some(SuspendedVisit { stream, visit: v });
+                self.suspended
+                    .insert(flow, SuspendedVisit { stream, visit: v });
             }
             Parked::Dequeued | Parked::Idle => {}
         }
@@ -729,8 +747,7 @@ impl ErrScheduler {
         if !self.core.is_parked(flow) {
             return;
         }
-        self.ensure_suspended(flow);
-        if self.suspended[flow].is_some() {
+        if self.core.is_suspended(flow) {
             self.core.unpark(flow, false);
             if !self.resume_queue.contains(&flow) {
                 self.resume_queue.push_back(flow);
@@ -741,7 +758,8 @@ impl ErrScheduler {
     }
 
     /// Flits currently backlogged for `flow` alone (queued packets plus
-    /// the unsent remainder of a packet in service or suspended).
+    /// the unsent remainder of a packet in service or suspended). O(1);
+    /// only a flow with a suspended visit costs a lookup.
     pub fn flow_backlog_flits(&self, flow: FlowId) -> u64 {
         let mut flits = self.queues.flow_flits(flow);
         if let Some(s) = self.in_flight.as_ref() {
@@ -749,8 +767,8 @@ impl ErrScheduler {
                 flits += s.remaining() as u64;
             }
         }
-        if let Some(Some(sv)) = self.suspended.get(flow) {
-            if let Some(st) = &sv.stream {
+        if self.core.is_suspended(flow) {
+            if let Some(st) = self.suspended.get(&flow).and_then(|sv| sv.stream.as_ref()) {
                 flits += st.remaining() as u64;
             }
         }
@@ -775,14 +793,15 @@ impl ErrScheduler {
                 .is_none_or(|s| s.packet().flow != flow),
             "a parked flow cannot be in flight"
         );
-        self.ensure_suspended(flow);
-        let interrupted = self.suspended[flow]
-            .take()
-            .and_then(|sv| sv.stream)
-            .map(|st| {
-                self.suspended_flits -= st.remaining() as u64;
-                (*st.packet(), st.position())
-            });
+        let suspended = if self.core.is_suspended(flow) {
+            self.suspended.remove(&flow)
+        } else {
+            None
+        };
+        let interrupted = suspended.and_then(|sv| sv.stream).map(|st| {
+            self.suspended_flits -= st.remaining() as u64;
+            (*st.packet(), st.position())
+        });
         // If the flow was unparked and re-parked before resuming, it may
         // still sit in the resume queue; it no longer lives here.
         self.resume_queue.retain(|&f| f != flow);
@@ -801,7 +820,7 @@ impl ErrScheduler {
 pub struct FlowResidue {
     /// The flow's waiting packets, in FIFO order (head first). Does not
     /// include the interrupted packet.
-    pub packets: std::collections::VecDeque<Packet>,
+    pub packets: VecDeque<Packet>,
     /// The packet a park interrupted mid-wormhole, with the 0-based
     /// index of the flit it would emit next (`< packet.len`).
     pub interrupted: Option<(Packet, u32)>,
@@ -1346,6 +1365,130 @@ mod tests {
         assert_eq!((packet.id, next_flit), (0, 1));
         let rest = drain(&mut s);
         assert!(rest.iter().all(|f| f.flow == 1), "no stale resume entry");
+        assert!(s.is_idle());
+    }
+
+    /// Exact per-flow expectations for the parking-at-scale test.
+    struct ScaleModel {
+        /// Flits each flow has backlogged (queued, in flight or
+        /// suspended).
+        backlog: Vec<u64>,
+        /// Per flow: the interrupted packet and the flit it owes next.
+        open: HashMap<FlowId, (u64, u32)>,
+        /// Per flow: the last packet it started.
+        last: Vec<Option<u64>>,
+    }
+
+    impl ScaleModel {
+        fn served(&mut self, s: &ErrScheduler, f: ServedFlit) {
+            assert!(!s.core().is_parked(f.flow), "served parked flow {}", f.flow);
+            if let Some(&(pid, next)) = self.open.get(&f.flow) {
+                assert_eq!(
+                    (f.packet, f.flit_index),
+                    (pid, next),
+                    "flow {} must finish its interrupted packet first",
+                    f.flow
+                );
+                if f.is_tail() {
+                    self.open.remove(&f.flow);
+                } else {
+                    self.open.insert(f.flow, (pid, next + 1));
+                }
+            } else if f.is_head() {
+                assert!(self.last[f.flow].is_none_or(|p| f.packet > p), "FIFO");
+                self.last[f.flow] = Some(f.packet);
+            }
+            self.backlog[f.flow] -= 1;
+        }
+
+        fn check(&self, s: &ErrScheduler, flows: impl IntoIterator<Item = FlowId>) {
+            for flow in flows {
+                assert_eq!(
+                    s.flow_backlog_flits(flow),
+                    self.backlog[flow],
+                    "flow_backlog_flits({flow})"
+                );
+            }
+            assert_eq!(s.backlog_flits(), self.backlog.iter().sum::<u64>());
+        }
+    }
+
+    #[test]
+    fn suspended_visits_at_scale_resume_exactly() {
+        use desim::SimRng;
+        const FLOWS: usize = 10_000;
+        const PARKED: usize = 1_000;
+        const EXTRACTED: usize = 100;
+        let mut rng = SimRng::new(47);
+        let mut s = ErrScheduler::new(FLOWS);
+        let mut m = ScaleModel {
+            backlog: vec![0; FLOWS],
+            open: HashMap::new(),
+            last: vec![None; FLOWS],
+        };
+        let mut id = 0u64;
+        let mut enqueue = |s: &mut ErrScheduler, m: &mut ScaleModel, flow, len| {
+            s.enqueue(pkt(id, flow, len), 0);
+            m.backlog[flow] += u64::from(len);
+            id += 1;
+        };
+        for flow in 0..FLOWS {
+            enqueue(&mut s, &mut m, flow, rng.uniform_u32(2, 9));
+        }
+        // Serve runs of 1-8 flits; a run that stops mid-packet parks its
+        // flow there, until 1 000 flows are suspended mid-packet.
+        let mut parked = Vec::new();
+        while parked.len() < PARKED {
+            let k = rng.uniform_u32(1, 8);
+            let run = s.service_run(|_| k).expect("backlog left");
+            for f in run.flits() {
+                m.served(&s, f);
+            }
+            if !run.ends_packet() {
+                let flow = run.packet.flow;
+                m.open.insert(flow, (run.packet.id, run.first + run.count));
+                assert!(s.park_flow(flow));
+                parked.push(flow);
+            }
+        }
+        // More packets behind the suspended ones, and on other flows.
+        for &flow in &parked {
+            for _ in 0..rng.uniform_u32(1, 2) {
+                enqueue(&mut s, &mut m, flow, rng.uniform_u32(1, 9));
+            }
+        }
+        for _ in 0..PARKED {
+            enqueue(&mut s, &mut m, rng.index(FLOWS), rng.uniform_u32(1, 9));
+        }
+        m.check(&s, 0..FLOWS);
+        // Shuffled order; the first 100 are extracted while suspended.
+        for i in (1..parked.len()).rev() {
+            parked.swap(i, rng.index(i + 1));
+        }
+        for &flow in &parked[..EXTRACTED] {
+            let residue = s.extract_flow(flow).expect("parked");
+            let (packet, next) = residue.interrupted.expect("suspended mid-packet");
+            assert_eq!(Some(&(packet.id, next)), m.open.get(&flow));
+            let queued: u64 = residue.packets.iter().map(|p| u64::from(p.len)).sum();
+            assert_eq!(queued + u64::from(packet.len - next), m.backlog[flow]);
+            m.open.remove(&flow);
+            m.backlog[flow] = 0;
+            m.check(&s, [flow]);
+        }
+        for &flow in &parked[EXTRACTED..] {
+            s.unpark_flow(flow);
+            for _ in 0..rng.uniform_u32(0, 12) {
+                let Some(f) = s.service_flit(0) else { break };
+                m.served(&s, f);
+            }
+            m.check(&s, [flow]);
+        }
+        m.check(&s, 0..FLOWS);
+        while let Some(f) = s.service_flit(0) {
+            m.served(&s, f);
+        }
+        assert!(m.open.is_empty(), "every interrupted packet finished");
+        m.check(&s, 0..FLOWS);
         assert!(s.is_idle());
     }
 

@@ -6,8 +6,9 @@
 //! Corollary 1, and Theorem 2.
 
 use err_sched::err::{ErrScheduler, VisitRecord};
-use err_sched::{Discipline, Packet, Scheduler, ServedFlit};
+use err_sched::{Discipline, FlowQueues, Packet, Scheduler, ServedFlit};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// A compact random workload description: (flow, len, gap-to-next-arrival).
 fn workload_strategy(
@@ -588,6 +589,93 @@ impl RunsBesideSingle {
                 r.flow,
                 r.surplus
             );
+        }
+    }
+}
+
+/// Flows the pool properties draw from.
+const POOL_FLOWS: usize = 64;
+
+/// One pool operation: `(kind, flow, len, arrival)`. Kinds 0–3 push,
+/// 4–6 pop and 7 takes, so queues build up between drains.
+fn pool_ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<(u8, usize, u32, u64)>> {
+    prop::collection::vec((0u8..8, 0..POOL_FLOWS, 1u32..=16, 0u64..1_000), 1..max_ops)
+}
+
+/// `q` agrees with the model on every flow and in aggregate.
+fn assert_pool_matches(q: &FlowQueues, model: &[VecDeque<Packet>]) {
+    let mut flits = 0;
+    for (flow, m) in model.iter().enumerate() {
+        let want: u64 = m.iter().map(|p| u64::from(p.len)).sum();
+        assert_eq!(q.flow_flits(flow), want, "flow {flow}: flow_flits");
+        assert_eq!(q.is_empty(flow), m.is_empty(), "flow {flow}: is_empty");
+        assert_eq!(
+            q.head_len(flow),
+            m.front().map(|p| p.len),
+            "flow {flow}: head_len"
+        );
+        flits += want;
+    }
+    assert_eq!(q.backlog_flits(), flits, "backlog_flits");
+    let pkts: usize = model.iter().map(VecDeque::len).sum();
+    assert_eq!(q.backlog_pkts(), pkts as u64, "backlog_pkts");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The packet pool behaves as one `VecDeque` per flow: every pop
+    /// returns the model's packet whole, every take the model's queue in
+    /// FIFO order, and the per-flow and aggregate counters agree after
+    /// every operation. The pool starts with `provisioned` flows and
+    /// grows on demand to the rest.
+    #[test]
+    fn flow_queues_match_a_vecdeque_per_flow(
+        provisioned in 0..POOL_FLOWS,
+        ops in pool_ops_strategy(400),
+    ) {
+        let mut q = FlowQueues::new(provisioned);
+        let mut model = vec![VecDeque::new(); POOL_FLOWS];
+        for (id, &(kind, flow, len, arrival)) in ops.iter().enumerate() {
+            match kind {
+                0..=3 => {
+                    let pkt = Packet::new(id as u64, flow, len, arrival);
+                    q.push(pkt);
+                    model[flow].push_back(pkt);
+                }
+                4..=6 => prop_assert_eq!(q.pop(flow), model[flow].pop_front(), "pop of flow {}", flow),
+                _ => prop_assert_eq!(q.take(flow), std::mem::take(&mut model[flow]), "take of flow {}", flow),
+            }
+            assert_pool_matches(&q, &model);
+        }
+    }
+
+    /// Once a backlog of `depth` packets is reached, any number of
+    /// pop-then-push cycles over any flows never grows the pool.
+    #[test]
+    fn flow_queues_steady_backlog_never_grows_the_pool(
+        depth in 1usize..200,
+        cycles in prop::collection::vec((0..POOL_FLOWS, 0..POOL_FLOWS, 1u32..=16), 1..400),
+    ) {
+        let mut q = FlowQueues::new(POOL_FLOWS);
+        let mut id = 0u64;
+        for i in 0..depth {
+            q.push(Packet::new(id, i % POOL_FLOWS, 1, 0));
+            id += 1;
+        }
+        let slots = q.pool_slots();
+        prop_assert_eq!(slots, depth);
+        for &(from, to, len) in &cycles {
+            // Pop from the first backlogged flow at or after `from`.
+            let flow = (0..POOL_FLOWS)
+                .map(|k| (from + k) % POOL_FLOWS)
+                .find(|&f| !q.is_empty(f))
+                .expect("the backlog is never empty");
+            prop_assert!(q.pop(flow).is_some());
+            q.push(Packet::new(id, to, len, id));
+            id += 1;
+            prop_assert_eq!(q.pool_slots(), slots, "a steady backlog grew the pool");
+            prop_assert_eq!(q.backlog_pkts(), depth as u64);
         }
     }
 }
