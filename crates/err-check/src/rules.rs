@@ -370,10 +370,12 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
         needles: &[
             "interleavings",
             "mutant",
-            "BENCH_fabric",
-            "isolation",
-            "fabric_heal",
-            "fabric_flap",
+            // The isolation and healing verdicts, by the tests that
+            // hold them.
+            "unrelated_flows_keep_moving_while_one_path_is_stalled",
+            "live_flows_keep_their_share",
+            "transient_cut_heals_with_nothing_lost",
+            "flap_cycles_conserve_ledger_and_credits",
             // The two fabric-era models (PR 10) still shipped must
             // stay in the interleaving-count / mutant-kill matrix.
             "model_credit_hold_refused_try_emit",

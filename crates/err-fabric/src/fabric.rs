@@ -229,11 +229,6 @@ impl FabricReport {
         self.flows.iter().map(|f| f.dead_lettered).sum()
     }
 
-    /// Total packets that crossed an alternate link.
-    pub fn rerouted_packets(&self) -> u64 {
-        self.flows.iter().map(|f| f.rerouted).sum()
-    }
-
     /// The fabric conservation identity (DESIGN.md §11.3): the
     /// per-node ledgers telescope into
     /// `submitted = ejected + dropped + dead_lettered + lost`.

@@ -51,7 +51,7 @@ pub struct HopEntry {
 /// Slots in the table a fabric allocates: 24 bytes each, 96 KB in all.
 /// A packet loses its sample only if it is still in flight when the
 /// packet `SLOTS` ids later is stamped.
-pub const SLOTS: usize = 4096;
+pub(crate) const SLOTS: usize = 4096;
 
 /// Tag of a slot nothing has stamped (or whose stamp was cleared).
 /// Packet ids count up from 0 and never reach it.

@@ -26,13 +26,16 @@
 //! against the single-threaded `wormhole-net` simulator (§11.5).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod chaos;
-pub mod fabric;
+mod fabric;
 mod forwarder;
+// `pub` items, for the `loom` feature's re-export below.
+#[cfg_attr(not(feature = "loom"), allow(unreachable_pub))]
 mod hops;
 mod stats;
-pub mod topology;
+mod topology;
 
 pub use chaos::FabricFaultEvent;
 pub use err_egress::DeadLinkPolicy;

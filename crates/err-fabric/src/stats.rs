@@ -228,7 +228,7 @@ impl FabricLedger {
 
     /// Snapshot of one flow's per-hop accumulators, in path order
     /// (empty when the ledger was built without hop cells).
-    pub fn hop_snapshot(&self, flow: usize) -> Vec<HopSnapshot> {
+    pub(crate) fn hop_snapshot(&self, flow: usize) -> Vec<HopSnapshot> {
         self.flows[flow]
             .hops
             .iter()

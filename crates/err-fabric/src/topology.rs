@@ -229,7 +229,7 @@ impl Topology {
 
     /// The primary routing verdict at `node` for `flow` with endpoints
     /// `spec` (DESIGN.md §11.1).
-    pub fn next_hop(&self, node: usize, flow: usize, spec: FlowSpec) -> NextHop {
+    pub(crate) fn next_hop(&self, node: usize, flow: usize, spec: FlowSpec) -> NextHop {
         if node == spec.dst {
             return NextHop::Eject;
         }
@@ -297,7 +297,7 @@ impl Topology {
     /// final mesh dimension steps have no alternate (DESIGN.md §11.4).
     /// An iterator, not a `Vec`: the forwarder asks once per tail
     /// hand-off and almost always takes the first.
-    pub fn candidate_links(
+    pub(crate) fn candidate_links(
         &self,
         node: usize,
         flow: usize,
@@ -351,9 +351,9 @@ impl Topology {
     /// each transit node, then the destination's eject end
     /// `(dst, 0)`. Each direction of a cable is its own link with its
     /// own credits, so directed pairs are the granularity of the
-    /// `runtime-bench --fabric` hotspot partition: a flow is
-    /// link-disjoint from the frozen sink when it shares no pair with
-    /// any hot-bound path (§11.6).
+    /// hotspot partition in `fabric_integration`'s stalled-path test: a
+    /// flow is link-disjoint from a frozen sink when it shares no pair
+    /// with any hot-bound path.
     pub fn links_on_path(&self, flow: usize, spec: FlowSpec) -> Vec<(usize, usize)> {
         self.path(flow, spec)
             .into_iter()

@@ -198,53 +198,94 @@ fn a_refused_tail_is_polled_while_its_link_is_credit_parked() {
     assert!(offers <= parks + 2, "{offers} offers over {parks} parks");
 }
 
+/// Hop-by-hop backpressure parks only the flows a stall reaches: with
+/// `hot`'s eject end frozen before any submit, every flow whose route
+/// shares no egress end ([`Topology::links_on_path`]) with a hot-bound
+/// path ejects every packet it was accepted while the sink stays
+/// frozen, and no hot-bound flow ejects anything. Flows that share an
+/// end with a hot-bound path are not judged: they wait behind its
+/// parked credits. Returns how many flows were judged disjoint.
+fn assert_disjoint_flows_drain_past_a_frozen_sink(
+    topo: Topology,
+    flows: Vec<FlowSpec>,
+    hot: usize,
+) -> usize {
+    const ROUNDS: usize = 50;
+    let hot_ends: Vec<(usize, usize)> = flows
+        .iter()
+        .enumerate()
+        .filter(|(_, spec)| spec.dst == hot)
+        .flat_map(|(flow, &spec)| topo.links_on_path(flow, spec))
+        .collect();
+    let disjoint: Vec<usize> = (0..flows.len())
+        .filter(|&flow| {
+            let ends = topo.links_on_path(flow, flows[flow]);
+            flows[flow].dst != hot && ends.iter().all(|end| !hot_ends.contains(end))
+        })
+        .collect();
+    let mut cfg = FabricConfig::new(topo, flows.clone());
+    cfg.max_backlog = 8;
+    cfg.credits = 4;
+    let f = Fabric::start(cfg);
+    f.controller(hot).freeze(0);
+    // Offer every flow far past its end-to-end buffering, round robin
+    // and never blocking: a refusal only means that flow is full.
+    let mut accepted = vec![0u64; flows.len()];
+    for _ in 0..ROUNDS {
+        for (flow, n) in accepted.iter_mut().enumerate() {
+            *n += u64::from(f.try_submit(flow, 2).is_ok());
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let behind = |flow: usize| f.ledger().flow(flow).ejected_packets < accepted[flow];
+    while disjoint.iter().any(|&flow| behind(flow)) && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let stopped: Vec<usize> = disjoint.iter().copied().filter(|&fl| behind(fl)).collect();
+    let hot_ejected: Vec<usize> = (0..flows.len())
+        .filter(|&fl| flows[fl].dst == hot && f.ledger().flow(fl).ejected_packets > 0)
+        .collect();
+    // Drained before the verdicts, so that a wedge fails them instead
+    // of hanging the drop.
+    f.controller(hot).release_stall(0);
+    let rep = f.drain_within(DRAIN);
+    assert!(
+        stopped.is_empty(),
+        "flows {stopped:?} share no link with the stall, yet they stopped"
+    );
+    assert!(
+        hot_ejected.is_empty(),
+        "flows {hot_ejected:?} ejected at a frozen sink"
+    );
+    for (flow, spec) in flows.iter().enumerate().filter(|(_, s)| s.dst == hot) {
+        assert!(
+            accepted[flow] > 0,
+            "flow {flow} ({spec:?}) was never offered"
+        );
+    }
+    assert!(rep.is_conserving());
+    assert_eq!(rep.lost_packets, 0);
+    disjoint.len()
+}
+
 #[test]
 fn unrelated_flows_keep_moving_while_one_path_is_stalled() {
     // 2×2: flow 0 (0→1, East link) is frozen at its destination; flow
     // 1 (0→2, South link) shares no link with it and must not park.
-    let f = Fabric::start({
-        let mut c = FabricConfig::new(
-            Topology::mesh(2, 2),
-            vec![FlowSpec { src: 0, dst: 1 }, FlowSpec { src: 0, dst: 2 }],
-        );
-        c.max_backlog = 8;
-        c.credits = 4;
-        c
-    });
-    f.controller(1).freeze(0);
-    // Saturate flow 0 far past its end-to-end buffering.
-    let mut flow0_accepted = 0u64;
-    for _ in 0..200 {
-        if f.try_submit(0, 2).is_ok() {
-            flow0_accepted += 1;
-        }
-    }
-    // Flow 1 must keep ejecting while flow 0 is wedged.
-    let mut flow1_accepted = 0u64;
-    for _ in 0..50 {
-        if f.try_submit(1, 2).is_ok() {
-            flow1_accepted += 1;
-        }
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while f.ledger().flow(1).ejected_packets < flow1_accepted
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::yield_now();
-    }
+    let pair = vec![FlowSpec { src: 0, dst: 1 }, FlowSpec { src: 0, dst: 2 }];
     assert_eq!(
-        f.ledger().flow(1).ejected_packets,
-        flow1_accepted,
-        "the stalled path must not park unrelated traffic"
+        assert_disjoint_flows_drain_past_a_frozen_sink(Topology::mesh(2, 2), pair, 1),
+        1
     );
-    assert!(
-        f.ledger().flow(0).ejected_packets < flow0_accepted,
-        "flow 0 should still be wedged behind the frozen eject"
+    // 4×4, every ordered pair, node (1,1)'s eject frozen: 15 flows are
+    // hot-bound and 104 of the other 225 share no egress end with any
+    // of their paths.
+    let mesh = Topology::mesh(4, 4);
+    let uniform = all_pairs(&mesh);
+    assert_eq!(
+        assert_disjoint_flows_drain_past_a_frozen_sink(mesh, uniform, 5),
+        104
     );
-    f.controller(1).release_stall(0);
-    let rep = f.drain_within(DRAIN);
-    assert!(rep.is_conserving());
-    assert_eq!(rep.lost_packets, 0);
 }
 
 #[test]
@@ -288,35 +329,56 @@ fn cut_final_link_dead_letters_honestly() {
     assert_eq!(rep.flows[0].dead_lettered, 10);
 }
 
+/// A cable cut mid-run on the ejection clock, on the first hop of flow
+/// 0's XY route: every tail handed off after the cut takes the YX
+/// alternate, nothing is lost, and the reverse flow is unharmed. Corner
+/// to corner on a 2×2 and a 4×4 mesh, with credits tight enough that
+/// most of the run lands after the cut.
 #[test]
 fn chaos_kill_link_mid_run_conserves() {
-    let plan = FaultPlan::new().kill_link_at(0, 1, 10);
-    let f = Fabric::start({
-        let mut c = FabricConfig::new(
-            Topology::mesh(2, 2),
-            vec![FlowSpec { src: 0, dst: 3 }, FlowSpec { src: 3, dst: 0 }],
+    let corners = |side: usize| {
+        let far = side * side - 1;
+        vec![FlowSpec { src: 0, dst: far }, FlowSpec { src: far, dst: 0 }]
+    };
+    for (side, packets, kill_at) in [(2, 100u64, 10u64), (4, 60, 15)] {
+        let topo = Topology::mesh(side, side);
+        let east = topo
+            .link_to(0, 1)
+            .expect("node 1 is node 0's east neighbor");
+        let mut c = FabricConfig::new(topo, corners(side));
+        c.fault_plan = Some(FaultPlan::new().kill_link_at(0, east, kill_at));
+        c.max_backlog = 8;
+        c.credits = 4;
+        let f = Fabric::start(c);
+        for _ in 0..packets {
+            f.submit(0, 2).unwrap();
+            f.submit(1, 2).unwrap();
+        }
+        let rep = f.drain_within(DRAIN);
+        assert!(rep.is_conserving(), "{side}x{side}");
+        assert_eq!(
+            rep.lost_packets, 0,
+            "{side}x{side}: a link kill loses nothing"
         );
-        c.fault_plan = Some(plan);
-        c
-    });
-    for _ in 0..100 {
-        f.submit(0, 2).unwrap();
-        f.submit(1, 2).unwrap();
+        assert_eq!(
+            rep.events.len(),
+            1,
+            "{side}x{side}: the scheduled kill fired"
+        );
+        assert!(
+            rep.flows[0].rerouted > 0,
+            "{side}x{side}: no tail took the YX step"
+        );
+        assert_eq!(
+            rep.flows[0].ejected_packets + rep.flows[0].dead_lettered,
+            packets,
+            "{side}x{side}"
+        );
+        assert_eq!(
+            rep.flows[1].ejected_packets, packets,
+            "{side}x{side}: reverse path unharmed"
+        );
     }
-    // Let the monitor observe the clock passing the deadline.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while f.in_flight() > 0 && std::time::Instant::now() < deadline {
-        std::thread::yield_now();
-    }
-    let rep = f.drain_within(DRAIN);
-    assert!(rep.is_conserving());
-    assert_eq!(rep.lost_packets, 0, "a link kill loses nothing");
-    assert_eq!(rep.events.len(), 1, "the scheduled kill fired");
-    assert_eq!(
-        rep.flows[0].ejected_packets + rep.flows[0].dead_lettered,
-        100
-    );
-    assert_eq!(rep.flows[1].ejected_packets, 100, "reverse path unharmed");
 }
 
 #[test]

@@ -93,19 +93,11 @@ impl AdmissionController {
         self.policy
     }
 
-    /// Current outstanding flits of `flow`.
-    pub fn flow_backlog(&self, flow: usize) -> u64 {
-        self.backlog
-            .get(flow)
-            .map(|b| b.0.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
     /// Decides whether a `len`-flit packet of `flow` may enter. On
     /// [`AdmitDecision::Admit`] the flits are charged to the flow and the
     /// caller **must** eventually release them via
-    /// [`on_packet_served`](Self::on_packet_served) (or
-    /// [`revoke`](Self::revoke) if the packet never reaches a shard).
+    /// [`on_packet_served`](Self::on_packet_served) (the runtime revokes
+    /// the charge itself if the packet never reaches a shard).
     pub fn try_admit(&self, flow: usize, len: u32) -> AdmitDecision {
         let Some(cap) = self.policy.max_backlog() else {
             self.charge(flow, len);
@@ -155,7 +147,7 @@ impl AdmissionController {
 
     /// Un-charges an admitted packet that never entered a shard (e.g.
     /// the submit was abandoned because the runtime closed).
-    pub fn revoke(&self, flow: usize, len: u32) {
+    pub(crate) fn revoke(&self, flow: usize, len: u32) {
         self.on_packet_served(flow, len);
     }
 }
@@ -164,13 +156,18 @@ impl AdmissionController {
 mod tests {
     use super::*;
 
+    /// Current outstanding flits of `flow`.
+    fn flow_backlog(a: &AdmissionController, flow: usize) -> u64 {
+        a.backlog[flow].0.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn unlimited_always_admits() {
         let a = AdmissionController::new(AdmissionPolicy::Unlimited, 2);
         for _ in 0..1000 {
             assert_eq!(a.try_admit(0, 64), AdmitDecision::Admit);
         }
-        assert_eq!(a.flow_backlog(0), 64_000);
+        assert_eq!(flow_backlog(&a, 0), 64_000);
     }
 
     #[test]
@@ -180,11 +177,11 @@ mod tests {
         // line admission), after which everything drops.
         assert_eq!(a.try_admit(0, 90), AdmitDecision::Admit);
         assert_eq!(a.try_admit(0, 90), AdmitDecision::Admit);
-        assert_eq!(a.flow_backlog(0), 180);
+        assert_eq!(flow_backlog(&a, 0), 180);
         assert_eq!(a.try_admit(0, 1), AdmitDecision::Drop);
         a.on_packet_served(0, 90);
         assert_eq!(a.try_admit(0, 5), AdmitDecision::Admit);
-        assert_eq!(a.flow_backlog(0), 95);
+        assert_eq!(flow_backlog(&a, 0), 95);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use desim::{Cycle, SimRng};
+use err_egress::LinkSet;
 use err_sched::err::ErrScheduler;
 
 use crate::admission::AdmissionController;
@@ -483,6 +484,12 @@ impl Schedule {
         Some(next)
     }
 
+    /// What [`pop`](Self::pop) would return, not consumed.
+    pub(crate) fn peek(&self, now: Cycle) -> Option<(Cycle, FaultEvent)> {
+        let cur = self.cursor.load(Ordering::Relaxed);
+        self.due.get(cur).copied().filter(|d| d.0 <= now)
+    }
+
     /// `held`: every tick looks (the word reads 0) until a later
     /// `hold(false)` publishes the next due value again.
     pub fn hold(&self, held: bool) {
@@ -556,6 +563,22 @@ impl FaultRuntime {
         self.board.stamp_recovery(shard);
         self.board.set_health(shard, ShardHealth::Running);
     }
+
+    /// Applies `shard`'s link events due at clock 0 before any worker
+    /// starts: every shard shares the link set, so an event at 0 must
+    /// hold before any shard's first flit, not from its own shard's
+    /// first tick. A `PanicShard` at 0 stops the sweep and fires on its
+    /// own worker, and so does every event after it, in plan order.
+    pub(crate) fn apply_at_start(&self, shard: usize, links: Option<&LinkSet>) {
+        let schedule = &self.schedules[shard];
+        while let Some((due, ev)) = schedule
+            .peek(0)
+            .filter(|(_, ev)| ev.kind != FaultKind::PanicShard)
+        {
+            schedule.pop(0);
+            apply_link_event(links, due, ev);
+        }
+    }
 }
 
 /// Per-loop fault hook, called by the worker loop at the intake
@@ -569,19 +592,24 @@ pub(crate) fn fault_tick(shared: &Shared, shard: usize, now: Cycle, stage: &dyn 
         return;
     }
     while let Some((due, ev)) = schedule.pop(now) {
-        let link = ev.target.link;
-        match (ev.kind, stage.links()) {
-            (FaultKind::PanicShard, _) => {
-                panic!("shard {shard}: injected panic at cycle {now} (FaultPlan)")
-            }
-            (FaultKind::Freeze { until }, Some(links)) if due < until => links.freeze(link),
-            (FaultKind::Freeze { .. }, Some(links)) => links.release_stall(link),
-            (FaultKind::KillLink, Some(links)) => links.declare_dead(link),
-            (FaultKind::HealLink, Some(links)) => links.resurrect(link),
-            // `FaultPlan::validate` admits no node event into a runtime
-            // plan, and no link event into one without links.
-            _ => {}
+        if ev.kind == FaultKind::PanicShard {
+            panic!("shard {shard}: injected panic at cycle {now} (FaultPlan)")
         }
+        apply_link_event(stage.links(), due, ev);
+    }
+}
+
+/// Applies link event `ev`, due at `due`, to `links`.
+fn apply_link_event(links: Option<&LinkSet>, due: Cycle, ev: FaultEvent) {
+    let link = ev.target.link;
+    match (ev.kind, links) {
+        (FaultKind::Freeze { until }, Some(links)) if due < until => links.freeze(link),
+        (FaultKind::Freeze { .. }, Some(links)) => links.release_stall(link),
+        (FaultKind::KillLink, Some(links)) => links.declare_dead(link),
+        (FaultKind::HealLink, Some(links)) => links.resurrect(link),
+        // `FaultPlan::validate` admits no node event into a runtime
+        // plan, and no link event into one without links.
+        _ => {}
     }
 }
 

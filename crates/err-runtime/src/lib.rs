@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! `err-runtime` — a sharded multi-core scheduling runtime around
 //! `err-sched`'s Elastic Round Robin scheduler.
@@ -25,20 +26,20 @@
 //!                                  └─ lock-free ShardStats ─► RuntimeStats
 //! ```
 //!
-//! * Flows are hash-partitioned ([`ingress`]), so each flow's packets
+//! * Flows are hash-partitioned ([`home_shard`]), so each flow's packets
 //!   always meet the same scheduler — per-flow FIFO and ERR's fairness
 //!   guarantees hold per shard without any cross-shard coordination.
 //! * Each shard worker drives a private `ErrScheduler` in batched
-//!   intake/service loops ([`shard`]); one flit = one cycle of the
+//!   intake/service loops; one flit = one cycle of the
 //!   shard's flit clock, the paper's egress-link model. ERR is the one
 //!   discipline here: it decides without knowing what a packet will
 //!   cost, which in a wormhole switch is unknown until its tail
 //!   leaves. The other disciplines are compared against it in the
 //!   simulator.
-//! * [`admission`] bounds each flow's outstanding flits with drop-tail,
-//!   reject, or backpressure policies.
-//! * [`stats`] publishes lock-free per-shard counters merged on demand.
-//! * [`drain`] documents the shutdown protocol: close admission, serve
+//! * [`AdmissionController`] bounds each flow's outstanding flits with
+//!   drop-tail, reject, or backpressure policies.
+//! * [`RuntimeStats`] merges lock-free per-shard counters on demand.
+//! * [`Runtime::shutdown`] is the drain protocol: close admission, serve
 //!   the residual backlog to empty, join every worker deterministically.
 //! * [`EgressMode::Buffered`] inserts the `err-egress` stage between
 //!   scheduler and sink: per-shard SPSC output rings drained by a
@@ -46,14 +47,14 @@
 //!   credit flow control, and flow parking so a stalled
 //!   downstream freezes only its own flows — the regime the paper's
 //!   stalled-wormhole argument is about.
-//! * [`fault`] adds the failure half of that story (DESIGN.md §9):
+//! * Fault tolerance adds the failure half of that story (DESIGN.md §9):
 //!   workers that catch their own panic and resume in place, on the
 //!   same thread with the same state, nothing lost, dead-link
 //!   failover in the egress stage, bounded shutdown
 //!   ([`Runtime::shutdown_within`]) and submit
 //!   ([`RuntimeHandle::submit_within`]), and a seeded [`FaultPlan`]
 //!   chaos harness that replays shard and link deaths deterministically.
-//! * Nothing moves a flow: its shard is [`ingress::home_shard`] for the
+//! * Nothing moves a flow: its shard is [`home_shard`] for the
 //!   life of the runtime, so each flow's surplus count stays with the
 //!   one scheduler it was earned against (DESIGN.md §8).
 //!
@@ -77,15 +78,15 @@
 //! assert!(report.is_conserving());
 //! ```
 
-pub mod admission;
+mod admission;
 pub mod channel;
-pub mod drain;
-pub mod fault;
+mod drain;
+mod fault;
 pub mod gate;
-pub mod ingress;
-pub mod shard;
-pub mod stats;
-pub(crate) mod sync;
+mod ingress;
+mod shard;
+mod stats;
+mod sync;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -104,7 +105,7 @@ pub use err_egress::{
 pub use fault::{
     ConfigError, FaultBoard, FaultEvent, FaultKind, FaultPlan, Schedule, Shape, ShardHealth, Target,
 };
-pub use ingress::{RuntimeHandle, SubmitError, Submitted};
+pub use ingress::{home_shard, RuntimeHandle, SubmitError, Submitted};
 pub use stats::{RuntimeStats, ShardSnapshot};
 
 use admission::AdmissionController as Controller;
@@ -176,7 +177,8 @@ pub struct RuntimeConfig {
     /// Egress coupling; [`EgressMode::Sync`] is the legacy inline path.
     pub egress: EgressMode,
     /// Deterministic fault injection (DESIGN.md §9.5), each event on its
-    /// target shard's flit clock; [`Runtime::start`] panics on a plan
+    /// target shard's flit clock, but a link event due at 0 before any
+    /// worker starts; [`Runtime::start`] panics on a plan
     /// [`FaultPlan::validate`] rejects for [`shape`](Self::shape).
     pub fault_plan: Option<FaultPlan>,
 }
@@ -321,6 +323,10 @@ impl Runtime {
                 stages
             }
         };
+        // Link events at 0 fire before traffic starts.
+        for (shard, stage) in stages.iter().enumerate() {
+            shared.fault.apply_at_start(shard, stage.links());
+        }
         let workers = stages
             .into_iter()
             .enumerate()

@@ -31,19 +31,19 @@ pub(crate) struct PaddedCounter(AtomicU64);
 impl PaddedCounter {
     /// Adds `n` (relaxed; counters are monotonic and independently read).
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Overwrites the value (for gauges such as backlog).
     #[inline]
-    pub fn set(&self, n: u64) {
+    pub(crate) fn set(&self, n: u64) {
         self.0.store(n, Ordering::Relaxed);
     }
 
     /// Reads the current value.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -72,7 +72,7 @@ pub(crate) struct ShardStats {
 
 impl ShardStats {
     /// Takes a point-in-time copy of the counters.
-    pub fn snapshot(&self, shard: usize) -> ShardSnapshot {
+    pub(crate) fn snapshot(&self, shard: usize) -> ShardSnapshot {
         ShardSnapshot {
             shard,
             enqueued_packets: self.enqueued_packets.get(),
@@ -171,7 +171,7 @@ impl RuntimeStats {
     }
 
     /// Attaches an egress snapshot (buffered mode).
-    pub fn with_egress(mut self, egress: EgressSnapshot) -> Self {
+    pub(crate) fn with_egress(mut self, egress: EgressSnapshot) -> Self {
         self.egress = Some(egress);
         self
     }

@@ -2,11 +2,13 @@
 //! isolation (the tentpole claim), drain conservation under an active
 //! stall, bounded buffering, and sync/buffered equivalence.
 //!
-//! The isolation test measures wall-clock delivered flits because the
-//! claim under test is about *decoupling real threads*: a frozen
-//! downstream must not slow the other links' delivery rate. Ratios are
-//! taken between back-to-back runs on the same machine, so absolute
-//! machine speed cancels out.
+//! Isolation is judged on each shard's own delivered-flit clock: behind
+//! a frozen or dead link, and across a shard's resumption, every live
+//! flow keeps its share of a fixed window of the flits its shard
+//! delivers. The sync ablation measures wall-clock delivered flits,
+//! because a frozen sync sink stops the very clock the shares are
+//! read on; its ratios are taken between back-to-back runs on the same
+//! machine, so absolute machine speed cancels out.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -159,6 +161,166 @@ fn stalled_link_isolation_buffered_while_sync_collapses() {
         "sync mode should collapse: unstalled links delivered {stalled_s} of {base_s} \
          baseline with link 0 blocking"
     );
+}
+
+/// Flits each shard delivers before its fairness window opens.
+const SETTLE_FLITS: usize = 5_000;
+/// The fairness window, in flits of one shard's delivered-flit clock.
+const WINDOW_FLITS: usize = 20_000;
+
+/// What a fairness window runs behind.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Trouble {
+    /// Link 0 frozen from clock 0, for good.
+    FrozenLink,
+    /// Link 0 dead from clock 0 under `DropAndAccount`, the default
+    /// policy: its flows are still served, into the dead letters.
+    DeadLink,
+    /// Shard 1's worker panics in the middle of its window and resumes
+    /// in place (DESIGN.md §9.2).
+    ShardPanic,
+}
+
+/// Isolation and resumption as shares of each shard's own clock. Each
+/// shard's sink records the flow of every flit it takes, in its own
+/// order: the shard's delivered-flit clock. With every flow backlogged,
+/// over a window of `WINDOW_FLITS` every flow homed on a shard whose
+/// link is live gets at least 0.9 of an equal split of the window among
+/// that shard's live-link flows, a flow of a link that is not live
+/// delivers nothing inside it, and nothing is lost. ERR serves equal
+/// packets round robin, so a live flow falls short only if a stalled or
+/// dead link's flows hold it back, or a resumed worker forgets it.
+///
+/// Each link's pool holds a ring's worth of credits per shard, so no
+/// shard finds a live link's pool empty: a grant is at most a batch,
+/// and the ring holds what it served until the next flush. With 32
+/// credits, shards racing for a pool park the loser's flows of that
+/// link, down to 0 of their share over a window (ROADMAP item 16(a)):
+/// cross-shard grant fairness, not the trouble judged here.
+fn assert_live_flows_keep_their_share(trouble: Trouble) {
+    const SHARDS: usize = 4;
+    const RING: u64 = 256;
+    const VICTIM: usize = 1;
+    // Long packets: a submit costs the producer far less than serving
+    // the packet costs a worker, so every flow stays backlogged and ERR,
+    // not the producer's order, decides each share.
+    const LEN: u32 = 32;
+    let plan = match trouble {
+        Trouble::FrozenLink => link0_frozen(),
+        Trouble::DeadLink => FaultPlan::new().kill_link_at(0, 0, 0),
+        // The middle of the victim's window: the flits its ring and a
+        // batch hold are far fewer than a quarter of it.
+        Trouble::ShardPanic => {
+            FaultPlan::new().panic_shard_at(0, VICTIM, (SETTLE_FLITS + WINDOW_FLITS / 2) as u64)
+        }
+    };
+    let live = |flow: usize| trouble == Trouble::ShardPanic || !flow.is_multiple_of(N_LINKS);
+    let delivered: Arc<Vec<Mutex<Vec<usize>>>> =
+        Arc::new((0..SHARDS).map(|_| Mutex::new(Vec::new())).collect());
+    let d2 = Arc::clone(&delivered);
+    let (rt, handle) = Runtime::start_with_egress(
+        RuntimeConfig {
+            shards: SHARDS,
+            n_flows: N_FLOWS,
+            admission: AdmissionPolicy::DropTail {
+                max_backlog: 8 * u64::from(LEN),
+            },
+            egress: EgressMode::Buffered(BufferedConfig {
+                ring_capacity: RING as usize,
+                credits: SHARDS as u64 * RING,
+                n_links: N_LINKS,
+                ..BufferedConfig::default()
+            }),
+            fault_plan: Some(plan),
+            ..RuntimeConfig::default()
+        },
+        move |_shard| {
+            let delivered = Arc::clone(&d2);
+            Some(move |s: usize, f: &ServedFlit| delivered[s].lock().unwrap().push(f.flow))
+        },
+    );
+    if trouble == Trouble::FrozenLink {
+        // Every shard delivers link 0's flits, so the freeze due at 0
+        // must hold before any worker runs, not from shard 0's first
+        // tick.
+        let links = rt.egress_controller().expect("buffered").snapshot().links;
+        assert_eq!(links[0].stall_events, 1, "link 0 not frozen at start");
+    }
+    let enough = SETTLE_FLITS + WINDOW_FLITS;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut id = 0u64;
+    while delivered.iter().any(|d| d.lock().unwrap().len() < enough) {
+        if Instant::now() > deadline {
+            break;
+        }
+        for _ in 0..N_FLOWS {
+            let flow = (id % N_FLOWS as u64) as usize;
+            let _ = handle.submit(Packet::new(id, flow, LEN, 0));
+            id += 1;
+        }
+    }
+    // Bounded, so that a shard that stopped fails the test below
+    // instead of hanging its drain.
+    let report = rt.shutdown_within(Duration::from_secs(20));
+    assert!(!report.forced, "{trouble:?}: {report:?}");
+    assert!(report.is_conserving(), "{report:?}");
+    assert_eq!(report.lost_packets(), 0, "{report:?}");
+    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
+    match trouble {
+        Trouble::FrozenLink => {}
+        Trouble::DeadLink => assert!(egress.links[0].dead_letter_flits > 0, "{egress:?}"),
+        Trouble::ShardPanic => {
+            for (shard, exit) in report.exits.iter().enumerate() {
+                let died = if shard == VICTIM {
+                    ShardExit::Panicked
+                } else {
+                    ShardExit::Clean
+                };
+                assert_eq!(*exit, died, "shard {shard}: {report:?}");
+            }
+        }
+    }
+    for (shard, seq) in delivered.iter().enumerate() {
+        let seq = seq.lock().unwrap();
+        assert!(seq.len() >= enough, "{trouble:?}: shard {shard} stopped");
+        let mut got = [0usize; N_FLOWS];
+        for &flow in &seq[SETTLE_FLITS..enough] {
+            got[flow] += 1;
+        }
+        let mine: Vec<usize> = (0..N_FLOWS)
+            .filter(|&flow| handle.shard_of(flow) == shard)
+            .collect();
+        let share = WINDOW_FLITS as f64 / mine.iter().filter(|&&f| live(f)).count() as f64;
+        for flow in mine {
+            if live(flow) {
+                assert!(
+                    got[flow] as f64 >= 0.9 * share,
+                    "{trouble:?}: shard {shard} flow {flow} got {} of a {share:.0}-flit share",
+                    got[flow]
+                );
+            } else {
+                assert_eq!(got[flow], 0, "{trouble:?}: shard {shard} flow {flow}");
+            }
+        }
+    }
+}
+
+#[test]
+fn live_flows_keep_their_share_behind_a_frozen_link() {
+    let _alone = one_at_a_time();
+    assert_live_flows_keep_their_share(Trouble::FrozenLink);
+}
+
+#[test]
+fn live_flows_keep_their_share_behind_a_dead_link() {
+    let _alone = one_at_a_time();
+    assert_live_flows_keep_their_share(Trouble::DeadLink);
+}
+
+#[test]
+fn live_flows_keep_their_share_across_a_shard_resume() {
+    let _alone = one_at_a_time();
+    assert_live_flows_keep_their_share(Trouble::ShardPanic);
 }
 
 /// Shutdown in the middle of an indefinite stall strands nothing: every

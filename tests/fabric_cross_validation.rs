@@ -61,52 +61,71 @@ fn serialized_per_path_latency_matches_the_simulator() {
     assert!(rep.is_conserving());
 }
 
-/// A deterministic workload on the same mesh: with blocking submits and
-/// no faults nothing can drop, dead-letter, or reroute, so the ledger
-/// is flit-exact per flow and each node's scheduler serves exactly the
-/// flits of the flows whose XY path crosses it.
+/// A deterministic workload on the same mesh, and on a 4×4 mesh under
+/// the uniform mix (every ordered pair of distinct nodes) and the
+/// transpose mix `(x, y) → (y, x)`: with blocking submits and no faults
+/// nothing can drop, dead-letter, or reroute, so the drain is graceful,
+/// the ledger is flit-exact per flow and each node's scheduler serves
+/// exactly the flits of the flows whose XY path crosses it.
 #[test]
 fn deterministic_run_accounts_for_every_flit_at_every_hop() {
-    const PACKETS: u64 = 25;
     const LEN: u32 = 4;
-    let flows = all_pairs();
-    let topo = Topology::mesh(COLS, ROWS);
-    // Per-node expected service: every node on a flow's path (source
-    // through destination inclusive) serves each of its flits once.
-    let mut expected_served = vec![0u64; topo.n_nodes()];
-    for (flow, &spec) in flows.iter().enumerate() {
-        for node in topo.path(flow, spec) {
-            expected_served[node] += PACKETS * u64::from(LEN);
+    const SIDE: usize = 4;
+    let uniform: Vec<FlowSpec> = (0..SIDE * SIDE)
+        .flat_map(|src| (0..SIDE * SIDE).map(move |dst| FlowSpec { src, dst }))
+        .filter(|spec| spec.src != spec.dst)
+        .collect();
+    let transpose: Vec<FlowSpec> = (0..SIDE * SIDE)
+        .map(|src| FlowSpec {
+            src,
+            dst: (src % SIDE) * SIDE + src / SIDE,
+        })
+        .filter(|spec| spec.src != spec.dst)
+        .collect();
+    let mixes = [
+        (Topology::mesh(COLS, ROWS), all_pairs(), 25u64),
+        (Topology::mesh(SIDE, SIDE), uniform, 5),
+        (Topology::mesh(SIDE, SIDE), transpose, 40),
+    ];
+    for (topo, flows, packets) in mixes {
+        // Per-node expected service: every node on a flow's path
+        // (source through destination inclusive) serves each of its
+        // flits once.
+        let mut expected_served = vec![0u64; topo.n_nodes()];
+        for (flow, &spec) in flows.iter().enumerate() {
+            for node in topo.path(flow, spec) {
+                expected_served[node] += packets * u64::from(LEN);
+            }
         }
-    }
-    let fabric = Fabric::start(FabricConfig::new(topo, flows.clone()));
-    for _ in 0..PACKETS {
-        for flow in 0..flows.len() {
-            fabric.submit(flow, LEN).expect("fabric is open");
+        let fabric = Fabric::start(FabricConfig::new(topo, flows.clone()));
+        for _ in 0..packets {
+            for flow in 0..flows.len() {
+                fabric.submit(flow, LEN).expect("fabric is open");
+            }
         }
-    }
-    let rep = fabric.drain_within(Duration::from_secs(20));
-    assert!(!rep.forced, "graceful drain expected");
-    assert!(rep.is_conserving());
-    assert_eq!(rep.lost_packets, 0);
-    for (flow, snap) in rep.flows.iter().enumerate() {
-        assert_eq!(snap.submitted, PACKETS, "flow {flow}");
-        assert_eq!(snap.ejected_packets, PACKETS, "flow {flow}");
-        assert_eq!(
-            snap.ejected_flits,
-            PACKETS * u64::from(LEN),
-            "flow {flow} lost flits in transit"
-        );
-        assert_eq!(snap.dropped, 0, "flow {flow}");
-        assert_eq!(snap.dead_lettered, 0, "flow {flow}");
-        assert_eq!(snap.rerouted, 0, "no faults, no reroutes (flow {flow})");
-    }
-    for (node, rep) in rep.node_reports.iter().enumerate() {
-        assert_eq!(
-            rep.stats.served_flits(),
-            expected_served[node],
-            "node {node} served a different flit count than its path membership"
-        );
+        let rep = fabric.drain_within(Duration::from_secs(20));
+        assert!(!rep.forced, "graceful drain expected");
+        assert!(rep.is_conserving());
+        assert_eq!(rep.lost_packets, 0);
+        for (flow, snap) in rep.flows.iter().enumerate() {
+            assert_eq!(snap.submitted, packets, "flow {flow}");
+            assert_eq!(snap.ejected_packets, packets, "flow {flow}");
+            assert_eq!(
+                snap.ejected_flits,
+                packets * u64::from(LEN),
+                "flow {flow} lost flits in transit"
+            );
+            assert_eq!(snap.dropped, 0, "flow {flow}");
+            assert_eq!(snap.dead_lettered, 0, "flow {flow}");
+            assert_eq!(snap.rerouted, 0, "no faults, no reroutes (flow {flow})");
+        }
+        for (node, rep) in rep.node_reports.iter().enumerate() {
+            assert_eq!(
+                rep.stats.served_flits(),
+                expected_served[node],
+                "node {node} served a different flit count than its path membership"
+            );
+        }
     }
 }
 

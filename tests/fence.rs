@@ -152,7 +152,7 @@ fn a_runtime_of_n_shards_runs_n_threads() {
                 };
                 // The victim is flow 0's shard in the static partition,
                 // which routes every flow of a runtime for its life.
-                let victim = err_runtime::ingress::home_shard(0, shards);
+                let victim = err_runtime::home_shard(0, shards);
                 let before: HashSet<u64> = threads().into_iter().map(|t| t.0).collect();
                 let (rt, handle) = Runtime::start(RuntimeConfig {
                     shards,
