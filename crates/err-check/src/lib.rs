@@ -46,6 +46,9 @@
 //! * **doc-drift** — declarative needle rules keeping DESIGN.md
 //!   §8–§14, README.md, and EXPERIMENTS.md naming the real protocol
 //!   vocabulary (generalizes the PR 3/PR 4 drift tests).
+//! * **doc-names** — the reverse direction: every backticked Rust path
+//!   or file path in those docs resolves to code, a file, a ledger
+//!   metric, a commit id or the glossary ([`lint_doc_names`]).
 //!
 //! The scanner is a deliberately small line lexer, not a full parser:
 //! it masks string/char literals and comments (so `"unsafe"` in a
@@ -66,13 +69,15 @@
 
 mod rules;
 
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub use rules::PASSES;
 use rules::{
-    BACKSTOP_CONST, BACKSTOP_TREES, CLAIM_FILES, DOC_RULES, MUTEX_FILES, PAIRED_FILES,
-    SEQCST_FILES, TRAIT_IMPL_RULES,
+    BACKSTOP_CONST, BACKSTOP_TREES, CLAIM_FILES, DOC_FILE_EXTS, DOC_GLOSSARY, DOC_RULES,
+    METRIC_CATALOG, MUTEX_FILES, NAMED_DOCS, PAIRED_FILES, SEQCST_FILES, TRAIT_IMPL_RULES,
+    TREE_SKIP,
 };
 
 /// How many lines above an `unsafe`/ordering site a justifying comment
@@ -494,21 +499,36 @@ fn pair_clauses(comment: &str) -> (Vec<(String, String)>, bool) {
     (out, malformed)
 }
 
+/// Every `` `backticked` `` span in `text`, with the byte offset of
+/// its opening backtick.
+fn backticked(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let mut at = 0;
+    text.split('`')
+        .map(move |chunk| {
+            let start = at;
+            at += chunk.len() + 1;
+            (start.saturating_sub(1), chunk)
+        })
+        .skip(1)
+        .step_by(2)
+}
+
+/// The identifier `span` starts with, if it starts with one.
+fn leading_ident(span: &str) -> Option<&str> {
+    let end = span
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(span.len());
+    let ident = &span[..end];
+    (!ident.is_empty() && !ident.starts_with(|c: char| c.is_numeric())).then_some(ident)
+}
+
 /// Extracts the leading identifier of every `` `backticked` `` span in
 /// a comment (`` `refill` `` → that name;
 /// `` `park_flow(flow)` `` → `park_flow`).
 fn backticked_idents(text: &str) -> Vec<String> {
-    text.split('`')
-        .skip(1)
-        .step_by(2)
-        .filter_map(|span| {
-            let ident: String = span
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            (!ident.is_empty() && !ident.chars().next().is_some_and(|c| c.is_numeric()))
-                .then_some(ident)
-        })
+    backticked(text)
+        .filter_map(|(_, span)| leading_ident(span))
+        .map(str::to_owned)
         .collect()
 }
 
@@ -696,17 +716,11 @@ fn lint_cross(files: &[(String, String)]) -> Vec<Violation> {
         .enumerate()
         .map(|(fi, (_, text))| (fi, scrub(text)))
         .collect();
-    let flat_code: Vec<String> = scrubbed
-        .iter()
-        .map(|(_, lines)| {
-            lines
-                .iter()
-                .map(|l| l.code.as_str())
-                .collect::<Vec<_>>()
-                .join("\n")
-        })
-        .collect();
-    let resolves = |ident: &str| flat_code.iter().any(|code| has_token(code, ident));
+    let mut code = NameIndex::default();
+    for (_, lines) in &scrubbed {
+        code.add_code(lines);
+    }
+    let resolves = |ident: &str| code.names.contains(ident);
     let known_file = |rel: &str| files.iter().any(|(f, _)| f == rel);
 
     // Every pairing clause, graph-wide: (file idx, line, label, target).
@@ -940,54 +954,223 @@ pub fn check_docs(root: &Path) -> Vec<Violation> {
     v
 }
 
-/// Collects the `.rs` files subject to the source rules: `src/` and
-/// every `crates/*/src` tree (recursively). `vendor/`, `target/`, and
-/// integration-test trees are out of scope by construction.
-fn source_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// What a backticked name in a doc may resolve to (the `doc-names`
+/// pass): a token of non-comment Rust code, a file of the tree (by
+/// path, name or stem), or a name in the ledger's metric catalogue.
+#[derive(Default)]
+pub struct NameIndex {
+    names: HashSet<String>,
+    files: Vec<String>,
+}
+
+impl NameIndex {
+    /// Indexes `sources` — `(relpath, text)` of every Rust file — and
+    /// `tree`, the relpath of every file.
+    pub fn new(sources: &[(String, String)], tree: &[String]) -> Self {
+        let mut index = Self {
+            names: HashSet::new(),
+            files: tree.to_vec(),
+        };
+        for (rel, text) in sources {
+            index.add_code(&scrub(text));
+            if rel == METRIC_CATALOG {
+                // Metric and workload names are string literals there;
+                // a doc cites a whole name or one dotted part of it.
+                for lit in text.split('"').skip(1).step_by(2) {
+                    if !lit.is_empty() && !lit.contains(char::is_whitespace) {
+                        index.names.extend(lit.split('.').map(str::to_owned));
+                    }
+                }
+            }
+        }
+        for f in tree {
+            let file = f.rsplit('/').next().unwrap_or(f);
+            index.names.insert(file.to_owned());
+            index
+                .names
+                .insert(file.split('.').next().unwrap_or(file).to_owned());
+        }
+        index
+    }
+
+    /// Adds every identifier token of scrubbed code.
+    fn add_code(&mut self, lines: &[Line]) {
+        let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+        for l in lines {
+            self.names.extend(
+                l.code
+                    .split(|c: char| !is_ident(c))
+                    .filter(|w| !w.is_empty())
+                    .map(str::to_owned),
+            );
+        }
+    }
+
+    fn has_name(&self, name: &str) -> bool {
+        if let Some(prefix) = name.strip_suffix('*') {
+            return self.names.iter().any(|n| n.starts_with(prefix));
+        }
+        self.names.contains(name)
+            || (name.len() >= 7 && name.chars().all(|c| c.is_ascii_hexdigit()))
+            || DOC_GLOSSARY.iter().any(|(g, _)| *g == name)
+    }
+
+    /// The first segment of the Rust path `path` that names nothing.
+    fn unresolved<'p>(&self, path: &'p str) -> Option<&'p str> {
+        path.split("::").find(|seg| !self.has_name(seg))
+    }
+
+    fn has_file(&self, path: &str) -> bool {
+        let path = path.trim_start_matches("./").trim_start_matches("../");
+        self.files
+            .iter()
+            .any(|f| f == path || f.ends_with(&format!("/{path}")))
+    }
+}
+
+/// The Rust path a backticked span names (`Fabric::drain_within(..)` →
+/// `Fabric::drain_within`), if the span is shaped like one. A trailing
+/// `*` (`idle_while_*`) names every item with that prefix.
+fn doc_name(span: &str) -> Option<&str> {
+    let end = span
+        .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+        .unwrap_or(span.len());
+    let end = end + usize::from(span[end..].starts_with('*'));
+    let (path, rest) = span.split_at(end);
+    let shaped = path
+        .split("::")
+        .all(|seg| leading_ident(seg) == Some(seg.trim_end_matches('*')))
+        && (rest.is_empty() || rest.starts_with(['(', '<', '!']));
+    shaped.then_some(path)
+}
+
+/// The file a backticked span names (`lib.rs:117` → `lib.rs`), if the
+/// span is shaped like a file path.
+fn doc_file(span: &str) -> Option<&str> {
+    let path = span.split(':').next()?;
+    let (_, ext) = path.rsplit_once('.')?;
+    let shaped = DOC_FILE_EXTS.contains(&ext)
+        && path
+            .chars()
+            .all(|c| c.is_alphanumeric() || "_-./".contains(c));
+    shaped.then_some(path)
+}
+
+/// Whether `line` names a PR (`PR 14`, `PRs 42–44`): the one mark that
+/// exempts a historical name.
+fn names_a_pr(line: &str) -> bool {
+    line.match_indices("PR").any(|(at, _)| {
+        let rest = line[at + 2..].trim_start_matches('s').trim_start();
+        rest.starts_with(|c: char| c.is_ascii_digit())
+    })
+}
+
+/// The `doc-names` pass: every backticked span shaped like a Rust path
+/// or a file path in `docs` (`(relpath, markdown)` pairs) must resolve
+/// in `index`, unless its line names a PR. Fenced code blocks are
+/// commands and output, not names.
+pub fn lint_doc_names(docs: &[(String, String)], index: &NameIndex) -> Vec<Violation> {
+    let mut v = Vec::new();
+    for (doc, text) in docs {
+        let mut fenced = false;
+        let prose: Vec<&str> = text
+            .lines()
+            .map(|l| {
+                let fence = l.trim_start().starts_with("```");
+                fenced ^= fence;
+                if fenced || fence {
+                    ""
+                } else {
+                    l
+                }
+            })
+            .collect();
+        let joined = prose.join("\n");
+        for (at, span) in backticked(&joined) {
+            let line = joined[..at].matches('\n').count();
+            let unresolved = match (doc_file(span), doc_name(span)) {
+                // `tests/fence.rs::a_test` names the file and the item in it.
+                (Some(file), _) if !index.has_file(file) => Some(file),
+                (Some(_), _) => span
+                    .split_once("::")
+                    .and_then(|(_, item)| doc_name(item))
+                    .and_then(|item| index.unresolved(item)),
+                (None, Some(path)) => index.unresolved(path),
+                (None, None) => None,
+            };
+            if let Some(name) = unresolved.filter(|_| !names_a_pr(prose[line])) {
+                v.push(Violation {
+                    file: doc.clone(),
+                    line: line + 1,
+                    rule: "doc-names",
+                    msg: format!(
+                        "`{name}` names nothing in the code, the tree or the metric catalogue; \
+                         fix the name, or put on this line the PR it belonged to"
+                    ),
+                });
+            }
+        }
+    }
+    v
+}
+
+/// Every file under `root` but what `TREE_SKIP` names, as sorted
+/// `/`-separated relpaths.
+fn tree_files(root: &Path) -> std::io::Result<Vec<String>> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let name = rel.rsplit('/').next().unwrap_or(&rel);
+            if TREE_SKIP.contains(&name) || TREE_SKIP.contains(&rel.as_str()) {
+                continue;
+            }
             if path.is_dir() {
-                walk(&path, out)?;
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
+                walk(root, &path, out)?;
+            } else {
+                out.push(rel);
             }
         }
         Ok(())
     }
-    let mut files = Vec::new();
-    let top = root.join("src");
-    if top.is_dir() {
-        walk(&top, &mut files)?;
-    }
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        for entry in std::fs::read_dir(&crates)? {
-            let src = entry?.path().join("src");
-            if src.is_dir() {
-                walk(&src, &mut files)?;
-            }
-        }
-    }
-    files.sort();
-    Ok(files)
+    let mut tree = Vec::new();
+    walk(root, root, &mut tree)?;
+    tree.sort();
+    Ok(tree)
 }
 
-/// Lints every in-scope source file (per-file rules plus the
-/// cross-file pairing/unpark passes) and the doc-drift rules. Returns
-/// all violations, sorted by file and line.
+/// Lints the workspace under `root`: the source rules over `src/` and
+/// every `crates/*/src` tree (per-file rules plus the cross-file
+/// pairing/unpark passes), the doc-drift rules, and the `doc-names`
+/// pass over the docs `NAMED_DOCS` lists, against every Rust file and
+/// file of the tree. `vendor/`, `target/`, and test trees are out of
+/// the source rules' scope by construction. Returns all violations,
+/// sorted by file and line.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let mut files = Vec::new();
-    for path in source_files(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        files.push((rel, std::fs::read_to_string(&path)?));
+    let tree = tree_files(root)?;
+    let mut sources = Vec::new();
+    for rel in tree.iter().filter(|f| f.ends_with(".rs")) {
+        sources.push((rel.clone(), std::fs::read_to_string(root.join(rel))?));
     }
-    let mut violations = lint_files(&files);
+    let linted: Vec<(String, String)> = sources
+        .iter()
+        .filter(|(rel, _)| {
+            rel.starts_with("src/")
+                || (rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src"))
+        })
+        .cloned()
+        .collect();
+    let mut violations = lint_files(&linted);
     violations.extend(check_docs(root));
+    let mut docs = Vec::new();
+    for doc in NAMED_DOCS {
+        docs.push((doc.to_string(), std::fs::read_to_string(root.join(doc))?));
+    }
+    violations.extend(lint_doc_names(&docs, &NameIndex::new(&sources, &tree)));
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(violations)
 }
@@ -1402,6 +1585,32 @@ mod tests {
     }
 
     #[test]
+    fn doc_name_shapes() {
+        assert_eq!(
+            doc_name("Fabric::drain_within(Some(..))"),
+            Some("Fabric::drain_within")
+        );
+        assert_eq!(doc_name("Vec<u32>"), Some("Vec"));
+        assert_eq!(doc_name("idle_while_*"), Some("idle_while_*"));
+        for prose in [
+            "err-check lint",
+            "// backstop:",
+            "a.b",
+            "3m",
+            "head/tail: u32",
+        ] {
+            assert_eq!(doc_name(prose), None, "{prose}");
+        }
+        assert_eq!(
+            doc_file("crates/err-check/src/lib.rs:117"),
+            Some("crates/err-check/src/lib.rs")
+        );
+        assert_eq!(doc_file("fixtures/*.md"), None);
+        assert!(names_a_pr("went in PR 43") && names_a_pr("PRs 42–44"));
+        assert!(!names_a_pr("PRIORITY 4"));
+    }
+
+    #[test]
     fn every_normative_design_section_has_a_doc_rule() {
         let design =
             std::fs::read_to_string(workspace_root().join("DESIGN.md")).expect("DESIGN.md");
@@ -1448,6 +1657,7 @@ mod tests {
             "panic-boundary",
             "backstop",
             "doc-drift",
+            "doc-names",
         ];
         for rule in emitted {
             assert!(

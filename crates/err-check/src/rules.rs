@@ -65,6 +65,12 @@ pub const PASSES: &[(&str, &str)] = &[
         "doc-drift",
         "DESIGN/README/EXPERIMENTS keep naming the protocol vocabulary the code exports",
     ),
+    (
+        "doc-names",
+        "every backticked Rust path or file path in DESIGN/README/EXPERIMENTS resolves to code, \
+         a file of the tree, a metric of the ledger catalogue, a commit id or the glossary; a \
+         historical name is exempt only on a line that names its PR",
+    ),
 ];
 
 /// Files allowed to use `Ordering::SeqCst`. Everything here is a
@@ -145,6 +151,38 @@ pub(crate) const BACKSTOP_TREES: &[&str] = &[
 
 /// The one constant a covered sleep may pass as its timeout.
 pub(crate) const BACKSTOP_CONST: &str = "BACKSTOP";
+
+/// The docs the `doc-names` pass reads.
+pub(crate) const NAMED_DOCS: &[&str] = &["DESIGN.md", "README.md", "EXPERIMENTS.md"];
+
+/// The ledger's metric catalogue: its string literals are names a doc
+/// may cite (`cpu_ns_per_flit`, `runtime_buffered`).
+pub(crate) const METRIC_CATALOG: &str = "bench/src/catalog.rs";
+
+/// Extensions that make a backticked span a file path to resolve.
+pub(crate) const DOC_FILE_EXTS: &[&str] = &["rs", "md", "json", "jsonl", "toml", "yml", "lock"];
+
+/// What the tree walk skips, by name or by relpath: version control
+/// and build or run outputs, which no doc should cite.
+pub(crate) const TREE_SKIP: &[&str] = &[".git", "target", ".bench_build", "bench/out"];
+
+/// Names a doc may use that no code holds: `(name, why)`.
+pub(crate) const DOC_GLOSSARY: &[(&str, &str)] = &[
+    ("A_i", "the paper's allowance of flow i in a round (Eq. 2)"),
+    ("Sent_i", "the paper's flits sent by flow i in a visit"),
+    ("SC_i", "the paper's surplus count of flow i (Eq. 1)"),
+    ("MaxSC", "the paper's largest surplus count of a round"),
+    ("Ts", "the paper's service-boundary instants (Lemma 2)"),
+    ("FM", "the paper's relative fairness measure"),
+    (
+        "Max",
+        "the paper's largest packet size, in DRR's Max + 2m bound",
+    ),
+    (
+        "repro",
+        "err-experiments' binary: its name is in that crate's Cargo.toml",
+    ),
+];
 
 /// One declarative doc-drift rule: `doc` (under the workspace root)
 /// must contain every needle, inside `section` when one is given.
@@ -387,11 +425,11 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "runtime_buffered",
             "park_timeouts",
             "pinned_cpu",
-            // The grant (PR 17): model, mutant, and the section its
-            // gain and its ablation are stated in.
+            // The grant (PR 17): model, mutant, and the history row
+            // its gain is stated in.
             "model_credit_grant_returned_exactly_once",
             "mutant_credit_grant_return_unmarked",
-            "Per-batch egress",
+            "a credit grant per serve",
             // The monotone credit-return stamp: model and mutant.
             "model_credit_return_stamp_is_monotone",
             "mutant_credit_return_stamp_store",

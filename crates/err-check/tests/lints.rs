@@ -3,9 +3,10 @@
 //! accept, plus meta-tests that replay the historical bug classes the
 //! passes were built from (the PR 6 flusher deadlock, the PR 8
 //! donor-unwind wedge, the PR 9 stranded pairing, the PR 17 per-sleep
-//! timer) and assert the linter would have caught each one.
+//! timer) and assert the linter would have caught each one. The
+//! `doc-names` pass gets one violating fixture per document kind.
 
-use err_check::{lint_files, lint_source, Violation};
+use err_check::{lint_doc_names, lint_files, lint_source, NameIndex, Violation};
 
 fn rules_of(v: &[Violation]) -> Vec<&'static str> {
     v.iter().map(|x| x.rule).collect()
@@ -248,4 +249,55 @@ fn meta_silent_worker_death_is_caught() {
     );
     let v = lint_source("crates/err-runtime/src/lib.rs", src);
     assert_eq!(rules_of(&v), ["panic-boundary"]);
+}
+
+// ---------------------------------------------------------------------
+// doc-names: one violating fixture per document kind, each against a
+// miniature tree whose code has `BufferedStage::refill`, whose tests
+// have `tests/fence.rs`, and whose ledger catalogue has a metric.
+// ---------------------------------------------------------------------
+
+fn doc_names(doc: &str, text: &str) -> Vec<Violation> {
+    let sources = [
+        at(
+            "crates/err-runtime/src/shard.rs",
+            "struct BufferedStage;\nimpl BufferedStage {\n    fn refill(&mut self) {}\n}\n",
+        ),
+        at(
+            "bench/src/catalog.rs",
+            "const M: &[&str] = &[\"cpu_ns_per_flit\"];\n",
+        ),
+    ];
+    let tree: Vec<String> = ["crates/err-runtime/src/shard.rs", "tests/fence.rs"]
+        .map(str::to_owned)
+        .to_vec();
+    lint_doc_names(&[at(doc, text)], &NameIndex::new(&sources, &tree))
+}
+
+#[test]
+fn doc_names_design_fixture_violating() {
+    let v = doc_names("DESIGN.md", include_str!("fixtures/doc_names_design.md"));
+    assert_eq!(rules_of(&v), ["doc-names"]);
+    assert_eq!(v[0].line, 4);
+    assert!(v[0].msg.contains("`sweep_stash`"), "{v:?}");
+}
+
+#[test]
+fn doc_names_readme_fixture_violating() {
+    let v = doc_names("README.md", include_str!("fixtures/doc_names_readme.md"));
+    assert_eq!(rules_of(&v), ["doc-names"]);
+    assert!(v[0].msg.contains("`tests/ownership.rs`"), "{v:?}");
+}
+
+#[test]
+fn doc_names_experiments_fixture_violating() {
+    let v = doc_names(
+        "EXPERIMENTS.md",
+        include_str!("fixtures/doc_names_experiments.md"),
+    );
+    // The row that names its PR is history; the row that does not is a
+    // claim about the code, and the code has no such name.
+    assert_eq!(rules_of(&v), ["doc-names"]);
+    assert_eq!(v[0].line, 8);
+    assert!(v[0].msg.contains("`HandleTable`"), "{v:?}");
 }

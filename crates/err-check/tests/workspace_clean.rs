@@ -3,13 +3,11 @@
 //! This is the same check CI runs via `cargo run -p err-check -- lint`,
 //! pinned as a test so `cargo test --workspace` catches drift too.
 
-use err_check::{check_docs, lint_workspace, workspace_root};
+use err_check::{lint_workspace, workspace_root};
 
 #[test]
 fn workspace_lints_clean() {
-    let root = workspace_root();
-    let mut violations = lint_workspace(&root).expect("walk workspace sources");
-    violations.extend(check_docs(&root));
+    let violations = lint_workspace(&workspace_root()).expect("walk workspace sources");
     assert!(
         violations.is_empty(),
         "err-check found {} violation(s):\n{}",

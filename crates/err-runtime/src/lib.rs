@@ -555,10 +555,18 @@ fn set_timer_slack() {
 #[cfg(not(target_os = "linux"))]
 fn set_timer_slack() {}
 
+/// How long a runtime dropped during a panic drains before the forced
+/// abort and then the abandon rung (§9.4). A test that fails while a
+/// worker is wedged — a sink that refuses forever, a link frozen past
+/// the drain — must report its failure, not hang its runner; a second
+/// is far beyond the drain of any runtime a passing test drops.
+const PANIC_DROP_DEADLINE: Duration = Duration::from_secs(1);
+
 impl Drop for Runtime {
     fn drop(&mut self) {
         if !self.drained.load(Ordering::Relaxed) {
-            self.drain_within(None);
+            let bound = std::thread::panicking().then_some(PANIC_DROP_DEADLINE);
+            self.drain_within(bound);
         }
     }
 }
@@ -701,6 +709,49 @@ mod tests {
         }
         drop(rt); // must not hang or leak threads
         assert!(handle.is_closed());
+    }
+
+    #[test]
+    fn drop_while_panicking_drains_within_a_bound() {
+        // A sink that refuses every flit, and no dead-link deadline to
+        // declare its link dead: a graceful drain never ends.
+        struct Refuse;
+        impl Egress for Refuse {
+            fn emit(&mut self, _shard: usize, _flit: &err_sched::ServedFlit) {}
+            fn try_emit(&mut self, _shard: usize, _flit: &err_sched::ServedFlit) -> bool {
+                false
+            }
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let unwound = std::panic::catch_unwind(|| {
+                let (_rt, handle) = Runtime::start_with_egress(
+                    RuntimeConfig {
+                        shards: 2,
+                        n_flows: 4,
+                        egress: EgressMode::Buffered(BufferedConfig {
+                            credits: 4,
+                            n_links: 2,
+                            dead_link_deadline: None,
+                            ..BufferedConfig::default()
+                        }),
+                        ..RuntimeConfig::default()
+                    },
+                    |_shard| Some(Refuse),
+                );
+                for id in 0..16u64 {
+                    handle
+                        .submit(Packet::new(id, (id % 4) as usize, 2, 0))
+                        .unwrap();
+                }
+                panic!("a failing assertion with the runtime in scope");
+            });
+            let _ = done.send(unwound.is_err());
+        });
+        let unwound = finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a runtime dropped during a panic hung its drain past 30 s");
+        assert!(unwound);
     }
 
     #[test]
