@@ -35,20 +35,25 @@
 //!   stage's `refill` (the stash-wedge class).
 //! * **panic-boundary** — every spawned-thread closure wraps its body
 //!   in `catch_unwind` or carries a `// panic-policy:` justification.
-//! * **backstop** — in the threaded crates every `sleep_unless` /
-//!   `idle_unless` / `idle_while_*` / `park_timeout` call says what
-//!   its timer is for
-//!   in a `// backstop:` comment: `covered by` named wakers (the
+//! * **backstop** — in the threaded crates every wait a wake can end
+//!   (`sleep_unless` / `idle_unless` / `park_timeout`, from the one
+//!   `WAITS` table) says what its timer is for in a `// backstop:`
+//!   comment: `covered by` named wakers (the
 //!   timeout must then be the shared `BACKSTOP`), `polls` something
 //!   nobody announces (it must not be), or `forwards` the caller's
 //!   `timeout`. A short timer armed per sleep for an announced event
 //!   was the largest line of the buffered-egress budget before PR 17.
+//! * **step-never-waits** — no fn a shard worker's `step` reaches
+//!   calls a `WAITS` name ([`lint_files`]): a step returns, and its
+//!   driver does every wait.
 //! * **doc-drift** — declarative needle rules keeping DESIGN.md
 //!   §8–§14, README.md, and EXPERIMENTS.md naming the real protocol
 //!   vocabulary (generalizes the PR 3/PR 4 drift tests).
 //! * **doc-names** — the reverse direction: every backticked Rust path
 //!   or file path in those docs resolves to code, a file, a ledger
-//!   metric, a commit id or the glossary ([`lint_doc_names`]).
+//!   metric, a commit id or the glossary ([`lint_doc_names`]), and
+//!   every section or title a code comment cites exists
+//!   ([`lint_code_cites`]).
 //!
 //! The scanner is a deliberately small line lexer, not a full parser:
 //! it masks string/char literals and comments (so `"unsafe"` in a
@@ -76,8 +81,8 @@ use std::path::{Path, PathBuf};
 pub use rules::PASSES;
 use rules::{
     BACKSTOP_CONST, BACKSTOP_TREES, CLAIM_FILES, DOC_FILE_EXTS, DOC_GLOSSARY, DOC_RULES,
-    METRIC_CATALOG, MUTEX_FILES, NAMED_DOCS, PAIRED_FILES, SEQCST_FILES, TRAIT_IMPL_RULES,
-    TREE_SKIP,
+    METRIC_CATALOG, MUTEX_FILES, NAMED_DOCS, PAIRED_FILES, SEQCST_FILES, STEP_ROOTS, STEP_TREES,
+    TRAIT_IMPL_RULES, TREE_SKIP, WAITS,
 };
 
 /// How many lines above an `unsafe`/ordering site a justifying comment
@@ -412,11 +417,10 @@ fn spawn_span_has_token(lines: &[Line], start: usize, needle: &str) -> bool {
     false
 }
 
-/// Byte offsets in `code` just past the `(` of every *call* of a
-/// sleeping function (`sleep_unless`; `idle_unless` / `idle_while_*`,
-/// the idle path that ends in one; `park_timeout`) — not its
-/// definition (`fn name(`) nor an import (no `(`).
-fn sleep_calls(code: &str) -> Vec<usize> {
+/// Every *call* in `code`: the byte offset just past its `(` and the
+/// name called — not a definition (`fn name(`), a macro or an import
+/// (no `(`).
+fn calls(code: &str) -> Vec<(usize, &str)> {
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut out = Vec::new();
     for (open, _) in code.match_indices('(') {
@@ -425,13 +429,19 @@ fn sleep_calls(code: &str) -> Vec<usize> {
             at + head[at..].chars().next().map_or(1, char::len_utf8)
         });
         let name = &head[name_at..];
-        let sleeps = ["sleep_unless", "idle_unless", "park_timeout"].contains(&name)
-            || name.starts_with("idle_while_");
-        if sleeps && !head[..name_at].trim_end().ends_with("fn") {
-            out.push(open + 1);
+        if leading_ident(name) == Some(name) && !head[..name_at].trim_end().ends_with("fn") {
+            out.push((open + 1, name));
         }
     }
     out
+}
+
+/// Whether `name` is a `WAITS` call; `wakeable` narrows it to the waits
+/// a wake can end.
+fn waits(name: &str, wakeable: bool) -> bool {
+    WAITS
+        .iter()
+        .any(|&(w, can)| w == name && (can || !wakeable))
 }
 
 /// The argument text of the call whose `(` ends just before byte
@@ -655,12 +665,10 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<Violation> {
                 );
             }
         }
-        let sleep_sites = if sleeps_audited {
-            sleep_calls(&l.code)
-        } else {
-            Vec::new()
-        };
-        for from in sleep_sites {
+        let sleep_sites = calls(&l.code)
+            .into_iter()
+            .filter(|&(_, name)| sleeps_audited && waits(name, true));
+        for (from, _) in sleep_sites {
             let timeout_is = |word: &str| has_token(&call_args(&lines, i, from), word);
             let verdict = backstop_comment(&lines, i);
             let complaint = match verdict.as_deref().map(str::trim_start) {
@@ -705,9 +713,10 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<Violation> {
     v
 }
 
-/// The cross-file pass: resolves the `[pair:]` graph and the
-/// `// unpark:` authorities over the whole scanned set. `files` holds
-/// `(workspace-relative path, source text)` pairs.
+/// The cross-file passes: resolves the `[pair:]` graph and the
+/// `// unpark:` authorities over the whole scanned set, and runs
+/// `step-never-waits`. `files` holds `(workspace-relative path, source
+/// text)` pairs.
 fn lint_cross(files: &[(String, String)]) -> Vec<Violation> {
     let mut v = Vec::new();
     // Scrub once per file; keep the flattened code for token lookups.
@@ -882,6 +891,118 @@ fn lint_cross(files: &[(String, String)]) -> Vec<Violation> {
             }
         }
     }
+    v.extend(lint_step_waits(files, &scrubbed));
+    v
+}
+
+/// One non-test fn with a body: its name, its file (an index into the
+/// scanned set) and the lines from its `fn` to its closing brace.
+struct FnBody {
+    name: String,
+    file: usize,
+    lines: std::ops::Range<usize>,
+}
+
+/// The non-test fns of `lines` that have a body — one per line, the
+/// first `fn` on it; a nested fn's lines are its outer fn's too.
+fn fn_bodies(file: usize, lines: &[Line]) -> Vec<FnBody> {
+    let in_test = test_mask(lines);
+    let mut out = Vec::new();
+    for (i, l) in lines.iter().enumerate().filter(|&(i, _)| !in_test[i]) {
+        let Some(at) = l
+            .code
+            .match_indices("fn ")
+            .map(|(at, _)| at)
+            .find(|&at| !l.code[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+        else {
+            continue;
+        };
+        let Some(name) = leading_ident(l.code[at + 3..].trim_start()) else {
+            continue;
+        };
+        // Brace-count the body; a `;` outside any bracket before the
+        // first `{` ends a declaration without one.
+        let (mut depth, mut nest) = (0usize, 0usize);
+        let end = lines.iter().enumerate().skip(i).find_map(|(j, m)| {
+            for c in m.code[if j == i { at } else { 0 }..].chars() {
+                match c {
+                    '(' | '[' => nest += 1,
+                    ')' | ']' => nest = nest.saturating_sub(1),
+                    ';' if depth == 0 && nest == 0 => return Some(None),
+                    '{' => depth += 1,
+                    '}' if depth == 1 => return Some(Some(j)),
+                    '}' => depth = depth.saturating_sub(1),
+                    _ => {}
+                }
+            }
+            None
+        });
+        if let Some(Some(end)) = end {
+            out.push(FnBody {
+                name: name.to_owned(),
+                file,
+                lines: i..end + 1,
+            });
+        }
+    }
+    out
+}
+
+/// The `step-never-waits` pass: from each `STEP_ROOTS` fn, follows
+/// every called name to the non-test fns of `STEP_TREES` that bear it
+/// (by name, so a trait method reaches every impl) and flags each
+/// `WAITS` call in a fn it reaches, with the chain of calls that
+/// reaches it. `scrubbed` holds each of `files`' index and lines.
+fn lint_step_waits(files: &[(String, String)], scrubbed: &[(usize, Vec<Line>)]) -> Vec<Violation> {
+    let fns: Vec<FnBody> = (scrubbed.iter())
+        .filter(|(fi, _)| STEP_TREES.iter().any(|t| files[*fi].0.starts_with(t)))
+        .flat_map(|(fi, lines)| fn_bodies(*fi, lines))
+        .collect();
+    // Per fn, once reached: the fn whose call reached it (none: a root).
+    let mut via: Vec<Option<Option<usize>>> = vec![None; fns.len()];
+    let mut queue = Vec::new();
+    for (k, f) in fns.iter().enumerate() {
+        if STEP_ROOTS.contains(&(files[f.file].0.as_str(), f.name.as_str())) {
+            via[k] = Some(None);
+            queue.push(k);
+        }
+    }
+    let mut seen = HashSet::new();
+    let mut v = Vec::new();
+    while let Some(k) = queue.pop() {
+        let f = &fns[k];
+        for i in f.lines.clone() {
+            for (_, name) in calls(&scrubbed[f.file].1[i].code) {
+                if waits(name, false) && seen.insert((f.file, i)) {
+                    let mut chain = vec![f.name.as_str()];
+                    let mut at = via[k].flatten();
+                    while let Some(p) = at {
+                        chain.push(&fns[p].name);
+                        at = via[p].flatten();
+                    }
+                    chain.reverse();
+                    v.push(Violation {
+                        file: files[f.file].0.clone(),
+                        line: i + 1,
+                        rule: "step-never-waits",
+                        msg: format!(
+                            "`{name}` waits in a fn a step reaches ({}): a step returns \
+                             without waiting, and every wait is its driver's",
+                            chain.join(" → ")
+                        ),
+                    });
+                }
+                // A `drop(..)` call is `mem::drop`: Rust lets no code
+                // call a `Drop::drop` by name.
+                for (m, g) in fns.iter().enumerate() {
+                    if g.name == name && name != "drop" && via[m].is_none() {
+                        via[m] = Some(Some(k));
+                        queue.push(m);
+                    }
+                }
+            }
+        }
+    }
     v
 }
 
@@ -1030,7 +1151,7 @@ impl NameIndex {
 
 /// The Rust path a backticked span names (`Fabric::drain_within(..)` →
 /// `Fabric::drain_within`), if the span is shaped like one. A trailing
-/// `*` (`idle_while_*`) names every item with that prefix.
+/// `*` (`mutant_*`) names every item with that prefix.
 fn doc_name(span: &str) -> Option<&str> {
     let end = span
         .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
@@ -1114,6 +1235,80 @@ pub fn lint_doc_names(docs: &[(String, String)], index: &NameIndex) -> Vec<Viola
     v
 }
 
+/// Whether `rel` is library or binary code: `src/` or a crate's `src/`.
+fn is_product_source(rel: &str) -> bool {
+    rel.starts_with("src/") || (rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src"))
+}
+
+/// The `doc-names` pass over code comments: in the `sources` (`(relpath,
+/// text)`) under `src/`, `tests/` and a crate's `src/`, every `§N[.M]`
+/// must be a heading of DESIGN.md and every quoted title after
+/// `EXPERIMENTS.md` a heading or bold paragraph lead of EXPERIMENTS.md,
+/// both read from `docs`, unless the citing comment line names a PR
+/// outside the title.
+pub fn lint_code_cites(sources: &[(String, String)], docs: &[(String, String)]) -> Vec<Violation> {
+    let doc = |name: &str| docs.iter().find(|(d, _)| d == name).map_or("", |(_, t)| t);
+    let sections: HashSet<&str> = (doc("DESIGN.md").lines())
+        .filter(|l| l.starts_with('#'))
+        .filter_map(|l| l.trim_start_matches('#').split_whitespace().next())
+        .map(|n| n.trim_end_matches('.'))
+        .collect();
+    let titles: HashSet<&str> = (doc("EXPERIMENTS.md").lines())
+        .filter_map(|l| match l.strip_prefix("**") {
+            Some(bold) => bold.split_once("**").map(|(lead, _)| lead),
+            None => l.starts_with('#').then(|| l.trim_start_matches('#')),
+        })
+        .map(|t| t.trim().trim_end_matches(['.', ':']))
+        .collect();
+    let mut v = Vec::new();
+    for (rel, text) in sources {
+        if !(is_product_source(rel) || rel.starts_with("tests/")) {
+            continue;
+        }
+        let lines = scrub(text);
+        let comments: Vec<&str> = (lines.iter())
+            .map(|l| l.comment.trim_start_matches('/').trim_start_matches('!'))
+            .collect();
+        let joined = comments.join("\n");
+        let mut flag = |at: usize, cited: &str, msg: String| {
+            let line = joined[..at].matches('\n').count();
+            if !names_a_pr(&comments[line].replace(cited, "")) {
+                v.push(Violation {
+                    file: rel.clone(),
+                    line: line + 1,
+                    rule: "doc-names",
+                    msg,
+                });
+            }
+        };
+        for (at, _) in joined.match_indices('§') {
+            let rest = &joined[at + '§'.len_utf8()..];
+            let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.'));
+            let number = rest[..end.unwrap_or(rest.len())].trim_end_matches('.');
+            if !number.is_empty() && !sections.contains(number) {
+                let msg = format!(
+                    "`§{number}` is no heading of DESIGN.md; cite the section that says it now"
+                );
+                flag(at, "", msg);
+            }
+        }
+        for (at, _) in joined.match_indices("EXPERIMENTS.md") {
+            let rest = joined[at + "EXPERIMENTS.md".len()..].trim_start_matches([',', ' ', '\n']);
+            let Some((quoted, _)) = rest.strip_prefix('"').and_then(|q| q.split_once('"')) else {
+                continue;
+            };
+            let title = quoted.split_whitespace().collect::<Vec<_>>().join(" ");
+            if !titles.contains(title.trim_end_matches(['.', ':'])) {
+                let msg = format!(
+                    "EXPERIMENTS.md has no heading or bold lead \"{title}\"; cite one it has"
+                );
+                flag(at, quoted, msg);
+            }
+        }
+    }
+    v
+}
+
 /// Every file under `root` but what `TREE_SKIP` names, as sorted
 /// `/`-separated relpaths.
 fn tree_files(root: &Path) -> std::io::Result<Vec<String>> {
@@ -1156,12 +1351,8 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     for rel in tree.iter().filter(|f| f.ends_with(".rs")) {
         sources.push((rel.clone(), std::fs::read_to_string(root.join(rel))?));
     }
-    let linted: Vec<(String, String)> = sources
-        .iter()
-        .filter(|(rel, _)| {
-            rel.starts_with("src/")
-                || (rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src"))
-        })
+    let linted: Vec<(String, String)> = (sources.iter())
+        .filter(|(rel, _)| is_product_source(rel))
         .cloned()
         .collect();
     let mut violations = lint_files(&linted);
@@ -1171,6 +1362,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
         docs.push((doc.to_string(), std::fs::read_to_string(root.join(doc))?));
     }
     violations.extend(lint_doc_names(&docs, &NameIndex::new(&sources, &tree)));
+    violations.extend(lint_code_cites(&sources, &docs));
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(violations)
 }
@@ -1591,7 +1783,7 @@ mod tests {
             Some("Fabric::drain_within")
         );
         assert_eq!(doc_name("Vec<u32>"), Some("Vec"));
-        assert_eq!(doc_name("idle_while_*"), Some("idle_while_*"));
+        assert_eq!(doc_name("mutant_*"), Some("mutant_*"));
         for prose in [
             "err-check lint",
             "// backstop:",
@@ -1615,8 +1807,8 @@ mod tests {
         let design =
             std::fs::read_to_string(workspace_root().join("DESIGN.md")).expect("DESIGN.md");
         // Retired numbers stay unused so §14's citations keep their
-        // target: §12 (what-if estimation) was deleted with its
-        // estimator, §13 (flow ownership) was merged into §8.
+        // target: section 12 (what-if estimation) was deleted with its
+        // estimator, section 13 (flow ownership) was merged into §8.
         const RETIRED: &[&str] = &["## 12", "## 13"];
         for n in 8..=14 {
             let heading = format!("## {n}");
@@ -1656,6 +1848,7 @@ mod tests {
             "park-protocol",
             "panic-boundary",
             "backstop",
+            "step-never-waits",
             "doc-drift",
             "doc-names",
         ];

@@ -54,12 +54,18 @@ pub const PASSES: &[(&str, &str)] = &[
     ),
     (
         "backstop",
-        "in the threaded crates every `sleep_unless` / `idle_unless` / `idle_while_*` / \
-         `park_timeout` call says \
-         what its timer is in a `// backstop:` comment — `covered by` the named wakers (backticked \
-         identifiers must resolve; the timeout must be `BACKSTOP`), `polls` what nobody announces \
-         (the timeout must not be `BACKSTOP`), or `forwards` its own `timeout` parameter — so a \
-         short timer is never armed per sleep for an event a peer announces (the PR 17 class)",
+        "in the threaded crates every wait a wake can end (`WAITS`: `sleep_unless` / \
+         `idle_unless` / `park_timeout`) says what its timer is in a `// backstop:` comment — \
+         `covered by` the named wakers (backticked identifiers must resolve; the timeout must be \
+         `BACKSTOP`), `polls` what nobody announces (the timeout must not be `BACKSTOP`), or \
+         `forwards` its own `timeout` parameter — so a short timer is never armed per sleep for \
+         an event a peer announces (the PR 17 class)",
+    ),
+    (
+        "step-never-waits",
+        "no fn a `STEP_ROOTS` step reaches through the non-test fns of `STEP_TREES` calls a \
+         `WAITS` name: a worker's step returns, and only its driver sleeps, parks, yields or \
+         spins",
     ),
     (
         "doc-drift",
@@ -68,8 +74,10 @@ pub const PASSES: &[(&str, &str)] = &[
     (
         "doc-names",
         "every backticked Rust path or file path in DESIGN/README/EXPERIMENTS resolves to code, \
-         a file of the tree, a metric of the ledger catalogue, a commit id or the glossary; a \
-         historical name is exempt only on a line that names its PR",
+         a file of the tree, a metric of the ledger catalogue, a commit id or the glossary, and \
+         every code comment's `§N[.M]` is a DESIGN heading and its quoted title after \
+         `EXPERIMENTS.md` an EXPERIMENTS heading or bold lead; a historical name or citation is \
+         exempt only on a line that names its PR",
     ),
 ];
 
@@ -149,6 +157,30 @@ pub(crate) const BACKSTOP_TREES: &[&str] = &[
     "crates/err-fabric/src/",
 ];
 
+/// Every call that makes a thread wait: `(name, whether a wake can
+/// end it)`. A wait a wake can end keeps a timer, which the `backstop`
+/// pass audits; `step-never-waits` bans every one from a step.
+pub(crate) const WAITS: &[(&str, bool)] = &[
+    ("sleep_unless", true),
+    ("idle_unless", true),
+    ("park_timeout", true),
+    ("sleep", false),
+    ("park", false),
+    ("yield_now", false),
+    ("spin_loop", false),
+];
+
+/// The steps `step-never-waits` starts from, `(file, fn name)`: a shard
+/// worker's `WorkerState::step`, whose every wait is its driver's.
+pub(crate) const STEP_ROOTS: &[(&str, &str)] = &[("crates/err-runtime/src/shard.rs", "step")];
+
+/// The trees whose non-test fns a step's calls are followed through.
+/// err-fabric stays out: its Forwarder's hand-off calls
+/// `submit_within` with a zero timeout, which holds the producer's
+/// `yield_now` behind a patience that never reaches it (DESIGN.md
+/// §11.2).
+pub(crate) const STEP_TREES: &[&str] = &["crates/err-runtime/src/", "crates/err-egress/src/"];
+
 /// The one constant a covered sleep may pass as its timeout.
 pub(crate) const BACKSTOP_CONST: &str = "BACKSTOP";
 
@@ -196,8 +228,7 @@ pub(crate) struct DocRule {
 /// The drift contract: normative docs must keep naming the protocol
 /// vocabulary the code exports. Mirrors (and extends to §10) the
 /// enum-derived drift tests in `tests/fault_tolerance.rs`. One rule per normative DESIGN section
-/// (§8–§14; §12 was deleted and §13 merged into §8, both numbers
-/// retired) —
+/// (§8–§11 and §14; the numbers 12 and 13 are retired) —
 /// `tests::every_normative_design_section_has_a_doc_rule` asserts the
 /// table stays complete as sections are added.
 pub(crate) const DOC_RULES: &[DocRule] = &[
@@ -211,6 +242,13 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
         section: Some("## 6"),
         needles: &[
             "ErrScheduler",
+            // The worker as a step and a driver: the step's name, the
+            // `Step` variants the driver waits on, and the pass that
+            // keeps the step from waiting.
+            "WorkerState::step",
+            "Idle { starved }",
+            "Down { epoch, swept",
+            "step-never-waits",
             "EgressStage",
             "SyncStage",
             "BufferedStage",
@@ -329,6 +367,7 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "model_credit_grant_returned_exactly_once",
             "mutant_credit_grant_return_unmarked",
             "backstop",
+            "step-never-waits",
         ],
     },
     // §11 vocabulary: every routing verdict, forwarder outcome, and

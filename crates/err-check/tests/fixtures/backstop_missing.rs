@@ -10,9 +10,9 @@ pub fn silent(cell: &WakeCell) {
     cell.idle_unless(|| false, PARK_TIMEOUT);
 }
 
-pub fn covered_but_short(rx: &mut Consumer, closed: &AtomicBool) {
+pub fn covered_but_short(cell: &WakeCell, ring: &Ring) {
     // backstop: covered by `wake_consumer` — a ring push is announced.
-    rx.idle_while_empty(closed, BACKOFF_CAP);
+    cell.idle_unless(|| ring.head_ready(), BACKOFF_CAP);
 }
 
 pub fn polls_but_long(cell: &WakeCell) {

@@ -4,20 +4,20 @@ pub fn wake_consumer(cell: &WakeCell) -> bool {
     cell.wake()
 }
 
-pub fn idle_while_ring_empty(rx: &mut Consumer, timeout: Duration) -> Sleep {
+pub fn idle_until_pushed(cell: &WakeCell, ring: &Ring, timeout: Duration) -> Sleep {
     // backstop: forwards the caller's `timeout`.
-    rx.idle_while_empty(|| false, timeout)
+    cell.idle_unless(|| ring.head_ready(), timeout)
 }
 
-pub fn idle_flusher(rx: &mut Consumer, pending: bool, backoff: Duration) -> Sleep {
+pub fn idle_flusher(cell: &WakeCell, ring: &Ring, pending: bool, backoff: Duration) -> Sleep {
     if pending {
         // backstop: polls a link thaw or a refusing sink finding room —
         // what pending flits wait for.
-        idle_while_ring_empty(rx, backoff)
+        cell.idle_unless(|| ring.head_ready(), backoff)
     } else {
         // backstop: covered by `wake_consumer` (a ring push), so the
         // timer is only there for a lost wake.
-        idle_while_ring_empty(rx, BACKSTOP)
+        cell.idle_unless(|| ring.head_ready(), BACKSTOP)
     }
 }
 

@@ -4,9 +4,10 @@
 //! passes were built from (the PR 6 flusher deadlock, the PR 8
 //! donor-unwind wedge, the PR 9 stranded pairing, the PR 17 per-sleep
 //! timer) and assert the linter would have caught each one. The
-//! `doc-names` pass gets one violating fixture per document kind.
+//! `doc-names` pass gets one violating fixture per document kind, and
+//! one of code comments that cite the docs.
 
-use err_check::{lint_doc_names, lint_files, lint_source, NameIndex, Violation};
+use err_check::{lint_code_cites, lint_doc_names, lint_files, lint_source, NameIndex, Violation};
 
 fn rules_of(v: &[Violation]) -> Vec<&'static str> {
     v.iter().map(|x| x.rule).collect()
@@ -147,6 +148,33 @@ fn backstop_fixture_passing() {
 }
 
 // ---------------------------------------------------------------------
+// step-never-waits
+// ---------------------------------------------------------------------
+
+#[test]
+fn step_fixture_violating() {
+    let v = lint_files(&[at(
+        "crates/err-runtime/src/shard.rs",
+        include_str!("fixtures/step_waits.rs"),
+    )]);
+    // The step's own yield and the fault hook's spin; the driver's
+    // yield is its to make.
+    assert_eq!(rules_of(&v), ["step-never-waits", "step-never-waits"]);
+    assert_eq!((v[0].line, v[1].line), (8, 17));
+    assert!(v[0].msg.contains("`yield_now`") && v[0].msg.contains("(step)"));
+    assert!(v[1].msg.contains("(step → fault_tick)"), "{v:?}");
+}
+
+#[test]
+fn step_fixture_passing() {
+    let v = lint_files(&[at(
+        "crates/err-runtime/src/shard.rs",
+        include_str!("fixtures/step_ok.rs"),
+    )]);
+    assert!(v.is_empty(), "unexpected: {v:?}");
+}
+
+// ---------------------------------------------------------------------
 // Historical bug classes: each pass replayed against a miniature of
 // the real regression it was distilled from. If a refactor weakens a
 // pass below catching its founding bug, these fail.
@@ -225,9 +253,9 @@ fn meta_pr9_stranded_pairing_is_caught() {
 fn meta_pr17_short_timer_on_a_covered_sleep_is_caught() {
     let src = concat!(
         "fn wake_consumer() {}\n",
-        "fn idle(core: &mut FlusherCore, closed: &AtomicBool, backoff: Duration) {\n",
+        "fn idle(cell: &WakeCell, ring: &Ring, backoff: Duration) {\n",
         "    // backstop: covered by `wake_consumer`, once per batch.\n",
-        "    core.rx.idle_while_empty(closed, backoff);\n",
+        "    cell.idle_unless(|| ring.head_ready(), backoff);\n",
         "}\n",
     );
     let v = lint_files(&[at("crates/err-egress/src/flusher.rs", src)]);
@@ -300,4 +328,24 @@ fn doc_names_experiments_fixture_violating() {
     assert_eq!(rules_of(&v), ["doc-names"]);
     assert_eq!(v[0].line, 8);
     assert!(v[0].msg.contains("`HandleTable`"), "{v:?}");
+}
+
+#[test]
+fn doc_cites_fixture_violating() {
+    let docs = [
+        at("DESIGN.md", "## 6. Runtime\n\n### 9.2 The fence\n"),
+        at(
+            "EXPERIMENTS.md",
+            "### Tried and dropped\n\n**An adaptive spin budget (PR 20).** It moved nothing.\n",
+        ),
+    ];
+    let src = include_str!("fixtures/doc_cites_stale.rs");
+    let v = lint_code_cites(&[at("crates/err-egress/src/wake.rs", src)], &docs);
+    // The stale title and the retired section; the section cited
+    // beside its PR is history.
+    assert_eq!(rules_of(&v), ["doc-names", "doc-names"]);
+    assert_eq!((v[0].line, v[1].line), (5, 3), "{v:?}");
+    assert!(v[0].msg.contains("`§12`") && v[1].msg.contains("An idle thread costs nothing"));
+    // Outside the trees that cite, a comment is not read.
+    assert!(lint_code_cites(&[at("vendor/x/src/lib.rs", src)], &docs).is_empty());
 }

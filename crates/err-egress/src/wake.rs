@@ -23,28 +23,23 @@
 //! wake: callers keep their timeouts, and a missing or spurious unpark
 //! only costs one of them.
 //!
-//! What the timeout *costs* decides how long it is (DESIGN.md §6). A
-//! deadline nearer than the next scheduler tick makes every sleep
-//! program the timer hardware — on the reference host a park/unpark
-//! round trip costs 2.4 µs behind a ≥ 4 ms timeout and 18.4 µs behind
-//! a 100 µs one. So there is one rule: a sleep whose wake the protocol
-//! *guarantees* is **covered** and keeps its timer only as a backstop,
-//! [`BACKSTOP`] long; a sleep that **polls** for something nobody
-//! announces keeps a short timer, because there the timer is the
-//! wake-up. Every call site says which it is in a `// backstop:`
+//! What the timeout costs decides how long it is (DESIGN.md §6): a
+//! sleep whose wake the protocol guarantees is **covered** and keeps a
+//! [`BACKSTOP`] timer; a sleep that **polls** for what nobody announces
+//! keeps a short one. Every call site says which in a `// backstop:`
 //! comment that err-check's `backstop` pass checks.
 //!
 //! **The idle path.** What a thread does between "found nothing" and
 //! "asleep" is paid at every hand-over, so the sleeper does one small
 //! thing ([`WakeCell::idle_unless`]): `IDLE_LOOKS` *looks* at its wake
 //! predicate — the very closure the re-check evaluates, never a whole
-//! worker loop or flusher step — then the sleep above.
+//! worker step or flusher step — then the sleep above.
 //! The count is a constant. Where the peer shares this thread's CPU a
 //! spin can never be answered — the peer cannot run while we spin — so
 //! a long spin is pure cost; where a peer on another core could answer,
 //! a budget that learnt to climb to 64 looks found the work in up to
 //! 87 % of its phases and moved no throughput figure (EXPERIMENTS.md,
-//! "An idle thread costs nothing").
+//! "An adaptive spin budget (PR 20)").
 //!
 //! One cell belongs to one sleeping thread (a shard worker) and any
 //! number of wakers. The sleeper's `Thread` sits behind a
@@ -103,7 +98,7 @@ impl WakeCell {
     }
 
     /// Makes the calling thread this cell's sleeper. A shard worker
-    /// calls it once, before its loop: a loop that resumes after a
+    /// calls it once, before its first step: a driver that resumes after a
     /// panic (DESIGN.md §9.2) runs on the same thread.
     pub fn register(&self) {
         *self.sleeper.lock().unwrap_or_else(|p| p.into_inner()) = Some(current());

@@ -9,7 +9,7 @@
 //! 2. **Drain** — each shard keeps serving until its ingress ring is
 //!    empty *and* its scheduler is idle. Because no new packets can be
 //!    admitted after step 1, this condition is stable once reached.
-//! 3. **Join** — worker threads exit their loops and are joined in
+//! 3. **Join** — worker threads exit their drivers and are joined in
 //!    shard order, making shutdown deterministic (no detached threads,
 //!    no abandoned packets).
 //!
@@ -33,9 +33,9 @@ pub enum ShardExit {
     /// Drained and returned normally.
     Clean,
     /// The thread panicked at least once; each time its fence caught
-    /// the unwind and its loop resumed on the same thread with the same
-    /// state, and nothing was lost (DESIGN.md §9.2). The death stamp on
-    /// the fault board is what keeps it on the record.
+    /// the unwind and its driver stepped on, on the same thread with
+    /// the same state, and nothing was lost (DESIGN.md §9.2). The death
+    /// stamp on the fault board is what keeps it on the record.
     Panicked,
     /// The thread missed the shutdown deadline and was left running
     /// (detached); its cycles report as 0 and conservation may not
@@ -57,7 +57,7 @@ pub struct DrainReport {
     /// were counted lost rather than served (DESIGN.md §9.4), packet by
     /// packet. The one residue left uncounted is §9.4's double fault: a
     /// sync batch a sink's unwind interrupted, when the abort also beats
-    /// the resumed loop's first `serve` — then `is_conserving` honestly
+    /// the resumed driver's first `serve` — then `is_conserving` honestly
     /// fails.
     pub forced: bool,
 }

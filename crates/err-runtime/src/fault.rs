@@ -3,10 +3,10 @@
 //!
 //! The fault model is *fail-stop with an honest ledger*, and death
 //! never moves a flow: a shard worker that panics is caught by its own
-//! fence, calls `FaultRuntime::resume`, and re-enters its loop on the
+//! fence, calls `FaultRuntime::resume`, and steps on, on the
 //! same thread with its whole `WorkerState` — scheduler, flit clock,
 //! egress stage (§9.2: *catch → resume*).
-//! The ingress ring stays where it is and the resumed loop goes on
+//! The ingress ring stays where it is and the resumed driver goes on
 //! draining it, so nothing is re-homed and nothing is lost; only a
 //! forced abort (§9.4) counts residue `lost`, with its admission charge
 //! revoked, never silently leaked. The [`FaultBoard`] records
@@ -26,7 +26,7 @@ use err_sched::err::ErrScheduler;
 
 use crate::admission::AdmissionController;
 use crate::ingress::Shared;
-use crate::shard::{EgressStage, ShardConfig};
+use crate::shard::EgressStage;
 use crate::stats::{PaddedCounter, ShardStats};
 
 /// Lifecycle state of one shard worker (DESIGN.md §9.1). Only the
@@ -37,8 +37,8 @@ pub enum ShardHealth {
     /// Serving normally.
     Running = 0,
     /// The worker panicked (organically or by injection) and is
-    /// resuming: its fence caught the unwind, and its loop has not yet
-    /// been re-entered on the same thread.
+    /// resuming: its fence caught the unwind, and its driver has not
+    /// yet stepped again on the same thread.
     Dead = 1,
     /// The worker drained cleanly and returned.
     Exited = 2,
@@ -102,9 +102,9 @@ impl FaultBoard {
         self.cells.len()
     }
 
-    /// Bumped by `shard`'s worker once per service loop, idle loops
-    /// included: a plain counter nobody acts on, which a reader can
-    /// watch for a shard that stopped looping.
+    /// Bumped by `shard`'s worker once per step, idle steps included:
+    /// a plain counter nobody acts on, which a reader can watch for a
+    /// shard that stopped stepping.
     pub(crate) fn beat(&self, shard: usize) {
         self.cells[shard].heartbeat.add(1);
     }
@@ -513,25 +513,6 @@ impl Schedule {
     }
 }
 
-/// Everything a worker thread owns (§9.2): a worker starts from one
-/// with a fresh scheduler and clock 0 and re-enters its loop with the
-/// same one after a panic. It lives outside the
-/// loop's panic fence, so it survives the unwind whole; injected
-/// panics fire only at an intake boundary and a sink's unwind leaves
-/// its interrupted batch in the stage, so the state is consistent by
-/// construction. The ingress ring is *not* here: it lives in `Shared`
-/// and the resumed loop simply goes on draining it.
-pub(crate) struct WorkerState {
-    pub(crate) cfg: ShardConfig,
-    pub(crate) scheduler: ErrScheduler,
-    /// The shard flit clock; a resumed loop continues it.
-    pub(crate) now: Cycle,
-    /// The output side, whole: the sync stage's sink and interrupted
-    /// batch, or the buffered stage's ring producer, parking marks,
-    /// flusher core and sink.
-    pub(crate) stage: Box<dyn EgressStage>,
-}
-
 /// Fault-tolerance state every runtime's `Shared` block carries: the
 /// board, and each shard's compiled share of `RuntimeConfig::fault_plan`.
 pub(crate) struct FaultRuntime {
@@ -554,7 +535,7 @@ impl FaultRuntime {
         }
     }
 
-    /// A caught worker's one call before it re-enters its loop on the
+    /// A caught worker's one call before its driver steps again on the
     /// same thread (§9.2): stamp the death, pass through `Dead`, stamp
     /// the recovery, store `Running`.
     pub(crate) fn resume(&self, shard: usize) {
@@ -581,7 +562,7 @@ impl FaultRuntime {
     }
 }
 
-/// Per-loop fault hook, called by the worker loop at the intake
+/// Per-step fault hook, called by the worker's step at the intake
 /// boundary: beat the heartbeat and apply the events `now` reached,
 /// link events to the stage's links.
 pub(crate) fn fault_tick(shared: &Shared, shard: usize, now: Cycle, stage: &dyn EgressStage) {

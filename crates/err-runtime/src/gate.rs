@@ -14,7 +14,7 @@
 //!
 //! The closed flag is one bit of a state word that also holds the
 //! forced-abort latch (§9.4) and the down bit with its epoch (§14.1), so
-//! a submit and a worker loop each read one word. A down runtime refuses
+//! a submit and a worker step each read one word. A down runtime refuses
 //! submits like a closed one, and a down worker sweeps its ring only
 //! once `can_sweep` — the `can_finish` pairing with `set_down` in place
 //! of `close` — has seen no producer inside `submit`.
@@ -38,7 +38,7 @@ const DOWN: u64 = 4;
 /// The bits above `DOWN` count the times the runtime went down.
 const EPOCH: u64 = 8;
 
-/// What a worker must do at the top of its loop, from one load of the
+/// What a worker must do at the top of its step, from one load of the
 /// gate's state word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Stop {
@@ -56,7 +56,7 @@ pub(crate) enum Stop {
 #[derive(Debug, Default)]
 pub struct DrainGate {
     /// `CLOSED`, `ABORT` and `DOWN` bits, and the down epoch above
-    /// them: every submit reads the word once, every worker loop too.
+    /// them: every submit reads the word once, every worker step too.
     state: AtomicU64,
     /// Producers currently inside a submit that have already passed the
     /// closed check (holding a [`SubmitPermit`]).
@@ -179,7 +179,7 @@ impl DrainGate {
         Some(state / EPOCH)
     }
 
-    /// Worker side, once per loop: what the state word asks of it.
+    /// Worker side, once per step: what the state word asks of it.
     #[inline]
     pub(crate) fn stop(&self) -> Stop {
         // ordering: Acquire pairs with the `abort` Release and the

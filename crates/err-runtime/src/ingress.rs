@@ -21,8 +21,10 @@ use err_sched::Packet;
 
 use crate::admission::{AdmissionController, AdmitDecision};
 use crate::channel::MpscRing;
+use crate::fault::{FaultPlan, FaultRuntime};
 use crate::gate::DrainGate;
 use crate::stats::{RuntimeStats, ShardStats};
+use crate::RuntimeConfig;
 
 /// Why a submit did not accept a packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,7 +89,7 @@ pub(crate) struct Shared {
     pub(crate) admission: AdmissionController,
     /// Fault-tolerance state: the board and any compiled `FaultPlan`.
     /// A dead shard resumes in place, so no flow moves (DESIGN.md §9.2).
-    pub(crate) fault: crate::fault::FaultRuntime,
+    pub(crate) fault: FaultRuntime,
     /// The shutdown gate: `closed` flag + in-flight submit counter as a
     /// Dekker-style pair, so workers never take their *final* look at
     /// the ingress rings while a producer that missed the close is
@@ -98,6 +100,22 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The block `config`'s shards share, with `plan` compiled per
+    /// shard; no worker yet.
+    pub(crate) fn new(config: &RuntimeConfig, plan: &FaultPlan) -> Self {
+        let shards = config.shards;
+        Self {
+            rings: (0..shards)
+                .map(|_| MpscRing::with_capacity(config.ring_capacity))
+                .collect(),
+            wakes: (0..shards).map(|_| Arc::new(WakeCell::new())).collect(),
+            stats: (0..shards).map(|_| ShardStats::default()).collect(),
+            admission: AdmissionController::new(config.admission, config.n_flows),
+            fault: FaultRuntime::new(shards, plan),
+            gate: DrainGate::new(),
+        }
+    }
+
     /// The shard `flow` routes to: [`home_shard`].
     #[inline]
     pub(crate) fn shard_of(&self, flow: usize) -> usize {
@@ -119,7 +137,7 @@ impl Shared {
     /// holds packets. A worker asleep over an empty ring waits for
     /// credits, which only a flusher can bring. The *claimed* count is
     /// the right one here: a slot claimed and not yet published makes
-    /// the woken worker yield to its producer (`run_loop`), where the
+    /// the woken worker yield to its producer (`run_shard`), where the
     /// pop predicate would have left a full ring's waiters unannounced.
     fn wake_worker_for_intake(&self, shard: usize) {
         if !self.rings[shard].is_empty() {

@@ -26,37 +26,27 @@
 //!                                  └─ lock-free ShardStats ─► RuntimeStats
 //! ```
 //!
-//! * Flows are hash-partitioned ([`home_shard`]), so each flow's packets
-//!   always meet the same scheduler — per-flow FIFO and ERR's fairness
-//!   guarantees hold per shard without any cross-shard coordination.
-//! * Each shard worker drives a private `ErrScheduler` in batched
-//!   intake/service loops; one flit = one cycle of the
-//!   shard's flit clock, the paper's egress-link model. ERR is the one
-//!   discipline here: it decides without knowing what a packet will
-//!   cost, which in a wormhole switch is unknown until its tail
-//!   leaves. The other disciplines are compared against it in the
-//!   simulator.
-//! * [`AdmissionController`] bounds each flow's outstanding flits with
-//!   drop-tail, reject, or backpressure policies.
-//! * [`RuntimeStats`] merges lock-free per-shard counters on demand.
-//! * [`Runtime::shutdown`] is the drain protocol: close admission, serve
-//!   the residual backlog to empty, join every worker deterministically.
-//! * [`EgressMode::Buffered`] inserts the `err-egress` stage between
-//!   scheduler and sink: per-shard SPSC output rings drained by a
-//!   flusher step each worker runs after every service chunk, per-link
-//!   credit flow control, and flow parking so a stalled
-//!   downstream freezes only its own flows — the regime the paper's
-//!   stalled-wormhole argument is about.
-//! * Fault tolerance adds the failure half of that story (DESIGN.md §9):
-//!   workers that catch their own panic and resume in place, on the
-//!   same thread with the same state, nothing lost, dead-link
-//!   failover in the egress stage, bounded shutdown
-//!   ([`Runtime::shutdown_within`]) and submit
-//!   ([`RuntimeHandle::submit_within`]), and a seeded [`FaultPlan`]
-//!   chaos harness that replays shard and link deaths deterministically.
-//! * Nothing moves a flow: its shard is [`home_shard`] for the
-//!   life of the runtime, so each flow's surplus count stays with the
-//!   one scheduler it was earned against (DESIGN.md §8).
+//! * Flows are hash-partitioned ([`home_shard`]) for the life of the
+//!   runtime, so each flow's packets always meet the same scheduler:
+//!   per-flow FIFO and ERR's fairness guarantees hold per shard with no
+//!   cross-shard coordination, and nothing ever moves a flow (DESIGN.md
+//!   §8).
+//! * Each shard worker steps a private `ErrScheduler` through batched
+//!   intake and service, one flit per cycle of the shard's flit clock
+//!   (the paper's egress-link model); a driver per thread does every
+//!   wait. ERR decides without knowing what a packet will cost, which
+//!   in a wormhole switch is unknown until its tail leaves.
+//! * [`AdmissionController`] bounds each flow's outstanding flits;
+//!   [`RuntimeStats`] merges lock-free per-shard counters on demand;
+//!   [`Runtime::shutdown`] drains to empty and joins every worker.
+//! * [`EgressMode::Buffered`] puts `err-egress` between scheduler and
+//!   sink: per-shard SPSC output rings, per-link credits, and flow
+//!   parking so a stalled downstream freezes only its own flows.
+//! * Fault tolerance (DESIGN.md §9): workers that catch their own panic
+//!   and step on in place, nothing lost; dead-link failover; bounded
+//!   shutdown ([`Runtime::shutdown_within`]) and submit
+//!   ([`RuntimeHandle::submit_within`]); and a seeded [`FaultPlan`]
+//!   that replays shard and link faults deterministically.
 //!
 //! # Quick example
 //!
@@ -93,8 +83,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use err_egress::{spsc_ring, FlusherCore, LinkSet, WakeCell};
-use err_sched::err::ErrScheduler;
+use err_egress::{spsc_ring, FlusherCore, LinkSet};
 use err_sched::{Discipline, ServedFlit};
 
 pub use admission::{AdmissionController, AdmissionPolicy, AdmitDecision};
@@ -108,10 +97,7 @@ pub use fault::{
 pub use ingress::{home_shard, RuntimeHandle, SubmitError, Submitted};
 pub use stats::{RuntimeStats, ShardSnapshot};
 
-use admission::AdmissionController as Controller;
-use channel::MpscRing;
 use ingress::Shared;
-use stats::ShardStats;
 
 /// Wraps a per-shard sink that may be absent; the flusher step requires
 /// a concrete [`Egress`] value either way.
@@ -168,9 +154,9 @@ pub struct RuntimeConfig {
     pub discipline: Discipline,
     /// Per-shard ingress ring capacity (rounded up to a power of two).
     pub ring_capacity: usize,
-    /// Max packets pulled from the ring per service loop.
+    /// Max packets pulled from the ring per worker step.
     pub batch_packets: usize,
-    /// Max flits served per service loop.
+    /// Max flits served per worker step.
     pub batch_flits: usize,
     /// Overload policy; [`AdmissionPolicy::Unlimited`] turns capping off.
     pub admission: AdmissionPolicy,
@@ -270,26 +256,15 @@ impl Runtime {
         if let Err(e) = plan.validate(&config.shape()) {
             panic!("fault plan: {e}");
         }
-        let fault = fault::FaultRuntime::new(config.shards, &plan);
-        let shared = Arc::new(Shared {
-            rings: (0..config.shards)
-                .map(|_| MpscRing::with_capacity(config.ring_capacity))
-                .collect(),
-            wakes: (0..config.shards)
-                .map(|_| Arc::new(WakeCell::new()))
-                .collect(),
-            stats: (0..config.shards).map(|_| ShardStats::default()).collect(),
-            admission: Controller::new(config.admission, config.n_flows),
-            fault,
-            gate: gate::DrainGate::new(),
-        });
+        let shared = Arc::new(Shared::new(&config, &plan));
         let mut controller = None;
         // The one place an `EgressMode` is matched: each shard gets the
         // stage that mode means, and nothing downstream asks again.
         let stages: Vec<Box<dyn shard::EgressStage>> = match &config.egress {
             EgressMode::Sync => (0..config.shards)
                 .map(|shard| {
-                    let stage = shard::SyncStage::new(shard, egress(shard), config.batch_flits);
+                    let sink = OptionalSink(egress(shard));
+                    let stage = shard::SyncStage::new(shard, sink, config.batch_flits);
                     Box::new(stage) as Box<dyn shard::EgressStage>
                 })
                 .collect(),
@@ -331,17 +306,7 @@ impl Runtime {
             .into_iter()
             .enumerate()
             .map(|(shard, stage)| {
-                let state = fault::WorkerState {
-                    cfg: shard::ShardConfig {
-                        shard,
-                        batch_packets: config.batch_packets,
-                        batch_flits: config.batch_flits,
-                        n_flows: config.n_flows,
-                    },
-                    scheduler: ErrScheduler::new(config.n_flows),
-                    now: 0,
-                    stage,
-                };
+                let state = shard::WorkerState::new(shard, &config, stage);
                 spawn_worker(Arc::clone(&shared), state)
             })
             .collect();
@@ -435,12 +400,6 @@ impl Runtime {
         });
         let final_deadline = timeout.map(|t| start + t);
         let mut forced = false;
-        // Wedge forensics: `ERR_DRAIN_DEBUG=1` dumps the exit-gate
-        // inputs (per-shard liveness, ring depth, backlog) every ~0.5 s
-        // of drain so a hung shutdown names the shard it is stuck
-        // behind.
-        let debug_drain = std::env::var_os("ERR_DRAIN_DEBUG").is_some();
-        let mut debug_polls: u64 = 0;
         loop {
             // Wake idle workers; they would wake at the park timeout
             // anyway, this shaves the last <=100us per shard.
@@ -460,19 +419,6 @@ impl Runtime {
             if let Some(f) = final_deadline {
                 if now >= f {
                     break;
-                }
-            }
-            debug_polls += 1;
-            if debug_drain && debug_polls.is_multiple_of(5000) {
-                eprintln!("[drain-debug] poll {debug_polls}");
-                for (i, w) in self.workers.iter().enumerate() {
-                    eprintln!(
-                        "  shard {i}: finished={} ring_len={} backlog={} parks={}",
-                        w.is_finished(),
-                        self.shared.rings[i].len(),
-                        self.shared.stats[i].backlog_flits.get(),
-                        self.shared.stats[i].parks.get(),
-                    );
                 }
             }
             if timeout.is_some() {
@@ -517,14 +463,14 @@ impl Runtime {
     }
 }
 
-/// Spawns `state.cfg.shard`'s worker thread, the shard's only one for
+/// Spawns `state.shard`'s worker thread, the shard's only one for
 /// the life of the runtime (§9.2).
-fn spawn_worker(shared: Arc<Shared>, state: fault::WorkerState) -> JoinHandle<u64> {
+fn spawn_worker(shared: Arc<Shared>, state: shard::WorkerState) -> JoinHandle<u64> {
     // panic-policy: a worker panic is a modeled fault (§9), caught by
-    // `run_shard`'s own fence: the loop resumes on this thread and
+    // `run_shard`'s own fence: the driver steps on, on this thread, and
     // drain records `ShardExit::Panicked` from the death stamp.
     std::thread::Builder::new()
-        .name(format!("err-shard-{}", state.cfg.shard))
+        .name(format!("err-shard-{}", state.shard))
         .spawn(move || {
             set_timer_slack();
             shard::run_shard(shared, state)

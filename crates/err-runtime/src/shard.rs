@@ -1,71 +1,30 @@
-//! The shard worker: a private scheduler driven in batched service loops.
+//! The shard worker: a private scheduler, a step that never waits and a
+//! driver that does every wait (DESIGN.md §6).
 //!
-//! Each shard owns one `ErrScheduler` and never shares it — there is no
-//! lock around scheduling state, which is what keeps the per-flit
-//! decision O(1) end to end. The loop alternates between two
-//! batched phases:
+//! Each shard owns one `ErrScheduler` and never shares it, so no lock
+//! guards scheduling state and the per-flit decision stays O(1).
+//! [`WorkerState::step`] makes one round of decisions and returns a
+//! [`Step`]: the fault phase, intake of up to `batch_packets` arrivals,
+//! service of up to `batch_flits` flits in chunks (one flit per cycle
+//! of the shard's flit clock, in `service_run` runs that replay the
+//! single-stepped schedule exactly), stats, the exit gate. It never
+//! sleeps, parks, yields or spins; err-check's `step-never-waits` pass
+//! holds it and everything it calls to that.
 //!
-//! 1. **Intake** — drain up to `batch_packets` arrivals from the ingress
-//!    ring into the scheduler's per-flow queues;
-//! 2. **Service** — serve up to `batch_flits` flits, advancing the
-//!    shard's flit clock by one cycle per flit (the paper's model: the
-//!    egress link carries one flit per cycle).
+//! [`run_shard`] is the one driver: it steps, and on an idle or down
+//! step it yields or idles on the shard's
+//! [`WakeCell`](err_egress::WakeCell) — covered, with a `BACKSTOP`
+//! timer, where every event it waits for is announced, else polling
+//! with `PARK_TIMEOUT`. Its loop of steps runs inside the one
+//! `catch_unwind` fence, the [`WorkerState`] outside it (§9.2): a panic
+//! unwinds out of a step, and the driver steps on, on the same thread
+//! with the same state.
 //!
-//! Batching amortizes ring traffic and stats updates over many flits
-//! without changing the discipline's decisions: ERR is defined per
-//! visit/round, and it serves a packet in runs (`service_run`), each
-//! charged and checked for the packet boundary once, that replay
-//! exactly the per-flit sequence the single-stepped scheduler would
-//! produce.
-//!
-//! There is one loop (`run_shard`). Where served flits go is the
-//! business of the shard's `EgressStage`, which the loop calls at
-//! its service, idle and exit points and the fault layer hands its
-//! `KillLink` events (DESIGN.md §6):
-//!
-//! * `SyncStage` — every served flit passes through the caller's sink
-//!   inline, on the worker thread. It holds no link state, so it gives
-//!   the trait's degenerate answers; a slow sink stalls the shard's
-//!   whole flit clock.
-//! * `BufferedStage` — served flits are committed to a per-shard SPSC
-//!   ring under per-link credit flow control (`err-egress`), one run
-//!   per packet as long as the grant, the batch and the ring's free
-//!   slots allow, in chunks that end at a spent grant or a full ring;
-//!   after each the worker runs the flusher step that delivers them
-//!   itself (`EgressStage::flush`), so no chunk waits on credits its
-//!   own ring holds. The sink accepts or refuses at once and never
-//!   blocks (the one sink contract, `err_egress::Egress`). A link whose
-//!   pool is empty at the top of a chunk has its flows *parked* before
-//!   they are visited, so the shard keeps serving everyone else — the
-//!   decoupling the paper's stalled-downstream argument calls for.
-//!
-//! The loop runs inside a `catch_unwind` fence with the worker's whole
-//! state — scheduler, flit clock and stage, i.e. a
-//! `WorkerState` — owned *outside* the closure (DESIGN.md §9.2): a panic
-//! unwinds out of the loop, the fence catches it, and the worker records
-//! the death on the fault board and re-enters the loop on the same
-//! thread with the same state. No flow moves, and shutdown reports the
-//! death as [`ShardExit::Panicked`](crate::ShardExit).
-//!
-//! After a loop that moved nothing the worker idles on its shard's
-//! [`WakeCell`](err_egress::WakeCell) (`idle_unless`, DESIGN.md §6).
-//! Its wake predicate is "a pop would succeed, or the stage can
-//! progress (a parked link's credit came back, or a link its flusher
-//! step holds flits behind opened)": it looks at that —
-//! never at a whole loop — twice, then announces itself, re-checks the
-//! same predicate, and parks. A ring
-//! that is non-empty while its head is unpublished holds a producer
-//! caught mid-push: runnable, and possibly kept off this very CPU by
-//! us, so the worker yields to it instead. Its peers end the park at
-//! *their* batch boundaries — a producer about to wait on this worker,
-//! a credit-returner whose pool had run empty — never per packet or per
-//! flit. A lone worker whose every link is credit-parked waits for
-//! announced events only: its sleep is *covered*, its timer a mere
-//! `BACKSTOP`. Any other park polls for what nobody announces — a plain
-//! push; a credit other shards may take first; a
-//! sink that refused a flit finding room — and keeps `PARK_TIMEOUT`. A
-//! refused flit is offered again once per such park (or wake), never
-//! per look.
+//! Where served flits go is the shard's `EgressStage`'s business:
+//! `SyncStage` hands each to the caller's sink inline; `BufferedStage`
+//! commits them to a per-shard SPSC ring under per-link credits, parks
+//! the flows of a link whose pool is empty, and runs the flusher step
+//! that delivers them (DESIGN.md §7).
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -77,32 +36,180 @@ use err_egress::{Egress, FlusherCore, LinkSet, Producer, ShardEgressStats, Sleep
 use err_sched::err::ErrScheduler;
 use err_sched::{Packet, Scheduler, ServedFlit};
 
-use crate::fault::{abort_residuals, fault_tick, ShardHealth, WorkerState};
+use crate::fault::{abort_residuals, fault_tick, ShardHealth};
 use crate::gate::Stop;
 use crate::ingress::Shared;
+use crate::RuntimeConfig;
 
 /// Park duration of a sleep that polls; bounds wake-up latency after
 /// an idle period nobody's wake ended.
 const PARK_TIMEOUT: Duration = Duration::from_micros(100);
 
-/// Per-shard configuration handed to the worker thread.
-pub(crate) struct ShardConfig {
+/// Everything a worker thread owns (§9.2): a worker starts from one
+/// with a fresh scheduler and clock 0 and steps on with the same one
+/// after a panic. It lives outside the driver's panic fence, so it
+/// survives the unwind whole; injected panics fire only at an intake
+/// boundary and a sink's unwind leaves its interrupted batch in the
+/// stage, so the state is consistent by construction. The ingress ring
+/// is *not* here: it lives in `Shared` and the resumed driver simply
+/// goes on draining it.
+pub(crate) struct WorkerState {
     pub(crate) shard: usize,
-    pub(crate) batch_packets: usize,
-    pub(crate) batch_flits: usize,
-    /// Flow-id space, needed by forced-abort residue accounting.
-    pub(crate) n_flows: usize,
+    /// `RuntimeConfig`'s batch sizes, and its flow-id space, which
+    /// forced-abort residue accounting walks.
+    batch_packets: usize,
+    batch_flits: usize,
+    n_flows: usize,
+    scheduler: ErrScheduler,
+    /// The shard flit clock; a resumed driver continues it.
+    now: Cycle,
+    /// The output side, whole: the sync stage's sink and interrupted
+    /// batch, or the buffered stage's ring producer, parking marks,
+    /// flusher core and sink.
+    stage: Box<dyn EgressStage>,
+    /// The intake buffer, reused by every step; empty between steps.
+    arrivals: Vec<Packet>,
+}
+
+/// What one [`WorkerState::step`] found, for the driver to act on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Something moved: step again.
+    Busy,
+    /// Nothing moved and the worker may not exit yet. `starved`: every
+    /// link that carries a flow is credit-parked and no flit waits on a
+    /// refusing sink (`EgressStage::starved`).
+    Idle { starved: bool },
+    /// The runtime is down in `epoch` (§14.1). Not `swept`: a producer
+    /// inside `submit` holds up the sweep.
+    Down { epoch: u64, swept: bool },
+    /// Done: aborted, or shutdown asked and everything drained.
+    Exit,
+}
+
+impl WorkerState {
+    /// `shard`'s worker under `config`: a fresh scheduler, clock 0.
+    pub(crate) fn new(shard: usize, config: &RuntimeConfig, stage: Box<dyn EgressStage>) -> Self {
+        Self {
+            shard,
+            batch_packets: config.batch_packets,
+            batch_flits: config.batch_flits,
+            n_flows: config.n_flows,
+            scheduler: ErrScheduler::new(config.n_flows),
+            now: 0,
+            stage,
+            arrivals: Vec::with_capacity(config.batch_packets),
+        }
+    }
+
+    /// One round of the worker's decisions, in order: the fault phase
+    /// (DESIGN.md §9) — forced-shutdown abort or down runtime, checked
+    /// first and in one load (§14.1), then `fault_tick` — intake,
+    /// service chunk by chunk, stats, the exit gate. Returns without
+    /// waiting: every wait is the driver's ([`run_shard`]).
+    pub(crate) fn step(&mut self, shared: &Shared) -> Step {
+        let shard = self.shard;
+        let ring = &shared.rings[shard];
+        let stats = &shared.stats[shard];
+        // The stage holds no credit between service phases, and no flit
+        // — but for a sync batch a sink's unwind interrupted, which an
+        // abort that beats the resumed step's first `serve` leaves
+        // uncounted (§9.4), and what the flusher core holds, which
+        // `abort` dead-letters — so a forced abort has only the
+        // scheduler's residue to count lost.
+        match shared.gate.stop() {
+            Stop::Run => {}
+            Stop::Abort => {
+                abort_residuals(shared, shard, self.n_flows, &mut self.scheduler);
+                self.stage.abort();
+                return Step::Exit;
+            }
+            Stop::Down(epoch) => return self.down(shared, epoch),
+        }
+        fault_tick(shared, shard, self.now, self.stage.as_ref());
+
+        let pulled = ring.pop_batch(&mut self.arrivals, self.batch_packets);
+        for pkt in self.arrivals.drain(..) {
+            self.scheduler.enqueue(pkt, self.now);
+        }
+
+        // Service: one flit per cycle of the shard's flit clock, chunk
+        // by chunk, each counted before its flusher step.
+        let (mut n, mut flushed) = (0u64, false);
+        loop {
+            let budget = self.batch_flits - n as usize;
+            let (chunk, tails, more) =
+                self.stage
+                    .serve(shared, &mut self.scheduler, self.now, budget);
+            self.now += chunk;
+            n += chunk;
+            if chunk > 0 {
+                stats.served_flits.add(chunk);
+                stats.served_packets.add(tails);
+            }
+            flushed |= self.stage.flush();
+            if !more || chunk == 0 || n as usize == self.batch_flits {
+                break;
+            }
+        }
+        stats.backlog_flits.set(self.scheduler.backlog_flits());
+        if pulled > 0 || n > 0 || flushed {
+            return Step::Busy;
+        }
+        // Exit only when shutdown has been requested, no producer is
+        // still inside `submit` (see `Shared::can_finish` — a
+        // mid-submit producer could still push), and everything this
+        // shard owns is drained, its stage's flusher core included. The
+        // ring check must come after `can_finish`: once that returns
+        // true no further push can happen, so empty is stable — and
+        // exact: `is_empty` counts claimed slots, and with no producer
+        // inside `submit` none is claimed but unpublished.
+        if shared.can_finish()
+            && ring.is_empty()
+            && self.scheduler.is_idle()
+            && self.stage.drained()
+        {
+            stats.backlog_flits.set(0);
+            return Step::Exit;
+        }
+        Step::Idle {
+            starved: self.stage.starved(),
+        }
+    }
+
+    /// The step of a worker whose runtime is down in `epoch` (DESIGN.md
+    /// §14.1). Once per epoch, as soon as no producer is inside
+    /// `submit`, it counts what it holds lost exactly as a forced abort
+    /// does, starts over with an empty scheduler and publishes the
+    /// sweep; then it serves nothing until the runtime comes up, is
+    /// aborted or may exit.
+    #[cold]
+    fn down(&mut self, shared: &Shared, epoch: u64) -> Step {
+        let (shard, board) = (self.shard, &shared.fault.board);
+        if board.swept(shard) != epoch {
+            if !shared.gate.can_sweep() {
+                return Step::Down {
+                    epoch,
+                    swept: false,
+                };
+            }
+            abort_residuals(shared, shard, self.n_flows, &mut self.scheduler);
+            self.stage.abort();
+            self.scheduler = ErrScheduler::new(self.n_flows);
+            board.mark_swept(shard, epoch);
+        }
+        if shared.can_finish() {
+            return Step::Exit;
+        }
+        Step::Down { epoch, swept: true }
+    }
 }
 
 /// The shard's output side: where served flits go, and the link state
-/// only that side knows. The worker loop calls `serve` and `flush`,
-/// `starved` and `can_progress` before it parks, `drained` before it
-/// exits and `abort` when it is aborted; the fault layer hands it its
-/// `KillLink` events instead of borrowing its fields. Dispatch is per
-/// chunk or per fault event, never per flit. Every method but `serve`
-/// defaults to the answer of a stage that buffers nothing — never
-/// parked, always drained, no-op — which is the whole of
-/// [`SyncStage`]'s link state.
+/// only that side knows. Dispatch is per chunk or per fault event,
+/// never per flit. Every method but `serve` defaults to the answer of
+/// a stage that buffers nothing — never parked, always drained, no-op
+/// — which is the whole of [`SyncStage`]'s link state.
 pub(crate) trait EgressStage: Send {
     /// One service chunk: serves up to `batch_flits` flits from
     /// `scheduler` starting at flit-clock `now` and sends each on its
@@ -116,11 +223,9 @@ pub(crate) trait EgressStage: Send {
         batch_flits: usize,
     ) -> (u64, u64, bool);
 
-    /// The stage's flusher step, after every `serve` — once the loop
-    /// has counted the chunk, so a sink that reads the shard's served
-    /// clock (the fabric's §11.8 hop records) sees the flits it
-    /// delivers counted. Returns whether it moved anything: the loop
-    /// did work even if it served nothing.
+    /// The stage's flusher step, after every `serve` and once the step
+    /// has counted the chunk (a sink may read the shard's served clock,
+    /// §11.8). Returns whether it moved anything.
     fn flush(&mut self) -> bool {
         false
     }
@@ -145,11 +250,9 @@ pub(crate) trait EgressStage: Send {
         true
     }
 
-    /// Forced-abort settlement (§9.4), run where the scheduler's residue
-    /// is counted lost — at a forced abort and at a down runtime's sweep
-    /// (§14.1): disposes of every flit the stage still has to deliver
-    /// itself, so none is dropped uncounted with its credit, and leaves
-    /// the stage ready for an empty scheduler.
+    /// Forced-abort settlement (§9.4), where the scheduler's residue is
+    /// counted lost (also a down runtime's sweep, §14.1): disposes of
+    /// every flit the stage still has to deliver, none uncounted.
     fn abort(&mut self) {}
 
     /// The links a plan's link events act on (§9.5); a stage without
@@ -159,19 +262,19 @@ pub(crate) trait EgressStage: Send {
     }
 }
 
-/// Synchronous egress: the worker calls the optional sink inline.
+/// Synchronous egress: the worker calls the sink inline.
 ///
 /// The batch and its cursor live here, in the [`WorkerState`] outside
 /// the panic fence (§9.2): a sink that unwinds mid-batch leaves
 /// `served[next..]` pulled from the scheduler but not yet handed over,
-/// and nothing of the batch counted; the resumed loop's first `serve`
+/// and nothing of the batch counted; the resumed driver's first `serve`
 /// finishes and counts it instead of pulling a new one — also when the
 /// sink unwound on the batch's last flit, since a batch is cleared only
 /// once counted. The flit the sink unwound on is not offered twice.
 pub(crate) struct SyncStage<E> {
     shard: usize,
-    sink: Option<E>,
-    /// The service batch, reused across loops; empty once counted.
+    sink: E,
+    /// The service batch, reused across steps; empty once counted.
     served: Vec<ServedFlit>,
     /// Flits of `served` already handed to the sink.
     next: usize,
@@ -180,7 +283,7 @@ pub(crate) struct SyncStage<E> {
 }
 
 impl<E: Egress> SyncStage<E> {
-    pub(crate) fn new(shard: usize, sink: Option<E>, batch_flits: usize) -> Self {
+    pub(crate) fn new(shard: usize, sink: E, batch_flits: usize) -> Self {
         Self {
             shard,
             sink,
@@ -208,9 +311,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
                 self.tails += 1;
                 shared.admission.on_packet_served(flit.flow, flit.len);
             }
-            if let Some(sink) = self.sink.as_mut() {
-                sink.emit(self.shard, flit);
-            }
+            self.sink.emit(self.shard, flit);
         }
         let counted = (self.served.len() as u64, self.tails, false);
         self.served.clear();
@@ -220,30 +321,16 @@ impl<E: Egress> EgressStage for SyncStage<E> {
 }
 
 /// Buffered egress: run-by-run service against per-link credit
-/// grants (DESIGN.md §7).
-///
-/// * a chunk takes a *grant* per link — one CAS for `min(available,
-///   what it can still emit)` — before it serves a flit, serves each
-///   packet as one run of at most the grant's flits (`service_run`),
-///   spends it once per run from a local counter, ends when one runs
-///   out, and gives the rest back before `serve` returns: a served
-///   flit always has its credit, and no link ever buffers more flits
-///   than its pool;
-/// * a link with backlog whose pool is empty at the top of a chunk (a
-///   frozen, dead or refusing downstream, or another shard, holds it)
-///   has every flow parked before the scheduler visits it, and the
-///   scheduler keeps serving the other links' flows at full rate;
-/// * each chunk, parked links whose credits returned are released.
-///
-/// * a chunk also ends at a full output ring, so `serve` never calls
-///   the sink; after every `serve` the worker runs one `FlusherCore::step`
-///   on the shard's own core and sink ([`EgressStage::flush`]), which
-///   frees the ring and returns what the sink accepted before the next
-///   chunk's grants. One thread writes and reads the SPSC ring.
-///
-/// The stage is owned *outside* the panic fence, in the
-/// [`WorkerState`] (§9.2): its parking marks, flusher core and sink
-/// must survive a panic. A grant never does.
+/// grants (DESIGN.md §7). A chunk takes a *grant* per link with backlog
+/// before it serves a flit — or parks the link's flows if the pool is
+/// empty, so the scheduler serves the other links' flows at full rate,
+/// and releases them once a grant comes back — and gives what it did
+/// not spend back before `serve` returns: a served flit always has its
+/// credit. A chunk ends at a spent grant or a full output ring, so
+/// `serve` never calls the sink; the step's `flush` runs the shard's
+/// own `FlusherCore`, which frees the ring. The stage lives in the
+/// [`WorkerState`], outside the panic fence (§9.2); a grant never
+/// outlives its `serve`.
 pub(crate) struct BufferedStage<E> {
     tx: Producer<ServedFlit>,
     links: Arc<LinkSet>,
@@ -291,19 +378,6 @@ impl<E: Egress> BufferedStage<E> {
     /// The counters this stage writes, for the runtime's controller.
     pub(crate) fn stats(&self) -> Arc<ShardEgressStats> {
         Arc::clone(&self.estats)
-    }
-
-    /// One `FlusherCore::step`, settled. Returns whether the step
-    /// popped, delivered or dead-lettered anything.
-    fn step(&mut self) -> bool {
-        let popped = self.core.popped();
-        let links = &*self.links;
-        self.core.step(links, None, &mut self.sink);
-        let (delivered, dead) = self.core.settle(links, &self.estats);
-        for (link, held) in self.held.iter_mut().enumerate() {
-            *held = self.core.pending_len(link) > 0 && links.blocked(link);
-        }
-        delivered + dead > 0 || self.core.popped() != popped
     }
 
     /// Whether a flit is pending behind an open link: the sink refused
@@ -429,8 +503,17 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
         (flits, tails, more)
     }
 
+    /// One `FlusherCore::step`, settled: whether it popped, delivered
+    /// or dead-lettered anything.
     fn flush(&mut self) -> bool {
-        self.step()
+        let popped = self.core.popped();
+        let links = &*self.links;
+        self.core.step(links, None, &mut self.sink);
+        let (delivered, dead) = self.core.settle(links, &self.estats);
+        for (link, held) in self.held.iter_mut().enumerate() {
+            *held = self.core.pending_len(link) > 0 && links.blocked(link);
+        }
+        delivered + dead > 0 || self.core.popped() != popped
     }
 
     fn starved(&self) -> bool {
@@ -473,131 +556,38 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
     }
 }
 
-/// Runs one shard to completion: serves until `shutdown()` has been
-/// called *and* the ring, the scheduler and the stage are fully
-/// drained. Returns the shard's final flit clock.
+/// The driver: runs one shard to completion — until `shutdown()` has
+/// been called *and* the ring, the scheduler and the stage are fully
+/// drained, or a forced abort — and returns the shard's final flit
+/// clock. Every wait of the worker is here, between two steps.
 ///
-/// A caught panic resumes the loop on this thread with the same `w`
-/// (§9.2): the clock continues, it never rewinds.
+/// A caught panic steps on, on this thread with the same `w` (§9.2):
+/// the clock continues, it never rewinds.
 pub(crate) fn run_shard(shared: Arc<Shared>, mut w: WorkerState) -> Cycle {
-    let shard = w.cfg.shard;
-    // Once for life: a resumed loop runs on this same thread.
-    shared.wakes[shard].register();
-    while panic::catch_unwind(AssertUnwindSafe(|| run_loop(&shared, &mut w))).is_err() {
-        shared.fault.resume(shard);
-    }
-    shared.fault.board.set_health(shard, ShardHealth::Exited);
-    w.now
-}
-
-fn run_loop(shared: &Shared, w: &mut WorkerState) {
-    let WorkerState {
-        cfg,
-        scheduler,
-        now,
-        stage,
-    } = w;
-    let shard = cfg.shard;
-    let ring = &shared.rings[shard];
-    let stats = &shared.stats[shard];
-    let mut arrivals: Vec<Packet> = Vec::with_capacity(cfg.batch_packets);
-    // Exit-gate forensics, paired with the drain-side dump in
-    // `Runtime::drain_within` (same `ERR_DRAIN_DEBUG` switch): a worker
-    // that idles without exiting names the predicate holding it.
-    let debug_exit = std::env::var_os("ERR_DRAIN_DEBUG").is_some();
-    let mut debug_parks: u64 = 0;
-
+    let shard = w.shard;
+    let (ring, stats) = (&shared.rings[shard], &shared.stats[shard]);
+    let cell = &*shared.wakes[shard];
     // Nobody announces that a returned credit is still there once
     // another shard has looked.
     let polls = shared.wakes.len() > 1;
-    loop {
-        // Fault phase (DESIGN.md §9): forced-shutdown abort or down
-        // runtime, heartbeat, injected events — the abort check first,
-        // also in a resumed loop, in the same load as the down check
-        // (§14.1). The stage holds no credit between service phases,
-        // and no flit — but for a sync batch a sink's unwind
-        // interrupted, which an abort that beats the resumed loop's
-        // first `serve` leaves uncounted (§9.4), and what the flusher
-        // core holds, which `abort` dead-letters — so a forced abort has
-        // only the scheduler's residue to count lost.
-        match shared.gate.stop() {
-            Stop::Run => {}
-            Stop::Abort => {
-                abort_residuals(shared, shard, cfg.n_flows, scheduler);
-                stage.abort();
-                return;
-            }
-            Stop::Down(epoch) => {
-                if down(shared, cfg, scheduler, stage.as_mut(), epoch) {
-                    break;
+    // Once for life: a resumed driver runs on this same thread.
+    cell.register();
+    let mut drive = || loop {
+        match w.step(&shared) {
+            Step::Busy => stats.busy_loops.add(1),
+            Step::Exit => return,
+            Step::Idle { starved } => {
+                stats.idle_loops.add(1);
+                let has_work = || ring.head_ready() || w.stage.can_progress();
+                if !ring.is_empty() && !has_work() {
+                    // A producer claimed the head slot and has not
+                    // published it: no pop can succeed until it runs
+                    // again. It is runnable — if it shares our CPU, we
+                    // are what keeps it off — so neither spin against it
+                    // nor park on a timer: hand it the CPU.
+                    std::thread::yield_now();
+                    continue;
                 }
-                continue;
-            }
-        }
-        fault_tick(shared, shard, *now, stage.as_ref());
-
-        // Intake phase.
-        arrivals.clear();
-        let pulled = ring.pop_batch(&mut arrivals, cfg.batch_packets);
-        for pkt in arrivals.drain(..) {
-            scheduler.enqueue(pkt, *now);
-        }
-
-        // Service phase: one flit per cycle of the shard's flit clock,
-        // chunk by chunk, each counted before its flusher step.
-        let (mut n, mut flushed) = (0u64, false);
-        loop {
-            let budget = cfg.batch_flits - n as usize;
-            let (chunk, tails, more) = stage.serve(shared, scheduler, *now, budget);
-            *now += chunk;
-            n += chunk;
-            if chunk > 0 {
-                stats.served_flits.add(chunk);
-                stats.served_packets.add(tails);
-            }
-            flushed |= stage.flush();
-            if !more || chunk == 0 || n as usize == cfg.batch_flits {
-                break;
-            }
-        }
-        stats.backlog_flits.set(scheduler.backlog_flits());
-
-        if pulled == 0 && n == 0 && !flushed {
-            // Nothing moved. Exit only when shutdown has been
-            // requested, no producer is still inside
-            // `submit` (see `Shared::can_finish` — a mid-submit
-            // producer could still push), and everything this shard
-            // owns is drained — its stage's flusher core included. The
-            // ring check must come after
-            // `can_finish`: once that returns true no further push can
-            // happen, so empty is stable — and exact: `is_empty` counts
-            // claimed slots, and with no producer inside `submit` none
-            // is claimed but unpublished.
-            if shared.can_finish() && ring.is_empty() && scheduler.is_idle() && stage.drained() {
-                break;
-            }
-            stats.idle_loops.add(1);
-            let has_work = || ring.head_ready() || stage.can_progress();
-            if !ring.is_empty() && !has_work() {
-                // A producer claimed the head slot and has not
-                // published it: no pop can succeed until it runs again.
-                // It is runnable — if it shares our CPU, we are what
-                // keeps it off — so neither spin against it nor park on
-                // a timer: hand it the CPU.
-                std::thread::yield_now();
-            } else {
-                debug_parks += 1;
-                let starved = stage.starved();
-                if debug_exit && debug_parks.is_multiple_of(100_000) {
-                    eprintln!(
-                        "[exit-debug] shard {shard} starved={starved} \
-                         can_finish={} ring_empty={} sched_idle={}",
-                        shared.can_finish(),
-                        ring.is_empty(),
-                        scheduler.is_idle(),
-                    );
-                }
-                let cell = &shared.wakes[shard];
                 let how = if starved && !polls {
                     // backstop: covered by `wake_credit_waiters` (a
                     // credit return), `wake_workers` (a link opening
@@ -615,47 +605,113 @@ fn run_loop(shared: &Shared, w: &mut WorkerState) {
                 stats.parks.add(u64::from(how != Sleep::Ready));
                 stats.park_timeouts.add(u64::from(how == Sleep::TimedOut));
             }
-        } else {
-            stats.busy_loops.add(1);
+            // A producer is mid-submit and may still push: let it run.
+            Step::Down { swept: false, .. } => std::thread::yield_now(),
+            Step::Down { epoch, swept: true } => {
+                // backstop: covered by `set_down` (up again, or a new
+                // epoch) and `drain_within`'s wakes (drain, abort).
+                cell.idle_unless(
+                    || shared.gate.stop() != Stop::Down(epoch) || shared.can_finish(),
+                    BACKSTOP,
+                );
+            }
         }
+    };
+    while panic::catch_unwind(AssertUnwindSafe(&mut drive)).is_err() {
+        shared.fault.resume(shard);
     }
-    stats.backlog_flits.set(0);
+    shared.fault.board.set_health(shard, ShardHealth::Exited);
+    w.now
 }
 
-/// One loop of a worker whose runtime is down in `epoch` (DESIGN.md
-/// §14.1). Once per epoch, as soon as no producer is inside `submit`,
-/// it counts what it holds lost exactly as a forced abort does, starts
-/// over with an empty scheduler and publishes the sweep; then it idles,
-/// serving nothing, until the runtime comes up, is aborted or may exit.
-/// Returns whether the worker exits.
-#[cold]
-fn down(
-    shared: &Shared,
-    cfg: &ShardConfig,
-    scheduler: &mut ErrScheduler,
-    stage: &mut dyn EgressStage,
-    epoch: u64,
-) -> bool {
-    let board = &shared.fault.board;
-    if board.swept(cfg.shard) != epoch {
-        if !shared.gate.can_sweep() {
-            // A producer is mid-submit and may still push: let it run.
-            std::thread::yield_now();
-            return false;
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+
+    use super::*;
+    use crate::fault::FaultPlan;
+    use crate::ingress::RuntimeHandle;
+
+    type Log = Arc<Mutex<Vec<ServedFlit>>>;
+
+    /// A one-shard runtime with no thread: a producer handle on its
+    /// shared block, and its worker over a sync sink that records.
+    fn one_shard(plan: &FaultPlan) -> (RuntimeHandle, WorkerState, Log) {
+        let config = RuntimeConfig {
+            n_flows: 4,
+            batch_packets: 8,
+            batch_flits: 16,
+            ..RuntimeConfig::default()
+        };
+        let shared = Arc::new(Shared::new(&config, plan));
+        let log = Log::default();
+        let rec = Arc::clone(&log);
+        let sink = move |_: usize, f: &ServedFlit| rec.lock().unwrap().push(*f);
+        let stage = Box::new(SyncStage::new(0, sink, config.batch_flits));
+        let w = WorkerState::new(0, &config, stage);
+        (RuntimeHandle { shared }, w, log)
+    }
+
+    /// Figure 4's mix on four flows: flow 2's packets twice as long,
+    /// flow 3 sending twice as many. Returns each packet submitted.
+    fn submit_figure_4_mix(handle: &RuntimeHandle) -> Vec<Packet> {
+        let flows = (0..6).flat_map(|_| [0, 1, 2, 3, 3]).enumerate();
+        let mix = flows.map(|(id, flow)| {
+            let len = (1 + id as u32 * 5 % 8) * if flow == 2 { 2 } else { 1 };
+            Packet::new(id as u64, flow, len, 0)
+        });
+        let sent: Vec<Packet> = mix.collect();
+        for &pkt in &sent {
+            handle.submit(pkt).unwrap();
         }
-        abort_residuals(shared, cfg.shard, cfg.n_flows, scheduler);
-        stage.abort();
-        *scheduler = ErrScheduler::new(cfg.n_flows);
-        board.mark_swept(cfg.shard, epoch);
+        sent
     }
-    if shared.can_finish() {
-        return true;
+
+    /// Every flit of `sent` served once, in per-flow FIFO order, and
+    /// the clock at the flits served.
+    fn assert_served_once_in_order(sent: &[Packet], log: &Log, w: &WorkerState) {
+        let log = log.lock().unwrap();
+        for flow in 0..4 {
+            let want: Vec<(u64, u32)> = (sent.iter().filter(|p| p.flow == flow))
+                .flat_map(|p| (0..p.len).map(move |i| (p.id, i)))
+                .collect();
+            let got: Vec<(u64, u32)> = (log.iter().filter(|f| f.flow == flow))
+                .map(|f| (f.packet, f.flit_index))
+                .collect();
+            assert_eq!(got, want, "flow {flow}");
+        }
+        let flits: u64 = sent.iter().map(|p| u64::from(p.len)).sum();
+        assert_eq!((log.len() as u64, w.now), (flits, flits));
     }
-    // backstop: covered by `set_down` (up again, or a new epoch) and
-    // `drain_within`'s wakes (drain, abort).
-    shared.wakes[cfg.shard].idle_unless(
-        || shared.gate.stop() != Stop::Down(epoch) || shared.can_finish(),
-        BACKSTOP,
-    );
-    false
+
+    #[test]
+    fn a_step_serves_the_figure_4_mix_on_the_test_thread_and_exits() {
+        let (handle, mut w, log) = one_shard(&FaultPlan::new());
+        let shared = &*handle.shared;
+        assert_eq!(w.step(shared), Step::Idle { starved: false });
+        let sent = submit_figure_4_mix(&handle);
+        while w.step(shared) == Step::Busy {}
+        assert_served_once_in_order(&sent, &log, &w);
+        shared.gate.close();
+        assert_eq!(w.step(shared), Step::Exit);
+    }
+
+    #[test]
+    fn a_panic_unwinds_out_of_a_step_and_the_next_step_goes_on() {
+        let (handle, mut w, log) = one_shard(&FaultPlan::new().panic_shard_at(0, 0, 40));
+        let shared = &*handle.shared;
+        let sent = submit_figure_4_mix(&handle);
+        let clock = loop {
+            let at = w.now;
+            match panic::catch_unwind(AssertUnwindSafe(|| w.step(shared))) {
+                Ok(Step::Busy) => {}
+                Ok(other) => panic!("{other:?} before the injected panic"),
+                Err(_) => break at,
+            }
+        };
+        assert!(clock >= 40 && w.now == clock, "{clock} {}", w.now);
+        assert_eq!(log.lock().unwrap().len() as u64, clock);
+        while w.step(shared) == Step::Busy {}
+        assert_served_once_in_order(&sent, &log, &w);
+    }
 }

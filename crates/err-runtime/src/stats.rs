@@ -115,9 +115,9 @@ pub struct ShardSnapshot {
     pub served_packets: u64,
     /// Scheduler backlog in flits (gauge, refreshed every service batch).
     pub backlog_flits: u64,
-    /// Service-loop iterations that moved at least one packet or flit.
+    /// Worker steps that moved at least one packet or flit.
     pub busy_loops: u64,
-    /// Service-loop iterations that moved nothing: each takes the idle
+    /// Worker steps that moved nothing: each takes the idle
     /// path (two looks at the wake predicate, then maybe a park) or
     /// yields to a producer caught mid-push.
     pub idle_loops: u64,
