@@ -94,8 +94,6 @@ pub(crate) const SEQCST_FILES: &[&str] = &[
 /// Files allowed to hold a `std::sync::Mutex`. Each is a documented
 /// cold-path lock: never taken on the per-flit fast path.
 pub(crate) const MUTEX_FILES: &[&str] = &[
-    // stall_hist: watchdog-only, touched once per stall release.
-    "crates/err-egress/src/link.rs",
     // WakeCell's sleeper handle: locked once per thread registration
     // and once per wake that found the sleeping flag set (an unpark
     // syscall follows) — never by a wake that finds it clear.
@@ -325,13 +323,14 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
         doc: "DESIGN.md",
         section: Some("## 9"),
         needles: &[
-            "Running",
             "Dead",
-            "Exited",
             "Clean",
             "Panicked",
             "Abandoned",
             "FaultBoard",
+            // §9.1 the board's stamps.
+            "death_at",
+            "recovered_at",
             // §9.2 catch → resume.
             "WorkerState",
             "resume",

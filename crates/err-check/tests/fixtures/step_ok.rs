@@ -15,7 +15,7 @@ impl WorkerState {
 }
 
 fn fault_tick(shared: &Shared, now: u64) {
-    shared.board.beat(now);
+    shared.schedule.pop(now);
 }
 
 pub fn run_shard(shared: &Shared, mut w: WorkerState) {

@@ -13,7 +13,7 @@ impl WorkerState {
 }
 
 fn fault_tick(shared: &Shared, now: u64) {
-    while !shared.board.beat(now) {
+    while !shared.schedule.reached(now) {
         std::hint::spin_loop();
     }
 }

@@ -28,13 +28,11 @@
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
-use std::sync::atomic::Ordering;
 
 use err_sched::ServedFlit;
 
 use crate::link::{DeadLinkPolicy, LinkSet};
 use crate::spsc::Consumer;
-use crate::stats::ShardEgressStats;
 use crate::Egress;
 
 /// Max ring pops per [`FlusherCore::step`] call, so one step can't
@@ -104,8 +102,8 @@ impl FlusherCore {
     }
 
     /// Flits delivered since the last call; resets the counter.
-    /// [`settle`](Self::settle) adds it to `flushed_flits` after every
-    /// step — the one that unwound included.
+    /// [`settle`](Self::settle) reports it after every step — the one
+    /// that unwound included.
     fn take_delivered(&mut self) -> u64 {
         std::mem::take(&mut self.delivered)
     }
@@ -123,19 +121,16 @@ impl FlusherCore {
         self.pending_total == 0 && self.untold.is_none() && self.rx.is_empty()
     }
 
-    /// The bookkeeping after every step: counts the deliveries into
-    /// `stats` and wakes the credit waiters. Returns `(delivered,
-    /// dead-lettered)` since the last call.
-    pub fn settle(&mut self, links: &LinkSet, stats: &ShardEgressStats) -> (u64, u64) {
+    /// The bookkeeping after every step: wakes the credit waiters.
+    /// Returns `(delivered, dead-lettered)` since the last call, for
+    /// the caller to count.
+    pub fn settle(&mut self, links: &LinkSet) -> (u64, u64) {
         let delivered = self.take_delivered();
         let dead = self.take_dead_lettered();
         // Once per step, after all of its credit returns. Not gated on
         // this step's counts: the mark may stand for a credit a guard
         // returned while the previous step unwound.
         links.wake_credit_waiters();
-        if delivered > 0 {
-            stats.flushed_flits.fetch_add(delivered, Ordering::Relaxed);
-        }
         (delivered, dead)
     }
 
@@ -378,7 +373,7 @@ impl FlusherCore {
 mod tests {
     use super::*;
     use crate::spsc::spsc_ring;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn flit(flow: usize, packet: u64, idx: u32, len: u32) -> ServedFlit {
@@ -658,16 +653,13 @@ mod tests {
             }
             let h = {
                 let (links, closed) = (Arc::clone(&links), Arc::clone(&closed));
-                std::thread::spawn(move || {
-                    let stats = ShardEgressStats::default();
-                    loop {
-                        core.step(&links, None, &mut sink);
-                        core.settle(&links, &stats);
-                        if closed.load(Ordering::Acquire) && core.finish(&links) {
-                            return;
-                        }
-                        std::thread::yield_now();
+                std::thread::spawn(move || loop {
+                    core.step(&links, None, &mut sink);
+                    core.settle(&links);
+                    if closed.load(Ordering::Acquire) && core.finish(&links) {
+                        return;
                     }
+                    std::thread::yield_now();
                 })
             };
             // Jitter the interleaving: closed first, resurrect racing
@@ -720,27 +712,27 @@ mod tests {
         // A frozen link keeps popped flits pending while the pop count
         // moves past them; the thaw delivers them.
         let links = LinkSet::new(2, 8);
-        let stats = ShardEgressStats::default();
+        let mut flushed = 0;
         let (mut tx, rx) = spsc_ring(16);
         let mut core = FlusherCore::new(0, rx, 2);
         let mut sink = |_s: usize, _f: &ServedFlit| {};
         links.try_acquire(0);
         tx.push(flit(0, 0, 0, 1)).unwrap();
         core.step(&links, None, &mut sink);
-        core.settle(&links, &stats);
+        flushed += core.settle(&links).0;
         links.freeze(1);
         links.try_acquire(1);
         tx.push(flit(1, 1, 0, 1)).unwrap();
         links.try_acquire(0);
         tx.push(flit(0, 2, 0, 1)).unwrap();
         core.step(&links, None, &mut sink);
-        core.settle(&links, &stats);
+        flushed += core.settle(&links).0;
         assert_eq!(core.popped(), 3);
         assert_eq!(core.pending_len(1), 1, "the flit on link 1 pends");
         links.release_stall(1);
         core.step(&links, None, &mut sink);
-        core.settle(&links, &stats);
+        flushed += core.settle(&links).0;
         assert_eq!(core.pending_len(1), 0, "thaw releases the flit");
-        assert_eq!(stats.snapshot().flushed_flits, 3);
+        assert_eq!(flushed, 3, "settle reports every delivery once");
     }
 }

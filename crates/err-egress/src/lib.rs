@@ -41,7 +41,6 @@ mod credit;
 mod flusher;
 mod link;
 mod spsc;
-mod stats;
 pub(crate) mod sync;
 mod wake;
 
@@ -52,7 +51,6 @@ pub use err_sched::ServedFlit;
 pub use flusher::FlusherCore;
 pub use link::{DeadLinkPolicy, LinkSet, LinkSnapshot, LinkState};
 pub use spsc::{spsc_ring, Consumer, Producer};
-pub use stats::{EgressSnapshot, ShardEgressSnapshot, ShardEgressStats};
 pub use wake::{Sleep, WakeCell, BACKSTOP};
 
 /// The downstream sink: where flits go when they leave the scheduler.
@@ -181,7 +179,7 @@ pub struct BufferedConfig {
     /// Capacity of each shard's output ring, in flits. Every flit in it
     /// holds a credit, so capacity above `n_links × credits` is never
     /// used; a smaller ring ends a service chunk when it fills
-    /// (`ShardEgressStats::ring_full_spins`).
+    /// (err-runtime's `ShardSnapshot::ring_full_spins`).
     pub ring_capacity: usize,
     /// Credits per downstream link — the most flits that can be
     /// committed-but-undelivered to one link at a time.
@@ -215,19 +213,18 @@ impl Default for BufferedConfig {
     }
 }
 
-/// Handle over a running buffered-egress stage: freeze/thaw links and
-/// snapshot the counters while the runtime is live. Cloneable; all
-/// clones view the same links.
+/// Handle over a running buffered-egress stage: freeze/thaw links
+/// while the runtime is live. Cloneable; all clones view the same
+/// links.
 #[derive(Clone)]
 pub struct EgressController {
     links: Arc<LinkSet>,
-    shard_stats: Vec<Arc<ShardEgressStats>>,
 }
 
 impl EgressController {
-    /// Bundles the shared egress state into a controller.
-    pub fn new(links: Arc<LinkSet>, shard_stats: Vec<Arc<ShardEgressStats>>) -> Self {
-        Self { links, shard_stats }
+    /// A controller over the shared link set.
+    pub fn new(links: Arc<LinkSet>) -> Self {
+        Self { links }
     }
 
     /// The shared link set.
@@ -256,13 +253,5 @@ impl EgressController {
     /// its parked flows resume.
     pub fn resurrect(&self, link: usize) {
         self.links.resurrect(link);
-    }
-
-    /// Snapshots per-shard and per-link egress counters.
-    pub fn snapshot(&self) -> EgressSnapshot {
-        EgressSnapshot {
-            shards: self.shard_stats.iter().map(|s| s.snapshot()).collect(),
-            links: self.links.snapshot(),
-        }
     }
 }

@@ -22,22 +22,13 @@
 //! reproducible.
 
 // Atomics route through the loom shim so the model suite can check
-// the liveness-flag and flush-clock edges; the histogram Mutex is a
-// cold path (stall end / snapshot only) and stays std.
+// the liveness-flag and flush-clock edges.
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use desim::Histogram;
 use serde::Serialize;
 
 use crate::credit::CreditPool;
 use crate::wake::WakeCell;
-
-/// Geometry of the stall-duration histograms (flush-clock cycles per
-/// bin × bins). Stalls longer than 64k delivered flits land in the
-/// overflow bucket; `max_stall_cycles` still records them exactly.
-const STALL_HIST_BIN: u64 = 256;
-const STALL_HIST_BINS: usize = 256;
 
 /// Lifecycle state of a downstream link (DESIGN.md §9.3).
 ///
@@ -107,9 +98,12 @@ struct Link {
     /// (DESIGN.md §14.2) — the replay half of
     /// [`DeadLinkPolicy::HoldForRecovery`].
     replayed: AtomicU64,
-    /// Completed stall durations. Watchdog-only state, touched once per
-    /// stall release — never on the per-flit path — so a `Mutex` is fine.
-    stall_hist: Mutex<Histogram>,
+    /// Stalls completed so far, and their summed durations in
+    /// flush-clock cycles: the watchdog's mean. Two relaxed counters,
+    /// so a snapshot racing a release may pair one with the other's
+    /// older value; after a drain they agree.
+    stalls_completed: AtomicU64,
+    stall_cycles: AtomicU64,
 }
 
 impl Link {
@@ -127,7 +121,8 @@ impl Link {
             deaths: AtomicU64::new(0),
             resurrections: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
-            stall_hist: Mutex::new(Histogram::new(STALL_HIST_BIN, STALL_HIST_BINS)),
+            stalls_completed: AtomicU64::new(0),
+            stall_cycles: AtomicU64::new(0),
         }
     }
 }
@@ -147,7 +142,7 @@ pub struct LinkSnapshot {
     pub max_stall_cycles: u64,
     /// Mean completed-stall duration in flush-clock cycles.
     pub mean_stall_cycles: f64,
-    /// Completed stalls recorded by the watchdog histogram.
+    /// Completed stalls recorded by the watchdog.
     pub stalls_completed: u64,
     /// Lifecycle state at snapshot time (DESIGN.md §9.3).
     pub state: LinkState,
@@ -565,7 +560,7 @@ impl LinkSet {
         let l = &self.links[link];
         // ordering: AcqRel — Release publishes the freeze to `blocked`
         // Acquire readers; Acquire orders this freeze after a racing
-        // release's histogram write.
+        // release's watchdog writes.
         if l.stalled.swap(true, Ordering::AcqRel) {
             return;
         }
@@ -578,8 +573,7 @@ impl LinkSet {
     }
 
     /// Releases a frozen `link` and records the stall duration (in
-    /// flush-clock cycles) into the watchdog histogram. A no-op if not
-    /// frozen.
+    /// flush-clock cycles) with the watchdog. A no-op if not frozen.
     pub fn release_stall(&self, link: usize) {
         let l = &self.links[link];
         // ordering: AcqRel — mirror of `freeze`'s swap; the Acquire
@@ -596,15 +590,13 @@ impl LinkSet {
             .load(Ordering::Acquire)
             .saturating_sub(began);
         l.max_stall_cycles.fetch_max(dur, Ordering::Relaxed);
-        l.stall_hist
-            .lock()
-            .expect("stall histogram poisoned")
-            .record(dur);
+        l.stall_cycles.fetch_add(dur, Ordering::Relaxed);
+        l.stalls_completed.fetch_add(1, Ordering::Relaxed);
         self.wake_workers();
     }
 
     /// Releases every still-open stall (shutdown: closes the watchdog
-    /// windows so the histograms account for stalls that never ended).
+    /// windows so its counts account for stalls that never ended).
     pub fn release_all_stalls(&self) {
         for link in 0..self.links.len() {
             self.release_stall(link);
@@ -625,15 +617,16 @@ impl LinkSet {
         self.links
             .iter()
             .map(|l| {
-                let h = l.stall_hist.lock().expect("stall histogram poisoned");
+                let stalls = l.stalls_completed.load(Ordering::Relaxed);
+                let cycles = l.stall_cycles.load(Ordering::Relaxed);
                 LinkSnapshot {
                     delivered_flits: l.delivered.load(Ordering::Relaxed),
                     credits_available: l.credits.available(),
                     outstanding_peak: l.credits.outstanding_peak(),
                     stall_events: l.stall_events.load(Ordering::Relaxed),
                     max_stall_cycles: l.max_stall_cycles.load(Ordering::Relaxed),
-                    mean_stall_cycles: h.mean(),
-                    stalls_completed: h.count(),
+                    mean_stall_cycles: cycles as f64 / stalls.max(1) as f64,
+                    stalls_completed: stalls,
                     // ordering: Acquire on both flags — same pairings
                     // as `state()`.
                     state: if l.dead.load(Ordering::Acquire) {
@@ -700,6 +693,17 @@ mod tests {
         assert_eq!(snap[0].max_stall_cycles, 5);
         assert_eq!(snap[0].stalls_completed, 1);
         assert!((snap[0].mean_stall_cycles - 5.0).abs() < 1e-9);
+        // A second stall of 3 cycles: the mean is exact, (5 + 3) / 2.
+        links.freeze(0);
+        for _ in 0..3 {
+            links.try_acquire(1);
+            links.on_delivered(1);
+        }
+        links.release_stall(0);
+        let snap = links.snapshot();
+        assert_eq!((snap[0].stall_events, snap[0].stalls_completed), (2, 2));
+        assert_eq!(snap[0].max_stall_cycles, 5);
+        assert_eq!(snap[0].mean_stall_cycles, 4.0);
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn refused_tail_for_50_ms(behind: u64) -> (u64, u64) {
     });
     f.controller(1).freeze(0);
     let east = f.topology().link_to(0, 1).expect("0-1 are neighbors");
-    let crossed = || f.controller(0).snapshot().links[east].delivered_flits;
+    let crossed = || f.controller(0).links().snapshot()[east].delivered_flits;
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     // One credit window of 2-flit packets: once node 1 has served it,
     // it serves nothing more before the thaw, so what it admits next
@@ -127,7 +127,7 @@ fn refused_tail_for_50_ms(behind: u64) -> (u64, u64) {
     for _ in 0..sent {
         f.submit(0, 2).unwrap();
     }
-    while f.controller(1).snapshot().links[0].credits_available > 0 {
+    while f.controller(1).links().snapshot()[0].credits_available > 0 {
         assert!(std::time::Instant::now() < deadline, "node 1 never parked");
         std::thread::yield_now();
     }

@@ -10,14 +10,14 @@
 //! draining it, so nothing is re-homed and nothing is lost; only a
 //! forced abort (§9.4) counts residue `lost`, with its admission charge
 //! revoked, never silently leaked. The [`FaultBoard`] records
-//! heartbeats, health transitions, and death/recovery timestamps. One
+//! death/recovery timestamps and down-epoch sweeps. One
 //! [`FaultPlan`] — checked by `validate`, compiled into [`Schedule`]s —
 //! replays shard panics and link freezes, deaths and heals on the shard
 //! flit clocks, and a fabric's link and node events on its ejection
 //! clock, which is what makes chaos an experiment rather than an
 //! anecdote (§9.5).
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use desim::{Cycle, SimRng};
@@ -27,40 +27,12 @@ use err_sched::err::ErrScheduler;
 use crate::admission::AdmissionController;
 use crate::ingress::Shared;
 use crate::shard::EgressStage;
-use crate::stats::{PaddedCounter, ShardStats};
-
-/// Lifecycle state of one shard worker (DESIGN.md §9.1). Only the
-/// shard's own worker writes it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ShardHealth {
-    /// Serving normally.
-    Running = 0,
-    /// The worker panicked (organically or by injection) and is
-    /// resuming: its fence caught the unwind, and its driver has not
-    /// yet stepped again on the same thread.
-    Dead = 1,
-    /// The worker drained cleanly and returned.
-    Exited = 2,
-}
-
-impl ShardHealth {
-    fn from_u8(v: u8) -> Self {
-        match v {
-            0 => Self::Running,
-            1 => Self::Dead,
-            2 => Self::Exited,
-            _ => unreachable!("invalid shard health {v}"),
-        }
-    }
-}
+use crate::stats::WorkerStats;
 
 /// Sentinel for "never stamped" in the timestamp cells.
 const NEVER: u64 = u64::MAX;
 
 struct BoardCell {
-    heartbeat: PaddedCounter,
-    health: AtomicU8,
     death_at: AtomicU64,
     recovered_at: AtomicU64,
     /// The last down epoch this shard's worker swept (§14.1); 0: none.
@@ -70,8 +42,6 @@ struct BoardCell {
 impl Default for BoardCell {
     fn default() -> Self {
         Self {
-            heartbeat: PaddedCounter::default(),
-            health: AtomicU8::new(ShardHealth::Running as u8),
             death_at: AtomicU64::new(NEVER),
             recovered_at: AtomicU64::new(NEVER),
             swept: AtomicU64::new(0),
@@ -79,11 +49,10 @@ impl Default for BoardCell {
     }
 }
 
-/// Per-shard health, heartbeat, and death/recovery timestamps —
-/// relaxed atomics, one cache-padded entry per shard
-/// (DESIGN.md §9.1). The timestamps are microseconds since runtime
-/// start and are the raw material of the chaos bench's recovery-time
-/// distribution.
+/// Per-shard death/recovery timestamps and swept down epochs — one
+/// entry per shard (DESIGN.md §9.1). The timestamps are microseconds
+/// since runtime start and are the raw material of the chaos bench's
+/// recovery-time distribution.
 pub struct FaultBoard {
     cells: Vec<BoardCell>,
     start: Instant,
@@ -102,43 +71,14 @@ impl FaultBoard {
         self.cells.len()
     }
 
-    /// Bumped by `shard`'s worker once per step, idle steps included:
-    /// a plain counter nobody acts on, which a reader can watch for a
-    /// shard that stopped stepping.
-    pub(crate) fn beat(&self, shard: usize) {
-        self.cells[shard].heartbeat.add(1);
-    }
-
-    /// Current heartbeat count of `shard`.
-    pub fn heartbeat(&self, shard: usize) -> u64 {
-        self.cells[shard].heartbeat.get()
-    }
-
-    /// Current health of `shard`.
-    pub fn health(&self, shard: usize) -> ShardHealth {
-        // ordering: Acquire — a reader that sees `Running` after a
-        // death, or `Exited`, also sees the stamps the worker stored
-        // before it. [pair: board-health @ self]
-        ShardHealth::from_u8(self.cells[shard].health.load(Ordering::Acquire))
-    }
-
-    pub(crate) fn set_health(&self, shard: usize, health: ShardHealth) {
-        // ordering: Release — the byte has one writer, its own worker;
-        // this publishes the stamps stored before the transition.
-        // [pair: board-health @ self]
-        self.cells[shard]
-            .health
-            .store(health as u8, Ordering::Release);
-    }
-
     fn now_micros(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
 
     pub(crate) fn stamp_death(&self, shard: usize) {
-        // ordering: Relaxed — published by the `Dead` store and the
-        // recovery stamp that follow it; the drain reads it after its
-        // join. [pair: board-recovery @ self]
+        // ordering: Relaxed — published by the recovery stamp that
+        // follows it; the drain reads it after its join.
+        // [pair: board-recovery @ self]
         self.cells[shard]
             .death_at
             .store(self.now_micros(), Ordering::Relaxed);
@@ -536,13 +476,10 @@ impl FaultRuntime {
     }
 
     /// A caught worker's one call before its driver steps again on the
-    /// same thread (§9.2): stamp the death, pass through `Dead`, stamp
-    /// the recovery, store `Running`.
+    /// same thread (§9.2): stamp the death, then the recovery.
     pub(crate) fn resume(&self, shard: usize) {
         self.board.stamp_death(shard);
-        self.board.set_health(shard, ShardHealth::Dead);
         self.board.stamp_recovery(shard);
-        self.board.set_health(shard, ShardHealth::Running);
     }
 
     /// Applies `shard`'s link events due at clock 0 before any worker
@@ -563,12 +500,10 @@ impl FaultRuntime {
 }
 
 /// Per-step fault hook, called by the worker's step at the intake
-/// boundary: beat the heartbeat and apply the events `now` reached,
-/// link events to the stage's links.
+/// boundary: applies the events `now` reached, link events to the
+/// stage's links.
 pub(crate) fn fault_tick(shared: &Shared, shard: usize, now: Cycle, stage: &dyn EgressStage) {
-    let fr = &shared.fault;
-    fr.board.beat(shard);
-    let schedule = &fr.schedules[shard];
+    let schedule = &shared.fault.schedules[shard];
     if !schedule.reached(now) {
         return;
     }
@@ -595,7 +530,7 @@ fn apply_link_event(links: Option<&LinkSet>, due: Cycle, ev: FaultEvent) {
 }
 
 /// Counts one packet as lost and releases its admission charge.
-fn lose_packet(stats: &ShardStats, admission: &AdmissionController, flow: usize, len: u32) {
+fn lose_packet(stats: &WorkerStats, admission: &AdmissionController, flow: usize, len: u32) {
     stats.lost_packets.add(1);
     stats.lost_flits.add(len as u64);
     admission.revoke(flow, len);
@@ -612,7 +547,7 @@ pub(crate) fn abort_residuals(
     n_flows: usize,
     scheduler: &mut ErrScheduler,
 ) {
-    let stats = &shared.stats[shard];
+    let stats = &shared.stats[shard].worker;
     while let Some(pkt) = shared.rings[shard].pop() {
         lose_packet(stats, &shared.admission, pkt.flow, pkt.len);
     }
@@ -652,20 +587,12 @@ mod tests {
     fn board_transitions_and_stamps() {
         let b = FaultBoard::new(2);
         assert_eq!(b.shards(), 2);
-        assert_eq!(b.health(0), ShardHealth::Running);
         assert_eq!(b.death_micros(0), None);
         b.stamp_death(0);
-        b.set_health(0, ShardHealth::Dead);
-        assert_eq!(b.health(0), ShardHealth::Dead);
         b.stamp_recovery(0);
-        b.set_health(0, ShardHealth::Running);
         let (d, r) = (b.death_micros(0).unwrap(), b.recovery_micros(0).unwrap());
         assert!(r >= d, "recovery postdates death");
         assert_eq!(b.recovery_micros(1), None);
-        b.beat(1);
-        b.beat(1);
-        assert_eq!(b.heartbeat(1), 2);
-        assert_eq!(b.heartbeat(0), 0);
     }
 
     fn kinds(s: &Schedule, now: Cycle) -> Vec<(Cycle, FaultKind)> {

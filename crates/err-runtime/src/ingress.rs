@@ -221,7 +221,7 @@ impl RuntimeHandle {
         };
         // Admission first, then the push, both on the flow's one shard.
         let shard = shared.shard_of(pkt.flow);
-        let stats = &shared.stats[shard];
+        let stats = &shared.stats[shard].producer;
         loop {
             match shared.admission.try_admit(pkt.flow, pkt.len) {
                 AdmitDecision::Admit => break,
@@ -294,7 +294,7 @@ impl RuntimeHandle {
 
     /// A live statistics snapshot (merged across shards).
     pub fn stats(&self) -> RuntimeStats {
-        RuntimeStats::collect(&self.shared.stats)
+        RuntimeStats::collect(&self.shared.stats, None)
     }
 
     /// Total flits served across all shards so far — the runtime's
@@ -302,7 +302,8 @@ impl RuntimeHandle {
     /// while workers serve, cheap enough to read per packet-hop
     /// (no snapshot allocation, `Relaxed` counter loads only).
     pub fn served_flits(&self) -> u64 {
-        self.shared.stats.iter().map(|s| s.served_flits.get()).sum()
+        let stats = self.shared.stats.iter();
+        stats.map(|s| s.worker.served_flits.get()).sum()
     }
 
     /// Whether `shutdown()` has been called.

@@ -23,7 +23,8 @@
 //!     ├───────────────► shard 1: [MpscRing] ─► worker: ErrScheduler ─► egress
 //!     └───────────────► shard N: [MpscRing] ─► worker: ErrScheduler ─► egress
 //!                                  │
-//!                                  └─ lock-free ShardStats ─► RuntimeStats
+//!                                  └─ one ShardStats per shard ─► RuntimeStats
+//!                                     (a producers' line, two worker lines)
 //! ```
 //!
 //! * Flows are hash-partitioned ([`home_shard`]) for the life of the
@@ -37,7 +38,8 @@
 //!   wait. ERR decides without knowing what a packet will cost, which
 //!   in a wormhole switch is unknown until its tail leaves.
 //! * [`AdmissionController`] bounds each flow's outstanding flits;
-//!   [`RuntimeStats`] merges lock-free per-shard counters on demand;
+//!   [`RuntimeStats`] merges each shard's one block of lock-free
+//!   counters, and the links' watchdog results, on demand;
 //!   [`Runtime::shutdown`] drains to empty and joins every worker.
 //! * [`EgressMode::Buffered`] puts `err-egress` between scheduler and
 //!   sink: per-shard SPSC output rings, per-link credits, and flow
@@ -88,14 +90,12 @@ use err_sched::{Discipline, ServedFlit};
 
 pub use admission::{AdmissionController, AdmissionPolicy, AdmitDecision};
 pub use drain::{DrainReport, ShardExit};
-pub use err_egress::{
-    BufferedConfig, DeadLinkPolicy, Egress, EgressController, EgressSnapshot, LinkState,
-};
+pub use err_egress::{BufferedConfig, DeadLinkPolicy, Egress, EgressController, LinkState};
 pub use fault::{
-    ConfigError, FaultBoard, FaultEvent, FaultKind, FaultPlan, Schedule, Shape, ShardHealth, Target,
+    ConfigError, FaultBoard, FaultEvent, FaultKind, FaultPlan, Schedule, Shape, Target,
 };
 pub use ingress::{home_shard, RuntimeHandle, SubmitError, Submitted};
-pub use stats::{RuntimeStats, ShardSnapshot};
+pub use stats::{EgressSnapshot, RuntimeStats, ShardSnapshot};
 
 use ingress::Shared;
 
@@ -281,7 +281,6 @@ impl Runtime {
                 // each must be able to wake every worker.
                 links.set_credit_waiters(shared.wakes.clone());
                 let links = Arc::new(links);
-                let mut shard_stats = Vec::with_capacity(config.shards);
                 let mut stages = Vec::with_capacity(config.shards);
                 for shard in 0..config.shards {
                     let (tx, rx) = spsc_ring::<ServedFlit>(bc.ring_capacity);
@@ -291,10 +290,9 @@ impl Runtime {
                         Arc::clone(&links),
                         config.n_flows,
                     );
-                    shard_stats.push(stage.stats());
                     stages.push(Box::new(stage) as Box<dyn shard::EgressStage>);
                 }
-                controller = Some(EgressController::new(links, shard_stats));
+                controller = Some(EgressController::new(links));
                 stages
             }
         };
@@ -335,15 +333,16 @@ impl Runtime {
     /// Live merged statistics (egress counters included in buffered
     /// mode).
     pub fn stats(&self) -> RuntimeStats {
-        let stats = RuntimeStats::collect(&self.shared.stats);
-        match &self.egress {
-            Some(ctrl) => stats.with_egress(ctrl.snapshot()),
-            None => stats,
-        }
+        RuntimeStats::collect(&self.shared.stats, self.links())
     }
 
-    /// The egress controller: freeze/thaw links and snapshot egress
-    /// counters while running. `None` under [`EgressMode::Sync`].
+    /// The buffered stage's link set; `None` under [`EgressMode::Sync`].
+    fn links(&self) -> Option<&LinkSet> {
+        self.egress.as_ref().map(|ctrl| &**ctrl.links())
+    }
+
+    /// The egress controller: freeze/thaw links while running. `None`
+    /// under [`EgressMode::Sync`].
     pub fn egress_controller(&self) -> Option<&EgressController> {
         self.egress.as_ref()
     }
@@ -369,8 +368,8 @@ impl Runtime {
         self.drain_within(Some(deadline))
     }
 
-    /// The fault board: per-shard health, heartbeats, and
-    /// death/recovery timestamps (DESIGN.md §9.1).
+    /// The fault board: per-shard death/recovery timestamps
+    /// (DESIGN.md §9.1).
     pub fn fault_board(&self) -> &FaultBoard {
         &self.shared.fault.board
     }
@@ -447,15 +446,13 @@ impl Runtime {
             exits.push(exit);
             shard_cycles.push(cycles);
         }
-        let mut stats = RuntimeStats::collect(&self.shared.stats);
-        if let Some(ctrl) = &self.egress {
+        if let Some(links) = self.links() {
             // Close any still-open stall windows so the watchdog
-            // histograms account for stalls that outlived the run.
-            ctrl.links().release_all_stalls();
-            stats = stats.with_egress(ctrl.snapshot());
+            // accounts for stalls that outlived the run.
+            links.release_all_stalls();
         }
         DrainReport {
-            stats,
+            stats: self.stats(),
             shard_cycles,
             exits,
             forced,
@@ -608,11 +605,20 @@ mod tests {
             .egress
             .as_ref()
             .expect("buffered mode snapshots egress");
-        assert_eq!(egress.flushed_flits(), flits, "no flit stranded in a ring");
-        assert_eq!(report.stats.flushed_flits(), flits);
+        assert_eq!(
+            report.stats.flushed_flits(),
+            flits,
+            "no flit stranded in a ring"
+        );
         assert!(egress.peak_ring_occupancy() <= 64 + 1);
         let per_link: u64 = egress.links.iter().map(|l| l.delivered_flits).sum();
         assert_eq!(per_link, flits, "link accounting matches");
+        let per_shard = report.stats.shards.iter().map(|s| s.flushed_flits);
+        assert_eq!(
+            per_shard.sum::<u64>(),
+            per_link,
+            "shards flushed what links delivered"
+        );
         for l in &egress.links {
             assert_eq!(l.credits_available, 8, "all credits returned");
             assert!(l.outstanding_peak <= 8, "credit pool bound respected");

@@ -27,18 +27,18 @@
 //! that delivers them (DESIGN.md §7).
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use desim::Cycle;
-use err_egress::{Egress, FlusherCore, LinkSet, Producer, ShardEgressStats, Sleep, BACKSTOP};
+use err_egress::{Egress, FlusherCore, LinkSet, Producer, Sleep, BACKSTOP};
 use err_sched::err::ErrScheduler;
 use err_sched::{Packet, Scheduler, ServedFlit};
 
-use crate::fault::{abort_residuals, fault_tick, ShardHealth};
+use crate::fault::{abort_residuals, fault_tick};
 use crate::gate::Stop;
 use crate::ingress::Shared;
+use crate::stats::WorkerStats;
 use crate::RuntimeConfig;
 
 /// Park duration of a sleep that polls; bounds wake-up latency after
@@ -110,7 +110,7 @@ impl WorkerState {
     pub(crate) fn step(&mut self, shared: &Shared) -> Step {
         let shard = self.shard;
         let ring = &shared.rings[shard];
-        let stats = &shared.stats[shard];
+        let stats = &shared.stats[shard].worker;
         // The stage holds no credit between service phases, and no flit
         // — but for a sync batch a sink's unwind interrupted, which an
         // abort that beats the resumed step's first `serve` leaves
@@ -121,7 +121,7 @@ impl WorkerState {
             Stop::Run => {}
             Stop::Abort => {
                 abort_residuals(shared, shard, self.n_flows, &mut self.scheduler);
-                self.stage.abort();
+                self.stage.abort(stats);
                 return Step::Exit;
             }
             Stop::Down(epoch) => return self.down(shared, epoch),
@@ -140,14 +140,14 @@ impl WorkerState {
             let budget = self.batch_flits - n as usize;
             let (chunk, tails, more) =
                 self.stage
-                    .serve(shared, &mut self.scheduler, self.now, budget);
+                    .serve(shared, stats, &mut self.scheduler, self.now, budget);
             self.now += chunk;
             n += chunk;
             if chunk > 0 {
                 stats.served_flits.add(chunk);
                 stats.served_packets.add(tails);
             }
-            flushed |= self.stage.flush();
+            flushed |= self.stage.flush(stats);
             if !more || chunk == 0 || n as usize == self.batch_flits {
                 break;
             }
@@ -194,7 +194,7 @@ impl WorkerState {
                 };
             }
             abort_residuals(shared, shard, self.n_flows, &mut self.scheduler);
-            self.stage.abort();
+            self.stage.abort(&shared.stats[shard].worker);
             self.scheduler = ErrScheduler::new(self.n_flows);
             board.mark_swept(shard, epoch);
         }
@@ -209,7 +209,9 @@ impl WorkerState {
 /// only that side knows. Dispatch is per chunk or per fault event,
 /// never per flit. Every method but `serve` defaults to the answer of
 /// a stage that buffers nothing — never parked, always drained, no-op
-/// — which is the whole of [`SyncStage`]'s link state.
+/// — which is the whole of [`SyncStage`]'s link state. A stage counts
+/// its ring and credit events into the `stats` it is handed, the
+/// worker's own counters.
 pub(crate) trait EgressStage: Send {
     /// One service chunk: serves up to `batch_flits` flits from
     /// `scheduler` starting at flit-clock `now` and sends each on its
@@ -218,6 +220,7 @@ pub(crate) trait EgressStage: Send {
     fn serve(
         &mut self,
         shared: &Shared,
+        stats: &WorkerStats,
         scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
@@ -226,7 +229,7 @@ pub(crate) trait EgressStage: Send {
     /// The stage's flusher step, after every `serve` and once the step
     /// has counted the chunk (a sink may read the shard's served clock,
     /// §11.8). Returns whether it moved anything.
-    fn flush(&mut self) -> bool {
+    fn flush(&mut self, _stats: &WorkerStats) -> bool {
         false
     }
 
@@ -253,7 +256,7 @@ pub(crate) trait EgressStage: Send {
     /// Forced-abort settlement (§9.4), where the scheduler's residue is
     /// counted lost (also a down runtime's sweep, §14.1): disposes of
     /// every flit the stage still has to deliver, none uncounted.
-    fn abort(&mut self) {}
+    fn abort(&mut self, _stats: &WorkerStats) {}
 
     /// The links a plan's link events act on (§9.5); a stage without
     /// links has none.
@@ -298,6 +301,7 @@ impl<E: Egress> EgressStage for SyncStage<E> {
     fn serve(
         &mut self,
         shared: &Shared,
+        _stats: &WorkerStats,
         scheduler: &mut ErrScheduler,
         now: Cycle,
         batch_flits: usize,
@@ -334,7 +338,6 @@ impl<E: Egress> EgressStage for SyncStage<E> {
 pub(crate) struct BufferedStage<E> {
     tx: Producer<ServedFlit>,
     links: Arc<LinkSet>,
-    estats: Arc<ShardEgressStats>,
     /// Link → flows, in flow order, from the routing fn (a fabric
     /// route table (§11.1) maps arbitrary flow sets onto a link).
     /// Built once: parking or releasing a link costs O(flows on it).
@@ -365,7 +368,6 @@ impl<E: Egress> BufferedStage<E> {
         Self {
             tx,
             links,
-            estats: Arc::new(ShardEgressStats::default()),
             link_flows,
             grant: vec![0; n_links],
             link_parked: vec![false; n_links],
@@ -373,11 +375,6 @@ impl<E: Egress> BufferedStage<E> {
             sink,
             held: vec![false; n_links],
         }
-    }
-
-    /// The counters this stage writes, for the runtime's controller.
-    pub(crate) fn stats(&self) -> Arc<ShardEgressStats> {
-        Arc::clone(&self.estats)
     }
 
     /// Whether a flit is pending behind an open link: the sink refused
@@ -392,7 +389,13 @@ impl<E: Egress> BufferedStage<E> {
     /// neither: arrivals enter at intake, before `serve`, so "no flit
     /// is served on a zero grant" holds without it, and a grant nobody
     /// can spend only starves the other shards.
-    fn refill(&mut self, link: usize, want: u64, scheduler: &mut ErrScheduler) {
+    fn refill(
+        &mut self,
+        link: usize,
+        want: u64,
+        scheduler: &mut ErrScheduler,
+        stats: &WorkerStats,
+    ) {
         let flows = &self.link_flows[link];
         let idle = || flows.iter().all(|&f| scheduler.flow_backlog_flits(f) == 0);
         if !self.link_parked[link] && idle() {
@@ -403,9 +406,7 @@ impl<E: Egress> BufferedStage<E> {
             if self.link_parked[link] {
                 return;
             }
-            self.estats
-                .credit_exhaustions
-                .fetch_add(1, Ordering::Relaxed);
+            stats.credit_exhaustions.add(1);
             self.link_parked[link] = true;
             for &flow in flows {
                 // unpark: the `refill` at the top of the chunk that
@@ -436,23 +437,24 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
     fn serve(
         &mut self,
         shared: &Shared,
+        stats: &WorkerStats,
         scheduler: &mut ErrScheduler,
         _now: Cycle,
         batch_flits: usize,
     ) -> (u64, u64, bool) {
-        // Whether the chunk pushed, and the stage.
-        struct Settle<'a, E>(bool, &'a mut BufferedStage<E>);
+        // Whether the chunk pushed, the stage, and where its ring peak
+        // goes.
+        struct Settle<'a, E>(bool, &'a mut BufferedStage<E>, &'a WorkerStats);
         impl<E> Drop for Settle<'_, E> {
             fn drop(&mut self) {
                 let stage = &mut *self.1;
                 stage.links.return_grants(&mut stage.grant);
                 if self.0 {
-                    let occupancy = stage.tx.occupancy() as u64;
-                    stage.estats.note_ring_occupancy(occupancy);
+                    self.2.ring_peak.raise(stage.tx.occupancy() as u64);
                 }
             }
         }
-        let mut settle = Settle(false, self);
+        let mut settle = Settle(false, self, stats);
         let stage = &mut *settle.1;
         let batch = batch_flits as u64;
         // Availability at visit time: every link has its grant, or is
@@ -460,7 +462,7 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
         let busy = !scheduler.is_idle();
         for link in 0..stage.grant.len() {
             if busy || stage.link_parked[link] {
-                stage.refill(link, batch, scheduler);
+                stage.refill(link, batch, scheduler, stats);
             }
         }
         let (mut flits, mut tails, mut more) = (0u64, 0u64, false);
@@ -468,7 +470,7 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
             let free = stage.tx.free_slots() as u64;
             if free == 0 {
                 // The flusher step after this chunk frees it.
-                stage.estats.ring_full_spins.fetch_add(1, Ordering::Relaxed);
+                stats.ring_full_spins.add(1);
                 more = true;
                 break;
             }
@@ -505,11 +507,12 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
 
     /// One `FlusherCore::step`, settled: whether it popped, delivered
     /// or dead-lettered anything.
-    fn flush(&mut self) -> bool {
+    fn flush(&mut self, stats: &WorkerStats) -> bool {
         let popped = self.core.popped();
         let links = &*self.links;
         self.core.step(links, None, &mut self.sink);
-        let (delivered, dead) = self.core.settle(links, &self.estats);
+        let (delivered, dead) = self.core.settle(links);
+        stats.flushed_flits.add(delivered);
         for (link, held) in self.held.iter_mut().enumerate() {
             *held = self.core.pending_len(link) > 0 && links.blocked(link);
         }
@@ -544,9 +547,9 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
     /// — ring flits, and flits pending behind a dead, frozen or
     /// refusing link — is dead-lettered, every credit back. Never calls
     /// the sink.
-    fn abort(&mut self) {
+    fn abort(&mut self, stats: &WorkerStats) {
         self.core.dead_letter_all(&self.links);
-        self.core.settle(&self.links, &self.estats);
+        stats.flushed_flits.add(self.core.settle(&self.links).0);
         // The scheduler whose flows the marks parked is gone.
         self.link_parked.fill(false);
     }
@@ -565,7 +568,7 @@ impl<E: Egress + 'static> EgressStage for BufferedStage<E> {
 /// the clock continues, it never rewinds.
 pub(crate) fn run_shard(shared: Arc<Shared>, mut w: WorkerState) -> Cycle {
     let shard = w.shard;
-    let (ring, stats) = (&shared.rings[shard], &shared.stats[shard]);
+    let (ring, stats) = (&shared.rings[shard], &shared.stats[shard].worker);
     let cell = &*shared.wakes[shard];
     // Nobody announces that a returned credit is still there once
     // another shard has looked.
@@ -620,7 +623,6 @@ pub(crate) fn run_shard(shared: Arc<Shared>, mut w: WorkerState) -> Cycle {
     while panic::catch_unwind(AssertUnwindSafe(&mut drive)).is_err() {
         shared.fault.resume(shard);
     }
-    shared.fault.board.set_health(shard, ShardHealth::Exited);
     w.now
 }
 

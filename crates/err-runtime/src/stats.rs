@@ -1,10 +1,12 @@
 //! Lock-free per-shard statistics and their merged runtime view.
 //!
-//! Each shard owns one `ShardStats` block of cache-line-padded atomic
-//! counters; the worker updates them with relaxed stores on its hot path
-//! and readers take consistent-enough [`ShardSnapshot`]s at any time
-//! without stopping the world. [`RuntimeStats`] merges the per-shard
-//! snapshots into the aggregate view the operator cares about.
+//! Each shard owns one `ShardStats` block, every per-shard count in one
+//! place: a cache line the producers write and two its worker writes,
+//! with relaxed stores on the hot path. Readers take consistent-enough
+//! [`ShardSnapshot`]s at any time without stopping the world.
+//! [`RuntimeStats`] merges the per-shard snapshots, and under buffered
+//! egress the links' watchdog results, into the aggregate view the
+//! operator cares about.
 //!
 //! Every counter here is **approximate under race** by design: all
 //! accesses are `Relaxed`, so a snapshot taken while shards are running
@@ -19,16 +21,13 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use err_egress::EgressSnapshot;
+use err_egress::{LinkSet, LinkSnapshot};
 
-/// A cache-line-padded atomic counter, so two shards' hot counters never
-/// share a line (false sharing would serialize the shards through the
-/// coherence protocol — exactly what the sharded design exists to avoid).
+/// A relaxed atomic counter.
 #[derive(Debug, Default)]
-#[repr(align(64))]
-pub(crate) struct PaddedCounter(AtomicU64);
+pub(crate) struct Counter(AtomicU64);
 
-impl PaddedCounter {
+impl Counter {
     /// Adds `n` (relaxed; counters are monotonic and independently read).
     #[inline]
     pub(crate) fn add(&self, n: u64) {
@@ -41,6 +40,12 @@ impl PaddedCounter {
         self.0.store(n, Ordering::Relaxed);
     }
 
+    /// Raises the value to `n` if it is lower (for high-water marks).
+    #[inline]
+    pub(crate) fn raise(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
+    }
+
     /// Reads the current value.
     #[inline]
     pub(crate) fn get(&self) -> u64 {
@@ -48,53 +53,81 @@ impl PaddedCounter {
     }
 }
 
-/// One shard's counters. Written by its worker (and, for the admission
-/// counters, by producers); read by anyone. Each counter is documented
-/// on its [`ShardSnapshot`] copy.
+/// One shard's counters: every per-shard count the runtime keeps, in
+/// two cache-line-aligned groups split by writer, so the producers'
+/// line and the worker's lines never false-share, and no shard's block
+/// shares a line with another's. Each counter is documented on its
+/// [`ShardSnapshot`] copy.
 #[derive(Debug, Default)]
 pub(crate) struct ShardStats {
-    pub enqueued_packets: PaddedCounter,
-    pub enqueued_flits: PaddedCounter,
-    pub dropped_packets: PaddedCounter,
-    pub dropped_flits: PaddedCounter,
-    pub rejected_packets: PaddedCounter,
-    pub served_flits: PaddedCounter,
-    pub served_packets: PaddedCounter,
-    pub backlog_flits: PaddedCounter,
-    pub busy_loops: PaddedCounter,
-    pub idle_loops: PaddedCounter,
-    pub parks: PaddedCounter,
-    pub park_timeouts: PaddedCounter,
-    pub lost_packets: PaddedCounter,
-    pub lost_flits: PaddedCounter,
-    pub timedout_packets: PaddedCounter,
+    pub producer: ProducerStats,
+    pub worker: WorkerStats,
+}
+
+/// The counters any submitting thread writes.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct ProducerStats {
+    pub enqueued_packets: Counter,
+    pub enqueued_flits: Counter,
+    pub dropped_packets: Counter,
+    pub dropped_flits: Counter,
+    pub rejected_packets: Counter,
+    pub timedout_packets: Counter,
+}
+
+/// The counters only the shard's own worker writes: its service, its
+/// driver's loops and parks, a forced abort's losses, and its egress
+/// stage's ring and credit counts.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct WorkerStats {
+    pub served_flits: Counter,
+    pub served_packets: Counter,
+    pub backlog_flits: Counter,
+    pub busy_loops: Counter,
+    pub idle_loops: Counter,
+    pub parks: Counter,
+    pub park_timeouts: Counter,
+    pub lost_packets: Counter,
+    pub lost_flits: Counter,
+    pub flushed_flits: Counter,
+    pub ring_peak: Counter,
+    pub credit_exhaustions: Counter,
+    pub ring_full_spins: Counter,
 }
 
 impl ShardStats {
     /// Takes a point-in-time copy of the counters.
     pub(crate) fn snapshot(&self, shard: usize) -> ShardSnapshot {
+        let (p, w) = (&self.producer, &self.worker);
         ShardSnapshot {
             shard,
-            enqueued_packets: self.enqueued_packets.get(),
-            enqueued_flits: self.enqueued_flits.get(),
-            dropped_packets: self.dropped_packets.get(),
-            dropped_flits: self.dropped_flits.get(),
-            rejected_packets: self.rejected_packets.get(),
-            served_flits: self.served_flits.get(),
-            served_packets: self.served_packets.get(),
-            backlog_flits: self.backlog_flits.get(),
-            busy_loops: self.busy_loops.get(),
-            idle_loops: self.idle_loops.get(),
-            parks: self.parks.get(),
-            park_timeouts: self.park_timeouts.get(),
-            lost_packets: self.lost_packets.get(),
-            lost_flits: self.lost_flits.get(),
-            timedout_packets: self.timedout_packets.get(),
+            enqueued_packets: p.enqueued_packets.get(),
+            enqueued_flits: p.enqueued_flits.get(),
+            dropped_packets: p.dropped_packets.get(),
+            dropped_flits: p.dropped_flits.get(),
+            rejected_packets: p.rejected_packets.get(),
+            timedout_packets: p.timedout_packets.get(),
+            served_flits: w.served_flits.get(),
+            served_packets: w.served_packets.get(),
+            backlog_flits: w.backlog_flits.get(),
+            busy_loops: w.busy_loops.get(),
+            idle_loops: w.idle_loops.get(),
+            parks: w.parks.get(),
+            park_timeouts: w.park_timeouts.get(),
+            lost_packets: w.lost_packets.get(),
+            lost_flits: w.lost_flits.get(),
+            flushed_flits: w.flushed_flits.get(),
+            ring_peak: w.ring_peak.get(),
+            credit_exhaustions: w.credit_exhaustions.get(),
+            ring_full_spins: w.ring_full_spins.get(),
         }
     }
 }
 
-/// Plain-value copy of one shard's counters.
+/// Plain-value copy of one shard's counters. The four egress counts
+/// stay 0 under `EgressMode::Sync`, which has no ring and no credits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Shard index.
@@ -109,6 +142,9 @@ pub struct ShardSnapshot {
     pub dropped_flits: u64,
     /// Packets refused with an error under the reject policy.
     pub rejected_packets: u64,
+    /// Backpressure waits that hit their submit deadline
+    /// (`SubmitError::TimedOut`); the packet never entered a ring.
+    pub timedout_packets: u64,
     /// Flits served by the shard's scheduler.
     pub served_flits: u64,
     /// Packets whose tail flit has been served.
@@ -133,9 +169,47 @@ pub struct ShardSnapshot {
     /// Flits of lost packets (partially served packets count only
     /// their unserved remainder).
     pub lost_flits: u64,
-    /// Backpressure waits that hit their submit deadline
-    /// (`SubmitError::TimedOut`); the packet never entered a ring.
-    pub timedout_packets: u64,
+    /// Flits this shard's flusher step handed to the sink.
+    pub flushed_flits: u64,
+    /// High-water mark of the shard's output-ring occupancy.
+    pub ring_peak: u64,
+    /// Times the worker found a link's credit pool still empty at the
+    /// top of a service chunk and parked the link's flows: the
+    /// downstream (frozen, dead or refusing) or another shard holds the
+    /// pool — never the worker's own ring, which the flusher step after
+    /// every chunk drains.
+    pub credit_exhaustions: u64,
+    /// Times the worker found the output ring full and ended a service
+    /// chunk, for its flusher step to free the ring.
+    pub ring_full_spins: u64,
+}
+
+/// The buffered egress stage's view: per-link watchdog results, and
+/// the aggregates over links and shards that the ledger reads.
+#[derive(Clone, Debug, Default)]
+pub struct EgressSnapshot {
+    /// One entry per downstream link.
+    pub links: Vec<LinkSnapshot>,
+    /// Largest `ShardSnapshot::ring_peak`.
+    ring_peak: u64,
+}
+
+impl EgressSnapshot {
+    /// Largest output-ring occupancy any shard reached.
+    pub fn peak_ring_occupancy(&self) -> u64 {
+        self.ring_peak
+    }
+
+    /// Total stall events across links.
+    pub fn stall_events(&self) -> u64 {
+        self.links.iter().map(|l| l.stall_events).sum()
+    }
+
+    /// Longest completed stall across links, in flush-clock cycles.
+    pub fn max_stall_cycles(&self) -> u64 {
+        let stalls = self.links.iter().map(|l| l.max_stall_cycles);
+        stalls.max().unwrap_or(0)
+    }
 }
 
 /// The merged, runtime-wide statistics view.
@@ -158,22 +232,17 @@ macro_rules! sum_field {
 }
 
 impl RuntimeStats {
-    /// Merges per-shard stat blocks into one view.
-    pub(crate) fn collect(stats: &[ShardStats]) -> Self {
-        Self {
-            shards: stats
-                .iter()
-                .enumerate()
-                .map(|(i, s)| s.snapshot(i))
-                .collect(),
-            egress: None,
-        }
-    }
-
-    /// Attaches an egress snapshot (buffered mode).
-    pub(crate) fn with_egress(mut self, egress: EgressSnapshot) -> Self {
-        self.egress = Some(egress);
-        self
+    /// Merges per-shard stat blocks into one view, with the egress view
+    /// of `links` under buffered egress.
+    pub(crate) fn collect(stats: &[ShardStats], links: Option<&LinkSet>) -> Self {
+        let shards: Vec<ShardSnapshot> = (stats.iter().enumerate())
+            .map(|(i, s)| s.snapshot(i))
+            .collect();
+        let egress = links.map(|links| EgressSnapshot {
+            links: links.snapshot(),
+            ring_peak: shards.iter().map(|s| s.ring_peak).max().unwrap_or(0),
+        });
+        Self { shards, egress }
     }
 
     sum_field! {
@@ -203,6 +272,8 @@ impl RuntimeStats {
         lost_flits => lost_flits,
         /// Total backpressure waits that hit their submit deadline.
         timedout_packets => timedout_packets,
+        /// Total flits the flusher steps delivered (0 in sync mode).
+        flushed_flits => flushed_flits,
     }
 
     /// Packets that entered the system one way or another: accepted,
@@ -221,12 +292,6 @@ impl RuntimeStats {
             return 0.0;
         }
         (self.dropped_packets() + self.rejected_packets()) as f64 / submitted as f64
-    }
-
-    /// Flits delivered downstream by the flusher steps (0 in sync mode,
-    /// where delivery is counted as `served_flits`).
-    pub fn flushed_flits(&self) -> u64 {
-        self.egress.as_ref().map_or(0, |e| e.flushed_flits())
     }
 
     /// Largest output-ring occupancy any shard reached (0 in sync mode).
@@ -289,7 +354,7 @@ impl fmt::Display for RuntimeStats {
             writeln!(
                 f,
                 "  egress: flushed {} flits | ring peak {} | stalls {} | max stall {} cycles",
-                e.flushed_flits(),
+                self.flushed_flits(),
                 e.peak_ring_occupancy(),
                 e.stall_events(),
                 e.max_stall_cycles(),
@@ -315,21 +380,28 @@ impl fmt::Display for RuntimeStats {
 
 #[cfg(test)]
 mod tests {
+    use std::mem::{align_of, offset_of, size_of};
+
     use super::*;
 
     #[test]
     fn snapshot_and_merge() {
         let blocks = [ShardStats::default(), ShardStats::default()];
-        blocks[0].enqueued_packets.add(3);
-        blocks[0].enqueued_flits.add(12);
-        blocks[1].enqueued_packets.add(4);
-        blocks[1].dropped_packets.add(1);
-        blocks[1].dropped_flits.add(9);
-        blocks[0].served_flits.add(12);
-        blocks[0].served_packets.add(3);
-        blocks[1].backlog_flits.set(7);
+        let (a, b) = (&blocks[0].producer, &blocks[1].producer);
+        a.enqueued_packets.add(3);
+        a.enqueued_flits.add(12);
+        b.enqueued_packets.add(4);
+        b.dropped_packets.add(1);
+        b.dropped_flits.add(9);
+        blocks[0].worker.served_flits.add(12);
+        blocks[0].worker.served_packets.add(3);
+        blocks[1].worker.backlog_flits.set(7);
+        blocks[0].worker.flushed_flits.add(10);
+        blocks[1].worker.flushed_flits.add(5);
+        blocks[0].worker.ring_peak.raise(4);
+        blocks[1].worker.ring_peak.raise(7);
 
-        let m = RuntimeStats::collect(&blocks);
+        let m = RuntimeStats::collect(&blocks, None);
         assert_eq!(m.shards.len(), 2);
         assert_eq!(m.enqueued_packets(), 7);
         assert_eq!(m.enqueued_flits(), 12);
@@ -338,40 +410,63 @@ mod tests {
         assert_eq!(m.served_packets(), 3);
         assert_eq!(m.backlog_flits(), 7);
         assert!((m.loss_rate() - 1.0 / 8.0).abs() < 1e-12);
+        assert_eq!(m.flushed_flits(), 15);
+        assert_eq!(m.peak_ring_occupancy(), 0, "sync mode has no egress view");
+
+        let links = LinkSet::new(2, 4);
+        let m = RuntimeStats::collect(&blocks, Some(&links));
+        let egress = m.egress.as_ref().expect("buffered");
+        assert_eq!(egress.links.len(), 2);
+        assert_eq!(m.peak_ring_occupancy(), 7);
+        assert_eq!((m.stall_events(), m.max_stall_cycles()), (0, 0));
     }
 
     #[test]
     fn display_is_human_readable() {
         let blocks = [ShardStats::default()];
-        blocks[0].enqueued_packets.add(2);
-        blocks[0].served_packets.add(2);
-        blocks[0].served_flits.add(9);
-        let mut m = RuntimeStats::collect(&blocks);
-        let text = m.to_string();
+        blocks[0].producer.enqueued_packets.add(2);
+        blocks[0].worker.served_packets.add(2);
+        blocks[0].worker.served_flits.add(9);
+        let text = RuntimeStats::collect(&blocks, None).to_string();
         assert!(text.contains("served 2 pkts / 9 flits"), "{text}");
         assert!(!text.contains("egress:"), "sync mode has no egress line");
 
-        let egress = EgressSnapshot {
-            shards: vec![err_egress::ShardEgressSnapshot {
-                flushed_flits: 9,
-                ring_peak: 3,
-                ..Default::default()
-            }],
-            links: Vec::new(),
-        };
-        m = m.with_egress(egress);
-        let text = m.to_string();
+        blocks[0].worker.flushed_flits.add(9);
+        let links = LinkSet::new(1, 4);
+        let text = RuntimeStats::collect(&blocks, Some(&links)).to_string();
         assert!(text.contains("flushed 9 flits"), "{text}");
-        assert_eq!(m.flushed_flits(), 9);
-        assert_eq!(m.peak_ring_occupancy(), 3);
-        assert_eq!(m.stall_events(), 0);
+        assert!(text.contains("link 0: delivered 0 flits"), "{text}");
     }
 
     #[test]
-    fn gauge_set_overwrites() {
-        let c = PaddedCounter::default();
+    fn gauges_overwrite_and_peaks_only_rise() {
+        let c = Counter::default();
         c.set(10);
         c.set(4);
         assert_eq!(c.get(), 4);
+        for n in [3, 9, 1] {
+            c.raise(n);
+        }
+        assert_eq!(c.get(), 9);
+    }
+
+    /// One block per shard, three cache lines: the producers' group on
+    /// a line of its own, the worker's on two, and no block shares a
+    /// line with its neighbour's.
+    #[test]
+    fn the_block_is_three_lines_split_by_writer() {
+        assert!(
+            size_of::<ShardStats>() <= 192,
+            "{}",
+            size_of::<ShardStats>()
+        );
+        assert_eq!(align_of::<ShardStats>(), 64);
+        let lines = |at: usize, len: usize| at / 64..=(at + len - 1) / 64;
+        let producer = lines(offset_of!(ShardStats, producer), size_of::<ProducerStats>());
+        let worker = lines(offset_of!(ShardStats, worker), size_of::<WorkerStats>());
+        assert!(
+            producer.end() < worker.start() || worker.end() < producer.start(),
+            "producer lines {producer:?}, worker lines {worker:?}"
+        );
     }
 }

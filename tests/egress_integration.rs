@@ -243,7 +243,7 @@ fn assert_live_flows_keep_their_share(trouble: Trouble) {
         // Every shard delivers link 0's flits, so the freeze due at 0
         // must hold before any worker runs, not from shard 0's first
         // tick.
-        let links = rt.egress_controller().expect("buffered").snapshot().links;
+        let links = rt.egress_controller().expect("buffered").links().snapshot();
         assert_eq!(links[0].stall_events, 1, "link 0 not frozen at start");
     }
     let enough = SETTLE_FLITS + WINDOW_FLITS;
@@ -370,7 +370,7 @@ fn drain_with_active_stall_strands_no_flit() {
     assert_eq!(report.served_packets(), 2_000);
     let egress = report.stats.egress.as_ref().expect("buffered snapshot");
     assert_eq!(
-        egress.flushed_flits(),
+        report.stats.flushed_flits(),
         flits,
         "drain left flits in a ring or pending queue"
     );
@@ -471,7 +471,7 @@ fn credit_pool_bounds_buffered_flits_per_link() {
     let report = rt.shutdown();
     assert!(report.is_conserving(), "{report:?}");
     let egress = report.stats.egress.as_ref().expect("buffered snapshot");
-    assert_eq!(egress.flushed_flits(), flits);
+    assert_eq!(report.stats.flushed_flits(), flits);
     assert!(egress.stall_events() > 0, "the plan must actually stall");
     for (i, l) in egress.links.iter().enumerate() {
         assert!(
@@ -573,7 +573,7 @@ fn assert_buffered_matches_sync(fault_plan: Option<FaultPlan>, link0: Link0) {
         assert_eq!(report.all_clean(), !faulted, "{report:?}");
     }
     let egress = buf_report.stats.egress.as_ref().expect("buffered snapshot");
-    assert_eq!(egress.flushed_flits(), sync.len() as u64, "{egress:?}");
+    assert_eq!(buf_report.stats.flushed_flits(), sync.len() as u64);
     for (i, l) in egress.links.iter().enumerate() {
         assert_eq!(l.credits_available, CREDITS, "link {i}: credits leaked");
         assert_eq!(l.dead_letter_flits, 0, "link {i} dead-lettered");
@@ -693,7 +693,7 @@ fn drain_after_a_bare_sink_panic(shutdown: impl FnOnce(Runtime) -> DrainReport) 
     }
     let served = report.stats.served_flits();
     assert_eq!(delivered + dead, served, "a served flit went uncounted");
-    assert_eq!(egress.flushed_flits(), delivered);
+    assert_eq!(report.stats.flushed_flits(), delivered);
     assert!(report.is_conserving(), "{report:?}");
     assert_eq!(report.served_packets(), PACKETS, "{report:?}");
     assert_eq!(dead, 1, "only the flit in hand is dead-lettered");
@@ -942,7 +942,7 @@ fn shutdown_waits_for_a_flit_the_sink_refused() {
     );
     assert!(report.is_conserving() && report.all_clean(), "{report:?}");
     let egress = report.stats.egress.as_ref().expect("buffered");
-    assert_eq!(egress.flushed_flits(), 1);
+    assert_eq!(report.stats.flushed_flits(), 1);
     assert_eq!(egress.links[0].credits_available, 4);
 }
 
@@ -1270,8 +1270,8 @@ fn ring_smaller_than_the_credit_window_completes_and_conserves() {
     assert_eq!(delivered.load(Ordering::Relaxed), flits);
     let egress = report.stats.egress.as_ref().expect("buffered snapshot");
     assert!(
-        egress.shards[0].ring_full_spins > 0,
-        "the scenario must actually fill the ring: {egress:?}"
+        report.stats.shards[0].ring_full_spins > 0,
+        "the scenario must actually fill the ring: {report:?}"
     );
     assert!(
         egress.peak_ring_occupancy() <= 15,
@@ -1308,10 +1308,9 @@ fn a_batch_wider_than_the_credit_window_never_parks_on_its_own_ring() {
     let report = rt.shutdown();
     assert!(report.is_conserving(), "{report:?}");
     assert_eq!(report.stats.flushed_flits(), PACKETS * u64::from(LEN));
-    let egress = report.stats.egress.as_ref().expect("buffered snapshot");
     assert_eq!(
-        egress.shards[0].credit_exhaustions, 0,
-        "a link was parked on credits its own ring held: {egress:?}"
+        report.stats.shards[0].credit_exhaustions, 0,
+        "a link was parked on credits its own ring held: {report:?}"
     );
 }
 
@@ -1471,7 +1470,7 @@ fn credit_returned_by_another_shards_flusher_wakes_the_starved_worker() {
             std::thread::sleep(Duration::from_micros(100));
         }
     };
-    let starved = |rt: &Runtime| rt.stats().egress.expect("buffered").shards[0].credit_exhaustions;
+    let starved = |rt: &Runtime| rt.stats().shards[0].credit_exhaustions;
 
     let mut woken_across = 0u64;
     for round in 0..ROUNDS {

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use desim::SimRng;
 use err_runtime::{
     AdmissionPolicy, BufferedConfig, DeadLinkPolicy, EgressMode, FaultKind, FaultPlan, LinkState,
-    Runtime, RuntimeConfig, RuntimeHandle, Shape, ShardExit, ShardHealth, Submitted,
+    Runtime, RuntimeConfig, RuntimeHandle, Shape, ShardExit, Submitted,
 };
 use err_sched::{Packet, ServedFlit};
 
@@ -72,13 +72,6 @@ fn design_section_9_names_the_lifecycle_variants() {
             "DESIGN.md §9 no longer names shard exit `{name}`"
         );
     }
-    for health in [ShardHealth::Running, ShardHealth::Dead, ShardHealth::Exited] {
-        let name = format!("{health:?}");
-        assert!(
-            spec.contains(&name),
-            "DESIGN.md §9 no longer names shard health `{name}`"
-        );
-    }
     for state in [LinkState::Alive, LinkState::Stalled, LinkState::Dead] {
         let name = format!("{state:?}");
         assert!(
@@ -112,7 +105,6 @@ fn design_section_9_names_the_protocol_vocabulary() {
         "resume",
         "spawn_worker",
         "lost",
-        "heartbeat",
         "resurrect",
         "dead_letter",
     ] {

@@ -112,19 +112,36 @@ fn threads() -> Vec<(u64, String)> {
     threads
 }
 
-/// The threads not in `before`, once every one has taken its own name:
-/// a new thread carries its creator's until it sets its own.
+/// The threads not in `before`, once `settled` holds of them or 5 s
+/// have passed.
 #[cfg(target_os = "linux")]
-fn threads_since(before: &HashSet<u64>) -> Vec<(u64, String)> {
+fn threads_since(
+    before: &HashSet<u64>,
+    settled: fn(&[(u64, String)]) -> bool,
+) -> Vec<(u64, String)> {
     let until = Instant::now() + Duration::from_secs(5);
     loop {
         let mut new = threads();
         new.retain(|(tid, _)| !before.contains(tid));
-        if new.iter().all(|(_, n)| n.starts_with("err-")) || Instant::now() >= until {
+        if settled(&new) || Instant::now() >= until {
             return new;
         }
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// Every new thread has taken its own name: a new thread carries its
+/// creator's until it sets its own.
+#[cfg(target_os = "linux")]
+fn named(new: &[(u64, String)]) -> bool {
+    new.iter().all(|(_, n)| n.starts_with("err-"))
+}
+
+/// No new thread is left: one that `join` has returned from can still
+/// be listed for a moment, so a census after a drain waits it out.
+#[cfg(target_os = "linux")]
+fn gone(new: &[(u64, String)]) -> bool {
+    new.is_empty()
 }
 
 /// Thread census (Linux): a runtime of `shards` shards adds exactly
@@ -162,7 +179,7 @@ fn a_runtime_of_n_shards_runs_n_threads() {
                         .then(|| FaultPlan::new().panic_shard_at(0, victim, 40)),
                     ..RuntimeConfig::default()
                 });
-                let running = threads_since(&before);
+                let running = threads_since(&before, named);
                 assert_eq!(running.len(), shards, "{leg}: {running:?}");
                 assert!(
                     running.iter().all(|(_, n)| n.starts_with("err-shard-")),
@@ -187,7 +204,7 @@ fn a_runtime_of_n_shards_runs_n_threads() {
                     }
                 }
                 assert_eq!(
-                    threads_since(&before),
+                    threads_since(&before, named),
                     running,
                     "{leg}: a resume spawned or lost a thread"
                 );
@@ -229,7 +246,7 @@ fn a_fabric_runs_its_node_workers_and_nothing_else() {
         cfg.fault_plan = Some(plan);
         let before: HashSet<u64> = threads().into_iter().map(|t| t.0).collect();
         let f = Fabric::start(cfg);
-        let running = threads_since(&before);
+        let running = threads_since(&before, named);
         assert_eq!(running.len(), 4 * shards, "{shards} shards: {running:?}");
         assert!(
             running.iter().all(|(_, n)| n.starts_with("err-shard-")),
@@ -247,7 +264,7 @@ fn a_fabric_runs_its_node_workers_and_nothing_else() {
                     *n += 1;
                 }
             }
-            let now = threads_since(&before);
+            let now = threads_since(&before, named);
             assert!(now.len() <= running.len(), "{shards} shards: {now:?}");
             std::thread::yield_now();
         }
@@ -265,7 +282,7 @@ fn a_fabric_runs_its_node_workers_and_nothing_else() {
             "{shards} shards: the panic fired on node 2's flit clock"
         );
         assert_eq!(
-            threads_since(&before),
+            threads_since(&before, gone),
             [],
             "{shards} shards: the drain left a thread behind"
         );
