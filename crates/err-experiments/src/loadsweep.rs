@@ -12,7 +12,7 @@
 use desim::SimRng;
 use err_sched::Packet;
 use traffic_gen::TrafficPattern;
-use wormhole_net::{ArbiterKind, Mesh2D, MeshNetwork, Torus2D, TorusNetwork};
+use wormhole_net::{ArbiterKind, Mesh2D, Network, Torus2D};
 
 use crate::report::{fnum, Table};
 use crate::runner::parallel_sweep;
@@ -64,14 +64,9 @@ pub struct LoadSweepResult {
     pub points: Vec<LoadPoint>,
 }
 
-enum Net {
-    Mesh(MeshNetwork),
-    Torus(TorusNetwork),
-}
-
 /// Open-loop drive for `horizon` cycles (no drain — saturation is the
 /// point). Returns (mean latency of delivered packets, accepted flits).
-fn drive(net: &mut Net, load: f64, cfg: &LoadSweepConfig) -> (f64, u64) {
+fn drive(net: &mut Network, load: f64, cfg: &LoadSweepConfig) -> (f64, u64) {
     let side = cfg.side;
     let n_nodes = side * side;
     let rate = load / cfg.len as f64; // packets per node per cycle
@@ -82,23 +77,13 @@ fn drive(net: &mut Net, load: f64, cfg: &LoadSweepConfig) -> (f64, u64) {
         for (src, rng) in rngs.iter_mut().enumerate() {
             if rng.bernoulli(rate) {
                 let dest = TrafficPattern::Uniform.dest(src, side, side, rng);
-                let pkt = Packet::new(id, src, cfg.len, now);
-                match net {
-                    Net::Mesh(n) => n.inject(src, &pkt, dest),
-                    Net::Torus(n) => n.inject(src, &pkt, dest),
-                }
+                net.inject(src, &Packet::new(id, src, cfg.len, now), dest);
                 id += 1;
             }
         }
-        match net {
-            Net::Mesh(n) => n.step(now),
-            Net::Torus(n) => n.step(now),
-        }
+        net.step(now);
     }
-    match net {
-        Net::Mesh(n) => (n.latency().mean(), n.delivered_flits()),
-        Net::Torus(n) => (n.latency().mean(), n.delivered_flits()),
-    }
+    (net.latency().mean(), net.delivered_flits())
 }
 
 /// Runs the sweep.
@@ -111,17 +96,9 @@ pub fn run(cfg: &LoadSweepConfig) -> LoadSweepResult {
             move || {
                 let n_nodes = (cfg.side * cfg.side) as f64;
                 let norm = n_nodes * cfg.horizon as f64;
-                let mut mesh = Net::Mesh(MeshNetwork::new(
-                    Mesh2D::new(cfg.side, cfg.side),
-                    4,
-                    ArbiterKind::Err,
-                ));
+                let mut mesh = Network::new(Mesh2D::new(cfg.side, cfg.side), 4, ArbiterKind::Err);
                 let (mesh_latency, mesh_flits) = drive(&mut mesh, load, &cfg);
-                let mut torus = Net::Torus(TorusNetwork::new(
-                    Torus2D::new(cfg.side, cfg.side),
-                    4,
-                    ArbiterKind::Err,
-                ));
+                let mut torus = Network::new(Torus2D::new(cfg.side, cfg.side), 4, ArbiterKind::Err);
                 let (torus_latency, torus_flits) = drive(&mut torus, load, &cfg);
                 LoadPoint {
                     offered: load,

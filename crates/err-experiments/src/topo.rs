@@ -14,7 +14,7 @@
 use desim::{Cycle, SimRng};
 use err_sched::Packet;
 use traffic_gen::TrafficPattern;
-use wormhole_net::{ArbiterKind, Mesh2D, MeshNetwork, Torus2D, TorusNetwork};
+use wormhole_net::{ArbiterKind, Mesh2D, Network, Torus2D};
 
 use crate::report::{fnum, Table};
 use crate::runner::parallel_sweep;
@@ -79,47 +79,8 @@ pub fn patterns(side: usize) -> Vec<TrafficPattern> {
     ]
 }
 
-/// Either network behind one injection/step interface.
-enum Net {
-    Mesh(MeshNetwork),
-    Torus(TorusNetwork),
-}
-
-impl Net {
-    fn inject(&mut self, src: usize, pkt: &Packet, dest: usize) {
-        match self {
-            Net::Mesh(n) => n.inject(src, pkt, dest),
-            Net::Torus(n) => n.inject(src, pkt, dest),
-        }
-    }
-    fn step(&mut self, now: Cycle) {
-        match self {
-            Net::Mesh(n) => n.step(now),
-            Net::Torus(n) => n.step(now),
-        }
-    }
-    fn is_idle(&self) -> bool {
-        match self {
-            Net::Mesh(n) => n.is_idle(),
-            Net::Torus(n) => n.is_idle(),
-        }
-    }
-    fn mean_latency(&self) -> f64 {
-        match self {
-            Net::Mesh(n) => n.latency().mean(),
-            Net::Torus(n) => n.latency().mean(),
-        }
-    }
-    fn delivered(&self) -> usize {
-        match self {
-            Net::Mesh(n) => n.deliveries().len(),
-            Net::Torus(n) => n.deliveries().len(),
-        }
-    }
-}
-
 /// Drives one (topology, pattern) cell with open-loop timed injection.
-fn run_cell(mut net: Net, pattern: TrafficPattern, cfg: &TopoConfig) -> (f64, usize) {
+fn run_cell(mut net: Network, pattern: TrafficPattern, cfg: &TopoConfig) -> (f64, usize) {
     let side = cfg.side;
     let n_nodes = side * side;
     // One RNG per node so the generated traffic is identical across
@@ -148,7 +109,7 @@ fn run_cell(mut net: Net, pattern: TrafficPattern, cfg: &TopoConfig) -> (f64, us
         now += 1;
     }
     assert!(net.is_idle(), "{}: did not drain", pattern.label());
-    (net.mean_latency(), net.delivered())
+    (net.latency().mean(), net.deliveries().len())
 }
 
 /// Runs the study.
@@ -158,16 +119,8 @@ pub fn run(cfg: &TopoConfig) -> TopoResult {
         .map(|p| {
             let cfg = cfg.clone();
             move || {
-                let mesh = Net::Mesh(MeshNetwork::new(
-                    Mesh2D::new(cfg.side, cfg.side),
-                    4,
-                    ArbiterKind::Err,
-                ));
-                let torus = Net::Torus(TorusNetwork::new(
-                    Torus2D::new(cfg.side, cfg.side),
-                    4,
-                    ArbiterKind::Err,
-                ));
+                let mesh = Network::new(Mesh2D::new(cfg.side, cfg.side), 4, ArbiterKind::Err);
+                let torus = Network::new(Torus2D::new(cfg.side, cfg.side), 4, ArbiterKind::Err);
                 let (mesh_mean, mesh_n) = run_cell(mesh, p, &cfg);
                 let (torus_mean, torus_n) = run_cell(torus, p, &cfg);
                 assert_eq!(mesh_n, torus_n, "traffic must be identical");

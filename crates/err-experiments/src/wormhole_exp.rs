@@ -18,7 +18,7 @@
 use desim::SimRng;
 use err_sched::Packet;
 use wormhole_net::{
-    ArbiterKind, BlockingSink, LinkSched, Mesh2D, MeshNetwork, Sink, VcSwitch, WormholeSwitch,
+    ArbiterKind, BlockingSink, LinkSched, Mesh2D, Network, Sink, VcSwitch, WormholeSwitch,
 };
 
 use crate::report::{fnum, Table};
@@ -139,7 +139,7 @@ fn run_switch(kind: ArbiterKind, cfg: &WormholeConfig) -> SwitchOutcome {
 /// Runs the mesh hotspot study for one arbiter kind.
 fn run_mesh(kind: ArbiterKind, cfg: &WormholeConfig) -> MeshOutcome {
     let mesh = Mesh2D::new(4, 4);
-    let mut net = MeshNetwork::new(mesh, 4, kind);
+    let mut net = Network::new(mesh, 4, kind);
     let mut rng = SimRng::new(cfg.seed ^ 0xABCD);
     let hotspot = mesh.node(1, 1);
     let mut id = 0u64;

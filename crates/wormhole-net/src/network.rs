@@ -1,14 +1,23 @@
-//! A mesh of wormhole switches with credit-bounded buffers.
+//! One wormhole network over a 2-D grid: a mesh or a dateline-VC torus.
 //!
-//! Each node has a 5-port switch ([`Port`]): four mesh links plus a local
-//! injection/ejection interface. Links carry one flit per cycle with
-//! one-cycle latency; each input port buffers up to `capacity` flits, and
-//! an upstream output only forwards when the downstream buffer has room
-//! (credit-based flow control). Packets wormhole through: an input port
-//! is pinned to its current packet's output until the tail flit passes,
-//! so a packet blocked deep in the mesh stalls its whole path — the
-//! unpredictable occupancy the paper's §1 describes, here arising
-//! *naturally* from the network rather than from a scripted sink.
+//! Each node has a router with five ports ([`Port`]) — four grid links
+//! plus a local injection/ejection interface — and `n_vcs` virtual
+//! channels per port. Every buffer, lock and arbiter is indexed by
+//! channel, `port × n_vcs + vc`. A mesh has one VC and routes XY; a
+//! torus has two and routes with the dateline rule ([`Torus2D::route`]).
+//! Nothing else in the router loop depends on the grid.
+//!
+//! Links carry one flit per cycle with one-cycle latency, round robin
+//! over the VCs of each physical link; each input channel buffers up to
+//! `capacity` flits, and an upstream output channel only forwards when
+//! the downstream buffer has room (credit-based flow control). Packets
+//! wormhole through: an input channel is pinned to its current packet's
+//! output channel until the tail flit passes, so a packet blocked deep
+//! in the network stalls its whole path — the unpredictable occupancy
+//! the paper's §1 describes, here arising *naturally* from the network
+//! rather than from a scripted sink.
+
+use std::collections::VecDeque;
 
 use desim::{Cycle, OnlineStats};
 use err_sched::{FlowId, Packet, PacketId};
@@ -16,28 +25,84 @@ use err_sched::{FlowId, Packet, PacketId};
 use crate::arbiter::{ArbiterKind, OutputArbiter};
 use crate::flit::{packetize, Flit};
 use crate::mesh::{Mesh2D, Port, N_PORTS};
+use crate::torus::Torus2D;
 
-/// One switch's state inside the network.
+/// The grid a [`Network`] runs over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Grid {
+    /// A mesh: one VC, XY routing.
+    Mesh(Mesh2D),
+    /// A torus: two VCs, dateline routing.
+    Torus(Torus2D),
+}
+
+impl From<Mesh2D> for Grid {
+    fn from(mesh: Mesh2D) -> Self {
+        Grid::Mesh(mesh)
+    }
+}
+
+impl From<Torus2D> for Grid {
+    fn from(torus: Torus2D) -> Self {
+        Grid::Torus(torus)
+    }
+}
+
+impl Grid {
+    fn n_nodes(&self) -> usize {
+        match self {
+            Grid::Mesh(m) => m.n_nodes(),
+            Grid::Torus(t) => t.n_nodes(),
+        }
+    }
+
+    /// Virtual channels per port.
+    fn n_vcs(&self) -> usize {
+        match self {
+            Grid::Mesh(_) => 1,
+            Grid::Torus(_) => 2,
+        }
+    }
+
+    fn neighbor(&self, node: usize, port: Port) -> Option<usize> {
+        match self {
+            Grid::Mesh(m) => m.neighbor(node, port),
+            Grid::Torus(t) => t.neighbor(node, port),
+        }
+    }
+
+    /// Output `(port, vc)` at `node` for a head flit to `dest` that
+    /// arrived on `(in_port, in_vc)`.
+    fn route(&self, node: usize, dest: usize, in_port: Port, in_vc: usize) -> (Port, usize) {
+        match self {
+            Grid::Mesh(m) => (m.route_xy(node, dest), 0),
+            Grid::Torus(t) => t.route(node, dest, in_port, in_vc),
+        }
+    }
+}
+
+/// One router's state: everything indexed by channel `port × n_vcs + vc`.
 struct Router {
-    /// Per-input-port flit buffers.
-    inputs: Vec<std::collections::VecDeque<Flit>>,
-    /// Output each input port's current packet is committed to.
+    /// Input buffers per channel.
+    inputs: Vec<VecDeque<Flit>>,
+    /// Output channel each input channel's packet is committed to.
     in_target: Vec<Option<usize>>,
-    /// Input port currently holding each output port.
+    /// Input channel holding each output channel (wormhole lock).
     out_lock: Vec<Option<usize>>,
-    /// Per-output arbiters over input ports.
+    /// Arbiter per output channel over the input channels.
     arbiters: Vec<Box<dyn OutputArbiter>>,
+    /// Round-robin pointer per physical output port (VC link mux).
+    link_ptr: Vec<usize>,
 }
 
 impl Router {
-    fn new(kind: ArbiterKind) -> Self {
+    fn new(kind: ArbiterKind, n_ch: usize) -> Self {
         Self {
-            inputs: (0..N_PORTS)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            in_target: vec![None; N_PORTS],
-            out_lock: vec![None; N_PORTS],
-            arbiters: (0..N_PORTS).map(|_| kind.build(N_PORTS)).collect(),
+            inputs: (0..n_ch).map(|_| VecDeque::new()).collect(),
+            in_target: vec![None; n_ch],
+            out_lock: vec![None; n_ch],
+            arbiters: (0..n_ch).map(|_| kind.build(n_ch)).collect(),
+            link_ptr: vec![0; N_PORTS],
         }
     }
 }
@@ -57,14 +122,18 @@ pub struct Delivery {
     pub delivered_at: Cycle,
 }
 
-/// A 2-D mesh network of wormhole switches.
-pub struct MeshNetwork {
-    mesh: Mesh2D,
+/// A 2-D network of wormhole routers over a [`Grid`].
+pub struct Network {
+    grid: Grid,
+    /// Dateline VC switching on (the deadlock-free torus). Disabled only
+    /// by the ablation that demonstrates the deadlock.
+    dateline: bool,
     routers: Vec<Router>,
     /// Node-local injection queues (unbounded; the source NIC).
-    inject_q: Vec<std::collections::VecDeque<Flit>>,
+    inject_q: Vec<VecDeque<Flit>>,
     capacity: usize,
-    /// Flits staged on links this cycle, committed at cycle end.
+    /// Flits staged on links this cycle (node, input channel, flit),
+    /// committed at cycle end.
     staged: Vec<(usize, usize, Flit)>,
     deliveries: Vec<Delivery>,
     latency: OnlineStats,
@@ -72,16 +141,21 @@ pub struct MeshNetwork {
     delivered_flits: u64,
 }
 
-impl MeshNetwork {
-    /// Creates a network over `mesh` with per-input-port buffer
-    /// `capacity` (flits, ≥ 2 recommended) and the given arbitration at
-    /// every output port.
-    pub fn new(mesh: Mesh2D, capacity: usize, arbiter: ArbiterKind) -> Self {
+impl Network {
+    /// Creates a network over `grid` (a [`Mesh2D`] or a [`Torus2D`]) with
+    /// per-input-channel buffers of `capacity` flits (≥ 2 recommended)
+    /// and the given arbitration at every output channel.
+    pub fn new(grid: impl Into<Grid>, capacity: usize, arbiter: ArbiterKind) -> Self {
         assert!(capacity >= 1, "need at least one buffer slot");
+        let grid = grid.into();
+        let n_ch = N_PORTS * grid.n_vcs();
         Self {
-            mesh,
-            routers: (0..mesh.n_nodes()).map(|_| Router::new(arbiter)).collect(),
-            inject_q: (0..mesh.n_nodes()).map(|_| Default::default()).collect(),
+            grid,
+            dateline: true,
+            routers: (0..grid.n_nodes())
+                .map(|_| Router::new(arbiter, n_ch))
+                .collect(),
+            inject_q: (0..grid.n_nodes()).map(|_| VecDeque::new()).collect(),
             capacity,
             staged: Vec::new(),
             deliveries: Vec::new(),
@@ -91,15 +165,20 @@ impl MeshNetwork {
         }
     }
 
-    /// The topology.
-    pub fn mesh(&self) -> Mesh2D {
-        self.mesh
+    /// Disables dateline VC switching (every packet stays on VC 0).
+    ///
+    /// **This makes a torus deadlock-prone** — the wrap-around links
+    /// close the channel-dependency cycle that the dateline exists to
+    /// break. Exposed for the ablation test/demo only; a mesh routes on
+    /// VC 0 either way.
+    pub fn disable_dateline_for_ablation(&mut self) {
+        self.dateline = false;
     }
 
     /// Queues `pkt` for injection at `src`, destined for node `dest`
     /// (carried in the head flit).
     pub fn inject(&mut self, src: usize, pkt: &Packet, dest: usize) {
-        assert!(src < self.mesh.n_nodes() && dest < self.mesh.n_nodes());
+        assert!(src < self.grid.n_nodes() && dest < self.grid.n_nodes());
         let flits = packetize(pkt, dest);
         self.injected_flits += flits.len() as u64;
         self.inject_q[src].extend(flits);
@@ -142,104 +221,121 @@ impl MeshNetwork {
         self.in_flight_flits() == 0
     }
 
+    /// The output channel at `node` for a head flit to `dest` waiting on
+    /// input channel `ic`.
+    fn route(&self, node: usize, dest: usize, ic: usize) -> usize {
+        let n_vcs = self.grid.n_vcs();
+        let (port, vc) = self
+            .grid
+            .route(node, dest, Port::from_index(ic / n_vcs), ic % n_vcs);
+        port as usize * n_vcs + if self.dateline { vc } else { 0 }
+    }
+
     /// Advances the network one cycle.
     pub fn step(&mut self, now: Cycle) {
         debug_assert!(self.staged.is_empty());
-        let n = self.mesh.n_nodes();
-        for node in 0..n {
-            // Injection: the NIC feeds the local input port at line rate.
-            if self.routers[node].inputs[Port::Local as usize].len() < self.capacity {
+        let n_vcs = self.grid.n_vcs();
+        for node in 0..self.grid.n_nodes() {
+            // Injection: the NIC feeds the local port's VC 0 at line rate.
+            let local0 = Port::Local as usize * n_vcs;
+            if self.routers[node].inputs[local0].len() < self.capacity {
                 if let Some(flit) = self.inject_q[node].pop_front() {
-                    self.routers[node].inputs[Port::Local as usize].push_back(flit);
+                    self.routers[node].inputs[local0].push_back(flit);
                 }
             }
-            // Route computation for new head flits.
-            for p in 0..N_PORTS {
-                if self.routers[node].in_target[p].is_none() {
-                    if let Some(f) = self.routers[node].inputs[p].front() {
-                        let dest = f.dest().expect("queue head must be a head flit");
-                        let out = self.mesh.route_xy(node, dest) as usize;
-                        self.routers[node].in_target[p] = Some(out);
-                        self.routers[node].arbiters[out].flow_activated(p);
+            // Route computation for new heads on every input channel.
+            for ic in 0..N_PORTS * n_vcs {
+                if self.routers[node].in_target[ic].is_none() {
+                    if let Some(f) = self.routers[node].inputs[ic].front() {
+                        let dest = f.dest().expect("head flit leads each packet");
+                        let oc = self.route(node, dest, ic);
+                        self.routers[node].in_target[ic] = Some(oc);
+                        self.routers[node].arbiters[oc].flow_activated(ic);
                     }
                 }
             }
-            // Switch allocation: grant free outputs.
-            for o in 0..N_PORTS {
-                if self.routers[node].out_lock[o].is_none() {
-                    if let Some(p) = self.routers[node].arbiters[o].grant() {
-                        debug_assert_eq!(self.routers[node].in_target[p], Some(o));
-                        self.routers[node].out_lock[o] = Some(p);
+            // Switch allocation: grant free output channels.
+            for oc in 0..N_PORTS * n_vcs {
+                if self.routers[node].out_lock[oc].is_none() {
+                    if let Some(ic) = self.routers[node].arbiters[oc].grant() {
+                        debug_assert_eq!(self.routers[node].in_target[ic], Some(oc));
+                        self.routers[node].out_lock[oc] = Some(ic);
                     }
                 }
             }
-            // Traversal: move at most one flit per output.
-            for o in 0..N_PORTS {
-                let Some(p) = self.routers[node].out_lock[o] else {
-                    continue;
-                };
-                // Occupancy charging (incl. stall cycles).
-                self.routers[node].arbiters[o].charge();
-                let port = Port::from_index(o);
-                // Credit check: room downstream?
-                let room = match port {
-                    Port::Local => true, // ejection always drains
-                    _ => {
-                        let nb = self
-                            .mesh
-                            .neighbor(node, port)
-                            .expect("locked output must have a link");
-                        let in_port = port.opposite() as usize;
-                        // One staged flit max per link per cycle, so a
-                        // current-length check suffices to bound the
-                        // buffer at `capacity`.
-                        self.routers[nb].inputs[in_port].len() < self.capacity
+            // Traversal, per physical port: one flit per cycle, round
+            // robin over the port's VCs with an active transfer.
+            for (port, p) in Port::ALL.into_iter().enumerate() {
+                let ptr = self.routers[node].link_ptr[port];
+                let mut sent = false;
+                for k in 0..n_vcs {
+                    let vc = (ptr + k) % n_vcs;
+                    let oc = port * n_vcs + vc;
+                    let Some(ic) = self.routers[node].out_lock[oc] else {
+                        continue;
+                    };
+                    // Occupancy charging (incl. stall cycles).
+                    self.routers[node].arbiters[oc].charge();
+                    if sent {
+                        continue; // link already used this cycle
                     }
-                };
-                if !room {
-                    continue;
-                }
-                let Some(flit) = self.routers[node].inputs[p].pop_front() else {
-                    continue; // flits still in flight upstream
-                };
-                let is_tail = flit.is_tail();
-                match port {
-                    Port::Local => {
-                        self.delivered_flits += 1;
-                        if is_tail {
-                            self.latency.push((now - flit.injected_at) as f64);
-                            self.deliveries.push(Delivery {
-                                packet: flit.packet,
-                                flow: flit.flow,
-                                node,
-                                injected_at: flit.injected_at,
-                                delivered_at: now,
-                            });
+                    // Credit check: room downstream? Ejection always
+                    // drains. One staged flit max per link per cycle, so
+                    // a current-length check bounds the buffer.
+                    let next = match p {
+                        Port::Local => None,
+                        _ => {
+                            let nb = self
+                                .grid
+                                .neighbor(node, p)
+                                .expect("locked output must have a link");
+                            Some((nb, p.opposite() as usize * n_vcs + vc))
                         }
+                    };
+                    let room = next.is_none_or(|(nb, in_ch)| {
+                        self.routers[nb].inputs[in_ch].len() < self.capacity
+                    });
+                    if !room {
+                        continue;
                     }
-                    _ => {
-                        let nb = self.mesh.neighbor(node, port).expect("checked");
-                        self.staged.push((nb, port.opposite() as usize, flit));
+                    let Some(flit) = self.routers[node].inputs[ic].pop_front() else {
+                        continue; // flits still in flight upstream
+                    };
+                    let is_tail = flit.is_tail();
+                    match next {
+                        None => {
+                            self.delivered_flits += 1;
+                            if is_tail {
+                                self.latency.push((now - flit.injected_at) as f64);
+                                self.deliveries.push(Delivery {
+                                    packet: flit.packet,
+                                    flow: flit.flow,
+                                    node,
+                                    injected_at: flit.injected_at,
+                                    delivered_at: now,
+                                });
+                            }
+                        }
+                        Some((nb, in_ch)) => self.staged.push((nb, in_ch, flit)),
                     }
-                }
-                if is_tail {
-                    self.routers[node].in_target[p] = None;
-                    // Same-output continuation for the next packet?
-                    let still = self.routers[node].inputs[p]
-                        .front()
-                        .and_then(|nf| nf.dest())
-                        .is_some_and(|d| self.mesh.route_xy(node, d) as usize == o);
-                    if still {
-                        self.routers[node].in_target[p] = Some(o);
+                    sent = true;
+                    self.routers[node].link_ptr[port] = (vc + 1) % n_vcs;
+                    if is_tail {
+                        // Same-output continuation for the next packet?
+                        let still = self.routers[node].inputs[ic]
+                            .front()
+                            .and_then(|nf| nf.dest())
+                            .is_some_and(|d| self.route(node, d, ic) == oc);
+                        self.routers[node].in_target[ic] = still.then_some(oc);
+                        self.routers[node].arbiters[oc].packet_done(still);
+                        self.routers[node].out_lock[oc] = None;
                     }
-                    self.routers[node].arbiters[o].packet_done(still);
-                    self.routers[node].out_lock[o] = None;
                 }
             }
         }
         // Link latency: staged flits land next cycle.
-        for (node, port, flit) in self.staged.drain(..) {
-            let buf = &mut self.routers[node].inputs[port];
+        for (node, in_ch, flit) in self.staged.drain(..) {
+            let buf = &mut self.routers[node].inputs[in_ch];
             debug_assert!(buf.len() < self.capacity + 1, "credit overflow");
             buf.push_back(flit);
         }
@@ -261,8 +357,8 @@ impl MeshNetwork {
 mod tests {
     use super::*;
 
-    fn net(cols: usize, rows: usize, kind: ArbiterKind) -> MeshNetwork {
-        MeshNetwork::new(Mesh2D::new(cols, rows), 4, kind)
+    fn net(cols: usize, rows: usize, kind: ArbiterKind) -> Network {
+        Network::new(Mesh2D::new(cols, rows), 4, kind)
     }
 
     #[test]

@@ -9,21 +9,10 @@
 //! that dimension's wrap-around link, then continues on VC 1 — breaking
 //! the cycle while keeping minimal (shortest-way-around) routes.
 //!
-//! Each router here has five ports × two VCs: per-(port, vc) input
-//! buffers with credit flow control, wormhole locking per output
-//! channel `(port, vc)`, pluggable arbitration among the ten input
-//! channels, and flit-level round robin between the two VCs of each
-//! physical link (legal — flits are VC-tagged).
+//! [`Torus2D`] is the topology and its routing function; the router
+//! loop is [`crate::network::Network`]'s, with two VCs per port.
 
-use desim::{Cycle, OnlineStats};
-use err_sched::{FlowId, Packet, PacketId};
-
-use crate::arbiter::{ArbiterKind, OutputArbiter};
-use crate::flit::{packetize, Flit};
-use crate::mesh::{Port, N_PORTS};
-
-/// Virtual channels per physical link (dateline scheme needs two).
-pub const N_VCS: usize = 2;
+use crate::mesh::Port;
 
 /// A `cols × rows` 2-D torus. Node `(x, y)` has id `y * cols + x`; every
 /// row and column closes into a ring.
@@ -135,285 +124,12 @@ impl Torus2D {
     }
 }
 
-/// One router's state: everything indexed by channel `(port, vc)`.
-struct TorusRouter {
-    /// Input buffers per channel.
-    inputs: Vec<std::collections::VecDeque<Flit>>,
-    /// Output channel each input channel's packet is committed to.
-    in_target: Vec<Option<usize>>,
-    /// Input channel holding each output channel (wormhole lock).
-    out_lock: Vec<Option<usize>>,
-    /// Arbiter per output channel over the input channels.
-    arbiters: Vec<Box<dyn OutputArbiter>>,
-    /// Round-robin pointer per physical output port (VC link mux).
-    link_ptr: Vec<usize>,
-}
-
-const N_CH: usize = N_PORTS * N_VCS;
-
-fn ch(port: usize, vc: usize) -> usize {
-    port * N_VCS + vc
-}
-
-impl TorusRouter {
-    fn new(kind: ArbiterKind) -> Self {
-        Self {
-            inputs: (0..N_CH).map(|_| Default::default()).collect(),
-            in_target: vec![None; N_CH],
-            out_lock: vec![None; N_CH],
-            arbiters: (0..N_CH).map(|_| kind.build(N_CH)).collect(),
-            link_ptr: vec![0; N_PORTS],
-        }
-    }
-}
-
-/// A packet delivered by the torus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TorusDelivery {
-    /// Packet identity.
-    pub packet: PacketId,
-    /// Flow id.
-    pub flow: FlowId,
-    /// Destination node.
-    pub node: usize,
-    /// Injection cycle.
-    pub injected_at: Cycle,
-    /// Ejection cycle of the tail flit.
-    pub delivered_at: Cycle,
-}
-
-/// A 2-D torus of wormhole routers with dateline VCs.
-pub struct TorusNetwork {
-    torus: Torus2D,
-    /// Dateline VC switching on (the deadlock-free configuration).
-    /// Disabled only by the ablation that demonstrates the deadlock.
-    dateline: bool,
-    routers: Vec<TorusRouter>,
-    inject_q: Vec<std::collections::VecDeque<Flit>>,
-    capacity: usize,
-    staged: Vec<(usize, usize, Flit)>,
-    deliveries: Vec<TorusDelivery>,
-    latency: OnlineStats,
-    injected_flits: u64,
-    delivered_flits: u64,
-}
-
-impl TorusNetwork {
-    /// Creates a torus network with per-channel input buffers of
-    /// `capacity` flits and the given output arbitration.
-    pub fn new(torus: Torus2D, capacity: usize, arbiter: ArbiterKind) -> Self {
-        assert!(capacity >= 1);
-        Self {
-            torus,
-            dateline: true,
-            routers: (0..torus.n_nodes())
-                .map(|_| TorusRouter::new(arbiter))
-                .collect(),
-            inject_q: (0..torus.n_nodes()).map(|_| Default::default()).collect(),
-            capacity,
-            staged: Vec::new(),
-            deliveries: Vec::new(),
-            latency: OnlineStats::new(),
-            injected_flits: 0,
-            delivered_flits: 0,
-        }
-    }
-
-    /// The topology.
-    pub fn torus(&self) -> Torus2D {
-        self.torus
-    }
-
-    /// Disables dateline VC switching (every packet stays on VC 0).
-    ///
-    /// **This makes the torus deadlock-prone** — the wrap-around links
-    /// close the channel-dependency cycle that the dateline exists to
-    /// break. Exposed for the ablation test/demo only.
-    pub fn disable_dateline_for_ablation(&mut self) {
-        self.dateline = false;
-    }
-
-    /// Queues `pkt` for injection at `src`, destined for `dest`.
-    pub fn inject(&mut self, src: usize, pkt: &Packet, dest: usize) {
-        assert!(src < self.torus.n_nodes() && dest < self.torus.n_nodes());
-        let flits = packetize(pkt, dest);
-        self.injected_flits += flits.len() as u64;
-        self.inject_q[src].extend(flits);
-    }
-
-    /// Completed deliveries.
-    pub fn deliveries(&self) -> &[TorusDelivery] {
-        &self.deliveries
-    }
-
-    /// End-to-end latency statistics.
-    pub fn latency(&self) -> &OnlineStats {
-        &self.latency
-    }
-
-    /// Flits injected so far.
-    pub fn injected_flits(&self) -> u64 {
-        self.injected_flits
-    }
-
-    /// Flits ejected so far.
-    pub fn delivered_flits(&self) -> u64 {
-        self.delivered_flits
-    }
-
-    /// Flits inside the network.
-    pub fn in_flight_flits(&self) -> u64 {
-        let buffered: usize = self
-            .routers
-            .iter()
-            .flat_map(|r| r.inputs.iter())
-            .map(|q| q.len())
-            .sum();
-        let injecting: usize = self.inject_q.iter().map(|q| q.len()).sum();
-        (buffered + injecting) as u64
-    }
-
-    /// Whether nothing is left to move.
-    pub fn is_idle(&self) -> bool {
-        self.in_flight_flits() == 0
-    }
-
-    /// Advances the network one cycle.
-    pub fn step(&mut self, now: Cycle) {
-        debug_assert!(self.staged.is_empty());
-        let n = self.torus.n_nodes();
-        for node in 0..n {
-            // Injection into the local port's VC 0.
-            let local0 = ch(Port::Local as usize, 0);
-            if self.routers[node].inputs[local0].len() < self.capacity {
-                if let Some(flit) = self.inject_q[node].pop_front() {
-                    self.routers[node].inputs[local0].push_back(flit);
-                }
-            }
-            // Route computation for new heads on every input channel.
-            for port in 0..N_PORTS {
-                for vc in 0..N_VCS {
-                    let ic = ch(port, vc);
-                    if self.routers[node].in_target[ic].is_none() {
-                        if let Some(f) = self.routers[node].inputs[ic].front() {
-                            let dest = f.dest().expect("head flit leads each packet");
-                            let (op, mut ov) =
-                                self.torus.route(node, dest, Port::from_index(port), vc);
-                            if !self.dateline {
-                                ov = 0;
-                            }
-                            let oc = ch(op as usize, ov);
-                            self.routers[node].in_target[ic] = Some(oc);
-                            self.routers[node].arbiters[oc].flow_activated(ic);
-                        }
-                    }
-                }
-            }
-            // Grant free output channels.
-            for oc in 0..N_CH {
-                if self.routers[node].out_lock[oc].is_none() {
-                    if let Some(ic) = self.routers[node].arbiters[oc].grant() {
-                        debug_assert_eq!(self.routers[node].in_target[ic], Some(oc));
-                        self.routers[node].out_lock[oc] = Some(ic);
-                    }
-                }
-            }
-            // Per physical port: one flit per cycle, round robin over the
-            // port's VCs with an active transfer.
-            for port in 0..N_PORTS {
-                let ptr = self.routers[node].link_ptr[port];
-                let mut sent = false;
-                for k in 0..N_VCS {
-                    let vc = (ptr + k) % N_VCS;
-                    let oc = ch(port, vc);
-                    let Some(ic) = self.routers[node].out_lock[oc] else {
-                        continue;
-                    };
-                    // Charge occupancy of this output channel.
-                    self.routers[node].arbiters[oc].charge();
-                    if sent {
-                        continue; // link already used this cycle
-                    }
-                    let p = Port::from_index(port);
-                    let room = match p {
-                        Port::Local => true,
-                        _ => {
-                            let nb = self.torus.neighbor(node, p).expect("torus link");
-                            let in_ch = ch(p.opposite() as usize, vc);
-                            self.routers[nb].inputs[in_ch].len() < self.capacity
-                        }
-                    };
-                    if !room {
-                        continue;
-                    }
-                    let Some(flit) = self.routers[node].inputs[ic].pop_front() else {
-                        continue; // upstream flits still in flight
-                    };
-                    let is_tail = flit.is_tail();
-                    match p {
-                        Port::Local => {
-                            self.delivered_flits += 1;
-                            if is_tail {
-                                self.latency.push((now - flit.injected_at) as f64);
-                                self.deliveries.push(TorusDelivery {
-                                    packet: flit.packet,
-                                    flow: flit.flow,
-                                    node,
-                                    injected_at: flit.injected_at,
-                                    delivered_at: now,
-                                });
-                            }
-                        }
-                        _ => {
-                            let nb = self.torus.neighbor(node, p).expect("torus link");
-                            self.staged.push((nb, ch(p.opposite() as usize, vc), flit));
-                        }
-                    }
-                    sent = true;
-                    self.routers[node].link_ptr[port] = (vc + 1) % N_VCS;
-                    if is_tail {
-                        self.routers[node].in_target[ic] = None;
-                        // Same-output continuation for the next packet?
-                        let still = self.routers[node].inputs[ic]
-                            .front()
-                            .and_then(|nf| nf.dest())
-                            .is_some_and(|d| {
-                                let (ip, ivc) = (Port::from_index(ic / N_VCS), ic % N_VCS);
-                                let (op, mut ov) = self.torus.route(node, d, ip, ivc);
-                                if !self.dateline {
-                                    ov = 0;
-                                }
-                                ch(op as usize, ov) == oc
-                            });
-                        if still {
-                            self.routers[node].in_target[ic] = Some(oc);
-                        }
-                        self.routers[node].arbiters[oc].packet_done(still);
-                        self.routers[node].out_lock[oc] = None;
-                    }
-                }
-            }
-        }
-        for (node, in_ch, flit) in self.staged.drain(..) {
-            self.routers[node].inputs[in_ch].push_back(flit);
-        }
-    }
-
-    /// Runs until idle or `max_cycles`; returns the final cycle.
-    pub fn run(&mut self, start: Cycle, max_cycles: u64) -> Cycle {
-        let mut now = start;
-        let end = start + max_cycles;
-        while now < end && !self.is_idle() {
-            self.step(now);
-            now += 1;
-        }
-        now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbiter::ArbiterKind;
+    use crate::network::Network;
+    use err_sched::Packet;
 
     #[test]
     fn routing_is_minimal_and_terminates() {
@@ -472,7 +188,7 @@ mod tests {
     #[test]
     fn single_packet_crosses_with_wraparound() {
         let t = Torus2D::new(4, 4);
-        let mut net = TorusNetwork::new(t, 3, ArbiterKind::Err);
+        let mut net = Network::new(t, 3, ArbiterKind::Err);
         // (3,3) -> (0,0): 1 hop east (wrap) + 1 hop south (wrap) = 2 hops.
         let src = t.node(3, 3);
         let dest = t.node(0, 0);
@@ -491,7 +207,7 @@ mod tests {
         // every other node, including the wrap-heavy pairs that deadlock
         // a single-VC torus.
         let t = Torus2D::new(4, 4);
-        let mut net = TorusNetwork::new(t, 2, ArbiterKind::Err);
+        let mut net = Network::new(t, 2, ArbiterKind::Err);
         let mut id = 0;
         for src in 0..16usize {
             for dest in 0..16usize {
@@ -513,7 +229,7 @@ mod tests {
         // Everyone on one ring sends the long way-ish: saturates the ring
         // channels in one direction, the classic deadlock producer.
         let t = Torus2D::new(6, 2);
-        let mut net = TorusNetwork::new(t, 2, ArbiterKind::Rr);
+        let mut net = Network::new(t, 2, ArbiterKind::Rr);
         let mut id = 0;
         for x in 0..6usize {
             let src = t.node(x, 0);
@@ -531,16 +247,15 @@ mod tests {
     #[test]
     fn torus_beats_mesh_on_edge_to_edge_latency() {
         use crate::mesh::Mesh2D;
-        use crate::network::MeshNetwork;
         // Corner-to-corner on 6x6: mesh needs 10 hops, torus 2.
         let tm = Torus2D::new(6, 6);
-        let mut torus = TorusNetwork::new(tm, 4, ArbiterKind::Err);
+        let mut torus = Network::new(tm, 4, ArbiterKind::Err);
         torus.inject(tm.node(0, 0), &Packet::new(0, 0, 6, 0), tm.node(5, 5));
         torus.run(0, 10_000);
         assert!(torus.is_idle());
 
         let mm = Mesh2D::new(6, 6);
-        let mut mesh = MeshNetwork::new(mm, 4, ArbiterKind::Err);
+        let mut mesh = Network::new(mm, 4, ArbiterKind::Err);
         mesh.inject(mm.node(0, 0), &Packet::new(0, 0, 6, 0), mm.node(5, 5));
         mesh.run(0, 10_000);
         assert!(mesh.is_idle());
@@ -556,7 +271,7 @@ mod tests {
     #[test]
     fn per_pair_order_preserved_across_wrap() {
         let t = Torus2D::new(4, 2);
-        let mut net = TorusNetwork::new(t, 3, ArbiterKind::Fcfs);
+        let mut net = Network::new(t, 3, ArbiterKind::Fcfs);
         for k in 0..12u64 {
             net.inject(t.node(3, 0), &Packet::new(k, 0, 3, 0), t.node(1, 1));
         }
@@ -579,7 +294,7 @@ mod tests {
         // every packet stays on VC 0 — the wrap link closes the channel
         // dependency cycle. (Small buffers so the cycle fills fast.)
         let t = Torus2D::new(6, 2);
-        let mut net = TorusNetwork::new(t, 1, ArbiterKind::Rr);
+        let mut net = Network::new(t, 1, ArbiterKind::Rr);
         net.disable_dateline_for_ablation();
         let mut id = 0;
         for x in 0..6usize {

@@ -5,8 +5,7 @@
 use err_sched::Packet;
 use proptest::prelude::*;
 use wormhole_net::{
-    ArbiterKind, LinkSched, Mesh2D, MeshNetwork, PerfectSink, Sink, Torus2D, TorusNetwork,
-    VcSwitch, WormholeSwitch,
+    ArbiterKind, LinkSched, Mesh2D, Network, PerfectSink, Sink, Torus2D, VcSwitch, WormholeSwitch,
 };
 
 fn arb_kind() -> impl Strategy<Value = ArbiterKind> {
@@ -32,7 +31,7 @@ proptest! {
     ) {
         let mesh = Mesh2D::new(cols, rows);
         let n = mesh.n_nodes();
-        let mut net = MeshNetwork::new(mesh, capacity, kind);
+        let mut net = Network::new(mesh, capacity, kind);
         let mut id = 0u64;
         let mut expect = 0usize;
         for &(src, dest, len) in &traffic {
@@ -64,7 +63,7 @@ proptest! {
     ) {
         let torus = Torus2D::new(cols, rows);
         let n = torus.n_nodes();
-        let mut net = TorusNetwork::new(torus, capacity, kind);
+        let mut net = Network::new(torus, capacity, kind);
         let mut id = 0u64;
         let mut expect = 0usize;
         for &(src, dest, len) in &traffic {
@@ -91,7 +90,7 @@ proptest! {
         lens in prop::collection::vec(1u32..10, 2..20),
     ) {
         let mesh = Mesh2D::new(4, 2);
-        let mut net = MeshNetwork::new(mesh, 3, kind);
+        let mut net = Network::new(mesh, 3, kind);
         for (k, &len) in lens.iter().enumerate() {
             net.inject(0, &Packet::new(k as u64, 0, len, 0), 7);
         }

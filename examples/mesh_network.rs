@@ -5,11 +5,11 @@
 
 use err_repro::desim::SimRng;
 use err_repro::sched::Packet;
-use err_repro::wormhole::{ArbiterKind, Mesh2D, MeshNetwork};
+use err_repro::wormhole::{ArbiterKind, Mesh2D, Network};
 
 fn run(kind: ArbiterKind, seed: u64) -> (f64, f64, usize, u64) {
     let mesh = Mesh2D::new(4, 4);
-    let mut net = MeshNetwork::new(mesh, 4, kind);
+    let mut net = Network::new(mesh, 4, kind);
     let mut rng = SimRng::new(seed);
     let hotspot = mesh.node(1, 1);
     let mut id = 0;

@@ -11,7 +11,7 @@
 
 use err_repro::desim::SimRng;
 use err_repro::sched::Packet;
-use err_repro::wormhole::{ArbiterKind, Mesh2D, MeshNetwork, Torus2D, TorusNetwork};
+use err_repro::wormhole::{ArbiterKind, Mesh2D, Network, Torus2D};
 
 fn main() {
     // Uniform random traffic on 6x6.
@@ -28,9 +28,9 @@ fn main() {
     }
 
     let tm = Torus2D::new(cols, rows);
-    let mut torus = TorusNetwork::new(tm, 4, ArbiterKind::Err);
+    let mut torus = Network::new(tm, 4, ArbiterKind::Err);
     let mm = Mesh2D::new(cols, rows);
-    let mut mesh = MeshNetwork::new(mm, 4, ArbiterKind::Err);
+    let mut mesh = Network::new(mm, 4, ArbiterKind::Err);
     for (k, &(s, d, len)) in pairs.iter().enumerate() {
         torus.inject(s, &Packet::new(k as u64, s, len, 0), d);
         mesh.inject(s, &Packet::new(k as u64, s, len, 0), d);
@@ -57,7 +57,7 @@ fn main() {
     // The deadlock demo: same ring-pressure traffic, dateline on vs off.
     let t = Torus2D::new(6, 2);
     let build = |dateline: bool| {
-        let mut net = TorusNetwork::new(t, 1, ArbiterKind::Rr);
+        let mut net = Network::new(t, 1, ArbiterKind::Rr);
         if !dateline {
             net.disable_dateline_for_ablation();
         }

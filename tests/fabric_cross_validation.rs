@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use err_repro::fabric::{Fabric, FabricConfig, FlowSpec, Topology};
 use err_repro::sched::Packet;
-use err_repro::wormhole::{ArbiterKind, Mesh2D, MeshNetwork};
+use err_repro::wormhole::{ArbiterKind, Mesh2D, Network};
 
 const COLS: usize = 2;
 const ROWS: usize = 2;
@@ -42,7 +42,7 @@ fn serialized_per_path_latency_matches_the_simulator() {
     let fabric = Fabric::start(FabricConfig::new(Topology::mesh(COLS, ROWS), flows.clone()));
     for (flow, spec) in flows.iter().enumerate() {
         for len in [1u32, 3, 5] {
-            let mut net = MeshNetwork::new(Mesh2D::new(COLS, ROWS), 3, ArbiterKind::Err);
+            let mut net = Network::new(Mesh2D::new(COLS, ROWS), 3, ArbiterKind::Err);
             net.inject(spec.src, &Packet::new(0, flow, len, 0), spec.dst);
             net.run(0, 10_000);
             assert!(net.is_idle(), "simulator did not drain {spec:?}");

@@ -5,14 +5,14 @@
 use err_repro::desim::SimRng;
 use err_repro::sched::Packet;
 use err_repro::wormhole::{
-    ArbiterKind, BlockingSink, Mesh2D, MeshNetwork, Sink, ThrottledSink, WormholeSwitch,
+    ArbiterKind, BlockingSink, Mesh2D, Network, Sink, ThrottledSink, WormholeSwitch,
 };
 
 #[test]
 fn mesh_conserves_flits_under_random_traffic() {
     for seed in 0..5u64 {
         let mesh = Mesh2D::new(4, 4);
-        let mut net = MeshNetwork::new(mesh, 3, ArbiterKind::Err);
+        let mut net = Network::new(mesh, 3, ArbiterKind::Err);
         let mut rng = SimRng::new(seed);
         let mut id = 0;
         let mut expected_pkts = 0;
@@ -45,7 +45,7 @@ fn mesh_preserves_source_destination_order() {
     // Wormhole + deterministic XY routing: packets between one (src,
     // dest) pair arrive in injection order.
     let mesh = Mesh2D::new(4, 4);
-    let mut net = MeshNetwork::new(mesh, 4, ArbiterKind::Rr);
+    let mut net = Network::new(mesh, 4, ArbiterKind::Rr);
     let mut rng = SimRng::new(3);
     let mut id = 0u64;
     // Background noise plus an ordered stream 0 -> 15.
@@ -180,7 +180,7 @@ fn err_arbitration_time_shares_converge_under_blocking() {
 fn mesh_latency_scales_with_distance_when_uncontended() {
     let mesh = Mesh2D::new(8, 1);
     for hops in [1usize, 3, 6] {
-        let mut net = MeshNetwork::new(mesh, 4, ArbiterKind::Err);
+        let mut net = Network::new(mesh, 4, ArbiterKind::Err);
         net.inject(0, &Packet::new(0, 0, 4, 0), hops);
         net.run(0, 10_000);
         assert!(net.is_idle());
