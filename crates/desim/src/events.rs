@@ -97,7 +97,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Cycle> {
+    fn peek_time(&self) -> Option<Cycle> {
         self.heap.peek().map(|e| e.time)
     }
 

@@ -13,7 +13,6 @@ use serde::{Deserialize, Serialize};
 pub struct Histogram {
     bin_width: u64,
     bins: Vec<u64>,
-    overflow: u64,
     count: u64,
     sum: u128,
     max_seen: u64,
@@ -21,15 +20,14 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates a histogram with `num_bins` bins of width `bin_width`.
-    /// Values at or above `num_bins * bin_width` land in the overflow
-    /// bucket.
+    /// Values at or above `num_bins * bin_width` overflow: they land in
+    /// no bin but still count toward the count, mean and max.
     pub fn new(bin_width: u64, num_bins: usize) -> Self {
         assert!(bin_width > 0, "bin width must be positive");
         assert!(num_bins > 0, "need at least one bin");
         Self {
             bin_width,
             bins: vec![0; num_bins],
-            overflow: 0,
             count: 0,
             sum: 0,
             max_seen: 0,
@@ -39,10 +37,8 @@ impl Histogram {
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
         let idx = (value / self.bin_width) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
+        if let Some(bin) = self.bins.get_mut(idx) {
+            *bin += 1;
         }
         self.count += 1;
         self.sum += value as u128;
@@ -68,11 +64,6 @@ impl Histogram {
         self.max_seen
     }
 
-    /// Observations in the overflow bucket.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflow
-    }
-
     /// Approximate quantile `q` in `[0, 1]`, resolved to bin upper edges.
     ///
     /// Returns `None` when empty. If the quantile falls in the overflow
@@ -93,15 +84,6 @@ impl Histogram {
         Some(self.max_seen)
     }
 
-    /// Iterates `(bin_lower_edge, count)` for nonempty bins.
-    pub fn nonempty_bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64 * self.bin_width, c))
-    }
-
     /// Merges another histogram with identical geometry.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.bin_width, other.bin_width, "bin width mismatch");
@@ -109,7 +91,6 @@ impl Histogram {
         for (a, b) in self.bins.iter_mut().zip(&other.bins) {
             *a += b;
         }
-        self.overflow += other.overflow;
         self.count += other.count;
         self.sum += other.sum;
         self.max_seen = self.max_seen.max(other.max_seen);
@@ -127,7 +108,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 7);
-        assert_eq!(h.overflow_count(), 2); // 100 and 1000
         assert_eq!(h.max(), 1000);
     }
 
@@ -177,7 +157,6 @@ mod tests {
         b.record(333);
         a.merge(&b);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.overflow_count(), 1);
         assert_eq!(a.max(), 333);
     }
 

@@ -62,11 +62,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (`None` if empty).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert_close(s.mean(), 5.0, 1e-12);
         assert_close(s.variance(), 4.0, 1e-12);
-        assert_close(s.std_dev(), 2.0, 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }

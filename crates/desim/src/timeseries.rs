@@ -67,11 +67,6 @@ impl CumulativeCurve {
         self.points.last().map_or(0, |&(_, v)| v)
     }
 
-    /// Time of the last recorded event.
-    pub fn last_time(&self) -> Option<Cycle> {
-        self.points.last().map(|&(t, _)| t)
-    }
-
     /// Number of stored change points.
     pub fn len(&self) -> usize {
         self.points.len()

@@ -89,7 +89,7 @@ impl WormholeSwitch {
     }
 
     /// Number of outputs.
-    pub fn n_outputs(&self) -> usize {
+    fn n_outputs(&self) -> usize {
         self.sinks.len()
     }
 
