@@ -287,7 +287,6 @@ pub(crate) const DOC_RULES: &[DocRule] = &[
             "spent grant",
             "half its pool",
             "return_grants",
-            "tick_delivered",
             "credit_delivered",
             "wake_workers",
             "no stash",

@@ -905,8 +905,8 @@ fn mutant_credit_grant_return_unmarked() {
     });
 }
 
-/// The credit-return stamp (`LinkSet::tick_delivered`) written with a
-/// plain store, as it shipped before the stamp became monotone: a
+/// The credit-return stamp (`LinkSet::credit_delivered`) written with
+/// a plain store, as it shipped before the stamp became monotone: a
 /// flusher that ticks the clock and is preempted before it stamps
 /// overwrites the other flusher's newer stamp with its older one, and
 /// the link reads as silent while it is still delivering.
@@ -922,7 +922,7 @@ fn mutant_credit_return_stamp_store() {
                     let (clock, stamp) = (Arc::clone(&clock), Arc::clone(&stamp));
                     thread::spawn(move || {
                         let now = clock.fetch_add(1, Ordering::AcqRel) + 1;
-                        // MUTATION: shipped `tick_delivered` stamps
+                        // MUTATION: shipped `credit_delivered` stamps
                         // with `fetch_max`.
                         stamp.store(now, Ordering::Relaxed);
                     })

@@ -19,12 +19,14 @@
 //! different links may reorder, which is fine — they leave on
 //! different channels.
 //!
-//! Credits (DESIGN.md §7): deliveries tick the flush clock one by one
-//! but their credits go back in batches — a per-link tally, returned
-//! whenever it reaches half the link's pool and, for the rest, when
-//! the step ends — so every credit is back when `step` returns, by
-//! whatever path it returns. [`FlusherCore::settle`] then wakes every
-//! worker parked on the shared [`LinkSet`].
+//! Credits (DESIGN.md §7): deliveries go back in batches — a per-link
+//! tally, returned whenever it reaches half the link's pool and, for
+//! the rest, when the step ends — and the flush clock advances with
+//! each batch ([`LinkSet::credit_delivered`]). So every credit is back,
+//! and the clock exact, when `step` returns, by whatever path it
+//! returns. [`FlusherCore::settle`] then wakes every worker parked on
+//! the shared [`LinkSet`]. The step tells its sink it begins
+//! ([`Egress::step_begins`]) before it hands it any flit.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -155,12 +157,13 @@ impl FlusherCore {
         }
     }
 
-    /// Offers `flit` to the sink; tallies the credit and advances the
-    /// flush clock only on acceptance (DESIGN.md §11.2 — a refusing
-    /// sink keeps the credit withheld, which is how a fabric forwarder
-    /// propagates downstream backpressure into this node's scheduler).
-    /// A tally that reaches half the link's pool goes back at once, so
-    /// a worker serving beside this step never waits for its end.
+    /// Offers `flit` to the sink; tallies the delivery, which its batch
+    /// return puts on the flush clock, only on acceptance (DESIGN.md
+    /// §11.2 — a refusing sink keeps the credit withheld, which is how
+    /// a fabric forwarder propagates downstream backpressure into this
+    /// node's scheduler). A tally that reaches half the link's pool
+    /// goes back at once, so a worker serving beside this step never
+    /// waits for its end.
     fn try_deliver<E: Egress + ?Sized>(
         &mut self,
         flit: &ServedFlit,
@@ -171,7 +174,6 @@ impl FlusherCore {
         if !sink.try_emit(self.shard, flit) {
             return false;
         }
-        links.tick_delivered(link);
         self.delivered += 1;
         self.tally[link] += 1;
         if self.tally[link] >= (links.credits_per_link() / 2).max(1) {
@@ -209,11 +211,12 @@ impl FlusherCore {
         accepted
     }
 
-    /// One pump: drain deliverable pending flits, then pop up to
-    /// `BURST` ring flits, delivering or parking each. Returns the
-    /// number delivered to the sink. Every credit of a delivered flit
-    /// is back in its pool when this returns — or unwinds: the sink is
-    /// the caller's code, and the tally is settled by a drop guard.
+    /// One pump: tell the sink the step begins, drain deliverable
+    /// pending flits, then pop up to `BURST` ring flits, delivering or
+    /// parking each. Returns the number delivered to the sink. Every
+    /// credit of a delivered flit is back in its pool, and on the flush
+    /// clock, when this returns — or unwinds: the sink is the caller's
+    /// code, and the tally is settled by a drop guard.
     ///
     /// The middle argument is always `None`: it keeps the signature the
     /// benchmark of record calls until its next change drops it.
@@ -229,6 +232,7 @@ impl FlusherCore {
                 self.0.return_tallies(self.1);
             }
         }
+        sink.step_begins(self.shard);
         let before = self.delivered;
         let settle = Settle(self, links);
         settle.0.deliver_burst(links, sink);
@@ -421,7 +425,7 @@ mod tests {
         };
         assert_eq!(core.step(&links, None, &mut sink), 7);
         assert_eq!(seen, vec![1, 1, 1, 1, 5, 5, 5]);
-        assert_eq!(links.flush_clock(), 7, "the clock ticked per delivery");
+        assert_eq!(links.flush_clock(), 7, "the clock moved with the credits");
         let snap = links.snapshot();
         assert_eq!(snap[0].credits_available, 8, "the step settled the rest");
         assert_eq!(snap[0].delivered_flits, 7);
@@ -453,6 +457,7 @@ mod tests {
         assert_eq!(snap[0].delivered_flits, 2);
         assert_eq!(snap[0].dead_letter_flits, 1);
         assert_eq!(snap[0].credits_available, 8 - 2);
+        assert_eq!(links.flush_clock(), 2, "the guard put them on the clock");
         assert_eq!(core.take_delivered(), 2, "the unwound step still counts");
         core.dead_letter_all(&links);
         assert_eq!(links.snapshot()[0].credits_available, 8);

@@ -156,6 +156,12 @@ pub trait Egress: Send {
     /// does nothing; a sink that accounts packets end to end (a fabric
     /// forwarder) charges the flit's packet here.
     fn dead_lettered(&mut self, _shard: usize, _flit: &ServedFlit) {}
+
+    /// Told once at the top of every flusher step of `shard`, before
+    /// any flit of it. The default does nothing; a fabric forwarder
+    /// reads the wall clock once per step after it (DESIGN.md §11.8),
+    /// so a wrapper must forward it.
+    fn step_begins(&mut self, _shard: usize) {}
 }
 
 impl<F: FnMut(usize, &ServedFlit) + Send> Egress for F {

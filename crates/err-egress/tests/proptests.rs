@@ -24,6 +24,18 @@ fn flit(flow: usize, packet: u64) -> ServedFlit {
     }
 }
 
+/// One flusher step into `delivered`, then the step boundary's check:
+/// the flush clock is settled, equal to the flits delivered so far and
+/// to the links' summed `delivered_flits`.
+fn step(core: &mut FlusherCore, links: &LinkSet, delivered: &mut Vec<(usize, u64)>) -> u64 {
+    let mut sink = |_s: usize, f: &ServedFlit| delivered.push((links.route(f.flow), f.packet));
+    let stepped = core.step(links, None, &mut sink);
+    let on_links: u64 = links.snapshot().iter().map(|s| s.delivered_flits).sum();
+    prop_assert_eq!(links.flush_clock(), delivered.len() as u64);
+    prop_assert_eq!(links.flush_clock(), on_links);
+    stepped
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -56,10 +68,7 @@ proptest! {
             let mut guard = 0;
             while !links.try_acquire(link) {
                 links.release_stall(link);
-                let mut sink = |_s: usize, f: &ServedFlit| {
-                    delivered.push((links.route(f.flow), f.packet));
-                };
-                core.step(&links, None, &mut sink);
+                step(&mut core, &links, &mut delivered);
                 guard += 1;
                 prop_assert!(guard < 1000, "credit never freed for link {link}");
             }
@@ -67,10 +76,7 @@ proptest! {
             let mut guard = 0;
             while let Err(back) = tx.push(item) {
                 item = back;
-                let mut sink = |_s: usize, f: &ServedFlit| {
-                    delivered.push((links.route(f.flow), f.packet));
-                };
-                core.step(&links, None, &mut sink);
+                step(&mut core, &links, &mut delivered);
                 guard += 1;
                 prop_assert!(guard < 1000, "ring never drained");
             }
@@ -78,10 +84,7 @@ proptest! {
             // Pump the flusher at an arbitrary-but-deterministic cadence
             // so rings run at varying occupancy across cases.
             if i % 3 == 0 {
-                let mut sink = |_s: usize, f: &ServedFlit| {
-                    delivered.push((links.route(f.flow), f.packet));
-                };
-                core.step(&links, None, &mut sink);
+                step(&mut core, &links, &mut delivered);
             }
             for l in 0..N_LINKS {
                 prop_assert!(
@@ -97,10 +100,7 @@ proptest! {
         }
         let mut guard = 0;
         loop {
-            let mut sink = |_s: usize, f: &ServedFlit| {
-                delivered.push((links.route(f.flow), f.packet));
-            };
-            if core.step(&links, None, &mut sink) == 0 && core.is_idle() {
+            if step(&mut core, &links, &mut delivered) == 0 && core.is_idle() {
                 break;
             }
             guard += 1;

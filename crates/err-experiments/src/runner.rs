@@ -47,7 +47,7 @@ pub fn run_single_link(
     let mut sched = discipline.build(n);
     let mut workload = Workload::with_horizon(specs.to_vec(), seed, horizon);
     let mut monitor = FairnessMonitor::new(n);
-    let mut delays = DelayRecorder::new(n, 64, 8192);
+    let mut delays = DelayRecorder::new(n);
     let mut totals = vec![0u64; n];
     let mut arrivals = Vec::new();
     let mut m_seen = 0u64;

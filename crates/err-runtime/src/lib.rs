@@ -126,6 +126,14 @@ impl<E: Egress> Egress for OptionalSink<E> {
             sink.dead_lettered(shard, flit);
         }
     }
+
+    // Must forward too: behind the default no-op a fabric forwarder
+    // never learns a step began, and reads the clock for every tail.
+    fn step_begins(&mut self, shard: usize) {
+        if let Some(sink) = self.0.as_mut() {
+            sink.step_begins(shard);
+        }
+    }
 }
 
 /// How served flits reach the downstream sink.
@@ -704,6 +712,34 @@ mod tests {
             .recv_timeout(Duration::from_secs(30))
             .expect("a runtime dropped during a panic hung its drain past 30 s");
         assert!(unwound);
+    }
+
+    #[test]
+    fn an_optional_sink_forwards_every_step_begins() {
+        struct Recording(Arc<std::sync::atomic::AtomicU64>);
+        impl Egress for Recording {
+            fn emit(&mut self, _shard: usize, _flit: &ServedFlit) {}
+            fn try_emit(&mut self, _shard: usize, _flit: &ServedFlit) -> bool {
+                true
+            }
+            fn step_begins(&mut self, _shard: usize) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let steps = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let mut sink = OptionalSink(Some(Recording(Arc::clone(&steps))));
+        let links = LinkSet::new(1, 8);
+        let (mut tx, rx) = spsc_ring(8);
+        let mut core = FlusherCore::new(0, rx, 1);
+        for step in 1..=5u64 {
+            assert!(links.try_acquire(0));
+            tx.push(ServedFlit::of(&Packet::new(step, 0, 1, 0), 0))
+                .unwrap();
+            assert_eq!(core.step(&links, None, &mut sink), 1);
+            assert_eq!(steps.load(Ordering::Relaxed), step, "one call per step");
+        }
+        core.step(&links, None, &mut sink);
+        assert_eq!(steps.load(Ordering::Relaxed), 6, "an empty step too");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Packet delay measurement (paper Figure 5).
 
-use desim::{Cycle, Histogram, OnlineStats};
+use desim::{Cycle, OnlineStats};
 use err_sched::ServedFlit;
 
 /// Records per-packet delays, overall and per flow.
@@ -12,17 +12,14 @@ use err_sched::ServedFlit;
 pub struct DelayRecorder {
     overall: OnlineStats,
     per_flow: Vec<OnlineStats>,
-    histogram: Histogram,
 }
 
 impl DelayRecorder {
-    /// Creates a recorder for `n_flows` flows. The histogram spans
-    /// delays up to `hist_bins * hist_bin_width` cycles.
-    pub fn new(n_flows: usize, hist_bin_width: u64, hist_bins: usize) -> Self {
+    /// Creates a recorder for `n_flows` flows.
+    pub fn new(n_flows: usize) -> Self {
         Self {
             overall: OnlineStats::new(),
             per_flow: vec![OnlineStats::new(); n_flows],
-            histogram: Histogram::new(hist_bin_width, hist_bins),
         }
     }
 
@@ -37,7 +34,6 @@ impl DelayRecorder {
         if let Some(s) = self.per_flow.get_mut(flit.flow) {
             s.push(delay as f64);
         }
-        self.histogram.record(delay);
     }
 
     /// Mean delay across all packets, in cycles.
@@ -54,31 +50,6 @@ impl DelayRecorder {
     pub fn flow_mean(&self, flow: usize) -> f64 {
         self.per_flow.get(flow).map_or(0.0, |s| s.mean())
     }
-
-    /// Packet count of one flow.
-    pub fn flow_count(&self, flow: usize) -> u64 {
-        self.per_flow.get(flow).map_or(0, |s| s.count())
-    }
-
-    /// Largest observed delay.
-    pub fn max(&self) -> u64 {
-        self.overall.max().map_or(0, |v| v as u64)
-    }
-
-    /// Approximate delay quantile (`None` when empty).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        self.histogram.quantile(q)
-    }
-
-    /// Merges another recorder (e.g. from a parallel sweep shard).
-    pub fn merge(&mut self, other: &DelayRecorder) {
-        self.overall.merge(&other.overall);
-        assert_eq!(self.per_flow.len(), other.per_flow.len());
-        for (a, b) in self.per_flow.iter_mut().zip(&other.per_flow) {
-            a.merge(b);
-        }
-        self.histogram.merge(&other.histogram);
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +63,7 @@ mod tests {
 
     #[test]
     fn only_tail_flits_count() {
-        let mut d = DelayRecorder::new(1, 10, 100);
+        let mut d = DelayRecorder::new(1);
         let p = Packet::new(0, 0, 3, 5);
         d.on_flit(&ServedFlit::of(&p, 0), 6);
         d.on_flit(&ServedFlit::of(&p, 1), 7);
@@ -104,36 +75,13 @@ mod tests {
 
     #[test]
     fn per_flow_and_overall_means() {
-        let mut d = DelayRecorder::new(2, 10, 100);
+        let mut d = DelayRecorder::new(2);
         d.on_flit(&tail(0, 0, 1), 4); // delay 4
         d.on_flit(&tail(0, 10, 1), 16); // delay 6
         d.on_flit(&tail(1, 0, 1), 10); // delay 10
         assert_eq!(d.flow_mean(0), 5.0);
         assert_eq!(d.flow_mean(1), 10.0);
         assert!((d.mean() - 20.0 / 3.0).abs() < 1e-12);
-        assert_eq!(d.flow_count(0), 2);
-        assert_eq!(d.max(), 10);
-    }
-
-    #[test]
-    fn merge_combines_shards() {
-        let mut a = DelayRecorder::new(1, 10, 100);
-        let mut b = DelayRecorder::new(1, 10, 100);
-        a.on_flit(&tail(0, 0, 1), 2);
-        b.on_flit(&tail(0, 0, 1), 6);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 4.0);
-    }
-
-    #[test]
-    fn quantiles_monotone() {
-        let mut d = DelayRecorder::new(1, 5, 200);
-        for delay in 0..500u64 {
-            d.on_flit(&tail(0, 0, 1), delay);
-        }
-        let q50 = d.quantile(0.5).unwrap();
-        let q95 = d.quantile(0.95).unwrap();
-        assert!(q50 <= q95);
+        assert_eq!(d.count(), 3);
     }
 }

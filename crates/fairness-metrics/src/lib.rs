@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! `fairness-metrics` — measurement machinery for the ERR reproduction.
 //!
@@ -13,21 +14,20 @@
 //!   and [`FairnessMonitor::avg_random_fm`] computes the Figure 6
 //!   statistic: the average of `FM(t1, t2)` over randomly chosen
 //!   intervals.
-//! * **Throughput** per flow over an interval (Figure 4's KBytes bars):
-//!   [`FairnessMonitor::sent`] / [`FairnessMonitor::total`].
+//! * **Throughput** per flow over an interval, `Sent_f(t1, t2)`: the
+//!   monitor's per-flow service curves, which both fairness queries
+//!   read.
 //! * **Packet delay** (Figure 5): [`DelayRecorder`] measures, per the
 //!   paper, "the number of cycles between the instant it is placed in the
 //!   queue for scheduling, to the instant its last flit is dequeued".
 //!
-//! [`jain::jain_index`] adds the standard Jain fairness index as a
+//! [`jain_index`] adds the standard Jain fairness index as a
 //! secondary cross-check not present in the paper.
 
-pub mod delay;
-pub mod jain;
+mod delay;
+mod jain;
 pub mod monitor;
-pub mod percentile;
 
 pub use delay::DelayRecorder;
 pub use jain::jain_index;
 pub use monitor::FairnessMonitor;
-pub use percentile::{p50, p99, percentile};

@@ -32,11 +32,6 @@ impl FairnessMonitor {
         }
     }
 
-    /// Number of flows tracked.
-    pub fn n_flows(&self) -> usize {
-        self.curves.len()
-    }
-
     /// Records a packet arrival at cycle `now`.
     pub fn on_enqueue(&mut self, pkt: &Packet, now: Cycle) {
         let f = pkt.flow;
@@ -71,17 +66,12 @@ impl FairnessMonitor {
     }
 
     /// `Sent_f(t1, t2)`: flits flow `f` sent in `(t1, t2]`.
-    pub fn sent(&self, f: FlowId, t1: Cycle, t2: Cycle) -> u64 {
+    fn sent(&self, f: FlowId, t1: Cycle, t2: Cycle) -> u64 {
         self.curves[f].delta(t1, t2)
     }
 
-    /// Total flits flow `f` has sent.
-    pub fn total(&self, f: FlowId) -> u64 {
-        self.curves[f].total()
-    }
-
     /// Whether flow `f` was continuously backlogged throughout `[t1, t2]`.
-    pub fn busy_through(&self, f: FlowId, t1: Cycle, t2: Cycle) -> bool {
+    fn busy_through(&self, f: FlowId, t1: Cycle, t2: Cycle) -> bool {
         // Binary search the closed windows for one containing [t1, t2].
         let windows = &self.busy[f];
         let idx = windows.partition_point(|&(_, end)| end < t2);
@@ -345,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn sent_and_total_accounting() {
+    fn sent_accounting() {
         let mut mon = FairnessMonitor::new(2);
         let p0 = pkt(0, 0, 3, 0);
         let p1 = pkt(1, 1, 2, 0);
@@ -362,8 +352,8 @@ mod tests {
             mon.on_flit(f, *t);
         }
         mon.finish(5);
-        assert_eq!(mon.total(0), 3);
-        assert_eq!(mon.total(1), 2);
+        assert_eq!(mon.sent(0, 0, 5), 2); // the flit at cycle 0 precedes (0, 5]
+        assert_eq!(mon.sent(1, 0, 5), 2);
         assert_eq!(mon.sent(0, 0, 3), 2); // flits at cycles 1 and 3
         assert_eq!(mon.sent(1, 1, 4), 2);
     }

@@ -36,7 +36,7 @@ fn run(d: &Discipline, seed: u64) -> (f64, f64, f64) {
     const HORIZON: u64 = 400_000;
     let mut sched = d.build(4);
     let mut workload = Workload::with_horizon(specs(), seed, HORIZON);
-    let mut delays = DelayRecorder::new(4, 64, 8192);
+    let mut delays = DelayRecorder::new(4);
     // Tail of the well-behaved flows' delays, tracked in O(1) memory.
     let mut steady_p99 = P2Quantile::new(0.99);
     let mut arrivals = Vec::new();
