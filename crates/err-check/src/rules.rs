@@ -172,12 +172,14 @@ pub(crate) const WAITS: &[(&str, bool)] = &[
 /// worker's `WorkerState::step`, whose every wait is its driver's.
 pub(crate) const STEP_ROOTS: &[(&str, &str)] = &[("crates/err-runtime/src/shard.rs", "step")];
 
-/// The trees whose non-test fns a step's calls are followed through.
-/// err-fabric stays out: its Forwarder's hand-off calls
-/// `submit_within` with a zero timeout, which holds the producer's
-/// `yield_now` behind a patience that never reaches it (DESIGN.md
-/// §11.2).
-pub(crate) const STEP_TREES: &[&str] = &["crates/err-runtime/src/", "crates/err-egress/src/"];
+/// The trees whose non-test fns a step's calls are followed through:
+/// every crate a shard worker's step runs code of, the Forwarder a
+/// fabric node's flusher step drives included.
+pub(crate) const STEP_TREES: &[&str] = &[
+    "crates/err-runtime/src/",
+    "crates/err-egress/src/",
+    "crates/err-fabric/src/",
+];
 
 /// The one constant a covered sleep may pass as its timeout.
 pub(crate) const BACKSTOP_CONST: &str = "BACKSTOP";

@@ -279,6 +279,54 @@ fn meta_silent_worker_death_is_caught() {
     assert_eq!(rules_of(&v), ["panic-boundary"]);
 }
 
+/// Until err-fabric joined `STEP_TREES`, a Forwarder's hand-off reached
+/// a producer's wait unchecked: its `try_emit`, which a node's flusher
+/// step calls, submitted through the peer's `submit_within`, whose body
+/// yields at a wait. The pass must follow the step into err-fabric and
+/// on into err-runtime's submit.
+#[test]
+fn meta_fabric_hand_off_reaching_a_producer_wait_is_caught() {
+    let step = concat!(
+        "impl WorkerState {\n",
+        "    pub fn step(&mut self, sink: &mut dyn Egress) -> Step {\n",
+        "        sink.try_emit(0, &self.flit);\n",
+        "        Step::Busy\n",
+        "    }\n",
+        "}\n",
+    );
+    let forwarder = concat!(
+        "impl Egress for Forwarder {\n",
+        "    fn try_emit(&mut self, _shard: usize, flit: &ServedFlit) -> bool {\n",
+        "        self.peer.submit_within(flit.packet(), Duration::ZERO).is_ok()\n",
+        "    }\n",
+        "}\n",
+    );
+    let ingress = concat!(
+        "impl RuntimeHandle {\n",
+        "    pub fn submit_within(&self, pkt: Packet, timeout: Duration) -> Result<(), SubmitError> {\n",
+        "        while self.ring.push(pkt).is_err() {\n",
+        "            std::thread::yield_now();\n",
+        "        }\n",
+        "        Ok(())\n",
+        "    }\n",
+        "}\n",
+    );
+    let v = lint_files(&[
+        at("crates/err-runtime/src/shard.rs", step),
+        at("crates/err-fabric/src/forwarder.rs", forwarder),
+        at("crates/err-runtime/src/ingress.rs", ingress),
+    ]);
+    assert_eq!(rules_of(&v), ["step-never-waits"], "{v:?}");
+    assert_eq!(
+        (v[0].file.as_str(), v[0].line),
+        ("crates/err-runtime/src/ingress.rs", 4)
+    );
+    assert!(
+        v[0].msg.contains("(step → try_emit → submit_within)"),
+        "{v:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // doc-names: one violating fixture per document kind, each against a
 // miniature tree whose code has `BufferedStage::refill`, whose tests

@@ -271,25 +271,36 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The fabric's fault state (§11.4, §14): the liveness flags the
-/// Forwarders read, every node's ingress handle and egress controller,
-/// the plan's ejection-clock events compiled into one schedule, and the
-/// settlement of each killed node's loss (§14.1). Shared by the
-/// `Fabric` and every `Forwarder`.
-pub(crate) struct Faults {
+/// The block the `Fabric` and every node's Forwarder share, the role
+/// err-runtime's `Shared` plays for a runtime: the topology
+/// and flows, the ledger, each node's counters, the fabric gate, the
+/// §11.8 hop stamps and their clock's epoch, and the fault state
+/// (§11.4, §14) — the liveness flags the Forwarders read, every node's
+/// ingress handle and egress controller, the plan's ejection-clock
+/// events compiled into one schedule, and the settlement of each killed
+/// node's loss (§14.1).
+pub(crate) struct Shared {
+    /// Asked for reroute alternates and neighbours; routes are compiled
+    /// into each node's hop table at start (§11.1).
+    pub(crate) topo: Topology,
+    pub(crate) specs: Vec<FlowSpec>,
+    pub(crate) ledger: FabricLedger,
+    /// Per node: what its Forwarder did, and what a kill's settlement
+    /// reads (§14.1).
+    pub(crate) counters: Vec<NodeCounters>,
+    pub(crate) gate: FabricGate,
+    /// Per-packet entry stamps for §11.8 hop attribution.
+    pub(crate) tracker: HopTracker,
+    /// The zero of the fabric's wall µs: arrivals and hop stamps.
+    pub(crate) epoch: Instant,
     pub(crate) dead: DeadMap,
     pub(crate) policy: DeadLinkPolicy,
-    topo: Arc<Topology>,
     /// Every node's ingress handle, installed once `Fabric::start` has
     /// booted every runtime: a Forwarder is built before the runtimes
     /// it hands off to. A tail hand-off reads its peer's here.
     handles: OnceLock<Vec<RuntimeHandle>>,
     /// Every node's egress controller, installed with `handles`.
     controllers: OnceLock<Vec<EgressController>>,
-    /// What a killed node's settlement reads and departs (§14.1).
-    counters: Vec<Arc<NodeCounters>>,
-    ledger: Arc<FabricLedger>,
-    gate: Arc<FabricGate>,
     /// The ejection-clock events: one compare per ejection, held while
     /// a kill awaits settlement, so every ejection looks. Its cursor
     /// moves under `state`'s lock.
@@ -308,28 +319,31 @@ struct FireState {
     pending: Vec<Option<usize>>,
 }
 
-impl Faults {
-    /// All-alive fault state for `topo`, with `schedule` to apply. Its
-    /// events were validated at start, so applying one on a shard
-    /// worker cannot panic.
+impl Shared {
+    /// The block for `specs` over `topo`, all alive, its ledger with one
+    /// hop cell per node of each flow's path (`path_lens`, §11.8) and
+    /// `schedule` to apply. The schedule's events were validated at
+    /// start, so applying one on a shard worker cannot panic.
     pub(crate) fn new(
-        topo: Arc<Topology>,
+        topo: Topology,
+        specs: Vec<FlowSpec>,
+        path_lens: &[usize],
         policy: DeadLinkPolicy,
         schedule: Schedule,
-        counters: Vec<Arc<NodeCounters>>,
-        ledger: Arc<FabricLedger>,
-        gate: Arc<FabricGate>,
     ) -> Self {
         let n_nodes = topo.n_nodes();
         let link_counts: Vec<usize> = (0..n_nodes).map(|n| topo.n_links(n)).collect();
         Self {
+            specs,
+            ledger: FabricLedger::with_hops(path_lens),
+            counters: (0..n_nodes).map(|_| NodeCounters::default()).collect(),
+            gate: FabricGate::new(),
+            tracker: HopTracker::with_slots(SLOTS),
+            epoch: Instant::now(),
             dead: DeadMap::new(&link_counts),
             policy,
             handles: OnceLock::new(),
             controllers: OnceLock::new(),
-            counters,
-            ledger,
-            gate,
             schedule,
             topo,
             state: Mutex::new(FireState {
@@ -374,7 +388,7 @@ impl Faults {
     }
 
     /// `node`'s egress controller.
-    fn controller(&self, node: usize) -> &EgressController {
+    pub(crate) fn controller(&self, node: usize) -> &EgressController {
         &self
             .controllers
             .get()
@@ -507,17 +521,10 @@ impl Faults {
 
 /// A running multi-node fabric (DESIGN.md §11.3).
 pub struct Fabric {
-    topo: Arc<Topology>,
-    specs: Arc<Vec<FlowSpec>>,
+    shared: Arc<Shared>,
     /// One runtime per node for the fabric's life: a kill takes it down
     /// in place and a revive brings it back up (§14.1).
     nodes: Vec<Runtime>,
-    counters: Vec<Arc<NodeCounters>>,
-    ledger: Arc<FabricLedger>,
-    gate: Arc<FabricGate>,
-    faults: Arc<Faults>,
-    tracker: Arc<HopTracker>,
-    epoch: Instant,
     next_packet: AtomicU64,
 }
 
@@ -548,37 +555,27 @@ impl Fabric {
                 p.panic_shard_at(0, e.target.shard, e.at)
             })
         };
-        let topo = Arc::new(cfg.topology);
-        let specs = Arc::new(cfg.flows);
         // One pass: each node's route table for its egress stage, and
         // its hop table — verdict, peer and path position per flow —
         // for its Forwarder; the ledger gets one accumulator cell per
         // path node (§11.8).
-        let routes = topo.compile(&specs);
-        let tracker = Arc::new(HopTracker::with_slots(SLOTS));
-        let ledger = Arc::new(FabricLedger::with_hops(&routes.path_lens));
-        let gate = Arc::new(FabricGate::new());
+        let routes = cfg.topology.compile(&cfg.flows);
         let policy = cfg.dead_link_policy;
-        let counters: Vec<Arc<NodeCounters>> = (0..n_nodes)
-            .map(|_| Arc::new(NodeCounters::default()))
-            .collect();
         let ejection = plan.events().iter().filter(|e| !on_nodes(e));
-        let faults = Arc::new(Faults::new(
-            Arc::clone(&topo),
+        let shared = Arc::new(Shared::new(
+            cfg.topology,
+            cfg.flows,
+            &routes.path_lens,
             policy,
             Schedule::new(ejection.copied()),
-            counters.clone(),
-            Arc::clone(&ledger),
-            Arc::clone(&gate),
         ));
-        let epoch = Instant::now();
 
         let mut nodes = Vec::with_capacity(n_nodes);
         let mut handles = Vec::with_capacity(n_nodes);
-        for (node, node_counters) in counters.iter().enumerate() {
+        for node in 0..n_nodes {
             let rc = RuntimeConfig {
                 shards: cfg.shards_per_node,
-                n_flows: specs.len(),
+                n_flows: shared.specs.len(),
                 ring_capacity: cfg.ring_capacity,
                 batch_packets: 32,
                 batch_flits: 128,
@@ -588,7 +585,7 @@ impl Fabric {
                 egress: EgressMode::Buffered(BufferedConfig {
                     ring_capacity: cfg.ring_capacity,
                     credits: cfg.credits,
-                    n_links: topo.n_links(node),
+                    n_links: shared.topo.n_links(node),
                     route_table: Some(Arc::clone(&routes.tables[node])),
                     dead_link_deadline: None,
                     dead_link_policy: policy,
@@ -596,18 +593,7 @@ impl Fabric {
                 fault_plan: Some(node_plan(node)),
                 ..RuntimeConfig::default()
             };
-            let fwd = Forwarder::new(
-                node,
-                Arc::clone(&topo),
-                Arc::clone(&specs),
-                Arc::clone(&ledger),
-                Arc::clone(node_counters),
-                Arc::clone(&gate),
-                Arc::clone(&faults),
-                Arc::clone(&tracker),
-                Arc::clone(&routes.hops[node]),
-                epoch,
-            );
+            let fwd = Forwarder::new(node, Arc::clone(&shared), Arc::clone(&routes.hops[node]));
             let (rt, handle) = Runtime::start_with_egress(rc, move |_shard| Some(fwd.clone()));
             handles.push(handle);
             nodes.push(rt);
@@ -620,20 +606,13 @@ impl Fabric {
                     .clone()
             })
             .collect();
-        faults.install(handles, controllers);
+        shared.install(handles, controllers);
         // Events at 0 fire before traffic starts.
-        faults.reach(0);
+        shared.reach(0);
 
         Self {
-            topo,
-            specs,
+            shared,
             nodes,
-            counters,
-            ledger,
-            gate,
-            faults,
-            tracker,
-            epoch,
             next_packet: AtomicU64::new(0),
         }
     }
@@ -642,33 +621,33 @@ impl Fabric {
     /// with the fabric's microsecond clock. Blocks under source-node
     /// admission backpressure.
     pub fn submit(&self, flow: usize, len: u32) -> Result<Submitted, SubmitError> {
-        self.submit_inner(flow, len, None)
+        let (handle, pkt) = self.enter(flow, len)?;
+        self.entered(flow, handle.submit(pkt))
     }
 
     /// Like [`submit`](Self::submit) but non-blocking: a full source
     /// ingress returns `Err(SubmitError::TimedOut)` instead of
     /// waiting (nothing is counted; the caller may retry).
     pub fn try_submit(&self, flow: usize, len: u32) -> Result<Submitted, SubmitError> {
-        self.submit_inner(flow, len, Some(Duration::ZERO))
+        let (handle, pkt) = self.enter(flow, len)?;
+        self.entered(flow, handle.try_submit(pkt))
     }
 
-    fn submit_inner(
-        &self,
-        flow: usize,
-        len: u32,
-        timeout: Option<Duration>,
-    ) -> Result<Submitted, SubmitError> {
-        assert!(flow < self.specs.len(), "unknown flow {flow}");
-        if !self.gate.enter() {
+    /// Announces a packet on `flow` at the fabric gate and stamps its
+    /// entry at the flow's source node: the packet, and the source's
+    /// handle to submit it to, or `Closed` once the fabric drains.
+    fn enter(&self, flow: usize, len: u32) -> Result<(&RuntimeHandle, Packet), SubmitError> {
+        let shared = &*self.shared;
+        assert!(flow < shared.specs.len(), "unknown flow {flow}");
+        if !shared.gate.enter() {
             return Err(SubmitError::Closed);
         }
-        let src = self.specs[flow].src;
-        let handle = &self.faults.handles()[src];
+        let handle = &shared.handles()[shared.specs[flow].src];
         let pkt = Packet {
             id: self.next_packet.fetch_add(1, Ordering::Relaxed),
             flow,
             len,
-            arrival: self.epoch.elapsed().as_micros() as u64,
+            arrival: shared.epoch.elapsed().as_micros() as u64,
         };
         // §11.8 entry stamp at the source node, before the submit that
         // makes the packet visible there (the ingress ring's push
@@ -676,33 +655,40 @@ impl Fabric {
         // includes any wait in source admission and the hop µs sum to
         // the end-to-end latency. A packet that never enters leaves a
         // stale stamp no later id matches.
-        self.tracker.stamp(
+        shared.tracker.stamp(
             pkt.id,
             HopEntry {
                 entry_us: pkt.arrival,
                 entry_served_flits: handle.served_flits(),
             },
         );
-        let res = match timeout {
-            Some(t) => handle.submit_within(pkt, t),
-            None => handle.submit(pkt),
-        };
+        Ok((handle, pkt))
+    }
+
+    /// Accounts the source node's answer to an [`enter`](Self::enter)ed
+    /// packet on `flow`, and returns it.
+    fn entered(
+        &self,
+        flow: usize,
+        res: Result<Submitted, SubmitError>,
+    ) -> Result<Submitted, SubmitError> {
+        let shared = &*self.shared;
         match &res {
-            Ok(Submitted::Enqueued) => self.ledger.on_submitted(flow),
+            Ok(Submitted::Enqueued) => shared.ledger.on_submitted(flow),
             Ok(Submitted::Dropped) => {
                 // Source admission accounted it: submitted and
                 // terminally dropped in one step.
-                self.ledger.on_submitted(flow);
-                self.ledger.on_dropped(flow);
-                self.gate.depart(1);
+                shared.ledger.on_submitted(flow);
+                shared.ledger.on_dropped(flow);
+                shared.gate.depart(1);
             }
             Err(e) => {
-                // Rejected / timed out / source node down: the packet
+                // Rejected / refused / source node down: the packet
                 // never entered the fabric; roll the announcement back.
-                self.gate.depart(1);
+                shared.gate.depart(1);
                 if *e == SubmitError::Closed {
                     // A down node reopens at its settlement (§14.1).
-                    self.faults.settle();
+                    shared.settle();
                 }
             }
         }
@@ -712,26 +698,24 @@ impl Fabric {
     /// Packets submitted but not yet at a terminal outcome. Settles a
     /// killed node's loss first if its workers have swept (§14.1).
     pub fn in_flight(&self) -> u64 {
-        self.faults.settle();
-        self.gate.in_flight()
+        self.shared.settle();
+        self.shared.gate.in_flight()
     }
 
     /// The live per-flow ledger.
     pub fn ledger(&self) -> &FabricLedger {
-        &self.ledger
+        &self.shared.ledger
     }
 
     /// The topology the fabric realizes.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.shared.topo
     }
 
     /// The egress controller of `node` (freeze/thaw its links; link
     /// `0` is the node's eject end).
     pub fn controller(&self, node: usize) -> &EgressController {
-        self.nodes[node]
-            .egress_controller()
-            .expect("buffered mode always has a controller")
+        self.shared.controller(node)
     }
 
     /// Refused tail handoffs observed at `node`. Each one is a
@@ -740,43 +724,33 @@ impl Fabric {
     /// not a retry count: an idle worker looks at its wake predicate,
     /// it does not re-offer (DESIGN.md §7).
     pub fn refusals(&self, node: usize) -> u64 {
-        self.counters[node].refusals()
+        self.shared.counters[node].refusals()
     }
 
     /// Per-path facts for `flow` (DESIGN.md §11.3): fault-free hop
     /// count, the analytic minimum latency for `len`-flit packets,
     /// and the flow's current ledger.
     pub fn path_stats(&self, flow: usize, len: u32) -> PathStats {
-        let spec = self.specs[flow];
-        let path = self.topo.path(flow, spec);
+        let shared = &*self.shared;
+        let path = shared.topo.path(flow, shared.specs[flow]);
         let hops = path.len() - 1;
         PathStats {
             hops,
             min_cycles: hops as u64 + u64::from(len) - 1,
-            per_hop: self.ledger.hop_snapshot(flow),
+            per_hop: shared.ledger.hop_snapshot(flow),
             path,
-            ledger: self.ledger.flow(flow),
+            ledger: shared.ledger.flow(flow),
         }
-    }
-
-    /// Jain's index over per-flow ejected flits so far (flows that
-    /// submitted nothing are excluded).
-    pub fn jain_ejected(&self) -> f64 {
-        let alloc: Vec<u64> = (0..self.specs.len())
-            .map(|f| self.ledger.flow(f))
-            .filter(|f| f.submitted > 0)
-            .map(|f| f.ejected_flits)
-            .collect();
-        fairness_metrics::jain_index(&alloc)
     }
 
     /// Whether the drain's wait can no longer make progress because a
     /// `HoldForRecovery` cable or node is still dead: the held flits
     /// are waiting for a heal the closed fabric can't deliver (§14.3).
     /// An egress link is held dead only while a `DeadMap` flag says so
-    /// (`Faults::sync_egress`), so the flags tell.
+    /// (`Shared::sync_egress`), so the flags tell.
     fn held_for_recovery(&self) -> bool {
-        self.faults.policy == DeadLinkPolicy::HoldForRecovery && self.faults.dead.any_dead()
+        let shared = &*self.shared;
+        shared.policy == DeadLinkPolicy::HoldForRecovery && shared.dead.any_dead()
     }
 
     /// Graceful multi-node drain (DESIGN.md §11.3): close the gate,
@@ -795,7 +769,8 @@ impl Fabric {
         /// How long ejections and departures may stand still before a
         /// dead held link is judged permanent for this drain.
         const HELD_STAGNATION: Duration = Duration::from_millis(150);
-        self.gate.close();
+        let shared = &*self.shared;
+        shared.gate.close();
         // A freeze whose thaw is due at an ejection the frozen traffic
         // would have to make never thaws: drain mode lets it through.
         for node in 0..self.nodes.len() {
@@ -803,7 +778,7 @@ impl Fabric {
         }
         let end = Instant::now() + deadline;
         let mut outcome = DrainOutcome::Graceful;
-        let mut last_progress = (self.gate.in_flight(), self.ledger.ejected_total());
+        let mut last_progress = (shared.gate.in_flight(), shared.ledger.ejected_total());
         let mut stagnant_since = Instant::now();
         // Traffic ejects through the wait, and an event it reaches
         // fires, a kill's settlement included (§14.3).
@@ -812,7 +787,7 @@ impl Fabric {
                 outcome = DrainOutcome::Forced;
                 break;
             }
-            let progress = (self.gate.in_flight(), self.ledger.ejected_total());
+            let progress = (shared.gate.in_flight(), shared.ledger.ejected_total());
             if progress != last_progress {
                 last_progress = progress;
                 stagnant_since = Instant::now();
@@ -823,7 +798,7 @@ impl Fabric {
             std::thread::yield_now();
         }
         let forced = outcome != DrainOutcome::Graceful;
-        let settled = self.faults.stop();
+        let settled = shared.stop();
         let node_reports = self
             .nodes
             .into_iter()
@@ -839,23 +814,23 @@ impl Fabric {
                 let residual = rep
                     .stats
                     .enqueued_packets()
-                    .saturating_sub(self.counters[node].departed_packets() + settled[node]);
+                    .saturating_sub(shared.counters[node].departed_packets() + settled[node]);
                 if residual > 0 {
-                    self.ledger.on_lost(residual);
-                    self.gate.depart(residual);
+                    shared.ledger.on_lost(residual);
+                    shared.gate.depart(residual);
                 }
                 rep
             })
             .collect();
-        let events = std::mem::take(&mut lock(&self.faults.state).log);
+        let events = std::mem::take(&mut lock(&shared.state).log);
         FabricReport {
             node_reports,
-            flow_hops: (0..self.specs.len())
-                .map(|fl| self.ledger.hop_snapshot(fl))
+            flow_hops: (0..shared.specs.len())
+                .map(|fl| shared.ledger.hop_snapshot(fl))
                 .collect(),
-            flows: self.ledger.snapshot(),
+            flows: shared.ledger.snapshot(),
             events,
-            lost_packets: self.ledger.lost(),
+            lost_packets: shared.ledger.lost(),
             forced,
             outcome,
         }

@@ -3,13 +3,15 @@
 //!
 //! Body flits of a transit flow always cross (the link credit models
 //! the downstream flit buffer); on the **tail** flit the whole packet
-//! has crossed the link and is handed to the neighbor runtime with a
-//! non-blocking submit. Nothing here ever waits, so the Forwarder runs
-//! unwrapped in each worker's flusher step, after every service chunk:
-//! a node is one thread per shard. A refused tail stays in the link's pending queue
-//! with its credit held — as flits pile behind it the pool drains and
-//! the upstream scheduler parks exactly the flows routed over that link
-//! (§7): wormhole backpressure, hop by hop.
+//! has crossed the link and is handed to the neighbor runtime with one
+//! `try_submit`, the submit attempt that never waits. Nothing here ever
+//! waits, so the Forwarder runs unwrapped in each worker's flusher
+//! step, after every service chunk, and err-check's `step-never-waits`
+//! follows the step in here: a node is one thread per shard. A
+//! refused tail stays in the link's pending queue with its credit held
+//! — as flits pile behind it the pool drains and the upstream scheduler
+//! parks exactly the flows routed over that link (§7): wormhole
+//! backpressure, hop by hop.
 //!
 //! A wormhole route is fixed per flow and per hop, so nothing here
 //! routes: each flit reads its flow's entry in the node's hop table,
@@ -20,7 +22,7 @@
 //! alternates only once the primary link is not viable. The wall clock
 //! is read once per flusher step, at its first tail, and that reading
 //! stamps every eject and hand-off of the step ([`Egress::step_begins`]);
-//! a Forwarder no step drives (a sync runtime's, a unit test's) reads
+//! a Forwarder no step drives (a unit test's) reads
 //! it for every tail. One that a step has driven is driven only by
 //! steps: a direct call between two would reuse the last step's reading.
 //!
@@ -36,16 +38,15 @@
 //! live next hop is charged.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use err_egress::{DeadLinkPolicy, Egress};
 use err_runtime::{SubmitError, Submitted};
 use err_sched::{Packet, ServedFlit};
 
-use crate::fabric::{FabricGate, Faults};
-use crate::hops::{HopEntry, HopTracker};
-use crate::stats::{FabricLedger, NodeCounters};
-use crate::topology::{FlowSpec, Hop, Step, Topology};
+use crate::fabric::Shared;
+use crate::hops::HopEntry;
+use crate::stats::NodeCounters;
+use crate::topology::{Hop, Step};
 
 /// The Forwarder's verdict for one served flit (DESIGN.md §11.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,23 +80,15 @@ pub(crate) enum ForwardOutcome {
 #[derive(Clone)]
 pub(crate) struct Forwarder {
     node: usize,
-    /// Asked only for reroute alternates, once the primary link is not
-    /// viable.
-    topo: Arc<Topology>,
-    specs: Arc<Vec<FlowSpec>>,
+    /// The fabric's block: the ledger, this node's counters, the gate,
+    /// the hop stamps, liveness flags, the dead-link policy (§14.2),
+    /// every node's ingress handle, and the chaos schedule each
+    /// ejection drives (§11.4). Its topology is asked only for reroute
+    /// alternates, once the primary link is not viable.
+    shared: Arc<Shared>,
     /// This node's compiled verdict per flow (§11.1): the primary step,
     /// its peer, and the node's position on the flow's path (§11.8).
     hops: Arc<[Hop]>,
-    ledger: Arc<FabricLedger>,
-    counters: Arc<NodeCounters>,
-    gate: Arc<FabricGate>,
-    /// Liveness flags, the dead-link policy (§14.2), every node's
-    /// ingress handle, and the chaos schedule each ejection drives
-    /// (§11.4).
-    faults: Arc<Faults>,
-    /// Per-packet entry stamps for §11.8 hop attribution.
-    tracker: Arc<HopTracker>,
-    epoch: Instant,
     /// Whether a flusher step is under way, and the wall µs its first
     /// tail read, which every later stamp of the step reuses (§11.8).
     in_step: bool,
@@ -103,33 +96,19 @@ pub(crate) struct Forwarder {
 }
 
 impl Forwarder {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        node: usize,
-        topo: Arc<Topology>,
-        specs: Arc<Vec<FlowSpec>>,
-        ledger: Arc<FabricLedger>,
-        counters: Arc<NodeCounters>,
-        gate: Arc<FabricGate>,
-        faults: Arc<Faults>,
-        tracker: Arc<HopTracker>,
-        hops: Arc<[Hop]>,
-        epoch: Instant,
-    ) -> Self {
+    pub(crate) fn new(node: usize, shared: Arc<Shared>, hops: Arc<[Hop]>) -> Self {
         Self {
             node,
-            topo,
-            specs,
+            shared,
             hops,
-            ledger,
-            counters,
-            gate,
-            faults,
-            tracker,
-            epoch,
             in_step: false,
             step_us: None,
         }
+    }
+
+    /// This node's counters.
+    fn counters(&self) -> &NodeCounters {
+        &self.shared.counters[self.node]
     }
 
     /// Wall µs since the epoch: once a step has begun, the reading of
@@ -141,7 +120,7 @@ impl Forwarder {
         if let Some(us) = self.step_us {
             return us;
         }
-        let us = self.epoch.elapsed().as_micros() as u64;
+        let us = self.shared.epoch.elapsed().as_micros() as u64;
         if self.in_step {
             self.step_us = Some(us);
         }
@@ -155,11 +134,12 @@ impl Forwarder {
         let Some(hop) = position else {
             return;
         };
-        let handle = &self.faults.handles()[self.node];
+        let handle = &self.shared.handles()[self.node];
         let cycles = handle
             .served_flits()
             .saturating_sub(entry.entry_served_flits);
-        self.ledger
+        self.shared
+            .ledger
             .on_hop(flow, hop, cycles, now_us.saturating_sub(entry.entry_us));
     }
 
@@ -170,20 +150,21 @@ impl Forwarder {
         let hop = self.hops[flow];
         match hop.step {
             Step::Eject => {
-                self.ledger.on_flit_ejected(flow);
+                self.shared.ledger.on_flit_ejected(flow);
                 if flit.is_tail() {
                     let now_us = self.now_us();
-                    let clock = self
+                    let shared = &*self.shared;
+                    let clock = shared
                         .ledger
                         .on_packet_ejected(flow, now_us.saturating_sub(flit.arrival));
-                    if let Some(entry) = self.tracker.read(flit.packet) {
+                    if let Some(entry) = shared.tracker.read(flit.packet) {
                         self.record_hop(flow, hop.position, entry, now_us);
                     }
-                    self.counters.on_ejected();
+                    self.counters().on_ejected();
                     // Before the departure, so no drain sees the fabric
                     // empty while an event this ejection reached waits.
-                    self.faults.reach(clock);
-                    self.gate.depart(1);
+                    shared.reach(clock);
+                    shared.gate.depart(1);
                 }
                 ForwardOutcome::Ejected
             }
@@ -219,9 +200,9 @@ impl Forwarder {
             return outcome;
         }
         // Cold: the primary is dead (or its peer closed under us).
-        let topo = Arc::clone(&self.topo);
+        let topo = &self.shared.topo;
         for link in topo
-            .candidate_links(self.node, flow, self.specs[flow])
+            .candidate_links(self.node, flow, self.shared.specs[flow])
             .skip(1)
         {
             let peer = topo.peer(self.node, link).expect("transit link has a peer");
@@ -229,11 +210,11 @@ impl Forwarder {
                 return outcome;
             }
         }
-        if self.faults.policy == DeadLinkPolicy::HoldForRecovery {
+        if self.shared.policy == DeadLinkPolicy::HoldForRecovery {
             // §14.2: no live next hop, but the fabric holds for
             // recovery — keep the tail pending (credit held) so a
             // later heal replays it instead of losing it.
-            self.counters.on_refusal();
+            self.counters().on_refusal();
             return ForwardOutcome::Held;
         }
         self.dead_letter(flit);
@@ -245,9 +226,9 @@ impl Forwarder {
     /// this Forwarder unwound, its packet is charged as dead-lettered
     /// and departs the fabric gate.
     fn dead_letter(&self, flit: &ServedFlit) {
-        self.ledger.on_dead_lettered(flit.flow);
-        self.counters.on_dead_lettered();
-        self.gate.depart(1);
+        self.shared.ledger.on_dead_lettered(flit.flow);
+        self.counters().on_dead_lettered();
+        self.shared.gate.depart(1);
     }
 
     /// Offers `pkt` to `peer` across `link` (an `alternate` one when the
@@ -255,17 +236,18 @@ impl Forwarder {
     /// the peer's runtime closed between the liveness check and the
     /// submit: the caller tries its next candidate.
     fn offer(
-        &mut self,
+        &self,
         pkt: Packet,
         position: Option<usize>,
         (link, peer): (usize, usize),
         alternate: bool,
         now_us: u64,
     ) -> Option<ForwardOutcome> {
-        if !self.faults.dead.viable(self.node, link, Some(peer)) {
+        let shared = &*self.shared;
+        if !shared.dead.viable(self.node, link, Some(peer)) {
             return None;
         }
-        let peer_handle = &self.faults.handles()[peer];
+        let peer_handle = &shared.handles()[peer];
         // Pre-stamp the peer entry: the instant the submit lands in the
         // peer's ring its tail may be served there, and the ring's push
         // carries the stamp across (§11.8). This node's stamp is read
@@ -274,16 +256,16 @@ impl Forwarder {
             entry_us: now_us,
             entry_served_flits: peer_handle.served_flits(),
         };
-        let prev = self.tracker.replace(pkt.id, stamp);
+        let prev = shared.tracker.replace(pkt.id, stamp);
         let flow = pkt.flow;
-        match peer_handle.submit_within(pkt, Duration::ZERO) {
+        match peer_handle.try_submit(pkt) {
             Ok(Submitted::Enqueued) => {
                 if let Some(entry) = prev {
                     self.record_hop(flow, position, entry, now_us);
                 }
-                self.counters.on_forwarded();
+                self.counters().on_forwarded();
                 Some(if alternate {
-                    self.ledger.on_rerouted(flow);
+                    shared.ledger.on_rerouted(flow);
                     ForwardOutcome::Rerouted
                 } else {
                     ForwardOutcome::Forwarded
@@ -292,9 +274,9 @@ impl Forwarder {
             Ok(Submitted::Dropped) | Err(SubmitError::Rejected) => {
                 // Downstream admission accounted it: terminal. Its stale
                 // stamp matches no later packet.
-                self.ledger.on_dropped(flow);
-                self.counters.on_dropped_downstream();
-                self.gate.depart(1);
+                shared.ledger.on_dropped(flow);
+                self.counters().on_dropped_downstream();
+                shared.gate.depart(1);
                 Some(ForwardOutcome::Forwarded)
             }
             Err(SubmitError::TimedOut) => {
@@ -302,7 +284,7 @@ impl Forwarder {
                 // retry on the next flusher step; the entry stamp goes
                 // back to this node.
                 self.restore(pkt.id, prev);
-                self.counters.on_refusal();
+                self.counters().on_refusal();
                 Some(ForwardOutcome::Refused)
             }
             Err(SubmitError::Closed) => {
@@ -311,7 +293,7 @@ impl Forwarder {
                 // settlement, which this refusal may complete (§14.1):
                 // try the next candidate.
                 self.restore(pkt.id, prev);
-                self.faults.settle();
+                shared.settle();
                 None
             }
         }
@@ -320,31 +302,33 @@ impl Forwarder {
     /// Puts back the stamp a refused hand-off replaced, or clears the
     /// peer's if this node had none: the packet stays here.
     fn restore(&self, packet: u64, prev: Option<HopEntry>) {
+        let tracker = &self.shared.tracker;
         match prev {
             Some(entry) => {
-                self.tracker.stamp(packet, entry);
+                tracker.stamp(packet, entry);
             }
             None => {
-                self.tracker.take(packet);
+                tracker.take(packet);
             }
         }
     }
 }
 
 impl Egress for Forwarder {
+    /// A Forwarder runs only under buffered egress, whose flusher step
+    /// calls [`try_emit`](Egress::try_emit): nothing here waits out a
+    /// refusal, so a refused flit panics.
     fn emit(&mut self, shard: usize, flit: &ServedFlit) {
-        // Unconditional delivery: spin out a transient refusal (or a
-        // §14.2 hold, which only a concurrent heal resolves). The
-        // flusher step never calls this (it uses `try_emit`); it exists
-        // for direct-driven tests.
-        while !self.try_emit(shard, flit) {
-            std::thread::yield_now();
-        }
+        let delivered = self.try_emit(shard, flit);
+        assert!(
+            delivered,
+            "a Forwarder refused a flit outside a flusher step"
+        );
     }
 
-    /// Accepts or refuses at once: a hand-off submits with a zero
-    /// deadline and is refused when the peer has no room, and a chaos
-    /// event an ejection reaches is applied without waiting (§11.4).
+    /// Accepts or refuses at once: a hand-off is one `try_submit`,
+    /// refused when the peer has no room, and a chaos event an
+    /// ejection reaches is applied without waiting (§11.4).
     /// So the node's worker runs it in its flusher step and the node is
     /// one thread per shard (DESIGN.md §11.2).
     fn try_emit(&mut self, _shard: usize, flit: &ServedFlit) -> bool {
@@ -372,10 +356,14 @@ mod tests {
     use std::cell::Cell;
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     use err_runtime::{AdmissionPolicy, Runtime, RuntimeConfig};
 
-    use crate::hops::SLOTS;
+    use crate::fabric::FabricGate;
+    use crate::hops::{HopTracker, SLOTS};
+    use crate::stats::FabricLedger;
+    use crate::topology::{FlowSpec, Topology};
 
     thread_local! {
         /// Heap requests made by this thread.
@@ -424,10 +412,21 @@ mod tests {
         /// Set by node 1's sink once it waits on `blocked`: its worker
         /// pops nothing more until the sink is unblocked.
         waiting: Arc<AtomicBool>,
-        tracker: Arc<HopTracker>,
-        ledger: Arc<FabricLedger>,
-        counters: Arc<NodeCounters>,
-        gate: Arc<FabricGate>,
+        tracker: Part<HopTracker>,
+        ledger: Part<FabricLedger>,
+        counters: Part<NodeCounters>,
+        gate: Part<FabricGate>,
+    }
+
+    /// One part of the fabric's block, read through the block's `Arc`.
+    struct Part<T: 'static>(Arc<Shared>, fn(&Shared) -> &T);
+
+    impl<T> std::ops::Deref for Part<T> {
+        type Target = T;
+
+        fn deref(&self) -> &T {
+            (self.1)(&self.0)
+        }
     }
 
     const RING: usize = 4096;
@@ -438,12 +437,21 @@ mod tests {
     fn harness(take_stamps: bool) -> Harness {
         let blocked = Arc::new(AtomicBool::new(false));
         let waiting = Arc::new(AtomicBool::new(false));
-        let tracker = Arc::new(HopTracker::with_slots(SLOTS));
+        let topo = Topology::mesh(2, 1);
+        let specs = vec![FlowSpec { src: 0, dst: 1 }, FlowSpec { src: 1, dst: 0 }];
+        let routes = topo.compile(&specs);
+        let shared = Arc::new(Shared::new(
+            topo,
+            specs,
+            &routes.path_lens,
+            DeadLinkPolicy::DropAndAccount,
+            err_runtime::Schedule::new([]),
+        ));
         let (peer, peer_handle) = {
-            let (blocked, waiting, tracker) = (
+            let (blocked, waiting, shared) = (
                 Arc::clone(&blocked),
                 Arc::clone(&waiting),
-                Arc::clone(&tracker),
+                Arc::clone(&shared),
             );
             Runtime::start_with_egress(
                 RuntimeConfig {
@@ -456,10 +464,10 @@ mod tests {
                     ..RuntimeConfig::default()
                 },
                 move |_shard| {
-                    let (blocked, waiting, tracker) = (
+                    let (blocked, waiting, shared) = (
                         Arc::clone(&blocked),
                         Arc::clone(&waiting),
-                        Arc::clone(&tracker),
+                        Arc::clone(&shared),
                     );
                     Some(move |_s: usize, f: &ServedFlit| {
                         while blocked.load(Ordering::Acquire) {
@@ -467,48 +475,23 @@ mod tests {
                             std::thread::sleep(Duration::from_micros(200));
                         }
                         if take_stamps {
-                            tracker.take(f.packet);
+                            shared.tracker.take(f.packet);
                         }
                     })
                 },
             )
         };
-        let topo = Arc::new(Topology::mesh(2, 1));
-        let specs = vec![FlowSpec { src: 0, dst: 1 }, FlowSpec { src: 1, dst: 0 }];
-        let routes = topo.compile(&specs);
-        let counters = Arc::new(NodeCounters::default());
-        let ledger = Arc::new(FabricLedger::with_hops(&routes.path_lens));
-        let gate = Arc::new(FabricGate::new());
-        let faults = Faults::new(
-            Arc::clone(&topo),
-            DeadLinkPolicy::DropAndAccount,
-            err_runtime::Schedule::new([]),
-            vec![Arc::clone(&counters), Arc::default()],
-            Arc::clone(&ledger),
-            Arc::clone(&gate),
-        );
-        faults.install(vec![peer_handle.clone(), peer_handle], Vec::new());
-        let fwd = Forwarder::new(
-            0,
-            Arc::clone(&topo),
-            Arc::new(specs),
-            Arc::clone(&ledger),
-            Arc::clone(&counters),
-            Arc::clone(&gate),
-            Arc::new(faults),
-            Arc::clone(&tracker),
-            Arc::clone(&routes.hops[0]),
-            Instant::now(),
-        );
+        shared.install(vec![peer_handle.clone(), peer_handle], Vec::new());
+        let fwd = Forwarder::new(0, Arc::clone(&shared), Arc::clone(&routes.hops[0]));
         Harness {
             fwd,
             peer,
             blocked,
             waiting,
-            tracker,
-            ledger,
-            counters,
-            gate,
+            tracker: Part(Arc::clone(&shared), |s| &s.tracker),
+            ledger: Part(Arc::clone(&shared), |s| &s.ledger),
+            counters: Part(Arc::clone(&shared), |s| &s.counters[0]),
+            gate: Part(shared, |s| &s.gate),
         }
     }
 

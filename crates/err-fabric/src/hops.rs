@@ -18,7 +18,7 @@
 //! stamp across with it. Until then only the holder touches the
 //! packet's slot, so while no two in-flight ids share a slot each slot
 //! has one writer at a time. The source stamp is the packet's arrival
-//! (`Fabric::submit_inner`), so a packet's hop microseconds telescope
+//! (`Fabric::enter`), so a packet's hop microseconds telescope
 //! exactly to its end-to-end latency.
 //!
 //! **Collisions lose a sample, never attribute a wrong one.** Two

@@ -93,14 +93,6 @@ impl HopSnapshot {
         }
         self.sum_cycles as f64 / self.packets as f64
     }
-
-    /// Mean per-packet wall-clock delay at this hop, microseconds.
-    pub fn mean_us(&self) -> f64 {
-        if self.packets == 0 {
-            return 0.0;
-        }
-        self.sum_us as f64 / self.packets as f64
-    }
 }
 
 /// One flow's ledger at a point in time.
@@ -122,16 +114,6 @@ pub struct FlowSnapshot {
     pub latency_sum_us: u64,
     /// Largest end-to-end ejection latency, microseconds.
     pub latency_max_us: u64,
-}
-
-impl FlowSnapshot {
-    /// Mean end-to-end latency in microseconds (0 when nothing ejected).
-    pub fn mean_latency_us(&self) -> f64 {
-        if self.ejected_packets == 0 {
-            return 0.0;
-        }
-        self.latency_sum_us as f64 / self.ejected_packets as f64
-    }
 }
 
 /// The fabric-wide ledger: one set of counters per flow plus the
@@ -158,11 +140,6 @@ impl FabricLedger {
             ejected_total: AtomicU64::new(0),
             lost: AtomicU64::new(0),
         }
-    }
-
-    /// Number of flows.
-    pub fn n_flows(&self) -> usize {
-        self.flows.len()
     }
 
     /// Records a packet accepted at its source node.
@@ -350,7 +327,7 @@ mod tests {
         assert_eq!(s.ejected_packets, 1);
         assert_eq!(s.ejected_flits, 1);
         assert_eq!(s.dropped, 1);
-        assert_eq!(s.mean_latency_us(), 10.0);
+        assert_eq!(s.latency_sum_us, 10);
         assert_eq!(l.flow(1).latency_max_us, 30);
         assert_eq!(l.ejected_total(), 2);
         assert_eq!(l.lost(), 3);
@@ -371,7 +348,7 @@ mod tests {
         assert_eq!(h[0].sum_us, 8);
         assert_eq!(h[0].max_cycles, 20);
         assert_eq!(h[1].packets, 1);
-        assert_eq!(h[1].mean_us(), 1.0);
+        assert_eq!(h[1].sum_us, 1);
         assert!(l.hop_snapshot(1).is_empty());
     }
 

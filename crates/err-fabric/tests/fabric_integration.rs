@@ -877,3 +877,40 @@ fn hop_microseconds_sum_to_the_end_to_end_latency() {
         assert_eq!(hop_us, snap.latency_sum_us, "flow {flow}");
     }
 }
+
+/// A refusal is not a timed-out packet: a refused `Fabric::try_submit`,
+/// or a refused tail hand-off, counts nothing at its node, so a node's
+/// report counts packets, not attempts. A 2×1 line with four-slot
+/// rings, a four-flit admission cap and two credits refuses most of
+/// 20 000 source offers, and hand-offs behind them.
+#[test]
+fn a_refusal_counts_no_packet_at_its_node() {
+    let f = Fabric::start({
+        let mut c = FabricConfig::new(Topology::mesh(2, 1), vec![FlowSpec { src: 0, dst: 1 }]);
+        c.max_backlog = 4;
+        c.ring_capacity = 4;
+        c.credits = 2;
+        c
+    });
+    let mut refused = 0u64;
+    for _ in 0..20_000 {
+        match f.try_submit(0, 2) {
+            Ok(err_runtime::Submitted::Enqueued) => {}
+            Err(err_runtime::SubmitError::TimedOut) => refused += 1,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert!(refused > 0, "the source never refused");
+    let rep = f.drain_within(DRAIN);
+    assert_eq!(rep.outcome, DrainOutcome::Graceful);
+    assert!(rep.is_conserving());
+    assert_eq!(rep.submitted_packets(), 20_000 - refused);
+    for (node, nrep) in rep.node_reports.iter().enumerate() {
+        assert_eq!(nrep.timedout_packets(), 0, "node {node} counted a refusal");
+    }
+    assert_eq!(
+        rep.node_reports[0].submitted_packets(),
+        rep.submitted_packets(),
+        "node 0 counts the packets the fabric took, not the offers"
+    );
+}

@@ -12,7 +12,10 @@
 //! A plain push never wakes the shard worker (that would hand the CPU
 //! back and forth once per packet); the producer wakes it only where
 //! it is itself about to wait on the worker — a backpressure `Wait` or
-//! a full ring, the zero-deadline refusals included (DESIGN.md §6).
+//! a full ring — or to refuse there (DESIGN.md §6). Every submit runs
+//! one attempt that never waits (`Shared::attempt`): `try_submit` once,
+//! and `submit` and `submit_within` again after each yield, until it is
+//! done or their deadline passes.
 
 use std::sync::Arc;
 
@@ -23,7 +26,7 @@ use crate::admission::{AdmissionController, AdmitDecision};
 use crate::channel::MpscRing;
 use crate::fault::{FaultPlan, FaultRuntime};
 use crate::gate::DrainGate;
-use crate::stats::{RuntimeStats, ShardStats};
+use crate::stats::{ProducerStats, RuntimeStats, ShardStats};
 use crate::RuntimeConfig;
 
 /// Why a submit did not accept a packet.
@@ -34,9 +37,10 @@ pub enum SubmitError {
     /// The flow is over its admission cap under the reject policy.
     Rejected,
     /// A [`submit_within`](RuntimeHandle::submit_within) deadline
-    /// expired while waiting (backpressure or ring space); the packet
-    /// never entered a ring and its admission charge, if any, was
-    /// revoked (DESIGN.md §9.4).
+    /// expired while waiting (backpressure or ring space), or a
+    /// [`try_submit`](RuntimeHandle::try_submit) would have waited; the
+    /// packet never entered a ring and its admission charge, if any,
+    /// was revoked (DESIGN.md §9.4).
     TimedOut,
 }
 
@@ -146,25 +150,65 @@ impl Shared {
     }
 }
 
-/// How long a submit may wait for admission or ring space.
-#[derive(Clone, Copy)]
-enum Patience {
-    /// [`RuntimeHandle::submit`]: until there is room.
-    Forever,
-    /// A zero deadline: refuse at the first wait.
-    None,
-    /// Until the deadline, fixed when the call started.
-    Until(std::time::Instant),
-}
-
-impl Patience {
-    /// Whether a submit about to wait must refuse instead.
-    fn exhausted(self) -> bool {
-        match self {
-            Patience::Forever => false,
-            Patience::None => true,
-            Patience::Until(deadline) => std::time::Instant::now() >= deadline,
+impl Shared {
+    /// One submit attempt, which never waits: one admission try unless
+    /// the packet already holds its admission charge (`charged`, kept
+    /// across attempts), one ring push, and, where it stops short, the
+    /// intake wake and `None`: the next step would wait on the worker.
+    /// The caller holds a gate permit, and `stats` are `shard`'s.
+    /// Inlined into each submit form, as the two loops it replaced were.
+    #[inline(always)]
+    fn attempt(
+        &self,
+        pkt: Packet,
+        shard: usize,
+        stats: &ProducerStats,
+        charged: &mut bool,
+    ) -> Option<Result<Submitted, SubmitError>> {
+        if !*charged {
+            match self.admission.try_admit(pkt.flow, pkt.len) {
+                AdmitDecision::Admit => *charged = true,
+                AdmitDecision::Drop => {
+                    stats.dropped_packets.add(1);
+                    stats.dropped_flits.add(pkt.len as u64);
+                    return Some(Ok(Submitted::Dropped));
+                }
+                AdmitDecision::Reject => {
+                    stats.rejected_packets.add(1);
+                    return Some(Err(SubmitError::Rejected));
+                }
+                AdmitDecision::Wait => {
+                    if self.gate.refuses() {
+                        return Some(Err(SubmitError::Closed));
+                    }
+                    self.wake_worker_for_intake(shard);
+                    return None;
+                }
+            }
         }
+        // A dead shard's ring stays put: its worker resumes draining it
+        // (§9.2), so a full ring is waited out the same whether the
+        // worker is behind or resuming. Drop-tail sheds at the ring too.
+        if self.rings[shard].push(pkt).is_ok() {
+            stats.enqueued_packets.add(1);
+            stats.enqueued_flits.add(pkt.len as u64);
+            return Some(Ok(Submitted::Enqueued));
+        }
+        if matches!(
+            self.admission.policy(),
+            crate::admission::AdmissionPolicy::DropTail { .. }
+        ) {
+            self.admission.revoke(pkt.flow, pkt.len);
+            stats.dropped_packets.add(1);
+            stats.dropped_flits.add(pkt.len as u64);
+            return Some(Ok(Submitted::Dropped));
+        }
+        if self.gate.refuses() {
+            self.admission.revoke(pkt.flow, pkt.len);
+            return Some(Err(SubmitError::Closed));
+        }
+        self.wake_worker_for_intake(shard);
+        None
     }
 }
 
@@ -184,110 +228,80 @@ impl RuntimeHandle {
     /// * `Err(SubmitError::Closed)` — the runtime is draining.
     ///
     /// Under the backpressure policy (and for ingress-ring space under
-    /// every policy) the call spins/yields until there is room, so it
-    /// may block the producer — that is the point of backpressure.
+    /// every policy) the call yields until there is room, so it may
+    /// block the producer — that is the point of backpressure.
     pub fn submit(&self, pkt: Packet) -> Result<Submitted, SubmitError> {
-        self.submit_inner(pkt, Patience::Forever)
+        self.submit_with(pkt, |_| {
+            std::thread::yield_now();
+            true
+        })
     }
 
-    /// Like [`submit`](Self::submit), but any wait — the backpressure
-    /// spin or a full ingress ring — gives up when `timeout` elapses,
-    /// returning [`SubmitError::TimedOut`] with the packet's admission
-    /// charge revoked and the attempt counted in `timedout_packets`
-    /// (DESIGN.md §9.4). A zero timeout makes the call non-blocking: it
-    /// refuses at its first wait and reads no clock.
+    /// Like [`submit`](Self::submit), but any wait — for admission or
+    /// for ring space — gives up when `timeout` elapses, returning
+    /// [`SubmitError::TimedOut`] with the packet's admission charge
+    /// revoked and the attempt counted in `timedout_packets` (DESIGN.md
+    /// §9.4). A zero timeout refuses at the first wait and reads no
+    /// clock.
     pub fn submit_within(
         &self,
         pkt: Packet,
         timeout: std::time::Duration,
     ) -> Result<Submitted, SubmitError> {
-        let patience = if timeout.is_zero() {
-            Patience::None
-        } else {
-            Patience::Until(std::time::Instant::now() + timeout)
-        };
-        self.submit_inner(pkt, patience)
+        let deadline = (!timeout.is_zero()).then(|| std::time::Instant::now() + timeout);
+        self.submit_with(pkt, |stats| {
+            if deadline.is_none_or(|d| std::time::Instant::now() >= d) {
+                stats.timedout_packets.add(1);
+                return false;
+            }
+            std::thread::yield_now();
+            true
+        })
     }
 
-    fn submit_inner(&self, pkt: Packet, patience: Patience) -> Result<Submitted, SubmitError> {
+    /// One submit attempt, which never waits (DESIGN.md §9.4): where
+    /// [`submit`](Self::submit) would wait, for admission or for ring
+    /// space, it wakes the shard's worker and refuses with
+    /// [`SubmitError::TimedOut`], revoking the packet's admission
+    /// charge and counting nothing. A fabric hop hands a packet on
+    /// with it.
+    pub fn try_submit(&self, pkt: Packet) -> Result<Submitted, SubmitError> {
+        self.submit_with(pkt, |_| false)
+    }
+
+    /// Attempts `pkt` until it is done. Where an attempt stops short,
+    /// `retry` is asked with the shard's stats: it waits and says
+    /// `true` to attempt again, or says `false` to refuse with
+    /// [`SubmitError::TimedOut`].
+    fn submit_with(
+        &self,
+        pkt: Packet,
+        mut retry: impl FnMut(&ProducerStats) -> bool,
+    ) -> Result<Submitted, SubmitError> {
         let shared = &*self.shared;
         // Announce the in-flight submit *before* the closed check (the
         // Dekker pairing inside `DrainGate::enter`): once a worker has
         // seen `closed && in_flight == 0`, any producer arriving here
         // must observe the closed gate and bail without touching a
-        // ring. The permit is held across every exit path below.
+        // ring. The permit, and the admission charge once taken, are
+        // held across every attempt.
         let Some(_permit) = shared.gate.enter() else {
             return Err(SubmitError::Closed);
         };
-        // Admission first, then the push, both on the flow's one shard.
+        // Admission, then the push, both on the flow's one shard.
         let shard = shared.shard_of(pkt.flow);
         let stats = &shared.stats[shard].producer;
+        let mut charged = false;
         loop {
-            match shared.admission.try_admit(pkt.flow, pkt.len) {
-                AdmitDecision::Admit => break,
-                AdmitDecision::Drop => {
-                    stats.dropped_packets.add(1);
-                    stats.dropped_flits.add(pkt.len as u64);
-                    return Ok(Submitted::Dropped);
-                }
-                AdmitDecision::Reject => {
-                    stats.rejected_packets.add(1);
-                    return Err(SubmitError::Rejected);
-                }
-                AdmitDecision::Wait => {
-                    if shared.gate.refuses() {
-                        return Err(SubmitError::Closed);
-                    }
-                    // About to wait (or, past the deadline, to refuse)
-                    // until the worker serves this flow.
-                    shared.wake_worker_for_intake(shard);
-                    if patience.exhausted() {
-                        stats.timedout_packets.add(1);
-                        return Err(SubmitError::TimedOut);
-                    }
-                    std::thread::yield_now();
-                }
+            // `Packet` is `Copy`; every attempt takes the same value.
+            if let Some(res) = shared.attempt(pkt, shard, stats, &mut charged) {
+                return res;
             }
-        }
-        // A dead shard's ring stays put: its worker resumes draining it
-        // (§9.2), so a full ring is waited out the same whether the
-        // worker is behind or resuming.
-        // Ring push: one CAS. Full ring means the shard is behind;
-        // wait for space (drop-tail drops instead, shedding at the
-        // ring too).
-        let ring = &shared.rings[shard];
-        loop {
-            match ring.push(pkt) {
-                Ok(()) => {
-                    stats.enqueued_packets.add(1);
-                    stats.enqueued_flits.add(pkt.len as u64);
-                    return Ok(Submitted::Enqueued);
+            if !retry(stats) {
+                if charged {
+                    shared.admission.revoke(pkt.flow, pkt.len);
                 }
-                Err(crate::channel::RingFull) => {
-                    if matches!(
-                        shared.admission.policy(),
-                        crate::admission::AdmissionPolicy::DropTail { .. }
-                    ) {
-                        shared.admission.revoke(pkt.flow, pkt.len);
-                        stats.dropped_packets.add(1);
-                        stats.dropped_flits.add(pkt.len as u64);
-                        return Ok(Submitted::Dropped);
-                    }
-                    if shared.gate.refuses() {
-                        shared.admission.revoke(pkt.flow, pkt.len);
-                        return Err(SubmitError::Closed);
-                    }
-                    // About to wait (or refuse) until the worker
-                    // frees a slot.
-                    shared.wake_worker_for_intake(shard);
-                    if patience.exhausted() {
-                        shared.admission.revoke(pkt.flow, pkt.len);
-                        stats.timedout_packets.add(1);
-                        return Err(SubmitError::TimedOut);
-                    }
-                    // `Packet` is `Copy`; retry with the same value.
-                    std::thread::yield_now();
-                }
+                return Err(SubmitError::TimedOut);
             }
         }
     }

@@ -44,6 +44,12 @@
 //! * [`EgressMode::Buffered`] puts `err-egress` between scheduler and
 //!   sink: per-shard SPSC output rings, per-link credits, and flow
 //!   parking so a stalled downstream freezes only its own flows.
+//! * Every submit is one attempt that never waits — an admission try,
+//!   a ring push, and a wake of the shard's worker where it stops short
+//!   — run once by [`RuntimeHandle::try_submit`], which a fabric hop
+//!   hands a packet on with, and retried with a yield by
+//!   [`RuntimeHandle::submit`] and [`RuntimeHandle::submit_within`]
+//!   (DESIGN.md §9.4). No worker step reaches a wait.
 //! * Fault tolerance (DESIGN.md §9): workers that catch their own panic
 //!   and step on in place, nothing lost; dead-link failover; bounded
 //!   shutdown ([`Runtime::shutdown_within`]) and submit

@@ -77,7 +77,7 @@ pub enum Parked {
     /// surplus count preserved.
     Dequeued,
     /// The flow was in service; its visit was suspended and must be
-    /// restored via [`ErrCore::resume_visit`] after unparking, before
+    /// restored via `ErrCore::resume_visit` after unparking, before
     /// any new visit begins.
     Suspended(Visit),
 }
@@ -256,7 +256,7 @@ impl ErrCore {
     }
 
     /// Whether `flow` is currently parked.
-    pub fn is_parked(&self, flow: FlowId) -> bool {
+    pub(crate) fn is_parked(&self, flow: FlowId) -> bool {
         self.parked.get(flow).copied().unwrap_or(false)
     }
 
@@ -292,7 +292,7 @@ impl ErrCore {
     /// the flow must neither forfeit its debt nor have it forgiven.
     /// Returns what the flow was doing; on [`Parked::Suspended`] the
     /// caller owns the open visit and must hand it back through
-    /// [`resume_visit`](Self::resume_visit) once the flow is unparked.
+    /// `resume_visit` once the flow is unparked.
     pub fn park(&mut self, flow: FlowId) -> Parked {
         self.ensure(flow);
         debug_assert!(!self.parked[flow], "flow {flow} already parked");
@@ -318,7 +318,7 @@ impl ErrCore {
     /// [`activate`](Self::activate), which resets it: the flow never
     /// went inactive, its link merely stalled). A flow with a suspended
     /// visit stays out of the list — it re-enters service through
-    /// [`resume_visit`](Self::resume_visit) instead.
+    /// `resume_visit` instead.
     pub fn unpark(&mut self, flow: FlowId, has_backlog: bool) {
         self.ensure(flow);
         if !self.parked[flow] {
@@ -335,7 +335,7 @@ impl ErrCore {
     /// re-enters service exactly where it left off (same allowance, same
     /// `Sent_i` so far). Panics if another visit is in progress or the
     /// flow is still parked.
-    pub fn resume_visit(&mut self, v: Visit) {
+    pub(crate) fn resume_visit(&mut self, v: Visit) {
         assert!(
             self.visit.is_none(),
             "cannot resume a visit while another is in progress"
@@ -476,19 +476,9 @@ impl ErrCore {
         self.max_sc
     }
 
-    /// `MaxSC` of the previous round (`PreviousMaxSC`).
-    pub fn prev_max_sc(&self) -> u64 {
-        self.prev_max_sc
-    }
-
     /// 1-based number of the round in progress (0 before any service).
     pub fn round(&self) -> u64 {
         self.round
-    }
-
-    /// Number of active flows (ActiveList plus in-service flow).
-    pub fn active_flows(&self) -> usize {
-        self.size_active
     }
 
     /// The paper's `m`: the largest packet (in units) served to
@@ -1142,12 +1132,12 @@ mod tests {
     #[test]
     fn active_flow_count_tracks_population() {
         let mut s = ErrScheduler::new(3);
-        assert_eq!(s.core().active_flows(), 0);
+        assert_eq!(s.core().size_active, 0);
         s.enqueue(pkt(0, 0, 2), 0);
         s.enqueue(pkt(1, 2, 2), 0);
-        assert_eq!(s.core().active_flows(), 2);
+        assert_eq!(s.core().size_active, 2);
         drain(&mut s);
-        assert_eq!(s.core().active_flows(), 0);
+        assert_eq!(s.core().size_active, 0);
     }
 
     #[test]
@@ -1328,7 +1318,7 @@ mod tests {
         let flits = drain(&mut s);
         // 3 + 4 + 4 + 4 = 15 remaining flits, 16 total.
         assert_eq!(flits.len() + 1, 16);
-        assert_eq!(s.core().active_flows(), 0);
+        assert_eq!(s.core().size_active, 0);
         // Every packet served exactly once (no duplication).
         let mut heads: Vec<u64> = flits
             .iter()

@@ -43,7 +43,7 @@ impl VclockScheduler {
     /// Creates a Virtual Clock scheduler with explicit per-flow reserved
     /// rates (flits per cycle, each positive; they should sum to ≤ 1 for
     /// the reservations to be feasible).
-    pub fn with_rates(rates: Vec<f64>) -> Self {
+    fn with_rates(rates: Vec<f64>) -> Self {
         assert!(rates.iter().all(|&r| r > 0.0), "rates must be positive");
         let n = rates.len();
         Self {

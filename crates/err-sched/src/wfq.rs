@@ -73,11 +73,6 @@ impl WfqScheduler {
             self.pending.resize(flow + 1, 0);
         }
     }
-
-    /// Current virtual time (for tests).
-    pub fn virtual_time(&self) -> f64 {
-        self.virtual_time
-    }
 }
 
 impl Scheduler for WfqScheduler {
@@ -227,10 +222,10 @@ mod tests {
         let mut s = WfqScheduler::new(1);
         s.enqueue(pkt(0, 0, 4), 0);
         drain(&mut s);
-        let v_end = s.virtual_time();
+        let v_end = s.virtual_time;
         assert!(v_end > 0.0);
         s.enqueue(pkt(1, 0, 4), 100);
-        assert_eq!(s.virtual_time(), 0.0);
+        assert_eq!(s.virtual_time, 0.0);
         drain(&mut s);
     }
 

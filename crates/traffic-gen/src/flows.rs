@@ -14,18 +14,6 @@ pub struct FlowSpec {
     pub lengths: LenDist,
 }
 
-impl FlowSpec {
-    /// Offered load in flits per cycle (rate × mean length).
-    pub fn offered_load(&self) -> f64 {
-        self.arrivals.mean_rate() * self.lengths.mean()
-    }
-}
-
-/// The largest packet any of `specs` can produce — the paper's `Max`.
-pub fn max_packet_len(specs: &[FlowSpec]) -> u32 {
-    specs.iter().map(|s| s.lengths.max_len()).max().unwrap_or(0)
-}
-
 /// The Figure 4 workload: 8 flows, flow 3 at twice the packet rate of
 /// the others, flow 2 with lengths uniform on `[1, 128]`, everyone else
 /// uniform on `[1, 64]`.
@@ -129,6 +117,11 @@ pub fn zipf_flows(n: usize, s: f64, total_load: f64, lengths: LenDist) -> Vec<Fl
 mod tests {
     use super::*;
 
+    /// Offered load in flits per cycle (rate × mean length).
+    fn offered_load(s: &FlowSpec) -> f64 {
+        s.arrivals.mean_rate() * s.lengths.mean()
+    }
+
     #[test]
     fn fig4_matches_paper_description() {
         let specs = fig4_flows(0.006);
@@ -145,12 +138,11 @@ mod tests {
             }
             // Every flow is overloaded past its 1/8 fair share.
             assert!(
-                s.offered_load() > 1.0 / 8.0,
+                offered_load(s) > 1.0 / 8.0,
                 "flow {i} load {} not backlogging",
-                s.offered_load()
+                offered_load(s)
             );
         }
-        assert_eq!(max_packet_len(&specs), 128);
     }
 
     #[test]
@@ -158,7 +150,7 @@ mod tests {
         for intensity in [1.0, 1.1, 1.3] {
             let specs = fig5_flows(intensity);
             assert_eq!(specs.len(), 4);
-            let total: f64 = specs.iter().map(|s| s.offered_load()).sum();
+            let total: f64 = specs.iter().map(offered_load).sum();
             assert!(
                 (total - intensity).abs() < 1e-9,
                 "intensity {intensity}: load {total}"
@@ -189,11 +181,11 @@ mod tests {
     fn zipf_flows_split_total_load_by_weight() {
         let lengths = LenDist::Constant(16);
         let specs = zipf_flows(8, 1.2, 0.9, lengths);
-        let total: f64 = specs.iter().map(|s| s.offered_load()).sum();
+        let total: f64 = specs.iter().map(offered_load).sum();
         assert!((total - 0.9).abs() < 1e-9, "total load {total}");
         let w = zipf_weights(8, 1.2);
         for (spec, wi) in specs.iter().zip(&w) {
-            assert!((spec.offered_load() - wi * 0.9).abs() < 1e-9);
+            assert!((offered_load(spec) - wi * 0.9).abs() < 1e-9);
         }
     }
 
@@ -203,7 +195,7 @@ mod tests {
             let specs = fig6_flows(n);
             assert_eq!(specs.len(), n);
             assert!(specs.windows(2).all(|w| w[0] == w[1]));
-            let total: f64 = specs.iter().map(|s| s.offered_load()).sum();
+            let total: f64 = specs.iter().map(offered_load).sum();
             assert!((total - 2.0).abs() < 0.05, "n={n}: total load {total}");
         }
     }

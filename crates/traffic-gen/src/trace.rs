@@ -3,12 +3,8 @@
 //! The comparison methodology of the paper feeds *identical* traffic to
 //! every discipline. [`Workload`] already guarantees
 //! that via seeding; traces additionally let a workload be captured once,
-//! saved to disk in a simple CSV form, inspected, and replayed — useful
-//! for debugging a single scheduling decision and for regression tests
-//! pinned to an exact packet sequence.
-
-use std::fmt::Write as _;
-use std::str::FromStr;
+//! inspected, and replayed — useful for debugging a single scheduling
+//! decision and for regression tests pinned to an exact packet sequence.
 
 use desim::Cycle;
 use err_sched::Packet;
@@ -23,11 +19,6 @@ pub struct PacketTrace {
 }
 
 impl PacketTrace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records a workload's first `horizon` cycles of arrivals.
     pub fn capture(workload: &mut Workload, horizon: Cycle) -> Self {
         let mut packets = Vec::new();
@@ -37,33 +28,14 @@ impl PacketTrace {
         Self { packets, cursor: 0 }
     }
 
-    /// Builds a trace from explicit packets (must be sorted by arrival).
-    pub fn from_packets(packets: Vec<Packet>) -> Self {
-        assert!(
-            packets.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "trace must be sorted by arrival cycle"
-        );
-        Self { packets, cursor: 0 }
-    }
-
     /// All packets in the trace.
     pub fn packets(&self) -> &[Packet] {
         &self.packets
     }
 
-    /// Total flits across the trace.
-    pub fn total_flits(&self) -> u64 {
-        self.packets.iter().map(|p| p.len as u64).sum()
-    }
-
     /// Number of distinct flows referenced.
     pub fn n_flows(&self) -> usize {
         self.packets.iter().map(|p| p.flow + 1).max().unwrap_or(0)
-    }
-
-    /// Resets the replay cursor to the beginning.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
     }
 
     /// Appends to `out` the packets arriving at exactly `now` (replay
@@ -81,52 +53,6 @@ impl PacketTrace {
     /// Whether replay has delivered every packet.
     pub fn exhausted(&self) -> bool {
         self.cursor >= self.packets.len()
-    }
-
-    /// Serializes to the CSV form `id,flow,len,arrival` (one packet per
-    /// line, header included).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::with_capacity(self.packets.len() * 16 + 24);
-        s.push_str("id,flow,len,arrival\n");
-        for p in &self.packets {
-            let _ = writeln!(s, "{},{},{},{}", p.id, p.flow, p.len, p.arrival);
-        }
-        s
-    }
-
-    /// Parses the CSV form produced by [`to_csv`](Self::to_csv).
-    pub fn from_csv(text: &str) -> Result<Self, String> {
-        let mut packets = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            if lineno == 0 && line.starts_with("id,") {
-                continue;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut fields = line.split(',');
-            let mut next = |name: &str| -> Result<&str, String> {
-                fields
-                    .next()
-                    .ok_or_else(|| format!("line {}: missing field {name}", lineno + 1))
-            };
-            let id = u64::from_str(next("id")?.trim())
-                .map_err(|e| format!("line {}: bad id: {e}", lineno + 1))?;
-            let flow = usize::from_str(next("flow")?.trim())
-                .map_err(|e| format!("line {}: bad flow: {e}", lineno + 1))?;
-            let len = u32::from_str(next("len")?.trim())
-                .map_err(|e| format!("line {}: bad len: {e}", lineno + 1))?;
-            let arrival = u64::from_str(next("arrival")?.trim())
-                .map_err(|e| format!("line {}: bad arrival: {e}", lineno + 1))?;
-            if len == 0 {
-                return Err(format!("line {}: zero-length packet", lineno + 1));
-            }
-            packets.push(Packet::new(id, flow, len, arrival));
-        }
-        if !packets.windows(2).all(|w| w[0].arrival <= w[1].arrival) {
-            return Err("trace not sorted by arrival".into());
-        }
-        Ok(Self { packets, cursor: 0 })
     }
 }
 
@@ -170,57 +96,5 @@ mod tests {
         }
         assert_eq!(direct, replayed);
         assert!(t.exhausted());
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let mut w = sample_workload();
-        let trace = PacketTrace::capture(&mut w, 300);
-        let csv = trace.to_csv();
-        let back = PacketTrace::from_csv(&csv).unwrap();
-        assert_eq!(trace.packets(), back.packets());
-    }
-
-    #[test]
-    fn from_csv_rejects_garbage() {
-        assert!(PacketTrace::from_csv("id,flow,len,arrival\n1,2,notanum,4\n").is_err());
-        assert!(PacketTrace::from_csv("id,flow,len,arrival\n1,2\n").is_err());
-        assert!(PacketTrace::from_csv("id,flow,len,arrival\n1,0,0,4\n").is_err());
-        // Unsorted arrivals.
-        assert!(PacketTrace::from_csv("id,flow,len,arrival\n0,0,1,10\n1,0,1,5\n").is_err());
-    }
-
-    #[test]
-    fn from_packets_validates_order() {
-        let ok = vec![
-            Packet::new(0, 0, 1, 5),
-            Packet::new(1, 1, 2, 5),
-            Packet::new(2, 0, 3, 9),
-        ];
-        let t = PacketTrace::from_packets(ok);
-        assert_eq!(t.n_flows(), 2);
-        assert_eq!(t.total_flits(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn from_packets_rejects_unsorted() {
-        PacketTrace::from_packets(vec![Packet::new(0, 0, 1, 9), Packet::new(1, 0, 1, 3)]);
-    }
-
-    #[test]
-    fn rewind_replays_from_start() {
-        let mut w = sample_workload();
-        let mut t = PacketTrace::capture(&mut w, 200);
-        let mut first = Vec::new();
-        for now in 0..200 {
-            t.poll(now, &mut first);
-        }
-        t.rewind();
-        let mut second = Vec::new();
-        for now in 0..200 {
-            t.poll(now, &mut second);
-        }
-        assert_eq!(first, second);
     }
 }

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use err_runtime::{AdmissionPolicy, Runtime, RuntimeConfig, SubmitError, Submitted};
+use err_runtime::{AdmissionPolicy, Runtime, RuntimeConfig, RuntimeHandle, SubmitError, Submitted};
 use err_sched::Packet;
 
 const N_FLOWS: usize = 64;
@@ -218,9 +218,20 @@ fn graceful_drain_with_concurrent_producers() {
 /// both wait sites — a backpressure `Wait` and a full ingress ring —
 /// counts the refusal in `timedout_packets`, and leaves no admission
 /// charge behind: once the worker drains, each flow is admitted up to
-/// its `max_backlog` again.
+/// its `max_backlog` again. `try_submit`, the one attempt that never
+/// waits, refuses at the same sites and leaves no charge either, but
+/// counts nothing.
 #[test]
 fn a_zero_deadline_submit_refuses_at_once_and_revokes_its_charge() {
+    refuses_at_once_and_revokes_its_charge(|h, pkt| h.submit_within(pkt, Duration::ZERO), 2);
+    refuses_at_once_and_revokes_its_charge(|h, pkt| h.try_submit(pkt), 0);
+}
+
+/// Drives (d) through `submit`, which must count `timeouts` refusals.
+fn refuses_at_once_and_revokes_its_charge(
+    submit: fn(&RuntimeHandle, Packet) -> Result<Submitted, SubmitError>,
+    timeouts: u64,
+) {
     // One packet fills a flow's cap, so a leaked charge would refuse
     // that flow forever.
     const LEN: u32 = 4;
@@ -255,7 +266,7 @@ fn a_zero_deadline_submit_refuses_at_once_and_revokes_its_charge() {
     let mut id = 0u64;
     let mut offer = |flow: usize| {
         id += 1;
-        handle.submit_within(Packet::new(id, flow, LEN, 0), Duration::ZERO)
+        submit(&handle, Packet::new(id, flow, LEN, 0))
     };
     // Admission site: flow 0's first packet fills its cap, so the
     // second waits on admission, and a zero deadline refuses at once.
@@ -270,7 +281,7 @@ fn a_zero_deadline_submit_refuses_at_once_and_revokes_its_charge() {
             other => panic!("flow {flow}: unexpected {other:?}"),
         })
         .expect("a ring of four filled within the flows");
-    assert_eq!(handle.stats().timedout_packets(), 2);
+    assert_eq!(handle.stats().timedout_packets(), timeouts);
 
     blocked.store(false, Ordering::Release);
     let enqueued = full as u64;
@@ -285,6 +296,6 @@ fn a_zero_deadline_submit_refuses_at_once_and_revokes_its_charge() {
 
     let report = rt.shutdown();
     assert!(report.is_conserving(), "{report:?}");
-    assert_eq!(report.timedout_packets(), 2);
+    assert_eq!(report.timedout_packets(), timeouts);
     assert_eq!(report.served_packets(), enqueued + 2);
 }
